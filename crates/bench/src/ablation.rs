@@ -55,49 +55,36 @@ pub fn compression(scale: &Scale) -> Table {
 /// A2 — distributed sampling vs naive first-fragment sampling: reducer
 /// balance of the sort job on the (length-clustered) databases.
 pub fn sampling(scale: &Scale) -> Table {
-    use crate::workflows::{blast_workflow, BLAST_INPUT_CFG};
-    use papar_core::exec::WorkflowRunner;
-    use papar_core::plan::Planner;
+    use crate::workflows::{blast_plan, run_raw};
     use papar_mr::Cluster;
-    use papar_record::batch::{Batch, Dataset};
 
     let mut t = Table::new(
         "Ablation A2: reduce-range sampling (sort job reducer balance)",
         &["database", "sampling", "max/avg reducer load"],
     );
+    let (planner, args) = blast_plan("roundRobin", 16);
     for (name, db) in databases(scale) {
         for (label, mode) in [
             ("distributed", SamplingMode::Distributed),
             ("first-fragment", SamplingMode::FirstFragmentOnly),
         ] {
-            let planner =
-                Planner::from_xml(&blast_workflow("roundRobin"), &[BLAST_INPUT_CFG]).unwrap();
-            let mut a = std::collections::HashMap::new();
-            a.insert("input_path".to_string(), "/in".to_string());
-            a.insert("output_path".to_string(), "/out".to_string());
-            a.insert("num_partitions".to_string(), "16".to_string());
-            let plan = planner.bind(&a).unwrap();
             // Fusion would stream the sorted intermediate straight into the
             // distribute; this ablation inspects it, so keep it materialized.
-            let runner = WorkflowRunner::with_options(
-                plan,
-                ExecOptions {
-                    sampling: mode,
-                    fuse: false,
-                    ..ExecOptions::default()
-                },
+            let options = ExecOptions {
+                sampling: mode,
+                fuse: false,
+                ..ExecOptions::default()
+            };
+            let raw = run_raw(
+                &planner,
+                &args,
+                db.index_records(),
+                Cluster::new(16),
+                options,
+                None,
             );
-            let mut cluster = Cluster::new(16);
-            let schema = runner.plan().external_inputs[0].1.schema.clone();
-            runner
-                .scatter_input(
-                    &mut cluster,
-                    "/in",
-                    Dataset::new(schema, Batch::Flat(db.index_records())),
-                )
-                .unwrap();
-            runner.run(&mut cluster).unwrap();
-            let sizes: Vec<usize> = cluster
+            let sizes: Vec<usize> = raw
+                .cluster
                 .collect("/user/sort_output")
                 .unwrap()
                 .iter()

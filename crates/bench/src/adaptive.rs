@@ -14,16 +14,14 @@
 //! every row asserts. Besides the console table the experiment writes
 //! `BENCH_adaptive.json` for the CI gate.
 
-use papar_core::exec::{ExecOptions, WorkflowReport, WorkflowRunner};
+use papar_core::exec::{ExecOptions, WorkflowReport};
 use papar_core::plan::Planner;
 use papar_mr::Cluster;
-use papar_record::batch::{Batch, Dataset};
 use papar_record::{Record, Value};
-use std::collections::HashMap;
 
 use crate::datasets::Scale;
 use crate::report::Table;
-use crate::workflows::BLAST_INPUT_CFG;
+use crate::workflows::{run_raw, BLAST_INPUT_CFG};
 
 /// Nodes in the simulated cluster.
 pub const NODES: usize = 4;
@@ -132,39 +130,28 @@ pub struct AblationRun {
 /// the per-reducer skew histogram is available.
 pub fn run_ablation(records: &[Record], adaptive: bool) -> AblationRun {
     let planner = Planner::from_xml(&workflow(), &[BLAST_INPUT_CFG]).expect("config");
-    let args: HashMap<String, String> = [
-        ("input_path", "/db/in".to_string()),
-        ("output_path", "/db/out".to_string()),
-        ("num_partitions", PARTITIONS.to_string()),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
-    .collect();
-    let plan = planner.bind(&args).expect("bind");
     let options = ExecOptions {
         threads: Some(1),
         trace: true,
         adaptive,
         ..ExecOptions::default()
     };
-    let runner = WorkflowRunner::with_options(plan, options);
-    let schema = runner.plan().external_inputs[0].1.schema.clone();
-    let mut cluster = Cluster::new(NODES);
-    runner
-        .scatter_input(
-            &mut cluster,
-            "/db/in",
-            Dataset::new(schema, Batch::Flat(records.to_vec())),
-        )
-        .expect("scatter");
-    let report = runner.run(&mut cluster).expect("run");
-    let partitions: Vec<Vec<Record>> = cluster
-        .collect("/db/out")
-        .expect("collect")
-        .into_iter()
-        .map(|d| d.batch.flatten().iter().cloned().collect())
-        .collect();
-    AblationRun { report, partitions }
+    let raw = run_raw(
+        &planner,
+        &[
+            ("input_path", "/db/in".to_string()),
+            ("output_path", "/db/out".to_string()),
+            ("num_partitions", PARTITIONS.to_string()),
+        ],
+        records.to_vec(),
+        Cluster::new(NODES),
+        options,
+        None,
+    );
+    AblationRun {
+        report: raw.report,
+        partitions: raw.output.into_iter().map(|d| d.batch.flatten()).collect(),
+    }
 }
 
 /// The sort stage's shuffle balance: `(reducers, max/fair ratio)` where
@@ -262,7 +249,13 @@ pub fn run(scale: &Scale) -> Table {
     let rs = rows(scale);
     let mut t = Table::new(
         "Adaptive planner ablation: --adaptive vs literal knobs",
-        &["input", "sort reducers", "max load / fair", "shuffled bytes", "output"],
+        &[
+            "input",
+            "sort reducers",
+            "max load / fair",
+            "shuffled bytes",
+            "output",
+        ],
     );
     for r in &rs {
         assert!(

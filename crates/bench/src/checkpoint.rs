@@ -10,19 +10,16 @@
 //! stage stats. Besides the console table the experiment writes
 //! `BENCH_checkpoint.json`.
 
-use papar_core::exec::{ExecOptions, WorkflowReport, WorkflowRunner};
-use papar_core::plan::Planner;
+use papar_core::exec::{ExecOptions, WorkflowReport};
 use papar_mr::Cluster;
-use papar_record::batch::{Batch, Dataset};
 use papar_record::wire;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::datasets::Scale;
 use crate::measure;
 use crate::report::Table;
-use crate::workflows::{blast_workflow, BLAST_INPUT_CFG};
+use crate::workflows::{blast_plan, run_raw};
 
 /// Nodes in the simulated cluster.
 pub const NODES: usize = 4;
@@ -69,13 +66,6 @@ impl Row {
     }
 }
 
-fn args(pairs: &[(&str, String)]) -> HashMap<String, String> {
-    pairs
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.clone()))
-        .collect()
-}
-
 /// Run Figure 8 unfused (two stages, so resume has a boundary to skip
 /// to), optionally against a checkpoint directory. Returns the partition
 /// bytes, the report, and the wall time of scatter + run.
@@ -83,48 +73,30 @@ fn run_blast(
     db: &mublastp::dbformat::BlastDb,
     checkpoint: Option<(&Path, bool)>,
 ) -> (Vec<Vec<u8>>, WorkflowReport, Duration) {
-    let planner =
-        Planner::from_xml(&blast_workflow("roundRobin"), &[BLAST_INPUT_CFG]).expect("config");
-    let plan = planner
-        .bind(&args(&[
-            ("input_path", "/db/in".to_string()),
-            ("output_path", "/db/out".to_string()),
-            ("num_partitions", PARTITIONS.to_string()),
-        ]))
-        .expect("bind");
+    let (planner, args) = blast_plan("roundRobin", PARTITIONS);
     let options = ExecOptions {
         fuse: false,
         threads: Some(1),
         ..ExecOptions::default()
     };
-    let mut runner = WorkflowRunner::with_options(plan, options);
-    if let Some((dir, resume)) = checkpoint {
-        runner = runner.with_checkpoint(dir, resume, 0);
-    }
-    let mut cluster = Cluster::new(NODES);
-    let schema = runner.plan().external_inputs[0].1.schema.clone();
-    let records = db.index_records();
-    let t0 = Instant::now();
-    runner
-        .scatter_input(
-            &mut cluster,
-            "/db/in",
-            Dataset::new(schema, Batch::Flat(records)),
-        )
-        .expect("scatter");
-    let report = runner.run(&mut cluster).expect("run");
-    let wall = t0.elapsed();
-    let partitions = cluster
-        .collect("/db/out")
-        .expect("collect")
-        .into_iter()
+    let raw = run_raw(
+        &planner,
+        &args,
+        db.index_records(),
+        Cluster::new(NODES),
+        options,
+        checkpoint,
+    );
+    let partitions = raw
+        .output
+        .iter()
         .map(|d| {
             let mut buf = Vec::new();
             wire::encode_batch(&d.batch, &d.schema, &mut buf).expect("encode");
             buf
         })
         .collect();
-    (partitions, report, wall)
+    (partitions, raw.report, raw.scatter_wall + raw.run_wall)
 }
 
 fn ckpt_dir(tag: &str) -> PathBuf {

@@ -157,44 +157,21 @@ impl WallComparison {
 /// materialization copies stay outside the timed region — only the
 /// engine's sample/map/shuffle/sort/reduce work is on the clock.
 pub fn blast_wall(scale: &Scale) -> WallComparison {
-    use papar_core::exec::WorkflowRunner;
-    use papar_core::plan::Planner;
-    use papar_mr::Cluster;
-    use papar_record::batch::{Batch, Dataset};
-    use std::collections::HashMap;
-
     let (_, db) = databases(scale).into_iter().next().expect("a database");
     let records = db.index_records();
-    let planner = Planner::from_xml(
-        &crate::workflows::blast_workflow("roundRobin"),
-        &[crate::workflows::BLAST_INPUT_CFG],
-    )
-    .expect("config");
-    let args: HashMap<String, String> = [
-        ("input_path", "/db/in"),
-        ("output_path", "/db/out"),
-        ("num_partitions", "32"),
-    ]
-    .iter()
-    .map(|(k, v)| (k.to_string(), v.to_string()))
-    .collect();
+    let (planner, args) = crate::workflows::blast_plan("roundRobin", 32);
     let wall = |zerocopy: bool| {
         measure::avg_of(|| {
-            let plan = planner.bind(&args).expect("bind");
-            let runner = WorkflowRunner::with_options(plan, options(zerocopy));
-            let mut cluster = Cluster::new(1);
-            let schema = runner.plan().external_inputs[0].1.schema.clone();
-            runner
-                .scatter_input(
-                    &mut cluster,
-                    "/db/in",
-                    Dataset::new(schema, Batch::Flat(records.clone())),
-                )
-                .expect("scatter");
-            let t0 = std::time::Instant::now();
-            let report = runner.run(&mut cluster).expect("run");
-            std::hint::black_box(&report);
-            t0.elapsed()
+            let raw = crate::workflows::run_raw(
+                &planner,
+                &args,
+                records.clone(),
+                papar_mr::Cluster::new(1),
+                options(zerocopy),
+                None,
+            );
+            std::hint::black_box(&raw.report);
+            raw.run_wall
         })
     };
     WallComparison {

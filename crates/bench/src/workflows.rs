@@ -8,10 +8,10 @@ use papar_core::exec::{ExecOptions, WorkflowReport, WorkflowRunner};
 use papar_core::plan::Planner;
 use papar_mr::Cluster;
 use papar_record::batch::{Batch, Dataset};
-use papar_record::Schema;
+use papar_record::Record;
 use powerlyra::Graph;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// The Figure 4 InputData configuration.
@@ -117,11 +117,79 @@ pub const HYBRID_WORKFLOW: &str = r#"
   </operators>
 </workflow>"#;
 
-fn args(pairs: &[(&str, String)]) -> HashMap<String, String> {
-    pairs
+/// What one workflow run left behind, before any experiment-specific
+/// decoding.
+pub struct RawRun {
+    /// Per-job stats plus sampling time.
+    pub report: WorkflowReport,
+    /// The workflow's output, one dataset per partition.
+    pub output: Vec<Dataset>,
+    /// The cluster after the run: intermediates the plan materialized are
+    /// still collectable from it.
+    pub cluster: Cluster,
+    /// Wall time of the input scatter.
+    pub scatter_wall: Duration,
+    /// Wall time of the engine run alone.
+    pub run_wall: Duration,
+}
+
+/// The bind → runner → scatter → run → collect tail every experiment
+/// shares. `args` are the launch arguments (path arguments are dataset
+/// names here; nothing touches a disk except `checkpoint`, a run
+/// directory and whether to resume from it); `records` is the plan's one
+/// external input.
+pub fn run_raw(
+    planner: &Planner,
+    args: &[(&str, String)],
+    records: Vec<Record>,
+    mut cluster: Cluster,
+    options: ExecOptions,
+    checkpoint: Option<(&Path, bool)>,
+) -> RawRun {
+    let args: HashMap<String, String> = args
         .iter()
         .map(|(k, v)| (k.to_string(), v.clone()))
-        .collect()
+        .collect();
+    let mut runner = WorkflowRunner::with_options(planner.bind(&args).expect("bind"), options);
+    if let Some((dir, resume)) = checkpoint {
+        runner = runner.with_checkpoint(dir, resume, 0);
+    }
+    let (input, meta) = runner.plan().external_inputs[0].clone();
+    let t0 = Instant::now();
+    runner
+        .scatter_input(
+            &mut cluster,
+            &input,
+            Dataset::new(meta.schema, Batch::Flat(records)),
+        )
+        .expect("scatter");
+    let scatter_wall = t0.elapsed();
+    let t1 = Instant::now();
+    let report = runner.run(&mut cluster).expect("run");
+    let run_wall = t1.elapsed();
+    let output = cluster
+        .collect(&runner.plan().output_path)
+        .expect("collect");
+    RawRun {
+        report,
+        output,
+        cluster,
+        scatter_wall,
+        run_wall,
+    }
+}
+
+/// A planner over the Figure 8 documents with the given distribution
+/// policy, and the launch arguments for `num_partitions` partitions.
+pub fn blast_plan(policy: &str, num_partitions: usize) -> (Planner, [(&'static str, String); 3]) {
+    (
+        Planner::from_xml(&blast_workflow(policy), &[BLAST_INPUT_CFG]).expect("config"),
+        [
+            ("input_path", "/db/in".to_string()),
+            ("output_path", "/db/out".to_string()),
+            ("num_partitions", num_partitions.to_string()),
+        ],
+    )
 }
 
 /// Result of one PaPar BLAST partitioning run.
@@ -160,32 +228,15 @@ pub fn run_blast_on(
     db: &BlastDb,
     policy: &str,
     num_partitions: usize,
-    mut cluster: Cluster,
+    cluster: Cluster,
     options: ExecOptions,
 ) -> BlastRun {
     let nodes = cluster.num_nodes();
-    let planner = Planner::from_xml(&blast_workflow(policy), &[BLAST_INPUT_CFG]).expect("config");
-    let plan = planner
-        .bind(&args(&[
-            ("input_path", "/db/in".to_string()),
-            ("output_path", "/db/out".to_string()),
-            ("num_partitions", num_partitions.to_string()),
-        ]))
-        .expect("bind");
-    let runner = WorkflowRunner::with_options(plan, options);
-    let schema = runner.plan().external_inputs[0].1.schema.clone();
-    let records = db.index_records();
-    runner
-        .scatter_input(
-            &mut cluster,
-            "/db/in",
-            Dataset::new(schema, Batch::Flat(records)),
-        )
-        .expect("scatter");
-    let report = runner.run(&mut cluster).expect("run");
-    let partitions: Vec<Vec<IndexEntry>> = cluster
-        .collect("/db/out")
-        .expect("collect")
+    let (planner, args) = blast_plan(policy, num_partitions);
+    let raw = run_raw(&planner, &args, db.index_records(), cluster, options, None);
+    let report = raw.report;
+    let partitions: Vec<Vec<IndexEntry>> = raw
+        .output
         .into_iter()
         .map(|d| {
             d.batch
@@ -236,31 +287,25 @@ pub fn run_hybrid(
     options: ExecOptions,
 ) -> HybridRun {
     let planner = Planner::from_xml(HYBRID_WORKFLOW, &[EDGE_INPUT_CFG_NUMERIC]).expect("config");
-    let plan = planner
-        .bind(&args(&[
+    let input_cfg = InputConfig::parse_str(EDGE_INPUT_CFG_NUMERIC).expect("config");
+    let schema = papar_record::Schema::from_input_config(&input_cfg);
+    let text = powerlyra::gen::to_snap_text(graph);
+    let records = papar_record::codec::text::read(&input_cfg, &schema, &text).expect("parse");
+    let raw = run_raw(
+        &planner,
+        &[
             ("input_file", "/g/in".to_string()),
             ("output_path", "/g/out".to_string()),
             ("num_partitions", num_partitions.to_string()),
             ("threshold", threshold.to_string()),
-        ]))
-        .expect("bind");
-    let runner = WorkflowRunner::with_options(plan, options);
-    let mut cluster = Cluster::new(nodes);
-    let schema: Arc<Schema> = runner.plan().external_inputs[0].1.schema.clone();
-    let input_cfg = InputConfig::parse_str(EDGE_INPUT_CFG_NUMERIC).expect("config");
-    let text = powerlyra::gen::to_snap_text(graph);
-    let records = papar_record::codec::text::read(&input_cfg, &schema, &text).expect("parse");
-    runner
-        .scatter_input(
-            &mut cluster,
-            "/g/in",
-            Dataset::new(schema, Batch::Flat(records)),
-        )
-        .expect("scatter");
-    let report = runner.run(&mut cluster).expect("run");
-    let partitions: Vec<Vec<(u32, u32)>> = cluster
-        .collect("/g/out")
-        .expect("collect")
+        ],
+        records,
+        Cluster::new(nodes),
+        options,
+        None,
+    );
+    let partitions: Vec<Vec<(u32, u32)>> = raw
+        .output
         .into_iter()
         .map(|d| {
             d.batch
@@ -275,7 +320,10 @@ pub fn run_hybrid(
                 .collect()
         })
         .collect();
-    HybridRun { report, partitions }
+    HybridRun {
+        report: raw.report,
+        partitions,
+    }
 }
 
 #[cfg(test)]

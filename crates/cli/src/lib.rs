@@ -14,17 +14,25 @@
 //!
 //! The library half (this module) is fully testable without spawning the
 //! binary; `main.rs` is a thin argument-parsing shell around [`run`].
+//!
+//! The pipeline itself lives in [`papar_serve::job`], once: [`run`] is
+//! load → compile → fresh cluster (+ fault plan, replication, retries,
+//! checkpoint salt) → run → trace/profile → emit → [`RunSummary`] over
+//! those stage functions, `papar serve` wraps the same calls in its
+//! caches, and [`run_plan`] reuses compile's argument defaulting and its
+//! decision → lower → verify tail. What stays here is what a front-end
+//! owns: the spec types, the argument parsers, and how results render.
 
-use papar_config::input::InputFormat;
 use papar_config::{InputConfig, WorkflowConfig};
-use papar_core::exec::{ExecOptions, WorkflowRunner};
+use papar_core::exec::{CheckpointCfg, ExecOptions, WorkflowReport};
 use papar_core::plan::Planner;
-use papar_mr::{ChaosSpec, Cluster, RetryPolicy};
-use papar_record::batch::{Batch, Dataset};
+use papar_mr::ChaosSpec;
+use papar_record::batch::Batch;
 use papar_record::Schema;
+use papar_serve::cache::CachedPlan;
+use papar_serve::{job, JobSpec};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::PathBuf;
 
 /// Everything `papar run` needs.
 #[derive(Debug, Clone)]
@@ -189,167 +197,162 @@ fn insert_arg(args: &mut HashMap<String, String>, kv: &str) -> Result<(), CliErr
     Ok(())
 }
 
-/// Execute a run spec end-to-end.
-pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
-    let input_cfg_text = std::fs::read_to_string(&spec.input_config)
-        .map_err(|e| fail(format!("cannot read {}: {e}", spec.input_config.display())))?;
-    let input_cfg = InputConfig::parse_str(&input_cfg_text)
-        .map_err(|e| fail(format!("{}: {e}", spec.input_config.display())))?;
-    let workflow_text = std::fs::read_to_string(&spec.workflow)
-        .map_err(|e| fail(format!("cannot read {}: {e}", spec.workflow.display())))?;
-    let workflow = WorkflowConfig::parse_str(&workflow_text)
-        .map_err(|e| fail(format!("{}: {e}", spec.workflow.display())))?;
+/// The value that must follow `flag`.
+fn value(flag: &str, argv: &mut impl Iterator<Item = String>) -> Result<String, CliError> {
+    argv.next()
+        .ok_or_else(|| fail(format!("{flag} needs a value")))
+}
 
-    // Bind arguments: any hdfs-typed argument bound to the data file path
-    // becomes the external input; default the conventional names.
-    let mut args = spec.args.clone();
-    let data_path = spec.data.display().to_string();
-    for name in ["input_path", "input_file"] {
-        if workflow.argument(name).is_some() && !args.contains_key(name) {
-            args.insert(name.to_string(), data_path.clone());
+/// The value following `flag`, as an integer that may be zero.
+fn non_negative_int<T: std::str::FromStr>(
+    flag: &str,
+    argv: &mut impl Iterator<Item = String>,
+) -> Result<T, CliError> {
+    let v = value(flag, argv)?;
+    v.parse()
+        .map_err(|_| fail(format!("{flag} wants a non-negative integer, got '{v}'")))
+}
+
+/// The value following `flag`, as an integer that is at least one.
+fn positive_int<T: std::str::FromStr + Default + PartialEq>(
+    flag: &str,
+    argv: &mut impl Iterator<Item = String>,
+) -> Result<T, CliError> {
+    let v = value(flag, argv)?;
+    match v.parse::<T>() {
+        Ok(n) if n != T::default() => Ok(n),
+        _ => Err(fail(format!("{flag} wants a positive integer, got '{v}'"))),
+    }
+}
+
+/// The twelve flags `papar run` and `papar submit` share, parsed into the
+/// [`RunSpec`] fields both are built from. `Ok(false)` means `flag` is
+/// not one of them and the caller's own flags get their turn. Node and
+/// thread counts are held to the `u32` the wire protocol carries, so a
+/// count `papar submit` would have to refuse is refused by `papar run`
+/// too.
+fn job_flag(
+    spec: &mut RunSpec,
+    flag: &str,
+    argv: &mut impl Iterator<Item = String>,
+) -> Result<bool, CliError> {
+    match flag {
+        "--input-config" => spec.input_config = value(flag, argv)?.into(),
+        "--workflow" => spec.workflow = value(flag, argv)?.into(),
+        "--data" => spec.data = value(flag, argv)?.into(),
+        "--out" => spec.out_dir = value(flag, argv)?.into(),
+        "--nodes" => spec.nodes = positive_int::<u32>(flag, argv)? as usize,
+        "--records" => spec.records = Some(non_negative_int(flag, argv)?),
+        "--arg" => insert_arg(&mut spec.args, &value(flag, argv)?)?,
+        "--threads" => spec.threads = Some(positive_int::<u32>(flag, argv)? as usize),
+        "--no-fuse" => spec.no_fuse = true,
+        "--no-zerocopy" => spec.no_zerocopy = true,
+        "--adaptive" => spec.adaptive = true,
+        "--no-adaptive" => spec.adaptive = false,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// The four paths a job cannot do without.
+fn require_job_paths(spec: &RunSpec, usage: &str) -> Result<(), CliError> {
+    for (flag, p) in [
+        ("--input-config", &spec.input_config),
+        ("--workflow", &spec.workflow),
+        ("--data", &spec.data),
+        ("--out", &spec.out_dir),
+    ] {
+        if p.as_os_str().is_empty() {
+            return Err(fail(format!("{flag} is required\n{usage}")));
         }
     }
-    for name in ["output_path"] {
-        if workflow.argument(name).is_some() && !args.contains_key(name) {
-            args.insert(name.to_string(), spec.out_dir.display().to_string());
-        }
-    }
+    Ok(())
+}
 
-    let schema = Arc::new(Schema::from_input_config(&input_cfg));
-    let records = read_data_file(&input_cfg, &schema, &spec.data, spec.records)?;
-    let records_in = records.len();
-
-    // Static analysis gate: refuse to start the cluster while any
-    // error-severity diagnostic stands. Warnings ride along on the summary.
-    let ctx = papar_check::CheckContext {
-        args: args.clone(),
-        nodes: Some(spec.nodes),
-        replication: Some(spec.replication),
-        records: Some(records_in),
-        ..Default::default()
-    };
-    let analysis = papar_check::analyze(&workflow, std::slice::from_ref(&input_cfg), &ctx);
-    if analysis.has_errors() {
-        let rendered: String = analysis
-            .errors()
+impl RunSpec {
+    /// The request half of the spec — the twelve fields `papar run` and
+    /// `papar submit` share — in the form the pipeline stages and the
+    /// daemon's wire protocol take.
+    fn job(&self) -> JobSpec {
+        // Sorted for a deterministic wire encoding (the daemon re-sorts
+        // for hashing anyway; this keeps repeated submits byte-identical
+        // on the wire too).
+        let mut args: Vec<(String, String)> = self
+            .args
             .iter()
-            .map(|d| format!("  {d}\n"))
+            .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        return Err(fail(format!(
-            "{} rejected by static analysis:\n{rendered}(`papar check` re-runs \
-             this analysis standalone)",
-            spec.workflow.display()
-        )));
+        args.sort();
+        let narrow = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        JobSpec {
+            input_config: self.input_config.display().to_string(),
+            workflow: self.workflow.display().to_string(),
+            data: self.data.display().to_string(),
+            out_dir: self.out_dir.display().to_string(),
+            nodes: narrow(self.nodes),
+            args,
+            records: self.records.map(|n| n as u64),
+            threads: self.threads.map(narrow),
+            no_fuse: self.no_fuse,
+            no_zerocopy: self.no_zerocopy,
+            adaptive: self.adaptive,
+        }
     }
-    let check_warnings: Vec<String> = analysis.diagnostics.iter().map(|d| d.to_string()).collect();
+}
 
-    let planner = Planner::new(workflow, vec![input_cfg.clone()]);
-    let plan = planner.bind(&args).map_err(|e| fail(e.to_string()))?;
-    // The analyzer and the planner infer the same metadata independently;
-    // a divergence (P099) is a framework bug and also refuses the run.
-    let divergences = papar_check::verify_plan(&analysis, &plan);
-    if !divergences.is_empty() {
-        return Err(fail(format!(
-            "plan-invariant verification failed:\n{}",
-            papar_check::render_text(&divergences)
-        )));
-    }
-    if plan.external_inputs.len() != 1 {
-        return Err(fail(format!(
-            "the workflow expects {} external inputs; the CLI provides exactly one (--data)",
-            plan.external_inputs.len()
-        )));
-    }
-    let input_name = plan.external_inputs[0].0.clone();
-    let num_jobs = plan.jobs.len();
+/// Execute a run spec end-to-end: the shared stages of
+/// [`papar_serve::job`] — load → compile → run → emit — on a fresh
+/// cluster, with the inputs only a one-shot run has (fault plan,
+/// replication, retry budget, checkpoint) handed to them.
+pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
+    let request = spec.job();
+    let cfg_text = job::read_text(&spec.input_config).map_err(fail)?;
+    let wf_text = job::read_text(&spec.workflow).map_err(fail)?;
+    let trace = spec.profile || spec.trace_out.is_some();
+    let options = job::exec_options(&request, spec.threads, trace);
+    let input = job::load(&request, &cfg_text).map_err(fail)?;
+    let records_in = input.record_count();
+    let compiled = job::compile(
+        &request,
+        &cfg_text,
+        &wf_text,
+        spec.replication,
+        &input,
+        &options,
+    )
+    .map_err(fail)?;
 
-    let exec_options = ExecOptions {
-        threads: spec.threads,
-        trace: spec.profile || spec.trace_out.is_some(),
-        fuse: !spec.no_fuse,
-        zerocopy: !spec.no_zerocopy,
-        adaptive: spec.adaptive,
-        ..ExecOptions::default()
-    };
-    // Adaptive planning: sample the loaded input, enumerate and cost
-    // candidate knob settings, and hand the winning decision to the
-    // runner (the literal configured knobs become overridable defaults).
-    let input_batch = Batch::Flat(records);
-    let decision = if spec.adaptive {
-        let stats = papar_core::stats::collect_for_plan(
-            &plan,
-            |name| (name == input_name).then_some(&input_batch),
-            exec_options.sample_stride,
-        )
-        .map_err(|e| fail(e.to_string()))?;
-        Some(papar_core::adaptive::choose(
-            &plan,
-            spec.nodes,
-            &exec_options,
-            stats.as_ref(),
-        ))
-    } else {
-        None
-    };
-
-    // The physical plan the runner will execute must pass the same gate.
-    let toggles = decision
-        .as_ref()
-        .map(|d| d.knobs().fuse)
-        .unwrap_or_else(|| papar_core::physplan::FuseToggles::from_flag(!spec.no_fuse));
-    let phys = papar_core::physplan::lower_with(&plan, spec.nodes, None, toggles);
-    let divergences = papar_check::verify_physical_plan(&plan, &phys, spec.nodes, None);
-    if !divergences.is_empty() {
-        return Err(fail(format!(
-            "physical-plan verification failed:\n{}",
-            papar_check::render_text(&divergences)
-        )));
+    let mut cluster =
+        job::new_cluster(spec.nodes, spec.replication, spec.max_retries.max(1)).map_err(fail)?;
+    if let Some(fault_spec) = &spec.faults {
+        let chaos = ChaosSpec::parse(fault_spec).map_err(|e| fail(e.to_string()))?;
+        cluster =
+            cluster.with_fault_plan(chaos.realize(spec.fault_seed, spec.nodes, compiled.num_jobs));
     }
-    let mut runner = WorkflowRunner::with_options(plan, exec_options);
-    if let Some(d) = decision.clone() {
-        runner = runner.with_decision(d);
-    }
-    if let Some(dir) = &spec.checkpoint {
+    let checkpoint = spec.checkpoint.as_ref().map(|dir| {
         // Salt the resume fingerprint with everything byte-affecting the
         // runner cannot see: the fault schedule and the recovery knobs.
         let salt = format!(
             "faults={:?} seed={} replication={} max_retries={}",
             spec.faults, spec.fault_seed, spec.replication, spec.max_retries
         );
-        runner = runner.with_checkpoint(
-            dir,
-            spec.resume,
-            papar_record::wire::checksum(salt.as_bytes()),
-        );
-    }
-    let mut cluster = Cluster::try_new(spec.nodes)
-        .map_err(|e| fail(e.to_string()))?
-        .with_replication(spec.replication)
-        .with_retry(RetryPolicy {
-            max_attempts: spec.max_retries.max(1),
-            ..RetryPolicy::default()
-        });
-    if let Some(fault_spec) = &spec.faults {
-        let chaos = ChaosSpec::parse(fault_spec).map_err(|e| fail(e.to_string()))?;
-        cluster = cluster.with_fault_plan(chaos.realize(spec.fault_seed, spec.nodes, num_jobs));
-    }
-    runner
-        .scatter_input(
-            &mut cluster,
-            &input_name,
-            Dataset::new(schema.clone(), input_batch),
-        )
-        .map_err(|e| fail(e.to_string()))?;
-    let report = runner.run(&mut cluster).map_err(|e| match e {
-        papar_core::error::CoreError::Mr(papar_mr::MrError::ResumeMismatch { .. }) => {
-            fail(format!(
-                "error[P020]: {e}\n(the checkpoint was taken by a run with a different \
-                 plan, input, fault seed or configuration; re-run with --checkpoint \
-                 to start it over)"
-            ))
+        CheckpointCfg {
+            dir: dir.clone(),
+            resume: spec.resume,
+            extra: papar_record::wire::checksum(salt.as_bytes()),
         }
-        e => fail(e.to_string()),
-    })?;
+    });
+    let report =
+        job::run(&compiled, options, checkpoint, &mut cluster, input).map_err(|e| match e {
+            papar_core::error::CoreError::Mr(papar_mr::MrError::ResumeMismatch { .. }) => {
+                fail(format!(
+                    "error[P020]: {e}\n(the checkpoint was taken by a run with a different \
+                     plan, input, fault seed or configuration; re-run with --checkpoint \
+                     to start it over)"
+                ))
+            }
+            e => fail(e.to_string()),
+        })?;
 
     // Render/export the span tree before the partitions are written, so a
     // disk-full failure below still leaves the trace on disk for debugging.
@@ -357,54 +360,9 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
     let mut trace_file = None;
     if let Some(trace) = &report.trace {
         if spec.profile {
-            let mut rendered = papar_trace::render_profile(trace);
-            // Bound-vs-observed columns: re-run the static interpretation
-            // over the exact input count and line its intervals up with
-            // the traced counters (debug builds additionally assert
-            // containment after every stage).
-            let phys = papar_core::physplan::lower_with(runner.plan(), spec.nodes, None, toggles);
-            let mut opts = papar_core::bounds::BoundsOptions {
-                num_nodes: spec.nodes,
-                default_reducers: None,
-                sources: Default::default(),
-                reducer_overrides: decision
-                    .as_ref()
-                    .map(|d| d.knobs().sort_reducers.clone())
-                    .unwrap_or_default(),
-            };
-            for (name, _) in &runner.plan().external_inputs {
-                opts.sources.insert(
-                    name.clone(),
-                    papar_core::bounds::SourceBounds::exact(records_in as u64),
-                );
-            }
-            let bounds = papar_core::bounds::compute(runner.plan(), &phys, &opts);
-            let static_bounds: Vec<papar_trace::StaticBound> = bounds
-                .stages
-                .iter()
-                .map(|s| papar_trace::StaticBound {
-                    name: s.id.clone(),
-                    records_in: (s.records_in.lo, s.records_in.hi),
-                    records_out: (s.records_out.lo, s.records_out.hi),
-                    pairs: (s.pairs.lo, s.pairs.hi),
-                    max_load: (s.max_load.lo, s.max_load.hi),
-                })
-                .collect();
-            rendered.push_str(&papar_trace::render_bounds_check(trace, &static_bounds));
-            // Predicted-vs-observed row of the adaptive cost model.
-            if let Some(r) = &report.rationale {
-                rendered.push('\n');
-                rendered.push_str(&papar_trace::render_prediction_check(
-                    trace,
-                    &r.stats_job,
-                    &papar_trace::Prediction {
-                        cost_ns: r.predicted.cost_ns,
-                        max_load: r.predicted.max_load,
-                        shuffle_bytes: r.predicted.shuffle_bytes,
-                    },
-                ));
-            }
-            profile = Some(rendered);
+            profile = Some(render_profile(
+                trace, &compiled, &report, spec.nodes, records_in,
+            ));
         }
         if let Some(path) = &spec.trace_out {
             std::fs::write(path, papar_trace::to_chrome_json(trace))
@@ -413,36 +371,7 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
         }
     }
 
-    // Write each output partition in the input's on-disk format.
-    std::fs::create_dir_all(&spec.out_dir)
-        .map_err(|e| fail(format!("cannot create {}: {e}", spec.out_dir.display())))?;
-    let partitions = cluster
-        .collect(&runner.plan().output_path)
-        .map_err(|e| fail(e.to_string()))?;
-    let mut files = Vec::with_capacity(partitions.len());
-    for (i, part) in partitions.iter().enumerate() {
-        let records = part.batch.clone().flatten();
-        let path = spec.out_dir.join(match input_cfg.format {
-            InputFormat::Binary => format!("partition_{i:04}.bin"),
-            InputFormat::Text => format!("partition_{i:04}.txt"),
-        });
-        match input_cfg.format {
-            InputFormat::Binary => {
-                let bytes =
-                    papar_record::codec::binary::write(&input_cfg, &part.schema, &records, None)
-                        .map_err(|e| fail(e.to_string()))?;
-                std::fs::write(&path, bytes)
-                    .map_err(|e| fail(format!("cannot write {}: {e}", path.display())))?;
-            }
-            InputFormat::Text => {
-                let text = papar_record::codec::text::write(&input_cfg, &part.schema, &records)
-                    .map_err(|e| fail(e.to_string()))?;
-                std::fs::write(&path, text)
-                    .map_err(|e| fail(format!("cannot write {}: {e}", path.display())))?;
-            }
-        }
-        files.push(path);
-    }
+    let files = job::emit(&compiled, &cluster, &spec.out_dir).map_err(fail)?;
 
     Ok(RunSummary {
         records_in,
@@ -460,7 +389,7 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
             .iter()
             .map(|e| e.to_string())
             .collect(),
-        check_warnings,
+        check_warnings: compiled.warnings.clone(),
         profile,
         trace_file,
         stages_resumed: report.stages_resumed,
@@ -470,17 +399,61 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
     })
 }
 
-/// Read the input data file per its configuration — delegated to the
-/// loader the daemon uses ([`papar_serve::job::load_records`]), so
-/// `papar run` and a served job can never diverge on how a file's
-/// record region is bounded.
-fn read_data_file(
-    cfg: &InputConfig,
-    schema: &Schema,
-    path: &Path,
-    records: Option<usize>,
-) -> Result<Vec<papar_record::Record>, CliError> {
-    papar_serve::job::load_records(cfg, schema, path, records).map_err(fail)
+/// The `--profile` text: the per-phase table, then the bound-vs-observed
+/// columns — the static interpretation of the compiled physical plan
+/// over the exact input count, lined up with the traced counters (debug
+/// builds additionally assert containment after every stage) — then the
+/// adaptive cost model's predicted-vs-observed row.
+fn render_profile(
+    trace: &papar_trace::WorkflowTrace,
+    compiled: &CachedPlan,
+    report: &WorkflowReport,
+    nodes: usize,
+    records_in: usize,
+) -> String {
+    let mut rendered = papar_trace::render_profile(trace);
+    let mut opts = papar_core::bounds::BoundsOptions {
+        num_nodes: nodes,
+        default_reducers: None,
+        sources: Default::default(),
+        reducer_overrides: compiled
+            .decision
+            .as_ref()
+            .map(|d| d.knobs().sort_reducers.clone())
+            .unwrap_or_default(),
+    };
+    for (name, _) in &compiled.plan.external_inputs {
+        opts.sources.insert(
+            name.clone(),
+            papar_core::bounds::SourceBounds::exact(records_in as u64),
+        );
+    }
+    let bounds = papar_core::bounds::compute(&compiled.plan, &compiled.phys, &opts);
+    let static_bounds: Vec<papar_trace::StaticBound> = bounds
+        .stages
+        .iter()
+        .map(|s| papar_trace::StaticBound {
+            name: s.id.clone(),
+            records_in: (s.records_in.lo, s.records_in.hi),
+            records_out: (s.records_out.lo, s.records_out.hi),
+            pairs: (s.pairs.lo, s.pairs.hi),
+            max_load: (s.max_load.lo, s.max_load.hi),
+        })
+        .collect();
+    rendered.push_str(&papar_trace::render_bounds_check(trace, &static_bounds));
+    if let Some(r) = &report.rationale {
+        rendered.push('\n');
+        rendered.push_str(&papar_trace::render_prediction_check(
+            trace,
+            &r.stats_job,
+            &papar_trace::Prediction {
+                cost_ns: r.predicted.cost_ns,
+                max_load: r.predicted.max_load,
+                shuffle_bytes: r.predicted.shuffle_bytes,
+            },
+        ));
+    }
+    rendered
 }
 
 /// Everything `papar check` needs.
@@ -529,12 +502,10 @@ pub struct CheckReport {
 
 /// Run the static analyzer over configuration documents on disk.
 pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
-    let workflow_xml = std::fs::read_to_string(&spec.workflow)
-        .map_err(|e| fail(format!("cannot read {}: {e}", spec.workflow.display())))?;
+    let workflow_xml = job::read_text(&spec.workflow).map_err(fail)?;
     let mut input_texts: Vec<(String, String)> = Vec::new();
     for p in &spec.input_configs {
-        let text = std::fs::read_to_string(p)
-            .map_err(|e| fail(format!("cannot read {}: {e}", p.display())))?;
+        let text = job::read_text(p).map_err(fail)?;
         let label = p
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
@@ -566,15 +537,7 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
             // Path arguments bind to placeholders — neither the
             // cross-check nor the bounds analysis reads data.
             let mut args = spec.args.clone();
-            for (name, placeholder) in [
-                ("input_path", "/plan/input"),
-                ("input_file", "/plan/input"),
-                ("output_path", "/plan/output"),
-            ] {
-                if wf.argument(name).is_some() && !args.contains_key(name) {
-                    args.insert(name.to_string(), placeholder.to_string());
-                }
-            }
+            job::default_path_args(&wf, &mut args, PLAN_INPUT, PLAN_OUTPUT);
             if let Ok(plan) = Planner::new(wf.clone(), cfgs).bind(&args) {
                 let divergences = papar_check::verify_plan(&analysis, &plan);
                 analysis.diagnostics.extend(divergences);
@@ -638,35 +601,18 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
 /// Parse `papar check` arguments into a [`CheckSpec`].
 pub fn parse_check_args<I: Iterator<Item = String>>(mut argv: I) -> Result<CheckSpec, CliError> {
     let mut spec = CheckSpec::default();
-    let need = |flag: &str, it: &mut I| -> Result<String, CliError> {
-        it.next()
-            .ok_or_else(|| fail(format!("{flag} needs a value")))
-    };
-    let parse_usize = |flag: &str, v: String| -> Result<usize, CliError> {
-        v.parse()
-            .map_err(|_| fail(format!("{flag} wants a non-negative integer, got '{v}'")))
-    };
+    let argv = &mut argv;
     while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--workflow" => spec.workflow = need("--workflow", &mut argv)?.into(),
-            "--input-config" => spec
-                .input_configs
-                .push(need("--input-config", &mut argv)?.into()),
-            "--nodes" => {
-                spec.nodes = Some(parse_usize("--nodes", need("--nodes", &mut argv)?)?);
-            }
-            "--replication" => {
-                spec.replication = Some(parse_usize(
-                    "--replication",
-                    need("--replication", &mut argv)?,
-                )?);
-            }
-            "--records" => {
-                spec.records = Some(parse_usize("--records", need("--records", &mut argv)?)?);
-            }
-            "--arg" => insert_arg(&mut spec.args, &need("--arg", &mut argv)?)?,
+        let flag = a.as_str();
+        match flag {
+            "--workflow" => spec.workflow = value(flag, argv)?.into(),
+            "--input-config" => spec.input_configs.push(value(flag, argv)?.into()),
+            "--nodes" => spec.nodes = Some(non_negative_int(flag, argv)?),
+            "--replication" => spec.replication = Some(non_negative_int(flag, argv)?),
+            "--records" => spec.records = Some(non_negative_int(flag, argv)?),
+            "--arg" => insert_arg(&mut spec.args, &value(flag, argv)?)?,
             "--format" => {
-                let v = need("--format", &mut argv)?;
+                let v = value(flag, argv)?;
                 spec.json = match v.as_str() {
                     "json" => true,
                     "text" => false,
@@ -680,7 +626,7 @@ pub fn parse_check_args<I: Iterator<Item = String>>(mut argv: I) -> Result<Check
             "--bounds" => spec.bounds = true,
             "--deny-warnings" => spec.deny_warnings = true,
             "--skew-ratio" => {
-                let v = need("--skew-ratio", &mut argv)?;
+                let v = value(flag, argv)?;
                 let r: f64 = v
                     .parse()
                     .map_err(|_| fail(format!("--skew-ratio wants a number, got '{v}'")))?;
@@ -689,14 +635,7 @@ pub fn parse_check_args<I: Iterator<Item = String>>(mut argv: I) -> Result<Check
                 }
                 spec.skew_ratio = Some(r);
             }
-            "--distinct-keys" => {
-                let v = need("--distinct-keys", &mut argv)?;
-                spec.distinct_keys = Some(v.parse().map_err(|_| {
-                    fail(format!(
-                        "--distinct-keys wants a non-negative integer, got '{v}'"
-                    ))
-                })?);
-            }
+            "--distinct-keys" => spec.distinct_keys = Some(non_negative_int(flag, argv)?),
             "-h" | "--help" => return Err(fail(CHECK_USAGE)),
             other => return Err(fail(format!("unknown flag '{other}'\n{CHECK_USAGE}"))),
         }
@@ -792,84 +731,48 @@ pub struct PlanReport {
     pub fused: bool,
 }
 
+/// What `papar plan` and `papar check` bind the conventional path
+/// arguments to: neither reads data, so any concrete string binds.
+const PLAN_INPUT: &str = "/plan/input";
+const PLAN_OUTPUT: &str = "/plan/output";
+
 /// Bind a workflow and lower it to a physical plan, without reading data.
 pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
-    let workflow_text = std::fs::read_to_string(&spec.workflow)
-        .map_err(|e| fail(format!("cannot read {}: {e}", spec.workflow.display())))?;
-    let workflow = WorkflowConfig::parse_str(&workflow_text)
+    let workflow = WorkflowConfig::parse_str(&job::read_text(&spec.workflow).map_err(fail)?)
         .map_err(|e| fail(format!("{}: {e}", spec.workflow.display())))?;
     let mut input_cfgs = Vec::new();
     for p in &spec.input_configs {
-        let text = std::fs::read_to_string(p)
-            .map_err(|e| fail(format!("cannot read {}: {e}", p.display())))?;
         input_cfgs.push(
-            InputConfig::parse_str(&text).map_err(|e| fail(format!("{}: {e}", p.display())))?,
+            InputConfig::parse_str(&job::read_text(p).map_err(fail)?)
+                .map_err(|e| fail(format!("{}: {e}", p.display())))?,
         );
     }
-
-    // Planning never touches data, so conventional path arguments bind to
-    // placeholders when the user does not care to provide them.
     let mut args = spec.args.clone();
-    for (name, placeholder) in [
-        ("input_path", "/plan/input"),
-        ("input_file", "/plan/input"),
-        ("output_path", "/plan/output"),
-    ] {
-        if workflow.argument(name).is_some() && !args.contains_key(name) {
-            args.insert(name.to_string(), placeholder.to_string());
-        }
-    }
-
+    job::default_path_args(&workflow, &mut args, PLAN_INPUT, PLAN_OUTPUT);
     let plan = Planner::new(workflow.clone(), input_cfgs.clone())
         .bind(&args)
         .map_err(|e| fail(e.to_string()))?;
 
-    // Adaptive planning: sample the data file (when given) and run the
-    // enumerate → cost → choose loop; the rationale prints after the
-    // plan and the bound table reflects the chosen reducer counts.
-    let decision = if spec.adaptive {
-        let exec_options = ExecOptions {
-            fuse: !spec.no_fuse,
-            adaptive: true,
-            ..ExecOptions::default()
-        };
-        let stats = match (&spec.data, input_cfgs.first()) {
-            (Some(data), Some(cfg)) => {
-                let schema = Arc::new(Schema::from_input_config(cfg));
-                let records = read_data_file(cfg, &schema, data, None)?;
-                let batch = Batch::Flat(records);
-                papar_core::stats::collect_for_plan(
-                    &plan,
-                    |name| (plan.external_inputs.iter().any(|(n, _)| n == name))
-                        .then_some(&batch),
-                    exec_options.sample_stride,
-                )
-                .map_err(|e| fail(e.to_string()))?
-            }
-            _ => None,
-        };
-        Some(papar_core::adaptive::choose(
-            &plan,
-            spec.nodes,
-            &exec_options,
-            stats.as_ref(),
-        ))
-    } else {
-        None
+    // Adaptive planning samples the data file when one is given (read
+    // with the first input config, never partitioned); the rationale
+    // prints after the plan and the bound table reflects the chosen
+    // reducer counts.
+    let options = ExecOptions {
+        fuse: !spec.no_fuse,
+        adaptive: spec.adaptive,
+        ..ExecOptions::default()
     };
-
-    let toggles = decision
-        .as_ref()
-        .map(|d| d.knobs().fuse)
-        .unwrap_or_else(|| papar_core::physplan::FuseToggles::from_flag(!spec.no_fuse));
-    let phys = papar_core::physplan::lower_with(&plan, spec.nodes, None, toggles);
-    let divergences = papar_check::verify_physical_plan(&plan, &phys, spec.nodes, None);
-    if !divergences.is_empty() {
-        return Err(fail(format!(
-            "physical-plan verification failed:\n{}",
-            papar_check::render_text(&divergences)
-        )));
-    }
+    let sample = match (&spec.data, input_cfgs.first()) {
+        (Some(data), Some(cfg)) if spec.adaptive => {
+            let schema = Schema::from_input_config(cfg);
+            Some(Batch::Flat(
+                job::load_records(cfg, &schema, data, None).map_err(fail)?,
+            ))
+        }
+        _ => None,
+    };
+    let (phys, decision) =
+        job::lower_verified(&plan, spec.nodes, &options, sample.as_ref()).map_err(fail)?;
     let mut output = if spec.explain {
         // The explain text itself is fingerprint-stable (checkpoint resume
         // hashes it); the bound table rides along after it.
@@ -917,37 +820,20 @@ pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
 /// Parse `papar plan` arguments into a [`PlanSpec`].
 pub fn parse_plan_args<I: Iterator<Item = String>>(mut argv: I) -> Result<PlanSpec, CliError> {
     let mut spec = PlanSpec::default();
-    let need = |flag: &str, it: &mut I| -> Result<String, CliError> {
-        it.next()
-            .ok_or_else(|| fail(format!("{flag} needs a value")))
-    };
+    let argv = &mut argv;
     while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--workflow" => spec.workflow = need("--workflow", &mut argv)?.into(),
-            "--input-config" => spec
-                .input_configs
-                .push(need("--input-config", &mut argv)?.into()),
-            "--nodes" => {
-                let v = need("--nodes", &mut argv)?;
-                spec.nodes = v
-                    .parse()
-                    .map_err(|_| fail(format!("--nodes wants a positive integer, got '{v}'")))?;
-                if spec.nodes == 0 {
-                    return Err(fail("--nodes wants a positive integer, got '0'"));
-                }
-            }
-            "--arg" => insert_arg(&mut spec.args, &need("--arg", &mut argv)?)?,
+        let flag = a.as_str();
+        match flag {
+            "--workflow" => spec.workflow = value(flag, argv)?.into(),
+            "--input-config" => spec.input_configs.push(value(flag, argv)?.into()),
+            "--nodes" => spec.nodes = positive_int(flag, argv)?,
+            "--arg" => insert_arg(&mut spec.args, &value(flag, argv)?)?,
             "--no-fuse" => spec.no_fuse = true,
             "--explain" => spec.explain = true,
             "--adaptive" => spec.adaptive = true,
             "--no-adaptive" => spec.adaptive = false,
-            "--data" => spec.data = Some(need("--data", &mut argv)?.into()),
-            "--records" => {
-                let v = need("--records", &mut argv)?;
-                spec.records = Some(v.parse().map_err(|_| {
-                    fail(format!("--records wants a non-negative integer, got '{v}'"))
-                })?);
-            }
+            "--data" => spec.data = Some(value(flag, argv)?.into()),
+            "--records" => spec.records = Some(non_negative_int(flag, argv)?),
             "-h" | "--help" => return Err(fail(PLAN_USAGE)),
             other => return Err(fail(format!("unknown flag '{other}'\n{PLAN_USAGE}"))),
         }
@@ -981,110 +867,40 @@ errors.";
 pub fn parse_args<I: Iterator<Item = String>>(mut argv: I) -> Result<RunSpec, CliError> {
     let mut spec = RunSpec {
         nodes: 4,
-        max_retries: 3,
         ..Default::default()
     };
-    let need = |flag: &str, it: &mut I| -> Result<String, CliError> {
-        it.next()
-            .ok_or_else(|| fail(format!("{flag} needs a value")))
-    };
+    let argv = &mut argv;
     while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--input-config" => spec.input_config = need("--input-config", &mut argv)?.into(),
-            "--workflow" => spec.workflow = need("--workflow", &mut argv)?.into(),
-            "--data" => spec.data = need("--data", &mut argv)?.into(),
-            "--out" => spec.out_dir = need("--out", &mut argv)?.into(),
-            "--nodes" => {
-                let v = need("--nodes", &mut argv)?;
-                spec.nodes = v
-                    .parse()
-                    .map_err(|_| fail(format!("--nodes wants a positive integer, got '{v}'")))?;
-                if spec.nodes == 0 {
-                    return Err(fail("--nodes wants a positive integer, got '0'"));
-                }
-            }
-            "--records" => {
-                let v = need("--records", &mut argv)?;
-                spec.records = Some(v.parse().map_err(|_| {
-                    fail(format!("--records wants a non-negative integer, got '{v}'"))
-                })?);
-            }
-            "--arg" => insert_arg(&mut spec.args, &need("--arg", &mut argv)?)?,
+        let flag = a.as_str();
+        if job_flag(&mut spec, flag, argv)? {
+            continue;
+        }
+        match flag {
             "--faults" => {
-                let v = need("--faults", &mut argv)?;
+                let v = value(flag, argv)?;
                 // Validate now so the user hears about a typo before any
                 // data is read.
                 ChaosSpec::parse(&v).map_err(|e| fail(e.to_string()))?;
                 spec.faults = Some(v);
             }
-            "--fault-seed" => {
-                let v = need("--fault-seed", &mut argv)?;
-                spec.fault_seed = v
-                    .parse()
-                    .map_err(|_| fail(format!("--fault-seed wants an integer, got '{v}'")))?;
-            }
-            "--replication" => {
-                let v = need("--replication", &mut argv)?;
-                spec.replication = v
-                    .parse()
-                    .map_err(|_| fail(format!("--replication wants an integer, got '{v}'")))?;
-            }
-            "--max-retries" => {
-                let v = need("--max-retries", &mut argv)?;
-                spec.max_retries = v
-                    .parse()
-                    .map_err(|_| fail(format!("--max-retries wants an integer, got '{v}'")))?;
-                if spec.max_retries == 0 {
-                    return Err(fail("--max-retries wants a positive integer, got '0'"));
-                }
-            }
-            "--threads" => {
-                let v = need("--threads", &mut argv)?;
-                let t: usize = v
-                    .parse()
-                    .map_err(|_| fail(format!("--threads wants a positive integer, got '{v}'")))?;
-                if t == 0 {
-                    return Err(fail("--threads wants a positive integer, got '0'"));
-                }
-                spec.threads = Some(t);
-            }
-            "--no-fuse" => spec.no_fuse = true,
-            "--no-zerocopy" => spec.no_zerocopy = true,
-            "--adaptive" => spec.adaptive = true,
-            "--no-adaptive" => spec.adaptive = false,
+            "--fault-seed" => spec.fault_seed = non_negative_int(flag, argv)?,
+            "--replication" => spec.replication = non_negative_int(flag, argv)?,
+            "--max-retries" => spec.max_retries = positive_int(flag, argv)?,
             "--profile" => spec.profile = true,
-            "--trace" => spec.trace_out = Some(need("--trace", &mut argv)?.into()),
-            "--checkpoint" => {
-                let dir: PathBuf = need("--checkpoint", &mut argv)?.into();
+            "--trace" => spec.trace_out = Some(value(flag, argv)?.into()),
+            "--checkpoint" | "--resume" => {
+                let dir: PathBuf = value(flag, argv)?.into();
                 if spec.checkpoint.as_ref().is_some_and(|d| *d != dir) {
                     return Err(fail("--checkpoint and --resume name different directories"));
                 }
                 spec.checkpoint = Some(dir);
+                spec.resume |= flag == "--resume";
             }
-            "--resume" => {
-                let dir: PathBuf = need("--resume", &mut argv)?.into();
-                if spec.checkpoint.as_ref().is_some_and(|d| *d != dir) {
-                    return Err(fail("--checkpoint and --resume name different directories"));
-                }
-                spec.checkpoint = Some(dir);
-                spec.resume = true;
-            }
-            "-h" | "--help" => {
-                return Err(fail(USAGE));
-            }
+            "-h" | "--help" => return Err(fail(USAGE)),
             other => return Err(fail(format!("unknown flag '{other}'\n{USAGE}"))),
         }
     }
-    for (flag, p) in [
-        ("--input-config", &spec.input_config),
-        ("--workflow", &spec.workflow),
-        ("--data", &spec.data),
-        ("--out", &spec.out_dir),
-    ] {
-        if p.as_os_str().is_empty() {
-            return Err(fail(format!("{flag} is required\n{USAGE}")));
-        }
-    }
+    require_job_paths(&spec, USAGE)?;
     Ok(spec)
 }
 
@@ -1175,31 +991,14 @@ impl Default for ServeSpec {
 /// Parse `papar serve` arguments into a [`ServeSpec`].
 pub fn parse_serve_args<I: Iterator<Item = String>>(mut argv: I) -> Result<ServeSpec, CliError> {
     let mut spec = ServeSpec::default();
-    let need = |flag: &str, it: &mut I| -> Result<String, CliError> {
-        it.next()
-            .ok_or_else(|| fail(format!("{flag} needs a value")))
-    };
-    let parse_cap = |flag: &str, v: String| -> Result<usize, CliError> {
-        let n: usize = v
-            .parse()
-            .map_err(|_| fail(format!("{flag} wants a positive integer, got '{v}'")))?;
-        if n == 0 {
-            return Err(fail(format!("{flag} wants a positive integer, got '0'")));
-        }
-        Ok(n)
-    };
+    let argv = &mut argv;
     while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--socket" => spec.socket = need("--socket", &mut argv)?,
-            "--queue" => {
-                spec.queue_capacity = parse_cap("--queue", need("--queue", &mut argv)?)?;
-            }
-            "--plan-cache" => {
-                spec.plan_cache = parse_cap("--plan-cache", need("--plan-cache", &mut argv)?)?;
-            }
-            "--data-cache" => {
-                spec.data_cache = parse_cap("--data-cache", need("--data-cache", &mut argv)?)?;
-            }
+        let flag = a.as_str();
+        match flag {
+            "--socket" => spec.socket = value(flag, argv)?,
+            "--queue" => spec.queue_capacity = positive_int(flag, argv)?,
+            "--plan-cache" => spec.plan_cache = positive_int(flag, argv)?,
+            "--data-cache" => spec.data_cache = positive_int(flag, argv)?,
             "-h" | "--help" => return Err(fail(SERVE_USAGE)),
             other => return Err(fail(format!("unknown flag '{other}'\n{SERVE_USAGE}"))),
         }
@@ -1247,55 +1046,19 @@ pub struct SubmitSpec {
 
 /// Parse `papar submit` arguments into a [`SubmitSpec`].
 pub fn parse_submit_args<I: Iterator<Item = String>>(mut argv: I) -> Result<SubmitSpec, CliError> {
-    let mut spec = SubmitSpec {
-        job: papar_serve::JobSpec {
-            nodes: 4,
-            ..papar_serve::JobSpec::default()
-        },
-        ..SubmitSpec::default()
+    let mut spec = SubmitSpec::default();
+    let mut job = RunSpec {
+        nodes: 4,
+        ..Default::default()
     };
-    let mut args: HashMap<String, String> = HashMap::new();
-    let need = |flag: &str, it: &mut I| -> Result<String, CliError> {
-        it.next()
-            .ok_or_else(|| fail(format!("{flag} needs a value")))
-    };
+    let argv = &mut argv;
     while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--socket" => spec.socket = need("--socket", &mut argv)?,
-            "--input-config" => spec.job.input_config = need("--input-config", &mut argv)?,
-            "--workflow" => spec.job.workflow = need("--workflow", &mut argv)?,
-            "--data" => spec.job.data = need("--data", &mut argv)?,
-            "--out" => spec.job.out_dir = need("--out", &mut argv)?,
-            "--nodes" => {
-                let v = need("--nodes", &mut argv)?;
-                spec.job.nodes = v
-                    .parse()
-                    .map_err(|_| fail(format!("--nodes wants a positive integer, got '{v}'")))?;
-                if spec.job.nodes == 0 {
-                    return Err(fail("--nodes wants a positive integer, got '0'"));
-                }
-            }
-            "--records" => {
-                let v = need("--records", &mut argv)?;
-                spec.job.records = Some(v.parse().map_err(|_| {
-                    fail(format!("--records wants a non-negative integer, got '{v}'"))
-                })?);
-            }
-            "--arg" => insert_arg(&mut args, &need("--arg", &mut argv)?)?,
-            "--threads" => {
-                let v = need("--threads", &mut argv)?;
-                let t: u32 = v
-                    .parse()
-                    .map_err(|_| fail(format!("--threads wants a positive integer, got '{v}'")))?;
-                if t == 0 {
-                    return Err(fail("--threads wants a positive integer, got '0'"));
-                }
-                spec.job.threads = Some(t);
-            }
-            "--no-fuse" => spec.job.no_fuse = true,
-            "--no-zerocopy" => spec.job.no_zerocopy = true,
-            "--adaptive" => spec.job.adaptive = true,
-            "--no-adaptive" => spec.job.adaptive = false,
+        let flag = a.as_str();
+        if job_flag(&mut job, flag, argv)? {
+            continue;
+        }
+        match flag {
+            "--socket" => spec.socket = value(flag, argv)?,
             "--detach" => spec.detach = true,
             "--shutdown" => spec.shutdown = true,
             "-h" | "--help" => return Err(fail(SUBMIT_USAGE)),
@@ -1306,39 +1069,24 @@ pub fn parse_submit_args<I: Iterator<Item = String>>(mut argv: I) -> Result<Subm
         return Err(fail(format!("--socket is required\n{SUBMIT_USAGE}")));
     }
     if !spec.shutdown {
-        for (flag, v) in [
-            ("--input-config", &spec.job.input_config),
-            ("--workflow", &spec.job.workflow),
-            ("--data", &spec.job.data),
-            ("--out", &spec.job.out_dir),
-        ] {
-            if v.is_empty() {
-                return Err(fail(format!("{flag} is required\n{SUBMIT_USAGE}")));
-            }
-        }
+        require_job_paths(&job, SUBMIT_USAGE)?;
     }
-    // Sorted for a deterministic wire encoding (the daemon re-sorts for
-    // hashing anyway; this keeps repeated submits byte-identical on the
-    // wire too).
-    let mut pairs: Vec<(String, String)> = args.into_iter().collect();
-    pairs.sort();
-    spec.job.args = pairs;
     // The daemon resolves paths against *its* working directory;
     // absolutize against ours so `papar submit` behaves like `papar run`
     // regardless of where the daemon was started.
     for p in [
-        &mut spec.job.input_config,
-        &mut spec.job.workflow,
-        &mut spec.job.data,
-        &mut spec.job.out_dir,
+        &mut job.input_config,
+        &mut job.workflow,
+        &mut job.data,
+        &mut job.out_dir,
     ] {
-        let path = std::path::Path::new(p.as_str());
-        if !p.is_empty() && path.is_relative() {
+        if !p.as_os_str().is_empty() && p.is_relative() {
             if let Ok(cwd) = std::env::current_dir() {
-                *p = cwd.join(path).display().to_string();
+                *p = cwd.join(&*p);
             }
         }
     }
+    spec.job = job.job();
     Ok(spec)
 }
 
@@ -1377,13 +1125,9 @@ pub struct StatusSpec {
 /// Parse `papar status` arguments into a [`StatusSpec`].
 pub fn parse_status_args<I: Iterator<Item = String>>(mut argv: I) -> Result<StatusSpec, CliError> {
     let mut spec = StatusSpec::default();
-    let need = |flag: &str, it: &mut I| -> Result<String, CliError> {
-        it.next()
-            .ok_or_else(|| fail(format!("{flag} needs a value")))
-    };
     while let Some(a) = argv.next() {
         match a.as_str() {
-            "--socket" => spec.socket = need("--socket", &mut argv)?,
+            "--socket" => spec.socket = value("--socket", &mut argv)?,
             "-h" | "--help" => return Err(fail(STATUS_USAGE)),
             other => {
                 let id: u64 = other.parse().map_err(|_| {
@@ -1505,57 +1249,54 @@ the daemon is unreachable, 2 on usage errors.";
 mod tests {
     use super::*;
 
+    /// A command line, split the way a shell would split it.
+    fn argv(line: &str) -> impl Iterator<Item = String> + '_ {
+        line.split_whitespace().map(String::from)
+    }
+
+    /// `parse_args` over the four required flags plus `extra`.
+    fn parse_run(extra: &str) -> Result<RunSpec, CliError> {
+        parse_args(argv("--input-config a --workflow b --data c --out d").chain(argv(extra)))
+    }
+
+    /// `papar plan --explain` over the Figure 8 example, eight partitions.
+    fn fig8_plan() -> PlanSpec {
+        let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+        PlanSpec {
+            workflow: format!("{configs}/blast_partition.xml").into(),
+            input_configs: vec![format!("{configs}/blast_db.xml").into()],
+            args: HashMap::from([("num_partitions".to_string(), "8".to_string())]),
+            explain: true,
+            ..Default::default()
+        }
+    }
+
+    /// `papar check` over the same documents: 4 nodes, 1000 records.
+    fn fig8_check() -> CheckSpec {
+        let plan = fig8_plan();
+        CheckSpec {
+            workflow: plan.workflow,
+            input_configs: plan.input_configs,
+            nodes: Some(4),
+            records: Some(1000),
+            args: plan.args,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn parse_args_happy_path() {
-        let spec = parse_args(
-            [
-                "--input-config",
-                "in.xml",
-                "--workflow",
-                "wf.xml",
-                "--data",
-                "d.bin",
-                "--out",
-                "parts",
-                "--nodes",
-                "8",
-                "--arg",
-                "num_partitions=16",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
-        .unwrap();
+        let spec = parse_run("--nodes 8 --arg num_partitions=16").unwrap();
         assert_eq!(spec.nodes, 8);
         assert_eq!(spec.args["num_partitions"], "16");
-        assert_eq!(spec.out_dir, PathBuf::from("parts"));
+        assert_eq!(spec.out_dir, PathBuf::from("d"));
     }
 
     #[test]
     fn parse_args_chaos_flags() {
-        let spec = parse_args(
-            [
-                "--input-config",
-                "in.xml",
-                "--workflow",
-                "wf.xml",
-                "--data",
-                "d.bin",
-                "--out",
-                "parts",
-                "--faults",
-                "crash=1,straggler=2",
-                "--fault-seed",
-                "99",
-                "--replication",
-                "2",
-                "--max-retries",
-                "5",
-                "--threads",
-                "4",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+        let spec = parse_run(
+            "--faults crash=1,straggler=2 --fault-seed 99 --replication 2 --max-retries 5 \
+             --threads 4",
         )
         .unwrap();
         assert_eq!(spec.faults.as_deref(), Some("crash=1,straggler=2"));
@@ -1567,21 +1308,7 @@ mod tests {
         assert!(!spec.profile);
         assert!(spec.trace_out.is_none());
         // Defaults: fault-free, no replication, 3 attempts.
-        let spec = parse_args(
-            [
-                "--input-config",
-                "a",
-                "--workflow",
-                "b",
-                "--data",
-                "c",
-                "--out",
-                "d",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
-        .unwrap();
+        let spec = parse_run("").unwrap();
         assert!(spec.faults.is_none());
         assert_eq!(spec.replication, 0);
         assert_eq!(spec.max_retries, 3);
@@ -1591,149 +1318,109 @@ mod tests {
 
     #[test]
     fn parse_args_observability_flags() {
-        let spec = parse_args(
-            [
-                "--input-config",
-                "a",
-                "--workflow",
-                "b",
-                "--data",
-                "c",
-                "--out",
-                "d",
-                "--profile",
-                "--trace",
-                "trace.json",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
-        .unwrap();
+        let spec = parse_run("--profile --trace trace.json").unwrap();
         assert!(spec.profile);
         assert_eq!(spec.trace_out, Some(PathBuf::from("trace.json")));
         // --trace requires a path.
-        let e = parse_args(["--trace"].iter().map(|s| s.to_string())).unwrap_err();
+        let e = parse_run("--trace").unwrap_err();
         assert!(e.to_string().contains("needs a value"), "{e}");
     }
 
     #[test]
     fn parse_args_rejects_bad_input() {
-        let parse = |v: &[&str]| parse_args(v.iter().map(|s| s.to_string()));
-        assert!(parse(&["--nodes", "x"]).is_err());
-        let e = parse(&["--nodes", "0"]).unwrap_err();
+        let parse = |line| parse_args(argv(line));
+        assert!(parse("--nodes x").is_err());
+        let e = parse("--nodes 0").unwrap_err();
         assert!(e.to_string().contains("positive integer"), "{e}");
-        assert!(parse(&["--arg", "noequals"]).is_err());
-        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse("--arg noequals").is_err());
+        assert!(parse("--bogus").is_err());
         // Chaos flags validate eagerly.
-        let e = parse(&["--faults", "meteor=1"]).unwrap_err();
+        let e = parse("--faults meteor=1").unwrap_err();
         assert!(e.to_string().contains("unknown fault kind"), "{e}");
-        assert!(parse(&["--fault-seed", "x"]).is_err());
-        assert!(parse(&["--replication", "-1"]).is_err());
-        let e = parse(&["--max-retries", "0"]).unwrap_err();
+        assert!(parse("--fault-seed x").is_err());
+        assert!(parse("--replication -1").is_err());
+        let e = parse("--max-retries 0").unwrap_err();
         assert!(e.to_string().contains("positive"), "{e}");
-        let e = parse(&["--threads", "0"]).unwrap_err();
+        let e = parse("--threads 0").unwrap_err();
         assert!(e.to_string().contains("positive"), "{e}");
-        assert!(parse(&["--threads", "x"]).is_err());
+        assert!(parse("--threads x").is_err());
         // Missing required flags.
-        assert!(parse(&[]).is_err());
-        let e = parse(&["--input-config", "a", "--workflow", "b", "--data", "c"]).unwrap_err();
+        assert!(parse("").is_err());
+        let e = parse("--input-config a --workflow b --data c").unwrap_err();
         assert!(e.to_string().contains("--out"), "{e}");
     }
 
     #[test]
     fn parse_args_checkpoint_flags() {
-        let base = [
-            "--input-config",
-            "a",
-            "--workflow",
-            "b",
-            "--data",
-            "c",
-            "--out",
-            "d",
-        ];
-        let parse =
-            |extra: &[&str]| parse_args(base.iter().chain(extra.iter()).map(|s| s.to_string()));
         // Defaults: no checkpointing.
-        let spec = parse(&[]).unwrap();
+        let spec = parse_run("").unwrap();
         assert!(spec.checkpoint.is_none());
         assert!(!spec.resume);
         // --checkpoint writes; --resume reads and writes.
-        let spec = parse(&["--checkpoint", "run1"]).unwrap();
+        let spec = parse_run("--checkpoint run1").unwrap();
         assert_eq!(spec.checkpoint, Some(PathBuf::from("run1")));
         assert!(!spec.resume);
-        let spec = parse(&["--resume", "run1"]).unwrap();
+        let spec = parse_run("--resume run1").unwrap();
         assert_eq!(spec.checkpoint, Some(PathBuf::from("run1")));
         assert!(spec.resume);
         // Naming the same dir twice is fine; different dirs conflict.
-        let spec = parse(&["--checkpoint", "run1", "--resume", "run1"]).unwrap();
+        let spec = parse_run("--checkpoint run1 --resume run1").unwrap();
         assert!(spec.resume);
-        let e = parse(&["--checkpoint", "run1", "--resume", "run2"]).unwrap_err();
+        let e = parse_run("--checkpoint run1 --resume run2").unwrap_err();
         assert!(e.to_string().contains("different directories"), "{e}");
-        let e = parse(&["--resume", "run2", "--checkpoint", "run1"]).unwrap_err();
+        let e = parse_run("--resume run2 --checkpoint run1").unwrap_err();
         assert!(e.to_string().contains("different directories"), "{e}");
         // Both flags need a value.
-        assert!(parse_args(["--checkpoint"].iter().map(|s| s.to_string())).is_err());
-        assert!(parse_args(["--resume"].iter().map(|s| s.to_string())).is_err());
+        assert!(parse_run("--checkpoint").is_err());
+        assert!(parse_run("--resume").is_err());
     }
 
     #[test]
-    fn parse_args_no_fuse_flag() {
-        let base = [
-            "--input-config",
-            "a",
-            "--workflow",
-            "b",
-            "--data",
-            "c",
-            "--out",
-            "d",
-        ];
-        let spec = parse_args(base.iter().map(|s| s.to_string())).unwrap();
+    fn parse_args_toggle_flags_default_off() {
+        let spec = parse_run("").unwrap();
         assert!(!spec.no_fuse, "fusion is on by default");
-        let with = base.iter().chain(&["--no-fuse"]).map(|s| s.to_string());
-        assert!(parse_args(with).unwrap().no_fuse);
+        assert!(!spec.no_zerocopy, "zero-copy reduce is on by default");
+        assert!(!spec.adaptive, "the literal knobs are the default");
+        assert!(parse_run("--no-fuse").unwrap().no_fuse);
+        assert!(parse_run("--no-zerocopy").unwrap().no_zerocopy);
+        assert!(parse_run("--adaptive").unwrap().adaptive);
+        assert!(!parse_run("--adaptive --no-adaptive").unwrap().adaptive);
     }
 
     #[test]
-    fn parse_args_no_zerocopy_flag() {
-        let base = [
-            "--input-config",
-            "a",
-            "--workflow",
-            "b",
-            "--data",
-            "c",
-            "--out",
-            "d",
-        ];
-        let spec = parse_args(base.iter().map(|s| s.to_string())).unwrap();
-        assert!(
-            !spec.no_zerocopy,
-            "the zero-copy reduce path is on by default"
+    fn submit_parses_the_job_flags_run_does() {
+        let job_flags = "--input-config /x/in.xml --workflow /x/wf.xml --data /x/d.bin \
+                         --out /x/parts --nodes 8 --records 500 --arg b=2 --arg a=1 \
+                         --threads 2 --no-fuse --adaptive";
+        let run = parse_args(argv(job_flags)).unwrap();
+        let submit = parse_submit_args(argv("--socket s --detach").chain(argv(job_flags))).unwrap();
+        assert!(submit.detach && !submit.shutdown);
+        // One handler, one conversion: the submitted job is the run's.
+        assert_eq!(submit.job, run.job());
+        assert_eq!(submit.job.nodes, 8);
+        assert_eq!(submit.job.records, Some(500));
+        assert_eq!(submit.job.threads, Some(2));
+        assert_eq!(
+            submit.job.args,
+            vec![("a".into(), "1".into()), ("b".into(), "2".into())],
+            "arguments travel sorted"
         );
-        let with = base.iter().chain(&["--no-zerocopy"]).map(|s| s.to_string());
-        assert!(parse_args(with).unwrap().no_zerocopy);
+        // Submit-only and run-only flags stay with their subcommand.
+        assert!(parse_run("--detach").is_err());
+        let parse = |line| parse_submit_args(argv(line));
+        let e = parse("--socket s").unwrap_err();
+        assert!(e.to_string().contains("--input-config is required"), "{e}");
+        assert!(parse("--socket s --shutdown").unwrap().shutdown);
+        assert!(parse("--socket s --profile").is_err());
+        assert!(parse("--threads 0").is_err());
     }
 
     #[test]
     fn parse_plan_args_happy_path() {
-        let spec = parse_plan_args(
-            [
-                "--workflow",
-                "wf.xml",
-                "--input-config",
-                "in.xml",
-                "--nodes",
-                "8",
-                "--arg",
-                "num_partitions=16",
-                "--no-fuse",
-                "--explain",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
+        let spec = parse_plan_args(argv(
+            "--workflow wf.xml --input-config in.xml --nodes 8 --arg num_partitions=16 \
+             --no-fuse --explain",
+        ))
         .unwrap();
         assert_eq!(spec.workflow, PathBuf::from("wf.xml"));
         assert_eq!(spec.input_configs, vec![PathBuf::from("in.xml")]);
@@ -1742,7 +1429,7 @@ mod tests {
         assert!(spec.no_fuse);
         assert!(spec.explain);
         // Defaults.
-        let spec = parse_plan_args(["--workflow", "w"].iter().map(|s| s.to_string())).unwrap();
+        let spec = parse_plan_args(argv("--workflow w")).unwrap();
         assert_eq!(spec.nodes, 4);
         assert!(!spec.no_fuse);
         assert!(!spec.explain);
@@ -1750,26 +1437,17 @@ mod tests {
 
     #[test]
     fn parse_plan_args_rejects_bad_input() {
-        let parse = |v: &[&str]| parse_plan_args(v.iter().map(|s| s.to_string()));
-        let e = parse(&[]).unwrap_err();
+        let parse = |line| parse_plan_args(argv(line));
+        let e = parse("").unwrap_err();
         assert!(e.to_string().contains("--workflow"), "{e}");
-        assert!(parse(&["--workflow", "w", "--nodes", "0"]).is_err());
-        assert!(parse(&["--workflow", "w", "--arg", "noequals"]).is_err());
-        assert!(parse(&["--workflow", "w", "--bogus"]).is_err());
+        assert!(parse("--workflow w --nodes 0").is_err());
+        assert!(parse("--workflow w --arg noequals").is_err());
+        assert!(parse("--workflow w --bogus").is_err());
     }
 
     #[test]
     fn run_plan_explains_fusion_on_the_blast_example() {
-        let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
-        let spec = PlanSpec {
-            workflow: format!("{configs}/blast_partition.xml").into(),
-            input_configs: vec![format!("{configs}/blast_db.xml").into()],
-            args: [("num_partitions".to_string(), "8".to_string())]
-                .into_iter()
-                .collect(),
-            explain: true,
-            ..Default::default()
-        };
+        let spec = fig8_plan();
         let fused = run_plan(&spec).unwrap();
         assert_eq!((fused.logical_jobs, fused.stages), (2, 1));
         assert!(fused.fused);
@@ -1804,24 +1482,10 @@ mod tests {
 
     #[test]
     fn parse_check_args_happy_path() {
-        let spec = parse_check_args(
-            [
-                "--workflow",
-                "wf.xml",
-                "--input-config",
-                "a.xml",
-                "--input-config",
-                "b.xml",
-                "--nodes",
-                "8",
-                "--arg",
-                "num_partitions=16",
-                "--format",
-                "json",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
+        let spec = parse_check_args(argv(
+            "--workflow wf.xml --input-config a.xml --input-config b.xml --nodes 8 \
+             --arg num_partitions=16 --format json",
+        ))
         .unwrap();
         assert_eq!(spec.workflow, PathBuf::from("wf.xml"));
         assert_eq!(spec.input_configs.len(), 2);
@@ -1833,33 +1497,22 @@ mod tests {
 
     #[test]
     fn parse_check_args_rejects_bad_input() {
-        let parse = |v: &[&str]| parse_check_args(v.iter().map(|s| s.to_string()));
+        let parse = |line| parse_check_args(argv(line));
         // --workflow is the only required flag.
-        let e = parse(&[]).unwrap_err();
+        let e = parse("").unwrap_err();
         assert!(e.to_string().contains("--workflow"), "{e}");
-        assert!(parse(&["--workflow", "w", "--format", "yaml"]).is_err());
-        assert!(parse(&["--workflow", "w", "--nodes", "x"]).is_err());
-        assert!(parse(&["--workflow", "w", "--arg", "noequals"]).is_err());
-        assert!(parse(&["--workflow", "w", "--bogus"]).is_err());
+        assert!(parse("--workflow w --format yaml").is_err());
+        assert!(parse("--workflow w --nodes x").is_err());
+        assert!(parse("--workflow w --arg noequals").is_err());
+        assert!(parse("--workflow w --bogus").is_err());
     }
 
     #[test]
     fn parse_check_args_bounds_flags() {
-        let spec = parse_check_args(
-            [
-                "--workflow",
-                "wf.xml",
-                "--bounds",
-                "--records",
-                "1000",
-                "--distinct-keys",
-                "7",
-                "--skew-ratio",
-                "2.5",
-                "--deny-warnings",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+        let parse = |line| parse_check_args(argv(line));
+        let spec = parse(
+            "--workflow wf.xml --bounds --records 1000 --distinct-keys 7 --skew-ratio 2.5 \
+             --deny-warnings",
         )
         .unwrap();
         assert!(spec.bounds);
@@ -1868,31 +1521,22 @@ mod tests {
         assert_eq!(spec.distinct_keys, Some(7));
         assert_eq!(spec.skew_ratio, Some(2.5));
         // Defaults: bounds analysis and warning promotion are opt-in.
-        let spec = parse_check_args(["--workflow", "w"].iter().map(|s| s.to_string())).unwrap();
+        let spec = parse("--workflow w").unwrap();
         assert!(!spec.bounds);
         assert!(!spec.deny_warnings);
         assert!(spec.skew_ratio.is_none());
         assert!(spec.distinct_keys.is_none());
         // Ratios below 1 or non-numeric are rejected.
-        let parse = |v: &[&str]| parse_check_args(v.iter().map(|s| s.to_string()));
-        assert!(parse(&["--workflow", "w", "--skew-ratio", "0.5"]).is_err());
-        assert!(parse(&["--workflow", "w", "--skew-ratio", "x"]).is_err());
-        assert!(parse(&["--workflow", "w", "--distinct-keys", "x"]).is_err());
+        assert!(parse("--workflow w --skew-ratio 0.5").is_err());
+        assert!(parse("--workflow w --skew-ratio x").is_err());
+        assert!(parse("--workflow w --distinct-keys x").is_err());
     }
 
     #[test]
     fn run_check_bounds_prints_the_stage_table_on_fig8() {
-        let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
         let spec = CheckSpec {
-            workflow: format!("{configs}/blast_partition.xml").into(),
-            input_configs: vec![format!("{configs}/blast_db.xml").into()],
-            nodes: Some(4),
-            records: Some(1000),
-            args: [("num_partitions".to_string(), "8".to_string())]
-                .into_iter()
-                .collect(),
             bounds: true,
-            ..Default::default()
+            ..fig8_check()
         };
         let report = run_check(&spec).unwrap();
         assert_eq!(report.errors, 0, "{}", report.output);
@@ -1904,17 +1548,7 @@ mod tests {
 
     #[test]
     fn run_check_deny_warnings_promotes_to_errors() {
-        let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
-        let base = CheckSpec {
-            workflow: format!("{configs}/blast_partition.xml").into(),
-            input_configs: vec![format!("{configs}/blast_db.xml").into()],
-            nodes: Some(4),
-            records: Some(1000),
-            args: [("num_partitions".to_string(), "8".to_string())]
-                .into_iter()
-                .collect(),
-            ..Default::default()
-        };
+        let base = fig8_check();
         // Fig 8 is warnings-only (W004 + W006): exit would be 0.
         let report = run_check(&base).unwrap();
         assert_eq!(report.errors, 0, "{}", report.output);
@@ -1932,16 +1566,9 @@ mod tests {
 
     #[test]
     fn run_plan_explain_appends_the_bounds_table() {
-        let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
         let spec = PlanSpec {
-            workflow: format!("{configs}/blast_partition.xml").into(),
-            input_configs: vec![format!("{configs}/blast_db.xml").into()],
-            args: [("num_partitions".to_string(), "8".to_string())]
-                .into_iter()
-                .collect(),
-            explain: true,
             records: Some(640),
-            ..Default::default()
+            ..fig8_plan()
         };
         let report = run_plan(&spec).unwrap();
         assert!(report.output.contains("static bounds"), "{}", report.output);

@@ -370,3 +370,127 @@ fn trace_export_is_valid_and_identical_across_thread_counts() {
     assert_eq!(t1, t4, "trace export must not depend on --threads");
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// The identity the CI `serve` job checks with shell `cmp`, as a test:
+/// `papar run` and a daemon job on fresh resources go through the same
+/// stage functions, so for Fig 8 (binary) and Fig 10 (text), at 1 and 4
+/// engine threads, literal and adaptive, they must write the same bytes
+/// and report the same shuffle traffic.
+#[test]
+fn run_and_a_served_job_write_the_same_files() {
+    use papar_serve::job::{self, Resources};
+    use papar_serve::JobSpec;
+
+    let dir = temp_dir("identity");
+    let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+    let blast = dir.join("env_nr.db");
+    let db = DbSpec::env_nr_scaled(600, 13).generate();
+    std::fs::write(&blast, db.to_bytes()).unwrap();
+    // A small power-law-ish edge list: vertex 0 is a hub above the
+    // threshold, the rest stay below it.
+    let edges = dir.join("edges.txt");
+    let text: String = (0..400u32)
+        .map(|i| {
+            format!(
+                "{}\t{}\n",
+                (i * 7 + 3) % 41,
+                if i % 3 == 0 { 0 } else { i % 37 }
+            )
+        })
+        .collect();
+    std::fs::write(&edges, text).unwrap();
+
+    let shuffled = |detail: &str| -> Vec<String> {
+        detail
+            .lines()
+            .filter(|l| l.starts_with("job '"))
+            .map(|l| l.rsplit(", ").next().unwrap().to_string())
+            .collect()
+    };
+    let workloads = [
+        (
+            "fig8",
+            "blast_db.xml",
+            "blast_partition.xml",
+            &blast,
+            Some(db.len()),
+            vec![("num_partitions", "8")],
+        ),
+        (
+            "fig10",
+            "graph_edge.xml",
+            "hybrid_cut.xml",
+            &edges,
+            None,
+            vec![("num_partitions", "8"), ("threshold", "5")],
+        ),
+    ];
+    for (tag, cfg, wf, data, records, args) in workloads {
+        for threads in [1usize, 4] {
+            for adaptive in [false, true] {
+                let cell = format!("{tag}-t{threads}-a{adaptive}");
+                let spec = RunSpec {
+                    input_config: format!("{configs}/{cfg}").into(),
+                    workflow: format!("{configs}/{wf}").into(),
+                    data: data.clone(),
+                    out_dir: dir.join(format!("{cell}-run")),
+                    nodes: 4,
+                    args: args
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), v.to_string()))
+                        .collect(),
+                    records,
+                    threads: Some(threads),
+                    adaptive,
+                    ..Default::default()
+                };
+                let summary = run(&spec).unwrap_or_else(|e| panic!("{cell}: {e}"));
+
+                let mut sorted: Vec<(String, String)> = spec.args.clone().into_iter().collect();
+                sorted.sort();
+                let served_dir = dir.join(format!("{cell}-served"));
+                let outcome = job::execute(
+                    &JobSpec {
+                        input_config: spec.input_config.display().to_string(),
+                        workflow: spec.workflow.display().to_string(),
+                        data: spec.data.display().to_string(),
+                        out_dir: served_dir.display().to_string(),
+                        nodes: 4,
+                        args: sorted,
+                        records: records.map(|n| n as u64),
+                        threads: Some(threads as u32),
+                        adaptive,
+                        ..Default::default()
+                    },
+                    &mut Resources::new(4, 4, 1),
+                )
+                .unwrap_or_else(|e| panic!("{cell} served: {e}"));
+
+                assert_eq!(summary.files.len(), 8, "{cell}");
+                for f in &summary.files {
+                    let served = served_dir.join(f.file_name().unwrap());
+                    assert_eq!(
+                        std::fs::read(f).unwrap(),
+                        std::fs::read(&served).unwrap(),
+                        "{cell}: {} differs between run and serve",
+                        served.display()
+                    );
+                }
+                assert_eq!(std::fs::read_dir(&served_dir).unwrap().count(), 8, "{cell}");
+                let run_lines: Vec<String> = summary
+                    .jobs
+                    .iter()
+                    .map(|(_, _, bytes)| format!("{bytes} bytes shuffled"))
+                    .collect();
+                assert_eq!(run_lines, shuffled(&outcome.detail), "{cell}");
+                // Both front-ends print the one rationale the compile
+                // stage produced.
+                match &summary.rationale {
+                    Some(r) => assert!(outcome.detail.contains(r.as_str()), "{cell}"),
+                    None => assert!(!adaptive, "{cell}: --adaptive must explain itself"),
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}

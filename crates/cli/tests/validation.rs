@@ -186,3 +186,24 @@ fn malformed_arg_without_equals_is_rejected() {
     assert!(err.contains("key=value"), "stderr: {err}");
     assert!(err.contains("num_partitions"), "stderr: {err}");
 }
+
+/// `--records N` is multiplied by the record width to bound the read;
+/// 2^60 + 1 sixteen-byte records used to wrap that product to 16 bytes
+/// and silently partition ONE record (a debug build panicked instead).
+#[test]
+fn records_count_that_overflows_the_byte_bound_is_refused() {
+    let dir = fixture("records-overflow");
+    let out = papar_run(&dir)
+        .args(["--records", "1152921504606846977"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(
+        err.contains(
+            "--records 1152921504606846977 wants 18446744073709551632 bytes after the header"
+        ),
+        "stderr: {err}"
+    );
+    assert!(!dir.join("out").exists(), "nothing may be partitioned");
+}

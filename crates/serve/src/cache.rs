@@ -18,14 +18,16 @@
 //!   mtime, the record bound, and the input-config hash, so a changed
 //!   or truncated file can never serve stale records.
 //!
-//! Neither cache is consulted for correctness — a miss just does what
-//! `papar run` always does. Hit/miss counters feed the daemon stats so
-//! the bench harness and CI can prove work was elided.
+//! Neither cache is consulted for correctness — a miss just runs the
+//! stage it wraps ([`crate::job::compile`], [`crate::job::load`]), which
+//! is what `papar run` always does. Hit/miss counters feed the daemon
+//! stats so the bench harness and CI can prove work was elided.
 
 use papar_config::InputConfig;
 use papar_core::physplan::PhysicalPlan;
 use papar_core::plan::WorkflowPlan;
-use papar_record::{Record, Schema};
+use papar_record::batch::Batch;
+use papar_record::Schema;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -95,9 +97,10 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     }
 }
 
-/// Everything planning produced for one fingerprint, ready to execute.
-/// The plan is cloned out per run ([`WorkflowRunner`] takes it by
-/// value); everything else is shared.
+/// Everything [`crate::job::compile`] produced, ready to execute: the
+/// daemon keeps it resident by fingerprint, `papar run` uses it once.
+/// The plan is cloned out per run (`WorkflowRunner` takes it by value);
+/// everything else is shared.
 #[derive(Debug, Clone)]
 pub struct CachedPlan {
     /// The bound logical plan.
@@ -112,8 +115,7 @@ pub struct CachedPlan {
     pub warnings: Vec<String>,
     /// The dataset name of the plan's single external input.
     pub input_name: String,
-    /// Logical job count (sizes the fault schedule in `papar run`; kept
-    /// for parity).
+    /// Logical job count (sizes `papar run`'s fault schedule).
     pub num_jobs: usize,
     /// The plan fingerprint this entry is keyed by.
     pub fingerprint: u64,
@@ -204,11 +206,12 @@ pub struct DataKey {
     pub config_hash: u64,
 }
 
-/// Decoded input files. Values are `Arc`ed so a hit shares the records
-/// with the cache; the executor clones the `Vec` only when scattering.
+/// Decoded input files. Values are `Arc`ed so a hit shares the batch
+/// with the cache: compilation samples it by reference, and the executor
+/// clones it only when scattering.
 #[derive(Debug)]
 pub struct DataCache {
-    lru: Lru<DataKey, Arc<Vec<Record>>>,
+    lru: Lru<DataKey, Arc<Batch>>,
     /// Lifetime hits (files *not* re-read and re-decoded).
     pub hits: u64,
     /// Lifetime misses.
@@ -226,7 +229,7 @@ impl DataCache {
     }
 
     /// Look up a decoded file.
-    pub fn get(&mut self, key: &DataKey) -> Option<Arc<Vec<Record>>> {
+    pub fn get(&mut self, key: &DataKey) -> Option<Arc<Batch>> {
         let hit = self.lru.get(key).cloned();
         if hit.is_some() {
             self.hits += 1;
@@ -235,7 +238,7 @@ impl DataCache {
     }
 
     /// Insert a freshly decoded file. Counts as a miss.
-    pub fn insert(&mut self, key: DataKey, records: Arc<Vec<Record>>) {
+    pub fn insert(&mut self, key: DataKey, records: Arc<Batch>) {
         self.misses += 1;
         self.lru.insert(key, records);
     }
@@ -289,7 +292,7 @@ mod tests {
             config_hash: 99,
         };
         let mut cache = DataCache::new(4);
-        cache.insert(key(1, None), Arc::new(Vec::new()));
+        cache.insert(key(1, None), Arc::new(Batch::empty()));
         assert!(cache.get(&key(1, None)).is_some());
         assert!(cache.get(&key(2, None)).is_none(), "newer mtime must miss");
         assert!(

@@ -1,26 +1,49 @@
-//! Executing one submitted job on the daemon's resident state.
+//! The run pipeline, written once: the stage functions every front-end
+//! calls, and the daemon's executor over them.
 //!
-//! [`execute`] is `papar run`'s pipeline — read, check, plan, verify,
-//! lower, scatter, run, collect, write — with the expensive stages
-//! routed through the resident caches and the resident cluster. Every
-//! step calls the *same* engine functions in the *same* order with the
-//! *same* options as `crates/cli`'s one-shot path, so a served job's
-//! partition files are byte-identical to `papar run`'s; the CI `serve`
-//! job `cmp`s them to keep that true.
+//! PaPar's contract is one path — two XML documents in, a generated
+//! sequence of MR jobs out — so the path exists here exactly once, as
+//! four stages:
+//!
+//! * [`load`]: input-config text + data file → the decoded [`Batch`];
+//! * [`compile`]: both document texts + the job's arguments + record
+//!   count and replication → `papar check` gate → bind → plan-invariant
+//!   verification → adaptive decision over the *borrowed* batch → lower →
+//!   physical-plan verification → fingerprint. Its result is the
+//!   [`CachedPlan`], which carries the lowered plan, so nobody lowers
+//!   twice;
+//! * [`run`]: compiled plan + cluster + input → runner (with the
+//!   decision and an optional checkpoint) → scatter → run, returning the
+//!   typed [`CoreError`] so a front-end can map individual failures;
+//! * [`emit`]: collect → codec → `partition_{i:04}.{bin,txt}`.
+//!
+//! `papar run` (`crates/cli`) calls them in that order on a fresh
+//! [`new_cluster`], adding its own fault plan and checkpoint salt;
+//! [`execute`] makes the same calls with the data LRU around `load`, the
+//! plan LRU around `compile`, and the resident cluster instead of a fresh
+//! one; `papar plan` reuses [`default_path_args`] and [`lower_verified`].
+//! Only summary *rendering* is per front-end. A served job's partition
+//! files are therefore byte-identical to `papar run`'s by construction;
+//! `crates/cli/tests/end_to_end.rs` and the CI `serve` job check it.
 
 use crate::cache::{CachedPlan, DataCache, DataKey, PlanCache};
 use crate::protocol::JobSpec;
 use crate::queue::JobOutcome;
 use papar_config::input::InputFormat;
 use papar_config::{InputConfig, WorkflowConfig};
-use papar_core::exec::{plan_fingerprint_with, ExecOptions, WorkflowRunner};
-use papar_core::plan::Planner;
+use papar_core::adaptive::PlanDecision;
+use papar_core::error::CoreError;
+use papar_core::exec::{
+    plan_fingerprint_with, CheckpointCfg, ExecOptions, WorkflowReport, WorkflowRunner,
+};
+use papar_core::physplan::{self, FuseToggles, PhysicalPlan};
+use papar_core::plan::{Planner, WorkflowPlan};
 use papar_mr::{Cluster, RetryPolicy};
 use papar_record::batch::{Batch, Dataset};
-use papar_record::{wire, Record, Schema};
+use papar_record::{codec, wire, Record, Schema};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,11 +74,17 @@ impl Resources {
     }
 }
 
-/// Read an input data file per its configuration — the loader `papar
-/// run` and the daemon share. Binary files may carry payload beyond the
-/// record region: `records` bounds the region explicitly; otherwise the
-/// longest whole-record prefix after `start_position` is read (the
-/// paper's "treat every 16 bytes as an entry" reading of Figure 4).
+/// Read a configuration document, naming the path on failure.
+pub fn read_text(path: impl AsRef<Path>) -> Result<String, String> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// Read an input data file per its configuration. Binary files may carry
+/// payload beyond the record region: `records` bounds the region
+/// explicitly; otherwise the longest whole-record prefix after
+/// `start_position` is read (the paper's "treat every 16 bytes as an
+/// entry" reading of Figure 4).
 pub fn load_records(
     cfg: &InputConfig,
     schema: &Schema,
@@ -76,89 +105,148 @@ pub fn load_records(
                     path.display()
                 ));
             }
+            let available = bytes.len() - start;
             let region = match records {
-                Some(n) => {
-                    let need = n * width;
-                    if bytes.len() - start < need {
+                // `n` arrives from outside (`--records`, a submitted
+                // spec): the product must not wrap into a small region.
+                Some(n) => match n.checked_mul(width).filter(|need| *need <= available) {
+                    Some(need) => need,
+                    None => {
                         return Err(format!(
-                            "--records {n} wants {need} bytes after the header, file has {}",
-                            bytes.len() - start
-                        ));
+                            "--records {n} wants {} bytes after the header, file has {available}",
+                            n as u128 * width as u128
+                        ))
                     }
-                    need
-                }
-                None => (bytes.len() - start) / width * width,
+                },
+                None => available / width * width,
             };
-            papar_record::codec::binary::read(cfg, schema, &bytes[..start + region])
-                .map_err(|e| e.to_string())
+            codec::binary::read(cfg, schema, &bytes[..start + region]).map_err(|e| e.to_string())
         }
         InputFormat::Text => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            papar_record::codec::text::read(cfg, schema, &text).map_err(|e| e.to_string())
+            codec::text::read(cfg, schema, &read_text(path)?).map_err(|e| e.to_string())
         }
     }
 }
 
-/// Hash of the raw request: everything that decides what planning would
-/// produce *and* what the static-analysis gate would say. The effective
-/// arguments (with the conventional `input_path`/`output_path`
-/// defaults) are a pure function of the workflow text, the given args,
-/// and the data/out paths — all hashed here — so a spec-hash hit is
-/// safe to serve without re-deriving them. The data file's size and
-/// mtime are included because the gate's record-count checks read the
-/// data; a changed file must re-plan.
-fn spec_hash(spec: &JobSpec, cfg_text: &str, wf_text: &str, len: u64, mtime_ns: u128) -> u64 {
-    let mut canon = String::new();
-    let _ = writeln!(canon, "input_config:\n{cfg_text}");
-    let _ = writeln!(canon, "workflow:\n{wf_text}");
-    let _ = writeln!(canon, "data={} len={len} mtime={mtime_ns}", spec.data);
-    let _ = writeln!(canon, "out={}", spec.out_dir);
-    let _ = writeln!(canon, "nodes={}", spec.nodes);
-    let mut args: Vec<&(String, String)> = spec.args.iter().collect();
-    args.sort();
-    for (k, v) in args {
-        let _ = writeln!(canon, "arg {k}={v}");
-    }
-    let _ = writeln!(canon, "records={:?}", spec.records);
-    let _ = writeln!(canon, "fuse={}", !spec.no_fuse);
-    let _ = writeln!(canon, "adaptive={}", spec.adaptive);
-    wire::checksum(canon.as_bytes())
+/// Stage 1 — load: decode the job's data file per its input-config
+/// document.
+pub fn load(spec: &JobSpec, cfg_text: &str) -> Result<Batch, String> {
+    let cfg =
+        InputConfig::parse_str(cfg_text).map_err(|e| format!("{}: {e}", spec.input_config))?;
+    let schema = Schema::from_input_config(&cfg);
+    let records = spec.records.map(|n| n as usize);
+    load_records(&cfg, &schema, Path::new(&spec.data), records).map(Batch::Flat)
 }
 
-/// Compile a job's plan the way `papar run` does: parse both documents,
-/// derive the effective arguments, run the static-analysis gate, bind,
-/// verify, lower, verify again.
-fn compile_plan(
+/// The engine options a job's toggles select. The thread budget and
+/// whether to capture a span tree are the front-end's to decide.
+pub fn exec_options(spec: &JobSpec, threads: Option<usize>, trace: bool) -> ExecOptions {
+    ExecOptions {
+        threads,
+        trace,
+        fuse: !spec.no_fuse,
+        zerocopy: !spec.no_zerocopy,
+        adaptive: spec.adaptive,
+        ..ExecOptions::default()
+    }
+}
+
+/// Bind the conventional path arguments a workflow declares but the
+/// caller left unbound: `input_path`/`input_file` to `input`,
+/// `output_path` to `output`. A run passes the data file and the output
+/// directory; `papar plan`/`papar check`, which never read data, pass
+/// placeholders.
+pub fn default_path_args(
+    workflow: &WorkflowConfig,
+    args: &mut HashMap<String, String>,
+    input: &str,
+    output: &str,
+) {
+    for (name, value) in [
+        ("input_path", input),
+        ("input_file", input),
+        ("output_path", output),
+    ] {
+        if workflow.argument(name).is_some() && !args.contains_key(name) {
+            args.insert(name.to_string(), value.to_string());
+        }
+    }
+}
+
+/// The tail of compilation, shared with `papar plan`: with
+/// [`ExecOptions::adaptive`], sample the external input (when there is
+/// one to sample) and let the cost-based planner pick the knobs; lower
+/// with the decision's fusion toggles, or the literal flag's; and pass
+/// the physical plan through the same gate as the logical one.
+pub fn lower_verified(
+    plan: &WorkflowPlan,
+    nodes: usize,
+    options: &ExecOptions,
+    sample: Option<&Batch>,
+) -> Result<(PhysicalPlan, Option<PlanDecision>), String> {
+    let decision = if options.adaptive {
+        let stats = match sample {
+            Some(batch) => papar_core::stats::collect_for_plan(
+                plan,
+                |name| (plan.external_inputs.iter().any(|(n, _)| n == name)).then_some(batch),
+                options.sample_stride,
+            )
+            .map_err(|e| e.to_string())?,
+            None => None,
+        };
+        Some(papar_core::adaptive::choose(
+            plan,
+            nodes,
+            options,
+            stats.as_ref(),
+        ))
+    } else {
+        None
+    };
+    let toggles = match &decision {
+        Some(d) => d.knobs().fuse,
+        None => FuseToggles::from_flag(options.fuse),
+    };
+    let phys = physplan::lower_with(plan, nodes, None, toggles);
+    let divergences = papar_check::verify_physical_plan(plan, &phys, nodes, None);
+    if !divergences.is_empty() {
+        return Err(format!(
+            "physical-plan verification failed:\n{}",
+            papar_check::render_text(&divergences)
+        ));
+    }
+    Ok((phys, decision))
+}
+
+/// Stage 2 — compile: parse both documents, derive the effective
+/// arguments, refuse while any error-severity `papar check` diagnostic
+/// stands (warnings ride along on the result), bind, cross-check the
+/// analyzer's inference against the planner's (a P099 divergence is a
+/// framework bug and also refuses), decide, lower, verify, fingerprint.
+/// `input` is only borrowed: its record count feeds the gate and, with
+/// `--adaptive`, the sampling pre-pass reads it in place.
+pub fn compile(
     spec: &JobSpec,
     cfg_text: &str,
     wf_text: &str,
-    records: &[Record],
+    replication: usize,
+    input: &Batch,
     options: &ExecOptions,
 ) -> Result<CachedPlan, String> {
-    let records_in = records.len();
+    let nodes = spec.nodes as usize;
     let input_cfg =
         InputConfig::parse_str(cfg_text).map_err(|e| format!("{}: {e}", spec.input_config))?;
     let workflow =
         WorkflowConfig::parse_str(wf_text).map_err(|e| format!("{}: {e}", spec.workflow))?;
 
     let mut args: HashMap<String, String> = spec.args.iter().cloned().collect();
-    for name in ["input_path", "input_file"] {
-        if workflow.argument(name).is_some() && !args.contains_key(name) {
-            args.insert(name.to_string(), spec.data.clone());
-        }
-    }
-    for name in ["output_path"] {
-        if workflow.argument(name).is_some() && !args.contains_key(name) {
-            args.insert(name.to_string(), spec.out_dir.clone());
-        }
-    }
+    default_path_args(&workflow, &mut args, &spec.data, &spec.out_dir);
 
     let ctx = papar_check::CheckContext {
         args: args.clone(),
-        nodes: Some(spec.nodes as usize),
-        replication: Some(0),
-        records: Some(records_in),
+        nodes: Some(nodes),
+        replication: Some(replication),
+        records: Some(input.record_count()),
         ..Default::default()
     };
     let analysis = papar_check::analyze(&workflow, std::slice::from_ref(&input_cfg), &ctx);
@@ -187,80 +275,148 @@ fn compile_plan(
     }
     if plan.external_inputs.len() != 1 {
         return Err(format!(
-            "the workflow expects {} external inputs; a submit provides exactly one (--data)",
+            "the workflow expects {} external inputs; a job provides exactly one (--data)",
             plan.external_inputs.len()
         ));
     }
     let input_name = plan.external_inputs[0].0.clone();
 
-    // Adaptive planning: run the sampling pre-pass over the loaded
-    // records and let the cost-based planner pick the knobs; the
-    // decision travels with the cached plan and its rationale is folded
-    // into the fingerprint below.
-    let decision = if spec.adaptive {
-        let batch = Batch::Flat(records.to_vec());
-        let stats = papar_core::stats::collect_for_plan(
-            &plan,
-            |name| (name == input_name).then_some(&batch),
-            options.sample_stride,
-        )
-        .map_err(|e| e.to_string())?;
-        Some(papar_core::adaptive::choose(
-            &plan,
-            spec.nodes as usize,
-            options,
-            stats.as_ref(),
-        ))
-    } else {
-        None
-    };
-
-    let toggles = decision
-        .as_ref()
-        .map(|d| d.knobs().fuse)
-        .unwrap_or_else(|| papar_core::physplan::FuseToggles::from_flag(!spec.no_fuse));
-    let phys = papar_core::physplan::lower_with(&plan, spec.nodes as usize, None, toggles);
-    let divergences = papar_check::verify_physical_plan(&plan, &phys, spec.nodes as usize, None);
-    if !divergences.is_empty() {
-        return Err(format!(
-            "physical-plan verification failed:\n{}",
-            papar_check::render_text(&divergences)
-        ));
-    }
-    let num_jobs = plan.jobs.len();
+    // The decision travels with the compiled plan, and its rationale —
+    // input-statistics fingerprint included — is folded into the plan
+    // fingerprint.
+    let (phys, decision) = lower_verified(&plan, nodes, options, Some(input))?;
     let fingerprint = plan_fingerprint_with(
         &plan,
         &phys,
-        spec.nodes as usize,
+        nodes,
         options,
         decision.as_ref().map(|d| &d.rationale),
     );
-    let schema = Arc::new(Schema::from_input_config(&input_cfg));
     Ok(CachedPlan {
+        num_jobs: plan.jobs.len(),
         plan,
         phys,
+        schema: Arc::new(Schema::from_input_config(&input_cfg)),
         input_cfg,
-        schema,
         warnings,
         input_name,
-        num_jobs,
         fingerprint,
         decision,
     })
 }
 
-/// Run one job on the resident state. Returns the rendered outcome or
-/// the failure message; never panics — any error travels back to the
-/// client as the job's `Failed` detail.
+/// A fresh simulated cluster with the recovery knobs set.
+pub fn new_cluster(nodes: usize, replication: usize, max_attempts: u32) -> Result<Cluster, String> {
+    Ok(Cluster::try_new(nodes)
+        .map_err(|e| e.to_string())?
+        .with_replication(replication)
+        .with_retry(RetryPolicy {
+            max_attempts,
+            ..RetryPolicy::default()
+        }))
+}
+
+/// Stage 3 — run: a runner over the compiled plan (carrying its
+/// adaptive decision, and the checkpoint when one is asked for),
+/// `input` *moved* into the scatter, then the workflow itself.
+pub fn run(
+    compiled: &CachedPlan,
+    options: ExecOptions,
+    checkpoint: Option<CheckpointCfg>,
+    cluster: &mut Cluster,
+    input: Batch,
+) -> Result<WorkflowReport, CoreError> {
+    let mut runner = WorkflowRunner::with_options(compiled.plan.clone(), options);
+    if let Some(d) = compiled.decision.clone() {
+        runner = runner.with_decision(d);
+    }
+    if let Some(c) = checkpoint {
+        runner = runner.with_checkpoint(c.dir, c.resume, c.extra);
+    }
+    runner.scatter_input(
+        cluster,
+        &compiled.input_name,
+        Dataset::new(compiled.schema.clone(), input),
+    )?;
+    runner.run(cluster)
+}
+
+/// Stage 4 — emit: write each output partition into `out_dir` (created
+/// if missing) in the input's on-disk format. Returns the files, in
+/// partition order.
+pub fn emit(
+    compiled: &CachedPlan,
+    cluster: &Cluster,
+    out_dir: &Path,
+) -> Result<Vec<PathBuf>, String> {
+    std::fs::create_dir_all(out_dir)
+        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
+    let partitions = cluster
+        .collect(&compiled.plan.output_path)
+        .map_err(|e| e.to_string())?;
+    let cfg = &compiled.input_cfg;
+    let mut files = Vec::with_capacity(partitions.len());
+    for (i, part) in partitions.iter().enumerate() {
+        let records = part.batch.clone().flatten();
+        let (ext, bytes) = match cfg.format {
+            InputFormat::Binary => (
+                "bin",
+                codec::binary::write(cfg, &part.schema, &records, None)
+                    .map_err(|e| e.to_string())?,
+            ),
+            InputFormat::Text => (
+                "txt",
+                codec::text::write(cfg, &part.schema, &records)
+                    .map_err(|e| e.to_string())?
+                    .into_bytes(),
+            ),
+        };
+        let path = out_dir.join(format!("partition_{i:04}.{ext}"));
+        std::fs::write(&path, bytes)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        files.push(path);
+    }
+    Ok(files)
+}
+
+/// Hash of the raw request: everything that decides what planning would
+/// produce *and* what the static-analysis gate would say. The effective
+/// arguments (with the conventional `input_path`/`output_path`
+/// defaults) are a pure function of the workflow text, the given args,
+/// and the data/out paths — all hashed here — so a spec-hash hit is
+/// safe to serve without re-deriving them. The data file's size and
+/// mtime are included because the gate's record-count checks read the
+/// data; a changed file must re-plan.
+fn spec_hash(spec: &JobSpec, cfg_text: &str, wf_text: &str, len: u64, mtime_ns: u128) -> u64 {
+    let mut canon = String::new();
+    let _ = writeln!(canon, "input_config:\n{cfg_text}");
+    let _ = writeln!(canon, "workflow:\n{wf_text}");
+    let _ = writeln!(canon, "data={} len={len} mtime={mtime_ns}", spec.data);
+    let _ = writeln!(canon, "out={}", spec.out_dir);
+    let _ = writeln!(canon, "nodes={}", spec.nodes);
+    let mut args: Vec<&(String, String)> = spec.args.iter().collect();
+    args.sort();
+    for (k, v) in args {
+        let _ = writeln!(canon, "arg {k}={v}");
+    }
+    let _ = writeln!(canon, "records={:?}", spec.records);
+    let _ = writeln!(canon, "fuse={}", !spec.no_fuse);
+    let _ = writeln!(canon, "adaptive={}", spec.adaptive);
+    wire::checksum(canon.as_bytes())
+}
+
+/// Run one job on the resident state: the four stages with the caches
+/// around the first two. Returns the rendered outcome or the failure
+/// message; never panics — any error travels back to the client as the
+/// job's `Failed` detail.
 pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String> {
     let started = Instant::now();
     if spec.nodes == 0 {
         return Err("--nodes must be at least 1".to_string());
     }
-    let cfg_text = std::fs::read_to_string(&spec.input_config)
-        .map_err(|e| format!("cannot read {}: {e}", spec.input_config))?;
-    let wf_text = std::fs::read_to_string(&spec.workflow)
-        .map_err(|e| format!("cannot read {}: {e}", spec.workflow))?;
+    let nodes = spec.nodes as usize;
+    let cfg_text = read_text(&spec.input_config)?;
+    let wf_text = read_text(&spec.workflow)?;
     let meta =
         std::fs::metadata(&spec.data).map_err(|e| format!("cannot stat {}: {e}", spec.data))?;
     let mtime_ns = meta
@@ -278,115 +434,69 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
         .map(|t| t as usize)
         .unwrap_or(res.default_threads)
         .max(1);
-    let options = ExecOptions {
-        threads: Some(threads),
-        trace: true,
-        fuse: !spec.no_fuse,
-        zerocopy: !spec.no_zerocopy,
-        adaptive: spec.adaptive,
-        ..ExecOptions::default()
+    let options = exec_options(spec, Some(threads), true);
+
+    // Load: resident when the same file (same size/mtime/bound/config)
+    // was decoded before.
+    let key = DataKey {
+        path: spec.data.clone(),
+        len: meta.len(),
+        mtime_ns,
+        records: spec.records,
+        config_hash: wire::checksum(cfg_text.as_bytes()),
+    };
+    let (input, data_cache_hit) = match res.data.get(&key) {
+        Some(input) => (input, true),
+        None => {
+            let input = Arc::new(load(spec, &cfg_text)?);
+            res.data.insert(key, input.clone());
+            (input, false)
+        }
     };
 
-    // Data first (the analysis gate inside planning needs the record
-    // count): resident when the same file (same size/mtime/bound/
-    // config) was decoded before.
-    let data_misses_before = res.data.misses;
-    let records = load_data(spec, &cfg_text, res, meta.len(), mtime_ns)?;
-    let data_cache_hit = res.data.misses == data_misses_before;
-    let records_in = records.len();
-
-    // Plan: resident on a repeated request, compiled fresh otherwise.
+    // Compile: resident on a repeated request.
     let shash = spec_hash(spec, &cfg_text, &wf_text, meta.len(), mtime_ns);
-    let (cached, plan_cache_hit) = match res.plans.get_by_spec(shash) {
-        Some(cached) => (cached, true),
+    let (compiled, plan_cache_hit) = match res.plans.get_by_spec(shash) {
+        Some(compiled) => (compiled, true),
         None => {
-            let cached = Arc::new(compile_plan(spec, &cfg_text, &wf_text, &records, &options)?);
-            res.plans.insert(shash, cached.clone());
-            (cached, false)
+            let compiled = Arc::new(compile(spec, &cfg_text, &wf_text, 0, &input, &options)?);
+            res.plans.insert(shash, compiled.clone());
+            (compiled, false)
         }
     };
 
     // Cluster: reuse unless the node count changed; reset wipes data,
     // traces, and fault state but keeps the thread budget.
-    let rebuild = !matches!(&res.cluster, Some(c) if c.num_nodes() == spec.nodes as usize);
-    if rebuild {
-        res.cluster = Some(
-            Cluster::try_new(spec.nodes as usize)
-                .map_err(|e| e.to_string())?
-                .with_replication(0)
-                .with_retry(RetryPolicy {
-                    max_attempts: 3,
-                    ..RetryPolicy::default()
-                }),
-        );
-    }
-    let cluster = res.cluster.as_mut().expect("cluster just ensured");
-    if !rebuild {
-        cluster.reset();
-    }
-
-    let mut runner = WorkflowRunner::with_options(cached.plan.clone(), options);
-    if let Some(d) = cached.decision.clone() {
-        runner = runner.with_decision(d);
-    }
-    runner
-        .scatter_input(
-            cluster,
-            &cached.input_name,
-            Dataset::new(cached.schema.clone(), Batch::Flat((*records).clone())),
-        )
-        .map_err(|e| e.to_string())?;
-    let report = runner.run(cluster).map_err(|e| e.to_string())?;
-
-    // Write each output partition in the input's on-disk format, with
-    // `papar run`'s exact file naming and codecs.
-    std::fs::create_dir_all(&spec.out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", spec.out_dir))?;
-    let partitions = cluster
-        .collect(&runner.plan().output_path)
-        .map_err(|e| e.to_string())?;
-    let out_dir = Path::new(&spec.out_dir);
-    let mut files = Vec::with_capacity(partitions.len());
-    for (i, part) in partitions.iter().enumerate() {
-        let recs = part.batch.clone().flatten();
-        let path = out_dir.join(match cached.input_cfg.format {
-            InputFormat::Binary => format!("partition_{i:04}.bin"),
-            InputFormat::Text => format!("partition_{i:04}.txt"),
-        });
-        match cached.input_cfg.format {
-            InputFormat::Binary => {
-                let bytes = papar_record::codec::binary::write(
-                    &cached.input_cfg,
-                    &part.schema,
-                    &recs,
-                    None,
-                )
-                .map_err(|e| e.to_string())?;
-                std::fs::write(&path, bytes)
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            }
-            InputFormat::Text => {
-                let text = papar_record::codec::text::write(&cached.input_cfg, &part.schema, &recs)
-                    .map_err(|e| e.to_string())?;
-                std::fs::write(&path, text)
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            }
+    let cluster = match &mut res.cluster {
+        Some(cluster) if cluster.num_nodes() == nodes => {
+            cluster.reset();
+            cluster
         }
-        files.push(path);
-    }
+        slot => slot.insert(new_cluster(nodes, 0, 3)?),
+    };
+
+    // The one clone of the cached input a request pays for.
+    let report =
+        run(&compiled, options, None, cluster, (*input).clone()).map_err(|e| e.to_string())?;
+    let files = emit(&compiled, cluster, Path::new(&spec.out_dir))?;
 
     // Render the report the way `papar run` prints its summary, plus
     // the cache verdicts and the profile table from this request's
     // span tree.
     let mut detail = String::new();
-    for w in &cached.warnings {
+    for w in &compiled.warnings {
         let _ = writeln!(detail, "{w}");
     }
-    let _ = writeln!(detail, "read {records_in} records from {}", spec.data);
+    let _ = writeln!(
+        detail,
+        "read {} records from {}",
+        input.record_count(),
+        spec.data
+    );
     let _ = writeln!(
         detail,
         "plan {:#018x}: cache {}",
-        cached.fingerprint,
+        compiled.fingerprint,
         if plan_cache_hit { "hit" } else { "miss" }
     );
     let _ = writeln!(
@@ -395,7 +505,7 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
         spec.data,
         if data_cache_hit { "hit" } else { "miss" }
     );
-    if let Some(d) = &cached.decision {
+    if let Some(d) = &compiled.decision {
         detail.push_str(&d.rationale.render());
     }
     for note in &report.notes {
@@ -425,43 +535,10 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
 
     Ok(JobOutcome {
         detail,
-        plan_fingerprint: cached.fingerprint,
+        plan_fingerprint: compiled.fingerprint,
         plan_cache_hit,
         data_cache_hit,
         wall_ms: started.elapsed().as_millis() as u64,
         sim_ns: report.total_sim_time().as_nanos() as u64,
     })
-}
-
-/// Fetch the decoded input through the data cache. A miss parses the
-/// input config (cheap — a page of XML) and decodes the file; the
-/// expensive decode is what the cache elides.
-fn load_data(
-    spec: &JobSpec,
-    cfg_text: &str,
-    res: &mut Resources,
-    len: u64,
-    mtime_ns: u128,
-) -> Result<Arc<Vec<Record>>, String> {
-    let key = DataKey {
-        path: spec.data.clone(),
-        len,
-        mtime_ns,
-        records: spec.records,
-        config_hash: wire::checksum(cfg_text.as_bytes()),
-    };
-    if let Some(records) = res.data.get(&key) {
-        return Ok(records);
-    }
-    let cfg =
-        InputConfig::parse_str(cfg_text).map_err(|e| format!("{}: {e}", spec.input_config))?;
-    let schema = Arc::new(Schema::from_input_config(&cfg));
-    let records = Arc::new(load_records(
-        &cfg,
-        &schema,
-        Path::new(&spec.data),
-        spec.records.map(|n| n as usize),
-    )?);
-    res.data.insert(key, records.clone());
-    Ok(records)
 }

@@ -17,10 +17,11 @@
 //!   fingerprint* ([`papar_core::exec::plan_fingerprint`]), decoded
 //!   input files in a second LRU keyed by path + size + mtime
 //!   ([`cache`]);
-//! * requests run through the existing
-//!   [`papar_core::exec::WorkflowRunner`] on one resident
+//! * requests run through the same stage functions as `papar run`
+//!   ([`job`]: load, compile, run, emit — this crate is their one home,
+//!   and `crates/cli` calls them too) on one resident
 //!   [`papar_mr::Cluster`] that is [`papar_mr::Cluster::reset`] between
-//!   jobs — same engine, same output bytes as `papar run`;
+//!   jobs — same code, same output bytes as `papar run`;
 //! * concurrent clients enqueue into a bounded FIFO job queue
 //!   ([`queue`]) with per-job ids and `queued/running/done/failed`
 //!   states; at capacity, admission control answers a typed

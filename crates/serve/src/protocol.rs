@@ -698,6 +698,7 @@ mod tests {
             threads: Some(4),
             no_fuse: false,
             no_zerocopy: true,
+            adaptive: true,
         }
     }
 

@@ -70,6 +70,7 @@ fn spec(dir: &Path, out: &str, threads: Option<u32>) -> JobSpec {
         threads,
         no_fuse: false,
         no_zerocopy: false,
+        adaptive: false,
     }
 }
 
@@ -199,6 +200,36 @@ fn failed_jobs_report_typed_failure_not_a_dead_daemon() {
     assert_eq!(report.state, JobStateKind::Done, "{}", report.detail);
     let stats = client.ping().unwrap();
     assert_eq!((stats.jobs_done, stats.jobs_failed), (1, 1));
+
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// A record count whose byte bound overflows `usize` arrives in a
+/// well-formed frame; it must fail that one job with the loader's typed
+/// message — not wrap to a one-record read, not take the worker down.
+#[test]
+fn overflowing_record_count_fails_the_job_and_the_daemon_serves_on() {
+    let dir = fixture("records-overflow");
+    let (endpoint, server) = start(4);
+    let mut client = Client::connect(&endpoint).unwrap();
+
+    let mut bad = spec(&dir, "wrapped", Some(1));
+    bad.records = Some((1 << 60) + 1);
+    let (id, _) = client.submit(bad).unwrap();
+    let report = client.wait(id).unwrap();
+    assert_eq!(report.state, JobStateKind::Failed, "{}", report.detail);
+    assert!(
+        report.detail.contains("bytes after the header"),
+        "{}",
+        report.detail
+    );
+    assert!(!dir.join("wrapped").exists(), "nothing may be partitioned");
+
+    let (id, _) = client.submit(spec(&dir, "after", Some(1))).unwrap();
+    let report = client.wait(id).unwrap();
+    assert_eq!(report.state, JobStateKind::Done, "{}", report.detail);
+    assert_eq!(partition_bytes(&dir.join("after")).len(), 4);
 
     client.shutdown().unwrap();
     server.join().unwrap();

@@ -42,6 +42,7 @@ fn spec_strategy() -> impl Strategy<Value = JobSpec> {
                     threads,
                     no_fuse: f,
                     no_zerocopy: z,
+                    adaptive: f != z,
                 }
             },
         )
