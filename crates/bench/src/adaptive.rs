@@ -96,7 +96,7 @@ pub fn skewed_records(n: usize) -> Vec<Record> {
     let mut rng = 0x9e37_79b9_7f4a_7c15u64;
     (0..n)
         .map(|i| {
-            let key = if xorshift(&mut rng) % 2 == 0 {
+            let key = if xorshift(&mut rng).is_multiple_of(2) {
                 HOT_KEY
             } else {
                 let a = xorshift(&mut rng) % 1024;

@@ -21,7 +21,6 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fusion;
-pub mod hotpath;
 pub mod parallel;
 pub mod report;
 pub mod serve;

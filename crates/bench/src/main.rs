@@ -9,8 +9,8 @@
 use papar_bench::datasets::Scale;
 use papar_bench::report::Table;
 use papar_bench::{
-    ablation, adaptive, chaos, checkpoint, fig12, fig13, fig14, fig15, fusion, hotpath, parallel,
-    serve, table2,
+    ablation, adaptive, chaos, checkpoint, fig12, fig13, fig14, fig15, fusion, parallel, serve,
+    table2,
 };
 use std::io::Write;
 
@@ -29,7 +29,6 @@ const EXPERIMENTS: &[&str] = &[
     "chaos",
     "checkpoint",
     "fusion",
-    "hotpath",
     "parallel",
     "serve",
 ];
@@ -59,7 +58,6 @@ fn run_experiment(name: &str, scale: &Scale) -> Table {
         "chaos" => chaos::run(scale),
         "checkpoint" => checkpoint::run(scale),
         "fusion" => fusion::run(scale),
-        "hotpath" => hotpath::run(scale),
         "parallel" => parallel::run(scale),
         "serve" => serve::run(scale),
         other => {

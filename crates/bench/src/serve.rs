@@ -82,7 +82,6 @@ fn spec(dir: &Path) -> JobSpec {
         records: None,
         threads: Some(1),
         no_fuse: false,
-        no_zerocopy: false,
         adaptive: false,
     }
 }

@@ -73,11 +73,6 @@ pub struct RunSpec {
     /// job runs as its own MR job. Output bytes are identical either way;
     /// only job counts and shuffle traffic change.
     pub no_fuse: bool,
-    /// Disable the engine's zero-copy reduce path (`--no-zerocopy`):
-    /// shuffled pairs are decoded into owned values before sorting, the
-    /// pre-optimization baseline. Output bytes are identical either way;
-    /// only staged bytes and allocations change.
-    pub no_zerocopy: bool,
     /// Print a per-phase virtual-time breakdown after the run.
     pub profile: bool,
     /// Write a Chrome trace-event JSON file of the run's span tree
@@ -115,7 +110,6 @@ impl Default for RunSpec {
             max_retries: 3,
             threads: None,
             no_fuse: false,
-            no_zerocopy: false,
             profile: false,
             trace_out: None,
             checkpoint: None,
@@ -246,7 +240,6 @@ fn job_flag(
         "--arg" => insert_arg(&mut spec.args, &value(flag, argv)?)?,
         "--threads" => spec.threads = Some(positive_int::<u32>(flag, argv)? as usize),
         "--no-fuse" => spec.no_fuse = true,
-        "--no-zerocopy" => spec.no_zerocopy = true,
         "--adaptive" => spec.adaptive = true,
         "--no-adaptive" => spec.adaptive = false,
         _ => return Ok(false),
@@ -294,7 +287,6 @@ impl RunSpec {
             records: self.records.map(|n| n as u64),
             threads: self.threads.map(narrow),
             no_fuse: self.no_fuse,
-            no_zerocopy: self.no_zerocopy,
             adaptive: self.adaptive,
         }
     }
@@ -909,7 +901,7 @@ pub const USAGE: &str = "\
 usage: papar [run] --input-config <xml> --workflow <xml> --data <file> --out <dir>
              [--nodes N] [--records N] [--arg key=value]...
              [--faults SPEC] [--fault-seed N] [--replication N] [--max-retries N]
-             [--threads N] [--no-fuse] [--no-zerocopy] [--adaptive] [--profile]
+             [--threads N] [--no-fuse] [--adaptive] [--profile]
              [--trace <file>] [--checkpoint <dir> | --resume <dir>]
        papar check --workflow <xml> [options]   (see `papar check --help`)
        papar plan --workflow <xml> [options]    (see `papar plan --help`)
@@ -931,11 +923,6 @@ Performance:
                      adjacent sort+distribute / group+split pairs; output bytes
                      are identical, only job counts and shuffle traffic change
                      (`papar plan --explain` shows what fusion would do)
-  --no-zerocopy      decode shuffled pairs into owned values before the reduce
-                     sort (the pre-optimization baseline) instead of sorting
-                     borrowed views with packed key prefixes; output bytes are
-                     identical, only staged bytes and allocations change
-                     (compare with --profile's staged/allocs columns)
   --adaptive         run the cost-based adaptive planner: a sampling pre-pass
                      summarizes the input's key distribution, candidate plans
                      (reducer counts, sampling stride, range-vs-cyclic
@@ -1223,8 +1210,7 @@ pub const SUBMIT_USAGE: &str = "\
 usage: papar submit --socket <path|tcp:HOST:PORT>
                     --input-config <xml> --workflow <xml> --data <file> --out <dir>
                     [--nodes N] [--records N] [--arg key=value]...
-                    [--threads N] [--no-fuse] [--no-zerocopy] [--adaptive]
-                    [--detach]
+                    [--threads N] [--no-fuse] [--adaptive] [--detach]
        papar submit --socket <path|tcp:HOST:PORT> --shutdown
 
 Submits one partitioning job to a `papar serve` daemon. Without --detach,
@@ -1379,10 +1365,8 @@ mod tests {
     fn parse_args_toggle_flags_default_off() {
         let spec = parse_run("").unwrap();
         assert!(!spec.no_fuse, "fusion is on by default");
-        assert!(!spec.no_zerocopy, "zero-copy reduce is on by default");
         assert!(!spec.adaptive, "the literal knobs are the default");
         assert!(parse_run("--no-fuse").unwrap().no_fuse);
-        assert!(parse_run("--no-zerocopy").unwrap().no_zerocopy);
         assert!(parse_run("--adaptive").unwrap().adaptive);
         assert!(!parse_run("--adaptive --no-adaptive").unwrap().adaptive);
     }

@@ -546,18 +546,14 @@ fn price(
                     }
                     let boundaries = match knobs.boundary_mode {
                         BoundaryMode::Range => {
-                            boundaries_from_samples(&[s.sample.clone()], reducers)
+                            boundaries_from_samples(std::slice::from_ref(&s.sample), reducers)
                                 .map_err(|e| format!("boundary placement failed: {e}"))?
                         }
-                        BoundaryMode::Cyclic => {
-                            match (s.sample.first(), s.sample.last()) {
-                                (Some(lo), Some(hi)) => cyclic_boundaries(lo, hi, reducers)
-                                    .ok_or_else(|| {
-                                        "cyclic striping needs a numeric key".to_string()
-                                    })?,
-                                _ => Vec::new(),
-                            }
-                        }
+                        BoundaryMode::Cyclic => match (s.sample.first(), s.sample.last()) {
+                            (Some(lo), Some(hi)) => cyclic_boundaries(lo, hi, reducers)
+                                .ok_or_else(|| "cyclic striping needs a numeric key".to_string())?,
+                            _ => Vec::new(),
+                        },
                     };
                     // A coarse stride can misplace each boundary by about
                     // one stride's worth of records; charge that slack to
@@ -601,8 +597,7 @@ fn price(
         // Shuffle: one frame per (node, reducer) pair plus the bytes.
         if sb.reducers > 0 {
             let messages = (num_nodes.max(1) * sb.reducers) as u64;
-            cost_ns =
-                cost_ns.saturating_add(duration_ns(net.transfer_time(messages, bytes)));
+            cost_ns = cost_ns.saturating_add(duration_ns(net.transfer_time(messages, bytes)));
             // Reduce side critical path: the busiest reducer.
             let covers_profiled = profiled_job
                 .as_ref()

@@ -62,12 +62,6 @@ pub struct ExecOptions {
     /// by default; `--no-fuse` clears it. Output bytes are identical
     /// either way — only job counts and shuffle traffic change.
     pub fuse: bool,
-    /// Use the engine's zero-copy reduce path (borrowed wire views and
-    /// packed key-prefix sort keys). On by default; `--no-zerocopy` clears
-    /// it. Output bytes are identical either way — only staged bytes and
-    /// allocations change — so, like `threads`, it is excluded from the
-    /// checkpoint resume fingerprint.
-    pub zerocopy: bool,
     /// Let the cost-based planner override the literal knobs above
     /// (reducer counts, sampling stride, boundary placement, per-rewrite
     /// fusion) from sampled key statistics. Off by default (`--adaptive`
@@ -87,7 +81,6 @@ impl Default for ExecOptions {
             threads: None,
             trace: false,
             fuse: true,
-            zerocopy: true,
             adaptive: false,
         }
     }
@@ -222,8 +215,8 @@ impl WorkflowReport {
 /// bytes: the lowered physical plan (operators, fusion decisions, reducer
 /// counts), every job's full kind (keys, policies, partition counts,
 /// thresholds), the cluster size, and the byte-affecting execution
-/// options. Thread count and the zero-copy toggle are deliberately
-/// absent — output bytes are identical for every combination.
+/// options. The thread count is deliberately absent — output bytes are
+/// identical at every count.
 ///
 /// This is the prefix of the checkpoint resume fingerprint (which appends
 /// input content hashes and the caller's fault/seed salt); hashed alone it
@@ -499,7 +492,6 @@ impl WorkflowRunner {
         if let Some(threads) = self.options.threads {
             cluster.set_threads(threads);
         }
-        cluster.set_zerocopy(self.options.zerocopy);
         if self.options.trace && !cluster.tracing() {
             cluster.set_tracer(Box::new(Collector::new()));
         }
@@ -643,11 +635,9 @@ impl WorkflowRunner {
     /// plan (operators, fusion, reducer counts), the cluster size, the
     /// byte-affecting options, every scattered input's content hash, and
     /// the caller's salt (fault spec/seed, replication, retry budget).
-    /// Thread count and the zero-copy toggle are deliberately absent:
-    /// output bytes are identical for every combination, so a checkpoint
-    /// taken at `--threads 4` resumes at `--threads 1`, and one taken
-    /// with the zero-copy path resumes under `--no-zerocopy` (and vice
-    /// versa).
+    /// The thread count is deliberately absent: output bytes are
+    /// identical at every count, so a checkpoint taken at `--threads 4`
+    /// resumes at `--threads 1`.
     fn fingerprint(
         &self,
         cluster: &Cluster,

@@ -241,7 +241,12 @@ pub fn lower(
     default_reducers: Option<usize>,
     fuse: bool,
 ) -> PhysicalPlan {
-    lower_with(plan, num_nodes, default_reducers, FuseToggles::from_flag(fuse))
+    lower_with(
+        plan,
+        num_nodes,
+        default_reducers,
+        FuseToggles::from_flag(fuse),
+    )
 }
 
 /// [`lower`] with per-rewrite fusion control: the adaptive planner's

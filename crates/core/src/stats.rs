@@ -173,7 +173,7 @@ impl KeyCollector {
 
     /// Offer one key.
     pub fn offer(&mut self, key: &Value) {
-        if self.pos % self.stride as u64 == 0 {
+        if self.pos.is_multiple_of(self.stride as u64) {
             self.sample.push(key.clone());
         }
         self.pos += 1;
@@ -232,7 +232,7 @@ impl KeyCollector {
             // Keep the TOP_K heaviest runs; stable over ascending keys, so
             // ties resolve to the smaller key.
             hot.push((sample[i].clone(), run));
-            hot.sort_by(|a, b| b.1.cmp(&a.1));
+            hot.sort_by_key(|h| std::cmp::Reverse(h.1));
             hot.truncate(TOP_K);
             i = j;
         }

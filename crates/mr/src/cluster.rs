@@ -45,10 +45,6 @@ pub struct Cluster {
     /// `hints[from][to]`: the previous map phase's outbox sizes, used to
     /// pre-size the next phase's shuffle buffers.
     shuffle_hints: Vec<Vec<usize>>,
-    /// Reduce tasks sort borrowed references into their inbox buffers
-    /// (key-prefix packed sort) instead of eagerly decoded owned pairs.
-    /// Output bytes are identical either way; off is the escape hatch.
-    zerocopy: bool,
     /// Where the engine reports spans. Defaults to the disabled
     /// [`NoopSink`]; `Send + Sync` because phase workers share
     /// `&Cluster`, though all sink calls happen on the driver thread.
@@ -100,7 +96,6 @@ impl Cluster {
             events: Vec::new(),
             threads: default_threads()?,
             shuffle_hints: Vec::new(),
-            zerocopy: true,
             tracer: Box::new(NoopSink),
             cost: CostModel::default(),
         })
@@ -182,30 +177,6 @@ impl Cluster {
         self.threads
     }
 
-    /// Enable/disable the zero-copy reduce path (builder form). See
-    /// [`Cluster::set_zerocopy`].
-    pub fn with_zerocopy(mut self, on: bool) -> Self {
-        self.set_zerocopy(on);
-        self
-    }
-
-    /// Toggle the zero-copy reduce path: on (the default), reduce tasks
-    /// sort packed `(reducer, key-prefix, scan-index)` integers referencing
-    /// their inbox buffers and materialize owned values only at group
-    /// build; off, they eagerly decode every pair before sorting (the
-    /// pre-zero-copy behavior, kept as an escape hatch and ablation
-    /// baseline). Output bytes, stats and the deterministic trace clock
-    /// are identical for both settings; only wall time and the hot-path
-    /// staging counters change.
-    pub fn set_zerocopy(&mut self, on: bool) {
-        self.zerocopy = on;
-    }
-
-    /// Whether reduce tasks use the zero-copy sort path.
-    pub fn zerocopy(&self) -> bool {
-        self.zerocopy
-    }
-
     /// Keep `r` replicas of every materialized fragment on the `r` nodes
     /// after its primary (wrapping). `r = 0` (the default) disables
     /// checkpointing: a node crash then loses data unrecoverably.
@@ -260,10 +231,10 @@ impl Cluster {
     /// job counter, recovery ledger, event log, shuffle hints and fault
     /// plan are cleared, and the trace sink reverts to the disabled
     /// [`NoopSink`]. The thread budget, network model, replication
-    /// factor, retry policy and zero-copy toggle are *kept* — they are
-    /// deployment configuration, not run state. This is what lets a
-    /// long-running `papar serve` daemon reuse one cluster across
-    /// requests instead of paying construction per job.
+    /// factor and retry policy are *kept* — they are deployment
+    /// configuration, not run state. This is what lets a long-running
+    /// `papar serve` daemon reuse one cluster across requests instead of
+    /// paying construction per job.
     pub fn reset(&mut self) {
         for node in &mut self.nodes {
             node.wipe();

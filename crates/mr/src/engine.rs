@@ -38,7 +38,6 @@ use papar_record::{Record, Schema, Value};
 use papar_trace::{
     duration_ns, CostModel, Counters, JobTrace, PhaseKind, PhaseTrace, SkewHistogram, TaskTrace,
 };
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use std::time::Duration;
@@ -254,113 +253,27 @@ fn encode_entry(
     Ok(())
 }
 
-/// Decode one entry, dispatching on its tag byte.
-fn decode_entry(r: &mut Reader<'_>, schema: &Schema, compress_key: Option<usize>) -> Result<Entry> {
-    let tag = r.read_u8()?;
-    match tag {
-        ENTRY_REC => Ok(Entry::Rec(wire::decode_record(r, schema)?)),
-        ENTRY_PACKED => {
-            let key = wire::decode_value(r)?;
-            let count = r.read_u32()? as usize;
-            let mut records = Vec::with_capacity(count);
-            for _ in 0..count {
-                records.push(wire::decode_record(r, schema)?);
-            }
-            Ok(Entry::Packed(PackedRecord { key, records }))
-        }
-        ENTRY_PACKED_CSC => {
-            let key_idx = compress_key.ok_or_else(|| {
-                MrError::msg("received CSC-compressed entry but job has no compress_key")
-            })?;
-            let key = wire::decode_value(r)?;
-            let count = r.read_u32()? as usize;
-            let mut columns: Vec<std::vec::IntoIter<Value>> = Vec::new();
-            for (fi, field) in schema.fields().iter().enumerate() {
-                if fi == key_idx {
-                    continue;
-                }
-                let mut col = Vec::with_capacity(count);
-                for _ in 0..count {
-                    col.push(wire::decode_field(r, field.ty)?);
-                }
-                columns.push(col.into_iter());
-            }
-            // Rebuild rows by draining the columns — each decoded cell is
-            // moved into its row exactly once; only the factored-out key is
-            // cloned per row.
-            let mut records = Vec::with_capacity(count);
-            for _ in 0..count {
-                let mut values = Vec::with_capacity(schema.len());
-                let mut ci = 0;
-                for fi in 0..schema.len() {
-                    if fi == key_idx {
-                        values.push(key.clone());
-                    } else {
-                        values.push(columns[ci].next().expect("column has `count` cells"));
-                        ci += 1;
-                    }
-                }
-                records.push(Record::new(values));
-            }
-            Ok(Entry::Packed(PackedRecord { key, records }))
-        }
-        other => Err(MrError::msg(format!("unknown entry tag {other}"))),
-    }
-}
-
-/// A decoded shuffled pair with its determinism tag (`Clone` because the
-/// parallel samplesort's run partitioning copies elements).
-#[derive(Clone)]
-struct ShuffledPair {
-    reducer: u32,
-    mapper: u32,
-    seq: u32,
-    key: Value,
-    entry: Entry,
-}
-
-/// The shuffle's reduce-side order: `(reducer, key?, mapper, seq)`.
-/// `(mapper, seq)` is unique per pair, so this is a *total* order — any
-/// correct sort, stable or not, sequential or parallel, produces the same
-/// permutation. That is what lets the engine use the unstable parallel
-/// samplesort without risking byte-level divergence.
-fn shuffle_cmp(
-    sort_by_key: bool,
-    descending: bool,
-    a: &ShuffledPair,
-    b: &ShuffledPair,
-) -> Ordering {
-    a.reducer
-        .cmp(&b.reducer)
-        .then_with(|| {
-            if sort_by_key {
-                let ord = a.key.cmp(&b.key);
-                if descending {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            } else {
-                Ordering::Equal
-            }
-        })
-        .then_with(|| a.mapper.cmp(&b.mapper))
-        .then_with(|| a.seq.cmp(&b.seq))
-}
-
 /// Checked narrowing for the shuffle wire format's u32 counters — a mapper
 /// emitting past `u32::MAX` pairs must fail loudly, not wrap.
 fn wire_u32(field: &'static str, value: usize) -> Result<u32> {
-    u32::try_from(value).map_err(|_| MrError::WireOverflow { field, value })
+    u32::try_from(value).map_err(|_| MrError::WireOverflow {
+        field,
+        value,
+        max: u32::MAX.into(),
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy reduce path: borrowed views + packed 128-bit sort keys.
+// The reduce path: borrowed views + packed 128-bit sort keys.
 //
-// Instead of decoding every shuffled pair into an owned `(Value, Entry)`
-// before sorting, the zero-copy path scans each inbox buffer once, records a
-// 16-byte [`PairLoc`] locating the pair's bytes, and packs the sort order
-// into a single `u128`:
+// Each reducer sees its pairs in the total order `(reducer, key?, mapper,
+// seq)` — key order reversed when descending, key omitted when
+// `!sort_by_key`. `(mapper, seq)` is unique per pair, so any correct sort,
+// stable or not, sequential or parallel, produces the same permutation.
+//
+// The reduce task scans each inbox buffer once, records a 16-byte
+// [`PairLoc`] locating the pair's bytes, and packs the sort order into a
+// single `u128`:
 //
 // ```text
 //   bit 127..104   reducer id              (24 bits)
@@ -371,33 +284,41 @@ fn wire_u32(field: &'static str, value: usize) -> Result<u32> {
 //
 // Inboxes are built sender-ascending and each sender's pairs arrive in
 // emission order, so the scan index ascends exactly like `(mapper, seq)` —
-// unsigned `u128` comparison therefore equals [`shuffle_cmp`] *except* where
-// two pairs share a reducer and an inexact key prefix; those tie runs are
-// re-sorted from decoded keys afterwards (see [`fixup_prefix_ties`]).
+// unsigned `u128` comparison therefore equals the order above *except*
+// where two pairs share a reducer and an inexact key prefix; those tie runs
+// are re-sorted from decoded keys afterwards (see [`fixup_prefix_ties`]).
+// Jobs with ≥ 2^24 reducers and inboxes with ≥ 2^38 pairs do not fit and
+// fail with [`MrError::WireOverflow`].
 // ---------------------------------------------------------------------------
 
-/// Reducer ids must fit the 24-bit field; wider jobs use the owned path.
+/// Width of the reducer-id field of the packed sort key.
 const REDUCER_BITS: u32 = 24;
-/// Scan-index width; inboxes holding ≥ 2^38 pairs fall back to the owned path.
+/// Width of the scan-index field of the packed sort key.
 const IDX_BITS: u32 = 38;
 const IDX_MASK: u128 = (1 << IDX_BITS) - 1;
 /// Mask of a 66-bit `packed66` key prefix (before shifting into position).
 const KEY66_MASK: u128 = (1 << 66) - 1;
 
-/// Where one shuffled pair's bytes live inside the reduce inboxes. Offsets
-/// are u32 (buffers over `u32::MAX` bytes fall back to the owned path), so
-/// the whole index entry is 16 bytes — sorting moves these and the packed
-/// keys, never the record bytes.
+/// Where one shuffled pair's bytes live inside the reduce inboxes: 16
+/// bytes — sorting moves these and the packed keys, never the record
+/// bytes. The pair's end is not stored; re-parsing the entry finds it.
 #[derive(Clone, Copy)]
 struct PairLoc {
     /// Index into the inbox slice (senders ascending).
     buf: u32,
+    /// Length of the tagged key; the entry (tag byte) follows it.
+    key_len: u32,
     /// Offset of the tagged key.
-    key_off: u32,
-    /// Offset of the entry (tag byte); `entry_off - key_off` = key bytes.
-    entry_off: u32,
-    /// End of the entry; `end_off - key_off` = the pair's payload bytes.
-    end_off: u32,
+    key_off: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<PairLoc>() == 16);
+
+impl PairLoc {
+    /// The pair's bytes from its key to the end of its buffer.
+    fn tail<'a>(&self, inbox: &'a [(usize, Vec<u8>)]) -> &'a [u8] {
+        &inbox[self.buf as usize].1[self.key_off as usize..]
+    }
 }
 
 fn pack_pair(reducer: u32, key66: u128, idx: usize) -> u128 {
@@ -407,22 +328,6 @@ fn pack_pair(reducer: u32, key66: u128, idx: usize) -> u128 {
 /// Heap allocations needed to own one decoded `Value`.
 fn value_allocs(v: &Value) -> u64 {
     matches!(v, Value::Str(_)) as u64
-}
-
-fn record_allocs(r: &Record) -> u64 {
-    1 + r.values().iter().map(value_allocs).sum::<u64>()
-}
-
-/// Heap allocations needed to own one decoded `Entry` (the analytic count
-/// behind `HotPathStats::staged_allocs` — a function of the data, not of
-/// the allocator, so it is identical at every thread count).
-fn entry_allocs(e: &Entry) -> u64 {
-    match e {
-        Entry::Rec(r) => record_allocs(r),
-        Entry::Packed(p) => {
-            1 + value_allocs(&p.key) + p.records.iter().map(record_allocs).sum::<u64>()
-        }
-    }
 }
 
 /// Count the pairs in a reduce inbox with an allocation-free skip scan so
@@ -454,7 +359,7 @@ fn count_inbox_pairs(
 /// is exact are already correctly ordered (equal keys, ascending scan index)
 /// and are skipped without decoding. Otherwise the run's keys are decoded
 /// and stably re-sorted by the true key order — stability keeps truly-equal
-/// keys in ascending scan order, preserving [`shuffle_cmp`]'s total order.
+/// keys in ascending scan order, preserving the total reduce order.
 fn fixup_prefix_ties(
     descending: bool,
     inbox: &[(usize, Vec<u8>)],
@@ -464,7 +369,7 @@ fn fixup_prefix_ties(
 ) -> Result<()> {
     let key_bytes = |p: u128| {
         let loc = &locs[(p & IDX_MASK) as usize];
-        &inbox[loc.buf as usize].1[loc.key_off as usize..loc.entry_off as usize]
+        &loc.tail(inbox)[..loc.key_len as usize]
     };
     let mut i = 0;
     while i < packed.len() {
@@ -509,7 +414,7 @@ fn fixup_prefix_ties(
     Ok(())
 }
 
-/// What one reduce attempt (either decode path) hands back.
+/// What one reduce attempt hands back.
 struct ReduceAttempt {
     outputs: Vec<(u32, Vec<Batch>)>,
     records_out: u64,
@@ -638,32 +543,6 @@ fn reduce_slots(
     Ok(batches)
 }
 
-/// Reducers that received nothing still own an (empty) output fragment, so
-/// a distribute job always materializes every partition. Shared by both
-/// reduce-attempt paths.
-fn fill_empty_reducers(
-    pc: &PhaseCtx<'_>,
-    node: usize,
-    handled: &[bool],
-    slots: usize,
-    outputs: &mut Vec<(u32, Vec<Batch>)>,
-) -> Result<()> {
-    let job = pc.job;
-    for rid in (node..job.num_reducers).step_by(pc.n) {
-        if !handled[rid] {
-            let ctx = TaskCtx {
-                node,
-                num_nodes: pc.n,
-                num_reducers: job.num_reducers,
-                reducer: Some(rid),
-            };
-            let batches = reduce_slots(job, &ctx, Vec::new(), slots)?;
-            outputs.push((rid as u32, batches));
-        }
-    }
-    Ok(())
-}
-
 impl Cluster {
     /// Run one MapReduce job under the virtual clock and return its stats.
     ///
@@ -698,6 +577,13 @@ impl Cluster {
                 "job '{}' has zero reducers",
                 job.name
             )));
+        }
+        if job.num_reducers >= 1 << REDUCER_BITS {
+            return Err(MrError::WireOverflow {
+                field: "reducer",
+                value: job.num_reducers,
+                max: (1 << REDUCER_BITS) - 1,
+            });
         }
         let job_idx = self.next_job_index();
         let n = self.num_nodes();
@@ -1034,44 +920,28 @@ impl Cluster {
         let mut attempt: u32 = 1;
         // Raw (unscaled) on-CPU time across attempts, for the trace.
         let mut cpu = Duration::ZERO;
-        // The exchange builds inboxes sender-ascending; the zero-copy scan
-        // index stands in for `(mapper, seq)` only because of that.
+        // The exchange builds inboxes sender-ascending; the scan index
+        // stands in for `(mapper, seq)` only because of that.
         debug_assert!(inbox.windows(2).all(|w| w[0].0 < w[1].0));
-        let use_zerocopy = self.zerocopy() && job.num_reducers < (1usize << REDUCER_BITS);
-        // Decode buffers survive retry attempts (cleared, capacity kept)
-        // and are pre-sized to the exact pair count by an allocation-free
-        // skip scan, so the first attempt never grows from empty.
-        let mut pairs: Vec<ShuffledPair> = Vec::new();
+        // Sort buffers survive retry attempts (cleared, capacity kept) and
+        // are pre-sized to the exact pair count by an allocation-free skip
+        // scan, so the first attempt never grows from empty.
         let mut locs: Vec<PairLoc> = Vec::new();
         let mut packed: Vec<u128> = Vec::new();
         if let Some(count) = count_inbox_pairs(inbox, &job.map_output_schema, job.compress_key) {
-            if use_zerocopy {
-                locs.reserve_exact(count);
-                packed.reserve_exact(count);
-            } else {
-                pairs.reserve_exact(count);
-            }
+            locs.reserve_exact(count);
+            packed.reserve_exact(count);
         }
         loop {
             let t0 = TaskTimer::start();
             // Outputs are buffered and only committed if the task survives
-            // its boundary — a crashed attempt leaves nothing. The
-            // zero-copy path declines (`None`) on jobs exceeding its packed
-            // index ranges; the owned path handles those attempts.
-            let attempted = if use_zerocopy {
-                self.reduce_attempt_zerocopy(pc, node, inbox, &mut locs, &mut packed, sort_threads)?
-            } else {
-                None
-            };
+            // its boundary — a crashed attempt leaves nothing.
             let ReduceAttempt {
                 outputs,
                 records_out,
                 pair_count,
                 hot,
-            } = match attempted {
-                Some(a) => a,
-                None => self.reduce_attempt_owned(pc, node, inbox, &mut pairs, sort_threads)?,
-            };
+            } = self.reduce_attempt(pc, node, inbox, &mut locs, &mut packed, sort_threads)?;
             let raw = t0.elapsed();
             cpu += raw;
             let elapsed = scale_compute(raw, pc.stragglers[node]);
@@ -1181,87 +1051,11 @@ impl Cluster {
         }
     }
 
-    /// One owned-path reduce attempt: decode every pair into an owned
-    /// `(Value, Entry)` before sorting. This is the baseline the zero-copy
-    /// path is measured against, and the fallback for jobs exceeding the
-    /// packed-index ranges.
-    fn reduce_attempt_owned(
-        &self,
-        pc: &PhaseCtx<'_>,
-        node: usize,
-        inbox: &[(usize, Vec<u8>)],
-        pairs: &mut Vec<ShuffledPair>,
-        sort_threads: usize,
-    ) -> Result<ReduceAttempt> {
-        let job = pc.job;
-        let mut hot = HotPathStats::default();
-        pairs.clear();
-        for (from, buf) in inbox {
-            let mut r = Reader::new(buf);
-            while r.remaining() > 0 {
-                let reducer = r.read_u32().map_err(MrError::from)?;
-                let seq = r.read_u32().map_err(MrError::from)?;
-                let start = r.position();
-                let key = wire::decode_value(&mut r)?;
-                let entry = decode_entry(&mut r, &job.map_output_schema, job.compress_key)?;
-                hot.materialized_bytes += (r.position() - start) as u64;
-                hot.staged_bytes += std::mem::size_of::<ShuffledPair>() as u64;
-                hot.staged_allocs += value_allocs(&key) + entry_allocs(&entry);
-                pairs.push(ShuffledPair {
-                    reducer,
-                    mapper: *from as u32,
-                    seq,
-                    key,
-                    entry,
-                });
-            }
-        }
-        // Group pairs per owned reducer. `shuffle_cmp` is a total
-        // order, so the unstable parallel samplesort is deterministic.
-        papar_sort::parallel::par_sort_unstable_by(pairs, sort_threads, |a, b| {
-            shuffle_cmp(job.sort_by_key, job.descending, a, b) == Ordering::Less
-        });
-        let pair_count = pairs.len() as u64;
-        let slots = 1 + pc.extra_outputs.len();
-        let mut outputs: Vec<(u32, Vec<Batch>)> = Vec::new();
-        let mut records_out: u64 = 0;
-        let mut handled: Vec<bool> = vec![false; job.num_reducers];
-        let mut iter = pairs.drain(..).peekable();
-        while let Some(first) = iter.next() {
-            let rid = first.reducer;
-            let mut group: Vec<(Value, Entry)> = vec![(first.key, first.entry)];
-            while iter.peek().is_some_and(|p| p.reducer == rid) {
-                let p = iter.next().expect("peeked");
-                group.push((p.key, p.entry));
-            }
-            let ctx = TaskCtx {
-                node,
-                num_nodes: pc.n,
-                num_reducers: job.num_reducers,
-                reducer: Some(rid as usize),
-            };
-            let batches = reduce_slots(job, &ctx, group, slots)?;
-            records_out += batches.iter().map(|b| b.record_count() as u64).sum::<u64>();
-            handled[rid as usize] = true;
-            outputs.push((rid, batches));
-        }
-        drop(iter);
-        fill_empty_reducers(pc, node, &handled, slots, &mut outputs)?;
-        Ok(ReduceAttempt {
-            outputs,
-            records_out,
-            pair_count,
-            hot,
-        })
-    }
-
-    /// One zero-copy reduce attempt: scan the inbox once into a 16-byte
-    /// location index plus packed 128-bit sort keys, sort *those*, fix up
-    /// inexact prefix ties, then materialize each pair exactly once — in
-    /// final order, straight into its reduce group. Returns `Ok(None)` —
-    /// caller falls back to the owned path — when a buffer or pair count
-    /// exceeds the packed ranges.
-    fn reduce_attempt_zerocopy(
+    /// One reduce attempt: scan the inbox once into a 16-byte location
+    /// index plus packed 128-bit sort keys, sort *those*, fix up inexact
+    /// prefix ties, then materialize each pair exactly once — in final
+    /// order, straight into its reduce group.
+    fn reduce_attempt(
         &self,
         pc: &PhaseCtx<'_>,
         node: usize,
@@ -1269,16 +1063,13 @@ impl Cluster {
         locs: &mut Vec<PairLoc>,
         packed: &mut Vec<u128>,
         sort_threads: usize,
-    ) -> Result<Option<ReduceAttempt>> {
+    ) -> Result<ReduceAttempt> {
         let job = pc.job;
         let schema: &Schema = &job.map_output_schema;
         let mut hot = HotPathStats::default();
         locs.clear();
         packed.clear();
         for (bi, (_from, buf)) in inbox.iter().enumerate() {
-            if buf.len() > u32::MAX as usize {
-                return Ok(None);
-            }
             let mut r = Reader::new(buf);
             while r.remaining() > 0 {
                 let reducer = r.read_u32().map_err(MrError::from)?;
@@ -1301,17 +1092,20 @@ impl Cluster {
                     wire::skip_value(&mut r)?;
                     0
                 };
-                let entry_off = r.position();
+                let key_len = wire_u32("key length", r.position() - key_off)?;
                 EntryView::parse(&mut r, schema, job.compress_key)?;
                 let idx = locs.len();
-                if idx >= (1usize << IDX_BITS) {
-                    return Ok(None);
+                if idx > IDX_MASK as usize {
+                    return Err(MrError::WireOverflow {
+                        field: "pair index",
+                        value: idx,
+                        max: IDX_MASK as u64,
+                    });
                 }
                 locs.push(PairLoc {
                     buf: bi as u32,
-                    key_off: key_off as u32,
-                    entry_off: entry_off as u32,
-                    end_off: r.position() as u32,
+                    key_len,
+                    key_off: key_off as u64,
                 });
                 packed.push(pack_pair(reducer, key66, idx));
             }
@@ -1337,16 +1131,14 @@ impl Cluster {
             }
             let mut group: Vec<(Value, Entry)> = Vec::with_capacity(j - i);
             for &p in &packed[i..j] {
-                let loc = &locs[(p & IDX_MASK) as usize];
-                let buf = &inbox[loc.buf as usize].1;
-                let mut r = Reader::new(&buf[loc.key_off as usize..loc.end_off as usize]);
+                let mut r = Reader::new(locs[(p & IDX_MASK) as usize].tail(inbox));
                 let key = wire::decode_value(&mut r)?;
                 let entry =
                     match EntryView::parse(&mut r, schema, job.compress_key)?.materialize()? {
                         OwnedEntry::Rec(rec) => Entry::Rec(rec),
                         OwnedEntry::Packed(pk) => Entry::Packed(pk),
                     };
-                hot.materialized_bytes += (loc.end_off - loc.key_off) as u64;
+                hot.materialized_bytes += r.position() as u64;
                 group.push((key, entry));
             }
             let ctx = TaskCtx {
@@ -1361,14 +1153,25 @@ impl Cluster {
             outputs.push((rid, batches));
             i = j;
         }
-        let pair_count = locs.len() as u64;
-        fill_empty_reducers(pc, node, &handled, slots, &mut outputs)?;
-        Ok(Some(ReduceAttempt {
+        // Reducers that received nothing still own an (empty) output
+        // fragment, so a distribute job always materializes every partition.
+        for rid in (node..job.num_reducers).step_by(pc.n) {
+            if !handled[rid] {
+                let ctx = TaskCtx {
+                    node,
+                    num_nodes: pc.n,
+                    num_reducers: job.num_reducers,
+                    reducer: Some(rid),
+                };
+                outputs.push((rid as u32, reduce_slots(job, &ctx, Vec::new(), slots)?));
+            }
+        }
+        Ok(ReduceAttempt {
             outputs,
             records_out,
-            pair_count,
+            pair_count: locs.len() as u64,
             hot,
-        }))
+        })
     }
 
     /// Simulate a node crash at a task boundary without mutating a store:
@@ -1488,5 +1291,16 @@ fn job_trace(
         ],
         skew,
         covers: Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::PairLoc;
+
+    #[test]
+    fn pair_loc_is_sixteen_bytes() {
+        // `HotPathStats::staged_bytes` charges 16 bytes per location.
+        assert_eq!(std::mem::size_of::<PairLoc>(), 16);
     }
 }

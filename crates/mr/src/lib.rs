@@ -103,14 +103,18 @@ pub enum MrError {
         node: usize,
         detail: String,
     },
-    /// A shuffle wire-format counter (`reducer` or `seq`) exceeded the
-    /// format's 32-bit range. Before this variant the encoder truncated
-    /// silently, corrupting shuffles past 2^32 pairs per mapper.
+    /// A shuffle counter exceeded its field: a `reducer` or `seq` past the
+    /// wire format's u32, a job with more reducers than the reduce sort
+    /// key's 24-bit field, or a `pair index` past its 38-bit field. Before
+    /// this variant the encoder truncated silently, corrupting shuffles
+    /// past 2^32 pairs per mapper.
     WireOverflow {
         /// Which counter overflowed.
         field: &'static str,
         /// The offending value.
         value: usize,
+        /// The largest value the field holds.
+        max: u64,
     },
     /// A partitioner assigned a key to a reducer outside
     /// `0..num_reducers`. Before this variant the engine silently
@@ -199,9 +203,9 @@ impl std::fmt::Display for MrError {
                 f,
                 "dataset '{dataset}' lost on node {node} with no live replica: {detail}"
             ),
-            MrError::WireOverflow { field, value } => write!(
+            MrError::WireOverflow { field, value, max } => write!(
                 f,
-                "shuffle {field} {value} exceeds the wire format's u32 range"
+                "shuffle {field} {value} exceeds the format's maximum {max}"
             ),
             MrError::PartitionOutOfRange { id, num_reducers } => write!(
                 f,

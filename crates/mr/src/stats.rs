@@ -181,35 +181,28 @@ impl RecoveryStats {
 /// that exist only to be sorted, versus the bytes it *materialized* into
 /// reducer-visible owned values.
 ///
-/// On the legacy (owned) path every pair is eagerly decoded into a
-/// `ShuffledPair` before the sort: the struct shell is staged per pair and
-/// every decoded key/entry heap allocation is live across the sort. On the
-/// zero-copy path the sort operates on a 16-byte location index plus a
-/// 16-byte packed `(reducer, key-prefix, scan-index)` integer per pair;
-/// only prefix-tie runs re-decode their keys. Both paths materialize the
-/// same owned values for the (unchanged) `Reducer` API, so
-/// `materialized_bytes` is mode-invariant and reported for transparency.
+/// The sort operates on a 16-byte location index plus a 16-byte packed
+/// `(reducer, key-prefix, scan-index)` integer per pair; only prefix-tie
+/// runs re-decode their keys. Every pair is then materialized exactly once
+/// into the owned values the `Reducer` API takes.
 ///
-/// All four counters are computed analytically from the data and the mode
-/// — never from sort internals — so they are identical at every thread
-/// count (the Chrome trace export byte-compares across thread counts).
+/// All four counters are computed analytically from the data — never from
+/// sort internals — so they are identical at every thread count (the
+/// Chrome trace export byte-compares across thread counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotPathStats {
     /// Bytes written into sort-side staging that is discarded after the
-    /// sort (pair structs on the owned path; location + packed-key indexes
-    /// and tie-run key re-decodes on the zero-copy path).
+    /// sort (location + packed-key indexes and tie-run key re-decodes).
     pub staged_bytes: u64,
-    /// Heap allocations live across the reduce-side sort (eagerly decoded
-    /// keys/entries on the owned path; tie-run key decodes on the
-    /// zero-copy path). Per-vector container allocations are O(1) per task
-    /// in both modes and not counted.
+    /// Heap allocations live across the reduce-side sort (tie-run key
+    /// decodes). Per-vector container allocations are O(1) per task and
+    /// not counted.
     pub staged_allocs: u64,
     /// Wire bytes decoded into reducer-visible owned values (keys +
-    /// entries); equal in both modes.
+    /// entries).
     pub materialized_bytes: u64,
     /// Pairs that landed in a key-prefix tie run (≥ 2 pairs sharing
-    /// `(reducer, prefix)`) during a zero-copy keyed sort; 0 on the owned
-    /// path, where no prefixes exist.
+    /// `(reducer, prefix)`) during a keyed sort.
     pub tie_pairs: u64,
 }
 

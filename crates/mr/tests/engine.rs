@@ -3,9 +3,12 @@
 use papar_config::input::FieldType;
 use papar_mr::engine::{FnMapper, FnReducer, HashPartitioner, IdentityPartitioner};
 use papar_mr::sampler::RangePartitioner;
-use papar_mr::{Cluster, Entry, MapInput, MapReduceJob};
+use papar_mr::{Cluster, Entry, MapInput, MapReduceJob, Mapper, MrError, Partitioner};
 use papar_record::batch::{Batch, Dataset};
 use papar_record::{rec, Record, Schema, Value};
+use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 fn int_schema() -> Arc<Schema> {
@@ -380,6 +383,57 @@ fn zero_reducers_is_an_error() {
 }
 
 #[test]
+fn reducers_past_the_sort_key_field_are_an_error() {
+    let mut cluster = Cluster::new(2);
+    cluster.scatter("in", int_dataset(&[1, 2])).unwrap();
+    let mapped = AtomicBool::new(false);
+    let inner = key_by_first();
+    let mapper = FnMapper(|ctx: &papar_mr::TaskCtx, inputs: &[MapInput]| {
+        mapped.store(true, AtomicOrdering::SeqCst);
+        inner.map(ctx, inputs)
+    });
+    let reducer = strip_keys();
+    let mut job = MapReduceJob {
+        name: "wide".into(),
+        inputs: vec!["in".into()],
+        output: "out".into(),
+        num_reducers: 1 << 24,
+        map_output_schema: int_schema(),
+        output_schema: int_schema(),
+        mapper: &mapper,
+        partitioner: &HashPartitioner,
+        reducer: &reducer,
+        sort_by_key: true,
+        descending: false,
+        compress_key: None,
+    };
+    let err = cluster.run_job(&job).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            MrError::WireOverflow {
+                field: "reducer",
+                value,
+                ..
+            } if value == 1 << 24
+        ),
+        "expected WireOverflow, got {err:?}"
+    );
+    assert!(
+        !mapped.load(AtomicOrdering::SeqCst),
+        "the limit must be checked before any map task runs"
+    );
+    // The refused job left nothing behind: the next one runs normally.
+    job.num_reducers = 2;
+    let stats = cluster.run_job(&job).unwrap();
+    assert_eq!(stats.records_out, 2);
+    assert_eq!(
+        cluster.collect_concat("out").unwrap().batch.record_count(),
+        2
+    );
+}
+
+#[test]
 fn out_of_range_partitioner_is_rejected() {
     struct Bad;
     impl papar_mr::Partitioner for Bad {
@@ -751,5 +805,141 @@ fn collector_trace_covers_phases_tasks_and_skew() {
     let json = papar_trace::to_chrome_json(&trace);
     for needle in ["traced-sort", "\"map\"", "\"shuffle\"", "\"reduce\""] {
         assert!(json.contains(needle), "chrome json missing {needle}");
+    }
+}
+
+/// Keys biased toward packed-prefix collisions: strings sharing their
+/// first 8 bytes, equal numbers across Int/Long/Double, ±0.0, and the
+/// shape of `key_strategy` in papar-record's property tests.
+fn colliding_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-3i32..3).prop_map(Value::Int),
+        (-3i64..3).prop_map(Value::Long),
+        (-3i64..3).prop_map(|x| Value::Double(x as f64)),
+        Just(Value::Double(0.0)),
+        Just(Value::Double(-0.0)),
+        any::<i32>().prop_map(Value::Int),
+        any::<i64>().prop_map(Value::Long),
+        ((1i64 << 53) - 2..(1i64 << 53) + 2).prop_map(Value::Long),
+        any::<f64>()
+            .prop_filter("finite", |f| f.is_finite())
+            .prop_map(Value::Double),
+        "shared-8[a-b]{0,3}".prop_map(Value::Str),
+        "(müll|straße|)[a-b]{0,12}".prop_map(Value::Str),
+        "[ -~]{0,16}".prop_map(Value::Str),
+        Just(Value::Str(String::new())),
+    ]
+}
+
+/// Delivered pairs as `[id, mapper, seq]`, one list per reducer.
+type Delivered = Vec<Vec<[i32; 3]>>;
+
+/// Run one keyed job whose mapper tags every entry with its input id,
+/// mapper and emission index, and whose reducer returns the entries in
+/// the order it received them.
+fn run_recording(keys: &[Value], sort_by_key: bool, descending: bool, threads: usize) -> Delivered {
+    let schema = Arc::new(Schema::new(vec![
+        ("id", FieldType::Integer),
+        ("mapper", FieldType::Integer),
+        ("seq", FieldType::Integer),
+    ]));
+    let mut cluster = Cluster::new(3).with_threads(threads);
+    let ids: Vec<i32> = (0..keys.len() as i32).collect();
+    cluster.scatter("in", int_dataset(&ids)).unwrap();
+    let mapper = FnMapper(|ctx: &papar_mr::TaskCtx, inputs: &[MapInput]| {
+        let mut out = Vec::new();
+        for MapInput { data: ds, .. } in inputs {
+            for r in ds.batch.clone().flatten() {
+                let id = r.value(0).unwrap().as_i64().unwrap() as i32;
+                let tag = rec![id, ctx.node as i32, out.len() as i32];
+                out.push((keys[id as usize].clone(), Entry::Rec(tag)));
+            }
+        }
+        Ok(out)
+    });
+    let reducer = strip_keys();
+    let job = MapReduceJob {
+        name: "order".into(),
+        inputs: vec!["in".into()],
+        output: "out".into(),
+        num_reducers: 3,
+        map_output_schema: schema.clone(),
+        output_schema: schema,
+        mapper: &mapper,
+        partitioner: &HashPartitioner,
+        reducer: &reducer,
+        sort_by_key,
+        descending,
+        compress_key: None,
+    };
+    cluster.run_job(&job).unwrap();
+    cluster
+        .collect("out")
+        .unwrap()
+        .into_iter()
+        .map(|d| {
+            d.batch
+                .flatten()
+                .iter()
+                .map(|r| [0, 1, 2].map(|i| r.value(i).unwrap().as_i64().unwrap() as i32))
+                .collect()
+        })
+        .collect()
+}
+
+/// The reference reduce order, `(reducer, key?, mapper, seq)`: the
+/// comparator the engine's packed sort must agree with.
+fn oracle_cmp(
+    keys: &[Value],
+    sort_by_key: bool,
+    descending: bool,
+) -> impl Fn(&[i32; 3], &[i32; 3]) -> Ordering + '_ {
+    move |a, b| {
+        let key_ord = if sort_by_key {
+            let ord = keys[a[0] as usize].cmp(&keys[b[0] as usize]);
+            if descending {
+                ord.reverse()
+            } else {
+                ord
+            }
+        } else {
+            Ordering::Equal
+        };
+        key_ord.then(a[1].cmp(&b[1])).then(a[2].cmp(&b[2]))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every reducer receives its pairs in the reference order — keys that
+    /// tie on their packed prefix included — with key sorting on and off,
+    /// ascending and descending, at 1 and 4 threads.
+    #[test]
+    fn reducers_receive_pairs_in_reference_order(
+        keys in prop::collection::vec(colliding_key(), 0..80),
+    ) {
+        for sort_by_key in [true, false] {
+            for descending in [false, true] {
+                for threads in [1, 4] {
+                    let got = run_recording(&keys, sort_by_key, descending, threads);
+                    let mut ids: Vec<i32> = got.iter().flatten().map(|t| t[0]).collect();
+                    ids.sort_unstable();
+                    prop_assert_eq!(ids, (0..keys.len() as i32).collect::<Vec<_>>());
+                    let mut want: Delivered = vec![Vec::new(); got.len()];
+                    for t in got.iter().flatten() {
+                        let rid = HashPartitioner.reducer_for(&keys[t[0] as usize], 3).unwrap();
+                        want[rid].push(*t);
+                    }
+                    for group in &mut want {
+                        group.sort_by(oracle_cmp(&keys, sort_by_key, descending));
+                    }
+                    prop_assert_eq!(
+                        &got, &want,
+                        "sort_by_key={} descending={} threads={}", sort_by_key, descending, threads
+                    );
+                }
+            }
+        }
     }
 }

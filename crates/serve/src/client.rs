@@ -3,6 +3,7 @@
 
 use crate::protocol::{
     read_frame, write_frame, DaemonStats, Endpoint, JobReport, JobSpec, Request, Response,
+    PROTOCOL_VERSION,
 };
 use crate::ServeError;
 use std::io::{Read, Write};
@@ -48,10 +49,17 @@ impl Client {
         }
     }
 
-    /// Health check; returns the daemon's lifetime counters.
+    /// Health check; returns the daemon's lifetime counters, or
+    /// [`ServeError::Rejected`] when the daemon speaks another
+    /// [`PROTOCOL_VERSION`].
     pub fn ping(&mut self) -> Result<DaemonStats, ServeError> {
         match self.request(&Request::Ping)? {
-            Response::Pong { stats, .. } => Ok(stats),
+            Response::Pong { version, stats } if version == PROTOCOL_VERSION => Ok(stats),
+            Response::Pong { version, .. } => Err(ServeError::Rejected {
+                detail: format!(
+                    "daemon speaks protocol v{version}, this client v{PROTOCOL_VERSION}"
+                ),
+            }),
             Response::Err(e) => Err(e),
             other => Err(unexpected(&other)),
         }

@@ -145,7 +145,6 @@ pub fn exec_options(spec: &JobSpec, threads: Option<usize>, trace: bool) -> Exec
         threads,
         trace,
         fuse: !spec.no_fuse,
-        zerocopy: !spec.no_zerocopy,
         adaptive: spec.adaptive,
         ..ExecOptions::default()
     }

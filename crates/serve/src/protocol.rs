@@ -22,7 +22,7 @@ use std::io::{Read, Write};
 /// Protocol revision; bumped on any incompatible message change. The
 /// daemon answers `Ping` with its version so mismatched clients fail
 /// loudly at handshake rather than mysteriously mid-stream.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Upper bound on a single frame's payload. Requests and responses are
 /// metadata (paths, tables), never bulk data — anything larger is a
@@ -85,8 +85,6 @@ pub struct JobSpec {
     pub threads: Option<u32>,
     /// Disable physical-plan fusion (`--no-fuse`).
     pub no_fuse: bool,
-    /// Disable the zero-copy reduce path (`--no-zerocopy`).
-    pub no_zerocopy: bool,
     /// Run the cost-based adaptive planner (`--adaptive`). Folded into
     /// the spec hash AND — via the decision's rationale — the plan
     /// fingerprint, so a data-file change re-plans instead of reusing a
@@ -319,7 +317,6 @@ impl JobSpec {
         put_opt_u64(out, self.records);
         put_opt_u64(out, self.threads.map(u64::from));
         put_u8(out, self.no_fuse as u8);
-        put_u8(out, self.no_zerocopy as u8);
         // Wire compatibility: new fields append last.
         put_u8(out, self.adaptive as u8);
     }
@@ -353,7 +350,6 @@ impl JobSpec {
             None => None,
         };
         let no_fuse = get_bool(r)?;
-        let no_zerocopy = get_bool(r)?;
         let adaptive = get_bool(r)?;
         Ok(JobSpec {
             input_config,
@@ -365,7 +361,6 @@ impl JobSpec {
             records,
             threads,
             no_fuse,
-            no_zerocopy,
             adaptive,
         })
     }
@@ -697,7 +692,6 @@ mod tests {
             records: Some(500),
             threads: Some(4),
             no_fuse: false,
-            no_zerocopy: true,
             adaptive: true,
         }
     }

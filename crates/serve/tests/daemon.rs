@@ -69,7 +69,6 @@ fn spec(dir: &Path, out: &str, threads: Option<u32>) -> JobSpec {
         records: Some(400),
         threads,
         no_fuse: false,
-        no_zerocopy: false,
         adaptive: false,
     }
 }

@@ -30,7 +30,7 @@ fn spec_strategy() -> impl Strategy<Value = JobSpec> {
         any::<bool>(),
     )
         .prop_map(
-            |(input_config, workflow, data, out_dir, nodes, args, records, threads, f, z)| {
+            |(input_config, workflow, data, out_dir, nodes, args, records, threads, f, a)| {
                 JobSpec {
                     input_config,
                     workflow,
@@ -41,8 +41,7 @@ fn spec_strategy() -> impl Strategy<Value = JobSpec> {
                     records,
                     threads,
                     no_fuse: f,
-                    no_zerocopy: z,
-                    adaptive: f != z,
+                    adaptive: a,
                 }
             },
         )

@@ -127,19 +127,18 @@ pub struct Counters {
     pub restored_bytes: u64,
     /// Virtual nanoseconds spent in retry backoff.
     pub backoff_ns: u64,
-    /// Bytes the reduce sort stage *moves*: owned decoded pairs on the
-    /// legacy path, 32-byte index entries (+ tie re-decodes) on the
-    /// zero-copy path. Analytic (a function of the data and mode, not the
+    /// Bytes the reduce sort stage *moves*: 32-byte index entries per pair
+    /// plus tie re-decodes. Analytic (a function of the data, not the
     /// allocator), so identical at every thread count.
     pub staged_bytes: u64,
     /// Heap allocations needed to stage the reduce sort's elements —
     /// analytic like `staged_bytes`.
     pub staged_allocs: u64,
-    /// Wire bytes materialized into owned records on the reduce side;
-    /// equal across zero-copy modes (every pair is decoded exactly once).
+    /// Wire bytes materialized into owned records on the reduce side
+    /// (every pair is decoded exactly once).
     pub materialized_bytes: u64,
     /// Pairs that landed in a key-prefix tie run (≥ 2 members sharing a
-    /// `(reducer, prefix)`), the runs the zero-copy sort re-checks.
+    /// `(reducer, prefix)`), the runs the reduce sort re-checks.
     pub tie_pairs: u64,
 }
 

@@ -246,7 +246,10 @@ pub fn render_prediction_check(trace: &WorkflowTrace, job: &str, p: &Prediction)
     if let Some(load) = observed_load {
         out.push_str(&format!(
             "{:<16} {:>16} {:>16} {:>8}\n",
-            "max reducer load", p.max_load, load, ratio(p.max_load, load),
+            "max reducer load",
+            p.max_load,
+            load,
+            ratio(p.max_load, load),
         ));
     }
     out.push_str(&format!(
@@ -481,11 +484,14 @@ mod tests {
         // The traced job is `blast.sort`; profiled job `blast.sort`
         // matches exactly.
         let rendered = render_prediction_check(&t, "blast.sort", &p);
-        assert!(rendered.contains("adaptive prediction vs observed"), "{rendered}");
+        assert!(
+            rendered.contains("adaptive prediction vs observed"),
+            "{rendered}"
+        );
         assert!(rendered.contains("max reducer load"), "{rendered}");
         assert!(rendered.contains("2.00x"), "{rendered}"); // 10 ms / 5 ms
         assert!(rendered.contains("1.20x"), "{rendered}"); // 60 / 50
-        // A zero prediction renders `-` instead of dividing by zero.
+                                                           // A zero prediction renders `-` instead of dividing by zero.
         let rendered = render_prediction_check(&t, "blast.sort", &Prediction::default());
         assert!(rendered.contains('-'), "{rendered}");
         // A job with no skew histogram match omits the load row.

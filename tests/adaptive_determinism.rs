@@ -1,7 +1,7 @@
 //! Adaptive-planner transparency and determinism: `--adaptive` may only
 //! move output-neutral knobs, so partition bytes must be identical to the
-//! literal plan's — across thread counts, with the zero-copy reduce path
-//! on or off, and under injected faults — and the decision itself must be
+//! literal plan's — across thread counts and under injected faults — and
+//! the decision itself must be
 //! reproducible: the same input always yields the same rationale
 //! fingerprint, on Figure 8, Figure 10, and an adversarially skewed
 //! dataset where the planner actually overrides the reducer literal.
@@ -125,10 +125,9 @@ fn args(pairs: &[(&str, &str)]) -> HashMap<String, String> {
         .collect()
 }
 
-fn options(adaptive: bool, threads: usize, zerocopy: bool) -> ExecOptions {
+fn options(adaptive: bool, threads: usize) -> ExecOptions {
     ExecOptions {
         adaptive,
-        zerocopy,
         threads: Some(threads),
         ..ExecOptions::default()
     }
@@ -191,7 +190,11 @@ fn run_sort(
     let runner = WorkflowRunner::with_options(plan, options);
     let schema = runner.plan().external_inputs[0].1.schema.clone();
     runner
-        .scatter_input(&mut cluster, "/in", Dataset::new(schema, Batch::Flat(records)))
+        .scatter_input(
+            &mut cluster,
+            "/in",
+            Dataset::new(schema, Batch::Flat(records)),
+        )
         .unwrap();
     let report = runner.run(&mut cluster).unwrap();
     (partition_bytes(&cluster, "/out"), report)
@@ -269,34 +272,29 @@ fn blast_adaptive_is_byte_identical_and_plan_stable() {
         BLAST_WORKFLOW,
         blast_records(),
         Cluster::new(3),
-        options(false, 1, true),
+        options(false, 1),
     );
     let (baseline, base_report) = run_sort(
         BLAST_WORKFLOW,
         blast_records(),
         Cluster::new(3),
-        options(true, 1, true),
+        options(true, 1),
     );
     assert_eq!(baseline, literal, "adaptive changed the output bytes");
     let fp = rationale_fingerprint(&base_report);
     for threads in [1, 4] {
-        for zerocopy in [true, false] {
-            let (out, report) = run_sort(
-                BLAST_WORKFLOW,
-                blast_records(),
-                Cluster::new(3),
-                options(true, threads, zerocopy),
-            );
-            assert_eq!(
-                out, baseline,
-                "diverged at threads={threads} zerocopy={zerocopy}"
-            );
-            assert_eq!(
-                rationale_fingerprint(&report),
-                fp,
-                "plan unstable at threads={threads} zerocopy={zerocopy}"
-            );
-        }
+        let (out, report) = run_sort(
+            BLAST_WORKFLOW,
+            blast_records(),
+            Cluster::new(3),
+            options(true, threads),
+        );
+        assert_eq!(out, baseline, "diverged at threads={threads}");
+        assert_eq!(
+            rationale_fingerprint(&report),
+            fp,
+            "plan unstable at threads={threads}"
+        );
     }
 }
 
@@ -306,13 +304,13 @@ fn blast_adaptive_survives_faults_with_the_same_plan() {
         BLAST_WORKFLOW,
         blast_records(),
         Cluster::new(3),
-        options(true, 1, true),
+        options(true, 1),
     );
     let (out, report) = run_sort(
         BLAST_WORKFLOW,
         blast_records(),
         chaos_cluster(3, 1),
-        options(true, 1, true),
+        options(true, 1),
     );
     assert_eq!(out, baseline, "faults changed adaptive output bytes");
     assert_eq!(
@@ -320,7 +318,10 @@ fn blast_adaptive_survives_faults_with_the_same_plan() {
         rationale_fingerprint(&base_report),
         "faults changed the plan decision"
     );
-    assert!(report.faults_injected() > 0, "chaos plan must actually fire");
+    assert!(
+        report.faults_injected() > 0,
+        "chaos plan must actually fire"
+    );
 }
 
 #[test]
@@ -329,13 +330,13 @@ fn skewed_adaptive_overrides_reducers_but_not_bytes() {
         SKEWED_WORKFLOW,
         skewed_records(3_000),
         Cluster::new(4),
-        options(false, 1, true),
+        options(false, 1),
     );
     let (baseline, base_report) = run_sort(
         SKEWED_WORKFLOW,
         skewed_records(3_000),
         Cluster::new(4),
-        options(true, 1, true),
+        options(true, 1),
     );
     assert_eq!(
         baseline, literal,
@@ -350,29 +351,24 @@ fn skewed_adaptive_overrides_reducers_but_not_bytes() {
     );
     let fp = rationale.fingerprint();
     for threads in [1, 4] {
-        for zerocopy in [true, false] {
-            let (out, report) = run_sort(
-                SKEWED_WORKFLOW,
-                skewed_records(3_000),
-                Cluster::new(4),
-                options(true, threads, zerocopy),
-            );
-            assert_eq!(
-                out, baseline,
-                "diverged at threads={threads} zerocopy={zerocopy}"
-            );
-            assert_eq!(
-                rationale_fingerprint(&report),
-                fp,
-                "plan unstable at threads={threads} zerocopy={zerocopy}"
-            );
-        }
+        let (out, report) = run_sort(
+            SKEWED_WORKFLOW,
+            skewed_records(3_000),
+            Cluster::new(4),
+            options(true, threads),
+        );
+        assert_eq!(out, baseline, "diverged at threads={threads}");
+        assert_eq!(
+            rationale_fingerprint(&report),
+            fp,
+            "plan unstable at threads={threads}"
+        );
     }
     let (out, report) = run_sort(
         SKEWED_WORKFLOW,
         skewed_records(3_000),
         chaos_cluster(4, 2),
-        options(true, 2, true),
+        options(true, 2),
     );
     assert_eq!(out, baseline, "faults changed skewed adaptive output");
     assert_eq!(rationale_fingerprint(&report), fp);
@@ -380,22 +376,17 @@ fn skewed_adaptive_overrides_reducers_but_not_bytes() {
 
 #[test]
 fn hybrid_adaptive_is_byte_identical_and_plan_stable() {
-    let (literal, _) = run_hybrid(Cluster::new(4), options(false, 1, true));
-    let (baseline, base_report) = run_hybrid(Cluster::new(4), options(true, 1, true));
+    let (literal, _) = run_hybrid(Cluster::new(4), options(false, 1));
+    let (baseline, base_report) = run_hybrid(Cluster::new(4), options(true, 1));
     assert_eq!(baseline, literal, "adaptive changed hybrid output bytes");
     let fp = rationale_fingerprint(&base_report);
     for threads in [1, 4] {
-        for zerocopy in [true, false] {
-            let (out, report) = run_hybrid(Cluster::new(4), options(true, threads, zerocopy));
-            assert_eq!(
-                out, baseline,
-                "diverged at threads={threads} zerocopy={zerocopy}"
-            );
-            assert_eq!(
-                rationale_fingerprint(&report),
-                fp,
-                "plan unstable at threads={threads} zerocopy={zerocopy}"
-            );
-        }
+        let (out, report) = run_hybrid(Cluster::new(4), options(true, threads));
+        assert_eq!(out, baseline, "diverged at threads={threads}");
+        assert_eq!(
+            rationale_fingerprint(&report),
+            fp,
+            "plan unstable at threads={threads}"
+        );
     }
 }

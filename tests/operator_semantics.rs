@@ -250,7 +250,7 @@ fn num_reducers_override_controls_intermediate_fragments() {
             ..
         }
     )));
-    let all: Vec<i64> = parts.iter().flat_map(|p| scores(p)).collect();
+    let all: Vec<i64> = parts.iter().flat_map(scores).collect();
     assert_eq!(all.len(), 50);
     assert!(all.windows(2).all(|w| w[0] <= w[1]));
 }
