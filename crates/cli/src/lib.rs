@@ -27,12 +27,13 @@ use papar_config::{InputConfig, WorkflowConfig};
 use papar_core::exec::{CheckpointCfg, ExecOptions, WorkflowReport};
 use papar_core::plan::Planner;
 use papar_mr::ChaosSpec;
-use papar_record::batch::Batch;
+use papar_record::batch::{Batch, Dataset};
 use papar_record::Schema;
 use papar_serve::cache::CachedPlan;
 use papar_serve::{job, JobSpec};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Everything `papar run` needs.
 #[derive(Debug, Clone)]
@@ -303,7 +304,7 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
     let trace = spec.profile || spec.trace_out.is_some();
     let options = job::exec_options(&request, spec.threads, trace);
     let input = job::load(&request, &cfg_text).map_err(fail)?;
-    let records_in = input.record_count();
+    let records_in = job::record_count(&input);
     let compiled = job::compile(
         &request,
         &cfg_text,
@@ -756,15 +757,14 @@ pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
     };
     let sample = match (&spec.data, input_cfgs.first()) {
         (Some(data), Some(cfg)) if spec.adaptive => {
-            let schema = Schema::from_input_config(cfg);
-            Some(Batch::Flat(
-                job::load_records(cfg, &schema, data, None).map_err(fail)?,
-            ))
+            let schema = Arc::new(Schema::from_input_config(cfg));
+            let records = job::load_records(cfg, &schema, data, None).map_err(fail)?;
+            Some(vec![Arc::new(Dataset::new(schema, Batch::Flat(records)))])
         }
         _ => None,
     };
     let (phys, decision) =
-        job::lower_verified(&plan, spec.nodes, &options, sample.as_ref()).map_err(fail)?;
+        job::lower_verified(&plan, spec.nodes, &options, sample.as_deref()).map_err(fail)?;
     let mut output = if spec.explain {
         // The explain text itself is fingerprint-stable (checkpoint resume
         // hashes it); the bound table rides along after it.

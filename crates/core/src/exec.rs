@@ -16,7 +16,7 @@ use papar_trace::{
 };
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::{CoreError, Result};
@@ -370,8 +370,24 @@ impl WorkflowRunner {
     }
 
     /// Scatter an external input across the cluster, checking it against
-    /// the plan's expectations.
+    /// the plan's expectations: split by move into one fragment per node,
+    /// then [`WorkflowRunner::place_input`].
     pub fn scatter_input(&self, cluster: &mut Cluster, name: &str, data: Dataset) -> Result<()> {
+        let fragments = papar_mr::cluster::split_dataset(data, cluster.num_nodes());
+        self.place_input(cluster, name, fragments.into_iter().map(Arc::new).collect())
+    }
+
+    /// Place an external input that is already split into fragments
+    /// (global ordinal order, one per node for a scattered input) after
+    /// checking it against the plan's expectations. The cluster shares
+    /// the given `Arc`s, so a resident copy of the input (the daemon's
+    /// data cache) is placed without copying a record.
+    pub fn place_input(
+        &self,
+        cluster: &mut Cluster,
+        name: &str,
+        fragments: Vec<Arc<Dataset>>,
+    ) -> Result<()> {
         let meta = self
             .plan
             .external_inputs
@@ -389,24 +405,28 @@ impl WorkflowRunner {
                         .collect::<Vec<_>>()
                 ))
             })?;
-        if data.schema.as_ref() != meta.schema.as_ref() {
+        if fragments
+            .iter()
+            .any(|f| f.schema.as_ref() != meta.schema.as_ref())
+        {
             return Err(CoreError::exec(format!(
                 "input '{name}' schema does not match the declared format"
             )));
         }
-        // A checkpointed run fingerprints its input *content*, so a
-        // resume against different data refuses instead of producing a
-        // mix of old and new bytes.
+        // A checkpointed run fingerprints its input *content* — the wire
+        // bytes of the whole input, however it is split — so a resume
+        // against different data refuses instead of producing a mix of
+        // old and new bytes.
         if self.checkpoint.is_some() {
-            let mut buf = Vec::new();
-            wire::encode_batch(&data.batch, &data.schema, &mut buf)
-                .map_err(papar_mr::MrError::from)?;
+            let batches: Vec<&Batch> = fragments.iter().map(|f| &f.batch).collect();
+            let hash =
+                wire::concat_checksum(&batches, &meta.schema).map_err(papar_mr::MrError::from)?;
             self.input_hashes
                 .lock()
                 .expect("input hash lock poisoned")
-                .insert(name.to_string(), wire::checksum(&buf));
+                .insert(name.to_string(), hash);
         }
-        cluster.scatter(name, data)?;
+        cluster.place(name, fragments)?;
         Ok(())
     }
 
@@ -431,38 +451,21 @@ impl WorkflowRunner {
 
     /// Compute the adaptive decision from the scattered input, when
     /// [`ExecOptions::adaptive`] is set and none was injected. The stats
-    /// walk visits fragments in `(node, ordinal)` order — for data
-    /// scattered from one flat batch that is the original record order,
-    /// so the runner and a pre-run CLI/serve planner derive identical
-    /// statistics and identical decisions.
+    /// walk visits fragments in global ordinal order — the original
+    /// record order — so the runner and a pre-run CLI/serve planner
+    /// derive identical statistics and identical decisions.
     fn ensure_decision(&self, cluster: &Cluster) -> Result<()> {
         if !self.options.adaptive || self.decision.get().is_some() {
             return Ok(());
         }
-        let stats = match crate::stats::stats_target(&self.plan) {
-            Some(target) => {
-                let mut collector = crate::stats::KeyCollector::new(self.options.sample_stride);
-                for name in &target.inputs {
-                    let mut frags: Vec<(usize, u32)> = Vec::new();
-                    for node in 0..cluster.num_nodes() {
-                        if let Some(fs) = cluster.node(node).get(name) {
-                            for f in fs {
-                                frags.push((node, f.ordinal));
-                            }
-                        }
-                    }
-                    frags.sort();
-                    for (node, ordinal) in frags {
-                        let fs = cluster.node(node).get(name).expect("fragment just listed");
-                        for f in fs.iter().filter(|f| f.ordinal == ordinal) {
-                            collector.offer_batch(&f.data.batch, target.key_idx)?;
-                        }
-                    }
-                }
-                Some(collector.finish(&target.job_id, target.key_idx))
-            }
-            None => None,
-        };
+        let stats = crate::stats::collect_for_plan(
+            &self.plan,
+            |name| {
+                let frags = cluster.fragments(name).unwrap_or_default();
+                Some(frags.into_iter().map(|d| &d.batch))
+            },
+            self.options.sample_stride,
+        )?;
         let decision = crate::adaptive::choose(
             &self.plan,
             cluster.num_nodes(),
@@ -1514,12 +1517,12 @@ impl WorkflowRunner {
         // crash); recovery transparency keeps the output byte-identical.
         let _ = cluster.next_job_index();
         self.assemble_distribute(cluster, djob, &temp, *policy, *num_partitions, final_schema)?;
-        cluster.drop_dataset(&temp);
         Ok(stats)
     }
 
     /// Driver-side half of the fused sort→distribute stage: apply the
-    /// index-routed distribute permutation over the sorted runs.
+    /// index-routed distribute permutation over the sorted runs, which
+    /// are moved out of the cluster (the temp never outlives the stage).
     fn assemble_distribute(
         &self,
         cluster: &mut Cluster,
@@ -1527,28 +1530,20 @@ impl WorkflowRunner {
         temp: &str,
         policy: DistrPolicy,
         num_partitions: usize,
-        final_schema: &Option<std::sync::Arc<papar_record::Schema>>,
+        final_schema: &Option<Arc<papar_record::Schema>>,
     ) -> Result<()> {
         let projection = distribute_projection(djob, final_schema)?;
-        // Gather the sorted fragments in global (ordinal) order — the
-        // same enumeration the unfused offsets pre-pass performs.
-        let mut frags: Vec<(u32, std::sync::Arc<Dataset>)> = Vec::new();
-        for node in 0..cluster.num_nodes() {
-            if let Some(fs) = cluster.node(node).get(temp) {
-                for f in fs {
-                    frags.push((f.ordinal, std::sync::Arc::clone(&f.data)));
-                }
-            }
-        }
-        frags.sort_by_key(|&(ord, _)| ord);
-        let total: usize = frags.iter().map(|(_, d)| d.batch.entry_count()).sum();
+        // Take the sorted fragments in global (ordinal) order — the same
+        // enumeration the unfused offsets pre-pass performs.
+        let frags = cluster.take(temp)?;
+        let total: usize = frags.iter().map(|d| d.batch.entry_count()).sum();
         // Route every entry by its global rank. Appending in ascending
         // rank order reproduces the unfused reducer's ascending
         // `g * P + part` key order within each partition.
         let mut parts: Vec<Vec<Entry>> = (0..num_partitions).map(|_| Vec::new()).collect();
         let mut g = 0usize;
-        for (_, ds) in frags {
-            for entry in batch_entries(ds.batch.clone()) {
+        for ds in frags {
+            for entry in batch_entries(ds.batch) {
                 parts[policy.partition_of_index(g, total, num_partitions)].push(entry);
                 g += 1;
             }

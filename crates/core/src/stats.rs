@@ -298,24 +298,32 @@ pub fn stats_target(plan: &WorkflowPlan) -> Option<StatsTarget> {
     None
 }
 
-/// Collect [`KeyStats`] for a plan from its external input batches.
-/// `lookup` resolves a dataset name to its batch (e.g. the one dataset a
-/// CLI run loaded); returns `Ok(None)` when the plan has no stats target
-/// or an input batch is unavailable.
-pub fn collect_for_plan<'a>(
+/// Collect [`KeyStats`] for a plan from its external inputs — the one
+/// stats walk, shared by the pre-run planner and the runner. `fragments`
+/// resolves a dataset name to its fragments' batches in global ordinal
+/// order (the loaded input's split, or the cluster's scattered copy —
+/// the same records in the same order, so both derive the same stats);
+/// returns `Ok(None)` when the plan has no stats target or an input is
+/// unavailable.
+pub fn collect_for_plan<'a, I>(
     plan: &WorkflowPlan,
-    lookup: impl Fn(&str) -> Option<&'a Batch>,
+    fragments: impl Fn(&str) -> Option<I>,
     stride: usize,
-) -> Result<Option<KeyStats>> {
+) -> Result<Option<KeyStats>>
+where
+    I: IntoIterator<Item = &'a Batch>,
+{
     let Some(target) = stats_target(plan) else {
         return Ok(None);
     };
     let mut collector = KeyCollector::new(stride);
     for name in &target.inputs {
-        let Some(batch) = lookup(name) else {
+        let Some(batches) = fragments(name) else {
             return Ok(None);
         };
-        collector.offer_batch(batch, target.key_idx)?;
+        for batch in batches {
+            collector.offer_batch(batch, target.key_idx)?;
+        }
     }
     Ok(Some(collector.finish(&target.job_id, target.key_idx)))
 }

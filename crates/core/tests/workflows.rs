@@ -684,3 +684,64 @@ fn sampling_modes_affect_balance_not_content() {
         "distributed sampling should balance reducers: {good_max} !< {naive_max}"
     );
 }
+
+/// The fused sort→distribute stage moves its sorted runs out of the
+/// cluster: after a run on a replicated cluster whose map phase lost a
+/// node (restored from replicas), no store — primaries or replicas —
+/// still names the streamed temporary, and the partitions equal the
+/// unfused two-job plan's.
+#[test]
+fn fused_stage_moves_its_temp_out_of_every_store_after_a_recovered_crash() {
+    use papar_mr::{Fault, FaultPlan, TaskPhase};
+    let run = |fuse: bool| {
+        let planner = Planner::from_xml(BLAST_WORKFLOW, &[BLAST_INPUT_CFG]).unwrap();
+        let plan = planner
+            .bind(&args(&[
+                ("input_path", "/data/env_nr"),
+                ("output_path", "/data/parts"),
+                ("num_partitions", "3"),
+            ]))
+            .unwrap();
+        let options = ExecOptions {
+            fuse,
+            ..ExecOptions::default()
+        };
+        let runner = WorkflowRunner::with_options(plan, options);
+        let mut cluster = Cluster::new(3)
+            .with_replication(1)
+            .with_fault_plan(FaultPlan::new(vec![Fault::NodeCrash {
+                node: 1,
+                job: 0,
+                phase: TaskPhase::Map,
+            }]));
+        let schema = runner.plan().external_inputs[0].1.schema.clone();
+        runner
+            .scatter_input(
+                &mut cluster,
+                "/data/env_nr",
+                Dataset::new(schema, Batch::Flat(figure9_input())),
+            )
+            .unwrap();
+        let report = runner.run(&mut cluster).unwrap();
+        assert_eq!(report.faults_injected(), 1);
+        (cluster, report.jobs.len())
+    };
+    let (fused, fused_jobs) = run(true);
+    assert_eq!(fused_jobs, 1, "sort and distribute fuse into one stage");
+    for node in 0..fused.num_nodes() {
+        let store = fused.node(node);
+        let ids = store.fragment_ids().into_iter().chain(store.replica_ids());
+        for (name, ordinal) in ids {
+            assert!(
+                !name.starts_with("__fused:"),
+                "node {node} still holds {name}#{ordinal}"
+            );
+        }
+    }
+    let (unfused, unfused_jobs) = run(false);
+    assert_eq!(unfused_jobs, 2);
+    assert_eq!(
+        fused.collect("/data/parts").unwrap(),
+        unfused.collect("/data/parts").unwrap()
+    );
+}

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use crate::fault::{ExchangeFaultKind, Fault, FaultPlan, RecoveryAction, RetryPolicy};
 use crate::stats::{ExchangeStats, NetModel, RecoveryStats};
-use crate::store::DataStore;
+use crate::store::{DataStore, Fragment};
 use crate::{MrError, Result, TaskPhase};
 
 /// `N` simulated compute nodes with private storage and a modeled
@@ -268,45 +268,21 @@ impl Cluster {
     }
 
     /// Split a dataset into contiguous blocks, one per node — how an input
-    /// file's splits land on the mappers (`InputFormat.getSplits`).
-    ///
-    /// Flat batches split by records, packed batches by groups. Fragment
-    /// ordinals record the block order so `collect` restores input order.
+    /// file's splits land on the mappers (`InputFormat.getSplits`): a
+    /// [`split_dataset`] by move, then [`Cluster::place`].
     pub fn scatter(&mut self, name: &str, dataset: Dataset) -> Result<()> {
-        let n = self.num_nodes();
-        let schema = dataset.schema.clone();
-        match dataset.batch {
-            Batch::Flat(records) => {
-                for (i, chunk) in split_evenly(records, n).into_iter().enumerate() {
-                    self.put_fragment(
-                        i,
-                        name,
-                        i as u32,
-                        Dataset::new(schema.clone(), Batch::Flat(chunk)),
-                    )?;
-                }
-            }
-            Batch::Packed(groups) => {
-                for (i, chunk) in split_evenly(groups, n).into_iter().enumerate() {
-                    self.put_fragment(
-                        i,
-                        name,
-                        i as u32,
-                        Dataset::new(schema.clone(), Batch::Packed(chunk)),
-                    )?;
-                }
-            }
-        }
-        Ok(())
+        let fragments = split_dataset(dataset, self.num_nodes());
+        self.place(name, fragments.into_iter().map(Arc::new).collect())
     }
 
-    /// Place explicit fragments: `fragments[i]` goes to node `i % N` with
-    /// ordinal `i` (how a previous job's reducer outputs are already laid
-    /// out, or how pre-partitioned data is loaded).
-    pub fn scatter_fragments(&mut self, name: &str, fragments: Vec<Dataset>) -> Result<()> {
+    /// Place shared fragments: `fragments[i]` goes to node `i % N` with
+    /// ordinal `i`, replicated like [`Cluster::put_fragment`]. The stores
+    /// hold the given `Arc`s, so a caller that keeps its own handles (the
+    /// daemon's data cache) shares the records instead of copying them.
+    pub fn place(&mut self, name: &str, fragments: Vec<Arc<Dataset>>) -> Result<()> {
         let n = self.num_nodes();
         for (i, frag) in fragments.into_iter().enumerate() {
-            self.put_fragment(i % n, name, i as u32, frag)?;
+            self.put_shared(i % n, name, i as u32, frag)?;
         }
         Ok(())
     }
@@ -324,9 +300,19 @@ impl Cluster {
         ordinal: u32,
         data: Dataset,
     ) -> Result<()> {
-        let arc = Arc::new(data);
-        self.nodes[node].put_arc(name, ordinal, Arc::clone(&arc));
-        self.replicate_fragment(node, name, ordinal, &arc)
+        self.put_shared(node, name, ordinal, Arc::new(data))
+    }
+
+    /// [`Cluster::put_fragment`] for data already behind an `Arc`.
+    fn put_shared(
+        &mut self,
+        node: usize,
+        name: &str,
+        ordinal: u32,
+        data: Arc<Dataset>,
+    ) -> Result<()> {
+        self.nodes[node].put_arc(name, ordinal, Arc::clone(&data));
+        self.replicate_fragment(node, name, ordinal, &data)
     }
 
     /// Materialize a fragment from a checkpoint on `--resume`: placed and
@@ -375,27 +361,30 @@ impl Cluster {
         Ok(())
     }
 
-    /// Gather every fragment of a dataset across all nodes, in global
+    /// Borrow every fragment of a dataset across all nodes, in global
     /// ordinal order. For a job output this is reducer order — i.e. the
-    /// output partitions in partition order.
-    pub fn collect(&self, name: &str) -> Result<Vec<Dataset>> {
-        let mut frags: Vec<(u32, Dataset)> = Vec::new();
+    /// output partitions in partition order — read where they live.
+    pub fn fragments(&self, name: &str) -> Result<Vec<&Dataset>> {
+        let mut frags: Vec<&Fragment> = Vec::new();
         let mut found = false;
         for node in &self.nodes {
             if let Some(local) = node.get(name) {
                 found = true;
-                for f in local {
-                    frags.push((f.ordinal, (*f.data).clone()));
-                }
+                frags.extend(local);
             }
         }
         if !found {
-            return Err(MrError::msg(format!(
-                "dataset '{name}' not found on any node"
-            )));
+            return Err(MrError::DatasetNotFound {
+                name: name.to_string(),
+            });
         }
-        frags.sort_by_key(|(ord, _)| *ord);
-        Ok(frags.into_iter().map(|(_, d)| d).collect())
+        frags.sort_by_key(|f| f.ordinal);
+        Ok(frags.into_iter().map(|f| f.data.as_ref()).collect())
+    }
+
+    /// [`Cluster::fragments`], cloned out of the stores.
+    pub fn collect(&self, name: &str) -> Result<Vec<Dataset>> {
+        Ok(self.fragments(name)?.into_iter().cloned().collect())
     }
 
     /// Gather and concatenate a dataset into one flat-ordered `Dataset`.
@@ -422,13 +411,29 @@ impl Cluster {
         }
     }
 
-    /// Drop a dataset everywhere; returns how many nodes held it.
-    pub fn drop_dataset(&mut self, name: &str) -> usize {
-        self.nodes
-            .iter_mut()
-            .map(|n| n.remove(name))
-            .filter(|&r| r)
-            .count()
+    /// Remove a dataset from every node — primaries and the replicas held
+    /// for them — and hand back its fragments in global ordinal order.
+    /// With every store's handle gone each fragment's `Arc` is unique, so
+    /// the records move out instead of being copied.
+    pub fn take(&mut self, name: &str) -> Result<Vec<Dataset>> {
+        let mut frags: Vec<Fragment> = Vec::new();
+        let mut found = false;
+        for node in &mut self.nodes {
+            if let Some(local) = node.remove(name) {
+                found = true;
+                frags.extend(local);
+            }
+        }
+        if !found {
+            return Err(MrError::DatasetNotFound {
+                name: name.to_string(),
+            });
+        }
+        frags.sort_by_key(|f| f.ordinal);
+        Ok(frags
+            .into_iter()
+            .map(|f| Arc::unwrap_or_clone(f.data))
+            .collect())
     }
 
     /// All-to-all exchange of byte buffers: `outboxes[from][to]` is the
@@ -806,6 +811,23 @@ fn default_threads() -> Result<usize> {
 /// Per-receiver `(sender, buffer)` lists produced by [`Cluster::exchange`].
 pub type Inboxes = Vec<Vec<(usize, Vec<u8>)>>;
 
+/// Split a dataset into `n` contiguous fragments by move (flat batches
+/// by records, packed batches by groups), in block order — what
+/// [`Cluster::scatter`] places, one fragment per node.
+pub fn split_dataset(dataset: Dataset, n: usize) -> Vec<Dataset> {
+    let schema = dataset.schema;
+    match dataset.batch {
+        Batch::Flat(records) => split_evenly(records, n)
+            .into_iter()
+            .map(|chunk| Dataset::new(schema.clone(), Batch::Flat(chunk)))
+            .collect(),
+        Batch::Packed(groups) => split_evenly(groups, n)
+            .into_iter()
+            .map(|chunk| Dataset::new(schema.clone(), Batch::Packed(chunk)))
+            .collect(),
+    }
+}
+
 /// Split a vector into `n` contiguous chunks of near-equal length (the
 /// earlier chunks take the remainder, like HDFS block assignment).
 pub fn split_evenly<T>(mut items: Vec<T>, n: usize) -> Vec<Vec<T>> {
@@ -868,27 +890,59 @@ mod tests {
     }
 
     #[test]
-    fn scatter_fragments_round_robin() {
+    fn place_round_robin_shares_the_given_fragments() {
         let mut c = Cluster::new(2);
-        let frags: Vec<Dataset> = (0..5).map(|i| flat(i..i + 1)).collect();
-        c.scatter_fragments("p", frags).unwrap();
+        let frags: Vec<Arc<Dataset>> = (0..5).map(|i| Arc::new(flat(i..i + 1))).collect();
+        c.place("p", frags.clone()).unwrap();
         assert_eq!(c.node(0).get("p").unwrap().len(), 3); // ordinals 0, 2, 4
         assert_eq!(c.node(1).get("p").unwrap().len(), 2); // ordinals 1, 3
+        assert!(frags.iter().all(|f| Arc::strong_count(f) == 2));
         let collected = c.collect("p").unwrap();
         assert_eq!(collected.len(), 5);
     }
 
     #[test]
-    fn collect_missing_dataset_errors() {
-        let c = Cluster::new(2);
-        assert!(c.collect("ghost").is_err());
+    fn fragments_borrow_in_ordinal_order_across_nodes() {
+        let mut c = Cluster::new(3);
+        let frags: Vec<Arc<Dataset>> = (0..7).map(|i| Arc::new(flat(i..i + 1))).collect();
+        c.place("p", frags.clone()).unwrap();
+        let got = c.fragments("p").unwrap();
+        assert_eq!(got.len(), 7);
+        for (f, want) in got.iter().zip(&frags) {
+            assert!(std::ptr::eq(*f, want.as_ref()), "borrowed, not copied");
+        }
+        let cloned: Vec<Dataset> = got.into_iter().cloned().collect();
+        assert_eq!(c.collect("p").unwrap(), cloned);
     }
 
     #[test]
-    fn drop_dataset_removes_everywhere() {
-        let mut c = Cluster::new(3);
+    fn missing_dataset_is_a_typed_error() {
+        let mut c = Cluster::new(2);
+        let missing = MrError::DatasetNotFound {
+            name: "ghost".into(),
+        };
+        assert_eq!(c.fragments("ghost").unwrap_err(), missing);
+        assert_eq!(c.collect("ghost").unwrap_err(), missing);
+        assert_eq!(c.take("ghost").unwrap_err(), missing);
+        assert_eq!(
+            missing.to_string(),
+            "mapreduce error: dataset 'ghost' not found on any node"
+        );
+    }
+
+    #[test]
+    fn take_moves_a_replicated_dataset_out_of_every_store() {
+        let mut c = Cluster::new(3).with_replication(2);
         c.scatter("x", flat(0..9)).unwrap();
-        assert_eq!(c.drop_dataset("x"), 3);
+        let whole = c.collect_concat("x").unwrap();
+        let taken = c.take("x").unwrap();
+        assert_eq!(taken.len(), 3);
+        for node in 0..3 {
+            assert!(c.node(node).fragment_ids().is_empty());
+            assert!(c.node(node).replica_ids().is_empty());
+        }
+        let records: Vec<_> = taken.into_iter().flat_map(|d| d.batch.flatten()).collect();
+        assert_eq!(Batch::Flat(records), whole.batch);
         assert!(c.collect("x").is_err());
     }
 

@@ -96,6 +96,11 @@ pub enum MrError {
         attempts: u32,
         source: Box<MrError>,
     },
+    /// No node holds a fragment of the named dataset.
+    DatasetNotFound {
+        /// The dataset asked for.
+        name: String,
+    },
     /// A dataset fragment was lost (node crash) and no live replica could
     /// restore it.
     DataLoss {
@@ -195,6 +200,9 @@ impl std::fmt::Display for MrError {
                 f,
                 "job '{job}': {phase} task on node {node} aborted after {attempts} attempt(s): {source}"
             ),
+            MrError::DatasetNotFound { name } => {
+                write!(f, "mapreduce error: dataset '{name}' not found on any node")
+            }
             MrError::DataLoss {
                 dataset,
                 node,

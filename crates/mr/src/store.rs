@@ -141,11 +141,10 @@ impl DataStore {
     }
 
     /// Remove a dataset — primary fragments and any replicas held for other
-    /// nodes — returning whether a primary existed here.
-    pub fn remove(&mut self, name: &str) -> bool {
-        let had = self.data.remove(name).is_some();
+    /// nodes — returning the primaries (`None` when none existed here).
+    pub fn remove(&mut self, name: &str) -> Option<Vec<Fragment>> {
         self.replicas.remove(name);
-        had
+        self.data.remove(name)
     }
 
     /// Names of all stored datasets (unordered).
@@ -200,9 +199,9 @@ mod tests {
         let mut store = DataStore::new();
         store.put("x", 0, ds(&[1]));
         assert!(store.contains("x"));
-        assert!(store.remove("x"));
+        assert_eq!(store.remove("x").map(|f| f.len()), Some(1));
         assert!(!store.contains("x"));
-        assert!(!store.remove("x"));
+        assert!(store.remove("x").is_none());
     }
 
     #[test]

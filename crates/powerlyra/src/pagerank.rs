@@ -262,20 +262,33 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_cut_has_lowest_sim_time_on_power_law_graph() {
-        // The Figure 14 headline: hybrid < vertex < edge on skewed graphs
-        // (vertex-cut closer to hybrid than edge-cut is).
+    fn hybrid_cut_has_lowest_comm_on_power_law_graph() {
+        // The Figure 14 headline: hybrid < vertex < edge on skewed graphs.
+        // At this size the measured compute (~0.1 ms) is noise beside the
+        // modeled communication, so assert the deterministic mechanism —
+        // bytes synchronized and modeled comm per iteration — not the
+        // wall-clock `sim_time`s.
         let g = gen::chung_lu(2000, 30_000, 2.0, 21).unwrap();
         let net = NetModel::ethernet_10g();
-        let time = |asg: &PartitionAssignment| {
-            let (_, stats) = distributed_pagerank(&g, asg, 5, &net).unwrap();
-            stats.sim_time()
-        };
-        let t_h = time(&hybrid_cut(&g, 16, 100).unwrap());
-        let t_v = time(&vertex_cut(&g, 16).unwrap());
-        let t_e = time(&edge_cut(&g, 16).unwrap());
-        assert!(t_h < t_v, "hybrid {t_h:?} !< vertex {t_v:?}");
-        assert!(t_h < t_e, "hybrid {t_h:?} !< edge {t_e:?}");
+        let stats = |asg: &PartitionAssignment| distributed_pagerank(&g, asg, 5, &net).unwrap().1;
+        let h = stats(&hybrid_cut(&g, 16, 100).unwrap());
+        let v = stats(&vertex_cut(&g, 16).unwrap());
+        let e = stats(&edge_cut(&g, 16).unwrap());
+        let bytes = [
+            h.bytes_per_iteration,
+            v.bytes_per_iteration,
+            e.bytes_per_iteration,
+        ];
+        assert!(
+            bytes[0] < bytes[1] && bytes[1] < bytes[2],
+            "bytes {bytes:?}"
+        );
+        let comm = [
+            h.comm_per_iteration,
+            v.comm_per_iteration,
+            e.comm_per_iteration,
+        ];
+        assert!(comm[0] < comm[1] && comm[1] < comm[2], "comm {comm:?}");
     }
 
     #[test]

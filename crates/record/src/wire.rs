@@ -120,7 +120,11 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 /// transfers carry so in-flight corruption is detected instead of decoded
 /// into garbage. FNV is not cryptographic; it only needs to catch bit flips.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    fnv1a(0xCBF2_9CE4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash: `fnv1a(fnv1a(s, a), b) == fnv1a(s, a ++ b)`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -301,6 +305,29 @@ pub fn encode_batch(batch: &Batch, schema: &Schema, buf: &mut Vec<u8>) -> Result
     Ok(())
 }
 
+/// [`checksum`] of the [`encode_batch`] bytes of the concatenation of
+/// `parts` (all of one format), computed part by part without building
+/// the concatenation: the format tag, the total entry count, then every
+/// part's entries in order.
+pub fn concat_checksum(parts: &[&Batch], schema: &Schema) -> Result<u64> {
+    let packed = matches!(parts.first(), Some(Batch::Packed(_)));
+    let entries: usize = parts.iter().map(|b| b.entry_count()).sum();
+    let mut buf = vec![if packed { BATCH_PACKED } else { BATCH_FLAT }];
+    put_u32(&mut buf, entries as u32);
+    let mut h = checksum(&buf);
+    for part in parts {
+        if matches!(part, Batch::Packed(_)) != packed {
+            return Err(CodecError(
+                "cannot hash flat and packed parts as one batch".into(),
+            ));
+        }
+        buf.clear();
+        encode_batch(part, schema, &mut buf)?;
+        h = fnv1a(h, &buf[5..]);
+    }
+    Ok(h)
+}
+
 /// Decode a whole batch.
 pub fn decode_batch(r: &mut Reader<'_>, schema: &Schema) -> Result<Batch> {
     match r.u8()? {
@@ -430,6 +457,46 @@ mod tests {
         let mut buf = Vec::new();
         assert!(encode_record(&rec!["oops", 1, 2, 3], &schema, &mut buf).is_err());
         assert!(encode_record(&rec![1, 2], &schema, &mut buf).is_err());
+    }
+
+    #[test]
+    fn concat_checksum_equals_checksum_of_the_whole_batch() {
+        let schema = edge_schema();
+        let rows = vec![
+            rec!["2", "1"],
+            rec!["3", "1"],
+            rec!["1", "2"],
+            rec!["4", "2"],
+        ];
+        let whole = |b: &Batch| {
+            let mut buf = Vec::new();
+            encode_batch(b, &schema, &mut buf).unwrap();
+            checksum(&buf)
+        };
+        let flat = Batch::Flat(rows.clone());
+        let (a, b) = rows.split_at(1);
+        let parts = [
+            Batch::Flat(a.to_vec()),
+            Batch::empty(),
+            Batch::Flat(b.to_vec()),
+        ];
+        let refs: Vec<&Batch> = parts.iter().collect();
+        assert_eq!(concat_checksum(&refs, &schema).unwrap(), whole(&flat));
+        assert_eq!(
+            concat_checksum(&[], &schema).unwrap(),
+            whole(&Batch::empty())
+        );
+
+        let packed = flat.pack_by(1).unwrap();
+        let groups = packed.as_packed().unwrap();
+        let parts = [
+            Batch::Packed(groups[..1].to_vec()),
+            Batch::Packed(groups[1..].to_vec()),
+        ];
+        let refs: Vec<&Batch> = parts.iter().collect();
+        assert_eq!(concat_checksum(&refs, &schema).unwrap(), whole(&packed));
+        let mixed = [&parts[0], &Batch::empty()];
+        assert!(concat_checksum(&mixed, &schema).is_err());
     }
 
     #[test]

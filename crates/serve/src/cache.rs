@@ -14,9 +14,10 @@
 //!   the raw request: document bytes, effective arguments, cluster
 //!   size, toggles) that maps a repeated request to its fingerprint
 //!   without touching the planner.
-//! * [`DataCache`] holds decoded input files keyed by path, file size,
-//!   mtime, the record bound, and the input-config hash, so a changed
-//!   or truncated file can never serve stale records.
+//! * [`DataCache`] holds decoded input files, already split into one
+//!   shared fragment per node, keyed by path, file size, mtime, the
+//!   record bound, the input-config hash and the node count, so a
+//!   changed or truncated file can never serve stale records.
 //!
 //! Neither cache is consulted for correctness — a miss just runs the
 //! stage it wraps ([`crate::job::compile`], [`crate::job::load`]), which
@@ -26,7 +27,7 @@
 use papar_config::InputConfig;
 use papar_core::physplan::PhysicalPlan;
 use papar_core::plan::WorkflowPlan;
-use papar_record::batch::Batch;
+use papar_record::batch::Dataset;
 use papar_record::Schema;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -191,7 +192,7 @@ impl PlanCache {
 /// file a guaranteed miss; the config hash covers schema changes that
 /// would decode the same bytes differently; the record bound is part of
 /// the identity because `--records 100` and `--records 200` decode
-/// different prefixes.
+/// different prefixes; the node count because it decides the split.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DataKey {
     /// The data file path as submitted.
@@ -204,14 +205,17 @@ pub struct DataKey {
     pub records: Option<u64>,
     /// FNV-1a of the input-config document text.
     pub config_hash: u64,
+    /// Nodes the input is split for (one fragment each).
+    pub nodes: u32,
 }
 
-/// Decoded input files. Values are `Arc`ed so a hit shares the batch
-/// with the cache: compilation samples it by reference, and the executor
-/// clones it only when scattering.
+/// Decoded input files as per-node fragments in ordinal order. The
+/// fragments are `Arc`ed so a hit shares them: compilation samples them
+/// by reference and the cluster stores the same `Arc`s, so a request
+/// copies no input record.
 #[derive(Debug)]
 pub struct DataCache {
-    lru: Lru<DataKey, Arc<Batch>>,
+    lru: Lru<DataKey, Vec<Arc<Dataset>>>,
     /// Lifetime hits (files *not* re-read and re-decoded).
     pub hits: u64,
     /// Lifetime misses.
@@ -228,8 +232,9 @@ impl DataCache {
         }
     }
 
-    /// Look up a decoded file.
-    pub fn get(&mut self, key: &DataKey) -> Option<Arc<Batch>> {
+    /// Look up a decoded file's fragments (the handles are cloned, the
+    /// records shared).
+    pub fn get(&mut self, key: &DataKey) -> Option<Vec<Arc<Dataset>>> {
         let hit = self.lru.get(key).cloned();
         if hit.is_some() {
             self.hits += 1;
@@ -237,10 +242,10 @@ impl DataCache {
         hit
     }
 
-    /// Insert a freshly decoded file. Counts as a miss.
-    pub fn insert(&mut self, key: DataKey, records: Arc<Batch>) {
+    /// Insert a freshly decoded file's fragments. Counts as a miss.
+    pub fn insert(&mut self, key: DataKey, fragments: Vec<Arc<Dataset>>) {
         self.misses += 1;
-        self.lru.insert(key, records);
+        self.lru.insert(key, fragments);
     }
 
     /// Decoded files currently resident.
@@ -283,21 +288,29 @@ mod tests {
     }
 
     #[test]
-    fn data_key_distinguishes_mtime_and_record_bound() {
-        let key = |mtime_ns: u128, records: Option<u64>| DataKey {
+    fn data_key_distinguishes_mtime_record_bound_and_nodes() {
+        let key = |mtime_ns: u128, records: Option<u64>, nodes: u32| DataKey {
             path: "/d/x.db".into(),
             len: 4096,
             mtime_ns,
             records,
             config_hash: 99,
+            nodes,
         };
         let mut cache = DataCache::new(4);
-        cache.insert(key(1, None), Arc::new(Batch::empty()));
-        assert!(cache.get(&key(1, None)).is_some());
-        assert!(cache.get(&key(2, None)).is_none(), "newer mtime must miss");
+        cache.insert(key(1, None, 4), Vec::new());
+        assert!(cache.get(&key(1, None, 4)).is_some());
         assert!(
-            cache.get(&key(1, Some(10))).is_none(),
+            cache.get(&key(2, None, 4)).is_none(),
+            "newer mtime must miss"
+        );
+        assert!(
+            cache.get(&key(1, Some(10), 4)).is_none(),
             "different --records must miss"
+        );
+        assert!(
+            cache.get(&key(1, None, 2)).is_none(),
+            "a different split must miss"
         );
         assert_eq!((cache.hits, cache.misses), (1, 1));
     }

@@ -5,23 +5,29 @@
 //! sequence of MR jobs out — so the path exists here exactly once, as
 //! four stages:
 //!
-//! * [`load`]: input-config text + data file → the decoded [`Batch`];
+//! * [`load`]: input-config text + data file (only the `--records`
+//!   region of a binary file is read) → the decoded records, split by
+//!   move into one shared [`Dataset`] fragment per node;
 //! * [`compile`]: both document texts + the job's arguments + record
 //!   count and replication → `papar check` gate → bind → plan-invariant
-//!   verification → adaptive decision over the *borrowed* batch → lower →
-//!   physical-plan verification → fingerprint. Its result is the
+//!   verification → adaptive decision over the *borrowed* fragments →
+//!   lower → physical-plan verification → fingerprint. Its result is the
 //!   [`CachedPlan`], which carries the lowered plan, so nobody lowers
 //!   twice;
 //! * [`run`]: compiled plan + cluster + input → runner (with the
-//!   decision and an optional checkpoint) → scatter → run, returning the
-//!   typed [`CoreError`] so a front-end can map individual failures;
-//! * [`emit`]: collect → codec → `partition_{i:04}.{bin,txt}`.
+//!   decision and an optional checkpoint) → place the fragments → run,
+//!   returning the typed [`CoreError`] so a front-end can map individual
+//!   failures;
+//! * [`emit`]: the output fragments, borrowed where they live → codec →
+//!   `partition_{i:04}.{bin,txt}`.
 //!
-//! `papar run` (`crates/cli`) calls them in that order on a fresh
+//! Records are decoded once and never deep-copied between stages.
+//! `papar run` (`crates/cli`) calls the stages in that order on a fresh
 //! [`new_cluster`], adding its own fault plan and checkpoint salt;
-//! [`execute`] makes the same calls with the data LRU around `load`, the
-//! plan LRU around `compile`, and the resident cluster instead of a fresh
-//! one; `papar plan` reuses [`default_path_args`] and [`lower_verified`].
+//! [`execute`] makes the same calls with the data LRU around `load` (its
+//! fragments shared with the cluster on every hit), the plan LRU around
+//! `compile`, and the resident cluster instead of a fresh one; `papar
+//! plan` reuses [`default_path_args`] and [`lower_verified`].
 //! Only summary *rendering* is per front-end. A served job's partition
 //! files are therefore byte-identical to `papar run`'s by construction;
 //! `crates/cli/tests/end_to_end.rs` and the CI `serve` job check it.
@@ -38,11 +44,13 @@ use papar_core::exec::{
 };
 use papar_core::physplan::{self, FuseToggles, PhysicalPlan};
 use papar_core::plan::{Planner, WorkflowPlan};
+use papar_mr::cluster::split_dataset;
 use papar_mr::{Cluster, RetryPolicy};
 use papar_record::batch::{Batch, Dataset};
 use papar_record::{codec, wire, Record, Schema};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,9 +90,10 @@ pub fn read_text(path: impl AsRef<Path>) -> Result<String, String> {
 
 /// Read an input data file per its configuration. Binary files may carry
 /// payload beyond the record region: `records` bounds the region
-/// explicitly; otherwise the longest whole-record prefix after
-/// `start_position` is read (the paper's "treat every 16 bytes as an
-/// entry" reading of Figure 4).
+/// explicitly, and then only the header and that region are read;
+/// otherwise the whole file is read and the longest whole-record prefix
+/// after `start_position` decoded (the paper's "treat every 16 bytes as
+/// an entry" reading of Figure 4).
 pub fn load_records(
     cfg: &InputConfig,
     schema: &Schema,
@@ -93,12 +102,31 @@ pub fn load_records(
 ) -> Result<Vec<Record>, String> {
     match cfg.format {
         InputFormat::Binary => {
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let cannot_read = |e: std::io::Error| format!("cannot read {}: {e}", path.display());
             let width = schema
                 .binary_record_width()
                 .ok_or_else(|| "binary schema has variable-width fields".to_string())?;
             let start = cfg.start_position as usize;
+            let bytes = match records {
+                None => std::fs::read(path).map_err(cannot_read)?,
+                Some(n) => {
+                    // Read exactly the bounded prefix into a buffer sized
+                    // for it. A file shorter than the bound (or a bound
+                    // past `usize`) is read whole and refused below with
+                    // its real length.
+                    let limit = n
+                        .checked_mul(width)
+                        .and_then(|region| region.checked_add(start))
+                        .map_or(u64::MAX, |l| l as u64);
+                    let file = std::fs::File::open(path).map_err(cannot_read)?;
+                    let len = file.metadata().map_err(cannot_read)?.len();
+                    let mut bytes = Vec::with_capacity(limit.min(len) as usize);
+                    file.take(limit)
+                        .read_to_end(&mut bytes)
+                        .map_err(cannot_read)?;
+                    bytes
+                }
+            };
             if bytes.len() < start {
                 return Err(format!(
                     "{} is shorter than start_position {start}",
@@ -129,13 +157,25 @@ pub fn load_records(
 }
 
 /// Stage 1 — load: decode the job's data file per its input-config
-/// document.
-pub fn load(spec: &JobSpec, cfg_text: &str) -> Result<Batch, String> {
+/// document and split the records by move into one fragment per node,
+/// in ordinal order — the layout the cluster stores, so [`run`] places
+/// them (and the daemon caches them) without copying a record.
+pub fn load(spec: &JobSpec, cfg_text: &str) -> Result<Vec<Arc<Dataset>>, String> {
     let cfg =
         InputConfig::parse_str(cfg_text).map_err(|e| format!("{}: {e}", spec.input_config))?;
-    let schema = Schema::from_input_config(&cfg);
+    let schema = Arc::new(Schema::from_input_config(&cfg));
     let records = spec.records.map(|n| n as usize);
-    load_records(&cfg, &schema, Path::new(&spec.data), records).map(Batch::Flat)
+    let records = load_records(&cfg, &schema, Path::new(&spec.data), records)?;
+    let input = Dataset::new(schema, Batch::Flat(records));
+    Ok(split_dataset(input, spec.nodes as usize)
+        .into_iter()
+        .map(Arc::new)
+        .collect())
+}
+
+/// Records across a loaded input's fragments.
+pub fn record_count(input: &[Arc<Dataset>]) -> usize {
+    input.iter().map(|f| f.batch.record_count()).sum()
 }
 
 /// The engine options a job's toggles select. The thread budget and
@@ -173,21 +213,25 @@ pub fn default_path_args(
 }
 
 /// The tail of compilation, shared with `papar plan`: with
-/// [`ExecOptions::adaptive`], sample the external input (when there is
-/// one to sample) and let the cost-based planner pick the knobs; lower
-/// with the decision's fusion toggles, or the literal flag's; and pass
-/// the physical plan through the same gate as the logical one.
+/// [`ExecOptions::adaptive`], sample the external input's fragments in
+/// ordinal order (when there is an input to sample) and let the
+/// cost-based planner pick the knobs; lower with the decision's fusion
+/// toggles, or the literal flag's; and pass the physical plan through
+/// the same gate as the logical one.
 pub fn lower_verified(
     plan: &WorkflowPlan,
     nodes: usize,
     options: &ExecOptions,
-    sample: Option<&Batch>,
+    sample: Option<&[Arc<Dataset>]>,
 ) -> Result<(PhysicalPlan, Option<PlanDecision>), String> {
     let decision = if options.adaptive {
         let stats = match sample {
-            Some(batch) => papar_core::stats::collect_for_plan(
+            Some(frags) => papar_core::stats::collect_for_plan(
                 plan,
-                |name| (plan.external_inputs.iter().any(|(n, _)| n == name)).then_some(batch),
+                |name| {
+                    (plan.external_inputs.iter().any(|(n, _)| n == name))
+                        .then(|| frags.iter().map(|f| &f.batch))
+                },
                 options.sample_stride,
             )
             .map_err(|e| e.to_string())?,
@@ -223,13 +267,13 @@ pub fn lower_verified(
 /// analyzer's inference against the planner's (a P099 divergence is a
 /// framework bug and also refuses), decide, lower, verify, fingerprint.
 /// `input` is only borrowed: its record count feeds the gate and, with
-/// `--adaptive`, the sampling pre-pass reads it in place.
+/// `--adaptive`, the sampling pre-pass walks its fragments in place.
 pub fn compile(
     spec: &JobSpec,
     cfg_text: &str,
     wf_text: &str,
     replication: usize,
-    input: &Batch,
+    input: &[Arc<Dataset>],
     options: &ExecOptions,
 ) -> Result<CachedPlan, String> {
     let nodes = spec.nodes as usize;
@@ -245,7 +289,7 @@ pub fn compile(
         args: args.clone(),
         nodes: Some(nodes),
         replication: Some(replication),
-        records: Some(input.record_count()),
+        records: Some(record_count(input)),
         ..Default::default()
     };
     let analysis = papar_check::analyze(&workflow, std::slice::from_ref(&input_cfg), &ctx);
@@ -316,14 +360,15 @@ pub fn new_cluster(nodes: usize, replication: usize, max_attempts: u32) -> Resul
 }
 
 /// Stage 3 — run: a runner over the compiled plan (carrying its
-/// adaptive decision, and the checkpoint when one is asked for),
-/// `input` *moved* into the scatter, then the workflow itself.
+/// adaptive decision, and the checkpoint when one is asked for), the
+/// `input` fragments placed on the cluster as they are (shared, not
+/// copied), then the workflow itself.
 pub fn run(
     compiled: &CachedPlan,
     options: ExecOptions,
     checkpoint: Option<CheckpointCfg>,
     cluster: &mut Cluster,
-    input: Batch,
+    input: Vec<Arc<Dataset>>,
 ) -> Result<WorkflowReport, CoreError> {
     let mut runner = WorkflowRunner::with_options(compiled.plan.clone(), options);
     if let Some(d) = compiled.decision.clone() {
@@ -332,17 +377,13 @@ pub fn run(
     if let Some(c) = checkpoint {
         runner = runner.with_checkpoint(c.dir, c.resume, c.extra);
     }
-    runner.scatter_input(
-        cluster,
-        &compiled.input_name,
-        Dataset::new(compiled.schema.clone(), input),
-    )?;
+    runner.place_input(cluster, &compiled.input_name, input)?;
     runner.run(cluster)
 }
 
 /// Stage 4 — emit: write each output partition into `out_dir` (created
-/// if missing) in the input's on-disk format. Returns the files, in
-/// partition order.
+/// if missing) in the input's on-disk format, encoding the resident
+/// fragments in place. Returns the files, in partition order.
 pub fn emit(
     compiled: &CachedPlan,
     cluster: &Cluster,
@@ -351,21 +392,30 @@ pub fn emit(
     std::fs::create_dir_all(out_dir)
         .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
     let partitions = cluster
-        .collect(&compiled.plan.output_path)
+        .fragments(&compiled.plan.output_path)
         .map_err(|e| e.to_string())?;
     let cfg = &compiled.input_cfg;
     let mut files = Vec::with_capacity(partitions.len());
-    for (i, part) in partitions.iter().enumerate() {
-        let records = part.batch.clone().flatten();
+    for (i, part) in partitions.into_iter().enumerate() {
+        // Workflows end flat ("the same format of input"); a packed final
+        // fragment is flattened into a temporary.
+        let unpacked: Vec<Record>;
+        let records = match &part.batch {
+            Batch::Flat(records) => records,
+            Batch::Packed(groups) => {
+                unpacked = groups.iter().flat_map(|g| g.records.clone()).collect();
+                &unpacked
+            }
+        };
         let (ext, bytes) = match cfg.format {
             InputFormat::Binary => (
                 "bin",
-                codec::binary::write(cfg, &part.schema, &records, None)
+                codec::binary::write(cfg, &part.schema, records, None)
                     .map_err(|e| e.to_string())?,
             ),
             InputFormat::Text => (
                 "txt",
-                codec::text::write(cfg, &part.schema, &records)
+                codec::text::write(cfg, &part.schema, records)
                     .map_err(|e| e.to_string())?
                     .into_bytes(),
             ),
@@ -436,22 +486,24 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
     let options = exec_options(spec, Some(threads), true);
 
     // Load: resident when the same file (same size/mtime/bound/config)
-    // was decoded before.
+    // was decoded and split for this many nodes before.
     let key = DataKey {
         path: spec.data.clone(),
         len: meta.len(),
         mtime_ns,
         records: spec.records,
         config_hash: wire::checksum(cfg_text.as_bytes()),
+        nodes: spec.nodes,
     };
     let (input, data_cache_hit) = match res.data.get(&key) {
         Some(input) => (input, true),
         None => {
-            let input = Arc::new(load(spec, &cfg_text)?);
+            let input = load(spec, &cfg_text)?;
             res.data.insert(key, input.clone());
             (input, false)
         }
     };
+    let records_in = record_count(&input);
 
     // Compile: resident on a repeated request.
     let shash = spec_hash(spec, &cfg_text, &wf_text, meta.len(), mtime_ns);
@@ -474,9 +526,9 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
         slot => slot.insert(new_cluster(nodes, 0, 3)?),
     };
 
-    // The one clone of the cached input a request pays for.
-    let report =
-        run(&compiled, options, None, cluster, (*input).clone()).map_err(|e| e.to_string())?;
+    // The cluster shares the cached fragments; a request copies no input
+    // record.
+    let report = run(&compiled, options, None, cluster, input).map_err(|e| e.to_string())?;
     let files = emit(&compiled, cluster, Path::new(&spec.out_dir))?;
 
     // Render the report the way `papar run` prints its summary, plus
@@ -486,12 +538,7 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
     for w in &compiled.warnings {
         let _ = writeln!(detail, "{w}");
     }
-    let _ = writeln!(
-        detail,
-        "read {} records from {}",
-        input.record_count(),
-        spec.data
-    );
+    let _ = writeln!(detail, "read {records_in} records from {}", spec.data);
     let _ = writeln!(
         detail,
         "plan {:#018x}: cache {}",
@@ -540,4 +587,89 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
         wall_ms: started.elapsed().as_millis() as u64,
         sim_ns: report.total_sim_time().as_nanos() as u64,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WIDTH: usize = 16;
+    const START: usize = 32;
+
+    fn binary_cfg() -> (InputConfig, Schema) {
+        let cfg =
+            InputConfig::parse_str(include_str!("../../../examples/configs/blast_db.xml")).unwrap();
+        let schema = Schema::from_input_config(&cfg);
+        (cfg, schema)
+    }
+
+    /// A 32-byte header, `n` records `[i, i+1, i+2, i+3]`, then `tail`.
+    fn write_db(tag: &str, n: usize, tail: &[u8]) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("papar-load-{tag}-{}.db", std::process::id()));
+        let mut bytes = vec![0xAB; START];
+        for i in 0..n as i32 {
+            for v in i..i + 4 {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        bytes.extend_from_slice(tail);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn bounded_read_decodes_exactly_n_records_before_a_trailing_payload() {
+        let (cfg, schema) = binary_cfg();
+        // Sequence payload behind the index, not a whole number of records.
+        let path = write_db("trailing", 10, &[0x5A; 1003]);
+        for n in [0, 3, 10] {
+            let got = load_records(&cfg, &schema, &path, Some(n)).unwrap();
+            assert_eq!(got.len(), n);
+            for (i, r) in got.iter().enumerate() {
+                assert_eq!(r.value(0).unwrap().as_i64(), Some(i as i64));
+            }
+        }
+        // The bound may reach into the payload: it is read as records.
+        let got = load_records(&cfg, &schema, &path, Some(12)).unwrap();
+        assert_eq!(got.len(), 12);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn bounded_read_of_a_short_file_keeps_the_message() {
+        let (cfg, schema) = binary_cfg();
+        let path = write_db("short", 4, &[1, 2, 3]);
+        let available = 4 * WIDTH + 3;
+        let err = load_records(&cfg, &schema, &path, Some(5)).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "--records 5 wants {} bytes after the header, file has {available}",
+                5 * WIDTH
+            )
+        );
+        let header_only =
+            std::env::temp_dir().join(format!("papar-load-header-{}.db", std::process::id()));
+        std::fs::write(&header_only, [0u8; START - 1]).unwrap();
+        let err = load_records(&cfg, &schema, &header_only, Some(1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "{} is shorter than start_position {START}",
+                header_only.display()
+            )
+        );
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&header_only);
+    }
+
+    #[test]
+    fn unbounded_read_decodes_the_whole_record_prefix() {
+        let (cfg, schema) = binary_cfg();
+        let path = write_db("unbounded", 7, &[9; WIDTH + 5]);
+        let got = load_records(&cfg, &schema, &path, None).unwrap();
+        assert_eq!(got.len(), 8, "7 records plus one whole record of payload");
+        assert_eq!(got[6].value(3).unwrap().as_i64(), Some(9));
+        let _ = std::fs::remove_file(&path);
+    }
 }
