@@ -161,23 +161,54 @@ pub fn run_b(scale: &Scale) -> Table {
 mod tests {
     use super::*;
 
+    use papar_trace::PhaseKind;
+
+    /// Records the busiest node maps across a traced PaPar run's jobs —
+    /// the per-node work a larger cluster divides.
+    fn papar_busiest_node(graph: &powerlyra::Graph, threshold: usize, nodes: usize) -> u64 {
+        let options = ExecOptions {
+            trace: true,
+            ..ExecOptions::default()
+        };
+        let trace = run_hybrid(graph, 16, threshold, nodes, options)
+            .report
+            .trace
+            .expect("traced run");
+        let mut per_node = vec![0u64; nodes];
+        for phase in trace.jobs.iter().flat_map(|j| &j.phases) {
+            if phase.kind == PhaseKind::Map {
+                for t in &phase.tasks {
+                    per_node[t.node] += t.counters.records_in;
+                }
+            }
+        }
+        per_node.into_iter().max().unwrap_or(0)
+    }
+
     #[test]
     fn papar_scales_powerlyra_saturates() {
-        let s = scaling(&Scale::quick());
-        for (g, series) in s {
-            let papar_1 = series[0].1.as_secs_f64();
-            let papar_16 = series.last().unwrap().1.as_secs_f64();
+        // Per-node record counts, not measured times: the measured
+        // `sim_time`s wobble under parallel test load.
+        let threshold = scaled_threshold(&Scale::quick());
+        for (g, graph) in graphs(&Scale::quick()) {
+            let papar_1 = papar_busiest_node(&graph, threshold, 1);
+            let papar_16 = papar_busiest_node(&graph, threshold, 16);
             assert!(
-                papar_1 / papar_16 > 2.0,
-                "{g}: PaPar should scale, got {:.2}x",
-                papar_1 / papar_16
+                papar_1 > 2 * papar_16,
+                "{g}: PaPar should scale, busiest node maps {papar_1} -> {papar_16} records"
             );
-            // PowerLyra's 8->16 gain is marginal at these sizes.
-            let pl_8 = series[3].2.as_secs_f64();
-            let pl_16 = series[4].2.as_secs_f64();
+            // PowerLyra's dynamic scoring does not parallelize: every
+            // score lookup lands on one node, beside that node's share of
+            // the edge placements, so 8 -> 16 nodes barely helps.
+            let rounds = scoring_rounds(graph.triangles(), graph.num_edges());
+            let run =
+                powerlyra_partition_with_rounds(&graph, 16, threshold, rounds).expect("baseline");
+            let busiest =
+                |nodes: u64| run.score_lookups + (graph.num_edges() as u64).div_ceil(nodes);
+            let (pl_8, pl_16) = (busiest(8), busiest(16));
             assert!(
-                pl_16 > pl_8 * 0.7,
-                "{g}: PowerLyra should saturate, got {pl_8} -> {pl_16}"
+                pl_16 * 10 > pl_8 * 7,
+                "{g}: PowerLyra should saturate, busiest node {pl_8} -> {pl_16}"
             );
         }
     }

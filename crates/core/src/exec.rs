@@ -7,6 +7,7 @@ use papar_mr::fault::RecoveryAction;
 use papar_mr::sampler::{self, RangePartitioner};
 use papar_mr::stats::{job_trace_from_stats, JobStats, NetModel, RecoveryStats};
 use papar_mr::{CheckpointSession, Cluster, Entry, MapReduceJob, Partitioner, TaskPhase};
+use papar_mr::{Emit, EntryRef, Mapper, TaskCtx};
 use papar_record::batch::{Batch, Dataset};
 use papar_record::packed::PackedRecord;
 use papar_record::wire;
@@ -487,7 +488,10 @@ impl WorkflowRunner {
 
     /// Execute the plan's physical stages in order. Outputs stay in the
     /// cluster's stores; fetch the final partitions with
-    /// `cluster.collect(&runner.plan().output_path)`. The report carries
+    /// `cluster.collect(&runner.plan().output_path)`. External inputs do
+    /// not: each leaves every store, primaries and replicas, at the map
+    /// barrier of the last job that reads it (declared intermediates
+    /// stay collectable). The report carries
     /// one [`JobStats`] per *physical* stage — a fused stage is one
     /// MapReduce job, so fused runs report fewer jobs (its trace span
     /// records the logical jobs it covers).
@@ -537,9 +541,16 @@ impl WorkflowRunner {
         #[cfg(debug_assertions)]
         let static_bounds = self.static_bounds(cluster, &phys);
         let mut scatter_charge_dropped = false;
+        let last_reads = self.last_readers(&phys);
         for (sidx, stage) in phys.stages.iter().enumerate() {
+            let release = last_reads[sidx].as_slice();
             if let Some(s) = &session {
                 if s.is_complete(sidx) {
+                    // Skipping the stage that last reads an input drops it
+                    // too, so resumed and cold runs hold the same stores.
+                    for name in release {
+                        cluster.release(name);
+                    }
                     self.restore_stage(cluster, s, sidx, stage, &net)?;
                     report.jobs.push(s.completed()[sidx].stats.clone());
                     report.stages_resumed += 1;
@@ -569,6 +580,7 @@ impl WorkflowRunner {
                 StageKind::Single(j) => self.run_single(
                     cluster,
                     &self.plan.jobs[*j],
+                    release,
                     &mut report.sample_time,
                     &mut report.notes,
                 )?,
@@ -578,13 +590,19 @@ impl WorkflowRunner {
                         stage,
                         *sort,
                         *distribute,
+                        release,
                         &mut report.sample_time,
                         &mut report.notes,
                     )?,
                 StageKind::FusedGroupSplit { group, split } => {
-                    self.run_fused_group_split(cluster, stage, *group, *split)?
+                    self.run_fused_group_split(cluster, stage, *group, *split, release)?
                 }
             };
+            // Engine jobs released their last-read inputs at the map
+            // barrier; map-only split and custom stages release them here.
+            for name in release {
+                cluster.release(name);
+            }
             if let Some(s) = &mut session {
                 persist_stage(cluster, s, sidx, stage, &self.plan, &stats, &net)?;
             }
@@ -631,6 +649,26 @@ impl WorkflowRunner {
             }
         }
         Ok(report)
+    }
+
+    /// Per physical stage, the external inputs it is the last reader of —
+    /// every job kind counts, custom operators included. Declared
+    /// intermediates are never released: callers may read them after
+    /// the run.
+    fn last_readers(&self, phys: &crate::physplan::PhysicalPlan) -> Vec<Vec<String>> {
+        let mut last = vec![Vec::new(); phys.stages.len()];
+        for (name, _) in &self.plan.external_inputs {
+            let reader = phys.stages.iter().rposition(|stage| {
+                stage
+                    .logical
+                    .iter()
+                    .any(|&j| self.plan.jobs[j].inputs.contains(name))
+            });
+            if let Some(sidx) = reader {
+                last[sidx].push(name.clone());
+            }
+        }
+        last
     }
 
     /// The run's resumability fingerprint: FNV-1a over a canonical text
@@ -728,11 +766,13 @@ impl WorkflowRunner {
         Ok(())
     }
 
-    /// Execute one unfused logical job.
+    /// Execute one unfused logical job; `release` names the inputs it is
+    /// the last reader of.
     fn run_single(
         &self,
         cluster: &mut Cluster,
         job: &JobPlan,
+        release: &[String],
         sample_time: &mut Duration,
         notes: &mut Vec<RunNote>,
     ) -> Result<JobStats> {
@@ -742,7 +782,7 @@ impl WorkflowRunner {
                 descending,
                 addons,
                 output_format,
-            } => self.run_sort(
+            } => self.run_sort_into(
                 cluster,
                 job,
                 *key_idx,
@@ -751,18 +791,28 @@ impl WorkflowRunner {
                 *output_format,
                 sample_time,
                 notes,
+                &job.id,
+                job.output(),
+                release,
             ),
             JobKind::Group {
                 key_idx,
                 addons,
                 output_format,
-            } => self.run_group(cluster, job, *key_idx, addons, *output_format),
+            } => self.run_group(cluster, job, *key_idx, addons, *output_format, release),
             JobKind::Split { key_idx, policy } => self.run_split(cluster, job, *key_idx, policy),
             JobKind::Distribute {
                 policy,
                 num_partitions,
                 final_schema,
-            } => self.run_distribute(cluster, job, *policy, *num_partitions, final_schema),
+            } => self.run_distribute(
+                cluster,
+                job,
+                *policy,
+                *num_partitions,
+                final_schema,
+                release,
+            ),
             JobKind::Custom { op_name, params } => self.run_custom(cluster, job, op_name, params),
         }
     }
@@ -915,33 +965,6 @@ impl WorkflowRunner {
             .max(1)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_sort(
-        &self,
-        cluster: &mut Cluster,
-        job: &JobPlan,
-        key_idx: usize,
-        descending: bool,
-        addons: &[BoundAddOn],
-        output_format: FormatOp,
-        sample_time: &mut Duration,
-        notes: &mut Vec<RunNote>,
-    ) -> Result<JobStats> {
-        let output = job.output().to_string();
-        self.run_sort_into(
-            cluster,
-            job,
-            key_idx,
-            descending,
-            addons,
-            output_format,
-            sample_time,
-            notes,
-            &job.id,
-            &output,
-        )
-    }
-
     /// The sort job body, parameterized over the engine job's name and
     /// output dataset so the fused sort→distribute stage can run the same
     /// sort under the stage's id into a streamed temporary.
@@ -958,6 +981,7 @@ impl WorkflowRunner {
         notes: &mut Vec<RunNote>,
         job_name: &str,
         output_name: &str,
+        release: &[String],
     ) -> Result<JobStats> {
         let mut num_reducers = self.reducers_for(job, cluster);
 
@@ -1046,13 +1070,7 @@ impl WorkflowRunner {
             descending,
             num_reducers,
         };
-        let mapper = FnMapper(move |_ctx: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-            let mut out = Vec::new();
-            for mi in inputs {
-                emit_keyed(&mi.data.batch, key_idx, &mut out).map_err(papar_mr::MrError::from)?;
-            }
-            Ok(out)
-        });
+        let mapper = KeyedMapper { key_idx };
         let addons = addons.to_vec();
         let out_format = job.outputs[0].1.format;
         let reducer = FnReducer(
@@ -1074,6 +1092,7 @@ impl WorkflowRunner {
             sort_by_key: true,
             descending,
             compress_key: self.compress_key(&job.input_meta),
+            release,
         };
         Ok(cluster.run_job(&mr_job)?)
     }
@@ -1085,15 +1104,10 @@ impl WorkflowRunner {
         key_idx: usize,
         addons: &[BoundAddOn],
         output_format: FormatOp,
+        release: &[String],
     ) -> Result<JobStats> {
         let num_reducers = self.reducers_for(job, cluster);
-        let mapper = FnMapper(move |_ctx: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-            let mut out = Vec::new();
-            for mi in inputs {
-                emit_keyed(&mi.data.batch, key_idx, &mut out).map_err(papar_mr::MrError::from)?;
-            }
-            Ok(out)
-        });
+        let mapper = KeyedMapper { key_idx };
         let addons = addons.to_vec();
         let out_format = job.outputs[0].1.format;
         let reducer = FnReducer(
@@ -1115,6 +1129,7 @@ impl WorkflowRunner {
             sort_by_key: true,
             descending: false,
             compress_key: self.compress_key(&job.input_meta),
+            release,
         };
         Ok(cluster.run_job(&mr_job)?)
     }
@@ -1166,15 +1181,15 @@ impl WorkflowRunner {
                         .unwrap_or_default();
                     for frag in frags {
                         records_in += frag.batch.record_count() as u64;
-                        for entry in batch_entries(frag.batch.clone()) {
-                            let key = entry_key(&entry, key_idx)?;
-                            let dest = policy.route(&key).ok_or_else(|| {
+                        for entry in EntryRef::all(&frag.batch) {
+                            let key = entry_key(entry, key_idx)?;
+                            let dest = policy.route(key).ok_or_else(|| {
                                 CoreError::exec(format!(
                                     "split key {key} matches no condition of job '{}'",
                                     job.id
                                 ))
                             })?;
-                            routed[dest].push(entry);
+                            routed[dest].push(entry.to_entry());
                         }
                     }
                 }
@@ -1293,6 +1308,7 @@ impl WorkflowRunner {
         policy: DistrPolicy,
         num_partitions: usize,
         final_schema: &Option<std::sync::Arc<papar_record::Schema>>,
+        release: &[String],
     ) -> Result<JobStats> {
         // Global offsets per (input, fragment ordinal) so the index-routed
         // policies (cyclic/block) see the global entry order; the paper's
@@ -1319,39 +1335,40 @@ impl WorkflowRunner {
         let projection = distribute_projection(job, final_schema)?;
 
         let policy_total = total as usize;
-        let mapper = FnMapper(move |_ctx: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-            let mut out = Vec::new();
-            for mi in inputs {
-                let base = fragment_base(&offsets, &mi.name, mi.ordinal)
-                    .map_err(papar_mr::MrError::from)?;
-                for (local, entry) in batch_entries(mi.data.batch.clone()).into_iter().enumerate() {
-                    let g = base as usize + local;
-                    let part = match policy {
-                        DistrPolicy::Cyclic | DistrPolicy::Block => {
-                            policy.partition_of_index(g, policy_total, num_partitions)
-                        }
-                        DistrPolicy::GraphVertexCut => {
-                            let routing = match &entry {
-                                // A whole low-degree group travels to the
-                                // partition its in-vertex hashes to.
-                                Entry::Packed(p) => p.key.clone(),
-                                // High-degree in-edges spread by source
-                                // vertex (field 0 of an edge record).
-                                Entry::Rec(r) => {
-                                    r.require(0).map_err(papar_mr::MrError::from)?.clone()
-                                }
-                            };
-                            policy.partition_of_value(&routing, num_partitions)
-                        }
-                    };
-                    // Key embeds both the route and the global order; see
-                    // EmbeddedOrderPartitioner.
-                    let key = (g as i64) * num_partitions as i64 + part as i64;
-                    out.push((Value::Long(key), entry));
+        let mapper = FnMapper(
+            move |_ctx: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+                for mi in inputs {
+                    let base = fragment_base(&offsets, &mi.name, mi.ordinal)
+                        .map_err(papar_mr::MrError::from)?;
+                    for (local, entry) in EntryRef::all(&mi.data.batch).enumerate() {
+                        let g = base as usize + local;
+                        let part = match policy {
+                            DistrPolicy::Cyclic | DistrPolicy::Block => {
+                                policy.partition_of_index(g, policy_total, num_partitions)
+                            }
+                            DistrPolicy::GraphVertexCut => {
+                                let routing = match entry {
+                                    // A whole low-degree group travels to the
+                                    // partition its in-vertex hashes to.
+                                    EntryRef::Packed(p) => &p.key,
+                                    // High-degree in-edges spread by source
+                                    // vertex (field 0 of an edge record).
+                                    EntryRef::Rec(r) => {
+                                        r.require(0).map_err(papar_mr::MrError::from)?
+                                    }
+                                };
+                                policy.partition_of_value(routing, num_partitions)
+                            }
+                        };
+                        // Key embeds both the route and the global order; see
+                        // EmbeddedOrderPartitioner.
+                        let key = (g as i64) * num_partitions as i64 + part as i64;
+                        out.push(&Value::Long(key), entry)?;
+                    }
                 }
-            }
-            Ok(out)
-        });
+                Ok(())
+            },
+        );
         let out_format = job.outputs[0].1.format;
         let reducer = FnReducer(
             move |_ctx: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
@@ -1398,6 +1415,7 @@ impl WorkflowRunner {
             sort_by_key: true,
             descending: false,
             compress_key: self.compress_key_any(&job.input_metas),
+            release,
         };
         Ok(cluster.run_job(&mr_job)?)
     }
@@ -1458,12 +1476,14 @@ impl WorkflowRunner {
     /// `g * P + part` reduce keys sort them, so the committed bytes are
     /// identical to the two-job plan. Like the unfused pre-pass, the
     /// driver-side walk is not charged to the virtual clock.
+    #[allow(clippy::too_many_arguments)]
     fn run_fused_sort_distribute(
         &self,
         cluster: &mut Cluster,
         stage: &PhysicalStage,
         sort_idx: usize,
         dist_idx: usize,
+        release: &[String],
         sample_time: &mut Duration,
         notes: &mut Vec<RunNote>,
     ) -> Result<JobStats> {
@@ -1507,6 +1527,7 @@ impl WorkflowRunner {
             notes,
             &stage.id,
             &temp,
+            release,
         )?;
         if cluster.tracing() {
             cluster.annotate_last_job_trace(vec![sjob.id.clone(), djob.id.clone()]);
@@ -1606,6 +1627,7 @@ impl WorkflowRunner {
         stage: &PhysicalStage,
         group_idx: usize,
         split_idx: usize,
+        release: &[String],
     ) -> Result<JobStats> {
         let gjob = &self.plan.jobs[group_idx];
         let sjob = &self.plan.jobs[split_idx];
@@ -1632,13 +1654,7 @@ impl WorkflowRunner {
         };
         let num_reducers = self.reducers_for(gjob, cluster);
         let group_key = *key_idx;
-        let mapper = FnMapper(move |_ctx: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-            let mut out = Vec::new();
-            for mi in inputs {
-                emit_keyed(&mi.data.batch, group_key, &mut out).map_err(papar_mr::MrError::from)?;
-            }
-            Ok(out)
-        });
+        let mapper = KeyedMapper { key_idx: group_key };
         let reducer = FusedGroupSplitReducer {
             addons,
             key_idx: group_key,
@@ -1666,6 +1682,7 @@ impl WorkflowRunner {
             sort_by_key: true,
             descending: false,
             compress_key: self.compress_key(&gjob.input_meta),
+            release,
         };
         let stats = cluster.run_job_multi(&mr_job, &extra)?;
         if cluster.tracing() {
@@ -1880,8 +1897,9 @@ impl Reducer for FusedGroupSplitReducer<'_> {
         // ...then exactly what the unfused split did with that fragment.
         let mut routed: Vec<Vec<Entry>> = (0..self.policy.arity()).map(|_| Vec::new()).collect();
         for entry in batch_entries(grouped) {
-            let key = entry_key(&entry, self.split_key_idx).map_err(papar_mr::MrError::from)?;
-            let dest = self.policy.route(&key).ok_or_else(|| {
+            let key =
+                entry_key(entry.as_ref(), self.split_key_idx).map_err(papar_mr::MrError::from)?;
+            let dest = self.policy.route(key).ok_or_else(|| {
                 papar_mr::MrError::msg(format!(
                     "split key {key} matches no condition of job '{}'",
                     self.job_id
@@ -1964,27 +1982,22 @@ fn sample_keys(batch: &Batch, key_idx: usize, stride: usize, out: &mut Vec<Value
     Ok(())
 }
 
-/// Emit `(key, entry)` pairs for every entry of a batch.
-fn emit_keyed(batch: &Batch, key_idx: usize, out: &mut Vec<(Value, Entry)>) -> Result<()> {
-    match batch {
-        Batch::Flat(records) => {
-            for r in records {
-                let key = r.require(key_idx).map_err(CoreError::from)?.clone();
-                out.push((key, Entry::Rec(r.clone())));
+/// Map task of sort and group (the fused group→split stage included):
+/// every input entry, keyed by its `key_idx` field, both borrowed from the
+/// input fragment.
+struct KeyedMapper {
+    key_idx: usize,
+}
+
+impl Mapper for KeyedMapper {
+    fn map(&self, _: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> papar_mr::Result<()> {
+        for mi in inputs {
+            for entry in EntryRef::all(&mi.data.batch) {
+                out.push(entry_key(entry, self.key_idx)?, entry)?;
             }
         }
-        Batch::Packed(groups) => {
-            for g in groups {
-                let first = g
-                    .records
-                    .first()
-                    .ok_or_else(|| CoreError::exec("packed group with no members"))?;
-                let key = first.require(key_idx).map_err(CoreError::from)?.clone();
-                out.push((key, Entry::Packed(g.clone())));
-            }
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// The shared reduce logic of sort and group: pairs arrive key-sorted;
@@ -2031,7 +2044,7 @@ fn reduce_ordered(
     Ok(batch)
 }
 
-/// Decompose a batch into shuffle entries.
+/// Decompose a batch into shuffle entries, by move.
 fn batch_entries(batch: Batch) -> Vec<Entry> {
     match batch {
         Batch::Flat(records) => records.into_iter().map(Entry::Rec).collect(),
@@ -2039,18 +2052,16 @@ fn batch_entries(batch: Batch) -> Vec<Entry> {
     }
 }
 
-/// The routing key of one entry.
-fn entry_key(entry: &Entry, key_idx: usize) -> Result<Value> {
-    match entry {
-        Entry::Rec(r) => Ok(r.require(key_idx).map_err(CoreError::from)?.clone()),
-        Entry::Packed(p) => {
-            let first = p
-                .records
-                .first()
-                .ok_or_else(|| CoreError::exec("packed group with no members"))?;
-            Ok(first.require(key_idx).map_err(CoreError::from)?.clone())
-        }
-    }
+/// The routing key of one entry (a packed group's: its first member's).
+fn entry_key(entry: EntryRef<'_>, key_idx: usize) -> Result<&Value> {
+    let rec = match entry {
+        EntryRef::Rec(r) => r,
+        EntryRef::Packed(p) => p
+            .records
+            .first()
+            .ok_or_else(|| CoreError::exec("packed group with no members"))?,
+    };
+    rec.require(key_idx).map_err(CoreError::from)
 }
 
 /// Rebuild a batch from entries under a target format.

@@ -745,3 +745,266 @@ fn fused_stage_moves_its_temp_out_of_every_store_after_a_recovered_crash() {
         unfused.collect("/data/parts").unwrap()
     );
 }
+
+/// One store's `(dataset, ordinal)` ids.
+type Ids = Vec<(String, u32)>;
+
+/// Every store's dataset names, primaries and replicas, per node.
+fn store_ids(cluster: &Cluster) -> Vec<(Ids, Ids)> {
+    (0..cluster.num_nodes())
+        .map(|n| {
+            (
+                cluster.node(n).fragment_ids(),
+                cluster.node(n).replica_ids(),
+            )
+        })
+        .collect()
+}
+
+fn holds(cluster: &Cluster, name: &str) -> bool {
+    store_ids(cluster)
+        .iter()
+        .any(|(p, r)| p.iter().chain(r).any(|(n, _)| n == name))
+}
+
+/// Run a bound plan over `input` on a 3-node cluster with one replica
+/// per fragment; the cluster and the report come back.
+fn run_replicated(
+    runner: &WorkflowRunner,
+    input: Vec<Record>,
+) -> (Cluster, papar_core::exec::WorkflowReport) {
+    let mut cluster = Cluster::new(3).with_replication(1);
+    let (name, meta) = runner.plan().external_inputs[0].clone();
+    runner
+        .scatter_input(
+            &mut cluster,
+            &name,
+            Dataset::new(meta.schema, Batch::Flat(input)),
+        )
+        .unwrap();
+    let report = runner.run(&mut cluster).unwrap();
+    (cluster, report)
+}
+
+/// The external input is resident only until the map barrier of its last
+/// reader: after a run of Figure 8 or Figure 10, fused or not, no store
+/// names it — primaries or replicas — while declared intermediates stay
+/// collectable.
+#[test]
+fn external_input_leaves_every_store_after_the_run() {
+    for fuse in [true, false] {
+        let options = ExecOptions {
+            fuse,
+            ..ExecOptions::default()
+        };
+        let planner = Planner::from_xml(BLAST_WORKFLOW, &[BLAST_INPUT_CFG]).unwrap();
+        let plan = planner
+            .bind(&args(&[
+                ("input_path", "/data/env_nr"),
+                ("output_path", "/data/parts"),
+                ("num_partitions", "3"),
+            ]))
+            .unwrap();
+        let runner = WorkflowRunner::with_options(plan, options);
+        let (cluster, _) = run_replicated(&runner, figure9_input());
+        assert!(!holds(&cluster, "/data/env_nr"), "fig 8 fuse={fuse}");
+        assert_eq!(cluster.collect("/data/parts").unwrap().len(), 3);
+        if !fuse {
+            let sorted = cluster.collect_concat("/user/sort_output").unwrap();
+            assert_eq!(sorted.batch.record_count(), 12);
+        }
+
+        let runner = hybrid_runner_with("3", "4", options);
+        let (cluster, _) = run_replicated(&runner, figure11_edges());
+        assert!(!holds(&cluster, "/data/edges"), "fig 10 fuse={fuse}");
+        assert_eq!(cluster.collect("/data/parts").unwrap().len(), 3);
+        if !fuse {
+            assert!(cluster.collect("/tmp/group").is_ok());
+        }
+    }
+}
+
+/// Two jobs read the input: it survives the first job and leaves at the
+/// second's map barrier, and the partitions equal Figure 9's.
+#[test]
+fn input_with_two_readers_is_kept_until_the_second() {
+    const TWO_READERS: &str = r#"
+<workflow id="two_readers" name="two readers">
+  <arguments>
+    <param name="input_path" type="hdfs" format="blast_db"/>
+    <param name="output_path" type="hdfs" format="blast_db"/>
+    <param name="num_partitions" type="integer"/>
+  </arguments>
+  <operators>
+    <operator id="sort" operator="Sort" num_reducers="3">
+      <param name="inputPath" type="String" value="$input_path"/>
+      <param name="outputPath" type="String" value="/user/sort_output"/>
+      <param name="key" type="KeyId" value="seq_size"/>
+    </operator>
+    <operator id="by_start" operator="Sort">
+      <param name="inputPath" type="String" value="$input_path"/>
+      <param name="outputPath" type="String" value="/user/by_start"/>
+      <param name="key" type="KeyId" value="seq_start"/>
+    </operator>
+    <operator id="distr" operator="Distribute">
+      <param name="inputPath" type="String" value="$sort.outputPath"/>
+      <param name="outputPath" type="String" value="$output_path"/>
+      <param name="distrPolicy" type="DistrPolicy" value="roundRobin"/>
+      <param name="numPartitions" type="integer" value="$num_partitions"/>
+    </operator>
+  </operators>
+</workflow>"#;
+    let bind = |workflow: &str| {
+        Planner::from_xml(workflow, &[BLAST_INPUT_CFG])
+            .unwrap()
+            .bind(&args(&[
+                ("input_path", "/data/env_nr"),
+                ("output_path", "/data/parts"),
+                ("num_partitions", "3"),
+            ]))
+            .unwrap()
+    };
+    let runner = WorkflowRunner::new(bind(TWO_READERS));
+    let (cluster, report) = run_replicated(&runner, figure9_input());
+    assert_eq!(report.jobs.len(), 3, "nothing fuses: the sort has a gap");
+    assert_eq!(report.jobs[0].records_in, 12);
+    assert_eq!(
+        report.jobs[1].records_in, 12,
+        "the second reader must still see the whole input"
+    );
+    assert!(!holds(&cluster, "/data/env_nr"));
+    assert_eq!(
+        cluster
+            .collect_concat("/user/by_start")
+            .unwrap()
+            .batch
+            .record_count(),
+        12
+    );
+    let (fig8, _) = run_replicated(&WorkflowRunner::new(bind(BLAST_WORKFLOW)), figure9_input());
+    assert_eq!(
+        cluster.collect("/data/parts").unwrap(),
+        fig8.collect("/data/parts").unwrap()
+    );
+}
+
+/// A checkpointed run resumed after stage 0 skips the stage that last
+/// read the input, and drops the input there: its stores then hold
+/// exactly what a cold run's do.
+#[test]
+fn resumed_run_holds_the_cold_runs_stores() {
+    use papar_mr::{Fault, FaultPlan, RetryPolicy, TaskPhase};
+    let dir = std::env::temp_dir().join(format!("papar-liveness-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let runner = |resume: bool| {
+        let plan = Planner::from_xml(BLAST_WORKFLOW, &[BLAST_INPUT_CFG])
+            .unwrap()
+            .bind(&args(&[
+                ("input_path", "/data/env_nr"),
+                ("output_path", "/data/parts"),
+                ("num_partitions", "3"),
+            ]))
+            .unwrap();
+        let options = ExecOptions {
+            fuse: false,
+            ..ExecOptions::default()
+        };
+        WorkflowRunner::with_options(plan, options).with_checkpoint(&dir, resume, 0)
+    };
+    let scatter = |runner: &WorkflowRunner, cluster: &mut Cluster| {
+        let schema = runner.plan().external_inputs[0].1.schema.clone();
+        runner
+            .scatter_input(
+                cluster,
+                "/data/env_nr",
+                Dataset::new(schema, Batch::Flat(figure9_input())),
+            )
+            .unwrap();
+    };
+
+    // Interrupted run: stage 0 commits, the distribute's map task on
+    // node 0 crashes on every attempt.
+    let crashes = (0..2)
+        .map(|_| Fault::NodeCrash {
+            node: 0,
+            job: 1,
+            phase: TaskPhase::Map,
+        })
+        .collect();
+    let mut broken = Cluster::new(3)
+        .with_replication(1)
+        .with_fault_plan(FaultPlan::new(crashes))
+        .with_retry(RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        });
+    let first = runner(false);
+    scatter(&first, &mut broken);
+    assert!(first.run(&mut broken).is_err());
+
+    let resumed_runner = runner(true);
+    let mut resumed = Cluster::new(3).with_replication(1);
+    scatter(&resumed_runner, &mut resumed);
+    let report = resumed_runner.run(&mut resumed).unwrap();
+    assert_eq!(report.stages_resumed, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (cold, _) = run_replicated(&runner(false), figure9_input());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!holds(&resumed, "/data/env_nr"));
+    assert_eq!(store_ids(&resumed), store_ids(&cold));
+    for name in ["/user/sort_output", "/data/parts"] {
+        assert_eq!(resumed.collect(name).unwrap(), cold.collect(name).unwrap());
+    }
+}
+
+/// A map-only split that reads the input last releases it at the end of
+/// its stage, like an engine job does at its map barrier.
+#[test]
+fn split_as_last_reader_releases_the_input() {
+    const SPLIT_FIRST: &str = r#"
+<workflow id="split_first" name="split first">
+  <arguments>
+    <param name="input_path" type="hdfs" format="blast_db"/>
+    <param name="output_path" type="hdfs" format="blast_db"/>
+    <param name="num_partitions" type="integer"/>
+  </arguments>
+  <operators>
+    <operator id="split" operator="Split">
+      <param name="inputPath" type="String" value="$input_path"/>
+      <param name="outputPathList" type="StringList"
+             value="/tmp/split/long,/tmp/split/short" format="orig,orig"/>
+      <param name="key" type="KeyId" value="seq_size"/>
+      <param name="policy" type="SplitPolicy" value="{&gt;=, 90},{&lt;, 90}"/>
+    </operator>
+    <operator id="distr" operator="Distribute">
+      <param name="inputPath" type="String" value="/tmp/split/"/>
+      <param name="outputPath" type="String" value="$output_path"/>
+      <param name="distrPolicy" type="DistrPolicy" value="roundRobin"/>
+      <param name="numPartitions" type="integer" value="$num_partitions"/>
+    </operator>
+  </operators>
+</workflow>"#;
+    let plan = Planner::from_xml(SPLIT_FIRST, &[BLAST_INPUT_CFG])
+        .unwrap()
+        .bind(&args(&[
+            ("input_path", "/data/env_nr"),
+            ("output_path", "/data/parts"),
+            ("num_partitions", "3"),
+        ]))
+        .unwrap();
+    let (cluster, report) = run_replicated(&WorkflowRunner::new(plan), figure9_input());
+    assert_eq!(report.jobs.len(), 2);
+    assert!(!holds(&cluster, "/data/env_nr"));
+    let long = cluster.collect_concat("/tmp/split/long").unwrap();
+    let short = cluster.collect_concat("/tmp/split/short").unwrap();
+    assert_eq!(long.batch.record_count(), 8);
+    assert_eq!(short.batch.record_count(), 4);
+    let total: usize = cluster
+        .collect("/data/parts")
+        .unwrap()
+        .iter()
+        .map(|p| p.batch.record_count())
+        .sum();
+    assert_eq!(total, 12);
+}

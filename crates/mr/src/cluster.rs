@@ -436,6 +436,15 @@ impl Cluster {
             .collect())
     }
 
+    /// Remove a dataset from every node, primaries and the replicas held
+    /// for them. Handles held outside the cluster (a daemon's data cache)
+    /// keep their records alive; the cluster only drops its own.
+    pub fn release(&mut self, name: &str) {
+        for node in &mut self.nodes {
+            node.remove(name);
+        }
+    }
+
     /// All-to-all exchange of byte buffers: `outboxes[from][to]` is the
     /// buffer node `from` sends to node `to`. Returns the inboxes (for each
     /// receiver, the `(sender, buffer)` list in sender order) plus the

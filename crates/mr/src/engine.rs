@@ -4,14 +4,22 @@
 //! The execution follows the paper's Figures 9 and 11 exactly:
 //!
 //! 1. every node runs one **mapper** over its local fragments of the input
-//!    dataset(s) and emits `(reduce-key, entry)` pairs;
-//! 2. a **partitioner** maps each reduce key to one of `num_reducers`
-//!    reducers (range-sampled for sort, identity for distribute, hashed for
-//!    group), and the pairs are serialized and shuffled all-to-all;
+//!    dataset(s) and pushes `(reduce-key, entry)` pairs into an [`Emit`],
+//!    borrowing both from the fragments;
+//! 2. [`Emit::push`] asks the **partitioner** for the pair's reducer (range-
+//!    sampled for sort, identity for distribute, hashed for group) and
+//!    encodes the pair straight into the outbox row bound for that
+//!    reducer's node — map output is bytes from the moment it exists, like
+//!    MR-MPI's `KeyValue::add`; the rows are then shuffled all-to-all;
 //! 3. every node runs the **reducer** for each reducer id it owns
 //!    (`reducer % num_nodes`), receiving the pairs sorted deterministically,
 //!    and writes its output fragment under the job's output name with the
 //!    reducer id as the fragment ordinal.
+//!
+//! A job may name inputs it is the last reader of ([`MapReduceJob::release`]):
+//! once every map task has committed, those datasets leave every store,
+//! primaries and replicas, before the shuffle, so they are not resident
+//! through the reduce phase.
 //!
 //! Determinism: each pair carries its emitting mapper id and emission index,
 //! and the engine sorts each reducer's pairs by `(key, mapper, seq)` (or
@@ -61,9 +69,54 @@ pub enum Entry {
 impl Entry {
     /// Number of flat records this entry represents.
     pub fn record_count(&self) -> usize {
+        self.as_ref().record_count()
+    }
+
+    /// Borrow this entry as an [`EntryRef`].
+    pub fn as_ref(&self) -> EntryRef<'_> {
         match self {
-            Entry::Rec(_) => 1,
-            Entry::Packed(p) => p.records.len(),
+            Entry::Rec(r) => EntryRef::Rec(r),
+            Entry::Packed(p) => EntryRef::Packed(p),
+        }
+    }
+}
+
+/// An [`Entry`] borrowed from where it lives — usually a map task's
+/// input fragment — so emitting it encodes the bytes without a copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EntryRef<'a> {
+    /// A flat record.
+    Rec(&'a Record),
+    /// A packed group.
+    Packed(&'a PackedRecord),
+}
+
+impl<'a> EntryRef<'a> {
+    /// Every entry of a batch, borrowed, in batch order.
+    pub fn all(batch: &'a Batch) -> impl Iterator<Item = EntryRef<'a>> {
+        let (records, groups): (&[Record], &[PackedRecord]) = match batch {
+            Batch::Flat(r) => (r, &[]),
+            Batch::Packed(g) => (&[], g),
+        };
+        records
+            .iter()
+            .map(EntryRef::Rec)
+            .chain(groups.iter().map(EntryRef::Packed))
+    }
+
+    /// Number of flat records this entry represents.
+    pub fn record_count(self) -> usize {
+        match self {
+            EntryRef::Rec(_) => 1,
+            EntryRef::Packed(p) => p.records.len(),
+        }
+    }
+
+    /// An owned copy of the entry.
+    pub fn to_entry(self) -> Entry {
+        match self {
+            EntryRef::Rec(r) => Entry::Rec(r.clone()),
+            EntryRef::Packed(p) => Entry::Packed(p.clone()),
         }
     }
 }
@@ -93,15 +146,62 @@ pub struct MapInput {
     pub data: Arc<Dataset>,
 }
 
-/// A map task: local fragments in, `(reduce-key, entry)` pairs out.
+/// A map task: local fragments in, `(reduce-key, entry)` pairs emitted.
 ///
 /// `Sync` because one task object is shared by all node workers of a phase
 /// (tasks are stateless transforms; per-node state lives in the inputs).
 pub trait Mapper: Sync {
-    /// Transform this node's local input fragments into keyed entries.
-    /// `inputs` holds the node's fragments in (dataset, ordinal) order;
-    /// nodes without local fragments get an empty slice.
-    fn map(&self, ctx: &TaskCtx, inputs: &[MapInput]) -> Result<Vec<(Value, Entry)>>;
+    /// Push this node's local input fragments as keyed entries into `out`,
+    /// in emission order (the order is part of the reduce-side total
+    /// order). Keys and entries are borrowed, typically from `inputs`;
+    /// the emitter encodes them at once. `inputs` holds the node's
+    /// fragments in (dataset, ordinal) order; nodes without local
+    /// fragments get an empty slice.
+    fn map(&self, ctx: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> Result<()>;
+}
+
+/// A map task's sink: each pushed pair is routed by the job's partitioner
+/// and wire-encoded into the outbox row of the node owning its reducer.
+pub struct Emit<'a> {
+    partitioner: &'a dyn Partitioner,
+    num_reducers: usize,
+    schema: &'a Schema,
+    compress_key: Option<usize>,
+    /// Outbox row: one buffer per destination node.
+    row: &'a mut [Vec<u8>],
+    /// Per-reducer records/bytes, when tracing.
+    skew: Option<&'a mut SkewHistogram>,
+    /// Pairs pushed so far; the next pair's `seq`.
+    pairs: usize,
+}
+
+impl Emit<'_> {
+    /// Route `(key, entry)` to its reducer and encode it into the outbox:
+    /// `reducer` and `seq` (the push index) headers, the key, the entry.
+    pub fn push(&mut self, key: &Value, entry: EntryRef<'_>) -> Result<()> {
+        let reducer = self.partitioner.reducer_for(key, self.num_reducers)?;
+        if reducer >= self.num_reducers {
+            // Defensive re-check for third-party partitioners that
+            // return in-band instead of erroring.
+            return Err(MrError::PartitionOutOfRange {
+                id: reducer as i64,
+                num_reducers: self.num_reducers,
+            });
+        }
+        let nodes = self.row.len();
+        let buf = &mut self.row[reducer % nodes];
+        let len_before = buf.len();
+        buf.extend_from_slice(&wire_u32("reducer", reducer)?.to_le_bytes());
+        buf.extend_from_slice(&wire_u32("seq", self.pairs)?.to_le_bytes());
+        wire::encode_value(key, buf);
+        encode_entry(entry, self.schema, self.compress_key, buf)?;
+        if let Some(sk) = self.skew.as_deref_mut() {
+            sk.records[reducer] += entry.record_count() as u64;
+            sk.bytes[reducer] += (buf.len() - len_before) as u64;
+        }
+        self.pairs += 1;
+        Ok(())
+    }
 }
 
 /// Assignment of reduce keys to reducers (`Sync`: shared across node
@@ -136,10 +236,10 @@ pub struct FnMapper<F>(pub F);
 
 impl<F> Mapper for FnMapper<F>
 where
-    F: Fn(&TaskCtx, &[MapInput]) -> Result<Vec<(Value, Entry)>> + Sync,
+    F: Fn(&TaskCtx, &[MapInput], &mut Emit<'_>) -> Result<()> + Sync,
 {
-    fn map(&self, ctx: &TaskCtx, inputs: &[MapInput]) -> Result<Vec<(Value, Entry)>> {
-        (self.0)(ctx, inputs)
+    fn map(&self, ctx: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> Result<()> {
+        (self.0)(ctx, inputs, out)
     }
 }
 
@@ -212,20 +312,25 @@ pub struct MapReduceJob<'a> {
     /// this index out of group members (paper Section III-D); `None` sends
     /// packed groups uncompressed.
     pub compress_key: Option<usize>,
+    /// Inputs this job is the last reader of: removed from every store,
+    /// primaries and replicas, once the map barrier commits and before
+    /// the shuffle. A reduce-phase crash therefore no longer restores
+    /// (or charges) them — nothing reads them again.
+    pub release: &'a [String],
 }
 
 fn encode_entry(
-    entry: &Entry,
+    entry: EntryRef<'_>,
     schema: &Schema,
     compress_key: Option<usize>,
     buf: &mut Vec<u8>,
 ) -> Result<()> {
     match entry {
-        Entry::Rec(r) => {
+        EntryRef::Rec(r) => {
             buf.push(ENTRY_REC);
             wire::encode_record(r, schema, buf)?;
         }
-        Entry::Packed(p) => match compress_key {
+        EntryRef::Packed(p) => match compress_key {
             Some(key_idx) => {
                 buf.push(ENTRY_PACKED_CSC);
                 wire::encode_value(&p.key, buf);
@@ -664,6 +769,11 @@ impl Cluster {
                 .map(|row| row.iter().map(Vec::len).collect())
                 .collect(),
         );
+        // Every map task has committed: inputs with no later reader leave
+        // the stores now, so they are not resident through the reduce.
+        for name in job.release {
+            self.release(name);
+        }
 
         // ---- Shuffle. ----
         let (inboxes, exchange) = self.exchange_with_faults(job_idx, &job.name, outboxes)?;
@@ -801,29 +911,17 @@ impl Cluster {
                 num_reducers: job.num_reducers,
                 reducer: None,
             };
-            let pairs = job.mapper.map(&ctx, &inputs)?;
-            let pair_count = pairs.len() as u64;
-            for (seq, (key, entry)) in pairs.into_iter().enumerate() {
-                let reducer = job.partitioner.reducer_for(&key, job.num_reducers)?;
-                if reducer >= job.num_reducers {
-                    // Defensive re-check for third-party partitioners
-                    // that return in-band instead of erroring.
-                    return Err(MrError::PartitionOutOfRange {
-                        id: reducer as i64,
-                        num_reducers: job.num_reducers,
-                    });
-                }
-                let buf = &mut out.row[reducer % pc.n];
-                let len_before = buf.len();
-                buf.extend_from_slice(&wire_u32("reducer", reducer)?.to_le_bytes());
-                buf.extend_from_slice(&wire_u32("seq", seq)?.to_le_bytes());
-                wire::encode_value(&key, buf);
-                encode_entry(&entry, &job.map_output_schema, job.compress_key, buf)?;
-                if let Some(sk) = skew.as_mut() {
-                    sk.records[reducer] += entry.record_count() as u64;
-                    sk.bytes[reducer] += (buf.len() - len_before) as u64;
-                }
-            }
+            let mut emit = Emit {
+                partitioner: job.partitioner,
+                num_reducers: job.num_reducers,
+                schema: &job.map_output_schema,
+                compress_key: job.compress_key,
+                row: &mut out.row,
+                skew: skew.as_mut(),
+                pairs: 0,
+            };
+            job.mapper.map(&ctx, &inputs, &mut emit)?;
+            let pair_count = emit.pairs as u64;
             let raw = t0.elapsed();
             cpu += raw;
             let elapsed = scale_compute(raw, pc.stragglers[node]);

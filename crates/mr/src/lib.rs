@@ -55,7 +55,9 @@ mod timer;
 
 pub use checkpoint::{CheckpointSession, StageRecord};
 pub use cluster::{default_thread_budget, Cluster};
-pub use engine::{Entry, MapInput, MapReduceJob, Mapper, Partitioner, Reducer, TaskCtx};
+pub use engine::{
+    Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, Partitioner, Reducer, TaskCtx,
+};
 pub use fault::{ChaosSpec, Fault, FaultPlan, RecoveryAction, RetryPolicy};
 pub use sampler::RangePartitioner;
 pub use stats::{JobStats, NetModel, RecoveryStats};

@@ -3,7 +3,9 @@
 use papar_config::input::FieldType;
 use papar_mr::engine::{FnMapper, FnReducer, HashPartitioner, IdentityPartitioner};
 use papar_mr::sampler::RangePartitioner;
-use papar_mr::{Cluster, Entry, MapInput, MapReduceJob, Mapper, MrError, Partitioner};
+use papar_mr::{
+    Cluster, Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, MrError, Partitioner,
+};
 use papar_record::batch::{Batch, Dataset};
 use papar_record::{rec, Record, Schema, Value};
 use proptest::prelude::*;
@@ -45,19 +47,18 @@ fn collect_ints(cluster: &Cluster, name: &str) -> Vec<Vec<i32>> {
 }
 
 /// The identity mapper: emit each record keyed by its first field.
-#[allow(clippy::type_complexity)]
 fn key_by_first(
-) -> FnMapper<impl Fn(&papar_mr::TaskCtx, &[MapInput]) -> papar_mr::Result<Vec<(Value, Entry)>>> {
-    FnMapper(|_ctx: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-        let mut out = Vec::new();
-        for MapInput { data: ds, .. } in inputs {
-            for r in ds.batch.clone().flatten() {
-                let key = r.value(0).unwrap().clone();
-                out.push((key, Entry::Rec(r)));
+) -> FnMapper<impl Fn(&papar_mr::TaskCtx, &[MapInput], &mut Emit<'_>) -> papar_mr::Result<()>> {
+    FnMapper(
+        |_ctx: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+            for MapInput { data: ds, .. } in inputs {
+                for r in ds.batch.as_flat().unwrap() {
+                    out.push(r.value(0).unwrap(), EntryRef::Rec(r))?;
+                }
             }
-        }
-        Ok(out)
-    })
+            Ok(())
+        },
+    )
 }
 
 /// The pass-through reducer: strip keys, keep entries in delivered order.
@@ -99,6 +100,7 @@ fn range_sorted_job_produces_globally_sorted_output() {
         sort_by_key: true,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     let stats = cluster.run_job(&job).unwrap();
     assert_eq!(stats.records_in, 200);
@@ -124,16 +126,17 @@ fn identity_partitioner_routes_to_named_reducer() {
         .unwrap();
 
     // Key = target partition (v % 3), like a distribute job's reduce-key.
-    let mapper = FnMapper(|_: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-        let mut out = Vec::new();
-        for MapInput { data: ds, .. } in inputs {
-            for r in ds.batch.clone().flatten() {
-                let v = r.value(0).unwrap().as_i64().unwrap();
-                out.push((Value::Int((v % 3) as i32), Entry::Rec(r)));
+    let mapper = FnMapper(
+        |_: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+            for MapInput { data: ds, .. } in inputs {
+                for r in ds.batch.as_flat().unwrap() {
+                    let v = r.value(0).unwrap().as_i64().unwrap();
+                    out.push(&Value::Int((v % 3) as i32), EntryRef::Rec(r))?;
+                }
             }
-        }
-        Ok(out)
-    });
+            Ok(())
+        },
+    );
     let reducer = strip_keys();
     let job = MapReduceJob {
         name: "distr".into(),
@@ -148,6 +151,7 @@ fn identity_partitioner_routes_to_named_reducer() {
         sort_by_key: false,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     cluster.run_job(&job).unwrap();
     let parts = collect_ints(&cluster, "parts");
@@ -190,6 +194,7 @@ fn hash_grouping_collects_equal_keys_on_one_reducer() {
         sort_by_key: true,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     cluster.run_job(&job).unwrap();
     // Every key's 10 copies must land in exactly one fragment.
@@ -215,15 +220,16 @@ fn packed_entries_survive_shuffle_with_and_without_compression() {
             .scatter("in", Dataset::new(pair_schema(), packed))
             .unwrap();
 
-        let mapper = FnMapper(|_: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-            let mut out = Vec::new();
-            for MapInput { data: ds, .. } in inputs {
-                for g in ds.batch.as_packed().unwrap() {
-                    out.push((g.key.clone(), Entry::Packed(g.clone())));
+        let mapper = FnMapper(
+            |_: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+                for MapInput { data: ds, .. } in inputs {
+                    for g in ds.batch.as_packed().unwrap() {
+                        out.push(&g.key, EntryRef::Packed(g))?;
+                    }
                 }
-            }
-            Ok(out)
-        });
+                Ok(())
+            },
+        );
         let reducer = FnReducer(|_: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
             let mut groups = Vec::new();
             for (_, e) in pairs {
@@ -248,6 +254,7 @@ fn packed_entries_survive_shuffle_with_and_without_compression() {
             sort_by_key: true,
             descending: false,
             compress_key: compress,
+            release: &[],
         };
         cluster.run_job(&job).unwrap();
         let out = cluster.collect_concat("out").unwrap();
@@ -276,15 +283,16 @@ fn compression_reduces_shuffled_bytes_on_redundant_groups() {
         cluster
             .scatter("in", Dataset::new(pair_schema(), packed))
             .unwrap();
-        let mapper = FnMapper(|_: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-            let mut out = Vec::new();
-            for MapInput { data: ds, .. } in inputs {
-                for g in ds.batch.as_packed().unwrap() {
-                    out.push((g.key.clone(), Entry::Packed(g.clone())));
+        let mapper = FnMapper(
+            |_: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+                for MapInput { data: ds, .. } in inputs {
+                    for g in ds.batch.as_packed().unwrap() {
+                        out.push(&g.key, EntryRef::Packed(g))?;
+                    }
                 }
-            }
-            Ok(out)
-        });
+                Ok(())
+            },
+        );
         let reducer = FnReducer(|_: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
             let mut groups = Vec::new();
             for (_, e) in pairs {
@@ -308,6 +316,7 @@ fn compression_reduces_shuffled_bytes_on_redundant_groups() {
             sort_by_key: true,
             descending: false,
             compress_key: compress,
+            release: &[],
         };
         let stats = cluster.run_job(&job).unwrap();
         stats.exchange.remote_bytes
@@ -343,6 +352,7 @@ fn results_are_deterministic_across_runs_and_node_counts_content() {
             sort_by_key: true,
             descending: false,
             compress_key: None,
+            release: &[],
         };
         cluster.run_job(&job).unwrap();
         collect_ints(&cluster, "out")
@@ -378,6 +388,7 @@ fn zero_reducers_is_an_error() {
         sort_by_key: false,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     assert!(cluster.run_job(&job).is_err());
 }
@@ -388,10 +399,12 @@ fn reducers_past_the_sort_key_field_are_an_error() {
     cluster.scatter("in", int_dataset(&[1, 2])).unwrap();
     let mapped = AtomicBool::new(false);
     let inner = key_by_first();
-    let mapper = FnMapper(|ctx: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-        mapped.store(true, AtomicOrdering::SeqCst);
-        inner.map(ctx, inputs)
-    });
+    let mapper = FnMapper(
+        |ctx: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+            mapped.store(true, AtomicOrdering::SeqCst);
+            inner.map(ctx, inputs, out)
+        },
+    );
     let reducer = strip_keys();
     let mut job = MapReduceJob {
         name: "wide".into(),
@@ -406,6 +419,7 @@ fn reducers_past_the_sort_key_field_are_an_error() {
         sort_by_key: true,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     let err = cluster.run_job(&job).unwrap_err();
     assert!(
@@ -460,6 +474,7 @@ fn out_of_range_partitioner_is_rejected() {
         sort_by_key: false,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     let e = cluster.run_job(&job).unwrap_err();
     assert!(e.to_string().contains("partitioner"), "{e}");
@@ -485,6 +500,7 @@ fn missing_input_dataset_yields_empty_maps() {
         sort_by_key: true,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     let stats = cluster.run_job(&job).unwrap();
     assert_eq!(stats.records_in, 0);
@@ -516,6 +532,7 @@ fn multiple_inputs_are_all_mapped() {
         sort_by_key: true,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     let stats = cluster.run_job(&job).unwrap();
     assert_eq!(stats.records_in, 3);
@@ -543,6 +560,7 @@ fn stats_time_components_are_populated() {
         sort_by_key: true,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     let stats = cluster.run_job(&job).unwrap();
     assert_eq!(stats.map_time_by_node.len(), 3);
@@ -566,16 +584,17 @@ fn reducers_outnumbering_nodes_still_produce_all_fragments() {
     let mut cluster = Cluster::new(2);
     let vals: Vec<i32> = (0..40).collect();
     cluster.scatter("in", int_dataset(&vals)).unwrap();
-    let mapper = FnMapper(|_: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-        let mut out = Vec::new();
-        for MapInput { data: ds, .. } in inputs {
-            for r in ds.batch.clone().flatten() {
-                let v = r.value(0).unwrap().as_i64().unwrap();
-                out.push((Value::Int((v % 8) as i32), Entry::Rec(r)));
+    let mapper = FnMapper(
+        |_: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+            for MapInput { data: ds, .. } in inputs {
+                for r in ds.batch.as_flat().unwrap() {
+                    let v = r.value(0).unwrap().as_i64().unwrap();
+                    out.push(&Value::Int((v % 8) as i32), EntryRef::Rec(r))?;
+                }
             }
-        }
-        Ok(out)
-    });
+            Ok(())
+        },
+    );
     let reducer = strip_keys();
     let job = MapReduceJob {
         name: "wide".into(),
@@ -590,6 +609,7 @@ fn reducers_outnumbering_nodes_still_produce_all_fragments() {
         sort_by_key: false,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     cluster.run_job(&job).unwrap();
     let parts = collect_ints(&cluster, "out");
@@ -611,21 +631,17 @@ fn per_node_stats_land_in_their_slots_regardless_of_completion_order() {
     let vals: Vec<i32> = (0..30).collect();
     cluster.scatter("in", int_dataset(&vals)).unwrap();
     let spin_iters = [40_000_000u64, 4_000_000, 50_000];
-    let mapper = FnMapper(move |ctx: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-        let mut x = 1u64;
-        for i in 0..spin_iters[ctx.node] {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        std::hint::black_box(x);
-        let mut out = Vec::new();
-        for MapInput { data: ds, .. } in inputs {
-            for r in ds.batch.clone().flatten() {
-                let key = r.value(0).unwrap().clone();
-                out.push((key, Entry::Rec(r)));
+    let inner = key_by_first();
+    let mapper = FnMapper(
+        move |ctx: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+            let mut x = 1u64;
+            for i in 0..spin_iters[ctx.node] {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
             }
-        }
-        Ok(out)
-    });
+            std::hint::black_box(x);
+            inner.map(ctx, inputs, out)
+        },
+    );
     let reducer = strip_keys();
     let job = MapReduceJob {
         name: "slots".into(),
@@ -640,6 +656,7 @@ fn per_node_stats_land_in_their_slots_regardless_of_completion_order() {
         sort_by_key: true,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     let stats = cluster.run_job(&job).unwrap();
     assert_eq!(stats.map_time_by_node.len(), 3);
@@ -665,16 +682,17 @@ fn distribute_key_out_of_range_errors_instead_of_skewing() {
     // clamp it onto the last reducer and silently skew the output.
     let mut cluster = Cluster::new(2);
     cluster.scatter("in", int_dataset(&[1, 2, 3, 4])).unwrap();
-    let mapper = FnMapper(|_: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-        let mut out = Vec::new();
-        for MapInput { data: ds, .. } in inputs {
-            for r in ds.batch.clone().flatten() {
-                // Policy bug under test: one-past-the-end partition id.
-                out.push((Value::Int(3), Entry::Rec(r)));
+    let mapper = FnMapper(
+        |_: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+            for MapInput { data: ds, .. } in inputs {
+                for r in ds.batch.as_flat().unwrap() {
+                    // Policy bug under test: one-past-the-end partition id.
+                    out.push(&Value::Int(3), EntryRef::Rec(r))?;
+                }
             }
-        }
-        Ok(out)
-    });
+            Ok(())
+        },
+    );
     let reducer = strip_keys();
     let job = MapReduceJob {
         name: "distribute".into(),
@@ -689,6 +707,7 @@ fn distribute_key_out_of_range_errors_instead_of_skewing() {
         sort_by_key: false,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     let err = cluster.run_job(&job).unwrap_err();
     assert!(
@@ -707,15 +726,16 @@ fn distribute_key_out_of_range_errors_instead_of_skewing() {
 fn distribute_negative_key_errors_instead_of_clamping() {
     let mut cluster = Cluster::new(2);
     cluster.scatter("in", int_dataset(&[1, 2])).unwrap();
-    let mapper = FnMapper(|_: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-        let mut out = Vec::new();
-        for MapInput { data: ds, .. } in inputs {
-            for r in ds.batch.clone().flatten() {
-                out.push((Value::Int(-1), Entry::Rec(r)));
+    let mapper = FnMapper(
+        |_: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+            for MapInput { data: ds, .. } in inputs {
+                for r in ds.batch.as_flat().unwrap() {
+                    out.push(&Value::Int(-1), EntryRef::Rec(r))?;
+                }
             }
-        }
-        Ok(out)
-    });
+            Ok(())
+        },
+    );
     let reducer = strip_keys();
     let job = MapReduceJob {
         name: "distribute-neg".into(),
@@ -730,6 +750,7 @@ fn distribute_negative_key_errors_instead_of_clamping() {
         sort_by_key: false,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     let err = cluster.run_job(&job).unwrap_err();
     assert!(
@@ -766,6 +787,7 @@ fn collector_trace_covers_phases_tasks_and_skew() {
         sort_by_key: true,
         descending: false,
         compress_key: None,
+        release: &[],
     };
     let stats = cluster.run_job(&job).unwrap();
     let trace = cluster.take_trace().expect("collector must yield a trace");
@@ -846,17 +868,20 @@ fn run_recording(keys: &[Value], sort_by_key: bool, descending: bool, threads: u
     let mut cluster = Cluster::new(3).with_threads(threads);
     let ids: Vec<i32> = (0..keys.len() as i32).collect();
     cluster.scatter("in", int_dataset(&ids)).unwrap();
-    let mapper = FnMapper(|ctx: &papar_mr::TaskCtx, inputs: &[MapInput]| {
-        let mut out = Vec::new();
-        for MapInput { data: ds, .. } in inputs {
-            for r in ds.batch.clone().flatten() {
-                let id = r.value(0).unwrap().as_i64().unwrap() as i32;
-                let tag = rec![id, ctx.node as i32, out.len() as i32];
-                out.push((keys[id as usize].clone(), Entry::Rec(tag)));
+    let mapper = FnMapper(
+        |ctx: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+            let mut seq = 0;
+            for MapInput { data: ds, .. } in inputs {
+                for r in ds.batch.as_flat().unwrap() {
+                    let id = r.value(0).unwrap().as_i64().unwrap() as i32;
+                    let tag = rec![id, ctx.node as i32, seq];
+                    out.push(&keys[id as usize], EntryRef::Rec(&tag))?;
+                    seq += 1;
+                }
             }
-        }
-        Ok(out)
-    });
+            Ok(())
+        },
+    );
     let reducer = strip_keys();
     let job = MapReduceJob {
         name: "order".into(),
@@ -871,6 +896,7 @@ fn run_recording(keys: &[Value], sort_by_key: bool, descending: bool, threads: u
         sort_by_key,
         descending,
         compress_key: None,
+        release: &[],
     };
     cluster.run_job(&job).unwrap();
     cluster
@@ -941,5 +967,66 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Released at the map barrier, a job's input is gone before any reduce
+/// task runs: a reduce-phase crash restores — and charges — only the
+/// fragments still live (here another dataset the crashed node holds, as
+/// a primary and as a replica), at every thread count.
+#[test]
+fn reduce_crash_after_release_restores_live_fragments_only() {
+    use papar_mr::{Fault, FaultPlan, TaskPhase};
+    let input: Vec<i32> = (0..30).collect();
+    let other: Vec<i32> = (0..9).collect();
+    let restore_bytes = |release: &[String], threads: usize| -> u64 {
+        let mut cluster = Cluster::new(3)
+            .with_threads(threads)
+            .with_replication(1)
+            .with_fault_plan(FaultPlan::new(vec![Fault::NodeCrash {
+                node: 1,
+                job: 0,
+                phase: TaskPhase::Reduce,
+            }]));
+        cluster.scatter("in", int_dataset(&input)).unwrap();
+        cluster.scatter("other", int_dataset(&other)).unwrap();
+        let mapper = key_by_first();
+        let reducer = strip_keys();
+        let job = MapReduceJob {
+            name: "sort".into(),
+            inputs: vec!["in".into()],
+            output: "out".into(),
+            num_reducers: 3,
+            map_output_schema: int_schema(),
+            output_schema: int_schema(),
+            mapper: &mapper,
+            partitioner: &HashPartitioner,
+            reducer: &reducer,
+            sort_by_key: true,
+            descending: false,
+            compress_key: None,
+            release,
+        };
+        let stats = cluster.run_job(&job).unwrap();
+        assert_eq!(stats.recovery.faults_injected, 1);
+        assert_eq!(stats.records_out, 30);
+        let holds_input = (0..3).any(|n| {
+            let store = cluster.node(n);
+            store.contains("in") || store.replica_ids().iter().any(|(name, _)| name == "in")
+        });
+        assert_eq!(holds_input, release.is_empty());
+        stats.recovery.restore_bytes
+    };
+    // Scatter splits contiguously, one chunk per node; replica copies land
+    // on the next node. Node 1 holds chunk 1 and the replica of chunk 0.
+    let size = |vals: &[i32]| {
+        let ds = int_dataset(vals);
+        papar_record::wire::encoded_size(&ds.batch, &ds.schema).unwrap() as u64
+    };
+    let live = size(&other[3..6]) + size(&other[0..3]);
+    let released = size(&input[10..20]) + size(&input[0..10]);
+    for threads in [1, 4] {
+        assert_eq!(restore_bytes(&["in".to_string()], threads), live);
+        assert_eq!(restore_bytes(&[], threads), live + released);
     }
 }

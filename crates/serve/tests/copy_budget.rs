@@ -1,11 +1,14 @@
 //! Copy budget: a counting global allocator pins what each pipeline
-//! stage allocates on the paper's Figure 8 job, so a per-record deep copy
-//! that creeps back into a seam (a whole-file read, a clone of the
-//! cached input, a collect-then-clone before encoding) fails this
-//! deterministic test instead of hiding in a noisy benchmark row.
+//! stage allocates on the paper's Figure 8 and Figure 10 jobs, so a
+//! per-record deep copy that creeps back into a seam (a whole-file read,
+//! a clone of the cached input, a collect-then-clone before encoding, a
+//! map task cloning what it only reads) fails this deterministic test
+//! instead of hiding in a noisy benchmark row.
 //!
 //! Per-record costs are slopes between two input sizes, so constant
-//! per-job allocations (plan clones, paths, traces) cancel out.
+//! per-job allocations (plan clones, paths, traces) cancel out. The
+//! allocator is process-wide, so every measurement runs inside the one
+//! test below, never beside another.
 
 use mublastp::dbgen::DbSpec;
 use papar_serve::job::{self, Resources};
@@ -79,31 +82,70 @@ fn configs() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/configs")
 }
 
-/// Figure 8 over `sequences` generated sequences, `--records`-bounded,
-/// once through the stages and twice through the daemon's executor.
-fn budget(dir: &Path, sequences: usize) -> Budget {
+/// Figure 8 over `sequences` generated sequences, `--records`-bounded.
+fn fig8(dir: &Path, sequences: usize) -> JobSpec {
     let data = dir.join(format!("env_nr_{sequences}.db"));
     let bytes = DbSpec::env_nr_scaled(sequences, 5).generate().to_bytes();
     std::fs::write(&data, &bytes).unwrap();
-    drop(bytes);
-    let spec = JobSpec {
+    JobSpec {
         input_config: configs().join("blast_db.xml").display().to_string(),
         workflow: configs().join("blast_partition.xml").display().to_string(),
         data: data.display().to_string(),
-        out_dir: dir.join(format!("out_{sequences}")).display().to_string(),
+        out_dir: dir
+            .join(format!("out_fig8_{sequences}"))
+            .display()
+            .to_string(),
         nodes: 4,
         args: vec![("num_partitions".into(), "8".into())],
         records: Some(sequences as u64),
         threads: Some(1),
         ..JobSpec::default()
-    };
+    }
+}
+
+/// Figure 10 over a text edge list of `edges` edges with `String` vertex
+/// ids: one vertex per 8 edges, in-vertices skewed toward low ids so
+/// both sides of the degree threshold are populated.
+fn fig10(dir: &Path, edges: usize) -> JobSpec {
+    let data = dir.join(format!("edges_{edges}.txt"));
+    let vertices = (edges / 8).max(1) as u64;
+    let mut text = String::new();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for _ in 0..edges {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let src = (x >> 33) % vertices;
+        let u = (x >> 11) & 0xffff;
+        let dst = u * u * vertices / (1 << 32);
+        text.push_str(&format!("v{src}\tv{dst}\n"));
+    }
+    std::fs::write(&data, text).unwrap();
+    JobSpec {
+        input_config: configs().join("graph_edge.xml").display().to_string(),
+        workflow: configs().join("hybrid_cut.xml").display().to_string(),
+        data: data.display().to_string(),
+        out_dir: dir.join(format!("out_fig10_{edges}")).display().to_string(),
+        nodes: 4,
+        args: vec![
+            ("num_partitions".into(), "8".into()),
+            ("threshold".into(), "25".into()),
+        ],
+        threads: Some(1),
+        ..JobSpec::default()
+    }
+}
+
+/// One job's stages over `records` input records, once through the
+/// stages and twice through the daemon's executor.
+fn budget(spec: &JobSpec, records: usize) -> Budget {
     let cfg_text = job::read_text(&spec.input_config).unwrap();
     let wf_text = job::read_text(&spec.workflow).unwrap();
-    let options = job::exec_options(&spec, Some(1), false);
+    let options = job::exec_options(spec, Some(1), false);
 
-    let (input, load) = measure(|| job::load(&spec, &cfg_text).unwrap());
-    assert_eq!(job::record_count(&input), sequences);
-    let compiled = job::compile(&spec, &cfg_text, &wf_text, 0, &input, &options).unwrap();
+    let (input, load) = measure(|| job::load(spec, &cfg_text).unwrap());
+    assert_eq!(job::record_count(&input), records);
+    let compiled = job::compile(spec, &cfg_text, &wf_text, 0, &input, &options).unwrap();
     let mut cluster = job::new_cluster(4, 0, 3).unwrap();
     let (_, run) = measure(|| job::run(&compiled, options, None, &mut cluster, input).unwrap());
     let out = Path::new(&spec.out_dir);
@@ -112,13 +154,13 @@ fn budget(dir: &Path, sequences: usize) -> Budget {
     drop(cluster);
 
     let mut res = Resources::new(4, 4, 1);
-    let cold = job::execute(&spec, &mut res).unwrap();
+    let cold = job::execute(spec, &mut res).unwrap();
     assert!(!cold.data_cache_hit);
-    let (warm, warm_execute) = measure(|| job::execute(&spec, &mut res).unwrap());
+    let (warm, warm_execute) = measure(|| job::execute(spec, &mut res).unwrap());
     assert!(warm.data_cache_hit && warm.plan_cache_hit);
 
     Budget {
-        file_len: std::fs::metadata(&data).unwrap().len(),
+        file_len: std::fs::metadata(&spec.data).unwrap().len(),
         load,
         run,
         emit,
@@ -131,6 +173,18 @@ fn slope(small: Usage, large: Usage, records: f64) -> f64 {
     (large.blocks as f64 - small.blocks as f64) / records
 }
 
+/// Bytes allocated per extra input record between two budgets.
+fn byte_slope(small: Usage, large: Usage, records: f64) -> f64 {
+    (large.bytes as f64 - small.bytes as f64) / records
+}
+
+/// The Figure 10 `run` slope measured on this test's edge list (two
+/// engine jobs, each decoding every shuffled record with its two `String`
+/// ids, plus the group's packing).
+const HYBRID_RUN_BLOCKS: f64 = 12.628;
+/// Its byte slope.
+const HYBRID_RUN_BYTES: f64 = 682.2;
+
 #[test]
 fn pipeline_seams_copy_no_record() {
     let dir = std::env::temp_dir().join(format!("papar-copy-budget-{}", std::process::id()));
@@ -139,11 +193,14 @@ fn pipeline_seams_copy_no_record() {
 
     // Warm up once so one-time initialization (thread-budget announce,
     // lazy statics) lands on no measured size.
-    budget(&dir, 500);
-    let small = budget(&dir, 2_000);
-    let large = budget(&dir, 20_000);
+    budget(&fig8(&dir, 500), 500);
+    let small = budget(&fig8(&dir, 2_000), 2_000);
+    let large = budget(&fig8(&dir, 20_000), 20_000);
+    let hybrid_small = budget(&fig10(&dir, 2_000), 2_000);
+    let hybrid_large = budget(&fig10(&dir, 20_000), 20_000);
     let _ = std::fs::remove_dir_all(&dir);
-    eprintln!("2k: {small:?}\n20k: {large:?}");
+    eprintln!("fig8 2k: {small:?}\nfig8 20k: {large:?}");
+    eprintln!("fig10 2k: {hybrid_small:?}\nfig10 20k: {hybrid_large:?}");
     let extra = (20_000 - 2_000) as f64;
 
     // Emit encodes the resident fragments in place: its allocations are
@@ -166,10 +223,31 @@ fn pipeline_seams_copy_no_record() {
         );
     }
 
-    // The engine's own per-record allocations (map-side keyed copy,
-    // reduce-side decode); no seam around it adds a record copy.
+    // What is left is the engine's reduce-side decode: map tasks encode
+    // the records they borrow straight into the outbox, and no seam
+    // around the engine adds a record copy.
     let run = slope(small.run, large.run, extra);
-    assert!(run <= 3.1, "run allocates {run:.3} blocks per record");
+    let run_bytes = byte_slope(small.run, large.run, extra);
+    eprintln!("fig8 run: {run:.3} blocks, {run_bytes:.1} bytes per record");
+    assert!(run <= 2.05, "run allocates {run:.3} blocks per record");
+    assert!(
+        run_bytes <= 600.0,
+        "run allocates {run_bytes:.1} bytes per record"
+    );
+
+    // Figure 10 (text, `String` vertex ids, group→split→distribute) pinned
+    // at its measured slope plus 2 %.
+    let hybrid = slope(hybrid_small.run, hybrid_large.run, extra);
+    let hybrid_bytes = byte_slope(hybrid_small.run, hybrid_large.run, extra);
+    eprintln!("fig10 run: {hybrid:.3} blocks, {hybrid_bytes:.1} bytes per record");
+    assert!(
+        hybrid <= HYBRID_RUN_BLOCKS * 1.02,
+        "hybrid run allocates {hybrid:.3} blocks per record"
+    );
+    assert!(
+        hybrid_bytes <= HYBRID_RUN_BYTES * 1.02,
+        "hybrid run allocates {hybrid_bytes:.1} bytes per record"
+    );
 
     // A warm served request shares the cached input: per record it
     // allocates what `run` does and nothing more.

@@ -32,18 +32,24 @@ impl CustomOperator for DedupOperator {
         ctx: &CustomJobCtx,
     ) -> papar::core::Result<JobStats> {
         use papar::mr::engine::{FnMapper, FnReducer, HashPartitioner};
-        use papar::mr::{Entry, MapReduceJob};
-        let mapper = FnMapper(|_: &papar::mr::TaskCtx, inputs: &[papar::mr::MapInput]| {
-            let mut out = Vec::new();
-            for mi in inputs {
-                for r in mi.data.batch.clone().flatten() {
-                    // The rendered tuple is the dedup key: equal records
-                    // render equally.
-                    out.push((Value::Str(r.display_tuple()), Entry::Rec(r)));
+        use papar::mr::{Emit, Entry, EntryRef, MapReduceJob};
+        let mapper = FnMapper(
+            |_: &papar::mr::TaskCtx, inputs: &[papar::mr::MapInput], out: &mut Emit<'_>| {
+                for mi in inputs {
+                    let records: Vec<&papar::record::Record> = match &mi.data.batch {
+                        Batch::Flat(rs) => rs.iter().collect(),
+                        Batch::Packed(groups) => groups.iter().flat_map(|g| &g.records).collect(),
+                    };
+                    for r in records {
+                        // The rendered tuple is the dedup key: equal
+                        // records render equally. The record itself is
+                        // borrowed; the emitter encodes it in place.
+                        out.push(&Value::Str(r.display_tuple()), EntryRef::Rec(r))?;
+                    }
                 }
-            }
-            Ok(out)
-        });
+                Ok(())
+            },
+        );
         let reducer = FnReducer(|_: &papar::mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
             // Pairs arrive key-sorted; keep the first record of each run.
             let mut records = Vec::new();
@@ -71,6 +77,9 @@ impl CustomOperator for DedupOperator {
             sort_by_key: true,
             descending: false,
             compress_key: None,
+            // The runner drops this job's input after the stage if it
+            // was the last reader; nothing to release mid-job here.
+            release: &[],
         };
         cluster.run_job(&job).map_err(papar::core::CoreError::from)
     }
