@@ -17,7 +17,7 @@
 use papar_core::exec::{ExecOptions, WorkflowReport};
 use papar_core::plan::Planner;
 use papar_mr::Cluster;
-use papar_record::{Record, Value};
+use papar_record::{rec, Record};
 
 use crate::datasets::Scale;
 use crate::report::Table;
@@ -81,12 +81,7 @@ fn xorshift(state: &mut u64) -> u64 {
 /// A record in the BLAST index schema with `seq_size` (the sort key) set
 /// to `key`.
 fn record(i: usize, key: i32) -> Record {
-    Record::new(vec![
-        Value::Int(i as i32),
-        Value::Int(key),
-        Value::Int((i * 8) as i32),
-        Value::Int(16),
-    ])
+    rec![i as i32, key, (i * 8) as i32, 16]
 }
 
 /// Adversarially skewed keys: ~half the records share [`HOT_KEY`]; the
@@ -304,6 +299,7 @@ pub fn run(scale: &Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use papar_record::Value;
 
     #[test]
     fn skewed_generator_is_deterministic_and_hot() {

@@ -179,34 +179,62 @@ pub fn run_b(scale: &Scale) -> Table {
 mod tests {
     use super::*;
 
+    use papar_trace::PhaseKind;
+
+    /// Records the busiest node maps plus reduces across a traced PaPar
+    /// run — the per-node work a larger cluster divides.
+    fn papar_busiest_node(db: &mublastp::BlastDb, nodes: usize) -> u64 {
+        let options = ExecOptions {
+            trace: true,
+            ..ExecOptions::default()
+        };
+        let trace = run_blast(db, "roundRobin", 32, nodes, options)
+            .report
+            .trace
+            .expect("traced run");
+        let mut per_node = vec![0u64; nodes];
+        for phase in trace.jobs.iter().flat_map(|j| &j.phases) {
+            for t in &phase.tasks {
+                per_node[t.node] += match phase.kind {
+                    PhaseKind::Map => t.counters.records_in,
+                    PhaseKind::Reduce => t.counters.records_out,
+                    _ => 0,
+                };
+            }
+        }
+        per_node.into_iter().max().unwrap_or(0)
+    }
+
     #[test]
     fn papar_beats_the_single_node_baseline_at_16_nodes() {
-        let cs = comparisons(&Scale::quick());
-        for c in &cs {
-            // Quick-scale datasets shrink the payload advantage; the full
-            // default scale shows larger margins (see EXPERIMENTS.md).
+        // Per-node record counts, not measured times: the measured times
+        // wobble under parallel test load. The baseline's one node sorts
+        // every index entry and then scatters every one.
+        for (name, db) in databases(&Scale::quick()) {
+            let baseline_node = 2 * db.index.len() as u64;
+            let papar_16 = papar_busiest_node(&db, 16);
             assert!(
-                c.speedup() > 1.0,
-                "{}: expected a PaPar win, got {:.2}x",
-                c.db,
-                c.speedup()
+                4 * papar_16 < baseline_node,
+                "{name}: PaPar's busiest node handles {papar_16} records, the baseline's {baseline_node}"
             );
         }
     }
 
     #[test]
     fn papar_scales_with_nodes() {
-        let s = scaling(&Scale::quick());
-        for (db, series) in s {
-            let t1 = series[0].1.as_secs_f64();
-            let t16 = series.last().unwrap().1.as_secs_f64();
+        for (name, db) in databases(&Scale::quick()) {
+            let busiest: Vec<u64> = [1, 2, 16]
+                .iter()
+                .map(|&n| papar_busiest_node(&db, n))
+                .collect();
             assert!(
-                t1 / t16 > 2.0,
-                "{db}: expected >2x speedup at 16 nodes, got {:.2}",
-                t1 / t16
+                busiest[0] > 2 * busiest[2],
+                "{name}: busiest node handles {} records at 1 node, {} at 16",
+                busiest[0],
+                busiest[2]
             );
-            // Broadly monotone: 16 nodes no slower than 2.
-            assert!(series.last().unwrap().1 <= series[1].1);
+            // Broadly monotone: 16 nodes no busier than 2.
+            assert!(busiest[2] <= busiest[1], "{name}: {busiest:?}");
         }
     }
 }

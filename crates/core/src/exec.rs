@@ -1372,11 +1372,11 @@ impl WorkflowRunner {
         let out_format = job.outputs[0].1.format;
         let reducer = FnReducer(
             move |_ctx: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
-                let entries: Vec<Entry> = pairs.into_iter().map(|(_, e)| e).collect();
                 let mut batch = match out_format {
                     Format::Flat => {
-                        let mut records = Vec::new();
-                        for e in entries {
+                        let n = pairs.iter().map(|(_, e)| e.as_ref().record_count()).sum();
+                        let mut records = Vec::with_capacity(n);
+                        for (_, e) in pairs {
                             match e {
                                 Entry::Rec(r) => records.push(r),
                                 Entry::Packed(p) => records.extend(p.records),
@@ -1385,19 +1385,17 @@ impl WorkflowRunner {
                         Batch::Flat(records)
                     }
                     Format::Packed => Batch::Packed(
-                        entries
+                        pairs
                             .into_iter()
-                            .map(|e| match e {
+                            .map(|(_, e)| match e {
                                 Entry::Packed(p) => Ok(p),
-                                Entry::Rec(_) => Err(papar_mr::MrError::msg(
-                                    "distribute cannot keep flat entries in a packed output",
-                                )),
+                                Entry::Rec(_) => Err(papar_mr::MrError::msg(FLAT_IN_PACKED)),
                             })
                             .collect::<papar_mr::Result<Vec<_>>>()?,
                     ),
                 };
                 if let Some(proj) = &projection {
-                    batch = project_batch(batch, proj);
+                    project_batch(&mut batch, proj);
                 }
                 Ok(batch)
             },
@@ -1558,46 +1556,52 @@ impl WorkflowRunner {
         // enumeration the unfused offsets pre-pass performs.
         let frags = cluster.take(temp)?;
         let total: usize = frags.iter().map(|d| d.batch.entry_count()).sum();
+        let part_of = |g: usize| policy.partition_of_index(g, total, num_partitions);
+        let out_format = djob.outputs[0].1.format;
+        // Size every partition exactly (records of a flat output, groups of
+        // a packed one), so each entry moves once into its final vector.
+        let mut sizes = vec![0usize; num_partitions];
+        let all = frags.iter().flat_map(|d| EntryRef::all(&d.batch));
+        for (g, entry) in all.enumerate() {
+            sizes[part_of(g)] += match out_format {
+                Format::Flat => entry.record_count(),
+                Format::Packed => 1,
+            };
+        }
         // Route every entry by its global rank. Appending in ascending
         // rank order reproduces the unfused reducer's ascending
         // `g * P + part` key order within each partition.
-        let mut parts: Vec<Vec<Entry>> = (0..num_partitions).map(|_| Vec::new()).collect();
-        let mut g = 0usize;
-        for ds in frags {
-            for entry in batch_entries(ds.batch) {
-                parts[policy.partition_of_index(g, total, num_partitions)].push(entry);
-                g += 1;
+        let entries = frags.into_iter().flat_map(|d| batch_entries(d.batch));
+        let batches: Vec<Batch> = match out_format {
+            Format::Flat => {
+                let mut parts: Vec<Vec<Record>> =
+                    sizes.into_iter().map(Vec::with_capacity).collect();
+                for (g, entry) in entries.enumerate() {
+                    let part = &mut parts[part_of(g)];
+                    match entry {
+                        Entry::Rec(r) => part.push(r),
+                        Entry::Packed(pk) => part.extend(pk.records),
+                    }
+                }
+                parts.into_iter().map(Batch::Flat).collect()
             }
-        }
-        let out_format = djob.outputs[0].1.format;
+            Format::Packed => {
+                let mut parts: Vec<Vec<PackedRecord>> =
+                    sizes.into_iter().map(Vec::with_capacity).collect();
+                for (g, entry) in entries.enumerate() {
+                    match entry {
+                        Entry::Packed(pk) => parts[part_of(g)].push(pk),
+                        Entry::Rec(_) => return Err(CoreError::exec(FLAT_IN_PACKED)),
+                    }
+                }
+                parts.into_iter().map(Batch::Packed).collect()
+            }
+        };
         let out_schema = &djob.outputs[0].1.schema;
         let n = cluster.num_nodes();
-        for (p, entries) in parts.into_iter().enumerate() {
-            let mut batch = match out_format {
-                Format::Flat => {
-                    let mut records = Vec::new();
-                    for e in entries {
-                        match e {
-                            Entry::Rec(r) => records.push(r),
-                            Entry::Packed(pk) => records.extend(pk.records),
-                        }
-                    }
-                    Batch::Flat(records)
-                }
-                Format::Packed => Batch::Packed(
-                    entries
-                        .into_iter()
-                        .map(|e| match e {
-                            Entry::Packed(pk) => Ok(pk),
-                            Entry::Rec(_) => Err(CoreError::exec(
-                                "distribute cannot keep flat entries in a packed output",
-                            )),
-                        })
-                        .collect::<Result<Vec<_>>>()?,
-                ),
-            };
+        for (p, mut batch) in batches.into_iter().enumerate() {
             if let Some(proj) = &projection {
-                batch = project_batch(batch, proj);
+                project_batch(&mut batch, proj);
             }
             // The unfused distribute's reducer p runs on node p % n and
             // commits fragment ordinal p; mirror exactly (empty
@@ -1933,29 +1937,33 @@ fn fragment_base(offsets: &HashMap<(String, u32), u64>, name: &str, ordinal: u32
 }
 
 /// Field indices projecting distribute output records onto the declared
-/// output schema (`None`: no output format was declared, records pass
-/// through unchanged). Shared by the unfused distribute job and the fused
-/// stage's driver-side assembly so the two can never diverge.
+/// output schema (`None`: records pass through unchanged, because no
+/// output format was declared or it keeps every field in place). Shared by
+/// the unfused distribute job and the fused stage's driver-side assembly
+/// so the two can never diverge.
 fn distribute_projection(
     job: &JobPlan,
     final_schema: &Option<std::sync::Arc<papar_record::Schema>>,
 ) -> Result<Option<Vec<usize>>> {
-    match final_schema {
-        Some(out) => {
-            let mut idxs = Vec::with_capacity(out.len());
-            for f in out.fields() {
-                idxs.push(job.input_meta.schema.require(&f.name).map_err(|e| {
-                    CoreError::plan(format!(
-                        "output format field '{}' missing from data: {e}",
-                        f.name
-                    ))
-                })?);
-            }
-            Ok(Some(idxs))
-        }
-        None => Ok(None),
+    let Some(out) = final_schema else {
+        return Ok(None);
+    };
+    let mut idxs = Vec::with_capacity(out.len());
+    for f in out.fields() {
+        idxs.push(job.input_meta.schema.require(&f.name).map_err(|e| {
+            CoreError::plan(format!(
+                "output format field '{}' missing from data: {e}",
+                f.name
+            ))
+        })?);
     }
+    let identity =
+        idxs.len() == job.input_meta.schema.len() && idxs.iter().enumerate().all(|(i, &f)| i == f);
+    Ok((!identity).then_some(idxs))
 }
+
+/// Why a distribute into a packed output refuses a flat entry.
+const FLAT_IN_PACKED: &str = "distribute cannot keep flat entries in a packed output";
 
 /// Sample every `stride`-th entry key of a batch (flat: the record field;
 /// packed: the field of the first member, which equals the group key for
@@ -2045,11 +2053,15 @@ fn reduce_ordered(
 }
 
 /// Decompose a batch into shuffle entries, by move.
-fn batch_entries(batch: Batch) -> Vec<Entry> {
-    match batch {
-        Batch::Flat(records) => records.into_iter().map(Entry::Rec).collect(),
-        Batch::Packed(groups) => groups.into_iter().map(Entry::Packed).collect(),
-    }
+fn batch_entries(batch: Batch) -> impl Iterator<Item = Entry> {
+    let (records, groups) = match batch {
+        Batch::Flat(records) => (records, Vec::new()),
+        Batch::Packed(groups) => (Vec::new(), groups),
+    };
+    records
+        .into_iter()
+        .map(Entry::Rec)
+        .chain(groups.into_iter().map(Entry::Packed))
 }
 
 /// The routing key of one entry (a packed group's: its first member's).
@@ -2164,21 +2176,14 @@ fn verify_batch_conforms(batch: &Batch, meta: &DatasetMeta, job_id: &str, datase
     }
 }
 
-/// Project every record onto the given field indices.
-fn project_batch(batch: Batch, proj: &[usize]) -> Batch {
-    let project = |r: &Record| -> Record {
-        Record::new(proj.iter().map(|&i| r.values()[i].clone()).collect())
-    };
+/// Project every record onto the given field indices, in place.
+fn project_batch(batch: &mut Batch, proj: &[usize]) {
+    let project = |r: &mut Record| *r = proj.iter().map(|&i| r.values()[i].clone()).collect();
     match batch {
-        Batch::Flat(records) => Batch::Flat(records.iter().map(project).collect()),
-        Batch::Packed(groups) => Batch::Packed(
-            groups
-                .into_iter()
-                .map(|g| PackedRecord {
-                    key: g.key,
-                    records: g.records.iter().map(project).collect(),
-                })
-                .collect(),
-        ),
+        Batch::Flat(records) => records.iter_mut().for_each(project),
+        Batch::Packed(groups) => groups
+            .iter_mut()
+            .flat_map(|g| g.records.iter_mut())
+            .for_each(project),
     }
 }

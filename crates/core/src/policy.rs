@@ -316,7 +316,7 @@ impl SplitPolicy {
             } else if let Ok(f) = val_s.parse::<f64>() {
                 Value::Double(f)
             } else {
-                Value::Str(val_s.to_string())
+                Value::from(val_s)
             };
             conditions.push(SplitCond { op, threshold });
             rest = rest[end + 1..].trim_start();

@@ -40,6 +40,7 @@
 use papar_record::batch::{Batch, Dataset};
 use papar_record::packed::PackedRecord;
 use papar_record::prefix;
+use papar_record::value::INLINE_STR_CAP;
 use papar_record::view::{EntryView, OwnedEntry, ENTRY_PACKED, ENTRY_PACKED_CSC, ENTRY_REC};
 use papar_record::wire::{self, Reader};
 use papar_record::{Record, Schema, Value};
@@ -430,9 +431,10 @@ fn pack_pair(reducer: u32, key66: u128, idx: usize) -> u128 {
     ((reducer as u128) << (66 + IDX_BITS)) | (key66 << IDX_BITS) | idx as u128
 }
 
-/// Heap allocations needed to own one decoded `Value`.
+/// Heap allocations needed to own one decoded `Value`: only strings too
+/// long to be stored in place allocate.
 fn value_allocs(v: &Value) -> u64 {
-    matches!(v, Value::Str(_)) as u64
+    v.as_str().is_some_and(|s| s.len() > INLINE_STR_CAP) as u64
 }
 
 /// Count the pairs in a reduce inbox with an allocation-free skip scan so

@@ -846,10 +846,10 @@ fn colliding_key() -> impl Strategy<Value = Value> {
         any::<f64>()
             .prop_filter("finite", |f| f.is_finite())
             .prop_map(Value::Double),
-        "shared-8[a-b]{0,3}".prop_map(Value::Str),
-        "(müll|straße|)[a-b]{0,12}".prop_map(Value::Str),
-        "[ -~]{0,16}".prop_map(Value::Str),
-        Just(Value::Str(String::new())),
+        "shared-8[a-b]{0,3}".prop_map(Value::from),
+        "(müll|straße|)[a-b]{0,12}".prop_map(Value::from),
+        "[ -~]{0,16}".prop_map(Value::from),
+        Just(Value::Str("".into())),
     ]
 }
 

@@ -55,7 +55,7 @@ pub struct PartitionAssignment {
 /// Partition a vertex label exactly the way PaPar's `graphVertexCut`
 /// policy does: FNV over the decimal string form.
 pub fn label_partition(v: u32, parts: usize) -> usize {
-    (Value::Str(v.to_string()).stable_hash() % parts as u64) as usize
+    (Value::from(v.to_string()).stable_hash() % parts as u64) as usize
 }
 
 impl PartitionAssignment {

@@ -41,16 +41,15 @@ pub mod binary {
             )));
         }
         let mut out = Vec::with_capacity(body.len() / width);
-        let mut pos = 0;
-        while pos < body.len() {
-            let mut values = Vec::with_capacity(schema.len());
+        for row in body.chunks_exact(width) {
+            let mut rec = Record::default();
+            let mut pos = 0;
             for f in schema.fields() {
                 let w = f.ty.binary_width().expect("checked fixed width");
-                let chunk = &body[pos..pos + w];
-                values.push(decode_fixed(chunk, f.ty));
+                rec.push(decode_fixed(&row[pos..pos + w], f.ty));
                 pos += w;
             }
-            out.push(Record::new(values));
+            out.push(rec);
         }
         Ok(out)
     }
@@ -111,6 +110,7 @@ pub mod text {
 
     use crate::{CodecError, Record, Result, Schema, Value};
     use papar_config::input::{InputConfig, InputFormat};
+    use std::fmt::Write;
 
     /// The delimiter plan derived from a text InputData configuration: one
     /// separator after each field; the final one terminates the record.
@@ -153,12 +153,12 @@ pub mod text {
         let mut out = Vec::new();
         let mut rest = data;
         'records: while !rest.is_empty() {
-            let mut values = Vec::with_capacity(schema.len());
+            let mut rec = Record::default();
             let mut cursor = rest;
             for (i, (field, delim)) in schema.fields().iter().zip(&delims).enumerate() {
                 match cursor.find(delim.as_str()) {
                     Some(at) => {
-                        values.push(Value::parse_typed(&cursor[..at], field.ty)?);
+                        rec.push(Value::parse_typed(&cursor[..at], field.ty)?);
                         cursor = &cursor[at + delim.len()..];
                     }
                     None => {
@@ -174,7 +174,7 @@ pub mod text {
                     }
                 }
             }
-            out.push(Record::new(values));
+            out.push(rec);
             rest = cursor;
         }
         Ok(out)
@@ -193,13 +193,15 @@ pub mod text {
                 )));
             }
             for (v, d) in rec.values().iter().zip(&delims) {
-                let text = v.to_string();
+                // Format in place; the value's text is what follows `start`.
+                let start = out.len();
+                write!(out, "{v}").expect("writing to a String cannot fail");
+                let text = &out[start..];
                 if text.contains(d.as_str()) {
                     return Err(CodecError(format!(
                         "value {text:?} contains the delimiter {d:?}"
                     )));
                 }
-                out.push_str(&text);
                 out.push_str(d);
             }
         }

@@ -19,7 +19,7 @@
 use crate::packed::PackedRecord;
 use crate::record::Record;
 use crate::wire::{self, Reader};
-use crate::{Batch, CodecError, Result, Schema};
+use crate::{Batch, CodecError, Result, Schema, Value};
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -91,10 +91,10 @@ pub fn decode_compressed(r: &mut Reader<'_>, schema: &Schema, key_idx: usize) ->
             schema.len()
         )));
     }
-    let n_groups = read_u32(r)? as usize;
+    let n_groups = r.read_u32()? as usize;
     let mut starts = Vec::with_capacity(n_groups + 1);
     for _ in 0..=n_groups {
-        starts.push(read_u32(r)? as usize);
+        starts.push(r.read_u32()? as usize);
     }
     for w in starts.windows(2) {
         if w[1] < w[0] {
@@ -105,44 +105,41 @@ pub fn decode_compressed(r: &mut Reader<'_>, schema: &Schema, key_idx: usize) ->
     for gi in 0..n_groups {
         let count = starts[gi + 1] - starts[gi];
         let key = wire::decode_value(r)?;
-        // Read columns, then transpose into records.
-        let mut columns: Vec<Vec<crate::Value>> = Vec::with_capacity(schema.len() - 1);
-        for (fi, field) in schema.fields().iter().enumerate() {
-            if fi == key_idx {
-                continue;
-            }
-            let mut col = Vec::with_capacity(count);
-            for _ in 0..count {
-                col.push(wire::decode_field(r, field.ty)?);
-            }
-            columns.push(col);
-        }
-        let mut records = Vec::with_capacity(count);
-        #[allow(clippy::needless_range_loop)] // ri walks several columns in lockstep
-        for ri in 0..count {
-            let mut values = Vec::with_capacity(schema.len());
-            let mut ci = 0;
-            for fi in 0..schema.len() {
-                if fi == key_idx {
-                    values.push(key.clone());
-                } else {
-                    values.push(columns[ci][ri].clone());
-                    ci += 1;
-                }
-            }
-            records.push(Record::new(values));
-        }
+        let records = decode_csc_rows(r, schema, key_idx, &key, count)?;
         groups.push(PackedRecord { key, records });
     }
     Ok(Batch::Packed(groups))
 }
 
-fn read_u32(r: &mut Reader<'_>) -> Result<u32> {
-    // Reader has no public u32; decode via a 4-byte integer field.
-    match wire::decode_field(r, papar_config::input::FieldType::Integer)? {
-        crate::Value::Int(v) => Ok(v as u32),
-        _ => unreachable!("Integer field always decodes to Int"),
+/// Rebuild `count` member records from one group's column block (each
+/// non-key field's `count` cells, column-major), restoring `key` at
+/// `key_idx`. The records are filled field by field, in place.
+pub(crate) fn decode_csc_rows(
+    r: &mut Reader<'_>,
+    schema: &Schema,
+    key_idx: usize,
+    key: &Value,
+    count: usize,
+) -> Result<Vec<Record>> {
+    // Every non-key cell takes at least one byte: refuse a count the
+    // remaining bytes cannot hold before allocating for it.
+    if schema.len() > 1 && count > r.remaining() {
+        return Err(CodecError(format!(
+            "group of {count} records needs more than the {} bytes left",
+            r.remaining()
+        )));
     }
+    let mut records = vec![Record::default(); count];
+    for (fi, field) in schema.fields().iter().enumerate() {
+        for rec in &mut records {
+            rec.push(if fi == key_idx {
+                key.clone()
+            } else {
+                wire::decode_field(r, field.ty)?
+            });
+        }
+    }
+    Ok(records)
 }
 
 /// Compare compressed vs uncompressed encoded sizes.
@@ -255,6 +252,18 @@ mod tests {
         }]);
         let mut buf = Vec::new();
         assert!(encode_compressed(&batch, &schema, 1, &mut buf).is_err());
+    }
+
+    #[test]
+    fn oversized_group_count_is_refused() {
+        let schema = grouped_edge_schema();
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 1);
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, u32::MAX);
+        wire::encode_value(&crate::Value::Str("1".into()), &mut buf);
+        let err = decode_compressed(&mut Reader::new(&buf), &schema, 1).unwrap_err();
+        assert!(err.0.contains("bytes left"), "{err}");
     }
 
     #[test]

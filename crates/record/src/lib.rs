@@ -4,11 +4,12 @@
 //! layout is declared by an InputData configuration (paper Section III-A).
 //! This crate provides:
 //!
-//! * [`value::Value`] — the dynamically-typed field value with a total order
-//!   (used as operator keys),
+//! * [`value::Value`] — the dynamically-typed, 16-byte field value with a
+//!   total order (used as operator keys); strings are [`value::SmallStr`],
+//!   stored in place up to 14 bytes,
 //! * [`schema::Schema`] — the field list of a dataset, extendable by add-on
 //!   operators that append attributes (paper Section III-B),
-//! * [`record::Record`] — one tuple,
+//! * [`record::Record`] — one tuple, up to four values stored in place,
 //! * [`batch::Batch`] — a dataset fragment, either in the original flat
 //!   format or in the *packed* format produced by the `pack` format operator,
 //! * [`packed::PackedRecord`] — a key plus the group of records sharing it,
@@ -39,7 +40,7 @@ pub use batch::Batch;
 pub use packed::PackedRecord;
 pub use record::Record;
 pub use schema::Schema;
-pub use value::Value;
+pub use value::{SmallStr, Value};
 
 /// Error raised by codecs and wire (de)serialization.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -203,7 +203,7 @@ mod tests {
             Value::Double(-f64::NAN),
             Value::Double(1.5),
             Value::Double(-1.5),
-            Value::Str(String::new()),
+            Value::Str("".into()),
             Value::Str("a".into()),
             Value::Str("a\0".into()),
             Value::Str("abcdefgh".into()),
@@ -240,7 +240,7 @@ mod tests {
             }
         }
         assert!(of_value(&Value::Str("hi".into())).exact);
-        assert!(of_value(&Value::Str(String::new())).exact);
+        assert!(of_value(&Value::Str("".into())).exact);
         assert!(
             !of_value(&Value::Str("abcdefgh".into())).exact,
             "length-8 strings tie with longer extensions"
@@ -256,7 +256,7 @@ mod tests {
             Value::Long(1 << 60),
             Value::Double(-2.25),
             Value::Str("shuffle".into()),
-            Value::Str(String::new()),
+            Value::Str("".into()),
         ] {
             let mut buf = Vec::new();
             wire::encode_value(&v, &mut buf);

@@ -1,74 +1,156 @@
 //! Records: flat tuples of typed values.
 
+use std::cmp::Ordering;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+
 use crate::value::Value;
 use crate::{CodecError, Result, Schema};
+
+/// Most values a record stores in place.
+const INLINE_VALUES: usize = 4;
+
+/// What an unused inline slot holds.
+const UNUSED: Value = Value::Int(0);
 
 /// One record — a tuple of values laid out according to some [`Schema`].
 ///
 /// Records do not carry their schema; datasets do. That keeps the per-record
 /// footprint small, which matters because the partitioning workloads move
-/// tens of millions of records through the shuffle.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// tens of millions of records through the shuffle. Up to four values are
+/// stored in place, which fits a BLAST index entry and an edge with one
+/// add-on attribute, so decoding such a record allocates nothing.
+#[derive(Clone, Default)]
 pub struct Record {
-    values: Vec<Value>,
+    row: Row,
 }
+
+/// Private so that inline slots past `len` are never read.
+#[derive(Clone)]
+enum Row {
+    /// `vals[..len]` are the values; the other slots hold `Int(0)`.
+    Inline {
+        len: u8,
+        vals: [Value; INLINE_VALUES],
+    },
+    /// A record that outgrew the inline slots.
+    Heap(Vec<Value>),
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row::Inline {
+            len: 0,
+            vals: [UNUSED; INLINE_VALUES],
+        }
+    }
+}
+
+// Four values plus a length byte, padded to the values' alignment.
+const _: () = assert!(std::mem::size_of::<Record>() == 72);
 
 impl Record {
     /// Build a record from its values.
     pub fn new(values: Vec<Value>) -> Self {
-        Record { values }
+        if values.len() > INLINE_VALUES {
+            return Record {
+                row: Row::Heap(values),
+            };
+        }
+        values.into_iter().collect()
     }
 
     /// The values in schema order.
     pub fn values(&self) -> &[Value] {
-        &self.values
+        match &self.row {
+            Row::Inline { len, vals } => &vals[..usize::from(*len)],
+            Row::Heap(values) => values,
+        }
+    }
+
+    fn values_mut(&mut self) -> &mut [Value] {
+        match &mut self.row {
+            Row::Inline { len, vals } => &mut vals[..usize::from(*len)],
+            Row::Heap(values) => values,
+        }
     }
 
     /// Value at a field index.
     pub fn value(&self, idx: usize) -> Option<&Value> {
-        self.values.get(idx)
+        self.values().get(idx)
     }
 
     /// Value at a field index, with a descriptive error.
     pub fn require(&self, idx: usize) -> Result<&Value> {
-        self.values.get(idx).ok_or_else(|| {
+        self.value(idx).ok_or_else(|| {
             CodecError(format!(
                 "field index {idx} out of range for record of arity {}",
-                self.values.len()
+                self.arity()
             ))
         })
     }
 
     /// Number of fields.
     pub fn arity(&self) -> usize {
-        self.values.len()
+        self.values().len()
     }
 
-    /// Append an attribute value (add-on operators).
+    /// Append an attribute value (add-on operators). A fifth value moves
+    /// the record's values to the heap.
     pub fn push(&mut self, v: Value) {
-        self.values.push(v);
+        match &mut self.row {
+            Row::Inline { len, vals } if usize::from(*len) < INLINE_VALUES => {
+                vals[usize::from(*len)] = v;
+                *len += 1;
+            }
+            Row::Inline { vals, .. } => {
+                let full = std::mem::replace(vals, [UNUSED; INLINE_VALUES]);
+                let mut values = Vec::with_capacity(2 * INLINE_VALUES);
+                values.extend(full);
+                values.push(v);
+                self.row = Row::Heap(values);
+            }
+            Row::Heap(values) => values.push(v),
+        }
     }
 
     /// Remove and return the value at `idx` (schema `without_field`).
+    ///
+    /// # Panics
+    ///
+    /// When `idx` is not below the arity, like `Vec::remove`.
     pub fn remove(&mut self, idx: usize) -> Value {
-        self.values.remove(idx)
+        match &mut self.row {
+            Row::Inline { len, vals } => {
+                let n = usize::from(*len);
+                assert!(idx < n, "removal index {idx} out of range for arity {n}");
+                let v = std::mem::replace(&mut vals[idx], UNUSED);
+                vals[idx..n].rotate_left(1);
+                *len -= 1;
+                v
+            }
+            Row::Heap(values) => values.remove(idx),
+        }
     }
 
     /// Overwrite the value at `idx`.
     pub fn set(&mut self, idx: usize, v: Value) {
-        self.values[idx] = v;
+        self.values_mut()[idx] = v;
     }
 
     /// Consume the record, yielding its values.
     pub fn into_values(self) -> Vec<Value> {
-        self.values
+        match self.row {
+            Row::Inline { len, vals } => vals.into_iter().take(usize::from(len)).collect(),
+            Row::Heap(values) => values,
+        }
     }
 
     /// True when every value's runtime type matches the schema.
     pub fn conforms_to(&self, schema: &Schema) -> bool {
-        self.values.len() == schema.len()
+        self.arity() == schema.len()
             && self
-                .values
+                .values()
                 .iter()
                 .zip(schema.fields())
                 .all(|(v, f)| v.field_type() == f.ty)
@@ -77,7 +159,7 @@ impl Record {
     /// Render the record in the paper's figure notation: `{94, 100, 74, 89}`.
     pub fn display_tuple(&self) -> String {
         let inner = self
-            .values
+            .values()
             .iter()
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
@@ -86,9 +168,53 @@ impl Record {
     }
 }
 
+impl FromIterator<Value> for Record {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        let mut rec = Record::default();
+        for v in iter {
+            rec.push(v);
+        }
+        rec
+    }
+}
+
 impl From<Vec<Value>> for Record {
     fn from(values: Vec<Value>) -> Self {
         Record::new(values)
+    }
+}
+
+impl fmt::Debug for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Record")
+            .field("values", &self.values())
+            .finish()
+    }
+}
+
+impl PartialEq for Record {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Record {}
+
+impl PartialOrd for Record {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Record {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
+impl Hash for Record {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
     }
 }
 
@@ -102,7 +228,9 @@ impl From<Vec<Value>> for Record {
 #[macro_export]
 macro_rules! rec {
     ($($v:expr),* $(,)?) => {
-        $crate::Record::new(vec![$($crate::Value::from($v)),*])
+        <$crate::Record as ::core::iter::FromIterator<$crate::Value>>::from_iter([
+            $($crate::Value::from($v)),*
+        ])
     };
 }
 
@@ -131,6 +259,60 @@ mod tests {
     }
 
     #[test]
+    fn push_spills_past_four_values_and_mutation_follows() {
+        let mut r = Record::default();
+        for i in 0..6 {
+            r.push(Value::Int(i));
+            assert_eq!(r.arity(), i as usize + 1);
+            assert!(matches!(r.row, Row::Inline { .. }) == (i < 4), "after {i}");
+        }
+        assert_eq!(r, rec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(r.remove(1), Value::Int(1));
+        assert_eq!(r.remove(4), Value::Int(5));
+        r.set(3, Value::Long(9));
+        // A spilled record of four values equals the inline one in value,
+        // order and hash: they see values, not where they are stored.
+        let inline = rec![0, 2, 3, 9i64];
+        assert!(matches!(r.row, Row::Heap(_)));
+        assert!(matches!(inline.row, Row::Inline { .. }));
+        assert_eq!(r, inline);
+        assert_eq!(r.cmp(&inline), Ordering::Equal);
+        let h = |rec: &Record| {
+            let mut s = std::collections::hash_map::DefaultHasher::new();
+            rec.hash(&mut s);
+            s.finish()
+        };
+        assert_eq!(h(&r), h(&inline));
+        let values = vec![Value::Int(0), Value::Int(2), Value::Int(3), Value::Long(9)];
+        assert_eq!(r.into_values(), values);
+        assert_eq!(inline.into_values(), values);
+    }
+
+    #[test]
+    fn inline_remove_shifts_and_keeps_the_rest() {
+        let mut r = rec!["a", "b", "c", "d"];
+        assert_eq!(r.remove(0), Value::from("a"));
+        assert_eq!(r, rec!["b", "c", "d"]);
+        r.push(Value::from("e"));
+        assert_eq!(r, rec!["b", "c", "d", "e"]);
+        assert_eq!(r.into_values().len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn inline_remove_past_arity_panics() {
+        rec![1, 2].remove(2);
+    }
+
+    #[test]
+    fn debug_names_the_values() {
+        assert_eq!(
+            format!("{:?}", rec![1, "x"]),
+            r#"Record { values: [Int(1), Str("x")] }"#
+        );
+    }
+
+    #[test]
     fn conformance() {
         let schema = Schema::new(vec![("a", FieldType::Integer), ("b", FieldType::Str)]);
         assert!(rec![1, "x"].conforms_to(&schema));
@@ -148,6 +330,7 @@ mod tests {
     fn ordering_is_lexicographic() {
         assert!(rec![1, 5] < rec![2, 0]);
         assert!(rec![1, 5] < rec![1, 6]);
+        assert!(rec![1, 5] < rec![1, 5, 0, 0, 0]);
         assert_eq!(rec![3, 3], rec![3, 3]);
     }
 }

@@ -3,8 +3,118 @@
 use papar_config::input::FieldType;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 use crate::{CodecError, Result};
+
+/// Longest string [`SmallStr`] stores without a heap allocation.
+pub const INLINE_STR_CAP: usize = 14;
+
+/// An immutable UTF-8 string of 16 bytes: up to [`INLINE_STR_CAP`] bytes
+/// are stored in place, longer strings behind one pointer.
+///
+/// Vertex ids and other short keys therefore cost no allocation, and a
+/// [`Value`] stays 16 bytes. Every comparison, hash and rendering goes
+/// through [`SmallStr::as_str`], so a `SmallStr` behaves exactly like the
+/// `String` with the same contents.
+#[derive(Clone)]
+pub struct SmallStr(Repr);
+
+/// Private so that inline bytes are only ever copied from a `str`.
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the string.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_STR_CAP],
+    },
+    /// A string longer than [`INLINE_STR_CAP`] bytes, behind a thin
+    /// pointer: a `String` or `Box<str>` here would make the enum 24 bytes.
+    #[allow(clippy::box_collection)]
+    Heap(Box<String>),
+}
+
+impl SmallStr {
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("inline bytes are copied from a str"),
+            Repr::Heap(s) => s,
+        }
+    }
+}
+
+impl Deref for SmallStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for SmallStr {
+    fn from(s: &str) -> Self {
+        if s.len() > INLINE_STR_CAP {
+            return SmallStr(Repr::Heap(Box::new(s.to_string())));
+        }
+        let mut bytes = [0; INLINE_STR_CAP];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        SmallStr(Repr::Inline {
+            len: s.len() as u8,
+            bytes,
+        })
+    }
+}
+
+impl From<String> for SmallStr {
+    fn from(s: String) -> Self {
+        if s.len() > INLINE_STR_CAP {
+            SmallStr(Repr::Heap(Box::new(s)))
+        } else {
+            SmallStr::from(s.as_str())
+        }
+    }
+}
+
+impl PartialEq for SmallStr {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for SmallStr {}
+
+impl PartialOrd for SmallStr {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SmallStr {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl Hash for SmallStr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Display for SmallStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for SmallStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// One field value of a record.
 ///
@@ -21,8 +131,12 @@ pub enum Value {
     /// 64-bit float (`double`).
     Double(f64),
     /// UTF-8 string (`String`).
-    Str(String),
+    Str(SmallStr),
 }
+
+// A record stores its values in place; keep them two words wide.
+const _: () = assert!(std::mem::size_of::<SmallStr>() == 16);
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl PartialEq for Value {
     /// Equality is defined through [`Ord::cmp`] so that `Eq`, `Ord` and
@@ -65,8 +179,8 @@ impl Ord for Value {
     }
 }
 
-impl std::hash::Hash for Value {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
             Value::Int(v) => {
                 0u8.hash(state);
@@ -117,7 +231,7 @@ impl Value {
                 .parse::<f64>()
                 .map(Value::Double)
                 .map_err(|_| CodecError(format!("'{text}' is not a double"))),
-            FieldType::Str => Ok(Value::Str(text.to_string())),
+            FieldType::Str => Ok(Value::Str(text.into())),
         }
     }
 
@@ -230,13 +344,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 
@@ -318,5 +432,31 @@ mod tests {
         // Int(7) and Long(7) compare equal under cmp, so they must hash equal
         // for use as grouping keys.
         assert_eq!(h(&Value::Int(7)), h(&Value::Long(7)));
+    }
+
+    #[test]
+    fn small_str_is_inline_up_to_fourteen_bytes() {
+        let inline = |s: &SmallStr| matches!(s.0, Repr::Inline { .. });
+        // "€" is three bytes: at offset 12 it straddles byte 14.
+        let straddle = "abcdefghijkl€";
+        assert_eq!(straddle.len(), 15);
+        for (s, fits) in [
+            ("", true),
+            ("abcdefghijklmn", true),
+            ("abcdefghijklmno", false),
+            ("abcdefghijkl", true),
+            ("abcdefghijké", true),
+            (straddle, false),
+        ] {
+            for small in [SmallStr::from(s), SmallStr::from(s.to_string())] {
+                assert_eq!(small.as_str(), s);
+                assert_eq!(&*small, s);
+                assert_eq!(inline(&small), fits, "{s:?}");
+            }
+        }
+        assert_eq!(
+            SmallStr::from("abcdefghijklmn"),
+            SmallStr(Repr::Heap(Box::new("abcdefghijklmn".into())))
+        );
     }
 }

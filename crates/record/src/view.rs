@@ -70,7 +70,7 @@ impl<'a> ValueView<'a> {
             ValueView::Int(x) => Value::Int(x),
             ValueView::Long(x) => Value::Long(x),
             ValueView::Double(x) => Value::Double(x),
-            ValueView::Str(s) => Value::Str(s.to_string()),
+            ValueView::Str(s) => Value::Str(s.into()),
         }
     }
 }
@@ -246,32 +246,8 @@ impl<'a> EntryView<'a> {
                 })?;
                 let key = wire::decode_value(&mut r)?;
                 let count = r.read_u32()? as usize;
-                let mut columns: Vec<std::vec::IntoIter<Value>> =
-                    Vec::with_capacity(self.schema.len().saturating_sub(1));
-                for (fi, field) in self.schema.fields().iter().enumerate() {
-                    if fi == key_idx {
-                        continue;
-                    }
-                    let mut col = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        col.push(wire::decode_field(&mut r, field.ty)?);
-                    }
-                    columns.push(col.into_iter());
-                }
-                let mut records = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let mut values = Vec::with_capacity(self.schema.len());
-                    let mut ci = 0;
-                    for fi in 0..self.schema.len() {
-                        if fi == key_idx {
-                            values.push(key.clone());
-                        } else {
-                            values.push(columns[ci].next().expect("column has `count` cells"));
-                            ci += 1;
-                        }
-                    }
-                    records.push(Record::new(values));
-                }
+                let records =
+                    crate::compress::decode_csc_rows(&mut r, self.schema, key_idx, &key, count)?;
                 Ok(OwnedEntry::Packed(PackedRecord { key, records }))
             }
             t => Err(CodecError(format!("unknown entry tag {t}"))),

@@ -20,7 +20,7 @@ use papar_config::input::FieldType;
 
 use crate::packed::PackedRecord;
 use crate::record::Record;
-use crate::value::Value;
+use crate::value::{SmallStr, Value};
 use crate::{Batch, CodecError, Result, Schema};
 
 /// A cursor over a byte slice for decoding.
@@ -105,10 +105,12 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String> {
+    fn str(&mut self) -> Result<SmallStr> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError("invalid UTF-8".into()))
+        std::str::from_utf8(bytes)
+            .map(SmallStr::from)
+            .map_err(|_| CodecError("invalid UTF-8".into()))
     }
 }
 
@@ -200,11 +202,11 @@ pub fn encode_record(rec: &Record, schema: &Schema, buf: &mut Vec<u8>) -> Result
 
 /// Decode a record using the schema's field types.
 pub fn decode_record(r: &mut Reader<'_>, schema: &Schema) -> Result<Record> {
-    let mut values = Vec::with_capacity(schema.len());
-    for f in schema.fields() {
-        values.push(decode_field(r, f.ty)?);
-    }
-    Ok(Record::new(values))
+    schema
+        .fields()
+        .iter()
+        .map(|f| decode_field(r, f.ty))
+        .collect()
 }
 
 /// Encode a value with a 1-byte type tag (for keys of unknown schema).

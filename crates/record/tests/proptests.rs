@@ -12,7 +12,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         any::<f64>()
             .prop_filter("finite", |f| f.is_finite())
             .prop_map(Value::Double),
-        "[ -~]{0,16}".prop_map(Value::Str),
+        "[ -~]{0,16}".prop_map(Value::from),
     ]
 }
 
@@ -30,14 +30,45 @@ fn key_strategy() -> impl Strategy<Value = Value> {
             .prop_filter("finite", |f| f.is_finite())
             .prop_map(Value::Double),
         (-4i64..4).prop_map(|x| Value::Double(x as f64)),
-        "[ -~]{0,16}".prop_map(Value::Str),
-        "(müll|straße|)[a-b]{0,12}".prop_map(Value::Str),
-        "common-prefix-[a-c]{0,4}".prop_map(Value::Str),
-        Just(Value::Str(String::new())),
+        "[ -~]{0,16}".prop_map(Value::from),
+        "(müll|straße|)[a-b]{0,12}".prop_map(Value::from),
+        "common-prefix-[a-c]{0,4}".prop_map(Value::from),
+        Just(Value::Str("".into())),
     ]
 }
 
+/// Strings on both sides of the 14-byte inline limit, with multi-byte
+/// characters that can straddle it.
+fn string_strategy() -> impl Strategy<Value = String> {
+    prop_oneof!["[ -~]{0,20}", "[a-bé€𝄞]{0,8}", "abcdefghijk[é€𝄞][a-b]{0,2}"]
+}
+
+fn std_hash(h: impl std::hash::Hash) -> u64 {
+    use std::hash::Hasher;
+    let mut s = std::collections::hash_map::DefaultHasher::new();
+    h.hash(&mut s);
+    s.finish()
+}
+
 proptest! {
+    /// A `Value::Str` orders, hashes and renders exactly like the `String`
+    /// it was built from, whether its bytes sit inline or on the heap.
+    #[test]
+    fn str_value_behaves_like_its_string(a in string_strategy(), b in string_strategy()) {
+        let (va, vb) = (Value::from(a.as_str()), Value::from(b.clone()));
+        prop_assert_eq!(va.cmp(&vb), a.cmp(&b));
+        prop_assert_eq!(va == vb, a == b);
+        prop_assert_eq!(std_hash(&va), std_hash((2u8, &a)));
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        for byte in std::iter::once(2u8).chain(a.bytes()) {
+            fnv = (fnv ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+        prop_assert_eq!(va.stable_hash(), fnv);
+        prop_assert_eq!(va.to_string(), a.clone());
+        prop_assert_eq!(format!("{:?}", va), format!("Str({:?})", a));
+        prop_assert_eq!(va.as_str(), Some(a.as_str()));
+    }
+
     /// Value's Ord is a total order: antisymmetric, transitive, and total.
     #[test]
     fn value_total_order_laws(a in value_strategy(), b in value_strategy(), c in value_strategy()) {

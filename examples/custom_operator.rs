@@ -44,7 +44,7 @@ impl CustomOperator for DedupOperator {
                         // The rendered tuple is the dedup key: equal
                         // records render equally. The record itself is
                         // borrowed; the emitter encodes it in place.
-                        out.push(&Value::Str(r.display_tuple()), EntryRef::Rec(r))?;
+                        out.push(&Value::from(r.display_tuple()), EntryRef::Rec(r))?;
                     }
                 }
                 Ok(())

@@ -19,7 +19,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         any::<f64>()
             .prop_filter("finite", |f| f.is_finite())
             .prop_map(Value::Double),
-        "[a-z0-9]{0,12}".prop_map(Value::Str),
+        "[a-z0-9]{0,12}".prop_map(Value::from),
     ]
 }
 
