@@ -68,11 +68,12 @@ pub fn sampling(scale: &Scale) -> Table {
             ("distributed", SamplingMode::Distributed),
             ("first-fragment", SamplingMode::FirstFragmentOnly),
         ] {
-            // Fusion would stream the sorted intermediate straight into the
-            // distribute; this ablation inspects it, so keep it materialized.
+            // The sort job's skew histogram holds each reducer's load;
+            // unfused, the sort is a traced job of its own.
             let options = ExecOptions {
                 sampling: mode,
                 fuse: false,
+                trace: true,
                 ..ExecOptions::default()
             };
             let raw = run_raw(
@@ -83,15 +84,11 @@ pub fn sampling(scale: &Scale) -> Table {
                 options,
                 None,
             );
-            let sizes: Vec<usize> = raw
-                .cluster
-                .collect("/user/sort_output")
-                .unwrap()
-                .iter()
-                .map(|d| d.batch.record_count())
-                .collect();
-            let avg = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
-            let max = *sizes.iter().max().unwrap() as f64;
+            let trace = raw.report.trace.expect("traced run");
+            let sort = trace.jobs.iter().find(|j| j.name == "sort").unwrap();
+            let loads = &sort.skew.as_ref().expect("a sort job's skew").records;
+            let avg = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
+            let max = *loads.iter().max().unwrap() as f64;
             t.row(vec![
                 name.to_string(),
                 label.to_string(),

@@ -124,9 +124,6 @@ pub struct RawRun {
     pub report: WorkflowReport,
     /// The workflow's output, one dataset per partition.
     pub output: Vec<Dataset>,
-    /// The cluster after the run: intermediates the plan materialized are
-    /// still collectable from it.
-    pub cluster: Cluster,
     /// Wall time of the input scatter.
     pub scatter_wall: Duration,
     /// Wall time of the engine run alone.
@@ -173,7 +170,6 @@ pub fn run_raw(
     RawRun {
         report,
         output,
-        cluster,
         scatter_wall,
         run_wall,
     }

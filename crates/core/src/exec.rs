@@ -7,9 +7,10 @@ use papar_mr::fault::RecoveryAction;
 use papar_mr::sampler::{self, RangePartitioner};
 use papar_mr::stats::{job_trace_from_stats, JobStats, NetModel, RecoveryStats};
 use papar_mr::{CheckpointSession, Cluster, Entry, MapReduceJob, Partitioner, TaskPhase};
-use papar_mr::{Emit, EntryRef, Mapper, TaskCtx};
+use papar_mr::{Emit, EntryRef, Mapper, MrError, Pairs, TaskCtx};
 use papar_record::batch::{Batch, Dataset};
-use papar_record::packed::PackedRecord;
+use papar_record::packed::{pack_onto, PackedRecord};
+use papar_record::view::ENTRY_REC;
 use papar_record::wire;
 use papar_record::{Record, Value};
 use papar_trace::{
@@ -486,15 +487,17 @@ impl WorkflowRunner {
         }
     }
 
-    /// Execute the plan's physical stages in order. Outputs stay in the
-    /// cluster's stores; fetch the final partitions with
-    /// `cluster.collect(&runner.plan().output_path)`. External inputs do
-    /// not: each leaves every store, primaries and replicas, at the map
-    /// barrier of the last job that reads it (declared intermediates
-    /// stay collectable). The report carries
-    /// one [`JobStats`] per *physical* stage — a fused stage is one
-    /// MapReduce job, so fused runs report fewer jobs (its trace span
-    /// records the logical jobs it covers).
+    /// Execute the plan's physical stages in order. Afterwards the stores
+    /// hold only the workflow output; fetch the final partitions with
+    /// `cluster.collect(&runner.plan().output_path)`. Every other dataset
+    /// — external inputs and declared intermediates alike — leaves every
+    /// store, primaries and replicas, at the map barrier of the last job
+    /// that reads it (the end of its stage for map-only stages, and the
+    /// end of its own stage for a dataset nothing reads). The report
+    /// carries one [`JobStats`] per *physical* stage — a fused stage is
+    /// one MapReduce job, so fused runs report fewer jobs (its trace span
+    /// records the logical jobs it covers); what a caller wants to know
+    /// about an intermediate it reads from there, or from the trace.
     pub fn run(&self, cluster: &mut Cluster) -> Result<WorkflowReport> {
         if let Some(threads) = self.options.threads {
             cluster.set_threads(threads);
@@ -546,11 +549,6 @@ impl WorkflowRunner {
             let release = last_reads[sidx].as_slice();
             if let Some(s) = &session {
                 if s.is_complete(sidx) {
-                    // Skipping the stage that last reads an input drops it
-                    // too, so resumed and cold runs hold the same stores.
-                    for name in release {
-                        cluster.release(name);
-                    }
                     self.restore_stage(cluster, s, sidx, stage, &net)?;
                     report.jobs.push(s.completed()[sidx].stats.clone());
                     report.stages_resumed += 1;
@@ -563,6 +561,11 @@ impl WorkflowRunner {
                             &static_bounds.stages[sidx],
                             report.jobs.last().expect("stats just pushed"),
                         );
+                    }
+                    // Skipping the stage that last reads a dataset drops
+                    // it too, so resumed and cold runs hold the same stores.
+                    for name in release {
+                        cluster.release(name);
                     }
                     continue;
                 }
@@ -598,11 +601,6 @@ impl WorkflowRunner {
                     self.run_fused_group_split(cluster, stage, *group, *split, release)?
                 }
             };
-            // Engine jobs released their last-read inputs at the map
-            // barrier; map-only split and custom stages release them here.
-            for name in release {
-                cluster.release(name);
-            }
             if let Some(s) = &mut session {
                 persist_stage(cluster, s, sidx, stage, &self.plan, &stats, &net)?;
             }
@@ -616,6 +614,13 @@ impl WorkflowRunner {
                     &static_bounds.stages[sidx],
                     report.jobs.last().expect("stats just pushed"),
                 );
+            }
+            // Engine jobs released their last-read inputs at the map
+            // barrier; map-only split and custom stages release them here,
+            // and so does the stage that writes a dataset nothing reads,
+            // once it is checkpointed and verified.
+            for name in release {
+                cluster.release(name);
             }
         }
         report.recovery_events = cluster.drain_events();
@@ -651,19 +656,31 @@ impl WorkflowRunner {
         Ok(report)
     }
 
-    /// Per physical stage, the external inputs it is the last reader of —
-    /// every job kind counts, custom operators included. Declared
-    /// intermediates are never released: callers may read them after
-    /// the run.
+    /// Per physical stage, the datasets it is the last reader of: every
+    /// dataset but the workflow output — external inputs and
+    /// intermediates alike, read by any job kind, custom operators
+    /// included. A dataset nothing reads counts as read by the stage that
+    /// writes it.
     fn last_readers(&self, phys: &crate::physplan::PhysicalPlan) -> Vec<Vec<String>> {
+        let jobs = &self.plan.jobs;
+        let any_job = |stage: &PhysicalStage, f: &dyn Fn(&JobPlan) -> bool| {
+            stage.logical.iter().any(|&j| f(&jobs[j]))
+        };
+        let inputs = self.plan.external_inputs.iter().map(|(name, _)| name);
+        let outputs = jobs
+            .iter()
+            .flat_map(|job| job.outputs.iter().map(|(name, _)| name));
+        let mut seen = std::collections::BTreeSet::new();
         let mut last = vec![Vec::new(); phys.stages.len()];
-        for (name, _) in &self.plan.external_inputs {
-            let reader = phys.stages.iter().rposition(|stage| {
-                stage
-                    .logical
-                    .iter()
-                    .any(|&j| self.plan.jobs[j].inputs.contains(name))
-            });
+        for name in inputs.chain(outputs) {
+            if *name == self.plan.output_path || !seen.insert(name) {
+                continue;
+            }
+            let reads = |job: &JobPlan| job.inputs.contains(name);
+            let writes = |job: &JobPlan| job.outputs.iter().any(|(out, _)| out == name);
+            let reader = (phys.stages.iter())
+                .rposition(|stage| any_job(stage, &reads))
+                .or_else(|| phys.stages.iter().position(|stage| any_job(stage, &writes)));
             if let Some(sidx) = reader {
                 last[sidx].push(name.clone());
             }
@@ -1071,14 +1088,11 @@ impl WorkflowRunner {
             num_reducers,
         };
         let mapper = KeyedMapper { key_idx };
-        let addons = addons.to_vec();
-        let out_format = job.outputs[0].1.format;
-        let reducer = FnReducer(
-            move |_ctx: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
-                reduce_ordered(pairs, &addons, key_idx, out_format, output_format)
-                    .map_err(papar_mr::MrError::from)
-            },
-        );
+        let reducer = OrderedReducer {
+            addons,
+            key_idx,
+            packs: packs_output(job.outputs[0].1.format, output_format),
+        };
         let mr_job = MapReduceJob {
             name: job_name.to_string(),
             inputs: job.inputs.clone(),
@@ -1108,14 +1122,11 @@ impl WorkflowRunner {
     ) -> Result<JobStats> {
         let num_reducers = self.reducers_for(job, cluster);
         let mapper = KeyedMapper { key_idx };
-        let addons = addons.to_vec();
-        let out_format = job.outputs[0].1.format;
-        let reducer = FnReducer(
-            move |_ctx: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
-                reduce_ordered(pairs, &addons, key_idx, out_format, output_format)
-                    .map_err(papar_mr::MrError::from)
-            },
-        );
+        let reducer = OrderedReducer {
+            addons,
+            key_idx,
+            packs: packs_output(job.outputs[0].1.format, output_format),
+        };
         let mr_job = MapReduceJob {
             name: job.id.clone(),
             inputs: job.inputs.clone(),
@@ -1370,36 +1381,30 @@ impl WorkflowRunner {
             },
         );
         let out_format = job.outputs[0].1.format;
-        let reducer = FnReducer(
-            move |_ctx: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
-                let mut batch = match out_format {
-                    Format::Flat => {
-                        let n = pairs.iter().map(|(_, e)| e.as_ref().record_count()).sum();
-                        let mut records = Vec::with_capacity(n);
-                        for (_, e) in pairs {
-                            match e {
-                                Entry::Rec(r) => records.push(r),
-                                Entry::Packed(p) => records.extend(p.records),
-                            }
-                        }
-                        Batch::Flat(records)
-                    }
-                    Format::Packed => Batch::Packed(
-                        pairs
-                            .into_iter()
-                            .map(|(_, e)| match e {
-                                Entry::Packed(p) => Ok(p),
-                                Entry::Rec(_) => Err(papar_mr::MrError::msg(FLAT_IN_PACKED)),
-                            })
-                            .collect::<papar_mr::Result<Vec<_>>>()?,
-                    ),
-                };
-                if let Some(proj) = &projection {
-                    project_batch(&mut batch, proj);
+        let reducer = FnReducer(move |_ctx: &TaskCtx, pairs: Pairs<'_>| {
+            let mut batch = match out_format {
+                Format::Flat => {
+                    let mut records = Vec::with_capacity(pairs.record_count());
+                    pairs.decode_into(&mut records)?;
+                    Batch::Flat(records)
                 }
-                Ok(batch)
-            },
-        );
+                Format::Packed => {
+                    let mut groups = Vec::with_capacity(pairs.len());
+                    for pair in pairs.iter() {
+                        let (_, entry) = pair?;
+                        if entry.tag() == ENTRY_REC {
+                            return Err(MrError::msg(FLAT_IN_PACKED));
+                        }
+                        groups.push(entry.decode_group()?);
+                    }
+                    Batch::Packed(groups)
+                }
+            };
+            if let Some(proj) = &projection {
+                project_batch(&mut batch, proj);
+            }
+            Ok(vec![batch])
+        });
         let mr_job = MapReduceJob {
             name: job.id.clone(),
             inputs: job.inputs.clone(),
@@ -1660,10 +1665,11 @@ impl WorkflowRunner {
         let group_key = *key_idx;
         let mapper = KeyedMapper { key_idx: group_key };
         let reducer = FusedGroupSplitReducer {
-            addons,
-            key_idx: group_key,
-            group_format: gjob.outputs[0].1.format,
-            format_op: *output_format,
+            group: OrderedReducer {
+                addons,
+                key_idx: group_key,
+                packs: packs_output(gjob.outputs[0].1.format, *output_format),
+            },
             split_key_idx: *split_key_idx,
             policy,
             out_formats: sjob.outputs.iter().map(|(_, m)| m.format).collect(),
@@ -1854,16 +1860,96 @@ impl Partitioner for SortPartitioner {
     }
 }
 
-/// Reduce task of the fused group→split stage: the group's reduce logic
-/// (add-ons per key-run, format operator) followed by the split's routing
-/// predicates, emitting one batch per split destination. Driven only
-/// through `reduce_multi` — the stage always runs under
-/// [`Cluster::run_job_multi`].
-struct FusedGroupSplitReducer<'a> {
+/// Reduce task of sort and group: pairs arrive key-sorted; add-ons apply
+/// per key-run, then the output format operator.
+struct OrderedReducer<'a> {
     addons: &'a [BoundAddOn],
     key_idx: usize,
-    group_format: Format,
-    format_op: FormatOp,
+    /// Pack the output by `key_idx` (see [`packs_output`]).
+    packs: bool,
+}
+
+// The reduce side speaks the engine's error type; core errors cross into
+// it as messages, exactly as they did from the closures these replace.
+impl OrderedReducer<'_> {
+    /// The reduce output, one entry at a time, in order: a packed group
+    /// reaches `emit` once no later run can extend it, a flat record at
+    /// once. Every record is decoded exactly once, into the vector of its
+    /// key-run.
+    fn reduce_each(
+        &self,
+        pairs: Pairs<'_>,
+        mut emit: impl FnMut(Entry) -> papar_mr::Result<()>,
+    ) -> papar_mr::Result<()> {
+        let mut groups: Vec<PackedRecord> = Vec::new();
+        for run in pairs.runs() {
+            let records = self.decode_run(run?)?;
+            if self.packs {
+                pack_onto(&mut groups, records, self.key_idx).map_err(CoreError::from)?;
+                let done = groups.len().saturating_sub(1);
+                for group in groups.drain(..done) {
+                    emit(Entry::Packed(group))?;
+                }
+            } else {
+                for record in records {
+                    emit(Entry::Rec(record))?;
+                }
+            }
+        }
+        for group in groups {
+            emit(Entry::Packed(group))?;
+        }
+        Ok(())
+    }
+
+    /// One key-run's records, sized exactly, with the add-ons applied.
+    fn decode_run(&self, run: Pairs<'_>) -> papar_mr::Result<Vec<Record>> {
+        let mut records = Vec::with_capacity(run.record_count());
+        run.decode_into(&mut records)?;
+        for addon in self.addons {
+            addon.apply_to_group(&mut records)?;
+        }
+        Ok(records)
+    }
+
+    /// The whole reduce output as one batch.
+    fn reduce_batch(&self, pairs: Pairs<'_>) -> papar_mr::Result<Batch> {
+        if self.packs {
+            let mut groups = Vec::new();
+            for run in pairs.runs() {
+                pack_onto(&mut groups, self.decode_run(run?)?, self.key_idx)
+                    .map_err(CoreError::from)?;
+            }
+            return Ok(Batch::Packed(groups));
+        }
+        // Flat: decode straight into one exact-size vector.
+        let mut records = Vec::with_capacity(pairs.record_count());
+        if self.addons.is_empty() {
+            pairs.decode_into(&mut records)?;
+        } else {
+            for run in pairs.runs() {
+                let start = records.len();
+                run?.decode_into(&mut records)?;
+                for addon in self.addons {
+                    addon.apply_to_group(&mut records[start..])?;
+                }
+            }
+        }
+        Ok(Batch::Flat(records))
+    }
+}
+
+impl Reducer for OrderedReducer<'_> {
+    fn reduce(&self, _ctx: &TaskCtx, pairs: Pairs<'_>) -> papar_mr::Result<Vec<Batch>> {
+        Ok(vec![self.reduce_batch(pairs)?])
+    }
+}
+
+/// Reduce task of the fused group→split stage: the group's reduce logic
+/// (add-ons per key-run, format operator) followed by the split's routing
+/// predicates, emitting one batch per split destination.
+struct FusedGroupSplitReducer<'a> {
+    group: OrderedReducer<'a>,
     split_key_idx: usize,
     policy: &'a SplitPolicy,
     /// Output format per split destination, in destination order.
@@ -1872,53 +1958,49 @@ struct FusedGroupSplitReducer<'a> {
     job_id: &'a str,
 }
 
-impl Reducer for FusedGroupSplitReducer<'_> {
-    fn reduce(
-        &self,
-        _ctx: &papar_mr::TaskCtx,
-        _pairs: Vec<(Value, Entry)>,
-    ) -> papar_mr::Result<Batch> {
-        Err(papar_mr::MrError::msg(
-            "fused group+split reducer is multi-output; drive it via run_job_multi",
-        ))
-    }
-
-    fn reduce_multi(
-        &self,
-        _ctx: &papar_mr::TaskCtx,
-        pairs: Vec<(Value, Entry)>,
-    ) -> papar_mr::Result<Vec<Batch>> {
-        // Exactly what the unfused group reducer committed to the
-        // intermediate dataset...
-        let grouped = reduce_ordered(
-            pairs,
-            self.addons,
-            self.key_idx,
-            self.group_format,
-            self.format_op,
-        )
-        .map_err(papar_mr::MrError::from)?;
-        // ...then exactly what the unfused split did with that fragment.
-        let mut routed: Vec<Vec<Entry>> = (0..self.policy.arity()).map(|_| Vec::new()).collect();
-        for entry in batch_entries(grouped) {
-            let key =
-                entry_key(entry.as_ref(), self.split_key_idx).map_err(papar_mr::MrError::from)?;
-            let dest = self.policy.route(key).ok_or_else(|| {
-                papar_mr::MrError::msg(format!(
-                    "split key {key} matches no condition of job '{}'",
-                    self.job_id
-                ))
-            })?;
-            routed[dest].push(entry);
+impl FusedGroupSplitReducer<'_> {
+    /// Route one grouped entry exactly as the unfused split routes it,
+    /// moving it into its destination batch.
+    fn route(&self, entry: Entry, outs: &mut [Batch]) -> papar_mr::Result<()> {
+        let key = entry_key(entry.as_ref(), self.split_key_idx).map_err(MrError::from)?;
+        let dest = self.policy.route(key).ok_or_else(|| {
+            MrError::msg(format!(
+                "split key {key} matches no condition of job '{}'",
+                self.job_id
+            ))
+        })?;
+        match (&mut outs[dest], entry) {
+            (Batch::Flat(records), Entry::Rec(r)) => records.push(r),
+            (Batch::Flat(records), Entry::Packed(mut p)) => records.append(&mut p.records),
+            (Batch::Packed(groups), Entry::Packed(p)) => groups.push(p),
+            (Batch::Packed(groups), Entry::Rec(r)) => {
+                let key = r.require(self.split_key_idx).map_err(CoreError::from)?;
+                groups.push(PackedRecord {
+                    key: key.clone(),
+                    records: vec![r],
+                });
+            }
         }
-        routed
-            .into_iter()
-            .enumerate()
-            .map(|(dest, entries)| {
-                entries_to_batch(entries, self.out_formats[dest], self.split_key_idx)
-                    .map_err(papar_mr::MrError::from)
+        Ok(())
+    }
+}
+
+impl Reducer for FusedGroupSplitReducer<'_> {
+    fn reduce(&self, _ctx: &TaskCtx, pairs: Pairs<'_>) -> papar_mr::Result<Vec<Batch>> {
+        let mut outs: Vec<Batch> = self
+            .out_formats
+            .iter()
+            .map(|format| match format {
+                Format::Flat => Batch::Flat(Vec::new()),
+                Format::Packed => Batch::Packed(Vec::new()),
             })
-            .collect()
+            .collect();
+        // Exactly what the unfused group reducer committed to the
+        // intermediate dataset, each entry routed the way the unfused
+        // split routes it.
+        self.group
+            .reduce_each(pairs, |entry| self.route(entry, &mut outs))?;
+        Ok(outs)
     }
 }
 
@@ -2008,48 +2090,10 @@ impl Mapper for KeyedMapper {
     }
 }
 
-/// The shared reduce logic of sort and group: pairs arrive key-sorted;
-/// apply add-ons per key-run, then the output format operator.
-fn reduce_ordered(
-    pairs: Vec<(Value, Entry)>,
-    addons: &[BoundAddOn],
-    key_idx: usize,
-    out_format: Format,
-    format_op: FormatOp,
-) -> Result<Batch> {
-    // Flatten to records, remembering key-run boundaries.
-    let mut records: Vec<Record> = Vec::with_capacity(pairs.len());
-    let mut runs: Vec<(usize, usize)> = Vec::new(); // [start, end) per key-run
-    let mut run_start = 0usize;
-    let mut prev_key: Option<Value> = None;
-    for (key, entry) in pairs {
-        if prev_key.as_ref() != Some(&key) {
-            if prev_key.is_some() {
-                runs.push((run_start, records.len()));
-            }
-            run_start = records.len();
-            prev_key = Some(key);
-        }
-        match entry {
-            Entry::Rec(r) => records.push(r),
-            Entry::Packed(p) => records.extend(p.records),
-        }
-    }
-    if prev_key.is_some() {
-        runs.push((run_start, records.len()));
-    }
-    // Add-ons per key-run.
-    for addon in addons {
-        for &(s, e) in &runs {
-            addon.apply_to_group(&mut records[s..e])?;
-        }
-    }
-    // Format operator.
-    let batch = match (format_op, out_format) {
-        (FormatOp::Pack, _) | (_, Format::Packed) => Batch::Flat(records).pack_by(key_idx)?,
-        _ => Batch::Flat(records),
-    };
-    Ok(batch)
+/// Whether a sort/group's reduce output is packed: by its `pack` format
+/// operator, or because its declared output format is.
+fn packs_output(out_format: Format, format_op: FormatOp) -> bool {
+    format_op == FormatOp::Pack || out_format == Format::Packed
 }
 
 /// Decompose a batch into shuffle entries, by move.

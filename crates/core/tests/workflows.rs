@@ -6,7 +6,7 @@ use papar_core::exec::{ExecOptions, SamplingMode, WorkflowRunner};
 use papar_core::plan::{Format, JobKind, Planner};
 use papar_mr::Cluster;
 use papar_record::batch::{Batch, Dataset};
-use papar_record::{rec, Record, Value};
+use papar_record::{rec, Record};
 use std::collections::HashMap;
 
 const BLAST_INPUT_CFG: &str = r#"
@@ -417,47 +417,46 @@ fn hybrid_low_degree_vertices_stay_together_high_degree_spread() {
     );
 }
 
+/// The intermediates leave the stores during the run, so their shapes
+/// show in the report: the distribute job reads one flat entry per
+/// high-degree edge (split's `unpack` output) and one packed entry per
+/// low-degree vertex (its `orig` output), so its pair count changes with
+/// the threshold exactly as the group's `indegree` annotation (1: 4,
+/// 2: 2, 3: 1, 4: 1) routes the groups.
 #[test]
 fn intermediate_datasets_have_expected_shapes() {
-    // This test inspects the materialized intermediates, so fusion (which
-    // streams the single-consumer `/tmp/group`) must stay off.
-    let runner = hybrid_runner_with(
-        "2",
-        "4",
-        ExecOptions {
-            fuse: false,
-            ..ExecOptions::default()
-        },
-    );
-    let mut cluster = Cluster::new(2);
-    let schema = runner.plan().external_inputs[0].1.schema.clone();
-    runner
-        .scatter_input(
-            &mut cluster,
-            "/data/edges",
-            Dataset::new(schema, Batch::Flat(figure11_edges())),
-        )
-        .unwrap();
-    runner.run(&mut cluster).unwrap();
-
-    // Group output: packed, every member annotated with its indegree.
-    let grouped = cluster.collect_concat("/tmp/group").unwrap();
-    for g in grouped.batch.as_packed().unwrap() {
-        let expected = Value::Long(g.records.len() as i64);
-        for r in &g.records {
-            assert_eq!(r.value(2), Some(&expected), "indegree annotation");
-            assert_eq!(r.value(1), Some(&g.key));
-        }
-    }
-    // Split outputs: high-degree flat (indegree >= 4), low-degree packed.
-    let high = cluster.collect_concat("/tmp/split/high_degree").unwrap();
-    for r in high.batch.as_flat().unwrap() {
-        assert!(r.value(2).unwrap().as_i64().unwrap() >= 4);
-        assert_eq!(r.value(1).unwrap().as_str(), Some("1"));
-    }
-    let low = cluster.collect_concat("/tmp/split/low_degree").unwrap();
-    for g in low.batch.as_packed().unwrap() {
-        assert!(g.records[0].value(2).unwrap().as_i64().unwrap() < 4);
+    for (threshold, flat_edges, packed_groups) in [("2", 6, 2), ("4", 4, 3), ("5", 0, 4)] {
+        let runner = hybrid_runner_with(
+            "2",
+            threshold,
+            ExecOptions {
+                fuse: false,
+                ..ExecOptions::default()
+            },
+        );
+        let mut cluster = Cluster::new(2);
+        let schema = runner.plan().external_inputs[0].1.schema.clone();
+        runner
+            .scatter_input(
+                &mut cluster,
+                "/data/edges",
+                Dataset::new(schema, Batch::Flat(figure11_edges())),
+            )
+            .unwrap();
+        let report = runner.run(&mut cluster).unwrap();
+        let [group, split, distr] = &report.jobs[..] else {
+            panic!("unfused Figure 10 runs three jobs");
+        };
+        // Group: one pair per edge in, every edge out (packed by vertex).
+        assert_eq!((group.pairs_shuffled, group.records_out), (8, 8));
+        // Split: map-only, every edge routed to one branch.
+        assert_eq!((split.records_in, split.records_out), (8, 8));
+        assert_eq!(distr.records_in, 8, "threshold {threshold}");
+        assert_eq!(
+            distr.pairs_shuffled,
+            flat_edges + packed_groups,
+            "threshold {threshold}"
+        );
     }
 }
 
@@ -626,7 +625,7 @@ fn sampling_modes_affect_balance_not_content() {
         let key = if i < 1000 { i % 10 } else { 1000 + i };
         records.push(rec![0, key, 0, 0]);
     }
-    let run = |mode: SamplingMode| -> (Vec<String>, usize) {
+    let run = |mode: SamplingMode| -> (Vec<Vec<String>>, u64) {
         let planner = Planner::from_xml(BLAST_WORKFLOW, &[BLAST_INPUT_CFG]).unwrap();
         let plan = planner
             .bind(&args(&[
@@ -639,9 +638,10 @@ fn sampling_modes_affect_balance_not_content() {
             plan,
             ExecOptions {
                 sampling: mode,
-                // The sorted intermediate is inspected below, so fusion
-                // must not stream it away.
+                // The sort job's reducer loads are read from its trace, so
+                // it must run as a job of its own.
                 fuse: false,
+                trace: true,
                 ..ExecOptions::default()
             },
         );
@@ -654,22 +654,23 @@ fn sampling_modes_affect_balance_not_content() {
                 Dataset::new(schema, Batch::Flat(records.clone())),
             )
             .unwrap();
-        runner.run(&mut cluster).unwrap();
-        // Sorted intermediate: fragment sizes show reducer balance.
-        let frag_sizes: Vec<usize> = cluster
-            .collect("/user/sort_output")
+        let report = runner.run(&mut cluster).unwrap();
+        // The sort job's skew histogram: records per reducer.
+        let trace = report.trace.expect("traced run");
+        let sort = trace.jobs.iter().find(|j| j.name == "sort").unwrap();
+        let imbalance = *sort.skew.as_ref().unwrap().records.iter().max().unwrap();
+        let content = cluster
+            .collect("/out")
             .unwrap()
             .iter()
-            .map(|d| d.batch.record_count())
-            .collect();
-        let imbalance = *frag_sizes.iter().max().unwrap();
-        let content: Vec<String> = cluster
-            .collect_concat("/user/sort_output")
-            .unwrap()
-            .batch
-            .flatten()
-            .iter()
-            .map(Record::display_tuple)
+            .map(|d| {
+                d.batch
+                    .clone()
+                    .flatten()
+                    .iter()
+                    .map(Record::display_tuple)
+                    .collect()
+            })
             .collect();
         (content, imbalance)
     };
@@ -767,6 +768,13 @@ fn holds(cluster: &Cluster, name: &str) -> bool {
         .any(|(p, r)| p.iter().chain(r).any(|(n, _)| n == name))
 }
 
+/// Whether every store, primaries and replicas, holds `name` alone.
+fn holds_only(cluster: &Cluster, name: &str) -> bool {
+    store_ids(cluster)
+        .iter()
+        .all(|(p, r)| p.iter().chain(r).all(|(n, _)| n == name))
+}
+
 /// Run a bound plan over `input` on a 3-node cluster with one replica
 /// per fragment; the cluster and the report come back.
 fn run_replicated(
@@ -786,12 +794,11 @@ fn run_replicated(
     (cluster, report)
 }
 
-/// The external input is resident only until the map barrier of its last
-/// reader: after a run of Figure 8 or Figure 10, fused or not, no store
-/// names it — primaries or replicas — while declared intermediates stay
-/// collectable.
+/// Every dataset but the workflow output is resident only until the map
+/// barrier of its last reader: after a run of Figure 8 or Figure 10, fused
+/// or not, the stores — primaries and replicas — hold only the output.
 #[test]
-fn external_input_leaves_every_store_after_the_run() {
+fn only_the_output_remains_after_the_run() {
     for fuse in [true, false] {
         let options = ExecOptions {
             fuse,
@@ -806,21 +813,16 @@ fn external_input_leaves_every_store_after_the_run() {
             ]))
             .unwrap();
         let runner = WorkflowRunner::with_options(plan, options);
-        let (cluster, _) = run_replicated(&runner, figure9_input());
-        assert!(!holds(&cluster, "/data/env_nr"), "fig 8 fuse={fuse}");
+        let (cluster, report) = run_replicated(&runner, figure9_input());
+        assert!(holds_only(&cluster, "/data/parts"), "fig 8 fuse={fuse}");
         assert_eq!(cluster.collect("/data/parts").unwrap().len(), 3);
-        if !fuse {
-            let sorted = cluster.collect_concat("/user/sort_output").unwrap();
-            assert_eq!(sorted.batch.record_count(), 12);
-        }
+        assert_eq!(report.jobs[0].records_out, 12, "the sort's output");
 
         let runner = hybrid_runner_with("3", "4", options);
-        let (cluster, _) = run_replicated(&runner, figure11_edges());
-        assert!(!holds(&cluster, "/data/edges"), "fig 10 fuse={fuse}");
+        let (cluster, report) = run_replicated(&runner, figure11_edges());
+        assert!(holds_only(&cluster, "/data/parts"), "fig 10 fuse={fuse}");
         assert_eq!(cluster.collect("/data/parts").unwrap().len(), 3);
-        if !fuse {
-            assert!(cluster.collect("/tmp/group").is_ok());
-        }
+        assert_eq!(report.jobs[0].records_out, 8, "the group's output");
     }
 }
 
@@ -873,14 +875,8 @@ fn input_with_two_readers_is_kept_until_the_second() {
         "the second reader must still see the whole input"
     );
     assert!(!holds(&cluster, "/data/env_nr"));
-    assert_eq!(
-        cluster
-            .collect_concat("/user/by_start")
-            .unwrap()
-            .batch
-            .record_count(),
-        12
-    );
+    assert!(!holds(&cluster, "/user/by_start"), "nothing reads it");
+    assert_eq!(report.jobs[1].records_out, 12);
     let (fig8, _) = run_replicated(&WorkflowRunner::new(bind(BLAST_WORKFLOW)), figure9_input());
     assert_eq!(
         cluster.collect("/data/parts").unwrap(),
@@ -888,15 +884,22 @@ fn input_with_two_readers_is_kept_until_the_second() {
     );
 }
 
-/// A checkpointed run resumed after stage 0 skips the stage that last
-/// read the input, and drops the input there: its stores then hold
-/// exactly what a cold run's do.
+/// A checkpointed run resumed after each completed stage skips the
+/// stages that last read the input and the intermediates, and drops them
+/// there: its stores then hold exactly what a cold run's do, the output
+/// alone — Figure 8 unfused, Figure 10 fused and unfused.
 #[test]
 fn resumed_run_holds_the_cold_runs_stores() {
     use papar_mr::{Fault, FaultPlan, RetryPolicy, TaskPhase};
     let dir = std::env::temp_dir().join(format!("papar-liveness-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let runner = |resume: bool| {
+    let bind = |hybrid: bool, fuse: bool| {
+        let options = ExecOptions {
+            fuse,
+            ..ExecOptions::default()
+        };
+        if hybrid {
+            return hybrid_runner_with("3", "4", options);
+        }
         let plan = Planner::from_xml(BLAST_WORKFLOW, &[BLAST_INPUT_CFG])
             .unwrap()
             .bind(&args(&[
@@ -905,56 +908,70 @@ fn resumed_run_holds_the_cold_runs_stores() {
                 ("num_partitions", "3"),
             ]))
             .unwrap();
-        let options = ExecOptions {
-            fuse: false,
-            ..ExecOptions::default()
+        WorkflowRunner::with_options(plan, options)
+    };
+    // (Figure 10?, fused, the job whose map task crashes on every attempt,
+    // stages committed before it)
+    for (hybrid, fuse, job, committed) in [
+        (false, false, 1, 1),
+        (true, false, 1, 1),
+        (true, false, 2, 2),
+        (true, true, 2, 1),
+    ] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner = |resume: bool| bind(hybrid, fuse).with_checkpoint(&dir, resume, 0);
+        let input = || {
+            if hybrid {
+                figure11_edges()
+            } else {
+                figure9_input()
+            }
         };
-        WorkflowRunner::with_options(plan, options).with_checkpoint(&dir, resume, 0)
-    };
-    let scatter = |runner: &WorkflowRunner, cluster: &mut Cluster| {
-        let schema = runner.plan().external_inputs[0].1.schema.clone();
-        runner
-            .scatter_input(
-                cluster,
-                "/data/env_nr",
-                Dataset::new(schema, Batch::Flat(figure9_input())),
-            )
-            .unwrap();
-    };
+        let scatter = |runner: &WorkflowRunner, cluster: &mut Cluster| {
+            let (name, meta) = runner.plan().external_inputs[0].clone();
+            runner
+                .scatter_input(
+                    cluster,
+                    &name,
+                    Dataset::new(meta.schema, Batch::Flat(input())),
+                )
+                .unwrap();
+        };
+        let crashes = (0..2)
+            .map(|_| Fault::NodeCrash {
+                node: 0,
+                job,
+                phase: TaskPhase::Map,
+            })
+            .collect();
+        let mut broken = Cluster::new(3)
+            .with_replication(1)
+            .with_fault_plan(FaultPlan::new(crashes))
+            .with_retry(RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            });
+        let first = runner(false);
+        scatter(&first, &mut broken);
+        assert!(first.run(&mut broken).is_err());
 
-    // Interrupted run: stage 0 commits, the distribute's map task on
-    // node 0 crashes on every attempt.
-    let crashes = (0..2)
-        .map(|_| Fault::NodeCrash {
-            node: 0,
-            job: 1,
-            phase: TaskPhase::Map,
-        })
-        .collect();
-    let mut broken = Cluster::new(3)
-        .with_replication(1)
-        .with_fault_plan(FaultPlan::new(crashes))
-        .with_retry(RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        });
-    let first = runner(false);
-    scatter(&first, &mut broken);
-    assert!(first.run(&mut broken).is_err());
+        let resumed_runner = runner(true);
+        let mut resumed = Cluster::new(3).with_replication(1);
+        scatter(&resumed_runner, &mut resumed);
+        let report = resumed_runner.run(&mut resumed).unwrap();
+        let case = format!("hybrid={hybrid} fuse={fuse} job={job}");
+        assert_eq!(report.stages_resumed, committed, "{case}");
+        let _ = std::fs::remove_dir_all(&dir);
 
-    let resumed_runner = runner(true);
-    let mut resumed = Cluster::new(3).with_replication(1);
-    scatter(&resumed_runner, &mut resumed);
-    let report = resumed_runner.run(&mut resumed).unwrap();
-    assert_eq!(report.stages_resumed, 1);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let (cold, _) = run_replicated(&runner(false), figure9_input());
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(!holds(&resumed, "/data/env_nr"));
-    assert_eq!(store_ids(&resumed), store_ids(&cold));
-    for name in ["/user/sort_output", "/data/parts"] {
-        assert_eq!(resumed.collect(name).unwrap(), cold.collect(name).unwrap());
+        let (cold, _) = run_replicated(&runner(false), input());
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(store_ids(&resumed), store_ids(&cold), "{case}");
+        assert!(holds_only(&resumed, "/data/parts"), "{case}");
+        assert_eq!(
+            resumed.collect("/data/parts").unwrap(),
+            cold.collect("/data/parts").unwrap(),
+            "{case}"
+        );
     }
 }
 
@@ -996,15 +1013,18 @@ fn split_as_last_reader_releases_the_input() {
     let (cluster, report) = run_replicated(&WorkflowRunner::new(plan), figure9_input());
     assert_eq!(report.jobs.len(), 2);
     assert!(!holds(&cluster, "/data/env_nr"));
-    let long = cluster.collect_concat("/tmp/split/long").unwrap();
-    let short = cluster.collect_concat("/tmp/split/short").unwrap();
-    assert_eq!(long.batch.record_count(), 8);
-    assert_eq!(short.batch.record_count(), 4);
-    let total: usize = cluster
+    // The round-robin deal over `/tmp/split/long` then `/tmp/split/short`:
+    // entry `g` of that order is entry `g / 3` of partition `g % 3`, so
+    // the output shows what each split branch held.
+    let parts: Vec<Vec<Record>> = cluster
         .collect("/data/parts")
         .unwrap()
-        .iter()
-        .map(|p| p.batch.record_count())
-        .sum();
-    assert_eq!(total, 12);
+        .into_iter()
+        .map(|p| p.batch.flatten())
+        .collect();
+    let dealt: Vec<i64> = (0..12)
+        .map(|g| parts[g % 3][g / 3].value(1).unwrap().as_i64().unwrap())
+        .collect();
+    assert!(dealt[..8].iter().all(|&size| size >= 90), "{dealt:?}");
+    assert!(dealt[8..].iter().all(|&size| size < 90), "{dealt:?}");
 }

@@ -1,7 +1,7 @@
 //! The simulated cluster: nodes, dataset placement, and the all-to-all
 //! exchange primitive.
 
-use papar_record::batch::{Batch, Dataset};
+use papar_record::batch::{block_sizes, Batch, Dataset};
 use papar_record::{wire, Schema};
 use papar_trace::{CostModel, JobTrace, NoopSink, PhaseTrace, TraceSink, WorkflowTrace};
 use std::sync::Arc;
@@ -837,16 +837,13 @@ pub fn split_dataset(dataset: Dataset, n: usize) -> Vec<Dataset> {
     }
 }
 
-/// Split a vector into `n` contiguous chunks of near-equal length (the
-/// earlier chunks take the remainder, like HDFS block assignment).
+/// Split a vector into `n` contiguous chunks of near-equal length
+/// ([`block_sizes`]: the earlier chunks take the remainder, like HDFS
+/// block assignment).
 pub fn split_evenly<T>(mut items: Vec<T>, n: usize) -> Vec<Vec<T>> {
-    let n = n.max(1);
-    let len = items.len();
-    let base = len / n;
-    let extra = len % n;
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n.max(1));
     // Take chunks from the back to avoid repeated shifting, then reverse.
-    let mut sizes: Vec<usize> = (0..n).map(|i| base + usize::from(i < extra)).collect();
+    let mut sizes: Vec<usize> = block_sizes(items.len(), n).collect();
     sizes.reverse();
     for sz in sizes {
         let tail = items.split_off(items.len() - sz);

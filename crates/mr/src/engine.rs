@@ -12,9 +12,9 @@
 //!    reducer's node — map output is bytes from the moment it exists, like
 //!    MR-MPI's `KeyValue::add`; the rows are then shuffled all-to-all;
 //! 3. every node runs the **reducer** for each reducer id it owns
-//!    (`reducer % num_nodes`), receiving the pairs sorted deterministically,
-//!    and writes its output fragment under the job's output name with the
-//!    reducer id as the fragment ordinal.
+//!    (`reducer % num_nodes`), handing it a [`Pairs`] view of its sorted
+//!    pairs, borrowed over the inbox, and writes its output fragment under
+//!    the job's output name with the reducer id as the fragment ordinal.
 //!
 //! A job may name inputs it is the last reader of ([`MapReduceJob::release`]):
 //! once every map task has committed, those datasets leave every store,
@@ -41,7 +41,7 @@ use papar_record::batch::{Batch, Dataset};
 use papar_record::packed::PackedRecord;
 use papar_record::prefix;
 use papar_record::value::INLINE_STR_CAP;
-use papar_record::view::{EntryView, OwnedEntry, ENTRY_PACKED, ENTRY_PACKED_CSC, ENTRY_REC};
+use papar_record::view::{EntryView, ENTRY_PACKED, ENTRY_PACKED_CSC, ENTRY_REC};
 use papar_record::wire::{self, Reader};
 use papar_record::{Record, Schema, Value};
 use papar_trace::{
@@ -53,6 +53,7 @@ use std::time::Duration;
 
 use crate::cluster::Cluster;
 use crate::fault::{Fault, RecoveryAction, RetryPolicy};
+use crate::pairs::{PairLoc, Pairs, IDX_BITS, IDX_MASK};
 use crate::stats::{HotPathStats, JobStats, NetModel, RecoveryStats};
 use crate::timer::TaskTimer;
 use crate::{MrError, Result, TaskPhase};
@@ -215,21 +216,16 @@ pub trait Partitioner: Sync {
     fn reducer_for(&self, key: &Value, num_reducers: usize) -> Result<usize>;
 }
 
-/// A reduce task: a reducer's pairs in deterministic order in, an output
-/// batch out (`Sync`: shared across node workers, like [`Mapper`]).
+/// A reduce task: a reducer's pairs in deterministic order in, one batch
+/// per output dataset out (`Sync`: shared across node workers, like
+/// [`Mapper`]).
 pub trait Reducer: Sync {
-    /// Produce the output fragment of one reducer.
-    fn reduce(&self, ctx: &TaskCtx, pairs: Vec<(Value, Entry)>) -> Result<Batch>;
-
-    /// Produce one fragment per output dataset for jobs launched through
-    /// [`Cluster::run_job_multi`]: slot 0 goes to the job's primary
-    /// output, slot `j + 1` to the j-th extra output. Fused group→split
-    /// stages use this to route grouped entries to the split's
-    /// destination datasets in a single reduce pass; plain reducers keep
-    /// the default single-slot behavior.
-    fn reduce_multi(&self, ctx: &TaskCtx, pairs: Vec<(Value, Entry)>) -> Result<Vec<Batch>> {
-        Ok(vec![self.reduce(ctx, pairs)?])
-    }
+    /// Produce one reducer's output fragments: slot 0 goes to the job's
+    /// primary output, slot `j + 1` to the j-th extra output of
+    /// [`Cluster::run_job_multi`] (a fused group→split stage routes its
+    /// groups to the split's destinations this way). `pairs` borrows the
+    /// node's inbox; each entry decodes once, where the reducer puts it.
+    fn reduce(&self, ctx: &TaskCtx, pairs: Pairs<'_>) -> Result<Vec<Batch>>;
 }
 
 /// Blanket adapters so plain closures can serve as map/reduce tasks.
@@ -249,9 +245,9 @@ pub struct FnReducer<F>(pub F);
 
 impl<F> Reducer for FnReducer<F>
 where
-    F: Fn(&TaskCtx, Vec<(Value, Entry)>) -> Result<Batch> + Sync,
+    F: Fn(&TaskCtx, Pairs<'_>) -> Result<Vec<Batch>> + Sync,
 {
-    fn reduce(&self, ctx: &TaskCtx, pairs: Vec<(Value, Entry)>) -> Result<Batch> {
+    fn reduce(&self, ctx: &TaskCtx, pairs: Pairs<'_>) -> Result<Vec<Batch>> {
         (self.0)(ctx, pairs)
     }
 }
@@ -268,12 +264,16 @@ impl Partitioner for HashPartitioner {
 /// Identity partitioner: the key *is* the reducer id (distribute jobs set
 /// the temporary reduce-key to the target partition, paper Figure 9 step 4).
 /// A key outside `0..num_reducers` is a policy bug and errors; it used to
-/// be silently clamped onto the edge reducers, skewing the output.
+/// be silently clamped onto the edge reducers, skewing the output. So is a
+/// key that is no integer at all ([`MrError::NonIntegerReducerKey`]); it
+/// used to land on reducer 0.
 pub struct IdentityPartitioner;
 
 impl Partitioner for IdentityPartitioner {
     fn reducer_for(&self, key: &Value, num_reducers: usize) -> Result<usize> {
-        let id = key.as_i64().unwrap_or(0);
+        let id = key
+            .as_i64()
+            .ok_or_else(|| MrError::NonIntegerReducerKey { key: key.clone() })?;
         if id < 0 || id as u64 >= num_reducers as u64 {
             return Err(MrError::PartitionOutOfRange { id, num_reducers });
         }
@@ -399,33 +399,8 @@ fn wire_u32(field: &'static str, value: usize) -> Result<u32> {
 
 /// Width of the reducer-id field of the packed sort key.
 const REDUCER_BITS: u32 = 24;
-/// Width of the scan-index field of the packed sort key.
-const IDX_BITS: u32 = 38;
-const IDX_MASK: u128 = (1 << IDX_BITS) - 1;
 /// Mask of a 66-bit `packed66` key prefix (before shifting into position).
 const KEY66_MASK: u128 = (1 << 66) - 1;
-
-/// Where one shuffled pair's bytes live inside the reduce inboxes: 16
-/// bytes — sorting moves these and the packed keys, never the record
-/// bytes. The pair's end is not stored; re-parsing the entry finds it.
-#[derive(Clone, Copy)]
-struct PairLoc {
-    /// Index into the inbox slice (senders ascending).
-    buf: u32,
-    /// Length of the tagged key; the entry (tag byte) follows it.
-    key_len: u32,
-    /// Offset of the tagged key.
-    key_off: u64,
-}
-
-const _: () = assert!(std::mem::size_of::<PairLoc>() == 16);
-
-impl PairLoc {
-    /// The pair's bytes from its key to the end of its buffer.
-    fn tail<'a>(&self, inbox: &'a [(usize, Vec<u8>)]) -> &'a [u8] {
-        &inbox[self.buf as usize].1[self.key_off as usize..]
-    }
-}
 
 fn pack_pair(reducer: u32, key66: u128, idx: usize) -> u128 {
     ((reducer as u128) << (66 + IDX_BITS)) | (key66 << IDX_BITS) | idx as u128
@@ -552,7 +527,7 @@ struct PhaseCtx<'a> {
     /// Network model, for modeling recovery traffic on that clock.
     net: NetModel,
     /// Extra output datasets (name, schema) beyond `job.output`, in
-    /// `reduce_multi` slot order; empty for single-output jobs.
+    /// reducer slot order; empty for single-output jobs.
     extra_outputs: &'a [(String, Arc<Schema>)],
 }
 
@@ -635,10 +610,10 @@ where
 fn reduce_slots(
     job: &MapReduceJob<'_>,
     ctx: &TaskCtx,
-    pairs: Vec<(Value, Entry)>,
+    pairs: Pairs<'_>,
     slots: usize,
 ) -> Result<Vec<Batch>> {
-    let batches = job.reducer.reduce_multi(ctx, pairs)?;
+    let batches = job.reducer.reduce(ctx, pairs)?;
     if batches.len() != slots {
         return Err(MrError::msg(format!(
             "job '{}': reducer produced {} batch(es) for {} output slot(s)",
@@ -669,7 +644,7 @@ impl Cluster {
     }
 
     /// Like [`Cluster::run_job`], but the reducer writes one batch per
-    /// output dataset via [`Reducer::reduce_multi`]: slot 0 commits to
+    /// output dataset from [`Reducer::reduce`]: slot 0 commits to
     /// `job.output` with `job.output_schema`, slot `j + 1` to
     /// `extra_outputs[j]`. Every output dataset gets one fragment per
     /// reducer (ordinal = reducer id), exactly like the primary output of
@@ -1153,8 +1128,9 @@ impl Cluster {
 
     /// One reduce attempt: scan the inbox once into a 16-byte location
     /// index plus packed 128-bit sort keys, sort *those*, fix up inexact
-    /// prefix ties, then materialize each pair exactly once — in final
-    /// order, straight into its reduce group.
+    /// prefix ties, then hand each reducer its span of the sorted order
+    /// as a borrowed [`Pairs`], from which it decodes each pair exactly
+    /// once, straight into its output.
     fn reduce_attempt(
         &self,
         pc: &PhaseCtx<'_>,
@@ -1165,14 +1141,24 @@ impl Cluster {
         sort_threads: usize,
     ) -> Result<ReduceAttempt> {
         let job = pc.job;
+        let n = pc.n;
         let schema: &Schema = &job.map_output_schema;
         let mut hot = HotPathStats::default();
         locs.clear();
         packed.clear();
+        // Flat records per owned reducer (slot `rid / n`): every reducer
+        // can size its output exactly before it decodes.
+        let mut records_by_slot = vec![0usize; job.num_reducers.div_ceil(n)];
         for (bi, (_from, buf)) in inbox.iter().enumerate() {
             let mut r = Reader::new(buf);
             while r.remaining() > 0 {
                 let reducer = r.read_u32().map_err(MrError::from)?;
+                if reducer as usize >= job.num_reducers {
+                    return Err(MrError::PartitionOutOfRange {
+                        id: reducer.into(),
+                        num_reducers: job.num_reducers,
+                    });
+                }
                 // `seq` is never read: senders ascend and each sender's
                 // pairs arrive in emission order, so the scan index already
                 // orders like `(mapper, seq)`.
@@ -1193,7 +1179,10 @@ impl Cluster {
                     0
                 };
                 let key_len = wire_u32("key length", r.position() - key_off)?;
-                EntryView::parse(&mut r, schema, job.compress_key)?;
+                let entry = EntryView::parse(&mut r, schema, job.compress_key)?;
+                records_by_slot[reducer as usize / n] += entry.record_count();
+                // The pair's bytes, which its reducer decodes exactly once.
+                hot.materialized_bytes += (r.position() - key_off) as u64;
                 let idx = locs.len();
                 if idx > IDX_MASK as usize {
                     return Err(MrError::WireOverflow {
@@ -1217,53 +1206,47 @@ impl Cluster {
         if job.sort_by_key {
             fixup_prefix_ties(job.descending, inbox, locs, packed, &mut hot)?;
         }
-        // Group per owned reducer, materializing each pair exactly once.
+        // Hand every owned reducer its span of the sorted order.
         let slots = 1 + pc.extra_outputs.len();
+        let reduce = |rid: usize, pairs: Pairs<'_>| {
+            let ctx = TaskCtx {
+                node,
+                num_nodes: n,
+                num_reducers: job.num_reducers,
+                reducer: Some(rid),
+            };
+            reduce_slots(job, &ctx, pairs, slots)
+        };
         let mut outputs: Vec<(u32, Vec<Batch>)> = Vec::new();
         let mut records_out: u64 = 0;
         let mut handled: Vec<bool> = vec![false; job.num_reducers];
         let mut i = 0usize;
         while i < packed.len() {
-            let rid = (packed[i] >> (66 + IDX_BITS)) as u32;
+            let rid = (packed[i] >> (66 + IDX_BITS)) as usize;
             let mut j = i + 1;
-            while j < packed.len() && (packed[j] >> (66 + IDX_BITS)) as u32 == rid {
+            while j < packed.len() && (packed[j] >> (66 + IDX_BITS)) as usize == rid {
                 j += 1;
             }
-            let mut group: Vec<(Value, Entry)> = Vec::with_capacity(j - i);
-            for &p in &packed[i..j] {
-                let mut r = Reader::new(locs[(p & IDX_MASK) as usize].tail(inbox));
-                let key = wire::decode_value(&mut r)?;
-                let entry =
-                    match EntryView::parse(&mut r, schema, job.compress_key)?.materialize()? {
-                        OwnedEntry::Rec(rec) => Entry::Rec(rec),
-                        OwnedEntry::Packed(pk) => Entry::Packed(pk),
-                    };
-                hot.materialized_bytes += r.position() as u64;
-                group.push((key, entry));
-            }
-            let ctx = TaskCtx {
-                node,
-                num_nodes: pc.n,
-                num_reducers: job.num_reducers,
-                reducer: Some(rid as usize),
-            };
-            let batches = reduce_slots(job, &ctx, group, slots)?;
+            let pairs = Pairs::new(
+                inbox,
+                locs,
+                &packed[i..j],
+                schema,
+                job.compress_key,
+                records_by_slot[rid / n],
+            );
+            let batches = reduce(rid, pairs)?;
             records_out += batches.iter().map(|b| b.record_count() as u64).sum::<u64>();
-            handled[rid as usize] = true;
-            outputs.push((rid, batches));
+            handled[rid] = true;
+            outputs.push((rid as u32, batches));
             i = j;
         }
         // Reducers that received nothing still own an (empty) output
         // fragment, so a distribute job always materializes every partition.
-        for rid in (node..job.num_reducers).step_by(pc.n) {
+        for rid in (node..job.num_reducers).step_by(n) {
             if !handled[rid] {
-                let ctx = TaskCtx {
-                    node,
-                    num_nodes: pc.n,
-                    num_reducers: job.num_reducers,
-                    reducer: Some(rid),
-                };
-                outputs.push((rid as u32, reduce_slots(job, &ctx, Vec::new(), slots)?));
+                let pairs = Pairs::empty(schema, job.compress_key);
+                outputs.push((rid as u32, reduce(rid, pairs)?));
             }
         }
         Ok(ReduceAttempt {
@@ -1391,16 +1374,5 @@ fn job_trace(
         ],
         skew,
         covers: Vec::new(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::PairLoc;
-
-    #[test]
-    fn pair_loc_is_sixteen_bytes() {
-        // `HotPathStats::staged_bytes` charges 16 bytes per location.
-        assert_eq!(std::mem::size_of::<PairLoc>(), 16);
     }
 }

@@ -48,6 +48,7 @@ pub mod checkpoint;
 pub mod cluster;
 pub mod engine;
 pub mod fault;
+mod pairs;
 pub mod sampler;
 pub mod stats;
 pub mod store;
@@ -59,6 +60,7 @@ pub use engine::{
     Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, Partitioner, Reducer, TaskCtx,
 };
 pub use fault::{ChaosSpec, Fault, FaultPlan, RecoveryAction, RetryPolicy};
+pub use pairs::{Pairs, Runs};
 pub use sampler::RangePartitioner;
 pub use stats::{JobStats, NetModel, RecoveryStats};
 
@@ -134,6 +136,13 @@ pub enum MrError {
         id: i64,
         /// The job's reducer count.
         num_reducers: usize,
+    },
+    /// The identity partitioner got a key that is no integer, so it names
+    /// no reducer. Before this variant such a key silently went to
+    /// reducer 0.
+    NonIntegerReducerKey {
+        /// The offending key.
+        key: papar_record::Value,
     },
     /// The same fault kind appeared more than once in a `--faults` spec.
     /// Before this variant the counts silently summed, so
@@ -220,6 +229,10 @@ impl std::fmt::Display for MrError {
             MrError::PartitionOutOfRange { id, num_reducers } => write!(
                 f,
                 "partitioner assigned reducer {id}, outside 0..{num_reducers}"
+            ),
+            MrError::NonIntegerReducerKey { key } => write!(
+                f,
+                "identity partitioner wants an integer reducer id as the key, got {key:?}"
             ),
             MrError::DuplicateFaultKind { kind } => write!(
                 f,

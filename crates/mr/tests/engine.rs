@@ -4,7 +4,7 @@ use papar_config::input::FieldType;
 use papar_mr::engine::{FnMapper, FnReducer, HashPartitioner, IdentityPartitioner};
 use papar_mr::sampler::RangePartitioner;
 use papar_mr::{
-    Cluster, Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, MrError, Partitioner,
+    Cluster, Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, MrError, Pairs, Partitioner,
 };
 use papar_record::batch::{Batch, Dataset};
 use papar_record::{rec, Record, Schema, Value};
@@ -63,18 +63,22 @@ fn key_by_first(
 
 /// The pass-through reducer: strip keys, keep entries in delivered order.
 #[allow(clippy::type_complexity)]
-fn strip_keys(
-) -> FnReducer<impl Fn(&papar_mr::TaskCtx, Vec<(Value, Entry)>) -> papar_mr::Result<Batch>> {
-    FnReducer(|_ctx: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
-        let mut records = Vec::new();
-        for (_, e) in pairs {
-            match e {
-                Entry::Rec(r) => records.push(r),
-                Entry::Packed(p) => records.extend(p.records),
-            }
-        }
-        Ok(Batch::Flat(records))
+fn strip_keys() -> FnReducer<impl Fn(&papar_mr::TaskCtx, Pairs<'_>) -> papar_mr::Result<Vec<Batch>>>
+{
+    FnReducer(|_ctx: &papar_mr::TaskCtx, pairs: Pairs<'_>| {
+        let mut records = Vec::with_capacity(pairs.record_count());
+        pairs.decode_into(&mut records)?;
+        Ok(vec![Batch::Flat(records)])
     })
+}
+
+/// Every packed entry, decoded into its group, in delivered order.
+fn packed_groups(pairs: Pairs<'_>) -> papar_mr::Result<Vec<Batch>> {
+    let mut groups = Vec::with_capacity(pairs.len());
+    for pair in pairs.iter() {
+        groups.push(pair?.1.decode_group().expect("expected packed entries"));
+    }
+    Ok(vec![Batch::Packed(groups)])
 }
 
 #[test]
@@ -168,18 +172,17 @@ fn hash_grouping_collects_equal_keys_on_one_reducer() {
     cluster.scatter("in", int_dataset(&vals)).unwrap();
     let mapper = key_by_first();
     // Reducer asserts all its keys group contiguously after key sorting.
-    let reducer = FnReducer(|_: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
-        let keys: Vec<&Value> = pairs.iter().map(|(k, _)| k).collect();
+    let reducer = FnReducer(|_: &papar_mr::TaskCtx, pairs: Pairs<'_>| {
+        let keys = pairs
+            .iter()
+            .map(|pair| Ok(pair?.0.to_value()))
+            .collect::<papar_mr::Result<Vec<Value>>>()?;
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "engine must deliver key-sorted pairs");
-        let mut records = Vec::new();
-        for (_, e) in pairs {
-            if let Entry::Rec(r) = e {
-                records.push(r);
-            }
-        }
-        Ok(Batch::Flat(records))
+        let mut records = Vec::with_capacity(pairs.record_count());
+        pairs.decode_into(&mut records)?;
+        Ok(vec![Batch::Flat(records)])
     });
     let job = MapReduceJob {
         name: "group".into(),
@@ -230,17 +233,7 @@ fn packed_entries_survive_shuffle_with_and_without_compression() {
                 Ok(())
             },
         );
-        let reducer = FnReducer(|_: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
-            let mut groups = Vec::new();
-            for (_, e) in pairs {
-                if let Entry::Packed(p) = e {
-                    groups.push(p);
-                } else {
-                    panic!("expected packed entries");
-                }
-            }
-            Ok(Batch::Packed(groups))
-        });
+        let reducer = FnReducer(|_: &papar_mr::TaskCtx, pairs: Pairs<'_>| packed_groups(pairs));
         let job = MapReduceJob {
             name: "shuffle-packed".into(),
             inputs: vec!["in".into()],
@@ -293,15 +286,7 @@ fn compression_reduces_shuffled_bytes_on_redundant_groups() {
                 Ok(())
             },
         );
-        let reducer = FnReducer(|_: &papar_mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
-            let mut groups = Vec::new();
-            for (_, e) in pairs {
-                if let Entry::Packed(p) = e {
-                    groups.push(p);
-                }
-            }
-            Ok(Batch::Packed(groups))
-        });
+        let reducer = FnReducer(|_: &papar_mr::TaskCtx, pairs: Pairs<'_>| packed_groups(pairs));
         // Force cross-node traffic: single reducer on node 0.
         let job = MapReduceJob {
             name: "c".into(),
@@ -766,6 +751,47 @@ fn distribute_negative_key_errors_instead_of_clamping() {
 }
 
 #[test]
+fn identity_partitioner_refuses_a_non_integer_key() {
+    for key in [Value::from("3"), Value::Double(1.0)] {
+        let mut cluster = Cluster::new(2);
+        cluster.scatter("in", int_dataset(&[1, 2])).unwrap();
+        let mapper = FnMapper(
+            |_: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+                for MapInput { data: ds, .. } in inputs {
+                    for r in ds.batch.as_flat().unwrap() {
+                        out.push(&key, EntryRef::Rec(r))?;
+                    }
+                }
+                Ok(())
+            },
+        );
+        let reducer = strip_keys();
+        let job = MapReduceJob {
+            name: "distribute-str".into(),
+            inputs: vec!["in".into()],
+            output: "out".into(),
+            num_reducers: 3,
+            map_output_schema: int_schema(),
+            output_schema: int_schema(),
+            mapper: &mapper,
+            partitioner: &IdentityPartitioner,
+            reducer: &reducer,
+            sort_by_key: false,
+            descending: false,
+            compress_key: None,
+            release: &[],
+        };
+        let err = cluster.run_job(&job).unwrap_err();
+        assert_eq!(err, MrError::NonIntegerReducerKey { key: key.clone() });
+        assert!(
+            err.to_string().contains(&format!("{key:?}")),
+            "the error names the key: {err}"
+        );
+        assert!(cluster.collect("out").is_err(), "nothing was committed");
+    }
+}
+
+#[test]
 fn collector_trace_covers_phases_tasks_and_skew() {
     use papar_trace::{Collector, PhaseKind};
 
@@ -831,15 +857,19 @@ fn collector_trace_covers_phases_tasks_and_skew() {
 }
 
 /// Keys biased toward packed-prefix collisions: strings sharing their
-/// first 8 bytes, equal numbers across Int/Long/Double, ±0.0, and the
-/// shape of `key_strategy` in papar-record's property tests.
+/// first 8 bytes, equal numbers across Int/Long/Double (`Int(7)` and
+/// `Long(7)`), f64-lossy `Long`s, ±0.0, NaN, and the shape of
+/// `key_strategy` in papar-record's property tests.
 fn colliding_key() -> impl Strategy<Value = Value> {
     prop_oneof![
         (-3i32..3).prop_map(Value::Int),
         (-3i64..3).prop_map(Value::Long),
         (-3i64..3).prop_map(|x| Value::Double(x as f64)),
+        Just(Value::Int(7)),
+        Just(Value::Long(7)),
         Just(Value::Double(0.0)),
         Just(Value::Double(-0.0)),
+        Just(Value::Double(f64::NAN)),
         any::<i32>().prop_map(Value::Int),
         any::<i64>().prop_map(Value::Long),
         ((1i64 << 53) - 2..(1i64 << 53) + 2).prop_map(Value::Long),
@@ -853,17 +883,24 @@ fn colliding_key() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// Delivered pairs as `[id, mapper, seq]`, one list per reducer.
-type Delivered = Vec<Vec<[i32; 3]>>;
+/// Delivered pairs as `[id, mapper, seq, run]`, one list per reducer;
+/// `run` numbers the reducer's key-equal runs as [`Pairs::runs`] cut them.
+type Delivered = Vec<Vec<[i32; 4]>>;
 
 /// Run one keyed job whose mapper tags every entry with its input id,
 /// mapper and emission index, and whose reducer returns the entries in
-/// the order it received them.
+/// the order it received them, each tagged with its run's ordinal.
 fn run_recording(keys: &[Value], sort_by_key: bool, descending: bool, threads: usize) -> Delivered {
     let schema = Arc::new(Schema::new(vec![
         ("id", FieldType::Integer),
         ("mapper", FieldType::Integer),
         ("seq", FieldType::Integer),
+    ]));
+    let out_schema = Arc::new(Schema::new(vec![
+        ("id", FieldType::Integer),
+        ("mapper", FieldType::Integer),
+        ("seq", FieldType::Integer),
+        ("run", FieldType::Integer),
     ]));
     let mut cluster = Cluster::new(3).with_threads(threads);
     let ids: Vec<i32> = (0..keys.len() as i32).collect();
@@ -882,14 +919,24 @@ fn run_recording(keys: &[Value], sort_by_key: bool, descending: bool, threads: u
             Ok(())
         },
     );
-    let reducer = strip_keys();
+    let reducer = FnReducer(|_: &papar_mr::TaskCtx, pairs: Pairs<'_>| {
+        let mut records = Vec::with_capacity(pairs.record_count());
+        for (ordinal, run) in pairs.runs().enumerate() {
+            let start = records.len();
+            run?.decode_into(&mut records)?;
+            for r in &mut records[start..] {
+                r.push(Value::Int(ordinal as i32));
+            }
+        }
+        Ok(vec![Batch::Flat(records)])
+    });
     let job = MapReduceJob {
         name: "order".into(),
         inputs: vec!["in".into()],
         output: "out".into(),
         num_reducers: 3,
-        map_output_schema: schema.clone(),
-        output_schema: schema,
+        map_output_schema: schema,
+        output_schema: out_schema,
         mapper: &mapper,
         partitioner: &HashPartitioner,
         reducer: &reducer,
@@ -907,7 +954,7 @@ fn run_recording(keys: &[Value], sort_by_key: bool, descending: bool, threads: u
             d.batch
                 .flatten()
                 .iter()
-                .map(|r| [0, 1, 2].map(|i| r.value(i).unwrap().as_i64().unwrap() as i32))
+                .map(|r| [0, 1, 2, 3].map(|i| r.value(i).unwrap().as_i64().unwrap() as i32))
                 .collect()
         })
         .collect()
@@ -919,7 +966,7 @@ fn oracle_cmp(
     keys: &[Value],
     sort_by_key: bool,
     descending: bool,
-) -> impl Fn(&[i32; 3], &[i32; 3]) -> Ordering + '_ {
+) -> impl Fn(&[i32; 4], &[i32; 4]) -> Ordering + '_ {
     move |a, b| {
         let key_ord = if sort_by_key {
             let ord = keys[a[0] as usize].cmp(&keys[b[0] as usize]);
@@ -940,7 +987,9 @@ proptest! {
 
     /// Every reducer receives its pairs in the reference order — keys that
     /// tie on their packed prefix included — with key sorting on and off,
-    /// ascending and descending, at 1 and 4 threads.
+    /// ascending and descending, at 1 and 4 threads; and `Pairs::runs`
+    /// cuts that order wherever a key is not equal to its run's first key,
+    /// which prefix ties alone cannot tell.
     #[test]
     fn reducers_receive_pairs_in_reference_order(
         keys in prop::collection::vec(colliding_key(), 0..80),
@@ -959,6 +1008,18 @@ proptest! {
                     }
                     for group in &mut want {
                         group.sort_by(oracle_cmp(&keys, sort_by_key, descending));
+                        // Number the runs: a new one wherever the key is
+                        // not equal to the current run's first key.
+                        let mut first: Option<&Value> = None;
+                        let mut ordinal = -1;
+                        for t in group.iter_mut() {
+                            let key = &keys[t[0] as usize];
+                            if first != Some(key) {
+                                first = Some(key);
+                                ordinal += 1;
+                            }
+                            t[3] = ordinal;
+                        }
                     }
                     prop_assert_eq!(
                         &got, &want,

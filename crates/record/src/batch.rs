@@ -118,6 +118,14 @@ impl Batch {
     }
 }
 
+/// The sizes of `n` contiguous blocks of `len` items in block order, near
+/// equal: the earlier blocks take the remainder, like HDFS block
+/// assignment. How an input's records split across the nodes.
+pub fn block_sizes(len: usize, n: usize) -> impl Iterator<Item = usize> {
+    let n = n.max(1);
+    (0..n).map(move |i| len / n + usize::from(i < len % n))
+}
+
 /// A batch together with the schema its records follow.
 ///
 /// The schema travels with the data because add-on operators extend it

@@ -11,12 +11,25 @@
 pub mod binary {
     //! Fixed-width binary records.
 
+    use crate::batch::block_sizes;
     use crate::{CodecError, Record, Result, Schema, Value};
     use papar_config::input::{FieldType, InputConfig, InputFormat};
 
     /// Decode every record from `data`, honoring the config's
     /// `start_position` and field widths.
     pub fn read(cfg: &InputConfig, schema: &Schema, data: &[u8]) -> Result<Vec<Record>> {
+        Ok(read_split(cfg, schema, data, 1)?.pop().unwrap_or_default())
+    }
+
+    /// [`read`], decoding straight into `n` contiguous blocks of records
+    /// sized like [`block_sizes`], each an exact-size vector: no record is
+    /// decoded into one vector and then moved to another.
+    pub fn read_split(
+        cfg: &InputConfig,
+        schema: &Schema,
+        data: &[u8],
+        n: usize,
+    ) -> Result<Vec<Vec<Record>>> {
         if cfg.format != InputFormat::Binary {
             return Err(CodecError(format!(
                 "input '{}' is not a binary input",
@@ -40,8 +53,8 @@ pub mod binary {
                 body.len() % width
             )));
         }
-        let mut out = Vec::with_capacity(body.len() / width);
-        for row in body.chunks_exact(width) {
+        let mut rows = body.chunks_exact(width);
+        let decode = |row: &[u8]| {
             let mut rec = Record::default();
             let mut pos = 0;
             for f in schema.fields() {
@@ -49,9 +62,11 @@ pub mod binary {
                 rec.push(decode_fixed(&row[pos..pos + w], f.ty));
                 pos += w;
             }
-            out.push(rec);
-        }
-        Ok(out)
+            rec
+        };
+        Ok(block_sizes(body.len() / width, n)
+            .map(|size| rows.by_ref().take(size).map(decode).collect())
+            .collect())
     }
 
     fn decode_fixed(chunk: &[u8], ty: FieldType) -> Value {
@@ -108,6 +123,7 @@ pub mod binary {
 pub mod text {
     //! Delimiter-separated text records.
 
+    use crate::batch::block_sizes;
     use crate::{CodecError, Record, Result, Schema, Value};
     use papar_config::input::{InputConfig, InputFormat};
     use std::fmt::Write;
@@ -143,41 +159,100 @@ pub mod text {
     /// (files customarily end with the terminator); anything else that does
     /// not complete a record is an error.
     pub fn read(cfg: &InputConfig, schema: &Schema, data: &str) -> Result<Vec<Record>> {
+        let delims = text_plan(cfg, schema)?;
+        let mut out = Vec::new();
+        let mut rest = data;
+        while let Some((rec, next)) = next_record(schema, &delims, rest, true)? {
+            out.push(rec);
+            rest = next;
+        }
+        Ok(out)
+    }
+
+    /// [`read`], decoding straight into `n` contiguous blocks of records
+    /// sized like [`block_sizes`], each an exact-size vector. A first
+    /// pass counts the records by their delimiters alone; the decode pass
+    /// reports a malformed record exactly as [`read`] does.
+    pub fn read_split(
+        cfg: &InputConfig,
+        schema: &Schema,
+        data: &str,
+        n: usize,
+    ) -> Result<Vec<Vec<Record>>> {
+        let delims = text_plan(cfg, schema)?;
+        let mut total = 0;
+        let mut rest = data;
+        while let Ok(Some((_, next))) = next_record(schema, &delims, rest, false) {
+            total += 1;
+            rest = next;
+        }
+        let mut rest = data;
+        let mut blocks = Vec::with_capacity(n);
+        for size in block_sizes(total, n) {
+            let mut block = Vec::with_capacity(size);
+            for _ in 0..size {
+                let (rec, next) = next_record(schema, &delims, rest, true)?.ok_or_else(|| {
+                    CodecError("text input ended before its counted records".into())
+                })?;
+                block.push(rec);
+                rest = next;
+            }
+            blocks.push(block);
+        }
+        // Past the counted records there is trailing whitespace or the
+        // malformed record that stopped the count.
+        match next_record(schema, &delims, rest, true)? {
+            None => Ok(blocks),
+            Some(_) => Err(CodecError(
+                "text input holds more records than counted".into(),
+            )),
+        }
+    }
+
+    /// The delimiter plan of a text input, refusing a binary one.
+    fn text_plan(cfg: &InputConfig, schema: &Schema) -> Result<Vec<String>> {
         if cfg.format != InputFormat::Text {
             return Err(CodecError(format!(
                 "input '{}' is not a text input",
                 cfg.id
             )));
         }
-        let delims = delimiter_plan(cfg, schema.len())?;
-        let mut out = Vec::new();
-        let mut rest = data;
-        'records: while !rest.is_empty() {
-            let mut rec = Record::default();
-            let mut cursor = rest;
-            for (i, (field, delim)) in schema.fields().iter().zip(&delims).enumerate() {
-                match cursor.find(delim.as_str()) {
-                    Some(at) => {
+        delimiter_plan(cfg, schema.len())
+    }
+
+    /// The record at the head of `rest` and what follows it, or `None`
+    /// when only whitespace is left. Without `parse` the fields are only
+    /// delimited, and the record comes back empty.
+    fn next_record<'a>(
+        schema: &Schema,
+        delims: &[String],
+        rest: &'a str,
+        parse: bool,
+    ) -> Result<Option<(Record, &'a str)>> {
+        let mut rec = Record::default();
+        let mut cursor = rest;
+        for (i, (field, delim)) in schema.fields().iter().zip(delims).enumerate() {
+            match cursor.find(delim.as_str()) {
+                Some(at) => {
+                    if parse {
                         rec.push(Value::parse_typed(&cursor[..at], field.ty)?);
-                        cursor = &cursor[at + delim.len()..];
                     }
-                    None => {
-                        // Only trailing whitespace may remain after the last
-                        // complete record.
-                        if i == 0 && cursor.trim().is_empty() {
-                            break 'records;
-                        }
-                        return Err(CodecError(format!(
-                            "truncated record: missing delimiter {delim:?} for field '{}'",
-                            field.name
-                        )));
+                    cursor = &cursor[at + delim.len()..];
+                }
+                None => {
+                    // Only trailing whitespace may remain after the last
+                    // complete record.
+                    if i == 0 && cursor.trim().is_empty() {
+                        return Ok(None);
                     }
+                    return Err(CodecError(format!(
+                        "truncated record: missing delimiter {delim:?} for field '{}'",
+                        field.name
+                    )));
                 }
             }
-            out.push(rec);
-            rest = cursor;
         }
-        Ok(out)
+        Ok(Some((rec, cursor)))
     }
 
     /// Encode records in the configured text format.
@@ -361,6 +436,62 @@ mod tests {
         let schema = Schema::from_input_config(&cfg);
         let got = text::read(&cfg, &schema, "x y\nz w\n").unwrap();
         assert_eq!(got, vec![rec!["x", "y"], rec!["z", "w"]]);
+    }
+
+    #[test]
+    fn read_split_decodes_the_blocks_a_scatter_makes() {
+        let bcfg = blast_cfg();
+        let bschema = Schema::from_input_config(&bcfg);
+        let records: Vec<_> = (0..10).map(|i| rec![i, i + 1, i + 2, i + 3]).collect();
+        let bytes = binary::write(&bcfg, &bschema, &records, None).unwrap();
+        let tcfg = edge_cfg();
+        let tschema = Schema::from_input_config(&tcfg);
+        let edges: Vec<_> = (0..10).map(|i| rec![format!("v{i}"), "v0"]).collect();
+        let text = text::write(&tcfg, &tschema, &edges).unwrap() + "\n ";
+        for n in [1, 3, 4, 12] {
+            let blocks = |all: &[crate::Record]| -> Vec<Vec<crate::Record>> {
+                let mut rest = all;
+                crate::batch::block_sizes(all.len(), n)
+                    .map(|size| {
+                        let (block, tail) = rest.split_at(size);
+                        rest = tail;
+                        block.to_vec()
+                    })
+                    .collect()
+            };
+            let got = binary::read_split(&bcfg, &bschema, &bytes, n).unwrap();
+            assert_eq!(got, blocks(&records), "binary n={n}");
+            let got = text::read_split(&tcfg, &tschema, &text, n).unwrap();
+            assert_eq!(got, blocks(&edges), "text n={n}");
+            assert!(
+                got.iter().all(|b| b.capacity() == b.len()),
+                "exact-size blocks"
+            );
+        }
+        // A malformed text record fails exactly as `read` fails, whichever
+        // comes first: a value that does not parse, or a truncated record.
+        let ncfg = InputConfig::parse_str(
+            r#"
+<input id="num" name="n">
+  <input_format>text</input_format>
+  <element>
+    <value name="id" type="integer"/>
+    <delimiter value=","/>
+    <value name="score" type="integer"/>
+    <delimiter value="\n"/>
+  </element>
+</input>"#,
+        )
+        .unwrap();
+        let nschema = Schema::from_input_config(&ncfg);
+        for bad in ["1,2\nx,3\n4,5\n6", "1,2\n3,4\n5", "1,2\n3,y\n5"] {
+            let want = text::read(&ncfg, &nschema, bad).unwrap_err();
+            assert_eq!(
+                text::read_split(&ncfg, &nschema, bad, 2).unwrap_err(),
+                want,
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -105,7 +105,8 @@ pub fn decode_compressed(r: &mut Reader<'_>, schema: &Schema, key_idx: usize) ->
     for gi in 0..n_groups {
         let count = starts[gi + 1] - starts[gi];
         let key = wire::decode_value(r)?;
-        let records = decode_csc_rows(r, schema, key_idx, &key, count)?;
+        let mut records = Vec::new();
+        decode_csc_rows(r, schema, key_idx, &key, count, &mut records)?;
         groups.push(PackedRecord { key, records });
     }
     Ok(Batch::Packed(groups))
@@ -113,14 +114,16 @@ pub fn decode_compressed(r: &mut Reader<'_>, schema: &Schema, key_idx: usize) ->
 
 /// Rebuild `count` member records from one group's column block (each
 /// non-key field's `count` cells, column-major), restoring `key` at
-/// `key_idx`. The records are filled field by field, in place.
+/// `key_idx`, and append them to `out`. The records are filled field by
+/// field, in place.
 pub(crate) fn decode_csc_rows(
     r: &mut Reader<'_>,
     schema: &Schema,
     key_idx: usize,
     key: &Value,
     count: usize,
-) -> Result<Vec<Record>> {
+    out: &mut Vec<Record>,
+) -> Result<()> {
     // Every non-key cell takes at least one byte: refuse a count the
     // remaining bytes cannot hold before allocating for it.
     if schema.len() > 1 && count > r.remaining() {
@@ -129,9 +132,10 @@ pub(crate) fn decode_csc_rows(
             r.remaining()
         )));
     }
-    let mut records = vec![Record::default(); count];
+    let start = out.len();
+    out.resize(start + count, Record::default());
     for (fi, field) in schema.fields().iter().enumerate() {
-        for rec in &mut records {
+        for rec in &mut out[start..] {
             rec.push(if fi == key_idx {
                 key.clone()
             } else {
@@ -139,7 +143,7 @@ pub(crate) fn decode_csc_rows(
             });
         }
     }
-    Ok(records)
+    Ok(())
 }
 
 /// Compare compressed vs uncompressed encoded sizes.

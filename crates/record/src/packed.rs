@@ -65,6 +65,27 @@ impl PackedRecord {
 /// separate packs, mirroring how a streaming packer behaves.
 pub fn pack(records: Vec<Record>, key_idx: usize) -> Result<Vec<PackedRecord>> {
     let mut out: Vec<PackedRecord> = Vec::new();
+    pack_onto(&mut out, records, key_idx)?;
+    Ok(out)
+}
+
+/// Pack `records` onto the end of `out`: the result equals [`pack`] over
+/// `out`'s members followed by `records`, so a run may extend `out`'s
+/// last group. A run that forms one new group on its own — what a
+/// reducer hands over per key-run — becomes that group's member vector
+/// as it is, without a copy.
+pub fn pack_onto(out: &mut Vec<PackedRecord>, records: Vec<Record>, key_idx: usize) -> Result<()> {
+    if let Some(first) = records.first() {
+        let key = first.require(key_idx)?;
+        let one_group = records.iter().all(|r| r.value(key_idx) == Some(key));
+        if one_group && out.last().is_none_or(|last| last.key != *key) {
+            out.push(PackedRecord {
+                key: key.clone(),
+                records,
+            });
+            return Ok(());
+        }
+    }
     for r in records {
         let key = r.require(key_idx)?.clone();
         match out.last_mut() {
@@ -75,7 +96,7 @@ pub fn pack(records: Vec<Record>, key_idx: usize) -> Result<Vec<PackedRecord>> {
             }),
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Flatten packed records back to the original flat format (`unpack`).
@@ -146,6 +167,24 @@ mod tests {
         assert!(bad.is_err());
         let out_of_range = PackedRecord::new(Value::Int(0), vec![rec![1]], 5);
         assert!(out_of_range.is_err());
+    }
+
+    #[test]
+    fn pack_onto_equals_pack_over_the_concatenation() {
+        let runs = [
+            vec![rec![1, 10], rec![1, 11]],
+            vec![rec![1, 12]], // extends the last group
+            vec![rec![2, 20], rec![3, 30]],
+            vec![],
+            vec![rec![3, 31], rec![2, 21]],
+        ];
+        let mut out = Vec::new();
+        for run in runs.clone() {
+            pack_onto(&mut out, run, 0).unwrap();
+        }
+        assert_eq!(out, pack(runs.concat(), 0).unwrap());
+        assert_eq!(out.len(), 4);
+        assert!(pack_onto(&mut out, vec![rec![1]], 3).is_err());
     }
 
     #[test]

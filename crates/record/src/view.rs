@@ -16,7 +16,7 @@
 //! The shuffle's entry framing (tag byte + payload, see the engine's
 //! `encode_entry`) lives here as [`EntryView`] so the reduce hot path can
 //! sort and group *references into inbox buffers* and decode each entry
-//! exactly once, at output-materialization time.
+//! exactly once, straight into the reducer's output.
 
 use crate::packed::PackedRecord;
 use crate::record::Record;
@@ -123,25 +123,17 @@ impl<'a> RecordView<'a> {
     }
 }
 
-/// An owned entry produced by [`EntryView::materialize`]; the engine maps
-/// this 1:1 onto its `Entry` enum.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OwnedEntry {
-    /// A single flat record.
-    Rec(Record),
-    /// A packed group.
-    Packed(PackedRecord),
-}
-
 /// A borrowed shuffle entry: the tag plus the validated payload span.
 /// Parsing walks the payload once (bounds + tags only, no allocation);
-/// [`EntryView::materialize`] decodes it into owned structures exactly once,
-/// when the reducer actually needs the data.
+/// [`EntryView::decode_into`] decodes it exactly once, straight into the
+/// vector the reducer commits.
 #[derive(Debug, Clone, Copy)]
 pub struct EntryView<'a> {
     tag: u8,
     schema: &'a Schema,
     compress_key: Option<usize>,
+    /// Flat records the entry holds: 1, or a packed group's member count.
+    records: usize,
     /// Payload bytes after the tag.
     payload: &'a [u8],
 }
@@ -182,8 +174,11 @@ impl<'a> EntryView<'a> {
     ) -> Result<Self> {
         let tag = r.read_u8()?;
         let start = r.position();
-        match tag {
-            ENTRY_REC => wire::skip_record(r, schema)?,
+        let records = match tag {
+            ENTRY_REC => {
+                wire::skip_record(r, schema)?;
+                1
+            }
             ENTRY_PACKED => {
                 wire::skip_value(r)?;
                 let count = r.read_u32()? as usize;
@@ -195,21 +190,22 @@ impl<'a> EntryView<'a> {
                         wire::skip_record(r, schema)?;
                     }
                 }
+                count
             }
             ENTRY_PACKED_CSC => {
-                let key_idx = compress_key.ok_or_else(|| {
-                    CodecError("received CSC-compressed entry but no compress_key".into())
-                })?;
+                let key_idx = csc_key(compress_key)?;
                 wire::skip_value(r)?;
                 let count = r.read_u32()? as usize;
                 skip_csc_columns(r, schema, key_idx, count)?;
+                count
             }
             t => return Err(CodecError(format!("unknown entry tag {t}"))),
-        }
+        };
         Ok(EntryView {
             tag,
             schema,
             compress_key,
+            records,
             payload: &r.buffer()[start..r.position()],
         })
     }
@@ -224,35 +220,65 @@ impl<'a> EntryView<'a> {
         1 + self.payload.len()
     }
 
-    /// Decode into owned structures. This is the single wire→owned copy on
-    /// the zero-copy path; rows of CSC entries are rebuilt by *draining* the
-    /// decoded columns, never cloning cells.
-    pub fn materialize(&self) -> Result<OwnedEntry> {
+    /// Flat records the entry holds: 1 for a record, the member count
+    /// for a packed group.
+    pub fn record_count(&self) -> usize {
+        self.records
+    }
+
+    /// Decode the entry, appending its flat records to `out`: the record
+    /// itself, or a packed group's members in group order. This is the
+    /// single wire→owned copy on the reduce path; CSC members are rebuilt
+    /// field by field in place in `out`, never cloned.
+    pub fn decode_into(&self, out: &mut Vec<Record>) -> Result<()> {
         let mut r = Reader::new(self.payload);
         match self.tag {
-            ENTRY_REC => Ok(OwnedEntry::Rec(wire::decode_record(&mut r, self.schema)?)),
+            ENTRY_REC => out.push(wire::decode_record(&mut r, self.schema)?),
             ENTRY_PACKED => {
-                let key = wire::decode_value(&mut r)?;
-                let count = r.read_u32()? as usize;
-                let mut records = Vec::with_capacity(count);
-                for _ in 0..count {
-                    records.push(wire::decode_record(&mut r, self.schema)?);
+                wire::skip_value(&mut r)?;
+                r.read_u32()?;
+                out.reserve(self.records);
+                for _ in 0..self.records {
+                    out.push(wire::decode_record(&mut r, self.schema)?);
                 }
-                Ok(OwnedEntry::Packed(PackedRecord { key, records }))
             }
             ENTRY_PACKED_CSC => {
-                let key_idx = self.compress_key.ok_or_else(|| {
-                    CodecError("received CSC-compressed entry but no compress_key".into())
-                })?;
+                let key_idx = csc_key(self.compress_key)?;
                 let key = wire::decode_value(&mut r)?;
-                let count = r.read_u32()? as usize;
-                let records =
-                    crate::compress::decode_csc_rows(&mut r, self.schema, key_idx, &key, count)?;
-                Ok(OwnedEntry::Packed(PackedRecord { key, records }))
+                r.read_u32()?;
+                crate::compress::decode_csc_rows(
+                    &mut r,
+                    self.schema,
+                    key_idx,
+                    &key,
+                    self.records,
+                    out,
+                )?;
             }
-            t => Err(CodecError(format!("unknown entry tag {t}"))),
+            t => return Err(CodecError(format!("unknown entry tag {t}"))),
         }
+        Ok(())
     }
+
+    /// Decode a packed entry into its group, with an exact-size member
+    /// vector; a flat entry is an error.
+    pub fn decode_group(&self) -> Result<PackedRecord> {
+        if self.tag == ENTRY_REC {
+            return Err(CodecError(
+                "expected a packed group, found a flat record".into(),
+            ));
+        }
+        let key = wire::decode_value(&mut Reader::new(self.payload))?;
+        let mut records = Vec::with_capacity(self.records);
+        self.decode_into(&mut records)?;
+        Ok(PackedRecord { key, records })
+    }
+}
+
+/// The key column a CSC entry factored out.
+fn csc_key(compress_key: Option<usize>) -> Result<usize> {
+    compress_key
+        .ok_or_else(|| CodecError("received CSC-compressed entry but no compress_key".into()))
 }
 
 #[cfg(test)]
@@ -342,7 +368,11 @@ mod tests {
         let buf = encode_entry_rec(&rec, &schema);
         let view = EntryView::parse(&mut Reader::new(&buf), &schema, None).unwrap();
         assert_eq!(view.encoded_len(), buf.len());
-        assert_eq!(view.materialize().unwrap(), OwnedEntry::Rec(rec));
+        assert_eq!(view.record_count(), 1);
+        let mut out = vec![rec![0, 0i64, 0.0]];
+        view.decode_into(&mut out).unwrap();
+        assert_eq!(out[1], rec, "appended after what the vector held");
+        assert!(view.decode_group().is_err(), "a record is not a group");
     }
 
     #[test]
@@ -360,10 +390,11 @@ mod tests {
             wire::encode_record(r, &schema, &mut packed).unwrap();
         }
         let view = EntryView::parse(&mut Reader::new(&packed), &schema, None).unwrap();
-        assert_eq!(
-            view.materialize().unwrap(),
-            OwnedEntry::Packed(group.clone())
-        );
+        assert_eq!(view.record_count(), 3);
+        assert_eq!(view.decode_group().unwrap(), group);
+        let mut members = Vec::new();
+        view.decode_into(&mut members).unwrap();
+        assert_eq!(members, group.records);
 
         // CSC: key factored out of column 0.
         let mut csc = vec![ENTRY_PACKED_CSC];
@@ -373,7 +404,11 @@ mod tests {
             wire::encode_field(r.require(1).unwrap(), FieldType::Integer, &mut csc).unwrap();
         }
         let view = EntryView::parse(&mut Reader::new(&csc), &schema, Some(0)).unwrap();
-        assert_eq!(view.materialize().unwrap(), OwnedEntry::Packed(group));
+        assert_eq!(view.record_count(), 3);
+        let mut members = vec![rec!["before", 0]];
+        view.decode_into(&mut members).unwrap();
+        assert_eq!(members[1..], group.records[..]);
+        assert_eq!(view.decode_group().unwrap(), group);
         // Missing compress_key on a CSC entry is an error, not a guess.
         assert!(EntryView::parse(&mut Reader::new(&csc), &schema, None).is_err());
     }

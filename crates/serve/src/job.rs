@@ -6,8 +6,8 @@
 //! four stages:
 //!
 //! * [`load`]: input-config text + data file (only the `--records`
-//!   region of a binary file is read) → the decoded records, split by
-//!   move into one shared [`Dataset`] fragment per node;
+//!   region of a binary file is read) → the records, decoded straight
+//!   into one shared [`Dataset`] fragment per node;
 //! * [`compile`]: both document texts + the job's arguments + record
 //!   count and replication → `papar check` gate → bind → plan-invariant
 //!   verification → adaptive decision over the *borrowed* fragments →
@@ -44,7 +44,6 @@ use papar_core::exec::{
 };
 use papar_core::physplan::{self, FuseToggles, PhysicalPlan};
 use papar_core::plan::{Planner, WorkflowPlan};
-use papar_mr::cluster::split_dataset;
 use papar_mr::{Cluster, RetryPolicy};
 use papar_record::batch::{Batch, Dataset};
 use papar_record::{codec, wire, Record, Schema};
@@ -100,6 +99,26 @@ pub fn load_records(
     path: &Path,
     records: Option<usize>,
 ) -> Result<Vec<Record>, String> {
+    read_input(
+        cfg,
+        schema,
+        path,
+        records,
+        |bytes| codec::binary::read(cfg, schema, bytes),
+        |text| codec::text::read(cfg, schema, text),
+    )
+}
+
+/// What [`load_records`] reads, decoded by `binary` (the header plus the
+/// whole-record region) or `text` (the whole file).
+fn read_input<T>(
+    cfg: &InputConfig,
+    schema: &Schema,
+    path: &Path,
+    records: Option<usize>,
+    binary: impl FnOnce(&[u8]) -> papar_record::Result<T>,
+    text: impl FnOnce(&str) -> papar_record::Result<T>,
+) -> Result<T, String> {
     match cfg.format {
         InputFormat::Binary => {
             let cannot_read = |e: std::io::Error| format!("cannot read {}: {e}", path.display());
@@ -148,28 +167,33 @@ pub fn load_records(
                 },
                 None => available / width * width,
             };
-            codec::binary::read(cfg, schema, &bytes[..start + region]).map_err(|e| e.to_string())
+            binary(&bytes[..start + region]).map_err(|e| e.to_string())
         }
-        InputFormat::Text => {
-            codec::text::read(cfg, schema, &read_text(path)?).map_err(|e| e.to_string())
-        }
+        InputFormat::Text => text(&read_text(path)?).map_err(|e| e.to_string()),
     }
 }
 
 /// Stage 1 — load: decode the job's data file per its input-config
-/// document and split the records by move into one fragment per node,
-/// in ordinal order — the layout the cluster stores, so [`run`] places
-/// them (and the daemon caches them) without copying a record.
+/// document straight into one fragment per node, in ordinal order — the
+/// layout the cluster stores, so [`run`] places them (and the daemon
+/// caches them) without copying a record. Each fragment is an exact-size
+/// vector of its block of records, so the input is resident once.
 pub fn load(spec: &JobSpec, cfg_text: &str) -> Result<Vec<Arc<Dataset>>, String> {
     let cfg =
         InputConfig::parse_str(cfg_text).map_err(|e| format!("{}: {e}", spec.input_config))?;
     let schema = Arc::new(Schema::from_input_config(&cfg));
-    let records = spec.records.map(|n| n as usize);
-    let records = load_records(&cfg, &schema, Path::new(&spec.data), records)?;
-    let input = Dataset::new(schema, Batch::Flat(records));
-    Ok(split_dataset(input, spec.nodes as usize)
+    let nodes = spec.nodes as usize;
+    let blocks = read_input(
+        &cfg,
+        &schema,
+        Path::new(&spec.data),
+        spec.records.map(|n| n as usize),
+        |bytes| codec::binary::read_split(&cfg, &schema, bytes, nodes),
+        |text| codec::text::read_split(&cfg, &schema, text, nodes),
+    )?;
+    Ok(blocks
         .into_iter()
-        .map(Arc::new)
+        .map(|block| Arc::new(Dataset::new(schema.clone(), Batch::Flat(block))))
         .collect())
 }
 

@@ -178,11 +178,23 @@ fn byte_slope(small: Usage, large: Usage, records: f64) -> f64 {
     (large.bytes as f64 - small.bytes as f64) / records
 }
 
+/// The Figure 8 `run` byte slope measured on this test's database: the
+/// sort reducers decode each record once into its output (72 bytes), the
+/// distribute's assembly moves it once into its partition, plus the
+/// shuffle's outbox, inbox and sort buffers.
+const BLAST_RUN_BYTES: f64 = 218.5;
+
 /// The Figure 10 `run` byte slope measured on this test's edge list (two
-/// engine jobs, each decoding every shuffled record into a 72-byte
-/// in-place record, plus the group's packing and the reducers' pair
-/// vectors).
-const HYBRID_RUN_BYTES: f64 = 625.8;
+/// engine jobs, each decoding every shuffled record once into a 72-byte
+/// in-place record — the group's straight into its packed groups — plus
+/// the shuffle buffers and the split outputs' growth).
+const HYBRID_RUN_BYTES: f64 = 327.6;
+
+/// The Figure 10 `run` block slope: one member vector per packed group.
+const HYBRID_RUN_BLOCKS: f64 = 0.129;
+
+/// One decoded record, in place.
+const RECORD_BYTES: f64 = std::mem::size_of::<papar_record::Record>() as f64;
 
 #[test]
 fn pipeline_seams_copy_no_record() {
@@ -200,7 +212,6 @@ fn pipeline_seams_copy_no_record() {
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!("fig8 2k: {small:?}\nfig8 20k: {large:?}");
     eprintln!("fig10 2k: {hybrid_small:?}\nfig10 20k: {hybrid_large:?}");
-    let extra = (20_000 - 2_000) as f64;
 
     // Emit encodes the resident fragments in place: its allocations are
     // per partition, not per record. The binary encoder sizes each file
@@ -226,6 +237,23 @@ fn pipeline_seams_copy_no_record() {
         );
     }
 
+    // Load holds one copy of the input: the bytes it reads plus one
+    // record per input record, decoded straight into its node's fragment.
+    // A Figure 8 record is 16 bytes on disk; a Figure 10 edge is a line.
+    let extra = (20_000 - 2_000) as f64;
+    let line = (hybrid_large.file_len - hybrid_small.file_len) as f64 / extra;
+    for (fig, small, large, width) in [
+        ("fig8", &small, &large, 16.0),
+        ("fig10", &hybrid_small, &hybrid_large, line),
+    ] {
+        let load_bytes = byte_slope(small.load, large.load, extra);
+        eprintln!("{fig} load: {load_bytes:.1} bytes per record");
+        assert!(
+            load_bytes <= (width + RECORD_BYTES) * 1.02,
+            "{fig} load allocates {load_bytes:.1} bytes per record for {width:.1}-byte records"
+        );
+    }
+
     // A `--records`-bounded load reads only the index region, never the
     // sequence payload behind it.
     for b in [&small, &large] {
@@ -238,26 +266,27 @@ fn pipeline_seams_copy_no_record() {
     }
 
     // Map tasks encode the records they borrow straight into the outbox,
-    // reducers decode into in-place records, the identity projection is
-    // skipped and the fused assembly moves each record once into an
-    // exact-size partition: no block is allocated per record.
+    // reducers decode each record once, straight into their output, the
+    // identity projection is skipped and the fused assembly moves each
+    // record once into an exact-size partition: no block is allocated per
+    // record, and bytes are pinned at the measured slope plus 2 %.
     let run = slope(small.run, large.run, extra);
     let run_bytes = byte_slope(small.run, large.run, extra);
     eprintln!("fig8 run: {run:.3} blocks, {run_bytes:.1} bytes per record");
     assert!(run <= 0.05, "run allocates {run:.3} blocks per record");
     assert!(
-        run_bytes <= 330.0,
+        run_bytes <= BLAST_RUN_BYTES * 1.02,
         "run allocates {run_bytes:.1} bytes per record"
     );
 
     // Figure 10 (text, short string vertex ids, group→split→distribute)
     // still allocates per group, for the packed format's member vectors;
-    // bytes pinned at the measured slope plus 2 %.
+    // blocks and bytes pinned at the measured slopes plus 2 %.
     let hybrid = slope(hybrid_small.run, hybrid_large.run, extra);
     let hybrid_bytes = byte_slope(hybrid_small.run, hybrid_large.run, extra);
     eprintln!("fig10 run: {hybrid:.3} blocks, {hybrid_bytes:.1} bytes per record");
     assert!(
-        hybrid <= 0.55,
+        hybrid <= HYBRID_RUN_BLOCKS * 1.02,
         "hybrid run allocates {hybrid:.3} blocks per record"
     );
     assert!(

@@ -32,7 +32,7 @@ impl CustomOperator for DedupOperator {
         ctx: &CustomJobCtx,
     ) -> papar::core::Result<JobStats> {
         use papar::mr::engine::{FnMapper, FnReducer, HashPartitioner};
-        use papar::mr::{Emit, Entry, EntryRef, MapReduceJob};
+        use papar::mr::{Emit, EntryRef, MapReduceJob, Pairs};
         let mapper = FnMapper(
             |_: &papar::mr::TaskCtx, inputs: &[papar::mr::MapInput], out: &mut Emit<'_>| {
                 for mi in inputs {
@@ -50,19 +50,16 @@ impl CustomOperator for DedupOperator {
                 Ok(())
             },
         );
-        let reducer = FnReducer(|_: &papar::mr::TaskCtx, pairs: Vec<(Value, Entry)>| {
-            // Pairs arrive key-sorted; keep the first record of each run.
+        let reducer = FnReducer(|_: &papar::mr::TaskCtx, pairs: Pairs<'_>| {
+            // Pairs arrive key-sorted; keep the first record of each
+            // key-equal run, decoding nothing else.
             let mut records = Vec::new();
-            let mut prev: Option<Value> = None;
-            for (key, entry) in pairs {
-                if prev.as_ref() != Some(&key) {
-                    if let Entry::Rec(r) = entry {
-                        records.push(r);
-                    }
-                    prev = Some(key);
+            for run in pairs.runs() {
+                if let Some(pair) = run?.iter().next() {
+                    pair?.1.decode_into(&mut records)?;
                 }
             }
-            Ok(Batch::Flat(records))
+            Ok(vec![Batch::Flat(records)])
         });
         let job = MapReduceJob {
             name: ctx.id.clone(),
