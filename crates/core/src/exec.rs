@@ -1829,13 +1829,22 @@ fn field_type_tag(ty: papar_config::input::FieldType) -> u8 {
 /// reduce key as `g * P + partition` (g = global entry index), so the key
 /// both routes (`key % P`) and orders (`key / P` restores the global order
 /// inside every partition, independent of how fragments were laid out
-/// across nodes).
+/// across nodes). A key that is no integer, or is negative, names no
+/// partition and errors; it used to be clamped onto reducer 0.
 struct EmbeddedOrderPartitioner;
 
 impl Partitioner for EmbeddedOrderPartitioner {
     fn reducer_for(&self, key: &Value, num_reducers: usize) -> papar_mr::Result<usize> {
-        let k = key.as_i64().unwrap_or(0).max(0) as usize;
-        Ok(k % num_reducers)
+        let k = key
+            .as_i64()
+            .ok_or_else(|| MrError::NonIntegerReducerKey { key: key.clone() })?;
+        if k < 0 {
+            return Err(MrError::PartitionOutOfRange {
+                id: k,
+                num_reducers,
+            });
+        }
+        Ok((k as u64 % num_reducers as u64) as usize)
     }
 }
 
@@ -2229,5 +2238,38 @@ fn project_batch(batch: &mut Batch, proj: &[usize]) {
             .iter_mut()
             .flat_map(|g| g.records.iter_mut())
             .for_each(project),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn embedded_order_routes_by_the_key_modulo_the_partitions() {
+        for (key, want) in [(Value::Long(7), 3), (Value::Int(8), 0), (Value::Long(0), 0)] {
+            assert_eq!(EmbeddedOrderPartitioner.reducer_for(&key, 4), Ok(want));
+        }
+    }
+
+    #[test]
+    fn embedded_order_refuses_a_non_integer_key() {
+        for key in [Value::from("3"), Value::Double(1.0)] {
+            assert_eq!(
+                EmbeddedOrderPartitioner.reducer_for(&key, 4),
+                Err(MrError::NonIntegerReducerKey { key: key.clone() })
+            );
+        }
+    }
+
+    #[test]
+    fn embedded_order_refuses_a_negative_key() {
+        assert_eq!(
+            EmbeddedOrderPartitioner.reducer_for(&Value::Long(-5), 4),
+            Err(MrError::PartitionOutOfRange {
+                id: -5,
+                num_reducers: 4
+            })
+        );
     }
 }

@@ -442,8 +442,13 @@ fn count_inbox_pairs(
 /// and are skipped without decoding. Otherwise the run's keys are decoded
 /// and stably re-sorted by the true key order — stability keeps truly-equal
 /// keys in ascending scan order, preserving the total reduce order.
+///
+/// `any_inexact` is whether the inbox scan saw an inexact prefix at all.
+/// When it did not, every run is all-exact, so the runs are only counted
+/// into `tie_pairs` and no member's key is parsed again.
 fn fixup_prefix_ties(
     descending: bool,
+    any_inexact: bool,
     inbox: &[(usize, Vec<u8>)],
     locs: &[PairLoc],
     packed: &mut [u128],
@@ -462,10 +467,11 @@ fn fixup_prefix_ties(
         }
         if j - i >= 2 {
             hot.tie_pairs += (j - i) as u64;
-            let all_exact = packed[i..j].iter().try_fold(true, |acc, &p| {
-                let kp = prefix::from_wire(&mut Reader::new(key_bytes(p)))?;
-                Ok::<_, MrError>(acc && kp.exact)
-            })?;
+            let all_exact = !any_inexact
+                || packed[i..j].iter().try_fold(true, |acc, &p| {
+                    let kp = prefix::from_wire(&mut Reader::new(key_bytes(p)))?;
+                    Ok::<_, MrError>(acc && kp.exact)
+                })?;
             if !all_exact {
                 let mut keyed: Vec<(Value, u128)> = Vec::with_capacity(j - i);
                 for &p in &packed[i..j] {
@@ -1149,6 +1155,7 @@ impl Cluster {
         // Flat records per owned reducer (slot `rid / n`): every reducer
         // can size its output exactly before it decodes.
         let mut records_by_slot = vec![0usize; job.num_reducers.div_ceil(n)];
+        let mut any_inexact = false;
         for (bi, (_from, buf)) in inbox.iter().enumerate() {
             let mut r = Reader::new(buf);
             while r.remaining() > 0 {
@@ -1166,6 +1173,7 @@ impl Cluster {
                 let key_off = r.position();
                 let key66 = if job.sort_by_key {
                     let kp = prefix::from_wire(&mut r)?;
+                    any_inexact |= !kp.exact;
                     if job.descending {
                         // Inverting the 66-bit field reverses strict prefix
                         // order but preserves prefix equality, so tie runs
@@ -1204,7 +1212,7 @@ impl Cluster {
             (locs.len() * (std::mem::size_of::<PairLoc>() + std::mem::size_of::<u128>())) as u64;
         papar_sort::packed::par_sort_packed(packed, sort_threads);
         if job.sort_by_key {
-            fixup_prefix_ties(job.descending, inbox, locs, packed, &mut hot)?;
+            fixup_prefix_ties(job.descending, any_inexact, inbox, locs, packed, &mut hot)?;
         }
         // Hand every owned reducer its span of the sorted order.
         let slots = 1 + pc.extra_outputs.len();

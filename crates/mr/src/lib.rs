@@ -137,9 +137,10 @@ pub enum MrError {
         /// The job's reducer count.
         num_reducers: usize,
     },
-    /// The identity partitioner got a key that is no integer, so it names
-    /// no reducer. Before this variant such a key silently went to
-    /// reducer 0.
+    /// A partitioner whose key is or embeds the reducer id (identity for
+    /// distribute jobs, embedded order for the workflow's distribute) got
+    /// a key that is no integer, so it names no reducer. Before this
+    /// variant such a key silently went to reducer 0.
     NonIntegerReducerKey {
         /// The offending key.
         key: papar_record::Value,
@@ -232,7 +233,7 @@ impl std::fmt::Display for MrError {
             ),
             MrError::NonIntegerReducerKey { key } => write!(
                 f,
-                "identity partitioner wants an integer reducer id as the key, got {key:?}"
+                "partitioner wants an integer reducer id in the key, got {key:?}"
             ),
             MrError::DuplicateFaultKind { kind } => write!(
                 f,

@@ -114,10 +114,13 @@ impl<'a> Pairs<'a> {
     }
 
     /// Decode every entry, in reduce order, appending its flat records to
-    /// `out`.
+    /// `out`. Each key is stepped over by the length the inbox scan
+    /// recorded, not parsed again.
     pub fn decode_into(&self, out: &mut Vec<Record>) -> Result<()> {
-        for pair in self.iter() {
-            pair?.1.decode_into(out)?;
+        for &p in self.order {
+            let loc = &self.locs[(p & IDX_MASK) as usize];
+            let mut r = Reader::new(&loc.tail(self.inbox)[loc.key_len as usize..]);
+            EntryView::parse(&mut r, self.schema, self.compress_key)?.decode_into(out)?;
         }
         Ok(())
     }

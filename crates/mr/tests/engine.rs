@@ -889,8 +889,14 @@ type Delivered = Vec<Vec<[i32; 4]>>;
 
 /// Run one keyed job whose mapper tags every entry with its input id,
 /// mapper and emission index, and whose reducer returns the entries in
-/// the order it received them, each tagged with its run's ordinal.
-fn run_recording(keys: &[Value], sort_by_key: bool, descending: bool, threads: usize) -> Delivered {
+/// the order it received them, each tagged with its run's ordinal. Also
+/// returns the job's `HotPathStats::tie_pairs`.
+fn run_recording(
+    keys: &[Value],
+    sort_by_key: bool,
+    descending: bool,
+    threads: usize,
+) -> (Delivered, u64) {
     let schema = Arc::new(Schema::new(vec![
         ("id", FieldType::Integer),
         ("mapper", FieldType::Integer),
@@ -945,8 +951,8 @@ fn run_recording(keys: &[Value], sort_by_key: bool, descending: bool, threads: u
         compress_key: None,
         release: &[],
     };
-    cluster.run_job(&job).unwrap();
-    cluster
+    let stats = cluster.run_job(&job).unwrap();
+    let delivered = cluster
         .collect("out")
         .unwrap()
         .into_iter()
@@ -957,7 +963,8 @@ fn run_recording(keys: &[Value], sort_by_key: bool, descending: bool, threads: u
                 .map(|r| [0, 1, 2, 3].map(|i| r.value(i).unwrap().as_i64().unwrap() as i32))
                 .collect()
         })
-        .collect()
+        .collect();
+    (delivered, stats.hot.tie_pairs)
 }
 
 /// The reference reduce order, `(reducer, key?, mapper, seq)`: the
@@ -982,6 +989,100 @@ fn oracle_cmp(
     }
 }
 
+/// What [`run_recording`] must deliver: the pairs it did deliver, each
+/// reducer's in the reference order, with the runs numbered afresh
+/// wherever a key is not equal to its run's first key.
+fn reference_delivery(
+    keys: &[Value],
+    got: &Delivered,
+    sort_by_key: bool,
+    descending: bool,
+) -> Delivered {
+    let mut want: Delivered = vec![Vec::new(); got.len()];
+    for t in got.iter().flatten() {
+        let rid = HashPartitioner
+            .reducer_for(&keys[t[0] as usize], 3)
+            .unwrap();
+        want[rid].push(*t);
+    }
+    for group in &mut want {
+        group.sort_by(oracle_cmp(keys, sort_by_key, descending));
+        let mut first: Option<&Value> = None;
+        let mut ordinal = -1;
+        for t in group.iter_mut() {
+            let key = &keys[t[0] as usize];
+            if first != Some(key) {
+                first = Some(key);
+                ordinal += 1;
+            }
+            t[3] = ordinal;
+        }
+    }
+    want
+}
+
+/// The pairs a keyed job over `keys` puts in prefix-tie runs: every pair
+/// that shares its `(reducer, key prefix)` with another.
+fn expected_tie_pairs(keys: &[Value]) -> u64 {
+    let mut runs: std::collections::HashMap<(usize, u128), u64> = Default::default();
+    for key in keys {
+        let rid = HashPartitioner.reducer_for(key, 3).unwrap();
+        *runs
+            .entry((rid, papar_record::prefix::of_value(key).packed66()))
+            .or_default() += 1;
+    }
+    runs.values().filter(|&&n| n >= 2).sum()
+}
+
+/// The tie fix-up parses keys again only when the inbox scan saw an
+/// inexact prefix. Either way the reducers get the reference order, and
+/// `tie_pairs` counts every pair in a prefix-tie run.
+#[test]
+fn tie_fixup_keeps_the_order_and_the_tie_count_with_and_without_inexact_keys() {
+    let exact: Vec<Value> = [1, 2, 1, 3, 1, 2]
+        .into_iter()
+        .map(Value::Int)
+        .chain([Value::Long(7), Value::Int(7), Value::Long(7)])
+        .chain(["ab", "b", "ab", "", "b", ""].map(Value::from))
+        .collect();
+    let inexact: Vec<Value> = [
+        "shared-prefix-c",
+        "shared-prefix-a",
+        "shared-prefix-b",
+        "shared-prefix-a",
+        "shared-p",
+    ]
+    .map(Value::from)
+    .into_iter()
+    .chain(
+        [3, 1, 2, 1, 0]
+            .into_iter()
+            .map(|d| Value::Long((1 << 53) + d)),
+    )
+    .chain([Value::Int(4), Value::Int(4)])
+    .collect();
+    for (keys, inexact_keys) in [(&exact, false), (&inexact, true)] {
+        assert_eq!(
+            keys.iter()
+                .any(|k| !papar_record::prefix::of_value(k).exact),
+            inexact_keys
+        );
+        let ties = expected_tie_pairs(keys);
+        assert!(ties > 0, "the keys must tie on their prefixes");
+        for descending in [false, true] {
+            for threads in [1, 4] {
+                let (got, tie_pairs) = run_recording(keys, true, descending, threads);
+                let want = reference_delivery(keys, &got, true, descending);
+                assert_eq!(got, want, "descending={descending} threads={threads}");
+                assert_eq!(
+                    tie_pairs, ties,
+                    "inexact={inexact_keys} descending={descending} threads={threads}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -997,30 +1098,11 @@ proptest! {
         for sort_by_key in [true, false] {
             for descending in [false, true] {
                 for threads in [1, 4] {
-                    let got = run_recording(&keys, sort_by_key, descending, threads);
+                    let (got, _) = run_recording(&keys, sort_by_key, descending, threads);
                     let mut ids: Vec<i32> = got.iter().flatten().map(|t| t[0]).collect();
                     ids.sort_unstable();
                     prop_assert_eq!(ids, (0..keys.len() as i32).collect::<Vec<_>>());
-                    let mut want: Delivered = vec![Vec::new(); got.len()];
-                    for t in got.iter().flatten() {
-                        let rid = HashPartitioner.reducer_for(&keys[t[0] as usize], 3).unwrap();
-                        want[rid].push(*t);
-                    }
-                    for group in &mut want {
-                        group.sort_by(oracle_cmp(&keys, sort_by_key, descending));
-                        // Number the runs: a new one wherever the key is
-                        // not equal to the current run's first key.
-                        let mut first: Option<&Value> = None;
-                        let mut ordinal = -1;
-                        for t in group.iter_mut() {
-                            let key = &keys[t[0] as usize];
-                            if first != Some(key) {
-                                first = Some(key);
-                                ordinal += 1;
-                            }
-                            t[3] = ordinal;
-                        }
-                    }
+                    let want = reference_delivery(&keys, &got, sort_by_key, descending);
                     prop_assert_eq!(
                         &got, &want,
                         "sort_by_key={} descending={} threads={}", sort_by_key, descending, threads

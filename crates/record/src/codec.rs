@@ -12,8 +12,9 @@ pub mod binary {
     //! Fixed-width binary records.
 
     use crate::batch::block_sizes;
-    use crate::{CodecError, Record, Result, Schema, Value};
-    use papar_config::input::{FieldType, InputConfig, InputFormat};
+    use crate::wire::decode_fixed_record;
+    use crate::{CodecError, Record, Result, Schema};
+    use papar_config::input::{InputConfig, InputFormat};
 
     /// Decode every record from `data`, honoring the config's
     /// `start_position` and field widths.
@@ -54,28 +55,10 @@ pub mod binary {
             )));
         }
         let mut rows = body.chunks_exact(width);
-        let decode = |row: &[u8]| {
-            let mut rec = Record::default();
-            let mut pos = 0;
-            for f in schema.fields() {
-                let w = f.ty.binary_width().expect("checked fixed width");
-                rec.push(decode_fixed(&row[pos..pos + w], f.ty));
-                pos += w;
-            }
-            rec
-        };
+        let decode = |row: &[u8]| decode_fixed_record(row, schema);
         Ok(block_sizes(body.len() / width, n)
             .map(|size| rows.by_ref().take(size).map(decode).collect())
             .collect())
-    }
-
-    fn decode_fixed(chunk: &[u8], ty: FieldType) -> Value {
-        match ty {
-            FieldType::Integer => Value::Int(i32::from_le_bytes(chunk.try_into().unwrap())),
-            FieldType::Long => Value::Long(i64::from_le_bytes(chunk.try_into().unwrap())),
-            FieldType::Double => Value::Double(f64::from_le_bytes(chunk.try_into().unwrap())),
-            FieldType::Str => unreachable!("validated fixed width"),
-        }
     }
 
     /// Encode records after a `start_position`-sized header.
@@ -229,30 +212,42 @@ pub mod text {
         rest: &'a str,
         parse: bool,
     ) -> Result<Option<(Record, &'a str)>> {
-        let mut rec = Record::default();
-        let mut cursor = rest;
-        for (i, (field, delim)) in schema.fields().iter().zip(delims).enumerate() {
-            match cursor.find(delim.as_str()) {
-                Some(at) => {
-                    if parse {
-                        rec.push(Value::parse_typed(&cursor[..at], field.ty)?);
-                    }
-                    cursor = &cursor[at + delim.len()..];
-                }
-                None => {
-                    // Only trailing whitespace may remain after the last
-                    // complete record.
-                    if i == 0 && cursor.trim().is_empty() {
-                        return Ok(None);
-                    }
-                    return Err(CodecError(format!(
-                        "truncated record: missing delimiter {delim:?} for field '{}'",
-                        field.name
-                    )));
-                }
-            }
+        // Only trailing whitespace may remain after the last complete
+        // record.
+        if rest.trim_start().is_empty() && find_delim(rest, &delims[0]).is_none() {
+            return Ok(None);
         }
+        let mut cursor = rest;
+        let mut fields = schema.fields().iter().zip(delims).map(|(field, delim)| {
+            let at = find_delim(cursor, delim).ok_or_else(|| {
+                CodecError(format!(
+                    "truncated record: missing delimiter {delim:?} for field '{}'",
+                    field.name
+                ))
+            })?;
+            let text = &cursor[..at];
+            cursor = &cursor[at + delim.len()..];
+            Ok((text, field.ty))
+        });
+        let rec = if parse {
+            Record::try_from_exact(
+                fields.map(|f| f.and_then(|(text, ty)| Value::parse_typed(text, ty))),
+            )?
+        } else {
+            fields.try_for_each(|f| f.map(drop))?;
+            Record::default()
+        };
         Ok(Some((rec, cursor)))
+    }
+
+    /// Where `delim` first occurs in `hay`. A one-byte delimiter is ASCII,
+    /// so a byte match is always a char boundary and a byte search finds
+    /// it; longer ones use the substring search.
+    fn find_delim(hay: &str, delim: &str) -> Option<usize> {
+        match *delim.as_bytes() {
+            [byte] => hay.bytes().position(|b| b == byte),
+            _ => hay.find(delim),
+        }
     }
 
     /// Encode records in the configured text format.

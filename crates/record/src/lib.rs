@@ -25,6 +25,8 @@
 //!   range partitioning compare raw integers, falling back to full decode
 //!   only on prefix ties.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod codec;
 pub mod compress;

@@ -60,6 +60,35 @@ impl Record {
         values.into_iter().collect()
     }
 
+    /// Build a record from exactly the values `values` yields, stopping at
+    /// the first error. Up to four values are written straight into the
+    /// inline row; more go to one exact-size heap vector. This is what
+    /// the decoders use: no empty record first and no push per field.
+    pub(crate) fn try_from_exact<E>(
+        values: impl ExactSizeIterator<Item = std::result::Result<Value, E>>,
+    ) -> std::result::Result<Record, E> {
+        let len = values.len();
+        if len > INLINE_VALUES {
+            let mut heap = Vec::with_capacity(len);
+            for v in values {
+                heap.push(v?);
+            }
+            return Ok(Record {
+                row: Row::Heap(heap),
+            });
+        }
+        let mut vals = [UNUSED; INLINE_VALUES];
+        for (slot, v) in vals.iter_mut().zip(values) {
+            *slot = v?;
+        }
+        Ok(Record {
+            row: Row::Inline {
+                len: len as u8,
+                vals,
+            },
+        })
+    }
+
     /// The values in schema order.
     pub fn values(&self) -> &[Value] {
         match &self.row {
@@ -286,6 +315,32 @@ mod tests {
         let values = vec![Value::Int(0), Value::Int(2), Value::Int(3), Value::Long(9)];
         assert_eq!(r.into_values(), values);
         assert_eq!(inline.into_values(), values);
+    }
+
+    #[test]
+    fn try_from_exact_builds_in_place_spills_past_four_and_stops_at_an_error() {
+        for n in 0..7 {
+            let values: Vec<Value> = (0..n).map(Value::Int).collect();
+            let rec =
+                Record::try_from_exact(values.iter().cloned().map(Ok::<_, CodecError>)).unwrap();
+            assert_eq!(rec, Record::new(values.clone()), "n={n}");
+            assert_eq!(matches!(rec.row, Row::Inline { .. }), n <= 4, "n={n}");
+            if let Row::Heap(heap) = &rec.row {
+                assert_eq!(heap.capacity(), heap.len(), "one exact-size vector");
+            }
+        }
+        let failing = (0..6).map(|i| match i {
+            3 => Err(CodecError("field 3".into())),
+            i => Ok(Value::Int(i)),
+        });
+        assert_eq!(
+            Record::try_from_exact(failing.clone().take(4)),
+            Err(CodecError("field 3".into()))
+        );
+        assert_eq!(
+            Record::try_from_exact(failing),
+            Err(CodecError("field 3".into()))
+        );
     }
 
     #[test]

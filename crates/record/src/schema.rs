@@ -1,6 +1,7 @@
 //! Dataset schemas: ordered, named, typed field lists.
 
 use papar_config::input::{FieldDef, FieldType, InputConfig};
+use std::fmt;
 use std::sync::Arc;
 
 use crate::{CodecError, Result};
@@ -11,27 +12,33 @@ use crate::{CodecError, Result};
 /// add-on operators, which append new attributes (paper Section III-B: the
 /// PowerLyra `count` add-on appends `indegree` to every edge record).
 /// Schemas are cheap to share (`Arc` them) and compare.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<FieldDef>,
+    /// [`Schema::binary_record_width`], computed once: decoders ask for
+    /// it once per record.
+    width: Option<usize>,
 }
 
 impl Schema {
     /// Build a schema from explicit `(name, type)` pairs.
     pub fn new(fields: Vec<(impl Into<String>, FieldType)>) -> Self {
-        Schema {
-            fields: fields
+        Schema::from_fields(
+            fields
                 .into_iter()
                 .map(|(name, ty)| FieldDef::new(name, ty))
                 .collect(),
-        }
+        )
     }
 
     /// The flattened schema of an InputData configuration.
     pub fn from_input_config(cfg: &InputConfig) -> Self {
-        Schema {
-            fields: cfg.fields(),
-        }
+        Schema::from_fields(cfg.fields())
+    }
+
+    fn from_fields(fields: Vec<FieldDef>) -> Self {
+        let width = fields.iter().map(|f| f.ty.binary_width()).sum();
+        Schema { fields, width }
     }
 
     /// The fields in order.
@@ -81,7 +88,7 @@ impl Schema {
         }
         let mut fields = self.fields.clone();
         fields.push(FieldDef::new(name, ty));
-        Ok(Arc::new(Schema { fields }))
+        Ok(Arc::new(Schema::from_fields(fields)))
     }
 
     /// A new schema with the named field removed (used by `unpack` when the
@@ -91,16 +98,23 @@ impl Schema {
         let idx = self.require(name)?;
         let mut fields = self.fields.clone();
         fields.remove(idx);
-        Ok(Arc::new(Schema { fields }))
+        Ok(Arc::new(Schema::from_fields(fields)))
     }
 
     /// Total width in bytes of one record in the fixed-width binary format,
     /// if every field has a fixed width.
     pub fn binary_record_width(&self) -> Option<usize> {
-        self.fields
-            .iter()
-            .map(|f| f.ty.binary_width())
-            .sum::<Option<usize>>()
+        self.width
+    }
+}
+
+/// The field list only: plan fingerprints hash the `Debug` form of job
+/// kinds that hold schemas, so it must not change with the cached width.
+impl fmt::Debug for Schema {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Schema")
+            .field("fields", &self.fields)
+            .finish()
     }
 }
 
@@ -131,6 +145,21 @@ mod tests {
         assert_eq!(blast_schema().binary_record_width(), Some(16));
         let s = Schema::new(vec![("a", FieldType::Str)]);
         assert_eq!(s.binary_record_width(), None);
+        let s = blast_schema().with_attr("name", FieldType::Str).unwrap();
+        assert_eq!(s.binary_record_width(), None);
+        assert_eq!(
+            s.without_field("name").unwrap().binary_record_width(),
+            Some(16)
+        );
+    }
+
+    #[test]
+    fn debug_shows_the_fields_only() {
+        let s = Schema::new(vec![("k", FieldType::Integer)]);
+        assert_eq!(
+            format!("{s:?}"),
+            format!("Schema {{ fields: {:?} }}", s.fields())
+        );
     }
 
     #[test]

@@ -201,12 +201,37 @@ pub fn encode_record(rec: &Record, schema: &Schema, buf: &mut Vec<u8>) -> Result
 }
 
 /// Decode a record using the schema's field types.
+///
+/// A fixed-width schema takes the record's span with one bounds check and
+/// reads each field at its offset. A buffer shorter than that span takes
+/// the per-field path, so its error names the field that runs out.
 pub fn decode_record(r: &mut Reader<'_>, schema: &Schema) -> Result<Record> {
-    schema
-        .fields()
-        .iter()
-        .map(|f| decode_field(r, f.ty))
-        .collect()
+    match schema.binary_record_width() {
+        Some(w) if r.remaining() >= w => Ok(decode_fixed_record(r.take(w)?, schema)),
+        _ => Record::try_from_exact(schema.fields().iter().map(|f| decode_field(r, f.ty))),
+    }
+}
+
+/// Decode one record of a fixed-width schema from exactly its span.
+pub(crate) fn decode_fixed_record(span: &[u8], schema: &Schema) -> Record {
+    let mut off = 0;
+    let Ok(rec) = Record::try_from_exact(schema.fields().iter().map(|f| {
+        let w = f.ty.binary_width().expect("fixed-width schema");
+        let v = decode_fixed(&span[off..off + w], f.ty);
+        off += w;
+        Ok::<_, std::convert::Infallible>(v)
+    }));
+    rec
+}
+
+/// A fixed-width field from exactly its bytes.
+fn decode_fixed(bytes: &[u8], ty: FieldType) -> Value {
+    match ty {
+        FieldType::Integer => Value::Int(i32::from_le_bytes(bytes.try_into().unwrap())),
+        FieldType::Long => Value::Long(i64::from_le_bytes(bytes.try_into().unwrap())),
+        FieldType::Double => Value::Double(f64::from_le_bytes(bytes.try_into().unwrap())),
+        FieldType::Str => unreachable!("strings have no fixed width"),
+    }
 }
 
 /// Encode a value with a 1-byte type tag (for keys of unknown schema).

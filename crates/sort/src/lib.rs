@@ -12,13 +12,15 @@
 //! * [`parallel`] — multi-threaded mergesort (stable and unstable) and a
 //!   samplesort, the shared-memory sorts each simulated cluster node runs
 //!   inside its map/reduce stages, and
-//! * [`packed`] — widened monomorphic kernels over packed 128-bit keys
-//!   (branchless compare–exchange, unrolled network base case), the hot
-//!   path of the engine's zero-copy reduce sort.
+//! * [`packed`] — the sorts of packed 128-bit keys on the engine's
+//!   zero-copy reduce path: the standard library's unstable sort, and a
+//!   samplesort over it.
 //!
 //! The public entry points are [`parallel::sort_by_key`] /
 //! [`parallel::sort_unstable_by_key`]; everything else is exposed for tests
 //! and benchmarks.
+
+#![forbid(unsafe_code)]
 
 pub mod merge;
 pub mod network;
