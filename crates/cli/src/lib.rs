@@ -303,7 +303,13 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
     let wf_text = job::read_text(&spec.workflow).map_err(fail)?;
     let trace = spec.profile || spec.trace_out.is_some();
     let options = job::exec_options(&request, spec.threads, trace);
-    let input = job::load(&request, &cfg_text).map_err(fail)?;
+    // The budget load and emit share with the engine: `--threads`, else
+    // `PAPAR_THREADS`, else the host's parallelism.
+    let threads = match spec.threads {
+        Some(threads) => threads,
+        None => papar_mr::default_thread_budget().map_err(|e| fail(e.to_string()))?,
+    };
+    let input = job::load(&request, &cfg_text, threads).map_err(fail)?;
     let records_in = job::record_count(&input);
     let compiled = job::compile(
         &request,

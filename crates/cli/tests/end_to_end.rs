@@ -494,3 +494,121 @@ fn run_and_a_served_job_write_the_same_files() {
     }
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// Every file under `dir` whose name passes `keep`, by name.
+fn files_in(
+    dir: &std::path::Path,
+    keep: impl Fn(&str) -> bool,
+) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| keep(&e.file_name().to_string_lossy()))
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// The driver stages spend the thread budget too — load decodes the
+/// nodes' blocks, checkpoint publish encodes and writes fragments, emit
+/// writes partitions, all concurrently — and none of it may show in the
+/// bytes. Fig 8 fused, Fig 8 `--no-fuse --checkpoint` and Fig 10 with a
+/// checkpoint, at 1, 2, 4 and 7 threads: the same partition files, the
+/// same checkpoint fragment files, and the same manifest fragment
+/// entries (measured durations aside). Each run names the same `--out`
+/// and checkpoint directory: both are part of what a checkpoint records.
+#[test]
+fn driver_stages_write_the_same_bytes_at_every_thread_count() {
+    use papar_mr::CheckpointSession;
+
+    let dir = temp_dir("driver-threads");
+    let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+    let blast = dir.join("env_nr.db");
+    let db = DbSpec::env_nr_scaled(2_000, 17).generate();
+    std::fs::write(&blast, db.to_bytes()).unwrap();
+    // Enough edges that every node's block starts past the text reader's
+    // first record-offset note.
+    let edges = dir.join("edges.txt");
+    let text: String = (0..3_000u32)
+        .map(|i| format!("v{}\tv{}\n", (i * 7 + 3) % 211, (i * i) % 97 % (1 + i % 13)))
+        .collect();
+    std::fs::write(&edges, text).unwrap();
+
+    let (out, ckpt) = (dir.join("out"), dir.join("ckpt"));
+    let fig8 = (
+        "blast_db.xml",
+        "blast_partition.xml",
+        &blast,
+        Some(db.len()),
+    );
+    let fig10 = ("graph_edge.xml", "hybrid_cut.xml", &edges, None);
+    let parts = [("num_partitions", "8")];
+    let hybrid = [("num_partitions", "8"), ("threshold", "5")];
+    let cases = [
+        ("fig8", fig8, &parts[..], false, false),
+        ("fig8-durable", fig8, &parts[..], true, true),
+        ("fig10", fig10, &hybrid[..], false, true),
+    ];
+    for (tag, (cfg, wf, data, records), args, no_fuse, checkpoint) in cases {
+        let mut seen = None;
+        for threads in [1usize, 2, 4, 7] {
+            let _ = std::fs::remove_dir_all(&out);
+            let _ = std::fs::remove_dir_all(&ckpt);
+            let spec = RunSpec {
+                input_config: format!("{configs}/{cfg}").into(),
+                workflow: format!("{configs}/{wf}").into(),
+                data: data.clone(),
+                out_dir: out.clone(),
+                nodes: 4,
+                args: (args.iter())
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+                records,
+                threads: Some(threads),
+                no_fuse,
+                checkpoint: checkpoint.then(|| ckpt.clone()),
+                ..Default::default()
+            };
+            let summary = run(&spec).unwrap_or_else(|e| panic!("{tag} t{threads}: {e}"));
+            assert_eq!(summary.files.len(), 8, "{tag} t{threads}");
+            let parts = files_in(&out, |_| true);
+            let (fragments, entries) = if checkpoint {
+                let fp = CheckpointSession::fingerprint_of(&ckpt).unwrap();
+                let session = CheckpointSession::resume(&ckpt, fp).unwrap();
+                assert!(session.corruption_events().is_empty(), "{tag} t{threads}");
+                let entries: Vec<_> = (session.completed().iter())
+                    .flat_map(|stage| &stage.fragments)
+                    .map(|f| {
+                        let (dataset, file) = (f.dataset.clone(), f.file.clone());
+                        (dataset, f.node, f.ordinal, file, f.checksum, f.len)
+                    })
+                    .collect();
+                assert!(!entries.is_empty(), "{tag} t{threads}");
+                (files_in(&ckpt, |name| name.starts_with("frag-")), entries)
+            } else {
+                Default::default()
+            };
+            let got = (parts, fragments, entries);
+            match &seen {
+                None => seen = Some(got),
+                Some(want) => {
+                    assert!(
+                        got.0 == want.0,
+                        "{tag}: partitions differ at {threads} threads"
+                    );
+                    assert!(
+                        got.1 == want.1,
+                        "{tag}: fragment files differ at {threads} threads"
+                    );
+                    assert_eq!(
+                        got.2, want.2,
+                        "{tag}: manifest entries at {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}

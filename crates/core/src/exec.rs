@@ -525,7 +525,8 @@ impl WorkflowRunner {
                     CheckpointSession::resume(&cfg.dir, fp)?
                 } else {
                     CheckpointSession::create(&cfg.dir, fp)?
-                };
+                }
+                .with_threads(cluster.threads());
                 report.checkpoint_events = s
                     .corruption_events()
                     .iter()
@@ -1723,9 +1724,10 @@ impl WorkflowRunner {
 
 /// Durably publish an executed stage's final outputs: every fragment of
 /// the stage's last logical job (the only outputs downstream stages read
-/// — a fused stage's elided intermediate was never written) is encoded,
-/// staged, and committed write-ahead. When tracing, a `ckpt` phase with
-/// the bytes written lands on the stage's job span.
+/// — a fused stage's elided intermediate was never written) is encoded
+/// (concurrently, on the cluster's thread budget), staged in (dataset,
+/// node, ordinal) order, and committed write-ahead. When tracing, a
+/// `ckpt` phase with the bytes written lands on the stage's job span.
 fn persist_stage(
     cluster: &mut Cluster,
     session: &mut CheckpointSession,
@@ -1737,21 +1739,20 @@ fn persist_stage(
 ) -> Result<()> {
     let last = *stage.logical.last().expect("stages cover >= 1 job");
     let job = &plan.jobs[last];
-    let mut fragments = 0u64;
+    let mut staged = Vec::new();
     for (name, _) in &job.outputs {
         for node in 0..cluster.num_nodes() {
-            let Some(frags) = cluster.node(node).get(name) else {
-                continue;
-            };
-            let payloads: Vec<(u32, Vec<u8>)> = frags
-                .into_iter()
-                .map(|f| Ok((f.ordinal, encode_fragment_payload(&f.data)?)))
-                .collect::<Result<_>>()?;
-            for (ordinal, payload) in payloads {
-                session.stage_fragment(name, node as u32, ordinal, payload);
-                fragments += 1;
+            for f in cluster.node(node).get(name).unwrap_or_default() {
+                staged.push((name, node as u32, f.ordinal, &f.data));
             }
         }
+    }
+    let payloads = papar_mr::run_slots(staged.len(), cluster.threads(), |i| {
+        encode_fragment_payload(staged[i].3)
+    });
+    let fragments = staged.len() as u64;
+    for ((name, node, ordinal, _), payload) in staged.into_iter().zip(payloads) {
+        session.stage_fragment(name, node, ordinal, payload?);
     }
     let written = session.commit_stage(sidx as u32, &stage.id, stats)?;
     if cluster.tracing() {

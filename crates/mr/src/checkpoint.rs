@@ -25,12 +25,16 @@
 //!
 //! ## Commit protocol
 //!
-//! A stage's fragments are published write-ahead: each payload is framed,
-//! written to a `.tmp` file, fsynced, renamed into place, and the
-//! directory fsynced; only then is the stage-commit record appended to the
-//! MANIFEST and fsynced. A crash at any point leaves either a manifest
-//! without the commit (the stage re-executes; orphan fragment files are
-//! overwritten) or a complete committed stage — never a half-trusted one.
+//! A stage's fragments are published write-ahead, concurrently on the
+//! session's thread budget: each task hashes its payload once, writes the
+//! frame header and the payload to a `.tmp` file, fsyncs it and renames it
+//! into place. Once every rename is done the directory is fsynced, once;
+//! only then is the stage-commit record appended to the MANIFEST and
+//! fsynced. A crash at any point leaves either a manifest without the
+//! commit (the stage re-executes; orphan fragment files are overwritten)
+//! or a complete committed stage — never a half-trusted one. The entries
+//! of a commit record keep staging order whatever the thread count, so
+//! fragment files and manifest bytes do not depend on it.
 //!
 //! ## Verify-on-load and quarantine
 //!
@@ -50,6 +54,7 @@ use std::time::Duration;
 
 use papar_record::wire::{self, Reader};
 
+use crate::engine::run_slots;
 use crate::stats::{ExchangeStats, HotPathStats, JobStats, RecoveryStats};
 use crate::{MrError, Result};
 
@@ -107,6 +112,8 @@ pub struct CheckpointSession {
     /// [`commit_stage`]: CheckpointSession::commit_stage
     pending: Vec<(String, u32, u32, Vec<u8>)>,
     corruption: Vec<MrError>,
+    /// OS threads publishing a stage's fragments may use.
+    threads: usize,
 }
 
 fn io_err(path: &Path, what: &str, e: std::io::Error) -> MrError {
@@ -258,13 +265,44 @@ fn fsync_dir(dir: &Path) -> Result<()> {
     d.sync_all().map_err(|e| io_err(dir, "fsync dir", e))
 }
 
-fn write_durable(path: &Path, bytes: &[u8]) -> Result<()> {
+/// Write `parts` back to back to a `.tmp` file, fsync it, and rename it
+/// to `path`. The rename is durable once the directory is fsynced.
+fn write_renamed(path: &Path, parts: &[&[u8]]) -> Result<()> {
     let tmp = path.with_extension("tmp");
     let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, "create", e))?;
-    f.write_all(bytes).map_err(|e| io_err(&tmp, "write", e))?;
+    for part in parts {
+        f.write_all(part).map_err(|e| io_err(&tmp, "write", e))?;
+    }
     f.sync_all().map_err(|e| io_err(&tmp, "fsync", e))?;
-    fs::rename(&tmp, path).map_err(|e| io_err(path, "rename into", e))?;
+    fs::rename(&tmp, path).map_err(|e| io_err(path, "rename into", e))
+}
+
+fn write_durable(path: &Path, bytes: &[u8]) -> Result<()> {
+    write_renamed(path, &[bytes])?;
     fsync_dir(path.parent().unwrap_or(Path::new(".")))
+}
+
+/// Publish one staged fragment of stage `stage` into `dir`: its payload is
+/// hashed once, for the frame header and the manifest entry alike, and
+/// written after the header without being copied into a frame.
+fn publish_fragment(
+    dir: &Path,
+    stage: u32,
+    (dataset, node, ordinal, payload): &(String, u32, u32, Vec<u8>),
+) -> Result<FragmentEntry> {
+    let file = fragment_file(stage, dataset, *node, *ordinal);
+    let checksum = wire::checksum(payload);
+    let header = wire::frame_header(payload.len(), checksum)?;
+    write_renamed(&dir.join(&file), &[&header, payload])?;
+    Ok(FragmentEntry {
+        dataset: dataset.clone(),
+        node: *node,
+        ordinal: *ordinal,
+        file,
+        checksum,
+        len: payload.len() as u64,
+        payload: None,
+    })
 }
 
 impl CheckpointSession {
@@ -286,7 +324,7 @@ impl CheckpointSession {
         let mut payload = vec![TAG_HEADER];
         put_u32(&mut payload, VERSION);
         put_u64(&mut payload, fingerprint);
-        wire::encode_frame(&payload, &mut buf);
+        wire::encode_frame(&payload, &mut buf)?;
         write_durable(&dir.join(MANIFEST), &buf)?;
         Ok(CheckpointSession {
             dir: dir.to_path_buf(),
@@ -294,6 +332,7 @@ impl CheckpointSession {
             completed: Vec::new(),
             pending: Vec::new(),
             corruption: Vec::new(),
+            threads: 1,
         })
     }
 
@@ -307,23 +346,7 @@ impl CheckpointSession {
         let manifest_path = dir.join(MANIFEST);
         let bytes = fs::read(&manifest_path).map_err(|e| io_err(&manifest_path, "read", e))?;
         let mut r = Reader::new(&bytes);
-
-        // Header frame: anything wrong here means no stage can be trusted.
-        let header = wire::decode_frame(&mut r)
-            .map_err(|e| MrError::msg(format!("checkpoint manifest header unreadable: {e}")))?;
-        let mut hr = Reader::new(header);
-        if hr.read_u8().ok() != Some(TAG_HEADER) {
-            return Err(MrError::msg(
-                "checkpoint manifest does not start with a header record",
-            ));
-        }
-        let version = hr.read_u32().map_err(MrError::Codec)?;
-        if version != VERSION {
-            return Err(MrError::msg(format!(
-                "checkpoint format version {version} is not supported (expected {VERSION})"
-            )));
-        }
-        let found = hr.read_u64().map_err(MrError::Codec)?;
+        let found = read_header(&mut r)?;
         if found != fingerprint {
             return Err(MrError::ResumeMismatch {
                 expected: fingerprint,
@@ -400,6 +423,7 @@ impl CheckpointSession {
             completed,
             pending: Vec::new(),
             corruption,
+            threads: 1,
         };
         if tail_torn {
             // Rewrite the manifest to the intact prefix so the commits
@@ -407,6 +431,22 @@ impl CheckpointSession {
             session.rewrite_manifest()?;
         }
         Ok(session)
+    }
+
+    /// Publish each stage's fragments on up to `threads` OS threads (1,
+    /// the default, publishes them one after another). The files and the
+    /// manifest are the same at every count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// The fingerprint the checkpoint in `dir` was created with: what
+    /// [`resume`](CheckpointSession::resume) must be given to reopen it.
+    pub fn fingerprint_of(dir: &Path) -> Result<u64> {
+        let path = dir.join(MANIFEST);
+        let bytes = fs::read(&path).map_err(|e| io_err(&path, "read", e))?;
+        read_header(&mut Reader::new(&bytes))
     }
 
     /// The run directory.
@@ -445,32 +485,26 @@ impl CheckpointSession {
     }
 
     /// Durably publish the staged fragments and append the stage-commit
-    /// record: fragments are framed, written to temp files, fsynced and
-    /// renamed into place, the directory fsynced, and only then the
-    /// commit appended to the manifest and fsynced. Returns the bytes
-    /// written (fragment files plus manifest record). A kill at any
-    /// point leaves the previous commit as the recoverable frontier.
+    /// record: the fragments are framed, written to temp files, fsynced
+    /// and renamed into place (concurrently, see
+    /// [`with_threads`](CheckpointSession::with_threads)), the directory
+    /// fsynced once, and only then the commit appended to the manifest and
+    /// fsynced. Returns the bytes written (fragment files plus manifest
+    /// record). A failure reports the first failing fragment in staging
+    /// order. A kill at any point leaves the previous commit as the
+    /// recoverable frontier.
     pub fn commit_stage(&mut self, index: u32, stage_id: &str, stats: &JobStats) -> Result<u64> {
         let pending = std::mem::take(&mut self.pending);
-        let mut bytes_written = 0u64;
-        let mut fragments = Vec::with_capacity(pending.len());
-        for (dataset, node, ordinal, payload) in &pending {
-            let file = fragment_file(index, dataset, *node, *ordinal);
-            let mut framed = Vec::with_capacity(payload.len() + 12);
-            wire::encode_frame(payload, &mut framed);
-            let path = self.dir.join(&file);
-            write_durable(&path, &framed)?;
-            bytes_written += framed.len() as u64;
-            fragments.push(FragmentEntry {
-                dataset: dataset.clone(),
-                node: *node,
-                ordinal: *ordinal,
-                file,
-                checksum: wire::checksum(payload),
-                len: payload.len() as u64,
-                payload: None,
-            });
-        }
+        let fragments = run_slots(pending.len(), self.threads, |i| {
+            publish_fragment(&self.dir, index, &pending[i])
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
+        drop(pending);
+        fsync_dir(&self.dir)?;
+        let mut bytes_written: u64 = (fragments.iter())
+            .map(|f| (wire::FRAME_HEADER_LEN as u64) + f.len)
+            .sum();
 
         // Test hook: hold the window between fragment publication and the
         // manifest commit open so an external kill harness can SIGKILL the
@@ -488,7 +522,7 @@ impl CheckpointSession {
             fragments,
         };
         let mut framed = Vec::new();
-        wire::encode_frame(&encode_stage_record(&record), &mut framed);
+        wire::encode_frame(&encode_stage_record(&record), &mut framed)?;
         bytes_written += framed.len() as u64;
         let manifest_path = self.dir.join(MANIFEST);
         let mut f = fs::OpenOptions::new()
@@ -510,12 +544,33 @@ impl CheckpointSession {
         let mut payload = vec![TAG_HEADER];
         put_u32(&mut payload, VERSION);
         put_u64(&mut payload, self.fingerprint);
-        wire::encode_frame(&payload, &mut buf);
+        wire::encode_frame(&payload, &mut buf)?;
         for rec in &self.completed {
-            wire::encode_frame(&encode_stage_record(rec), &mut buf);
+            wire::encode_frame(&encode_stage_record(rec), &mut buf)?;
         }
         write_durable(&self.dir.join(MANIFEST), &buf)
     }
+}
+
+/// The manifest's header frame: its fingerprint, once the frame and the
+/// format version check out. Anything wrong here means no stage can be
+/// trusted.
+fn read_header(r: &mut Reader<'_>) -> Result<u64> {
+    let header = wire::decode_frame(r)
+        .map_err(|e| MrError::msg(format!("checkpoint manifest header unreadable: {e}")))?;
+    let mut hr = Reader::new(header);
+    if hr.read_u8().ok() != Some(TAG_HEADER) {
+        return Err(MrError::msg(
+            "checkpoint manifest does not start with a header record",
+        ));
+    }
+    let version = hr.read_u32().map_err(MrError::Codec)?;
+    if version != VERSION {
+        return Err(MrError::msg(format!(
+            "checkpoint format version {version} is not supported (expected {VERSION})"
+        )));
+    }
+    hr.read_u64().map_err(MrError::Codec)
 }
 
 /// Rename a corrupt file aside as evidence instead of deleting it.
@@ -691,6 +746,7 @@ mod tests {
     fn fingerprint_mismatch_is_a_typed_refusal() {
         let dir = tmpdir("mismatch");
         CheckpointSession::create(&dir, 0xAA).unwrap();
+        assert_eq!(CheckpointSession::fingerprint_of(&dir).unwrap(), 0xAA);
         let err = CheckpointSession::resume(&dir, 0xBB).unwrap_err();
         assert_eq!(
             err,

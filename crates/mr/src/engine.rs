@@ -574,22 +574,27 @@ struct ReduceOutcome {
     trace: Option<TaskTrace>,
 }
 
-/// Run `task(node)` for every node, filling a pre-allocated slot per node.
+/// Run `task(i)` for every `i` in `0..n` on up to `threads` OS threads,
+/// returning the results in index order: one pre-allocated slot per item.
 ///
-/// With more than one thread the nodes are split into contiguous chunks,
-/// one scoped worker per chunk, so slot assignment never depends on
-/// completion order; with one thread (or one node) the tasks run inline.
-/// A worker panic propagates to the caller like a sequential panic would.
-fn run_phase<T, F>(n: usize, threads: usize, task: F) -> Vec<Result<T>>
+/// The one parallel helper of the workspace: the engine's map and reduce
+/// phases and the driver's load, checkpoint publish and emit all run on
+/// it. The items are split into contiguous chunks, one scoped worker per
+/// chunk, so slot assignment never depends on completion order and a
+/// caller that folds the results in index order (first error included)
+/// gets the same answer at every thread count; with one thread (or one
+/// item) the tasks run inline. A worker panic propagates to the caller
+/// like a sequential panic would.
+pub fn run_slots<T, F>(n: usize, threads: usize, task: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
+    F: Fn(usize) -> T + Sync,
 {
     let workers = threads.min(n).max(1);
     if workers <= 1 {
         return (0..n).map(&task).collect();
     }
-    let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(workers);
     let scope_result = crossbeam::thread::scope(|s| {
         for (ci, part) in slots.chunks_mut(chunk).enumerate() {
@@ -606,7 +611,7 @@ where
     }
     slots
         .into_iter()
-        .map(|s| s.expect("phase worker filled every slot"))
+        .map(|s| s.expect("a worker filled every slot"))
         .collect()
 }
 
@@ -704,7 +709,7 @@ impl Cluster {
             extra_outputs,
         };
         let this: &Cluster = &*self;
-        let map_results = run_phase(n, threads, |node| this.map_task(&map_pc, node));
+        let map_results = run_slots(n, threads, |node| this.map_task(&map_pc, node));
 
         // Successful-attempt compute per node, kept apart from retry
         // charges: a reduce-side crash re-runs the node's map task to
@@ -779,7 +784,7 @@ impl Cluster {
             extra_outputs,
         };
         let this: &Cluster = &*self;
-        let reduce_results = run_phase(n, threads, |node| {
+        let reduce_results = run_slots(n, threads, |node| {
             this.reduce_task(&reduce_pc, node, &inboxes[node], map_compute[node])
         });
 

@@ -57,7 +57,7 @@ mod timer;
 pub use checkpoint::{CheckpointSession, StageRecord};
 pub use cluster::{default_thread_budget, Cluster};
 pub use engine::{
-    Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, Partitioner, Reducer, TaskCtx,
+    run_slots, Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, Partitioner, Reducer, TaskCtx,
 };
 pub use fault::{ChaosSpec, Fault, FaultPlan, RecoveryAction, RetryPolicy};
 pub use pairs::{Pairs, Runs};

@@ -7,10 +7,30 @@
 //!
 //! Both directions are provided so a PaPar workflow can write its output
 //! partitions "with the same format of input" (paper Section III-C).
+//!
+//! Both readers can split their input into the contiguous per-node blocks
+//! a scatter makes and hand the per-block decoder to a caller's executor
+//! (`read_split_on`), so the blocks decode concurrently; the result is the
+//! same as decoding them in order.
+
+use crate::{Record, Result};
+
+/// The decoder of block `i` of a split read. Blocks are independent: they
+/// may be decoded in any order, on any thread.
+pub type DecodeBlock<'a> = dyn Fn(usize) -> Result<Vec<Record>> + Sync + 'a;
+
+/// One result per block, in block order.
+pub type BlockResults = Vec<Result<Vec<Record>>>;
+
+/// Decode every block in order on the calling thread.
+fn in_order(n: usize, decode: &DecodeBlock<'_>) -> BlockResults {
+    (0..n).map(decode).collect()
+}
 
 pub mod binary {
     //! Fixed-width binary records.
 
+    use super::{BlockResults, DecodeBlock};
     use crate::batch::block_sizes;
     use crate::wire::decode_fixed_record;
     use crate::{CodecError, Record, Result, Schema};
@@ -30,6 +50,20 @@ pub mod binary {
         schema: &Schema,
         data: &[u8],
         n: usize,
+    ) -> Result<Vec<Vec<Record>>> {
+        read_split_on(cfg, schema, data, n, super::in_order)
+    }
+
+    /// [`read_split`], with the blocks decoded by `run(blocks, decode)`,
+    /// which must return `decode(i)` for every block `i` in block order —
+    /// on as many threads as it likes. Block spans are arithmetic: the
+    /// records are fixed-width.
+    pub fn read_split_on(
+        cfg: &InputConfig,
+        schema: &Schema,
+        data: &[u8],
+        n: usize,
+        run: impl FnOnce(usize, &DecodeBlock<'_>) -> BlockResults,
     ) -> Result<Vec<Vec<Record>>> {
         if cfg.format != InputFormat::Binary {
             return Err(CodecError(format!(
@@ -54,11 +88,19 @@ pub mod binary {
                 body.len() % width
             )));
         }
-        let mut rows = body.chunks_exact(width);
-        let decode = |row: &[u8]| decode_fixed_record(row, schema);
-        Ok(block_sizes(body.len() / width, n)
-            .map(|size| rows.by_ref().take(size).map(decode).collect())
-            .collect())
+        let mut rest = body;
+        let spans: Vec<&[u8]> = block_sizes(body.len() / width, n)
+            .map(|size| {
+                let (span, tail) = rest.split_at(size * width);
+                rest = tail;
+                span
+            })
+            .collect();
+        let decode = |i: usize| {
+            let rows = spans[i].chunks_exact(width);
+            Ok(rows.map(|row| decode_fixed_record(row, schema)).collect())
+        };
+        run(spans.len(), &decode).into_iter().collect()
     }
 
     /// Encode records after a `start_position`-sized header.
@@ -106,6 +148,7 @@ pub mod binary {
 pub mod text {
     //! Delimiter-separated text records.
 
+    use super::{BlockResults, DecodeBlock};
     use crate::batch::block_sizes;
     use crate::{CodecError, Record, Result, Schema, Value};
     use papar_config::input::{InputConfig, InputFormat};
@@ -162,34 +205,74 @@ pub mod text {
         data: &str,
         n: usize,
     ) -> Result<Vec<Vec<Record>>> {
+        read_split_on(cfg, schema, data, n, super::in_order)
+    }
+
+    /// Every this many records the count pass notes where a record
+    /// starts, so a block start is found by delimiting fewer than this
+    /// many records from the nearest note instead of a second walk.
+    const MARK_EVERY: usize = 256;
+
+    /// [`read_split`], with the blocks decoded by `run(blocks, decode)`,
+    /// which must return `decode(i)` for every block `i` in block order —
+    /// on as many threads as it likes. The error is the first failing
+    /// block's, which is the first malformed record in file order: what
+    /// [`read`] reports.
+    pub fn read_split_on(
+        cfg: &InputConfig,
+        schema: &Schema,
+        data: &str,
+        n: usize,
+        run: impl FnOnce(usize, &DecodeBlock<'_>) -> BlockResults,
+    ) -> Result<Vec<Vec<Record>>> {
         let delims = text_plan(cfg, schema)?;
+        // Count pass: delimiters only, noting every MARK_EVERY-th start.
+        let mut marks = Vec::new();
         let mut total = 0;
         let mut rest = data;
-        while let Ok(Some((_, next))) = next_record(schema, &delims, rest, false) {
+        loop {
+            if total % MARK_EVERY == 0 {
+                marks.push(data.len() - rest.len());
+            }
+            let Some(next) = delimit(schema, &delims, rest) else {
+                break;
+            };
             total += 1;
             rest = next;
         }
-        let mut rest = data;
-        let mut blocks = Vec::with_capacity(n);
-        for size in block_sizes(total, n) {
-            let mut block = Vec::with_capacity(size);
-            for _ in 0..size {
+        // Block `i` covers its records; the last block also holds what
+        // follows them: trailing whitespace, or the malformed record that
+        // stopped the count.
+        let sizes: Vec<usize> = block_sizes(total, n).collect();
+        let mut starts = Vec::with_capacity(sizes.len() + 1);
+        let mut first = 0;
+        for size in &sizes {
+            let mut at = &data[marks[first / MARK_EVERY]..];
+            for _ in 0..first % MARK_EVERY {
+                at = delimit(schema, &delims, at).unwrap_or_default();
+            }
+            starts.push(data.len() - at.len());
+            first += size;
+        }
+        starts.push(data.len());
+        let decode = |i: usize| {
+            let mut rest = &data[starts[i]..starts[i + 1]];
+            let mut block = Vec::with_capacity(sizes[i]);
+            for _ in 0..sizes[i] {
                 let (rec, next) = next_record(schema, &delims, rest, true)?.ok_or_else(|| {
                     CodecError("text input ended before its counted records".into())
                 })?;
                 block.push(rec);
                 rest = next;
             }
-            blocks.push(block);
-        }
-        // Past the counted records there is trailing whitespace or the
-        // malformed record that stopped the count.
-        match next_record(schema, &delims, rest, true)? {
-            None => Ok(blocks),
-            Some(_) => Err(CodecError(
-                "text input holds more records than counted".into(),
-            )),
-        }
+            match next_record(schema, &delims, rest, true)? {
+                None => Ok(block),
+                Some(_) => Err(CodecError(
+                    "text input holds more records than counted".into(),
+                )),
+            }
+        };
+        run(sizes.len(), &decode).into_iter().collect()
     }
 
     /// The delimiter plan of a text input, refusing a binary one.
@@ -238,6 +321,15 @@ pub mod text {
             Record::default()
         };
         Ok(Some((rec, cursor)))
+    }
+
+    /// What follows the record at the head of `rest`, when its fields are
+    /// all delimited.
+    fn delimit<'a>(schema: &Schema, delims: &[String], rest: &'a str) -> Option<&'a str> {
+        match next_record(schema, delims, rest, false) {
+            Ok(Some((_, next))) => Some(next),
+            _ => None,
+        }
     }
 
     /// Where `delim` first occurs in `hay`. A one-byte delimiter is ASCII,

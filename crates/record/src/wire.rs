@@ -134,11 +134,35 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// A length or count as the wire's `u32`, refused when it would wrap: a
+/// wrapped length decodes as a different, shorter frame or batch.
+pub fn wire_len(n: usize, what: &str) -> Result<u32> {
+    u32::try_from(n).map_err(|_| {
+        CodecError(format!(
+            "{what} of {n} does not fit the wire's u32 length (max {})",
+            u32::MAX
+        ))
+    })
+}
+
+/// Bytes of a frame header: `[len u32][fnv1a u64]`.
+pub const FRAME_HEADER_LEN: usize = 12;
+
+/// The header of a frame around a `len`-byte payload whose [`checksum`]
+/// is `sum`. A writer that already holds the sum puts this header and
+/// the payload side by side instead of copying the payload into a frame.
+pub fn frame_header(len: usize, sum: u64) -> Result<[u8; FRAME_HEADER_LEN]> {
+    let mut header = [0; FRAME_HEADER_LEN];
+    header[..4].copy_from_slice(&wire_len(len, "frame payload")?.to_le_bytes());
+    header[4..].copy_from_slice(&sum.to_le_bytes());
+    Ok(header)
+}
+
 /// Wrap a payload in a checksummed frame: `[len u32][fnv1a u64][payload]`.
-pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
-    put_u32(out, payload.len() as u32);
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
+pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) -> Result<()> {
+    out.extend_from_slice(&frame_header(payload.len(), checksum(payload))?);
     out.extend_from_slice(payload);
+    Ok(())
 }
 
 /// Decode one frame, verifying its checksum; errors on truncation or a
@@ -312,17 +336,17 @@ pub fn encode_batch(batch: &Batch, schema: &Schema, buf: &mut Vec<u8>) -> Result
     match batch {
         Batch::Flat(records) => {
             buf.push(BATCH_FLAT);
-            put_u32(buf, records.len() as u32);
+            put_u32(buf, wire_len(records.len(), "batch record count")?);
             for rec in records {
                 encode_record(rec, schema, buf)?;
             }
         }
         Batch::Packed(groups) => {
             buf.push(BATCH_PACKED);
-            put_u32(buf, groups.len() as u32);
+            put_u32(buf, wire_len(groups.len(), "batch group count")?);
             for g in groups {
                 encode_value(&g.key, buf);
-                put_u32(buf, g.records.len() as u32);
+                put_u32(buf, wire_len(g.records.len(), "group member count")?);
                 for rec in &g.records {
                     encode_record(rec, schema, buf)?;
                 }
@@ -340,7 +364,7 @@ pub fn concat_checksum(parts: &[&Batch], schema: &Schema) -> Result<u64> {
     let packed = matches!(parts.first(), Some(Batch::Packed(_)));
     let entries: usize = parts.iter().map(|b| b.entry_count()).sum();
     let mut buf = vec![if packed { BATCH_PACKED } else { BATCH_FLAT }];
-    put_u32(&mut buf, entries as u32);
+    put_u32(&mut buf, wire_len(entries, "batch entry count")?);
     let mut h = checksum(&buf);
     for part in parts {
         if matches!(part, Batch::Packed(_)) != packed {
@@ -553,14 +577,16 @@ mod tests {
     fn frame_roundtrip_and_corruption_detection() {
         let payload = b"the quick brown fragment".to_vec();
         let mut framed = Vec::new();
-        encode_frame(&payload, &mut framed);
-        assert_eq!(framed.len(), 4 + 8 + payload.len());
+        encode_frame(&payload, &mut framed).unwrap();
+        assert_eq!(framed.len(), FRAME_HEADER_LEN + payload.len());
         let back = decode_frame(&mut Reader::new(&framed)).unwrap();
         assert_eq!(back, &payload[..]);
+        let header = frame_header(payload.len(), checksum(&payload)).unwrap();
+        assert_eq!(&framed[..FRAME_HEADER_LEN], &header);
 
         // An empty payload frames fine too.
         let mut empty = Vec::new();
-        encode_frame(&[], &mut empty);
+        encode_frame(&[], &mut empty).unwrap();
         assert_eq!(
             decode_frame(&mut Reader::new(&empty)).unwrap(),
             &[] as &[u8]
@@ -582,11 +608,28 @@ mod tests {
     #[test]
     fn frames_concatenate() {
         let mut buf = Vec::new();
-        encode_frame(b"one", &mut buf);
-        encode_frame(b"two!", &mut buf);
+        encode_frame(b"one", &mut buf).unwrap();
+        encode_frame(b"two!", &mut buf).unwrap();
         let mut r = Reader::new(&buf);
         assert_eq!(decode_frame(&mut r).unwrap(), b"one");
         assert_eq!(decode_frame(&mut r).unwrap(), b"two!");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn wire_lengths_refuse_to_wrap_at_4_gib() {
+        let max = u32::MAX as usize;
+        assert_eq!(wire_len(max, "frame payload").unwrap(), u32::MAX);
+        let err = wire_len(max + 1, "frame payload").unwrap_err();
+        assert!(
+            err.to_string().contains("frame payload of 4294967296"),
+            "{err}"
+        );
+        // The frame header takes its length through the same check, so a
+        // 4 GiB payload is refused before a byte of it is written.
+        let header = frame_header(max, 7).unwrap();
+        assert_eq!(&header[..4], &u32::MAX.to_le_bytes());
+        assert_eq!(&header[4..], &7u64.to_le_bytes());
+        assert_eq!(frame_header(max + 1, 7).unwrap_err(), err);
     }
 }

@@ -474,6 +474,31 @@ fn text_cfg(schema: &Schema, delims: &[String]) -> InputConfig {
     }
 }
 
+/// A split read's executor on `threads` scoped threads, each decoding a
+/// contiguous run of blocks, the last run spawned first: blocks decode
+/// concurrently and out of order, and their results land in block order.
+fn on_threads(
+    threads: usize,
+) -> impl FnOnce(usize, &codec::DecodeBlock<'_>) -> codec::BlockResults {
+    move |n: usize, decode: &codec::DecodeBlock<'_>| {
+        let chunk = n.div_ceil(threads).max(1);
+        let mut slots: Vec<Option<_>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|s| {
+            for (c, part) in slots.chunks_mut(chunk).enumerate().rev() {
+                s.spawn(move || {
+                    for (off, slot) in part.iter_mut().enumerate() {
+                        *slot = Some(decode(c * chunk + off));
+                    }
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|s| s.expect("every block decoded"))
+            .collect()
+    }
+}
+
 /// `codec::binary::{read, read_split}` against the reference.
 fn check_binary(
     cfg: &InputConfig,
@@ -487,6 +512,8 @@ fn check_binary(
         let got = codec::binary::read_split(cfg, schema, data, n);
         check_blocks(got, &want, n)?;
     }
+    let got = codec::binary::read_split_on(cfg, schema, data, 3, on_threads(3));
+    check_blocks(got, &want, 3)?;
     Ok(())
 }
 
@@ -504,8 +531,14 @@ fn check_text(
         let got = codec::text::read_split(cfg, schema, data, n);
         check_blocks(got, &want, n)?;
     }
+    let got = codec::text::read_split_on(cfg, schema, data, 3, on_threads(3));
+    check_blocks(got, &want, 3)?;
     Ok(())
 }
+
+/// What may follow the last line of a block-decoding case: nothing,
+/// whitespace, or a record the count pass cannot delimit.
+const TAILS: [&str; 4] = ["", " \n", "7,x", "8"];
 
 /// A split read is the whole read cut into `block_sizes` blocks, and fails
 /// exactly as the whole read fails.
@@ -631,5 +664,42 @@ proptest! {
         }
         check_text(&cfg, &schema, &delims, &junk)?;
         check_text(&cfg, &schema, &delims, &format!("{text}{junk}"))?;
+    }
+
+    /// Block decoding at any (blocks, threads) is `read` cut into
+    /// `block_sizes` blocks, and a file with malformed records in several
+    /// blocks — each malformed differently — fails with `read`'s error:
+    /// the first malformed record in file order, not whichever block
+    /// finished first or last. The binary reader's blocks agree too.
+    #[test]
+    fn block_decoding_on_threads_is_the_whole_read(
+        lines in prop::collection::vec((any::<i32>(), 0u8..12), 0..600),
+        tail in 0usize..TAILS.len(),
+        blocks in 1usize..9,
+        threads in 1usize..5,
+    ) {
+        let schema = Schema::new(vec![("id", FieldType::Integer), ("name", FieldType::Str)]);
+        let cfg = text_cfg(&schema, &[",".to_string(), "\n".to_string()]);
+        let mut text = String::new();
+        for (i, (id, kind)) in lines.iter().enumerate() {
+            if *kind == 0 {
+                text.push_str(&format!("bad{i},v\n"));
+            } else {
+                text.push_str(&format!("{id},v{kind}\n"));
+            }
+        }
+        text.push_str(TAILS[tail]);
+        let want = codec::text::read(&cfg, &schema, &text);
+        let got = codec::text::read_split_on(&cfg, &schema, &text, blocks, on_threads(threads));
+        check_blocks(got, &want, blocks)?;
+
+        let schema = Schema::new(vec![("id", FieldType::Integer), ("kind", FieldType::Integer)]);
+        let cfg = binary_cfg(&schema, 4);
+        let records: Vec<Record> = lines.iter().map(|(id, kind)| rec![*id, *kind as i32]).collect();
+        let bytes = codec::binary::write(&cfg, &schema, &records, None).unwrap();
+        let want = codec::binary::read(&cfg, &schema, &bytes);
+        prop_assert!(same(&want, &Ok(records)));
+        let got = codec::binary::read_split_on(&cfg, &schema, &bytes, blocks, on_threads(threads));
+        check_blocks(got, &want, blocks)?;
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! * [`load`]: input-config text + data file (only the `--records`
 //!   region of a binary file is read) → the records, decoded straight
-//!   into one shared [`Dataset`] fragment per node;
+//!   into one shared [`Dataset`] fragment per node, the nodes' blocks
+//!   concurrently;
 //! * [`compile`]: both document texts + the job's arguments + record
 //!   count and replication → `papar check` gate → bind → plan-invariant
 //!   verification → adaptive decision over the *borrowed* fragments →
@@ -19,9 +20,13 @@
 //!   returning the typed [`CoreError`] so a front-end can map individual
 //!   failures;
 //! * [`emit`]: the output fragments, borrowed where they live → codec →
-//!   `partition_{i:04}.{bin,txt}`.
+//!   `partition_{i:04}.{bin,txt}`, the partitions concurrently.
 //!
-//! Records are decoded once and never deep-copied between stages.
+//! Records are decoded once and never deep-copied between stages. Load
+//! and emit spend the job's thread budget like the engine's phases do, on
+//! [`papar_mr::run_slots`]: one task per block or partition, results in
+//! slot order, so their bytes (and their first error) do not depend on
+//! the thread count.
 //! `papar run` (`crates/cli`) calls the stages in that order on a fresh
 //! [`new_cluster`], adding its own fault plan and checkpoint salt;
 //! [`execute`] makes the same calls with the data LRU around `load` (its
@@ -177,19 +182,24 @@ fn read_input<T>(
 /// document straight into one fragment per node, in ordinal order — the
 /// layout the cluster stores, so [`run`] places them (and the daemon
 /// caches them) without copying a record. Each fragment is an exact-size
-/// vector of its block of records, so the input is resident once.
-pub fn load(spec: &JobSpec, cfg_text: &str) -> Result<Vec<Arc<Dataset>>, String> {
+/// vector of its block of records, so the input is resident once. The
+/// blocks decode concurrently on up to `threads` OS threads; a malformed
+/// file fails with the error a whole-file read reports.
+pub fn load(spec: &JobSpec, cfg_text: &str, threads: usize) -> Result<Vec<Arc<Dataset>>, String> {
     let cfg =
         InputConfig::parse_str(cfg_text).map_err(|e| format!("{}: {e}", spec.input_config))?;
     let schema = Arc::new(Schema::from_input_config(&cfg));
     let nodes = spec.nodes as usize;
+    let on_threads = |blocks: usize, decode: &codec::DecodeBlock<'_>| {
+        papar_mr::run_slots(blocks, threads, decode)
+    };
     let blocks = read_input(
         &cfg,
         &schema,
         Path::new(&spec.data),
         spec.records.map(|n| n as usize),
-        |bytes| codec::binary::read_split(&cfg, &schema, bytes, nodes),
-        |text| codec::text::read_split(&cfg, &schema, text, nodes),
+        |bytes| codec::binary::read_split_on(&cfg, &schema, bytes, nodes, on_threads),
+        |text| codec::text::read_split_on(&cfg, &schema, text, nodes, on_threads),
     )?;
     Ok(blocks
         .into_iter()
@@ -407,7 +417,9 @@ pub fn run(
 
 /// Stage 4 — emit: write each output partition into `out_dir` (created
 /// if missing) in the input's on-disk format, encoding the resident
-/// fragments in place. Returns the files, in partition order.
+/// fragments in place, the partitions concurrently on the cluster's
+/// thread budget. Returns the files, in partition order; a failure
+/// reports the lowest failing partition.
 pub fn emit(
     compiled: &CachedPlan,
     cluster: &Cluster,
@@ -418,38 +430,45 @@ pub fn emit(
     let partitions = cluster
         .fragments(&compiled.plan.output_path)
         .map_err(|e| e.to_string())?;
-    let cfg = &compiled.input_cfg;
-    let mut files = Vec::with_capacity(partitions.len());
-    for (i, part) in partitions.into_iter().enumerate() {
-        // Workflows end flat ("the same format of input"); a packed final
-        // fragment is flattened into a temporary.
-        let unpacked: Vec<Record>;
-        let records = match &part.batch {
-            Batch::Flat(records) => records,
-            Batch::Packed(groups) => {
-                unpacked = groups.iter().flat_map(|g| g.records.clone()).collect();
-                &unpacked
-            }
-        };
-        let (ext, bytes) = match cfg.format {
-            InputFormat::Binary => (
-                "bin",
-                codec::binary::write(cfg, &part.schema, records, None)
-                    .map_err(|e| e.to_string())?,
-            ),
-            InputFormat::Text => (
-                "txt",
-                codec::text::write(cfg, &part.schema, records)
-                    .map_err(|e| e.to_string())?
-                    .into_bytes(),
-            ),
-        };
-        let path = out_dir.join(format!("partition_{i:04}.{ext}"));
-        std::fs::write(&path, bytes)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        files.push(path);
-    }
-    Ok(files)
+    papar_mr::run_slots(partitions.len(), cluster.threads(), |i| {
+        write_partition(&compiled.input_cfg, partitions[i], out_dir, i)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Encode partition `i` and write it as `out_dir/partition_{i:04}.*`.
+fn write_partition(
+    cfg: &InputConfig,
+    part: &Dataset,
+    out_dir: &Path,
+    i: usize,
+) -> Result<PathBuf, String> {
+    // Workflows end flat ("the same format of input"); a packed final
+    // fragment is flattened into a temporary.
+    let unpacked: Vec<Record>;
+    let records = match &part.batch {
+        Batch::Flat(records) => records,
+        Batch::Packed(groups) => {
+            unpacked = groups.iter().flat_map(|g| g.records.clone()).collect();
+            &unpacked
+        }
+    };
+    let (ext, bytes) = match cfg.format {
+        InputFormat::Binary => (
+            "bin",
+            codec::binary::write(cfg, &part.schema, records, None).map_err(|e| e.to_string())?,
+        ),
+        InputFormat::Text => (
+            "txt",
+            codec::text::write(cfg, &part.schema, records)
+                .map_err(|e| e.to_string())?
+                .into_bytes(),
+        ),
+    };
+    let path = out_dir.join(format!("partition_{i:04}.{ext}"));
+    std::fs::write(&path, bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
 }
 
 /// Hash of the raw request: everything that decides what planning would
@@ -522,7 +541,7 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
     let (input, data_cache_hit) = match res.data.get(&key) {
         Some(input) => (input, true),
         None => {
-            let input = load(spec, &cfg_text)?;
+            let input = load(spec, &cfg_text, threads)?;
             res.data.insert(key, input.clone());
             (input, false)
         }

@@ -627,7 +627,9 @@ impl Response {
 /// Write one `[len][checksum][payload]` frame to the stream.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ServeError> {
     let mut frame = Vec::with_capacity(12 + payload.len());
-    wire::encode_frame(payload, &mut frame);
+    wire::encode_frame(payload, &mut frame).map_err(|e| ServeError::BadFrame {
+        detail: e.to_string(),
+    })?;
     w.write_all(&frame)?;
     w.flush()?;
     Ok(())
@@ -758,7 +760,7 @@ mod tests {
     fn truncated_frame_is_a_typed_error() {
         let payload = Request::Submit(spec()).encode();
         let mut frame = Vec::new();
-        wire::encode_frame(&payload, &mut frame);
+        wire::encode_frame(&payload, &mut frame).unwrap();
         for cut in [0, 3, 11, 12, frame.len() - 1] {
             let mut cursor = std::io::Cursor::new(&frame[..cut]);
             match read_frame(&mut cursor) {
@@ -773,7 +775,7 @@ mod tests {
     fn corrupt_payload_fails_the_checksum() {
         let payload = Request::Status { id: 9 }.encode();
         let mut frame = Vec::new();
-        wire::encode_frame(&payload, &mut frame);
+        wire::encode_frame(&payload, &mut frame).unwrap();
         *frame.last_mut().unwrap() ^= 0x40;
         let mut cursor = std::io::Cursor::new(frame);
         match read_frame(&mut cursor) {

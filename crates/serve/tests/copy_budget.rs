@@ -11,6 +11,7 @@
 //! test below, never beside another.
 
 use mublastp::dbgen::DbSpec;
+use papar_core::exec::CheckpointCfg;
 use papar_serve::job::{self, Resources};
 use papar_serve::JobSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -136,19 +137,25 @@ fn fig10(dir: &Path, edges: usize) -> JobSpec {
     }
 }
 
+/// Threads for load and emit: their per-record costs must not depend on
+/// running concurrently.
+const DRIVER_THREADS: usize = 2;
+
 /// One job's stages over `records` input records, once through the
-/// stages and twice through the daemon's executor.
+/// stages and twice through the daemon's executor. Load and emit run at
+/// [`DRIVER_THREADS`], the engine at one thread.
 fn budget(spec: &JobSpec, records: usize) -> Budget {
     let cfg_text = job::read_text(&spec.input_config).unwrap();
     let wf_text = job::read_text(&spec.workflow).unwrap();
     let options = job::exec_options(spec, Some(1), false);
 
-    let (input, load) = measure(|| job::load(spec, &cfg_text).unwrap());
+    let (input, load) = measure(|| job::load(spec, &cfg_text, DRIVER_THREADS).unwrap());
     assert_eq!(job::record_count(&input), records);
     let compiled = job::compile(spec, &cfg_text, &wf_text, 0, &input, &options).unwrap();
     let mut cluster = job::new_cluster(4, 0, 3).unwrap();
     let (_, run) = measure(|| job::run(&compiled, options, None, &mut cluster, input).unwrap());
     let out = Path::new(&spec.out_dir);
+    cluster.set_threads(DRIVER_THREADS);
     let (files, emit) = measure(|| job::emit(&compiled, &cluster, out).unwrap());
     assert_eq!(files.len(), 8);
     drop(cluster);
@@ -166,6 +173,31 @@ fn budget(spec: &JobSpec, records: usize) -> Budget {
         emit,
         warm_execute,
     }
+}
+
+/// What `run` allocates for one `--no-fuse --checkpoint` job: both
+/// stages materialised and published to a fresh checkpoint directory.
+fn durable_run(spec: &JobSpec, records: usize) -> Usage {
+    let spec = JobSpec {
+        no_fuse: true,
+        ..spec.clone()
+    };
+    let cfg_text = job::read_text(&spec.input_config).unwrap();
+    let wf_text = job::read_text(&spec.workflow).unwrap();
+    let options = job::exec_options(&spec, Some(1), false);
+    let input = job::load(&spec, &cfg_text, 1).unwrap();
+    assert_eq!(job::record_count(&input), records);
+    let compiled = job::compile(&spec, &cfg_text, &wf_text, 0, &input, &options).unwrap();
+    let mut cluster = job::new_cluster(4, 0, 3).unwrap();
+    let checkpoint = CheckpointCfg {
+        dir: PathBuf::from(format!("{}-ckpt", spec.out_dir)),
+        resume: false,
+        extra: 0,
+    };
+    let (report, run) =
+        measure(|| job::run(&compiled, options, Some(checkpoint), &mut cluster, input).unwrap());
+    assert_eq!(report.jobs.len(), 2, "--no-fuse runs both stages");
+    run
 }
 
 /// Allocations per extra input record between two budgets.
@@ -193,6 +225,12 @@ const HYBRID_RUN_BYTES: f64 = 327.6;
 /// The Figure 10 `run` block slope: one member vector per packed group.
 const HYBRID_RUN_BLOCKS: f64 = 0.129;
 
+/// The Figure 8 `--no-fuse --checkpoint` `run` byte slope measured on
+/// this test's database: the two unfused jobs' decodes and shuffle
+/// buffers, the materialised sort output, and one checkpoint payload per
+/// published fragment, written after its frame header without a copy.
+const DURABLE_RUN_BYTES: f64 = 360.4;
+
 /// One decoded record, in place.
 const RECORD_BYTES: f64 = std::mem::size_of::<papar_record::Record>() as f64;
 
@@ -209,6 +247,8 @@ fn pipeline_seams_copy_no_record() {
     let large = budget(&fig8(&dir, 20_000), 20_000);
     let hybrid_small = budget(&fig10(&dir, 2_000), 2_000);
     let hybrid_large = budget(&fig10(&dir, 20_000), 20_000);
+    let durable_small = durable_run(&fig8(&dir, 2_000), 2_000);
+    let durable_large = durable_run(&fig8(&dir, 20_000), 20_000);
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!("fig8 2k: {small:?}\nfig8 20k: {large:?}");
     eprintln!("fig10 2k: {hybrid_small:?}\nfig10 20k: {hybrid_large:?}");
@@ -292,6 +332,16 @@ fn pipeline_seams_copy_no_record() {
     assert!(
         hybrid_bytes <= HYBRID_RUN_BYTES * 1.02,
         "hybrid run allocates {hybrid_bytes:.1} bytes per record"
+    );
+
+    // A checkpointed run publishes each fragment's payload as encoded:
+    // hashed once, written after its frame header, never copied into a
+    // frame (a copy is one more payload per record, ≈ 16 bytes per stage).
+    let durable_bytes = byte_slope(durable_small, durable_large, extra);
+    eprintln!("fig8 --no-fuse --checkpoint run: {durable_bytes:.1} bytes per record");
+    assert!(
+        durable_bytes <= DURABLE_RUN_BYTES * 1.02,
+        "durable run allocates {durable_bytes:.1} bytes per record"
     );
 
     // A warm served request shares the cached input: per record it

@@ -60,7 +60,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 /// Frame a payload the way the protocol does.
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    papar_record::wire::encode_frame(payload, &mut out);
+    papar_record::wire::encode_frame(payload, &mut out).unwrap();
     out
 }
 
