@@ -8,14 +8,15 @@ use papar_mr::sampler::{self, RangePartitioner};
 use papar_mr::stats::{job_trace_from_stats, JobStats, NetModel, RecoveryStats};
 use papar_mr::{CheckpointSession, Cluster, Entry, MapReduceJob, Partitioner, TaskPhase};
 use papar_mr::{Emit, EntryRef, Mapper, MrError, Pairs, TaskCtx};
-use papar_record::batch::{Batch, Dataset};
+use papar_record::batch::{Batch, Dataset, Rows};
 use papar_record::packed::{pack_onto, PackedRecord};
 use papar_record::view::ENTRY_REC;
 use papar_record::wire;
-use papar_record::{Record, Value};
+use papar_record::{Record, Schema, Value};
 use papar_trace::{
     duration_ns, Collector, Counters, JobTrace, PhaseKind, PhaseTrace, TaskTrace, WorkflowTrace,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -1089,11 +1090,7 @@ impl WorkflowRunner {
             num_reducers,
         };
         let mapper = KeyedMapper { key_idx };
-        let reducer = OrderedReducer {
-            addons,
-            key_idx,
-            packs: packs_output(job.outputs[0].1.format, output_format),
-        };
+        let reducer = OrderedReducer::new(job, addons, key_idx, output_format);
         let mr_job = MapReduceJob {
             name: job_name.to_string(),
             inputs: job.inputs.clone(),
@@ -1123,11 +1120,7 @@ impl WorkflowRunner {
     ) -> Result<JobStats> {
         let num_reducers = self.reducers_for(job, cluster);
         let mapper = KeyedMapper { key_idx };
-        let reducer = OrderedReducer {
-            addons,
-            key_idx,
-            packs: packs_output(job.outputs[0].1.format, output_format),
-        };
+        let reducer = OrderedReducer::new(job, addons, key_idx, output_format);
         let mr_job = MapReduceJob {
             name: job.id.clone(),
             inputs: job.inputs.clone(),
@@ -1195,7 +1188,7 @@ impl WorkflowRunner {
                         records_in += frag.batch.record_count() as u64;
                         for entry in EntryRef::all(&frag.batch) {
                             let key = entry_key(entry, key_idx)?;
-                            let dest = policy.route(key).ok_or_else(|| {
+                            let dest = policy.route(&key).ok_or_else(|| {
                                 CoreError::exec(format!(
                                     "split key {key} matches no condition of job '{}'",
                                     job.id
@@ -1362,14 +1355,12 @@ impl WorkflowRunner {
                                 let routing = match entry {
                                     // A whole low-degree group travels to the
                                     // partition its in-vertex hashes to.
-                                    EntryRef::Packed(p) => &p.key,
+                                    EntryRef::Packed(p) => Cow::Borrowed(&p.key),
                                     // High-degree in-edges spread by source
                                     // vertex (field 0 of an edge record).
-                                    EntryRef::Rec(r) => {
-                                        r.require(0).map_err(papar_mr::MrError::from)?
-                                    }
+                                    EntryRef::Rec(_) | EntryRef::Row(_) => entry_key(entry, 0)?,
                                 };
-                                policy.partition_of_value(routing, num_partitions)
+                                policy.partition_of_value(&routing, num_partitions)
                             }
                         };
                         // Key embeds both the route and the global order; see
@@ -1382,7 +1373,15 @@ impl WorkflowRunner {
             },
         );
         let out_format = job.outputs[0].1.format;
+        // A flat, unprojected output of flat fixed-width inputs is their
+        // rows, gathered from the inbox without a decode.
+        let rows_out = (out_format == Format::Flat && projection.is_none())
+            .then(|| rows_schema(&job.input_metas, &job.outputs[0].1.schema))
+            .flatten();
         let reducer = FnReducer(move |_ctx: &TaskCtx, pairs: Pairs<'_>| {
+            if let Some(schema) = &rows_out {
+                return Ok(vec![gather_rows(&pairs, schema)?]);
+            }
             let mut batch = match out_format {
                 Format::Flat => {
                     let mut records = Vec::with_capacity(pairs.record_count());
@@ -1564,46 +1563,29 @@ impl WorkflowRunner {
         let total: usize = frags.iter().map(|d| d.batch.entry_count()).sum();
         let part_of = |g: usize| policy.partition_of_index(g, total, num_partitions);
         let out_format = djob.outputs[0].1.format;
-        // Size every partition exactly (records of a flat output, groups of
-        // a packed one), so each entry moves once into its final vector.
-        let mut sizes = vec![0usize; num_partitions];
-        let all = frags.iter().flat_map(|d| EntryRef::all(&d.batch));
-        for (g, entry) in all.enumerate() {
-            sizes[part_of(g)] += match out_format {
-                Format::Flat => entry.record_count(),
-                Format::Packed => 1,
-            };
-        }
-        // Route every entry by its global rank. Appending in ascending
-        // rank order reproduces the unfused reducer's ascending
-        // `g * P + part` key order within each partition.
-        let entries = frags.into_iter().flat_map(|d| batch_entries(d.batch));
-        let batches: Vec<Batch> = match out_format {
-            Format::Flat => {
-                let mut parts: Vec<Vec<Record>> =
-                    sizes.into_iter().map(Vec::with_capacity).collect();
-                for (g, entry) in entries.enumerate() {
-                    let part = &mut parts[part_of(g)];
-                    match entry {
-                        Entry::Rec(r) => part.push(r),
-                        Entry::Packed(pk) => part.extend(pk.records),
-                    }
-                }
-                parts.into_iter().map(Batch::Flat).collect()
-            }
-            Format::Packed => {
-                let mut parts: Vec<Vec<PackedRecord>> =
-                    sizes.into_iter().map(Vec::with_capacity).collect();
-                for (g, entry) in entries.enumerate() {
-                    match entry {
-                        Entry::Packed(pk) => parts[part_of(g)].push(pk),
-                        Entry::Rec(_) => return Err(CoreError::exec(FLAT_IN_PACKED)),
-                    }
-                }
-                parts.into_iter().map(Batch::Packed).collect()
-            }
-        };
         let out_schema = &djob.outputs[0].1.schema;
+        // Appending in ascending global rank reproduces the unfused
+        // reducer's ascending `g * P + part` key order within each
+        // partition. A flat, unprojected output of sorted rows is routed
+        // as rows.
+        let rows: Option<Vec<&Rows>> = (frags.iter())
+            .map(|d| match &d.batch {
+                Batch::Rows(rows) if rows.schema() == out_schema => Some(rows),
+                _ => None,
+            })
+            .collect();
+        let routed = match rows {
+            Some(rows)
+                if out_format == Format::Flat && projection.is_none() && !rows.is_empty() =>
+            {
+                Some(route_rows(&rows, out_schema, num_partitions, part_of)?)
+            }
+            _ => None,
+        };
+        let batches = match routed {
+            Some(batches) => batches,
+            None => route_entries(frags, out_format, num_partitions, part_of)?,
+        };
         let n = cluster.num_nodes();
         for (p, mut batch) in batches.into_iter().enumerate() {
             if let Some(proj) = &projection {
@@ -1670,6 +1652,7 @@ impl WorkflowRunner {
                 addons,
                 key_idx: group_key,
                 packs: packs_output(gjob.outputs[0].1.format, *output_format),
+                rows: None,
             },
             split_key_idx: *split_key_idx,
             policy,
@@ -1793,6 +1776,8 @@ fn decode_fragment_payload(payload: &[u8]) -> Result<Dataset> {
     let codec = |e: papar_record::CodecError| CoreError::from(papar_mr::MrError::from(e));
     let mut r = wire::Reader::new(payload);
     let nfields = r.read_u32().map_err(codec)? as usize;
+    // A field is a length-prefixed name and a type tag: at least 5 bytes.
+    wire::check_count(&r, nfields, 5, "checkpoint schema field").map_err(codec)?;
     let mut fields = Vec::with_capacity(nfields);
     for _ in 0..nfields {
         let len = r.read_u32().map_err(codec)? as usize;
@@ -1811,7 +1796,7 @@ fn decode_fragment_payload(payload: &[u8]) -> Result<Dataset> {
         };
         fields.push((name, ty));
     }
-    let schema = std::sync::Arc::new(papar_record::Schema::new(fields));
+    let schema = Arc::new(Schema::new(fields));
     let batch = wire::decode_batch(&mut r, &schema).map_err(codec)?;
     Ok(Dataset::new(schema, batch))
 }
@@ -1877,11 +1862,37 @@ struct OrderedReducer<'a> {
     key_idx: usize,
     /// Pack the output by `key_idx` (see [`packs_output`]).
     packs: bool,
+    /// The output schema, when the output is the input's rows unchanged
+    /// (see [`rows_schema`]): the reducer gathers them from the inbox.
+    rows: Option<Arc<Schema>>,
 }
 
 // The reduce side speaks the engine's error type; core errors cross into
 // it as messages, exactly as they did from the closures these replace.
-impl OrderedReducer<'_> {
+impl<'a> OrderedReducer<'a> {
+    /// The reducer of a sort or group job: it gathers rows when there is
+    /// nothing to apply — no add-on, no packing.
+    fn new(
+        job: &JobPlan,
+        addons: &'a [BoundAddOn],
+        key_idx: usize,
+        output_format: FormatOp,
+    ) -> Self {
+        let out = &job.outputs[0].1;
+        let packs = packs_output(out.format, output_format);
+        let rows = if addons.is_empty() && !packs {
+            rows_schema(std::slice::from_ref(&job.input_meta), &out.schema)
+        } else {
+            None
+        };
+        OrderedReducer {
+            addons,
+            key_idx,
+            packs,
+            rows,
+        }
+    }
+
     /// The reduce output, one entry at a time, in order: a packed group
     /// reaches `emit` once no later run can extend it, a flat record at
     /// once. Every record is decoded exactly once, into the vector of its
@@ -1924,6 +1935,9 @@ impl OrderedReducer<'_> {
 
     /// The whole reduce output as one batch.
     fn reduce_batch(&self, pairs: Pairs<'_>) -> papar_mr::Result<Batch> {
+        if let Some(schema) = &self.rows {
+            return gather_rows(&pairs, schema);
+        }
         if self.packs {
             let mut groups = Vec::new();
             for run in pairs.runs() {
@@ -1973,7 +1987,7 @@ impl FusedGroupSplitReducer<'_> {
     /// moving it into its destination batch.
     fn route(&self, entry: Entry, outs: &mut [Batch]) -> papar_mr::Result<()> {
         let key = entry_key(entry.as_ref(), self.split_key_idx).map_err(MrError::from)?;
-        let dest = self.policy.route(key).ok_or_else(|| {
+        let dest = self.policy.route(&key).ok_or_else(|| {
             MrError::msg(format!(
                 "split key {key} matches no condition of job '{}'",
                 self.job_id
@@ -1990,6 +2004,8 @@ impl FusedGroupSplitReducer<'_> {
                     records: vec![r],
                 });
             }
+            // `reduce` builds every destination flat or packed.
+            (Batch::Rows(_), _) => return Err(MrError::msg("a split destination holds rows")),
         }
         Ok(())
     }
@@ -2078,6 +2094,11 @@ fn sample_keys(batch: &Batch, key_idx: usize, stride: usize, out: &mut Vec<Value
                 out.push(first.require(key_idx).map_err(CoreError::from)?.clone());
             }
         }
+        Batch::Rows(rows) => {
+            for row in rows.iter().step_by(stride) {
+                out.push(row.field(key_idx).map_err(CoreError::from)?);
+            }
+        }
     }
     Ok(())
 }
@@ -2093,7 +2114,8 @@ impl Mapper for KeyedMapper {
     fn map(&self, _: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> papar_mr::Result<()> {
         for mi in inputs {
             for entry in EntryRef::all(&mi.data.batch) {
-                out.push(entry_key(entry, self.key_idx)?, entry)?;
+                let key = entry_key(entry, self.key_idx)?;
+                out.push(&key, entry)?;
             }
         }
         Ok(())
@@ -2106,10 +2128,11 @@ fn packs_output(out_format: Format, format_op: FormatOp) -> bool {
     format_op == FormatOp::Pack || out_format == Format::Packed
 }
 
-/// Decompose a batch into shuffle entries, by move.
+/// Decompose a batch into shuffle entries, by move; rows decode.
 fn batch_entries(batch: Batch) -> impl Iterator<Item = Entry> {
     let (records, groups) = match batch {
         Batch::Flat(records) => (records, Vec::new()),
+        Batch::Rows(rows) => (rows.to_records(), Vec::new()),
         Batch::Packed(groups) => (Vec::new(), groups),
     };
     records
@@ -2118,16 +2141,106 @@ fn batch_entries(batch: Batch) -> impl Iterator<Item = Entry> {
         .chain(groups.into_iter().map(Entry::Packed))
 }
 
-/// The routing key of one entry (a packed group's: its first member's).
-fn entry_key(entry: EntryRef<'_>, key_idx: usize) -> Result<&Value> {
+/// The routing key of one entry (a packed group's: its first member's),
+/// borrowed from a record, read from a row.
+fn entry_key(entry: EntryRef<'_>, key_idx: usize) -> Result<Cow<'_, Value>> {
     let rec = match entry {
         EntryRef::Rec(r) => r,
+        EntryRef::Row(row) => return Ok(Cow::Owned(row.field(key_idx)?)),
         EntryRef::Packed(p) => p
             .records
             .first()
             .ok_or_else(|| CoreError::exec("packed group with no members"))?,
     };
-    rec.require(key_idx).map_err(CoreError::from)
+    Ok(Cow::Borrowed(rec.require(key_idx)?))
+}
+
+/// The schema of a job's output when it is its inputs' rows unchanged:
+/// every input flat (records or rows, never groups) and of one fixed-width
+/// schema, equal to the output's.
+fn rows_schema(inputs: &[DatasetMeta], out: &Arc<Schema>) -> Option<Arc<Schema>> {
+    let fixed = matches!(out.binary_record_width(), Some(w) if w > 0);
+    let same = (inputs.iter()).all(|m| m.format == Format::Flat && m.schema == *out);
+    (fixed && same).then(|| out.clone())
+}
+
+/// A reducer's pairs as rows of `schema`, copied from the inbox in reduce
+/// order.
+fn gather_rows(pairs: &Pairs<'_>, schema: &Arc<Schema>) -> papar_mr::Result<Batch> {
+    let mut bytes = Vec::new();
+    pairs.gather_rows(&mut bytes)?;
+    Ok(Batch::Rows(Rows::new(schema.clone(), bytes)?))
+}
+
+/// The fused assembly over rows: every sorted fragment's rows routed by
+/// global rank into exact-size partition buffers, by byte copy.
+fn route_rows(
+    frags: &[&Rows],
+    schema: &Arc<Schema>,
+    num_partitions: usize,
+    part_of: impl Fn(usize) -> usize,
+) -> Result<Vec<Batch>> {
+    let total: usize = frags.iter().map(|rows| rows.len()).sum();
+    let mut sizes = vec![0usize; num_partitions];
+    for g in 0..total {
+        sizes[part_of(g)] += 1;
+    }
+    let width = frags.first().map_or(0, |rows| rows.width());
+    let mut parts: Vec<Vec<u8>> = (sizes.into_iter())
+        .map(|rows| Vec::with_capacity(rows * width))
+        .collect();
+    let all = frags.iter().flat_map(|rows| rows.iter());
+    for (g, row) in all.enumerate() {
+        parts[part_of(g)].extend_from_slice(row.as_bytes());
+    }
+    parts
+        .into_iter()
+        .map(|bytes| Ok(Batch::Rows(Rows::new(schema.clone(), bytes)?)))
+        .collect()
+}
+
+/// The fused assembly over decoded entries: each moved once, by global
+/// rank, into its exact-size partition (records of a flat output, groups
+/// of a packed one).
+fn route_entries(
+    frags: Vec<Dataset>,
+    out_format: Format,
+    num_partitions: usize,
+    part_of: impl Fn(usize) -> usize,
+) -> Result<Vec<Batch>> {
+    let mut sizes = vec![0usize; num_partitions];
+    let all = frags.iter().flat_map(|d| EntryRef::all(&d.batch));
+    for (g, entry) in all.enumerate() {
+        sizes[part_of(g)] += match out_format {
+            Format::Flat => entry.record_count(),
+            Format::Packed => 1,
+        };
+    }
+    let entries = frags.into_iter().flat_map(|d| batch_entries(d.batch));
+    Ok(match out_format {
+        Format::Flat => {
+            let mut parts: Vec<Vec<Record>> = sizes.into_iter().map(Vec::with_capacity).collect();
+            for (g, entry) in entries.enumerate() {
+                let part = &mut parts[part_of(g)];
+                match entry {
+                    Entry::Rec(r) => part.push(r),
+                    Entry::Packed(pk) => part.extend(pk.records),
+                }
+            }
+            parts.into_iter().map(Batch::Flat).collect()
+        }
+        Format::Packed => {
+            let mut parts: Vec<Vec<PackedRecord>> =
+                sizes.into_iter().map(Vec::with_capacity).collect();
+            for (g, entry) in entries.enumerate() {
+                match entry {
+                    Entry::Packed(pk) => parts[part_of(g)].push(pk),
+                    Entry::Rec(_) => return Err(CoreError::exec(FLAT_IN_PACKED)),
+                }
+            }
+            parts.into_iter().map(Batch::Packed).collect()
+        }
+    })
 }
 
 /// Rebuild a batch from entries under a target format.
@@ -2172,7 +2285,7 @@ fn verify_batch_conforms(batch: &Batch, meta: &DatasetMeta, job_id: &str, datase
     use papar_config::input::FieldType;
 
     let declared_format = match meta.format {
-        Format::Flat => matches!(batch, Batch::Flat(_)),
+        Format::Flat => matches!(batch, Batch::Flat(_) | Batch::Rows(_)),
         Format::Packed => matches!(batch, Batch::Packed(_)),
     };
     debug_assert!(
@@ -2211,6 +2324,7 @@ fn verify_batch_conforms(batch: &Batch, meta: &DatasetMeta, job_id: &str, datase
     };
     match batch {
         Batch::Flat(records) => records.iter().for_each(check_record),
+        Batch::Rows(rows) => rows.iter().for_each(|row| check_record(&row.to_record())),
         Batch::Packed(groups) => {
             for g in groups {
                 g.records.iter().for_each(check_record);
@@ -2230,10 +2344,16 @@ fn verify_batch_conforms(batch: &Batch, meta: &DatasetMeta, job_id: &str, datase
     }
 }
 
-/// Project every record onto the given field indices, in place.
+/// Project every record onto the given field indices, in place; rows
+/// decode first.
 fn project_batch(batch: &mut Batch, proj: &[usize]) {
     let project = |r: &mut Record| *r = proj.iter().map(|&i| r.values()[i].clone()).collect();
     match batch {
+        Batch::Rows(rows) => {
+            let mut records = rows.to_records();
+            records.iter_mut().for_each(project);
+            *batch = Batch::Flat(records);
+        }
         Batch::Flat(records) => records.iter_mut().for_each(project),
         Batch::Packed(groups) => groups
             .iter_mut()
@@ -2245,6 +2365,77 @@ fn project_batch(batch: &mut Batch, proj: &[usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use papar_config::input::FieldType;
+    use papar_record::rec;
+    use proptest::prelude::*;
+
+    #[test]
+    fn a_fragment_payload_refuses_a_field_count_the_bytes_cannot_hold() {
+        let err = decode_fragment_payload(&[0, 0xff, 0xff, 0xff, 0xff]).unwrap_err();
+        assert!(
+            err.to_string().contains("checkpoint schema field count"),
+            "{err}"
+        );
+    }
+
+    /// A fixed-width fragment (rows) and a string one (records).
+    fn payloads() -> Vec<(Dataset, Vec<u8>)> {
+        let ints = Arc::new(Schema::new(vec![
+            ("a", FieldType::Integer),
+            ("b", FieldType::Double),
+        ]));
+        let flat = Batch::Flat(vec![rec![1, 0.5], rec![-7, 2.0]]);
+        let mut bytes = Vec::new();
+        wire::encode_batch(&flat, &ints, &mut bytes).unwrap();
+        let rows = wire::decode_batch(&mut wire::Reader::new(&bytes), &ints).unwrap();
+        let text = Arc::new(Schema::new(vec![
+            ("v", FieldType::Str),
+            ("n", FieldType::Long),
+        ]));
+        let records = Batch::Flat(vec![rec!["a vertex id", 3i64], rec!["", -1i64]]);
+        [Dataset::new(ints, rows), Dataset::new(text, records)]
+            .into_iter()
+            .map(|ds| {
+                let payload = encode_fragment_payload(&ds).unwrap();
+                (ds, payload)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fragment_payloads_round_trip_rows_and_records() {
+        for (ds, payload) in payloads() {
+            let back = decode_fragment_payload(&payload).unwrap();
+            assert_eq!(back, ds);
+            assert_eq!(
+                std::mem::discriminant(&back.batch),
+                std::mem::discriminant(&ds.batch)
+            );
+            assert_eq!(encode_fragment_payload(&back).unwrap(), payload);
+        }
+    }
+
+    proptest! {
+        /// Arbitrary bytes, every truncation and every single corrupted
+        /// byte of a checkpoint fragment payload decode to a dataset or a
+        /// typed error: never a panic or an abort.
+        #[test]
+        fn fragment_payloads_decode_totally(
+            bytes in prop::collection::vec(any::<u8>(), 0..128),
+            flip in (any::<usize>(), 1u8..255),
+        ) {
+            let _ = decode_fragment_payload(&bytes);
+            for (_, payload) in payloads() {
+                for cut in 0..payload.len() {
+                    prop_assert!(decode_fragment_payload(&payload[..cut]).is_err());
+                }
+                let mut bad = payload.clone();
+                let at = flip.0 % bad.len();
+                bad[at] ^= flip.1;
+                let _ = decode_fragment_payload(&bad);
+            }
+        }
+    }
 
     #[test]
     fn embedded_order_routes_by_the_key_modulo_the_partitions() {

@@ -180,8 +180,8 @@ impl KeyCollector {
         self.count += 1;
     }
 
-    /// Offer every entry key of a batch: records for flat batches, each
-    /// group's first record for packed ones (the same convention the sort
+    /// Offer every entry key of a batch: records (or rows) for flat
+    /// batches, each group's first record for packed ones (the same convention the sort
     /// sampler uses).
     pub fn offer_batch(&mut self, batch: &Batch, key_idx: usize) -> Result<()> {
         match batch {
@@ -197,6 +197,11 @@ impl KeyCollector {
                         .first()
                         .ok_or_else(|| CoreError::exec("packed group with no members"))?;
                     self.offer(first.require(key_idx).map_err(CoreError::from)?);
+                }
+            }
+            Batch::Rows(rows) => {
+                for row in rows.iter() {
+                    self.offer(&row.field(key_idx).map_err(CoreError::from)?);
                 }
             }
         }

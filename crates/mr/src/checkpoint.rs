@@ -156,6 +156,7 @@ fn put_u64_vec(buf: &mut Vec<u8>, v: &[u64]) {
 
 fn read_u64_vec(r: &mut Reader<'_>) -> Result<Vec<u64>> {
     let n = r.read_u32()? as usize;
+    wire::check_count(r, n, 8, "manifest vector")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(r.read_u64()?);
@@ -172,6 +173,7 @@ fn put_duration_vec(buf: &mut Vec<u8>, v: &[Duration]) {
 
 fn read_duration_vec(r: &mut Reader<'_>) -> Result<Vec<Duration>> {
     let n = r.read_u32()? as usize;
+    wire::check_count(r, n, 8, "manifest vector")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(read_duration(r)?);
@@ -638,6 +640,9 @@ fn decode_stage_record(payload: &[u8]) -> Result<StageRecord> {
     let stage_id = read_str(&mut r)?;
     let stats = decode_stats(&mut r)?;
     let n = r.read_u32()? as usize;
+    // An entry is two length-prefixed strings, node, ordinal, checksum
+    // and length: at least 32 bytes.
+    wire::check_count(&r, n, 32, "manifest fragment")?;
     let mut fragments = Vec::with_capacity(n);
     for _ in 0..n {
         fragments.push(FragmentEntry {
@@ -661,6 +666,7 @@ fn decode_stage_record(payload: &[u8]) -> Result<StageRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("papar-ckpt-{name}-{}", std::process::id()));
@@ -712,6 +718,94 @@ mod tests {
         encode_stats(&stats, &mut buf);
         let back = decode_stats(&mut Reader::new(&buf)).unwrap();
         assert_stats_eq(&stats, &back);
+    }
+
+    /// Five bytes whose count claims 2^32 - 256 items.
+    const FIVE: [u8; 5] = [0, 0xff, 0xff, 0xff, 0xff];
+
+    #[test]
+    fn manifest_vectors_refuse_a_count_the_bytes_cannot_hold() {
+        for r in [&FIVE[..], &FIVE[1..]] {
+            let err = read_u64_vec(&mut Reader::new(r)).unwrap_err();
+            assert!(err.to_string().contains("manifest vector count"), "{err}");
+            let err = read_duration_vec(&mut Reader::new(r)).unwrap_err();
+            assert!(err.to_string().contains("manifest vector count"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_stage_record_refuses_a_fragment_count_the_bytes_cannot_hold() {
+        assert!(decode_stage_record(&FIVE).is_err());
+        // A well-formed record whose fragment count is patched to 2^32 - 1.
+        let rec = StageRecord {
+            index: 0,
+            stage_id: "s".into(),
+            stats: sample_stats("s"),
+            fragments: Vec::new(),
+        };
+        let mut bytes = encode_stage_record(&rec);
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_stage_record(&bytes).unwrap_err();
+        assert!(err.to_string().contains("manifest fragment count"), "{err}");
+    }
+
+    fn stage_record(fragments: u32) -> StageRecord {
+        StageRecord {
+            index: 3,
+            stage_id: "sort+distr".into(),
+            stats: sample_stats("sort+distr"),
+            fragments: (0..fragments)
+                .map(|i| FragmentEntry {
+                    dataset: format!("/out/{i}"),
+                    node: i % 4,
+                    ordinal: i,
+                    file: fragment_file(3, "/out", i % 4, i),
+                    checksum: u64::from(i) * 0x9e37,
+                    len: u64::from(i) + 16,
+                    payload: None,
+                })
+                .collect(),
+        }
+    }
+
+    proptest! {
+        /// Arbitrary bytes through the stage-record decoder: a record or a
+        /// typed error, never a panic or an abort.
+        #[test]
+        fn stage_records_decode_arbitrary_bytes_totally(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+            tagged in any::<bool>(),
+        ) {
+            let mut input = bytes;
+            if tagged {
+                input.insert(0, TAG_STAGE);
+            }
+            let _ = decode_stage_record(&input);
+        }
+
+        /// A valid record round-trips; every truncation of it and every
+        /// single-byte corruption decode to a value or a typed error.
+        #[test]
+        fn stage_records_survive_truncation_and_corruption(
+            fragments in 0u32..5,
+            flip in (any::<usize>(), 1u8..255),
+        ) {
+            let rec = stage_record(fragments);
+            let bytes = encode_stage_record(&rec);
+            let back = decode_stage_record(&bytes).unwrap();
+            prop_assert_eq!(
+                format!("{:?}", back.fragments),
+                format!("{:?}", rec.fragments)
+            );
+            for cut in 0..bytes.len() {
+                prop_assert!(decode_stage_record(&bytes[..cut]).is_err());
+            }
+            let mut bad = bytes.clone();
+            let at = flip.0 % bad.len();
+            bad[at] ^= flip.1;
+            let _ = decode_stage_record(&bad);
+        }
     }
 
     #[test]

@@ -387,7 +387,8 @@ impl Cluster {
         Ok(self.fragments(name)?.into_iter().cloned().collect())
     }
 
-    /// Gather and concatenate a dataset into one flat-ordered `Dataset`.
+    /// Gather and concatenate a dataset into one flat-ordered `Dataset`:
+    /// packed when every fragment is, decoded flat records otherwise.
     pub fn collect_concat(&self, name: &str) -> Result<Dataset> {
         let frags = self.collect(name)?;
         let schema: Arc<Schema> = frags
@@ -774,7 +775,8 @@ impl Cluster {
     }
 }
 
-/// Wire size of a fragment — what replication and restore transfers cost.
+/// Wire size of a fragment — what replication and restore transfers cost;
+/// for rows, arithmetic.
 /// An unencodable fragment is an error, not zero bytes: `unwrap_or(0)`
 /// here used to under-report replication traffic in `JobStats` and the
 /// trace counters instead of failing.
@@ -820,12 +822,17 @@ fn default_threads() -> Result<usize> {
 /// Per-receiver `(sender, buffer)` lists produced by [`Cluster::exchange`].
 pub type Inboxes = Vec<Vec<(usize, Vec<u8>)>>;
 
-/// Split a dataset into `n` contiguous fragments by move (flat batches
-/// by records, packed batches by groups), in block order — what
-/// [`Cluster::scatter`] places, one fragment per node.
+/// Split a dataset into `n` contiguous fragments (flat batches by records
+/// and packed batches by groups, by move; rows by row, copied), in block
+/// order — what [`Cluster::scatter`] places, one fragment per node.
 pub fn split_dataset(dataset: Dataset, n: usize) -> Vec<Dataset> {
     let schema = dataset.schema;
     match dataset.batch {
+        Batch::Rows(rows) => rows
+            .split(n)
+            .into_iter()
+            .map(|part| Dataset::new(schema.clone(), Batch::Rows(part)))
+            .collect(),
         Batch::Flat(records) => split_evenly(records, n)
             .into_iter()
             .map(|chunk| Dataset::new(schema.clone(), Batch::Flat(chunk)))

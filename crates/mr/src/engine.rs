@@ -37,7 +37,7 @@
 //! (stats, recovery log, output commits) happens on the driver thread in
 //! node order after the join.
 
-use papar_record::batch::{Batch, Dataset};
+use papar_record::batch::{Batch, Dataset, RowRef};
 use papar_record::packed::PackedRecord;
 use papar_record::prefix;
 use papar_record::value::INLINE_STR_CAP;
@@ -91,34 +91,46 @@ pub enum EntryRef<'a> {
     Rec(&'a Record),
     /// A packed group.
     Packed(&'a PackedRecord),
+    /// A flat record kept as its row bytes; emitting it copies them.
+    Row(RowRef<'a>),
 }
 
 impl<'a> EntryRef<'a> {
-    /// Every entry of a batch, borrowed, in batch order.
+    /// Every entry of a batch, borrowed, in batch order: records, groups,
+    /// or rows.
     pub fn all(batch: &'a Batch) -> impl Iterator<Item = EntryRef<'a>> {
-        let (records, groups): (&[Record], &[PackedRecord]) = match batch {
-            Batch::Flat(r) => (r, &[]),
-            Batch::Packed(g) => (&[], g),
+        /// One form's iterator, matched once per entry.
+        enum All<R, P, W> {
+            Flat(R),
+            Packed(P),
+            Rows(W),
+        }
+        let mut all = match batch {
+            Batch::Flat(records) => All::Flat(records.iter()),
+            Batch::Packed(groups) => All::Packed(groups.iter()),
+            Batch::Rows(rows) => All::Rows(rows.iter()),
         };
-        records
-            .iter()
-            .map(EntryRef::Rec)
-            .chain(groups.iter().map(EntryRef::Packed))
+        std::iter::from_fn(move || match &mut all {
+            All::Flat(records) => records.next().map(EntryRef::Rec),
+            All::Packed(groups) => groups.next().map(EntryRef::Packed),
+            All::Rows(rows) => rows.next().map(EntryRef::Row),
+        })
     }
 
     /// Number of flat records this entry represents.
     pub fn record_count(self) -> usize {
         match self {
-            EntryRef::Rec(_) => 1,
+            EntryRef::Rec(_) | EntryRef::Row(_) => 1,
             EntryRef::Packed(p) => p.records.len(),
         }
     }
 
-    /// An owned copy of the entry.
+    /// An owned copy of the entry; a row decodes.
     pub fn to_entry(self) -> Entry {
         match self {
             EntryRef::Rec(r) => Entry::Rec(r.clone()),
             EntryRef::Packed(p) => Entry::Packed(p.clone()),
+            EntryRef::Row(row) => Entry::Rec(row.to_record()),
         }
     }
 }
@@ -175,6 +187,9 @@ pub struct Emit<'a> {
     skew: Option<&'a mut SkewHistogram>,
     /// Pairs pushed so far; the next pair's `seq`.
     pairs: usize,
+    /// The last row schema found equal to `schema`: rows of it encode as
+    /// their bytes after one pointer comparison.
+    row_schema: Option<Arc<Schema>>,
 }
 
 impl Emit<'_> {
@@ -196,7 +211,13 @@ impl Emit<'_> {
         buf.extend_from_slice(&wire_u32("reducer", reducer)?.to_le_bytes());
         buf.extend_from_slice(&wire_u32("seq", self.pairs)?.to_le_bytes());
         wire::encode_value(key, buf);
-        encode_entry(entry, self.schema, self.compress_key, buf)?;
+        match entry {
+            EntryRef::Row(row) if row_follows(&mut self.row_schema, row, self.schema) => {
+                buf.push(ENTRY_REC);
+                buf.extend_from_slice(row.as_bytes());
+            }
+            _ => encode_entry(entry, self.schema, self.compress_key, buf)?,
+        }
         if let Some(sk) = self.skew.as_deref_mut() {
             sk.records[reducer] += entry.record_count() as u64;
             sk.bytes[reducer] += (buf.len() - len_before) as u64;
@@ -320,6 +341,23 @@ pub struct MapReduceJob<'a> {
     pub release: &'a [String],
 }
 
+/// Whether `row` is laid out by `schema`. A match is remembered in `seen`,
+/// so the next row of that schema costs one pointer comparison instead of
+/// a `Schema ==` over field names.
+fn row_follows(seen: &mut Option<Arc<Schema>>, row: RowRef<'_>, schema: &Schema) -> bool {
+    let row_schema = row.schema();
+    if seen.as_ref().is_some_and(|s| Arc::ptr_eq(s, row_schema)) {
+        return true;
+    }
+    let follows = std::ptr::eq(row_schema.as_ref(), schema) || row_schema.as_ref() == schema;
+    if follows {
+        *seen = Some(Arc::clone(row_schema));
+    }
+    follows
+}
+
+/// Encode one entry into the outbox; a row of another schema decodes and
+/// encodes like a record.
 fn encode_entry(
     entry: EntryRef<'_>,
     schema: &Schema,
@@ -330,6 +368,10 @@ fn encode_entry(
         EntryRef::Rec(r) => {
             buf.push(ENTRY_REC);
             wire::encode_record(r, schema, buf)?;
+        }
+        EntryRef::Row(row) => {
+            buf.push(ENTRY_REC);
+            wire::encode_record(&row.to_record(), schema, buf)?;
         }
         EntryRef::Packed(p) => match compress_key {
             Some(key_idx) => {
@@ -907,6 +949,7 @@ impl Cluster {
                 row: &mut out.row,
                 skew: skew.as_mut(),
                 pairs: 0,
+                row_schema: None,
             };
             job.mapper.map(&ctx, &inputs, &mut emit)?;
             let pair_count = emit.pairs as u64;
@@ -1387,5 +1430,83 @@ fn job_trace(
         ],
         skew,
         covers: Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use papar_config::input::FieldType;
+    use papar_record::batch::Rows;
+    use proptest::prelude::*;
+
+    /// The outbox row a map task leaves after pushing `entries` in order.
+    fn emitted<'e>(schema: &Schema, entries: impl Iterator<Item = EntryRef<'e>>) -> Vec<Vec<u8>> {
+        let mut row = vec![Vec::new(), Vec::new(), Vec::new()];
+        let mut emit = Emit {
+            partitioner: &HashPartitioner,
+            num_reducers: 5,
+            schema,
+            compress_key: None,
+            row: &mut row,
+            skew: None,
+            pairs: 0,
+            row_schema: None,
+        };
+        for (i, entry) in entries.enumerate() {
+            emit.push(&Value::Long(i as i64 * 7919), entry).unwrap();
+        }
+        row
+    }
+
+    const TYPES: [FieldType; 3] = [FieldType::Integer, FieldType::Long, FieldType::Double];
+
+    proptest! {
+        /// A row emits exactly the bytes its decoded record does: under its
+        /// own schema, under an equal schema behind another pointer, and
+        /// under another schema (where it decodes and encodes).
+        #[test]
+        fn rows_and_records_emit_the_same_outbox_bytes(
+            types in prop::collection::vec(0usize..3, 1..7),
+            cells in prop::collection::vec((any::<i32>(), any::<i64>(), any::<f64>()), 0..24),
+        ) {
+            let fields: Vec<_> = (types.iter().enumerate())
+                .map(|(i, &t)| (format!("f{i}"), TYPES[t]))
+                .collect();
+            let schema = Arc::new(Schema::new(fields.clone()));
+            let records: Vec<Record> = cells
+                .iter()
+                .map(|&(a, b, c)| {
+                    Record::new(
+                        (types.iter())
+                            .map(|&t| match TYPES[t] {
+                                FieldType::Integer => Value::Int(a),
+                                FieldType::Long => Value::Long(b),
+                                _ => Value::Double(c),
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            let mut bytes = Vec::new();
+            for r in &records {
+                wire::encode_record(r, &schema, &mut bytes).unwrap();
+            }
+            let rows = Batch::Rows(Rows::new(schema.clone(), bytes).unwrap());
+            let flat = Batch::Flat(records);
+            let want = emitted(&schema, EntryRef::all(&flat));
+            prop_assert_eq!(emitted(&schema, EntryRef::all(&rows)), want.clone());
+            let equal = Schema::new(fields.clone());
+            prop_assert_eq!(emitted(&equal, EntryRef::all(&rows)), want.clone());
+            let renamed = Schema::new(
+                (fields.into_iter())
+                    .map(|(name, ty)| (format!("{name}_"), ty))
+                    .collect(),
+            );
+            prop_assert_eq!(
+                emitted(&renamed, EntryRef::all(&rows)),
+                emitted(&renamed, EntryRef::all(&flat))
+            );
+        }
     }
 }

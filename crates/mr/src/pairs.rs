@@ -11,11 +11,11 @@
 //! the collated page.
 
 use papar_record::prefix;
-use papar_record::view::{EntryView, ValueView};
+use papar_record::view::{EntryView, ValueView, ENTRY_REC};
 use papar_record::wire::{self, Reader};
 use papar_record::{Record, Schema, Value};
 
-use crate::Result;
+use crate::{MrError, Result};
 
 /// Width of the scan-index field of the packed sort key.
 pub(crate) const IDX_BITS: u32 = 38;
@@ -121,6 +121,32 @@ impl<'a> Pairs<'a> {
             let loc = &self.locs[(p & IDX_MASK) as usize];
             let mut r = Reader::new(&loc.tail(self.inbox)[loc.key_len as usize..]);
             EntryView::parse(&mut r, self.schema, self.compress_key)?.decode_into(out)?;
+        }
+        Ok(())
+    }
+
+    /// Copy every pair's record bytes, in reduce order, into `out`, sized
+    /// exactly first: the rows of a fixed-width schema, with no record
+    /// decoded. A pair holding anything but one record is an error.
+    pub fn gather_rows(&self, out: &mut Vec<u8>) -> Result<()> {
+        let width = self
+            .schema
+            .binary_record_width()
+            .ok_or_else(|| MrError::msg("gathering rows needs a fixed-width schema"))?;
+        out.reserve_exact(self.len() * width);
+        for &p in self.order {
+            let loc = &self.locs[(p & IDX_MASK) as usize];
+            let entry = &loc.tail(self.inbox)[loc.key_len as usize..];
+            match entry.split_first() {
+                Some((&ENTRY_REC, row)) if row.len() >= width => {
+                    out.extend_from_slice(&row[..width]);
+                }
+                _ => {
+                    return Err(MrError::msg(
+                        "gathering rows found an entry that is not one record",
+                    ))
+                }
+            }
         }
         Ok(())
     }

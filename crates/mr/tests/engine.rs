@@ -122,6 +122,63 @@ fn range_sorted_job_produces_globally_sorted_output() {
     );
 }
 
+/// `Pairs::gather_rows` copies exactly the bytes the records decode from,
+/// in reduce order, and refuses an entry that is not one record.
+#[test]
+fn gathered_rows_are_the_decoded_records_and_groups_are_refused() {
+    let mut cluster = Cluster::new(3);
+    let vals: Vec<i32> = (0..90).map(|i| (i * 31) % 90).collect();
+    cluster.scatter("in", int_dataset(&vals)).unwrap();
+    let samples: Vec<Vec<Value>> = vec![vals.iter().map(|&v| Value::Int(v)).collect()];
+    let part = RangePartitioner::from_samples(&samples, 4).unwrap();
+    let gather = FnReducer(|_ctx: &papar_mr::TaskCtx, pairs: Pairs<'_>| {
+        let mut bytes = Vec::new();
+        pairs.gather_rows(&mut bytes)?;
+        let mut records = Vec::new();
+        pairs.decode_into(&mut records)?;
+        let rows = papar_record::Rows::new(int_schema(), bytes)?;
+        assert_eq!(rows.as_bytes().len(), rows.len() * 4, "exact size");
+        assert_eq!(Batch::Rows(rows.clone()), Batch::Flat(records));
+        Ok(vec![Batch::Rows(rows)])
+    });
+    let mapper = key_by_first();
+    let mut job = MapReduceJob {
+        name: "sort".into(),
+        inputs: vec!["in".into()],
+        output: "out".into(),
+        num_reducers: 4,
+        map_output_schema: int_schema(),
+        output_schema: int_schema(),
+        mapper: &mapper,
+        partitioner: &part,
+        reducer: &gather,
+        sort_by_key: true,
+        descending: false,
+        compress_key: None,
+        release: &[],
+    };
+    cluster.run_job(&job).unwrap();
+    let mut sorted = vals.clone();
+    sorted.sort();
+    assert_eq!(collect_ints(&cluster, "out").concat(), sorted);
+
+    // Packed groups are not rows.
+    let packs = FnMapper(
+        |_ctx: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+            for mi in inputs {
+                for g in mi.data.batch.clone().pack_by(0)?.into_packed()? {
+                    out.push(&g.key, EntryRef::Packed(&g))?;
+                }
+            }
+            Ok(())
+        },
+    );
+    job.mapper = &packs;
+    job.output = "out2".into();
+    let err = cluster.run_job(&job).unwrap_err();
+    assert!(err.to_string().contains("not one record"), "{err}");
+}
+
 #[test]
 fn identity_partitioner_routes_to_named_reducer() {
     let mut cluster = Cluster::new(2);

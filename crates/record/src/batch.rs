@@ -1,9 +1,12 @@
-//! Dataset fragments in either the flat or the packed format.
+//! Dataset fragments in the flat, packed or row format.
 
+use std::fmt;
 use std::sync::Arc;
 
 use crate::packed::{pack, unpack, PackedRecord};
 use crate::record::Record;
+use crate::value::Value;
+use crate::wire::{decode_fixed, decode_fixed_record};
 use crate::{CodecError, Result, Schema};
 
 /// A fragment of a dataset as held by one node of the cluster.
@@ -13,13 +16,36 @@ use crate::{CodecError, Result, Schema};
 /// between the two representations while basic operators require a specific
 /// one (e.g. `distribute` with the `graphVertexCut` policy consumes packed
 /// low-degree groups but flat high-degree edges — paper Figure 11).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Flat data comes in two forms. [`Batch::Rows`] keeps the records of a
+/// fixed-width schema as their wire bytes, which are also their file
+/// bytes; [`Batch::Flat`] holds decoded [`Record`]s. The two are the same
+/// data: a `Rows` batch equals the `Flat` batch of the records it decodes
+/// to, and encodes to the same wire bytes.
+#[derive(Debug, Clone)]
 pub enum Batch {
     /// Original flat record layout.
     Flat(Vec<Record>),
     /// Packed `(key, group)` layout produced by the `pack` format operator.
     Packed(Vec<PackedRecord>),
+    /// Flat records of a fixed-width schema, as row-major wire bytes.
+    Rows(Rows),
 }
+
+impl PartialEq for Batch {
+    fn eq(&self, other: &Batch) -> bool {
+        match (self, other) {
+            (Batch::Flat(a), Batch::Flat(b)) => a == b,
+            (Batch::Packed(a), Batch::Packed(b)) => a == b,
+            (Batch::Rows(a), Batch::Rows(b)) => a == b,
+            (Batch::Rows(rows), Batch::Flat(records))
+            | (Batch::Flat(records), Batch::Rows(rows)) => rows.eq_records(records),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Batch {}
 
 impl Batch {
     /// An empty flat batch.
@@ -33,6 +59,7 @@ impl Batch {
         match self {
             Batch::Flat(v) => v.len(),
             Batch::Packed(v) => v.iter().map(|p| p.records.len()).sum(),
+            Batch::Rows(rows) => rows.len(),
         }
     }
 
@@ -43,6 +70,7 @@ impl Batch {
         match self {
             Batch::Flat(v) => v.len(),
             Batch::Packed(v) => v.len(),
+            Batch::Rows(rows) => rows.len(),
         }
     }
 
@@ -51,12 +79,16 @@ impl Batch {
         self.record_count() == 0
     }
 
-    /// Borrow the flat records, or error if the batch is packed.
+    /// Borrow the flat records, or error if the batch is packed or rows
+    /// (which hold no decoded records to borrow: [`Batch::flatten`]).
     pub fn as_flat(&self) -> Result<&[Record]> {
         match self {
             Batch::Flat(v) => Ok(v),
             Batch::Packed(_) => Err(CodecError(
                 "expected flat records, found packed data (apply 'unpack' first)".into(),
+            )),
+            Batch::Rows(_) => Err(CodecError(
+                "expected flat records, found rows (decode them with 'flatten' first)".into(),
             )),
         }
     }
@@ -65,16 +97,15 @@ impl Batch {
     pub fn as_packed(&self) -> Result<&[PackedRecord]> {
         match self {
             Batch::Packed(v) => Ok(v),
-            Batch::Flat(_) => Err(CodecError(
-                "expected packed data, found flat records (apply 'pack' first)".into(),
-            )),
+            Batch::Flat(_) | Batch::Rows(_) => Err(not_packed()),
         }
     }
 
-    /// Consume into flat records, or error if packed.
+    /// Consume into flat records (rows decode), or error if packed.
     pub fn into_flat(self) -> Result<Vec<Record>> {
         match self {
             Batch::Flat(v) => Ok(v),
+            Batch::Rows(rows) => Ok(rows.to_records()),
             Batch::Packed(_) => Err(CodecError(
                 "expected flat records, found packed data (apply 'unpack' first)".into(),
             )),
@@ -85,9 +116,7 @@ impl Batch {
     pub fn into_packed(self) -> Result<Vec<PackedRecord>> {
         match self {
             Batch::Packed(v) => Ok(v),
-            Batch::Flat(_) => Err(CodecError(
-                "expected packed data, found flat records (apply 'pack' first)".into(),
-            )),
+            Batch::Flat(_) | Batch::Rows(_) => Err(not_packed()),
         }
     }
 
@@ -95,6 +124,7 @@ impl Batch {
     pub fn pack_by(self, key_idx: usize) -> Result<Batch> {
         match self {
             Batch::Flat(v) => Ok(Batch::Packed(pack(v, key_idx)?)),
+            Batch::Rows(rows) => Ok(Batch::Packed(pack(rows.to_records(), key_idx)?)),
             already @ Batch::Packed(_) => Ok(already),
         }
     }
@@ -103,7 +133,7 @@ impl Batch {
     pub fn unpack(self) -> Batch {
         match self {
             Batch::Packed(v) => Batch::Flat(unpack(v)),
-            flat @ Batch::Flat(_) => flat,
+            flat @ (Batch::Flat(_) | Batch::Rows(_)) => flat,
         }
     }
 
@@ -114,7 +144,197 @@ impl Batch {
         match self {
             Batch::Flat(v) => v,
             Batch::Packed(v) => unpack(v),
+            Batch::Rows(rows) => rows.to_records(),
         }
+    }
+}
+
+fn not_packed() -> CodecError {
+    CodecError("expected packed data, found flat records (apply 'pack' first)".into())
+}
+
+/// Flat records of a fixed-width schema kept as their wire bytes: `len`
+/// rows of `width` bytes, each field little-endian at its offset — the
+/// bytes [`crate::wire::encode_record`] writes, and the bytes of a
+/// fixed-width binary input file. A row decodes to a [`Record`] only where
+/// something needs its values.
+#[derive(Clone)]
+pub struct Rows {
+    schema: Arc<Schema>,
+    width: usize,
+    bytes: Vec<u8>,
+}
+
+impl Rows {
+    /// Rows over `bytes`, refused unless `schema` is fixed-width (and not
+    /// empty) and `bytes` holds whole rows of it.
+    pub fn new(schema: Arc<Schema>, bytes: Vec<u8>) -> Result<Rows> {
+        let width = match schema.binary_record_width() {
+            Some(w) if w > 0 => w,
+            _ => {
+                return Err(CodecError(format!(
+                    "rows need a fixed-width schema, not [{}]",
+                    schema
+                        .fields()
+                        .iter()
+                        .map(|f| format!("{}: {:?}", f.name, f.ty))
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                )))
+            }
+        };
+        if !bytes.len().is_multiple_of(width) {
+            return Err(CodecError(format!(
+                "{} bytes are not whole {width}-byte rows",
+                bytes.len()
+            )));
+        }
+        Ok(Rows {
+            schema,
+            width,
+            bytes,
+        })
+    }
+
+    /// The schema every row follows.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// Bytes per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / self.width
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The row-major bytes of every row.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Every row, borrowed, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> + '_ {
+        self.bytes.chunks_exact(self.width).map(|bytes| RowRef {
+            schema: &self.schema,
+            bytes,
+        })
+    }
+
+    /// Every row decoded, in order.
+    pub fn to_records(&self) -> Vec<Record> {
+        self.iter().map(|row| row.to_record()).collect()
+    }
+
+    /// Cut into `n` contiguous parts of [`block_sizes`] rows, each in an
+    /// exact-size buffer.
+    pub fn split(self, n: usize) -> Vec<Rows> {
+        let mut rest = self.bytes.as_slice();
+        block_sizes(self.len(), n)
+            .map(|size| {
+                let (part, tail) = rest.split_at(size * self.width);
+                rest = tail;
+                Rows {
+                    schema: self.schema.clone(),
+                    width: self.width,
+                    bytes: part.to_vec(),
+                }
+            })
+            .collect()
+    }
+
+    /// Whether the rows decode to exactly `records`.
+    fn eq_records(&self, records: &[Record]) -> bool {
+        self.len() == records.len()
+            && self
+                .iter()
+                .zip(records)
+                .all(|(row, rec)| row.to_record() == *rec)
+    }
+}
+
+/// Logical equality: rows of one schema are equal when their bytes are
+/// (fields compare by total order, so equal values have equal bytes);
+/// rows of different schemas compare decoded.
+impl PartialEq for Rows {
+    fn eq(&self, other: &Rows) -> bool {
+        if self.schema == other.schema {
+            self.bytes == other.bytes
+        } else {
+            self.eq_records(&other.to_records())
+        }
+    }
+}
+
+impl Eq for Rows {}
+
+impl fmt::Debug for Rows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Rows").field(&self.to_records()).finish()
+    }
+}
+
+/// One row of a [`Rows`] batch, borrowed.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a> {
+    schema: &'a Arc<Schema>,
+    bytes: &'a [u8],
+}
+
+impl<'a> RowRef<'a> {
+    /// The schema the row follows.
+    pub fn schema(&self) -> &'a Arc<Schema> {
+        self.schema
+    }
+
+    /// The row's `width` bytes.
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The value of field `idx`, read at its offset; an index past the
+    /// schema errors exactly like [`Record::require`].
+    pub fn field(&self, idx: usize) -> Result<Value> {
+        let fields = self.schema.fields();
+        let field = fields.get(idx).ok_or_else(|| {
+            CodecError(format!(
+                "field index {idx} out of range for record of arity {}",
+                fields.len()
+            ))
+        })?;
+        let width = |ty: papar_config::input::FieldType| ty.binary_width().unwrap_or(0);
+        let off: usize = fields[..idx].iter().map(|f| width(f.ty)).sum();
+        Ok(decode_fixed(
+            &self.bytes[off..off + width(field.ty)],
+            field.ty,
+        ))
+    }
+
+    /// The whole row decoded.
+    pub fn to_record(&self) -> Record {
+        decode_fixed_record(self.bytes, self.schema)
+    }
+}
+
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &RowRef<'_>) -> bool {
+        self.to_record() == other.to_record()
+    }
+}
+
+impl Eq for RowRef<'_> {}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("RowRef").field(&self.to_record()).finish()
     }
 }
 
@@ -139,8 +359,17 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Create a dataset.
+    /// Create a dataset. Rows must be laid out by the dataset's schema.
     pub fn new(schema: Arc<Schema>, batch: Batch) -> Self {
+        if let Batch::Rows(rows) = &batch {
+            // Invariant: every producer of rows builds them with the schema
+            // of the dataset it commits them to.
+            assert!(
+                Arc::ptr_eq(rows.schema(), &schema) || rows.schema() == &schema,
+                "rows of schema {:?} in a dataset of schema {schema:?}",
+                rows.schema()
+            );
+        }
         Dataset { schema, batch }
     }
 
@@ -169,6 +398,7 @@ impl Dataset {
         match &self.batch {
             Batch::Flat(v) => v.iter().try_for_each(check),
             Batch::Packed(v) => v.iter().flat_map(|p| p.records.iter()).try_for_each(check),
+            Batch::Rows(rows) => rows.iter().try_for_each(|row| check(&row.to_record())),
         }
     }
 }
@@ -226,6 +456,73 @@ mod tests {
         assert!(good.check_conformance().is_ok());
         let bad = Dataset::new(schema, Batch::Flat(vec![rec![1, "x"]]));
         assert!(bad.check_conformance().is_err());
+    }
+
+    fn int_schema() -> Arc<Schema> {
+        Arc::new(Schema::new(vec![
+            ("a", FieldType::Integer),
+            ("b", FieldType::Long),
+        ]))
+    }
+
+    fn rows_of(schema: &Arc<Schema>, records: &[Record]) -> Rows {
+        let mut bytes = Vec::new();
+        for r in records {
+            crate::wire::encode_record(r, schema, &mut bytes).unwrap();
+        }
+        Rows::new(schema.clone(), bytes).unwrap()
+    }
+
+    #[test]
+    fn rows_are_the_records_they_decode_to() {
+        let schema = int_schema();
+        let records = vec![rec![1, 10i64], rec![2, 20i64], rec![3, 30i64]];
+        let rows = Batch::Rows(rows_of(&schema, &records));
+        assert_eq!(rows, Batch::Flat(records.clone()));
+        assert_eq!(Batch::Flat(records.clone()), rows);
+        assert_ne!(rows, Batch::Flat(records[..2].to_vec()));
+        assert_eq!((rows.record_count(), rows.entry_count()), (3, 3));
+        assert!(rows.as_flat().is_err() && rows.as_packed().is_err());
+        assert_eq!(rows.clone().into_flat().unwrap(), records);
+        assert_eq!(rows.clone().flatten(), records);
+        assert_eq!(
+            rows.clone().pack_by(0).unwrap(),
+            Batch::Flat(records.clone()).pack_by(0).unwrap()
+        );
+        let Batch::Rows(rows) = rows else {
+            unreachable!()
+        };
+        let row = rows.iter().nth(1).unwrap();
+        assert_eq!(row.field(1).unwrap(), Value::Long(20));
+        assert_eq!(
+            row.field(2).unwrap_err(),
+            records[1].require(2).unwrap_err()
+        );
+        assert_eq!(row.to_record(), records[1]);
+        let parts = rows.clone().split(2);
+        assert_eq!(parts.len(), 2);
+        assert_eq!(parts[0].to_records(), records[..2].to_vec());
+        assert_eq!(parts[1].to_records(), records[2..].to_vec());
+        let ds = Dataset::new(schema.clone(), Batch::Rows(rows));
+        assert!(ds.check_conformance().is_ok());
+    }
+
+    #[test]
+    fn rows_refuse_ragged_bytes_and_variable_width_schemas() {
+        assert!(Rows::new(int_schema(), vec![0; 11]).is_err());
+        assert!(Rows::new(int_schema(), vec![0; 24]).is_ok());
+        let text = Arc::new(Schema::new(vec![("s", FieldType::Str)]));
+        assert!(Rows::new(text, Vec::new()).is_err());
+        let empty = Arc::new(Schema::new(Vec::<(String, FieldType)>::new()));
+        assert!(Rows::new(empty, Vec::new()).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "rows of schema")]
+    fn a_dataset_refuses_rows_of_another_schema() {
+        let other = Arc::new(Schema::new(vec![("z", FieldType::Double)]));
+        let rows = Rows::new(other, vec![0; 8]).unwrap();
+        let _ = Dataset::new(int_schema(), Batch::Rows(rows));
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! Both directions are provided so a PaPar workflow can write its output
 //! partitions "with the same format of input" (paper Section III-C).
 //!
-//! Both readers can split their input into the contiguous per-node blocks
-//! a scatter makes and hand the per-block decoder to a caller's executor
-//! (`read_split_on`), so the blocks decode concurrently; the result is the
-//! same as decoding them in order.
+//! The text reader can split its input into the contiguous per-node
+//! blocks a scatter makes and hand the per-block decoder to a caller's
+//! executor (`text::read_split_on`), so the blocks decode concurrently; the
+//! result is the same as decoding them in order. A binary input needs no
+//! decoder to be split: its records are fixed-width, so a node's block is
+//! a byte range, loaded as [`crate::Rows`].
 
 use crate::{Record, Result};
 
@@ -30,8 +32,6 @@ fn in_order(n: usize, decode: &DecodeBlock<'_>) -> BlockResults {
 pub mod binary {
     //! Fixed-width binary records.
 
-    use super::{BlockResults, DecodeBlock};
-    use crate::batch::block_sizes;
     use crate::wire::decode_fixed_record;
     use crate::{CodecError, Record, Result, Schema};
     use papar_config::input::{InputConfig, InputFormat};
@@ -39,41 +39,17 @@ pub mod binary {
     /// Decode every record from `data`, honoring the config's
     /// `start_position` and field widths.
     pub fn read(cfg: &InputConfig, schema: &Schema, data: &[u8]) -> Result<Vec<Record>> {
-        Ok(read_split(cfg, schema, data, 1)?.pop().unwrap_or_default())
-    }
-
-    /// [`read`], decoding straight into `n` contiguous blocks of records
-    /// sized like [`block_sizes`], each an exact-size vector: no record is
-    /// decoded into one vector and then moved to another.
-    pub fn read_split(
-        cfg: &InputConfig,
-        schema: &Schema,
-        data: &[u8],
-        n: usize,
-    ) -> Result<Vec<Vec<Record>>> {
-        read_split_on(cfg, schema, data, n, super::in_order)
-    }
-
-    /// [`read_split`], with the blocks decoded by `run(blocks, decode)`,
-    /// which must return `decode(i)` for every block `i` in block order —
-    /// on as many threads as it likes. Block spans are arithmetic: the
-    /// records are fixed-width.
-    pub fn read_split_on(
-        cfg: &InputConfig,
-        schema: &Schema,
-        data: &[u8],
-        n: usize,
-        run: impl FnOnce(usize, &DecodeBlock<'_>) -> BlockResults,
-    ) -> Result<Vec<Vec<Record>>> {
         if cfg.format != InputFormat::Binary {
             return Err(CodecError(format!(
                 "input '{}' is not a binary input",
                 cfg.id
             )));
         }
-        let width = schema
-            .binary_record_width()
-            .ok_or_else(|| CodecError("schema has variable-width fields".into()))?;
+        let width = match schema.binary_record_width() {
+            Some(0) => return Err(CodecError("schema has no fields".into())),
+            Some(w) => w,
+            None => return Err(CodecError("schema has variable-width fields".into())),
+        };
         let start = cfg.start_position as usize;
         if data.len() < start {
             return Err(CodecError(format!(
@@ -88,19 +64,10 @@ pub mod binary {
                 body.len() % width
             )));
         }
-        let mut rest = body;
-        let spans: Vec<&[u8]> = block_sizes(body.len() / width, n)
-            .map(|size| {
-                let (span, tail) = rest.split_at(size * width);
-                rest = tail;
-                span
-            })
-            .collect();
-        let decode = |i: usize| {
-            let rows = spans[i].chunks_exact(width);
-            Ok(rows.map(|row| decode_fixed_record(row, schema)).collect())
-        };
-        run(spans.len(), &decode).into_iter().collect()
+        Ok(body
+            .chunks_exact(width)
+            .map(|row| decode_fixed_record(row, schema))
+            .collect())
     }
 
     /// Encode records after a `start_position`-sized header.
@@ -527,29 +494,21 @@ mod tests {
 
     #[test]
     fn read_split_decodes_the_blocks_a_scatter_makes() {
-        let bcfg = blast_cfg();
-        let bschema = Schema::from_input_config(&bcfg);
-        let records: Vec<_> = (0..10).map(|i| rec![i, i + 1, i + 2, i + 3]).collect();
-        let bytes = binary::write(&bcfg, &bschema, &records, None).unwrap();
         let tcfg = edge_cfg();
         let tschema = Schema::from_input_config(&tcfg);
         let edges: Vec<_> = (0..10).map(|i| rec![format!("v{i}"), "v0"]).collect();
         let text = text::write(&tcfg, &tschema, &edges).unwrap() + "\n ";
         for n in [1, 3, 4, 12] {
-            let blocks = |all: &[crate::Record]| -> Vec<Vec<crate::Record>> {
-                let mut rest = all;
-                crate::batch::block_sizes(all.len(), n)
-                    .map(|size| {
-                        let (block, tail) = rest.split_at(size);
-                        rest = tail;
-                        block.to_vec()
-                    })
-                    .collect()
-            };
-            let got = binary::read_split(&bcfg, &bschema, &bytes, n).unwrap();
-            assert_eq!(got, blocks(&records), "binary n={n}");
+            let mut rest = edges.as_slice();
+            let blocks: Vec<Vec<crate::Record>> = crate::batch::block_sizes(edges.len(), n)
+                .map(|size| {
+                    let (block, tail) = rest.split_at(size);
+                    rest = tail;
+                    block.to_vec()
+                })
+                .collect();
             let got = text::read_split(&tcfg, &tschema, &text, n).unwrap();
-            assert_eq!(got, blocks(&edges), "text n={n}");
+            assert_eq!(got, blocks, "text n={n}");
             assert!(
                 got.iter().all(|b| b.capacity() == b.len()),
                 "exact-size blocks"

@@ -92,6 +92,9 @@ pub fn decode_compressed(r: &mut Reader<'_>, schema: &Schema, key_idx: usize) ->
         )));
     }
     let n_groups = r.read_u32()? as usize;
+    // Each group takes a 4-byte start pointer and a key of at least 5
+    // bytes, and one more pointer ends the array.
+    wire::check_count(r, n_groups, 9, "compressed group")?;
     let mut starts = Vec::with_capacity(n_groups + 1);
     for _ in 0..=n_groups {
         starts.push(r.read_u32()? as usize);
@@ -268,6 +271,14 @@ mod tests {
         wire::encode_value(&crate::Value::Str("1".into()), &mut buf);
         let err = decode_compressed(&mut Reader::new(&buf), &schema, 1).unwrap_err();
         assert!(err.0.contains("bytes left"), "{err}");
+    }
+
+    #[test]
+    fn a_group_count_the_bytes_cannot_hold_is_refused() {
+        let schema = grouped_edge_schema();
+        let five = [0, 0xff, 0xff, 0xff, 0xff];
+        let err = decode_compressed(&mut Reader::new(&five), &schema, 1).unwrap_err();
+        assert!(err.0.contains("compressed group count"), "{err}");
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`schema::Schema`] — the field list of a dataset, extendable by add-on
 //!   operators that append attributes (paper Section III-B),
 //! * [`record::Record`] — one tuple, up to four values stored in place,
-//! * [`batch::Batch`] — a dataset fragment, either in the original flat
-//!   format or in the *packed* format produced by the `pack` format operator,
+//! * [`batch::Batch`] — a dataset fragment: flat records, the *packed*
+//!   format produced by the `pack` format operator, or [`batch::Rows`],
+//!   the flat records of a fixed-width schema kept as their wire bytes,
 //! * [`packed::PackedRecord`] — a key plus the group of records sharing it,
 //! * [`codec`] — readers/writers for the two on-disk formats (fixed-width
 //!   binary and delimited text),
@@ -38,7 +39,7 @@ pub mod value;
 pub mod view;
 pub mod wire;
 
-pub use batch::Batch;
+pub use batch::{Batch, RowRef, Rows};
 pub use packed::PackedRecord;
 pub use record::Record;
 pub use schema::Schema;

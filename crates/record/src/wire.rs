@@ -16,8 +16,11 @@
 //!
 //! All integers are little-endian.
 
+use std::sync::Arc;
+
 use papar_config::input::FieldType;
 
+use crate::batch::Rows;
 use crate::packed::PackedRecord;
 use crate::record::Record;
 use crate::value::{SmallStr, Value};
@@ -249,7 +252,7 @@ pub(crate) fn decode_fixed_record(span: &[u8], schema: &Schema) -> Record {
 }
 
 /// A fixed-width field from exactly its bytes.
-fn decode_fixed(bytes: &[u8], ty: FieldType) -> Value {
+pub(crate) fn decode_fixed(bytes: &[u8], ty: FieldType) -> Value {
     match ty {
         FieldType::Integer => Value::Int(i32::from_le_bytes(bytes.try_into().unwrap())),
         FieldType::Long => Value::Long(i64::from_le_bytes(bytes.try_into().unwrap())),
@@ -331,7 +334,14 @@ pub fn skip_record(r: &mut Reader<'_>, schema: &Schema) -> Result<()> {
 const BATCH_FLAT: u8 = 0;
 const BATCH_PACKED: u8 = 1;
 
-/// Encode a whole batch (format tag + entry count + entries).
+/// Whether `rows` are laid out by `schema`: the same schema, checked by
+/// pointer before by field list.
+fn rows_follow(rows: &Rows, schema: &Schema) -> bool {
+    std::ptr::eq(rows.schema().as_ref(), schema) || rows.schema().as_ref() == schema
+}
+
+/// Encode a whole batch (format tag + entry count + entries). Rows encode
+/// as the flat batch of their records, which is their bytes.
 pub fn encode_batch(batch: &Batch, schema: &Schema, buf: &mut Vec<u8>) -> Result<()> {
     match batch {
         Batch::Flat(records) => {
@@ -340,6 +350,11 @@ pub fn encode_batch(batch: &Batch, schema: &Schema, buf: &mut Vec<u8>) -> Result
             for rec in records {
                 encode_record(rec, schema, buf)?;
             }
+        }
+        Batch::Rows(rows) => {
+            buf.push(BATCH_FLAT);
+            put_u32(buf, wire_len(rows.len(), "batch record count")?);
+            encode_rows(rows, schema, buf)?;
         }
         Batch::Packed(groups) => {
             buf.push(BATCH_PACKED);
@@ -356,10 +371,24 @@ pub fn encode_batch(batch: &Batch, schema: &Schema, buf: &mut Vec<u8>) -> Result
     Ok(())
 }
 
+/// The records of `rows` under `schema`: the row bytes themselves when the
+/// rows follow it, else each row decoded and encoded.
+fn encode_rows(rows: &Rows, schema: &Schema, buf: &mut Vec<u8>) -> Result<()> {
+    if rows_follow(rows, schema) {
+        buf.extend_from_slice(rows.as_bytes());
+        return Ok(());
+    }
+    for row in rows.iter() {
+        encode_record(&row.to_record(), schema, buf)?;
+    }
+    Ok(())
+}
+
 /// [`checksum`] of the [`encode_batch`] bytes of the concatenation of
-/// `parts` (all of one format), computed part by part without building
-/// the concatenation: the format tag, the total entry count, then every
-/// part's entries in order.
+/// `parts` (all flat — records or rows — or all packed), computed part by
+/// part without building the concatenation: the format tag, the total
+/// entry count, then every part's entries in order. Rows are hashed where
+/// they lie.
 pub fn concat_checksum(parts: &[&Batch], schema: &Schema) -> Result<u64> {
     let packed = matches!(parts.first(), Some(Batch::Packed(_)));
     let entries: usize = parts.iter().map(|b| b.entry_count()).sum();
@@ -372,18 +401,51 @@ pub fn concat_checksum(parts: &[&Batch], schema: &Schema) -> Result<u64> {
                 "cannot hash flat and packed parts as one batch".into(),
             ));
         }
-        buf.clear();
-        encode_batch(part, schema, &mut buf)?;
-        h = fnv1a(h, &buf[5..]);
+        match part {
+            Batch::Rows(rows) if rows_follow(rows, schema) => h = fnv1a(h, rows.as_bytes()),
+            _ => {
+                buf.clear();
+                encode_batch(part, schema, &mut buf)?;
+                h = fnv1a(h, &buf[5..]);
+            }
+        }
     }
     Ok(h)
 }
 
-/// Decode a whole batch.
+/// Fewest bytes one record of `schema` takes on the wire: its fixed
+/// fields' widths plus a length prefix per string.
+fn min_record_len(schema: &Schema) -> usize {
+    (schema.fields().iter())
+        .map(|f| f.ty.binary_width().unwrap_or(4))
+        .sum()
+}
+
+/// Refuse a count of `n` items of at least `each` bytes (taken as one when
+/// smaller) that the reader's remaining bytes cannot hold — before anything
+/// is allocated for them.
+pub fn check_count(r: &Reader<'_>, n: usize, each: usize, what: &str) -> Result<()> {
+    match n.checked_mul(each.max(1)) {
+        Some(need) if need <= r.remaining() => Ok(()),
+        _ => Err(CodecError(format!(
+            "{what} count {n} needs at least {} bytes, {} left",
+            n as u128 * each.max(1) as u128,
+            r.remaining()
+        ))),
+    }
+}
+
+/// Decode a whole batch. A flat batch of a fixed-width schema comes back
+/// as [`Batch::Rows`], its bytes copied once.
 pub fn decode_batch(r: &mut Reader<'_>, schema: &Schema) -> Result<Batch> {
     match r.u8()? {
         BATCH_FLAT => {
             let n = r.u32()? as usize;
+            check_count(r, n, min_record_len(schema), "batch record")?;
+            if let Some(w) = schema.binary_record_width().filter(|&w| w > 0) {
+                let bytes = r.take(n * w)?.to_vec();
+                return Ok(Batch::Rows(Rows::new(Arc::new(schema.clone()), bytes)?));
+            }
             let mut records = Vec::with_capacity(n);
             for _ in 0..n {
                 records.push(decode_record(r, schema)?);
@@ -392,10 +454,13 @@ pub fn decode_batch(r: &mut Reader<'_>, schema: &Schema) -> Result<Batch> {
         }
         BATCH_PACKED => {
             let n = r.u32()? as usize;
+            // A group is at least a tag, a 4-byte key and its count.
+            check_count(r, n, 9, "batch group")?;
             let mut groups = Vec::with_capacity(n);
             for _ in 0..n {
                 let key = decode_value(r)?;
                 let m = r.u32()? as usize;
+                check_count(r, m, min_record_len(schema), "group member")?;
                 let mut records = Vec::with_capacity(m);
                 for _ in 0..m {
                     records.push(decode_record(r, schema)?);
@@ -408,8 +473,14 @@ pub fn decode_batch(r: &mut Reader<'_>, schema: &Schema) -> Result<Batch> {
     }
 }
 
-/// Convenience: encoded size of a batch in bytes.
+/// Encoded size of a batch in bytes; arithmetic for rows.
 pub fn encoded_size(batch: &Batch, schema: &Schema) -> Result<usize> {
+    if let Batch::Rows(rows) = batch {
+        if rows_follow(rows, schema) {
+            wire_len(rows.len(), "batch record count")?;
+            return Ok(5 + rows.as_bytes().len());
+        }
+    }
     let mut buf = Vec::new();
     encode_batch(batch, schema, &mut buf)?;
     Ok(buf.len())
@@ -548,6 +619,45 @@ mod tests {
         assert_eq!(concat_checksum(&refs, &schema).unwrap(), whole(&packed));
         let mixed = [&parts[0], &Batch::empty()];
         assert!(concat_checksum(&mixed, &schema).is_err());
+    }
+
+    #[test]
+    fn a_count_the_bytes_cannot_hold_is_refused_before_allocating() {
+        // Five bytes claiming 2^32 - 1 records (or groups): refused as a
+        // typed error, not a multi-gigabyte allocation. Strings first: a
+        // fixed-width batch would also fail, later, on the missing bytes.
+        for tag in [BATCH_FLAT, BATCH_PACKED] {
+            let five = [tag, 0xff, 0xff, 0xff, 0xff];
+            for schema in [edge_schema(), blast_schema()] {
+                let err = decode_batch(&mut Reader::new(&five), &schema).unwrap_err();
+                assert!(err.0.contains("count 4294967295"), "{err}");
+            }
+        }
+        // A group whose member count overruns the rest of the buffer.
+        let mut buf = vec![BATCH_PACKED, 1, 0, 0, 0];
+        encode_value(&Value::Int(1), &mut buf);
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_batch(&mut Reader::new(&buf), &edge_schema()).unwrap_err();
+        assert!(err.0.contains("group member count"), "{err}");
+    }
+
+    #[test]
+    fn flat_batches_of_a_fixed_width_schema_decode_to_rows() {
+        let schema = blast_schema();
+        let flat = Batch::Flat(vec![rec![1, 2, 3, 4], rec![5, 6, 7, 8]]);
+        let mut buf = Vec::new();
+        encode_batch(&flat, &schema, &mut buf).unwrap();
+        let got = decode_batch(&mut Reader::new(&buf), &schema).unwrap();
+        assert!(matches!(got, Batch::Rows(_)), "{got:?}");
+        assert_eq!(got, flat);
+        let mut again = Vec::new();
+        encode_batch(&got, &schema, &mut again).unwrap();
+        assert_eq!(again, buf, "rows encode to the bytes they came from");
+        assert_eq!(encoded_size(&got, &schema).unwrap(), buf.len());
+        assert_eq!(
+            concat_checksum(&[&got, &Batch::empty()], &schema).unwrap(),
+            checksum(&buf)
+        );
     }
 
     #[test]

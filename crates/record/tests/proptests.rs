@@ -315,9 +315,10 @@ mod reference {
 
 use papar_config::input::{ElementItem, FieldDef, FieldType, InputConfig, InputFormat};
 use papar_config::xml::Span;
-use papar_record::batch::block_sizes;
+use papar_record::batch::{block_sizes, Batch, Rows};
 use papar_record::view::{EntryView, ENTRY_PACKED, ENTRY_REC};
 use papar_record::wire::{self, Reader};
+use std::sync::Arc;
 
 const TYPES: [FieldType; 4] = [
     FieldType::Integer,
@@ -499,7 +500,7 @@ fn on_threads(
     }
 }
 
-/// `codec::binary::{read, read_split}` against the reference.
+/// `codec::binary::read` against the reference.
 fn check_binary(
     cfg: &InputConfig,
     schema: &Schema,
@@ -508,12 +509,6 @@ fn check_binary(
     let want = reference::binary(cfg.start_position as usize, schema, data);
     let got = codec::binary::read(cfg, schema, data);
     prop_assert!(same(&got, &want), "{:?} vs {:?}", got, want);
-    for n in 1..4 {
-        let got = codec::binary::read_split(cfg, schema, data, n);
-        check_blocks(got, &want, n)?;
-    }
-    let got = codec::binary::read_split_on(cfg, schema, data, 3, on_threads(3));
-    check_blocks(got, &want, 3)?;
     Ok(())
 }
 
@@ -619,9 +614,9 @@ proptest! {
         check_entry(&tagged, &schema)?;
     }
 
-    /// Fixed-width binary files: valid files round-trip through `read` and
-    /// `read_split`; every truncation and arbitrary bytes read exactly as
-    /// the reference reads them.
+    /// Fixed-width binary files: valid files round-trip through `read`;
+    /// every truncation and arbitrary bytes read exactly as the reference
+    /// reads them.
     #[test]
     fn binary_codec_agrees_with_the_reference(
         types in prop::collection::vec(0u8..3, 1..7),
@@ -670,7 +665,7 @@ proptest! {
     /// `block_sizes` blocks, and a file with malformed records in several
     /// blocks — each malformed differently — fails with `read`'s error:
     /// the first malformed record in file order, not whichever block
-    /// finished first or last. The binary reader's blocks agree too.
+    /// finished first or last.
     #[test]
     fn block_decoding_on_threads_is_the_whole_read(
         lines in prop::collection::vec((any::<i32>(), 0u8..12), 0..600),
@@ -692,14 +687,78 @@ proptest! {
         let want = codec::text::read(&cfg, &schema, &text);
         let got = codec::text::read_split_on(&cfg, &schema, &text, blocks, on_threads(threads));
         check_blocks(got, &want, blocks)?;
+    }
 
-        let schema = Schema::new(vec![("id", FieldType::Integer), ("kind", FieldType::Integer)]);
-        let cfg = binary_cfg(&schema, 4);
-        let records: Vec<Record> = lines.iter().map(|(id, kind)| rec![*id, *kind as i32]).collect();
-        let bytes = codec::binary::write(&cfg, &schema, &records, None).unwrap();
-        let want = codec::binary::read(&cfg, &schema, &bytes);
-        prop_assert!(same(&want, &Ok(records)));
-        let got = codec::binary::read_split_on(&cfg, &schema, &bytes, blocks, on_threads(threads));
-        check_blocks(got, &want, blocks)?;
+    /// Rows of a fixed-width schema (1–6 fields) are the flat batch of the
+    /// records they decode to: the same wire bytes, checksum, encoded size,
+    /// records and count, and `==` both ways. `split(n)` cuts them where
+    /// a scatter cuts the records, `decode_batch` gives them back, and the
+    /// checked constructor refuses ragged bytes and variable-width schemas.
+    #[test]
+    fn rows_are_the_records_they_decode_to(
+        types in prop::collection::vec(0u8..3, 1..7),
+        rows in rows(),
+        n in 1usize..6,
+        ragged in 1usize..8,
+        text_field in 0usize..6,
+    ) {
+        let schema = Arc::new(schema_of(&types));
+        let records = records_of(&schema, &rows);
+        let mut bytes = Vec::new();
+        for r in &records {
+            wire::encode_record(r, &schema, &mut bytes).unwrap();
+        }
+        let rows = Rows::new(schema.clone(), bytes.clone()).unwrap();
+        let width = rows.width();
+        let (as_rows, flat) = (Batch::Rows(rows.clone()), Batch::Flat(records.clone()));
+        let encode = |b: &Batch| {
+            let mut buf = Vec::new();
+            wire::encode_batch(b, &schema, &mut buf).unwrap();
+            buf
+        };
+        let encoded = encode(&flat);
+        prop_assert_eq!(&encode(&as_rows), &encoded);
+        prop_assert_eq!(
+            wire::concat_checksum(&[&as_rows], &schema).unwrap(),
+            wire::checksum(&encoded)
+        );
+        prop_assert_eq!(wire::encoded_size(&as_rows, &schema).unwrap(), encoded.len());
+        prop_assert!(same(&as_rows.clone().flatten(), &records));
+        prop_assert_eq!(as_rows.record_count(), records.len());
+        prop_assert_eq!(as_rows.entry_count(), records.len());
+        prop_assert_eq!(&as_rows, &flat);
+        prop_assert_eq!(&flat, &as_rows);
+
+        // Cut like a scatter, and hashed part by part with the flat
+        // records of the other parts.
+        let parts = rows.split(n);
+        let mut rest = records.as_slice();
+        for (part, size) in parts.iter().zip(block_sizes(records.len(), n)) {
+            let (want, tail) = rest.split_at(size);
+            rest = tail;
+            prop_assert!(same(&part.to_records(), &want.to_vec()));
+        }
+        prop_assert_eq!(parts.len(), n);
+        let mixed: Vec<Batch> = (parts.into_iter().enumerate())
+            .map(|(i, p)| if i % 2 == 0 { Batch::Rows(p) } else { Batch::Flat(p.to_records()) })
+            .collect();
+        let refs: Vec<&Batch> = mixed.iter().collect();
+        prop_assert_eq!(
+            wire::concat_checksum(&refs, &schema).unwrap(),
+            wire::checksum(&encoded)
+        );
+
+        let decoded = wire::decode_batch(&mut Reader::new(&encoded), &schema).unwrap();
+        prop_assert!(matches!(decoded, Batch::Rows(_)));
+        prop_assert_eq!(&decoded, &flat);
+
+        // Every field is at least 4 bytes, so 1..width-1 extra bytes are
+        // never whole rows.
+        let mut uneven = bytes;
+        uneven.extend(std::iter::repeat_n(0, 1 + ragged % (width - 1)));
+        prop_assert!(Rows::new(schema.clone(), uneven).is_err());
+        let mut with_text = types.clone();
+        with_text[text_field % types.len()] = 3;
+        prop_assert!(Rows::new(Arc::new(schema_of(&with_text)), Vec::new()).is_err());
     }
 }

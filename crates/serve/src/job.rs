@@ -6,9 +6,9 @@
 //! four stages:
 //!
 //! * [`load`]: input-config text + data file (only the `--records`
-//!   region of a binary file is read) → the records, decoded straight
-//!   into one shared [`Dataset`] fragment per node, the nodes' blocks
-//!   concurrently;
+//!   region of a binary file is read) → one shared [`Dataset`] fragment
+//!   per node, the nodes' blocks concurrently: a binary block is read
+//!   straight into its rows, a text block decoded into records;
 //! * [`compile`]: both document texts + the job's arguments + record
 //!   count and replication → `papar check` gate → bind → plan-invariant
 //!   verification → adaptive decision over the *borrowed* fragments →
@@ -22,7 +22,8 @@
 //! * [`emit`]: the output fragments, borrowed where they live → codec →
 //!   `partition_{i:04}.{bin,txt}`, the partitions concurrently.
 //!
-//! Records are decoded once and never deep-copied between stages. Load
+//! Records are decoded at most once and never deep-copied between stages;
+//! a binary input's rows stay bytes from the file to the partition file. Load
 //! and emit spend the job's thread budget like the engine's phases do, on
 //! [`papar_mr::run_slots`]: one task per block or partition, results in
 //! slot order, so their bytes (and their first error) do not depend on
@@ -50,11 +51,13 @@ use papar_core::exec::{
 use papar_core::physplan::{self, FuseToggles, PhysicalPlan};
 use papar_core::plan::{Planner, WorkflowPlan};
 use papar_mr::{Cluster, RetryPolicy};
-use papar_record::batch::{Batch, Dataset};
+use papar_record::batch::{block_sizes, Batch, Dataset, Rows};
 use papar_record::{codec, wire, Record, Schema};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::Read as _;
+use std::fs::File;
+use std::io::{Read as _, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -94,117 +97,152 @@ pub fn read_text(path: impl AsRef<Path>) -> Result<String, String> {
 
 /// Read an input data file per its configuration. Binary files may carry
 /// payload beyond the record region: `records` bounds the region
-/// explicitly, and then only the header and that region are read;
-/// otherwise the whole file is read and the longest whole-record prefix
-/// after `start_position` decoded (the paper's "treat every 16 bytes as
-/// an entry" reading of Figure 4).
+/// explicitly; otherwise it is the longest whole-record prefix after
+/// `start_position` (the paper's "treat every 16 bytes as an entry"
+/// reading of Figure 4). Only the header and the region are read.
 pub fn load_records(
     cfg: &InputConfig,
     schema: &Schema,
     path: &Path,
     records: Option<usize>,
 ) -> Result<Vec<Record>, String> {
-    read_input(
-        cfg,
-        schema,
-        path,
-        records,
-        |bytes| codec::binary::read(cfg, schema, bytes),
-        |text| codec::text::read(cfg, schema, text),
-    )
-}
-
-/// What [`load_records`] reads, decoded by `binary` (the header plus the
-/// whole-record region) or `text` (the whole file).
-fn read_input<T>(
-    cfg: &InputConfig,
-    schema: &Schema,
-    path: &Path,
-    records: Option<usize>,
-    binary: impl FnOnce(&[u8]) -> papar_record::Result<T>,
-    text: impl FnOnce(&str) -> papar_record::Result<T>,
-) -> Result<T, String> {
     match cfg.format {
         InputFormat::Binary => {
-            let cannot_read = |e: std::io::Error| format!("cannot read {}: {e}", path.display());
-            let width = schema
-                .binary_record_width()
-                .ok_or_else(|| "binary schema has variable-width fields".to_string())?;
-            let start = cfg.start_position as usize;
-            let bytes = match records {
-                None => std::fs::read(path).map_err(cannot_read)?,
-                Some(n) => {
-                    // Read exactly the bounded prefix into a buffer sized
-                    // for it. A file shorter than the bound (or a bound
-                    // past `usize`) is read whole and refused below with
-                    // its real length.
-                    let limit = n
-                        .checked_mul(width)
-                        .and_then(|region| region.checked_add(start))
-                        .map_or(u64::MAX, |l| l as u64);
-                    let file = std::fs::File::open(path).map_err(cannot_read)?;
-                    let len = file.metadata().map_err(cannot_read)?.len();
-                    let mut bytes = Vec::with_capacity(limit.min(len) as usize);
-                    file.take(limit)
-                        .read_to_end(&mut bytes)
-                        .map_err(cannot_read)?;
-                    bytes
-                }
-            };
-            if bytes.len() < start {
-                return Err(format!(
-                    "{} is shorter than start_position {start}",
-                    path.display()
-                ));
-            }
-            let available = bytes.len() - start;
-            let region = match records {
-                // `n` arrives from outside (`--records`, a submitted
-                // spec): the product must not wrap into a small region.
-                Some(n) => match n.checked_mul(width).filter(|need| *need <= available) {
-                    Some(need) => need,
-                    None => {
-                        return Err(format!(
-                            "--records {n} wants {} bytes after the header, file has {available}",
-                            n as u128 * width as u128
-                        ))
-                    }
-                },
-                None => available / width * width,
-            };
-            binary(&bytes[..start + region]).map_err(|e| e.to_string())
+            let input = BinaryInput::open(cfg, schema, path, records)?;
+            let mut bytes = Vec::with_capacity((input.start + input.region) as usize);
+            (&input.file)
+                .take(input.start + input.region)
+                .read_to_end(&mut bytes)
+                .map_err(|e| cannot_read(path, e))?;
+            codec::binary::read(cfg, schema, &bytes).map_err(|e| e.to_string())
         }
-        InputFormat::Text => text(&read_text(path)?).map_err(|e| e.to_string()),
+        InputFormat::Text => {
+            codec::text::read(cfg, schema, &read_text(path)?).map_err(|e| e.to_string())
+        }
     }
 }
 
-/// Stage 1 — load: decode the job's data file per its input-config
-/// document straight into one fragment per node, in ordinal order — the
-/// layout the cluster stores, so [`run`] places them (and the daemon
-/// caches them) without copying a record. Each fragment is an exact-size
-/// vector of its block of records, so the input is resident once. The
-/// blocks decode concurrently on up to `threads` OS threads; a malformed
-/// file fails with the error a whole-file read reports.
+fn cannot_read(path: &Path, e: std::io::Error) -> String {
+    format!("cannot read {}: {e}", path.display())
+}
+
+/// An open binary input and where its records lie.
+struct BinaryInput {
+    file: File,
+    /// Bytes per record.
+    width: usize,
+    /// Byte offset of the first record (`start_position`).
+    start: u64,
+    /// Bytes of whole records to read after `start`.
+    region: u64,
+}
+
+impl BinaryInput {
+    /// Open `path` and size its record region from the file's length: the
+    /// `records` bound when given (refused when the file is shorter, or
+    /// the bound wraps), else every whole record after the header.
+    fn open(
+        cfg: &InputConfig,
+        schema: &Schema,
+        path: &Path,
+        records: Option<usize>,
+    ) -> Result<BinaryInput, String> {
+        let width = match schema.binary_record_width() {
+            Some(0) => return Err("binary schema has no fields".to_string()),
+            Some(w) => w,
+            None => return Err("binary schema has variable-width fields".to_string()),
+        };
+        let file = File::open(path).map_err(|e| cannot_read(path, e))?;
+        let len = file.metadata().map_err(|e| cannot_read(path, e))?.len();
+        let start = cfg.start_position;
+        if len < start {
+            return Err(format!(
+                "{} is shorter than start_position {start}",
+                path.display()
+            ));
+        }
+        let available = len - start;
+        let region = match records {
+            // `n` arrives from outside (`--records`, a submitted spec): the
+            // product must not wrap into a small region.
+            Some(n) => match (n as u64)
+                .checked_mul(width as u64)
+                .filter(|need| *need <= available)
+            {
+                Some(need) => need,
+                None => {
+                    return Err(format!(
+                        "--records {n} wants {} bytes after the header, file has {available}",
+                        n as u128 * width as u128
+                    ))
+                }
+            },
+            None => available / width as u64 * width as u64,
+        };
+        Ok(BinaryInput {
+            file,
+            width,
+            start,
+            region,
+        })
+    }
+}
+
+/// Stage 1 — load: the job's data file, per its input-config document,
+/// as one fragment per node, in ordinal order — the layout the cluster
+/// stores, so [`run`] places them (and the daemon caches them) without
+/// copying a record. A binary input's fragments are [`Rows`]: each node's
+/// block of the record region is read straight into its own exact-size
+/// buffer, with no decode. A text input is decoded into one exact-size
+/// vector of records per node. The blocks load concurrently on up to
+/// `threads` OS threads; a malformed file fails with the error a
+/// whole-file read reports.
 pub fn load(spec: &JobSpec, cfg_text: &str, threads: usize) -> Result<Vec<Arc<Dataset>>, String> {
     let cfg =
         InputConfig::parse_str(cfg_text).map_err(|e| format!("{}: {e}", spec.input_config))?;
     let schema = Arc::new(Schema::from_input_config(&cfg));
     let nodes = spec.nodes as usize;
-    let on_threads = |blocks: usize, decode: &codec::DecodeBlock<'_>| {
-        papar_mr::run_slots(blocks, threads, decode)
+    let path = Path::new(&spec.data);
+    let blocks = match cfg.format {
+        InputFormat::Binary => {
+            let input = BinaryInput::open(&cfg, &schema, path, spec.records.map(|n| n as usize))?;
+            let rows = (input.region / input.width as u64) as usize;
+            let mut at = input.start;
+            let spans: Vec<(u64, usize)> = block_sizes(rows, nodes)
+                .map(|size| {
+                    let span = (at, size * input.width);
+                    at += span.1 as u64;
+                    span
+                })
+                .collect();
+            let read_block = |i: usize| -> Result<Batch, String> {
+                let (offset, len) = spans[i];
+                let mut bytes = vec![0; len];
+                input
+                    .file
+                    .read_exact_at(&mut bytes, offset)
+                    .map_err(|e| cannot_read(path, e))?;
+                let rows = Rows::new(schema.clone(), bytes).map_err(|e| e.to_string())?;
+                Ok(Batch::Rows(rows))
+            };
+            papar_mr::run_slots(spans.len(), threads, read_block)
+        }
+        InputFormat::Text => {
+            let text = read_text(path)?;
+            let on_threads = |blocks: usize, decode: &codec::DecodeBlock<'_>| {
+                papar_mr::run_slots(blocks, threads, decode)
+            };
+            codec::text::read_split_on(&cfg, &schema, &text, nodes, on_threads)
+                .map_err(|e| e.to_string())?
+                .into_iter()
+                .map(|block| Ok::<_, String>(Batch::Flat(block)))
+                .collect()
+        }
     };
-    let blocks = read_input(
-        &cfg,
-        &schema,
-        Path::new(&spec.data),
-        spec.records.map(|n| n as usize),
-        |bytes| codec::binary::read_split_on(&cfg, &schema, bytes, nodes, on_threads),
-        |text| codec::text::read_split_on(&cfg, &schema, text, nodes, on_threads),
-    )?;
-    Ok(blocks
+    blocks
         .into_iter()
-        .map(|block| Arc::new(Dataset::new(schema.clone(), Batch::Flat(block))))
-        .collect())
+        .map(|batch| Ok(Arc::new(Dataset::new(schema.clone(), batch?))))
+        .collect()
 }
 
 /// Records across a loaded input's fragments.
@@ -438,36 +476,49 @@ pub fn emit(
 }
 
 /// Encode partition `i` and write it as `out_dir/partition_{i:04}.*`.
+/// Binary rows are written as they lie, after a zero header.
 fn write_partition(
     cfg: &InputConfig,
     part: &Dataset,
     out_dir: &Path,
     i: usize,
 ) -> Result<PathBuf, String> {
+    let ext = match cfg.format {
+        InputFormat::Binary => "bin",
+        InputFormat::Text => "txt",
+    };
+    let path = out_dir.join(format!("partition_{i:04}.{ext}"));
+    let cannot_write = |e: std::io::Error| format!("cannot write {}: {e}", path.display());
+    if let (InputFormat::Binary, Batch::Rows(rows)) = (cfg.format, &part.batch) {
+        let mut file = File::create(&path).map_err(cannot_write)?;
+        file.write_all(&vec![0; cfg.start_position as usize])
+            .and_then(|()| file.write_all(rows.as_bytes()))
+            .map_err(cannot_write)?;
+        return Ok(path);
+    }
     // Workflows end flat ("the same format of input"); a packed final
-    // fragment is flattened into a temporary.
-    let unpacked: Vec<Record>;
+    // fragment, or rows bound for text, decode into a temporary.
+    let decoded: Vec<Record>;
     let records = match &part.batch {
         Batch::Flat(records) => records,
         Batch::Packed(groups) => {
-            unpacked = groups.iter().flat_map(|g| g.records.clone()).collect();
-            &unpacked
+            decoded = groups.iter().flat_map(|g| g.records.clone()).collect();
+            &decoded
+        }
+        Batch::Rows(rows) => {
+            decoded = rows.to_records();
+            &decoded
         }
     };
-    let (ext, bytes) = match cfg.format {
-        InputFormat::Binary => (
-            "bin",
-            codec::binary::write(cfg, &part.schema, records, None).map_err(|e| e.to_string())?,
-        ),
-        InputFormat::Text => (
-            "txt",
-            codec::text::write(cfg, &part.schema, records)
-                .map_err(|e| e.to_string())?
-                .into_bytes(),
-        ),
+    let bytes = match cfg.format {
+        InputFormat::Binary => {
+            codec::binary::write(cfg, &part.schema, records, None).map_err(|e| e.to_string())?
+        }
+        InputFormat::Text => codec::text::write(cfg, &part.schema, records)
+            .map_err(|e| e.to_string())?
+            .into_bytes(),
     };
-    let path = out_dir.join(format!("partition_{i:04}.{ext}"));
-    std::fs::write(&path, bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    std::fs::write(&path, bytes).map_err(cannot_write)?;
     Ok(path)
 }
 

@@ -211,10 +211,10 @@ fn byte_slope(small: Usage, large: Usage, records: f64) -> f64 {
 }
 
 /// The Figure 8 `run` byte slope measured on this test's database: the
-/// sort reducers decode each record once into its output (72 bytes), the
-/// distribute's assembly moves it once into its partition, plus the
-/// shuffle's outbox, inbox and sort buffers.
-const BLAST_RUN_BYTES: f64 = 218.5;
+/// sort reducers gather each record's 16 row bytes from the inbox, the
+/// fused assembly copies them once into their partition, plus the
+/// shuffle's outbox, inbox and sort buffers. No record is decoded.
+const BLAST_RUN_BYTES: f64 = 106.5;
 
 /// The Figure 10 `run` byte slope measured on this test's edge list (two
 /// engine jobs, each decoding every shuffled record once into a 72-byte
@@ -226,10 +226,10 @@ const HYBRID_RUN_BYTES: f64 = 327.6;
 const HYBRID_RUN_BLOCKS: f64 = 0.129;
 
 /// The Figure 8 `--no-fuse --checkpoint` `run` byte slope measured on
-/// this test's database: the two unfused jobs' decodes and shuffle
+/// this test's database: the two unfused jobs' row gathers and shuffle
 /// buffers, the materialised sort output, and one checkpoint payload per
 /// published fragment, written after its frame header without a copy.
-const DURABLE_RUN_BYTES: f64 = 360.4;
+const DURABLE_RUN_BYTES: f64 = 216.5;
 
 /// One decoded record, in place.
 const RECORD_BYTES: f64 = std::mem::size_of::<papar_record::Record>() as f64;
@@ -254,9 +254,9 @@ fn pipeline_seams_copy_no_record() {
     eprintln!("fig10 2k: {hybrid_small:?}\nfig10 20k: {hybrid_large:?}");
 
     // Emit encodes the resident fragments in place: its allocations are
-    // per partition, not per record. The binary encoder sizes each file
-    // exactly; each of the eight text buffers doubles about log2(10)
-    // more times at ten times the edges.
+    // per partition, not per record. Binary rows are written as they lie;
+    // each of the eight text buffers doubles about log2(10) more times at
+    // ten times the edges.
     for (fig, small, large, slack) in [
         ("fig8", &small, &large, 16),
         ("fig10", &hybrid_small, &hybrid_large, 32),
@@ -267,8 +267,8 @@ fn pipeline_seams_copy_no_record() {
             small.emit.blocks,
             large.emit.blocks
         );
-        // Decoded records live in place, so load allocates per file, not
-        // per record.
+        // Rows and in-place records: load allocates per file, not per
+        // record.
         assert!(
             small.load.blocks.abs_diff(large.load.blocks) <= 16,
             "{fig} load allocates per record: {} blocks at 2k, {} at 20k",
@@ -277,22 +277,31 @@ fn pipeline_seams_copy_no_record() {
         );
     }
 
-    // Load holds one copy of the input: the bytes it reads plus one
-    // record per input record, decoded straight into its node's fragment.
-    // A Figure 8 record is 16 bytes on disk; a Figure 10 edge is a line.
+    // Load holds one copy of the input. A Figure 8 record is 16 bytes on
+    // disk, read straight into its node's rows and never decoded; a
+    // Figure 10 edge is a line, read whole and decoded into one record.
     let extra = (20_000 - 2_000) as f64;
     let line = (hybrid_large.file_len - hybrid_small.file_len) as f64 / extra;
-    for (fig, small, large, width) in [
+    for (fig, small, large, per_record) in [
         ("fig8", &small, &large, 16.0),
-        ("fig10", &hybrid_small, &hybrid_large, line),
+        ("fig10", &hybrid_small, &hybrid_large, line + RECORD_BYTES),
     ] {
         let load_bytes = byte_slope(small.load, large.load, extra);
         eprintln!("{fig} load: {load_bytes:.1} bytes per record");
         assert!(
-            load_bytes <= (width + RECORD_BYTES) * 1.02,
-            "{fig} load allocates {load_bytes:.1} bytes per record for {width:.1}-byte records"
+            load_bytes <= per_record * 1.02,
+            "{fig} load allocates {load_bytes:.1} bytes per record, budget {per_record:.1}"
         );
     }
+
+    // Binary emit writes each partition's rows where they lie: its bytes
+    // do not grow with the input (the paths grow by a digit).
+    assert!(
+        small.emit.bytes.abs_diff(large.emit.bytes) <= 256,
+        "fig8 emit allocates per record: {} bytes at 2k, {} at 20k",
+        small.emit.bytes,
+        large.emit.bytes
+    );
 
     // A `--records`-bounded load reads only the index region, never the
     // sequence payload behind it.
@@ -305,10 +314,10 @@ fn pipeline_seams_copy_no_record() {
         );
     }
 
-    // Map tasks encode the records they borrow straight into the outbox,
-    // reducers decode each record once, straight into their output, the
-    // identity projection is skipped and the fused assembly moves each
-    // record once into an exact-size partition: no block is allocated per
+    // Map tasks copy the rows they borrow straight into the outbox,
+    // reducers gather each row once, straight into their output, the
+    // identity projection is skipped and the fused assembly copies each
+    // row once into an exact-size partition: no block is allocated per
     // record, and bytes are pinned at the measured slope plus 2 %.
     let run = slope(small.run, large.run, extra);
     let run_bytes = byte_slope(small.run, large.run, extra);

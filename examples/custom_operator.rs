@@ -35,16 +35,25 @@ impl CustomOperator for DedupOperator {
         use papar::mr::{Emit, EntryRef, MapReduceJob, Pairs};
         let mapper = FnMapper(
             |_: &papar::mr::TaskCtx, inputs: &[papar::mr::MapInput], out: &mut Emit<'_>| {
+                // The rendered tuple is the dedup key: equal records
+                // render equally.
+                let key = |r: &papar::record::Record| Value::from(r.display_tuple());
                 for mi in inputs {
-                    let records: Vec<&papar::record::Record> = match &mi.data.batch {
-                        Batch::Flat(rs) => rs.iter().collect(),
-                        Batch::Packed(groups) => groups.iter().flat_map(|g| &g.records).collect(),
-                    };
-                    for r in records {
-                        // The rendered tuple is the dedup key: equal
-                        // records render equally. The record itself is
-                        // borrowed; the emitter encodes it in place.
-                        out.push(&Value::from(r.display_tuple()), EntryRef::Rec(r))?;
+                    // A fragment holds decoded records, packed groups, or
+                    // (for a fixed-width input) rows: `EntryRef::all`
+                    // borrows each entry whatever the form, and a row
+                    // decodes only where its values are read. Entries are
+                    // borrowed; the emitter encodes them in place.
+                    for entry in EntryRef::all(&mi.data.batch) {
+                        match entry {
+                            EntryRef::Rec(r) => out.push(&key(r), entry)?,
+                            EntryRef::Row(row) => out.push(&key(&row.to_record()), entry)?,
+                            EntryRef::Packed(group) => {
+                                for r in &group.records {
+                                    out.push(&key(r), EntryRef::Rec(r))?;
+                                }
+                            }
+                        }
                     }
                 }
                 Ok(())
