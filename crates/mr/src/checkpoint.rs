@@ -645,7 +645,7 @@ fn decode_stage_record(payload: &[u8]) -> Result<StageRecord> {
     wire::check_count(&r, n, 32, "manifest fragment")?;
     let mut fragments = Vec::with_capacity(n);
     for _ in 0..n {
-        fragments.push(FragmentEntry {
+        let entry = FragmentEntry {
             dataset: read_str(&mut r)?,
             node: r.read_u32()?,
             ordinal: r.read_u32()?,
@@ -653,7 +653,17 @@ fn decode_stage_record(payload: &[u8]) -> Result<StageRecord> {
             checksum: r.read_u64()?,
             len: r.read_u64()?,
             payload: None,
-        });
+        };
+        // The name is derived, never trusted: resume reads and may
+        // quarantine (rename) the file it names.
+        let expected = fragment_file(index, &entry.dataset, entry.node, entry.ordinal);
+        if entry.file != expected {
+            return Err(MrError::CheckpointFileMismatch {
+                found: entry.file,
+                expected,
+            });
+        }
+        fragments.push(entry);
     }
     Ok(StageRecord {
         index,
@@ -760,7 +770,7 @@ mod tests {
                     dataset: format!("/out/{i}"),
                     node: i % 4,
                     ordinal: i,
-                    file: fragment_file(3, "/out", i % 4, i),
+                    file: fragment_file(3, &format!("/out/{i}"), i % 4, i),
                     checksum: u64::from(i) * 0x9e37,
                     len: u64::from(i) + 16,
                     payload: None,
@@ -887,6 +897,66 @@ mod tests {
         let r2 = CheckpointSession::resume(&dir, 1).unwrap();
         assert!(r2.corruption_events().is_empty());
         assert_eq!(r2.completed().len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checksummed manifest whose stage 1 names a file outside the
+    /// checkpoint — relative (`../x`, whose bytes are no frame) or
+    /// absolute (a valid frame the entry's checksum matches) — is refused
+    /// with a typed error: stage 1 recomputes, and the outside file is
+    /// neither read into the run nor renamed aside.
+    #[test]
+    fn a_manifest_naming_a_file_outside_the_checkpoint_is_refused() {
+        let dir = tmpdir("outside");
+        let outside = dir.with_extension("outside");
+        let quarantined = PathBuf::from(format!("{}.quarantine", outside.display()));
+        let payload = b"stage one";
+        let mut framed = Vec::new();
+        wire::encode_frame(payload, &mut framed).unwrap();
+        let relative = format!("../{}", outside.file_name().unwrap().to_string_lossy());
+        for (file, contents) in [
+            (relative, b"no frame at all".to_vec()),
+            (outside.display().to_string(), framed),
+        ] {
+            fs::write(&outside, &contents).unwrap();
+            let mut s = CheckpointSession::create(&dir, 5).unwrap();
+            s.stage_fragment("/a", 0, 0, b"stage zero".to_vec());
+            s.commit_stage(0, "s0", &sample_stats("s0")).unwrap();
+            let rec = StageRecord {
+                index: 1,
+                stage_id: "s1".into(),
+                stats: sample_stats("s1"),
+                fragments: vec![FragmentEntry {
+                    dataset: "/b".into(),
+                    node: 0,
+                    ordinal: 0,
+                    file: file.clone(),
+                    checksum: wire::checksum(payload),
+                    len: payload.len() as u64,
+                    payload: None,
+                }],
+            };
+            let bytes = encode_stage_record(&rec);
+            let refused = MrError::CheckpointFileMismatch {
+                found: file.clone(),
+                expected: fragment_file(1, "/b", 0, 0),
+            };
+            assert_eq!(decode_stage_record(&bytes).unwrap_err(), refused);
+            let mut manifest = fs::read(dir.join(MANIFEST)).unwrap();
+            wire::encode_frame(&bytes, &mut manifest).unwrap();
+            fs::write(dir.join(MANIFEST), &manifest).unwrap();
+
+            let r = CheckpointSession::resume(&dir, 5).unwrap();
+            assert_eq!(r.completed().len(), 1, "{file}: stage 1 must recompute");
+            let events = r.corruption_events();
+            assert!(
+                events.len() == 1 && events[0].to_string().contains(&refused.to_string()),
+                "{events:?}"
+            );
+            assert_eq!(fs::read(&outside).unwrap(), contents, "{file} was touched");
+            assert!(!quarantined.exists(), "{file} was renamed aside");
+        }
+        let _ = fs::remove_file(&outside);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -320,17 +320,29 @@ impl Cluster {
     /// copies charge *nothing* to the recovery accounting — the bytes were
     /// already paid for (and reported) by the run that wrote the
     /// checkpoint, and a resumed run's stats must match a cold run's.
-    pub fn restore_fragment(&mut self, node: usize, name: &str, ordinal: u32, data: Dataset) {
+    /// A node the cluster does not have is a typed error, not a panic:
+    /// the node comes from the manifest.
+    pub fn restore_fragment(
+        &mut self,
+        node: usize,
+        name: &str,
+        ordinal: u32,
+        data: Dataset,
+    ) -> Result<()> {
+        let n = self.num_nodes();
+        if node >= n {
+            return Err(MrError::NodeOutOfRange { node, nodes: n });
+        }
         let arc = Arc::new(data);
         self.nodes[node].put_arc(name, ordinal, Arc::clone(&arc));
-        let n = self.num_nodes();
         if self.replication == 0 || n < 2 {
-            return;
+            return Ok(());
         }
         for i in 1..=self.replication.min(n - 1) {
             let target = (node + i) % n;
             self.nodes[target].put_replica(name, ordinal, Arc::clone(&arc));
         }
+        Ok(())
     }
 
     /// Append an extra phase (checkpoint publication, resume restore) to
@@ -872,6 +884,22 @@ mod tests {
 
     fn flat(vals: std::ops::Range<i32>) -> Dataset {
         Dataset::new(schema(), Batch::Flat(vals.map(|v| rec![v]).collect()))
+    }
+
+    #[test]
+    fn restoring_onto_a_node_the_cluster_lacks_is_a_typed_error() {
+        let mut c = Cluster::new(3);
+        let ds = Dataset::new(
+            Arc::new(Schema::new(vec![("a", FieldType::Integer)])),
+            Batch::empty(),
+        );
+        assert_eq!(
+            c.restore_fragment(3, "d", 0, ds.clone()),
+            Err(MrError::NodeOutOfRange { node: 3, nodes: 3 })
+        );
+        assert!(!c.node(0).contains("d"));
+        c.restore_fragment(2, "d", 0, ds).unwrap();
+        assert!(c.node(2).contains("d"));
     }
 
     #[test]

@@ -183,6 +183,9 @@ pub struct Emit<'a> {
     compress_key: Option<usize>,
     /// Outbox row: one buffer per destination node.
     row: &'a mut [Vec<u8>],
+    /// Pairs pushed to each destination node: what its reduce task sizes
+    /// its sort buffers by.
+    sent: &'a mut [usize],
     /// Per-reducer records/bytes, when tracing.
     skew: Option<&'a mut SkewHistogram>,
     /// Pairs pushed so far; the next pair's `seq`.
@@ -206,6 +209,7 @@ impl Emit<'_> {
             });
         }
         let nodes = self.row.len();
+        self.sent[reducer % nodes] += 1;
         let buf = &mut self.row[reducer % nodes];
         let len_before = buf.len();
         buf.extend_from_slice(&wire_u32("reducer", reducer)?.to_le_bytes());
@@ -454,28 +458,6 @@ fn value_allocs(v: &Value) -> u64 {
     v.as_str().is_some_and(|s| s.len() > INLINE_STR_CAP) as u64
 }
 
-/// Count the pairs in a reduce inbox with an allocation-free skip scan so
-/// decode buffers can be pre-sized exactly before the first attempt.
-/// `None` when the bytes are malformed — the decode pass will surface the
-/// error with full context.
-fn count_inbox_pairs(
-    inbox: &[(usize, Vec<u8>)],
-    schema: &Schema,
-    compress_key: Option<usize>,
-) -> Option<usize> {
-    let mut count = 0usize;
-    for (_, buf) in inbox {
-        let mut r = Reader::new(buf);
-        while r.remaining() > 0 {
-            r.read_bytes(8).ok()?; // reducer + seq
-            wire::skip_value(&mut r).ok()?;
-            EntryView::parse(&mut r, schema, compress_key).ok()?;
-            count += 1;
-        }
-    }
-    Some(count)
-}
-
 /// Re-sort runs of pairs whose packed keys tie on an *inexact* prefix.
 ///
 /// A tie on `(reducer, key66)` means `Value::cmp` is `Equal` only when both
@@ -583,6 +565,8 @@ struct PhaseCtx<'a> {
 struct MapOutcome {
     /// Outbox row: encoded pairs destined to each node.
     row: Vec<Vec<u8>>,
+    /// Pairs in each buffer of `row`.
+    sent: Vec<usize>,
     /// Compute of the successful attempt (what a reduce-side crash
     /// re-charges to regenerate the node's self-send).
     compute: Duration,
@@ -758,6 +742,8 @@ impl Cluster {
         // regenerate its self-send data, at this cost.
         let mut map_compute: Vec<Duration> = vec![Duration::ZERO; n];
         let mut outboxes: Vec<Vec<Vec<u8>>> = Vec::with_capacity(n);
+        // Pairs bound for each node: its reduce task's exact sort size.
+        let mut inbox_pairs = vec![0usize; n];
         let mut map_tasks: Vec<TaskTrace> = Vec::new();
         let mut job_skew: Option<SkewHistogram> = None;
         let mut first_err: Option<MrError> = None;
@@ -768,6 +754,9 @@ impl Cluster {
                     map_compute[node] = o.compute;
                     stats.records_in += o.records_in;
                     stats.pairs_shuffled += o.pairs;
+                    for (to, sent) in o.sent.iter().enumerate() {
+                        inbox_pairs[to] += sent;
+                    }
                     self.absorb_worker_recovery(o.recovery, o.events);
                     if let Some(t) = o.trace {
                         map_tasks.push(t);
@@ -827,7 +816,13 @@ impl Cluster {
         };
         let this: &Cluster = &*self;
         let reduce_results = run_slots(n, threads, |node| {
-            this.reduce_task(&reduce_pc, node, &inboxes[node], map_compute[node])
+            this.reduce_task(
+                &reduce_pc,
+                node,
+                &inboxes[node],
+                inbox_pairs[node],
+                map_compute[node],
+            )
         });
 
         let mut reduce_tasks: Vec<TaskTrace> = Vec::new();
@@ -898,6 +893,7 @@ impl Cluster {
             row: (0..pc.n)
                 .map(|to| Vec::with_capacity(hints.and_then(|h| h.get(to)).copied().unwrap_or(0)))
                 .collect(),
+            sent: vec![0; pc.n],
             compute: Duration::ZERO,
             phase_time: Duration::ZERO,
             records_in: 0,
@@ -918,6 +914,7 @@ impl Cluster {
             for buf in &mut out.row {
                 buf.clear();
             }
+            out.sent.fill(0);
             if let Some(sk) = skew.as_mut() {
                 sk.reset();
             }
@@ -947,6 +944,7 @@ impl Cluster {
                 schema: &job.map_output_schema,
                 compress_key: job.compress_key,
                 row: &mut out.row,
+                sent: &mut out.sent,
                 skew: skew.as_mut(),
                 pairs: 0,
                 row_schema: None,
@@ -1022,14 +1020,16 @@ impl Cluster {
         }
     }
 
-    /// One node's reduce task: decode its inbox, sort, reduce per owned
-    /// reducer id, retrying under pre-drawn crash faults. Runs on a worker
-    /// thread with only `&self`; outputs are committed by the driver.
+    /// One node's reduce task: decode its inbox (`pairs` pairs, as the
+    /// map tasks counted them), sort, reduce per owned reducer id,
+    /// retrying under pre-drawn crash faults. Runs on a worker thread with
+    /// only `&self`; outputs are committed by the driver.
     fn reduce_task(
         &self,
         pc: &PhaseCtx<'_>,
         node: usize,
         inbox: &[(usize, Vec<u8>)],
+        pairs: usize,
         map_compute: Duration,
     ) -> Result<ReduceOutcome> {
         let job = pc.job;
@@ -1053,14 +1053,10 @@ impl Cluster {
         // stands in for `(mapper, seq)` only because of that.
         debug_assert!(inbox.windows(2).all(|w| w[0].0 < w[1].0));
         // Sort buffers survive retry attempts (cleared, capacity kept) and
-        // are pre-sized to the exact pair count by an allocation-free skip
-        // scan, so the first attempt never grows from empty.
-        let mut locs: Vec<PairLoc> = Vec::new();
-        let mut packed: Vec<u128> = Vec::new();
-        if let Some(count) = count_inbox_pairs(inbox, &job.map_output_schema, job.compress_key) {
-            locs.reserve_exact(count);
-            packed.reserve_exact(count);
-        }
+        // are pre-sized to the pair count the senders' map tasks counted,
+        // so the first attempt never grows from empty.
+        let mut locs: Vec<PairLoc> = Vec::with_capacity(pairs);
+        let mut packed: Vec<u128> = Vec::with_capacity(pairs);
         loop {
             let t0 = TaskTimer::start();
             // Outputs are buffered and only committed if the task survives
@@ -1204,6 +1200,7 @@ impl Cluster {
         // can size its output exactly before it decodes.
         let mut records_by_slot = vec![0usize; job.num_reducers.div_ceil(n)];
         let mut any_inexact = false;
+        let mut all_records = true;
         for (bi, (_from, buf)) in inbox.iter().enumerate() {
             let mut r = Reader::new(buf);
             while r.remaining() > 0 {
@@ -1237,6 +1234,7 @@ impl Cluster {
                 let key_len = wire_u32("key length", r.position() - key_off)?;
                 let entry = EntryView::parse(&mut r, schema, job.compress_key)?;
                 records_by_slot[reducer as usize / n] += entry.record_count();
+                all_records &= entry.tag() == ENTRY_REC;
                 // The pair's bytes, which its reducer decodes exactly once.
                 hot.materialized_bytes += (r.position() - key_off) as u64;
                 let idx = locs.len();
@@ -1262,7 +1260,10 @@ impl Cluster {
         if job.sort_by_key {
             fixup_prefix_ties(job.descending, any_inexact, inbox, locs, packed, &mut hot)?;
         }
-        // Hand every owned reducer its span of the sorted order.
+        // Hand every owned reducer its span of the sorted order. With
+        // sorted keys, no inexact prefix and one record per pair, the
+        // packed keys alone cut the key-equal runs.
+        let runs_from_keys = job.sort_by_key && !any_inexact && all_records;
         let slots = 1 + pc.extra_outputs.len();
         let reduce = |rid: usize, pairs: Pairs<'_>| {
             let ctx = TaskCtx {
@@ -1290,6 +1291,7 @@ impl Cluster {
                 schema,
                 job.compress_key,
                 records_by_slot[rid / n],
+                runs_from_keys,
             );
             let batches = reduce(rid, pairs)?;
             records_out += batches.iter().map(|b| b.record_count() as u64).sum::<u64>();
@@ -1449,6 +1451,7 @@ mod tests {
             schema,
             compress_key: None,
             row: &mut row,
+            sent: &mut [0; 3],
             skew: None,
             pairs: 0,
             row_schema: None,

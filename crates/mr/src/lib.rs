@@ -179,6 +179,24 @@ pub enum MrError {
         /// Fingerprint stored in the checkpoint manifest.
         found: u64,
     },
+    /// A checkpoint manifest entry names a fragment file other than the
+    /// one its stage, dataset, node and ordinal make. Manifest frames are
+    /// checksummed, not authenticated, so a hand-edited name (`../x`,
+    /// `/abs/x`) is refused before anything reads or renames it.
+    CheckpointFileMismatch {
+        /// The file name the manifest holds.
+        found: String,
+        /// The only name the entry may have.
+        expected: String,
+    },
+    /// A fragment was to be placed on a node the cluster does not have
+    /// (a checkpoint written for, or edited to, another cluster size).
+    NodeOutOfRange {
+        /// The node asked for.
+        node: usize,
+        /// The cluster's node count.
+        nodes: usize,
+    },
     /// The `PAPAR_THREADS` environment variable is set but is not a
     /// positive integer. Before this variant the value was silently
     /// ignored in favor of the host's parallelism — tolerable for one
@@ -260,6 +278,15 @@ impl std::fmt::Display for MrError {
                 "checkpoint fingerprint {found:#018x} does not match this run's \
                  fingerprint {expected:#018x} (plan, input, seed or config changed); \
                  refusing to resume"
+            ),
+            MrError::CheckpointFileMismatch { found, expected } => write!(
+                f,
+                "checkpoint manifest names fragment file '{found}' where its entry \
+                 makes '{expected}'; refusing it"
+            ),
+            MrError::NodeOutOfRange { node, nodes } => write!(
+                f,
+                "fragment placed on node {node}, but the cluster has {nodes} node(s)"
             ),
             MrError::BadThreadBudget { value } => write!(
                 f,

@@ -123,9 +123,10 @@ fn range_sorted_job_produces_globally_sorted_output() {
 }
 
 /// `Pairs::gather_rows` copies exactly the bytes the records decode from,
-/// in reduce order, and refuses an entry that is not one record.
+/// in reduce order — a packed group's members included — and refuses a
+/// compressed group, which holds no record bytes.
 #[test]
-fn gathered_rows_are_the_decoded_records_and_groups_are_refused() {
+fn gathered_rows_are_the_decoded_records_and_compressed_groups_are_refused() {
     let mut cluster = Cluster::new(3);
     let vals: Vec<i32> = (0..90).map(|i| (i * 31) % 90).collect();
     cluster.scatter("in", int_dataset(&vals)).unwrap();
@@ -162,11 +163,13 @@ fn gathered_rows_are_the_decoded_records_and_groups_are_refused() {
     sorted.sort();
     assert_eq!(collect_ints(&cluster, "out").concat(), sorted);
 
-    // Packed groups are not rows.
+    // Packed groups gather as their members; compressed ones are refused.
     let packs = FnMapper(
         |_ctx: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
             for mi in inputs {
-                for g in mi.data.batch.clone().pack_by(0)?.into_packed()? {
+                let mut sorted = mi.data.batch.clone().flatten();
+                sorted.sort_by(|a, b| a.value(0).cmp(&b.value(0)));
+                for g in Batch::Flat(sorted).pack_by(0)?.into_packed()? {
                     out.push(&g.key, EntryRef::Packed(&g))?;
                 }
             }
@@ -175,8 +178,12 @@ fn gathered_rows_are_the_decoded_records_and_groups_are_refused() {
     );
     job.mapper = &packs;
     job.output = "out2".into();
+    cluster.run_job(&job).unwrap();
+    assert_eq!(collect_ints(&cluster, "out2").concat(), sorted);
+    job.output = "out3".into();
+    job.compress_key = Some(0);
     let err = cluster.run_job(&job).unwrap_err();
-    assert!(err.to_string().contains("not one record"), "{err}");
+    assert!(err.to_string().contains("compressed group"), "{err}");
 }
 
 #[test]
@@ -1147,23 +1154,33 @@ proptest! {
     /// tie on their packed prefix included — with key sorting on and off,
     /// ascending and descending, at 1 and 4 threads; and `Pairs::runs`
     /// cuts that order wherever a key is not equal to its run's first key,
-    /// which prefix ties alone cannot tell.
+    /// which prefix ties alone cannot tell. Both ways of cutting runs are
+    /// checked: the generated keys (almost always with an inexact prefix,
+    /// so pairs are parsed) and their exact-prefix subset (sorted jobs
+    /// then cut runs from the packed keys alone).
     #[test]
     fn reducers_receive_pairs_in_reference_order(
         keys in prop::collection::vec(colliding_key(), 0..80),
     ) {
-        for sort_by_key in [true, false] {
-            for descending in [false, true] {
-                for threads in [1, 4] {
-                    let (got, _) = run_recording(&keys, sort_by_key, descending, threads);
-                    let mut ids: Vec<i32> = got.iter().flatten().map(|t| t[0]).collect();
-                    ids.sort_unstable();
-                    prop_assert_eq!(ids, (0..keys.len() as i32).collect::<Vec<_>>());
-                    let want = reference_delivery(&keys, &got, sort_by_key, descending);
-                    prop_assert_eq!(
-                        &got, &want,
-                        "sort_by_key={} descending={} threads={}", sort_by_key, descending, threads
-                    );
+        let exact: Vec<Value> = (keys.iter())
+            .filter(|k| papar_record::prefix::of_value(k).exact)
+            .cloned()
+            .collect();
+        for keys in [&keys, &exact] {
+            for sort_by_key in [true, false] {
+                for descending in [false, true] {
+                    for threads in [1, 4] {
+                        let (got, _) = run_recording(keys, sort_by_key, descending, threads);
+                        let mut ids: Vec<i32> = got.iter().flatten().map(|t| t[0]).collect();
+                        ids.sort_unstable();
+                        prop_assert_eq!(ids, (0..keys.len() as i32).collect::<Vec<_>>());
+                        let want = reference_delivery(keys, &got, sort_by_key, descending);
+                        prop_assert_eq!(
+                            &got, &want,
+                            "sort_by_key={} descending={} threads={}",
+                            sort_by_key, descending, threads
+                        );
+                    }
                 }
             }
         }

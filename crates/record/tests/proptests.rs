@@ -374,6 +374,14 @@ fn rows() -> impl Strategy<Value = Vec<Vec<(i32, i64, f64, String)>>> {
     prop::collection::vec(prop::collection::vec(cell(), 6..7), 0..6)
 }
 
+/// One fixed cell, for rows a test builds by hand.
+const CELL: (i32, i64, f64, String) = (7, -7, 0.5, String::new());
+
+/// One row of [`CELL`]s.
+fn rows_one() -> Vec<Vec<(i32, i64, f64, String)>> {
+    vec![vec![CELL; 6]]
+}
+
 fn records_of(schema: &Schema, rows: &[Vec<(i32, i64, f64, String)>]) -> Vec<Record> {
     rows.iter()
         .map(|row| {
@@ -512,7 +520,9 @@ fn check_binary(
     Ok(())
 }
 
-/// `codec::text::{read, read_split}` against the reference.
+/// `codec::text::read` against the reference, and the rows
+/// `codec::text::read_rows_on` loads (in 1–3 blocks, on 1 and 4 threads)
+/// against `read`: the same records, or the same first error.
 fn check_text(
     cfg: &InputConfig,
     schema: &Schema,
@@ -523,34 +533,45 @@ fn check_text(
     let got = codec::text::read(cfg, schema, data);
     prop_assert!(same(&got, &want), "{:?} vs {:?} on {:?}", got, want, data);
     for n in 1..4 {
-        let got = codec::text::read_split(cfg, schema, data, n);
-        check_blocks(got, &want, n)?;
+        for threads in [1, 4] {
+            check_blocks(read_rows(cfg, schema, data, n, threads), &want, n)?;
+        }
     }
-    let got = codec::text::read_split_on(cfg, schema, data, 3, on_threads(3));
-    check_blocks(got, &want, 3)?;
     Ok(())
 }
 
-/// What may follow the last line of a block-decoding case: nothing,
+/// `codec::text::read_rows_on` into `n` blocks on `threads` threads.
+fn read_rows(
+    cfg: &InputConfig,
+    schema: &Schema,
+    data: &str,
+    n: usize,
+    threads: usize,
+) -> papar_record::Result<Vec<Rows>> {
+    let schema = Arc::new(schema.clone());
+    codec::text::read_rows_on(cfg, &schema, data, n, on_threads(threads))
+}
+
+/// What may follow the last line of a block-encoding case: nothing,
 /// whitespace, or a record the count pass cannot delimit.
 const TAILS: [&str; 4] = ["", " \n", "7,x", "8"];
 
-/// A split read is the whole read cut into `block_sizes` blocks, and fails
-/// exactly as the whole read fails.
+/// A split load is the whole read cut into `block_sizes` blocks of rows,
+/// and fails exactly as the whole read fails.
 fn check_blocks(
-    got: papar_record::Result<Vec<Vec<Record>>>,
+    got: papar_record::Result<Vec<Rows>>,
     want: &papar_record::Result<Vec<Record>>,
     n: usize,
 ) -> std::result::Result<(), TestCaseError> {
     match (got, want) {
         (Ok(blocks), Ok(all)) => {
-            let sizes: Vec<usize> = blocks.iter().map(Vec::len).collect();
+            let sizes: Vec<usize> = blocks.iter().map(Rows::len).collect();
             prop_assert_eq!(sizes, block_sizes(all.len(), n).collect::<Vec<_>>());
-            let flat = blocks.concat();
+            let flat: Vec<Record> = blocks.iter().flat_map(Rows::to_records).collect();
             prop_assert!(same(&flat, all), "{:?} vs {:?}", flat, all);
         }
         (got, want) => {
-            let got = got.map(|b| b.concat());
+            let got = got.map(|b| b.iter().flat_map(Rows::to_records).collect::<Vec<_>>());
             prop_assert!(same(&got, want), "{:?} vs {:?}", got, want);
         }
     }
@@ -636,8 +657,10 @@ proptest! {
     }
 
     /// Delimited text with one-byte and multi-byte delimiters: valid text
-    /// round-trips through `read` and `read_split`; every truncation and
-    /// arbitrary text read exactly as the reference reads them.
+    /// round-trips through `read` and loads as the same rows; every
+    /// truncation and arbitrary text read exactly as the reference reads
+    /// them, and load as `read` reads them (same records, same first
+    /// error) at 1 and 4 threads.
     #[test]
     fn text_codec_agrees_with_the_reference(
         types in prop::collection::vec(0u8..4, 1..7),
@@ -661,7 +684,7 @@ proptest! {
         check_text(&cfg, &schema, &delims, &format!("{text}{junk}"))?;
     }
 
-    /// Block decoding at any (blocks, threads) is `read` cut into
+    /// Block encoding at any (blocks, threads) is `read` cut into
     /// `block_sizes` blocks, and a file with malformed records in several
     /// blocks — each malformed differently — fails with `read`'s error:
     /// the first malformed record in file order, not whichever block
@@ -685,22 +708,22 @@ proptest! {
         }
         text.push_str(TAILS[tail]);
         let want = codec::text::read(&cfg, &schema, &text);
-        let got = codec::text::read_split_on(&cfg, &schema, &text, blocks, on_threads(threads));
-        check_blocks(got, &want, blocks)?;
+        check_blocks(read_rows(&cfg, &schema, &text, blocks, threads), &want, blocks)?;
     }
 
-    /// Rows of a fixed-width schema (1–6 fields) are the flat batch of the
-    /// records they decode to: the same wire bytes, checksum, encoded size,
-    /// records and count, and `==` both ways. `split(n)` cuts them where
-    /// a scatter cuts the records, `decode_batch` gives them back, and the
-    /// checked constructor refuses ragged bytes and variable-width schemas.
+    /// Rows of any schema of 1–6 fields — fixed-width, or with strings of
+    /// 0, 14 and 15+ bytes and multi-byte UTF-8 — are the flat batch of
+    /// the records they decode to: the same wire bytes, checksum, encoded
+    /// size, records and count, `==` both ways, and every `field` of every
+    /// row. `split(n)` cuts them where a scatter cuts the records,
+    /// `decode_batch` gives them back as rows, and the checked constructor
+    /// refuses ragged bytes and (for strings) invalid UTF-8.
     #[test]
     fn rows_are_the_records_they_decode_to(
-        types in prop::collection::vec(0u8..3, 1..7),
+        types in prop::collection::vec(0u8..4, 1..7),
         rows in rows(),
         n in 1usize..6,
         ragged in 1usize..8,
-        text_field in 0usize..6,
     ) {
         let schema = Arc::new(schema_of(&types));
         let records = records_of(&schema, &rows);
@@ -709,7 +732,8 @@ proptest! {
             wire::encode_record(r, &schema, &mut bytes).unwrap();
         }
         let rows = Rows::new(schema.clone(), bytes.clone()).unwrap();
-        let width = rows.width();
+        prop_assert_eq!(rows.width(), schema.binary_record_width());
+        prop_assert_eq!(rows.len(), records.len());
         let (as_rows, flat) = (Batch::Rows(rows.clone()), Batch::Flat(records.clone()));
         let encode = |b: &Batch| {
             let mut buf = Vec::new();
@@ -728,6 +752,13 @@ proptest! {
         prop_assert_eq!(as_rows.entry_count(), records.len());
         prop_assert_eq!(&as_rows, &flat);
         prop_assert_eq!(&flat, &as_rows);
+        for (row, rec) in rows.iter().zip(&records) {
+            prop_assert!(same(&row.to_record(), rec));
+            for i in 0..=schema.len() {
+                let want = rec.require(i).cloned();
+                prop_assert!(same(&row.field(i), &want), "field {}", i);
+            }
+        }
 
         // Cut like a scatter, and hashed part by part with the flat
         // records of the other parts.
@@ -752,13 +783,38 @@ proptest! {
         prop_assert!(matches!(decoded, Batch::Rows(_)));
         prop_assert_eq!(&decoded, &flat);
 
-        // Every field is at least 4 bytes, so 1..width-1 extra bytes are
-        // never whole rows.
-        let mut uneven = bytes;
-        uneven.extend(std::iter::repeat_n(0, 1 + ragged % (width - 1)));
-        prop_assert!(Rows::new(schema.clone(), uneven).is_err());
-        let mut with_text = types.clone();
-        with_text[text_field % types.len()] = 3;
-        prop_assert!(Rows::new(Arc::new(schema_of(&with_text)), Vec::new()).is_err());
+        // Bytes that are not whole rows: a fixed-width row is at least 4
+        // bytes, so 1..width-1 extra bytes never are; a string row cut
+        // anywhere inside its last row never is.
+        match schema.binary_record_width() {
+            Some(width) => {
+                let mut uneven = bytes.clone();
+                uneven.extend(std::iter::repeat_n(0, 1 + ragged % (width - 1)));
+                prop_assert!(Rows::new(schema.clone(), uneven).is_err());
+            }
+            None => {
+                let mut last = Vec::new();
+                wire::encode_record(&records_of(&schema, &rows_one())[0], &schema, &mut last)
+                    .unwrap();
+                let mut uneven = bytes.clone();
+                uneven.extend_from_slice(&last[..ragged % last.len()]);
+                prop_assert_eq!(
+                    Rows::new(schema.clone(), uneven).is_err(),
+                    ragged % last.len() != 0
+                );
+                // A string whose bytes are not UTF-8.
+                let at = types.iter().position(|&t| t == 3).unwrap();
+                let mut bad = Vec::new();
+                for (i, f) in schema.fields().iter().enumerate() {
+                    if i == at {
+                        bad.extend_from_slice(&[1, 0, 0, 0, 0xff]);
+                    } else {
+                        wire::encode_field(&value_of(f.ty, &CELL), f.ty, &mut bad).unwrap();
+                    }
+                }
+                let err = Rows::new(schema.clone(), [bytes, bad].concat()).unwrap_err();
+                prop_assert!(err.to_string().contains("UTF-8"), "{}", err);
+            }
+        }
     }
 }

@@ -298,3 +298,41 @@ fn fingerprint_mismatch_is_refused_with_a_typed_error() {
     assert_eq!(resumed.stages_resumed, 1);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A checksummed manifest that places a fragment on a node the cluster
+/// does not have — here every fragment moved three nodes up, past the
+/// cluster's three — is refused with a typed error instead of a panic.
+#[test]
+fn a_manifest_node_outside_the_cluster_is_refused_with_a_typed_error() {
+    use papar::mr::{CheckpointSession, MrError};
+    let dir = tmpdir("node-range");
+    run_blast(Cluster::new(3), options(true, 1), "4", Some((&dir, false))).unwrap();
+
+    // Re-publish the committed stages, each fragment on node + 3.
+    let fingerprint = CheckpointSession::fingerprint_of(&dir).unwrap();
+    let stages = CheckpointSession::resume(&dir, fingerprint)
+        .unwrap()
+        .completed()
+        .to_vec();
+    let mut session = CheckpointSession::create(&dir, fingerprint).unwrap();
+    for stage in &stages {
+        for f in &stage.fragments {
+            let payload = f.payload.clone().unwrap();
+            session.stage_fragment(&f.dataset, f.node + 3, f.ordinal, payload);
+        }
+        session
+            .commit_stage(stage.index, &stage.stage_id, &stage.stats)
+            .unwrap();
+    }
+
+    let err = run_blast(Cluster::new(3), options(true, 1), "4", Some((&dir, true)))
+        .expect_err("a fragment on node 3 of a 3-node cluster must be refused");
+    assert!(
+        matches!(
+            err,
+            papar::core::error::CoreError::Mr(MrError::NodeOutOfRange { nodes: 3, .. })
+        ),
+        "wrong error: {err:?}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
