@@ -12,7 +12,7 @@
 //! * [`record::Record`] — one tuple, up to four values stored in place,
 //! * [`batch::Batch`] — a dataset fragment: flat records, the *packed*
 //!   format produced by the `pack` format operator, or [`batch::Rows`],
-//!   the flat records of a fixed-width schema kept as their wire bytes,
+//!   flat records kept as their wire bytes,
 //! * [`packed::PackedRecord`] — a key plus the group of records sharing it,
 //! * [`codec`] — readers/writers for the two on-disk formats (fixed-width
 //!   binary and delimited text),

@@ -12,6 +12,7 @@
 
 use mublastp::dbgen::DbSpec;
 use papar_core::exec::CheckpointCfg;
+use papar_record::wire;
 use papar_serve::job::{self, Resources};
 use papar_serve::JobSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -73,6 +74,8 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, Usage) {
 #[derive(Debug)]
 struct Budget {
     file_len: u64,
+    /// Bytes of the loaded records as rows.
+    row_bytes: u64,
     load: Usage,
     run: Usage,
     emit: Usage,
@@ -151,6 +154,10 @@ fn budget(spec: &JobSpec, records: usize) -> Budget {
 
     let (input, load) = measure(|| job::load(spec, &cfg_text, DRIVER_THREADS).unwrap());
     assert_eq!(job::record_count(&input), records);
+    // A batch encodes as a 5-byte header and its records' row bytes.
+    let row_bytes = (input.iter())
+        .map(|f| wire::encoded_size(&f.batch, &f.schema).unwrap() as u64 - 5)
+        .sum();
     let compiled = job::compile(spec, &cfg_text, &wf_text, 0, &input, &options).unwrap();
     let mut cluster = job::new_cluster(4, 0, 3).unwrap();
     let (_, run) = measure(|| job::run(&compiled, options, None, &mut cluster, input).unwrap());
@@ -168,6 +175,7 @@ fn budget(spec: &JobSpec, records: usize) -> Budget {
 
     Budget {
         file_len: std::fs::metadata(&spec.data).unwrap().len(),
+        row_bytes,
         load,
         run,
         emit,
@@ -217,13 +225,15 @@ fn byte_slope(small: Usage, large: Usage, records: f64) -> f64 {
 const BLAST_RUN_BYTES: f64 = 106.5;
 
 /// The Figure 10 `run` byte slope measured on this test's edge list (two
-/// engine jobs, each decoding every shuffled record once into a 72-byte
-/// in-place record — the group's straight into its packed groups — plus
-/// the shuffle buffers and the split outputs' growth).
-const HYBRID_RUN_BYTES: f64 = 327.6;
+/// engine jobs: the shuffle buffers; the fused group→split's high-degree
+/// edges appended as rows with their count, its low-degree ones decoded
+/// into packed groups; the distribute's edges gathered as projected rows,
+/// none decoded).
+const HYBRID_RUN_BYTES: f64 = 259.8;
 
-/// The Figure 10 `run` block slope: one member vector per packed group.
-const HYBRID_RUN_BLOCKS: f64 = 0.129;
+/// The Figure 10 `run` block slope: one member vector per low-degree
+/// packed group, which still decodes.
+const HYBRID_RUN_BLOCKS: f64 = 0.128;
 
 /// The Figure 8 `--no-fuse --checkpoint` `run` byte slope measured on
 /// this test's database: the two unfused jobs' row gathers and shuffle
@@ -279,12 +289,15 @@ fn pipeline_seams_copy_no_record() {
 
     // Load holds one copy of the input. A Figure 8 record is 16 bytes on
     // disk, read straight into its node's rows and never decoded; a
-    // Figure 10 edge is a line, read whole and decoded into one record.
+    // Figure 10 edge is a line, read whole and encoded into its row (the
+    // two ids with their lengths), never decoded — not a 72-byte record.
     let extra = (20_000 - 2_000) as f64;
     let line = (hybrid_large.file_len - hybrid_small.file_len) as f64 / extra;
+    let row = (hybrid_large.row_bytes - hybrid_small.row_bytes) as f64 / extra;
+    assert!(row < RECORD_BYTES, "an edge row is {row:.1} bytes");
     for (fig, small, large, per_record) in [
         ("fig8", &small, &large, 16.0),
-        ("fig10", &hybrid_small, &hybrid_large, line + RECORD_BYTES),
+        ("fig10", &hybrid_small, &hybrid_large, line + row),
     ] {
         let load_bytes = byte_slope(small.load, large.load, extra);
         eprintln!("{fig} load: {load_bytes:.1} bytes per record");
@@ -329,8 +342,8 @@ fn pipeline_seams_copy_no_record() {
     );
 
     // Figure 10 (text, short string vertex ids, group→split→distribute)
-    // still allocates per group, for the packed format's member vectors;
-    // blocks and bytes pinned at the measured slopes plus 2 %.
+    // still allocates per low-degree group, for the packed format's member
+    // vectors; blocks and bytes pinned at the measured slopes plus 2 %.
     let hybrid = slope(hybrid_small.run, hybrid_large.run, extra);
     let hybrid_bytes = byte_slope(hybrid_small.run, hybrid_large.run, extra);
     eprintln!("fig10 run: {hybrid:.3} blocks, {hybrid_bytes:.1} bytes per record");
