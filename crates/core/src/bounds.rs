@@ -441,11 +441,19 @@ fn key_width(job: &JobPlan, key_idx: usize) -> Option<u64> {
     Some(w)
 }
 
-/// Upper bound on one shuffle's `remote_bytes`: every pair pays the
-/// 8-byte routing header, a 1-byte entry tag and its key; flat entries
-/// add a record, packed entries add the group key, a count and the
-/// members. Compression (CSC) only shrinks, so it is ignored.
-fn shuffle_hi(job: &JobPlan, records: Interval, pairs: Interval, key_w: Option<u64>) -> u64 {
+/// Upper bound on one shuffle's `remote_bytes`: every pair pays a 1-byte
+/// entry tag and its key; flat entries add a record, packed entries add
+/// the group key, a count and the members. Each (sender, reducer) segment
+/// pays an 8-byte header once, so headers cost at most 8 B per pair and
+/// at most 8 B per each of the `segments` (nodes × reducers) segments.
+/// Compression (CSC) only shrinks, so it is ignored.
+fn shuffle_hi(
+    job: &JobPlan,
+    records: Interval,
+    pairs: Interval,
+    key_w: Option<u64>,
+    segments: u64,
+) -> u64 {
     let Some(kw) = key_w else { return UNBOUNDED };
     if records.hi == UNBOUNDED || pairs.hi == UNBOUNDED {
         return UNBOUNDED;
@@ -470,11 +478,17 @@ fn shuffle_hi(job: &JobPlan, records: Interval, pairs: Interval, key_w: Option<u
             }
         }
     }
-    let per_pair = 8 + 1 + kw + if any_packed { packed_key_w + 4 } else { 0 };
+    let per_pair = 1 + kw + if any_packed { packed_key_w + 4 } else { 0 };
     pairs
         .hi
         .saturating_mul(per_pair)
         .saturating_add(records.hi.saturating_mul(rec_w))
+        .saturating_add(pairs.hi.min(segments).saturating_mul(8))
+}
+
+/// The most (sender, reducer) segments one shuffle can carry.
+fn segments(opts: &BoundsOptions, reducers: usize) -> u64 {
+    (opts.num_nodes.max(1) as u64).saturating_mul(reducers as u64)
 }
 
 /// The effective reducer count of a job (mirrors the executor,
@@ -631,7 +645,7 @@ fn single_stage(
                 pairs: input.entries,
                 shuffle_bytes: Interval {
                     lo: 0,
-                    hi: shuffle_hi(job, n, input.entries, kw),
+                    hi: shuffle_hi(job, n, input.entries, kw, segments(opts, reducers)),
                 },
                 max_load: keyed_max_load(n, reducers),
                 outputs: vec![(
@@ -686,7 +700,7 @@ fn single_stage(
             policy,
             num_partitions,
             ..
-        } => distribute_stage(job, id, *policy, *num_partitions, &input, env),
+        } => distribute_stage(job, id, *policy, *num_partitions, &input, opts),
         JobKind::Custom { .. } => {
             // A custom operator owns its counters; nothing is provable.
             let _ = plan;
@@ -717,7 +731,7 @@ fn distribute_stage(
     policy: DistrPolicy,
     num_partitions: usize,
     input: &DatasetBounds,
-    _env: &BTreeMap<String, DatasetBounds>,
+    opts: &BoundsOptions,
 ) -> StageBounds {
     let m = num_partitions.max(1) as u64;
     let n = input.records;
@@ -772,8 +786,9 @@ fn distribute_stage(
         pairs: e,
         shuffle_bytes: Interval {
             lo: 0,
-            // The embedded-order key is always a tagged Long.
-            hi: shuffle_hi(job, n, e, Some(9)),
+            // The embedded-order key is always a tagged Long, and each of
+            // the m reducers gets at most one segment per node.
+            hi: shuffle_hi(job, n, e, Some(9), segments(opts, m as usize)),
         },
         max_load,
         outputs: vec![(
@@ -847,7 +862,13 @@ fn fused_sort_distribute_stage(
         pairs: input.entries,
         shuffle_bytes: Interval {
             lo: 0,
-            hi: shuffle_hi(sort, n, input.entries, key_width(sort, key_idx)),
+            hi: shuffle_hi(
+                sort,
+                n,
+                input.entries,
+                key_width(sort, key_idx),
+                segments(opts, reducers),
+            ),
         },
         max_load: keyed_max_load(n, reducers),
         outputs: vec![(
@@ -911,7 +932,13 @@ fn fused_group_split_stage(
         pairs: input.entries,
         shuffle_bytes: Interval {
             lo: 0,
-            hi: shuffle_hi(group, n, input.entries, key_width(group, key_idx)),
+            hi: shuffle_hi(
+                group,
+                n,
+                input.entries,
+                key_width(group, key_idx),
+                segments(opts, reducers),
+            ),
         },
         max_load: keyed_max_load(n, reducers),
         outputs,

@@ -1247,3 +1247,73 @@ fn reduce_crash_after_release_restores_live_fragments_only() {
         assert_eq!(restore_bytes(&[], threads), live + released);
     }
 }
+
+/// A shuffled pair is its tagged key, the entry tag and the record, with
+/// no per-pair header; each non-empty (sender, reducer) segment adds one
+/// 8-byte header. `remote_bytes` counts exactly that for what leaves a
+/// node, with one and with two reducers per node, at every thread count.
+#[test]
+fn remote_bytes_are_the_pairs_plus_one_header_per_segment() {
+    let nodes = 3;
+    let fragments: Vec<Dataset> = (0..nodes)
+        .map(|i| {
+            let records = (0..20 + 7 * i as i32)
+                .map(|k| rec![(k * 31 + i as i32 * 7) % 23, k])
+                .collect();
+            Dataset::new(pair_schema(), Batch::Flat(records))
+        })
+        .collect();
+    for reducers in [nodes, 2 * nodes] {
+        let mut pair_bytes = 0;
+        let mut segments = std::collections::BTreeSet::new();
+        for (from, frag) in fragments.iter().enumerate() {
+            for r in frag.batch.as_flat().unwrap() {
+                let key = r.value(0).unwrap();
+                let reducer = HashPartitioner.reducer_for(key, reducers).unwrap();
+                if reducer % nodes != from {
+                    let mut bytes = Vec::new();
+                    papar_record::wire::encode_value(key, &mut bytes);
+                    bytes.push(papar_record::view::ENTRY_REC);
+                    papar_record::wire::encode_record(r, &pair_schema(), &mut bytes).unwrap();
+                    pair_bytes += bytes.len() as u64;
+                    segments.insert((from, reducer));
+                }
+            }
+        }
+        let want = pair_bytes + 8 * segments.len() as u64;
+        for threads in [1, 4] {
+            let mut cluster = Cluster::new(nodes).with_threads(threads);
+            let shared = fragments.iter().cloned().map(Arc::new).collect();
+            cluster.place("in", shared).unwrap();
+            let mapper = key_by_first();
+            let reducer = strip_keys();
+            let job = MapReduceJob {
+                name: "segments".into(),
+                inputs: vec!["in".into()],
+                output: "out".into(),
+                num_reducers: reducers,
+                map_output_schema: pair_schema(),
+                output_schema: pair_schema(),
+                mapper: &mapper,
+                partitioner: &HashPartitioner,
+                reducer: &reducer,
+                sort_by_key: true,
+                descending: false,
+                compress_key: None,
+                release: &[],
+            };
+            let stats = cluster.run_job(&job).unwrap();
+            assert_eq!(
+                stats.exchange.remote_bytes, want,
+                "{reducers} reducers, {threads} thread(s)"
+            );
+            let messages = (0..nodes)
+                .flat_map(|from| (0..nodes).map(move |to| (from, to)))
+                .filter(|&(from, to)| {
+                    from != to && segments.iter().any(|&(f, r)| f == from && r % nodes == to)
+                })
+                .count();
+            assert_eq!(stats.exchange.remote_messages, messages as u64);
+        }
+    }
+}
