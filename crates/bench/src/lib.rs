@@ -14,16 +14,13 @@
 pub mod ablation;
 pub mod adaptive;
 pub mod chaos;
-pub mod checkpoint;
 pub mod datasets;
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fusion;
-pub mod parallel;
 pub mod report;
-pub mod serve;
 pub mod table2;
 pub mod workflows;
 

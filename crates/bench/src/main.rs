@@ -8,10 +8,7 @@
 
 use papar_bench::datasets::Scale;
 use papar_bench::report::Table;
-use papar_bench::{
-    ablation, adaptive, chaos, checkpoint, fig12, fig13, fig14, fig15, fusion, parallel, serve,
-    table2,
-};
+use papar_bench::{ablation, adaptive, chaos, fig12, fig13, fig14, fig15, fusion, table2};
 use std::io::Write;
 
 const EXPERIMENTS: &[&str] = &[
@@ -27,10 +24,7 @@ const EXPERIMENTS: &[&str] = &[
     "ablation-sort",
     "adaptive",
     "chaos",
-    "checkpoint",
     "fusion",
-    "parallel",
-    "serve",
 ];
 
 fn usage() -> ! {
@@ -56,10 +50,7 @@ fn run_experiment(name: &str, scale: &Scale) -> Table {
         "ablation-sort" => ablation::sort_comparison(scale),
         "adaptive" => adaptive::run(scale),
         "chaos" => chaos::run(scale),
-        "checkpoint" => checkpoint::run(scale),
         "fusion" => fusion::run(scale),
-        "parallel" => parallel::run(scale),
-        "serve" => serve::run(scale),
         other => {
             eprintln!("unknown experiment '{other}'");
             usage()

@@ -772,7 +772,7 @@ struct ReduceOutcome {
 /// caller that folds the results in index order (first error included)
 /// gets the same answer at every thread count; with one thread (or one
 /// item) the tasks run inline. A worker panic propagates to the caller
-/// like a sequential panic would.
+/// like a sequential panic would, once every worker has finished.
 pub fn run_slots<T, F>(n: usize, threads: usize, task: F) -> Vec<T>
 where
     T: Send,
@@ -784,19 +784,16 @@ where
     }
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(workers);
-    let scope_result = crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (ci, part) in slots.chunks_mut(chunk).enumerate() {
             let task = &task;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (off, slot) in part.iter_mut().enumerate() {
                     *slot = Some(task(ci * chunk + off));
                 }
             });
         }
     });
-    if let Err(payload) = scope_result {
-        std::panic::resume_unwind(payload);
-    }
     slots
         .into_iter()
         .map(|s| s.expect("a worker filled every slot"))
@@ -1771,6 +1768,24 @@ mod tests {
                 msg[at] ^= flip;
                 let _ = scan_message(&msg, pairs);
             }
+        }
+    }
+
+    /// A task that panics at one index makes the whole call panic, whether
+    /// the tasks run inline or on scoped workers.
+    #[test]
+    fn a_panicking_task_panics_the_call() {
+        for threads in [1, 4] {
+            assert_eq!(run_slots(8, threads, |i| i), (0..8).collect::<Vec<_>>());
+            let call = std::panic::catch_unwind(|| {
+                run_slots(8, threads, |i| {
+                    if i == 5 {
+                        std::panic::panic_any("task 5 failed");
+                    }
+                    i
+                })
+            });
+            assert!(call.is_err(), "threads={threads}");
         }
     }
 }

@@ -14,7 +14,8 @@
 //! base case it replaced. The low bits of every key are a unique scan
 //! index, so every correct sort yields the same permutation.
 
-use crate::parallel::PARALLEL_CUTOFF;
+/// Below this length sorting sequentially beats spawning threads.
+pub const PARALLEL_CUTOFF: usize = 4096;
 
 /// Sequential sort of packed keys.
 pub fn sort_packed(v: &mut [u128]) {
@@ -30,6 +31,8 @@ pub fn par_sort_packed(v: &mut Vec<u128>, threads: usize) {
         sort_packed(v);
         return;
     }
+    // Oversample: 32 candidates per bucket gives well-balanced buckets with
+    // high probability (the same regime the engine's reducer sampler uses).
     let buckets = threads;
     let oversample = 32;
     let step = (v.len() / (buckets * oversample)).max(1);
@@ -44,16 +47,17 @@ pub fn par_sort_packed(v: &mut Vec<u128>, threads: usize) {
         let b = splitters.partition_point(|&s| s < item);
         parts[b].push(item);
     }
-    // The caller sorts bucket 0 itself while helpers run (same CPU-time
-    // accounting rationale as `parallel::par_sort_unstable_by`).
+    // The calling thread sorts bucket 0 itself while the helpers run: no
+    // spawned thread sits idle waiting for it, and the caller's CPU time
+    // reflects its 1/threads share of the work (which is what the
+    // simulated cluster's per-task compute accounting samples).
     let (first, rest) = parts.split_at_mut(1);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for part in rest.iter_mut() {
-            s.spawn(move |_| sort_packed(part));
+            s.spawn(move || sort_packed(part));
         }
         sort_packed(&mut first[0]);
-    })
-    .expect("sort worker panicked");
+    });
     for part in parts {
         v.extend(part);
     }

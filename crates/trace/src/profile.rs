@@ -2,13 +2,11 @@
 //!
 //! [`render_profile`] prints the per-phase *virtual-time* breakdown the
 //! paper's Figure 13 stacked bars show — measured times, summing
-//! exactly to the reported makespan. [`summary_json`] is the compact
-//! machine-readable form the bench crate embeds in its `BENCH_*.json`
-//! reports.
+//! exactly to the reported makespan.
 
 use std::time::Duration;
 
-use crate::{JobTrace, PhaseKind, WorkflowTrace};
+use crate::{PhaseKind, WorkflowTrace};
 
 /// Render the per-phase virtual-time breakdown as a fixed-width table.
 /// Phase rows within a job sum to the job's makespan and the total row
@@ -262,88 +260,6 @@ pub fn render_prediction_check(trace: &WorkflowTrace, job: &str, p: &Prediction)
     out
 }
 
-/// Compact (single-line) machine-readable summary of a trace, suitable
-/// for embedding in a larger JSON report. Integer fields only; skew
-/// imbalance is reported in thousandths.
-pub fn summary_json(trace: &WorkflowTrace) -> String {
-    let mut s = String::from("{");
-    s.push_str(&format!(
-        "\"total_virt_ns\":{},\"total_det_ns\":{},\"jobs\":[",
-        trace.total_virt().as_nanos(),
-        trace.total_det_ns()
-    ));
-    for (i, job) in trace.jobs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_job(&mut s, job);
-    }
-    s.push_str("]}");
-    s
-}
-
-fn push_job(s: &mut String, job: &JobTrace) {
-    s.push_str(&format!(
-        "{{\"name\":\"{}\",\"virt_ns\":{},\"det_ns\":{}",
-        esc(&job.name),
-        job.virt().as_nanos(),
-        job.det_ns()
-    ));
-    if let Some(skew) = &job.skew {
-        s.push_str(&format!(
-            ",\"reducers\":{},\"skew_imbalance_milli\":{}",
-            skew.records.len(),
-            (skew.imbalance() * 1000.0).round() as u64
-        ));
-    }
-    if !job.covers.is_empty() {
-        s.push_str(",\"covers\":[");
-        for (i, name) in job.covers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\"", esc(name)));
-        }
-        s.push(']');
-    }
-    s.push_str(",\"phases\":[");
-    for (i, p) in job.phases.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let c = &p.counters;
-        s.push_str(&format!(
-            "{{\"kind\":\"{}\",\"virt_ns\":{},\"det_ns\":{},\"cpu_ns\":{},\"tasks\":{},\
-             \"records_in\":{},\"records_out\":{},\"pairs\":{},\"shuffle_bytes\":{},\
-             \"retries\":{},\"crashes\":{},\"restore_bytes\":{},\"retransmit_bytes\":{},\
-             \"replication_bytes\":{},\"checkpoint_bytes\":{},\"restored_bytes\":{},\
-             \"staged_bytes\":{},\"staged_allocs\":{},\"materialized_bytes\":{},\
-             \"tie_pairs\":{}}}",
-            p.kind.name(),
-            p.virt.as_nanos(),
-            p.det_ns,
-            p.cpu.as_nanos(),
-            p.tasks.len(),
-            c.records_in,
-            c.records_out,
-            c.pairs,
-            c.shuffle_bytes,
-            c.retries,
-            c.crashes,
-            c.restore_bytes,
-            c.retransmit_bytes,
-            c.replication_bytes,
-            c.checkpoint_bytes,
-            c.restored_bytes,
-            c.staged_bytes,
-            c.staged_allocs,
-            c.materialized_bytes,
-            c.tie_pairs,
-        ));
-    }
-    s.push_str("]}");
-}
-
 fn percent(part: Duration, total: Duration) -> f64 {
     if total.is_zero() {
         0.0
@@ -374,23 +290,10 @@ fn fmt_dur(d: Duration) -> String {
     }
 }
 
-fn esc(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for ch in raw.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Counters, PhaseTrace, SkewHistogram, TaskTrace};
+    use crate::{Counters, JobTrace, PhaseTrace, SkewHistogram, TaskTrace};
 
     fn trace() -> WorkflowTrace {
         WorkflowTrace {
@@ -504,17 +407,5 @@ mod tests {
         let rendered = render_profile(&WorkflowTrace::default());
         assert!(rendered.contains("total"));
         assert!(rendered.contains("0.0%"));
-    }
-
-    #[test]
-    fn summary_json_is_balanced_and_integer_only() {
-        let json = summary_json(&trace());
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"total_virt_ns\":10000000"));
-        assert!(json.contains("\"skew_imbalance_milli\":1200"));
-        assert!(json.contains("\"covers\":[\"sort\",\"distr\"]"));
-        assert!(json.contains("\"kind\":\"map\""));
-        assert!(json.contains("\"shuffle_bytes\":4096"));
-        assert!(!json.contains('\n'));
     }
 }

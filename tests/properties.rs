@@ -7,6 +7,7 @@ use papar::record::compress;
 use papar::record::packed::{pack, unpack};
 use papar::record::wire::{self, Reader};
 use papar::record::{rec, Record, Schema, Value};
+use papar::sort::packed::{par_sort_packed, PARALLEL_CUTOFF};
 use papar_config::input::FieldType;
 use papar_mr::sampler::{boundaries_from_samples, RangePartitioner};
 use papar_mr::Partitioner;
@@ -123,25 +124,23 @@ proptest! {
         prop_assert_eq!(got, packed);
     }
 
-    /// The ASPaS-style sorts agree with the standard library on arbitrary
-    /// inputs.
+    /// The engine's packed-key sort agrees with the standard library on
+    /// arbitrary keys, on both sides of the parallel cutoff and at any
+    /// thread count; a narrow key range makes duplicates common.
     #[test]
-    fn papar_sort_matches_std(mut v in prop::collection::vec(any::<u32>(), 0..2000)) {
-        let mut expect = v.clone();
-        expect.sort();
-        let mut stable = v.clone();
-        papar::sort::parallel::mergesort_by(&mut stable, |a, b| a.cmp(b));
-        prop_assert_eq!(&stable, &expect);
-        papar::sort::parallel::quicksort_by(&mut v, &|a, b| a < b);
-        prop_assert_eq!(&v, &expect);
-    }
-
-    /// Sorting networks sort every input up to the maximum size.
-    #[test]
-    fn sorting_networks_sort(mut v in prop::collection::vec(any::<i64>(), 0..32)) {
+    fn par_sort_packed_matches_std(
+        mut v in prop_oneof![
+            prop::collection::vec(
+                (any::<u64>(), any::<u64>()).prop_map(|(hi, lo)| (u128::from(hi) << 64) | u128::from(lo)),
+                0..3 * PARALLEL_CUTOFF,
+            ),
+            prop::collection::vec((0u64..8).prop_map(u128::from), 0..3 * PARALLEL_CUTOFF),
+        ],
+        threads in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
+    ) {
         let mut expect = v.clone();
         expect.sort_unstable();
-        papar::sort::network::sort_small(&mut v, |a, b| a < b);
+        par_sort_packed(&mut v, threads);
         prop_assert_eq!(v, expect);
     }
 

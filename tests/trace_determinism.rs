@@ -7,7 +7,7 @@
 //! report already states.
 
 use mublastp::dbgen::DbSpec;
-use papar::core::exec::{ExecOptions, WorkflowRunner};
+use papar::core::exec::{ExecOptions, WorkflowReport, WorkflowRunner};
 use papar::core::plan::Planner;
 use papar::mr::{Cluster, Fault, FaultPlan, RetryPolicy};
 use papar::record::batch::{Batch, Dataset};
@@ -81,7 +81,8 @@ fn chaos_plan() -> FaultPlan {
 
 /// Run the blast sort+distribute workflow with tracing on, returning the
 /// trace and the report's total simulated time.
-fn traced_run(threads: usize) -> (WorkflowTrace, std::time::Duration) {
+/// The sort+distribute workflow on 3 nodes under the chaos schedule.
+fn run(threads: usize, trace: bool) -> WorkflowReport {
     let planner = Planner::from_xml(SORT_WORKFLOW, &[BLAST_INPUT_CFG]).unwrap();
     let plan = planner
         .bind(&args(&[
@@ -93,7 +94,7 @@ fn traced_run(threads: usize) -> (WorkflowTrace, std::time::Duration) {
     let runner = WorkflowRunner::with_options(
         plan,
         ExecOptions {
-            trace: true,
+            trace,
             ..ExecOptions::default()
         },
     );
@@ -112,9 +113,18 @@ fn traced_run(threads: usize) -> (WorkflowTrace, std::time::Duration) {
             Dataset::new(schema, Batch::Flat(db.index_records())),
         )
         .unwrap();
-    let report = runner.run(&mut cluster).unwrap();
+    runner.run(&mut cluster).unwrap()
+}
+
+fn traced_run(threads: usize) -> (WorkflowTrace, std::time::Duration) {
+    let report = run(threads, true);
     let total = report.total_sim_time();
     (report.trace.expect("tracing was requested"), total)
+}
+
+#[test]
+fn an_untraced_run_carries_no_trace() {
+    assert!(run(2, false).trace.is_none(), "tracing was not requested");
 }
 
 #[test]
@@ -128,9 +138,9 @@ fn chrome_export_is_byte_identical_across_thread_counts() {
         j1, j4,
         "chrome trace bytes must not depend on the engine's thread count"
     );
-    // The machine-readable summary carries the *measured* virtual times
-    // (those legitimately vary run to run), but its deterministic side —
-    // modeled durations and every counter — must agree too.
+    // The *measured* virtual times legitimately vary run to run, but the
+    // deterministic side — modeled durations and every counter — must
+    // agree too.
     assert_eq!(t1.total_det_ns(), t4.total_det_ns());
     assert_eq!(t1.counters(), t4.counters());
 }
