@@ -65,6 +65,7 @@ impl FieldType {
     }
 
     /// Size of this field inside a fixed-width binary record, if it has one.
+    #[inline]
     pub fn binary_width(&self) -> Option<usize> {
         match self {
             FieldType::Integer => Some(4),

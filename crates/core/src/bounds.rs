@@ -430,31 +430,21 @@ fn indexed_partition_count(policy: DistrPolicy, e: u64, p: u64, m: u64) -> u64 {
     }
 }
 
-/// The max over input schemas of the tagged width of the shuffle key
-/// (`key_idx` into each input's member schema).
-fn key_width(job: &JobPlan, key_idx: usize) -> Option<u64> {
-    let mut w = 0u64;
-    for meta in &job.input_metas {
-        let f = meta.schema.fields().get(key_idx)?;
-        w = w.max(value_width(f.ty).1?);
-    }
-    Some(w)
-}
-
 /// Upper bound on one shuffle's `remote_bytes`: every pair pays a 1-byte
-/// entry tag and its key; flat entries add a record, packed entries add
-/// the group key, a count and the members. Each (sender, reducer) segment
-/// pays an 8-byte header once, so headers cost at most 8 B per pair and
-/// at most 8 B per each of the `segments` (nodes × reducers) segments.
-/// Compression (CSC) only shrinks, so it is ignored.
+/// entry tag and `wire_key_w` bytes of tagged key — none when the key is a
+/// field of the entry (sort and group), which the record already carries;
+/// flat entries add a record, packed entries add the group key, a count
+/// and the members. Each (sender, reducer) segment pays an 8-byte header
+/// once, so headers cost at most 8 B per pair and at most 8 B per each of
+/// the `segments` (nodes × reducers) segments. Compression (CSC) only
+/// shrinks, so it is ignored.
 fn shuffle_hi(
     job: &JobPlan,
     records: Interval,
     pairs: Interval,
-    key_w: Option<u64>,
+    wire_key_w: u64,
     segments: u64,
 ) -> u64 {
-    let Some(kw) = key_w else { return UNBOUNDED };
     if records.hi == UNBOUNDED || pairs.hi == UNBOUNDED {
         return UNBOUNDED;
     }
@@ -478,7 +468,7 @@ fn shuffle_hi(
             }
         }
     }
-    let per_pair = 1 + kw + if any_packed { packed_key_w + 4 } else { 0 };
+    let per_pair = 1 + wire_key_w + if any_packed { packed_key_w + 4 } else { 0 };
     pairs
         .hi
         .saturating_mul(per_pair)
@@ -630,13 +620,12 @@ fn single_stage(
     let input = sum_inputs(env, job);
     let n = input.records;
     match &job.kind {
-        JobKind::Sort { key_idx, .. } | JobKind::Group { key_idx, .. } => {
+        JobKind::Sort { .. } | JobKind::Group { .. } => {
             let reducers = reducers_for(job, opts);
             let meta = &job.outputs[0].1;
             let distinct = distinct_of(n, input.distinct);
             let entries = entries_of(meta, n, distinct);
             let bytes = bytes_of(meta, n, entries, reducers as u64);
-            let kw = key_width(job, *key_idx);
             StageBounds {
                 id,
                 reducers,
@@ -645,7 +634,7 @@ fn single_stage(
                 pairs: input.entries,
                 shuffle_bytes: Interval {
                     lo: 0,
-                    hi: shuffle_hi(job, n, input.entries, kw, segments(opts, reducers)),
+                    hi: shuffle_hi(job, n, input.entries, 0, segments(opts, reducers)),
                 },
                 max_load: keyed_max_load(n, reducers),
                 outputs: vec![(
@@ -788,7 +777,7 @@ fn distribute_stage(
             lo: 0,
             // The embedded-order key is always a tagged Long, and each of
             // the m reducers gets at most one segment per node.
-            hi: shuffle_hi(job, n, e, Some(9), segments(opts, m as usize)),
+            hi: shuffle_hi(job, n, e, 9, segments(opts, m as usize)),
         },
         max_load,
         outputs: vec![(
@@ -846,10 +835,6 @@ fn fused_sort_distribute_stage(
         None
     };
 
-    let key_idx = match &sort.kind {
-        JobKind::Sort { key_idx, .. } => *key_idx,
-        _ => unreachable!("fused stage pairs a sort with a distribute"),
-    };
     let meta = &dist.outputs[0].1;
     let distinct = distinct_of(n, input.distinct);
     let entries = entries_of(meta, n, distinct);
@@ -862,13 +847,7 @@ fn fused_sort_distribute_stage(
         pairs: input.entries,
         shuffle_bytes: Interval {
             lo: 0,
-            hi: shuffle_hi(
-                sort,
-                n,
-                input.entries,
-                key_width(sort, key_idx),
-                segments(opts, reducers),
-            ),
+            hi: shuffle_hi(sort, n, input.entries, 0, segments(opts, reducers)),
         },
         max_load: keyed_max_load(n, reducers),
         outputs: vec![(
@@ -900,10 +879,6 @@ fn fused_group_split_stage(
     let input = sum_inputs(env, group);
     let n = input.records;
     let reducers = reducers_for(group, opts);
-    let key_idx = match &group.kind {
-        JobKind::Group { key_idx, .. } => *key_idx,
-        _ => unreachable!("fused stage pairs a group with a split"),
-    };
     let distinct = distinct_of(n, input.distinct);
     let outputs = split
         .outputs
@@ -932,13 +907,7 @@ fn fused_group_split_stage(
         pairs: input.entries,
         shuffle_bytes: Interval {
             lo: 0,
-            hi: shuffle_hi(
-                group,
-                n,
-                input.entries,
-                key_width(group, key_idx),
-                segments(opts, reducers),
-            ),
+            hi: shuffle_hi(group, n, input.entries, 0, segments(opts, reducers)),
         },
         max_load: keyed_max_load(n, reducers),
         outputs,

@@ -3,12 +3,12 @@
 //! one following the order defined in the workflow configuration file").
 
 use papar_config::input::FieldDef;
-use papar_mr::engine::{FnMapper, FnReducer, HashPartitioner, MapInput, Reducer};
+use papar_mr::engine::{FnMapper, FnReducer, HashPartitioner, KeyedMapper, MapInput, Reducer};
 use papar_mr::fault::RecoveryAction;
 use papar_mr::sampler::{self, RangePartitioner};
 use papar_mr::stats::{job_trace_from_stats, JobStats, NetModel, RecoveryStats};
 use papar_mr::{CheckpointSession, Cluster, Entry, MapReduceJob, Partitioner, TaskPhase};
-use papar_mr::{Emit, EntryRef, Mapper, MrError, Pairs, TaskCtx};
+use papar_mr::{Emit, EntryRef, MrError, Pairs, TaskCtx};
 use papar_record::batch::{Batch, Dataset, Rows};
 use papar_record::packed::{pack_onto, PackedRecord};
 use papar_record::view::ENTRY_REC;
@@ -1090,7 +1090,7 @@ impl WorkflowRunner {
             descending,
             num_reducers,
         };
-        let mapper = KeyedMapper { key_idx };
+        let mapper = KeyedMapper { key_field: key_idx };
         let reducer = OrderedReducer::new(job, addons, key_idx, output_format);
         let mr_job = MapReduceJob {
             name: job_name.to_string(),
@@ -1120,7 +1120,7 @@ impl WorkflowRunner {
         release: &[String],
     ) -> Result<JobStats> {
         let num_reducers = self.reducers_for(job, cluster);
-        let mapper = KeyedMapper { key_idx };
+        let mapper = KeyedMapper { key_field: key_idx };
         let reducer = OrderedReducer::new(job, addons, key_idx, output_format);
         let mr_job = MapReduceJob {
             name: job.id.clone(),
@@ -1188,7 +1188,7 @@ impl WorkflowRunner {
                     for frag in frags {
                         records_in += frag.batch.record_count() as u64;
                         for entry in EntryRef::all(&frag.batch) {
-                            let key = entry_key(entry, key_idx)?;
+                            let key = entry.key(key_idx)?;
                             let dest = policy.route(&key).ok_or_else(|| {
                                 CoreError::exec(format!(
                                     "split key {key} matches no condition of job '{}'",
@@ -1359,7 +1359,7 @@ impl WorkflowRunner {
                                     EntryRef::Packed(p) => Cow::Borrowed(&p.key),
                                     // High-degree in-edges spread by source
                                     // vertex (field 0 of an edge record).
-                                    EntryRef::Rec(_) | EntryRef::Row(_) => entry_key(entry, 0)?,
+                                    EntryRef::Rec(_) | EntryRef::Row(_) => entry.key(0)?,
                                 };
                                 policy.partition_of_value(&routing, num_partitions)
                             }
@@ -1651,7 +1651,9 @@ impl WorkflowRunner {
         };
         let num_reducers = self.reducers_for(gjob, cluster);
         let group_key = *key_idx;
-        let mapper = KeyedMapper { key_idx: group_key };
+        let mapper = KeyedMapper {
+            key_field: group_key,
+        };
         let compress_key = self.compress_key(&gjob.input_meta);
         // When the split routes on a count add-on, a run's destination is
         // known from its length alone, and a flat destination can take
@@ -2028,7 +2030,7 @@ impl FusedGroupSplitReducer<'_> {
     /// Route one grouped entry exactly as the unfused split routes it,
     /// moving it into its destination batch.
     fn route(&self, entry: Entry, outs: &mut [Batch]) -> papar_mr::Result<()> {
-        let key = entry_key(entry.as_ref(), self.split_key_idx).map_err(MrError::from)?;
+        let key = entry.as_ref().key(self.split_key_idx)?;
         let dest = self.dest(&key)?;
         match (&mut outs[dest], entry) {
             (Batch::Flat(records), Entry::Rec(r)) => records.push(r),
@@ -2186,25 +2188,6 @@ fn sample_keys(batch: &Batch, key_idx: usize, stride: usize, out: &mut Vec<Value
     Ok(())
 }
 
-/// Map task of sort and group (the fused group→split stage included):
-/// every input entry, keyed by its `key_idx` field, both borrowed from the
-/// input fragment.
-struct KeyedMapper {
-    key_idx: usize,
-}
-
-impl Mapper for KeyedMapper {
-    fn map(&self, _: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> papar_mr::Result<()> {
-        for mi in inputs {
-            for entry in EntryRef::all(&mi.data.batch) {
-                let key = entry_key(entry, self.key_idx)?;
-                out.push(&key, entry)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Whether a sort/group's reduce output is packed: by its `pack` format
 /// operator, or because its declared output format is.
 fn packs_output(out_format: Format, format_op: FormatOp) -> bool {
@@ -2222,20 +2205,6 @@ fn batch_entries(batch: Batch) -> impl Iterator<Item = Entry> {
         .into_iter()
         .map(Entry::Rec)
         .chain(groups.into_iter().map(Entry::Packed))
-}
-
-/// The routing key of one entry (a packed group's: its first member's),
-/// borrowed from a record, read from a row.
-fn entry_key(entry: EntryRef<'_>, key_idx: usize) -> Result<Cow<'_, Value>> {
-    let rec = match entry {
-        EntryRef::Rec(r) => r,
-        EntryRef::Row(row) => return Ok(Cow::Owned(row.field(key_idx)?)),
-        EntryRef::Packed(p) => p
-            .records
-            .first()
-            .ok_or_else(|| CoreError::exec("packed group with no members"))?,
-    };
-    Ok(Cow::Borrowed(rec.require(key_idx)?))
 }
 
 /// The schema of a job's output when it is its inputs' rows unchanged:

@@ -44,19 +44,19 @@ use papar_record::batch::{Batch, Dataset, RowRef};
 use papar_record::packed::PackedRecord;
 use papar_record::prefix;
 use papar_record::value::INLINE_STR_CAP;
-use papar_record::view::{EntryView, ENTRY_PACKED, ENTRY_PACKED_CSC, ENTRY_REC};
+use papar_record::view::{KeyField, ENTRY_PACKED, ENTRY_PACKED_CSC, ENTRY_REC};
 use papar_record::wire::{self, Reader};
 use papar_record::{Record, Schema, Value};
 use papar_trace::{
     duration_ns, CostModel, Counters, JobTrace, PhaseKind, PhaseTrace, SkewHistogram, TaskTrace,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
-
 use std::time::Duration;
 
 use crate::cluster::Cluster;
 use crate::fault::{Fault, RecoveryAction, RetryPolicy};
-use crate::pairs::{PairLoc, Pairs, IDX_BITS, IDX_MASK};
+use crate::pairs::{Layout, PairLoc, Pairs, IDX_BITS, IDX_MASK};
 use crate::stats::{HotPathStats, JobStats, NetModel, RecoveryStats};
 use crate::timer::TaskTimer;
 use crate::{MrError, Result, TaskPhase};
@@ -128,6 +128,20 @@ impl<'a> EntryRef<'a> {
         }
     }
 
+    /// The entry's key field `field`: the record's, or a packed group's
+    /// first member's. Borrowed from a record, read from a row.
+    pub fn key(self, field: usize) -> Result<Cow<'a, Value>> {
+        let rec = match self {
+            EntryRef::Rec(r) => r,
+            EntryRef::Row(row) => return Ok(Cow::Owned(row.field(field)?)),
+            EntryRef::Packed(p) => p
+                .records
+                .first()
+                .ok_or_else(|| MrError::msg("packed group with no members"))?,
+        };
+        Ok(Cow::Borrowed(rec.require(field)?))
+    }
+
     /// An owned copy of the entry; a row decodes.
     pub fn to_entry(self) -> Entry {
         match self {
@@ -175,6 +189,15 @@ pub trait Mapper: Sync {
     /// fragments in (dataset, ordinal) order; nodes without local
     /// fragments get an empty slice.
     fn map(&self, ctx: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> Result<()>;
+
+    /// The field of every entry that is its key, when there is one: the
+    /// mapper pushes each entry alone ([`Emit::push_entry`]), a pair is
+    /// its entry, and the reducers read the key from it. `None` (the
+    /// default): each entry is pushed with a key of its own
+    /// ([`Emit::push`]), which travels before it.
+    fn key_field(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// A map task's sink: each pushed pair is routed by the job's partitioner
@@ -196,13 +219,41 @@ pub struct Emit<'a> {
     /// The last row schema found equal to `schema`: rows of it encode as
     /// their bytes after one pointer comparison.
     row_schema: Option<Arc<Schema>>,
+    /// The mapper's [`Mapper::key_field`].
+    key_field: Option<usize>,
 }
 
 impl Emit<'_> {
     /// Route `(key, entry)` to its reducer and encode it into that
-    /// reducer's segment: the key, then the entry. The pair carries no
-    /// header; its segment names the reducer once.
+    /// reducer's segment: the tagged key, then the entry. The pair carries
+    /// no header; its segment names the reducer once. A mapper that
+    /// declares a key field pushes with [`Emit::push_entry`] instead.
     pub fn push(&mut self, key: &Value, entry: EntryRef<'_>) -> Result<()> {
+        if let Some(field) = self.key_field {
+            return Err(MrError::msg(format!(
+                "the mapper keys every entry by its field {field}: push the entry alone"
+            )));
+        }
+        self.route(key, entry)
+    }
+
+    /// Route an entry by its key field ([`Mapper::key_field`]) — the
+    /// record's, or a packed group's first member's — and encode only the
+    /// entry into its reducer's segment: the reducer reads the key from
+    /// it, so no pushed key can disagree with its entry.
+    pub fn push_entry(&mut self, entry: EntryRef<'_>) -> Result<()> {
+        let Some(field) = self.key_field else {
+            return Err(MrError::msg(
+                "the mapper declares no key field: push each entry with its key",
+            ));
+        };
+        let key = entry.key(field)?;
+        self.route(&key, entry)
+    }
+
+    /// Route `entry` by `key` and encode the pair; the key goes on the
+    /// wire only when it is no field of the entry.
+    fn route(&mut self, key: &Value, entry: EntryRef<'_>) -> Result<()> {
         let reducer = self.partitioner.reducer_for(key, self.num_reducers)?;
         if reducer >= self.num_reducers {
             // Defensive re-check for third-party partitioners that
@@ -220,7 +271,9 @@ impl Emit<'_> {
             buf.extend_from_slice(&[0; SEGMENT_HEADER]);
         }
         let len_before = buf.len();
-        wire::encode_value(key, buf);
+        if self.key_field.is_none() {
+            wire::encode_value(key, buf);
+        }
         match entry {
             EntryRef::Row(row) if row_follows(&mut self.row_schema, row, self.schema) => {
                 buf.push(ENTRY_REC);
@@ -268,6 +321,29 @@ where
 {
     fn map(&self, ctx: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> Result<()> {
         (self.0)(ctx, inputs, out)
+    }
+}
+
+/// The map task of a job keyed by a field of its entries (sort, group):
+/// every input entry, borrowed from its fragment, pushed alone
+/// ([`Emit::push_entry`]); both sides read the key from the entry.
+pub struct KeyedMapper {
+    /// The key field of every entry (a packed group's: of its first member).
+    pub key_field: usize,
+}
+
+impl Mapper for KeyedMapper {
+    fn map(&self, _: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> Result<()> {
+        for mi in inputs {
+            for entry in EntryRef::all(&mi.data.batch) {
+                out.push_entry(entry)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn key_field(&self) -> Option<usize> {
+        Some(self.key_field)
     }
 }
 
@@ -350,6 +426,23 @@ pub struct MapReduceJob<'a> {
     /// the shuffle. A reduce-phase crash therefore no longer restores
     /// (or charges) them — nothing reads them again.
     pub release: &'a [String],
+}
+
+impl MapReduceJob<'_> {
+    /// How this job's pairs lie in the inboxes. A key field past the
+    /// entries' fields is an error.
+    fn layout(&self) -> Result<Layout<'_>> {
+        let schema = &self.map_output_schema;
+        let key_field = match self.mapper.key_field() {
+            Some(field) => Some(KeyField::new(schema, field)?),
+            None => None,
+        };
+        Ok(Layout {
+            schema,
+            compress_key: self.compress_key,
+            key_field,
+        })
+    }
 }
 
 /// Whether `row` is laid out by `schema`. A match is remembered in `seen`,
@@ -466,7 +559,9 @@ fn seal_segments(segs: &mut [Vec<u8>], n: usize) -> Result<Vec<Vec<u8>>> {
 //
 // On the wire a node's message is one segment per reducer it owns, in
 // reducer order: `[reducer u32][byte length u32]` and then that sender's
-// pairs for that reducer, each a tagged key and an entry, nothing else.
+// pairs for that reducer, nothing else. A pair is its entry when the key is
+// a field of it (`Mapper::key_field`: sort and group jobs), and otherwise
+// a tagged key and then the entry.
 // The reduce task scans each message once, reads a segment header
 // whenever the previous segment has ended, records a 16-byte [`PairLoc`]
 // locating each pair's bytes, and packs the sort order into a single
@@ -518,6 +613,7 @@ fn value_allocs(v: &Value) -> u64 {
 /// When it did not, every run is all-exact, so the runs are only counted
 /// into `tie_pairs` and no member's key is parsed again.
 fn fixup_prefix_ties(
+    layout: Layout<'_>,
     descending: bool,
     any_inexact: bool,
     inbox: &[(usize, Vec<u8>)],
@@ -525,10 +621,7 @@ fn fixup_prefix_ties(
     packed: &mut [u128],
     hot: &mut HotPathStats,
 ) -> Result<()> {
-    let key_bytes = |p: u128| {
-        let loc = &locs[(p & IDX_MASK) as usize];
-        &loc.tail(inbox)[..loc.key_len as usize]
-    };
+    let loc = |p: u128| &locs[(p & IDX_MASK) as usize];
     let mut i = 0;
     while i < packed.len() {
         let run_key = packed[i] >> IDX_BITS;
@@ -540,18 +633,22 @@ fn fixup_prefix_ties(
             hot.tie_pairs += (j - i) as u64;
             let all_exact = !any_inexact
                 || packed[i..j].iter().try_fold(true, |acc, &p| {
-                    let kp = prefix::from_wire(&mut Reader::new(key_bytes(p)))?;
+                    let kp = layout.key(inbox, loc(p), prefix::from_field)?;
                     Ok::<_, MrError>(acc && kp.exact)
                 })?;
             if !all_exact {
                 let mut keyed: Vec<(Value, u128)> = Vec::with_capacity(j - i);
                 for &p in &packed[i..j] {
-                    let bytes = key_bytes(p);
-                    let key = wire::decode_value(&mut Reader::new(bytes))?;
+                    let (value, len) = layout.key(inbox, loc(p), |r, ty| {
+                        let start = r.position();
+                        let value = wire::decode_field(r, ty)?;
+                        Ok((value, r.position() - start))
+                    })?;
+                    // The key's tagged width, whichever way it travelled.
                     hot.staged_bytes +=
-                        bytes.len() as u64 + std::mem::size_of::<(Value, u128)>() as u64;
-                    hot.staged_allocs += value_allocs(&key);
-                    keyed.push((key, p));
+                        1 + len as u64 + std::mem::size_of::<(Value, u128)>() as u64;
+                    hot.staged_allocs += value_allocs(&value);
+                    keyed.push((value, p));
                 }
                 // Stable sort: members arrive in ascending scan order, so
                 // truly-equal keys keep that order after the re-sort.
@@ -601,7 +698,7 @@ fn scan_inbox(
     locs: &mut Vec<PairLoc>,
     packed: &mut Vec<u128>,
 ) -> Result<Scan> {
-    let schema: &Schema = &job.map_output_schema;
+    let layout = job.layout()?;
     locs.clear();
     packed.clear();
     let mut scan = Scan {
@@ -641,9 +738,18 @@ fn scan_inbox(
             let mut r = Reader::new(&buf[..start + len]);
             r.read_bytes(start).map_err(MrError::from)?;
             while r.remaining() > 0 {
-                let key_off = r.position();
+                let off = r.position();
+                // `Layout::pair`, with the key read as its prefix, written
+                // out: this loop visits every pair.
+                let (kp, entry) = match layout.key_field {
+                    None => (prefix::from_wire(&mut r)?, layout.entry(&mut r)?),
+                    Some(field) => {
+                        let entry = layout.entry(&mut r)?;
+                        let (ty, bytes) = entry.key(field)?;
+                        (prefix::from_field(&mut Reader::new(bytes), ty)?, entry)
+                    }
+                };
                 let key66 = if job.sort_by_key {
-                    let kp = prefix::from_wire(&mut r)?;
                     scan.any_inexact |= !kp.exact;
                     if job.descending {
                         // Inverting the 66-bit field reverses strict prefix
@@ -654,14 +760,13 @@ fn scan_inbox(
                         kp.packed66()
                     }
                 } else {
-                    wire::skip_value(&mut r)?;
                     0
                 };
-                let key_len = wire_u32("key length", r.position() - key_off)?;
-                let entry = EntryView::parse(&mut r, schema, job.compress_key)?;
+                let pair_len = r.position() - off;
+                let key_len = wire_u32("key length", pair_len - entry.encoded_len())?;
                 scan.records_by_slot[reducer as usize / n] += entry.record_count();
                 scan.all_records &= entry.tag() == ENTRY_REC;
-                scan.materialized_bytes += (r.position() - key_off) as u64;
+                scan.materialized_bytes += pair_len as u64;
                 let idx = locs.len();
                 if idx > IDX_MASK as usize {
                     return Err(MrError::WireOverflow {
@@ -673,7 +778,7 @@ fn scan_inbox(
                 locs.push(PairLoc {
                     buf: bi as u32,
                     key_len,
-                    key_off: key_off as u64,
+                    off: off as u64,
                 });
                 packed.push(pack_pair(reducer, key66, idx));
             }
@@ -856,6 +961,7 @@ impl Cluster {
                 job.name
             )));
         }
+        job.layout()?;
         if job.num_reducers >= 1 << REDUCER_BITS {
             return Err(MrError::WireOverflow {
                 field: "reducer",
@@ -1116,6 +1222,7 @@ impl Cluster {
                 skew: skew.as_mut(),
                 pairs: 0,
                 row_schema: None,
+                key_field: job.mapper.key_field(),
             };
             job.mapper.map(&ctx, &inputs, &mut emit)?;
             let pair_count = emit.pairs as u64;
@@ -1359,7 +1466,7 @@ impl Cluster {
     ) -> Result<ReduceAttempt> {
         let job = pc.job;
         let n = pc.n;
-        let schema: &Schema = &job.map_output_schema;
+        let layout = job.layout()?;
         let Scan {
             records_by_slot,
             any_inexact,
@@ -1377,7 +1484,15 @@ impl Cluster {
         // sort — the node's core budget, like papar-sort's contract wants.
         papar_sort::packed::par_sort_packed(packed, (pc.threads / n).max(1));
         if job.sort_by_key {
-            fixup_prefix_ties(job.descending, any_inexact, inbox, locs, packed, &mut hot)?;
+            fixup_prefix_ties(
+                layout,
+                job.descending,
+                any_inexact,
+                inbox,
+                locs,
+                packed,
+                &mut hot,
+            )?;
         }
         // Hand every owned reducer its span of the sorted order. With
         // sorted keys, no inexact prefix and one record per pair, the
@@ -1407,8 +1522,7 @@ impl Cluster {
                 inbox,
                 locs,
                 &packed[i..j],
-                schema,
-                job.compress_key,
+                layout,
                 records_by_slot[rid / n],
                 runs_from_keys,
             );
@@ -1422,7 +1536,7 @@ impl Cluster {
         // fragment, so a distribute job always materializes every partition.
         for rid in (node..job.num_reducers).step_by(n) {
             if !handled[rid] {
-                let pairs = Pairs::empty(schema, job.compress_key);
+                let pairs = Pairs::empty(layout);
                 outputs.push((rid as u32, reduce(rid, pairs)?));
             }
         }
@@ -1561,14 +1675,15 @@ mod tests {
     use papar_record::batch::Rows;
     use proptest::prelude::*;
 
-    /// The outbox row a map task on a 3-node cluster leaves after pushing
-    /// `(key, entry)` pairs in order into `reducers` segments, and the
-    /// pairs it counted per node.
-    fn emit_all<'e>(
+    /// The outbox row a map task on a 3-node cluster leaves after `push`
+    /// pushed its pairs into `reducers` segments, and the pairs it counted
+    /// per node.
+    fn emit_all(
         partitioner: &dyn Partitioner,
         reducers: usize,
         schema: &Schema,
-        pairs: impl Iterator<Item = (Value, EntryRef<'e>)>,
+        key_field: Option<usize>,
+        push: impl FnOnce(&mut Emit<'_>) -> Result<()>,
     ) -> Result<(Vec<Vec<u8>>, Vec<usize>)> {
         let mut segs = vec![Vec::new(); reducers];
         let mut sent = vec![0; 3];
@@ -1582,11 +1697,17 @@ mod tests {
             skew: None,
             pairs: 0,
             row_schema: None,
+            key_field,
         };
-        for (key, entry) in pairs {
-            emit.push(&key, entry)?;
-        }
+        push(&mut emit)?;
         Ok((seal_segments(&mut segs, 3)?, sent))
+    }
+
+    /// Push every `(key, entry)` pair with its key.
+    fn push_keyed<'e>(
+        mut pairs: impl Iterator<Item = (Value, EntryRef<'e>)>,
+    ) -> impl FnOnce(&mut Emit<'_>) -> Result<()> {
+        move |emit| pairs.try_for_each(|(key, entry)| emit.push(&key, entry))
     }
 
     /// The outbox row after hashing `entries` over 5 reducers: two of the
@@ -1596,7 +1717,7 @@ mod tests {
         entries: impl Iterator<Item = EntryRef<'e>>,
     ) -> std::result::Result<Vec<Vec<u8>>, TestCaseError> {
         let keyed = (0..).map(|i: i64| Value::Long(i * 7919)).zip(entries);
-        emit_all(&HashPartitioner, 5, schema, keyed)
+        emit_all(&HashPartitioner, 5, schema, None, push_keyed(keyed))
             .map(|e| e.0)
             .map_err(|e| TestCaseError::fail(e.to_string()))
     }
@@ -1653,10 +1774,8 @@ mod tests {
     }
 
     /// Scan `msg` as node 0's whole inbox, sent by node 1, on a 3-node
-    /// cluster running a 5-reducer job over one-`Int` records.
-    fn scan_message(msg: &[u8], pairs: usize) -> Result<Scan> {
-        let schema = Arc::new(Schema::new(vec![("k", FieldType::Integer)]));
-        let mapper = FnMapper(|_: &TaskCtx, _: &[MapInput], _: &mut Emit<'_>| Ok(()));
+    /// cluster running `mapper`'s 5-reducer job over entries of `schema`.
+    fn scan_as(mapper: &dyn Mapper, schema: Arc<Schema>, msg: &[u8], pairs: usize) -> Result<Scan> {
         let reducer = FnReducer(|_: &TaskCtx, _: Pairs<'_>| Ok(Vec::new()));
         let job = MapReduceJob {
             name: "scan".into(),
@@ -1665,7 +1784,7 @@ mod tests {
             num_reducers: 5,
             map_output_schema: schema.clone(),
             output_schema: schema,
-            mapper: &mapper,
+            mapper,
             partitioner: &IdentityPartitioner,
             reducer: &reducer,
             sort_by_key: true,
@@ -1677,6 +1796,14 @@ mod tests {
         scan_inbox(&job, 0, 3, &inbox, pairs, &mut Vec::new(), &mut Vec::new())
     }
 
+    /// Scan `msg` as the inbox of a job over one-`Int` records whose pairs
+    /// carry tagged keys.
+    fn scan_message(msg: &[u8], pairs: usize) -> Result<Scan> {
+        let mapper = FnMapper(|_: &TaskCtx, _: &[MapInput], _: &mut Emit<'_>| Ok(()));
+        let schema = Arc::new(Schema::new(vec![("k", FieldType::Integer)]));
+        scan_as(&mapper, schema, msg, pairs)
+    }
+
     /// Node 0's message from a mapper that sends three pairs to each of
     /// the 5 reducers (node 0 owns reducers 0 and 3), and its pair count.
     fn node0_message() -> Result<(Vec<u8>, usize)> {
@@ -1684,9 +1811,52 @@ mod tests {
         let records: Vec<Record> = (0..15).map(|i| Record::new(vec![Value::Int(i)])).collect();
         let keys = (0..).map(|i: i64| Value::Long(i % 5));
         let keyed = keys.zip(records.iter().map(EntryRef::Rec));
-        let (mut row, sent) = emit_all(&IdentityPartitioner, 5, &schema, keyed)?;
+        let (mut row, sent) = emit_all(&IdentityPartitioner, 5, &schema, None, push_keyed(keyed))?;
         Ok((row.swap_remove(0), sent[0]))
     }
+
+    /// Records of an `Int` and a 6-byte `Str` key, keyed by the string.
+    fn str_keyed_schema() -> Arc<Schema> {
+        Arc::new(Schema::new(vec![
+            ("n", FieldType::Integer),
+            ("k", FieldType::Str),
+        ]))
+    }
+
+    /// Scan `msg` as the inbox of a job keyed by the `Str` field of
+    /// [`str_keyed_schema`]: its pairs are their entries.
+    fn scan_str_keyed(msg: &[u8], pairs: usize) -> Result<Scan> {
+        scan_as(
+            &KeyedMapper { key_field: 1 },
+            str_keyed_schema(),
+            msg,
+            pairs,
+        )
+    }
+
+    /// Node 0's message from a mapper that keys 15 records by their `Str`
+    /// field and hashes them over the 5 reducers, and its pair count.
+    fn str_keyed_message() -> Result<(Vec<u8>, usize)> {
+        let schema = str_keyed_schema();
+        let records: Vec<Record> = (0..15)
+            .map(|i| Record::new(vec![Value::Int(i), Value::from(format!("key-{i:02}"))]))
+            .collect();
+        let (mut row, sent) = emit_all(&HashPartitioner, 5, &schema, Some(1), |emit| {
+            records
+                .iter()
+                .try_for_each(|r| emit.push_entry(EntryRef::Rec(r)))
+        })?;
+        Ok((row.swap_remove(0), sent[0]))
+    }
+
+    /// Scans a message as one job's inbox.
+    type ScanFn = fn(&[u8], usize) -> Result<Scan>;
+    /// Builds a valid message for a [`ScanFn`], and its pair count.
+    type MessageFn = fn() -> Result<(Vec<u8>, usize)>;
+
+    /// A `Str`-keyed pair: the entry tag, the `Int` and the 6-byte string
+    /// with its length.
+    const STR_KEYED_PAIR: usize = 1 + 4 + 4 + 6;
 
     /// The byte length in the header of the segment starting at `at`.
     fn segment_len(msg: &[u8], at: usize) -> usize {
@@ -1710,6 +1880,41 @@ mod tests {
             scan.materialized_bytes as usize,
             msg.len() - 2 * SEGMENT_HEADER
         );
+        Ok(())
+    }
+
+    #[test]
+    fn a_field_keyed_pair_is_its_entry() -> Result<()> {
+        let (msg, pairs) = str_keyed_message()?;
+        assert!(pairs > 0, "node 0 owns some of the hashed keys");
+        let mut segments = 0;
+        let mut at = 0;
+        while at < msg.len() {
+            let len = segment_len(&msg, at);
+            assert_eq!(len % STR_KEYED_PAIR, 0, "whole entries, no keys");
+            segments += 1;
+            at += SEGMENT_HEADER + len;
+        }
+        assert_eq!(
+            msg.len(),
+            segments * SEGMENT_HEADER + pairs * STR_KEYED_PAIR
+        );
+        let scan = scan_str_keyed(&msg, pairs)?;
+        assert_eq!(scan.records_by_slot.iter().sum::<usize>(), pairs);
+        assert_eq!(scan.materialized_bytes as usize, pairs * STR_KEYED_PAIR);
+        // A field-keyed job refuses a pushed key, and a keyed one a bare
+        // entry: no key can disagree with its entry.
+        let record = Record::new(vec![Value::Int(0), Value::from("key-00")]);
+        let entry = EntryRef::Rec(&record);
+        let schema = str_keyed_schema();
+        let wrong = |field| {
+            emit_all(&HashPartitioner, 5, &schema, field, |emit| match field {
+                Some(_) => emit.push(&Value::from("key-00"), entry),
+                None => emit.push_entry(entry),
+            })
+        };
+        assert!(matches!(wrong(Some(1)), Err(MrError::Msg(_))));
+        assert!(matches!(wrong(None), Err(MrError::Msg(_))));
         Ok(())
     }
 
@@ -1747,12 +1952,28 @@ mod tests {
         for cut in 0..msg.len() {
             assert!(scan_message(&msg[..cut], pairs).is_err(), "cut at {cut}");
         }
+
+        // A field-keyed job: its first segment ends inside the length of
+        // its last pair's `Str` key, or anywhere else short of its end.
+        let (msg, pairs) = str_keyed_message()?;
+        let first = segment_len(&msg, 0);
+        let mut cut_key = msg.clone();
+        let mid_length = first - (6 + 2);
+        cut_key[4..8].copy_from_slice(&(mid_length as u32).to_le_bytes());
+        assert!(matches!(
+            scan_str_keyed(&cut_key, pairs),
+            Err(MrError::Codec(_))
+        ));
+        for cut in 0..msg.len() {
+            assert!(scan_str_keyed(&msg[..cut], pairs).is_err(), "cut at {cut}");
+        }
         Ok(())
     }
 
     proptest! {
         /// Arbitrary bytes, and a valid message with one byte flipped,
-        /// scan to a result, never a panic.
+        /// scan to a result, never a panic: with tagged keys and with a
+        /// `Str` key field read from the entry.
         #[test]
         fn arbitrary_inbox_bytes_never_panic(
             bytes in prop::collection::vec(any::<u8>(), 0..64),
@@ -1760,13 +1981,17 @@ mod tests {
             at in any::<usize>(),
             flip in 1u8..255,
         ) {
-            let _ = scan_message(&bytes, pairs);
-            let message = node0_message();
-            prop_assert!(message.is_ok());
-            if let Ok((mut msg, pairs)) = message {
-                let at = at % msg.len();
-                msg[at] ^= flip;
-                let _ = scan_message(&msg, pairs);
+            let jobs: [(ScanFn, MessageFn); 2] =
+                [(scan_message, node0_message), (scan_str_keyed, str_keyed_message)];
+            for (scan, message) in jobs {
+                let _ = scan(&bytes, pairs);
+                let message = message();
+                prop_assert!(message.is_ok());
+                if let Ok((mut msg, pairs)) = message {
+                    let at = at % msg.len();
+                    msg[at] ^= flip;
+                    let _ = scan(&msg, pairs);
+                }
             }
         }
     }

@@ -11,8 +11,9 @@
 //! MR-MPI's reduce callback, which receives each key and its multivalue
 //! as pointers into the collated page.
 
-use papar_record::prefix;
-use papar_record::view::{EntryView, ValueView, ENTRY_PACKED, ENTRY_REC};
+use papar_config::input::FieldType;
+use papar_record::prefix::{self, KeyPrefix};
+use papar_record::view::{EntryView, KeyField, ValueView, ENTRY_PACKED, ENTRY_REC};
 use papar_record::wire::{self, Reader};
 use papar_record::{Record, Schema, Value};
 
@@ -31,18 +32,87 @@ pub(crate) const IDX_MASK: u128 = (1 << IDX_BITS) - 1;
 pub(crate) struct PairLoc {
     /// Index into the inbox slice (senders ascending).
     pub(crate) buf: u32,
-    /// Length of the tagged key; the entry (tag byte) follows it.
+    /// Length of the tagged key before the entry (tag byte); 0 when the
+    /// key is a field of the entry.
     pub(crate) key_len: u32,
-    /// Offset of the tagged key.
-    pub(crate) key_off: u64,
+    /// Offset of the pair.
+    pub(crate) off: u64,
 }
 
 const _: () = assert!(std::mem::size_of::<PairLoc>() == 16);
 
 impl PairLoc {
-    /// The pair's bytes from its key to the end of its buffer.
+    /// The pair's bytes from its start to the end of its buffer.
     pub(crate) fn tail<'a>(&self, inbox: &'a [(usize, Vec<u8>)]) -> &'a [u8] {
-        &inbox[self.buf as usize].1[self.key_off as usize..]
+        &inbox[self.buf as usize].1[self.off as usize..]
+    }
+
+    /// The pair's entry, from its tag byte to the end of its buffer.
+    fn entry<'a>(&self, inbox: &'a [(usize, Vec<u8>)]) -> &'a [u8] {
+        &self.tail(inbox)[self.key_len as usize..]
+    }
+}
+
+/// How a job's pairs are laid out: the entries' schema and CSC key column,
+/// and where each pair's key is.
+#[derive(Clone, Copy)]
+pub(crate) struct Layout<'a> {
+    pub(crate) schema: &'a Schema,
+    pub(crate) compress_key: Option<usize>,
+    /// The entry field that is the key (the mapper's
+    /// [`crate::Mapper::key_field`]): a pair is its entry. `None`: a
+    /// tagged key precedes every entry.
+    pub(crate) key_field: Option<KeyField>,
+}
+
+impl<'a> Layout<'a> {
+    /// Parse the entry at the cursor.
+    pub(crate) fn entry(&self, r: &mut Reader<'a>) -> Result<EntryView<'a>> {
+        Ok(EntryView::parse(r, self.schema, self.compress_key)?)
+    }
+
+    /// Parse the pair at the cursor into its key and its entry; the cursor
+    /// ends past the entry. `read` reads the key, untagged, of the type it
+    /// is given, and must stop just past it (`prefix::from_field`,
+    /// `ValueView::parse_field`, `wire::decode_field`). A key field is
+    /// found in the entry ([`EntryView::key`]); a tagged key is read in
+    /// place.
+    #[inline]
+    pub(crate) fn pair<T>(
+        &self,
+        r: &mut Reader<'a>,
+        read: impl FnOnce(&mut Reader<'a>, FieldType) -> papar_record::Result<T>,
+    ) -> Result<(T, EntryView<'a>)> {
+        match self.key_field {
+            None => {
+                let ty = wire::tag_type(r.read_u8()?)?;
+                let key = read(r, ty)?;
+                Ok((key, self.entry(r)?))
+            }
+            Some(field) => {
+                let entry = self.entry(r)?;
+                let (ty, bytes) = entry.key(field)?;
+                Ok((read(&mut Reader::new(bytes), ty)?, entry))
+            }
+        }
+    }
+
+    /// The key of the pair at `loc`, as `read` reads it (see
+    /// [`Layout::pair`]). A tagged key is read without parsing its entry.
+    pub(crate) fn key<T>(
+        &self,
+        inbox: &'a [(usize, Vec<u8>)],
+        loc: &PairLoc,
+        read: impl FnOnce(&mut Reader<'a>, FieldType) -> papar_record::Result<T>,
+    ) -> Result<T> {
+        let mut r = Reader::new(loc.tail(inbox));
+        match self.key_field {
+            None => {
+                let ty = wire::tag_type(r.read_u8()?)?;
+                Ok(read(&mut r, ty)?)
+            }
+            Some(_) => Ok(self.pair(&mut r, read)?.0),
+        }
     }
 }
 
@@ -56,8 +126,7 @@ pub struct Pairs<'a> {
     locs: &'a [PairLoc],
     /// This span of the sorted packed keys; each names its [`PairLoc`].
     order: &'a [u128],
-    schema: &'a Schema,
-    compress_key: Option<usize>,
+    layout: Layout<'a>,
     /// Flat records across the span's entries.
     records: usize,
     /// Whether the packed keys alone cut the runs: keys were sorted, no
@@ -71,8 +140,7 @@ impl<'a> Pairs<'a> {
         inbox: &'a [(usize, Vec<u8>)],
         locs: &'a [PairLoc],
         order: &'a [u128],
-        schema: &'a Schema,
-        compress_key: Option<usize>,
+        layout: Layout<'a>,
         records: usize,
         runs_from_keys: bool,
     ) -> Self {
@@ -80,21 +148,20 @@ impl<'a> Pairs<'a> {
             inbox,
             locs,
             order,
-            schema,
-            compress_key,
+            layout,
             records,
             runs_from_keys,
         }
     }
 
     /// No pairs: what a reducer that received nothing is handed.
-    pub(crate) fn empty(schema: &'a Schema, compress_key: Option<usize>) -> Self {
-        Pairs::new(&[], &[], &[], schema, compress_key, 0, false)
+    pub(crate) fn empty(layout: Layout<'a>) -> Self {
+        Pairs::new(&[], &[], &[], layout, 0, false)
     }
 
     /// The schema of every shuffled record.
     pub fn schema(&self) -> &'a Schema {
-        self.schema
+        self.layout.schema
     }
 
     /// Number of pairs.
@@ -118,23 +185,21 @@ impl<'a> Pairs<'a> {
     pub fn iter(&self) -> impl Iterator<Item = Result<(ValueView<'a>, EntryView<'a>)>> + 'a {
         let pairs = *self;
         (0..pairs.len()).map(move |i| {
-            let mut r = pairs.reader(i);
-            let key = ValueView::parse(&mut r)?;
-            let entry = EntryView::parse(&mut r, pairs.schema, pairs.compress_key)?;
-            Ok((key, entry))
+            pairs
+                .layout
+                .pair(&mut pairs.reader(i), ValueView::parse_field)
         })
     }
 
     /// Decode every entry, in reduce order, appending its flat records to
-    /// `out`. Each key is stepped over by the length the inbox scan
+    /// `out`. A tagged key is stepped over by the length the inbox scan
     /// recorded, not parsed again.
     pub fn decode_into(&self, out: &mut Vec<Record>) -> Result<()> {
         for chunk in self.order.chunks(TOUCH_AHEAD) {
             touch(self.inbox, self.locs, chunk);
             for &p in chunk {
-                let loc = &self.locs[(p & IDX_MASK) as usize];
-                let mut r = Reader::new(&loc.tail(self.inbox)[loc.key_len as usize..]);
-                EntryView::parse(&mut r, self.schema, self.compress_key)?.decode_into(out)?;
+                let mut r = Reader::new(self.locs[(p & IDX_MASK) as usize].entry(self.inbox));
+                self.layout.entry(&mut r)?.decode_into(out)?;
             }
         }
         Ok(())
@@ -145,17 +210,17 @@ impl<'a> Pairs<'a> {
     /// members in group order. Nothing is decoded. A CSC-compressed group
     /// holds no record bytes, and is an error.
     pub fn for_each_record(&self, mut each: impl FnMut(&'a [u8])) -> Result<()> {
+        let schema = self.layout.schema;
         for chunk in self.order.chunks(TOUCH_AHEAD) {
             touch(self.inbox, self.locs, chunk);
             for &p in chunk {
-                let loc = &self.locs[(p & IDX_MASK) as usize];
-                let mut r = Reader::new(&loc.tail(self.inbox)[loc.key_len as usize..]);
+                let mut r = Reader::new(self.locs[(p & IDX_MASK) as usize].entry(self.inbox));
                 match r.read_u8()? {
-                    ENTRY_REC => each(wire::record_bytes(&mut r, self.schema)?),
+                    ENTRY_REC => each(wire::record_bytes(&mut r, schema)?),
                     ENTRY_PACKED => {
                         wire::skip_value(&mut r)?;
                         for _ in 0..r.read_u32()? {
-                            each(wire::record_bytes(&mut r, self.schema)?);
+                            each(wire::record_bytes(&mut r, schema)?);
                         }
                     }
                     _ => {
@@ -174,7 +239,7 @@ impl<'a> Pairs<'a> {
     /// with no record decoded. Rows of a fixed-width schema are sized
     /// exactly first.
     pub fn gather_rows(&self, out: &mut Vec<u8>) -> Result<()> {
-        if let Some(width) = self.schema.binary_record_width() {
+        if let Some(width) = self.layout.schema.binary_record_width() {
             out.reserve_exact(self.records * width);
         }
         self.for_each_record(|record| out.extend_from_slice(record))
@@ -196,14 +261,19 @@ impl<'a> Pairs<'a> {
         }
     }
 
-    /// A cursor at pair `i`'s key.
+    /// Pair `i`'s location.
+    fn loc(&self, i: usize) -> &'a PairLoc {
+        &self.locs[(self.order[i] & IDX_MASK) as usize]
+    }
+
+    /// A cursor at pair `i`.
     fn reader(&self, i: usize) -> Reader<'a> {
-        Reader::new(self.locs[(self.order[i] & IDX_MASK) as usize].tail(self.inbox))
+        Reader::new(self.loc(i).tail(self.inbox))
     }
 
     /// Pair `i`'s decoded key.
     fn key(&self, i: usize) -> Result<Value> {
-        Ok(wire::decode_value(&mut self.reader(i))?)
+        self.layout.key(self.inbox, self.loc(i), wire::decode_field)
     }
 
     /// Where the run starting at `start` ends, and the records it holds.
@@ -215,10 +285,8 @@ impl<'a> Pairs<'a> {
                 .unwrap_or(self.len() - start);
             return Ok((start + len, len));
         }
-        let head = |i: usize| -> Result<(prefix::KeyPrefix, usize)> {
-            let mut r = self.reader(i);
-            let key = prefix::from_wire(&mut r)?;
-            let entry = EntryView::parse(&mut r, self.schema, self.compress_key)?;
+        let head = |i: usize| -> Result<(KeyPrefix, usize)> {
+            let (key, entry) = self.layout.pair(&mut self.reader(i), prefix::from_field)?;
             Ok((key, entry.record_count()))
         };
         let (first, mut records) = head(start)?;
@@ -256,8 +324,7 @@ const TOUCH_AHEAD: usize = 32;
 fn touch(inbox: &[(usize, Vec<u8>)], locs: &[PairLoc], order: &[u128]) {
     let mut tags = 0u8;
     for &p in order {
-        let loc = &locs[(p & IDX_MASK) as usize];
-        tags ^= loc.tail(inbox)[loc.key_len as usize];
+        tags ^= locs[(p & IDX_MASK) as usize].entry(inbox)[0];
     }
     std::hint::black_box(tags);
 }

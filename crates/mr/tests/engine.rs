@@ -1,7 +1,7 @@
 //! End-to-end tests of the MapReduce engine on the simulated cluster.
 
 use papar_config::input::FieldType;
-use papar_mr::engine::{FnMapper, FnReducer, HashPartitioner, IdentityPartitioner};
+use papar_mr::engine::{FnMapper, FnReducer, HashPartitioner, IdentityPartitioner, KeyedMapper};
 use papar_mr::sampler::RangePartitioner;
 use papar_mr::{
     Cluster, Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, MrError, Pairs, Partitioner,
@@ -1316,4 +1316,257 @@ fn remote_bytes_are_the_pairs_plus_one_header_per_segment() {
             assert_eq!(stats.exchange.remote_messages, messages as u64);
         }
     }
+}
+
+/// A field-keyed pair is its entry: the entry tag and the record, with no
+/// key of its own; each non-empty (sender, reducer) segment adds one
+/// 8-byte header. `remote_bytes` counts exactly that, with one and with
+/// two reducers per node, at every thread count.
+#[test]
+fn field_keyed_remote_bytes_are_the_entries_plus_one_header_per_segment() {
+    let nodes = 3;
+    let fragments: Vec<Dataset> = (0..nodes)
+        .map(|i| {
+            let records = (0..20 + 7 * i as i32)
+                .map(|k| rec![(k * 31 + i as i32 * 7) % 23, k])
+                .collect();
+            Dataset::new(pair_schema(), Batch::Flat(records))
+        })
+        .collect();
+    // An entry tag and two `Int`s.
+    let entry_bytes = 1 + 8;
+    for reducers in [nodes, 2 * nodes] {
+        let mut entries = 0;
+        let mut segments = std::collections::BTreeSet::new();
+        for (from, frag) in fragments.iter().enumerate() {
+            for r in frag.batch.as_flat().unwrap() {
+                let reducer = HashPartitioner
+                    .reducer_for(r.value(0).unwrap(), reducers)
+                    .unwrap();
+                if reducer % nodes != from {
+                    entries += 1;
+                    segments.insert((from, reducer));
+                }
+            }
+        }
+        let want = entry_bytes * entries + 8 * segments.len() as u64;
+        for threads in [1, 4] {
+            let mut cluster = Cluster::new(nodes).with_threads(threads);
+            let shared = fragments.iter().cloned().map(Arc::new).collect();
+            cluster.place("in", shared).unwrap();
+            let reducer = strip_keys();
+            let job = MapReduceJob {
+                name: "entries".into(),
+                inputs: vec!["in".into()],
+                output: "out".into(),
+                num_reducers: reducers,
+                map_output_schema: pair_schema(),
+                output_schema: pair_schema(),
+                mapper: &KeyedMapper { key_field: 0 },
+                partitioner: &HashPartitioner,
+                reducer: &reducer,
+                sort_by_key: true,
+                descending: false,
+                compress_key: None,
+                release: &[],
+            };
+            let stats = cluster.run_job(&job).unwrap();
+            assert_eq!(
+                stats.exchange.remote_bytes, want,
+                "{reducers} reducers, {threads} thread(s)"
+            );
+            let records: usize = fragments.iter().map(|f| f.batch.record_count()).sum();
+            assert_eq!(stats.records_out, records as u64);
+        }
+    }
+}
+
+/// A job keyed by a field its entries do not have is refused before any
+/// map task runs.
+#[test]
+fn a_key_field_past_the_entries_is_an_error() {
+    let mut cluster = Cluster::new(2);
+    cluster.scatter("in", int_dataset(&[1, 2])).unwrap();
+    let reducer = strip_keys();
+    let job = MapReduceJob {
+        name: "past".into(),
+        inputs: vec!["in".into()],
+        output: "out".into(),
+        num_reducers: 2,
+        map_output_schema: int_schema(),
+        output_schema: int_schema(),
+        mapper: &KeyedMapper { key_field: 1 },
+        partitioner: &HashPartitioner,
+        reducer: &reducer,
+        sort_by_key: true,
+        descending: false,
+        compress_key: None,
+        release: &[],
+    };
+    assert!(matches!(cluster.run_job(&job), Err(MrError::Codec(_))));
+}
+
+/// Records of a `Str` key, a `Long` and an `Int`: the keys tie on their
+/// packed prefixes, inexactly (strings sharing 8 bytes, `Long`s past
+/// 2^53), and exactly.
+fn tie_schema() -> Arc<Schema> {
+    Arc::new(Schema::new(vec![
+        ("v", FieldType::Str),
+        ("w", FieldType::Long),
+        ("n", FieldType::Integer),
+    ]))
+}
+
+fn tie_records() -> Vec<Record> {
+    let strs = [
+        "shared-prefix-c",
+        "shared-prefix-a",
+        "shared-p",
+        "shared-prefix-b",
+        "a",
+        "",
+        "abcdefgh",
+        "abcdefghz",
+    ];
+    let longs = [3, 1, 2, 1, 0].map(|d| (1i64 << 53) + d);
+    (0..40)
+        .map(|i| {
+            let w = match i % 3 {
+                0 => longs[i % longs.len()],
+                1 => -(1 << 53) - (i as i64 % 2),
+                _ => i as i64 % 4,
+            };
+            rec![strs[(i * 7) % strs.len()], w, i as i32]
+        })
+        .collect()
+}
+
+/// The reduce of [`deliver`]: every record in delivered order, with the
+/// key `Pairs::iter` gave its entry and the ordinal of its key-run.
+fn keys_and_runs(pairs: Pairs<'_>) -> papar_mr::Result<Vec<Batch>> {
+    let mut out: Vec<Record> = Vec::with_capacity(pairs.record_count());
+    for (ordinal, run) in pairs.runs().enumerate() {
+        for pair in run?.iter() {
+            let (key, entry) = pair?;
+            let start = out.len();
+            entry.decode_into(&mut out)?;
+            for r in &mut out[start..] {
+                r.push(key.to_value());
+                r.push(Value::Int(ordinal as i32));
+            }
+        }
+    }
+    Ok(vec![Batch::Flat(out)])
+}
+
+/// What a keyed job over `input` delivers, keyed by field `key` read from
+/// the entries (`field_keyed`) or pushed before each entry, and its
+/// stats.
+fn deliver(
+    input: &Dataset,
+    key: usize,
+    field_keyed: bool,
+    partitioner: &dyn Partitioner,
+    descending: bool,
+    compress_key: Option<usize>,
+    threads: usize,
+) -> (Vec<Dataset>, papar_mr::JobStats) {
+    let mut cluster = Cluster::new(3).with_threads(threads);
+    cluster.scatter("in", input.clone()).unwrap();
+    let wire_keyed = FnMapper(
+        move |_: &papar_mr::TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
+            for MapInput { data, .. } in inputs {
+                for entry in EntryRef::all(&data.batch) {
+                    let k = entry.key(key)?;
+                    out.push(&k, entry)?;
+                }
+            }
+            Ok(())
+        },
+    );
+    let keyed = KeyedMapper { key_field: key };
+    let mapper: &dyn Mapper = if field_keyed { &keyed } else { &wire_keyed };
+    let schema = &input.schema;
+    let mut fields: Vec<(String, FieldType)> = (schema.fields().iter())
+        .map(|f| (f.name.clone(), f.ty))
+        .collect();
+    fields.push(("key".into(), schema.fields()[key].ty));
+    fields.push(("run".into(), FieldType::Integer));
+    let reducer = FnReducer(|_: &papar_mr::TaskCtx, pairs: Pairs<'_>| keys_and_runs(pairs));
+    let job = MapReduceJob {
+        name: "keyed".into(),
+        inputs: vec!["in".into()],
+        output: "out".into(),
+        num_reducers: 4,
+        map_output_schema: schema.clone(),
+        output_schema: Arc::new(Schema::new(fields)),
+        mapper,
+        partitioner,
+        reducer: &reducer,
+        sort_by_key: true,
+        descending,
+        compress_key,
+        release: &[],
+    };
+    let stats = cluster.run_job(&job).unwrap();
+    (cluster.collect("out").unwrap(), stats)
+}
+
+/// Sort and group jobs deliver the same pairs in the same order, cut into
+/// the same runs, with the same keys and prefix-tie counts, whether the
+/// key travels before each entry or is read from it: over flat and packed
+/// input, uncompressed and CSC-compressed (keyed by the factored column
+/// and by another), ascending and descending, with inexact `Long` and
+/// `Str` key ties, at 1 and 4 threads. Only the bytes shrink.
+#[test]
+fn field_keyed_jobs_deliver_what_wire_keyed_jobs_do() {
+    let schema = tie_schema();
+    let flat = Dataset::new(schema.clone(), Batch::Flat(tie_records()));
+    let packed = Dataset::new(
+        schema.clone(),
+        Batch::Flat(tie_records()).pack_by(0).unwrap(),
+    );
+    let mut tie_pairs = 0;
+    for key in [0, 1] {
+        let samples: Vec<Vec<Value>> = vec![(tie_records().iter())
+            .map(|r| r.value(key).unwrap().clone())
+            .collect()];
+        let range = RangePartitioner::from_samples(&samples, 4).unwrap();
+        let partitioners: [&dyn Partitioner; 2] = [&HashPartitioner, &range];
+        for (input, compress) in [(&flat, None), (&packed, None), (&packed, Some(0))] {
+            for partitioner in partitioners {
+                for descending in [false, true] {
+                    for threads in [1, 4] {
+                        let run = |field_keyed| {
+                            deliver(
+                                input,
+                                key,
+                                field_keyed,
+                                partitioner,
+                                descending,
+                                compress,
+                                threads,
+                            )
+                        };
+                        let (want, wire) = run(false);
+                        let (got, field) = run(true);
+                        let case = format!(
+                            "key={key} packed={} compress={compress:?} descending={descending} \
+                             threads={threads}",
+                            input.batch.as_packed().is_ok()
+                        );
+                        assert_eq!(got, want, "{case}");
+                        assert_eq!(field.pairs_shuffled, wire.pairs_shuffled, "{case}");
+                        assert_eq!(field.hot.tie_pairs, wire.hot.tie_pairs, "{case}");
+                        tie_pairs += field.hot.tie_pairs;
+                        assert!(
+                            field.exchange.remote_bytes < wire.exchange.remote_bytes,
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(tie_pairs > 0, "the keys tie on their prefixes");
 }

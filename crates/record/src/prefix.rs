@@ -32,9 +32,11 @@
 //! back to `Value::cmp` for any tie run containing at least one inexact
 //! member, and may skip the decode only when every member is exact.
 
+use papar_config::input::FieldType;
+
 use crate::value::Value;
-use crate::wire::Reader;
-use crate::{CodecError, Result};
+use crate::wire::{self, Reader};
+use crate::Result;
 
 /// Class bits: every numeric shares one class so cross-type numeric
 /// comparisons stay inside the `bits` field; strings sort strictly above.
@@ -132,41 +134,34 @@ pub fn of_value(v: &Value) -> KeyPrefix {
 /// decoding or allocating; the cursor ends just past the key. Byte-for-byte
 /// equivalent to `of_value(&decode_value(r)?)` (tested below).
 pub fn from_wire(r: &mut Reader<'_>) -> Result<KeyPrefix> {
-    Ok(match r.read_u8()? {
-        0 => {
-            let i = i32::from_le_bytes(r.read_bytes(4)?.try_into().unwrap());
-            of_value(&Value::Int(i))
-        }
-        1 => {
-            let l = i64::from_le_bytes(r.read_bytes(8)?.try_into().unwrap());
-            of_value(&Value::Long(l))
-        }
-        2 => {
-            let d = f64::from_le_bytes(r.read_bytes(8)?.try_into().unwrap());
-            KeyPrefix {
-                class: CLASS_NUMERIC,
-                bits: f64_order_bits(d),
-                exact: true,
-            }
-        }
-        3 => {
+    let ty = wire::tag_type(r.read_u8()?)?;
+    from_field(r, ty)
+}
+
+/// Read one *untagged* field of type `ty` — a key inside a record — and
+/// produce its prefix without decoding or allocating; the cursor ends just
+/// past the field. Equivalent to `of_value(&decode_field(r, ty)?)`.
+#[inline]
+pub fn from_field(r: &mut Reader<'_>, ty: FieldType) -> Result<KeyPrefix> {
+    Ok(match ty {
+        FieldType::Integer => of_value(&Value::Int(r.i32()?)),
+        FieldType::Long => of_value(&Value::Long(r.i64()?)),
+        FieldType::Double => of_value(&Value::Double(r.f64()?)),
+        FieldType::Str => {
             let len = r.read_u32()? as usize;
-            let bytes = r.read_bytes(len)?;
-            let (bits, exact) = str_prefix(bytes);
+            let (bits, exact) = str_prefix(r.read_bytes(len)?);
             KeyPrefix {
                 class: CLASS_STR,
                 bits,
                 exact,
             }
         }
-        t => return Err(CodecError(format!("unknown value tag {t}"))),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire;
     use std::cmp::Ordering;
 
     fn check_agrees(a: &Value, b: &Value) {
@@ -250,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn from_wire_matches_of_value_and_leaves_cursor_past_key() {
+    fn from_wire_matches_of_value_and_leaves_cursor_past_key() -> Result<()> {
         for v in [
             Value::Int(-7),
             Value::Long(1 << 60),
@@ -262,11 +257,17 @@ mod tests {
             wire::encode_value(&v, &mut buf);
             buf.extend_from_slice(b"tail");
             let mut r = Reader::new(&buf);
-            let p = from_wire(&mut r).unwrap();
+            let p = from_wire(&mut r)?;
             assert_eq!(p, of_value(&v), "{v:?}");
+            assert_eq!(r.remaining(), 4, "cursor must stop exactly past {v:?}");
+            // Untagged, as a record field: the same prefix.
+            let mut r = Reader::new(&buf[1..]);
+            let ty = wire::tag_type(buf[0])?;
+            assert_eq!(from_field(&mut r, ty)?, p, "{v:?}");
             assert_eq!(r.remaining(), 4, "cursor must stop exactly past {v:?}");
         }
         assert!(from_wire(&mut Reader::new(&[9])).is_err());
+        Ok(())
     }
 
     #[test]

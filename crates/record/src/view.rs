@@ -18,6 +18,8 @@
 //! sort and group *references into inbox buffers* and decode each entry
 //! exactly once, straight into the reducer's output.
 
+use papar_config::input::{FieldDef, FieldType};
+
 use crate::packed::PackedRecord;
 use crate::record::Record;
 use crate::value::Value;
@@ -49,18 +51,23 @@ pub enum ValueView<'a> {
 impl<'a> ValueView<'a> {
     /// Parse one tagged value, borrowing string payloads.
     pub fn parse(r: &mut Reader<'a>) -> Result<Self> {
-        Ok(match r.read_u8()? {
-            0 => ValueView::Int(i32::from_le_bytes(r.read_bytes(4)?.try_into().unwrap())),
-            1 => ValueView::Long(i64::from_le_bytes(r.read_bytes(8)?.try_into().unwrap())),
-            2 => ValueView::Double(f64::from_le_bytes(r.read_bytes(8)?.try_into().unwrap())),
-            3 => {
+        let ty = wire::tag_type(r.read_u8()?)?;
+        Self::parse_field(r, ty)
+    }
+
+    /// Parse one untagged field of type `ty`, borrowing string payloads.
+    pub fn parse_field(r: &mut Reader<'a>, ty: FieldType) -> Result<Self> {
+        Ok(match ty {
+            FieldType::Integer => ValueView::Int(r.i32()?),
+            FieldType::Long => ValueView::Long(r.i64()?),
+            FieldType::Double => ValueView::Double(r.f64()?),
+            FieldType::Str => {
                 let len = r.read_u32()? as usize;
                 let bytes = r.read_bytes(len)?;
                 ValueView::Str(
                     std::str::from_utf8(bytes).map_err(|_| CodecError("invalid UTF-8".into()))?,
                 )
             }
-            t => return Err(CodecError(format!("unknown value tag {t}"))),
         })
     }
 
@@ -123,6 +130,42 @@ impl<'a> RecordView<'a> {
     }
 }
 
+/// A key field of the entries of one schema, located once: its index, its
+/// type and, when every field before it is fixed-width, its constant
+/// offset inside a record. [`EntryView::key`] finds a key through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyField {
+    index: usize,
+    ty: FieldType,
+    /// Bytes before the field in a record, when they do not vary.
+    offset: Option<usize>,
+}
+
+impl KeyField {
+    /// Field `index` of `schema` as a key; an index past its fields is an
+    /// error.
+    pub fn new(schema: &Schema, index: usize) -> Result<Self> {
+        let fields = schema.fields();
+        let Some(field) = fields.get(index) else {
+            return Err(CodecError(format!(
+                "key field {index} out of range for arity {}",
+                fields.len()
+            )));
+        };
+        Ok(KeyField {
+            index,
+            ty: field.ty,
+            offset: fields[..index].iter().map(|f| f.ty.binary_width()).sum(),
+        })
+    }
+
+    /// The fields of `schema` before this one.
+    fn before<'s>(&self, schema: &'s Schema) -> Result<&'s [FieldDef]> {
+        (schema.fields().get(..self.index))
+            .ok_or_else(|| CodecError(format!("key field {} out of range", self.index)))
+    }
+}
+
 /// A borrowed shuffle entry: the tag plus the validated payload span.
 /// Parsing walks the payload once (bounds + tags only, no allocation);
 /// [`EntryView::decode_into`] decodes it exactly once, straight into the
@@ -138,15 +181,16 @@ pub struct EntryView<'a> {
     payload: &'a [u8],
 }
 
-/// Skip a CSC column block: `count` cells of each non-key field,
+/// Skip the CSC column blocks of `fields` (a prefix of the schema's
+/// fields, so indices agree): `count` cells of each non-key field,
 /// column-major. Fixed-width columns skip with one multiplication.
 fn skip_csc_columns(
     r: &mut Reader<'_>,
-    schema: &Schema,
+    fields: &[FieldDef],
     key_idx: usize,
     count: usize,
 ) -> Result<()> {
-    for (fi, field) in schema.fields().iter().enumerate() {
+    for (fi, field) in fields.iter().enumerate() {
         if fi == key_idx {
             continue;
         }
@@ -162,6 +206,14 @@ fn skip_csc_columns(
         }
     }
     Ok(())
+}
+
+/// The field of type `ty` at the cursor: its type and its bytes, with the
+/// cursor moved past them.
+fn field_span<'a>(r: &mut Reader<'a>, ty: FieldType) -> Result<(FieldType, &'a [u8])> {
+    let start = r.position();
+    wire::skip_field(r, ty)?;
+    Ok((ty, &r.buffer()[start..r.position()]))
 }
 
 impl<'a> EntryView<'a> {
@@ -196,7 +248,7 @@ impl<'a> EntryView<'a> {
                 let key_idx = csc_key(compress_key)?;
                 wire::skip_value(r)?;
                 let count = r.read_u32()? as usize;
-                skip_csc_columns(r, schema, key_idx, count)?;
+                skip_csc_columns(r, schema.fields(), key_idx, count)?;
                 count
             }
             t => return Err(CodecError(format!("unknown entry tag {t}"))),
@@ -224,6 +276,63 @@ impl<'a> EntryView<'a> {
     /// for a packed group.
     pub fn record_count(&self) -> usize {
         self.records
+    }
+
+    /// Where the entry's key lies: its type and its bytes, untagged. The
+    /// key is field `key` of the record, or of a packed group's first
+    /// member; a fixed-width key at a constant offset in a record is one
+    /// slice. A CSC group keyed by the column it factored out holds the
+    /// key once, as its group key; any other key is the first cell of its
+    /// column. A group with no members has no key.
+    #[inline]
+    pub fn key(&self, key: KeyField) -> Result<(FieldType, &'a [u8])> {
+        if let (ENTRY_REC, Some(offset), Some(width)) =
+            (self.tag, key.offset, key.ty.binary_width())
+        {
+            if let Some(bytes) = self.payload.get(offset..offset + width) {
+                return Ok((key.ty, bytes));
+            }
+        }
+        self.find_key(key)
+    }
+
+    /// [`EntryView::key`] by walking the entry.
+    fn find_key(&self, key: KeyField) -> Result<(FieldType, &'a [u8])> {
+        let mut r = Reader::new(self.payload);
+        match self.tag {
+            ENTRY_REC => {}
+            _ if self.records == 0 => {
+                return Err(CodecError(
+                    "a packed group with no members has no key".into(),
+                ))
+            }
+            ENTRY_PACKED => {
+                wire::skip_value(&mut r)?;
+                r.read_u32()?;
+            }
+            _ => {
+                let key_idx = csc_key(self.compress_key)?;
+                let group_ty = wire::tag_type(r.read_u8()?)?;
+                if key.index == key_idx {
+                    return field_span(&mut r, group_ty);
+                }
+                wire::skip_field(&mut r, group_ty)?;
+                r.read_u32()?;
+                skip_csc_columns(&mut r, key.before(self.schema)?, key_idx, self.records)?;
+                return field_span(&mut r, key.ty);
+            }
+        }
+        match key.offset {
+            Some(offset) => {
+                r.read_bytes(offset)?;
+            }
+            None => {
+                for f in key.before(self.schema)? {
+                    wire::skip_field(&mut r, f.ty)?;
+                }
+            }
+        }
+        field_span(&mut r, key.ty)
     }
 
     /// Decode the entry, appending its flat records to `out`: the record
@@ -300,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn value_view_matches_owned_decoder() {
+    fn value_view_matches_owned_decoder() -> Result<()> {
         for v in [
             Value::Int(-3),
             Value::Long(1 << 40),
@@ -309,12 +418,19 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             wire::encode_value(&v, &mut buf);
-            let view = ValueView::parse(&mut Reader::new(&buf)).unwrap();
+            let view = ValueView::parse(&mut Reader::new(&buf))?;
             assert_eq!(view.to_value(), v);
+            // Untagged, as a record field.
+            let ty = wire::tag_type(buf[0])?;
+            assert_eq!(
+                ValueView::parse_field(&mut Reader::new(&buf[1..]), ty)?,
+                view
+            );
         }
         // Invalid UTF-8 is rejected at parse, like the owned path.
         let bad = [3u8, 2, 0, 0, 0, 0xFF, 0xFE];
         assert!(ValueView::parse(&mut Reader::new(&bad)).is_err());
+        Ok(())
     }
 
     #[test]
@@ -375,42 +491,108 @@ mod tests {
         assert!(view.decode_group().is_err(), "a record is not a group");
     }
 
+    /// A packed group's entry: uncompressed, or CSC with column `csc`
+    /// factored out.
+    fn encode_entry_group(
+        group: &PackedRecord,
+        schema: &Schema,
+        csc: Option<usize>,
+    ) -> Result<Vec<u8>> {
+        let mut buf = vec![if csc.is_some() {
+            ENTRY_PACKED_CSC
+        } else {
+            ENTRY_PACKED
+        }];
+        wire::encode_value(&group.key, &mut buf);
+        buf.extend_from_slice(&(group.records.len() as u32).to_le_bytes());
+        match csc {
+            None => {
+                for r in &group.records {
+                    wire::encode_record(r, schema, &mut buf)?;
+                }
+            }
+            Some(key_idx) => {
+                for (fi, field) in schema.fields().iter().enumerate() {
+                    for r in group.records.iter().filter(|_| fi != key_idx) {
+                        wire::encode_field(r.require(fi)?, field.ty, &mut buf)?;
+                    }
+                }
+            }
+        }
+        Ok(buf)
+    }
+
     #[test]
-    fn entry_view_packed_and_csc_roundtrip() {
+    fn entry_view_packed_and_csc_roundtrip() -> Result<()> {
         let schema = str_schema();
         let group = PackedRecord {
             key: Value::Str("k1".into()),
             records: vec![rec!["k1", 1], rec!["k1", 2], rec!["k1", 3]],
         };
         // Packed (uncompressed): key + count + rows.
-        let mut packed = vec![ENTRY_PACKED];
-        wire::encode_value(&group.key, &mut packed);
-        packed.extend_from_slice(&(group.records.len() as u32).to_le_bytes());
-        for r in &group.records {
-            wire::encode_record(r, &schema, &mut packed).unwrap();
-        }
-        let view = EntryView::parse(&mut Reader::new(&packed), &schema, None).unwrap();
+        let packed = encode_entry_group(&group, &schema, None)?;
+        let view = EntryView::parse(&mut Reader::new(&packed), &schema, None)?;
         assert_eq!(view.record_count(), 3);
-        assert_eq!(view.decode_group().unwrap(), group);
+        assert_eq!(view.decode_group()?, group);
         let mut members = Vec::new();
-        view.decode_into(&mut members).unwrap();
+        view.decode_into(&mut members)?;
         assert_eq!(members, group.records);
 
         // CSC: key factored out of column 0.
-        let mut csc = vec![ENTRY_PACKED_CSC];
-        wire::encode_value(&group.key, &mut csc);
-        csc.extend_from_slice(&(group.records.len() as u32).to_le_bytes());
-        for r in &group.records {
-            wire::encode_field(r.require(1).unwrap(), FieldType::Integer, &mut csc).unwrap();
-        }
-        let view = EntryView::parse(&mut Reader::new(&csc), &schema, Some(0)).unwrap();
+        let csc = encode_entry_group(&group, &schema, Some(0))?;
+        let view = EntryView::parse(&mut Reader::new(&csc), &schema, Some(0))?;
         assert_eq!(view.record_count(), 3);
         let mut members = vec![rec!["before", 0]];
-        view.decode_into(&mut members).unwrap();
+        view.decode_into(&mut members)?;
         assert_eq!(members[1..], group.records[..]);
-        assert_eq!(view.decode_group().unwrap(), group);
+        assert_eq!(view.decode_group()?, group);
         // Missing compress_key on a CSC entry is an error, not a guess.
         assert!(EntryView::parse(&mut Reader::new(&csc), &schema, None).is_err());
+        Ok(())
+    }
+
+    /// Every field of a record, of a packed group's first member and of a
+    /// CSC group (its factored group key, or its column's first cell) is
+    /// found as exactly its bytes, and reads back as the member's value.
+    #[test]
+    fn entry_view_finds_its_key_field_for_every_tag() -> Result<()> {
+        let schema = Schema::new(vec![
+            ("n", FieldType::Integer),
+            ("k", FieldType::Str),
+            ("w", FieldType::Long),
+        ]);
+        let group = PackedRecord {
+            key: Value::Str("k1".into()),
+            records: vec![rec![1, "k1", 10i64], rec![2, "k1", 20i64]],
+        };
+        let key_of = |bytes: &[u8], compress: Option<usize>, field: usize| -> Result<Value> {
+            let view = EntryView::parse(&mut Reader::new(bytes), &schema, compress)?;
+            let (ty, key) = view.key(KeyField::new(&schema, field)?)?;
+            let mut r = Reader::new(key);
+            let value = wire::decode_field(&mut r, ty)?;
+            assert_eq!(r.remaining(), 0, "the key is exactly its bytes");
+            Ok(value)
+        };
+        let record = encode_entry_rec(&group.records[1], &schema);
+        let packed = encode_entry_group(&group, &schema, None)?;
+        let csc = encode_entry_group(&group, &schema, Some(1))?;
+        for field in 0..3 {
+            let first = group.records[0].require(field)?;
+            let second = group.records[1].require(field)?;
+            assert_eq!(&key_of(&record, None, field)?, second);
+            assert_eq!(&key_of(&packed, None, field)?, first);
+            assert_eq!(&key_of(&csc, Some(1), field)?, first);
+        }
+        assert!(KeyField::new(&schema, 3).is_err(), "no field 3");
+        let empty = PackedRecord {
+            key: Value::Int(0),
+            records: Vec::new(),
+        };
+        for csc in [None, Some(1)] {
+            let bytes = encode_entry_group(&empty, &schema, csc)?;
+            assert!(key_of(&bytes, csc, 0).is_err(), "an empty group has no key");
+        }
+        Ok(())
     }
 
     #[test]

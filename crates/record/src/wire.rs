@@ -34,26 +34,31 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Wrap a byte slice.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Absolute byte offset of the cursor within the wrapped slice (public so
     /// view layers can record where a value starts without copying it).
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// The whole wrapped slice, independent of cursor position.
+    #[inline]
     pub fn buffer(&self) -> &'a [u8] {
         self.buf
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(CodecError(format!(
@@ -67,44 +72,53 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one byte (public for framing layers built on this module).
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8> {
         self.u8()
     }
 
     /// Read a little-endian `u32` (public for framing layers).
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32> {
         self.u32()
     }
 
     /// Read a little-endian `u64` (public for framing layers — manifest
     /// records store checksums and fingerprints at this width).
+    #[inline]
     pub fn read_u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read exactly `n` raw bytes (public for framing layers — manifest
     /// records carry length-prefixed strings and nested payloads).
+    #[inline]
     pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         self.take(n)
     }
 
+    #[inline]
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn i32(&mut self) -> Result<i32> {
+    #[inline]
+    pub(crate) fn i32(&mut self) -> Result<i32> {
         Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn i64(&mut self) -> Result<i64> {
+    #[inline]
+    pub(crate) fn i64(&mut self) -> Result<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f64(&mut self) -> Result<f64> {
+    #[inline]
+    pub(crate) fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -284,31 +298,33 @@ pub fn encode_value(v: &Value, buf: &mut Vec<u8>) {
     }
 }
 
-/// Decode a tagged value.
-pub fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Int(r.i32()?),
-        1 => Value::Long(r.i64()?),
-        2 => Value::Double(r.f64()?),
-        3 => Value::Str(r.str()?),
+/// The field type a value tag names: a tagged value is its tag and then
+/// the bytes of an untagged field of that type.
+#[inline]
+pub fn tag_type(tag: u8) -> Result<FieldType> {
+    Ok(match tag {
+        0 => FieldType::Integer,
+        1 => FieldType::Long,
+        2 => FieldType::Double,
+        3 => FieldType::Str,
         t => return Err(CodecError(format!("unknown value tag {t}"))),
     })
 }
 
+/// Decode a tagged value.
+pub fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
+    let ty = tag_type(r.u8()?)?;
+    decode_field(r, ty)
+}
+
 /// Advance past one tagged value without decoding or allocating.
 pub fn skip_value(r: &mut Reader<'_>) -> Result<()> {
-    match r.u8()? {
-        0 => r.take(4).map(|_| ()),
-        1 | 2 => r.take(8).map(|_| ()),
-        3 => {
-            let len = r.u32()? as usize;
-            r.take(len).map(|_| ())
-        }
-        t => Err(CodecError(format!("unknown value tag {t}"))),
-    }
+    let ty = tag_type(r.u8()?)?;
+    skip_field(r, ty)
 }
 
 /// Advance past one schema-driven field without decoding or allocating.
+#[inline]
 pub fn skip_field(r: &mut Reader<'_>, ty: FieldType) -> Result<()> {
     match ty.binary_width() {
         Some(w) => r.take(w).map(|_| ()),
