@@ -127,8 +127,9 @@ pub struct RunSummary {
     pub records_in: usize,
     /// Partition files written, in partition order.
     pub files: Vec<PathBuf>,
-    /// Per-job lines: `(job id, simulated time, shuffled bytes)`.
-    pub jobs: Vec<(String, std::time::Duration, u64)>,
+    /// Per-job lines: `(job id, simulated time, shuffled bytes, the
+    /// shuffle's lower bound)` (see `JobStats::shuffle_lo`).
+    pub jobs: Vec<(String, std::time::Duration, u64, u64)>,
     /// Total simulated partitioning time.
     pub total_sim: std::time::Duration,
     /// Faults that fired during the run.
@@ -378,7 +379,10 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
         jobs: report
             .jobs
             .iter()
-            .map(|j| (j.name.clone(), j.sim_time(), j.exchange.remote_bytes))
+            .map(|j| {
+                let bytes = j.exchange.remote_bytes;
+                (j.name.clone(), j.sim_time(), bytes, j.shuffle_lo)
+            })
             .collect(),
         total_sim: report.total_sim_time(),
         faults_injected: report.faults_injected(),

@@ -155,8 +155,9 @@ fn run_main(argv: impl Iterator<Item = String>) {
                     summary.stages_resumed
                 );
             }
-            for (id, time, bytes) in &summary.jobs {
+            for (id, time, bytes, lo) in &summary.jobs {
                 println!("job '{id}': {time:?} simulated, {bytes} bytes shuffled");
+                println!("  shuffle_lo: {lo} bytes (the records sent off-node + segment headers)");
             }
             println!("total simulated partitioning time: {:?}", summary.total_sim);
             if summary.faults_injected > 0 || !summary.recovery.is_zero() {

@@ -87,8 +87,9 @@ fn partitions_a_real_database_file() {
     })
     .unwrap();
     assert_eq!(unfused.jobs.len(), 2);
-    let shuffled =
-        |jobs: &[(String, std::time::Duration, u64)]| jobs.iter().map(|(_, _, b)| b).sum::<u64>();
+    let shuffled = |jobs: &[(String, std::time::Duration, u64, u64)]| {
+        jobs.iter().map(|(_, _, b, _)| b).sum::<u64>()
+    };
     assert!(
         shuffled(&summary.jobs) < shuffled(&unfused.jobs),
         "fusion must shuffle fewer bytes: {} vs {}",
@@ -480,7 +481,7 @@ fn run_and_a_served_job_write_the_same_files() {
                 let run_lines: Vec<String> = summary
                     .jobs
                     .iter()
-                    .map(|(_, _, bytes)| format!("{bytes} bytes shuffled"))
+                    .map(|(_, _, bytes, _)| format!("{bytes} bytes shuffled"))
                     .collect();
                 assert_eq!(run_lines, shuffled(&outcome.detail), "{cell}");
                 // Both front-ends print the one rationale the compile

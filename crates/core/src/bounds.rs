@@ -202,6 +202,9 @@ pub struct DatasetBounds {
     pub bytes: Interval,
     /// Distinct values of any single field.
     pub distinct: Interval,
+    /// The most fragments the dataset can be stored as
+    /// ([`UNBOUNDED`] when unknown).
+    pub fragments: u64,
 }
 
 impl DatasetBounds {
@@ -211,6 +214,7 @@ impl DatasetBounds {
             entries: Interval::top(),
             bytes: Interval::top(),
             distinct: Interval::top(),
+            fragments: UNBOUNDED,
         }
     }
 }
@@ -430,19 +434,22 @@ fn indexed_partition_count(policy: DistrPolicy, e: u64, p: u64, m: u64) -> u64 {
     }
 }
 
-/// Upper bound on one shuffle's `remote_bytes`: every pair pays a 1-byte
-/// entry tag and `wire_key_w` bytes of tagged key — none when the key is a
-/// field of the entry (sort and group), which the record already carries;
-/// flat entries add a record, packed entries add the group key, a count
-/// and the members. Each (sender, reducer) segment pays an 8-byte header
-/// once, so headers cost at most 8 B per pair and at most 8 B per each of
-/// the `segments` (nodes × reducers) segments. Compression (CSC) only
-/// shrinks, so it is ignored.
+/// Upper bound on one shuffle's `remote_bytes`. A pair carries no key of
+/// its own — a sort or group key is a field of the entry, and distribute
+/// sends none — and no tag: flat entries are a record, packed entries the
+/// group key, a count and the members. Each (sender, reducer) segment pays
+/// an 8-byte header once, so segment headers cost at most 8 B per pair and
+/// per each of the `segments` (nodes × reducers) segments. Each run pays a
+/// 13-byte header; a run holds a pair, and a segment opens a run only at a
+/// fragment boundary (a new base, or a new entry tag, which a fragment
+/// never changes), so runs number at most the pairs and `fragments ×
+/// reducers`. Compression (CSC) only shrinks, so it is ignored.
 fn shuffle_hi(
     job: &JobPlan,
     records: Interval,
     pairs: Interval,
-    wire_key_w: u64,
+    fragments: u64,
+    reducers: usize,
     segments: u64,
 ) -> u64 {
     if records.hi == UNBOUNDED || pairs.hi == UNBOUNDED {
@@ -468,12 +475,14 @@ fn shuffle_hi(
             }
         }
     }
-    let per_pair = 1 + wire_key_w + if any_packed { packed_key_w + 4 } else { 0 };
+    let per_pair = if any_packed { packed_key_w + 4 } else { 0 };
+    let runs = fragments.saturating_mul(reducers as u64);
     pairs
         .hi
         .saturating_mul(per_pair)
         .saturating_add(records.hi.saturating_mul(rec_w))
         .saturating_add(pairs.hi.min(segments).saturating_mul(8))
+        .saturating_add(pairs.hi.min(runs).saturating_mul(13))
 }
 
 /// The most (sender, reducer) segments one shuffle can carry.
@@ -500,6 +509,7 @@ fn sum_inputs(env: &BTreeMap<String, DatasetBounds>, job: &JobPlan) -> DatasetBo
         entries: Interval::zero(),
         bytes: Interval::zero(),
         distinct: Interval::zero(),
+        fragments: 0,
     };
     for name in &job.inputs {
         let b = env.get(name).copied().unwrap_or_else(DatasetBounds::top);
@@ -508,6 +518,7 @@ fn sum_inputs(env: &BTreeMap<String, DatasetBounds>, job: &JobPlan) -> DatasetBo
         acc.bytes = acc.bytes.add(b.bytes);
         // Distinct values of a union: at most the sum of the parts.
         acc.distinct = acc.distinct.add(b.distinct);
+        acc.fragments = acc.fragments.saturating_add(b.fragments);
     }
     acc
 }
@@ -543,6 +554,7 @@ pub fn compute(plan: &WorkflowPlan, phys: &PhysicalPlan, opts: &BoundsOptions) -
                 entries,
                 bytes,
                 distinct,
+                fragments: nodes,
             },
         );
     }
@@ -634,7 +646,14 @@ fn single_stage(
                 pairs: input.entries,
                 shuffle_bytes: Interval {
                     lo: 0,
-                    hi: shuffle_hi(job, n, input.entries, 0, segments(opts, reducers)),
+                    hi: shuffle_hi(
+                        job,
+                        n,
+                        input.entries,
+                        input.fragments,
+                        reducers,
+                        segments(opts, reducers),
+                    ),
                 },
                 max_load: keyed_max_load(n, reducers),
                 outputs: vec![(
@@ -644,6 +663,7 @@ fn single_stage(
                         entries,
                         bytes,
                         distinct,
+                        fragments: reducers as u64,
                     },
                 )],
                 partitions: None,
@@ -669,6 +689,7 @@ fn single_stage(
                             entries,
                             bytes,
                             distinct: d,
+                            fragments: opts.num_nodes.max(1) as u64,
                         },
                     )
                 })
@@ -775,9 +796,15 @@ fn distribute_stage(
         pairs: e,
         shuffle_bytes: Interval {
             lo: 0,
-            // The embedded-order key is always a tagged Long, and each of
-            // the m reducers gets at most one segment per node.
-            hi: shuffle_hi(job, n, e, 9, segments(opts, m as usize)),
+            // Each of the m reducers gets at most one segment per node.
+            hi: shuffle_hi(
+                job,
+                n,
+                e,
+                input.fragments,
+                m as usize,
+                segments(opts, m as usize),
+            ),
         },
         max_load,
         outputs: vec![(
@@ -787,6 +814,7 @@ fn distribute_stage(
                 entries,
                 bytes,
                 distinct,
+                fragments: m,
             },
         )],
         partitions: Some(PartitionBounds {
@@ -847,7 +875,14 @@ fn fused_sort_distribute_stage(
         pairs: input.entries,
         shuffle_bytes: Interval {
             lo: 0,
-            hi: shuffle_hi(sort, n, input.entries, 0, segments(opts, reducers)),
+            hi: shuffle_hi(
+                sort,
+                n,
+                input.entries,
+                input.fragments,
+                reducers,
+                segments(opts, reducers),
+            ),
         },
         max_load: keyed_max_load(n, reducers),
         outputs: vec![(
@@ -857,6 +892,7 @@ fn fused_sort_distribute_stage(
                 entries,
                 bytes,
                 distinct,
+                fragments: m,
             },
         )],
         partitions: Some(PartitionBounds {
@@ -895,6 +931,7 @@ fn fused_group_split_stage(
                     entries,
                     bytes,
                     distinct: d,
+                    fragments: reducers as u64,
                 },
             )
         })
@@ -907,7 +944,14 @@ fn fused_group_split_stage(
         pairs: input.entries,
         shuffle_bytes: Interval {
             lo: 0,
-            hi: shuffle_hi(group, n, input.entries, 0, segments(opts, reducers)),
+            hi: shuffle_hi(
+                group,
+                n,
+                input.entries,
+                input.fragments,
+                reducers,
+                segments(opts, reducers),
+            ),
         },
         max_load: keyed_max_load(n, reducers),
         outputs,

@@ -3,7 +3,8 @@
 //! one following the order defined in the workflow configuration file").
 
 use papar_config::input::FieldDef;
-use papar_mr::engine::{FnMapper, FnReducer, HashPartitioner, KeyedMapper, MapInput, Reducer};
+use papar_mr::engine::{FnReducer, HashPartitioner, IdentityPartitioner, KeyedMapper, MapInput};
+use papar_mr::engine::{Mapper, PairKey, Reducer};
 use papar_mr::fault::RecoveryAction;
 use papar_mr::sampler::{self, RangePartitioner};
 use papar_mr::stats::{job_trace_from_stats, JobStats, NetModel, RecoveryStats};
@@ -1340,39 +1341,12 @@ impl WorkflowRunner {
         // Projection of output records onto the declared output schema.
         let projection = distribute_projection(job, final_schema)?;
 
-        let policy_total = total as usize;
-        let mapper = FnMapper(
-            move |_ctx: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>| {
-                for mi in inputs {
-                    let base = fragment_base(&offsets, &mi.name, mi.ordinal)
-                        .map_err(papar_mr::MrError::from)?;
-                    for (local, entry) in EntryRef::all(&mi.data.batch).enumerate() {
-                        let g = base as usize + local;
-                        let part = match policy {
-                            DistrPolicy::Cyclic | DistrPolicy::Block => {
-                                policy.partition_of_index(g, policy_total, num_partitions)
-                            }
-                            DistrPolicy::GraphVertexCut => {
-                                let routing = match entry {
-                                    // A whole low-degree group travels to the
-                                    // partition its in-vertex hashes to.
-                                    EntryRef::Packed(p) => Cow::Borrowed(&p.key),
-                                    // High-degree in-edges spread by source
-                                    // vertex (field 0 of an edge record).
-                                    EntryRef::Rec(_) | EntryRef::Row(_) => entry.key(0)?,
-                                };
-                                policy.partition_of_value(&routing, num_partitions)
-                            }
-                        };
-                        // Key embeds both the route and the global order; see
-                        // EmbeddedOrderPartitioner.
-                        let key = (g as i64) * num_partitions as i64 + part as i64;
-                        out.push(&Value::Long(key), entry)?;
-                    }
-                }
-                Ok(())
-            },
-        );
+        let mapper = DistributeMapper {
+            offsets,
+            policy,
+            total: total as usize,
+            num_partitions,
+        };
         let out_format = job.outputs[0].1.format;
         let out_schema = &job.outputs[0].1.schema;
         let compress_key = self.compress_key_any(&job.input_metas);
@@ -1395,8 +1369,8 @@ impl WorkflowRunner {
                 }
                 Format::Packed => {
                     let mut groups = Vec::with_capacity(pairs.len());
-                    for pair in pairs.iter() {
-                        let (_, entry) = pair?;
+                    for entry in pairs.entries() {
+                        let entry = entry?;
                         if entry.tag() == ENTRY_REC {
                             return Err(MrError::msg(FLAT_IN_PACKED));
                         }
@@ -1418,9 +1392,10 @@ impl WorkflowRunner {
             map_output_schema: job.input_meta.schema.clone(),
             output_schema: job.outputs[0].1.schema.clone(),
             mapper: &mapper,
-            partitioner: &EmbeddedOrderPartitioner,
+            // Unused: the mapper names each entry's partition.
+            partitioner: &IdentityPartitioner,
             reducer: &reducer,
-            sort_by_key: true,
+            sort_by_key: false,
             descending: false,
             compress_key,
             release,
@@ -1481,9 +1456,10 @@ impl WorkflowRunner {
     /// partitions directly from the sorted runs — the distribute's whole
     /// shuffle is gone. The assembly walks entries in exactly the order
     /// the unfused offsets pre-pass enumerates them and the unfused
-    /// `g * P + part` reduce keys sort them, so the committed bytes are
-    /// identical to the two-job plan. Like the unfused pre-pass, the
-    /// driver-side walk is not charged to the virtual clock.
+    /// reducer orders them (by run base, then within each fragment), so
+    /// the committed bytes are identical to the two-job plan. Like the
+    /// unfused pre-pass, the driver-side walk is not charged to the
+    /// virtual clock.
     #[allow(clippy::too_many_arguments)]
     fn run_fused_sort_distribute(
         &self,
@@ -1570,9 +1546,8 @@ impl WorkflowRunner {
         let out_format = djob.outputs[0].1.format;
         let out_schema = &djob.outputs[0].1.schema;
         // Appending in ascending global rank reproduces the unfused
-        // reducer's ascending `g * P + part` key order within each
-        // partition. A flat, unprojected output of sorted rows is routed
-        // as rows.
+        // reducer's global order within each partition. A flat,
+        // unprojected output of sorted rows is routed as rows.
         let rows: Option<Vec<&Rows>> = (frags.iter())
             .map(|d| match &d.batch {
                 Batch::Rows(rows) if rows.schema() == out_schema => Some(rows),
@@ -1830,26 +1805,54 @@ fn field_type_tag(ty: papar_config::input::FieldType) -> u8 {
     }
 }
 
-/// Distribute's partitioner: the mapper embeds the target partition in the
-/// reduce key as `g * P + partition` (g = global entry index), so the key
-/// both routes (`key % P`) and orders (`key / P` restores the global order
-/// inside every partition, independent of how fragments were laid out
-/// across nodes). A key that is no integer, or is negative, names no
-/// partition and errors; it used to be clamped onto reducer 0.
-struct EmbeddedOrderPartitioner;
+/// Distribute's map task: the stride permutation applied to entry
+/// indices. Entry `local` of fragment `f` has global index `g = b_f +
+/// local` (`b_f` from the offsets pre-pass), and the policy names
+/// its partition from `g` or from its routing vertex. The mapper pushes it
+/// straight to that partition, with no key, in a run based at `b_f`:
+/// fragments cover disjoint index ranges and each is read in ascending
+/// order, so a reducer that orders its runs by base holds its entries in
+/// global order, whatever the fragments' layout across nodes.
+struct DistributeMapper {
+    offsets: HashMap<(String, u32), u64>,
+    policy: DistrPolicy,
+    /// Entries across every input.
+    total: usize,
+    num_partitions: usize,
+}
 
-impl Partitioner for EmbeddedOrderPartitioner {
-    fn reducer_for(&self, key: &Value, num_reducers: usize) -> papar_mr::Result<usize> {
-        let k = key
-            .as_i64()
-            .ok_or_else(|| MrError::NonIntegerReducerKey { key: key.clone() })?;
-        if k < 0 {
-            return Err(MrError::PartitionOutOfRange {
-                id: k,
-                num_reducers,
-            });
+impl Mapper for DistributeMapper {
+    fn map(&self, _: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> papar_mr::Result<()> {
+        for mi in inputs {
+            let base = fragment_base(&self.offsets, &mi.name, mi.ordinal)?;
+            out.set_base(base);
+            for (local, entry) in EntryRef::all(&mi.data.batch).enumerate() {
+                let part = match self.policy {
+                    DistrPolicy::Cyclic | DistrPolicy::Block => self.policy.partition_of_index(
+                        base as usize + local,
+                        self.total,
+                        self.num_partitions,
+                    ),
+                    DistrPolicy::GraphVertexCut => {
+                        let routing = match entry {
+                            // A whole low-degree group travels to the
+                            // partition its in-vertex hashes to.
+                            EntryRef::Packed(p) => Cow::Borrowed(&p.key),
+                            // High-degree in-edges spread by source
+                            // vertex (field 0 of an edge record).
+                            EntryRef::Rec(_) | EntryRef::Row(_) => entry.key(0)?,
+                        };
+                        (self.policy).partition_of_value(&routing, self.num_partitions)
+                    }
+                };
+                out.push_to(part, entry)?;
+            }
         }
-        Ok((k as u64 % num_reducers as u64) as usize)
+        Ok(())
+    }
+
+    fn key(&self) -> PairKey {
+        PairKey::None
     }
 }
 
@@ -2503,33 +2506,5 @@ mod tests {
                 let _ = decode_fragment_payload(&bad);
             }
         }
-    }
-
-    #[test]
-    fn embedded_order_routes_by_the_key_modulo_the_partitions() {
-        for (key, want) in [(Value::Long(7), 3), (Value::Int(8), 0), (Value::Long(0), 0)] {
-            assert_eq!(EmbeddedOrderPartitioner.reducer_for(&key, 4), Ok(want));
-        }
-    }
-
-    #[test]
-    fn embedded_order_refuses_a_non_integer_key() {
-        for key in [Value::from("3"), Value::Double(1.0)] {
-            assert_eq!(
-                EmbeddedOrderPartitioner.reducer_for(&key, 4),
-                Err(MrError::NonIntegerReducerKey { key: key.clone() })
-            );
-        }
-    }
-
-    #[test]
-    fn embedded_order_refuses_a_negative_key() {
-        assert_eq!(
-            EmbeddedOrderPartitioner.reducer_for(&Value::Long(-5), 4),
-            Err(MrError::PartitionOutOfRange {
-                id: -5,
-                num_reducers: 4
-            })
-        );
     }
 }

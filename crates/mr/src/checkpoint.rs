@@ -228,6 +228,8 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<JobStats> {
         comm_time: read_duration(r)?,
         records_in: r.read_u64()?,
         pairs_shuffled: r.read_u64()?,
+        // Not in the manifest, whose format predates it.
+        shuffle_lo: 0,
         records_out: r.read_u64()?,
         recovery: RecoveryStats {
             faults_injected: r.read_u32()?,
@@ -693,6 +695,7 @@ mod tests {
             comm_time: Duration::from_nanos(11),
             records_in: 100,
             pairs_shuffled: 90,
+            shuffle_lo: 0,
             records_out: 80,
             exchange: ExchangeStats {
                 remote_bytes: 4096,

@@ -6,12 +6,13 @@
 //! 1. every node runs one **mapper** over its local fragments of the input
 //!    dataset(s) and pushes `(reduce-key, entry)` pairs into an [`Emit`],
 //!    borrowing both from the fragments;
-//! 2. [`Emit::push`] asks the **partitioner** for the pair's reducer (range-
-//!    sampled for sort, identity for distribute, hashed for group) and
-//!    encodes the pair straight into that reducer's segment — map output
-//!    is bytes from the moment it exists, like MR-MPI's `KeyValue::add`;
-//!    each node's segments, in reducer order, form the message the node
-//!    is sent, and the messages are shuffled all-to-all;
+//! 2. [`Emit`] asks the **partitioner** for the pair's reducer (range-
+//!    sampled for sort, hashed for group; a distribute mapper names the
+//!    reducer itself) and encodes the pair straight into a run of that
+//!    reducer's segment — map output is bytes from the moment it exists,
+//!    like MR-MPI's `KeyValue::add`; each node's segments, in reducer
+//!    order, form the message the node is sent, and the messages are
+//!    shuffled all-to-all;
 //! 3. every node runs the **reducer** for each reducer id it owns
 //!    (`reducer % num_nodes`), handing it a [`Pairs`] view of its sorted
 //!    pairs, borrowed over the inbox, and writes its output fragment under
@@ -22,13 +23,13 @@
 //! primaries and replicas, before the shuffle, so they are not resident
 //! through the reduce phase.
 //!
-//! Determinism: the engine sorts each reducer's pairs by `(key, mapper,
-//! emission index)` (or `(mapper, emission index)` when key-sorting is
-//! off), so results are independent of arrival order — the property behind
-//! the paper's "same partitions" correctness claim. No pair carries either
-//! index: inboxes list senders in ascending order and a segment keeps its
-//! pairs in emission order, so a pair's position in the inbox is its place
-//! in that order.
+//! Determinism: the engine orders each reducer's pairs by `(key, mapper,
+//! emission index)` (or `(run base, mapper, emission index)` when
+//! key-sorting is off), so results are independent of arrival order — the
+//! property behind the paper's "same partitions" correctness claim. No pair
+//! carries either index: inboxes list senders in ascending order and a
+//! segment keeps its pairs in emission order, so a pair's position in the
+//! inbox is its place in that order.
 //!
 //! Within a phase, node tasks execute concurrently on scoped OS threads up
 //! to the cluster's [`Cluster::threads`] budget, joining at the existing
@@ -56,7 +57,7 @@ use std::time::Duration;
 
 use crate::cluster::Cluster;
 use crate::fault::{Fault, RecoveryAction, RetryPolicy};
-use crate::pairs::{Layout, PairLoc, Pairs, IDX_BITS, IDX_MASK};
+use crate::pairs::{KeyAt, Layout, PairLoc, Pairs, IDX_BITS, IDX_MASK};
 use crate::stats::{HotPathStats, JobStats, NetModel, RecoveryStats};
 use crate::timer::TaskTimer;
 use crate::{MrError, Result, TaskPhase};
@@ -190,25 +191,54 @@ pub trait Mapper: Sync {
     /// fragments get an empty slice.
     fn map(&self, ctx: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> Result<()>;
 
-    /// The field of every entry that is its key, when there is one: the
-    /// mapper pushes each entry alone ([`Emit::push_entry`]), a pair is
-    /// its entry, and the reducers read the key from it. `None` (the
-    /// default): each entry is pushed with a key of its own
-    /// ([`Emit::push`]), which travels before it.
-    fn key_field(&self) -> Option<usize> {
-        None
+    /// Where the reduce key of each pushed entry comes from, and so which
+    /// [`Emit`] push the mapper uses. The default: each entry is pushed
+    /// with a key of its own ([`Emit::push`]), which travels before it.
+    fn key(&self) -> PairKey {
+        PairKey::Pushed
     }
 }
 
-/// A map task's sink: each pushed pair is routed by the job's partitioner
-/// and wire-encoded into the segment of its reducer.
+/// Where the reduce key of a mapper's entries comes from
+/// ([`Mapper::key`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairKey {
+    /// Each entry is pushed with a key of its own ([`Emit::push`]): the
+    /// partitioner routes it, and it travels, tagged, before the entry.
+    Pushed,
+    /// The key is this field of every entry: the mapper pushes each entry
+    /// alone ([`Emit::push_entry`]), a pair is its entry, and the reducers
+    /// read the key from it.
+    Field(usize),
+    /// No key: the mapper names each entry's reducer ([`Emit::push_to`])
+    /// and the job does not sort by key. A reducer sees its pairs in
+    /// `(run base, mapper, emission index)` order, the base being the
+    /// last one the mapper set ([`Emit::set_base`]).
+    None,
+}
+
+/// A map task's sink: each pushed pair is routed to its reducer and
+/// wire-encoded into that reducer's segment, as an entry of the segment's
+/// open run.
+///
+/// A run is `[base u64][count u32][entry tag u8]` and then `count` pairs:
+/// the entry alone, or its tagged key and then the entry
+/// ([`PairKey::Pushed`]). A pair opens a new run in its segment when its
+/// entry tag differs from the open run's, or when the mapper has set
+/// another base since that run opened ([`Emit::set_base`]).
 pub struct Emit<'a> {
     partitioner: &'a dyn Partitioner,
     num_reducers: usize,
     schema: &'a Schema,
     compress_key: Option<usize>,
-    /// One segment per reducer: its header's placeholder, then its pairs.
+    /// One segment per reducer: its header's placeholder, then its runs.
     segs: &'a mut [Vec<u8>],
+    /// Each reducer's open run.
+    runs: Vec<OpenRun>,
+    /// The base the next opened run carries.
+    base: u64,
+    /// The node this map task runs on: pairs for its reducers stay local.
+    node: usize,
     /// Pairs pushed to each destination node: what its reduce task sizes
     /// its sort buffers by.
     sent: &'a mut [usize],
@@ -216,45 +246,128 @@ pub struct Emit<'a> {
     skew: Option<&'a mut SkewHistogram>,
     /// Pairs pushed so far.
     pairs: usize,
+    /// The record bytes of every pair bound for another node, plus a
+    /// segment header per such segment: the shuffle's lower bound.
+    lo: u64,
     /// The last row schema found equal to `schema`: rows of it encode as
     /// their bytes after one pointer comparison.
     row_schema: Option<Arc<Schema>>,
-    /// The mapper's [`Mapper::key_field`].
-    key_field: Option<usize>,
+    /// The mapper's [`Mapper::key`].
+    key: PairKey,
 }
 
-impl Emit<'_> {
-    /// Route `(key, entry)` to its reducer and encode it into that
-    /// reducer's segment: the tagged key, then the entry. The pair carries
-    /// no header; its segment names the reducer once. A mapper that
-    /// declares a key field pushes with [`Emit::push_entry`] instead.
-    pub fn push(&mut self, key: &Value, entry: EntryRef<'_>) -> Result<()> {
-        if let Some(field) = self.key_field {
-            return Err(MrError::msg(format!(
-                "the mapper keys every entry by its field {field}: push the entry alone"
-            )));
+/// A reducer's open run in its segment: where its header starts, its base
+/// and entry tag, and the pairs it holds so far (0: no run is open).
+#[derive(Clone, Copy, Default)]
+struct OpenRun {
+    at: usize,
+    base: u64,
+    tag: u8,
+    count: usize,
+}
+
+impl OpenRun {
+    /// Write the run's pair count into its header; no run, no write.
+    fn close(&self, seg: &mut [u8]) -> Result<()> {
+        if self.count > 0 {
+            let count = wire_u32("run count", self.count)?;
+            seg[self.at + 8..self.at + 12].copy_from_slice(&count.to_le_bytes());
         }
-        self.route(key, entry)
+        Ok(())
+    }
+}
+
+/// What a map task's [`Emit`] counted, once its runs are closed.
+struct Emitted {
+    pairs: usize,
+    lo: u64,
+}
+
+impl<'a> Emit<'a> {
+    /// A sink over `segs` (one empty buffer per reducer of `job`) for the
+    /// map task on node `node` of `sent.len()` nodes.
+    fn new(
+        job: &'a MapReduceJob<'a>,
+        node: usize,
+        segs: &'a mut [Vec<u8>],
+        sent: &'a mut [usize],
+        skew: Option<&'a mut SkewHistogram>,
+    ) -> Self {
+        Emit {
+            partitioner: job.partitioner,
+            num_reducers: job.num_reducers,
+            schema: &job.map_output_schema,
+            compress_key: job.compress_key,
+            runs: vec![OpenRun::default(); segs.len()],
+            segs,
+            base: 0,
+            node,
+            sent,
+            skew,
+            pairs: 0,
+            lo: 0,
+            row_schema: None,
+            key: job.mapper.key(),
+        }
     }
 
-    /// Route an entry by its key field ([`Mapper::key_field`]) — the
+    /// Route `(key, entry)` to its reducer and encode it into that
+    /// reducer's segment: the tagged key, then the entry. The pair carries
+    /// no header; its segment names the reducer once and its run the entry
+    /// tag. A mapper that declares another [`PairKey`] pushes with
+    /// [`Emit::push_entry`] or [`Emit::push_to`] instead.
+    pub fn push(&mut self, key: &Value, entry: EntryRef<'_>) -> Result<()> {
+        if self.key != PairKey::Pushed {
+            return Err(MrError::msg(format!(
+                "the mapper's pairs are keyed {:?}: it cannot push a key",
+                self.key
+            )));
+        }
+        let reducer = self.partitioner.reducer_for(key, self.num_reducers)?;
+        self.encode(reducer, Some(key), entry)
+    }
+
+    /// Route an entry by its key field ([`PairKey::Field`]) — the
     /// record's, or a packed group's first member's — and encode only the
     /// entry into its reducer's segment: the reducer reads the key from
     /// it, so no pushed key can disagree with its entry.
     pub fn push_entry(&mut self, entry: EntryRef<'_>) -> Result<()> {
-        let Some(field) = self.key_field else {
-            return Err(MrError::msg(
-                "the mapper declares no key field: push each entry with its key",
-            ));
+        let PairKey::Field(field) = self.key else {
+            return Err(MrError::msg(format!(
+                "the mapper's pairs are keyed {:?}: it declares no key field",
+                self.key
+            )));
         };
         let key = entry.key(field)?;
-        self.route(&key, entry)
+        let reducer = self.partitioner.reducer_for(&key, self.num_reducers)?;
+        self.encode(reducer, None, entry)
     }
 
-    /// Route `entry` by `key` and encode the pair; the key goes on the
-    /// wire only when it is no field of the entry.
-    fn route(&mut self, key: &Value, entry: EntryRef<'_>) -> Result<()> {
-        let reducer = self.partitioner.reducer_for(key, self.num_reducers)?;
+    /// Encode `entry` alone into reducer `reducer`'s segment, for a
+    /// keyless mapper ([`PairKey::None`]): no key is built, routed or
+    /// sent.
+    pub fn push_to(&mut self, reducer: usize, entry: EntryRef<'_>) -> Result<()> {
+        if self.key != PairKey::None {
+            return Err(MrError::msg(format!(
+                "the mapper's pairs are keyed {:?}: it must push each entry by its key",
+                self.key
+            )));
+        }
+        self.encode(reducer, None, entry)
+    }
+
+    /// Make `base` the base of every run opened from now on: each
+    /// reducer's next pair opens a new run. A keyless job's reducer orders
+    /// its runs by base, so a mapper that pushes a fragment's entries in
+    /// order, based at the fragment's global offset, delivers them in
+    /// global order.
+    pub fn set_base(&mut self, base: u64) {
+        self.base = base;
+    }
+
+    /// Encode the pair `(key?, entry)` into reducer `reducer`'s segment,
+    /// in its open run or in a new one.
+    fn encode(&mut self, reducer: usize, key: Option<&Value>, entry: EntryRef<'_>) -> Result<()> {
         if reducer >= self.num_reducers {
             // Defensive re-check for third-party partitioners that
             // return in-band instead of erroring.
@@ -265,28 +378,57 @@ impl Emit<'_> {
         }
         let nodes = self.sent.len();
         self.sent[reducer % nodes] += 1;
+        let remote = reducer % nodes != self.node;
         let buf = &mut self.segs[reducer];
         if buf.is_empty() {
             // Filled in by `seal_segments` once the task commits.
             buf.extend_from_slice(&[0; SEGMENT_HEADER]);
+            self.lo += SEGMENT_HEADER as u64 * u64::from(remote);
         }
         let len_before = buf.len();
-        if self.key_field.is_none() {
+        let tag = entry_tag(entry, self.compress_key);
+        let run = &mut self.runs[reducer];
+        if run.count == 0 || run.tag != tag || run.base != self.base {
+            run.close(buf)?;
+            *run = OpenRun {
+                at: buf.len(),
+                base: self.base,
+                tag,
+                count: 0,
+            };
+            buf.extend_from_slice(&self.base.to_le_bytes());
+            buf.extend_from_slice(&[0; 4]);
+            buf.push(tag);
+        }
+        run.count += 1;
+        if let Some(key) = key {
             wire::encode_value(key, buf);
         }
-        match entry {
+        let record_bytes = match entry {
             EntryRef::Row(row) if row_follows(&mut self.row_schema, row, self.schema) => {
-                buf.push(ENTRY_REC);
                 buf.extend_from_slice(row.as_bytes());
+                row.as_bytes().len()
             }
             _ => encode_entry(entry, self.schema, self.compress_key, buf)?,
-        }
+        };
+        self.lo += record_bytes as u64 * u64::from(remote);
         if let Some(sk) = self.skew.as_deref_mut() {
             sk.records[reducer] += entry.record_count() as u64;
             sk.bytes[reducer] += (buf.len() - len_before) as u64;
         }
         self.pairs += 1;
         Ok(())
+    }
+
+    /// Close every open run: what the task pushed is now whole segments.
+    fn finish(self) -> Result<Emitted> {
+        for (run, seg) in self.runs.iter().zip(self.segs.iter_mut()) {
+            run.close(seg)?;
+        }
+        Ok(Emitted {
+            pairs: self.pairs,
+            lo: self.lo,
+        })
     }
 }
 
@@ -342,8 +484,8 @@ impl Mapper for KeyedMapper {
         Ok(())
     }
 
-    fn key_field(&self) -> Option<usize> {
-        Some(self.key_field)
+    fn key(&self) -> PairKey {
+        PairKey::Field(self.key_field)
     }
 }
 
@@ -406,13 +548,15 @@ pub struct MapReduceJob<'a> {
     pub output_schema: Arc<Schema>,
     /// The map task.
     pub mapper: &'a dyn Mapper,
-    /// Reduce-key to reducer assignment.
+    /// Reduce-key to reducer assignment (unused by a keyless mapper, which
+    /// names each entry's reducer itself).
     pub partitioner: &'a dyn Partitioner,
     /// The reduce task.
     pub reducer: &'a dyn Reducer,
     /// Sort each reducer's pairs by key before reducing (sort/group jobs);
-    /// otherwise pairs arrive in `(mapper, emission)` order (distribute
-    /// jobs).
+    /// otherwise pairs arrive in `(run base, mapper, emission)` order
+    /// (distribute jobs). A keyless job ([`PairKey::None`]) has no key to
+    /// sort by.
     pub sort_by_key: bool,
     /// Reverse the key order in the reduce-side sort (Table I's descending
     /// sort flag). Only meaningful with `sort_by_key`.
@@ -430,17 +574,24 @@ pub struct MapReduceJob<'a> {
 
 impl MapReduceJob<'_> {
     /// How this job's pairs lie in the inboxes. A key field past the
-    /// entries' fields is an error.
+    /// entries' fields, and a keyless job that sorts by key, are errors.
     fn layout(&self) -> Result<Layout<'_>> {
         let schema = &self.map_output_schema;
-        let key_field = match self.mapper.key_field() {
-            Some(field) => Some(KeyField::new(schema, field)?),
-            None => None,
+        let key = match self.mapper.key() {
+            PairKey::Pushed => KeyAt::Pushed,
+            PairKey::Field(field) => KeyAt::Field(KeyField::new(schema, field)?),
+            PairKey::None if self.sort_by_key => {
+                return Err(MrError::msg(format!(
+                    "job '{}' sorts by key, but its mapper pushes no key",
+                    self.name
+                )))
+            }
+            PairKey::None => KeyAt::Nowhere,
         };
         Ok(Layout {
             schema,
             compress_key: self.compress_key,
-            key_field,
+            key,
         })
     }
 }
@@ -460,49 +611,61 @@ fn row_follows(seen: &mut Option<Arc<Schema>>, row: RowRef<'_>, schema: &Schema)
     follows
 }
 
-/// Encode one entry into the outbox; a row of another schema decodes and
-/// encodes like a record.
+/// The tag of `entry` on the wire: a record, a packed group, or a
+/// CSC-compressed one.
+fn entry_tag(entry: EntryRef<'_>, compress_key: Option<usize>) -> u8 {
+    match (entry, compress_key) {
+        (EntryRef::Rec(_) | EntryRef::Row(_), _) => ENTRY_REC,
+        (EntryRef::Packed(_), None) => ENTRY_PACKED,
+        (EntryRef::Packed(_), Some(_)) => ENTRY_PACKED_CSC,
+    }
+}
+
+/// Encode one entry, without its tag, into the outbox; a row of another
+/// schema decodes and encodes like a record. Returns the bytes its flat
+/// records take as records: all of it for a record, the members for a
+/// packed group (without its key and count), and for a CSC group the
+/// columns plus each member's share of the factored key.
 fn encode_entry(
     entry: EntryRef<'_>,
     schema: &Schema,
     compress_key: Option<usize>,
     buf: &mut Vec<u8>,
-) -> Result<()> {
+) -> Result<usize> {
+    let start = buf.len();
     match entry {
-        EntryRef::Rec(r) => {
-            buf.push(ENTRY_REC);
-            wire::encode_record(r, schema, buf)?;
-        }
-        EntryRef::Row(row) => {
-            buf.push(ENTRY_REC);
-            wire::encode_record(&row.to_record(), schema, buf)?;
-        }
-        EntryRef::Packed(p) => match compress_key {
-            Some(key_idx) => {
-                buf.push(ENTRY_PACKED_CSC);
-                wire::encode_value(&p.key, buf);
-                buf.extend_from_slice(&(p.records.len() as u32).to_le_bytes());
-                for (fi, field) in schema.fields().iter().enumerate() {
-                    if fi == key_idx {
-                        continue;
+        EntryRef::Rec(r) => wire::encode_record(r, schema, buf)?,
+        EntryRef::Row(row) => wire::encode_record(&row.to_record(), schema, buf)?,
+        EntryRef::Packed(p) => {
+            wire::encode_value(&p.key, buf);
+            // The key's width without its tag: what each member's key
+            // field takes as a record.
+            let key_w = buf.len() - start - 1;
+            buf.extend_from_slice(&wire_u32("group size", p.records.len())?.to_le_bytes());
+            let members = buf.len();
+            match compress_key {
+                Some(key_idx) => {
+                    for (fi, field) in schema.fields().iter().enumerate() {
+                        if fi == key_idx {
+                            continue;
+                        }
+                        for rec in &p.records {
+                            let v = rec.require(fi).map_err(MrError::from)?;
+                            wire::encode_field(v, field.ty, buf)?;
+                        }
                     }
+                    return Ok(buf.len() - members + key_w * p.records.len());
+                }
+                None => {
                     for rec in &p.records {
-                        let v = rec.require(fi).map_err(MrError::from)?;
-                        wire::encode_field(v, field.ty, buf)?;
+                        wire::encode_record(rec, schema, buf)?;
                     }
+                    return Ok(buf.len() - members);
                 }
             }
-            None => {
-                buf.push(ENTRY_PACKED);
-                wire::encode_value(&p.key, buf);
-                buf.extend_from_slice(&(p.records.len() as u32).to_le_bytes());
-                for rec in &p.records {
-                    wire::encode_record(rec, schema, buf)?;
-                }
-            }
-        },
+        }
     }
-    Ok(())
+    Ok(buf.len() - start)
 }
 
 /// Checked narrowing for the shuffle wire format's u32 fields — a segment
@@ -516,8 +679,12 @@ fn wire_u32(field: &'static str, value: usize) -> Result<u32> {
 }
 
 /// Bytes of a segment header: the reducer id and the byte length of the
-/// pairs that follow, both `u32` little-endian.
+/// runs that follow, both `u32` little-endian.
 const SEGMENT_HEADER: usize = 8;
+
+/// Bytes of a run header: the base (`u64`), the pair count (`u32`) and
+/// the entry tag, little-endian.
+const RUN_HEADER: usize = 13;
 
 /// Turn a committed map task's per-reducer segments into its node
 /// messages: write each non-empty segment's header, then give node `to`
@@ -551,20 +718,25 @@ fn seal_segments(segs: &mut [Vec<u8>], n: usize) -> Result<Vec<Vec<u8>>> {
 // ---------------------------------------------------------------------------
 // The reduce path: borrowed views + packed 128-bit sort keys.
 //
-// Each reducer sees its pairs in the total order `(reducer, key?, mapper,
-// emission index)` — key order reversed when descending, key omitted when
-// `!sort_by_key`. `(mapper, emission index)` is unique per pair, so any
-// correct sort, stable or not, sequential or parallel, produces the same
-// permutation.
+// Each reducer sees its pairs in the total order `(reducer, key, mapper,
+// emission index)` — key order reversed when descending — or, when
+// `!sort_by_key`, `(reducer, run base, mapper, emission index)`.
+// `(mapper, emission index)` is unique per pair, so any correct sort,
+// stable or not, sequential or parallel, produces the same permutation.
 //
 // On the wire a node's message is one segment per reducer it owns, in
 // reducer order: `[reducer u32][byte length u32]` and then that sender's
-// pairs for that reducer, nothing else. A pair is its entry when the key is
-// a field of it (`Mapper::key_field`: sort and group jobs), and otherwise
-// a tagged key and then the entry.
+// runs for that reducer, nothing else. A run is `[base u64][count u32]
+// [entry tag u8]` and then `count` pairs. A pair is its entry, untagged,
+// when the key is a field of it (`PairKey::Field`: sort and group jobs) or
+// there is no key (`PairKey::None`: distribute), and otherwise a tagged key
+// and then the entry.
 // The reduce task scans each message once, reads a segment header
-// whenever the previous segment has ended, records a 16-byte [`PairLoc`]
-// locating each pair's bytes, and packs the sort order into a single
+// whenever the previous segment has ended and a run header whenever the
+// previous run has, and records a 16-byte [`PairLoc`] locating each pair's
+// bytes and its run's tag. A job without key order orders its runs by
+// `(reducer, base, scan index)` and concatenates them: no pair is
+// compared. A keyed job packs each pair's sort order into a single
 // `u128`:
 //
 // ```text
@@ -670,6 +842,15 @@ fn fixup_prefix_ties(
     Ok(())
 }
 
+/// One run of an inbox: the reducer its segment is for, its base, and its
+/// pairs' scan indices `first..first + count`.
+struct RunSpan {
+    reducer: u32,
+    base: u64,
+    first: usize,
+    count: usize,
+}
+
 /// What the inbox scan learns besides each pair's location and sort key.
 struct Scan {
     /// Flat records per owned reducer (slot `rid / n`): every reducer can
@@ -681,14 +862,18 @@ struct Scan {
     all_records: bool,
     /// The pairs' bytes, which their reducers decode exactly once.
     materialized_bytes: u64,
+    /// Every run, in scan order.
+    runs: Vec<RunSpan>,
 }
 
-/// Scan node `node`'s inbox once: check every segment header, then record
-/// each pair's [`PairLoc`] and packed sort key into `locs` and `packed`.
-/// `pairs` is how many pairs the senders counted for this node. A segment
-/// for a reducer out of range or owned by another node, a segment running
-/// past its message, a pair running past its segment and a pair count
-/// other than `pairs` are typed errors.
+/// Scan node `node`'s inbox once: check every segment and run header, then
+/// record each pair's [`PairLoc`] into `locs` and, when the job sorts by
+/// key, its packed sort key into `packed`. `pairs` is how many pairs the
+/// senders counted for this node. A segment for a reducer out of range or
+/// owned by another node, a segment running past its message, a run header
+/// cut short, a run of no pairs or of an unknown entry tag, a run claiming
+/// more pairs than its segment holds, a pair running past its segment and a
+/// pair count other than `pairs` are typed errors.
 fn scan_inbox(
     job: &MapReduceJob<'_>,
     node: usize,
@@ -706,8 +891,12 @@ fn scan_inbox(
         any_inexact: false,
         all_records: true,
         materialized_bytes: 0,
+        runs: Vec::new(),
     };
     let malformed = |detail: String| MrError::MalformedShuffle { node, detail };
+    // Only an untagged record of no fields takes no bytes: a run of those
+    // may end where its segment does.
+    let empty_pairs = !matches!(layout.key, KeyAt::Pushed) && layout.schema.fields().is_empty();
     for (bi, (from, buf)) in inbox.iter().enumerate() {
         let mut segments = Reader::new(buf);
         while segments.remaining() > 0 {
@@ -733,54 +922,87 @@ fn scan_inbox(
                     buf.len() - start
                 )));
             }
-            // The segment's pairs, through a reader that ends where the
+            // The segment's runs, through a reader that ends where the
             // segment does: a pair running past it fails to parse.
             let mut r = Reader::new(&buf[..start + len]);
             r.read_bytes(start).map_err(MrError::from)?;
             while r.remaining() > 0 {
-                let off = r.position();
-                // `Layout::pair`, with the key read as its prefix, written
-                // out: this loop visits every pair.
-                let (kp, entry) = match layout.key_field {
-                    None => (prefix::from_wire(&mut r)?, layout.entry(&mut r)?),
-                    Some(field) => {
-                        let entry = layout.entry(&mut r)?;
-                        let (ty, bytes) = entry.key(field)?;
-                        (prefix::from_field(&mut Reader::new(bytes), ty)?, entry)
+                if r.remaining() < RUN_HEADER {
+                    return Err(malformed(format!(
+                        "node {from}'s segment for reducer {reducer} ends {} byte(s) into \
+                         a {RUN_HEADER}-byte run header",
+                        r.remaining()
+                    )));
+                }
+                let base = r.read_u64().map_err(MrError::from)?;
+                let count = r.read_u32().map_err(MrError::from)? as usize;
+                let tag = r.read_u8().map_err(MrError::from)?;
+                if count == 0 {
+                    return Err(malformed(format!(
+                        "node {from} sent reducer {reducer} a run of no pairs"
+                    )));
+                }
+                if !matches!(tag, ENTRY_REC | ENTRY_PACKED | ENTRY_PACKED_CSC) {
+                    return Err(malformed(format!(
+                        "node {from} sent reducer {reducer} a run of unknown entry tag {tag}"
+                    )));
+                }
+                let first = locs.len();
+                for k in 0..count {
+                    if r.remaining() == 0 && !empty_pairs {
+                        return Err(malformed(format!(
+                            "node {from}'s run for reducer {reducer} claims {count} pairs, \
+                             its segment ends after {k}"
+                        )));
                     }
-                };
-                let key66 = if job.sort_by_key {
-                    scan.any_inexact |= !kp.exact;
-                    if job.descending {
+                    if locs.len() >= pairs {
+                        return Err(malformed(format!(
+                            "the inbox holds more than the {pairs} pair(s) its senders sent"
+                        )));
+                    }
+                    let off = r.position();
+                    // `Layout::pair`, with the key read as its prefix,
+                    // written out: this loop visits every pair.
+                    let (kp, entry) = match layout.key {
+                        KeyAt::Pushed => {
+                            (Some(prefix::from_wire(&mut r)?), layout.entry(&mut r, tag)?)
+                        }
+                        KeyAt::Field(field) => {
+                            let entry = layout.entry(&mut r, tag)?;
+                            let (ty, bytes) = entry.key(field)?;
+                            let kp = prefix::from_field(&mut Reader::new(bytes), ty)?;
+                            (Some(kp), entry)
+                        }
+                        KeyAt::Nowhere => (None, layout.entry(&mut r, tag)?),
+                    };
+                    let pair_len = r.position() - off;
+                    scan.records_by_slot[reducer as usize / n] += entry.record_count();
+                    scan.materialized_bytes += pair_len as u64;
+                    let idx = locs.len();
+                    if idx > IDX_MASK as usize {
+                        return Err(MrError::WireOverflow {
+                            field: "pair index",
+                            value: idx,
+                            max: IDX_MASK as u64,
+                        });
+                    }
+                    locs.push(PairLoc::new(bi, off, tag, pair_len - entry.encoded_len())?);
+                    if let (true, Some(kp)) = (job.sort_by_key, kp) {
+                        scan.any_inexact |= !kp.exact;
                         // Inverting the 66-bit field reverses strict prefix
                         // order but preserves prefix equality, so tie runs
                         // are detected identically.
-                        kp.packed66() ^ KEY66_MASK
-                    } else {
-                        kp.packed66()
+                        let flip = if job.descending { KEY66_MASK } else { 0 };
+                        packed.push(pack_pair(reducer, kp.packed66() ^ flip, idx));
                     }
-                } else {
-                    0
-                };
-                let pair_len = r.position() - off;
-                let key_len = wire_u32("key length", pair_len - entry.encoded_len())?;
-                scan.records_by_slot[reducer as usize / n] += entry.record_count();
-                scan.all_records &= entry.tag() == ENTRY_REC;
-                scan.materialized_bytes += pair_len as u64;
-                let idx = locs.len();
-                if idx > IDX_MASK as usize {
-                    return Err(MrError::WireOverflow {
-                        field: "pair index",
-                        value: idx,
-                        max: IDX_MASK as u64,
-                    });
                 }
-                locs.push(PairLoc {
-                    buf: bi as u32,
-                    key_len,
-                    off: off as u64,
+                scan.all_records &= tag == ENTRY_REC;
+                scan.runs.push(RunSpan {
+                    reducer,
+                    base,
+                    first,
+                    count,
                 });
-                packed.push(pack_pair(reducer, key66, idx));
             }
         }
     }
@@ -791,6 +1013,18 @@ fn scan_inbox(
         )));
     }
     Ok(scan)
+}
+
+/// The reduce order of a job that does not sort by key: its runs by
+/// `(reducer, base, scan index)`, concatenated into `order` — a few dozen
+/// runs compared, no pair.
+fn order_runs(runs: &mut [RunSpan], order: &mut Vec<u128>) {
+    runs.sort_unstable_by_key(|run| (run.reducer, run.base, run.first));
+    order.clear();
+    for run in runs.iter() {
+        let pairs = run.first..run.first + run.count;
+        order.extend(pairs.map(|idx| pack_pair(run.reducer, 0, idx)));
+    }
 }
 
 /// What one reduce attempt hands back.
@@ -841,6 +1075,8 @@ struct MapOutcome {
     phase_time: Duration,
     records_in: u64,
     pairs: u64,
+    /// The task's share of the shuffle's lower bound ([`Emit`]'s `lo`).
+    shuffle_lo: u64,
     /// Locally-accumulated recovery accounting, merged in node order.
     recovery: RecoveryStats,
     events: Vec<RecoveryAction>,
@@ -1019,6 +1255,7 @@ impl Cluster {
                     map_compute[node] = o.compute;
                     stats.records_in += o.records_in;
                     stats.pairs_shuffled += o.pairs;
+                    stats.shuffle_lo += o.shuffle_lo;
                     for (to, sent) in o.sent.iter().enumerate() {
                         inbox_pairs[to] += sent;
                     }
@@ -1172,6 +1409,7 @@ impl Cluster {
             phase_time: Duration::ZERO,
             records_in: 0,
             pairs: 0,
+            shuffle_lo: 0,
             recovery: RecoveryStats::default(),
             events: Vec::new(),
             trace: None,
@@ -1212,20 +1450,10 @@ impl Cluster {
                 num_reducers: job.num_reducers,
                 reducer: None,
             };
-            let mut emit = Emit {
-                partitioner: job.partitioner,
-                num_reducers: job.num_reducers,
-                schema: &job.map_output_schema,
-                compress_key: job.compress_key,
-                segs: &mut segs,
-                sent: &mut out.sent,
-                skew: skew.as_mut(),
-                pairs: 0,
-                row_schema: None,
-                key_field: job.mapper.key_field(),
-            };
+            let mut emit = Emit::new(job, node, &mut segs, &mut out.sent, skew.as_mut());
             job.mapper.map(&ctx, &inputs, &mut emit)?;
-            let pair_count = emit.pairs as u64;
+            let emitted = emit.finish()?;
+            let pair_count = emitted.pairs as u64;
             let raw = t0.elapsed();
             cpu += raw;
             let elapsed = scale_compute(raw, pc.stragglers[node]);
@@ -1271,6 +1499,7 @@ impl Cluster {
             out.compute = elapsed;
             out.records_in = records_in;
             out.pairs = pair_count;
+            out.shuffle_lo = emitted.lo;
             if pc.tracing {
                 let encoded: u64 = out.row.iter().map(|b| b.len() as u64).sum();
                 let counters = Counters {
@@ -1451,10 +1680,10 @@ impl Cluster {
 
     /// One reduce attempt: scan the inbox (`pairs` pairs, as its senders
     /// counted them) once into a 16-byte location index plus packed
-    /// 128-bit sort keys, sort *those*, fix up inexact
-    /// prefix ties, then hand each reducer its span of the sorted order
-    /// as a borrowed [`Pairs`], from which it decodes each pair exactly
-    /// once, straight into its output.
+    /// 128-bit sort keys, sort *those* and fix up inexact prefix ties — or,
+    /// without key order, order the runs — then hand each reducer its span
+    /// of the order as a borrowed [`Pairs`], from which it decodes each
+    /// pair exactly once, straight into its output.
     fn reduce_attempt(
         &self,
         pc: &PhaseCtx<'_>,
@@ -1472,18 +1701,22 @@ impl Cluster {
             any_inexact,
             all_records,
             materialized_bytes,
+            mut runs,
         } = scan_inbox(job, node, n, inbox, pairs, locs, packed)?;
         let mut hot = HotPathStats {
             materialized_bytes,
             ..HotPathStats::default()
         };
-        // What sorting moves: one PairLoc + one packed key per pair.
+        // What ordering moves: one PairLoc + one packed key per pair.
         hot.staged_bytes =
             (locs.len() * (std::mem::size_of::<PairLoc>() + std::mem::size_of::<u128>())) as u64;
-        // Threads left over beyond one per node parallelize this node's
-        // sort — the node's core budget, like papar-sort's contract wants.
-        papar_sort::packed::par_sort_packed(packed, (pc.threads / n).max(1));
-        if job.sort_by_key {
+        if !job.sort_by_key {
+            order_runs(&mut runs, packed);
+        } else {
+            // Threads left over beyond one per node parallelize this
+            // node's sort — the node's core budget, like papar-sort's
+            // contract wants.
+            papar_sort::packed::par_sort_packed(packed, (pc.threads / n).max(1));
             fixup_prefix_ties(
                 layout,
                 job.descending,
@@ -1642,6 +1875,7 @@ fn job_trace(
     let ex_retrans_msgs = rec.retransmit_messages.saturating_sub(task_retrans_msgs);
     let counters = Counters {
         shuffle_bytes: stats.exchange.remote_bytes,
+        shuffle_lo: stats.shuffle_lo,
         messages: stats.exchange.remote_messages,
         frames_checksummed: stats.exchange.remote_messages + rec.retransmit_messages,
         retransmit_bytes: ex_retrans_bytes,
@@ -1675,32 +1909,75 @@ mod tests {
     use papar_record::batch::Rows;
     use proptest::prelude::*;
 
-    /// The outbox row a map task on a 3-node cluster leaves after `push`
-    /// pushed its pairs into `reducers` segments, and the pairs it counted
-    /// per node.
+    /// Nodes of the cluster every test message crosses.
+    const NODES: usize = 3;
+    /// Reducers of every test job: node 0 owns reducers 0 and 3.
+    const REDUCERS: usize = 5;
+
+    /// A mapper that only declares where its keys are: the tests push for
+    /// it.
+    struct Declares(PairKey);
+
+    impl Mapper for Declares {
+        fn map(&self, _: &TaskCtx, _: &[MapInput], _: &mut Emit<'_>) -> Result<()> {
+            Ok(())
+        }
+
+        fn key(&self) -> PairKey {
+            self.0
+        }
+    }
+
+    /// A reducer that produces nothing.
+    struct NoReduce;
+
+    impl Reducer for NoReduce {
+        fn reduce(&self, _: &TaskCtx, _: Pairs<'_>) -> Result<Vec<Batch>> {
+            Ok(Vec::new())
+        }
+    }
+
+    /// A 5-reducer job over entries of `schema`; a keyless one does not
+    /// sort by key.
+    fn test_job<'a>(
+        mapper: &'a dyn Mapper,
+        partitioner: &'a dyn Partitioner,
+        schema: Arc<Schema>,
+    ) -> MapReduceJob<'a> {
+        MapReduceJob {
+            name: "scan".into(),
+            inputs: Vec::new(),
+            output: "out".into(),
+            num_reducers: REDUCERS,
+            map_output_schema: schema.clone(),
+            output_schema: schema,
+            mapper,
+            partitioner,
+            reducer: &NoReduce,
+            sort_by_key: mapper.key() != PairKey::None,
+            descending: false,
+            compress_key: None,
+            release: &[],
+        }
+    }
+
+    /// The outbox row node 1 of the cluster leaves after `push` pushed its
+    /// pairs for a job keyed `keys` over entries of `schema`, and the pairs
+    /// it counted per node.
     fn emit_all(
+        keys: PairKey,
         partitioner: &dyn Partitioner,
-        reducers: usize,
-        schema: &Schema,
-        key_field: Option<usize>,
+        schema: Arc<Schema>,
         push: impl FnOnce(&mut Emit<'_>) -> Result<()>,
     ) -> Result<(Vec<Vec<u8>>, Vec<usize>)> {
-        let mut segs = vec![Vec::new(); reducers];
-        let mut sent = vec![0; 3];
-        let mut emit = Emit {
-            partitioner,
-            num_reducers: reducers,
-            schema,
-            compress_key: None,
-            segs: &mut segs,
-            sent: &mut sent,
-            skew: None,
-            pairs: 0,
-            row_schema: None,
-            key_field,
-        };
+        let mapper = Declares(keys);
+        let job = test_job(&mapper, partitioner, schema);
+        let mut segs = vec![Vec::new(); REDUCERS];
+        let mut sent = vec![0; NODES];
+        let mut emit = Emit::new(&job, 1, &mut segs, &mut sent, None);
         push(&mut emit)?;
-        Ok((seal_segments(&mut segs, 3)?, sent))
+        emit.finish()?;
+        Ok((seal_segments(&mut segs, NODES)?, sent))
     }
 
     /// Push every `(key, entry)` pair with its key.
@@ -1710,14 +1987,14 @@ mod tests {
         move |emit| pairs.try_for_each(|(key, entry)| emit.push(&key, entry))
     }
 
-    /// The outbox row after hashing `entries` over 5 reducers: two of the
+    /// The outbox row after hashing `entries` over the reducers: two of the
     /// three nodes get a message of two segments.
     fn emitted<'e>(
-        schema: &Schema,
+        schema: Arc<Schema>,
         entries: impl Iterator<Item = EntryRef<'e>>,
     ) -> std::result::Result<Vec<Vec<u8>>, TestCaseError> {
         let keyed = (0..).map(|i: i64| Value::Long(i * 7919)).zip(entries);
-        emit_all(&HashPartitioner, 5, schema, None, push_keyed(keyed))
+        emit_all(PairKey::Pushed, &HashPartitioner, schema, push_keyed(keyed))
             .map(|e| e.0)
             .map_err(|e| TestCaseError::fail(e.to_string()))
     }
@@ -1757,62 +2034,25 @@ mod tests {
             }
             let rows = Batch::Rows(Rows::new(schema.clone(), bytes).unwrap());
             let flat = Batch::Flat(records);
-            let want = emitted(&schema, EntryRef::all(&flat))?;
-            prop_assert_eq!(emitted(&schema, EntryRef::all(&rows))?, want.clone());
-            let equal = Schema::new(fields.clone());
-            prop_assert_eq!(emitted(&equal, EntryRef::all(&rows))?, want);
-            let renamed = Schema::new(
+            let want = emitted(schema.clone(), EntryRef::all(&flat))?;
+            prop_assert_eq!(emitted(schema, EntryRef::all(&rows))?, want.clone());
+            let equal = Arc::new(Schema::new(fields.clone()));
+            prop_assert_eq!(emitted(equal, EntryRef::all(&rows))?, want);
+            let renamed = Arc::new(Schema::new(
                 (fields.into_iter())
                     .map(|(name, ty)| (format!("{name}_"), ty))
                     .collect(),
-            );
+            ));
             prop_assert_eq!(
-                emitted(&renamed, EntryRef::all(&rows))?,
-                emitted(&renamed, EntryRef::all(&flat))?
+                emitted(renamed.clone(), EntryRef::all(&rows))?,
+                emitted(renamed, EntryRef::all(&flat))?
             );
         }
     }
 
-    /// Scan `msg` as node 0's whole inbox, sent by node 1, on a 3-node
-    /// cluster running `mapper`'s 5-reducer job over entries of `schema`.
-    fn scan_as(mapper: &dyn Mapper, schema: Arc<Schema>, msg: &[u8], pairs: usize) -> Result<Scan> {
-        let reducer = FnReducer(|_: &TaskCtx, _: Pairs<'_>| Ok(Vec::new()));
-        let job = MapReduceJob {
-            name: "scan".into(),
-            inputs: Vec::new(),
-            output: "out".into(),
-            num_reducers: 5,
-            map_output_schema: schema.clone(),
-            output_schema: schema,
-            mapper,
-            partitioner: &IdentityPartitioner,
-            reducer: &reducer,
-            sort_by_key: true,
-            descending: false,
-            compress_key: None,
-            release: &[],
-        };
-        let inbox = [(1, msg.to_vec())];
-        scan_inbox(&job, 0, 3, &inbox, pairs, &mut Vec::new(), &mut Vec::new())
-    }
-
-    /// Scan `msg` as the inbox of a job over one-`Int` records whose pairs
-    /// carry tagged keys.
-    fn scan_message(msg: &[u8], pairs: usize) -> Result<Scan> {
-        let mapper = FnMapper(|_: &TaskCtx, _: &[MapInput], _: &mut Emit<'_>| Ok(()));
-        let schema = Arc::new(Schema::new(vec![("k", FieldType::Integer)]));
-        scan_as(&mapper, schema, msg, pairs)
-    }
-
-    /// Node 0's message from a mapper that sends three pairs to each of
-    /// the 5 reducers (node 0 owns reducers 0 and 3), and its pair count.
-    fn node0_message() -> Result<(Vec<u8>, usize)> {
-        let schema = Schema::new(vec![("k", FieldType::Integer)]);
-        let records: Vec<Record> = (0..15).map(|i| Record::new(vec![Value::Int(i)])).collect();
-        let keys = (0..).map(|i: i64| Value::Long(i % 5));
-        let keyed = keys.zip(records.iter().map(EntryRef::Rec));
-        let (mut row, sent) = emit_all(&IdentityPartitioner, 5, &schema, None, push_keyed(keyed))?;
-        Ok((row.swap_remove(0), sent[0]))
+    /// Records of one `Int`.
+    fn int_schema() -> Arc<Schema> {
+        Arc::new(Schema::new(vec![("k", FieldType::Integer)]))
     }
 
     /// Records of an `Int` and a 6-byte `Str` key, keyed by the string.
@@ -1823,157 +2063,348 @@ mod tests {
         ]))
     }
 
-    /// Scan `msg` as the inbox of a job keyed by the `Str` field of
-    /// [`str_keyed_schema`]: its pairs are their entries.
-    fn scan_str_keyed(msg: &[u8], pairs: usize) -> Result<Scan> {
-        scan_as(
-            &KeyedMapper { key_field: 1 },
-            str_keyed_schema(),
-            msg,
-            pairs,
-        )
+    /// The inboxes the scan tests read and damage: node 0's message from
+    /// node 1, for a job of each way a pair may carry its key.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        /// 15 `Int` records, each pushed with a `Long` key that names its
+        /// reducer: three pairs for each reducer, one run per segment.
+        TaggedKeys,
+        /// 15 records keyed by their `Str` field and hashed.
+        StrKeyField,
+        /// 15 `Int` records pushed with no key to reducer `i % 5`, in two
+        /// fragments based at 0 and 100: two runs per segment.
+        Keyless,
+        /// A flat fragment and a packed one (hybrid's two-input
+        /// distribute), pushed with no key: a record run and a group run
+        /// per segment.
+        KeylessMixed,
     }
 
-    /// Node 0's message from a mapper that keys 15 records by their `Str`
-    /// field and hashes them over the 5 reducers, and its pair count.
-    fn str_keyed_message() -> Result<(Vec<u8>, usize)> {
-        let schema = str_keyed_schema();
-        let records: Vec<Record> = (0..15)
-            .map(|i| Record::new(vec![Value::Int(i), Value::from(format!("key-{i:02}"))]))
-            .collect();
-        let (mut row, sent) = emit_all(&HashPartitioner, 5, &schema, Some(1), |emit| {
-            records
-                .iter()
-                .try_for_each(|r| emit.push_entry(EntryRef::Rec(r)))
-        })?;
-        Ok((row.swap_remove(0), sent[0]))
+    const SHAPES: [Shape; 4] = [
+        Shape::TaggedKeys,
+        Shape::StrKeyField,
+        Shape::Keyless,
+        Shape::KeylessMixed,
+    ];
+
+    impl Shape {
+        fn keys(self) -> PairKey {
+            match self {
+                Shape::TaggedKeys => PairKey::Pushed,
+                Shape::StrKeyField => PairKey::Field(1),
+                Shape::Keyless | Shape::KeylessMixed => PairKey::None,
+            }
+        }
+
+        fn schema(self) -> Arc<Schema> {
+            match self {
+                Shape::TaggedKeys | Shape::Keyless => int_schema(),
+                Shape::StrKeyField | Shape::KeylessMixed => str_keyed_schema(),
+            }
+        }
+
+        fn partitioner(self) -> &'static dyn Partitioner {
+            match self {
+                Shape::StrKeyField => &HashPartitioner,
+                _ => &IdentityPartitioner,
+            }
+        }
+
+        /// Node 0's message and the pairs node 1 counted for it.
+        fn message(self) -> Result<(Vec<u8>, usize)> {
+            let ints: Vec<Record> = (0..15).map(|i| Record::new(vec![Value::Int(i)])).collect();
+            let strs: Vec<Record> = (0..15)
+                .map(|i| Record::new(vec![Value::Int(i), Value::from(format!("key-{i:02}"))]))
+                .collect();
+            let groups: Vec<PackedRecord> = (0..10)
+                .map(|g| PackedRecord {
+                    key: Value::from(format!("grp-{g:02}")),
+                    records: strs[g..g + 2].to_vec(),
+                })
+                .collect();
+            let (mut row, sent) = emit_all(
+                self.keys(),
+                self.partitioner(),
+                self.schema(),
+                |emit| match self {
+                    Shape::TaggedKeys => {
+                        let keys = (0..).map(|i: i64| Value::Long(i % 5));
+                        push_keyed(keys.zip(ints.iter().map(EntryRef::Rec)))(emit)
+                    }
+                    Shape::StrKeyField => {
+                        (strs.iter()).try_for_each(|r| emit.push_entry(EntryRef::Rec(r)))
+                    }
+                    Shape::Keyless => {
+                        for (i, r) in ints.iter().enumerate() {
+                            if i % 8 == 0 {
+                                emit.set_base(100 * (i / 8) as u64);
+                            }
+                            emit.push_to(i % 5, EntryRef::Rec(r))?;
+                        }
+                        Ok(())
+                    }
+                    Shape::KeylessMixed => {
+                        for (i, r) in strs.iter().enumerate() {
+                            emit.push_to(i % 5, EntryRef::Rec(r))?;
+                        }
+                        emit.set_base(15);
+                        for (g, group) in groups.iter().enumerate() {
+                            emit.push_to(g % 5, EntryRef::Packed(group))?;
+                        }
+                        Ok(())
+                    }
+                },
+            )?;
+            Ok((row.swap_remove(0), sent[0]))
+        }
+
+        /// Scan `msg` as node 0's whole inbox, sent by node 1.
+        fn scan(self, msg: &[u8], pairs: usize) -> Result<Scan> {
+            let mapper = Declares(self.keys());
+            let job = test_job(&mapper, self.partitioner(), self.schema());
+            let inbox = [(1, msg.to_vec())];
+            scan_inbox(
+                &job,
+                0,
+                NODES,
+                &inbox,
+                pairs,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            )
+        }
+
+        /// Where each run header of the first segment of `msg` starts.
+        fn first_segment_runs(self, msg: &[u8]) -> Result<Vec<usize>> {
+            let mapper = Declares(self.keys());
+            let job = test_job(&mapper, self.partitioner(), self.schema());
+            let layout = job.layout()?;
+            let mut r = Reader::new(&msg[..SEGMENT_HEADER + segment_len(msg, 0)]);
+            r.read_bytes(SEGMENT_HEADER)?;
+            let mut runs = Vec::new();
+            while r.remaining() > 0 {
+                runs.push(r.position());
+                r.read_u64()?;
+                let count = r.read_u32()?;
+                let tag = r.read_u8()?;
+                for _ in 0..count {
+                    if let KeyAt::Pushed = layout.key {
+                        wire::skip_value(&mut r)?;
+                    }
+                    layout.entry(&mut r, tag)?;
+                }
+            }
+            Ok(runs)
+        }
     }
-
-    /// Scans a message as one job's inbox.
-    type ScanFn = fn(&[u8], usize) -> Result<Scan>;
-    /// Builds a valid message for a [`ScanFn`], and its pair count.
-    type MessageFn = fn() -> Result<(Vec<u8>, usize)>;
-
-    /// A `Str`-keyed pair: the entry tag, the `Int` and the 6-byte string
-    /// with its length.
-    const STR_KEYED_PAIR: usize = 1 + 4 + 4 + 6;
 
     /// The byte length in the header of the segment starting at `at`.
     fn segment_len(msg: &[u8], at: usize) -> usize {
         u32::from_le_bytes([msg[at + 4], msg[at + 5], msg[at + 6], msg[at + 7]]) as usize
     }
 
+    /// The pair count in the header of the run starting at `at`.
+    fn run_count(msg: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes([msg[at + 8], msg[at + 9], msg[at + 10], msg[at + 11]])
+    }
+
     #[test]
     fn segments_frame_each_reducers_pairs_once() -> Result<()> {
-        let (msg, pairs) = node0_message()?;
-        // Two segments, each a header and three 14-byte pairs: a 9-byte
-        // tagged `Long` key, the entry tag and a 4-byte record.
+        let (msg, pairs) = Shape::TaggedKeys.message()?;
+        // Two segments, each a header, a run header and three 13-byte
+        // pairs: a 9-byte tagged `Long` key and a 4-byte record.
         assert_eq!(pairs, 6);
         assert_eq!(&msg[..4], &0u32.to_le_bytes());
         let first = segment_len(&msg, 0);
-        assert_eq!(first, 3 * 14);
+        assert_eq!(first, RUN_HEADER + 3 * 13);
+        assert_eq!(run_count(&msg, SEGMENT_HEADER), 3);
+        assert_eq!(msg[SEGMENT_HEADER + 12], ENTRY_REC);
         assert_eq!(&msg[8 + first..12 + first], &3u32.to_le_bytes());
         assert_eq!(msg.len(), 2 * SEGMENT_HEADER + 2 * first);
-        let scan = scan_message(&msg, pairs)?;
+        let scan = Shape::TaggedKeys.scan(&msg, pairs)?;
         assert_eq!(scan.records_by_slot, vec![3, 3]);
+        assert_eq!(scan.runs.len(), 2);
         assert_eq!(
             scan.materialized_bytes as usize,
-            msg.len() - 2 * SEGMENT_HEADER
+            msg.len() - 2 * (SEGMENT_HEADER + RUN_HEADER)
         );
         Ok(())
     }
 
+    /// A `Str`-keyed pair: the `Int` and the 6-byte string with its length.
+    const STR_KEYED_PAIR: usize = 4 + 4 + 6;
+
     #[test]
     fn a_field_keyed_pair_is_its_entry() -> Result<()> {
-        let (msg, pairs) = str_keyed_message()?;
+        let (msg, pairs) = Shape::StrKeyField.message()?;
         assert!(pairs > 0, "node 0 owns some of the hashed keys");
         let mut segments = 0;
         let mut at = 0;
         while at < msg.len() {
             let len = segment_len(&msg, at);
-            assert_eq!(len % STR_KEYED_PAIR, 0, "whole entries, no keys");
+            assert_eq!(
+                (len - RUN_HEADER) % STR_KEYED_PAIR,
+                0,
+                "one run of whole entries, no keys"
+            );
             segments += 1;
             at += SEGMENT_HEADER + len;
         }
         assert_eq!(
             msg.len(),
-            segments * SEGMENT_HEADER + pairs * STR_KEYED_PAIR
+            segments * (SEGMENT_HEADER + RUN_HEADER) + pairs * STR_KEYED_PAIR
         );
-        let scan = scan_str_keyed(&msg, pairs)?;
+        let scan = Shape::StrKeyField.scan(&msg, pairs)?;
         assert_eq!(scan.records_by_slot.iter().sum::<usize>(), pairs);
         assert_eq!(scan.materialized_bytes as usize, pairs * STR_KEYED_PAIR);
-        // A field-keyed job refuses a pushed key, and a keyed one a bare
-        // entry: no key can disagree with its entry.
+        // Each mapper pushes only the way its keys are declared: no key
+        // can disagree with its entry, and a keyless job builds none.
         let record = Record::new(vec![Value::Int(0), Value::from("key-00")]);
         let entry = EntryRef::Rec(&record);
-        let schema = str_keyed_schema();
-        let wrong = |field| {
-            emit_all(&HashPartitioner, 5, &schema, field, |emit| match field {
-                Some(_) => emit.push(&Value::from("key-00"), entry),
-                None => emit.push_entry(entry),
-            })
-        };
-        assert!(matches!(wrong(Some(1)), Err(MrError::Msg(_))));
-        assert!(matches!(wrong(None), Err(MrError::Msg(_))));
+        let all = [PairKey::Pushed, PairKey::Field(1), PairKey::None];
+        for (keys, fits) in all.iter().flat_map(|&k| all.map(|f| (k, f))) {
+            let pushed = emit_all(
+                keys,
+                &HashPartitioner,
+                str_keyed_schema(),
+                |emit| match fits {
+                    PairKey::Pushed => emit.push(&Value::from("key-00"), entry),
+                    PairKey::Field(_) => emit.push_entry(entry),
+                    PairKey::None => emit.push_to(0, entry),
+                },
+            );
+            if fits == keys {
+                assert!(pushed.is_ok(), "{keys:?}");
+            } else {
+                assert!(
+                    matches!(pushed, Err(MrError::Msg(_))),
+                    "{keys:?} / {fits:?}"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// A keyless message opens a run per fragment base and per entry tag in
+    /// each segment, and carries no key: its pairs are their entries.
+    #[test]
+    fn keyless_runs_break_at_each_base_and_tag() -> Result<()> {
+        for shape in [Shape::Keyless, Shape::KeylessMixed] {
+            let (msg, pairs) = shape.message()?;
+            let scan = shape.scan(&msg, pairs)?;
+            let bases: Vec<(u32, u64)> = scan.runs.iter().map(|r| (r.reducer, r.base)).collect();
+            let want = match shape {
+                Shape::Keyless => vec![(0, 0), (0, 100), (3, 0), (3, 100)],
+                _ => vec![(0, 0), (0, 15), (3, 0), (3, 15)],
+            };
+            assert_eq!(bases, want, "{shape:?}");
+            let headers = 2 * SEGMENT_HEADER + 4 * RUN_HEADER;
+            assert_eq!(scan.materialized_bytes as usize, msg.len() - headers);
+            assert_eq!(scan.all_records, matches!(shape, Shape::Keyless));
+        }
         Ok(())
     }
 
     #[test]
     fn a_damaged_inbox_is_a_typed_error() -> Result<()> {
-        let (msg, pairs) = node0_message()?;
+        let (msg, pairs) = Shape::TaggedKeys.message()?;
         let with_header = |reducer: u32, len: u32| {
             let mut m = msg.clone();
             m[..4].copy_from_slice(&reducer.to_le_bytes());
             m[4..8].copy_from_slice(&len.to_le_bytes());
             m
         };
+        let scan_message = |m: &[u8]| Shape::TaggedKeys.scan(m, pairs);
         let first = segment_len(&msg, 0) as u32;
         assert!(matches!(
-            scan_message(&with_header(5, first), pairs),
+            scan_message(&with_header(5, first)),
             Err(MrError::PartitionOutOfRange {
                 id: 5,
                 num_reducers: 5
             })
         ));
         assert!(matches!(
-            scan_message(&with_header(1, first), pairs),
+            scan_message(&with_header(1, first)),
             Err(MrError::MalformedShuffle { node: 0, .. })
         ));
         assert!(matches!(
-            scan_message(&with_header(0, msg.len() as u32), pairs),
+            scan_message(&with_header(0, msg.len() as u32)),
             Err(MrError::MalformedShuffle { node: 0, .. })
         ));
         // The segment ends one byte before its last pair does.
         assert!(matches!(
-            scan_message(&with_header(0, first - 1), pairs),
+            scan_message(&with_header(0, first - 1)),
             Err(MrError::Codec(_))
         ));
-        // Every cut, at a segment boundary included, is refused.
-        for cut in 0..msg.len() {
-            assert!(scan_message(&msg[..cut], pairs).is_err(), "cut at {cut}");
-        }
 
         // A field-keyed job: its first segment ends inside the length of
-        // its last pair's `Str` key, or anywhere else short of its end.
-        let (msg, pairs) = str_keyed_message()?;
+        // its last pair's `Str` key.
+        let (msg, pairs) = Shape::StrKeyField.message()?;
         let first = segment_len(&msg, 0);
         let mut cut_key = msg.clone();
         let mid_length = first - (6 + 2);
         cut_key[4..8].copy_from_slice(&(mid_length as u32).to_le_bytes());
         assert!(matches!(
-            scan_str_keyed(&cut_key, pairs),
+            Shape::StrKeyField.scan(&cut_key, pairs),
             Err(MrError::Codec(_))
         ));
-        for cut in 0..msg.len() {
-            assert!(scan_str_keyed(&msg[..cut], pairs).is_err(), "cut at {cut}");
+
+        // Every shape: every cut, at a segment boundary included, is
+        // refused, and so is every damaged run header — a count past the
+        // end of its segment, no pairs, an unknown entry tag, a header its
+        // segment cuts short.
+        for shape in SHAPES {
+            let (msg, pairs) = shape.message()?;
+            for cut in 0..msg.len() {
+                assert!(
+                    shape.scan(&msg[..cut], pairs).is_err(),
+                    "{shape:?} cut at {cut}"
+                );
+            }
+            let runs = shape.first_segment_runs(&msg)?;
+            let last =
+                *(runs.last()).ok_or_else(|| MrError::msg("the first segment holds no run"))?;
+            let malformed = |m: Vec<u8>, what: &str| {
+                assert!(
+                    matches!(
+                        shape.scan(&m, pairs),
+                        Err(MrError::MalformedShuffle { node: 0, .. })
+                    ),
+                    "{shape:?}: {what}"
+                );
+            };
+            let with_count = |count: u32| {
+                let mut m = msg.clone();
+                m[last + 8..last + 12].copy_from_slice(&count.to_le_bytes());
+                m
+            };
+            malformed(
+                with_count(run_count(&msg, last) + 1),
+                "a count past its segment",
+            );
+            malformed(with_count(u32::MAX), "a count of u32::MAX");
+            malformed(with_count(0), "a run of no pairs");
+            for tag in [3, 7, u8::MAX] {
+                let mut m = msg.clone();
+                m[runs[0] + 12] = tag;
+                malformed(m, "an unknown entry tag");
+            }
+            for into in 1..RUN_HEADER {
+                let mut m = msg.clone();
+                let len = (last - SEGMENT_HEADER + into) as u32;
+                m[4..8].copy_from_slice(&len.to_le_bytes());
+                malformed(m, "a run header cut short");
+            }
         }
         Ok(())
     }
 
     proptest! {
         /// Arbitrary bytes, and a valid message with one byte flipped,
-        /// scan to a result, never a panic: with tagged keys and with a
-        /// `Str` key field read from the entry.
+        /// scan to a result, never a panic: with tagged keys, with a `Str`
+        /// key field read from the entry, and keyless, over flat and over
+        /// mixed flat and packed entries.
         #[test]
         fn arbitrary_inbox_bytes_never_panic(
             bytes in prop::collection::vec(any::<u8>(), 0..64),
@@ -1981,19 +2412,81 @@ mod tests {
             at in any::<usize>(),
             flip in 1u8..255,
         ) {
-            let jobs: [(ScanFn, MessageFn); 2] =
-                [(scan_message, node0_message), (scan_str_keyed, str_keyed_message)];
-            for (scan, message) in jobs {
-                let _ = scan(&bytes, pairs);
-                let message = message();
+            for shape in SHAPES {
+                let _ = shape.scan(&bytes, pairs);
+                let message = shape.message();
                 prop_assert!(message.is_ok());
                 if let Ok((mut msg, pairs)) = message {
                     let at = at % msg.len();
                     msg[at] ^= flip;
-                    let _ = scan(&msg, pairs);
+                    let _ = shape.scan(&msg, pairs);
                 }
             }
         }
+    }
+
+    /// A map attempt retried after a crash resends exactly the runs a
+    /// first attempt sends: every node's outbox row is byte-identical with
+    /// and without the crash, for a keyless job with two fragments per
+    /// node and for a field-keyed one.
+    #[test]
+    fn a_retried_map_attempt_resends_identical_runs() -> Result<()> {
+        struct Spread;
+        impl Mapper for Spread {
+            fn map(&self, _: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> Result<()> {
+                for mi in inputs {
+                    out.set_base(1000 * u64::from(mi.ordinal));
+                    for (i, entry) in EntryRef::all(&mi.data.batch).enumerate() {
+                        out.push_to((i * 7 + mi.ordinal as usize) % REDUCERS, entry)?;
+                    }
+                }
+                Ok(())
+            }
+
+            fn key(&self) -> PairKey {
+                PairKey::None
+            }
+        }
+        let mut cluster = Cluster::new(NODES).with_replication(1);
+        let fragments = (0..2 * NODES as i32)
+            .map(|f| {
+                let records = (0..20 + f).map(|k| Record::new(vec![Value::Int(k * 37 % 29 + f)]));
+                Arc::new(Dataset::new(int_schema(), Batch::Flat(records.collect())))
+            })
+            .collect();
+        cluster.place("in", fragments)?;
+        let keyed = KeyedMapper { key_field: 0 };
+        let mappers: [&dyn Mapper; 2] = [&Spread, &keyed];
+        for mapper in mappers {
+            let mut job = test_job(mapper, &HashPartitioner, int_schema());
+            job.inputs = vec!["in".into()];
+            let rows = |crashes: u32| -> Result<Vec<Vec<Vec<u8>>>> {
+                let pc = PhaseCtx {
+                    job: &job,
+                    job_idx: 0,
+                    n: NODES,
+                    retry: cluster.retry_policy(),
+                    crashes: vec![crashes; NODES],
+                    stragglers: &[1.0; NODES],
+                    threads: 1,
+                    tracing: false,
+                    cost: cluster.cost_model(),
+                    net: *cluster.net(),
+                    extra_outputs: &[],
+                };
+                (0..NODES)
+                    .map(|node| {
+                        let outcome = cluster.map_task(&pc, node)?;
+                        assert_eq!(outcome.recovery.tasks_retried, crashes, "node {node}");
+                        Ok(outcome.row)
+                    })
+                    .collect()
+            };
+            let clean = rows(0)?;
+            assert!(clean.iter().flatten().any(|m| !m.is_empty()));
+            assert_eq!(rows(1)?, clean, "{:?}", mapper.key());
+        }
+        Ok(())
     }
 
     /// A task that panics at one index makes the whole call panic, whether

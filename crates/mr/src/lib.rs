@@ -57,7 +57,8 @@ mod timer;
 pub use checkpoint::{CheckpointSession, StageRecord};
 pub use cluster::{default_thread_budget, Cluster};
 pub use engine::{
-    run_slots, Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, Partitioner, Reducer, TaskCtx,
+    run_slots, Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, PairKey, Partitioner,
+    Reducer, TaskCtx,
 };
 pub use fault::{ChaosSpec, Fault, FaultPlan, RecoveryAction, RetryPolicy};
 pub use pairs::{Pairs, Runs};
@@ -135,9 +136,8 @@ pub enum MrError {
         /// The job's reducer count.
         num_reducers: usize,
     },
-    /// A partitioner whose key is or embeds the reducer id (identity for
-    /// distribute jobs, embedded order for the workflow's distribute) got
-    /// a key that is no integer, so it names no reducer. Before this
+    /// A partitioner whose key is the reducer id (`IdentityPartitioner`)
+    /// got a key that is no integer, so it names no reducer. Before this
     /// variant such a key silently went to reducer 0.
     NonIntegerReducerKey {
         /// The offending key.

@@ -31,26 +31,66 @@ pub(crate) const IDX_MASK: u128 = (1 << IDX_BITS) - 1;
 #[derive(Clone, Copy)]
 pub(crate) struct PairLoc {
     /// Index into the inbox slice (senders ascending).
-    pub(crate) buf: u32,
-    /// Length of the tagged key before the entry (tag byte); 0 when the
-    /// key is a field of the entry.
-    pub(crate) key_len: u32,
+    buf: u32,
+    /// The entry tag of the pair's run (low 8 bits) and the length of the
+    /// tagged key before the entry (the high 24; 0 when the pair carries
+    /// no key).
+    tag_key: u32,
     /// Offset of the pair.
-    pub(crate) off: u64,
+    off: u64,
 }
 
 const _: () = assert!(std::mem::size_of::<PairLoc>() == 16);
 
+/// Longest tagged key a [`PairLoc`] can step over.
+const KEY_LEN_MAX: usize = (1 << 24) - 1;
+
 impl PairLoc {
+    /// The pair at offset `off` of inbox buffer `buf`: a `key_len`-byte
+    /// tagged key (0 when it carries none), then an entry of kind `tag`.
+    /// A key longer than 16 MiB is a typed error.
+    pub(crate) fn new(buf: usize, off: usize, tag: u8, key_len: usize) -> Result<Self> {
+        if key_len > KEY_LEN_MAX {
+            return Err(MrError::WireOverflow {
+                field: "key length",
+                value: key_len,
+                max: KEY_LEN_MAX as u64,
+            });
+        }
+        Ok(PairLoc {
+            // One buffer per sender: fewer than 2^32.
+            buf: buf as u32,
+            tag_key: (key_len as u32) << 8 | u32::from(tag),
+            off: off as u64,
+        })
+    }
+
+    /// The entry tag of the pair's run.
+    pub(crate) fn tag(&self) -> u8 {
+        self.tag_key as u8
+    }
+
     /// The pair's bytes from its start to the end of its buffer.
     pub(crate) fn tail<'a>(&self, inbox: &'a [(usize, Vec<u8>)]) -> &'a [u8] {
         &inbox[self.buf as usize].1[self.off as usize..]
     }
 
-    /// The pair's entry, from its tag byte to the end of its buffer.
+    /// The pair's entry, from its first byte to the end of its buffer.
     fn entry<'a>(&self, inbox: &'a [(usize, Vec<u8>)]) -> &'a [u8] {
-        &self.tail(inbox)[self.key_len as usize..]
+        &self.tail(inbox)[(self.tag_key >> 8) as usize..]
     }
+}
+
+/// Where a job's reduce keys are ([`crate::Mapper::key`]), as the reduce
+/// side reads them.
+#[derive(Clone, Copy)]
+pub(crate) enum KeyAt {
+    /// A tagged key precedes every entry.
+    Pushed,
+    /// The key is this field of the entry: a pair is its entry.
+    Field(KeyField),
+    /// No pair carries a key.
+    Nowhere,
 }
 
 /// How a job's pairs are laid out: the entries' schema and CSC key column,
@@ -59,41 +99,41 @@ impl PairLoc {
 pub(crate) struct Layout<'a> {
     pub(crate) schema: &'a Schema,
     pub(crate) compress_key: Option<usize>,
-    /// The entry field that is the key (the mapper's
-    /// [`crate::Mapper::key_field`]): a pair is its entry. `None`: a
-    /// tagged key precedes every entry.
-    pub(crate) key_field: Option<KeyField>,
+    pub(crate) key: KeyAt,
 }
 
 impl<'a> Layout<'a> {
-    /// Parse the entry at the cursor.
-    pub(crate) fn entry(&self, r: &mut Reader<'a>) -> Result<EntryView<'a>> {
-        Ok(EntryView::parse(r, self.schema, self.compress_key)?)
+    /// Parse the entry of kind `tag` at the cursor.
+    pub(crate) fn entry(&self, r: &mut Reader<'a>, tag: u8) -> Result<EntryView<'a>> {
+        Ok(EntryView::parse(r, tag, self.schema, self.compress_key)?)
     }
 
-    /// Parse the pair at the cursor into its key and its entry; the cursor
-    /// ends past the entry. `read` reads the key, untagged, of the type it
-    /// is given, and must stop just past it (`prefix::from_field`,
-    /// `ValueView::parse_field`, `wire::decode_field`). A key field is
-    /// found in the entry ([`EntryView::key`]); a tagged key is read in
-    /// place.
+    /// Parse the pair at the cursor, whose entry is of kind `tag`, into its
+    /// key and its entry; the cursor ends past the entry. `read` reads the
+    /// key, untagged, of the type it is given, and must stop just past it
+    /// (`prefix::from_field`, `ValueView::parse_field`,
+    /// `wire::decode_field`). A key field is found in the entry
+    /// ([`EntryView::key`]); a tagged key is read in place; a keyless
+    /// job's pair has no key, and asking for one is an error.
     #[inline]
     pub(crate) fn pair<T>(
         &self,
         r: &mut Reader<'a>,
+        tag: u8,
         read: impl FnOnce(&mut Reader<'a>, FieldType) -> papar_record::Result<T>,
     ) -> Result<(T, EntryView<'a>)> {
-        match self.key_field {
-            None => {
+        match self.key {
+            KeyAt::Pushed => {
                 let ty = wire::tag_type(r.read_u8()?)?;
                 let key = read(r, ty)?;
-                Ok((key, self.entry(r)?))
+                Ok((key, self.entry(r, tag)?))
             }
-            Some(field) => {
-                let entry = self.entry(r)?;
+            KeyAt::Field(field) => {
+                let entry = self.entry(r, tag)?;
                 let (ty, bytes) = entry.key(field)?;
                 Ok((read(&mut Reader::new(bytes), ty)?, entry))
             }
+            KeyAt::Nowhere => Err(MrError::msg("a keyless job's pairs carry no key")),
         }
     }
 
@@ -106,12 +146,12 @@ impl<'a> Layout<'a> {
         read: impl FnOnce(&mut Reader<'a>, FieldType) -> papar_record::Result<T>,
     ) -> Result<T> {
         let mut r = Reader::new(loc.tail(inbox));
-        match self.key_field {
-            None => {
+        match self.key {
+            KeyAt::Pushed => {
                 let ty = wire::tag_type(r.read_u8()?)?;
                 Ok(read(&mut r, ty)?)
             }
-            Some(_) => Ok(self.pair(&mut r, read)?.0),
+            _ => Ok(self.pair(&mut r, loc.tag(), read)?.0),
         }
     }
 }
@@ -181,25 +221,31 @@ impl<'a> Pairs<'a> {
     }
 
     /// The pairs in reduce order, each as its key and its entry, both
-    /// borrowed from the inbox.
+    /// borrowed from the inbox. A keyless job's pairs have no key: use
+    /// [`Pairs::entries`].
     pub fn iter(&self) -> impl Iterator<Item = Result<(ValueView<'a>, EntryView<'a>)>> + 'a {
         let pairs = *self;
         (0..pairs.len()).map(move |i| {
-            pairs
-                .layout
-                .pair(&mut pairs.reader(i), ValueView::parse_field)
+            let tag = pairs.loc(i).tag();
+            (pairs.layout).pair(&mut pairs.reader(i), tag, ValueView::parse_field)
         })
     }
 
+    /// The entries in reduce order, borrowed from the inbox. A tagged key
+    /// is stepped over by the length the inbox scan recorded, not parsed
+    /// again.
+    pub fn entries(&self) -> impl Iterator<Item = Result<EntryView<'a>>> + 'a {
+        let pairs = *self;
+        (0..pairs.len()).map(move |i| pairs.entry(pairs.order[i]))
+    }
+
     /// Decode every entry, in reduce order, appending its flat records to
-    /// `out`. A tagged key is stepped over by the length the inbox scan
-    /// recorded, not parsed again.
+    /// `out`. A tagged key is stepped over, not parsed again.
     pub fn decode_into(&self, out: &mut Vec<Record>) -> Result<()> {
         for chunk in self.order.chunks(TOUCH_AHEAD) {
             touch(self.inbox, self.locs, chunk);
             for &p in chunk {
-                let mut r = Reader::new(self.locs[(p & IDX_MASK) as usize].entry(self.inbox));
-                self.layout.entry(&mut r)?.decode_into(out)?;
+                self.entry(p)?.decode_into(out)?;
             }
         }
         Ok(())
@@ -214,8 +260,9 @@ impl<'a> Pairs<'a> {
         for chunk in self.order.chunks(TOUCH_AHEAD) {
             touch(self.inbox, self.locs, chunk);
             for &p in chunk {
-                let mut r = Reader::new(self.locs[(p & IDX_MASK) as usize].entry(self.inbox));
-                match r.read_u8()? {
+                let loc = &self.locs[(p & IDX_MASK) as usize];
+                let mut r = Reader::new(loc.entry(self.inbox));
+                match loc.tag() {
                     ENTRY_REC => each(wire::record_bytes(&mut r, schema)?),
                     ENTRY_PACKED => {
                         wire::skip_value(&mut r)?;
@@ -245,7 +292,8 @@ impl<'a> Pairs<'a> {
         self.for_each_record(|record| out.extend_from_slice(record))
     }
 
-    /// The key-equal runs, in order, each a [`Pairs`] of its own. A pair
+    /// The key-equal runs, in order, each a [`Pairs`] of its own (a keyless
+    /// job's pairs have no key, and yield an error). A pair
     /// starts a new run when its key is not equal (`Value::cmp`) to the
     /// run's *first* key. When the keys were sorted, no prefix was
     /// inexact and every entry is one record, a run is where the packed
@@ -264,6 +312,13 @@ impl<'a> Pairs<'a> {
     /// Pair `i`'s location.
     fn loc(&self, i: usize) -> &'a PairLoc {
         &self.locs[(self.order[i] & IDX_MASK) as usize]
+    }
+
+    /// The entry of the pair `p` of the sorted order names.
+    fn entry(&self, p: u128) -> Result<EntryView<'a>> {
+        let loc = &self.locs[(p & IDX_MASK) as usize];
+        self.layout
+            .entry(&mut Reader::new(loc.entry(self.inbox)), loc.tag())
     }
 
     /// A cursor at pair `i`.
@@ -286,7 +341,8 @@ impl<'a> Pairs<'a> {
             return Ok((start + len, len));
         }
         let head = |i: usize| -> Result<(KeyPrefix, usize)> {
-            let (key, entry) = self.layout.pair(&mut self.reader(i), prefix::from_field)?;
+            let tag = self.loc(i).tag();
+            let (key, entry) = (self.layout).pair(&mut self.reader(i), tag, prefix::from_field)?;
             Ok((key, entry.record_count()))
         };
         let (first, mut records) = head(start)?;
@@ -316,17 +372,21 @@ impl<'a> Pairs<'a> {
 /// Pairs whose entries [`touch`] reads at once, ahead of their use.
 const TOUCH_AHEAD: usize = 32;
 
-/// Read the entry tag of every pair in `order`, all at once, and use
+/// Read the first byte of every pair in `order`, all at once, and use
 /// nothing. The sorted order visits the inbox at random, so each pair's
 /// location and bytes are likely cache misses; issued back to back, these
 /// independent loads overlap, where the loop that uses the bytes would
 /// wait for each in turn. The bytes are then in cache when it reads them.
 fn touch(inbox: &[(usize, Vec<u8>)], locs: &[PairLoc], order: &[u128]) {
-    let mut tags = 0u8;
+    let mut bytes = 0u8;
     for &p in order {
-        tags ^= locs[(p & IDX_MASK) as usize].entry(inbox)[0];
+        bytes ^= locs[(p & IDX_MASK) as usize]
+            .tail(inbox)
+            .first()
+            .copied()
+            .unwrap_or(0);
     }
-    std::hint::black_box(tags);
+    std::hint::black_box(bytes);
 }
 
 /// The key-equal runs of a [`Pairs`]; see [`Pairs::runs`].

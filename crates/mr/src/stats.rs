@@ -233,6 +233,12 @@ pub struct JobStats {
     pub records_in: u64,
     /// Key-value pairs emitted by mappers.
     pub pairs_shuffled: u64,
+    /// The shuffle's lower bound once placement is fixed: the record bytes
+    /// of every record bound for another node, plus 8 bytes per non-empty
+    /// remote (sender, reducer) segment. `exchange.remote_bytes` minus
+    /// this is what the wire format adds. A stage replayed from a
+    /// checkpoint carries 0: its manifest does not record it.
+    pub shuffle_lo: u64,
     /// Records in the reduce output.
     pub records_out: u64,
     /// Fault-recovery accounting (all zero on a fault-free run without
@@ -354,6 +360,7 @@ pub fn job_trace_from_stats(
         )),
         Counters {
             shuffle_bytes: stats.exchange.remote_bytes,
+            shuffle_lo: stats.shuffle_lo,
             messages: stats.exchange.remote_messages,
             frames_checksummed: stats.exchange.remote_messages + rec.retransmit_messages,
             retries: rec.tasks_retried as u64,

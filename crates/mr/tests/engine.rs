@@ -4,7 +4,8 @@ use papar_config::input::FieldType;
 use papar_mr::engine::{FnMapper, FnReducer, HashPartitioner, IdentityPartitioner, KeyedMapper};
 use papar_mr::sampler::RangePartitioner;
 use papar_mr::{
-    Cluster, Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, MrError, Pairs, Partitioner,
+    Cluster, Emit, Entry, EntryRef, MapInput, MapReduceJob, Mapper, MrError, PairKey, Pairs,
+    Partitioner,
 };
 use papar_record::batch::{Batch, Dataset};
 use papar_record::{rec, Record, Schema, Value};
@@ -227,6 +228,74 @@ fn identity_partitioner_routes_to_named_reducer() {
     assert_eq!(parts[0], vec![6, 9]);
     assert_eq!(parts[1], vec![7]);
     assert_eq!(parts[2], vec![5, 8]);
+}
+
+/// A keyless mapper pushes each entry straight to its reducer, in runs
+/// based where its fragment's entries start. Whatever node a fragment
+/// lands on, each reducer gets its entries in base order: here the
+/// fragments are placed so that node 0 holds the highest bases.
+#[test]
+fn a_keyless_job_reduces_its_runs_in_base_order() {
+    struct ByBase;
+    impl Mapper for ByBase {
+        fn map(
+            &self,
+            _: &papar_mr::TaskCtx,
+            inputs: &[MapInput],
+            out: &mut Emit<'_>,
+        ) -> papar_mr::Result<()> {
+            for mi in inputs {
+                // Fragment f holds the values 10 (5 - f) ..
+                out.set_base(10 * (5 - u64::from(mi.ordinal)));
+                for (i, entry) in EntryRef::all(&mi.data.batch).enumerate() {
+                    out.push_to(i % 2, entry)?;
+                }
+            }
+            Ok(())
+        }
+
+        fn key(&self) -> PairKey {
+            PairKey::None
+        }
+    }
+    for threads in [1, 4] {
+        let mut cluster = Cluster::new(3).with_threads(threads);
+        let fragments = (0..6)
+            .map(|f| {
+                let vals: Vec<i32> = (0..4).map(|i| 10 * (5 - f) + i).collect();
+                Arc::new(int_dataset(&vals))
+            })
+            .collect();
+        cluster.place("in", fragments).unwrap();
+        let reducer = strip_keys();
+        let job = MapReduceJob {
+            name: "keyless".into(),
+            inputs: vec!["in".into()],
+            output: "parts".into(),
+            num_reducers: 2,
+            map_output_schema: int_schema(),
+            output_schema: int_schema(),
+            mapper: &ByBase,
+            partitioner: &IdentityPartitioner,
+            reducer: &reducer,
+            sort_by_key: false,
+            descending: false,
+            compress_key: None,
+            release: &[],
+        };
+        let stats = cluster.run_job(&job).unwrap();
+        assert_eq!(stats.hot.tie_pairs, 0);
+        let parts = collect_ints(&cluster, "parts");
+        let evens: Vec<i32> = (0..6).flat_map(|f| [10 * f, 10 * f + 2]).collect();
+        let odds: Vec<i32> = evens.iter().map(|v| v + 1).collect();
+        assert_eq!(parts, vec![evens, odds], "{threads} thread(s)");
+        // A keyless job has no key to sort by.
+        let sorted = MapReduceJob {
+            sort_by_key: true,
+            ..job
+        };
+        assert!(matches!(cluster.run_job(&sorted), Err(MrError::Msg(_))));
+    }
 }
 
 #[test]
@@ -1248,10 +1317,12 @@ fn reduce_crash_after_release_restores_live_fragments_only() {
     }
 }
 
-/// A shuffled pair is its tagged key, the entry tag and the record, with
-/// no per-pair header; each non-empty (sender, reducer) segment adds one
-/// 8-byte header. `remote_bytes` counts exactly that for what leaves a
-/// node, with one and with two reducers per node, at every thread count.
+/// A shuffled pair is its tagged key and the record, with no per-pair
+/// header or tag; each non-empty (sender, reducer) segment adds one 8-byte
+/// header, and, as every node holds one fragment of flat records, one
+/// 13-byte run header. `remote_bytes` counts exactly that for what leaves
+/// a node, and `shuffle_lo` the records and the segment headers, with one
+/// and with two reducers per node, at every thread count.
 #[test]
 fn remote_bytes_are_the_pairs_plus_one_header_per_segment() {
     let nodes = 3;
@@ -1265,6 +1336,7 @@ fn remote_bytes_are_the_pairs_plus_one_header_per_segment() {
         .collect();
     for reducers in [nodes, 2 * nodes] {
         let mut pair_bytes = 0;
+        let mut record_bytes = 0;
         let mut segments = std::collections::BTreeSet::new();
         for (from, frag) in fragments.iter().enumerate() {
             for r in frag.batch.as_flat().unwrap() {
@@ -1273,14 +1345,15 @@ fn remote_bytes_are_the_pairs_plus_one_header_per_segment() {
                 if reducer % nodes != from {
                     let mut bytes = Vec::new();
                     papar_record::wire::encode_value(key, &mut bytes);
-                    bytes.push(papar_record::view::ENTRY_REC);
+                    let key_len = bytes.len();
                     papar_record::wire::encode_record(r, &pair_schema(), &mut bytes).unwrap();
                     pair_bytes += bytes.len() as u64;
+                    record_bytes += (bytes.len() - key_len) as u64;
                     segments.insert((from, reducer));
                 }
             }
         }
-        let want = pair_bytes + 8 * segments.len() as u64;
+        let want = pair_bytes + (8 + 13) * segments.len() as u64;
         for threads in [1, 4] {
             let mut cluster = Cluster::new(nodes).with_threads(threads);
             let shared = fragments.iter().cloned().map(Arc::new).collect();
@@ -1307,6 +1380,7 @@ fn remote_bytes_are_the_pairs_plus_one_header_per_segment() {
                 stats.exchange.remote_bytes, want,
                 "{reducers} reducers, {threads} thread(s)"
             );
+            assert_eq!(stats.shuffle_lo, record_bytes + 8 * segments.len() as u64);
             let messages = (0..nodes)
                 .flat_map(|from| (0..nodes).map(move |to| (from, to)))
                 .filter(|&(from, to)| {
@@ -1318,10 +1392,11 @@ fn remote_bytes_are_the_pairs_plus_one_header_per_segment() {
     }
 }
 
-/// A field-keyed pair is its entry: the entry tag and the record, with no
-/// key of its own; each non-empty (sender, reducer) segment adds one
-/// 8-byte header. `remote_bytes` counts exactly that, with one and with
-/// two reducers per node, at every thread count.
+/// A field-keyed pair is its entry: the record, with no key or tag of its
+/// own; each non-empty (sender, reducer) segment adds one 8-byte header
+/// and one 13-byte run header. `remote_bytes` counts exactly that, and
+/// `shuffle_lo` is all of it but the run headers, with one and with two
+/// reducers per node, at every thread count.
 #[test]
 fn field_keyed_remote_bytes_are_the_entries_plus_one_header_per_segment() {
     let nodes = 3;
@@ -1333,8 +1408,8 @@ fn field_keyed_remote_bytes_are_the_entries_plus_one_header_per_segment() {
             Dataset::new(pair_schema(), Batch::Flat(records))
         })
         .collect();
-    // An entry tag and two `Int`s.
-    let entry_bytes = 1 + 8;
+    // Two `Int`s.
+    let entry_bytes = 8;
     for reducers in [nodes, 2 * nodes] {
         let mut entries = 0;
         let mut segments = std::collections::BTreeSet::new();
@@ -1349,7 +1424,8 @@ fn field_keyed_remote_bytes_are_the_entries_plus_one_header_per_segment() {
                 }
             }
         }
-        let want = entry_bytes * entries + 8 * segments.len() as u64;
+        let lo = entry_bytes * entries + 8 * segments.len() as u64;
+        let want = lo + 13 * segments.len() as u64;
         for threads in [1, 4] {
             let mut cluster = Cluster::new(nodes).with_threads(threads);
             let shared = fragments.iter().cloned().map(Arc::new).collect();
@@ -1375,6 +1451,7 @@ fn field_keyed_remote_bytes_are_the_entries_plus_one_header_per_segment() {
                 stats.exchange.remote_bytes, want,
                 "{reducers} reducers, {threads} thread(s)"
             );
+            assert_eq!(stats.shuffle_lo, lo);
             let records: usize = fragments.iter().map(|f| f.batch.record_count()).sum();
             assert_eq!(stats.records_out, records as u64);
         }

@@ -13,10 +13,10 @@
 //! multiplication. Variable-width (string) fields fall back to a per-field
 //! walk over their length prefixes.
 //!
-//! The shuffle's entry framing (tag byte + payload, see the engine's
-//! `encode_entry`) lives here as [`EntryView`] so the reduce hot path can
-//! sort and group *references into inbox buffers* and decode each entry
-//! exactly once, straight into the reducer's output.
+//! The shuffle's entry framing (a payload whose tag byte travels once per
+//! run, see the engine's `encode_entry`) lives here as [`EntryView`] so the
+//! reduce hot path can sort and group *references into inbox buffers* and
+//! decode each entry exactly once, straight into the reducer's output.
 
 use papar_config::input::{FieldDef, FieldType};
 
@@ -166,7 +166,7 @@ impl KeyField {
     }
 }
 
-/// A borrowed shuffle entry: the tag plus the validated payload span.
+/// A borrowed shuffle entry: its tag plus the validated payload span.
 /// Parsing walks the payload once (bounds + tags only, no allocation);
 /// [`EntryView::decode_into`] decodes it exactly once, straight into the
 /// vector the reducer commits.
@@ -177,7 +177,7 @@ pub struct EntryView<'a> {
     compress_key: Option<usize>,
     /// Flat records the entry holds: 1, or a packed group's member count.
     records: usize,
-    /// Payload bytes after the tag.
+    /// The entry's bytes: everything but its tag.
     payload: &'a [u8],
 }
 
@@ -217,14 +217,15 @@ fn field_span<'a>(r: &mut Reader<'a>, ty: FieldType) -> Result<(FieldType, &'a [
 }
 
 impl<'a> EntryView<'a> {
-    /// Parse one entry off the cursor: reads the tag, validates the payload
+    /// Parse one entry of kind `tag` off the cursor (the tag itself is not
+    /// on it: the shuffle sends one per run): validates the payload
     /// structure in a single forward pass, and borrows the span.
     pub fn parse(
         r: &mut Reader<'a>,
+        tag: u8,
         schema: &'a Schema,
         compress_key: Option<usize>,
     ) -> Result<Self> {
-        let tag = r.read_u8()?;
         let start = r.position();
         let records = match tag {
             ENTRY_REC => {
@@ -267,9 +268,9 @@ impl<'a> EntryView<'a> {
         self.tag
     }
 
-    /// Encoded length including the tag byte.
+    /// Encoded length, which holds no tag byte.
     pub fn encoded_len(&self) -> usize {
-        1 + self.payload.len()
+        self.payload.len()
     }
 
     /// Flat records the entry holds: 1 for a record, the member count
@@ -472,7 +473,7 @@ mod tests {
     }
 
     fn encode_entry_rec(rec: &Record, schema: &Schema) -> Vec<u8> {
-        let mut buf = vec![ENTRY_REC];
+        let mut buf = Vec::new();
         wire::encode_record(rec, schema, &mut buf).unwrap();
         buf
     }
@@ -482,13 +483,22 @@ mod tests {
         let schema = fixed_schema();
         let rec = rec![1, 2i64, 3.0];
         let buf = encode_entry_rec(&rec, &schema);
-        let view = EntryView::parse(&mut Reader::new(&buf), &schema, None).unwrap();
+        let view = EntryView::parse(&mut Reader::new(&buf), ENTRY_REC, &schema, None).unwrap();
         assert_eq!(view.encoded_len(), buf.len());
         assert_eq!(view.record_count(), 1);
         let mut out = vec![rec![0, 0i64, 0.0]];
         view.decode_into(&mut out).unwrap();
         assert_eq!(out[1], rec, "appended after what the vector held");
         assert!(view.decode_group().is_err(), "a record is not a group");
+    }
+
+    /// The tag of a packed group's entry: uncompressed, or CSC.
+    fn group_tag(csc: Option<usize>) -> u8 {
+        if csc.is_some() {
+            ENTRY_PACKED_CSC
+        } else {
+            ENTRY_PACKED
+        }
     }
 
     /// A packed group's entry: uncompressed, or CSC with column `csc`
@@ -498,11 +508,7 @@ mod tests {
         schema: &Schema,
         csc: Option<usize>,
     ) -> Result<Vec<u8>> {
-        let mut buf = vec![if csc.is_some() {
-            ENTRY_PACKED_CSC
-        } else {
-            ENTRY_PACKED
-        }];
+        let mut buf = Vec::new();
         wire::encode_value(&group.key, &mut buf);
         buf.extend_from_slice(&(group.records.len() as u32).to_le_bytes());
         match csc {
@@ -531,7 +537,7 @@ mod tests {
         };
         // Packed (uncompressed): key + count + rows.
         let packed = encode_entry_group(&group, &schema, None)?;
-        let view = EntryView::parse(&mut Reader::new(&packed), &schema, None)?;
+        let view = EntryView::parse(&mut Reader::new(&packed), ENTRY_PACKED, &schema, None)?;
         assert_eq!(view.record_count(), 3);
         assert_eq!(view.decode_group()?, group);
         let mut members = Vec::new();
@@ -540,14 +546,14 @@ mod tests {
 
         // CSC: key factored out of column 0.
         let csc = encode_entry_group(&group, &schema, Some(0))?;
-        let view = EntryView::parse(&mut Reader::new(&csc), &schema, Some(0))?;
+        let view = EntryView::parse(&mut Reader::new(&csc), ENTRY_PACKED_CSC, &schema, Some(0))?;
         assert_eq!(view.record_count(), 3);
         let mut members = vec![rec!["before", 0]];
         view.decode_into(&mut members)?;
         assert_eq!(members[1..], group.records[..]);
         assert_eq!(view.decode_group()?, group);
         // Missing compress_key on a CSC entry is an error, not a guess.
-        assert!(EntryView::parse(&mut Reader::new(&csc), &schema, None).is_err());
+        assert!(EntryView::parse(&mut Reader::new(&csc), ENTRY_PACKED_CSC, &schema, None).is_err());
         Ok(())
     }
 
@@ -565,8 +571,8 @@ mod tests {
             key: Value::Str("k1".into()),
             records: vec![rec![1, "k1", 10i64], rec![2, "k1", 20i64]],
         };
-        let key_of = |bytes: &[u8], compress: Option<usize>, field: usize| -> Result<Value> {
-            let view = EntryView::parse(&mut Reader::new(bytes), &schema, compress)?;
+        let key_of = |bytes: &[u8], tag: u8, compress: Option<usize>, field| -> Result<Value> {
+            let view = EntryView::parse(&mut Reader::new(bytes), tag, &schema, compress)?;
             let (ty, key) = view.key(KeyField::new(&schema, field)?)?;
             let mut r = Reader::new(key);
             let value = wire::decode_field(&mut r, ty)?;
@@ -579,9 +585,9 @@ mod tests {
         for field in 0..3 {
             let first = group.records[0].require(field)?;
             let second = group.records[1].require(field)?;
-            assert_eq!(&key_of(&record, None, field)?, second);
-            assert_eq!(&key_of(&packed, None, field)?, first);
-            assert_eq!(&key_of(&csc, Some(1), field)?, first);
+            assert_eq!(&key_of(&record, ENTRY_REC, None, field)?, second);
+            assert_eq!(&key_of(&packed, ENTRY_PACKED, None, field)?, first);
+            assert_eq!(&key_of(&csc, ENTRY_PACKED_CSC, Some(1), field)?, first);
         }
         assert!(KeyField::new(&schema, 3).is_err(), "no field 3");
         let empty = PackedRecord {
@@ -590,7 +596,8 @@ mod tests {
         };
         for csc in [None, Some(1)] {
             let bytes = encode_entry_group(&empty, &schema, csc)?;
-            assert!(key_of(&bytes, csc, 0).is_err(), "an empty group has no key");
+            let key = key_of(&bytes, group_tag(csc), csc, 0);
+            assert!(key.is_err(), "an empty group has no key");
         }
         Ok(())
     }
@@ -598,10 +605,11 @@ mod tests {
     #[test]
     fn entry_view_rejects_bad_tags_and_truncation() {
         let schema = fixed_schema();
-        assert!(EntryView::parse(&mut Reader::new(&[9]), &schema, None).is_err());
+        assert!(EntryView::parse(&mut Reader::new(&[0; 20]), 9, &schema, None).is_err());
         let buf = encode_entry_rec(&rec![1, 2i64, 3.0], &schema);
         for cut in 0..buf.len() {
-            assert!(EntryView::parse(&mut Reader::new(&buf[..cut]), &schema, None).is_err());
+            let parsed = EntryView::parse(&mut Reader::new(&buf[..cut]), ENTRY_REC, &schema, None);
+            assert!(parsed.is_err());
         }
     }
 }

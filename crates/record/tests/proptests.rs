@@ -416,16 +416,18 @@ fn check_decode_record(buf: &[u8], schema: &Schema) -> std::result::Result<(), T
 /// `EntryView::parse` + `decode_into` against the reference.
 fn check_entry(buf: &[u8], schema: &Schema) -> std::result::Result<(), TestCaseError> {
     let mut r = Reader::new(buf);
-    let got = EntryView::parse(&mut r, schema, None).and_then(|view| {
-        let mut out = Vec::new();
-        view.decode_into(&mut out)?;
-        assert_eq!(
-            view.record_count(),
-            out.len(),
-            "an entry decodes its counted records"
-        );
-        Ok((out, r.position()))
-    });
+    let got = (r.read_u8())
+        .and_then(|tag| EntryView::parse(&mut r, tag, schema, None))
+        .and_then(|view| {
+            let mut out = Vec::new();
+            view.decode_into(&mut out)?;
+            assert_eq!(
+                view.record_count(),
+                out.len(),
+                "an entry decodes its counted records"
+            );
+            Ok((out, r.position()))
+        });
     let want = reference::entry(buf, schema);
     prop_assert!(same(&got, &want), "{:?} vs {:?} on {:?}", got, want, buf);
     Ok(())
@@ -613,7 +615,9 @@ proptest! {
             check_decode_record(&bad[1..], &schema)?;
         }
         let group = entries.last().unwrap();
-        let view = EntryView::parse(&mut Reader::new(group), &schema, None).unwrap();
+        let mut r = Reader::new(group);
+        let tag = r.read_u8().unwrap();
+        let view = EntryView::parse(&mut r, tag, &schema, None).unwrap();
         let mut members = Vec::new();
         view.decode_into(&mut members).unwrap();
         prop_assert!(same(&members, &records));

@@ -671,6 +671,11 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
             stats.sim_time(),
             stats.exchange.remote_bytes
         );
+        let _ = writeln!(
+            detail,
+            "  shuffle_lo: {} bytes (the records sent off-node + segment headers)",
+            stats.shuffle_lo
+        );
     }
     let _ = writeln!(
         detail,

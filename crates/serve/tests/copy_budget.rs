@@ -221,16 +221,17 @@ fn byte_slope(small: Usage, large: Usage, records: f64) -> f64 {
 /// The Figure 8 `run` byte slope measured on this test's database: the
 /// sort reducers gather each record's 16 row bytes from the inbox, the
 /// fused assembly copies them once into their partition, plus the
-/// shuffle's outbox, inbox and sort buffers (a pair is its 17-byte entry;
-/// the key is read from the row). No record is decoded.
-const BLAST_RUN_BYTES: f64 = 91.9;
+/// shuffle's outbox, inbox and sort buffers (a pair is its 16-byte row:
+/// the key is read from it, its tag travels once per run). No record is
+/// decoded.
+const BLAST_RUN_BYTES: f64 = 87.4;
 
 /// The Figure 10 `run` byte slope measured on this test's edge list (two
 /// engine jobs: the shuffle buffers; the fused group→split's high-degree
 /// edges appended as rows with their count, its low-degree ones decoded
 /// into packed groups; the distribute's edges gathered as projected rows,
 /// none decoded).
-const HYBRID_RUN_BYTES: f64 = 228.0;
+const HYBRID_RUN_BYTES: f64 = 224.8;
 
 /// The Figure 10 `run` block slope: one member vector per low-degree
 /// packed group, which still decodes.
@@ -239,8 +240,9 @@ const HYBRID_RUN_BLOCKS: f64 = 0.128;
 /// The Figure 8 `--no-fuse --checkpoint` `run` byte slope measured on
 /// this test's database: the two unfused jobs' row gathers and shuffle
 /// buffers, the materialised sort output, and one checkpoint payload per
-/// published fragment, written after its frame header without a copy.
-const DURABLE_RUN_BYTES: f64 = 199.4;
+/// published fragment, written after its frame header without a copy. A
+/// distribute pair is its row: no order key, no tag.
+const DURABLE_RUN_BYTES: f64 = 178.9;
 
 /// One decoded record, in place.
 const RECORD_BYTES: f64 = std::mem::size_of::<papar_record::Record>() as f64;

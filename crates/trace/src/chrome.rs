@@ -66,6 +66,7 @@ fn push_span(s: &mut String, span: &Span) {
         ("records_out", c.records_out),
         ("pairs", c.pairs),
         ("shuffle_bytes", c.shuffle_bytes),
+        ("shuffle_lo", c.shuffle_lo),
         ("messages", c.messages),
         ("frames_checksummed", c.frames_checksummed),
         ("retries", c.retries),

@@ -101,6 +101,10 @@ pub struct Counters {
     pub pairs: u64,
     /// Bytes moved between distinct nodes by the shuffle.
     pub shuffle_bytes: u64,
+    /// The least the shuffle could have moved: the record bytes of every
+    /// record sent to another node, plus one 8-byte header per non-empty
+    /// remote (sender, reducer) segment.
+    pub shuffle_lo: u64,
     /// Remote shuffle transfers.
     pub messages: u64,
     /// Transfer frames the receivers checksum-verified (every remote
@@ -148,6 +152,7 @@ impl Counters {
         self.records_out += o.records_out;
         self.pairs += o.pairs;
         self.shuffle_bytes += o.shuffle_bytes;
+        self.shuffle_lo += o.shuffle_lo;
         self.messages += o.messages;
         self.frames_checksummed += o.frames_checksummed;
         self.retries += o.retries;
@@ -481,6 +486,7 @@ mod tests {
             records_out: 1,
             pairs: 1,
             shuffle_bytes: 1,
+            shuffle_lo: 1,
             messages: 1,
             frames_checksummed: 1,
             retries: 1,
@@ -503,6 +509,7 @@ mod tests {
         sum.add(&one);
         sum.add(&one);
         assert_eq!(sum.records_in, 2);
+        assert_eq!(sum.shuffle_lo, 2);
         assert_eq!(sum.backoff_ns, 2);
         assert_eq!(sum.replication_bytes, 2);
         assert_eq!(sum.checkpoint_bytes, 2);

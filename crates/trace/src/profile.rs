@@ -50,6 +50,19 @@ pub fn render_profile(trace: &WorkflowTrace) -> String {
                 c.staged_allocs,
             ));
         }
+        let (moved, lo) = (job.phases.iter()).fold((0, 0), |(moved, lo), ph| {
+            (
+                moved + ph.counters.shuffle_bytes,
+                lo + ph.counters.shuffle_lo,
+            )
+        });
+        if lo > 0 {
+            out.push_str(&format!(
+                "{:<24} └ shuffle: {moved} B moved, shuffle_lo {lo} B (records sent \
+                 off-node + segment headers)\n",
+                ""
+            ));
+        }
         if let Some(skew) = &job.skew {
             out.push_str(&format!(
                 "{:<24} └ skew: imbalance {:.2} over {} reducers\n",

@@ -228,6 +228,26 @@ fn blast_fusion_is_byte_identical_and_halves_the_job_count() {
     }
 }
 
+/// Fused blast moves its lower bound — the rows that leave their node and
+/// one segment header per remote (sender, reducer) segment — plus one
+/// 13-byte run header per remote run, and nothing else. Each node holds one
+/// fragment of rows, so each segment is one run; the sort runs one reducer
+/// per node, so each remote message is one segment.
+#[test]
+fn fused_blast_shuffles_its_lower_bound_plus_one_run_header_per_remote_run() {
+    for t in [1, 4] {
+        let (_, fused) = run_blast(Cluster::new(3), options(true, t));
+        let job = &fused.jobs[0];
+        let remote_runs = job.exchange.remote_messages;
+        assert!(remote_runs > 0, "the sort moves rows between nodes");
+        assert_eq!(
+            job.exchange.remote_bytes - job.shuffle_lo,
+            13 * remote_runs,
+            "{t} thread(s)"
+        );
+    }
+}
+
 #[test]
 fn hybrid_fusion_is_byte_identical_and_drops_one_job() {
     let (baseline, unfused) = run_hybrid(Cluster::new(4), options(false, 1));
