@@ -36,9 +36,4 @@ pub mod measure {
         let total: Duration = (0..RUNS).map(|_| f()).sum();
         total / RUNS as u32
     }
-
-    /// Mean of `RUNS` f64 samples.
-    pub fn avg_f64(mut f: impl FnMut() -> f64) -> f64 {
-        (0..RUNS).map(|_| f()).sum::<f64>() / RUNS as f64
-    }
 }

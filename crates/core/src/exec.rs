@@ -7,8 +7,8 @@ use papar_mr::engine::{FnReducer, HashPartitioner, IdentityPartitioner, KeyedMap
 use papar_mr::engine::{Mapper, PairKey, Reducer};
 use papar_mr::fault::RecoveryAction;
 use papar_mr::sampler::{self, RangePartitioner};
-use papar_mr::stats::{job_trace_from_stats, JobStats, NetModel, RecoveryStats};
-use papar_mr::{CheckpointSession, Cluster, Entry, MapReduceJob, Partitioner, TaskPhase};
+use papar_mr::stats::{JobStats, NetModel, RecoveryStats};
+use papar_mr::{CheckpointSession, Cluster, Entry, MapReduceJob, Partitioner};
 use papar_mr::{Emit, EntryRef, MrError, Pairs, TaskCtx};
 use papar_record::batch::{Batch, Dataset, Rows};
 use papar_record::packed::{pack_onto, PackedRecord};
@@ -16,7 +16,7 @@ use papar_record::view::ENTRY_REC;
 use papar_record::wire;
 use papar_record::{Record, Schema, Value};
 use papar_trace::{
-    duration_ns, Collector, Counters, JobTrace, PhaseKind, PhaseTrace, TaskTrace, WorkflowTrace,
+    duration_ns, Collector, Counters, JobTrace, PhaseKind, PhaseTrace, WorkflowTrace,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -1144,7 +1144,8 @@ impl WorkflowRunner {
     /// Split is a map-only local job: every node routes its local entries
     /// to the per-condition outputs and applies the output format
     /// operators; no shuffle happens (paper Figure 11 keeps split data on
-    /// its reducers until the distribute job moves it).
+    /// its reducers until the distribute job moves it). Each node writes
+    /// one fragment per output, at its own ordinal.
     fn run_split(
         &self,
         cluster: &mut Cluster,
@@ -1152,160 +1153,29 @@ impl WorkflowRunner {
         key_idx: usize,
         policy: &SplitPolicy,
     ) -> Result<JobStats> {
-        let n = cluster.num_nodes();
-        // Split counts as a workflow job for fault schedules, even though
-        // it never enters the MapReduce engine.
-        let job_idx = cluster.next_job_index();
-        let retry = cluster.retry_policy();
-        let tracing = cluster.tracing();
-        let cost = cluster.cost_model();
-        let mut tasks: Vec<TaskTrace> = Vec::new();
-        let mut stats = JobStats {
-            name: job.id.clone(),
-            map_time_by_node: vec![Duration::ZERO; n],
-            reduce_time_by_node: vec![Duration::ZERO; n],
-            ..Default::default()
+        let outputs: Vec<(String, Arc<papar_record::Schema>)> = (job.outputs.iter())
+            .map(|(name, meta)| (name.clone(), meta.schema.clone()))
+            .collect();
+        let route = |ctx: &TaskCtx, inputs: &[MapInput]| {
+            let mut routed: Vec<Vec<Entry>> = (0..policy.arity()).map(|_| Vec::new()).collect();
+            for mi in inputs {
+                for entry in EntryRef::all(&mi.data.batch) {
+                    let key = entry.key(key_idx)?;
+                    let dest = policy.route(&key).ok_or_else(|| {
+                        CoreError::exec(format!(
+                            "split key {key} matches no condition of job '{}'",
+                            job.id
+                        ))
+                    })?;
+                    routed[dest].push(entry.to_entry());
+                }
+            }
+            let batches = (routed.into_iter().zip(&job.outputs))
+                .map(|(entries, (_, meta))| entries_to_batch(entries, meta.format, key_idx))
+                .collect::<Result<Vec<Batch>>>()?;
+            Ok(vec![(ctx.node as u32, batches)])
         };
-        for node in 0..n {
-            let mut attempt = 1u32;
-            let mut cpu = Duration::ZERO;
-            let mut backoff_total = Duration::ZERO;
-            let mut crashes = 0u64;
-            let (node_in, node_out) = loop {
-                let t0 = Instant::now();
-                let mut records_in = 0u64;
-                // Route local entries.
-                let mut routed: Vec<Vec<Entry>> = (0..policy.arity()).map(|_| Vec::new()).collect();
-                for name in &job.inputs {
-                    let frags: Vec<std::sync::Arc<Dataset>> = cluster
-                        .node(node)
-                        .get(name)
-                        .map(|fs| {
-                            fs.into_iter()
-                                .map(|f| std::sync::Arc::clone(&f.data))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    for frag in frags {
-                        records_in += frag.batch.record_count() as u64;
-                        for entry in EntryRef::all(&frag.batch) {
-                            let key = entry.key(key_idx)?;
-                            let dest = policy.route(&key).ok_or_else(|| {
-                                CoreError::exec(format!(
-                                    "split key {key} matches no condition of job '{}'",
-                                    job.id
-                                ))
-                            })?;
-                            routed[dest].push(entry.to_entry());
-                        }
-                    }
-                }
-                // Buffer the per-output batches; nothing commits unless
-                // the task survives its crash boundary.
-                let mut outputs = Vec::with_capacity(job.outputs.len());
-                let mut records_out = 0u64;
-                for (dest, entries) in routed.into_iter().enumerate() {
-                    let (out_name, out_meta) = &job.outputs[dest];
-                    let batch = entries_to_batch(entries, out_meta.format, key_idx)?;
-                    records_out += batch.record_count() as u64;
-                    outputs.push((
-                        out_name.clone(),
-                        Dataset::new(out_meta.schema.clone(), batch),
-                    ));
-                }
-                let elapsed = t0.elapsed();
-                cpu += elapsed;
-                stats.map_time_by_node[node] += elapsed;
-                if cluster.take_crash_fault(job_idx, &job.id, TaskPhase::Map, node)? {
-                    cluster.note_lost_compute(elapsed);
-                    crashes += 1;
-                    if attempt >= retry.max_attempts {
-                        return Err(papar_mr::MrError::TaskAborted {
-                            job: job.id.clone(),
-                            node,
-                            phase: TaskPhase::Map,
-                            attempts: attempt,
-                            source: Box::new(papar_mr::MrError::RetriesExhausted {
-                                attempts: attempt,
-                                stats: Box::new(RecoveryStats {
-                                    faults_injected: crashes as u32,
-                                    tasks_retried: attempt - 1,
-                                    reexec_task_time: cpu,
-                                    backoff_time: backoff_total,
-                                    ..Default::default()
-                                }),
-                            }),
-                        }
-                        .into());
-                    }
-                    let backoff = retry.backoff_for(attempt);
-                    stats.map_time_by_node[node] += backoff;
-                    backoff_total += backoff;
-                    cluster.note_retry(&job.id, node, TaskPhase::Map, attempt + 1, backoff);
-                    attempt += 1;
-                    continue;
-                }
-                stats.records_in += records_in;
-                stats.records_out += records_out;
-                for (out_name, ds) in outputs {
-                    cluster.put_fragment(node, &out_name, node as u32, ds)?;
-                }
-                break (records_in, records_out);
-            };
-            if tracing {
-                let counters = Counters {
-                    records_in: node_in,
-                    records_out: node_out,
-                    retries: (attempt - 1) as u64,
-                    crashes,
-                    backoff_ns: duration_ns(backoff_total),
-                    ..Counters::default()
-                };
-                let det_ns = (attempt as u64)
-                    .saturating_mul(cost.compute_ns(node_in, 0, 0))
-                    .saturating_add(counters.backoff_ns);
-                tasks.push(TaskTrace {
-                    node,
-                    virt: stats.map_time_by_node[node],
-                    cpu,
-                    det_ns,
-                    counters,
-                });
-            }
-        }
-        // Split bypasses the MapReduce engine, so it charges its own
-        // replication (checkpoint) traffic here.
-        let recovery = cluster.take_recovery();
-        let net = *cluster.net();
-        stats.absorb_recovery(recovery, &net);
-        if tracing {
-            // Map-only: the barrier over per-node tasks *is* the makespan,
-            // plus a shuffle span when replication moved bytes.
-            let mut phases = vec![PhaseTrace::barrier(PhaseKind::Map, tasks)];
-            let rec = &stats.recovery;
-            if stats.comm_time > Duration::ZERO || rec.replication_bytes > 0 {
-                let counters = Counters {
-                    replication_bytes: rec.replication_bytes,
-                    messages: rec.replication_messages,
-                    ..Counters::default()
-                };
-                let det_ns =
-                    duration_ns(net.transfer_time(rec.replication_messages, rec.replication_bytes));
-                phases.push(PhaseTrace::solo(
-                    PhaseKind::Shuffle,
-                    stats.comm_time,
-                    det_ns,
-                    counters,
-                ));
-            }
-            cluster.record_job_trace(JobTrace {
-                name: job.id.clone(),
-                phases,
-                skew: None,
-                covers: Vec::new(),
-            });
-        }
-        Ok(stats)
+        Ok(cluster.run_local(&job.id, &job.inputs, &outputs, route)?)
     }
 
     fn run_distribute(
@@ -1428,18 +1298,13 @@ impl WorkflowRunner {
             input_schema: job.input_meta.schema.clone(),
             num_reducers: self.reducers_for(job, cluster),
         };
-        // Custom jobs also occupy a fault-schedule slot; whether they
-        // check for crashes is up to the operator implementation.
-        let _ = cluster.next_job_index();
+        // An operator that drives the engine (`run_job`, `run_local`) has
+        // taken its fault slot and recorded its trace; one that does not
+        // still occupies a slot, so later jobs keep their indices.
+        let first = cluster.jobs_launched();
         let stats = op.run(cluster, &ctx)?;
-        // The bundled custom operators run outside the MapReduce engine,
-        // so nothing traced them; derive a coarse per-phase trace from the
-        // stats they report. (An operator that drives `run_job` itself is
-        // traced by the engine and must not be re-derived here.)
-        if cluster.tracing() {
-            let net = *cluster.net();
-            let cost = cluster.cost_model();
-            cluster.record_job_trace(job_trace_from_stats(&stats, &net, &cost));
+        if cluster.jobs_launched() == first {
+            let _ = cluster.next_job_index();
         }
         Ok(stats)
     }

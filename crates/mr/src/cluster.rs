@@ -133,8 +133,8 @@ impl Cluster {
     }
 
     /// Report a finished job's trace to the installed sink. Called by
-    /// the engine at the job boundary; runners with jobs that bypass
-    /// the engine (map-only split, custom operators) report their own.
+    /// the engine at the job boundary; a runner reports its own only for
+    /// a stage it restores from a checkpoint instead of running.
     pub fn record_job_trace(&mut self, job: JobTrace) {
         self.tracer.record_job(job);
     }
@@ -219,9 +219,8 @@ impl Cluster {
     }
 
     /// Drain the recovery accounting accumulated since the last drain.
-    /// [`Cluster::run_job`] calls this at every job boundary; runners with
-    /// jobs that bypass the engine (map-only local jobs) drain it
-    /// themselves.
+    /// [`Cluster::run_job`] and [`Cluster::run_local`] call this at every
+    /// job boundary.
     pub fn take_recovery(&mut self) -> RecoveryStats {
         std::mem::take(&mut self.pending_recovery)
     }
@@ -260,11 +259,6 @@ impl Cluster {
     /// Immutable view of one node's store.
     pub fn node(&self, id: usize) -> &DataStore {
         &self.nodes[id]
-    }
-
-    /// Mutable view of one node's store.
-    pub fn node_mut(&mut self, id: usize) -> &mut DataStore {
-        &mut self.nodes[id]
     }
 
     /// Split a dataset into contiguous blocks, one per node — how an input
@@ -494,10 +488,9 @@ impl Cluster {
         Ok((inboxes, stats))
     }
 
-    // ---- Fault injection and recovery (used by `run_job` and by
-    // map-only jobs that bypass the engine: split and custom operators
-    // must also reserve a job index so fault schedules address jobs by
-    // workflow position). ----
+    // ---- Fault injection and recovery. Every engine job reserves a job
+    // index, so fault schedules address jobs by workflow position; a
+    // runner reserves the slots of jobs it elides or restores. ----
 
     /// Reserve the next job index (what fault schedules address).
     pub fn next_job_index(&mut self) -> usize {
@@ -506,44 +499,17 @@ impl Cluster {
         idx
     }
 
+    /// Job indices reserved so far: the index the next job takes.
+    pub fn jobs_launched(&self) -> usize {
+        self.jobs_run
+    }
+
     /// The compute slowdown of `node` under the installed fault plan.
     pub fn straggler_factor(&self, node: usize) -> f64 {
         self.fault_plan
             .as_ref()
             .map(|p| p.straggler_factor(node))
             .unwrap_or(1.0)
-    }
-
-    /// Check for (and consume) a crash scheduled at this task boundary. On
-    /// a hit the node loses its entire store and is immediately restored
-    /// from replicas, with the traffic charged; returns `Ok(true)` so the
-    /// caller re-executes the task. Without a live replica for some lost
-    /// primary fragment the crash is unrecoverable ([`MrError::DataLoss`]).
-    pub fn take_crash_fault(
-        &mut self,
-        job_idx: usize,
-        job_name: &str,
-        phase: TaskPhase,
-        node: usize,
-    ) -> Result<bool> {
-        let fired = match self.fault_plan.as_mut() {
-            Some(plan) => plan.take_crash(job_idx, phase, node),
-            None => false,
-        };
-        if !fired {
-            return Ok(false);
-        }
-        self.pending_recovery.faults_injected += 1;
-        self.events.push(RecoveryAction::FaultInjected {
-            job: job_name.to_string(),
-            fault: Fault::NodeCrash {
-                node,
-                job: job_idx,
-                phase,
-            },
-        });
-        self.crash_and_restore(job_name, node)?;
-        Ok(true)
     }
 
     /// Pre-draw every crash scheduled for `(job_idx, phase)` as per-node
@@ -582,8 +548,9 @@ impl Cluster {
         self.events.extend(events);
     }
 
-    /// Read-only twin of [`Cluster::crash_and_restore`]: compute what
-    /// restoring `node` from replicas would move, without touching any
+    /// What restoring a crashed `node` from replicas moves — its
+    /// primaries from other nodes' replica areas, its replica holdings
+    /// from their surviving primaries — computed without touching any
     /// store.
     ///
     /// A successful restore puts back exactly the `Arc`s the node already
@@ -592,8 +559,7 @@ impl Cluster {
     /// contents afterwards equal the contents before the crash — worker
     /// threads can therefore simulate the crash against `&self` and only
     /// the accounting `(fragments, bytes)` needs to reach the barrier.
-    /// Returns [`MrError::DataLoss`] when some primary has no live replica,
-    /// exactly like the mutating version.
+    /// Returns [`MrError::DataLoss`] when some primary has no live replica.
     pub(crate) fn plan_crash_restore(&self, node: usize) -> Result<(usize, u64)> {
         let mut fragments = 0usize;
         let mut bytes = 0u64;
@@ -627,91 +593,6 @@ impl Cluster {
             }
         }
         Ok((fragments, bytes))
-    }
-
-    /// Record a retry (backoff already charged to the phase by the caller).
-    pub fn note_retry(
-        &mut self,
-        job_name: &str,
-        node: usize,
-        phase: TaskPhase,
-        attempt: u32,
-        backoff: std::time::Duration,
-    ) {
-        self.pending_recovery.tasks_retried += 1;
-        self.pending_recovery.backoff_time += backoff;
-        self.events.push(RecoveryAction::TaskRetried {
-            job: job_name.to_string(),
-            node,
-            phase,
-            attempt,
-            backoff,
-        });
-    }
-
-    /// Record compute time whose results were lost to a crash.
-    pub fn note_lost_compute(&mut self, elapsed: std::time::Duration) {
-        self.pending_recovery.reexec_task_time += elapsed;
-    }
-
-    /// Wipe a crashed node and re-fetch everything it held from replicas
-    /// (primaries from other nodes' replica areas, its replica holdings
-    /// from their surviving primaries).
-    fn crash_and_restore(&mut self, job_name: &str, node: usize) -> Result<()> {
-        let lost_primaries = self.nodes[node].fragment_ids();
-        let lost_replicas = self.nodes[node].replica_ids();
-        self.nodes[node].wipe();
-
-        let mut fragments = 0usize;
-        let mut total_bytes = 0u64;
-        for (name, ordinal) in lost_primaries {
-            let source = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != node)
-                .find_map(|(_, other)| other.replica(&name, ordinal));
-            let arc = source.ok_or_else(|| MrError::DataLoss {
-                dataset: name.clone(),
-                node,
-                detail: format!(
-                    "fragment {ordinal} has no replica; run with a replication factor >= 1"
-                ),
-            })?;
-            let bytes = fragment_bytes(&arc)?;
-            self.nodes[node].put_arc(&name, ordinal, arc);
-            self.pending_recovery.restore_bytes += bytes;
-            self.pending_recovery.restore_messages += 1;
-            fragments += 1;
-            total_bytes += bytes;
-        }
-        // Re-establish the node's replica holdings so a later crash of a
-        // *different* node still finds its copies. A replica whose primary
-        // is gone too cannot be rebuilt, but that only happens when the
-        // primary's own crash already failed.
-        for (name, ordinal) in lost_replicas {
-            let source = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != node)
-                .find_map(|(_, other)| other.primary(&name, ordinal));
-            if let Some(arc) = source {
-                let bytes = fragment_bytes(&arc)?;
-                self.nodes[node].put_replica(&name, ordinal, arc);
-                self.pending_recovery.restore_bytes += bytes;
-                self.pending_recovery.restore_messages += 1;
-                fragments += 1;
-                total_bytes += bytes;
-            }
-        }
-        self.events.push(RecoveryAction::FragmentsRestored {
-            job: job_name.to_string(),
-            node,
-            fragments,
-            bytes: total_bytes,
-        });
-        Ok(())
     }
 
     /// [`Cluster::exchange`] plus injection of this job's scheduled

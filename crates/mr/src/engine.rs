@@ -1035,19 +1035,48 @@ struct ReduceAttempt {
     hot: HotPathStats,
 }
 
-/// Everything a phase worker needs besides `&Cluster`: per-job constants
-/// and the fault state pre-drawn at the phase barrier, so tasks never
-/// touch `&mut Cluster`.
+/// What a node's map task hands back at the barrier.
+struct MapOutput {
+    /// Outbox row: the message for each node, its reducers' segments.
+    row: Vec<Vec<u8>>,
+    /// Pairs in each buffer of `row`.
+    sent: Vec<usize>,
+    /// Compute of the successful attempt (what a reduce-side crash
+    /// re-charges to regenerate the node's self-send).
+    compute: Duration,
+    records_in: u64,
+    pairs: u64,
+    /// The task's share of the shuffle's lower bound ([`Emit`]'s `lo`).
+    shuffle_lo: u64,
+    /// Per-reducer records/bytes this mapper routed, when tracing.
+    skew: Option<SkewHistogram>,
+}
+
+/// What one attempt of a map-only task hands back.
+struct LocalAttempt {
+    outputs: Vec<(u32, Vec<Batch>)>,
+    records_in: u64,
+    records_out: u64,
+}
+
+/// Everything a phase worker needs besides `&Cluster`: per-phase
+/// constants and the fault state pre-drawn at the phase barrier, so tasks
+/// never touch `&mut Cluster`.
 struct PhaseCtx<'a> {
-    job: &'a MapReduceJob<'a>,
+    /// The job's name, for recovery events and errors.
+    name: &'a str,
     job_idx: usize,
+    phase: TaskPhase,
     n: usize,
+    /// Output datasets a task writes one batch to per fragment ordinal
+    /// (reduce and map-only phases).
+    slots: usize,
     retry: RetryPolicy,
     /// Pre-drawn crash counts: node `i` crashes on its first `crashes[i]`
-    /// attempts, matching the sequential engine's consumption order.
+    /// attempts.
     crashes: Vec<u32>,
     /// Straggler slowdown factor per node (persistent, read up front).
-    stragglers: &'a [f64],
+    stragglers: Vec<f64>,
     /// The whole phase's OS-thread budget.
     threads: usize,
     /// Whether the cluster's trace sink wants task spans; when false
@@ -1057,48 +1086,66 @@ struct PhaseCtx<'a> {
     cost: CostModel,
     /// Network model, for modeling recovery traffic on that clock.
     net: NetModel,
-    /// Extra output datasets (name, schema) beyond `job.output`, in
-    /// reducer slot order; empty for single-output jobs.
-    extra_outputs: &'a [(String, Arc<Schema>)],
 }
 
-/// What one node's map task hands back at the barrier.
-struct MapOutcome {
-    /// Outbox row: the message for each node, its reducers' segments.
-    row: Vec<Vec<u8>>,
-    /// Pairs in each buffer of `row`.
-    sent: Vec<usize>,
-    /// Compute of the successful attempt (what a reduce-side crash
-    /// re-charges to regenerate the node's self-send).
-    compute: Duration,
-    /// Total virtual map time, including retried attempts and backoff.
-    phase_time: Duration,
-    records_in: u64,
-    pairs: u64,
-    /// The task's share of the shuffle's lower bound ([`Emit`]'s `lo`).
-    shuffle_lo: u64,
-    /// Locally-accumulated recovery accounting, merged in node order.
+/// What a node task's attempts cost, the crashed ones and the one that
+/// survived: accumulated on the worker, merged in node order at the
+/// barrier.
+#[derive(Default)]
+struct Attempts {
+    /// Attempts run, the surviving one included.
+    count: u32,
+    /// Virtual time: every attempt's scaled compute, plus backoff and
+    /// what the crashes charged.
+    virt: Duration,
+    /// Raw (unscaled) on-CPU time across attempts, for the trace.
+    cpu: Duration,
     recovery: RecoveryStats,
     events: Vec<RecoveryAction>,
-    /// The task's span, when tracing.
-    trace: Option<TaskTrace>,
-    /// Per-reducer records/bytes this mapper routed, when tracing.
-    skew: Option<SkewHistogram>,
 }
 
-/// What one node's reduce task hands back at the barrier.
-struct ReduceOutcome {
-    /// Output batches per owned reducer id, one batch per output slot
-    /// (primary first, then the job's extra outputs); committed by the
-    /// driver thread in node order so replication accounting stays
-    /// deterministic.
-    outputs: Vec<(u32, Vec<Batch>)>,
-    phase_time: Duration,
-    records_out: u64,
-    recovery: RecoveryStats,
-    events: Vec<RecoveryAction>,
-    /// Hot-path counters from the successful attempt.
-    hot: HotPathStats,
+impl Attempts {
+    /// The task span's recovery counters.
+    fn counters(&self) -> Counters {
+        let r = &self.recovery;
+        Counters {
+            retries: r.tasks_retried as u64,
+            crashes: r.faults_injected as u64,
+            restore_bytes: r.restore_bytes,
+            restore_messages: r.restore_messages,
+            retransmit_bytes: r.retransmit_bytes,
+            retransmit_messages: r.retransmit_messages,
+            backoff_ns: duration_ns(r.backoff_time),
+            ..Counters::default()
+        }
+    }
+
+    /// The task's span. `work` is the `(records, pairs, bytes)` one attempt
+    /// handles, which every attempt pays on the deterministic clock.
+    fn span(
+        &self,
+        pc: &PhaseCtx<'_>,
+        node: usize,
+        work: (u64, u64, u64),
+        counters: Counters,
+    ) -> TaskTrace {
+        let (records, pairs, bytes) = work;
+        TaskTrace {
+            node,
+            virt: self.virt,
+            cpu: self.cpu,
+            det_ns: task_det_ns(pc, self.count, records, pairs, bytes, &counters),
+            counters,
+        }
+    }
+}
+
+/// One node task's result at the phase barrier.
+struct TaskOutcome<T> {
+    /// What the surviving attempt produced.
+    out: T,
+    /// What all the attempts cost.
+    att: Attempts,
     /// The task's span, when tracing.
     trace: Option<TaskTrace>,
 }
@@ -1141,25 +1188,16 @@ where
         .collect()
 }
 
-/// Invoke the job's reducer and check it produced exactly one batch per
-/// output slot — a mismatch is a reducer bug and must fail the task, not
-/// silently drop or misroute a dataset.
-fn reduce_slots(
-    job: &MapReduceJob<'_>,
-    ctx: &TaskCtx,
-    pairs: Pairs<'_>,
-    slots: usize,
-) -> Result<Vec<Batch>> {
-    let batches = job.reducer.reduce(ctx, pairs)?;
-    if batches.len() != slots {
+/// Check a task produced exactly one batch per output slot — a mismatch
+/// is a task bug and must fail the task, not silently drop or misroute a
+/// dataset.
+fn check_slots(job: &str, batches: usize, slots: usize) -> Result<()> {
+    if batches != slots {
         return Err(MrError::msg(format!(
-            "job '{}': reducer produced {} batch(es) for {} output slot(s)",
-            job.name,
-            batches.len(),
-            slots
+            "job '{job}': a task produced {batches} batch(es) for {slots} output slot(s)"
         )));
     }
-    Ok(batches)
+    Ok(())
 }
 
 impl Cluster {
@@ -1205,14 +1243,12 @@ impl Cluster {
                 max: (1 << REDUCER_BITS) - 1,
             });
         }
+        let outputs: Vec<(String, Arc<Schema>)> =
+            std::iter::once((job.output.clone(), job.output_schema.clone()))
+                .chain(extra_outputs.iter().cloned())
+                .collect();
         let job_idx = self.next_job_index();
         let n = self.num_nodes();
-        let threads = self.threads();
-        let retry = self.retry_policy();
-        let tracing = self.tracing();
-        let cost = self.cost_model();
-        let net_model = *self.net();
-        let stragglers: Vec<f64> = (0..n).map(|i| self.straggler_factor(i)).collect();
         let mut stats = JobStats {
             name: job.name.clone(),
             map_time_by_node: vec![Duration::ZERO; n],
@@ -1222,65 +1258,35 @@ impl Cluster {
 
         // ---- Map phase: all node tasks concurrently, each timed
         // individually, results in per-node slots. ----
-        let map_pc = PhaseCtx {
-            job,
-            job_idx,
-            n,
-            retry,
-            crashes: self.take_phase_crashes(job_idx, TaskPhase::Map),
-            stragglers: &stragglers,
-            threads,
-            tracing,
-            cost,
-            net: net_model,
-            extra_outputs,
-        };
+        let map_pc = self.phase_ctx(&job.name, job_idx, TaskPhase::Map, outputs.len());
         let this: &Cluster = &*self;
-        let map_results = run_slots(n, threads, |node| this.map_task(&map_pc, node));
+        let map_results = run_slots(n, map_pc.threads, |node| this.map_task(&map_pc, job, node));
+        let mut map_tasks: Vec<TaskTrace> = Vec::new();
+        let maps = self.barrier(map_results, &mut stats.map_time_by_node, &mut map_tasks)?;
 
         // Successful-attempt compute per node, kept apart from retry
         // charges: a reduce-side crash re-runs the node's map task to
         // regenerate its self-send data, at this cost.
-        let mut map_compute: Vec<Duration> = vec![Duration::ZERO; n];
+        let mut map_compute: Vec<Duration> = Vec::with_capacity(n);
         let mut outboxes: Vec<Vec<Vec<u8>>> = Vec::with_capacity(n);
         // Pairs bound for each node: its reduce task's exact sort size.
         let mut inbox_pairs = vec![0usize; n];
-        let mut map_tasks: Vec<TaskTrace> = Vec::new();
         let mut job_skew: Option<SkewHistogram> = None;
-        let mut first_err: Option<MrError> = None;
-        for (node, res) in map_results.into_iter().enumerate() {
-            match res {
-                Ok(o) if first_err.is_none() => {
-                    stats.map_time_by_node[node] += o.phase_time;
-                    map_compute[node] = o.compute;
-                    stats.records_in += o.records_in;
-                    stats.pairs_shuffled += o.pairs;
-                    stats.shuffle_lo += o.shuffle_lo;
-                    for (to, sent) in o.sent.iter().enumerate() {
-                        inbox_pairs[to] += sent;
-                    }
-                    self.absorb_worker_recovery(o.recovery, o.events);
-                    if let Some(t) = o.trace {
-                        map_tasks.push(t);
-                    }
-                    if let Some(s) = o.skew {
-                        match job_skew.as_mut() {
-                            Some(merged) => merged.merge(&s),
-                            None => job_skew = Some(s),
-                        }
-                    }
-                    outboxes.push(o.row);
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+        for o in maps {
+            map_compute.push(o.compute);
+            stats.records_in += o.records_in;
+            stats.pairs_shuffled += o.pairs;
+            stats.shuffle_lo += o.shuffle_lo;
+            for (to, sent) in o.sent.iter().enumerate() {
+                inbox_pairs[to] += sent;
+            }
+            if let Some(s) = o.skew {
+                match job_skew.as_mut() {
+                    Some(merged) => merged.merge(&s),
+                    None => job_skew = Some(s),
                 }
             }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
+            outboxes.push(o.row);
         }
         // Remember the outbox sizes: the next map phase pre-sizes its
         // shuffle buffers from them instead of growing from empty.
@@ -1303,69 +1309,28 @@ impl Cluster {
 
         // ---- Reduce phase: same slot discipline; outputs commit on the
         // driver thread at the barrier, in node order. ----
-        let reduce_pc = PhaseCtx {
-            job,
-            job_idx,
-            n,
-            retry,
-            crashes: self.take_phase_crashes(job_idx, TaskPhase::Reduce),
-            stragglers: &stragglers,
-            threads,
-            tracing,
-            cost,
-            net: net_model,
-            extra_outputs,
-        };
+        let reduce_pc = self.phase_ctx(&job.name, job_idx, TaskPhase::Reduce, outputs.len());
         let this: &Cluster = &*self;
-        let reduce_results = run_slots(n, threads, |node| {
+        let reduce_results = run_slots(n, reduce_pc.threads, |node| {
             this.reduce_task(
                 &reduce_pc,
+                job,
                 node,
                 &inboxes[node],
                 inbox_pairs[node],
                 map_compute[node],
             )
         });
-
         let mut reduce_tasks: Vec<TaskTrace> = Vec::new();
-        let mut first_err: Option<MrError> = None;
-        for (node, res) in reduce_results.into_iter().enumerate() {
-            match res {
-                Ok(o) if first_err.is_none() => {
-                    stats.reduce_time_by_node[node] += o.phase_time;
-                    stats.records_out += o.records_out;
-                    stats.hot.merge(&o.hot);
-                    self.absorb_worker_recovery(o.recovery, o.events);
-                    if let Some(t) = o.trace {
-                        reduce_tasks.push(t);
-                    }
-                    for (rid, batches) in o.outputs {
-                        for (slot, batch) in batches.into_iter().enumerate() {
-                            let (name, schema) = if slot == 0 {
-                                (job.output.as_str(), &job.output_schema)
-                            } else {
-                                let (n, s) = &extra_outputs[slot - 1];
-                                (n.as_str(), s)
-                            };
-                            self.put_fragment(
-                                node,
-                                name,
-                                rid,
-                                Dataset::new(schema.clone(), batch),
-                            )?;
-                        }
-                    }
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
+        let reduces = self.barrier(
+            reduce_results,
+            &mut stats.reduce_time_by_node,
+            &mut reduce_tasks,
+        )?;
+        for (node, o) in reduces.into_iter().enumerate() {
+            stats.records_out += o.records_out;
+            stats.hot.merge(&o.hot);
+            self.commit(node, &outputs, o.outputs)?;
         }
 
         // Recovery traffic (replication, restores, retransmits) joins the
@@ -1375,22 +1340,218 @@ impl Cluster {
         let net = *self.net();
         stats.absorb_recovery(recovery, &net);
 
-        if tracing {
+        if reduce_pc.tracing {
             // Emitted only now, after recovery absorption, so the
             // shuffle span's virtual time is the *final* comm time and
             // the three phases sum exactly to the job's makespan.
-            let trace = job_trace(&stats, &net_model, map_tasks, reduce_tasks, job_skew);
+            let trace = job_trace(&stats, &net, map_tasks, reduce_tasks, job_skew);
             self.record_job_trace(trace);
         }
         Ok(stats)
     }
 
+    /// Run a map-only job (paper Figure 11's split, a user-defined
+    /// RecalcIndex): every node runs `task` over its local fragments of
+    /// `inputs`, in (dataset, ordinal) order, and nothing is shuffled. The
+    /// task returns `(ordinal, batches)` per fragment it writes, one batch
+    /// per entry of `outputs`; at the barrier, in node order, batch `s`
+    /// becomes fragment `ordinal` of dataset `outputs[s]` on the task's
+    /// node, replicated like every materialized fragment.
+    ///
+    /// It is a job like [`Cluster::run_job`]: it takes one fault slot, its
+    /// node tasks run under the thread budget, crash and retry under the
+    /// fault plan (a crashed attempt commits nothing) and slow down on
+    /// stragglers, and its trace is the barrier over its tasks, plus a
+    /// shuffle span when replication or recovery moved bytes.
+    pub fn run_local<F>(
+        &mut self,
+        name: &str,
+        inputs: &[String],
+        outputs: &[(String, Arc<Schema>)],
+        task: F,
+    ) -> Result<JobStats>
+    where
+        F: Fn(&TaskCtx, &[MapInput]) -> Result<Vec<(u32, Vec<Batch>)>> + Sync,
+    {
+        let job_idx = self.next_job_index();
+        let n = self.num_nodes();
+        let pc = self.phase_ctx(name, job_idx, TaskPhase::Map, outputs.len());
+        let this: &Cluster = &*self;
+        let results = run_slots(n, pc.threads, |node| {
+            this.local_task(&pc, inputs, node, &task)
+        });
+        let mut stats = JobStats {
+            name: name.to_string(),
+            map_time_by_node: vec![Duration::ZERO; n],
+            reduce_time_by_node: vec![Duration::ZERO; n],
+            ..Default::default()
+        };
+        let mut tasks: Vec<TaskTrace> = Vec::new();
+        let locals = self.barrier(results, &mut stats.map_time_by_node, &mut tasks)?;
+        for (node, o) in locals.into_iter().enumerate() {
+            stats.records_in += o.records_in;
+            stats.records_out += o.records_out;
+            self.commit(node, outputs, o.outputs)?;
+        }
+        let recovery = self.take_recovery();
+        let net = *self.net();
+        stats.absorb_recovery(recovery, &net);
+        if pc.tracing {
+            self.record_job_trace(local_trace(&stats, &net, tasks));
+        }
+        Ok(stats)
+    }
+
+    /// The context of phase `phase` of job `job_idx`, whose tasks write
+    /// `slots` outputs: its crashes are drawn from the fault plan now, at
+    /// the barrier.
+    fn phase_ctx<'a>(
+        &mut self,
+        name: &'a str,
+        job_idx: usize,
+        phase: TaskPhase,
+        slots: usize,
+    ) -> PhaseCtx<'a> {
+        let n = self.num_nodes();
+        PhaseCtx {
+            name,
+            job_idx,
+            phase,
+            n,
+            slots,
+            retry: self.retry_policy(),
+            crashes: self.take_phase_crashes(job_idx, phase),
+            stragglers: (0..n).map(|i| self.straggler_factor(i)).collect(),
+            threads: self.threads(),
+            tracing: self.tracing(),
+            cost: self.cost_model(),
+            net: *self.net(),
+        }
+    }
+
+    /// A phase barrier: fold the node tasks' outcomes in node order —
+    /// each node's virtual time into `times`, its recovery into the
+    /// cluster's, its span into `spans` — and hand back what they produced.
+    /// The first failed node, in node order, fails the phase.
+    fn barrier<T>(
+        &mut self,
+        results: Vec<Result<TaskOutcome<T>>>,
+        times: &mut [Duration],
+        spans: &mut Vec<TaskTrace>,
+    ) -> Result<Vec<T>> {
+        let mut outs = Vec::with_capacity(results.len());
+        for (node, res) in results.into_iter().enumerate() {
+            let o = res?;
+            times[node] += o.att.virt;
+            self.absorb_worker_recovery(o.att.recovery, o.att.events);
+            spans.extend(o.trace);
+            outs.push(o.out);
+        }
+        Ok(outs)
+    }
+
+    /// Commit a node's output fragments: batch `s` of each `(ordinal,
+    /// batches)` becomes fragment `ordinal` of `outputs[s]`.
+    fn commit(
+        &mut self,
+        node: usize,
+        outputs: &[(String, Arc<Schema>)],
+        fragments: Vec<(u32, Vec<Batch>)>,
+    ) -> Result<()> {
+        for (ordinal, batches) in fragments {
+            for ((name, schema), batch) in outputs.iter().zip(batches) {
+                self.put_fragment(node, name, ordinal, Dataset::new(schema.clone(), batch))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Run one node task's attempts — the engine's one attempt loop, under
+    /// map, reduce and map-only tasks alike. Each attempt is timed and its
+    /// compute, scaled by the node's straggler factor, charged to `att`.
+    /// The node's first `pc.crashes[node]` attempts crash before they
+    /// commit: the fault and the replica restore are accounted (see
+    /// [`Cluster::simulate_crash`]), the attempt's compute is lost,
+    /// `on_crash` charges whatever else the crash costs the task, and the
+    /// task retries after its backoff — or aborts once the retry policy is
+    /// spent. Returns the surviving attempt's result and scaled compute.
+    fn attempt_loop<T>(
+        &self,
+        pc: &PhaseCtx<'_>,
+        node: usize,
+        att: &mut Attempts,
+        mut attempt: impl FnMut() -> Result<T>,
+        mut on_crash: impl FnMut(&mut Attempts),
+    ) -> Result<(T, Duration)> {
+        loop {
+            let t0 = TaskTimer::start();
+            let out = attempt()?;
+            let raw = t0.elapsed();
+            att.count += 1;
+            att.cpu += raw;
+            let elapsed = scale_compute(raw, pc.stragglers[node]);
+            att.virt += elapsed;
+            if att.count > pc.crashes[node] {
+                return Ok((out, elapsed));
+            }
+            // The node died before committing: the attempt's compute is
+            // lost (charged above, and counted as re-execution overhead).
+            self.simulate_crash(pc, node, att)?;
+            att.recovery.reexec_task_time += elapsed;
+            on_crash(att);
+            if att.count >= pc.retry.max_attempts {
+                return Err(MrError::TaskAborted {
+                    job: pc.name.to_string(),
+                    node,
+                    phase: pc.phase,
+                    attempts: att.count,
+                    source: Box::new(MrError::RetriesExhausted {
+                        attempts: att.count,
+                        stats: Box::new(att.recovery.clone()),
+                    }),
+                });
+            }
+            let backoff = pc.retry.backoff_for(att.count);
+            att.virt += backoff;
+            att.recovery.tasks_retried += 1;
+            att.recovery.backoff_time += backoff;
+            att.events.push(RecoveryAction::TaskRetried {
+                job: pc.name.to_string(),
+                node,
+                phase: pc.phase,
+                attempt: att.count + 1,
+                backoff,
+            });
+        }
+    }
+
+    /// Node `node`'s fragments of `names`, in (dataset, ordinal) order,
+    /// and the records they hold.
+    fn local_inputs(&self, names: &[String], node: usize) -> (Vec<MapInput>, u64) {
+        let mut inputs: Vec<MapInput> = Vec::new();
+        let mut records: u64 = 0;
+        for name in names {
+            for f in self.node(node).get(name).into_iter().flatten() {
+                records += f.data.batch.record_count() as u64;
+                inputs.push(MapInput {
+                    name: name.clone(),
+                    ordinal: f.ordinal,
+                    data: Arc::clone(&f.data),
+                });
+            }
+        }
+        (inputs, records)
+    }
+
     /// One node's map task: read local fragments, map, partition and encode
-    /// into per-reducer segments, retrying under pre-drawn crash faults,
-    /// then seal the segments into the outbox row. Runs on a worker thread
-    /// with only `&self`.
-    fn map_task(&self, pc: &PhaseCtx<'_>, node: usize) -> Result<MapOutcome> {
-        let job = pc.job;
+    /// into per-reducer segments, then seal the segments into the outbox
+    /// row. Runs on a worker thread with only `&self`.
+    fn map_task(
+        &self,
+        pc: &PhaseCtx<'_>,
+        job: &MapReduceJob<'_>,
+        node: usize,
+    ) -> Result<TaskOutcome<MapOutput>> {
         let n = pc.n;
         // The previous job's message to a node, split evenly over the
         // reducers that node owns, pre-sizes each segment.
@@ -1402,155 +1563,67 @@ impl Cluster {
                 Vec::with_capacity(hints.and_then(|h| h.get(to)).map_or(0, |&b| b / owned))
             })
             .collect();
-        let mut out = MapOutcome {
-            row: Vec::new(),
-            sent: vec![0; n],
-            compute: Duration::ZERO,
-            phase_time: Duration::ZERO,
-            records_in: 0,
-            pairs: 0,
-            shuffle_lo: 0,
-            recovery: RecoveryStats::default(),
-            events: Vec::new(),
-            trace: None,
-            skew: None,
-        };
-        let mut crashes_left = pc.crashes[node];
-        let mut attempt: u32 = 1;
-        // Raw (unscaled) on-CPU time across attempts, for the trace.
-        let mut cpu = Duration::ZERO;
+        let mut sent = vec![0; n];
         let mut skew = pc.tracing.then(|| SkewHistogram::new(job.num_reducers));
-        loop {
-            let t0 = TaskTimer::start();
+        let mut att = Attempts::default();
+        let attempt = || {
             // Retries reuse the segment buffers (cleared, capacity kept).
             for seg in &mut segs {
                 seg.clear();
             }
-            out.sent.fill(0);
+            sent.fill(0);
             if let Some(sk) = skew.as_mut() {
                 sk.reset();
             }
-            let mut inputs: Vec<MapInput> = Vec::new();
-            let mut records_in: u64 = 0;
-            for name in &job.inputs {
-                if let Some(frags) = self.node(node).get(name) {
-                    for f in frags {
-                        records_in += f.data.batch.record_count() as u64;
-                        inputs.push(MapInput {
-                            name: name.clone(),
-                            ordinal: f.ordinal,
-                            data: Arc::clone(&f.data),
-                        });
-                    }
-                }
-            }
+            let (inputs, records_in) = self.local_inputs(&job.inputs, node);
             let ctx = TaskCtx {
                 node,
                 num_nodes: n,
                 num_reducers: job.num_reducers,
                 reducer: None,
             };
-            let mut emit = Emit::new(job, node, &mut segs, &mut out.sent, skew.as_mut());
+            let mut emit = Emit::new(job, node, &mut segs, &mut sent, skew.as_mut());
             job.mapper.map(&ctx, &inputs, &mut emit)?;
-            let emitted = emit.finish()?;
-            let pair_count = emitted.pairs as u64;
-            let raw = t0.elapsed();
-            cpu += raw;
-            let elapsed = scale_compute(raw, pc.stragglers[node]);
-            out.phase_time += elapsed;
-
-            if crashes_left > 0 {
-                // The node died before committing its map output: the
-                // attempt's compute is lost (charged above, and counted as
-                // re-execution overhead). The replica restore is simulated
-                // read-only — it would put back the very `Arc`s the store
-                // holds — so only its accounting reaches the barrier.
-                crashes_left -= 1;
-                self.simulate_crash(pc, TaskPhase::Map, node, &mut out.recovery, &mut out.events)?;
-                out.recovery.reexec_task_time += elapsed;
-                if attempt >= pc.retry.max_attempts {
-                    return Err(MrError::TaskAborted {
-                        job: job.name.clone(),
-                        node,
-                        phase: TaskPhase::Map,
-                        attempts: attempt,
-                        source: Box::new(MrError::RetriesExhausted {
-                            attempts: attempt,
-                            stats: Box::new(out.recovery.clone()),
-                        }),
-                    });
-                }
-                let backoff = pc.retry.backoff_for(attempt);
-                out.phase_time += backoff;
-                out.recovery.tasks_retried += 1;
-                out.recovery.backoff_time += backoff;
-                out.events.push(RecoveryAction::TaskRetried {
-                    job: job.name.clone(),
-                    node,
-                    phase: TaskPhase::Map,
-                    attempt: attempt + 1,
-                    backoff,
-                });
-                attempt += 1;
-                continue;
-            }
-
-            out.row = seal_segments(&mut segs, n)?;
-            out.compute = elapsed;
-            out.records_in = records_in;
-            out.pairs = pair_count;
-            out.shuffle_lo = emitted.lo;
-            if pc.tracing {
-                let encoded: u64 = out.row.iter().map(|b| b.len() as u64).sum();
-                let counters = Counters {
-                    records_in,
-                    pairs: pair_count,
-                    retries: out.recovery.tasks_retried as u64,
-                    crashes: out.recovery.faults_injected as u64,
-                    restore_bytes: out.recovery.restore_bytes,
-                    restore_messages: out.recovery.restore_messages,
-                    backoff_ns: duration_ns(out.recovery.backoff_time),
-                    ..Counters::default()
-                };
-                out.trace = Some(TaskTrace {
-                    node,
-                    virt: out.phase_time,
-                    cpu,
-                    det_ns: task_det_ns(pc, attempt, records_in, pair_count, encoded, &counters),
-                    counters,
-                });
-                out.skew = skew.take();
-            }
-            return Ok(out);
-        }
+            Ok((records_in, emit.finish()?))
+        };
+        let ((records_in, emitted), compute) =
+            self.attempt_loop(pc, node, &mut att, attempt, |_| {})?;
+        let row = seal_segments(&mut segs, n)?;
+        let pairs = emitted.pairs as u64;
+        let trace = pc.tracing.then(|| {
+            let encoded: u64 = row.iter().map(|b| b.len() as u64).sum();
+            let counters = Counters {
+                records_in,
+                pairs,
+                ..att.counters()
+            };
+            att.span(pc, node, (records_in, pairs, encoded), counters)
+        });
+        let out = MapOutput {
+            row,
+            sent,
+            compute,
+            records_in,
+            pairs,
+            shuffle_lo: emitted.lo,
+            skew,
+        };
+        Ok(TaskOutcome { out, att, trace })
     }
 
     /// One node's reduce task: decode its inbox (`pairs` pairs, as the
-    /// map tasks counted them), sort, reduce per owned reducer id,
-    /// retrying under pre-drawn crash faults. Runs on a worker thread with
-    /// only `&self`; outputs are committed by the driver.
+    /// map tasks counted them), sort, reduce per owned reducer id. Runs on
+    /// a worker thread with only `&self`; outputs are committed by the
+    /// driver.
     fn reduce_task(
         &self,
         pc: &PhaseCtx<'_>,
+        job: &MapReduceJob<'_>,
         node: usize,
         inbox: &[(usize, Vec<u8>)],
         pairs: usize,
         map_compute: Duration,
-    ) -> Result<ReduceOutcome> {
-        let job = pc.job;
-        let mut out = ReduceOutcome {
-            outputs: Vec::new(),
-            phase_time: Duration::ZERO,
-            records_out: 0,
-            recovery: RecoveryStats::default(),
-            events: Vec::new(),
-            hot: HotPathStats::default(),
-            trace: None,
-        };
-        let mut crashes_left = pc.crashes[node];
-        let mut attempt: u32 = 1;
-        // Raw (unscaled) on-CPU time across attempts, for the trace.
-        let mut cpu = Duration::ZERO;
+    ) -> Result<TaskOutcome<ReduceAttempt>> {
         // The exchange builds inboxes sender-ascending; the scan index
         // stands in for `(mapper, emission index)` only because of that.
         debug_assert!(inbox.windows(2).all(|w| w[0].0 < w[1].0));
@@ -1559,261 +1632,231 @@ impl Cluster {
         // so the first attempt never grows from empty.
         let mut locs: Vec<PairLoc> = Vec::with_capacity(pairs);
         let mut packed: Vec<u128> = Vec::with_capacity(pairs);
-        loop {
-            let t0 = TaskTimer::start();
-            // Outputs are buffered and only committed if the task survives
-            // its boundary — a crashed attempt leaves nothing.
-            let ReduceAttempt {
-                outputs,
-                records_out,
-                pair_count,
-                hot,
-            } = self.reduce_attempt(pc, node, inbox, pairs, &mut locs, &mut packed)?;
-            let raw = t0.elapsed();
-            cpu += raw;
-            let elapsed = scale_compute(raw, pc.stragglers[node]);
-            out.phase_time += elapsed;
-
-            if crashes_left > 0 {
-                // Crash mid-shuffle: the reduce attempt's work and the
-                // node's in-memory inbox are gone. Remote mappers held
-                // their send buffers and retransmit them; the node's own
-                // map output is regenerated by re-running its map task
-                // (same deterministic bytes, so the retry below reuses
-                // `inbox` while the clock pays for the re-fetch).
-                crashes_left -= 1;
-                self.simulate_crash(
-                    pc,
-                    TaskPhase::Reduce,
-                    node,
-                    &mut out.recovery,
-                    &mut out.events,
-                )?;
-                out.recovery.reexec_task_time += elapsed;
-                let (rbytes, rmsgs) = inbox
-                    .iter()
-                    .filter(|(from, _)| *from != node)
-                    .fold((0u64, 0u64), |(b, m), (_, buf)| {
-                        (b + buf.len() as u64, m + 1)
-                    });
-                if rmsgs > 0 {
-                    out.recovery.retransmit_bytes += rbytes;
-                    out.recovery.retransmit_messages += rmsgs;
-                    out.events.push(RecoveryAction::InboxRefetched {
-                        job: job.name.clone(),
-                        node,
-                        bytes: rbytes,
-                        messages: rmsgs,
-                    });
-                }
-                if inbox.iter().any(|(from, _)| *from == node) {
-                    // Re-running the local map task costs its compute.
-                    out.phase_time += map_compute;
-                    out.recovery.reexec_task_time += map_compute;
-                }
-                if attempt >= pc.retry.max_attempts {
-                    return Err(MrError::TaskAborted {
-                        job: job.name.clone(),
-                        node,
-                        phase: TaskPhase::Reduce,
-                        attempts: attempt,
-                        source: Box::new(MrError::RetriesExhausted {
-                            attempts: attempt,
-                            stats: Box::new(out.recovery.clone()),
-                        }),
-                    });
-                }
-                let backoff = pc.retry.backoff_for(attempt);
-                out.phase_time += backoff;
-                out.recovery.tasks_retried += 1;
-                out.recovery.backoff_time += backoff;
-                out.events.push(RecoveryAction::TaskRetried {
-                    job: job.name.clone(),
-                    node,
-                    phase: TaskPhase::Reduce,
-                    attempt: attempt + 1,
-                    backoff,
+        let mut att = Attempts::default();
+        // Outputs are buffered and only committed if the task survives
+        // its boundary — a crashed attempt leaves nothing.
+        let attempt = || reduce_attempt(pc, job, node, inbox, pairs, &mut locs, &mut packed);
+        // Crash mid-shuffle: the reduce attempt's work and the node's
+        // in-memory inbox are gone. Remote mappers held their send buffers
+        // and retransmit them; the node's own map output is regenerated by
+        // re-running its map task (same deterministic bytes, so the retry
+        // reuses `inbox` while the clock pays for the re-fetch).
+        let on_crash = |att: &mut Attempts| {
+            let (rbytes, rmsgs) = inbox
+                .iter()
+                .filter(|(from, _)| *from != node)
+                .fold((0u64, 0u64), |(b, m), (_, buf)| {
+                    (b + buf.len() as u64, m + 1)
                 });
-                attempt += 1;
-                continue;
-            }
-
-            out.records_out = records_out;
-            out.outputs = outputs;
-            out.hot = hot;
-            if pc.tracing {
-                let inbox_bytes: u64 = inbox.iter().map(|(_, b)| b.len() as u64).sum();
-                let counters = Counters {
-                    records_out,
-                    pairs: pair_count,
-                    retries: out.recovery.tasks_retried as u64,
-                    crashes: out.recovery.faults_injected as u64,
-                    restore_bytes: out.recovery.restore_bytes,
-                    restore_messages: out.recovery.restore_messages,
-                    retransmit_bytes: out.recovery.retransmit_bytes,
-                    retransmit_messages: out.recovery.retransmit_messages,
-                    backoff_ns: duration_ns(out.recovery.backoff_time),
-                    staged_bytes: out.hot.staged_bytes,
-                    staged_allocs: out.hot.staged_allocs,
-                    materialized_bytes: out.hot.materialized_bytes,
-                    tie_pairs: out.hot.tie_pairs,
-                    ..Counters::default()
-                };
-                out.trace = Some(TaskTrace {
+            if rmsgs > 0 {
+                att.recovery.retransmit_bytes += rbytes;
+                att.recovery.retransmit_messages += rmsgs;
+                att.events.push(RecoveryAction::InboxRefetched {
+                    job: pc.name.to_string(),
                     node,
-                    virt: out.phase_time,
-                    cpu,
-                    det_ns: task_det_ns(
-                        pc,
-                        attempt,
-                        records_out,
-                        pair_count,
-                        inbox_bytes,
-                        &counters,
-                    ),
-                    counters,
+                    bytes: rbytes,
+                    messages: rmsgs,
                 });
             }
-            return Ok(out);
-        }
+            if inbox.iter().any(|(from, _)| *from == node) {
+                // Re-running the local map task costs its compute.
+                att.virt += map_compute;
+                att.recovery.reexec_task_time += map_compute;
+            }
+        };
+        let (out, _) = self.attempt_loop(pc, node, &mut att, attempt, on_crash)?;
+        let trace = pc.tracing.then(|| {
+            let inbox_bytes: u64 = inbox.iter().map(|(_, b)| b.len() as u64).sum();
+            let counters = Counters {
+                records_out: out.records_out,
+                pairs: out.pair_count,
+                staged_bytes: out.hot.staged_bytes,
+                staged_allocs: out.hot.staged_allocs,
+                materialized_bytes: out.hot.materialized_bytes,
+                tie_pairs: out.hot.tie_pairs,
+                ..att.counters()
+            };
+            let work = (out.records_out, out.pair_count, inbox_bytes);
+            att.span(pc, node, work, counters)
+        });
+        Ok(TaskOutcome { out, att, trace })
     }
 
-    /// One reduce attempt: scan the inbox (`pairs` pairs, as its senders
-    /// counted them) once into a 16-byte location index plus packed
-    /// 128-bit sort keys, sort *those* and fix up inexact prefix ties — or,
-    /// without key order, order the runs — then hand each reducer its span
-    /// of the order as a borrowed [`Pairs`], from which it decodes each
-    /// pair exactly once, straight into its output.
-    fn reduce_attempt(
+    /// One node's map-only task: `task` over the node's local fragments,
+    /// its batches buffered until the barrier commits them. Runs on a
+    /// worker thread with only `&self`.
+    fn local_task<F>(
         &self,
         pc: &PhaseCtx<'_>,
+        inputs: &[String],
         node: usize,
-        inbox: &[(usize, Vec<u8>)],
-        pairs: usize,
-        locs: &mut Vec<PairLoc>,
-        packed: &mut Vec<u128>,
-    ) -> Result<ReduceAttempt> {
-        let job = pc.job;
-        let n = pc.n;
-        let layout = job.layout()?;
-        let Scan {
-            records_by_slot,
-            any_inexact,
-            all_records,
-            materialized_bytes,
-            mut runs,
-        } = scan_inbox(job, node, n, inbox, pairs, locs, packed)?;
-        let mut hot = HotPathStats {
-            materialized_bytes,
-            ..HotPathStats::default()
+        task: &F,
+    ) -> Result<TaskOutcome<LocalAttempt>>
+    where
+        F: Fn(&TaskCtx, &[MapInput]) -> Result<Vec<(u32, Vec<Batch>)>> + Sync,
+    {
+        let ctx = TaskCtx {
+            node,
+            num_nodes: pc.n,
+            num_reducers: 0,
+            reducer: None,
         };
-        // What ordering moves: one PairLoc + one packed key per pair.
-        hot.staged_bytes =
-            (locs.len() * (std::mem::size_of::<PairLoc>() + std::mem::size_of::<u128>())) as u64;
-        if !job.sort_by_key {
-            order_runs(&mut runs, packed);
-        } else {
-            // Threads left over beyond one per node parallelize this
-            // node's sort — the node's core budget, like papar-sort's
-            // contract wants.
-            papar_sort::packed::par_sort_packed(packed, (pc.threads / n).max(1));
-            fixup_prefix_ties(
-                layout,
-                job.descending,
-                any_inexact,
-                inbox,
-                locs,
-                packed,
-                &mut hot,
-            )?;
-        }
-        // Hand every owned reducer its span of the sorted order. With
-        // sorted keys, no inexact prefix and one record per pair, the
-        // packed keys alone cut the key-equal runs.
-        let runs_from_keys = job.sort_by_key && !any_inexact && all_records;
-        let slots = 1 + pc.extra_outputs.len();
-        let reduce = |rid: usize, pairs: Pairs<'_>| {
-            let ctx = TaskCtx {
-                node,
-                num_nodes: n,
-                num_reducers: job.num_reducers,
-                reducer: Some(rid),
+        let mut att = Attempts::default();
+        let attempt = || {
+            let (fragments, records_in) = self.local_inputs(inputs, node);
+            let outputs = task(&ctx, &fragments)?;
+            let mut records_out = 0;
+            for (_, batches) in &outputs {
+                check_slots(pc.name, batches.len(), pc.slots)?;
+                records_out += batches.iter().map(|b| b.record_count() as u64).sum::<u64>();
+            }
+            Ok(LocalAttempt {
+                outputs,
+                records_in,
+                records_out,
+            })
+        };
+        let (out, _) = self.attempt_loop(pc, node, &mut att, attempt, |_| {})?;
+        let trace = pc.tracing.then(|| {
+            let counters = Counters {
+                records_in: out.records_in,
+                records_out: out.records_out,
+                ..att.counters()
             };
-            reduce_slots(job, &ctx, pairs, slots)
-        };
-        let mut outputs: Vec<(u32, Vec<Batch>)> = Vec::new();
-        let mut records_out: u64 = 0;
-        let mut handled: Vec<bool> = vec![false; job.num_reducers];
-        let mut i = 0usize;
-        while i < packed.len() {
-            let rid = (packed[i] >> (66 + IDX_BITS)) as usize;
-            let mut j = i + 1;
-            while j < packed.len() && (packed[j] >> (66 + IDX_BITS)) as usize == rid {
-                j += 1;
-            }
-            let pairs = Pairs::new(
-                inbox,
-                locs,
-                &packed[i..j],
-                layout,
-                records_by_slot[rid / n],
-                runs_from_keys,
-            );
-            let batches = reduce(rid, pairs)?;
-            records_out += batches.iter().map(|b| b.record_count() as u64).sum::<u64>();
-            handled[rid] = true;
-            outputs.push((rid as u32, batches));
-            i = j;
-        }
-        // Reducers that received nothing still own an (empty) output
-        // fragment, so a distribute job always materializes every partition.
-        for rid in (node..job.num_reducers).step_by(n) {
-            if !handled[rid] {
-                let pairs = Pairs::empty(layout);
-                outputs.push((rid as u32, reduce(rid, pairs)?));
-            }
-        }
-        Ok(ReduceAttempt {
-            outputs,
-            records_out,
-            pair_count: locs.len() as u64,
-            hot,
-        })
+            att.span(pc, node, (out.records_in, 0, 0), counters)
+        });
+        Ok(TaskOutcome { out, att, trace })
     }
 
     /// Simulate a node crash at a task boundary without mutating a store:
-    /// account the fault and the replica restore into the worker's local
-    /// recovery delta and event log, or fail with [`MrError::DataLoss`]
-    /// when a fragment is unrecoverable — exactly like the mutating
-    /// sequential path did (see [`Cluster::plan_crash_restore`]).
-    fn simulate_crash(
-        &self,
-        pc: &PhaseCtx<'_>,
-        phase: TaskPhase,
-        node: usize,
-        recovery: &mut RecoveryStats,
-        events: &mut Vec<RecoveryAction>,
-    ) -> Result<()> {
-        recovery.faults_injected += 1;
-        events.push(RecoveryAction::FaultInjected {
-            job: pc.job.name.clone(),
+    /// account the fault and the replica restore into the task's
+    /// attempts, or fail with [`MrError::DataLoss`] when a fragment is
+    /// unrecoverable (see [`Cluster::plan_crash_restore`]). Every crash of
+    /// a phase restores the store the phase began with.
+    fn simulate_crash(&self, pc: &PhaseCtx<'_>, node: usize, att: &mut Attempts) -> Result<()> {
+        att.recovery.faults_injected += 1;
+        att.events.push(RecoveryAction::FaultInjected {
+            job: pc.name.to_string(),
             fault: Fault::NodeCrash {
                 node,
                 job: pc.job_idx,
-                phase,
+                phase: pc.phase,
             },
         });
         let (fragments, bytes) = self.plan_crash_restore(node)?;
-        recovery.restore_bytes += bytes;
-        recovery.restore_messages += fragments as u64;
-        events.push(RecoveryAction::FragmentsRestored {
-            job: pc.job.name.clone(),
+        att.recovery.restore_bytes += bytes;
+        att.recovery.restore_messages += fragments as u64;
+        att.events.push(RecoveryAction::FragmentsRestored {
+            job: pc.name.to_string(),
             node,
             fragments,
             bytes,
         });
         Ok(())
     }
+}
+
+/// One reduce attempt: scan the inbox (`pairs` pairs, as its senders
+/// counted them) once into a 16-byte location index plus packed
+/// 128-bit sort keys, sort *those* and fix up inexact prefix ties — or,
+/// without key order, order the runs — then hand each reducer its span
+/// of the order as a borrowed [`Pairs`], from which it decodes each
+/// pair exactly once, straight into its output.
+fn reduce_attempt(
+    pc: &PhaseCtx<'_>,
+    job: &MapReduceJob<'_>,
+    node: usize,
+    inbox: &[(usize, Vec<u8>)],
+    pairs: usize,
+    locs: &mut Vec<PairLoc>,
+    packed: &mut Vec<u128>,
+) -> Result<ReduceAttempt> {
+    let n = pc.n;
+    let layout = job.layout()?;
+    let Scan {
+        records_by_slot,
+        any_inexact,
+        all_records,
+        materialized_bytes,
+        mut runs,
+    } = scan_inbox(job, node, n, inbox, pairs, locs, packed)?;
+    let mut hot = HotPathStats {
+        materialized_bytes,
+        ..HotPathStats::default()
+    };
+    // What ordering moves: one PairLoc + one packed key per pair.
+    hot.staged_bytes =
+        (locs.len() * (std::mem::size_of::<PairLoc>() + std::mem::size_of::<u128>())) as u64;
+    if !job.sort_by_key {
+        order_runs(&mut runs, packed);
+    } else {
+        // Threads left over beyond one per node parallelize this
+        // node's sort — the node's core budget, like papar-sort's
+        // contract wants.
+        papar_sort::packed::par_sort_packed(packed, (pc.threads / n).max(1));
+        fixup_prefix_ties(
+            layout,
+            job.descending,
+            any_inexact,
+            inbox,
+            locs,
+            packed,
+            &mut hot,
+        )?;
+    }
+    // Hand every owned reducer its span of the sorted order. With
+    // sorted keys, no inexact prefix and one record per pair, the
+    // packed keys alone cut the key-equal runs.
+    let runs_from_keys = job.sort_by_key && !any_inexact && all_records;
+    let reduce = |rid: usize, pairs: Pairs<'_>| {
+        let ctx = TaskCtx {
+            node,
+            num_nodes: n,
+            num_reducers: job.num_reducers,
+            reducer: Some(rid),
+        };
+        let batches = job.reducer.reduce(&ctx, pairs)?;
+        check_slots(&job.name, batches.len(), pc.slots)?;
+        Ok::<_, MrError>(batches)
+    };
+    let mut outputs: Vec<(u32, Vec<Batch>)> = Vec::new();
+    let mut records_out: u64 = 0;
+    let mut handled: Vec<bool> = vec![false; job.num_reducers];
+    let mut i = 0usize;
+    while i < packed.len() {
+        let rid = (packed[i] >> (66 + IDX_BITS)) as usize;
+        let mut j = i + 1;
+        while j < packed.len() && (packed[j] >> (66 + IDX_BITS)) as usize == rid {
+            j += 1;
+        }
+        let pairs = Pairs::new(
+            inbox,
+            locs,
+            &packed[i..j],
+            layout,
+            records_by_slot[rid / n],
+            runs_from_keys,
+        );
+        let batches = reduce(rid, pairs)?;
+        records_out += batches.iter().map(|b| b.record_count() as u64).sum::<u64>();
+        handled[rid] = true;
+        outputs.push((rid as u32, batches));
+        i = j;
+    }
+    // Reducers that received nothing still own an (empty) output
+    // fragment, so a distribute job always materializes every partition.
+    for rid in (node..job.num_reducers).step_by(n) {
+        if !handled[rid] {
+            let pairs = Pairs::empty(layout);
+            outputs.push((rid as u32, reduce(rid, pairs)?));
+        }
+    }
+    Ok(ReduceAttempt {
+        outputs,
+        records_out,
+        pair_count: locs.len() as u64,
+        hot,
+    })
 }
 
 /// Apply a straggler's slowdown to a measured compute time.
@@ -1898,6 +1941,35 @@ fn job_trace(
             PhaseTrace::barrier(PhaseKind::Reduce, reduce_tasks),
         ],
         skew,
+        covers: Vec::new(),
+    }
+}
+
+/// A map-only job's trace: the barrier over its node tasks, plus a
+/// shuffle span when replication or recovery moved bytes (the
+/// replication counted on it; restores sit on the tasks that crashed).
+fn local_trace(stats: &JobStats, net: &NetModel, tasks: Vec<TaskTrace>) -> JobTrace {
+    let mut phases = vec![PhaseTrace::barrier(PhaseKind::Map, tasks)];
+    let rec = &stats.recovery;
+    if stats.comm_time > Duration::ZERO || rec.replication_bytes > 0 {
+        let counters = Counters {
+            replication_bytes: rec.replication_bytes,
+            messages: rec.replication_messages,
+            ..Counters::default()
+        };
+        let det_ns =
+            duration_ns(net.transfer_time(rec.replication_messages, rec.replication_bytes));
+        phases.push(PhaseTrace::solo(
+            PhaseKind::Shuffle,
+            stats.comm_time,
+            det_ns,
+            counters,
+        ));
+    }
+    JobTrace {
+        name: stats.name.clone(),
+        phases,
+        skew: None,
         covers: Vec::new(),
     }
 }
@@ -2462,29 +2534,69 @@ mod tests {
             job.inputs = vec!["in".into()];
             let rows = |crashes: u32| -> Result<Vec<Vec<Vec<u8>>>> {
                 let pc = PhaseCtx {
-                    job: &job,
+                    name: &job.name,
                     job_idx: 0,
+                    phase: TaskPhase::Map,
                     n: NODES,
+                    slots: 1,
                     retry: cluster.retry_policy(),
                     crashes: vec![crashes; NODES],
-                    stragglers: &[1.0; NODES],
+                    stragglers: vec![1.0; NODES],
                     threads: 1,
                     tracing: false,
                     cost: cluster.cost_model(),
                     net: *cluster.net(),
-                    extra_outputs: &[],
                 };
                 (0..NODES)
                     .map(|node| {
-                        let outcome = cluster.map_task(&pc, node)?;
-                        assert_eq!(outcome.recovery.tasks_retried, crashes, "node {node}");
-                        Ok(outcome.row)
+                        let outcome = cluster.map_task(&pc, &job, node)?;
+                        assert_eq!(outcome.att.recovery.tasks_retried, crashes, "node {node}");
+                        Ok(outcome.out.row)
                     })
                     .collect()
             };
             let clean = rows(0)?;
             assert!(clean.iter().flatten().any(|m| !m.is_empty()));
             assert_eq!(rows(1)?, clean, "{:?}", mapper.key());
+        }
+        Ok(())
+    }
+
+    /// A straggler on node 1 scales that node's map-only task time by its
+    /// slowdown and leaves the other nodes' measured time as it is.
+    #[test]
+    fn a_straggler_scales_its_nodes_local_task_time() -> Result<()> {
+        let plan = crate::FaultPlan::new(vec![Fault::Straggler {
+            node: 1,
+            slowdown: 3.0,
+        }]);
+        let mut cluster = Cluster::new(NODES)
+            .with_fault_plan(plan)
+            .with_tracer(Box::new(papar_trace::Collector::new()));
+        let fragments = (0..NODES as i32)
+            .map(|f| {
+                let records = (0..2000).map(|k| Record::new(vec![Value::Int(k ^ f)]));
+                Arc::new(Dataset::new(int_schema(), Batch::Flat(records.collect())))
+            })
+            .collect();
+        cluster.place("in", fragments)?;
+        let outputs = [("out".to_string(), int_schema())];
+        let copy = |_: &TaskCtx, inputs: &[MapInput]| {
+            let copies = inputs
+                .iter()
+                .map(|mi| (mi.ordinal, vec![mi.data.batch.clone()]));
+            Ok(copies.collect())
+        };
+        let stats = cluster.run_local("copy", &["in".to_string()], &outputs, copy)?;
+        assert_eq!(stats.records_out, NODES as u64 * 2000);
+        let trace = (cluster.take_trace()).ok_or_else(|| MrError::msg("no trace collected"))?;
+        let tasks = &trace.jobs[0].phases[0].tasks;
+        assert_eq!(tasks.len(), NODES);
+        assert!(tasks[1].cpu > Duration::ZERO);
+        for t in tasks {
+            let slowdown = if t.node == 1 { 3.0 } else { 1.0 };
+            assert_eq!(t.virt, t.cpu.mul_f64(slowdown), "node {}", t.node);
+            assert_eq!(stats.map_time_by_node[t.node], t.virt, "node {}", t.node);
         }
         Ok(())
     }

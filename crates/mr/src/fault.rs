@@ -130,29 +130,13 @@ impl FaultPlan {
         &self.pending
     }
 
-    /// Consume the first pending crash matching `(job, phase, node)`.
-    pub fn take_crash(&mut self, job: usize, phase: TaskPhase, node: usize) -> bool {
-        let hit = self.pending.iter().position(|f| {
-            matches!(f, Fault::NodeCrash { node: n, job: j, phase: p }
-                if *n == node && *j == job && *p == phase)
-        });
-        match hit {
-            Some(i) => {
-                self.pending.remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Drain every crash scheduled for `(job, phase)` into per-node counts.
     ///
-    /// The parallel engine pre-draws crashes at the phase barrier so worker
-    /// threads never touch the shared plan: a node with count `c` crashes on
-    /// its first `c` attempts, which is exactly the order the sequential
-    /// engine consumed matching faults via [`FaultPlan::take_crash`]. Crashes
-    /// addressing nodes outside `0..num_nodes` stay pending (they could
-    /// never fire in this phase).
+    /// The engine pre-draws crashes at the phase barrier so worker threads
+    /// never touch the shared plan: a node with count `c` crashes on its
+    /// first `c` attempts. Each drawn crash leaves the plan, so it fires
+    /// once. Crashes addressing nodes outside `0..num_nodes` stay pending
+    /// (they could never fire in this phase).
     pub fn take_crashes(&mut self, job: usize, phase: TaskPhase, num_nodes: usize) -> Vec<u32> {
         let mut counts = vec![0u32; num_nodes];
         self.pending.retain(|f| match f {
@@ -597,10 +581,17 @@ mod tests {
             job: 0,
             phase: TaskPhase::Map,
         }]);
-        assert!(!plan.take_crash(0, TaskPhase::Reduce, 1));
-        assert!(!plan.take_crash(0, TaskPhase::Map, 0));
-        assert!(plan.take_crash(0, TaskPhase::Map, 1));
-        assert!(!plan.take_crash(0, TaskPhase::Map, 1), "one-shot");
+        // Matched by phase and job: neither draw takes the map crash.
+        assert_eq!(plan.take_crashes(0, TaskPhase::Reduce, 2), vec![0, 0]);
+        assert_eq!(plan.take_crashes(1, TaskPhase::Map, 2), vec![0, 0]);
+        assert!(!plan.is_empty());
+        // Matched by node: node 1 crashes, node 0 does not.
+        assert_eq!(plan.take_crashes(0, TaskPhase::Map, 2), vec![0, 1]);
+        assert_eq!(
+            plan.take_crashes(0, TaskPhase::Map, 2),
+            vec![0, 0],
+            "one-shot"
+        );
         assert!(plan.is_empty());
     }
 

@@ -328,69 +328,6 @@ pub fn total_sim_time(jobs: &[JobStats]) -> Duration {
     jobs.iter().map(JobStats::sim_time).sum()
 }
 
-/// Build a coarse [`papar_trace::JobTrace`] from finished [`JobStats`] —
-/// the fallback for jobs that bypass the engine's instrumented path
-/// (custom operators). Phase virtual times come straight from the stats
-/// (so they still sum to the job's makespan), deterministic times are
-/// modeled from the stats' record/byte counters, and there are no
-/// per-task spans; recovery counters land on the shuffle phase.
-pub fn job_trace_from_stats(
-    stats: &JobStats,
-    net: &NetModel,
-    cost: &papar_trace::CostModel,
-) -> papar_trace::JobTrace {
-    use papar_trace::{duration_ns, Counters, PhaseKind, PhaseTrace};
-
-    let rec = &stats.recovery;
-    let map = PhaseTrace::solo(
-        PhaseKind::Map,
-        stats.map_time(),
-        cost.compute_ns(stats.records_in, stats.pairs_shuffled, 0),
-        Counters {
-            records_in: stats.records_in,
-            pairs: stats.pairs_shuffled,
-            ..Counters::default()
-        },
-    );
-    let shuffle = PhaseTrace::solo(
-        PhaseKind::Shuffle,
-        stats.comm_time,
-        duration_ns(stats.exchange.comm_time(net)).saturating_add(duration_ns(
-            net.transfer_time(rec.total_messages(), rec.total_bytes()),
-        )),
-        Counters {
-            shuffle_bytes: stats.exchange.remote_bytes,
-            shuffle_lo: stats.shuffle_lo,
-            messages: stats.exchange.remote_messages,
-            frames_checksummed: stats.exchange.remote_messages + rec.retransmit_messages,
-            retries: rec.tasks_retried as u64,
-            crashes: rec.faults_injected as u64,
-            restore_bytes: rec.restore_bytes,
-            restore_messages: rec.restore_messages,
-            retransmit_bytes: rec.retransmit_bytes,
-            retransmit_messages: rec.retransmit_messages,
-            replication_bytes: rec.replication_bytes,
-            backoff_ns: duration_ns(rec.backoff_time),
-            ..Counters::default()
-        },
-    );
-    let reduce = PhaseTrace::solo(
-        PhaseKind::Reduce,
-        stats.reduce_time(),
-        cost.compute_ns(stats.records_out, stats.pairs_shuffled, 0),
-        Counters {
-            records_out: stats.records_out,
-            ..Counters::default()
-        },
-    );
-    papar_trace::JobTrace {
-        name: stats.name.clone(),
-        phases: vec![map, shuffle, reduce],
-        skew: None,
-        covers: Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,36 +499,6 @@ mod tests {
         clean.absorb_recovery(RecoveryStats::default(), &net);
         assert_eq!(clean.comm_time, Duration::ZERO);
         assert!(clean.recovery.is_zero());
-    }
-
-    #[test]
-    fn job_trace_from_stats_sums_to_makespan() {
-        let st = JobStats {
-            name: "custom".into(),
-            map_time_by_node: vec![Duration::from_millis(3), Duration::from_millis(7)],
-            reduce_time_by_node: vec![Duration::from_millis(2)],
-            comm_time: Duration::from_millis(5),
-            records_in: 10,
-            pairs_shuffled: 10,
-            records_out: 10,
-            exchange: ExchangeStats {
-                remote_bytes: 1024,
-                remote_messages: 2,
-                sent_by_node: vec![1024, 0],
-                recv_by_node: vec![0, 1024],
-            },
-            ..Default::default()
-        };
-        let trace = job_trace_from_stats(
-            &st,
-            &NetModel::default(),
-            &papar_trace::CostModel::default(),
-        );
-        assert_eq!(trace.name, "custom");
-        assert_eq!(trace.phases.len(), 3);
-        assert_eq!(trace.virt(), st.sim_time());
-        assert!(trace.det_ns() > 0);
-        assert_eq!(trace.counters().shuffle_bytes, 1024);
     }
 
     #[test]

@@ -15,10 +15,8 @@
 
 use papar_core::operator::{CustomJobCtx, CustomOperator};
 use papar_mr::stats::JobStats;
-use papar_mr::Cluster;
-use papar_record::batch::{Batch, Dataset};
-use papar_record::Record;
-use std::time::{Duration, Instant};
+use papar_mr::{Cluster, MapInput, MrError, TaskCtx};
+use papar_record::batch::Batch;
 
 use crate::dbformat::{BlastDb, IndexEntry};
 use crate::{DbError, Result};
@@ -83,63 +81,31 @@ pub fn extract_partition(source: &BlastDb, entries: &[IndexEntry]) -> Result<Bla
 /// The user-defined add-on operator of paper Section III-C, registered in
 /// PaPar workflows as `RecalcIndex`.
 ///
-/// A map-only local job: every node rewrites the pointers of each local
-/// fragment (each fragment is one partition produced by the distribute
-/// job), producing the output dataset with the same fragment ordinals.
+/// A map-only job on the engine ([`Cluster::run_local`]): every node
+/// rewrites the pointers of each local fragment (each fragment is one
+/// partition produced by the distribute job), producing the output
+/// dataset with the same fragment ordinals.
 pub struct RecalcOperator;
 
 impl CustomOperator for RecalcOperator {
     fn run(&self, cluster: &mut Cluster, ctx: &CustomJobCtx) -> papar_core::Result<JobStats> {
-        let n = cluster.num_nodes();
-        let mut stats = JobStats {
-            name: ctx.id.clone(),
-            map_time_by_node: vec![Duration::ZERO; n],
-            reduce_time_by_node: vec![Duration::ZERO; n],
-            ..Default::default()
-        };
-        for node in 0..n {
-            let t0 = Instant::now();
-            let mut outputs: Vec<(u32, Dataset)> = Vec::new();
-            for input in &ctx.inputs {
-                let frags: Vec<(u32, std::sync::Arc<Dataset>)> = cluster
-                    .node(node)
-                    .get(input)
-                    .map(|fs| {
-                        fs.into_iter()
-                            .map(|f| (f.ordinal, std::sync::Arc::clone(&f.data)))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                for (ordinal, frag) in frags {
-                    stats.records_in += frag.batch.record_count() as u64;
-                    let records = frag.batch.clone().flatten();
-                    let entries = records
-                        .iter()
+        let outputs = [(ctx.output.clone(), ctx.input_schema.clone())];
+        let recalc = |_: &TaskCtx, inputs: &[MapInput]| {
+            (inputs.iter())
+                .map(|mi| {
+                    let records = mi.data.batch.clone().flatten();
+                    let entries = (records.iter())
                         .map(IndexEntry::from_record)
                         .collect::<Result<Vec<_>>>()
-                        .map_err(|e| papar_core::CoreError::exec(e.to_string()))?;
-                    let rebuilt: Vec<Record> = recalculate(&entries)
-                        .into_iter()
+                        .map_err(|e| MrError::msg(e.to_string()))?;
+                    let rebuilt = (recalculate(&entries).into_iter())
                         .map(IndexEntry::to_record)
                         .collect();
-                    stats.records_out += rebuilt.len() as u64;
-                    outputs.push((
-                        ordinal,
-                        Dataset::new(ctx.input_schema.clone(), Batch::Flat(rebuilt)),
-                    ));
-                }
-            }
-            for (ordinal, ds) in outputs {
-                // Replicated like every materialized fragment, so node
-                // crashes after this job stay recoverable.
-                cluster.put_fragment(node, &ctx.output, ordinal, ds)?;
-            }
-            stats.map_time_by_node[node] = t0.elapsed();
-        }
-        let recovery = cluster.take_recovery();
-        let net = *cluster.net();
-        stats.absorb_recovery(recovery, &net);
-        Ok(stats)
+                    Ok((mi.ordinal, vec![Batch::Flat(rebuilt)]))
+                })
+                .collect()
+        };
+        Ok(cluster.run_local(&ctx.id, &ctx.inputs, &outputs, recalc)?)
     }
 }
 

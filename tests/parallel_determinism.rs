@@ -6,14 +6,15 @@
 //! completion order.
 
 use mublastp::dbgen::DbSpec;
-use papar::core::exec::WorkflowRunner;
+use papar::core::exec::{ExecOptions, WorkflowRunner};
 use papar::core::plan::Planner;
-use papar::mr::{ChaosSpec, Cluster, Fault, FaultPlan, RetryPolicy};
+use papar::mr::{ChaosSpec, Cluster, Fault, FaultPlan, RecoveryStats, RetryPolicy};
 use papar::record::batch::{Batch, Dataset};
 use papar::record::wire;
 use papar_mr::TaskPhase;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// Thread counts every assertion sweeps; 1 is the sequential reference.
 const THREADS: &[usize] = &[1, 2, 4, 8];
@@ -130,7 +131,9 @@ fn run_blast(mut cluster: Cluster, records: usize) -> (Vec<Vec<u8>>, u64) {
     )
 }
 
-fn run_hybrid(mut cluster: Cluster) -> Vec<Vec<u8>> {
+/// Run the hybrid-cut workflow, fused or not: the partitions as wire
+/// bytes, plus the run's recovery accounting.
+fn run_hybrid(mut cluster: Cluster, fuse: bool) -> (Vec<Vec<u8>>, RecoveryStats) {
     let planner = Planner::from_xml(HYBRID_WORKFLOW, &[EDGE_INPUT_CFG]).unwrap();
     let plan = planner
         .bind(&args(&[
@@ -140,7 +143,11 @@ fn run_hybrid(mut cluster: Cluster) -> Vec<Vec<u8>> {
             ("threshold", "10"),
         ]))
         .unwrap();
-    let runner = WorkflowRunner::new(plan);
+    let options = ExecOptions {
+        fuse,
+        ..ExecOptions::default()
+    };
+    let runner = WorkflowRunner::with_options(plan, options);
     let schema = runner.plan().external_inputs[0].1.schema.clone();
     let graph = powerlyra::gen::chung_lu(120, 900, 2.1, 11).unwrap();
     let cfg = papar_config::InputConfig::parse_str(EDGE_INPUT_CFG).unwrap();
@@ -153,8 +160,8 @@ fn run_hybrid(mut cluster: Cluster) -> Vec<Vec<u8>> {
             Dataset::new(schema, Batch::Flat(records)),
         )
         .unwrap();
-    runner.run(&mut cluster).unwrap();
-    partition_bytes(&cluster, "/g/out")
+    let report = runner.run(&mut cluster).unwrap();
+    (partition_bytes(&cluster, "/g/out"), report.total_recovery())
 }
 
 fn partition_bytes(cluster: &Cluster, name: &str) -> Vec<Vec<u8>> {
@@ -190,9 +197,9 @@ fn fault_free_blast_output_is_identical_across_thread_counts() {
 
 #[test]
 fn fault_free_hybrid_output_is_identical_across_thread_counts() {
-    let baseline = run_hybrid(Cluster::new(4).with_threads(THREADS[0]));
+    let (baseline, _) = run_hybrid(Cluster::new(4).with_threads(THREADS[0]), true);
     for &t in &THREADS[1..] {
-        let out = run_hybrid(Cluster::new(4).with_threads(t));
+        let (out, _) = run_hybrid(Cluster::new(4).with_threads(t), true);
         assert_eq!(out, baseline, "{t} threads diverged from sequential");
     }
 }
@@ -228,6 +235,42 @@ fn crash_recovery_is_identical_across_thread_counts() {
         assert_eq!(
             recovery, baseline_recovery,
             "{t} threads changed the recovery byte accounting"
+        );
+    }
+    // The unfused hybrid cut, with a crash on its map-only split job
+    // (job 1, between group and distribute) and one on the distribute.
+    let split_plan = || {
+        FaultPlan::new(vec![
+            Fault::NodeCrash {
+                node: 2,
+                job: 1,
+                phase: TaskPhase::Map,
+            },
+            Fault::NodeCrash {
+                node: 0,
+                job: 2,
+                phase: TaskPhase::Map,
+            },
+        ])
+    };
+    let (fault_free, _) = run_hybrid(Cluster::new(4).with_threads(1), false);
+    let (baseline, baseline_recovery) =
+        run_hybrid(chaos_cluster(4, THREADS[0], split_plan()), false);
+    assert_eq!(baseline, fault_free, "recovery must restore the output");
+    assert_eq!(baseline_recovery.faults_injected, 2);
+    for &t in &THREADS[1..] {
+        let (out, recovery) = run_hybrid(chaos_cluster(4, t, split_plan()), false);
+        assert_eq!(out, baseline, "{t} threads diverged under faults");
+        // Everything but the measured re-execution time, and what the
+        // clock charges for it, is deterministic.
+        let deterministic = |r: &RecoveryStats| RecoveryStats {
+            reexec_task_time: Duration::ZERO,
+            ..r.clone()
+        };
+        assert_eq!(
+            deterministic(&recovery),
+            deterministic(&baseline_recovery),
+            "{t} threads changed the recovery accounting"
         );
     }
 }
