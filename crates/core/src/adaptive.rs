@@ -172,7 +172,7 @@ pub struct PlanRationale {
 
 impl PlanRationale {
     /// Canonical text: every field in a stable order. Appended to
-    /// [`crate::exec::plan_canon`] when a decision is active, so the
+    /// [`crate::exec::plan_canon_with`] when a decision is active, so the
     /// plan fingerprint (serve cache key, checkpoint prefix) pins both
     /// the chosen knobs and the statistics that produced them.
     pub fn canon(&self) -> String {

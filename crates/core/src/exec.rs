@@ -219,29 +219,17 @@ impl WorkflowReport {
 /// Canonical text of everything *plan-side* that decides a run's output
 /// bytes: the lowered physical plan (operators, fusion decisions, reducer
 /// counts), every job's full kind (keys, policies, partition counts,
-/// thresholds), the cluster size, and the byte-affecting execution
-/// options. The thread count is deliberately absent — output bytes are
-/// identical at every count.
+/// thresholds), the cluster size, the byte-affecting execution options,
+/// and the adaptive decision record when one is active. The thread count
+/// is deliberately absent — output bytes are identical at every count.
 ///
 /// This is the prefix of the checkpoint resume fingerprint (which appends
 /// input content hashes and the caller's fault/seed salt); hashed alone it
 /// is the *plan fingerprint* a resident `papar serve` daemon keys its
 /// plan cache by, so "same fingerprint" means "same partitioning plan,
-/// whatever data arrives".
-pub fn plan_canon(
-    plan: &WorkflowPlan,
-    phys: &crate::physplan::PhysicalPlan,
-    nodes: usize,
-    options: &ExecOptions,
-) -> String {
-    plan_canon_with(plan, phys, nodes, options, None)
-}
-
-/// [`plan_canon`] plus the adaptive decision record, when one is active.
-/// The rationale canon pins the chosen knobs *and* the key-statistics
-/// fingerprint they were derived from, so an adaptive plan's fingerprint
-/// changes whenever the input's key distribution does — which is what
-/// keeps `papar serve`'s plan cache and checkpoint resume honest.
+/// whatever data arrives". The rationale canon pins the chosen knobs *and*
+/// the key-statistics fingerprint they were derived from, so an adaptive
+/// plan's fingerprint changes whenever the input's key distribution does.
 pub fn plan_canon_with(
     plan: &WorkflowPlan,
     phys: &crate::physplan::PhysicalPlan,
@@ -283,18 +271,8 @@ pub fn plan_canon_with(
     canon
 }
 
-/// FNV-1a hash of [`plan_canon`] — the plan-cache key for `papar serve`.
-pub fn plan_fingerprint(
-    plan: &WorkflowPlan,
-    phys: &crate::physplan::PhysicalPlan,
-    nodes: usize,
-    options: &ExecOptions,
-) -> u64 {
-    wire::checksum(plan_canon(plan, phys, nodes, options).as_bytes())
-}
-
-/// FNV-1a hash of [`plan_canon_with`] — the fingerprint of an adaptive
-/// plan together with its decision record.
+/// FNV-1a hash of [`plan_canon_with`] — the plan-cache key for `papar
+/// serve`.
 pub fn plan_fingerprint_with(
     plan: &WorkflowPlan,
     phys: &crate::physplan::PhysicalPlan,
@@ -551,64 +529,61 @@ impl WorkflowRunner {
         let last_reads = self.last_readers(&phys);
         for (sidx, stage) in phys.stages.iter().enumerate() {
             let release = last_reads[sidx].as_slice();
-            if let Some(s) = &session {
-                if s.is_complete(sidx) {
-                    self.restore_stage(cluster, s, sidx, stage, &net)?;
-                    report.jobs.push(s.completed()[sidx].stats.clone());
-                    report.stages_resumed += 1;
-                    #[cfg(debug_assertions)]
-                    {
-                        self.verify_stage_outputs(cluster, stage);
-                        self.verify_stage_bounds(
-                            cluster,
-                            stage,
-                            &static_bounds.stages[sidx],
-                            report.jobs.last().expect("stats just pushed"),
-                        );
-                    }
-                    // Skipping the stage that last reads a dataset drops
-                    // it too, so resumed and cold runs hold the same stores.
-                    for name in release {
-                        cluster.release(name);
-                    }
-                    continue;
+            if let Some(s) = session.as_ref().filter(|s| s.is_complete(sidx)) {
+                self.restore_stage(cluster, s, sidx, stage, &net)?;
+                report.jobs.push(s.completed()[sidx].stats.clone());
+                report.stages_resumed += 1;
+            } else {
+                if report.stages_resumed > 0 && !scatter_charge_dropped {
+                    // The resumed run re-scattered the input, charging its
+                    // replica placement to the pending recovery ledger
+                    // again — but the skipped first stage's replayed stats
+                    // already carry that charge from the original run.
+                    // Drop the duplicate so a resumed report matches a
+                    // cold one.
+                    let _ = cluster.take_recovery();
+                    scatter_charge_dropped = true;
                 }
-            }
-            if report.stages_resumed > 0 && !scatter_charge_dropped {
-                // The resumed run re-scattered the input, charging its
-                // replica placement to the pending recovery ledger again
-                // — but the skipped first stage's replayed stats already
-                // carry that charge from the original run. Drop the
-                // duplicate so a resumed report matches a cold one.
-                let _ = cluster.take_recovery();
-                scatter_charge_dropped = true;
-            }
-            let stats = match &stage.kind {
-                StageKind::Single(j) => self.run_single(
-                    cluster,
-                    &self.plan.jobs[*j],
-                    release,
-                    &mut report.sample_time,
-                    &mut report.notes,
-                )?,
-                StageKind::FusedSortDistribute { sort, distribute } => self
-                    .run_fused_sort_distribute(
+                let stats = match &stage.kind {
+                    StageKind::Single(j) => self.run_single(
                         cluster,
-                        stage,
-                        *sort,
-                        *distribute,
+                        &self.plan.jobs[*j],
                         release,
                         &mut report.sample_time,
                         &mut report.notes,
                     )?,
-                StageKind::FusedGroupSplit { group, split } => {
-                    self.run_fused_group_split(cluster, stage, *group, *split, release)?
+                    StageKind::FusedSortDistribute { sort, distribute } => self
+                        .run_fused_sort_distribute(
+                            cluster,
+                            &stage.id,
+                            *sort,
+                            *distribute,
+                            release,
+                            &mut report.sample_time,
+                            &mut report.notes,
+                        )?,
+                    StageKind::FusedGroupSplit { group, split } => {
+                        self.run_fused_group_split(cluster, &stage.id, *group, *split, release)?
+                    }
+                };
+                // A fused stage ran as one engine job: its span records
+                // the logical jobs it covers, and each elided job's
+                // fault-schedule slot is reserved so later jobs keep the
+                // same index with and without fusion. Faults addressed to
+                // an elided slot never fire (there is no task to crash);
+                // recovery transparency keeps the output byte-identical.
+                let covers = self.covers(stage);
+                if !covers.is_empty() && cluster.tracing() {
+                    cluster.annotate_last_job_trace(covers);
                 }
-            };
-            if let Some(s) = &mut session {
-                persist_stage(cluster, s, sidx, stage, &self.plan, &stats, &net)?;
+                for _ in 1..stage.logical.len() {
+                    let _ = cluster.next_job_index();
+                }
+                if let Some(s) = &mut session {
+                    persist_stage(cluster, s, sidx, stage, &self.plan, &stats, &net)?;
+                }
+                report.jobs.push(stats);
             }
-            report.jobs.push(stats);
             #[cfg(debug_assertions)]
             {
                 self.verify_stage_outputs(cluster, stage);
@@ -622,7 +597,8 @@ impl WorkflowRunner {
             // Engine jobs released their last-read inputs at the map
             // barrier; map-only split and custom stages release them here,
             // and so does the stage that writes a dataset nothing reads,
-            // once it is checkpointed and verified.
+            // once it is checkpointed and verified. A restored stage drops
+            // them too, so resumed and cold runs hold the same stores.
             for name in release {
                 cluster.release(name);
             }
@@ -763,15 +739,7 @@ impl WorkflowRunner {
                 records_out: rec.stats.records_out,
                 ..Counters::default()
             };
-            let covers = if stage.logical.len() > 1 {
-                stage
-                    .logical
-                    .iter()
-                    .map(|&i| self.plan.jobs[i].id.clone())
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let covers = self.covers(stage);
             cluster.record_job_trace(JobTrace {
                 name: rec.stats.name.clone(),
                 phases: vec![PhaseTrace::solo(
@@ -787,6 +755,17 @@ impl WorkflowRunner {
         Ok(())
     }
 
+    /// The logical jobs a fused stage covers, by id; none for an unfused
+    /// stage.
+    fn covers(&self, stage: &PhysicalStage) -> Vec<String> {
+        if stage.logical.len() < 2 {
+            return Vec::new();
+        }
+        (stage.logical.iter())
+            .map(|&i| self.plan.jobs[i].id.clone())
+            .collect()
+    }
+
     /// Execute one unfused logical job; `release` names the inputs it is
     /// the last reader of.
     fn run_single(
@@ -798,42 +777,28 @@ impl WorkflowRunner {
         notes: &mut Vec<RunNote>,
     ) -> Result<JobStats> {
         match &job.kind {
-            JobKind::Sort {
-                key_idx,
-                descending,
-                addons,
-                output_format,
-            } => self.run_sort_into(
+            JobKind::Sort { .. } => self.run_sort_into(
                 cluster,
                 job,
-                *key_idx,
-                *descending,
-                addons,
-                *output_format,
-                sample_time,
-                notes,
                 &job.id,
                 job.output(),
                 release,
+                sample_time,
+                notes,
             ),
-            JobKind::Group {
-                key_idx,
-                addons,
-                output_format,
-            } => self.run_group(cluster, job, *key_idx, addons, *output_format, release),
-            JobKind::Split { key_idx, policy } => self.run_split(cluster, job, *key_idx, policy),
-            JobKind::Distribute {
-                policy,
-                num_partitions,
-                final_schema,
-            } => self.run_distribute(
+            JobKind::Group { .. } => self.run_keyed(
                 cluster,
                 job,
-                *policy,
-                *num_partitions,
-                final_schema,
+                &HashPartitioner,
+                self.reducers_for(job, cluster),
+                &OrderedReducer::new(job)?,
+                &job.id,
+                job.output(),
+                &job.outputs[..1],
                 release,
             ),
+            JobKind::Split { .. } => self.run_split(cluster, job),
+            JobKind::Distribute { .. } => self.run_distribute(cluster, job, release),
             JobKind::Custom { op_name, params } => self.run_custom(cluster, job, op_name, params),
         }
     }
@@ -994,16 +959,13 @@ impl WorkflowRunner {
         &self,
         cluster: &mut Cluster,
         job: &JobPlan,
-        key_idx: usize,
-        descending: bool,
-        addons: &[BoundAddOn],
-        output_format: FormatOp,
-        sample_time: &mut Duration,
-        notes: &mut Vec<RunNote>,
         job_name: &str,
         output_name: &str,
         release: &[String],
+        sample_time: &mut Duration,
+        notes: &mut Vec<RunNote>,
     ) -> Result<JobStats> {
+        let (key_idx, descending, ..) = keyed_kind(job)?;
         let mut num_reducers = self.reducers_for(job, cluster);
 
         // Pre-job sampling pass (paper: "sampled when reading the input").
@@ -1026,31 +988,20 @@ impl WorkflowRunner {
             }
         }
         // Boundary placement: sampled quantiles by default; the adaptive
-        // planner may have chosen cyclic (equi-width) striping instead.
-        let boundary_mode = self
-            .decision
-            .get()
-            .map(|d| d.knobs().boundary_mode)
-            .unwrap_or(crate::adaptive::BoundaryMode::Range);
-        let boundaries = match boundary_mode {
-            crate::adaptive::BoundaryMode::Cyclic => {
-                let lo = per_node.iter().flatten().min();
-                let hi = per_node.iter().flatten().max();
-                match (lo, hi) {
-                    (Some(lo), Some(hi)) => {
-                        crate::adaptive::cyclic_boundaries(lo, hi, num_reducers).unwrap_or(
-                            // Non-numeric key: the planner never chooses
-                            // cyclic here, but a hand-built decision
-                            // falls back to sampled quantiles.
-                            sampler::boundaries_from_samples(&per_node, num_reducers)?,
-                        )
-                    }
-                    _ => Vec::new(),
-                }
+        // planner may have chosen cyclic (equi-width) striping instead. A
+        // non-numeric key falls back to the quantiles: the planner never
+        // chooses cyclic for one, but a hand-built decision may.
+        let cyclic = match self.decision.get().map(|d| d.knobs().boundary_mode) {
+            Some(crate::adaptive::BoundaryMode::Cyclic) => {
+                let sampled = || per_node.iter().flatten();
+                (sampled().min().zip(sampled().max()))
+                    .and_then(|(lo, hi)| crate::adaptive::cyclic_boundaries(lo, hi, num_reducers))
             }
-            crate::adaptive::BoundaryMode::Range => {
-                sampler::boundaries_from_samples(&per_node, num_reducers)?
-            }
+            _ => None,
+        };
+        let boundaries = match cyclic {
+            Some(boundaries) => boundaries,
+            None => sampler::boundaries_from_samples(&per_node, num_reducers)?,
         };
         // Fewer distinct sampled keys than reducers: the deduplicated
         // boundary list describes all the ranges the key domain can
@@ -1091,54 +1042,60 @@ impl WorkflowRunner {
             descending,
             num_reducers,
         };
-        let mapper = KeyedMapper { key_field: key_idx };
-        let reducer = OrderedReducer::new(job, addons, key_idx, output_format);
+        self.run_keyed(
+            cluster,
+            job,
+            &partitioner,
+            num_reducers,
+            &OrderedReducer::new(job)?,
+            job_name,
+            output_name,
+            &job.outputs[..1],
+            release,
+        )
+    }
+
+    /// Run sort or group job `job` as a keyed MapReduce job — the one
+    /// shape sort, group and the fused group→split stage share. Each entry
+    /// is keyed by the job's key field (read from the entry, never sent),
+    /// sent by `partitioner` to one of `num_reducers` reducers, sorted by
+    /// key on the reduce side in the job's direction and reduced by
+    /// `reducer`. The engine job `name` writes `output` with the schema of
+    /// `outputs[0]`; a fused reducer also writes `outputs[1..]`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_keyed(
+        &self,
+        cluster: &mut Cluster,
+        job: &JobPlan,
+        partitioner: &dyn Partitioner,
+        num_reducers: usize,
+        reducer: &dyn Reducer,
+        name: &str,
+        output: &str,
+        outputs: &[(String, DatasetMeta)],
+        release: &[String],
+    ) -> Result<JobStats> {
+        let (key_field, descending, ..) = keyed_kind(job)?;
+        let mapper = KeyedMapper { key_field };
         let mr_job = MapReduceJob {
-            name: job_name.to_string(),
+            name: name.to_string(),
             inputs: job.inputs.clone(),
-            output: output_name.to_string(),
+            output: output.to_string(),
             num_reducers,
             map_output_schema: job.input_meta.schema.clone(),
-            output_schema: job.outputs[0].1.schema.clone(),
+            output_schema: outputs[0].1.schema.clone(),
             mapper: &mapper,
-            partitioner: &partitioner,
-            reducer: &reducer,
+            partitioner,
+            reducer,
             sort_by_key: true,
             descending,
             compress_key: self.compress_key(&job.input_meta),
             release,
         };
-        Ok(cluster.run_job(&mr_job)?)
-    }
-
-    fn run_group(
-        &self,
-        cluster: &mut Cluster,
-        job: &JobPlan,
-        key_idx: usize,
-        addons: &[BoundAddOn],
-        output_format: FormatOp,
-        release: &[String],
-    ) -> Result<JobStats> {
-        let num_reducers = self.reducers_for(job, cluster);
-        let mapper = KeyedMapper { key_field: key_idx };
-        let reducer = OrderedReducer::new(job, addons, key_idx, output_format);
-        let mr_job = MapReduceJob {
-            name: job.id.clone(),
-            inputs: job.inputs.clone(),
-            output: job.output().to_string(),
-            num_reducers,
-            map_output_schema: job.input_meta.schema.clone(),
-            output_schema: job.outputs[0].1.schema.clone(),
-            mapper: &mapper,
-            partitioner: &HashPartitioner,
-            reducer: &reducer,
-            sort_by_key: true,
-            descending: false,
-            compress_key: self.compress_key(&job.input_meta),
-            release,
-        };
-        Ok(cluster.run_job(&mr_job)?)
+        let extra: Vec<(String, Arc<Schema>)> = (outputs[1..].iter())
+            .map(|(name, meta)| (name.clone(), meta.schema.clone()))
+            .collect();
+        Ok(cluster.run_job_multi(&mr_job, &extra)?)
     }
 
     /// Split is a map-only local job: every node routes its local entries
@@ -1146,34 +1103,19 @@ impl WorkflowRunner {
     /// operators; no shuffle happens (paper Figure 11 keeps split data on
     /// its reducers until the distribute job moves it). Each node writes
     /// one fragment per output, at its own ordinal.
-    fn run_split(
-        &self,
-        cluster: &mut Cluster,
-        job: &JobPlan,
-        key_idx: usize,
-        policy: &SplitPolicy,
-    ) -> Result<JobStats> {
+    fn run_split(&self, cluster: &mut Cluster, job: &JobPlan) -> Result<JobStats> {
         let outputs: Vec<(String, Arc<papar_record::Schema>)> = (job.outputs.iter())
             .map(|(name, meta)| (name.clone(), meta.schema.clone()))
             .collect();
+        let split = SplitRouter::new(job)?;
         let route = |ctx: &TaskCtx, inputs: &[MapInput]| {
-            let mut routed: Vec<Vec<Entry>> = (0..policy.arity()).map(|_| Vec::new()).collect();
+            let mut outs = split.empty_outputs();
             for mi in inputs {
                 for entry in EntryRef::all(&mi.data.batch) {
-                    let key = entry.key(key_idx)?;
-                    let dest = policy.route(&key).ok_or_else(|| {
-                        CoreError::exec(format!(
-                            "split key {key} matches no condition of job '{}'",
-                            job.id
-                        ))
-                    })?;
-                    routed[dest].push(entry.to_entry());
+                    split.route(entry.to_entry(), &mut outs)?;
                 }
             }
-            let batches = (routed.into_iter().zip(&job.outputs))
-                .map(|(entries, (_, meta))| entries_to_batch(entries, meta.format, key_idx))
-                .collect::<Result<Vec<Batch>>>()?;
-            Ok(vec![(ctx.node as u32, batches)])
+            Ok(vec![(ctx.node as u32, outs)])
         };
         Ok(cluster.run_local(&job.id, &job.inputs, &outputs, route)?)
     }
@@ -1182,11 +1124,9 @@ impl WorkflowRunner {
         &self,
         cluster: &mut Cluster,
         job: &JobPlan,
-        policy: DistrPolicy,
-        num_partitions: usize,
-        final_schema: &Option<std::sync::Arc<papar_record::Schema>>,
         release: &[String],
     ) -> Result<JobStats> {
+        let (policy, num_partitions, projection) = distribute_kind(job)?;
         // Global offsets per (input, fragment ordinal) so the index-routed
         // policies (cyclic/block) see the global entry order; the paper's
         // Figure 9 distributes the *globally* sorted sequence round-robin.
@@ -1208,9 +1148,6 @@ impl WorkflowRunner {
             }
         }
 
-        // Projection of output records onto the declared output schema.
-        let projection = distribute_projection(job, final_schema)?;
-
         let mapper = DistributeMapper {
             offsets,
             policy,
@@ -1219,7 +1156,9 @@ impl WorkflowRunner {
         };
         let out_format = job.outputs[0].1.format;
         let out_schema = &job.outputs[0].1.schema;
-        let compress_key = self.compress_key_any(&job.input_metas);
+        // A distribute may read a flat and a packed split output; the
+        // packed one decides.
+        let compress_key = (job.input_metas.iter()).find_map(|m| self.compress_key(m));
         // A flat output is its inputs' records as rows, projected as byte
         // spans, gathered from the inbox without a decode — unless a
         // compressed group holds them.
@@ -1231,24 +1170,23 @@ impl WorkflowRunner {
             if let Some(schema) = &rows_out {
                 return Ok(vec![gather_rows(&pairs, schema, projection.as_deref())?]);
             }
-            let mut batch = match out_format {
-                Format::Flat => {
-                    let mut records = Vec::with_capacity(pairs.record_count());
-                    pairs.decode_into(&mut records)?;
-                    Batch::Flat(records)
-                }
-                Format::Packed => {
-                    let mut groups = Vec::with_capacity(pairs.len());
-                    for entry in pairs.entries() {
-                        let entry = entry?;
-                        if entry.tag() == ENTRY_REC {
-                            return Err(MrError::msg(FLAT_IN_PACKED));
-                        }
-                        groups.push(entry.decode_group()?);
-                    }
-                    Batch::Packed(groups)
-                }
-            };
+            let mut batch = empty_batch(out_format, pairs.record_count(), pairs.len());
+            // One reused slot: a record entry decodes with no allocation
+            // of its own.
+            let mut slot = Vec::with_capacity(1);
+            for view in pairs.entries() {
+                let view = view?;
+                let entry = if view.tag() != ENTRY_REC {
+                    Entry::Packed(view.decode_group()?)
+                } else {
+                    view.decode_into(&mut slot)?;
+                    let record = slot
+                        .pop()
+                        .ok_or_else(|| MrError::msg("empty record entry"))?;
+                    Entry::Rec(record)
+                };
+                place(&mut batch, entry, None)?;
+            }
             if let Some(proj) = &projection {
                 project_batch(&mut batch, proj);
             }
@@ -1329,7 +1267,7 @@ impl WorkflowRunner {
     fn run_fused_sort_distribute(
         &self,
         cluster: &mut Cluster,
-        stage: &PhysicalStage,
+        stage_id: &str,
         sort_idx: usize,
         dist_idx: usize,
         release: &[String],
@@ -1337,72 +1275,21 @@ impl WorkflowRunner {
         notes: &mut Vec<RunNote>,
     ) -> Result<JobStats> {
         let sjob = &self.plan.jobs[sort_idx];
-        let djob = &self.plan.jobs[dist_idx];
-        let JobKind::Sort {
-            key_idx,
-            descending,
-            addons,
-            output_format,
-        } = &sjob.kind
-        else {
-            return Err(CoreError::plan(format!(
-                "stage '{}' expected a sort job at position {sort_idx}",
-                stage.id
-            )));
-        };
-        let JobKind::Distribute {
-            policy,
-            num_partitions,
-            final_schema,
-        } = &djob.kind
-        else {
-            return Err(CoreError::plan(format!(
-                "stage '{}' expected a distribute job at position {dist_idx}",
-                stage.id
-            )));
-        };
         // The streamed intermediate: fragment r carries exactly the bytes
         // unfused sort fragment r would, but under a name no workflow
         // dataset can collide with, and it never outlives the stage.
         let temp = format!("__fused:{}", sjob.output());
-        let stats = self.run_sort_into(
-            cluster,
-            sjob,
-            *key_idx,
-            *descending,
-            addons,
-            *output_format,
-            sample_time,
-            notes,
-            &stage.id,
-            &temp,
-            release,
-        )?;
-        if cluster.tracing() {
-            cluster.annotate_last_job_trace(vec![sjob.id.clone(), djob.id.clone()]);
-        }
-        // Reserve the elided distribute's fault-schedule slot so jobs after
-        // this stage keep the same index with and without fusion. Faults
-        // addressed to the elided slot never fire (there is no task to
-        // crash); recovery transparency keeps the output byte-identical.
-        let _ = cluster.next_job_index();
-        self.assemble_distribute(cluster, djob, &temp, *policy, *num_partitions, final_schema)?;
+        let stats =
+            self.run_sort_into(cluster, sjob, stage_id, &temp, release, sample_time, notes)?;
+        self.assemble_distribute(cluster, &self.plan.jobs[dist_idx], &temp)?;
         Ok(stats)
     }
 
     /// Driver-side half of the fused sort→distribute stage: apply the
     /// index-routed distribute permutation over the sorted runs, which
     /// are moved out of the cluster (the temp never outlives the stage).
-    fn assemble_distribute(
-        &self,
-        cluster: &mut Cluster,
-        djob: &JobPlan,
-        temp: &str,
-        policy: DistrPolicy,
-        num_partitions: usize,
-        final_schema: &Option<Arc<papar_record::Schema>>,
-    ) -> Result<()> {
-        let projection = distribute_projection(djob, final_schema)?;
+    fn assemble_distribute(&self, cluster: &mut Cluster, djob: &JobPlan, temp: &str) -> Result<()> {
+        let (policy, num_partitions, projection) = distribute_kind(djob)?;
         // Take the sorted fragments in global (ordinal) order — the same
         // enumeration the unfused offsets pre-pass performs.
         let frags = cluster.take(temp)?;
@@ -1461,90 +1348,41 @@ impl WorkflowRunner {
     fn run_fused_group_split(
         &self,
         cluster: &mut Cluster,
-        stage: &PhysicalStage,
+        stage_id: &str,
         group_idx: usize,
         split_idx: usize,
         release: &[String],
     ) -> Result<JobStats> {
         let gjob = &self.plan.jobs[group_idx];
         let sjob = &self.plan.jobs[split_idx];
-        let JobKind::Group {
-            key_idx,
-            addons,
-            output_format,
-        } = &gjob.kind
-        else {
-            return Err(CoreError::plan(format!(
-                "stage '{}' expected a group job at position {group_idx}",
-                stage.id
-            )));
-        };
-        let JobKind::Split {
-            key_idx: split_key_idx,
-            policy,
-        } = &sjob.kind
-        else {
-            return Err(CoreError::plan(format!(
-                "stage '{}' expected a split job at position {split_idx}",
-                stage.id
-            )));
-        };
-        let num_reducers = self.reducers_for(gjob, cluster);
-        let group_key = *key_idx;
-        let mapper = KeyedMapper {
-            key_field: group_key,
-        };
-        let compress_key = self.compress_key(&gjob.input_meta);
+        let group = OrderedReducer::new(gjob)?;
+        let split = SplitRouter::new(sjob)?;
         // When the split routes on a count add-on, a run's destination is
         // known from its length alone, and a flat destination can take
         // the run as rows: each member's bytes with the counts appended.
         let grouped = &gjob.outputs[0].1.schema;
-        let counted = addons.iter().all(|a| a.kind == AddOnKind::Count)
-            && *split_key_idx >= gjob.input_meta.schema.len()
-            && compress_key.is_none()
+        let counted = group.addons.iter().all(|a| a.kind == AddOnKind::Count)
+            && split.key_idx >= gjob.input_meta.schema.len()
+            && self.compress_key(&gjob.input_meta).is_none()
             && (sjob.outputs.iter())
                 .all(|(_, m)| m.format == Format::Packed || m.schema == *grouped);
         let reducer = FusedGroupSplitReducer {
-            group: OrderedReducer {
-                addons,
-                key_idx: group_key,
-                packs: packs_output(gjob.outputs[0].1.format, *output_format),
-                rows: None,
-            },
-            split_key_idx: *split_key_idx,
-            policy,
-            outputs: &sjob.outputs,
+            group,
+            split,
             counted_rows: counted
                 .then(|| grouped.fields()[gjob.input_meta.schema.len()..].to_vec()),
-            job_id: &sjob.id,
         };
-        let extra: Vec<(String, std::sync::Arc<papar_record::Schema>)> = sjob.outputs[1..]
-            .iter()
-            .map(|(name, meta)| (name.clone(), meta.schema.clone()))
-            .collect();
-        let mr_job = MapReduceJob {
-            name: stage.id.clone(),
-            inputs: gjob.inputs.clone(),
-            output: sjob.outputs[0].0.clone(),
-            num_reducers,
-            map_output_schema: gjob.input_meta.schema.clone(),
-            output_schema: sjob.outputs[0].1.schema.clone(),
-            mapper: &mapper,
-            partitioner: &HashPartitioner,
-            reducer: &reducer,
-            sort_by_key: true,
-            descending: false,
-            compress_key,
+        self.run_keyed(
+            cluster,
+            gjob,
+            &HashPartitioner,
+            self.reducers_for(gjob, cluster),
+            &reducer,
+            stage_id,
+            &sjob.outputs[0].0,
+            &sjob.outputs,
             release,
-        };
-        let stats = cluster.run_job_multi(&mr_job, &extra)?;
-        if cluster.tracing() {
-            cluster.annotate_last_job_trace(vec![gjob.id.clone(), sjob.id.clone()]);
-        }
-        // Reserve the elided split's fault-schedule slot (see the fused
-        // sort→distribute path for why).
-        let _ = cluster.next_job_index();
-        Ok(stats)
+        )
     }
 
     /// The wire-compression key for a job: enabled only when the option is
@@ -1555,12 +1393,6 @@ impl WorkflowRunner {
         } else {
             None
         }
-    }
-
-    /// Compression key across several inputs (a distribute job may read a
-    /// flat and a packed split output; the packed one decides).
-    fn compress_key_any(&self, metas: &[DatasetMeta]) -> Option<usize> {
-        metas.iter().find_map(|m| self.compress_key(m))
     }
 }
 
@@ -1747,10 +1579,12 @@ impl Partitioner for SortPartitioner {
 struct OrderedReducer<'a> {
     addons: &'a [BoundAddOn],
     key_idx: usize,
-    /// Pack the output by `key_idx` (see [`packs_output`]).
+    /// Pack the output by `key_idx`: by the job's `pack` format operator,
+    /// or because its declared output format is packed.
     packs: bool,
     /// The output schema, when the output is the input's rows unchanged
-    /// (see [`rows_schema`]): the reducer gathers them from the inbox.
+    /// (a flat input of the output's schema, which has a field, and
+    /// nothing to apply): the reducer gathers them from the inbox.
     rows: Option<Arc<Schema>>,
 }
 
@@ -1759,55 +1593,54 @@ struct OrderedReducer<'a> {
 impl<'a> OrderedReducer<'a> {
     /// The reducer of a sort or group job: it gathers rows when there is
     /// nothing to apply — no add-on, no packing.
-    fn new(
-        job: &JobPlan,
-        addons: &'a [BoundAddOn],
-        key_idx: usize,
-        output_format: FormatOp,
-    ) -> Self {
-        let out = &job.outputs[0].1;
-        let packs = packs_output(out.format, output_format);
-        let rows = if addons.is_empty() && !packs {
-            rows_schema(std::slice::from_ref(&job.input_meta), &out.schema)
-        } else {
-            None
-        };
-        OrderedReducer {
+    fn new(job: &'a JobPlan) -> Result<Self> {
+        let (key_idx, _, addons, output_format) = keyed_kind(job)?;
+        let (input, out) = (&job.input_meta, &job.outputs[0].1);
+        let packs = output_format == FormatOp::Pack || out.format == Format::Packed;
+        let unchanged = addons.is_empty() && !packs && input.format == Format::Flat;
+        let rows = (unchanged && input.schema == out.schema && !out.schema.is_empty())
+            .then(|| out.schema.clone());
+        Ok(OrderedReducer {
             addons,
             key_idx,
             packs,
             rows,
-        }
+        })
     }
 
-    /// The reduce output, one entry at a time, in order: a packed group
-    /// reaches `emit` once no later run can extend it, a flat record at
-    /// once. Every record is decoded exactly once, into the vector of its
-    /// key-run.
+    /// One key-run's reduce output, in order: its records, with the
+    /// add-ons applied, reach `emit` at once, unless the output packs;
+    /// then they pack onto `groups`, and a group reaches `emit` once no
+    /// later run can extend it. Every record is decoded exactly once, into
+    /// the vector of its key-run.
+    fn reduce_run(
+        &self,
+        run: Pairs<'_>,
+        groups: &mut Vec<PackedRecord>,
+        emit: &mut impl FnMut(Entry) -> papar_mr::Result<()>,
+    ) -> papar_mr::Result<()> {
+        let records = self.decode_run(run)?;
+        if !self.packs {
+            return records.into_iter().try_for_each(|r| emit(Entry::Rec(r)));
+        }
+        pack_onto(groups, records, self.key_idx).map_err(CoreError::from)?;
+        let done = groups.len().saturating_sub(1);
+        groups
+            .drain(..done)
+            .try_for_each(|g| emit(Entry::Packed(g)))
+    }
+
+    /// The whole reduce output, one entry at a time, in order.
     fn reduce_each(
         &self,
         pairs: Pairs<'_>,
         mut emit: impl FnMut(Entry) -> papar_mr::Result<()>,
     ) -> papar_mr::Result<()> {
-        let mut groups: Vec<PackedRecord> = Vec::new();
+        let mut groups = Vec::new();
         for run in pairs.runs() {
-            let records = self.decode_run(run?)?;
-            if self.packs {
-                pack_onto(&mut groups, records, self.key_idx).map_err(CoreError::from)?;
-                let done = groups.len().saturating_sub(1);
-                for group in groups.drain(..done) {
-                    emit(Entry::Packed(group))?;
-                }
-            } else {
-                for record in records {
-                    emit(Entry::Rec(record))?;
-                }
-            }
+            self.reduce_run(run?, &mut groups, &mut emit)?;
         }
-        for group in groups {
-            emit(Entry::Packed(group))?;
-        }
-        Ok(())
+        groups.into_iter().try_for_each(|g| emit(Entry::Packed(g)))
     }
 
     /// One key-run's records, sized exactly, with the add-ons applied.
@@ -1825,28 +1658,14 @@ impl<'a> OrderedReducer<'a> {
         if let Some(schema) = &self.rows {
             return gather_rows(&pairs, schema, None);
         }
-        if self.packs {
-            let mut groups = Vec::new();
-            for run in pairs.runs() {
-                pack_onto(&mut groups, self.decode_run(run?)?, self.key_idx)
-                    .map_err(CoreError::from)?;
-            }
-            return Ok(Batch::Packed(groups));
-        }
-        // Flat: decode straight into one exact-size vector.
-        let mut records = Vec::with_capacity(pairs.record_count());
-        if self.addons.is_empty() {
-            pairs.decode_into(&mut records)?;
+        let format = if self.packs {
+            Format::Packed
         } else {
-            for run in pairs.runs() {
-                let start = records.len();
-                run?.decode_into(&mut records)?;
-                for addon in self.addons {
-                    addon.apply_to_group(&mut records[start..])?;
-                }
-            }
-        }
-        Ok(Batch::Flat(records))
+            Format::Flat
+        };
+        let mut out = empty_batch(format, pairs.record_count(), 0);
+        self.reduce_each(pairs, |entry| place(&mut out, entry, None))?;
+        Ok(out)
     }
 }
 
@@ -1856,32 +1675,37 @@ impl Reducer for OrderedReducer<'_> {
     }
 }
 
-/// Reduce task of the fused group→split stage: the group's reduce logic
-/// (add-ons per key-run, format operator) followed by the split's routing
-/// predicates, emitting one batch per split destination.
-struct FusedGroupSplitReducer<'a> {
-    group: OrderedReducer<'a>,
-    split_key_idx: usize,
+/// A split job's routing: the destination a key routes to, and how an
+/// entry lands there. The map-only split and the fused group→split stage
+/// both route through it, so the two cannot diverge.
+struct SplitRouter<'a> {
     policy: &'a SplitPolicy,
-    /// The split's destinations, in order.
+    /// The split key field.
+    key_idx: usize,
+    /// The destinations, in order.
     outputs: &'a [(String, DatasetMeta)],
-    /// The appended count fields, when every add-on is a count and the
-    /// split routes on one of them: a key-run then routes by its length,
-    /// and a flat destination takes it as rows (see
-    /// [`FusedGroupSplitReducer::reduce_counted`]).
-    counted_rows: Option<Vec<FieldDef>>,
-    /// The split job's id, for error messages matching the unfused path.
+    /// The split job's id, for error messages.
     job_id: &'a str,
 }
 
-impl FusedGroupSplitReducer<'_> {
+impl<'a> SplitRouter<'a> {
+    /// The routing of split job `job`.
+    fn new(job: &'a JobPlan) -> Result<Self> {
+        let JobKind::Split { key_idx, policy } = &job.kind else {
+            return Err(CoreError::plan(format!("job '{}' is not a split", job.id)));
+        };
+        Ok(SplitRouter {
+            policy,
+            key_idx: *key_idx,
+            outputs: &job.outputs,
+            job_id: &job.id,
+        })
+    }
+
     /// One empty batch per destination, in its format.
     fn empty_outputs(&self) -> Vec<Batch> {
         (self.outputs.iter())
-            .map(|(_, m)| match m.format {
-                Format::Flat => Batch::Flat(Vec::new()),
-                Format::Packed => Batch::Packed(Vec::new()),
-            })
+            .map(|(_, m)| empty_batch(m.format, 0, 0))
             .collect()
     }
 
@@ -1895,28 +1719,29 @@ impl FusedGroupSplitReducer<'_> {
         })
     }
 
-    /// Route one grouped entry exactly as the unfused split routes it,
-    /// moving it into its destination batch.
+    /// Move one entry into the destination its split key routes to; a
+    /// lone record bound for a packed destination becomes a singleton
+    /// group keyed by the split key.
     fn route(&self, entry: Entry, outs: &mut [Batch]) -> papar_mr::Result<()> {
-        let key = entry.as_ref().key(self.split_key_idx)?;
-        let dest = self.dest(&key)?;
-        match (&mut outs[dest], entry) {
-            (Batch::Flat(records), Entry::Rec(r)) => records.push(r),
-            (Batch::Flat(records), Entry::Packed(mut p)) => records.append(&mut p.records),
-            (Batch::Packed(groups), Entry::Packed(p)) => groups.push(p),
-            (Batch::Packed(groups), Entry::Rec(r)) => {
-                let key = r.require(self.split_key_idx).map_err(CoreError::from)?;
-                groups.push(PackedRecord {
-                    key: key.clone(),
-                    records: vec![r],
-                });
-            }
-            // Rows go to their destination in `reduce_counted`.
-            (Batch::Rows(_), _) => return Err(MrError::msg("a split destination holds rows")),
-        }
-        Ok(())
+        let dest = self.dest(&*entry.as_ref().key(self.key_idx)?)?;
+        place(&mut outs[dest], entry, Some(self.key_idx))
     }
+}
 
+/// Reduce task of the fused group→split stage: the group's reduce logic
+/// (add-ons per key-run, format operator) followed by the split's routing
+/// predicates, emitting one batch per split destination.
+struct FusedGroupSplitReducer<'a> {
+    group: OrderedReducer<'a>,
+    split: SplitRouter<'a>,
+    /// The appended count fields, when every add-on is a count and the
+    /// split routes on one of them: a key-run then routes by its length,
+    /// and a flat destination takes it as rows (see
+    /// [`FusedGroupSplitReducer::reduce_counted`]).
+    counted_rows: Option<Vec<FieldDef>>,
+}
+
+impl FusedGroupSplitReducer<'_> {
     /// The reduce of a split on a count add-on. Every record of a key-run
     /// gets the same counts — the run's length — so the run routes whole.
     /// A flat destination takes its runs as rows: each member's wire
@@ -1927,15 +1752,15 @@ impl FusedGroupSplitReducer<'_> {
         pairs: Pairs<'_>,
         counts: &[FieldDef],
     ) -> papar_mr::Result<Vec<Batch>> {
-        let mut outs = self.empty_outputs();
+        let mut outs = self.split.empty_outputs();
         let mut rows: Vec<Vec<u8>> = vec![Vec::new(); outs.len()];
         let mut appended = Vec::new();
         let mut groups = Vec::new();
         for run in pairs.runs() {
             let run = run?;
             let count = Value::Long(run.record_count() as i64);
-            let dest = self.dest(&count)?;
-            if self.outputs[dest].1.format == Format::Flat {
+            let dest = self.split.dest(&count)?;
+            if self.split.outputs[dest].1.format == Format::Flat {
                 appended.clear();
                 for field in counts {
                     wire::encode_field(&count, field.ty, &mut appended)?;
@@ -1947,19 +1772,12 @@ impl FusedGroupSplitReducer<'_> {
                 })?;
                 continue;
             }
-            let records = self.group.decode_run(run)?;
-            if self.group.packs {
-                pack_onto(&mut groups, records, self.group.key_idx).map_err(CoreError::from)?;
-                for group in groups.drain(..) {
-                    self.route(Entry::Packed(group), &mut outs)?;
-                }
-            } else {
-                for record in records {
-                    self.route(Entry::Rec(record), &mut outs)?;
-                }
-            }
+            (self.group).reduce_run(run, &mut groups, &mut |e| self.split.route(e, &mut outs))?;
         }
-        for ((out, bytes), (_, meta)) in outs.iter_mut().zip(rows).zip(self.outputs) {
+        for group in groups {
+            self.split.route(Entry::Packed(group), &mut outs)?;
+        }
+        for ((out, bytes), (_, meta)) in outs.iter_mut().zip(rows).zip(self.split.outputs) {
             if meta.format == Format::Flat {
                 *out = Batch::Rows(Rows::new(meta.schema.clone(), bytes)?);
             }
@@ -1973,12 +1791,12 @@ impl Reducer for FusedGroupSplitReducer<'_> {
         if let Some(counts) = &self.counted_rows {
             return self.reduce_counted(pairs, counts);
         }
-        let mut outs = self.empty_outputs();
+        let mut outs = self.split.empty_outputs();
         // Exactly what the unfused group reducer committed to the
         // intermediate dataset, each entry routed the way the unfused
         // split routes it.
         self.group
-            .reduce_each(pairs, |entry| self.route(entry, &mut outs))?;
+            .reduce_each(pairs, |entry| self.split.route(entry, &mut outs))?;
         Ok(outs)
     }
 }
@@ -1997,17 +1815,26 @@ fn fragment_base(offsets: &HashMap<(String, u32), u64>, name: &str, ordinal: u32
         })
 }
 
-/// Field indices projecting distribute output records onto the declared
-/// output schema (`None`: records pass through unchanged, because no
-/// output format was declared or it keeps every field in place). Shared by
-/// the unfused distribute job and the fused stage's driver-side assembly
-/// so the two can never diverge.
-fn distribute_projection(
-    job: &JobPlan,
-    final_schema: &Option<std::sync::Arc<papar_record::Schema>>,
-) -> Result<Option<Vec<usize>>> {
+/// A distribute job's policy, its partition count, and the field indices
+/// projecting its output records onto the declared output schema (`None`:
+/// records pass through unchanged, because no output format was declared
+/// or it keeps every field in place). Shared by the unfused distribute job
+/// and the fused stage's driver-side assembly so the two can never
+/// diverge.
+fn distribute_kind(job: &JobPlan) -> Result<(DistrPolicy, usize, Option<Vec<usize>>)> {
+    let JobKind::Distribute {
+        policy,
+        num_partitions,
+        final_schema,
+    } = &job.kind
+    else {
+        return Err(CoreError::plan(format!(
+            "job '{}' is not a distribute",
+            job.id
+        )));
+    };
     let Some(out) = final_schema else {
-        return Ok(None);
+        return Ok((*policy, *num_partitions, None));
     };
     let mut idxs = Vec::with_capacity(out.len());
     for f in out.fields() {
@@ -2020,46 +1847,37 @@ fn distribute_projection(
     }
     let identity =
         idxs.len() == job.input_meta.schema.len() && idxs.iter().enumerate().all(|(i, &f)| i == f);
-    Ok((!identity).then_some(idxs))
+    Ok((*policy, *num_partitions, (!identity).then_some(idxs)))
 }
 
-/// Why a distribute into a packed output refuses a flat entry.
-const FLAT_IN_PACKED: &str = "distribute cannot keep flat entries in a packed output";
+/// A sort's or a group's key field, direction (a group's is ascending),
+/// add-ons and output format operator.
+pub(crate) fn keyed_kind(job: &JobPlan) -> Result<(usize, bool, &[BoundAddOn], FormatOp)> {
+    match &job.kind {
+        JobKind::Sort {
+            key_idx,
+            descending,
+            addons,
+            output_format,
+        } => Ok((*key_idx, *descending, addons, *output_format)),
+        JobKind::Group {
+            key_idx,
+            addons,
+            output_format,
+        } => Ok((*key_idx, false, addons, *output_format)),
+        _ => Err(CoreError::plan(format!("job '{}' is not keyed", job.id))),
+    }
+}
 
-/// Sample every `stride`-th entry key of a batch (flat: the record field;
-/// packed: the field of the first member, which equals the group key for
-/// key-field grouping). Cloning only the sampled keys keeps the sampling
-/// pass O(n/stride) in allocations.
+/// Sample every `stride`-th entry key of a batch, as [`EntryRef::key`]
+/// reads it: a packed group's is its first member's, which equals the
+/// group key for key-field grouping. Cloning only the sampled keys keeps
+/// the sampling pass O(n/stride) in allocations.
 fn sample_keys(batch: &Batch, key_idx: usize, stride: usize, out: &mut Vec<Value>) -> Result<()> {
-    let stride = stride.max(1);
-    match batch {
-        Batch::Flat(records) => {
-            for r in records.iter().step_by(stride) {
-                out.push(r.require(key_idx).map_err(CoreError::from)?.clone());
-            }
-        }
-        Batch::Packed(groups) => {
-            for g in groups.iter().step_by(stride) {
-                let first = g
-                    .records
-                    .first()
-                    .ok_or_else(|| CoreError::exec("packed group with no members"))?;
-                out.push(first.require(key_idx).map_err(CoreError::from)?.clone());
-            }
-        }
-        Batch::Rows(rows) => {
-            for row in rows.iter().step_by(stride) {
-                out.push(row.field(key_idx).map_err(CoreError::from)?);
-            }
-        }
+    for entry in EntryRef::all(batch).step_by(stride.max(1)) {
+        out.push(entry.key(key_idx)?.into_owned());
     }
     Ok(())
-}
-
-/// Whether a sort/group's reduce output is packed: by its `pack` format
-/// operator, or because its declared output format is.
-fn packs_output(out_format: Format, format_op: FormatOp) -> bool {
-    format_op == FormatOp::Pack || out_format == Format::Packed
 }
 
 /// Decompose a batch into shuffle entries, by move; rows decode.
@@ -2073,14 +1891,6 @@ fn batch_entries(batch: Batch) -> impl Iterator<Item = Entry> {
         .into_iter()
         .map(Entry::Rec)
         .chain(groups.into_iter().map(Entry::Packed))
-}
-
-/// The schema of a job's output when it is its inputs' rows unchanged:
-/// every input flat (records or rows, never groups) and of one schema,
-/// equal to the output's, which has a field.
-fn rows_schema(inputs: &[DatasetMeta], out: &Arc<Schema>) -> Option<Arc<Schema>> {
-    let same = (inputs.iter()).all(|m| m.format == Format::Flat && m.schema == *out);
-    (same && !out.is_empty()).then(|| out.clone())
 }
 
 /// Whether records of `input` projected onto `projection` (every field,
@@ -2137,79 +1947,65 @@ fn route_rows(
 }
 
 /// The fused assembly over decoded entries: each moved once, by global
-/// rank, into its exact-size partition (records of a flat output, groups
-/// of a packed one).
+/// rank, into its exact-size partition.
 fn route_entries(
     frags: Vec<Dataset>,
     out_format: Format,
     num_partitions: usize,
     part_of: impl Fn(usize) -> usize,
 ) -> Result<Vec<Batch>> {
-    let mut sizes = vec![0usize; num_partitions];
+    let mut sizes = vec![(0usize, 0usize); num_partitions];
     let all = frags.iter().flat_map(|d| EntryRef::all(&d.batch));
     for (g, entry) in all.enumerate() {
-        sizes[part_of(g)] += match out_format {
-            Format::Flat => entry.record_count(),
-            Format::Packed => 1,
-        };
+        let (records, entries) = &mut sizes[part_of(g)];
+        *records += entry.record_count();
+        *entries += 1;
     }
+    let mut parts: Vec<Batch> = (sizes.into_iter())
+        .map(|(records, entries)| empty_batch(out_format, records, entries))
+        .collect();
     let entries = frags.into_iter().flat_map(|d| batch_entries(d.batch));
-    Ok(match out_format {
-        Format::Flat => {
-            let mut parts: Vec<Vec<Record>> = sizes.into_iter().map(Vec::with_capacity).collect();
-            for (g, entry) in entries.enumerate() {
-                let part = &mut parts[part_of(g)];
-                match entry {
-                    Entry::Rec(r) => part.push(r),
-                    Entry::Packed(pk) => part.extend(pk.records),
-                }
-            }
-            parts.into_iter().map(Batch::Flat).collect()
-        }
-        Format::Packed => {
-            let mut parts: Vec<Vec<PackedRecord>> =
-                sizes.into_iter().map(Vec::with_capacity).collect();
-            for (g, entry) in entries.enumerate() {
-                match entry {
-                    Entry::Packed(pk) => parts[part_of(g)].push(pk),
-                    Entry::Rec(_) => return Err(CoreError::exec(FLAT_IN_PACKED)),
-                }
-            }
-            parts.into_iter().map(Batch::Packed).collect()
-        }
-    })
+    for (g, entry) in entries.enumerate() {
+        place(&mut parts[part_of(g)], entry, None)?;
+    }
+    Ok(parts)
 }
 
-/// Rebuild a batch from entries under a target format.
-fn entries_to_batch(entries: Vec<Entry>, format: Format, key_idx: usize) -> Result<Batch> {
+/// Why a distribute into a packed output refuses a flat entry.
+const FLAT_IN_PACKED: &str = "distribute cannot keep flat entries in a packed output";
+
+/// An empty output batch of `format`, with room for `records` flat
+/// records or `entries` packed groups, whichever the format holds.
+fn empty_batch(format: Format, records: usize, entries: usize) -> Batch {
     match format {
-        Format::Flat => {
-            let mut records = Vec::new();
-            for e in entries {
-                match e {
-                    Entry::Rec(r) => records.push(r),
-                    Entry::Packed(p) => records.extend(p.records),
-                }
-            }
-            Ok(Batch::Flat(records))
-        }
-        Format::Packed => {
-            let mut groups = Vec::new();
-            for e in entries {
-                match e {
-                    Entry::Packed(p) => groups.push(p),
-                    Entry::Rec(r) => {
-                        let key = r.require(key_idx).map_err(CoreError::from)?.clone();
-                        groups.push(PackedRecord {
-                            key,
-                            records: vec![r],
-                        });
-                    }
-                }
-            }
-            Ok(Batch::Packed(groups))
-        }
+        Format::Flat => Batch::Flat(Vec::with_capacity(records)),
+        Format::Packed => Batch::Packed(Vec::with_capacity(entries)),
     }
+}
+
+/// Move one entry into an output batch: the one place an operator's
+/// entry lands in an output of either format. A flat output takes a
+/// record, or a packed group's members in order. A packed output takes a
+/// group; a lone record becomes a singleton group keyed by its field
+/// `wrap_key` (split), and without one it is refused with
+/// [`FLAT_IN_PACKED`] (distribute). Rows are built from bytes, never
+/// placed into.
+fn place(out: &mut Batch, entry: Entry, wrap_key: Option<usize>) -> papar_mr::Result<()> {
+    match (out, entry) {
+        (Batch::Flat(records), Entry::Rec(r)) => records.push(r),
+        (Batch::Flat(records), Entry::Packed(p)) => records.extend(p.records),
+        (Batch::Packed(groups), Entry::Packed(p)) => groups.push(p),
+        (Batch::Packed(groups), Entry::Rec(r)) => {
+            let key_idx = wrap_key.ok_or_else(|| MrError::msg(FLAT_IN_PACKED))?;
+            let key = r.require(key_idx)?.clone();
+            groups.push(PackedRecord {
+                key,
+                records: vec![r],
+            });
+        }
+        (Batch::Rows(_), _) => return Err(MrError::msg("an entry cannot be placed into rows")),
+    }
+    Ok(())
 }
 
 /// Assert every record of a committed batch against the job's declared
@@ -2349,6 +2145,75 @@ mod tests {
             assert!(matches!(back.batch, Batch::Rows(_)), "{back:?}");
             assert_eq!(encode_fragment_payload(&back).unwrap(), payload);
         }
+    }
+
+    /// Each placement policy, stated once in [`place`].
+    #[test]
+    fn place_wraps_refuses_and_unpacks_by_output_format() -> Result<()> {
+        let group = |k: i32| PackedRecord {
+            key: Value::Int(k),
+            records: vec![rec![k, 1], rec![k, 2]],
+        };
+        // A split wraps a lone record as a group keyed by the split key.
+        let mut split = empty_batch(Format::Packed, 0, 0);
+        place(&mut split, Entry::Rec(rec![4, 9]), Some(1))?;
+        place(&mut split, Entry::Packed(group(5)), Some(1))?;
+        let single = PackedRecord {
+            key: Value::Int(9),
+            records: vec![rec![4, 9]],
+        };
+        assert_eq!(split, Batch::Packed(vec![single, group(5)]));
+        // A distribute refuses it.
+        let refused = place(&mut split, Entry::Rec(rec![4, 9]), None);
+        assert!(matches!(refused, Err(e) if e.to_string().contains(FLAT_IN_PACKED)));
+        // A flat output takes records and a group's members, in order.
+        let mut flat = empty_batch(Format::Flat, 0, 0);
+        place(&mut flat, Entry::Rec(rec![4, 9]), None)?;
+        place(&mut flat, Entry::Packed(group(5)), Some(1))?;
+        assert_eq!(flat, Batch::Flat(vec![rec![4, 9], rec![5, 1], rec![5, 2]]));
+        // Rows are never placed into.
+        let schema = Arc::new(Schema::new(vec![
+            ("a", FieldType::Integer),
+            ("b", FieldType::Integer),
+        ]));
+        let mut rows = Batch::Rows(Rows::new(schema, Vec::new())?);
+        assert!(place(&mut rows, Entry::Rec(rec![4, 9]), Some(1)).is_err());
+        Ok(())
+    }
+
+    /// The sort sampler and the statistics pre-pass read the same keys
+    /// from rows, records and groups.
+    #[test]
+    fn key_sampling_does_not_depend_on_the_batch_form() -> Result<()> {
+        let schema = Arc::new(Schema::new(vec![
+            ("k", FieldType::Integer),
+            ("v", FieldType::Long),
+        ]));
+        let records: Vec<Record> = (0..20).map(|i| rec![(i * 7) % 20, i as i64]).collect();
+        let mut bytes = Vec::new();
+        wire::encode_batch(&Batch::Flat(records.clone()), &schema, &mut bytes)?;
+        let rows = wire::decode_batch(&mut wire::Reader::new(&bytes), &schema)?;
+        assert!(matches!(rows, Batch::Rows(_)));
+        let mut groups = Vec::new();
+        pack_onto(&mut groups, records.clone(), 0)?;
+        let forms = [rows, Batch::Flat(records), Batch::Packed(groups)];
+        for stride in [1, 3] {
+            let expected: Vec<Value> = (0..20)
+                .step_by(stride)
+                .map(|i| Value::Int((i * 7) % 20))
+                .collect();
+            for batch in &forms {
+                let mut sampled = Vec::new();
+                sample_keys(batch, 0, stride, &mut sampled)?;
+                assert_eq!(sampled, expected, "{batch:?}");
+                let mut collector = crate::stats::KeyCollector::new(stride);
+                collector.offer_batch(batch, 0)?;
+                let mut sorted = expected.clone();
+                sorted.sort();
+                assert_eq!(collector.finish("sort", 0).sample, sorted, "{batch:?}");
+            }
+        }
+        Ok(())
     }
 
     proptest! {

@@ -16,12 +16,13 @@
 //! produce the same `KeyStats`, the same fingerprint, and (downstream)
 //! the same `PlanRationale`.
 
+use papar_mr::EntryRef;
 use papar_record::batch::Batch;
 use papar_record::{wire, Value};
 use std::fmt::Write as _;
 
-use crate::error::{CoreError, Result};
-use crate::plan::{JobKind, WorkflowPlan};
+use crate::error::Result;
+use crate::plan::WorkflowPlan;
 
 /// Top-k hot keys retained in the artifact.
 pub const TOP_K: usize = 4;
@@ -180,30 +181,12 @@ impl KeyCollector {
         self.count += 1;
     }
 
-    /// Offer every entry key of a batch: records (or rows) for flat
-    /// batches, each group's first record for packed ones (the same convention the sort
-    /// sampler uses).
+    /// Offer every entry key of a batch, in batch order, as
+    /// [`EntryRef::key`] reads it: a packed group's is its first member's
+    /// (the same key the sort sampler reads).
     pub fn offer_batch(&mut self, batch: &Batch, key_idx: usize) -> Result<()> {
-        match batch {
-            Batch::Flat(records) => {
-                for r in records {
-                    self.offer(r.require(key_idx).map_err(CoreError::from)?);
-                }
-            }
-            Batch::Packed(groups) => {
-                for g in groups {
-                    let first = g
-                        .records
-                        .first()
-                        .ok_or_else(|| CoreError::exec("packed group with no members"))?;
-                    self.offer(first.require(key_idx).map_err(CoreError::from)?);
-                }
-            }
-            Batch::Rows(rows) => {
-                for row in rows.iter() {
-                    self.offer(&row.field(key_idx).map_err(CoreError::from)?);
-                }
-            }
+        for entry in EntryRef::all(batch) {
+            self.offer(&*entry.key(key_idx)?);
         }
         Ok(())
     }
@@ -280,9 +263,8 @@ pub struct StatsTarget {
 /// Find the plan's stats target, if it has one.
 pub fn stats_target(plan: &WorkflowPlan) -> Option<StatsTarget> {
     for (i, job) in plan.jobs.iter().enumerate() {
-        let key_idx = match &job.kind {
-            JobKind::Sort { key_idx, .. } | JobKind::Group { key_idx, .. } => *key_idx,
-            _ => continue,
+        let Ok((key_idx, ..)) = crate::exec::keyed_kind(job) else {
+            continue;
         };
         let all_external = job
             .inputs

@@ -6,7 +6,7 @@
 //!   [`WorkflowPlan`], its lowered physical plan, the parsed input
 //!   configuration, the derived schema, and the static-analysis
 //!   warnings — keyed by the *plan fingerprint*
-//!   ([`papar_core::exec::plan_fingerprint`]): the FNV-1a hash of
+//!   ([`papar_core::exec::plan_fingerprint_with`]): the FNV-1a hash of
 //!   everything plan-side that decides output bytes. A same-fingerprint
 //!   resubmit skips parsing, binding, verification, and lowering
 //!   entirely. Because computing the fingerprint itself requires

@@ -14,7 +14,7 @@
 //!   repo stays dependency-free;
 //! * compiled [`papar_core::plan::WorkflowPlan`]s (and their lowered
 //!   physical plans) live in an LRU cache keyed by the *plan
-//!   fingerprint* ([`papar_core::exec::plan_fingerprint`]), decoded
+//!   fingerprint* ([`papar_core::exec::plan_fingerprint_with`]), decoded
 //!   input files in a second LRU keyed by path + size + mtime
 //!   ([`cache`]);
 //! * requests run through the same stage functions as `papar run`

@@ -140,7 +140,7 @@ pub struct JobReport {
     /// Rendered human-readable body: the run summary plus the profile
     /// table once done, the error once failed, empty before that.
     pub detail: String,
-    /// The plan fingerprint ([`papar_core::exec::plan_fingerprint`])
+    /// The plan fingerprint ([`papar_core::exec::plan_fingerprint_with`])
     /// the job's plan-cache entry is keyed by; 0 until planned.
     pub plan_fingerprint: u64,
     /// Did the compiled plan come from the resident cache?

@@ -2,7 +2,7 @@
 //! and degenerate workloads must fail cleanly (descriptive errors, no
 //! panics) or behave sensibly.
 
-use papar::core::exec::WorkflowRunner;
+use papar::core::exec::{ExecOptions, WorkflowRunner};
 use papar::core::plan::Planner;
 use papar::mr::Cluster;
 use papar::record::batch::{Batch, Dataset};
@@ -292,4 +292,67 @@ fn more_nodes_than_records_still_works() {
     assert_eq!(total, 2);
     // Sorted: seq_size 3 first.
     assert_eq!(parts[0].batch.clone().flatten()[0], rec![16, 3, 1, 1]);
+}
+
+#[test]
+fn distributing_flat_entries_into_a_packed_output_fails_fused_or_not() {
+    // `d` reads a packed and a flat dataset; it is not the last job, so
+    // its output takes the first input's packed format, and the flat
+    // records cannot be kept there.
+    let wf = r#"
+<workflow id="w" name="n">
+  <arguments>
+    <param name="input_path" type="hdfs" format="blast_db"/>
+    <param name="output_path" type="hdfs" format="blast_db"/>
+  </arguments>
+  <operators>
+    <operator id="p" operator="Sort">
+      <param name="inputPath" type="String" value="$input_path"/>
+      <param name="outputPath" type="String" value="/tmp/in/p" format="pack"/>
+      <param name="key" type="KeyId" value="seq_size"/>
+    </operator>
+    <operator id="f" operator="Sort">
+      <param name="inputPath" type="String" value="$input_path"/>
+      <param name="outputPath" type="String" value="/tmp/in/f"/>
+      <param name="key" type="KeyId" value="seq_size"/>
+    </operator>
+    <operator id="d" operator="Distribute">
+      <param name="inputPath" type="String" value="/tmp/in/"/>
+      <param name="outputPath" type="String" value="/tmp/d"/>
+      <param name="distrPolicy" type="DistrPolicy" value="roundRobin"/>
+      <param name="numPartitions" type="integer" value="2"/>
+    </operator>
+    <operator id="last" operator="Distribute">
+      <param name="inputPath" type="String" value="/tmp/d"/>
+      <param name="outputPath" type="String" value="$output_path"/>
+      <param name="distrPolicy" type="DistrPolicy" value="roundRobin"/>
+      <param name="numPartitions" type="integer" value="2"/>
+    </operator>
+  </operators>
+</workflow>"#;
+    let planner = Planner::from_xml(wf, &[BLAST_INPUT_CFG]).unwrap();
+    let plan = planner
+        .bind(&args(&[("input_path", "/in"), ("output_path", "/out")]))
+        .unwrap();
+    let errors: Vec<String> = [true, false]
+        .into_iter()
+        .map(|fuse| {
+            let options = ExecOptions {
+                fuse,
+                ..Default::default()
+            };
+            let runner = WorkflowRunner::with_options(plan.clone(), options);
+            let mut cluster = Cluster::new(2);
+            let schema = runner.plan().external_inputs[0].1.schema.clone();
+            let records = (0..8).map(|i| rec![i, i % 3, 0, 10]).collect();
+            let input = Dataset::new(schema, Batch::Flat(records));
+            runner.scatter_input(&mut cluster, "/in", input).unwrap();
+            runner.run(&mut cluster).unwrap_err().to_string()
+        })
+        .collect();
+    assert!(
+        errors[0].contains("cannot keep flat entries in a packed output"),
+        "{errors:?}"
+    );
+    assert_eq!(errors[0], errors[1]);
 }
