@@ -13,15 +13,19 @@
 //! ```
 //!
 //! The library half (this module) is fully testable without spawning the
-//! binary; `main.rs` is a thin argument-parsing shell around [`run`].
+//! binary; `main.rs` is one dispatch table over the `parse_*`/`run*`
+//! pairs here. Each subcommand's flags are the rows of one table, which
+//! its parser and its `--help` both read, so the two cannot drift.
 //!
 //! The pipeline itself lives in [`papar_serve::job`], once: [`run`] is
 //! load → compile → fresh cluster (+ fault plan, replication, retries,
 //! checkpoint salt) → run → trace/profile → emit → [`RunSummary`] over
 //! those stage functions, `papar serve` wraps the same calls in its
 //! caches, and [`run_plan`] reuses compile's argument defaulting and its
-//! decision → lower → verify tail. What stays here is what a front-end
-//! owns: the spec types, the argument parsers, and how results render.
+//! decision → lower → verify tail; a run's summary lines and a served
+//! job's come from [`job::render_summary`]. What stays here is what a
+//! front-end owns: the spec types, the flag tables, and the rest of its
+//! output.
 
 use papar_config::{InputConfig, WorkflowConfig};
 use papar_core::exec::{CheckpointCfg, ExecOptions, WorkflowReport};
@@ -32,6 +36,7 @@ use papar_record::Schema;
 use papar_serve::cache::CachedPlan;
 use papar_serve::{job, JobSpec};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -130,139 +135,323 @@ pub struct RunSummary {
     /// Per-job lines: `(job id, simulated time, shuffled bytes, the
     /// shuffle's lower bound)` (see `JobStats::shuffle_lo`).
     pub jobs: Vec<(String, std::time::Duration, u64, u64)>,
-    /// Total simulated partitioning time.
-    pub total_sim: std::time::Duration,
     /// Faults that fired during the run.
     pub faults_injected: u32,
-    /// Workflow-wide recovery accounting.
-    pub recovery: papar_mr::RecoveryStats,
     /// Rendered fault/recovery log lines, in order.
     pub recovery_log: Vec<String>,
-    /// Warning-severity diagnostics from the pre-run static analysis
-    /// (error-severity ones refuse the run instead).
-    pub check_warnings: Vec<String>,
     /// Rendered per-phase breakdown table (present with `--profile`).
     pub profile: Option<String>,
     /// The Chrome trace-event file written (present with `--trace`).
     pub trace_file: Option<PathBuf>,
-    /// Stages restored from the checkpoint instead of executed (0 unless
-    /// `--resume` skipped work).
-    pub stages_resumed: usize,
-    /// Corrupt or torn checkpoint data found while resuming, already
-    /// quarantined and recomputed.
-    pub checkpoint_events: Vec<String>,
     /// Rendered adaptive-planner rationale (present with `--adaptive`).
     pub rationale: Option<String>,
-    /// Rendered engine notes: collapsed reducer counts, post-run
-    /// re-balance hints.
-    pub notes: Vec<String>,
+    /// Lines for stderr: the static analysis's warnings, then any corrupt
+    /// or torn checkpoint data found (and recomputed) while resuming.
+    pub warnings: Vec<String>,
+    /// The summary as `papar run` prints it on stdout.
+    pub output: String,
 }
 
-/// CLI error: a message for the user (exit code 1).
+/// Why a subcommand stopped short of success. `main.rs` gives each kind
+/// its stream and exit code.
 #[derive(Debug)]
-pub struct CliError(pub String);
+pub enum CliError {
+    /// `-h` or `--help` was given: the help text (stdout, exit 0).
+    Help(String),
+    /// The command line is wrong (stderr, exit 2).
+    Usage(String),
+    /// The command ran and failed (stderr, exit 1; `check` exits 2).
+    Failed(String),
+}
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        let (CliError::Help(text) | CliError::Usage(text) | CliError::Failed(text)) = self;
+        f.write_str(text)
     }
 }
 
 impl std::error::Error for CliError {}
 
 fn fail(msg: impl Into<String>) -> CliError {
-    CliError(msg.into())
+    CliError::Failed(msg.into())
 }
 
-/// Parse one `--arg key=value` pair into the argument map, refusing
-/// duplicates. Workflow arguments bind exactly once; before this check a
-/// repeated `--arg` silently kept the last value, so a typo'd sweep
-/// (`--arg num_partitions=4 ... --arg num_partitions=8`) ran with a
-/// surprise binding instead of an error naming both values.
-fn insert_arg(args: &mut HashMap<String, String>, kv: &str) -> Result<(), CliError> {
-    let (k, v) = kv
-        .split_once('=')
-        .ok_or_else(|| fail(format!("--arg wants key=value, got '{kv}'")))?;
-    if let Some(prev) = args.get(k) {
-        return Err(fail(format!(
-            "--arg '{k}' given twice: '{prev}' then '{v}' (each workflow argument \
-             binds exactly once)"
-        )));
-    }
-    args.insert(k.to_string(), v.to_string());
-    Ok(())
+/// One flag of a subcommand. Its parser arm, its synopsis word and its
+/// option-list line all derive from this row.
+struct Flag<S> {
+    name: &'static str,
+    /// How the flag's value is shown; empty for a switch, which takes none.
+    metavar: &'static str,
+    /// The option-list line; empty keeps the flag to the synopsis.
+    help: &'static str,
+    /// Stores the value (empty for a switch), refusing what the flag
+    /// does not accept.
+    set: fn(&mut S, Value) -> Result<(), String>,
+    /// Whether the flag must be given, asked of the parsed spec.
+    needed: fn(&S) -> bool,
 }
 
-/// The value that must follow `flag`.
-fn value(flag: &str, argv: &mut impl Iterator<Item = String>) -> Result<String, CliError> {
-    argv.next()
-        .ok_or_else(|| fail(format!("{flag} needs a value")))
-}
-
-/// The value following `flag`, as an integer that may be zero.
-fn non_negative_int<T: std::str::FromStr>(
-    flag: &str,
-    argv: &mut impl Iterator<Item = String>,
-) -> Result<T, CliError> {
-    let v = value(flag, argv)?;
-    v.parse()
-        .map_err(|_| fail(format!("{flag} wants a non-negative integer, got '{v}'")))
-}
-
-/// The value following `flag`, as an integer that is at least one.
-fn positive_int<T: std::str::FromStr + Default + PartialEq>(
-    flag: &str,
-    argv: &mut impl Iterator<Item = String>,
-) -> Result<T, CliError> {
-    let v = value(flag, argv)?;
-    match v.parse::<T>() {
-        Ok(n) if n != T::default() => Ok(n),
-        _ => Err(fail(format!("{flag} wants a positive integer, got '{v}'"))),
+/// An optional flag.
+const fn flag<S>(
+    name: &'static str,
+    metavar: &'static str,
+    help: &'static str,
+    set: fn(&mut S, Value) -> Result<(), String>,
+) -> Flag<S> {
+    Flag {
+        name,
+        metavar,
+        help,
+        set,
+        needed: |_| false,
     }
 }
 
-/// The twelve flags `papar run` and `papar submit` share, parsed into the
-/// [`RunSpec`] fields both are built from. `Ok(false)` means `flag` is
-/// not one of them and the caller's own flags get their turn. Node and
-/// thread counts are held to the `u32` the wire protocol carries, so a
-/// count `papar submit` would have to refuse is refused by `papar run`
-/// too.
-fn job_flag(
-    spec: &mut RunSpec,
-    flag: &str,
-    argv: &mut impl Iterator<Item = String>,
-) -> Result<bool, CliError> {
-    match flag {
-        "--input-config" => spec.input_config = value(flag, argv)?.into(),
-        "--workflow" => spec.workflow = value(flag, argv)?.into(),
-        "--data" => spec.data = value(flag, argv)?.into(),
-        "--out" => spec.out_dir = value(flag, argv)?.into(),
-        "--nodes" => spec.nodes = positive_int::<u32>(flag, argv)? as usize,
-        "--records" => spec.records = Some(non_negative_int(flag, argv)?),
-        "--arg" => insert_arg(&mut spec.args, &value(flag, argv)?)?,
-        "--threads" => spec.threads = Some(positive_int::<u32>(flag, argv)? as usize),
-        "--no-fuse" => spec.no_fuse = true,
-        "--adaptive" => spec.adaptive = true,
-        "--no-adaptive" => spec.adaptive = false,
-        _ => return Ok(false),
+/// `flag`, made one that must always be given.
+const fn required<S>(flag: Flag<S>) -> Flag<S> {
+    Flag {
+        needed: |_| true,
+        ..flag
     }
-    Ok(true)
 }
 
-/// The four paths a job cannot do without.
-fn require_job_paths(spec: &RunSpec, usage: &str) -> Result<(), CliError> {
-    for (flag, p) in [
-        ("--input-config", &spec.input_config),
-        ("--workflow", &spec.workflow),
-        ("--data", &spec.data),
-        ("--out", &spec.out_dir),
-    ] {
-        if p.as_os_str().is_empty() {
-            return Err(fail(format!("{flag} is required\n{usage}")));
+/// A flag's value, with the flag's name for the messages that refuse it.
+struct Value {
+    flag: &'static str,
+    text: String,
+}
+
+impl Value {
+    /// The value as an integer that may be zero.
+    fn count<T: std::str::FromStr>(self) -> Result<T, String> {
+        let Value { flag, text } = self;
+        text.parse()
+            .map_err(|_| format!("{flag} wants a non-negative integer, got '{text}'"))
+    }
+
+    /// The value as an integer that is at least one.
+    fn positive<T: std::str::FromStr + Default + PartialEq>(self) -> Result<T, String> {
+        let Value { flag, text } = self;
+        match text.parse::<T>() {
+            Ok(n) if n != T::default() => Ok(n),
+            _ => Err(format!("{flag} wants a positive integer, got '{text}'")),
         }
     }
-    Ok(())
+
+    /// The value as one `key=value` workflow argument, into `args`.
+    /// Workflow arguments bind exactly once; a repeated key is refused
+    /// naming both values, so a typo'd sweep (`--arg num_partitions=4 ...
+    /// --arg num_partitions=8`) is an error, not a surprise binding.
+    fn insert_arg(self, args: &mut HashMap<String, String>) -> Result<(), String> {
+        let Value { flag, text } = self;
+        let (k, v) = text
+            .split_once('=')
+            .ok_or_else(|| format!("{flag} wants key=value, got '{text}'"))?;
+        if let Some(prev) = args.get(k) {
+            return Err(format!(
+                "{flag} '{k}' given twice: '{prev}' then '{v}' (each workflow argument \
+                 binds exactly once)"
+            ));
+        }
+        args.insert(k.to_string(), v.to_string());
+        Ok(())
+    }
 }
+
+/// A subcommand's grammar: its flag rows and the one paragraph of prose
+/// its `--help` carries. The parser and the rest of `--help` derive from
+/// the rows.
+struct Command<S: 'static> {
+    /// How the synopsis names the subcommand.
+    name: &'static str,
+    /// The spec with every default in place.
+    init: fn() -> S,
+    /// The rows in synopsis order: the subcommand's own and any shared
+    /// slice.
+    flags: &'static [&'static [Flag<S>]],
+    /// The one positional operand (`papar status`'s job id), as a row
+    /// named by its metavar.
+    operand: Option<Flag<S>>,
+    about: &'static str,
+}
+
+impl<S> Command<S> {
+    fn rows(&self) -> impl Iterator<Item = &Flag<S>> {
+        self.flags.iter().flat_map(|rows| rows.iter())
+    }
+
+    /// Parse a command line against the rows. `-h` or `--help` where a
+    /// flag may stand asks for the help text; anything else amiss is a
+    /// usage error. An empty value does not give a required flag.
+    fn parse(&self, mut argv: impl Iterator<Item = String>) -> Result<S, CliError> {
+        let usage = |msg: String| CliError::Usage(format!("{msg}\n{}", self.help()));
+        let mut spec = (self.init)();
+        let mut given = Vec::new();
+        while let Some(token) = argv.next() {
+            if token == "-h" || token == "--help" {
+                return Err(CliError::Help(self.help()));
+            }
+            let Some(flag) = self.rows().find(|f| f.name == token) else {
+                match &self.operand {
+                    Some(op) => (op.set)(
+                        &mut spec,
+                        Value {
+                            flag: op.name,
+                            text: token,
+                        },
+                    )
+                    .map_err(usage)?,
+                    None => return Err(usage(format!("unknown flag '{token}'"))),
+                }
+                continue;
+            };
+            let text = match flag.metavar {
+                "" => String::new(),
+                _ => (argv.next())
+                    .ok_or_else(|| CliError::Usage(format!("{} needs a value", flag.name)))?,
+            };
+            if !text.is_empty() {
+                given.push(flag.name);
+            }
+            let value = Value {
+                flag: flag.name,
+                text,
+            };
+            (flag.set)(&mut spec, value).map_err(CliError::Usage)?;
+        }
+        let missing = self
+            .rows()
+            .find(|f| (f.needed)(&spec) && !given.contains(&f.name));
+        match missing {
+            Some(flag) => Err(usage(format!("{} is required", flag.name))),
+            None => Ok(spec),
+        }
+    }
+
+    /// `--help`: the synopsis, the prose, then the flags that have a help
+    /// line.
+    fn help(&self) -> String {
+        // The synopsis brackets every flag the default spec does not need.
+        let defaults = (self.init)();
+        let word = |f: &Flag<S>| format!("{} {}", f.name, f.metavar).trim_end().to_string();
+        let operand = self.operand.as_ref().map(|op| format!("[{}]", op.name));
+        let synopsis = self.rows().map(|f| match (f.needed)(&defaults) {
+            true => word(f),
+            false => format!("[{}]", word(f)),
+        });
+        let lead = format!("usage: papar {}", self.name);
+        let indent = lead.len() + 1;
+        let synopsis = fill(lead, indent, operand.into_iter().chain(synopsis));
+        let mut help = format!("{synopsis}\n\n{}\n", self.about);
+        for f in self.rows().filter(|f| !f.help.is_empty()) {
+            let _ = write!(help, "\n  {:<19} {}", word(f), f.help);
+        }
+        help.trim_end().to_string()
+    }
+}
+
+/// `lead`, then `words` space-separated and wrapped within 80 columns;
+/// continuation lines start at column `indent`.
+fn fill(mut out: String, indent: usize, words: impl IntoIterator<Item = String>) -> String {
+    let mut column = out.len();
+    for word in words {
+        if column > indent && column + 1 + word.len() > 80 {
+            out.push('\n');
+            column = 0;
+        }
+        let pad = if column == 0 { indent } else { 1 };
+        let _ = write!(out, "{:pad$}{word}", "");
+        column += pad + word.len();
+    }
+    out
+}
+
+/// What `papar run` and `papar submit` parse into: the job rows they
+/// share fill `job`, and `papar submit`'s own rows fill `submit`.
+#[derive(Default)]
+struct JobArgs {
+    job: RunSpec,
+    submit: SubmitSpec,
+}
+
+/// `flag`, one of a job's four paths: required unless the command line
+/// asks the daemon to shut down instead of running a job.
+const fn job_path(flag: Flag<JobArgs>) -> Flag<JobArgs> {
+    Flag {
+        needed: |a| !a.submit.shutdown,
+        ..flag
+    }
+}
+
+/// The job rows `papar run` and `papar submit` share. Node and thread
+/// counts are held to the `u32` the wire protocol carries, so a count
+/// `papar submit` would have to refuse is refused by `papar run` too.
+#[rustfmt::skip]
+const JOB_FLAGS: &[Flag<JobArgs>] = &[
+    job_path(flag("--input-config", "<xml>", "",
+        |a, v| { a.job.input_config = v.text.into(); Ok(()) })),
+    job_path(flag("--workflow", "<xml>", "",
+        |a, v| { a.job.workflow = v.text.into(); Ok(()) })),
+    job_path(flag("--data", "<file>", "", |a, v| { a.job.data = v.text.into(); Ok(()) })),
+    job_path(flag("--out", "<dir>", "", |a, v| { a.job.out_dir = v.text.into(); Ok(()) })),
+    flag("--nodes", "N", "simulated cluster size (default 4)",
+        |a, v| { a.job.nodes = v.positive::<u32>()? as usize; Ok(()) }),
+    flag("--records", "N", "records to read from a binary input (default: all)",
+        |a, v| { a.job.records = Some(v.count()?); Ok(()) }),
+    flag("--arg", "key=value", "bind a workflow argument (once per key)",
+        |a, v| v.insert_arg(&mut a.job.args)),
+    flag("--threads", "N", "OS threads (default: PAPAR_THREADS or all cores)",
+        |a, v| { a.job.threads = Some(v.positive::<u32>()? as usize); Ok(()) }),
+    flag("--no-fuse", "", "run each logical job as its own MR job",
+        |a, _| { a.job.no_fuse = true; Ok(()) }),
+    flag("--adaptive", "", "let the cost-based planner choose the knobs",
+        |a, _| { a.job.adaptive = true; Ok(()) }),
+    flag("--no-adaptive", "", "keep the configured knobs (the default)",
+        |a, _| { a.job.adaptive = false; Ok(()) }),
+];
+
+/// `papar run`: the job rows, then what only a one-shot run takes.
+#[rustfmt::skip]
+const RUN: Command<JobArgs> = Command {
+    name: "[run]",
+    init: || JobArgs { job: RunSpec { nodes: 4, ..Default::default() }, ..Default::default() },
+    flags: &[JOB_FLAGS, &[
+        // Validated now, so a typo is heard before any data is read.
+        flag("--faults", "SPEC", "inject faults, e.g. crash=1,drop=2,corrupt=1,straggler=1",
+            |a, v| { ChaosSpec::parse(&v.text).map_err(|e| e.to_string())?;
+                     a.job.faults = Some(v.text); Ok(()) }),
+        flag("--fault-seed", "N", "seed for fault placement (default 0)",
+            |a, v| { a.job.fault_seed = v.count()?; Ok(()) }),
+        flag("--replication", "N", "replicas per fragment (default 0)",
+            |a, v| { a.job.replication = v.count()?; Ok(()) }),
+        flag("--max-retries", "N", "executions per task before aborting (default 3)",
+            |a, v| { a.job.max_retries = v.positive()?; Ok(()) }),
+        flag("--profile", "", "print a per-phase virtual-time breakdown",
+            |a, _| { a.job.profile = true; Ok(()) }),
+        flag("--trace", "<file>", "write a Chrome trace-event JSON span tree",
+            |a, v| { a.job.trace_out = Some(v.text.into()); Ok(()) }),
+        flag("--checkpoint", "<dir>", "publish each completed stage durably into <dir>",
+            |a, v| a.job.checkpoint_dir(v, false)),
+        flag("--resume", "<dir>", "restore <dir>'s completed stages, re-run the rest",
+            |a, v| a.job.checkpoint_dir(v, true)),
+    ]],
+    operand: None,
+    about: "\
+Runs the PaPar partitioning workflow described by the two configuration
+documents over the data file, on an N-node simulated cluster, and writes
+one file per partition into the output directory. The partition bytes do
+not depend on --threads, --no-fuse or --adaptive: threads change only the
+wall-clock time, fusion only job counts and shuffle traffic, and the
+adaptive planner (a sampling pre-pass, candidate plans priced by the cost
+model, the rationale printed) tunes only output-neutral knobs. Faults are
+seeded; crashes need --replication 1 or more to recover, and then the
+partitions equal a fault-free run's. A resumed run equals a cold one:
+--resume refuses with error[P020] when the plan, input, seed or
+configuration changed, and recomputes corrupt or torn checkpoint data
+after quarantining it (*.quarantine). The other subcommands are check,
+plan, serve, submit and status; each prints its own help.",
+};
 
 impl RunSpec {
     /// The request half of the spec — the twelve fields `papar run` and
@@ -292,6 +481,23 @@ impl RunSpec {
             adaptive: self.adaptive,
         }
     }
+
+    /// `--checkpoint` and `--resume` name the one run directory;
+    /// `--resume` also reads it.
+    fn checkpoint_dir(&mut self, v: Value, resume: bool) -> Result<(), String> {
+        let dir = PathBuf::from(v.text);
+        if self.checkpoint.as_ref().is_some_and(|d| *d != dir) {
+            return Err("--checkpoint and --resume name different directories".to_string());
+        }
+        self.checkpoint = Some(dir);
+        self.resume |= resume;
+        Ok(())
+    }
+}
+
+/// Parse command-line arguments into a [`RunSpec`].
+pub fn parse_args<I: Iterator<Item = String>>(argv: I) -> Result<RunSpec, CliError> {
+    Ok(RUN.parse(argv)?.job)
 }
 
 /// Execute a run spec end-to-end: the shared stages of
@@ -354,25 +560,38 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
             e => fail(e.to_string()),
         })?;
 
+    let mut output = format!("read {records_in} records\n");
+    job::render_summary(&mut output, &report);
     // Render/export the span tree before the partitions are written, so a
     // disk-full failure below still leaves the trace on disk for debugging.
     let mut profile = None;
     let mut trace_file = None;
     if let Some(trace) = &report.trace {
         if spec.profile {
-            profile = Some(render_profile(
-                trace, &compiled, &report, spec.nodes, records_in,
-            ));
+            let rendered = render_profile(trace, &compiled, &report, spec.nodes, records_in);
+            let _ = writeln!(output, "{rendered}");
+            profile = Some(rendered);
         }
         if let Some(path) = &spec.trace_out {
             std::fs::write(path, papar_trace::to_chrome_json(trace))
                 .map_err(|e| fail(format!("cannot write {}: {e}", path.display())))?;
+            let _ = writeln!(
+                output,
+                "trace written to {} (open in chrome://tracing or Perfetto)",
+                path.display()
+            );
             trace_file = Some(path.clone());
         }
     }
 
     let files = job::emit(&compiled, &cluster, &spec.out_dir).map_err(fail)?;
+    let _ = write!(output, "wrote {} partitions:", files.len());
+    for f in &files {
+        let _ = write!(output, "\n  {}", f.display());
+    }
 
+    let mut warnings = compiled.warnings.clone();
+    warnings.extend(report.checkpoint_events.iter().cloned());
     Ok(RunSummary {
         records_in,
         files,
@@ -384,21 +603,15 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
                 (j.name.clone(), j.sim_time(), bytes, j.shuffle_lo)
             })
             .collect(),
-        total_sim: report.total_sim_time(),
         faults_injected: report.faults_injected(),
-        recovery: report.total_recovery(),
-        recovery_log: report
-            .recovery_events
-            .iter()
+        recovery_log: (report.recovery_events.iter())
             .map(|e| e.to_string())
             .collect(),
-        check_warnings: compiled.warnings.clone(),
         profile,
         trace_file,
-        stages_resumed: report.stages_resumed,
-        checkpoint_events: report.checkpoint_events.clone(),
         rationale: report.rationale.as_ref().map(|r| r.render()),
-        notes: report.notes.iter().map(|n| n.to_string()).collect(),
+        warnings,
+        output,
     })
 }
 
@@ -601,78 +814,57 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
     })
 }
 
-/// Parse `papar check` arguments into a [`CheckSpec`].
-pub fn parse_check_args<I: Iterator<Item = String>>(mut argv: I) -> Result<CheckSpec, CliError> {
-    let mut spec = CheckSpec::default();
-    let argv = &mut argv;
-    while let Some(a) = argv.next() {
-        let flag = a.as_str();
-        match flag {
-            "--workflow" => spec.workflow = value(flag, argv)?.into(),
-            "--input-config" => spec.input_configs.push(value(flag, argv)?.into()),
-            "--nodes" => spec.nodes = Some(non_negative_int(flag, argv)?),
-            "--replication" => spec.replication = Some(non_negative_int(flag, argv)?),
-            "--records" => spec.records = Some(non_negative_int(flag, argv)?),
-            "--arg" => insert_arg(&mut spec.args, &value(flag, argv)?)?,
-            "--format" => {
-                let v = value(flag, argv)?;
-                spec.json = match v.as_str() {
-                    "json" => true,
-                    "text" => false,
-                    other => {
-                        return Err(fail(format!(
-                            "--format wants 'text' or 'json', got '{other}'"
-                        )))
-                    }
-                };
-            }
-            "--bounds" => spec.bounds = true,
-            "--deny-warnings" => spec.deny_warnings = true,
-            "--skew-ratio" => {
-                let v = value(flag, argv)?;
-                let r: f64 = v
-                    .parse()
-                    .map_err(|_| fail(format!("--skew-ratio wants a number, got '{v}'")))?;
-                if !r.is_finite() || r < 1.0 {
-                    return Err(fail(format!("--skew-ratio wants a number >= 1, got '{v}'")));
-                }
-                spec.skew_ratio = Some(r);
-            }
-            "--distinct-keys" => spec.distinct_keys = Some(non_negative_int(flag, argv)?),
-            "-h" | "--help" => return Err(fail(CHECK_USAGE)),
-            other => return Err(fail(format!("unknown flag '{other}'\n{CHECK_USAGE}"))),
-        }
-    }
-    if spec.workflow.as_os_str().is_empty() {
-        return Err(fail(format!("--workflow is required\n{CHECK_USAGE}")));
-    }
-    Ok(spec)
-}
-
-/// Usage text for `papar check`.
-pub const CHECK_USAGE: &str = "\
-usage: papar check --workflow <xml> [--input-config <xml>]...
-                   [--nodes N] [--replication N] [--records N]
-                   [--arg key=value]... [--format text|json]
-                   [--bounds] [--distinct-keys N] [--skew-ratio R]
-                   [--deny-warnings]
-
+/// `papar check`.
+#[rustfmt::skip]
+const CHECK: Command<CheckSpec> = Command {
+    name: "check",
+    init: CheckSpec::default,
+    flags: &[&[
+        required(flag("--workflow", "<xml>", "", |a, v| { a.workflow = v.text.into(); Ok(()) })),
+        flag("--input-config", "<xml>", "",
+            |a, v| { a.input_configs.push(v.text.into()); Ok(()) }),
+        flag("--nodes", "N", "", |a, v| { a.nodes = Some(v.positive()?); Ok(()) }),
+        flag("--replication", "N", "", |a, v| { a.replication = Some(v.count()?); Ok(()) }),
+        flag("--records", "N", "", |a, v| { a.records = Some(v.count()?); Ok(()) }),
+        flag("--arg", "key=value", "", |a, v| v.insert_arg(&mut a.args)),
+        flag("--format", "text|json", "",
+            |a, v| match v.text.as_str() {
+                "text" | "json" => { a.json = v.text == "json"; Ok(()) }
+                other => Err(format!("{} wants 'text' or 'json', got '{other}'", v.flag)),
+            }),
+        flag("--bounds", "", "propagate interval bounds through every stage",
+            |a, _| { a.bounds = true; Ok(()) }),
+        flag("--distinct-keys", "N", "bound on any input field's distinct values",
+            |a, v| { a.distinct_keys = Some(v.count()?); Ok(()) }),
+        flag("--skew-ratio", "R", "W008 threshold over the fair share (default 4.0)",
+            |a, v| match v.text.parse::<f64>() {
+                Ok(r) if r.is_finite() && r >= 1.0 => { a.skew_ratio = Some(r); Ok(()) }
+                Ok(_) => Err(format!("{} wants a number >= 1, got '{}'", v.flag, v.text)),
+                Err(_) => Err(format!("{} wants a number, got '{}'", v.flag, v.text)),
+            }),
+        flag("--deny-warnings", "", "promote warnings to errors",
+            |a, _| { a.deny_warnings = true; Ok(()) }),
+    ]],
+    operand: None,
+    about: "\
 Statically analyzes the workflow without reading any data: dataflow over
 $variable references, schema inference through every operator, distribution
 legality, and determinism lints. Arguments left unbound are analyzed
-symbolically. Exit code 0 when clean or warnings only, 1 when any
-error-severity diagnostic is found, 2 on usage errors.
+symbolically. --bounds interprets the physical plan over intervals: a
+per-stage table of record/byte/distinct-key/max-load bounds, and the
+findings P021 (reducers that can never receive a key; needs
+--distinct-keys), W007, W008 (a stage whose worst-case partition load
+exceeds --skew-ratio times the fair share) and W009. --records N makes
+source counts exact; unhinted sources stay [0, ?]. Exit code 0 when clean
+or warnings only, 1 when any error-severity diagnostic is found (any
+diagnostic with --deny-warnings), 2 on usage errors or when a document
+cannot be read.",
+};
 
-Bounds analysis (abstract interpretation over the physical plan):
-  --bounds           propagate record/byte/distinct-key/max-load intervals
-                     through every physical stage; prints a per-stage table
-                     and enables P021/W007/W008/W009. Use --records N to make
-                     source counts exact; unhinted sources stay [0, ?].
-  --distinct-keys N  declared bound on distinct values of any input field
-                     (needed for P021: reducers that can never receive a key)
-  --skew-ratio R     W008 threshold: flag stages whose worst-case partition
-                     load exceeds R times the fair share (default 4.0)
-  --deny-warnings    promote warnings to errors: warnings-only runs exit 1";
+/// Parse `papar check` arguments into a [`CheckSpec`].
+pub fn parse_check_args<I: Iterator<Item = String>>(argv: I) -> Result<CheckSpec, CliError> {
+    CHECK.parse(argv)
+}
 
 /// Everything `papar plan` needs.
 #[derive(Debug, Clone)]
@@ -819,143 +1011,47 @@ pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
     })
 }
 
-/// Parse `papar plan` arguments into a [`PlanSpec`].
-pub fn parse_plan_args<I: Iterator<Item = String>>(mut argv: I) -> Result<PlanSpec, CliError> {
-    let mut spec = PlanSpec::default();
-    let argv = &mut argv;
-    while let Some(a) = argv.next() {
-        let flag = a.as_str();
-        match flag {
-            "--workflow" => spec.workflow = value(flag, argv)?.into(),
-            "--input-config" => spec.input_configs.push(value(flag, argv)?.into()),
-            "--nodes" => spec.nodes = positive_int(flag, argv)?,
-            "--arg" => insert_arg(&mut spec.args, &value(flag, argv)?)?,
-            "--no-fuse" => spec.no_fuse = true,
-            "--explain" => spec.explain = true,
-            "--adaptive" => spec.adaptive = true,
-            "--no-adaptive" => spec.adaptive = false,
-            "--data" => spec.data = Some(value(flag, argv)?.into()),
-            "--records" => spec.records = Some(non_negative_int(flag, argv)?),
-            "-h" | "--help" => return Err(fail(PLAN_USAGE)),
-            other => return Err(fail(format!("unknown flag '{other}'\n{PLAN_USAGE}"))),
-        }
-    }
-    if spec.workflow.as_os_str().is_empty() {
-        return Err(fail(format!("--workflow is required\n{PLAN_USAGE}")));
-    }
-    Ok(spec)
-}
-
-/// Usage text for `papar plan`.
-pub const PLAN_USAGE: &str = "\
-usage: papar plan --workflow <xml> [--input-config <xml>]...
-                  [--nodes N] [--arg key=value]... [--no-fuse] [--explain]
-                  [--records N] [--adaptive [--data <file>]]
-
+/// `papar plan`.
+#[rustfmt::skip]
+const PLAN: Command<PlanSpec> = Command {
+    name: "plan",
+    init: PlanSpec::default,
+    flags: &[&[
+        required(flag("--workflow", "<xml>", "", |a, v| { a.workflow = v.text.into(); Ok(()) })),
+        flag("--input-config", "<xml>", "",
+            |a, v| { a.input_configs.push(v.text.into()); Ok(()) }),
+        flag("--nodes", "N", "", |a, v| { a.nodes = v.positive()?; Ok(()) }),
+        flag("--arg", "key=value", "", |a, v| v.insert_arg(&mut a.args)),
+        flag("--no-fuse", "", "show the unfused plan", |a, _| { a.no_fuse = true; Ok(()) }),
+        flag("--explain", "", "print the full logical-to-physical mapping",
+            |a, _| { a.explain = true; Ok(()) }),
+        flag("--records", "N", "make the bound table's source counts exact",
+            |a, v| { a.records = Some(v.count()?); Ok(()) }),
+        flag("--adaptive", "", "run the cost-based planner and print its rationale",
+            |a, _| { a.adaptive = true; Ok(()) }),
+        flag("--no-adaptive", "", "keep the configured knobs (the default)",
+            |a, _| { a.adaptive = false; Ok(()) }),
+        flag("--data", "<file>", "sample this file for --adaptive",
+            |a, v| { a.data = Some(v.text.into()); Ok(()) }),
+    ]],
+    operand: None,
+    about: "\
 Binds the workflow and lowers it to the physical plan `papar run` would
-execute, without reading any data. `--explain` prints every logical job and
-every physical stage with its fusion and streaming annotations, followed by
-the static bound table (record/pair/max-load intervals per stage; `--records
-N` makes source counts exact). `--no-fuse` shows the unfused plan.
-`--adaptive` runs the cost-based planner and prints its rationale — every
-candidate considered, every rejection and its reason, and the winner's
-predicted cost; give `--data <file>` to feed it the real sampling pre-pass
-(otherwise it only weighs fusion toggles). Conventional path arguments
-(input_path, input_file, output_path) default to placeholders. Exit code 0 on
-success, 1 when binding or physical-plan verification fails, 2 on usage
-errors.";
+execute, without reading any data. --explain prints every logical job and
+every physical stage with its fusion and streaming annotations, followed
+by the static bound table (record/pair/max-load intervals per stage).
+--adaptive prints the planner's rationale: every candidate considered,
+every rejection and its reason, and the winner's predicted cost; without
+--data (read with the first --input-config, never partitioned) it only
+weighs fusion toggles. Conventional path arguments (input_path,
+input_file, output_path) default to placeholders. Exit code 0 on success,
+1 when binding or physical-plan verification fails, 2 on usage errors.",
+};
 
-/// Parse command-line arguments into a [`RunSpec`].
-pub fn parse_args<I: Iterator<Item = String>>(mut argv: I) -> Result<RunSpec, CliError> {
-    let mut spec = RunSpec {
-        nodes: 4,
-        ..Default::default()
-    };
-    let argv = &mut argv;
-    while let Some(a) = argv.next() {
-        let flag = a.as_str();
-        if job_flag(&mut spec, flag, argv)? {
-            continue;
-        }
-        match flag {
-            "--faults" => {
-                let v = value(flag, argv)?;
-                // Validate now so the user hears about a typo before any
-                // data is read.
-                ChaosSpec::parse(&v).map_err(|e| fail(e.to_string()))?;
-                spec.faults = Some(v);
-            }
-            "--fault-seed" => spec.fault_seed = non_negative_int(flag, argv)?,
-            "--replication" => spec.replication = non_negative_int(flag, argv)?,
-            "--max-retries" => spec.max_retries = positive_int(flag, argv)?,
-            "--profile" => spec.profile = true,
-            "--trace" => spec.trace_out = Some(value(flag, argv)?.into()),
-            "--checkpoint" | "--resume" => {
-                let dir: PathBuf = value(flag, argv)?.into();
-                if spec.checkpoint.as_ref().is_some_and(|d| *d != dir) {
-                    return Err(fail("--checkpoint and --resume name different directories"));
-                }
-                spec.checkpoint = Some(dir);
-                spec.resume |= flag == "--resume";
-            }
-            "-h" | "--help" => return Err(fail(USAGE)),
-            other => return Err(fail(format!("unknown flag '{other}'\n{USAGE}"))),
-        }
-    }
-    require_job_paths(&spec, USAGE)?;
-    Ok(spec)
+/// Parse `papar plan` arguments into a [`PlanSpec`].
+pub fn parse_plan_args<I: Iterator<Item = String>>(argv: I) -> Result<PlanSpec, CliError> {
+    PLAN.parse(argv)
 }
-
-/// Usage text.
-pub const USAGE: &str = "\
-usage: papar [run] --input-config <xml> --workflow <xml> --data <file> --out <dir>
-             [--nodes N] [--records N] [--arg key=value]...
-             [--faults SPEC] [--fault-seed N] [--replication N] [--max-retries N]
-             [--threads N] [--no-fuse] [--adaptive] [--profile]
-             [--trace <file>] [--checkpoint <dir> | --resume <dir>]
-       papar check --workflow <xml> [options]   (see `papar check --help`)
-       papar plan --workflow <xml> [options]    (see `papar plan --help`)
-
-Runs the PaPar partitioning workflow described by the two configuration
-documents over the data file, on an N-node simulated cluster, and writes
-one file per partition into the output directory.
-
-Fault injection (chaos testing the simulated cluster):
-  --faults SPEC      inject faults, e.g. 'crash=1,drop=2,corrupt=1,straggler=1'
-  --fault-seed N     seed for fault placement (same seed, same schedule; default 0)
-  --replication N    replicas per fragment; crashes need N >= 1 to recover (default 0)
-  --max-retries N    executions allowed per task before aborting (default 3)
-
-Performance:
-  --threads N        OS threads for node tasks; output bytes are identical for
-                     every N (default: PAPAR_THREADS or available parallelism)
-  --no-fuse          run every logical job as its own MR job instead of fusing
-                     adjacent sort+distribute / group+split pairs; output bytes
-                     are identical, only job counts and shuffle traffic change
-                     (`papar plan --explain` shows what fusion would do)
-  --adaptive         run the cost-based adaptive planner: a sampling pre-pass
-                     summarizes the input's key distribution, candidate plans
-                     (reducer counts, sampling stride, range-vs-cyclic
-                     boundaries, per-rewrite fusion) are priced with the cost
-                     model under static bounds, and the cheapest admissible one
-                     runs; the rationale is printed and output bytes stay
-                     identical (only output-neutral knobs are tuned)
-  --no-adaptive      keep the configured literal knobs (the default, named)
-
-Observability:
-  --profile          print a per-phase virtual-time breakdown (paper Fig. 13 style)
-  --trace FILE       write a Chrome trace-event JSON span tree; open it in
-                     chrome://tracing or https://ui.perfetto.dev. The file is
-                     byte-identical for every --threads value.
-
-Checkpointing (crash-consistent; resumed output is byte-identical to a cold run):
-  --checkpoint DIR   durably publish each completed stage's output fragments and
-                     stats into DIR (write-ahead manifest, fsync+rename commits)
-  --resume DIR       validate DIR's manifest, skip its completed stages and
-                     re-execute from the first incomplete one; refuses with
-                     error[P020] when the plan/input/seed/config fingerprint
-                     differs. Corrupt or torn data is quarantined (*.quarantine)
-                     and recomputed, never silently reused.";
 
 // ---------------------------------------------------------------------
 // papar serve / submit / status: the resident daemon surface.
@@ -985,25 +1081,35 @@ impl Default for ServeSpec {
     }
 }
 
+/// `papar serve`.
+#[rustfmt::skip]
+const SERVE: Command<ServeSpec> = Command {
+    name: "serve",
+    init: ServeSpec::default,
+    flags: &[&[
+        required(flag("--socket", "<path|tcp:HOST:PORT>", "(tcp:127.0.0.1:0 picks a free port)",
+            |a, v| { a.socket = v.text; Ok(()) })),
+        flag("--queue", "N", "admission limit on pending jobs (default 32)",
+            |a, v| { a.queue_capacity = v.positive()?; Ok(()) }),
+        flag("--plan-cache", "N", "compiled plans kept resident (default 16)",
+            |a, v| { a.plan_cache = v.positive()?; Ok(()) }),
+        flag("--data-cache", "N", "decoded input files kept resident (default 8)",
+            |a, v| { a.data_cache = v.positive()?; Ok(()) }),
+    ]],
+    operand: None,
+    about: "\
+Runs the resident partitioning daemon: compiled plans and decoded input
+files stay cached between requests (LRU, keyed by the plan fingerprint),
+and jobs execute one at a time on a resident cluster — output bytes are
+identical to one-shot `papar run`. Submit work with `papar submit`, follow
+it with `papar status`. Submits beyond the queue limit are refused with a
+typed queue-full error. SIGTERM/SIGINT (or a shutdown request from `papar
+submit`) drains the queue and exits cleanly.",
+};
+
 /// Parse `papar serve` arguments into a [`ServeSpec`].
-pub fn parse_serve_args<I: Iterator<Item = String>>(mut argv: I) -> Result<ServeSpec, CliError> {
-    let mut spec = ServeSpec::default();
-    let argv = &mut argv;
-    while let Some(a) = argv.next() {
-        let flag = a.as_str();
-        match flag {
-            "--socket" => spec.socket = value(flag, argv)?,
-            "--queue" => spec.queue_capacity = positive_int(flag, argv)?,
-            "--plan-cache" => spec.plan_cache = positive_int(flag, argv)?,
-            "--data-cache" => spec.data_cache = positive_int(flag, argv)?,
-            "-h" | "--help" => return Err(fail(SERVE_USAGE)),
-            other => return Err(fail(format!("unknown flag '{other}'\n{SERVE_USAGE}"))),
-        }
-    }
-    if spec.socket.is_empty() {
-        return Err(fail(format!("--socket is required\n{SERVE_USAGE}")));
-    }
-    Ok(spec)
+pub fn parse_serve_args<I: Iterator<Item = String>>(argv: I) -> Result<ServeSpec, CliError> {
+    SERVE.parse(argv)
 }
 
 /// Run the daemon until a `papar submit --shutdown` or SIGTERM/SIGINT,
@@ -1041,33 +1147,31 @@ pub struct SubmitSpec {
     pub shutdown: bool,
 }
 
+/// `papar submit`: its own rows, then the job rows `papar run` takes.
+#[rustfmt::skip]
+const SUBMIT: Command<JobArgs> = Command {
+    name: "submit",
+    init: RUN.init,
+    flags: &[&[
+        required(flag("--socket", "<path|tcp:HOST:PORT>", "",
+            |a, v| { a.submit.socket = v.text; Ok(()) })),
+        flag("--detach", "", "", |a, _| { a.submit.detach = true; Ok(()) }),
+        flag("--shutdown", "", "", |a, _| { a.submit.shutdown = true; Ok(()) }),
+    ], JOB_FLAGS],
+    operand: None,
+    about: "\
+Submits one partitioning job to a `papar serve` daemon. Without --detach,
+blocks until the job completes and prints the same summary `papar run`
+would (plus cache verdicts and the profile table); with --detach, prints
+the job id immediately. --shutdown, which needs no job, asks the daemon to
+drain and exit. Paths are resolved against this command's working
+directory. Exit code 0 on success, 1 when the job fails or the daemon
+refuses it, 2 on usage errors.",
+};
+
 /// Parse `papar submit` arguments into a [`SubmitSpec`].
-pub fn parse_submit_args<I: Iterator<Item = String>>(mut argv: I) -> Result<SubmitSpec, CliError> {
-    let mut spec = SubmitSpec::default();
-    let mut job = RunSpec {
-        nodes: 4,
-        ..Default::default()
-    };
-    let argv = &mut argv;
-    while let Some(a) = argv.next() {
-        let flag = a.as_str();
-        if job_flag(&mut job, flag, argv)? {
-            continue;
-        }
-        match flag {
-            "--socket" => spec.socket = value(flag, argv)?,
-            "--detach" => spec.detach = true,
-            "--shutdown" => spec.shutdown = true,
-            "-h" | "--help" => return Err(fail(SUBMIT_USAGE)),
-            other => return Err(fail(format!("unknown flag '{other}'\n{SUBMIT_USAGE}"))),
-        }
-    }
-    if spec.socket.is_empty() {
-        return Err(fail(format!("--socket is required\n{SUBMIT_USAGE}")));
-    }
-    if !spec.shutdown {
-        require_job_paths(&job, SUBMIT_USAGE)?;
-    }
+pub fn parse_submit_args<I: Iterator<Item = String>>(argv: I) -> Result<SubmitSpec, CliError> {
+    let JobArgs { mut job, submit } = SUBMIT.parse(argv)?;
     // The daemon resolves paths against *its* working directory;
     // absolutize against ours so `papar submit` behaves like `papar run`
     // regardless of where the daemon was started.
@@ -1083,8 +1187,10 @@ pub fn parse_submit_args<I: Iterator<Item = String>>(mut argv: I) -> Result<Subm
             }
         }
     }
-    spec.job = job.job();
-    Ok(spec)
+    Ok(SubmitSpec {
+        job: job.job(),
+        ..submit
+    })
 }
 
 /// Execute a submit: admit the job and either detach or block for the
@@ -1119,28 +1225,33 @@ pub struct StatusSpec {
     pub job: Option<u64>,
 }
 
-/// Parse `papar status` arguments into a [`StatusSpec`].
-pub fn parse_status_args<I: Iterator<Item = String>>(mut argv: I) -> Result<StatusSpec, CliError> {
-    let mut spec = StatusSpec::default();
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--socket" => spec.socket = value("--socket", &mut argv)?,
-            "-h" | "--help" => return Err(fail(STATUS_USAGE)),
-            other => {
-                let id: u64 = other.parse().map_err(|_| {
-                    fail(format!("expected a job id, got '{other}'\n{STATUS_USAGE}"))
-                })?;
-                if spec.job.is_some() {
-                    return Err(fail(format!("more than one job id given\n{STATUS_USAGE}")));
-                }
-                spec.job = Some(id);
-            }
+/// `papar status`: the socket, and the job id as its one operand.
+#[rustfmt::skip]
+const STATUS: Command<StatusSpec> = Command {
+    name: "status",
+    init: StatusSpec::default,
+    flags: &[&[
+        required(flag("--socket", "<path|tcp:HOST:PORT>", "",
+            |a, v| { a.socket = v.text; Ok(()) })),
+    ]],
+    operand: Some(flag("<job-id>", "", "", |a, v| {
+        let id = v.text.parse().map_err(|_| format!("expected a job id, got '{}'", v.text))?;
+        match a.job.replace(id) {
+            Some(_) => Err("more than one job id given".to_string()),
+            None => Ok(()),
         }
-    }
-    if spec.socket.is_empty() {
-        return Err(fail(format!("--socket is required\n{STATUS_USAGE}")));
-    }
-    Ok(spec)
+    })),
+    about: "\
+With a job id: prints the job's state — queue position while queued, or
+the completed job's summary, cache verdicts, and per-phase profile table.
+Without one: pings the daemon and prints its lifetime counters (jobs,
+plan/data cache hits). Exit code 0 on success, 1 when the job failed or
+the daemon is unreachable, 2 on usage errors.",
+};
+
+/// Parse `papar status` arguments into a [`StatusSpec`].
+pub fn parse_status_args<I: Iterator<Item = String>>(argv: I) -> Result<StatusSpec, CliError> {
+    STATUS.parse(argv)
 }
 
 /// Execute a status query. Returns the lines to print.
@@ -1195,51 +1306,6 @@ fn render_job_report(report: &papar_serve::JobReport) -> Result<String, CliError
         ))),
     }
 }
-
-/// Usage text for `papar serve`.
-pub const SERVE_USAGE: &str = "\
-usage: papar serve --socket <path|tcp:HOST:PORT>
-                   [--queue N] [--plan-cache N] [--data-cache N]
-
-Runs the resident partitioning daemon: compiled plans and decoded input
-files stay cached between requests (LRU, keyed by the plan fingerprint),
-and jobs execute one at a time on a resident cluster — output bytes are
-identical to one-shot `papar run`. Submit work with `papar submit`, follow
-it with `papar status`. SIGTERM/SIGINT (or `papar submit --shutdown`)
-drains the queue and exits cleanly.
-
-  --socket S       Unix socket path, or tcp:HOST:PORT (tcp:127.0.0.1:0
-                   picks a free port and prints it)
-  --queue N        admission limit on pending jobs; submits beyond it are
-                   refused with a typed queue-full error (default 32)
-  --plan-cache N   compiled plans kept resident (default 16)
-  --data-cache N   decoded input files kept resident (default 8)";
-
-/// Usage text for `papar submit`.
-pub const SUBMIT_USAGE: &str = "\
-usage: papar submit --socket <path|tcp:HOST:PORT>
-                    --input-config <xml> --workflow <xml> --data <file> --out <dir>
-                    [--nodes N] [--records N] [--arg key=value]...
-                    [--threads N] [--no-fuse] [--adaptive] [--detach]
-       papar submit --socket <path|tcp:HOST:PORT> --shutdown
-
-Submits one partitioning job to a `papar serve` daemon. Without --detach,
-blocks until the job completes and prints the same summary `papar run`
-would (plus cache verdicts and the profile table); with --detach, prints
-the job id immediately. --shutdown asks the daemon to drain and exit.
-Paths are resolved against this command's working directory. Exit code 0
-on success, 1 when the job fails or the daemon refuses it, 2 on usage
-errors.";
-
-/// Usage text for `papar status`.
-pub const STATUS_USAGE: &str = "\
-usage: papar status [<job-id>] --socket <path|tcp:HOST:PORT>
-
-With a job id: prints the job's state — queue position while queued, or
-the completed job's summary, cache verdicts, and per-phase profile table.
-Without one: pings the daemon and prints its lifetime counters (jobs,
-plan/data cache hits). Exit code 0 on success, 1 when the job failed or
-the daemon is unreachable, 2 on usage errors.";
 
 #[cfg(test)]
 mod tests {
@@ -1499,6 +1565,16 @@ mod tests {
         assert!(parse("--workflow w --nodes x").is_err());
         assert!(parse("--workflow w --arg noequals").is_err());
         assert!(parse("--workflow w --bogus").is_err());
+    }
+
+    #[test]
+    fn parse_check_args_refuses_zero_nodes() {
+        // A 0-node cluster has no partitions to check; `run` and `plan`
+        // refuse it the same way.
+        let e = parse_check_args(argv("--workflow w --nodes 0")).unwrap_err();
+        assert_eq!(e.to_string(), "--nodes wants a positive integer, got '0'");
+        let spec = parse_check_args(argv("--workflow w --nodes 1")).unwrap();
+        assert_eq!(spec.nodes, Some(1));
     }
 
     #[test]

@@ -613,3 +613,88 @@ fn driver_stages_write_the_same_bytes_at_every_thread_count() {
     }
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// Engine notes print once, as `RunNote`'s `Display` renders them, and
+/// the same in both front ends: a sort asked for five reducers over a
+/// sample whose two nodes see only three distinct ranges collapses to
+/// three, and `papar run` and a served job print the identical note line.
+#[test]
+fn run_and_a_served_job_print_the_same_note_lines() {
+    use papar_serve::job::{self, Resources};
+
+    let dir = temp_dir("notes");
+    let (input_cfg, workflow, data) = (dir.join("in.xml"), dir.join("wf.xml"), dir.join("d.txt"));
+    std::fs::write(
+        &input_cfg,
+        r#"<input id="scores" name="n">
+  <input_format>text</input_format>
+  <element>
+    <value name="name" type="String"/>
+    <delimiter value="\t"/>
+    <value name="score" type="integer"/>
+    <delimiter value="\n"/>
+  </element>
+</input>"#,
+    )
+    .unwrap();
+    std::fs::write(
+        &workflow,
+        r#"<workflow id="w" name="n">
+  <arguments>
+    <param name="input_path" type="hdfs" format="scores"/>
+    <param name="output_path" type="hdfs" format="scores"/>
+  </arguments>
+  <operators>
+    <operator id="sort" operator="Sort" num_reducers="5">
+      <param name="inputPath" type="String" value="$input_path"/>
+      <param name="outputPath" type="String" value="$output_path"/>
+      <param name="key" type="KeyId" value="score"/>
+    </operator>
+  </operators>
+</workflow>"#,
+    )
+    .unwrap();
+    let text: String = (0..50).map(|i| format!("p{i}\t{i}\n")).collect();
+    std::fs::write(&data, text).unwrap();
+    let spec = RunSpec {
+        input_config: input_cfg.clone(),
+        workflow: workflow.clone(),
+        data: data.clone(),
+        out_dir: dir.join("run"),
+        nodes: 2,
+        ..Default::default()
+    };
+    let summary = run(&spec).unwrap();
+    let served = job::execute(
+        &papar_serve::JobSpec {
+            input_config: input_cfg.display().to_string(),
+            workflow: workflow.display().to_string(),
+            data: data.display().to_string(),
+            out_dir: dir.join("served").display().to_string(),
+            nodes: 2,
+            ..Default::default()
+        },
+        &mut Resources::new(1, 1, 1),
+    )
+    .unwrap();
+
+    let notes = |text: &str| -> Vec<String> {
+        (text.lines())
+            .filter(|l| l.contains("note:"))
+            .map(String::from)
+            .collect()
+    };
+    let run_notes = notes(&summary.output);
+    assert_eq!(
+        run_notes,
+        vec![
+            "note: job 'sort' asked for 5 reducers but the sampled key domain fills only 3; \
+             collapsed to 3 (duplicate range boundaries would have left 2 reducer(s) \
+             provably empty)"
+        ],
+        "{}",
+        summary.output
+    );
+    assert_eq!(run_notes, notes(&served.detail), "{}", served.detail);
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -207,3 +207,86 @@ fn records_count_that_overflows_the_byte_bound_is_refused() {
     );
     assert!(!dir.join("out").exists(), "nothing may be partitioned");
 }
+
+/// Asking for help is not a usage error: every subcommand prints its
+/// usage on stdout and exits 0, for `--help` and `-h` alike.
+#[test]
+fn help_prints_usage_on_stdout_and_exits_zero() {
+    for subcmd in ["run", "check", "plan", "serve", "submit", "status"] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_papar"))
+                .args([subcmd, flag])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(0), "papar {subcmd} {flag}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.starts_with("usage: papar "), "{subcmd}: {stdout}");
+            assert!(out.stderr.is_empty(), "{subcmd}: {}", stderr_of(&out));
+        }
+    }
+}
+
+/// A subcommand's parser over a command line: the message it refuses the
+/// line with, or `None` when the line parses.
+type Parser = fn(Vec<String>) -> Option<String>;
+
+fn refusal<T>(parsed: Result<T, papar_cli::CliError>) -> Option<String> {
+    parsed.err().map(|e| e.to_string())
+}
+
+const PARSERS: [(&str, Parser); 6] = [
+    ("run", |a| refusal(papar_cli::parse_args(a.into_iter()))),
+    ("check", |a| {
+        refusal(papar_cli::parse_check_args(a.into_iter()))
+    }),
+    ("plan", |a| {
+        refusal(papar_cli::parse_plan_args(a.into_iter()))
+    }),
+    ("serve", |a| {
+        refusal(papar_cli::parse_serve_args(a.into_iter()))
+    }),
+    ("submit", |a| {
+        refusal(papar_cli::parse_submit_args(a.into_iter()))
+    }),
+    ("status", |a| {
+        refusal(papar_cli::parse_status_args(a.into_iter()))
+    }),
+];
+
+/// The parser and the help text cannot drift: across every flag any
+/// subcommand's help names, a subcommand accepts exactly the ones its
+/// own help names.
+#[test]
+fn each_subcommand_accepts_exactly_the_flags_its_help_names() {
+    let help = |parse: Parser| parse(vec!["--help".into()]).unwrap();
+    let named = |text: &str| -> std::collections::BTreeSet<String> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .map(|w| w.trim_end_matches('-').to_string())
+            // `--help` asks for this very text, on every subcommand.
+            .filter(|w| w != "--help")
+            .collect()
+    };
+    let every_flag: std::collections::BTreeSet<String> = PARSERS
+        .iter()
+        .flat_map(|(_, parse)| named(&help(*parse)))
+        .collect();
+    for (subcmd, parse) in PARSERS {
+        let documented = named(&help(parse));
+        for flag in &every_flag {
+            let refusal = parse(vec![flag.clone(), "1".into()]).unwrap_or_default();
+            let accepted = !refusal.starts_with(&format!("unknown flag '{flag}'"))
+                && !refusal.starts_with(&format!("expected a job id, got '{flag}'"));
+            assert_eq!(
+                accepted,
+                documented.contains(flag),
+                "papar {subcmd} {flag}: accepted={accepted}, but its help {} it",
+                if documented.contains(flag) {
+                    "names"
+                } else {
+                    "does not name"
+                }
+            );
+        }
+    }
+}

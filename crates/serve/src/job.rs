@@ -14,8 +14,9 @@
 //!   count and replication → `papar check` gate → bind → plan-invariant
 //!   verification → adaptive decision over the *borrowed* fragments →
 //!   lower → physical-plan verification → fingerprint. Its result is the
-//!   [`CachedPlan`], which carries the lowered plan, so nobody lowers
-//!   twice;
+//!   [`CachedPlan`], which carries the lowered plan for the front ends
+//!   (the fingerprint, the profile's bound table); `WorkflowRunner::run`
+//!   lowers once more itself, from the decision's toggles or the flag;
 //! * [`run`]: compiled plan + cluster + input → runner (with the
 //!   decision and an optional checkpoint) → place the fragments → run,
 //!   returning the typed [`CoreError`] so a front-end can map individual
@@ -35,10 +36,12 @@
 //! [`execute`] makes the same calls with the data LRU around `load` (its
 //! fragments shared with the cluster on every hit), the plan LRU around
 //! `compile`, and the resident cluster instead of a fresh one; `papar
-//! plan` reuses [`default_path_args`] and [`lower_verified`].
-//! Only summary *rendering* is per front-end. A served job's partition
-//! files are therefore byte-identical to `papar run`'s by construction;
-//! `crates/cli/tests/end_to_end.rs` and the CI `serve` job check it.
+//! plan` reuses [`default_path_args`] and [`lower_verified`]. A served
+//! job's partition files are therefore byte-identical to `papar run`'s
+//! by construction; `crates/cli/tests/end_to_end.rs` and the CI `serve`
+//! job check it. Both front ends print the summary lines of
+//! [`render_summary`]; only their cache verdicts, stderr lines, profile
+//! and trace lines stay their own.
 
 use crate::cache::{CachedPlan, DataCache, DataKey, PlanCache};
 use crate::protocol::JobSpec;
@@ -534,6 +537,64 @@ fn write_partition(
     Ok(path)
 }
 
+/// Append the summary lines `papar run` and a served job's detail share,
+/// all read from the report: the adaptive rationale, each engine note as its
+/// `Display` renders it, the stages a resumed run restored, one `job
+/// '<id>': <t> simulated, <N> bytes shuffled` line per physical job with
+/// its `shuffle_lo` line, the total simulated time, and the fault and
+/// recovery accounting when there is any. (A served job never resumes
+/// and runs fault-free, so it prints neither.)
+pub fn render_summary(out: &mut String, report: &WorkflowReport) {
+    if let Some(rationale) = &report.rationale {
+        out.push_str(&rationale.render());
+    }
+    for note in &report.notes {
+        let _ = writeln!(out, "{note}");
+    }
+    if report.stages_resumed > 0 {
+        let _ = writeln!(
+            out,
+            "resumed from checkpoint: {} stage(s) restored, not re-executed",
+            report.stages_resumed
+        );
+    }
+    for stats in &report.jobs {
+        let _ = writeln!(
+            out,
+            "job '{}': {:?} simulated, {} bytes shuffled",
+            stats.name,
+            stats.sim_time(),
+            stats.exchange.remote_bytes
+        );
+        let _ = writeln!(
+            out,
+            "  shuffle_lo: {} bytes (the records sent off-node + segment headers)",
+            stats.shuffle_lo
+        );
+    }
+    let _ = writeln!(
+        out,
+        "total simulated partitioning time: {:?}",
+        report.total_sim_time()
+    );
+    let recovery = report.total_recovery();
+    if report.faults_injected() > 0 || !recovery.is_zero() {
+        let _ = writeln!(
+            out,
+            "recovery: {} fault(s) injected, {} task(s) re-executed ({:?} redone compute, {:?} \
+             backoff, {} B replica/restore/retransmit traffic)",
+            report.faults_injected(),
+            recovery.tasks_retried,
+            recovery.reexec_task_time,
+            recovery.backoff_time,
+            recovery.total_bytes(),
+        );
+        for event in &report.recovery_events {
+            let _ = writeln!(out, "  {event}");
+        }
+    }
+}
+
 /// Hash of the raw request: everything that decides what planning would
 /// produce *and* what the static-analysis gate would say. The effective
 /// arguments (with the conventional `input_path`/`output_path`
@@ -637,9 +698,8 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
     let report = run(&compiled, options, None, cluster, input).map_err(|e| e.to_string())?;
     let files = emit(&compiled, cluster, Path::new(&spec.out_dir))?;
 
-    // Render the report the way `papar run` prints its summary, plus
-    // the cache verdicts and the profile table from this request's
-    // span tree.
+    // The summary `papar run` prints, between the cache verdicts and the
+    // profile table from this request's span tree.
     let mut detail = String::new();
     for w in &compiled.warnings {
         let _ = writeln!(detail, "{w}");
@@ -657,31 +717,7 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
         spec.data,
         if data_cache_hit { "hit" } else { "miss" }
     );
-    if let Some(d) = &compiled.decision {
-        detail.push_str(&d.rationale.render());
-    }
-    for note in &report.notes {
-        let _ = writeln!(detail, "note: {note}");
-    }
-    for stats in &report.jobs {
-        let _ = writeln!(
-            detail,
-            "job '{}': {:?} simulated, {} bytes shuffled",
-            stats.name,
-            stats.sim_time(),
-            stats.exchange.remote_bytes
-        );
-        let _ = writeln!(
-            detail,
-            "  shuffle_lo: {} bytes (the records sent off-node + segment headers)",
-            stats.shuffle_lo
-        );
-    }
-    let _ = writeln!(
-        detail,
-        "total simulated partitioning time: {:?}",
-        report.total_sim_time()
-    );
+    render_summary(&mut detail, &report);
     let _ = writeln!(detail, "wrote {} partitions:", files.len());
     for f in &files {
         let _ = writeln!(detail, "  {}", f.display());
