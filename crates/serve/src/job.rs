@@ -16,7 +16,7 @@
 //!   lower → physical-plan verification → fingerprint. Its result is the
 //!   [`CachedPlan`], which carries the lowered plan for the front ends
 //!   (the fingerprint, the profile's bound table); `WorkflowRunner::run`
-//!   lowers once more itself, from the decision's toggles or the flag;
+//!   lowers once more itself, from the same `fuse` flag;
 //! * [`run`]: compiled plan + cluster + input → runner (with the
 //!   decision and an optional checkpoint) → place the fragments → run,
 //!   returning the typed [`CoreError`] so a front-end can map individual
@@ -53,7 +53,7 @@ use papar_core::error::CoreError;
 use papar_core::exec::{
     plan_fingerprint_with, CheckpointCfg, ExecOptions, WorkflowReport, WorkflowRunner,
 };
-use papar_core::physplan::{self, FuseToggles, PhysicalPlan};
+use papar_core::physplan::{self, PhysicalPlan};
 use papar_core::plan::{Planner, WorkflowPlan};
 use papar_mr::{Cluster, RetryPolicy};
 use papar_record::batch::{block_sizes, Batch, Dataset, Rows};
@@ -292,9 +292,9 @@ pub fn default_path_args(
 /// The tail of compilation, shared with `papar plan`: with
 /// [`ExecOptions::adaptive`], sample the external input's fragments in
 /// ordinal order (when there is an input to sample) and let the
-/// cost-based planner pick the knobs; lower with the decision's fusion
-/// toggles, or the literal flag's; and pass the physical plan through
-/// the same gate as the logical one.
+/// cost-based planner choose the sort's reducer count; lower with the
+/// `fuse` flag; and pass the physical plan through the same gate as the
+/// logical one.
 pub fn lower_verified(
     plan: &WorkflowPlan,
     nodes: usize,
@@ -323,11 +323,7 @@ pub fn lower_verified(
     } else {
         None
     };
-    let toggles = match &decision {
-        Some(d) => d.knobs().fuse,
-        None => FuseToggles::from_flag(options.fuse),
-    };
-    let phys = physplan::lower_with(plan, nodes, None, toggles);
+    let phys = physplan::lower(plan, nodes, None, options.fuse);
     let divergences = papar_check::verify_physical_plan(plan, &phys, nodes, None);
     if !divergences.is_empty() {
         return Err(format!(
