@@ -2,7 +2,7 @@
 //! configuration files, partition files written and re-read.
 
 use mublastp::dbgen::DbSpec;
-use papar_cli::{run, RunSpec};
+use papar_cli::{run, run_plan, PlanSpec, RunSpec};
 use std::collections::HashMap;
 
 const INPUT_CFG: &str = r#"
@@ -119,6 +119,59 @@ fn partitions_a_real_database_file() {
             .collect();
         assert_eq!(entries, base.partitions[i], "partition {i} differs");
     }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// `papar plan --explain --adaptive --data` is the pre-run view of the
+/// decision `papar run --adaptive` makes: it loads the file as the run
+/// does (`--records`, one block per node), so it samples the same keys and
+/// prints the same rationale. 5,000 records on 4 nodes give blocks that
+/// are not whole multiples of the sampling stride.
+#[test]
+fn plan_explains_the_rationale_run_uses() {
+    let dir = temp_dir("plan-rationale");
+    let input_cfg = dir.join("blast_db.xml");
+    let workflow = dir.join("wf.xml");
+    let data = dir.join("env_nr.db");
+    std::fs::write(&input_cfg, INPUT_CFG).unwrap();
+    std::fs::write(&workflow, WORKFLOW).unwrap();
+    let db = DbSpec::env_nr_scaled(5_000, 21).generate();
+    std::fs::write(&data, db.to_bytes()).unwrap();
+    let args: HashMap<String, String> =
+        HashMap::from([("num_partitions".to_string(), "4".to_string())]);
+
+    let summary = run(&RunSpec {
+        input_config: input_cfg.clone(),
+        workflow: workflow.clone(),
+        data: data.clone(),
+        out_dir: dir.join("parts"),
+        nodes: 4,
+        args: args.clone(),
+        records: Some(db.len()),
+        adaptive: true,
+        ..Default::default()
+    })
+    .unwrap();
+    let rationale = summary.rationale.expect("--adaptive explains itself");
+    assert!(rationale.contains("5000 records"), "{rationale}");
+
+    let plan = run_plan(&PlanSpec {
+        workflow,
+        input_configs: vec![input_cfg],
+        nodes: 4,
+        args,
+        explain: true,
+        records: Some(db.len() as u64),
+        adaptive: true,
+        data: Some(data),
+        ..Default::default()
+    })
+    .unwrap();
+    assert!(
+        plan.output.contains(&rationale),
+        "plan printed:\n{}\nrun used:\n{rationale}",
+        plan.output
+    );
     std::fs::remove_dir_all(dir).ok();
 }
 
