@@ -1,34 +1,29 @@
 //! The static analysis passes.
 //!
-//! [`analyze`] mirrors the planner's `Binder` (crates/core/src/plan.rs) but
-//! never stops at the first problem: every check that fails becomes a
-//! [`Diagnostic`] and the analysis recovers with best-effort information, so
-//! one run reports everything it can see. Three things make this different
-//! from just running the planner:
+//! [`analyze`] checks what the binder does not see — the InputData
+//! documents, duplicate declarations, the cluster shape — then binds the
+//! workflow through the planner's one recovering binder
+//! ([`papar_core::plan::Planner::binding`]) and takes its diagnostics,
+//! its per-job inference and the plan when there is one. Last, it lints
+//! the binder's dataflow graph: warnings (`W0xx`) for plans that run but
+//! are probably not what the author meant — dead outputs, idle cluster
+//! nodes, non-strict stride permutations, tie-dependent layouts, unused
+//! arguments, fusible intermediates.
 //!
-//! 1. **Symbolic arguments.** `papar check` can run before launch-time
-//!    argument values exist. A declared argument without a value resolves to
-//!    the literal `$name`; because every occurrence resolves to the same
-//!    literal, dataset names still connect jobs, and schema inference still
-//!    threads through the whole pipeline. Checks that need a concrete value
-//!    (numeric thresholds, partition counts) are skipped for symbolic ones.
-//! 2. **Spans.** Every diagnostic points at the XML element or attribute
-//!    that caused it.
-//! 3. **Lints.** Warnings (`W0xx`) for plans that run but are probably not
-//!    what the author meant: dead outputs, idle cluster nodes, non-strict
-//!    stride permutations, tie-dependent layouts, unused arguments.
+//! Binding needs no launch-time values: an argument without one resolves
+//! to its literal `$name`, so the analysis runs symbolically and reports
+//! only what holds for every launch. A launch additionally refuses the
+//! arguments left without a value ([`Analysis::into_plan`]).
 
-use papar_config::input::{FieldType, InputConfig};
-use papar_config::varref::{self, VarRef};
-use papar_config::workflow::{OperatorDef, WorkflowConfig};
+use papar_config::input::InputConfig;
+use papar_config::workflow::WorkflowConfig;
 use papar_config::xml::Span;
 use papar_config::ConfigError;
-use papar_core::operator::{AddOnKind, FormatOp};
-use papar_core::plan::{DatasetMeta, Format};
-use papar_core::policy::{DistrPolicy, SplitPolicy};
-use papar_record::{Schema, Value};
+use papar_core::plan::{Binding, Format, Planner, WorkflowPlan};
+use papar_core::policy::DistrPolicy;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+
+pub use papar_core::plan::InferredJob;
 
 use crate::diag::{Code, Diagnostic, Severity};
 
@@ -50,16 +45,6 @@ pub struct CheckContext {
     pub extra_operators: HashSet<String>,
 }
 
-/// Inferred metadata for one job's outputs.
-#[derive(Debug, Clone)]
-pub struct InferredJob {
-    /// Operator id.
-    pub id: String,
-    /// `(dataset name, inferred meta)` per output; the name may still be
-    /// symbolic (`$output_path`), the meta is `None` where inference failed.
-    pub outputs: Vec<(String, Option<DatasetMeta>)>,
-}
-
 /// The result of an analysis run.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
@@ -67,6 +52,12 @@ pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
     /// Per-job inferred output metadata, in launch order.
     pub jobs: Vec<InferredJob>,
+    /// The bound plan, when the binder found no error and every argument
+    /// had a value.
+    pub plan: Option<WorkflowPlan>,
+    /// What a launch refuses beyond the diagnostics (see
+    /// [`Binding::launch_errors`]).
+    pub launch_errors: Vec<Diagnostic>,
 }
 
 impl Analysis {
@@ -81,6 +72,23 @@ impl Analysis {
             .iter()
             .filter(|d| d.severity == Severity::Error)
             .collect()
+    }
+
+    /// What a launch runs: the bound plan with the warnings that ride
+    /// along, or the diagnostics that refuse it — every error, else the
+    /// launch errors (an argument left without a value, an operator known
+    /// only by name).
+    pub fn into_plan(self) -> Result<(WorkflowPlan, Vec<Diagnostic>), Vec<Diagnostic>> {
+        if self.has_errors() {
+            return Err(self.errors().into_iter().cloned().collect());
+        }
+        if !self.launch_errors.is_empty() {
+            return Err(self.launch_errors);
+        }
+        match self.plan {
+            Some(plan) => Ok((plan, self.diagnostics)),
+            None => Err(Vec::new()),
+        }
     }
 }
 
@@ -99,16 +107,15 @@ pub fn check_sources(workflow_xml: &str, inputs: &[(&str, &str)], ctx: &CheckCon
     match WorkflowConfig::parse_str_unchecked(workflow_xml) {
         Ok(wf) => {
             let mut analysis = analyze(&wf, &parsed, ctx);
-            let mut all = diags;
-            all.append(&mut analysis.diagnostics);
-            analysis.diagnostics = all;
+            diags.append(&mut analysis.diagnostics);
+            analysis.diagnostics = diags;
             analysis
         }
         Err(e) => {
             diags.push(parse_diag("workflow", &e));
             Analysis {
                 diagnostics: diags,
-                jobs: Vec::new(),
+                ..Analysis::default()
             }
         }
     }
@@ -125,895 +132,110 @@ fn parse_diag(doc: &str, e: &ConfigError) -> Diagnostic {
 
 /// Analyze parsed configurations.
 pub fn analyze(wf: &WorkflowConfig, inputs: &[InputConfig], ctx: &CheckContext) -> Analysis {
-    let mut a = Analyzer::new(wf, inputs, ctx);
-    a.check_inputs(inputs);
-    a.check_declarations();
-    a.check_cluster();
-    a.bind_arguments();
-    for (i, op) in wf.operators.iter().enumerate() {
-        let is_last = i + 1 == wf.operators.len();
-        a.check_operator(i, op, is_last);
-        a.defined_jobs.insert(op.id.clone());
-    }
-    a.check_dead_outputs();
-    a.check_fusible_intermediates();
-    a.check_unused_arguments();
-    Analysis {
-        diagnostics: a.diags,
-        jobs: a.jobs,
-    }
-}
-
-/// A resolved parameter value, tracking whether symbolic placeholders are
-/// still inside it.
-#[derive(Debug, Clone)]
-struct Resolved {
-    text: String,
-    concrete: bool,
-}
-
-/// A dataset known to the analyzer.
-struct KnownDataset {
-    name: String,
-    meta: Option<DatasetMeta>,
-    /// Index of the producing job in `wf.operators`; `None` for external
-    /// inputs.
-    producer: Option<usize>,
-    /// Where the producer declared it (for dead-output warnings).
-    span: Span,
-    consumed: bool,
-    /// Indices of the jobs that consume it, in document order (the
-    /// single-consumption analysis the fusion pass and `W006` share).
-    consumers: Vec<usize>,
-    /// Produced by a Sort job (for the determinism lint).
-    sorted: bool,
-}
-
-struct Analyzer<'a> {
-    wf: &'a WorkflowConfig,
-    input_configs: HashMap<&'a str, &'a InputConfig>,
-    ctx: &'a CheckContext,
-    diags: Vec<Diagnostic>,
-    seen_diags: HashSet<(Code, String, usize, usize, String)>,
-    /// Declared-argument resolutions (symbolic when no value is known).
-    args: HashMap<String, Resolved>,
-    used_args: HashSet<String>,
-    /// `path text -> InputData id` from hdfs-typed arguments.
-    path_formats: HashMap<String, String>,
-    /// `(job id, param name) -> resolution`, recorded in document order.
-    resolved_params: HashMap<(String, String), Resolved>,
-    /// `job id -> add-on attribute names`.
-    job_attrs: HashMap<String, Vec<String>>,
-    /// Jobs already processed (for use-before-definition).
-    defined_jobs: HashSet<String>,
-    all_job_ids: HashSet<String>,
-    datasets: Vec<KnownDataset>,
-    /// Index of the operator currently being analyzed.
-    current_op: usize,
-    jobs: Vec<InferredJob>,
-}
-
-impl<'a> Analyzer<'a> {
-    fn new(wf: &'a WorkflowConfig, inputs: &'a [InputConfig], ctx: &'a CheckContext) -> Self {
-        Analyzer {
-            wf,
-            input_configs: inputs.iter().map(|c| (c.id.as_str(), c)).collect(),
-            ctx,
-            diags: Vec::new(),
-            seen_diags: HashSet::new(),
-            args: HashMap::new(),
-            used_args: HashSet::new(),
-            path_formats: HashMap::new(),
-            resolved_params: HashMap::new(),
-            job_attrs: HashMap::new(),
-            defined_jobs: HashSet::new(),
-            all_job_ids: wf.operators.iter().map(|o| o.id.clone()).collect(),
-            datasets: Vec::new(),
-            current_op: 0,
-            jobs: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, d: Diagnostic) {
-        let key = (
-            d.code,
-            d.doc.clone(),
-            d.span.line,
-            d.span.col,
-            d.message.clone(),
-        );
-        if self.seen_diags.insert(key) {
-            self.diags.push(d);
-        }
-    }
-
-    fn error(&mut self, code: Code, span: Span, message: impl Into<String>) {
-        self.push(Diagnostic::error(code, "workflow", span, message));
-    }
-
-    fn warning(&mut self, code: Code, span: Span, message: impl Into<String>) {
-        self.push(Diagnostic::warning(code, "workflow", span, message));
-    }
-
-    // ---- pass 0: input configurations --------------------------------
-
-    fn check_inputs(&mut self, inputs: &[InputConfig]) {
-        let mut ids = HashSet::new();
-        for cfg in inputs {
-            if !ids.insert(cfg.id.as_str()) {
-                self.push(Diagnostic::error(
-                    Code::P015,
-                    cfg.id.clone(),
-                    cfg.span,
-                    format!("duplicate InputData configuration id '{}'", cfg.id),
-                ));
-            }
-            if let Err(e) = cfg.validate() {
-                self.push(Diagnostic::error(
-                    Code::P019,
-                    cfg.id.clone(),
-                    e.span().unwrap_or(cfg.span),
-                    e.to_string(),
-                ));
-            }
-        }
-    }
-
-    // ---- pass 1: declarations ----------------------------------------
-
-    fn check_declarations(&mut self) {
-        let wf = self.wf;
-        if wf.operators.is_empty() {
-            self.error(Code::P000, wf.span, "workflow declares no operators");
-        }
-        let mut seen = HashSet::new();
-        for a in &wf.arguments {
-            if !seen.insert(a.name.as_str()) {
-                self.error(
-                    Code::P015,
-                    a.span,
-                    format!("duplicate argument '{}'", a.name),
-                );
-            }
-        }
-        let mut ids = HashSet::new();
-        for o in &wf.operators {
-            if !ids.insert(o.id.as_str()) {
-                self.error(
-                    Code::P004,
-                    o.id_span,
-                    format!("duplicate operator id '{}'", o.id),
-                );
-            }
-        }
-    }
-
-    fn check_cluster(&mut self) {
-        if let (Some(replication), Some(nodes)) = (self.ctx.replication, self.ctx.nodes) {
-            if replication > nodes {
-                let span = self.wf.span;
-                self.error(
-                    Code::P018,
-                    span,
-                    format!(
-                        "replication factor {replication} cannot be satisfied by a \
-                         {nodes}-node cluster"
-                    ),
-                );
-            }
-        }
-    }
-
-    fn bind_arguments(&mut self) {
-        let wf = self.wf;
-        for a in &wf.arguments {
-            let v = self
-                .ctx
-                .args
-                .get(&a.name)
-                .cloned()
-                .or_else(|| a.value.clone());
-            let r = match v {
-                Some(text) => Resolved {
-                    text,
-                    concrete: true,
-                },
-                None => Resolved {
-                    text: format!("${}", a.name),
-                    concrete: false,
-                },
-            };
-            self.args.insert(a.name.clone(), r);
-        }
-        let undeclared: Vec<String> = self
-            .ctx
-            .args
-            .keys()
-            .filter(|k| !self.args.contains_key(*k))
-            .cloned()
-            .collect();
-        for k in undeclared {
-            self.error(
-                Code::P001,
+    let mut diags = Vec::new();
+    check_inputs(inputs, &mut diags);
+    check_declarations(wf, &mut diags);
+    if let (Some(replication), Some(nodes)) = (ctx.replication, ctx.nodes) {
+        if replication > nodes {
+            diags.push(Diagnostic::error(
+                Code::P018,
+                "workflow",
                 wf.span,
                 format!(
-                    "launch argument '{k}' is not declared by workflow '{}'",
-                    wf.id
+                    "replication factor {replication} cannot be satisfied by a \
+                     {nodes}-node cluster"
                 ),
-            );
-        }
-        // Path -> InputData id. Symbolic paths key by their `$name` literal,
-        // which is exactly what symbolic resolution produces, so schema
-        // inference works without launch-time values.
-        for a in &wf.arguments {
-            if let Some(fmt) = &a.format {
-                if !self.input_configs.contains_key(fmt.as_str()) {
-                    self.error(
-                        Code::P017,
-                        a.span,
-                        format!(
-                            "argument '{}' declares format '{fmt}' but no InputData \
-                             configuration with that id was supplied",
-                            a.name
-                        ),
-                    );
-                    continue;
-                }
-                if let Some(r) = self.args.get(&a.name) {
-                    self.path_formats.insert(r.text.clone(), fmt.clone());
-                }
-            }
+            ));
         }
     }
+    let binding =
+        Planner::new(wf.clone(), inputs.to_vec()).binding(&ctx.args, &ctx.extra_operators);
+    diags.extend(binding.diagnostics.iter().cloned());
+    lint(wf, ctx, &binding, &mut diags);
+    Analysis {
+        diagnostics: diags,
+        jobs: binding.jobs,
+        plan: binding.plan,
+        launch_errors: binding.launch_errors,
+    }
+}
 
-    // ---- $-reference resolution --------------------------------------
+// ---- pass 0: input configurations ------------------------------------
 
-    /// Substitute every `$` reference in `raw`, emitting diagnostics at
-    /// `span` for anything unresolvable and recovering with the literal
-    /// reference text.
-    fn resolve_value(&mut self, raw: &str, span: Span) -> Resolved {
-        let current = self.wf.operators.get(self.current_op).map(|o| o.id.clone());
-        let mut concrete = true;
-        let mut pending: Vec<(Code, String)> = Vec::new();
-        let mut used: Vec<String> = Vec::new();
-        let out = {
-            let args = &self.args;
-            let resolved_params = &self.resolved_params;
-            let job_attrs = &self.job_attrs;
-            let defined = &self.defined_jobs;
-            let all_ids = &self.all_job_ids;
-            varref::substitute(raw, |r| {
-                Ok(match r {
-                    VarRef::Literal(s) => s.clone(),
-                    VarRef::Arg(name) => {
-                        used.push(name.clone());
-                        match args.get(name) {
-                            Some(r) => {
-                                concrete &= r.concrete;
-                                r.text.clone()
-                            }
-                            None => {
-                                pending.push((Code::P001, format!("unbound argument '${name}'")));
-                                concrete = false;
-                                format!("${name}")
-                            }
-                        }
-                    }
-                    VarRef::JobParam { job, param } => {
-                        let lookup =
-                            |p: &str| resolved_params.get(&(job.clone(), p.to_string())).cloned();
-                        let found = lookup(param).or_else(|| match param.as_str() {
-                            "outputPath" => lookup("ouputPath"),
-                            "ouputPath" => lookup("outputPath"),
-                            _ => None,
-                        });
-                        match found {
-                            Some(r) if defined.contains(job) => {
-                                concrete &= r.concrete;
-                                r.text.clone()
-                            }
-                            _ => {
-                                pending.push(job_ref_problem(
-                                    job,
-                                    defined,
-                                    all_ids,
-                                    &current,
-                                    format!(
-                                        "'${job}.{param}' does not match any earlier job parameter"
-                                    ),
-                                ));
-                                concrete = false;
-                                format!("${job}.{param}")
-                            }
-                        }
-                    }
-                    VarRef::JobAttr { job, attr } => {
-                        if !defined.contains(job) {
-                            pending.push(job_ref_problem(
-                                job,
-                                defined,
-                                all_ids,
-                                &current,
-                                format!("'${job}.${attr}': no earlier job '{job}'"),
-                            ));
-                            concrete = false;
-                            format!("${job}.${attr}")
-                        } else if job_attrs
-                            .get(job)
-                            .is_some_and(|attrs| attrs.iter().any(|a| a == attr))
-                        {
-                            attr.clone()
-                        } else {
-                            pending.push((
-                                Code::P002,
-                                format!("job '{job}' does not add an attribute '{attr}'"),
-                            ));
-                            concrete = false;
-                            format!("${job}.${attr}")
-                        }
-                    }
-                })
-            })
-        };
-        for (code, msg) in pending {
-            self.error(code, span, msg);
+fn check_inputs(inputs: &[InputConfig], out: &mut Vec<Diagnostic>) {
+    let mut ids = HashSet::new();
+    for cfg in inputs {
+        if !ids.insert(cfg.id.as_str()) {
+            out.push(Diagnostic::error(
+                Code::P015,
+                cfg.id.clone(),
+                cfg.span,
+                format!("duplicate InputData configuration id '{}'", cfg.id),
+            ));
         }
-        for name in used {
-            self.used_args.insert(name);
-        }
-        match out {
-            Ok(text) => Resolved { text, concrete },
-            Err(e) => {
-                self.error(Code::P016, span, e.to_string());
-                Resolved {
-                    text: raw.to_string(),
-                    concrete: false,
-                }
-            }
+        if let Err(e) = cfg.validate() {
+            out.push(Diagnostic::error(
+                Code::P019,
+                cfg.id.clone(),
+                e.span().unwrap_or(cfg.span),
+                e.to_string(),
+            ));
         }
     }
+}
 
-    /// Resolve every parameter value of `op` once, in document order, and
-    /// record it for later `$job.param` references.
-    fn resolve_op_params(&mut self, op: &OperatorDef) {
-        for p in &op.params {
-            if let Some(raw) = &p.value {
-                let r = self.resolve_value(raw, p.value_span);
-                self.resolved_params
-                    .insert((op.id.clone(), p.name.clone()), r);
-            }
+// ---- pass 1: declarations --------------------------------------------
+
+fn check_declarations(wf: &WorkflowConfig, out: &mut Vec<Diagnostic>) {
+    let mut seen = HashSet::new();
+    for a in &wf.arguments {
+        if !seen.insert(a.name.as_str()) {
+            out.push(Diagnostic::error(
+                Code::P015,
+                "workflow",
+                a.span,
+                format!("duplicate argument '{}'", a.name),
+            ));
         }
     }
-
-    /// The recorded resolution of a parameter (tolerating the paper's
-    /// `ouputPath` typo), or `None` when absent or valueless.
-    fn param_resolved(&self, op: &OperatorDef, name: &str) -> Option<Resolved> {
-        let p = op.param_fuzzy(name)?;
-        p.value.as_ref()?;
-        self.resolved_params
-            .get(&(op.id.clone(), p.name.clone()))
-            .cloned()
-    }
-
-    /// Like [`Analyzer::param_resolved`] but emits `P007` when missing.
-    fn require_param(&mut self, op: &OperatorDef, name: &str) -> Option<Resolved> {
-        let r = self.param_resolved(op, name);
-        if r.is_none() {
-            let (id, span) = (op.id.clone(), op.span);
-            self.error(
-                Code::P007,
-                span,
-                format!("operator '{id}' is missing required param '{name}'"),
-            );
-        }
-        r
-    }
-
-    /// The span of a parameter's value attribute, element span as fallback.
-    fn param_span(&self, op: &OperatorDef, name: &str) -> Span {
-        op.param_fuzzy(name)
-            .map(|p| p.value_span)
-            .unwrap_or(op.span)
-    }
-
-    // ---- dataset resolution ------------------------------------------
-
-    fn dataset_index(&self, name: &str) -> Option<usize> {
-        self.datasets.iter().position(|d| d.name == name)
-    }
-
-    /// Metadata of `name`, materializing an external input from the
-    /// argument-declared formats on first use.
-    fn dataset_meta(&mut self, name: &str) -> Option<DatasetMeta> {
-        if let Some(i) = self.dataset_index(name) {
-            return self.datasets[i].meta.clone();
-        }
-        let fmt_id = self.path_formats.get(name)?.clone();
-        // A missing config was already reported as P017 in bind_arguments.
-        let cfg = self.input_configs.get(fmt_id.as_str())?;
-        let meta = DatasetMeta {
-            schema: Arc::new(Schema::from_input_config(cfg)),
-            format: Format::Flat,
-            packed_key: None,
-        };
-        self.datasets.push(KnownDataset {
-            name: name.to_string(),
-            meta: Some(meta.clone()),
-            producer: None,
-            span: Span::UNKNOWN,
-            consumed: false,
-            consumers: Vec::new(),
-            sorted: false,
-        });
-        Some(meta)
-    }
-
-    /// Resolve an input path to dataset names (exact match, else directory
-    /// prefix match), marking everything matched as consumed. Emits `P017`
-    /// for concrete paths that match nothing; stays silent for symbolic
-    /// paths, whose launch-time value may prefix-match a job output.
-    fn resolve_inputs(&mut self, path: &Resolved, span: Span) -> Option<Vec<String>> {
-        if self.dataset_index(&path.text).is_some() || self.path_formats.contains_key(&path.text) {
-            self.dataset_meta(&path.text);
-            if let Some(i) = self.dataset_index(&path.text) {
-                self.mark_consumed(i);
-            }
-            return Some(vec![path.text.clone()]);
-        }
-        let matches: Vec<usize> = (0..self.datasets.len())
-            .filter(|&i| self.datasets[i].name.starts_with(&path.text))
-            .collect();
-        if matches.is_empty() {
-            if path.concrete {
-                let text = path.text.clone();
-                self.error(
-                    Code::P017,
-                    span,
-                    format!(
-                        "input path '{text}' is not produced by an earlier job and no \
-                         argument declares its format"
-                    ),
-                );
-            }
-            return None;
-        }
-        let mut names = Vec::new();
-        for i in matches {
-            self.mark_consumed(i);
-            names.push(self.datasets[i].name.clone());
-        }
-        Some(names)
-    }
-
-    /// Record that the operator currently being analyzed reads dataset `i`.
-    fn mark_consumed(&mut self, i: usize) {
-        self.datasets[i].consumed = true;
-        let op = self.current_op;
-        if self.datasets[i].consumers.last() != Some(&op) {
-            self.datasets[i].consumers.push(op);
+    let mut ids = HashSet::new();
+    for o in &wf.operators {
+        if !ids.insert(o.id.as_str()) {
+            out.push(Diagnostic::error(
+                Code::P004,
+                "workflow",
+                o.id_span,
+                format!("duplicate operator id '{}'", o.id),
+            ));
         }
     }
+}
 
-    /// Register one job output, checking for duplicate dataset names.
-    fn push_output(&mut self, op: &OperatorDef, name: &str, meta: Option<DatasetMeta>, span: Span) {
-        if self.dataset_index(name).is_some() {
-            let id = op.id.clone();
-            self.error(
-                Code::P005,
-                span,
-                format!("job '{id}' writes dataset '{name}', which already exists"),
-            );
-            return;
-        }
-        let sorted = matches!(op.operator.as_str(), "Sort" | "sort");
-        self.datasets.push(KnownDataset {
-            name: name.to_string(),
-            meta,
-            producer: Some(self.current_op),
-            span,
-            consumed: false,
-            consumers: Vec::new(),
-            sorted,
-        });
-    }
+// ---- whole-workflow lints over the binder's dataflow graph -----------
 
-    // ---- per-operator checks -----------------------------------------
+/// The `W0xx` lints, in document order per lint.
+fn lint(wf: &WorkflowConfig, ctx: &CheckContext, b: &Binding, out: &mut Vec<Diagnostic>) {
+    let mut warn = |code, span, message: String| {
+        out.push(Diagnostic::warning(code, "workflow", span, message));
+    };
+    let is_op = |i: usize, names: [&str; 2]| {
+        wf.operators
+            .get(i)
+            .is_some_and(|o| names.contains(&o.operator.as_str()))
+    };
+    let index_routed =
+        |job: &InferredJob| matches!(job.policy, Some(DistrPolicy::Cyclic | DistrPolicy::Block));
 
-    fn check_operator(&mut self, idx: usize, op: &OperatorDef, is_last: bool) {
-        self.current_op = idx;
-        self.resolve_op_params(op);
-        self.check_num_reducers(op);
-        let outputs = match op.operator.as_str() {
-            "Sort" | "sort" => self.check_sort_or_group(op, true),
-            "Group" | "group" => self.check_sort_or_group(op, false),
-            "Split" | "split" => self.check_split(op),
-            "Distribute" | "distribute" => self.check_distribute(op, is_last),
-            custom => self.check_custom(op, custom),
-        };
-        for (name, meta, span) in &outputs {
-            self.push_output(op, name, meta.clone(), *span);
-        }
-        self.jobs.push(InferredJob {
-            id: op.id.clone(),
-            outputs: outputs
-                .into_iter()
-                .map(|(name, meta, _)| (name, meta))
-                .collect(),
-        });
-    }
-
-    fn check_num_reducers(&mut self, op: &OperatorDef) {
-        if let Some(raw) = op.num_reducers.clone() {
-            let r = self.resolve_value(&raw, op.span);
-            if r.concrete && r.text.parse::<usize>().map(|n| n == 0).unwrap_or(true) {
-                let (id, text, span) = (op.id.clone(), r.text, op.span);
-                self.error(
-                    Code::P012,
-                    span,
-                    format!("operator '{id}': num_reducers '{text}' is not a positive integer"),
-                );
-            }
-        }
-    }
-
-    /// The first input's metadata, after resolving `inputPath`.
-    fn input_meta(&mut self, op: &OperatorDef) -> Option<DatasetMeta> {
-        let path = self.require_param(op, "inputPath")?;
-        let span = self.param_span(op, "inputPath");
-        let inputs = self.resolve_inputs(&path, span)?;
-        self.dataset_meta(&inputs[0])
-    }
-
-    /// Key lookup in an inferred schema, with `P006` on absence.
-    fn key_index(
-        &mut self,
-        op: &OperatorDef,
-        key: &Resolved,
-        span: Span,
-        schema: &Schema,
-    ) -> Option<usize> {
-        if !key.concrete {
-            return None;
-        }
-        let idx = schema.index_of(&key.text);
-        if idx.is_none() {
-            let (id, key) = (op.id.clone(), key.text.clone());
-            let fields = schema
-                .fields()
-                .iter()
-                .map(|f| f.name.as_str())
-                .collect::<Vec<_>>()
-                .join(", ");
-            self.error(
-                Code::P006,
-                span,
-                format!("operator '{id}': no field '{key}' in schema [{fields}]"),
-            );
-        }
-        idx
-    }
-
-    /// Apply `op`'s add-ons to `schema`, mirroring `Binder::bind_addons`
-    /// with per-add-on recovery. Returns the evolved schema and the list of
-    /// appended attribute names.
-    fn check_addons(
-        &mut self,
-        op: &OperatorDef,
-        schema: Option<Arc<Schema>>,
-    ) -> Option<Arc<Schema>> {
-        let mut out = schema;
-        let mut attrs = Vec::new();
-        for a in op.addons.clone() {
-            attrs.push(a.attr.clone());
-            let kind = match AddOnKind::parse(&a.operator) {
-                Ok(k) => k,
-                Err(e) => {
-                    self.error(Code::P010, a.span, e.to_string());
-                    continue;
-                }
-            };
-            let Some(schema) = out.clone() else { continue };
-            let Some(field_idx) = schema.index_of(&a.key) else {
-                let (id, key) = (op.id.clone(), a.key.clone());
-                self.error(
-                    Code::P006,
-                    a.span,
-                    format!("operator '{id}': add-on key '{key}' is not a schema field"),
-                );
-                continue;
-            };
-            let field_ty = schema.fields()[field_idx].ty;
-            let attr_ty = match kind.result_type(field_ty) {
-                Ok(t) => t,
-                Err(_) => {
-                    let (aop, key) = (a.operator.clone(), a.key.clone());
-                    self.error(
-                        Code::P010,
-                        a.span,
-                        format!("add-on '{aop}' cannot be applied to field '{key}' ({field_ty:?})"),
-                    );
-                    continue;
-                }
-            };
-            match schema.with_attr(&a.attr, attr_ty) {
-                Ok(s) => out = Some(s),
-                Err(_) => {
-                    let attr = a.attr.clone();
-                    self.error(
-                        Code::P010,
-                        a.span,
-                        format!("add-on attribute '{attr}' already exists in the schema"),
-                    );
-                }
-            }
-        }
-        self.job_attrs.insert(op.id.clone(), attrs);
-        out
-    }
-
-    /// The output format operator declared on a parameter's `format=` attr.
-    fn output_format(&mut self, op: &OperatorDef, param: &str) -> FormatOp {
-        let Some(p) = op.param_fuzzy(param) else {
-            return FormatOp::Orig;
-        };
-        let (fmt, span) = (p.format.clone(), p.span);
-        match fmt.as_deref() {
-            None => FormatOp::Orig,
-            Some(f) => match FormatOp::parse(f) {
-                Ok(op) => op,
-                Err(e) => {
-                    self.error(Code::P011, span, e.to_string());
-                    FormatOp::Orig
-                }
-            },
-        }
-    }
-
-    fn check_sort_or_group(
-        &mut self,
-        op: &OperatorDef,
-        is_sort: bool,
-    ) -> Vec<(String, Option<DatasetMeta>, Span)> {
-        let output = self.require_param(op, "outputPath");
-        let key = self.require_param(op, "key");
-        let input_meta = self.input_meta(op);
-
-        if !is_sort
-            && input_meta
-                .as_ref()
-                .is_some_and(|m| m.format == Format::Packed)
-        {
-            self.error(
-                Code::P011,
-                op.span,
-                format!(
-                    "operator '{}': group expects flat input (apply 'unpack' first)",
-                    op.id
-                ),
-            );
-        }
-        if is_sort {
-            // Table I: -1 ascending, 1 descending.
-            if let Some(flag) = self.param_resolved(op, "flag") {
-                if flag.concrete
-                    && !matches!(
-                        flag.text.as_str(),
-                        "-1" | "asc" | "ascending" | "1" | "desc" | "descending"
-                    )
-                {
-                    let (id, text) = (op.id.clone(), flag.text.clone());
-                    let span = self.param_span(op, "flag");
-                    self.error(
-                        Code::P012,
-                        span,
-                        format!("operator '{id}': unknown sort flag '{text}'"),
-                    );
-                }
-            }
-        }
-
-        let key_idx = match (&key, &input_meta) {
-            (Some(k), Some(meta)) => {
-                let span = self.param_span(op, "key");
-                self.key_index(op, k, span, &meta.schema)
-            }
-            _ => None,
-        };
-        let out_schema = self.check_addons(op, input_meta.as_ref().map(|m| m.schema.clone()));
-        let fmt_op = self.output_format(op, "outputPath");
-        let meta = input_meta.as_ref().map(|m| {
-            let format = apply_format(m.format, fmt_op);
-            DatasetMeta {
-                schema: out_schema.unwrap_or_else(|| m.schema.clone()),
-                format,
-                packed_key: match format {
-                    Format::Packed => key_idx,
-                    Format::Flat => None,
-                },
-            }
-        });
-        match output {
-            Some(o) => vec![(o.text, meta, self.param_span(op, "outputPath"))],
-            None => Vec::new(),
-        }
-    }
-
-    fn check_split(&mut self, op: &OperatorDef) -> Vec<(String, Option<DatasetMeta>, Span)> {
-        let key = self.require_param(op, "key");
-        let policy = self.require_param(op, "policy");
-        let list = self.require_param(op, "outputPathList");
-        let input_meta = self.input_meta(op);
-
-        // Output names (only splittable once concrete) and per-output
-        // format operators.
-        let names: Option<Vec<String>> = list.as_ref().filter(|l| l.concrete).map(|l| {
-            l.text
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect()
-        });
-        let list_param = op.param_fuzzy("outputPathList");
-        let formats: Vec<FormatOp> = match list_param.and_then(|p| p.format.clone()) {
-            Some(f) => f
-                .split(',')
-                .map(|s| {
-                    FormatOp::parse(s.trim()).unwrap_or_else(|e| {
-                        let span = list_param.map(|p| p.span).unwrap_or(op.span);
-                        self.error(Code::P011, span, e.to_string());
-                        FormatOp::Orig
-                    })
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-        if let Some(names) = &names {
-            if !formats.is_empty() && formats.len() != names.len() {
-                let (id, n, f) = (op.id.clone(), names.len(), formats.len());
-                let span = list_param.map(|p| p.span).unwrap_or(op.span);
-                self.error(
-                    Code::P011,
-                    span,
-                    format!("operator '{id}': {n} outputs but {f} formats"),
-                );
-            }
-        }
-
-        let policy_span = self.param_span(op, "policy");
-        let parsed_policy: Option<SplitPolicy> = match &policy {
-            Some(p) if p.concrete => match SplitPolicy::parse(&p.text) {
-                Ok(sp) => Some(sp),
-                Err(e) => {
-                    self.error(Code::P008, policy_span, e.to_string());
-                    None
-                }
-            },
-            _ => None,
-        };
-        if let (Some(sp), Some(names)) = (&parsed_policy, &names) {
-            if sp.arity() != names.len() {
-                let (id, c, n) = (op.id.clone(), sp.arity(), names.len());
-                self.error(
-                    Code::P008,
-                    policy_span,
-                    format!("operator '{id}': {c} split conditions for {n} outputs"),
-                );
-            }
-        }
-
-        // Threshold/key type compatibility (the key may live in member
-        // records of a packed input, same as at run time).
-        if let (Some(k), Some(meta)) = (&key, &input_meta) {
-            let key_span = self.param_span(op, "key");
-            if let Some(idx) = self.key_index(op, k, key_span, &meta.schema) {
-                if let Some(sp) = &parsed_policy {
-                    let field_ty = meta.schema.fields()[idx].ty;
-                    for cond in &sp.conditions {
-                        if !threshold_compatible(field_ty, &cond.threshold) {
-                            let (id, key) = (op.id.clone(), k.text.clone());
-                            let t = &cond.threshold;
-                            self.error(
-                                Code::P009,
-                                policy_span,
-                                format!(
-                                    "operator '{id}': split threshold {t:?} is not comparable \
-                                     with key field '{key}' of type {field_ty:?}"
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        match names {
-            Some(names) => {
-                let span = list_param.map(|p| p.value_span).unwrap_or(op.span);
-                names
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, name)| {
-                        let f = formats.get(i).copied().unwrap_or(FormatOp::Orig);
-                        let meta = input_meta.as_ref().map(|m| {
-                            let fmt = apply_format(m.format, f);
-                            DatasetMeta {
-                                schema: m.schema.clone(),
-                                format: fmt,
-                                packed_key: match fmt {
-                                    Format::Packed => m.packed_key,
-                                    Format::Flat => None,
-                                },
-                            }
-                        });
-                        (name, meta, span)
-                    })
-                    .collect()
-            }
-            None => Vec::new(),
-        }
-    }
-
-    fn check_distribute(
-        &mut self,
-        op: &OperatorDef,
-        is_last: bool,
-    ) -> Vec<(String, Option<DatasetMeta>, Span)> {
-        let output = self.require_param(op, "outputPath");
-        let policy = self
-            .param_resolved(op, "distrPolicy")
-            .or_else(|| self.param_resolved(op, "policy"));
-        if policy.is_none() {
-            let (id, span) = (op.id.clone(), op.span);
-            self.error(
-                Code::P007,
-                span,
-                format!("operator '{id}' needs a 'policy' or 'distrPolicy' param"),
-            );
-        }
-        let parsed_policy: Option<DistrPolicy> = policy.as_ref().and_then(|p| {
-            if !p.concrete {
-                return None;
-            }
-            match DistrPolicy::parse(&p.text) {
-                Ok(dp) => Some(dp),
-                Err(e) => {
-                    let span = if op.param_fuzzy("distrPolicy").is_some() {
-                        self.param_span(op, "distrPolicy")
-                    } else {
-                        self.param_span(op, "policy")
-                    };
-                    self.error(Code::P012, span, e.to_string());
-                    None
-                }
-            }
-        });
-
-        let parts = self.require_param(op, "numPartitions");
-        let parts_span = self.param_span(op, "numPartitions");
-        let num_partitions: Option<usize> = parts.as_ref().and_then(|p| {
-            if !p.concrete {
-                return None;
-            }
-            match p.text.parse::<usize>() {
-                Ok(n) if n > 0 => Some(n),
-                _ => {
-                    let (id, text) = (op.id.clone(), p.text.clone());
-                    self.error(
-                        Code::P012,
-                        parts_span,
-                        format!(
-                            "operator '{id}': numPartitions '{text}' is not a positive integer"
-                        ),
-                    );
-                    None
-                }
-            }
-        });
-
-        // Cluster-shape legality.
-        if let (Some(parts), Some(nodes)) = (num_partitions, self.ctx.nodes) {
+    // W002/W003 (cluster-shape legality) and W004 (determinism: an
+    // index-routed distribute over a sort output makes the final layout
+    // depend on how the sort broke ties), on every distribute.
+    for (i, (op, job)) in wf.operators.iter().zip(&b.jobs).enumerate() {
+        let parts_span = op
+            .param_fuzzy("numPartitions")
+            .map_or(op.span, |p| p.value_span);
+        if let (Some(parts), Some(nodes)) = (job.num_partitions, ctx.nodes) {
             if parts < nodes {
-                self.warning(
+                warn(
                     Code::W002,
                     parts_span,
                     format!(
@@ -1024,9 +246,9 @@ impl<'a> Analyzer<'a> {
                 );
             }
         }
-        if let (Some(parts), Some(records)) = (num_partitions, self.ctx.records) {
-            if matches!(parsed_policy, Some(DistrPolicy::Cyclic)) && records % parts != 0 {
-                self.warning(
+        if let (Some(parts), Some(records)) = (job.num_partitions, ctx.records) {
+            if job.policy == Some(DistrPolicy::Cyclic) && records % parts != 0 {
+                warn(
                     Code::W003,
                     parts_span,
                     format!(
@@ -1037,234 +259,78 @@ impl<'a> Analyzer<'a> {
                 );
             }
         }
-
-        let input_path = self.require_param(op, "inputPath");
-        let input_span = self.param_span(op, "inputPath");
-        let inputs = input_path.and_then(|p| self.resolve_inputs(&p, input_span));
-        let input_meta = inputs.as_ref().and_then(|v| self.dataset_meta(&v[0]));
-
-        // Determinism lint: an index-routed distribute over a sort output
-        // makes the final layout depend on how the sort broke ties.
-        if matches!(
-            parsed_policy,
-            Some(DistrPolicy::Cyclic) | Some(DistrPolicy::Block)
-        ) {
-            let fed_by_sort = inputs.iter().flatten().any(|n| {
-                self.dataset_index(n)
-                    .map(|i| self.datasets[i].sorted)
-                    .unwrap_or(false)
-            });
-            if fed_by_sort {
-                let (id, span) = (op.id.clone(), op.span);
-                self.warning(
-                    Code::W004,
-                    span,
-                    format!(
-                        "operator '{id}' routes a sort output by index: records with \
-                         equal sort keys make the partition layout depend on \
-                         tie-breaking, so the output is only byte-reproducible \
-                         while the sort stays stable"
-                    ),
-                );
-            }
-        }
-
-        // Final jobs project onto the declared output format.
-        let final_schema: Option<Arc<Schema>> = if is_last {
-            output
-                .as_ref()
-                .and_then(|o| self.path_formats.get(&o.text))
-                .and_then(|fmt_id| self.input_configs.get(fmt_id.as_str()))
-                .map(|cfg| Arc::new(Schema::from_input_config(cfg)))
-        } else {
-            None
-        };
-
-        let meta = input_meta.as_ref().map(|m| {
-            let out_format = if is_last { Format::Flat } else { m.format };
-            DatasetMeta {
-                schema: final_schema.clone().unwrap_or_else(|| m.schema.clone()),
-                format: out_format,
-                packed_key: match out_format {
-                    Format::Packed => m.packed_key,
-                    Format::Flat => None,
-                },
-            }
+        let fed_by_sort = b.datasets.iter().any(|d| {
+            d.consumers.contains(&i) && d.producer.is_some_and(|p| is_op(p, ["Sort", "sort"]))
         });
-        match output {
-            Some(o) => vec![(o.text, meta, self.param_span(op, "outputPath"))],
-            None => Vec::new(),
-        }
-    }
-
-    fn check_custom(
-        &mut self,
-        op: &OperatorDef,
-        name: &str,
-    ) -> Vec<(String, Option<DatasetMeta>, Span)> {
-        if !self.ctx.extra_operators.contains(name) {
-            let (id, span) = (op.id.clone(), op.span);
-            self.error(
-                Code::P013,
-                span,
-                format!("operator '{id}' uses unregistered operator '{name}'"),
-            );
-        }
-        let output = self.require_param(op, "outputPath");
-        let input_path = self.require_param(op, "inputPath");
-        let input_span = self.param_span(op, "inputPath");
-        if let Some(p) = input_path {
-            self.resolve_inputs(&p, input_span);
-        }
-        // A custom operator's output schema is its own business: register
-        // the dataset with unknown metadata so later jobs still connect.
-        match output {
-            Some(o) => vec![(o.text, None, self.param_span(op, "outputPath"))],
-            None => Vec::new(),
-        }
-    }
-
-    // ---- whole-workflow lints ----------------------------------------
-
-    fn check_dead_outputs(&mut self) {
-        let last = self.wf.operators.len().wrapping_sub(1);
-        let dead: Vec<(String, String, Span)> = self
-            .datasets
-            .iter()
-            .filter(|d| {
-                d.producer
-                    .map(|p| p != last && !d.consumed)
-                    .unwrap_or(false)
-            })
-            .map(|d| {
-                let producer = &self.wf.operators[d.producer.unwrap_or(0)];
-                (d.name.clone(), producer.id.clone(), d.span)
-            })
-            .collect();
-        for (name, producer, span) in dead {
-            self.warning(
-                Code::W001,
-                span,
-                format!("output '{name}' of job '{producer}' is never consumed"),
-            );
-        }
-    }
-
-    /// `W006`: an intermediate with exactly one consumer — the job right
-    /// after its producer — where the pair matches a fusion rewrite
-    /// (Sort→Distribute routed by index, or Group→Split). The physical
-    /// planner streams such datasets instead of writing them; this is the
-    /// same single-consumption analysis `lower()` gates on, run on the
-    /// symbolic side.
-    fn check_fusible_intermediates(&mut self) {
-        let mut found: Vec<(String, String, Span)> = Vec::new();
-        for d in &self.datasets {
-            let Some(p) = d.producer else { continue };
-            if d.consumers != vec![p + 1] {
-                continue;
-            }
-            let Some(consumer) = self.wf.operators.get(p + 1) else {
-                continue;
-            };
-            let producer = &self.wf.operators[p];
-            let fusible = match (producer.operator.as_str(), consumer.operator.as_str()) {
-                ("Sort" | "sort", "Distribute" | "distribute") => {
-                    // The executable rewrite needs a flat sort output and an
-                    // index-routed policy; stay silent when either is
-                    // unknowable symbolically.
-                    let flat = d.meta.as_ref().is_some_and(|m| m.format == Format::Flat);
-                    let policy = self
-                        .resolved_params
-                        .get(&(consumer.id.clone(), "distrPolicy".to_string()))
-                        .or_else(|| {
-                            self.resolved_params
-                                .get(&(consumer.id.clone(), "policy".to_string()))
-                        });
-                    flat && policy.is_some_and(|r| {
-                        r.concrete
-                            && matches!(
-                                DistrPolicy::parse(&r.text),
-                                Ok(DistrPolicy::Cyclic) | Ok(DistrPolicy::Block)
-                            )
-                    })
-                }
-                ("Group" | "group", "Split" | "split") => true,
-                _ => false,
-            };
-            if fusible {
-                found.push((d.name.clone(), consumer.id.clone(), d.span));
-            }
-        }
-        for (name, consumer, span) in found {
-            self.warning(
-                Code::W006,
-                span,
+        if index_routed(job) && fed_by_sort {
+            warn(
+                Code::W004,
+                op.span,
                 format!(
-                    "intermediate '{name}' is consumed only by the next job \
-                     '{consumer}': job fusion streams it instead of writing it \
-                     (--no-fuse keeps it materialized)"
+                    "operator '{}' routes a sort output by index: records with \
+                     equal sort keys make the partition layout depend on \
+                     tie-breaking, so the output is only byte-reproducible \
+                     while the sort stays stable",
+                    op.id
                 ),
             );
         }
     }
 
-    fn check_unused_arguments(&mut self) {
-        let unused: Vec<(String, Span)> = self
-            .wf
-            .arguments
-            .iter()
-            .filter(|a| !self.used_args.contains(&a.name))
-            .map(|a| (a.name.clone(), a.span))
-            .collect();
-        for (name, span) in unused {
-            self.warning(
-                Code::W005,
-                span,
-                format!("argument '{name}' is never referenced"),
+    // W001: a job output nobody reads that is not the workflow output.
+    let last = wf.operators.len().wrapping_sub(1);
+    for d in &b.datasets {
+        if let Some(p) = d.producer.filter(|&p| p != last && d.consumers.is_empty()) {
+            let message = format!(
+                "output '{}' of job '{}' is never consumed",
+                d.name, wf.operators[p].id
+            );
+            warn(Code::W001, d.span, message);
+        }
+    }
+
+    // W006: an intermediate with exactly one consumer — the job right
+    // after its producer — where the pair matches a fusion rewrite
+    // (Sort→Distribute routed by index, or Group→Split). The physical
+    // planner streams such datasets instead of writing them; this is the
+    // same single-consumption analysis `lower()` gates on, run on the
+    // symbolic side. The sort rewrite needs a flat sort output and an
+    // index-routed policy; stay silent when either is unknowable.
+    for d in &b.datasets {
+        let Some(p) = d.producer.filter(|&p| d.consumers == [p + 1]) else {
+            continue;
+        };
+        let (Some(consumer), Some(consumer_job)) = (wf.operators.get(p + 1), b.jobs.get(p + 1))
+        else {
+            continue;
+        };
+        let fusible = (is_op(p, ["Sort", "sort"])
+            && is_op(p + 1, ["Distribute", "distribute"])
+            && d.meta.as_ref().is_some_and(|m| m.format == Format::Flat)
+            && index_routed(consumer_job))
+            || (is_op(p, ["Group", "group"]) && is_op(p + 1, ["Split", "split"]));
+        if fusible {
+            warn(
+                Code::W006,
+                d.span,
+                format!(
+                    "intermediate '{}' is consumed only by the next job \
+                     '{}': job fusion streams it instead of writing it \
+                     (--no-fuse keeps it materialized)",
+                    d.name, consumer.id
+                ),
             );
         }
     }
-}
 
-/// Classify a failed `$job.*` reference: P003 for self/forward references
-/// (the cycle check), P002 for everything else.
-fn job_ref_problem(
-    job: &str,
-    defined: &HashSet<String>,
-    all_ids: &HashSet<String>,
-    current: &Option<String>,
-    detail: String,
-) -> (Code, String) {
-    if current.as_deref() == Some(job) {
-        (
-            Code::P003,
-            format!("reference {detail} (a job cannot reference itself)"),
-        )
-    } else if all_ids.contains(job) && !defined.contains(job) {
-        (
-            Code::P003,
-            format!(
-                "reference {detail} (job '{job}' is defined later: jobs launch in document order)"
-            ),
-        )
-    } else {
-        (Code::P002, format!("reference {detail}"))
+    // W005: a declared argument no `$` reference names.
+    for a in &wf.arguments {
+        if !b.used_args.contains(&a.name) {
+            warn(
+                Code::W005,
+                a.span,
+                format!("argument '{}' is never referenced", a.name),
+            );
+        }
     }
-}
-
-fn apply_format(input: Format, op: FormatOp) -> Format {
-    match op {
-        FormatOp::Orig => input,
-        FormatOp::Pack => Format::Packed,
-        FormatOp::Unpack => Format::Flat,
-    }
-}
-
-/// Can `threshold` be meaningfully compared with a key field of type
-/// `field`? Numeric types compare with each other; strings only with
-/// strings.
-fn threshold_compatible(field: FieldType, threshold: &Value) -> bool {
-    let field_is_str = matches!(field, FieldType::Str);
-    let threshold_is_str = matches!(threshold, Value::Str(_));
-    field_is_str == threshold_is_str
 }

@@ -12,7 +12,7 @@ use papar_config::xml::Span;
 ///
 /// ```json
 /// [{"code":"P001","severity":"error","doc":"workflow","line":3,"col":12,
-///   "message":"unbound argument '$input_fil'"}]
+///   "message":"unknown argument '$input_fil'"}]
 /// ```
 pub fn to_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("[");

@@ -19,9 +19,14 @@
 //!
 //! Everything is reported as a [`Diagnostic`]: a stable `P0xx`/`W0xx` code,
 //! a severity, a message, and a 1-based line/column span into the XML
-//! source. [`json::to_json`] serializes the list for tooling; the `papar
-//! check` CLI subcommand is the human entry point, and `papar run` refuses
-//! to start the cluster when any error-severity diagnostic exists.
+//! source. The dataflow and schema findings come from the planner's own
+//! binder (`papar_core::plan`), which recovers past every problem; this
+//! crate adds the input-document, declaration and cluster checks, the
+//! lints, the bounds analysis, the physical-plan verifier and the
+//! renderers. [`json::to_json`] serializes the list for tooling; the
+//! `papar check` CLI subcommand is the human entry point, and `papar
+//! run`, `papar plan` and served jobs take their plan from the same
+//! [`analyze`] pass, refusing while any error-severity diagnostic stands.
 
 pub mod analyze;
 pub mod bounds;

@@ -1,12 +1,11 @@
-//! Plan-invariant verification: the analyzer's schema inference and the
-//! planner's compiled metadata must agree.
+//! Plan-invariant verification of the physical plan: a lowered
+//! [`PhysicalPlan`] must implement the logical plan it claims to.
 //!
-//! The analyzer (crates/check) and the planner's `Binder` (crates/core)
-//! implement the same inference twice — once recovering, once failing fast.
-//! [`verify_plan`] cross-checks them job by job and reports any divergence
-//! as `P099`, which is a framework bug, not a user error. The debug-mode
-//! runtime verifier in `crates/core/src/exec.rs` closes the remaining gap
-//! by asserting the compiled metadata against actual records.
+//! The logical plan needs no cross-check: `papar check`, `papar plan`,
+//! `papar run` and served jobs all take it from the one binder that also
+//! produces the analysis. The debug-mode runtime verifier in
+//! `crates/core/src/exec.rs` asserts the plan's metadata against actual
+//! records.
 
 use papar_config::xml::Span;
 use papar_core::physplan::{self, PhysicalPlan, StageKind};
@@ -15,82 +14,45 @@ use papar_core::plan::WorkflowPlan;
 use crate::analyze::Analysis;
 use crate::diag::{Code, Diagnostic};
 
-/// Compare the analyzer's inferred per-job output metadata against a
-/// compiled plan. Returns one `P099` diagnostic per divergence.
-///
-/// Output *names* are not compared (the analysis may have run symbolically,
-/// in which case its names are still `$argument` literals); schemas,
-/// formats, and packed-key indices are.
+/// Compare an analysis's per-job output metadata with a plan: one `P099`
+/// per job whose outputs disagree (output names are not compared, the
+/// analysis may be symbolic). Both come from the same binder, so this only
+/// remains for the benchmark harness, which still calls it.
+#[doc(hidden)]
 pub fn verify_plan(analysis: &Analysis, plan: &WorkflowPlan) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut mismatch = |msg: String| {
-        out.push(Diagnostic::error(
-            Code::P099,
-            "workflow",
-            Span::UNKNOWN,
-            msg,
-        ));
-    };
-    for job in &plan.jobs {
-        let Some(inferred) = analysis.jobs.iter().find(|j| j.id == job.id) else {
-            mismatch(format!(
-                "plan has job '{}' but the analysis inferred no such job",
-                job.id
-            ));
-            continue;
-        };
-        if inferred.outputs.is_empty() {
-            // The analysis could not infer this job's outputs (symbolic
-            // output list, missing params it diagnosed, ...). Nothing to
-            // cross-check.
-            continue;
-        }
-        if inferred.outputs.len() != job.outputs.len() {
-            mismatch(format!(
-                "job '{}': plan has {} outputs, analysis inferred {}",
-                job.id,
-                job.outputs.len(),
-                inferred.outputs.len()
-            ));
-            continue;
-        }
-        for (i, ((_, inferred_meta), (name, plan_meta))) in
-            inferred.outputs.iter().zip(&job.outputs).enumerate()
-        {
-            let Some(inferred_meta) = inferred_meta else {
-                continue;
-            };
-            if inferred_meta.schema != plan_meta.schema {
-                mismatch(format!(
-                    "job '{}' output #{i} ('{name}'): plan schema {:?} but analysis \
-                     inferred {:?}",
-                    job.id,
-                    plan_meta.schema.fields(),
-                    inferred_meta.schema.fields()
-                ));
-            }
-            if inferred_meta.format != plan_meta.format {
-                mismatch(format!(
-                    "job '{}' output #{i} ('{name}'): plan format {:?} but analysis \
-                     inferred {:?}",
-                    job.id, plan_meta.format, inferred_meta.format
-                ));
-            }
-            if inferred_meta.packed_key != plan_meta.packed_key {
-                mismatch(format!(
-                    "job '{}' output #{i} ('{name}'): plan packed_key {:?} but analysis \
-                     inferred {:?}",
-                    job.id, plan_meta.packed_key, inferred_meta.packed_key
-                ));
-            }
-        }
-    }
-    out
+    plan.jobs
+        .iter()
+        .filter(|job| {
+            analysis
+                .jobs
+                .iter()
+                .find(|j| j.id == job.id)
+                .is_none_or(|inferred| {
+                    inferred.outputs.len() != job.outputs.len()
+                        || inferred.outputs.iter().zip(&job.outputs).any(
+                            |((_, inferred), (_, planned))| {
+                                inferred.as_ref().is_some_and(|m| m != planned)
+                            },
+                        )
+                })
+        })
+        .map(|job| {
+            Diagnostic::error(
+                Code::P099,
+                "workflow",
+                Span::UNKNOWN,
+                format!(
+                    "job '{}': the analysis and the plan disagree on its outputs",
+                    job.id
+                ),
+            )
+        })
+        .collect()
 }
 
 /// Verify a lowered [`PhysicalPlan`] against the logical plan it claims to
-/// implement. Returns one `P099` diagnostic per violated invariant — like
-/// [`verify_plan`], any hit is a framework bug, not a user error.
+/// implement. Returns one `P099` diagnostic per violated invariant; any
+/// hit is a framework bug, not a user error.
 ///
 /// `num_nodes` and `default_reducers` must describe the cluster the plan
 /// was lowered for (the group→split gate depends on them).

@@ -29,7 +29,6 @@
 
 use papar_config::{InputConfig, WorkflowConfig};
 use papar_core::exec::{CheckpointCfg, ExecOptions, WorkflowReport};
-use papar_core::plan::Planner;
 use papar_mr::ChaosSpec;
 use papar_serve::cache::CachedPlan;
 use papar_serve::{job, JobSpec};
@@ -727,8 +726,16 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
             .unwrap_or_else(|| p.display().to_string());
         input_texts.push((label, text));
     }
+    // Path arguments bind to placeholders, as `papar plan` binds them:
+    // the analysis never reads data, and its one binding pass yields the
+    // plan `--bounds` interprets.
+    let workflow = WorkflowConfig::parse_str_unchecked(&workflow_xml).ok();
+    let mut args = spec.args.clone();
+    if let Some(wf) = &workflow {
+        job::default_path_args(wf, &mut args, PLAN_INPUT, PLAN_OUTPUT);
+    }
     let ctx = papar_check::CheckContext {
-        args: spec.args.clone(),
+        args,
         nodes: spec.nodes,
         replication: spec.replication,
         records: spec.records,
@@ -740,47 +747,30 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
         .collect();
     let mut analysis = papar_check::check_sources(&workflow_xml, &inputs, &ctx);
 
-    // Cross-check the inference against the compiled plan whenever the
-    // documents are clean enough to bind with the given arguments.
     let mut bounds_table = None;
-    if !analysis.has_errors() {
-        if let Ok(wf) = WorkflowConfig::parse_str(&workflow_xml) {
-            let cfgs: Vec<InputConfig> = input_texts
-                .iter()
-                .filter_map(|(_, t)| InputConfig::parse_str(t).ok())
-                .collect();
-            // Path arguments bind to placeholders — neither the
-            // cross-check nor the bounds analysis reads data.
-            let mut args = spec.args.clone();
-            job::default_path_args(&wf, &mut args, PLAN_INPUT, PLAN_OUTPUT);
-            if let Ok(plan) = Planner::new(wf.clone(), cfgs).bind(&args) {
-                let divergences = papar_check::verify_plan(&analysis, &plan);
-                analysis.diagnostics.extend(divergences);
-                if spec.bounds {
-                    let nodes = spec.nodes.unwrap_or(4);
-                    let phys = papar_core::physplan::lower(&plan, nodes, None, true);
-                    let report = papar_check::analyze_bounds(
-                        &wf,
-                        &plan,
-                        &phys,
-                        &papar_check::BoundsConfig {
-                            num_nodes: nodes,
-                            default_reducers: None,
-                            records: spec.records.map(|n| n as u64),
-                            distinct_keys: spec.distinct_keys,
-                            skew_ratio: spec.skew_ratio.unwrap_or(4.0),
-                            reducer_overrides: Default::default(),
-                        },
-                    );
-                    analysis.diagnostics.extend(report.diagnostics);
-                    bounds_table = Some(report.table);
-                }
-            } else if spec.bounds {
-                return Err(fail(
-                    "--bounds needs the workflow to bind; pass the missing --arg values",
-                ));
-            }
-        }
+    if spec.bounds && !analysis.has_errors() {
+        let (Some(wf), Some(plan)) = (&workflow, &analysis.plan) else {
+            return Err(fail(
+                "--bounds needs the workflow to bind; pass the missing --arg values",
+            ));
+        };
+        let nodes = spec.nodes.unwrap_or(4);
+        let phys = papar_core::physplan::lower(plan, nodes, None, true);
+        let report = papar_check::analyze_bounds(
+            wf,
+            plan,
+            &phys,
+            &papar_check::BoundsConfig {
+                num_nodes: nodes,
+                default_reducers: None,
+                records: spec.records.map(|n| n as u64),
+                distinct_keys: spec.distinct_keys,
+                skew_ratio: spec.skew_ratio.unwrap_or(4.0),
+                reducer_overrides: Default::default(),
+            },
+        );
+        analysis.diagnostics.extend(report.diagnostics);
+        bounds_table = Some(report.table);
     }
     // `--deny-warnings` promotes every warning to an error, so a
     // warnings-only run exits 1 instead of 0. Codes stay W0xx: the finding
@@ -849,7 +839,8 @@ const CHECK: Command<CheckSpec> = Command {
 Statically analyzes the workflow without reading any data: dataflow over
 $variable references, schema inference through every operator, distribution
 legality, and determinism lints. Arguments left unbound are analyzed
-symbolically. --bounds interprets the physical plan over intervals: a
+symbolically; the conventional path arguments bind to placeholders, as in
+`papar plan`. --bounds interprets the physical plan over intervals: a
 per-stage table of record/byte/distinct-key/max-load bounds, and the
 findings P021 (reducers that can never receive a key; needs
 --distinct-keys), W007, W008 (a stage whose worst-case partition load
@@ -947,9 +938,12 @@ pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
     }
     let mut args = spec.args.clone();
     job::default_path_args(&workflow, &mut args, PLAN_INPUT, PLAN_OUTPUT);
-    let plan = Planner::new(workflow.clone(), input_cfgs.clone())
-        .bind(&args)
-        .map_err(|e| fail(e.to_string()))?;
+    let ctx = papar_check::CheckContext {
+        args,
+        ..Default::default()
+    };
+    let label = spec.workflow.display().to_string();
+    let (plan, _warnings) = job::bind(&label, &workflow, &input_cfgs, &ctx).map_err(fail)?;
 
     // Adaptive planning samples the data file when one is given. It is
     // loaded as `papar run` loads it (the first input config, `--records`,
@@ -1054,8 +1048,10 @@ every rejection and its reason, and the winner's predicted cost. --data
 is loaded as `papar run` loads it (the first --input-config, --records,
 one block per node), so both print the same rationale; without --data it
 keeps the literal plan. Conventional path arguments (input_path, input_file,
-output_path) default to placeholders. Exit code 0 on success, 1 when
-binding or physical-plan verification fails, 2 on usage errors.",
+output_path) default to placeholders. The workflow binds through the
+analysis `papar check` runs, so plan refuses what `papar run` refuses, with
+the same diagnostics. Exit code 0 on success, 1 when binding or
+physical-plan verification fails, 2 on usage errors.",
 };
 
 /// Parse `papar plan` arguments into a [`PlanSpec`].

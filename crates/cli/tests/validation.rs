@@ -5,7 +5,7 @@
 
 use mublastp::dbgen::DbSpec;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 const INPUT_CFG: &str = r#"
 <input id="blast_db" name="BLAST Database file">
@@ -289,4 +289,114 @@ fn each_subcommand_accepts_exactly_the_flags_its_help_names() {
             );
         }
     }
+}
+
+// ---- one binder: check, plan and run refuse alike --------------------
+
+/// An example configuration shipped with the repository.
+fn example(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/configs")
+        .join(name)
+}
+
+/// `papar <subcmd>` on a workflow and input config, plus extra flags.
+fn papar_on(subcmd: &str, workflow: &Path, input_config: &Path, extra: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_papar"))
+        .arg(subcmd)
+        .arg("--workflow")
+        .arg(workflow)
+        .arg("--input-config")
+        .arg(input_config)
+        .args(extra)
+        .output()
+        .unwrap()
+}
+
+/// The `error[...]` lines a command printed, on either stream.
+fn error_lines(out: &Output) -> Vec<String> {
+    let text = String::from_utf8_lossy(&out.stdout).into_owned() + &stderr_of(out);
+    text.lines()
+        .map(str::trim_start)
+        .filter(|l| l.starts_with("error["))
+        .map(String::from)
+        .collect()
+}
+
+/// The 1-based `line:col` of the first occurrence of `needle` in `doc`.
+fn position_of(doc: &str, needle: &str) -> String {
+    let off = doc.find(needle).unwrap();
+    let line = doc[..off].matches('\n').count() + 1;
+    let col = off - doc[..off].rfind('\n').map_or(0, |p| p + 1) + 1;
+    format!("{line}:{col}")
+}
+
+/// `papar plan` binds through the same analysis as `papar check`, so it
+/// refuses what check refuses, with the same diagnostics — not a plan
+/// for a sort with zero reducers or a split whose threshold cannot be
+/// compared with its key.
+#[test]
+fn plan_refuses_what_check_refuses_with_the_same_diagnostics() {
+    let dir = temp_dir("plan-refuses");
+    let zero_reducers = dir.join("zero_reducers.xml");
+    let text = std::fs::read_to_string(example("blast_partition.xml")).unwrap();
+    let text = text.replace(
+        r#"<operator id="sort" operator="Sort">"#,
+        r#"<operator id="sort" operator="Sort" num_reducers="0">"#,
+    );
+    std::fs::write(&zero_reducers, text).unwrap();
+    let cases = [
+        (
+            zero_reducers,
+            example("blast_db.xml"),
+            &["--arg", "num_partitions=8"][..],
+            "error[P012]",
+        ),
+        (
+            example("hybrid_cut.xml"),
+            example("graph_edge.xml"),
+            &["--arg", "threshold=abc", "--arg", "num_partitions=4"][..],
+            "error[P009]",
+        ),
+    ];
+    for (workflow, input_config, args, code) in cases {
+        let check = papar_on("check", &workflow, &input_config, args);
+        let plan = papar_on("plan", &workflow, &input_config, args);
+        assert_eq!(check.status.code(), Some(1), "{}", stderr_of(&check));
+        assert_eq!(plan.status.code(), Some(1), "{}", stderr_of(&plan));
+        let lines = error_lines(&check);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].starts_with(code), "{lines:?}");
+        assert_eq!(error_lines(&plan), lines, "{}", workflow.display());
+    }
+}
+
+/// A declared argument with no value and no default refuses the run
+/// with a coded error at the argument's declaration, before any data is
+/// partitioned.
+#[test]
+fn run_without_an_argument_value_gets_a_coded_error_at_its_declaration() {
+    let dir = fixture("missing-arg");
+    let workflow = example("blast_partition.xml");
+    let text = std::fs::read_to_string(&workflow).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_papar"))
+        .args(["run", "--input-config"])
+        .arg(dir.join("blast_db.xml"))
+        .arg("--workflow")
+        .arg(&workflow)
+        .arg("--data")
+        .arg(dir.join("env_nr.db"))
+        .arg("--out")
+        .arg(dir.join("out"))
+        .args(["--nodes", "3", "--records", "200"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    let expected = format!(
+        "error[P001]: workflow:{}: argument 'num_partitions' has no value \
+         (pass it at launch or set a default)",
+        position_of(&text, r#"<param name="num_partitions""#)
+    );
+    assert_eq!(error_lines(&out), vec![expected]);
+    assert!(!dir.join("out").exists(), "nothing may be partitioned");
 }

@@ -793,8 +793,8 @@ impl WorkflowRunner {
 
     /// Debug-mode runtime verifier: after a stage commits, assert that
     /// every record it wrote conforms to the plan's compiled output
-    /// metadata — the same metadata `papar check`'s analyzer cross-checks
-    /// statically via `verify_plan`. A fused stage is checked on its
+    /// metadata — the metadata the binder inferred statically, the same
+    /// binding `papar check` reports from. A fused stage is checked on its
     /// *final* outputs only; the elided intermediate was never written.
     /// Compiled out of release builds.
     #[cfg(debug_assertions)]

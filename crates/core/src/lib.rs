@@ -14,7 +14,10 @@
 //! * [`plan`] — the planner parses the two configuration files, resolves
 //!   `$variable` references, type-checks operator keys against the evolving
 //!   schema, and emits an executable [`plan::WorkflowPlan`] — the paper's
-//!   "code generation" step. Distribution policies stay symbolic in the
+//!   "code generation" step. It is the one binder: it recovers past every
+//!   problem and reports each as a coded, spanned [`diag::Diagnostic`], so
+//!   `papar check`, `papar plan`, `papar run` and served jobs all refuse
+//!   the same workflows with the same diagnostics. Distribution policies stay symbolic in the
 //!   plan and become concrete permutations only at run time, exactly the
 //!   decoupling the paper highlights.
 //! * [`physplan`] — the logical plan is lowered to a [`physplan::PhysicalPlan`]
@@ -28,6 +31,7 @@
 
 pub mod adaptive;
 pub mod bounds;
+pub mod diag;
 pub mod error;
 pub mod exec;
 pub mod operator;

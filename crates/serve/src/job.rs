@@ -11,12 +11,13 @@
 //!   block is read straight into them, a text block's lines encoded into
 //!   them;
 //! * [`compile`]: both document texts + the job's arguments + record
-//!   count and replication → `papar check` gate → bind → plan-invariant
-//!   verification → adaptive decision over the *borrowed* fragments →
-//!   lower → physical-plan verification → fingerprint. Its result is the
-//!   [`CachedPlan`], which carries the lowered plan for the front ends
-//!   (the fingerprint, the profile's bound table); `WorkflowRunner::run`
-//!   lowers once more itself, from the same `fuse` flag;
+//!   count and replication → [`bind`] (one `papar check` analysis, whose
+//!   binder also yields the plan; any error refuses) → adaptive decision
+//!   over the *borrowed* fragments → lower → physical-plan verification →
+//!   fingerprint. Its result is the [`CachedPlan`], which carries the
+//!   lowered plan for the front ends (the fingerprint, the profile's
+//!   bound table); `WorkflowRunner::run` lowers once more itself, from
+//!   the same `fuse` flag;
 //! * [`run`]: compiled plan + cluster + input → runner (with the
 //!   decision and an optional checkpoint) → place the fragments → run,
 //!   returning the typed [`CoreError`] so a front-end can map individual
@@ -36,10 +37,10 @@
 //! [`execute`] makes the same calls with the data LRU around `load` (its
 //! fragments shared with the cluster on every hit), the plan LRU around
 //! `compile`, and the resident cluster instead of a fresh one; `papar
-//! plan` reuses [`default_path_args`] and [`lower_verified`]. A served
-//! job's partition files are therefore byte-identical to `papar run`'s
-//! by construction; `crates/cli/tests/end_to_end.rs` and the CI `serve`
-//! job check it. Both front ends print the summary lines of
+//! plan` reuses [`default_path_args`], [`bind`] and [`lower_verified`],
+//! so it refuses what a run refuses. A served job's partition files are
+//! therefore byte-identical to `papar run`'s by construction;
+//! `crates/cli/tests/end_to_end.rs` and the CI `serve` job check it. Both front ends print the summary lines of
 //! [`render_summary`]; only their cache verdicts, stderr lines, profile
 //! and trace lines stay their own.
 
@@ -54,7 +55,7 @@ use papar_core::exec::{
     plan_fingerprint_with, CheckpointCfg, ExecOptions, WorkflowReport, WorkflowRunner,
 };
 use papar_core::physplan::{self, PhysicalPlan};
-use papar_core::plan::{Planner, WorkflowPlan};
+use papar_core::plan::WorkflowPlan;
 use papar_mr::{Cluster, RetryPolicy};
 use papar_record::batch::{block_sizes, Batch, Dataset, Rows};
 use papar_record::{codec, wire, Record, Schema};
@@ -334,12 +335,34 @@ pub fn lower_verified(
     Ok((phys, decision))
 }
 
+/// The plan a launch runs, from one [`papar_check::analyze`] pass, with
+/// the warnings that ride along; or the refusal it prints: every
+/// error-severity diagnostic, else one `P001` per argument left without
+/// a value. `papar run`, `papar plan` and served jobs all refuse through
+/// here.
+pub fn bind(
+    label: &str,
+    workflow: &WorkflowConfig,
+    inputs: &[InputConfig],
+    ctx: &papar_check::CheckContext,
+) -> Result<(WorkflowPlan, Vec<papar_check::Diagnostic>), String> {
+    let analysis = papar_check::analyze(workflow, inputs, ctx);
+    // `papar check` reports the errors, but analyzes past a missing value.
+    let hint = if analysis.has_errors() {
+        "`papar check` re-runs this analysis standalone"
+    } else {
+        "pass each missing value with --arg"
+    };
+    analysis.into_plan().map_err(|refusal| {
+        let rendered: String = refusal.iter().map(|d| format!("  {d}\n")).collect();
+        format!("{label} rejected by static analysis:\n{rendered}({hint})")
+    })
+}
+
 /// Stage 2 — compile: parse both documents, derive the effective
-/// arguments, refuse while any error-severity `papar check` diagnostic
-/// stands (warnings ride along on the result), bind, cross-check the
-/// analyzer's inference against the planner's (a P099 divergence is a
-/// framework bug and also refuses), decide, lower, verify, fingerprint.
-/// `input` is only borrowed: its record count feeds the gate and, with
+/// arguments, [`bind`] (refusing while any error stands; warnings ride
+/// along on the result), decide, lower, verify, fingerprint. `input` is
+/// only borrowed: its record count feeds the analysis and, with
 /// `--adaptive`, the sampling pre-pass walks its fragments in place.
 pub fn compile(
     spec: &JobSpec,
@@ -359,36 +382,19 @@ pub fn compile(
     default_path_args(&workflow, &mut args, &spec.data, &spec.out_dir);
 
     let ctx = papar_check::CheckContext {
-        args: args.clone(),
+        args,
         nodes: Some(nodes),
         replication: Some(replication),
         records: Some(record_count(input)),
         ..Default::default()
     };
-    let analysis = papar_check::analyze(&workflow, std::slice::from_ref(&input_cfg), &ctx);
-    if analysis.has_errors() {
-        let rendered: String = analysis
-            .errors()
-            .iter()
-            .map(|d| format!("  {d}\n"))
-            .collect();
-        return Err(format!(
-            "{} rejected by static analysis:\n{rendered}(`papar check` re-runs this \
-             analysis standalone)",
-            spec.workflow
-        ));
-    }
-    let warnings: Vec<String> = analysis.diagnostics.iter().map(|d| d.to_string()).collect();
-
-    let planner = Planner::new(workflow, vec![input_cfg.clone()]);
-    let plan = planner.bind(&args).map_err(|e| e.to_string())?;
-    let divergences = papar_check::verify_plan(&analysis, &plan);
-    if !divergences.is_empty() {
-        return Err(format!(
-            "plan-invariant verification failed:\n{}",
-            papar_check::render_text(&divergences)
-        ));
-    }
+    let (plan, warnings) = bind(
+        &spec.workflow,
+        &workflow,
+        std::slice::from_ref(&input_cfg),
+        &ctx,
+    )?;
+    let warnings: Vec<String> = warnings.iter().map(|d| d.to_string()).collect();
     if plan.external_inputs.len() != 1 {
         return Err(format!(
             "the workflow expects {} external inputs; a job provides exactly one (--data)",

@@ -204,6 +204,42 @@ fn failed_jobs_report_typed_failure_not_a_dead_daemon() {
     server.join().unwrap();
 }
 
+/// A served job binds through the same analysis as `papar run`: an
+/// argument with no value fails the job with the run's coded line, at the
+/// argument's declaration, and the daemon serves on.
+#[test]
+fn a_missing_argument_value_fails_the_job_with_a_coded_error() {
+    let dir = fixture("missing-arg");
+    let (endpoint, server) = start(4);
+    let mut client = Client::connect(&endpoint).unwrap();
+
+    let mut bad = spec(&dir, "unbound", Some(1));
+    bad.args.clear();
+    let (id, _) = client.submit(bad).unwrap();
+    let report = client.wait(id).unwrap();
+    assert_eq!(report.state, JobStateKind::Failed, "{}", report.detail);
+    let off = WORKFLOW.find(r#"<param name="num_partitions""#).unwrap();
+    let line = WORKFLOW[..off].matches('\n').count() + 1;
+    let col = off - WORKFLOW[..off].rfind('\n').map_or(0, |p| p + 1) + 1;
+    let expected = format!(
+        "error[P001]: workflow:{line}:{col}: argument 'num_partitions' has no value \
+         (pass it at launch or set a default)"
+    );
+    assert!(
+        report.detail.lines().any(|l| l.trim_start() == expected),
+        "{}",
+        report.detail
+    );
+    assert!(!dir.join("unbound").exists(), "nothing may be partitioned");
+
+    let (id, _) = client.submit(spec(&dir, "after", Some(1))).unwrap();
+    let report = client.wait(id).unwrap();
+    assert_eq!(report.state, JobStateKind::Done, "{}", report.detail);
+
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 /// A record count whose byte bound overflows `usize` arrives in a
 /// well-formed frame; it must fail that one job with the loader's typed
 /// message — not wrap to a one-record read, not take the worker down.
