@@ -512,7 +512,7 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
     // `PAPAR_THREADS`, else the host's parallelism.
     let threads = match spec.threads {
         Some(threads) => threads,
-        None => papar_mr::default_thread_budget().map_err(|e| fail(e.to_string()))?,
+        None => announced_thread_budget()?,
     };
     let input = job::load(&request, &cfg_text, threads).map_err(fail)?;
     let records_in = job::record_count(&input);
@@ -1118,6 +1118,16 @@ pub fn parse_serve_args<I: Iterator<Item = String>>(argv: I) -> Result<ServeSpec
     SERVE.parse(argv)
 }
 
+/// The default engine thread budget ([`papar_mr::default_thread_budget`]),
+/// announced with its source on stderr the first time this process
+/// resolves it.
+fn announced_thread_budget() -> Result<usize, CliError> {
+    static ANNOUNCE: std::sync::Once = std::sync::Once::new();
+    let (threads, source) = papar_mr::default_thread_budget().map_err(|e| fail(e.to_string()))?;
+    ANNOUNCE.call_once(|| eprintln!("papar: engine thread budget: {threads} ({source})"));
+    Ok(threads)
+}
+
 /// Run the daemon until a `papar submit --shutdown` or SIGTERM/SIGINT,
 /// then drain and exit. Startup validation (socket, `PAPAR_THREADS`)
 /// fails here, before any request is accepted.
@@ -1130,6 +1140,7 @@ pub fn run_serve(spec: &ServeSpec) -> Result<(), CliError> {
         handle_signals: true,
     })
     .map_err(|e| fail(e.to_string()))?;
+    announced_thread_budget()?;
     eprintln!(
         "papar serve: listening on {} (engine threads: {}, queue capacity: {})",
         server.endpoint(),

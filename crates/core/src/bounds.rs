@@ -436,7 +436,8 @@ fn indexed_partition_count(policy: DistrPolicy, e: u64, p: u64, m: u64) -> u64 {
 
 /// Upper bound on one shuffle's `remote_bytes`. A pair carries no key of
 /// its own — a sort or group key is a field of the entry, and distribute
-/// sends none — and no tag: flat entries are a record, packed entries the
+/// sends none — and no tag: flat entries are a record as it ships (a
+/// distribute's projected onto its output format), packed entries the
 /// group key, a count and the members. Each (sender, reducer) segment pays
 /// an 8-byte header once, so segment headers cost at most 8 B per pair and
 /// per each of the `segments` (nodes × reducers) segments. Each run pays a
@@ -455,11 +456,17 @@ fn shuffle_hi(
     if records.hi == UNBOUNDED || pairs.hi == UNBOUNDED {
         return UNBOUNDED;
     }
+    // A distribute that drops fields ships its records projected.
+    let projected = match &job.kind {
+        JobKind::Distribute { .. } => crate::exec::distribute_kind(job).ok().and_then(|k| k.2),
+        _ => None,
+    };
+    let shipped = projected.map(|proj| crate::exec::project_schema(&job.input_meta.schema, &proj));
     let mut rec_w = 0u64;
     let mut packed_key_w = 0u64;
     let mut any_packed = false;
     for meta in &job.input_metas {
-        match record_width(&meta.schema).1 {
+        match record_width(shipped.as_deref().unwrap_or(&meta.schema)).1 {
             Some(w) => rec_w = rec_w.max(w),
             None => return UNBOUNDED,
         }
@@ -1283,6 +1290,58 @@ mod tests {
         assert_eq!(record_width(&fixed), (20, Some(20)));
         let stringy = Schema::new(vec![("a", FieldType::Str), ("b", FieldType::Integer)]);
         assert_eq!(record_width(&stringy), (8, None));
+    }
+
+    /// A distribute whose output format keeps two of the blast records'
+    /// four ints ships 8-byte records, and `shuffle_hi` prices each pair at
+    /// that width, not at the 16 bytes of the record it reads.
+    #[test]
+    fn a_projecting_distribute_is_priced_at_its_projected_width() -> crate::Result<()> {
+        let record = |id: &str, fields: &[&str]| {
+            let values: String = (fields.iter())
+                .map(|f| format!(r#"<value name="{f}" type="integer"/>"#))
+                .collect();
+            format!(
+                r#"<input id="{id}" name="{id}"><input_format>binary</input_format>
+                   <element>{values}</element></input>"#
+            )
+        };
+        let blast = record(
+            "blast_db",
+            &["seq_start", "seq_size", "desc_start", "desc_size"],
+        );
+        let pair = record("seq_span", &["seq_start", "seq_size"]);
+        let workflow = r#"
+            <workflow id="w" name="w">
+              <arguments>
+                <param name="input_path" type="hdfs" format="blast_db"/>
+                <param name="output_path" type="hdfs" format="seq_span"/>
+              </arguments>
+              <operators>
+                <operator id="distr" operator="Distribute">
+                  <param name="inputPath" type="String" value="$input_path"/>
+                  <param name="outputPath" type="String" value="$output_path"/>
+                  <param name="distrPolicy" type="DistrPolicy" value="roundRobin"/>
+                  <param name="numPartitions" type="integer" value="2"/>
+                </operator>
+              </operators>
+            </workflow>"#;
+        let planner = crate::plan::Planner::from_xml(workflow, &[&blast, &pair])?;
+        let args = [("input_path", "/in"), ("output_path", "/out")];
+        let args = args.map(|(k, v)| (k.to_string(), v.to_string())).into();
+        let plan = planner.bind(&args)?;
+        let nodes = 4;
+        let mut opts = BoundsOptions {
+            num_nodes: nodes,
+            ..BoundsOptions::default()
+        };
+        opts.sources.insert("/in".into(), SourceBounds::exact(100));
+        let phys = crate::physplan::lower(&plan, nodes, None, true);
+        let bounds = compute(&plan, &phys, &opts);
+        // 100 records of 8 bytes; at most 4 × 2 segments of 8 bytes and
+        // 4 fragments × 2 reducers runs of 13.
+        assert_eq!(bounds.stages[0].shuffle_bytes.hi, 100 * 8 + 8 * 8 + 8 * 13);
+        Ok(())
     }
 
     #[test]

@@ -1126,27 +1126,39 @@ impl WorkflowRunner {
             }
         }
 
+        // The map side ships each entry projected onto the output format,
+        // so the shuffle carries only the fields a partition keeps.
+        let shipped = match &projection {
+            Some(proj) => project_schema(&job.input_meta.schema, proj),
+            None => job.input_meta.schema.clone(),
+        };
+        // A distribute may read a flat and a packed split output; the
+        // packed one decides. A projection that drops the key column
+        // leaves nothing to factor.
+        let compress_key = (job.input_metas.iter())
+            .find_map(|m| self.compress_key(m))
+            .and_then(|k| match &projection {
+                Some(proj) => proj.iter().position(|&i| i == k),
+                None => Some(k),
+            });
         let mapper = DistributeMapper {
             offsets,
             policy,
             total: total as usize,
             num_partitions,
+            projection,
         };
         let out_format = job.outputs[0].1.format;
         let out_schema = &job.outputs[0].1.schema;
-        // A distribute may read a flat and a packed split output; the
-        // packed one decides.
-        let compress_key = (job.input_metas.iter()).find_map(|m| self.compress_key(m));
-        // A flat output is its inputs' records as rows, projected as byte
-        // spans, gathered from the inbox without a decode — unless a
-        // compressed group holds them.
+        // A flat output is the shipped records as rows, gathered from the
+        // inbox without a decode — unless a compressed group holds them.
         let rows_out = (out_format == Format::Flat
             && compress_key.is_none()
-            && projects_to(&job.input_meta.schema, projection.as_deref(), out_schema))
+            && same_layout(&shipped, out_schema))
         .then(|| out_schema.clone());
         let reducer = FnReducer(move |_ctx: &TaskCtx, pairs: Pairs<'_>| {
             if let Some(schema) = &rows_out {
-                return Ok(vec![gather_rows(&pairs, schema, projection.as_deref())?]);
+                return Ok(vec![gather_rows(&pairs, schema)?]);
             }
             let mut batch = empty_batch(out_format, pairs.record_count(), pairs.len());
             // One reused slot: a record entry decodes with no allocation
@@ -1165,9 +1177,6 @@ impl WorkflowRunner {
                 };
                 place(&mut batch, entry, None)?;
             }
-            if let Some(proj) = &projection {
-                project_batch(&mut batch, proj);
-            }
             Ok(vec![batch])
         });
         let mr_job = MapReduceJob {
@@ -1175,7 +1184,7 @@ impl WorkflowRunner {
             inputs: job.inputs.clone(),
             output: job.output().to_string(),
             num_reducers: num_partitions,
-            map_output_schema: job.input_meta.schema.clone(),
+            map_output_schema: shipped,
             output_schema: job.outputs[0].1.schema.clone(),
             mapper: &mapper,
             // Unused: the mapper names each entry's partition.
@@ -1487,13 +1496,16 @@ fn field_type_tag(ty: papar_config::input::FieldType) -> u8 {
 /// straight to that partition, with no key, in a run based at `b_f`:
 /// fragments cover disjoint index ranges and each is read in ascending
 /// order, so a reducer that orders its runs by base holds its entries in
-/// global order, whatever the fragments' layout across nodes.
+/// global order, whatever the fragments' layout across nodes. The entry is
+/// routed on all of its fields and ships projected onto the output format.
 struct DistributeMapper {
     offsets: HashMap<(String, u32), u64>,
     policy: DistrPolicy,
     /// Entries across every input.
     total: usize,
     num_partitions: usize,
+    /// The fields the output format keeps, when it drops some.
+    projection: Option<Vec<usize>>,
 }
 
 impl Mapper for DistributeMapper {
@@ -1528,6 +1540,10 @@ impl Mapper for DistributeMapper {
 
     fn key(&self) -> PairKey {
         PairKey::None
+    }
+
+    fn projection(&self) -> Option<&[usize]> {
+        self.projection.as_deref()
     }
 }
 
@@ -1634,7 +1650,7 @@ impl<'a> OrderedReducer<'a> {
     /// The whole reduce output as one batch.
     fn reduce_batch(&self, pairs: Pairs<'_>) -> papar_mr::Result<Batch> {
         if let Some(schema) = &self.rows {
-            return gather_rows(&pairs, schema, None);
+            return gather_rows(&pairs, schema);
         }
         let format = if self.packs {
             Format::Packed
@@ -1799,7 +1815,7 @@ fn fragment_base(offsets: &HashMap<(String, u32), u64>, name: &str, ordinal: u32
 /// or it keeps every field in place). Shared by the unfused distribute job
 /// and the fused stage's driver-side assembly so the two can never
 /// diverge.
-fn distribute_kind(job: &JobPlan) -> Result<(DistrPolicy, usize, Option<Vec<usize>>)> {
+pub(crate) fn distribute_kind(job: &JobPlan) -> Result<(DistrPolicy, usize, Option<Vec<usize>>)> {
     let JobKind::Distribute {
         policy,
         num_partitions,
@@ -1871,33 +1887,26 @@ fn batch_entries(batch: Batch) -> impl Iterator<Item = Entry> {
         .chain(groups.into_iter().map(Entry::Packed))
 }
 
-/// Whether records of `input` projected onto `projection` (every field,
-/// in place, when `None`) are laid out like records of `out`: the same
-/// field types in the same order, at least one of them.
-fn projects_to(input: &Schema, projection: Option<&[usize]>, out: &Schema) -> bool {
-    let out_types = out.fields().iter().map(|f| f.ty);
-    let same = match projection {
-        None => input.fields().iter().map(|f| f.ty).eq(out_types),
-        Some(proj) => proj.iter().map(|&i| input.fields()[i].ty).eq(out_types),
-    };
-    same && !out.is_empty()
+/// Whether records of `input` are laid out like records of `out`: the
+/// same field types in the same order, at least one of them.
+fn same_layout(input: &Schema, out: &Schema) -> bool {
+    let types = input.fields().iter().map(|f| f.ty);
+    types.eq(out.fields().iter().map(|f| f.ty)) && !out.is_empty()
+}
+
+/// `schema`'s fields `proj` names, in that order.
+pub(crate) fn project_schema(schema: &Schema, proj: &[usize]) -> Arc<Schema> {
+    let fields = proj.iter().map(|&i| &schema.fields()[i]);
+    Arc::new(Schema::new(
+        fields.map(|f| (f.name.clone(), f.ty)).collect(),
+    ))
 }
 
 /// A reducer's flat records as rows of `schema`, copied from the inbox in
-/// reduce order — each projected onto `projection` as byte spans, when
-/// there is one. No record is decoded.
-fn gather_rows(
-    pairs: &Pairs<'_>,
-    schema: &Arc<Schema>,
-    projection: Option<&[usize]>,
-) -> papar_mr::Result<Batch> {
+/// reduce order. No record is decoded.
+fn gather_rows(pairs: &Pairs<'_>, schema: &Arc<Schema>) -> papar_mr::Result<Batch> {
     let mut bytes = Vec::new();
-    match projection {
-        None => pairs.gather_rows(&mut bytes)?,
-        Some(proj) => pairs.for_each_record(|record| {
-            wire::project_record(record, pairs.schema(), proj, &mut bytes)
-        })?,
-    }
+    pairs.gather_rows(&mut bytes)?;
     Ok(Batch::Rows(Rows::new(schema.clone(), bytes)?))
 }
 
@@ -2056,7 +2065,8 @@ fn verify_batch_conforms(batch: &Batch, meta: &DatasetMeta, job_id: &str, datase
 }
 
 /// Project every record onto the given field indices, in place; rows
-/// decode first.
+/// decode first. Only the fused sort→distribute assembly projects so: an
+/// unfused distribute ships its entries projected.
 fn project_batch(batch: &mut Batch, proj: &[usize]) {
     let project = |r: &mut Record| *r = proj.iter().map(|&i| r.values()[i].clone()).collect();
     match batch {

@@ -94,7 +94,7 @@ impl Cluster {
             jobs_run: 0,
             pending_recovery: RecoveryStats::default(),
             events: Vec::new(),
-            threads: default_threads()?,
+            threads: default_thread_budget()?.0,
             shuffle_hints: Vec::new(),
             tracer: Box::new(NoopSink),
             cost: CostModel::default(),
@@ -677,39 +677,30 @@ fn fragment_bytes(data: &Dataset) -> Result<u64> {
     Ok(wire::encoded_size(&data.batch, &data.schema)? as u64)
 }
 
-/// The default engine thread budget: the `PAPAR_THREADS` environment
-/// variable when set to a positive integer (how CI pins both extremes of
-/// the determinism matrix), else the host's available parallelism. A set
-/// but malformed or zero value is a typed [`MrError::BadThreadBudget`] —
-/// silently falling back to host parallelism would mis-size a resident
-/// daemon's every request with no signal. The effective budget is printed
-/// to stderr once per process so the sizing is never a mystery.
+/// The default engine thread budget and where it came from: the
+/// `PAPAR_THREADS` environment variable when set to a positive integer
+/// (how CI pins both extremes of the determinism matrix), else the host's
+/// available parallelism. A set but malformed or zero value is a typed
+/// [`MrError::BadThreadBudget`] — silently falling back to host
+/// parallelism would mis-size a resident daemon's every request with no
+/// signal. The front ends announce the budget and its source, so the
+/// sizing is never a mystery; the engine itself prints nothing.
 ///
-/// This is the public face of the internal resolution, so a long-running
-/// daemon can validate `PAPAR_THREADS` once at startup (and report the
-/// typed [`MrError::BadThreadBudget`]) before accepting any request.
-pub fn default_thread_budget() -> Result<usize> {
-    default_threads()
-}
-
-fn default_threads() -> Result<usize> {
-    static ANNOUNCE: std::sync::Once = std::sync::Once::new();
-    let (threads, source) = match std::env::var("PAPAR_THREADS") {
+/// A long-running daemon validates `PAPAR_THREADS` through it once at
+/// startup, before accepting any request.
+pub fn default_thread_budget() -> Result<(usize, &'static str)> {
+    match std::env::var("PAPAR_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
-            Ok(t) if t >= 1 => (t, "PAPAR_THREADS"),
-            _ => return Err(MrError::BadThreadBudget { value: v }),
+            Ok(t) if t >= 1 => Ok((t, "PAPAR_THREADS")),
+            _ => Err(MrError::BadThreadBudget { value: v }),
         },
-        Err(_) => (
+        Err(_) => Ok((
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             "host parallelism",
-        ),
-    };
-    ANNOUNCE.call_once(|| {
-        eprintln!("papar: engine thread budget: {threads} ({source})");
-    });
-    Ok(threads)
+        )),
+    }
 }
 
 /// Per-receiver `(sender, buffer)` lists produced by [`Cluster::exchange`].

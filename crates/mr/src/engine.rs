@@ -197,6 +197,16 @@ pub trait Mapper: Sync {
     fn key(&self) -> PairKey {
         PairKey::Pushed
     }
+
+    /// The fields of each pushed entry the shuffle carries, in order, as a
+    /// record of the job's [`MapReduceJob::map_output_schema`]: the mapper
+    /// routes an entry on all of its fields, and [`Emit`] encodes only
+    /// these. The default, `None`, ships every field. Only a keyless
+    /// mapper ([`PairKey::None`]) projects: the reducers would read a key
+    /// field from the projected entry.
+    fn projection(&self) -> Option<&[usize]> {
+        None
+    }
 }
 
 /// Where the reduce key of a mapper's entries comes from
@@ -254,6 +264,8 @@ pub struct Emit<'a> {
     row_schema: Option<Arc<Schema>>,
     /// The mapper's [`Mapper::key`].
     key: PairKey,
+    /// The mapper's [`Mapper::projection`].
+    projection: Option<&'a [usize]>,
 }
 
 /// A reducer's open run in its segment: where its header starts, its base
@@ -308,6 +320,7 @@ impl<'a> Emit<'a> {
             lo: 0,
             row_schema: None,
             key: job.mapper.key(),
+            projection: job.mapper.projection(),
         }
     }
 
@@ -404,12 +417,17 @@ impl<'a> Emit<'a> {
         if let Some(key) = key {
             wire::encode_value(key, buf);
         }
+        let proj = self.projection;
         let record_bytes = match entry {
-            EntryRef::Row(row) if row_follows(&mut self.row_schema, row, self.schema) => {
-                buf.extend_from_slice(row.as_bytes());
-                row.as_bytes().len()
+            EntryRef::Row(row) if row_follows(&mut self.row_schema, row, self.schema, proj) => {
+                let start = buf.len();
+                match proj {
+                    None => buf.extend_from_slice(row.as_bytes()),
+                    Some(proj) => wire::project_record(row.as_bytes(), row.schema(), proj, buf),
+                }
+                buf.len() - start
             }
-            _ => encode_entry(entry, self.schema, self.compress_key, buf)?,
+            _ => encode_entry(entry, self.schema, self.compress_key, proj, buf)?,
         };
         self.lo += record_bytes as u64 * u64::from(remote);
         if let Some(sk) = self.skew.as_deref_mut() {
@@ -542,7 +560,8 @@ pub struct MapReduceJob<'a> {
     /// Number of reducers (= output fragments).
     pub num_reducers: usize,
     /// Schema of the entries mappers emit (map may extend the input schema
-    /// via add-ons before the shuffle).
+    /// via add-ons before the shuffle; a projecting mapper's entries ship
+    /// as records of it, [`Mapper::projection`]).
     pub map_output_schema: Arc<Schema>,
     /// Schema of the reducer output (usually the same).
     pub output_schema: Arc<Schema>,
@@ -588,6 +607,15 @@ impl MapReduceJob<'_> {
             }
             PairKey::None => KeyAt::Nowhere,
         };
+        if let Some(proj) = self.mapper.projection() {
+            if proj.len() != schema.len() || !matches!(key, KeyAt::Nowhere) {
+                return Err(MrError::msg(format!(
+                    "job '{}' projects its entries: a projection needs a keyless \
+                     mapper and one field per map output field",
+                    self.name
+                )));
+            }
+        }
         Ok(Layout {
             schema,
             compress_key: self.compress_key,
@@ -596,15 +624,25 @@ impl MapReduceJob<'_> {
     }
 }
 
-/// Whether `row` is laid out by `schema`. A match is remembered in `seen`,
+/// Whether `row` is laid out by `schema` — projected onto `proj`, its
+/// fields there have `schema`'s types. A match is remembered in `seen`,
 /// so the next row of that schema costs one pointer comparison instead of
 /// a `Schema ==` over field names.
-fn row_follows(seen: &mut Option<Arc<Schema>>, row: RowRef<'_>, schema: &Schema) -> bool {
+fn row_follows(
+    seen: &mut Option<Arc<Schema>>,
+    row: RowRef<'_>,
+    schema: &Schema,
+    proj: Option<&[usize]>,
+) -> bool {
     let row_schema = row.schema();
     if seen.as_ref().is_some_and(|s| Arc::ptr_eq(s, row_schema)) {
         return true;
     }
-    let follows = std::ptr::eq(row_schema.as_ref(), schema) || row_schema.as_ref() == schema;
+    let follows = match proj {
+        None => std::ptr::eq(row_schema.as_ref(), schema) || row_schema.as_ref() == schema,
+        Some(proj) => (proj.iter().zip(schema.fields()))
+            .all(|(&i, f)| row_schema.fields().get(i).is_some_and(|g| g.ty == f.ty)),
+    };
     if follows {
         *seen = Some(Arc::clone(row_schema));
     }
@@ -621,21 +659,23 @@ fn entry_tag(entry: EntryRef<'_>, compress_key: Option<usize>) -> u8 {
     }
 }
 
-/// Encode one entry, without its tag, into the outbox; a row of another
-/// schema decodes and encodes like a record. Returns the bytes its flat
-/// records take as records: all of it for a record, the members for a
-/// packed group (without its key and count), and for a CSC group the
-/// columns plus each member's share of the factored key.
+/// Encode one entry, without its tag, into the outbox, each flat record
+/// projected onto `proj` when there is one; a row of another schema
+/// decodes and encodes like a record. Returns the bytes its flat records
+/// take as records: all of it for a record, the members for a packed group
+/// (without its key and count), and for a CSC group the columns plus each
+/// member's share of the factored key.
 fn encode_entry(
     entry: EntryRef<'_>,
     schema: &Schema,
     compress_key: Option<usize>,
+    proj: Option<&[usize]>,
     buf: &mut Vec<u8>,
 ) -> Result<usize> {
     let start = buf.len();
     match entry {
-        EntryRef::Rec(r) => wire::encode_record(r, schema, buf)?,
-        EntryRef::Row(row) => wire::encode_record(&row.to_record(), schema, buf)?,
+        EntryRef::Rec(r) => encode_projected(r, schema, proj, buf)?,
+        EntryRef::Row(row) => encode_projected(&row.to_record(), schema, proj, buf)?,
         EntryRef::Packed(p) => {
             wire::encode_value(&p.key, buf);
             // The key's width without its tag: what each member's key
@@ -649,8 +689,9 @@ fn encode_entry(
                         if fi == key_idx {
                             continue;
                         }
+                        let from = proj.map_or(fi, |proj| proj[fi]);
                         for rec in &p.records {
-                            let v = rec.require(fi).map_err(MrError::from)?;
+                            let v = rec.require(from).map_err(MrError::from)?;
                             wire::encode_field(v, field.ty, buf)?;
                         }
                     }
@@ -658,7 +699,7 @@ fn encode_entry(
                 }
                 None => {
                     for rec in &p.records {
-                        wire::encode_record(rec, schema, buf)?;
+                        encode_projected(rec, schema, proj, buf)?;
                     }
                     return Ok(buf.len() - members);
                 }
@@ -666,6 +707,23 @@ fn encode_entry(
         }
     }
     Ok(buf.len() - start)
+}
+
+/// Encode `rec` as a record of `schema`: its fields `proj` names, when
+/// there is a projection, else all of them.
+fn encode_projected(
+    rec: &Record,
+    schema: &Schema,
+    proj: Option<&[usize]>,
+    buf: &mut Vec<u8>,
+) -> Result<()> {
+    let Some(proj) = proj else {
+        return Ok(wire::encode_record(rec, schema, buf)?);
+    };
+    for (&i, field) in proj.iter().zip(schema.fields()) {
+        wire::encode_field(rec.require(i).map_err(MrError::from)?, field.ty, buf)?;
+    }
+    Ok(())
 }
 
 /// Checked narrowing for the shuffle wire format's u32 fields — a segment

@@ -199,11 +199,6 @@ impl<'a> Pairs<'a> {
         Pairs::new(&[], &[], &[], layout, 0, false)
     }
 
-    /// The schema of every shuffled record.
-    pub fn schema(&self) -> &'a Schema {
-        self.layout.schema
-    }
-
     /// Number of pairs.
     pub fn len(&self) -> usize {
         self.order.len()

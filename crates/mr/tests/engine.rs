@@ -1647,3 +1647,190 @@ fn field_keyed_jobs_deliver_what_wire_keyed_jobs_do() {
     }
     assert!(tie_pairs > 0, "the keys tie on their prefixes");
 }
+
+/// Entries of `(a Int, b Str, c Long)`, projected onto `(b, a)`.
+const PROJECTION: [usize; 2] = [1, 0];
+
+/// Routes each entry by its field `c` — which the projection drops — and
+/// ships it projected onto [`PROJECTION`].
+struct ProjectingMapper;
+
+impl Mapper for ProjectingMapper {
+    fn map(
+        &self,
+        _: &papar_mr::TaskCtx,
+        inputs: &[MapInput],
+        out: &mut Emit<'_>,
+    ) -> papar_mr::Result<()> {
+        for mi in inputs {
+            for entry in EntryRef::all(&mi.data.batch) {
+                let c = entry.key(2)?.as_i64().unwrap();
+                out.push_to(c as usize % 2, entry)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn key(&self) -> PairKey {
+        PairKey::None
+    }
+
+    fn projection(&self) -> Option<&[usize]> {
+        Some(&PROJECTION)
+    }
+}
+
+/// A projecting mapper's pushes — a row, a record, a packed group, and a
+/// CSC-packed one, whose factored key column moves with the projection —
+/// reach the reducer as exactly the projected records, and `shuffle_lo`
+/// counts only their bytes (plus one header per remote segment).
+#[test]
+fn a_projecting_mapper_ships_only_the_projected_fields() {
+    use papar_record::batch::Rows;
+    use papar_record::wire;
+    let wide = Arc::new(Schema::new(vec![
+        ("a", FieldType::Integer),
+        ("b", FieldType::Str),
+        ("c", FieldType::Long),
+    ]));
+    let shipped = Arc::new(Schema::new(vec![
+        ("b", FieldType::Str),
+        ("a", FieldType::Integer),
+    ]));
+    let records = |from: i32| -> Vec<Record> {
+        (from..from + 9)
+            .map(|i| rec![i % 4, "s".repeat(i as usize % 5), i64::from(i * 7)])
+            .collect()
+    };
+    let nodes = 2;
+    // Fragment f lands on node f % 2: each node holds rows, records and
+    // packed groups, in that order.
+    let fragments: Vec<Dataset> = (0..6)
+        .map(|f| {
+            let recs = records(10 * f);
+            let batch = match f / 2 {
+                0 => {
+                    let mut bytes = Vec::new();
+                    for r in &recs {
+                        wire::encode_record(r, &wide, &mut bytes).unwrap();
+                    }
+                    Batch::Rows(Rows::new(wide.clone(), bytes).unwrap())
+                }
+                1 => Batch::Flat(recs),
+                _ => Batch::Flat(recs).pack_by(0).unwrap(),
+            };
+            Dataset::new(wide.clone(), batch)
+        })
+        .collect();
+    // What each reducer must receive, in (mapper, emission) order, and the
+    // projected bytes and segments that leave a node.
+    let mut want = vec![Vec::new(); 2];
+    let mut remote_bytes = 0u64;
+    let mut segments = std::collections::BTreeSet::new();
+    for node in 0..nodes {
+        for frag in fragments.iter().skip(node).step_by(nodes) {
+            for entry in EntryRef::all(&frag.batch) {
+                let reducer = entry.key(2).unwrap().as_i64().unwrap() as usize % 2;
+                let members = match entry.to_entry() {
+                    Entry::Rec(r) => vec![r],
+                    Entry::Packed(p) => p.records,
+                };
+                for r in members {
+                    let projected: Record =
+                        PROJECTION.iter().map(|&i| r.values()[i].clone()).collect();
+                    if reducer % nodes != node {
+                        let mut bytes = Vec::new();
+                        wire::encode_record(&projected, &shipped, &mut bytes).unwrap();
+                        remote_bytes += bytes.len() as u64;
+                        segments.insert((node, reducer));
+                    }
+                    want[reducer].push(projected);
+                }
+            }
+        }
+    }
+    assert!(!segments.is_empty());
+    // The packed groups are keyed by `a`: shipped field 1.
+    for compress_key in [None, Some(1)] {
+        let mut cluster = Cluster::new(nodes);
+        cluster
+            .place("in", fragments.iter().cloned().map(Arc::new).collect())
+            .unwrap();
+        let reducer = strip_keys();
+        let job = MapReduceJob {
+            name: "project".into(),
+            inputs: vec!["in".into()],
+            output: "out".into(),
+            num_reducers: 2,
+            map_output_schema: shipped.clone(),
+            output_schema: shipped.clone(),
+            mapper: &ProjectingMapper,
+            partitioner: &IdentityPartitioner,
+            reducer: &reducer,
+            sort_by_key: false,
+            descending: false,
+            compress_key,
+            release: &[],
+        };
+        let stats = cluster.run_job(&job).unwrap();
+        let got: Vec<Vec<Record>> = (cluster.collect("out").unwrap().into_iter())
+            .map(|d| d.batch.flatten())
+            .collect();
+        assert_eq!(got, want, "compress_key {compress_key:?}");
+        assert_eq!(
+            stats.shuffle_lo,
+            remote_bytes + 8 * segments.len() as u64,
+            "compress_key {compress_key:?}"
+        );
+    }
+}
+
+/// A keyed job cannot project: its reducers would read the key field from
+/// the projected entry. Nor can a projection that names fewer fields
+/// than the map output schema has. Both are refused before any map task
+/// runs.
+#[test]
+fn a_projection_needs_a_keyless_mapper_of_the_right_width() {
+    struct Projects(PairKey, &'static [usize]);
+    impl Mapper for Projects {
+        fn map(
+            &self,
+            _: &papar_mr::TaskCtx,
+            _: &[MapInput],
+            _: &mut Emit<'_>,
+        ) -> papar_mr::Result<()> {
+            Ok(())
+        }
+        fn key(&self) -> PairKey {
+            self.0
+        }
+        fn projection(&self) -> Option<&[usize]> {
+            Some(self.1)
+        }
+    }
+    for mapper in [
+        Projects(PairKey::Field(0), &[1, 0]),
+        Projects(PairKey::None, &[1]),
+    ] {
+        let mut cluster = Cluster::new(2);
+        cluster.scatter("in", int_dataset(&[1, 2, 3])).unwrap();
+        let reducer = strip_keys();
+        let job = MapReduceJob {
+            name: "refused".into(),
+            inputs: vec!["in".into()],
+            output: "out".into(),
+            num_reducers: 2,
+            map_output_schema: pair_schema(),
+            output_schema: pair_schema(),
+            mapper: &mapper,
+            partitioner: &IdentityPartitioner,
+            reducer: &reducer,
+            sort_by_key: mapper.0 != PairKey::None,
+            descending: false,
+            compress_key: None,
+            release: &[],
+        };
+        let err = cluster.run_job(&job).unwrap_err().to_string();
+        assert!(err.contains("projects its entries"), "{err}");
+    }
+}

@@ -140,7 +140,7 @@ impl Server {
     /// *here*, not on the first request — a resident daemon must not
     /// boot mis-sized) and claim the socket.
     pub fn bind(opts: ServeOptions) -> Result<Server, ServeError> {
-        let default_threads =
+        let (default_threads, _) =
             papar_mr::default_thread_budget().map_err(|e| ServeError::Rejected {
                 detail: e.to_string(),
             })?;
