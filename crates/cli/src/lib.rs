@@ -526,8 +526,13 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
     )
     .map_err(fail)?;
 
-    let mut cluster =
-        job::new_cluster(spec.nodes, spec.replication, spec.max_retries.max(1)).map_err(fail)?;
+    let mut cluster = job::new_cluster(
+        spec.nodes,
+        threads,
+        spec.replication,
+        spec.max_retries.max(1),
+    )
+    .map_err(fail)?;
     if let Some(fault_spec) = &spec.faults {
         let chaos = ChaosSpec::parse(fault_spec).map_err(|e| fail(e.to_string()))?;
         cluster =

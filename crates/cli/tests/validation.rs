@@ -106,6 +106,22 @@ fn malformed_papar_threads_fails_the_run_loudly() {
 }
 
 #[test]
+fn threads_flag_beats_a_malformed_papar_threads() {
+    // `--threads` is the budget; the environment is only its default, so
+    // a malformed value there must not refuse a run that names its own.
+    let dir = fixture("threads-flag");
+    let out = papar_run(&dir)
+        .args(["--threads", "2"])
+        .env("PAPAR_THREADS", "lots")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(!err.contains("PAPAR_THREADS"), "stderr: {err}");
+    assert!(dir.join("out").join("partition_0000.bin").exists());
+}
+
+#[test]
 fn valid_papar_threads_is_reported_once_and_runs() {
     let dir = fixture("threads-ok");
     let out = papar_run(&dir).env("PAPAR_THREADS", "2").output().unwrap();

@@ -2,7 +2,6 @@
 //! simulated cluster (paper Section III-D, "the jobs are launched one by
 //! one following the order defined in the workflow configuration file").
 
-use papar_config::input::FieldDef;
 use papar_mr::engine::{FnReducer, HashPartitioner, IdentityPartitioner, KeyedMapper, MapInput};
 use papar_mr::engine::{Mapper, PairKey, Reducer};
 use papar_mr::fault::RecoveryAction;
@@ -1308,7 +1307,7 @@ impl WorkflowRunner {
         let n = cluster.num_nodes();
         for (p, mut batch) in batches.into_iter().enumerate() {
             if let Some(proj) = &projection {
-                project_batch(&mut batch, proj);
+                project_batch(&mut batch, proj)?;
             }
             // The unfused distribute's reducer p runs on node p % n and
             // commits fragment ordinal p; mirror exactly (empty
@@ -1348,16 +1347,14 @@ impl WorkflowRunner {
         // known from its length alone, and a flat destination can take
         // the run as rows: each member's bytes with the counts appended.
         let grouped = &gjob.outputs[0].1.schema;
-        let counted = group.addons.iter().all(|a| a.kind == AddOnKind::Count)
+        let counted = group.counts.is_some()
             && split.key_idx >= gjob.input_meta.schema.len()
-            && self.compress_key(&gjob.input_meta).is_none()
             && (sjob.outputs.iter())
                 .all(|(_, m)| m.format == Format::Packed || m.schema == *grouped);
         let reducer = FusedGroupSplitReducer {
             group,
             split,
-            counted_rows: counted
-                .then(|| grouped.fields()[gjob.input_meta.schema.len()..].to_vec()),
+            counted,
         };
         self.run_keyed(
             cluster,
@@ -1580,6 +1577,13 @@ struct OrderedReducer<'a> {
     /// (a flat input of the output's schema, which has a field, and
     /// nothing to apply): the reducer gathers them from the inbox.
     rows: Option<Arc<Schema>>,
+    /// The output schema: a packed output's members are rows of it.
+    schema: Arc<Schema>,
+    /// How many `long` fields the add-ons append, when every add-on is a
+    /// count over a flat input: a key-run's rows are then its records'
+    /// bytes, each with the run length appended that many times, and no
+    /// record decodes.
+    counts: Option<usize>,
 }
 
 // The reduce side speaks the engine's error type; core errors cross into
@@ -1594,30 +1598,40 @@ impl<'a> OrderedReducer<'a> {
         let unchanged = addons.is_empty() && !packs && input.format == Format::Flat;
         let rows = (unchanged && input.schema == out.schema && !out.schema.is_empty())
             .then(|| out.schema.clone());
+        // A count appends a `long` field (`AddOnKind::result_type`).
+        let counts = (input.format == Format::Flat
+            && addons.iter().all(|a| a.kind == AddOnKind::Count))
+        .then_some(addons.len());
         Ok(OrderedReducer {
             addons,
             key_idx,
             packs,
             rows,
+            schema: out.schema.clone(),
+            counts,
         })
     }
 
     /// One key-run's reduce output, in order: its records, with the
     /// add-ons applied, reach `emit` at once, unless the output packs;
-    /// then they pack onto `groups`, and a group reaches `emit` once no
-    /// later run can extend it. Every record is decoded exactly once, into
-    /// the vector of its key-run.
+    /// then its rows pack onto `groups` (built in `buf`), and a group
+    /// reaches `emit` once no later run can extend it.
     fn reduce_run(
         &self,
         run: Pairs<'_>,
         groups: &mut Vec<PackedRecord>,
+        buf: &mut Vec<u8>,
         emit: &mut impl FnMut(Entry) -> papar_mr::Result<()>,
     ) -> papar_mr::Result<()> {
-        let records = self.decode_run(run)?;
         if !self.packs {
+            let records = self.decode_run(run)?;
             return records.into_iter().try_for_each(|r| emit(Entry::Rec(r)));
         }
-        pack_onto(groups, records, self.key_idx).map_err(CoreError::from)?;
+        buf.clear();
+        self.run_rows(run, buf)?;
+        // One exact-size member buffer per group.
+        let members = Rows::new(self.schema.clone(), buf.to_vec())?;
+        pack_onto(groups, members, self.key_idx).map_err(CoreError::from)?;
         let done = groups.len().saturating_sub(1);
         groups
             .drain(..done)
@@ -1630,9 +1644,9 @@ impl<'a> OrderedReducer<'a> {
         pairs: Pairs<'_>,
         mut emit: impl FnMut(Entry) -> papar_mr::Result<()>,
     ) -> papar_mr::Result<()> {
-        let mut groups = Vec::new();
+        let (mut groups, mut buf) = (Vec::new(), Vec::new());
         for run in pairs.runs() {
-            self.reduce_run(run?, &mut groups, &mut emit)?;
+            self.reduce_run(run?, &mut groups, &mut buf, &mut emit)?;
         }
         groups.into_iter().try_for_each(|g| emit(Entry::Packed(g)))
     }
@@ -1645,6 +1659,25 @@ impl<'a> OrderedReducer<'a> {
             addon.apply_to_group(&mut records)?;
         }
         Ok(records)
+    }
+
+    /// Append one key-run's records, with the add-ons applied, to `out`
+    /// as rows of the output schema: with only counts, each record's
+    /// bytes and the encoded run length, decoding nothing; otherwise the
+    /// decoded records, encoded once.
+    fn run_rows(&self, run: Pairs<'_>, out: &mut Vec<u8>) -> papar_mr::Result<()> {
+        let Some(counts) = self.counts else {
+            for record in self.decode_run(run)? {
+                wire::encode_record(&record, &self.schema, out)?;
+            }
+            return Ok(());
+        };
+        // A `long` field's wire bytes.
+        let count = (run.record_count() as i64).to_le_bytes();
+        run.for_each_record(|record| {
+            out.extend_from_slice(record);
+            (0..counts).for_each(|_| out.extend_from_slice(&count));
+        })
     }
 
     /// The whole reduce output as one batch.
@@ -1718,7 +1751,8 @@ impl<'a> SplitRouter<'a> {
     /// group keyed by the split key.
     fn route(&self, entry: Entry, outs: &mut [Batch]) -> papar_mr::Result<()> {
         let dest = self.dest(&*entry.as_ref().key(self.key_idx)?)?;
-        place(&mut outs[dest], entry, Some(self.key_idx))
+        let schema = &self.outputs[dest].1.schema;
+        place(&mut outs[dest], entry, Some((self.key_idx, schema)))
     }
 }
 
@@ -1728,45 +1762,32 @@ impl<'a> SplitRouter<'a> {
 struct FusedGroupSplitReducer<'a> {
     group: OrderedReducer<'a>,
     split: SplitRouter<'a>,
-    /// The appended count fields, when every add-on is a count and the
-    /// split routes on one of them: a key-run then routes by its length,
-    /// and a flat destination takes it as rows (see
+    /// Every add-on is a count ([`OrderedReducer::counts`]) and the split
+    /// routes on one of them: a key-run then routes by its length (see
     /// [`FusedGroupSplitReducer::reduce_counted`]).
-    counted_rows: Option<Vec<FieldDef>>,
+    counted: bool,
 }
 
 impl FusedGroupSplitReducer<'_> {
     /// The reduce of a split on a count add-on. Every record of a key-run
-    /// gets the same counts — the run's length — so the run routes whole.
-    /// A flat destination takes its runs as rows: each member's wire
-    /// bytes, then the encoded counts, with no record decoded. A packed
-    /// destination takes the run as the group reducer builds it, decoded.
-    fn reduce_counted(
-        &self,
-        pairs: Pairs<'_>,
-        counts: &[FieldDef],
-    ) -> papar_mr::Result<Vec<Batch>> {
+    /// gets the same counts — the run's length — so the run routes whole,
+    /// and its rows are its members' wire bytes, each with the encoded
+    /// counts appended: no record is decoded. A flat destination takes its
+    /// runs as one buffer of rows; a packed destination takes each run as
+    /// a group with its own member buffer, its key decoded once.
+    fn reduce_counted(&self, pairs: Pairs<'_>) -> papar_mr::Result<Vec<Batch>> {
         let mut outs = self.split.empty_outputs();
         let mut rows: Vec<Vec<u8>> = vec![Vec::new(); outs.len()];
-        let mut appended = Vec::new();
-        let mut groups = Vec::new();
+        let (mut groups, mut buf) = (Vec::new(), Vec::new());
         for run in pairs.runs() {
             let run = run?;
-            let count = Value::Long(run.record_count() as i64);
-            let dest = self.split.dest(&count)?;
+            let dest = self.split.dest(&Value::Long(run.record_count() as i64))?;
             if self.split.outputs[dest].1.format == Format::Flat {
-                appended.clear();
-                for field in counts {
-                    wire::encode_field(&count, field.ty, &mut appended)?;
-                }
-                let out = &mut rows[dest];
-                run.for_each_record(|record| {
-                    out.extend_from_slice(record);
-                    out.extend_from_slice(&appended);
-                })?;
+                self.group.run_rows(run, &mut rows[dest])?;
                 continue;
             }
-            (self.group).reduce_run(run, &mut groups, &mut |e| self.split.route(e, &mut outs))?;
+            let route = &mut |e| self.split.route(e, &mut outs);
+            self.group.reduce_run(run, &mut groups, &mut buf, route)?;
         }
         for group in groups {
             self.split.route(Entry::Packed(group), &mut outs)?;
@@ -1782,8 +1803,8 @@ impl FusedGroupSplitReducer<'_> {
 
 impl Reducer for FusedGroupSplitReducer<'_> {
     fn reduce(&self, _ctx: &TaskCtx, pairs: Pairs<'_>) -> papar_mr::Result<Vec<Batch>> {
-        if let Some(counts) = &self.counted_rows {
-            return self.reduce_counted(pairs, counts);
+        if self.counted {
+            return self.reduce_counted(pairs);
         }
         let mut outs = self.split.empty_outputs();
         // Exactly what the unfused group reducer committed to the
@@ -1972,23 +1993,27 @@ fn empty_batch(format: Format, records: usize, entries: usize) -> Batch {
 
 /// Move one entry into an output batch: the one place an operator's
 /// entry lands in an output of either format. A flat output takes a
-/// record, or a packed group's members in order. A packed output takes a
-/// group; a lone record becomes a singleton group keyed by its field
-/// `wrap_key` (split), and without one it is refused with
-/// [`FLAT_IN_PACKED`] (distribute). Rows are built from bytes, never
-/// placed into.
-fn place(out: &mut Batch, entry: Entry, wrap_key: Option<usize>) -> papar_mr::Result<()> {
+/// record, or a packed group's members in order, decoded. A packed output
+/// takes a group; a lone record becomes a singleton group of one row of
+/// `wrap`'s schema, keyed by its field `wrap`'s index (split), and without
+/// one it is refused with [`FLAT_IN_PACKED`] (distribute). Rows are built
+/// from bytes, never placed into.
+fn place(
+    out: &mut Batch,
+    entry: Entry,
+    wrap: Option<(usize, &Arc<Schema>)>,
+) -> papar_mr::Result<()> {
     match (out, entry) {
         (Batch::Flat(records), Entry::Rec(r)) => records.push(r),
-        (Batch::Flat(records), Entry::Packed(p)) => records.extend(p.records),
+        (Batch::Flat(records), Entry::Packed(p)) => {
+            records.extend(p.members.iter().map(|row| row.to_record()))
+        }
         (Batch::Packed(groups), Entry::Packed(p)) => groups.push(p),
         (Batch::Packed(groups), Entry::Rec(r)) => {
-            let key_idx = wrap_key.ok_or_else(|| MrError::msg(FLAT_IN_PACKED))?;
+            let (key_idx, schema) = wrap.ok_or_else(|| MrError::msg(FLAT_IN_PACKED))?;
             let key = r.require(key_idx)?.clone();
-            groups.push(PackedRecord {
-                key,
-                records: vec![r],
-            });
+            let members = Rows::from_records(schema.clone(), std::slice::from_ref(&r))?;
+            groups.push(PackedRecord { key, members });
         }
         (Batch::Rows(_), _) => return Err(MrError::msg("an entry cannot be placed into rows")),
     }
@@ -2047,11 +2072,13 @@ fn verify_batch_conforms(batch: &Batch, meta: &DatasetMeta, job_id: &str, datase
         Batch::Rows(rows) => rows.iter().for_each(|row| check_record(&row.to_record())),
         Batch::Packed(groups) => {
             for g in groups {
-                g.records.iter().for_each(check_record);
+                g.members
+                    .iter()
+                    .for_each(|row| check_record(&row.to_record()));
                 if let Some(k) = meta.packed_key {
-                    if let Some(first) = g.records.first() {
+                    if let Some(first) = g.members.iter().next() {
                         debug_assert_eq!(
-                            first.values().get(k),
+                            first.field(k).ok().as_ref(),
                             Some(&g.key),
                             "job '{job_id}' dataset '{dataset}': packed group key \
                              {:?} disagrees with member field #{k}",
@@ -2065,9 +2092,10 @@ fn verify_batch_conforms(batch: &Batch, meta: &DatasetMeta, job_id: &str, datase
 }
 
 /// Project every record onto the given field indices, in place; rows
-/// decode first. Only the fused sort→distribute assembly projects so: an
-/// unfused distribute ships its entries projected.
-fn project_batch(batch: &mut Batch, proj: &[usize]) {
+/// decode first, and a group's members are projected as their bytes. Only
+/// the fused sort→distribute assembly projects so: an unfused distribute
+/// ships its entries projected.
+fn project_batch(batch: &mut Batch, proj: &[usize]) -> Result<()> {
     let project = |r: &mut Record| *r = proj.iter().map(|&i| r.values()[i].clone()).collect();
     match batch {
         Batch::Rows(rows) => {
@@ -2076,11 +2104,18 @@ fn project_batch(batch: &mut Batch, proj: &[usize]) {
             *batch = Batch::Flat(records);
         }
         Batch::Flat(records) => records.iter_mut().for_each(project),
-        Batch::Packed(groups) => groups
-            .iter_mut()
-            .flat_map(|g| g.records.iter_mut())
-            .for_each(project),
+        Batch::Packed(groups) => {
+            for g in groups {
+                let mut bytes = Vec::new();
+                for row in g.members.iter() {
+                    wire::project_record(row.as_bytes(), row.schema(), proj, &mut bytes);
+                }
+                let schema = project_schema(g.members.schema(), proj);
+                g.members = Rows::new(schema, bytes).map_err(MrError::from)?;
+            }
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -2138,34 +2173,38 @@ mod tests {
     /// Each placement policy, stated once in [`place`].
     #[test]
     fn place_wraps_refuses_and_unpacks_by_output_format() -> Result<()> {
-        let group = |k: i32| PackedRecord {
-            key: Value::Int(k),
-            records: vec![rec![k, 1], rec![k, 2]],
+        let schema = Arc::new(Schema::new(vec![
+            ("a", FieldType::Integer),
+            ("b", FieldType::Integer),
+        ]));
+        let wrap = Some((1, &schema));
+        let group = |k: i32, records: &[Record]| -> Result<PackedRecord> {
+            let members = Rows::from_records(schema.clone(), records)?;
+            Ok(PackedRecord::new(Value::Int(k), members, 0)?)
         };
-        // A split wraps a lone record as a group keyed by the split key.
+        let five = group(5, &[rec![5, 1], rec![5, 2]])?;
+        // A split wraps a lone record as a group of one row, keyed by the
+        // split key.
         let mut split = empty_batch(Format::Packed, 0, 0);
-        place(&mut split, Entry::Rec(rec![4, 9]), Some(1))?;
-        place(&mut split, Entry::Packed(group(5)), Some(1))?;
-        let single = PackedRecord {
-            key: Value::Int(9),
-            records: vec![rec![4, 9]],
-        };
-        assert_eq!(split, Batch::Packed(vec![single, group(5)]));
+        place(&mut split, Entry::Rec(rec![4, 9]), wrap)?;
+        place(&mut split, Entry::Packed(five.clone()), wrap)?;
+        let single = PackedRecord::new(
+            Value::Int(9),
+            Rows::from_records(schema.clone(), &[rec![4, 9]])?,
+            1,
+        )?;
+        assert_eq!(split, Batch::Packed(vec![single, five.clone()]));
         // A distribute refuses it.
         let refused = place(&mut split, Entry::Rec(rec![4, 9]), None);
         assert!(matches!(refused, Err(e) if e.to_string().contains(FLAT_IN_PACKED)));
         // A flat output takes records and a group's members, in order.
         let mut flat = empty_batch(Format::Flat, 0, 0);
         place(&mut flat, Entry::Rec(rec![4, 9]), None)?;
-        place(&mut flat, Entry::Packed(group(5)), Some(1))?;
+        place(&mut flat, Entry::Packed(five), wrap)?;
         assert_eq!(flat, Batch::Flat(vec![rec![4, 9], rec![5, 1], rec![5, 2]]));
         // Rows are never placed into.
-        let schema = Arc::new(Schema::new(vec![
-            ("a", FieldType::Integer),
-            ("b", FieldType::Integer),
-        ]));
-        let mut rows = Batch::Rows(Rows::new(schema, Vec::new())?);
-        assert!(place(&mut rows, Entry::Rec(rec![4, 9]), Some(1)).is_err());
+        let mut rows = Batch::Rows(Rows::new(schema.clone(), Vec::new())?);
+        assert!(place(&mut rows, Entry::Rec(rec![4, 9]), wrap).is_err());
         Ok(())
     }
 
@@ -2183,7 +2222,11 @@ mod tests {
         let rows = wire::decode_batch(&mut wire::Reader::new(&bytes), &schema)?;
         assert!(matches!(rows, Batch::Rows(_)));
         let mut groups = Vec::new();
-        pack_onto(&mut groups, records.clone(), 0)?;
+        pack_onto(
+            &mut groups,
+            Rows::from_records(schema.clone(), &records)?,
+            0,
+        )?;
         let forms = [rows, Batch::Flat(records), Batch::Packed(groups)];
         for stride in [1, 3] {
             let expected: Vec<Value> = (0..20)

@@ -82,19 +82,30 @@ impl Cluster {
     /// validating external input (e.g. a CLI `--nodes` flag or a daemon's
     /// startup environment) can report the error.
     pub fn try_with_net(num_nodes: usize, net: NetModel) -> Result<Self> {
+        let mut cluster = Self::try_with_threads(num_nodes, 1)?;
+        cluster.threads = default_thread_budget()?.0;
+        cluster.net = net;
+        Ok(cluster)
+    }
+
+    /// Fallible constructor with the default network model and an explicit
+    /// thread budget ([`Cluster::set_threads`]). It reads no
+    /// `PAPAR_THREADS`: a caller that already holds a budget (a
+    /// `--threads` flag) is not refused for a malformed environment.
+    pub fn try_with_threads(num_nodes: usize, threads: usize) -> Result<Self> {
         if num_nodes == 0 {
             return Err(MrError::msg("a cluster needs at least one node"));
         }
         Ok(Cluster {
             nodes: (0..num_nodes).map(|_| DataStore::new()).collect(),
-            net,
+            net: NetModel::default(),
             replication: 0,
             retry: RetryPolicy::default(),
             fault_plan: None,
             jobs_run: 0,
             pending_recovery: RecoveryStats::default(),
             events: Vec::new(),
-            threads: default_thread_budget()?.0,
+            threads: threads.max(1),
             shuffle_hints: Vec::new(),
             tracer: Box::new(NoopSink),
             cost: CostModel::default(),
@@ -892,7 +903,7 @@ mod tests {
     fn packed_scatter_splits_groups() {
         let schema = schema();
         let packed = Batch::Flat(vec![rec![1], rec![1], rec![2], rec![3]])
-            .pack_by(0)
+            .pack_by(&schema, 0)
             .unwrap();
         let mut c = Cluster::new(2);
         c.scatter("g", Dataset::new(schema, packed)).unwrap();

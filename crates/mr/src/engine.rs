@@ -42,6 +42,7 @@
 //! node order after the join.
 
 use papar_record::batch::{Batch, Dataset, RowRef};
+use papar_record::compress;
 use papar_record::packed::PackedRecord;
 use papar_record::prefix;
 use papar_record::value::INLINE_STR_CAP;
@@ -125,22 +126,20 @@ impl<'a> EntryRef<'a> {
     pub fn record_count(self) -> usize {
         match self {
             EntryRef::Rec(_) | EntryRef::Row(_) => 1,
-            EntryRef::Packed(p) => p.records.len(),
+            EntryRef::Packed(p) => p.members.len(),
         }
     }
 
     /// The entry's key field `field`: the record's, or a packed group's
     /// first member's. Borrowed from a record, read from a row.
     pub fn key(self, field: usize) -> Result<Cow<'a, Value>> {
-        let rec = match self {
-            EntryRef::Rec(r) => r,
-            EntryRef::Row(row) => return Ok(Cow::Owned(row.field(field)?)),
-            EntryRef::Packed(p) => p
-                .records
-                .first()
+        let row = match self {
+            EntryRef::Rec(r) => return Ok(Cow::Borrowed(r.require(field)?)),
+            EntryRef::Row(row) => row,
+            EntryRef::Packed(p) => (p.members.iter().next())
                 .ok_or_else(|| MrError::msg("packed group with no members"))?,
         };
-        Ok(Cow::Borrowed(rec.require(field)?))
+        Ok(Cow::Owned(row.field(field)?))
     }
 
     /// An owned copy of the entry; a row decodes.
@@ -417,17 +416,23 @@ impl<'a> Emit<'a> {
         if let Some(key) = key {
             wire::encode_value(key, buf);
         }
-        let proj = self.projection;
+        let (proj, schema) = (self.projection, self.schema);
         let record_bytes = match entry {
-            EntryRef::Row(row) if row_follows(&mut self.row_schema, row, self.schema, proj) => {
+            EntryRef::Rec(r) => {
                 let start = buf.len();
-                match proj {
-                    None => buf.extend_from_slice(row.as_bytes()),
-                    Some(proj) => wire::project_record(row.as_bytes(), row.schema(), proj, buf),
-                }
+                encode_projected(r, schema, proj, buf)?;
                 buf.len() - start
             }
-            _ => encode_entry(entry, self.schema, self.compress_key, proj, buf)?,
+            EntryRef::Row(row) => {
+                check_layout(&mut self.row_schema, row.schema(), schema, proj)?;
+                let start = buf.len();
+                copy_row(row.as_bytes(), row.schema(), proj, buf);
+                buf.len() - start
+            }
+            EntryRef::Packed(p) => {
+                check_layout(&mut self.row_schema, p.members.schema(), schema, proj)?;
+                encode_group(p, schema, self.compress_key, proj, buf)?
+            }
         };
         self.lo += record_bytes as u64 * u64::from(remote);
         if let Some(sk) = self.skew.as_deref_mut() {
@@ -624,29 +629,29 @@ impl MapReduceJob<'_> {
     }
 }
 
-/// Whether `row` is laid out by `schema` — projected onto `proj`, its
-/// fields there have `schema`'s types. A match is remembered in `seen`,
-/// so the next row of that schema costs one pointer comparison instead of
-/// a `Schema ==` over field names.
-fn row_follows(
+/// Check that rows of `from`, projected onto `proj`, have `schema`'s field
+/// types, so their bytes ship as they are. A match is remembered in
+/// `seen`: the next row of that schema costs one pointer comparison.
+fn check_layout(
     seen: &mut Option<Arc<Schema>>,
-    row: RowRef<'_>,
+    from: &Arc<Schema>,
     schema: &Schema,
     proj: Option<&[usize]>,
-) -> bool {
-    let row_schema = row.schema();
-    if seen.as_ref().is_some_and(|s| Arc::ptr_eq(s, row_schema)) {
-        return true;
+) -> Result<()> {
+    if seen.as_ref().is_some_and(|s| Arc::ptr_eq(s, from)) {
+        return Ok(());
     }
-    let follows = match proj {
-        None => std::ptr::eq(row_schema.as_ref(), schema) || row_schema.as_ref() == schema,
-        Some(proj) => (proj.iter().zip(schema.fields()))
-            .all(|(&i, f)| row_schema.fields().get(i).is_some_and(|g| g.ty == f.ty)),
-    };
-    if follows {
-        *seen = Some(Arc::clone(row_schema));
+    let at = |i: usize| proj.map_or(i, |proj| proj[i]);
+    let follows = (proj.is_some() || from.len() == schema.len())
+        && (schema.fields().iter().enumerate())
+            .all(|(i, f)| from.fields().get(at(i)).is_some_and(|g| g.ty == f.ty));
+    if !follows {
+        return Err(MrError::msg(format!(
+            "rows of {from:?} do not ship as records of the map output schema {schema:?}"
+        )));
     }
-    follows
+    *seen = Some(Arc::clone(from));
+    Ok(())
 }
 
 /// The tag of `entry` on the wire: a record, a packed group, or a
@@ -659,54 +664,45 @@ fn entry_tag(entry: EntryRef<'_>, compress_key: Option<usize>) -> u8 {
     }
 }
 
-/// Encode one entry, without its tag, into the outbox, each flat record
-/// projected onto `proj` when there is one; a row of another schema
-/// decodes and encodes like a record. Returns the bytes its flat records
-/// take as records: all of it for a record, the members for a packed group
-/// (without its key and count), and for a CSC group the columns plus each
-/// member's share of the factored key.
-fn encode_entry(
-    entry: EntryRef<'_>,
+/// Append one row of `schema`, projected onto `proj`, to the outbox.
+fn copy_row(row: &[u8], schema: &Schema, proj: Option<&[usize]>, buf: &mut Vec<u8>) {
+    match proj {
+        None => buf.extend_from_slice(row),
+        Some(proj) => wire::project_record(row, schema, proj, buf),
+    }
+}
+
+/// Encode a packed group, without its tag: its key, its member count, and
+/// its members' row bytes (at once, projected row by row, or as CSC
+/// columns). Returns the bytes its members take as records: for a CSC
+/// group, the columns plus each member's share of the factored key.
+fn encode_group(
+    p: &PackedRecord,
     schema: &Schema,
     compress_key: Option<usize>,
     proj: Option<&[usize]>,
     buf: &mut Vec<u8>,
 ) -> Result<usize> {
     let start = buf.len();
-    match entry {
-        EntryRef::Rec(r) => encode_projected(r, schema, proj, buf)?,
-        EntryRef::Row(row) => encode_projected(&row.to_record(), schema, proj, buf)?,
-        EntryRef::Packed(p) => {
-            wire::encode_value(&p.key, buf);
-            // The key's width without its tag: what each member's key
-            // field takes as a record.
-            let key_w = buf.len() - start - 1;
-            buf.extend_from_slice(&wire_u32("group size", p.records.len())?.to_le_bytes());
-            let members = buf.len();
-            match compress_key {
-                Some(key_idx) => {
-                    for (fi, field) in schema.fields().iter().enumerate() {
-                        if fi == key_idx {
-                            continue;
-                        }
-                        let from = proj.map_or(fi, |proj| proj[fi]);
-                        for rec in &p.records {
-                            let v = rec.require(from).map_err(MrError::from)?;
-                            wire::encode_field(v, field.ty, buf)?;
-                        }
-                    }
-                    return Ok(buf.len() - members + key_w * p.records.len());
-                }
-                None => {
-                    for rec in &p.records {
-                        encode_projected(rec, schema, proj, buf)?;
-                    }
-                    return Ok(buf.len() - members);
-                }
+    wire::encode_value(&p.key, buf);
+    // The key's width without its tag: what each member's key field
+    // takes as a record.
+    let key_w = buf.len() - start - 1;
+    buf.extend_from_slice(&wire_u32("group size", p.members.len())?.to_le_bytes());
+    let members = buf.len();
+    match (compress_key, proj) {
+        (Some(key_idx), _) => {
+            compress::encode_columns(&p.members, schema, key_idx, proj, buf)?;
+            return Ok(buf.len() - members + key_w * p.members.len());
+        }
+        (None, None) => buf.extend_from_slice(p.members.as_bytes()),
+        (None, Some(_)) => {
+            for row in p.members.iter() {
+                copy_row(row.as_bytes(), row.schema(), proj, buf);
             }
         }
     }
-    Ok(buf.len() - start)
+    Ok(buf.len() - members)
 }
 
 /// Encode `rec` as a record of `schema`: its fields `proj` names, when
@@ -1091,6 +1087,8 @@ struct ReduceAttempt {
     records_out: u64,
     pair_count: u64,
     hot: HotPathStats,
+    /// Where the attempt's CPU went: scan, sort, reduce.
+    split: [Duration; 3],
 }
 
 /// What a node's map task hands back at the barrier.
@@ -1194,6 +1192,7 @@ impl Attempts {
             cpu: self.cpu,
             det_ns: task_det_ns(pc, self.count, records, pairs, bytes, &counters),
             counters,
+            reduce_split: [Duration::ZERO; 3],
         }
     }
 }
@@ -1735,7 +1734,10 @@ impl Cluster {
                 ..att.counters()
             };
             let work = (out.records_out, out.pair_count, inbox_bytes);
-            att.span(pc, node, work, counters)
+            TaskTrace {
+                reduce_split: out.split,
+                ..att.span(pc, node, work, counters)
+            }
         });
         Ok(TaskOutcome { out, att, trace })
     }
@@ -1831,6 +1833,7 @@ fn reduce_attempt(
 ) -> Result<ReduceAttempt> {
     let n = pc.n;
     let layout = job.layout()?;
+    let timer = TaskTimer::start();
     let Scan {
         records_by_slot,
         any_inexact,
@@ -1838,6 +1841,7 @@ fn reduce_attempt(
         materialized_bytes,
         mut runs,
     } = scan_inbox(job, node, n, inbox, pairs, locs, packed)?;
+    let scanned = timer.elapsed();
     let mut hot = HotPathStats {
         materialized_bytes,
         ..HotPathStats::default()
@@ -1862,6 +1866,7 @@ fn reduce_attempt(
             &mut hot,
         )?;
     }
+    let sorted = timer.elapsed();
     // Hand every owned reducer its span of the sorted order. With
     // sorted keys, no inexact prefix and one record per pair, the
     // packed keys alone cut the key-equal runs.
@@ -1909,11 +1914,13 @@ fn reduce_attempt(
             outputs.push((rid as u32, reduce(rid, pairs)?));
         }
     }
+    let split = [scanned, sorted - scanned, timer.elapsed() - sorted];
     Ok(ReduceAttempt {
         outputs,
         records_out,
         pair_count: locs.len() as u64,
         hot,
+        split,
     })
 }
 
@@ -2134,7 +2141,7 @@ mod tests {
     proptest! {
         /// A row emits exactly the bytes its decoded record does: under its
         /// own schema, under an equal schema behind another pointer, and
-        /// under another schema (where it decodes and encodes).
+        /// under a renamed schema of the same types.
         #[test]
         fn rows_and_records_emit_the_same_outbox_bytes(
             types in prop::collection::vec(0usize..3, 1..7),
@@ -2250,7 +2257,8 @@ mod tests {
             let groups: Vec<PackedRecord> = (0..10)
                 .map(|g| PackedRecord {
                     key: Value::from(format!("grp-{g:02}")),
-                    records: strs[g..g + 2].to_vec(),
+                    members: papar_record::Rows::from_records(str_keyed_schema(), &strs[g..g + 2])
+                        .unwrap(),
                 })
                 .collect();
             let (mut row, sent) = emit_all(

@@ -11,6 +11,8 @@
 //! MR-MPI's reduce callback, which receives each key and its multivalue
 //! as pointers into the collated page.
 
+use std::sync::Arc;
+
 use papar_config::input::FieldType;
 use papar_record::prefix::{self, KeyPrefix};
 use papar_record::view::{EntryView, KeyField, ValueView, ENTRY_PACKED, ENTRY_REC};
@@ -97,7 +99,7 @@ pub(crate) enum KeyAt {
 /// and where each pair's key is.
 #[derive(Clone, Copy)]
 pub(crate) struct Layout<'a> {
-    pub(crate) schema: &'a Schema,
+    pub(crate) schema: &'a Arc<Schema>,
     pub(crate) compress_key: Option<usize>,
     pub(crate) key: KeyAt,
 }

@@ -170,7 +170,10 @@ fn gathered_rows_are_the_decoded_records_and_compressed_groups_are_refused() {
             for mi in inputs {
                 let mut sorted = mi.data.batch.clone().flatten();
                 sorted.sort_by(|a, b| a.value(0).cmp(&b.value(0)));
-                for g in Batch::Flat(sorted).pack_by(0)?.into_packed()? {
+                for g in Batch::Flat(sorted)
+                    .pack_by(&int_schema(), 0)?
+                    .into_packed()?
+                {
                     out.push(&g.key, EntryRef::Packed(&g))?;
                 }
             }
@@ -351,7 +354,7 @@ fn packed_entries_survive_shuffle_with_and_without_compression() {
     for compress in [None, Some(1)] {
         let mut cluster = Cluster::new(2);
         let rows = vec![rec![2, 1], rec![3, 1], rec![4, 1], rec![1, 2]];
-        let packed = Batch::Flat(rows).pack_by(1).unwrap();
+        let packed = Batch::Flat(rows).pack_by(&pair_schema(), 1).unwrap();
         cluster
             .scatter("in", Dataset::new(pair_schema(), packed))
             .unwrap();
@@ -387,8 +390,8 @@ fn packed_entries_survive_shuffle_with_and_without_compression() {
         assert_eq!(out.batch.record_count(), 4, "compress={compress:?}");
         // Every member record still carries its key field after decode.
         for g in out.batch.as_packed().unwrap() {
-            for r in &g.records {
-                assert_eq!(r.value(1).unwrap(), &g.key);
+            for r in g.members.iter() {
+                assert_eq!(r.field(1).unwrap(), g.key);
             }
         }
     }
@@ -405,7 +408,7 @@ fn compression_reduces_shuffled_bytes_on_redundant_groups() {
                 rows.push(rec![g * 100 + i, g]); // 20 edges into each of 20 vertices
             }
         }
-        let packed = Batch::Flat(rows).pack_by(1).unwrap();
+        let packed = Batch::Flat(rows).pack_by(&pair_schema(), 1).unwrap();
         cluster
             .scatter("in", Dataset::new(pair_schema(), packed))
             .unwrap();
@@ -690,9 +693,10 @@ fn stats_time_components_are_populated() {
 #[test]
 fn entry_record_count_accessor() {
     assert_eq!(Entry::Rec(rec![1]).record_count(), 1);
+    let members = papar_record::Rows::from_records(pair_schema(), &[rec![2, 1], rec![3, 1]]);
     let p = papar_record::PackedRecord {
         key: Value::Int(1),
-        records: vec![rec![2, 1], rec![3, 1]],
+        members: members.unwrap(),
     };
     assert_eq!(Entry::Packed(p).record_count(), 2);
 }
@@ -1601,7 +1605,7 @@ fn field_keyed_jobs_deliver_what_wire_keyed_jobs_do() {
     let flat = Dataset::new(schema.clone(), Batch::Flat(tie_records()));
     let packed = Dataset::new(
         schema.clone(),
-        Batch::Flat(tie_records()).pack_by(0).unwrap(),
+        Batch::Flat(tie_records()).pack_by(&schema, 0).unwrap(),
     );
     let mut tie_pairs = 0;
     for key in [0, 1] {
@@ -1717,7 +1721,7 @@ fn a_projecting_mapper_ships_only_the_projected_fields() {
                     Batch::Rows(Rows::new(wide.clone(), bytes).unwrap())
                 }
                 1 => Batch::Flat(recs),
-                _ => Batch::Flat(recs).pack_by(0).unwrap(),
+                _ => Batch::Flat(recs).pack_by(&wide, 0).unwrap(),
             };
             Dataset::new(wide.clone(), batch)
         })
@@ -1733,7 +1737,7 @@ fn a_projecting_mapper_ships_only_the_projected_fields() {
                 let reducer = entry.key(2).unwrap().as_i64().unwrap() as usize % 2;
                 let members = match entry.to_entry() {
                     Entry::Rec(r) => vec![r],
-                    Entry::Packed(p) => p.records,
+                    Entry::Packed(p) => p.members.to_records(),
                 };
                 for r in members {
                     let projected: Record =

@@ -7,8 +7,8 @@ use crate::packed::{pack, unpack, PackedRecord};
 use crate::record::Record;
 use crate::value::Value;
 use crate::wire::{
-    check_record, decode_field, decode_fixed, decode_fixed_record, decode_record, field_spans,
-    skip_record, Reader,
+    check_record, decode_field, decode_fixed, decode_fixed_record, decode_record, encode_record,
+    field_spans, skip_record, Reader,
 };
 use crate::{CodecError, Result, Schema};
 
@@ -61,7 +61,7 @@ impl Batch {
     pub fn record_count(&self) -> usize {
         match self {
             Batch::Flat(v) => v.len(),
-            Batch::Packed(v) => v.iter().map(|p| p.records.len()).sum(),
+            Batch::Packed(v) => v.iter().map(|p| p.members.len()).sum(),
             Batch::Rows(rows) => rows.len(),
         }
     }
@@ -123,20 +123,23 @@ impl Batch {
         }
     }
 
-    /// Apply the `pack` format operator: group adjacent equal keys.
-    pub fn pack_by(self, key_idx: usize) -> Result<Batch> {
-        match self {
-            Batch::Flat(v) => Ok(Batch::Packed(pack(v, key_idx)?)),
-            Batch::Rows(rows) => Ok(Batch::Packed(pack(rows.to_records(), key_idx)?)),
-            already @ Batch::Packed(_) => Ok(already),
-        }
+    /// Apply the `pack` format operator: group adjacent equal keys. The
+    /// members are rows of `schema` (rows are packed as they are).
+    pub fn pack_by(self, schema: &Arc<Schema>, key_idx: usize) -> Result<Batch> {
+        let rows = match self {
+            Batch::Flat(v) => Rows::from_records(schema.clone(), &v)?,
+            Batch::Rows(rows) => rows,
+            already @ Batch::Packed(_) => return Ok(already),
+        };
+        Ok(Batch::Packed(pack(rows, key_idx)?))
     }
 
-    /// Apply the `unpack` format operator: flatten groups.
-    pub fn unpack(self) -> Batch {
+    /// Apply the `unpack` format operator: flatten groups into rows of
+    /// `schema`, their member bytes concatenated.
+    pub fn unpack(self, schema: &Arc<Schema>) -> Result<Batch> {
         match self {
-            Batch::Packed(v) => Batch::Flat(unpack(v)),
-            flat @ (Batch::Flat(_) | Batch::Rows(_)) => flat,
+            Batch::Packed(v) => Ok(Batch::Rows(unpack(v, schema)?)),
+            flat @ (Batch::Flat(_) | Batch::Rows(_)) => Ok(flat),
         }
     }
 
@@ -146,7 +149,7 @@ impl Batch {
     pub fn flatten(self) -> Vec<Record> {
         match self {
             Batch::Flat(v) => v,
-            Batch::Packed(v) => unpack(v),
+            Batch::Packed(v) => v.iter().flat_map(|p| p.members.to_records()).collect(),
             Batch::Rows(rows) => rows.to_records(),
         }
     }
@@ -211,6 +214,15 @@ impl Rows {
             len,
             bytes,
         })
+    }
+
+    /// `records` encoded as rows of `schema`.
+    pub fn from_records(schema: Arc<Schema>, records: &[Record]) -> Result<Rows> {
+        let mut bytes = Vec::new();
+        for r in records {
+            encode_record(r, &schema, &mut bytes)?;
+        }
+        Rows::new(schema, bytes)
     }
 
     /// The next `n` records at the cursor as rows of `schema`, copied
@@ -506,7 +518,8 @@ impl Dataset {
         };
         match &self.batch {
             Batch::Flat(v) => v.iter().try_for_each(check),
-            Batch::Packed(v) => v.iter().flat_map(|p| p.records.iter()).try_for_each(check),
+            Batch::Packed(v) => (v.iter().flat_map(|p| p.members.iter()))
+                .try_for_each(|row| check(&row.to_record())),
             Batch::Rows(rows) => rows.iter().try_for_each(|row| check(&row.to_record())),
         }
     }
@@ -518,12 +531,19 @@ mod tests {
     use crate::rec;
     use papar_config::input::FieldType;
 
+    fn pairs() -> Arc<Schema> {
+        Arc::new(Schema::new(vec![
+            ("a", FieldType::Integer),
+            ("b", FieldType::Integer),
+        ]))
+    }
+
     #[test]
     fn counts_distinguish_entries_and_records() {
         let flat = Batch::Flat(vec![rec![1, 1], rec![2, 1], rec![3, 2]]);
         assert_eq!(flat.record_count(), 3);
         assert_eq!(flat.entry_count(), 3);
-        let packed = flat.clone().pack_by(1).unwrap();
+        let packed = flat.clone().pack_by(&pairs(), 1).unwrap();
         assert_eq!(packed.record_count(), 3);
         assert_eq!(packed.entry_count(), 2);
     }
@@ -532,26 +552,27 @@ mod tests {
     fn format_conversions() {
         let rows = vec![rec![1, 1], rec![2, 1]];
         let b = Batch::Flat(rows.clone());
-        let packed = b.pack_by(1).unwrap();
+        let packed = b.pack_by(&pairs(), 1).unwrap();
         assert!(packed.as_packed().is_ok());
         assert!(packed.as_flat().is_err());
-        let back = packed.unpack();
-        assert_eq!(back.as_flat().unwrap(), rows.as_slice());
+        let back = packed.unpack(&pairs()).unwrap();
+        assert!(matches!(back, Batch::Rows(_)), "{back:?}");
+        assert_eq!(back, Batch::Flat(rows));
     }
 
     #[test]
     fn pack_is_idempotent_and_unpack_too() {
-        let b = Batch::Flat(vec![rec![1, 1]]).pack_by(1).unwrap();
-        let again = b.clone().pack_by(1).unwrap();
+        let b = Batch::Flat(vec![rec![1, 1]]).pack_by(&pairs(), 1).unwrap();
+        let again = b.clone().pack_by(&pairs(), 1).unwrap();
         assert_eq!(b, again);
-        let f = Batch::Flat(vec![rec![1, 1]]).unpack();
+        let f = Batch::Flat(vec![rec![1, 1]]).unpack(&pairs()).unwrap();
         assert!(matches!(f, Batch::Flat(_)));
     }
 
     #[test]
     fn flatten_normalizes() {
         let rows = vec![rec![1, 1], rec![2, 1], rec![3, 2]];
-        let packed = Batch::Flat(rows.clone()).pack_by(1).unwrap();
+        let packed = Batch::Flat(rows.clone()).pack_by(&pairs(), 1).unwrap();
         assert_eq!(packed.flatten(), rows);
     }
 
@@ -595,8 +616,8 @@ mod tests {
         assert_eq!(rows.clone().into_flat().unwrap(), records);
         assert_eq!(rows.clone().flatten(), records);
         assert_eq!(
-            rows.clone().pack_by(0).unwrap(),
-            Batch::Flat(records.clone()).pack_by(0).unwrap()
+            rows.clone().pack_by(&schema, 0).unwrap(),
+            Batch::Flat(records.clone()).pack_by(&schema, 0).unwrap()
         );
         let Batch::Rows(rows) = rows else {
             unreachable!()

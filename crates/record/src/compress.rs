@@ -16,6 +16,9 @@
 //! paper's "up to 13% improvement" in shuffle volume comes from, reproduced
 //! by the `ablation-compress` experiment.
 
+use std::sync::Arc;
+
+use crate::batch::Rows;
 use crate::packed::PackedRecord;
 use crate::record::Record;
 use crate::wire::{self, Reader};
@@ -52,31 +55,41 @@ pub fn encode_compressed(
     for g in groups {
         put_u32(buf, start);
         start = start
-            .checked_add(g.records.len() as u32)
+            .checked_add(g.members.len() as u32)
             .ok_or_else(|| CodecError("group sizes overflow u32".into()))?;
     }
     put_u32(buf, start); // total member count terminates the pointer array
     for g in groups {
-        wire::encode_value(&g.key, buf);
-        // Column-major: for each non-key field, the array of its values.
-        for (fi, field) in schema.fields().iter().enumerate() {
-            if fi == key_idx {
-                continue;
-            }
-            for rec in &g.records {
-                let v = rec.require(fi)?;
-                wire::encode_field(v, field.ty, buf)?;
-            }
-        }
         // Consistency: every member must actually carry the group key.
-        for rec in &g.records {
-            if rec.require(key_idx)? != &g.key {
+        for row in g.members.iter() {
+            let member = row.field(key_idx)?;
+            if member != g.key {
                 return Err(CodecError(format!(
-                    "member key {} differs from group key {}",
-                    rec.require(key_idx)?,
+                    "member key {member} differs from group key {}",
                     g.key
                 )));
             }
+        }
+        wire::encode_value(&g.key, buf);
+        encode_columns(&g.members, schema, key_idx, None, buf)?;
+    }
+    Ok(())
+}
+
+/// Append the CSC column block of one group: for each field of `schema`
+/// but `key_idx`, every member's cell, column-major, where field `fi` of
+/// `schema` is member field `proj[fi]` (field `fi` without a projection).
+pub fn encode_columns(
+    members: &Rows,
+    schema: &Schema,
+    key_idx: usize,
+    proj: Option<&[usize]>,
+    buf: &mut Vec<u8>,
+) -> Result<()> {
+    for (fi, field) in schema.fields().iter().enumerate() {
+        let src = proj.map_or(fi, |proj| proj[fi]);
+        for row in members.iter().filter(|_| fi != key_idx) {
+            wire::encode_field(&row.field(src)?, field.ty, buf)?;
         }
     }
     Ok(())
@@ -104,13 +117,15 @@ pub fn decode_compressed(r: &mut Reader<'_>, schema: &Schema, key_idx: usize) ->
             return Err(CodecError("start pointers are not monotone".into()));
         }
     }
+    let shared = Arc::new(schema.clone());
     let mut groups = Vec::with_capacity(n_groups);
     for gi in 0..n_groups {
         let count = starts[gi + 1] - starts[gi];
         let key = wire::decode_value(r)?;
         let mut records = Vec::new();
         decode_csc_rows(r, schema, key_idx, &key, count, &mut records)?;
-        groups.push(PackedRecord { key, records });
+        let members = Rows::from_records(shared.clone(), &records)?;
+        groups.push(PackedRecord { key, members });
     }
     Ok(Batch::Packed(groups))
 }
@@ -167,12 +182,12 @@ mod tests {
     use crate::rec;
     use papar_config::input::FieldType;
 
-    fn grouped_edge_schema() -> Schema {
-        Schema::new(vec![
+    fn grouped_edge_schema() -> Arc<Schema> {
+        Arc::new(Schema::new(vec![
             ("vertex_a", FieldType::Str),
             ("vertex_b", FieldType::Str),
             ("indegree", FieldType::Long),
-        ])
+        ]))
     }
 
     /// The paper's worked example: reducer 0 after step 3 of Figure 11.
@@ -183,7 +198,7 @@ mod tests {
             rec!["4", "1", 4i64],
             rec!["5", "1", 4i64],
         ])
-        .pack_by(1)
+        .pack_by(&grouped_edge_schema(), 1)
         .unwrap()
     }
 
@@ -222,7 +237,7 @@ mod tests {
             rec!["8", "7", 3i64],
             rec!["5", "7", 3i64],
         ])
-        .pack_by(1)
+        .pack_by(&schema, 1)
         .unwrap();
         let mut buf = Vec::new();
         encode_compressed(&batch, &schema, 1, &mut buf).unwrap();
@@ -253,9 +268,10 @@ mod tests {
     #[test]
     fn rejects_inconsistent_member_keys() {
         let schema = grouped_edge_schema();
+        let members = [rec!["2", "1", 1i64], rec!["2", "9", 1i64]];
         let batch = Batch::Packed(vec![PackedRecord {
             key: crate::Value::Str("1".into()),
-            records: vec![rec!["2", "1", 1i64], rec!["2", "9", 1i64]],
+            members: Rows::from_records(schema.clone(), &members).unwrap(),
         }]);
         let mut buf = Vec::new();
         assert!(encode_compressed(&batch, &schema, 1, &mut buf).is_err());

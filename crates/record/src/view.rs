@@ -18,8 +18,11 @@
 //! reduce hot path can sort and group *references into inbox buffers* and
 //! decode each entry exactly once, straight into the reducer's output.
 
+use std::sync::Arc;
+
 use papar_config::input::{FieldDef, FieldType};
 
+use crate::batch::Rows;
 use crate::packed::PackedRecord;
 use crate::record::Record;
 use crate::value::Value;
@@ -28,7 +31,7 @@ use crate::{CodecError, Result, Schema};
 
 /// Entry tag: a single flat record.
 pub const ENTRY_REC: u8 = 0;
-/// Entry tag: a packed group (tagged key + u32 count + records).
+/// Entry tag: a packed group (tagged key + u32 count + its member rows).
 pub const ENTRY_PACKED: u8 = 1;
 /// Entry tag: a CSC-compressed packed group (tagged key + u32 count +
 /// column-major non-key fields; the key column is factored out).
@@ -82,54 +85,6 @@ impl<'a> ValueView<'a> {
     }
 }
 
-/// A schema-driven record view: a validated byte span plus its schema.
-#[derive(Debug, Clone, Copy)]
-pub struct RecordView<'a> {
-    schema: &'a Schema,
-    bytes: &'a [u8],
-}
-
-impl<'a> RecordView<'a> {
-    /// Parse one record off the cursor, validating bounds without decoding.
-    /// Fixed-width schemas validate with a single bounds check.
-    pub fn parse(r: &mut Reader<'a>, schema: &'a Schema) -> Result<Self> {
-        let start = r.position();
-        wire::skip_record(r, schema)?;
-        Ok(RecordView {
-            schema,
-            bytes: &r.buffer()[start..r.position()],
-        })
-    }
-
-    /// The validated encoded span.
-    pub fn as_bytes(&self) -> &'a [u8] {
-        self.bytes
-    }
-
-    /// Decode field `idx` only (walks length prefixes up to `idx` for
-    /// variable-width schemas; direct offset for fixed-width ones).
-    pub fn field(&self, idx: usize) -> Result<Value> {
-        let fields = self.schema.fields();
-        if idx >= fields.len() {
-            return Err(CodecError(format!(
-                "field index {idx} out of range for arity {}",
-                fields.len()
-            )));
-        }
-        let mut r = Reader::new(self.bytes);
-        for f in &fields[..idx] {
-            wire::skip_field(&mut r, f.ty)?;
-        }
-        wire::decode_field(&mut r, fields[idx].ty)
-    }
-
-    /// Decode the whole record into owned values.
-    pub fn materialize(&self) -> Result<Record> {
-        let mut r = Reader::new(self.bytes);
-        wire::decode_record(&mut r, self.schema)
-    }
-}
-
 /// A key field of the entries of one schema, located once: its index, its
 /// type and, when every field before it is fixed-width, its constant
 /// offset inside a record. [`EntryView::key`] finds a key through it.
@@ -173,7 +128,7 @@ impl KeyField {
 #[derive(Debug, Clone, Copy)]
 pub struct EntryView<'a> {
     tag: u8,
-    schema: &'a Schema,
+    schema: &'a Arc<Schema>,
     compress_key: Option<usize>,
     /// Flat records the entry holds: 1, or a packed group's member count.
     records: usize,
@@ -223,7 +178,7 @@ impl<'a> EntryView<'a> {
     pub fn parse(
         r: &mut Reader<'a>,
         tag: u8,
-        schema: &'a Schema,
+        schema: &'a Arc<Schema>,
         compress_key: Option<usize>,
     ) -> Result<Self> {
         let start = r.position();
@@ -370,18 +325,26 @@ impl<'a> EntryView<'a> {
         Ok(())
     }
 
-    /// Decode a packed entry into its group, with an exact-size member
-    /// vector; a flat entry is an error.
+    /// A packed entry as its group: the key decoded, the members as rows,
+    /// their bytes copied at once (a CSC group's rebuilt from its
+    /// columns); a flat entry is an error.
     pub fn decode_group(&self) -> Result<PackedRecord> {
         if self.tag == ENTRY_REC {
             return Err(CodecError(
                 "expected a packed group, found a flat record".into(),
             ));
         }
-        let key = wire::decode_value(&mut Reader::new(self.payload))?;
-        let mut records = Vec::with_capacity(self.records);
-        self.decode_into(&mut records)?;
-        Ok(PackedRecord { key, records })
+        let mut r = Reader::new(self.payload);
+        let key = wire::decode_value(&mut r)?;
+        r.read_u32()?;
+        let members = if self.tag == ENTRY_PACKED {
+            Rows::new(self.schema.clone(), r.buffer()[r.position()..].to_vec())?
+        } else {
+            let mut records = Vec::with_capacity(self.records);
+            self.decode_into(&mut records)?;
+            Rows::from_records(self.schema.clone(), &records)?
+        };
+        Ok(PackedRecord { key, members })
     }
 }
 
@@ -397,16 +360,27 @@ mod tests {
     use crate::rec;
     use papar_config::input::FieldType;
 
-    fn fixed_schema() -> Schema {
-        Schema::new(vec![
+    fn fixed_schema() -> Arc<Schema> {
+        Arc::new(Schema::new(vec![
             ("a", FieldType::Integer),
             ("b", FieldType::Long),
             ("c", FieldType::Double),
-        ])
+        ]))
     }
 
-    fn str_schema() -> Schema {
-        Schema::new(vec![("k", FieldType::Str), ("n", FieldType::Integer)])
+    fn str_schema() -> Arc<Schema> {
+        Arc::new(Schema::new(vec![
+            ("k", FieldType::Str),
+            ("n", FieldType::Integer),
+        ]))
+    }
+
+    /// A group of `records`, its members as rows of `schema`.
+    fn group_of(key: Value, schema: &Arc<Schema>, records: &[Record]) -> PackedRecord {
+        PackedRecord {
+            key,
+            members: Rows::from_records(schema.clone(), records).unwrap(),
+        }
     }
 
     #[test]
@@ -432,44 +406,6 @@ mod tests {
         let bad = [3u8, 2, 0, 0, 0, 0xFF, 0xFE];
         assert!(ValueView::parse(&mut Reader::new(&bad)).is_err());
         Ok(())
-    }
-
-    #[test]
-    fn record_view_fixed_width_span_and_fields() {
-        let schema = fixed_schema();
-        let rec = rec![7, 1i64 << 40, 2.5];
-        let mut buf = Vec::new();
-        wire::encode_record(&rec, &schema, &mut buf).unwrap();
-        buf.extend_from_slice(&[0xAA; 3]); // trailing bytes must be left alone
-        let mut r = Reader::new(&buf);
-        let view = RecordView::parse(&mut r, &schema).unwrap();
-        assert_eq!(view.as_bytes().len(), 20);
-        assert_eq!(r.remaining(), 3);
-        assert_eq!(view.materialize().unwrap(), rec);
-        assert_eq!(view.field(1).unwrap(), Value::Long(1 << 40));
-    }
-
-    #[test]
-    fn record_view_variable_width() {
-        let schema = str_schema();
-        let rec = rec!["vertex", 9];
-        let mut buf = Vec::new();
-        wire::encode_record(&rec, &schema, &mut buf).unwrap();
-        let view = RecordView::parse(&mut Reader::new(&buf), &schema).unwrap();
-        assert_eq!(view.field(0).unwrap(), Value::Str("vertex".into()));
-        assert_eq!(view.field(1).unwrap(), Value::Int(9));
-        assert!(view.field(2).is_err());
-        assert_eq!(view.materialize().unwrap(), rec);
-    }
-
-    #[test]
-    fn record_view_rejects_truncation() {
-        let schema = fixed_schema();
-        let mut buf = Vec::new();
-        wire::encode_record(&rec![1, 2i64, 3.0], &schema, &mut buf).unwrap();
-        for cut in 0..buf.len() {
-            assert!(RecordView::parse(&mut Reader::new(&buf[..cut]), &schema).is_err());
-        }
     }
 
     fn encode_entry_rec(rec: &Record, schema: &Schema) -> Vec<u8> {
@@ -510,16 +446,17 @@ mod tests {
     ) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
         wire::encode_value(&group.key, &mut buf);
-        buf.extend_from_slice(&(group.records.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&(group.members.len() as u32).to_le_bytes());
+        let records = group.members.to_records();
         match csc {
             None => {
-                for r in &group.records {
+                for r in &records {
                     wire::encode_record(r, schema, &mut buf)?;
                 }
             }
             Some(key_idx) => {
                 for (fi, field) in schema.fields().iter().enumerate() {
-                    for r in group.records.iter().filter(|_| fi != key_idx) {
+                    for r in records.iter().filter(|_| fi != key_idx) {
                         wire::encode_field(r.require(fi)?, field.ty, &mut buf)?;
                     }
                 }
@@ -531,10 +468,8 @@ mod tests {
     #[test]
     fn entry_view_packed_and_csc_roundtrip() -> Result<()> {
         let schema = str_schema();
-        let group = PackedRecord {
-            key: Value::Str("k1".into()),
-            records: vec![rec!["k1", 1], rec!["k1", 2], rec!["k1", 3]],
-        };
+        let records = [rec!["k1", 1], rec!["k1", 2], rec!["k1", 3]];
+        let group = group_of(Value::Str("k1".into()), &schema, &records);
         // Packed (uncompressed): key + count + rows.
         let packed = encode_entry_group(&group, &schema, None)?;
         let view = EntryView::parse(&mut Reader::new(&packed), ENTRY_PACKED, &schema, None)?;
@@ -542,7 +477,7 @@ mod tests {
         assert_eq!(view.decode_group()?, group);
         let mut members = Vec::new();
         view.decode_into(&mut members)?;
-        assert_eq!(members, group.records);
+        assert_eq!(members, records);
 
         // CSC: key factored out of column 0.
         let csc = encode_entry_group(&group, &schema, Some(0))?;
@@ -550,7 +485,7 @@ mod tests {
         assert_eq!(view.record_count(), 3);
         let mut members = vec![rec!["before", 0]];
         view.decode_into(&mut members)?;
-        assert_eq!(members[1..], group.records[..]);
+        assert_eq!(members[1..], records[..]);
         assert_eq!(view.decode_group()?, group);
         // Missing compress_key on a CSC entry is an error, not a guess.
         assert!(EntryView::parse(&mut Reader::new(&csc), ENTRY_PACKED_CSC, &schema, None).is_err());
@@ -562,15 +497,13 @@ mod tests {
     /// found as exactly its bytes, and reads back as the member's value.
     #[test]
     fn entry_view_finds_its_key_field_for_every_tag() -> Result<()> {
-        let schema = Schema::new(vec![
+        let schema = Arc::new(Schema::new(vec![
             ("n", FieldType::Integer),
             ("k", FieldType::Str),
             ("w", FieldType::Long),
-        ]);
-        let group = PackedRecord {
-            key: Value::Str("k1".into()),
-            records: vec![rec![1, "k1", 10i64], rec![2, "k1", 20i64]],
-        };
+        ]));
+        let records = [rec![1, "k1", 10i64], rec![2, "k1", 20i64]];
+        let group = group_of(Value::Str("k1".into()), &schema, &records);
         let key_of = |bytes: &[u8], tag: u8, compress: Option<usize>, field| -> Result<Value> {
             let view = EntryView::parse(&mut Reader::new(bytes), tag, &schema, compress)?;
             let (ty, key) = view.key(KeyField::new(&schema, field)?)?;
@@ -579,21 +512,18 @@ mod tests {
             assert_eq!(r.remaining(), 0, "the key is exactly its bytes");
             Ok(value)
         };
-        let record = encode_entry_rec(&group.records[1], &schema);
+        let record = encode_entry_rec(&records[1], &schema);
         let packed = encode_entry_group(&group, &schema, None)?;
         let csc = encode_entry_group(&group, &schema, Some(1))?;
         for field in 0..3 {
-            let first = group.records[0].require(field)?;
-            let second = group.records[1].require(field)?;
+            let first = records[0].require(field)?;
+            let second = records[1].require(field)?;
             assert_eq!(&key_of(&record, ENTRY_REC, None, field)?, second);
             assert_eq!(&key_of(&packed, ENTRY_PACKED, None, field)?, first);
             assert_eq!(&key_of(&csc, ENTRY_PACKED_CSC, Some(1), field)?, first);
         }
         assert!(KeyField::new(&schema, 3).is_err(), "no field 3");
-        let empty = PackedRecord {
-            key: Value::Int(0),
-            records: Vec::new(),
-        };
+        let empty = group_of(Value::Int(0), &schema, &[]);
         for csc in [None, Some(1)] {
             let bytes = encode_entry_group(&empty, &schema, csc)?;
             let key = key_of(&bytes, group_tag(csc), csc, 0);

@@ -448,10 +448,8 @@ pub fn encode_batch(batch: &Batch, schema: &Schema, buf: &mut Vec<u8>) -> Result
             put_u32(buf, wire_len(groups.len(), "batch group count")?);
             for g in groups {
                 encode_value(&g.key, buf);
-                put_u32(buf, wire_len(g.records.len(), "group member count")?);
-                for rec in &g.records {
-                    encode_record(rec, schema, buf)?;
-                }
+                put_u32(buf, wire_len(g.members.len(), "group member count")?);
+                encode_rows(&g.members, schema, buf)?;
             }
         }
     }
@@ -460,7 +458,7 @@ pub fn encode_batch(batch: &Batch, schema: &Schema, buf: &mut Vec<u8>) -> Result
 
 /// The records of `rows` under `schema`: the row bytes themselves when the
 /// rows follow it, else each row decoded and encoded.
-fn encode_rows(rows: &Rows, schema: &Schema, buf: &mut Vec<u8>) -> Result<()> {
+pub(crate) fn encode_rows(rows: &Rows, schema: &Schema, buf: &mut Vec<u8>) -> Result<()> {
     if rows_follow(rows, schema) {
         buf.extend_from_slice(rows.as_bytes());
         return Ok(());
@@ -524,7 +522,8 @@ pub fn check_count(r: &Reader<'_>, n: usize, each: usize, what: &str) -> Result<
 
 /// Decode a whole batch. A flat batch comes back as [`Batch::Rows`], its
 /// records checked as rows and their bytes copied once (a schema without
-/// fields has no rows: its records decode).
+/// fields has no rows: its records decode); so do a packed group's
+/// members.
 pub fn decode_batch(r: &mut Reader<'_>, schema: &Schema) -> Result<Batch> {
     match r.u8()? {
         BATCH_FLAT => {
@@ -544,15 +543,13 @@ pub fn decode_batch(r: &mut Reader<'_>, schema: &Schema) -> Result<Batch> {
             // A group is at least a tag, a 4-byte key and its count.
             check_count(r, n, 9, "batch group")?;
             let mut groups = Vec::with_capacity(n);
+            let shared = Arc::new(schema.clone());
             for _ in 0..n {
                 let key = decode_value(r)?;
                 let m = r.u32()? as usize;
                 check_count(r, m, min_record_len(schema), "group member")?;
-                let mut records = Vec::with_capacity(m);
-                for _ in 0..m {
-                    records.push(decode_record(r, schema)?);
-                }
-                groups.push(PackedRecord { key, records });
+                let members = Rows::read(r, shared.clone(), m)?;
+                groups.push(PackedRecord { key, members });
             }
             Ok(Batch::Packed(groups))
         }
@@ -641,7 +638,9 @@ mod tests {
         let got = decode_batch(&mut Reader::new(&buf), &schema).unwrap();
         assert_eq!(got, flat);
 
-        let packed = Batch::Flat(rows).pack_by(1).unwrap();
+        let packed = Batch::Flat(rows)
+            .pack_by(&Arc::new(schema.clone()), 1)
+            .unwrap();
         let mut buf2 = Vec::new();
         encode_batch(&packed, &schema, &mut buf2).unwrap();
         let got2 = decode_batch(&mut Reader::new(&buf2), &schema).unwrap();
@@ -696,7 +695,7 @@ mod tests {
             whole(&Batch::empty())
         );
 
-        let packed = flat.pack_by(1).unwrap();
+        let packed = flat.pack_by(&Arc::new(schema.clone()), 1).unwrap();
         let groups = packed.as_packed().unwrap();
         let parts = [
             Batch::Packed(groups[..1].to_vec()),

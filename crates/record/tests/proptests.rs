@@ -316,7 +316,9 @@ mod reference {
 use papar_config::input::{ElementItem, FieldDef, FieldType, InputConfig, InputFormat};
 use papar_config::xml::Span;
 use papar_record::batch::{block_sizes, Batch, Rows};
-use papar_record::view::{EntryView, ENTRY_PACKED, ENTRY_REC};
+use papar_record::compress;
+use papar_record::packed::{pack, unpack, PackedRecord};
+use papar_record::view::{EntryView, ENTRY_PACKED, ENTRY_PACKED_CSC, ENTRY_REC};
 use papar_record::wire::{self, Reader};
 use std::sync::Arc;
 
@@ -414,7 +416,7 @@ fn check_decode_record(buf: &[u8], schema: &Schema) -> std::result::Result<(), T
 }
 
 /// `EntryView::parse` + `decode_into` against the reference.
-fn check_entry(buf: &[u8], schema: &Schema) -> std::result::Result<(), TestCaseError> {
+fn check_entry(buf: &[u8], schema: &Arc<Schema>) -> std::result::Result<(), TestCaseError> {
     let mut r = Reader::new(buf);
     let got = (r.read_u8())
         .and_then(|tag| EntryView::parse(&mut r, tag, schema, None))
@@ -591,7 +593,7 @@ proptest! {
         rows in rows(),
         flip in (any::<usize>(), any::<u8>()),
     ) {
-        let schema = schema_of(&types);
+        let schema = Arc::new(schema_of(&types));
         let records = records_of(&schema, &rows);
         for rec in &records {
             let mut buf = Vec::new();
@@ -631,7 +633,7 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..64),
         tag in 0u8..4,
     ) {
-        let schema = schema_of(&types);
+        let schema = Arc::new(schema_of(&types));
         check_decode_record(&bytes, &schema)?;
         check_entry(&bytes, &schema)?;
         let mut tagged = vec![tag];
@@ -818,6 +820,76 @@ proptest! {
                 }
                 let err = Rows::new(schema.clone(), [bytes, bad].concat()).unwrap_err();
                 prop_assert!(err.to_string().contains("UTF-8"), "{}", err);
+            }
+        }
+    }
+
+    /// Packed batches over a fixed-width and a string schema, keyed by
+    /// field 1, whose groups are rows of their members: `pack` groups the
+    /// adjacent equal keys of any rows and `unpack` gives the rows back;
+    /// the batch round-trips through `encode_batch`/`decode_batch` (CSC
+    /// off) and `encode_compressed`/`decode_compressed` (CSC on) to equal
+    /// groups and the same bytes; and each group's shuffle entry, plain
+    /// and CSC, decodes to the group `pack` makes of its decoded records.
+    #[test]
+    fn packed_batches_are_their_members_rows(
+        rows in rows(),
+        keys in prop::collection::vec(0i32..3, 6..7),
+    ) {
+        const KEY: usize = 1;
+        let fixed = [FieldType::Long, FieldType::Integer, FieldType::Double];
+        let strings = [FieldType::Str, FieldType::Integer, FieldType::Str];
+        for types in [fixed, strings] {
+            let schema = Arc::new(Schema::new(
+                types.iter().enumerate().map(|(i, &ty)| (format!("f{i}"), ty)).collect(),
+            ));
+            let mut records = records_of(&schema, &rows);
+            for (r, &k) in records.iter_mut().zip(&keys) {
+                *r = (0..3).map(|i| if i == KEY { Value::Int(k) } else { r.values()[i].clone() }).collect();
+            }
+            let all = Rows::from_records(schema.clone(), &records).unwrap();
+            let groups = pack(all.clone(), KEY).unwrap();
+            prop_assert_eq!(&unpack(groups.clone(), &schema).unwrap(), &all);
+            let members: Vec<Record> = groups.iter().flat_map(|g| g.members.to_records()).collect();
+            prop_assert!(same(&members, &records));
+            for g in &groups {
+                prop_assert_eq!(PackedRecord::new(g.key.clone(), g.members.clone(), KEY).unwrap(), g.clone());
+            }
+
+            let batch = Batch::Packed(groups.clone());
+            let mut plain = Vec::new();
+            wire::encode_batch(&batch, &schema, &mut plain).unwrap();
+            let back = wire::decode_batch(&mut Reader::new(&plain), &schema).unwrap();
+            prop_assert_eq!(&back, &batch);
+            let mut again = Vec::new();
+            wire::encode_batch(&back, &schema, &mut again).unwrap();
+            prop_assert_eq!(&again, &plain);
+            let mut csc = Vec::new();
+            compress::encode_compressed(&batch, &schema, KEY, &mut csc).unwrap();
+            let back = compress::decode_compressed(&mut Reader::new(&csc), &schema, KEY).unwrap();
+            prop_assert_eq!(&back, &batch);
+            let mut again = Vec::new();
+            compress::encode_compressed(&back, &schema, KEY, &mut again).unwrap();
+            prop_assert_eq!(&again, &csc);
+
+            for g in &groups {
+                for (tag, compress_key) in [(ENTRY_PACKED, None), (ENTRY_PACKED_CSC, Some(KEY))] {
+                    let mut entry = Vec::new();
+                    wire::encode_value(&g.key, &mut entry);
+                    entry.extend_from_slice(&(g.len() as u32).to_le_bytes());
+                    match compress_key {
+                        None => entry.extend_from_slice(g.members.as_bytes()),
+                        Some(k) => compress::encode_columns(&g.members, &schema, k, None, &mut entry).unwrap(),
+                    }
+                    let mut r = Reader::new(&entry);
+                    let view = EntryView::parse(&mut r, tag, &schema, compress_key).unwrap();
+                    prop_assert_eq!(r.remaining(), 0);
+                    let mut decoded = Vec::new();
+                    view.decode_into(&mut decoded).unwrap();
+                    let repacked = pack(Rows::from_records(schema.clone(), &decoded).unwrap(), KEY).unwrap();
+                    prop_assert_eq!(vec![view.decode_group().unwrap()], repacked);
+                    prop_assert_eq!(&view.decode_group().unwrap(), g);
+                }
             }
         }
     }

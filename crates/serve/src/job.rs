@@ -427,9 +427,15 @@ pub fn compile(
     })
 }
 
-/// A fresh simulated cluster with the recovery knobs set.
-pub fn new_cluster(nodes: usize, replication: usize, max_attempts: u32) -> Result<Cluster, String> {
-    Ok(Cluster::try_new(nodes)
+/// A fresh simulated cluster of `threads` OS threads with the recovery
+/// knobs set.
+pub fn new_cluster(
+    nodes: usize,
+    threads: usize,
+    replication: usize,
+    max_attempts: u32,
+) -> Result<Cluster, String> {
+    Ok(Cluster::try_with_threads(nodes, threads)
         .map_err(|e| e.to_string())?
         .with_replication(replication)
         .with_retry(RetryPolicy {
@@ -519,7 +525,7 @@ fn write_partition(
     let records = match &part.batch {
         Batch::Flat(records) => records,
         Batch::Packed(groups) => {
-            decoded = groups.iter().flat_map(|g| g.records.clone()).collect();
+            decoded = groups.iter().flat_map(|g| g.members.to_records()).collect();
             &decoded
         }
         Batch::Rows(rows) => {
@@ -692,7 +698,7 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
             cluster.reset();
             cluster
         }
-        slot => slot.insert(new_cluster(nodes, 0, 3)?),
+        slot => slot.insert(new_cluster(nodes, threads, 0, 3)?),
     };
 
     // The cluster shares the cached fragments; a request copies no input

@@ -159,7 +159,7 @@ fn budget(spec: &JobSpec, records: usize) -> Budget {
         .map(|f| wire::encoded_size(&f.batch, &f.schema).unwrap() as u64 - 5)
         .sum();
     let compiled = job::compile(spec, &cfg_text, &wf_text, 0, &input, &options).unwrap();
-    let mut cluster = job::new_cluster(4, 0, 3).unwrap();
+    let mut cluster = job::new_cluster(4, 1, 0, 3).unwrap();
     let (_, run) = measure(|| job::run(&compiled, options, None, &mut cluster, input).unwrap());
     let out = Path::new(&spec.out_dir);
     cluster.set_threads(DRIVER_THREADS);
@@ -196,7 +196,7 @@ fn durable_run(spec: &JobSpec, records: usize) -> Usage {
     let input = job::load(&spec, &cfg_text, 1).unwrap();
     assert_eq!(job::record_count(&input), records);
     let compiled = job::compile(&spec, &cfg_text, &wf_text, 0, &input, &options).unwrap();
-    let mut cluster = job::new_cluster(4, 0, 3).unwrap();
+    let mut cluster = job::new_cluster(4, 1, 0, 3).unwrap();
     let checkpoint = CheckpointCfg {
         dir: PathBuf::from(format!("{}-ckpt", spec.out_dir)),
         resume: false,
@@ -227,15 +227,17 @@ fn byte_slope(small: Usage, large: Usage, records: f64) -> f64 {
 const BLAST_RUN_BYTES: f64 = 87.4;
 
 /// The Figure 10 `run` byte slope measured on this test's edge list (two
-/// engine jobs: the shuffle buffers; the fused group→split's high-degree
-/// edges appended as rows with their count, its low-degree ones decoded
-/// into packed groups; the distribute's edges, which arrive already
+/// engine jobs: the shuffle buffers; the fused group→split's edges
+/// appended as rows with their count — the high-degree ones into one
+/// buffer per destination, each low-degree group into its own member
+/// rows, none decoded; the distribute's edges, which arrive already
 /// projected onto the output format — no `indegree` — and are gathered as
-/// rows, none decoded). A distribute that ships the count again fails it.
-const HYBRID_RUN_BYTES: f64 = 206.1;
+/// rows, none decoded). A distribute that ships the count again, or a
+/// low-degree group decoded into records, fails it.
+const HYBRID_RUN_BYTES: f64 = 174.0;
 
-/// The Figure 10 `run` block slope: one member vector per low-degree
-/// packed group, which still decodes.
+/// The Figure 10 `run` block slope: one member buffer per low-degree
+/// packed group, its rows copied from the inbox, not decoded.
 const HYBRID_RUN_BLOCKS: f64 = 0.128;
 
 /// The Figure 8 `--no-fuse --checkpoint` `run` byte slope measured on
@@ -346,8 +348,8 @@ fn pipeline_seams_copy_no_record() {
     );
 
     // Figure 10 (text, short string vertex ids, group→split→distribute)
-    // still allocates per low-degree group, for the packed format's member
-    // vectors; blocks and bytes pinned at the measured slopes plus 2 %.
+    // still allocates per low-degree group, for its member rows; blocks
+    // and bytes pinned at the measured slopes plus 2 %.
     let hybrid = slope(hybrid_small.run, hybrid_large.run, extra);
     let hybrid_bytes = byte_slope(hybrid_small.run, hybrid_large.run, extra);
     eprintln!("fig10 run: {hybrid:.3} blocks, {hybrid_bytes:.1} bytes per record");

@@ -48,7 +48,7 @@ fn run(spec: &JobSpec, input: Vec<Arc<Dataset>>, dir: &Path, tag: &str, ckpt: bo
     let wf_text = job::read_text(&spec.workflow).unwrap();
     let options = job::exec_options(spec, spec.threads.map(|t| t as usize), true);
     let compiled = job::compile(spec, &cfg_text, &wf_text, 0, &input, &options).unwrap();
-    let mut cluster = job::new_cluster(4, 0, 3).unwrap();
+    let mut cluster = job::new_cluster(4, 1, 0, 3).unwrap();
     let ckpt_dir = dir.join(format!("{tag}-ckpt"));
     let checkpoint = ckpt.then(|| CheckpointCfg {
         dir: ckpt_dir.clone(),

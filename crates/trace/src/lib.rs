@@ -396,6 +396,7 @@ mod tests {
                 records_in: det,
                 ..Counters::default()
             },
+            ..TaskTrace::default()
         }
     }
 

@@ -71,6 +71,20 @@ pub fn render_profile(trace: &WorkflowTrace) -> String {
                 skew.records.len()
             ));
         }
+        for phase in (job.phases.iter()).filter(|p| p.kind == PhaseKind::Reduce) {
+            let split: [Duration; 3] =
+                std::array::from_fn(|i| phase.tasks.iter().map(|t| t.reduce_split[i]).sum());
+            if split.iter().any(|d| !d.is_zero()) {
+                out.push_str(&format!(
+                    "{:<24} └ reduce split: scan {}, sort {}, reduce {} (task CPU summed over \
+                     nodes)\n",
+                    "",
+                    fmt_dur(split[0]),
+                    fmt_dur(split[1]),
+                    fmt_dur(split[2])
+                ));
+            }
+        }
         if !job.covers.is_empty() {
             out.push_str(&format!(
                 "{:<24} └ covers: fused logical jobs {}\n",
@@ -325,6 +339,7 @@ mod tests {
                                 pairs: 100,
                                 ..Counters::default()
                             },
+                            ..TaskTrace::default()
                         }],
                     ),
                     PhaseTrace::solo(
@@ -413,6 +428,26 @@ mod tests {
         // A job with no skew histogram match omits the load row.
         let rendered = render_prediction_check(&t, "other", &p);
         assert!(!rendered.contains("max reducer load"), "{rendered}");
+    }
+
+    /// A reduce phase's footnote: its tasks' split summed over nodes,
+    /// after the skew line; a phase that measured nothing prints none.
+    #[test]
+    fn reduce_split_footnote_sums_the_tasks() {
+        let ms = Duration::from_millis;
+        let task = |scan, sort, reduce| TaskTrace {
+            reduce_split: [ms(scan), ms(sort), ms(reduce)],
+            ..TaskTrace::default()
+        };
+        let mut t = trace();
+        let reduce = PhaseTrace::barrier(PhaseKind::Reduce, vec![task(1, 2, 3), task(3, 4, 5)]);
+        t.jobs[0].phases.push(reduce);
+        let rendered = render_profile(&t);
+        let line = "└ reduce split: scan 4.000 ms, sort 6.000 ms, reduce 8.000 ms";
+        let at = rendered.find(line).expect(&rendered);
+        assert!(at > rendered.find("└ skew:").unwrap(), "{rendered}");
+        assert_eq!(rendered.matches("reduce split").count(), 1, "{rendered}");
+        assert!(!render_profile(&trace()).contains("reduce split"));
     }
 
     #[test]

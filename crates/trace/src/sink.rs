@@ -20,6 +20,10 @@ pub struct TaskTrace {
     pub det_ns: u64,
     /// Deterministic counters.
     pub counters: Counters,
+    /// A reduce task's `cpu` in its surviving attempt, as `[scan, sort,
+    /// reduce]`: the inbox scan, the pair order (tie fix-up included) and
+    /// the reducers; zero for other tasks, and in no deterministic export.
+    pub reduce_split: [Duration; 3],
 }
 
 /// One BSP phase of a job.

@@ -39,8 +39,8 @@ impl CustomOperator for DedupOperator {
                 // render equally.
                 let key = |r: &papar::record::Record| Value::from(r.display_tuple());
                 for mi in inputs {
-                    // A fragment holds decoded records, packed groups, or
-                    // (for a fixed-width input) rows: `EntryRef::all`
+                    // A fragment holds decoded records, rows, or packed
+                    // groups whose members are rows: `EntryRef::all`
                     // borrows each entry whatever the form, and a row
                     // decodes only where its values are read. Entries are
                     // borrowed; the emitter encodes them in place.
@@ -49,8 +49,8 @@ impl CustomOperator for DedupOperator {
                             EntryRef::Rec(r) => out.push(&key(r), entry)?,
                             EntryRef::Row(row) => out.push(&key(&row.to_record()), entry)?,
                             EntryRef::Packed(group) => {
-                                for r in &group.records {
-                                    out.push(&key(r), EntryRef::Rec(r))?;
+                                for row in group.members.iter() {
+                                    out.push(&key(&row.to_record()), EntryRef::Row(row))?;
                                 }
                             }
                         }

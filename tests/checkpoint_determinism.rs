@@ -247,6 +247,110 @@ fn corrupt_stage_is_quarantined_and_recomputed_from_upstream() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Run the Figure 10 hybrid cut unfused — group (its output packed by
+/// in-vertex), split and distribute as three stages — over a small
+/// power-law graph on 4 nodes, optionally against a checkpoint directory.
+fn run_hybrid(
+    threads: usize,
+    checkpoint: Option<(&PathBuf, bool)>,
+) -> Result<(Vec<Vec<u8>>, WorkflowReport), papar::core::error::CoreError> {
+    let input_cfg = include_str!("../examples/configs/graph_edge.xml");
+    let planner = Planner::from_xml(
+        include_str!("../examples/configs/hybrid_cut.xml"),
+        &[input_cfg],
+    )
+    .unwrap();
+    let args = [
+        ("input_file", "/g/in"),
+        ("output_path", "/g/out"),
+        ("num_partitions", "8"),
+        ("threshold", "12"),
+    ];
+    let args = args.iter().map(|(k, v)| (k.to_string(), v.to_string()));
+    let plan = planner.bind(&args.collect()).unwrap();
+    let mut runner = WorkflowRunner::with_options(plan, options(false, threads));
+    if let Some((dir, resume)) = checkpoint {
+        runner = runner.with_checkpoint(dir, resume, 0);
+    }
+    let schema = runner.plan().external_inputs[0].1.schema.clone();
+    let graph = powerlyra::gen::chung_lu(400, 4_000, 2.0, 7).unwrap();
+    let cfg = papar_config::InputConfig::parse_str(input_cfg).unwrap();
+    let text = powerlyra::gen::to_snap_text(&graph);
+    let records = papar::record::codec::text::read(&cfg, &schema, &text).unwrap();
+    let mut cluster = Cluster::new(4);
+    let input = Dataset::new(schema, Batch::Flat(records));
+    runner.scatter_input(&mut cluster, "/g/in", input).unwrap();
+    let report = runner.run(&mut cluster)?;
+    Ok((partition_bytes(&cluster, "/g/out"), report))
+}
+
+/// The first stage of an unfused Figure 10 run publishes packed groups.
+/// Damage the split stage after it: the resume restores the groups from
+/// their payload, re-runs split and distribute over them, and writes the
+/// cold run's partitions at 1 and 4 threads.
+#[test]
+fn a_packed_group_stage_restores_from_its_payload() {
+    let (baseline, _) = run_hybrid(1, None).unwrap();
+    let dir = tmpdir("hybrid-packed");
+    let (out, _) = run_hybrid(1, Some((&dir, false))).unwrap();
+    assert_eq!(out, baseline, "checkpointing changed the output");
+    let frags = |stage: &str| -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = (fs::read_dir(&dir).unwrap())
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                (p.file_name().and_then(|n| n.to_str()))
+                    .is_some_and(|n| n.starts_with(stage) && !n.ends_with(".quarantine"))
+            })
+            .collect();
+        paths.sort();
+        paths
+    };
+    // The group stage publishes packed batches: after each payload's
+    // schema (a field count, then each field's name and type tag) comes
+    // the batch tag, 1 for packed.
+    use papar::mr::CheckpointSession;
+    let fingerprint = CheckpointSession::fingerprint_of(&dir).unwrap();
+    let stages = CheckpointSession::resume(&dir, fingerprint).unwrap();
+    let group = &stages.completed()[0];
+    assert!(
+        !group.fragments.is_empty(),
+        "the group stage published nothing"
+    );
+    for f in &group.fragments {
+        let payload = f.payload.as_ref().unwrap();
+        let mut r = wire::Reader::new(payload);
+        for _ in 0..r.read_u32().unwrap() {
+            let name = r.read_u32().unwrap() as usize;
+            r.read_bytes(name + 1).unwrap();
+        }
+        assert_eq!(r.read_u8().unwrap(), 1, "{} is not packed", f.dataset);
+    }
+    drop(stages);
+    let victim = frags("frag-0001-")
+        .pop()
+        .expect("the split stage published no fragment");
+    let mut bytes = fs::read(&victim).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    fs::write(&victim, &bytes).unwrap();
+
+    for t in [1, 4] {
+        let (out, resumed) = run_hybrid(t, Some((&dir, true))).unwrap();
+        assert_eq!(out, baseline, "recompute diverged at {t} threads");
+        if t == 1 {
+            assert_eq!(resumed.stages_resumed, 1, "only the group stage restores");
+            assert!(
+                (resumed.checkpoint_events.iter()).any(|e| e.contains("quarantined")),
+                "corruption must be reported: {:?}",
+                resumed.checkpoint_events
+            );
+        } else {
+            assert_eq!(resumed.stages_resumed, 3);
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_is_byte_identical_under_injected_faults() {
     let (fault_free, _) = run_blast(Cluster::new(3), options(true, 1), "4", None).unwrap();

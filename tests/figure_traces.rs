@@ -112,14 +112,19 @@ fn figure11_group_count_pack_trace() {
         vec!["{2, 1, 4}", "{3, 1, 4}", "{4, 1, 4}", "{5, 1, 4}"]
     );
     // Step 3: pack produces one packed record keyed by the in-vertex.
-    let packed = Batch::Flat(group)
-        .pack_by(1)
+    let grouped = std::sync::Arc::new(papar::record::Schema::new(vec![
+        ("vertex_a", papar_config::input::FieldType::Str),
+        ("vertex_b", papar_config::input::FieldType::Str),
+        ("indegree", papar_config::input::FieldType::Long),
+    ]));
+    let packed = Batch::Flat(group.clone())
+        .pack_by(&grouped, 1)
         .unwrap()
         .into_packed()
         .unwrap();
     assert_eq!(packed.len(), 1);
     assert_eq!(packed[0].key, Value::Str("1".into()));
-    assert_eq!(packed[0].records.len(), 4);
+    assert_eq!(packed[0].members.to_records(), group);
 }
 
 /// Section III-D's compression example: the packed data
@@ -134,18 +139,18 @@ fn section3d_csc_compression_example() {
     use papar::record::Schema;
     use papar_config::input::FieldType;
 
-    let schema = Schema::new(vec![
+    let schema = std::sync::Arc::new(Schema::new(vec![
         ("vertex_a", FieldType::Str),
         ("vertex_b", FieldType::Str),
         ("indegree", FieldType::Long),
-    ]);
+    ]));
     let batch = Batch::Flat(vec![
         rec!["2", "1", 4i64],
         rec!["3", "1", 4i64],
         rec!["4", "1", 4i64],
         rec!["5", "1", 4i64],
     ])
-    .pack_by(1)
+    .pack_by(&schema, 1)
     .unwrap();
     let mut buf = Vec::new();
     compress::encode_compressed(&batch, &schema, 1, &mut buf).unwrap();

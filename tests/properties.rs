@@ -6,12 +6,13 @@ use papar::record::batch::Batch;
 use papar::record::compress;
 use papar::record::packed::{pack, unpack};
 use papar::record::wire::{self, Reader};
-use papar::record::{rec, Record, Schema, Value};
+use papar::record::{rec, Record, Rows, Schema, Value};
 use papar::sort::packed::{par_sort_packed, PARALLEL_CUTOFF};
 use papar_config::input::FieldType;
 use papar_mr::sampler::{boundaries_from_samples, RangePartitioner};
 use papar_mr::Partitioner;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -77,17 +78,22 @@ proptest! {
     /// pack then unpack is the identity on any record sequence.
     #[test]
     fn pack_unpack_identity(keys in prop::collection::vec(0i32..6, 0..60)) {
+        let schema = Arc::new(Schema::new(vec![
+            ("n", FieldType::Integer),
+            ("k", FieldType::Integer),
+        ]));
         let records: Vec<Record> = keys.iter().enumerate()
             .map(|(i, &k)| rec![i as i32, k])
             .collect();
-        let packed = pack(records.clone(), 1).unwrap();
+        let rows = Rows::from_records(schema.clone(), &records).unwrap();
+        let packed = pack(rows.clone(), 1).unwrap();
         // Each group's members share its key.
         for g in &packed {
-            for r in &g.records {
-                prop_assert_eq!(r.value(1).unwrap(), &g.key);
+            for r in g.members.iter() {
+                prop_assert_eq!(r.field(1).unwrap(), g.key.clone());
             }
         }
-        prop_assert_eq!(unpack(packed), records);
+        prop_assert_eq!(unpack(packed, &schema).unwrap(), rows);
     }
 
     /// Wire encoding round-trips arbitrary well-typed batches.
@@ -107,17 +113,17 @@ proptest! {
     /// CSC compression round-trips and never changes the data.
     #[test]
     fn csc_compression_roundtrip(keys in prop::collection::vec(0i32..5, 1..50)) {
-        let schema = Schema::new(vec![
+        let schema = Arc::new(Schema::new(vec![
             ("payload", FieldType::Integer),
             ("key", FieldType::Integer),
             ("attr", FieldType::Long),
-        ]);
+        ]));
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         let records: Vec<Record> = sorted.iter().enumerate()
             .map(|(i, &k)| rec![i as i32, k, (k as i64) * 10])
             .collect();
-        let packed = Batch::Flat(records).pack_by(1).unwrap();
+        let packed = Batch::Flat(records).pack_by(&schema, 1).unwrap();
         let mut buf = Vec::new();
         compress::encode_compressed(&packed, &schema, 1, &mut buf).unwrap();
         let got = compress::decode_compressed(&mut Reader::new(&buf), &schema, 1).unwrap();
