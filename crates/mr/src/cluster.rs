@@ -715,7 +715,10 @@ pub fn default_thread_budget() -> Result<(usize, &'static str)> {
 }
 
 /// Per-receiver `(sender, buffer)` lists produced by [`Cluster::exchange`].
-pub type Inboxes = Vec<Vec<(usize, Vec<u8>)>>;
+pub type Inboxes = Vec<Inbox>;
+
+/// One receiver's `(sender, buffer)` list, senders ascending.
+pub type Inbox = Vec<(usize, Vec<u8>)>;
 
 /// Split a dataset into `n` contiguous fragments (flat batches by records
 /// and packed batches by groups, by move; rows by row, copied), in block

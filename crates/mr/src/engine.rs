@@ -41,6 +41,7 @@
 //! (stats, recovery log, output commits) happens on the driver thread in
 //! node order after the join.
 
+use papar_config::input::FieldType;
 use papar_record::batch::{Batch, Dataset, RowRef};
 use papar_record::compress;
 use papar_record::packed::PackedRecord;
@@ -53,12 +54,12 @@ use papar_trace::{
     duration_ns, CostModel, Counters, JobTrace, PhaseKind, PhaseTrace, SkewHistogram, TaskTrace,
 };
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, Inbox};
 use crate::fault::{Fault, RecoveryAction, RetryPolicy};
-use crate::pairs::{KeyAt, Layout, PairLoc, Pairs, IDX_BITS, IDX_MASK};
+use crate::pairs::{KeyAt, Layout, Order, PairLoc, Pairs, StrideRun, IDX_BITS, IDX_MASK};
 use crate::stats::{HotPathStats, JobStats, NetModel, RecoveryStats};
 use crate::timer::TaskTimer;
 use crate::{MrError, Result, TaskPhase};
@@ -787,9 +788,28 @@ fn seal_segments(segs: &mut [Vec<u8>], n: usize) -> Result<Vec<Vec<u8>>> {
 // and then the entry.
 // The reduce task scans each message once, reads a segment header
 // whenever the previous segment has ended and a run header whenever the
-// previous run has, and records a 16-byte [`PairLoc`] locating each pair's
-// bytes and its run's tag. A job without key order orders its runs by
-// `(reducer, base, scan index)` and concatenates them: no pair is
+// previous run has. Two paths follow; the pairs choose one, never a
+// setting or the thread count, and both yield the same permutation.
+//
+// *Stride path.* When every run holds `ENTRY_REC` pairs of a fixed-width
+// schema, whose pairs are their entries, a run is `count × width` bytes:
+// its length is checked once and it is recorded as one [`StrideRun`],
+// its pairs numbered by scan index and found at a constant stride. A job
+// without key order orders these runs by `(reducer, base, scan index)`
+// and touches no pair. A sort on an `int` or `long` key reads each key at
+// its constant offset; when every key lies within ±2^53 (so every prefix
+// is exact) and the key spans of the node's reducers sum to at most its
+// pair count, one stable counting pass per reducer over its key buckets
+// writes 4-byte scan indices in `(key, scan index)` order — the order the
+// packed sort and its tie fix-up produce, since equal keys keep ascending
+// scan order in both. Each bucket's count is its tie run. A stride scan
+// that meets anything else (another tag, a malformed header, another pair
+// count, 2^32 pairs or more) gives way to the packed path, which reads the
+// inbox again and reports any damage as a typed error.
+//
+// *Packed path.* The scan records a 16-byte [`PairLoc`] locating each
+// pair's bytes and its run's tag. A job without key order orders its runs
+// by `(reducer, base, scan index)` and concatenates them: no pair is
 // compared. A keyed job packs each pair's sort order into a single
 // `u128`:
 //
@@ -859,13 +879,13 @@ fn fixup_prefix_ties(
             hot.tie_pairs += (j - i) as u64;
             let all_exact = !any_inexact
                 || packed[i..j].iter().try_fold(true, |acc, &p| {
-                    let kp = layout.key(inbox, loc(p), prefix::from_field)?;
+                    let kp = layout.key(loc(p).tail(inbox), loc(p).tag(), prefix::from_field)?;
                     Ok::<_, MrError>(acc && kp.exact)
                 })?;
             if !all_exact {
                 let mut keyed: Vec<(Value, u128)> = Vec::with_capacity(j - i);
                 for &p in &packed[i..j] {
-                    let (value, len) = layout.key(inbox, loc(p), |r, ty| {
+                    let (value, len) = layout.key(loc(p).tail(inbox), loc(p).tag(), |r, ty| {
                         let start = r.position();
                         let value = wire::decode_field(r, ty)?;
                         Ok((value, r.position() - start))
@@ -1081,6 +1101,452 @@ fn order_runs(runs: &mut [RunSpan], order: &mut Vec<u128>) {
     }
 }
 
+/// What the stride scan learns of an inbox of fixed-width record runs.
+struct StrideScan {
+    /// Bytes of each pair: the entry schema's record width.
+    width: usize,
+    /// Pairs, each one record, per owned reducer (slot `rid / n`).
+    records_by_slot: Vec<usize>,
+    /// The sort key's offset in a pair and whether it is a `long` (else an
+    /// `int`), when the job sorts by key.
+    key: Option<(usize, bool)>,
+    /// Per owned reducer, its least and greatest key, when the job sorts
+    /// by key and the reducer received pairs.
+    keys: Vec<Option<(i64, i64)>>,
+}
+
+/// The `long` (8 bytes) or `int` (4 bytes) at the start of `bytes`,
+/// little-endian. The stride scan checked that every key is in its pair.
+#[inline]
+fn int_key(bytes: &[u8], long: bool) -> i64 {
+    if long {
+        bytes.first_chunk().map_or(0, |b| i64::from_le_bytes(*b))
+    } else {
+        bytes
+            .first_chunk()
+            .map_or(0, |b| i32::from_le_bytes(*b).into())
+    }
+}
+
+/// Scan node `node`'s inbox as [`StrideRun`]s into `runs`: every run must
+/// hold `ENTRY_REC` pairs of the fixed-width entry schema, and its `count ×
+/// width` bytes are checked against its segment once. A job that sorts by
+/// an `int` or `long` key field reads each key at its constant offset, for
+/// the counting order's key ranges. `None` when the inbox is anything
+/// else: tagged keys, another key type, another entry tag, a damaged
+/// header, a pair count other than `pairs`, or 2^32 pairs or more. The
+/// packed path then scans it ([`scan_inbox`]) and names any damage.
+fn stride_scan(
+    job: &MapReduceJob<'_>,
+    layout: Layout<'_>,
+    node: usize,
+    n: usize,
+    inbox: &[(usize, Vec<u8>)],
+    pairs: usize,
+    runs: &mut Vec<StrideRun>,
+) -> Option<StrideScan> {
+    let width = layout.schema.binary_record_width()?;
+    let key = match layout.key {
+        KeyAt::Pushed => return None,
+        _ if !job.sort_by_key => None,
+        KeyAt::Field(field) => match (field.ty(), field.offset()) {
+            (FieldType::Integer, Some(at)) => Some((at, false)),
+            (FieldType::Long, Some(at)) => Some((at, true)),
+            _ => return None,
+        },
+        KeyAt::Nowhere => return None,
+    };
+    if pairs > u32::MAX as usize {
+        return None;
+    }
+    runs.clear();
+    let slots = job.num_reducers.div_ceil(n);
+    let mut scan = StrideScan {
+        width,
+        records_by_slot: vec![0; slots],
+        key,
+        keys: vec![None; slots],
+    };
+    let mut scanned = 0usize;
+    for (bi, (_, buf)) in inbox.iter().enumerate() {
+        let mut segments = Reader::new(buf);
+        while segments.remaining() > 0 {
+            let reducer = segments.read_u32().ok()?;
+            let len = segments.read_u32().ok()? as usize;
+            let start = segments.position();
+            segments.read_bytes(len).ok()?;
+            let rid = reducer as usize;
+            if rid >= job.num_reducers || rid % n != node {
+                return None;
+            }
+            let mut r = Reader::new(&buf[..start + len]);
+            r.read_bytes(start).ok()?;
+            while r.remaining() > 0 {
+                let base = r.read_u64().ok()?;
+                let count = r.read_u32().ok()?;
+                let tag = r.read_u8().ok()?;
+                let off = r.position();
+                let bytes = r.read_bytes((count as usize).checked_mul(width)?).ok()?;
+                if tag != ENTRY_REC || count == 0 || scanned + count as usize > pairs {
+                    return None;
+                }
+                let slot = rid / n;
+                scan.records_by_slot[slot] += count as usize;
+                if let Some((at, long)) = key {
+                    let keys = bytes.chunks_exact(width).map(|p| int_key(&p[at..], long));
+                    let (lo, hi) =
+                        keys.fold((i64::MAX, i64::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
+                    let range = &mut scan.keys[slot];
+                    *range = Some(range.map_or((lo, hi), |(l, h)| (l.min(lo), h.max(hi))));
+                }
+                runs.push(StrideRun {
+                    reducer,
+                    base,
+                    first: scanned as u32,
+                    count,
+                    buf: bi as u32,
+                    off,
+                });
+                scanned += count as usize;
+            }
+        }
+    }
+    (scanned == pairs).then_some(scan)
+}
+
+/// Keys within this magnitude have exact prefixes: every `long` here
+/// survives the f64 round trip, so prefix ties are key ties.
+const EXACT_KEY: i64 = 1 << 53;
+
+/// The counting order's buckets per owned reducer: its least key and its
+/// key span (0 for a reducer that received nothing). `None` when the
+/// counting order does not apply: a key beyond ±2^53, or spans that sum
+/// past the node's `pairs`.
+fn counting_ranges(keys: &[Option<(i64, i64)>], pairs: usize) -> Option<Vec<(i64, usize)>> {
+    let mut total = 0usize;
+    (keys.iter())
+        .map(|range| {
+            let Some((lo, hi)) = *range else {
+                return Some((0, 0));
+            };
+            if lo < -EXACT_KEY || hi > EXACT_KEY {
+                return None;
+            }
+            let span = (hi - lo) as usize + 1;
+            total += span;
+            (total <= pairs).then_some((lo, span))
+        })
+        .collect()
+}
+
+/// A sorted job's stride-scanned inbox in reduce order, when
+/// [`counting_ranges`] allows: one stable counting pass per owned reducer
+/// writes the scan indices of its pairs into `st.idx` by `(key, scan
+/// index)` — key order reversed when descending — over `st.buckets`, one
+/// count per key of its span. A bucket of two or more pairs is a tie run,
+/// counted into `hot.tie_pairs`. Returns each reducer that received pairs
+/// and its span of `st.idx`, and leaves `st.runs` grouped by reducer.
+fn counting_order(
+    inbox: &[(usize, Vec<u8>)],
+    scan: &StrideScan,
+    descending: bool,
+    (node, n): (usize, usize),
+    st: &mut Staging,
+    hot: &mut HotPathStats,
+) -> Option<Vec<(usize, std::ops::Range<usize>)>> {
+    let (at, long) = scan.key?;
+    let total = scan.records_by_slot.iter().sum();
+    let ranges = counting_ranges(&scan.keys, total)?;
+    // Each reducer's runs, still in scan order, side by side: its pairs
+    // are found among them alone.
+    st.runs.sort_by_key(|run| run.reducer);
+    let Staging {
+        runs, idx, buckets, ..
+    } = st;
+    idx.clear();
+    idx.resize(total, 0);
+    let widest = ranges.iter().map(|r| r.1).max().unwrap_or(0);
+    buckets.clear();
+    buckets.reserve_exact(widest);
+    hot.staged_bytes = 4 * (total + widest) as u64;
+    let mut spans = Vec::new();
+    let mut start = 0;
+    for (slot, (&(lo, span), &count)) in ranges.iter().zip(&scan.records_by_slot).enumerate() {
+        if count == 0 {
+            continue;
+        }
+        let rid = node + slot * n;
+        let bucket = |pair: &[u8]| {
+            let k = int_key(&pair[at..], long);
+            (if descending {
+                lo + span as i64 - 1 - k
+            } else {
+                k - lo
+            }) as usize
+        };
+        let own = || runs.iter().filter(|run| run.reducer as usize == rid);
+        let pairs = |run: &StrideRun| {
+            let bytes = &inbox[run.buf as usize].1[run.off..];
+            (run.first..).zip(bytes.chunks_exact(scan.width).take(run.count as usize))
+        };
+        buckets.clear();
+        buckets.resize(span, 0);
+        for run in own() {
+            for (_, pair) in pairs(run) {
+                buckets[bucket(pair)] += 1;
+            }
+        }
+        // Each bucket's count becomes where its first pair goes.
+        let mut next = start as u32;
+        for b in buckets.iter_mut() {
+            let c = *b;
+            if c >= 2 {
+                hot.tie_pairs += u64::from(c);
+            }
+            *b = next;
+            next += c;
+        }
+        for run in own() {
+            for (number, pair) in pairs(run) {
+                let b = &mut buckets[bucket(pair)];
+                idx[*b as usize] = number;
+                *b += 1;
+            }
+        }
+        spans.push((rid, start..start + count));
+        start += count;
+    }
+    Some(spans)
+}
+
+/// The reduce order of a keyless job over stride runs: its runs by
+/// `(reducer, base, scan index)`, renumbered in that order so a reducer's
+/// pairs are numbered consecutively. No pair is touched. Returns each
+/// reducer that received pairs and its span of `runs`.
+fn order_stride_runs(runs: &mut [StrideRun]) -> Vec<(usize, std::ops::Range<usize>)> {
+    runs.sort_unstable_by_key(|run| (run.reducer, run.base, run.first));
+    let mut spans: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+    let mut number = 0;
+    for (i, run) in runs.iter_mut().enumerate() {
+        run.first = number;
+        number += run.count;
+        match spans.last_mut() {
+            Some((rid, span)) if *rid == run.reducer as usize => span.end = i + 1,
+            _ => spans.push((run.reducer as usize, i..i + 1)),
+        }
+    }
+    spans
+}
+
+/// Each reducer that received pairs and its span of a packed order: the
+/// pairs whose packed keys carry its id.
+fn packed_spans(packed: &[u128]) -> Vec<(usize, std::ops::Range<usize>)> {
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < packed.len() {
+        let rid = (packed[i] >> (66 + IDX_BITS)) as usize;
+        let len = (packed[i..].iter())
+            .position(|&p| (p >> (66 + IDX_BITS)) as usize != rid)
+            .unwrap_or(packed.len() - i);
+        spans.push((rid, i..i + len));
+        i += len;
+    }
+    spans
+}
+
+/// Which order a reduce attempt built: named in the profile's reduce
+/// split.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum OrderKind {
+    /// Packed 128-bit keys over a [`PairLoc`] per pair.
+    Packed,
+    /// A stable counting pass over stride pairs.
+    Counting,
+    /// Runs, by base: a job without key order.
+    Runs,
+}
+
+impl OrderKind {
+    fn name(self) -> &'static str {
+        match self {
+            OrderKind::Packed => "packed",
+            OrderKind::Counting => "counting",
+            OrderKind::Runs => "runs",
+        }
+    }
+}
+
+/// A reduce task's staging, kept across its attempts (cleared, capacity
+/// kept): what one path or the other orders.
+#[derive(Default)]
+struct Staging {
+    /// One location per pair (the packed path).
+    locs: Vec<PairLoc>,
+    /// The packed sort keys, or the run order (the packed path).
+    packed: Vec<u128>,
+    /// The stride runs (the stride path).
+    runs: Vec<StrideRun>,
+    /// Scan indices in reduce order (the counting order).
+    idx: Vec<u32>,
+    /// One count per key of a reducer's span (the counting order).
+    buckets: Vec<u32>,
+}
+
+/// A node's pairs in reduce order, as the staging holds them.
+struct Ordered {
+    kind: OrderKind,
+    /// Bytes of each pair, when the order is over stride runs.
+    stride: Option<usize>,
+    /// Flat records per owned reducer (slot `rid / n`).
+    records_by_slot: Vec<usize>,
+    /// Whether the packed keys alone cut the key runs (see
+    /// [`Pairs::runs`]).
+    runs_from_keys: bool,
+    /// Each reducer that received pairs, ascending, and its span: of the
+    /// runs for [`OrderKind::Runs`] over stride runs, of the order
+    /// otherwise.
+    spans: Vec<(usize, std::ops::Range<usize>)>,
+    /// CPU spent scanning the inbox, before ordering it.
+    scanned: Duration,
+    /// What the scan and the order staged and counted.
+    hot: HotPathStats,
+}
+
+impl Ordered {
+    /// Reducer `rid`'s span `range` of the order in `st`.
+    fn span<'a>(&self, st: &'a Staging, rid: usize, range: std::ops::Range<usize>) -> Order<'a> {
+        match (self.kind, self.stride) {
+            (OrderKind::Counting, Some(width)) => {
+                // The counting order leaves the runs grouped by reducer.
+                let from = st.runs.partition_point(|r| (r.reducer as usize) < rid);
+                let to = st.runs.partition_point(|r| r.reducer as usize <= rid);
+                Order::Indexed {
+                    runs: &st.runs[from..to],
+                    width,
+                    idx: &st.idx[range],
+                }
+            }
+            (OrderKind::Runs, Some(width)) => {
+                let runs = &st.runs[range];
+                Order::Runs {
+                    runs,
+                    width,
+                    start: runs.first().map_or(0, |r| r.first),
+                    len: runs.iter().map(|r| r.count as usize).sum(),
+                }
+            }
+            _ => Order::Packed {
+                locs: &st.locs,
+                keys: &st.packed[range],
+            },
+        }
+    }
+}
+
+/// Scan node `node`'s inbox (`pairs` pairs, as its senders counted them)
+/// and put its pairs in reduce order: over stride runs when the inbox is
+/// all fixed-width record runs (ordering the runs of a job without key
+/// order, or counting a sort's keys when [`counting_ranges`] allows),
+/// else over a [`PairLoc`] per pair ([`packed_order`]). `timer` started
+/// with the attempt.
+fn order_inbox(
+    job: &MapReduceJob<'_>,
+    (node, n): (usize, usize),
+    inbox: &[(usize, Vec<u8>)],
+    pairs: usize,
+    sort_threads: usize,
+    st: &mut Staging,
+    timer: &TaskTimer,
+) -> Result<Ordered> {
+    let layout = job.layout()?;
+    if let Some(scan) = stride_scan(job, layout, node, n, inbox, pairs, &mut st.runs) {
+        let scanned = timer.elapsed();
+        let mut hot = HotPathStats {
+            materialized_bytes: (pairs * scan.width) as u64,
+            ..HotPathStats::default()
+        };
+        let order = if job.sort_by_key {
+            let spans = counting_order(inbox, &scan, job.descending, (node, n), st, &mut hot);
+            spans.map(|spans| (OrderKind::Counting, spans))
+        } else {
+            Some((OrderKind::Runs, order_stride_runs(&mut st.runs)))
+        };
+        if let Some((kind, spans)) = order {
+            return Ok(Ordered {
+                kind,
+                stride: Some(scan.width),
+                records_by_slot: scan.records_by_slot,
+                runs_from_keys: false,
+                spans,
+                scanned,
+                hot,
+            });
+        }
+    }
+    st.runs.clear();
+    packed_order(job, (node, n), inbox, pairs, sort_threads, st, timer)
+}
+
+/// [`order_inbox`]'s packed path: scan a [`PairLoc`] per pair and, for a
+/// keyed job, its packed sort key; sort the keys and fix up inexact
+/// prefix ties, or order the runs of a job without key order.
+fn packed_order(
+    job: &MapReduceJob<'_>,
+    (node, n): (usize, usize),
+    inbox: &[(usize, Vec<u8>)],
+    pairs: usize,
+    sort_threads: usize,
+    st: &mut Staging,
+    timer: &TaskTimer,
+) -> Result<Ordered> {
+    st.locs.clear();
+    st.locs.reserve_exact(pairs);
+    st.packed.clear();
+    st.packed.reserve_exact(pairs);
+    let Scan {
+        records_by_slot,
+        any_inexact,
+        all_records,
+        materialized_bytes,
+        mut runs,
+    } = scan_inbox(job, node, n, inbox, pairs, &mut st.locs, &mut st.packed)?;
+    let scanned = timer.elapsed();
+    let mut hot = HotPathStats {
+        materialized_bytes,
+        // What ordering moves: one PairLoc + one packed key per pair.
+        staged_bytes: (st.locs.len() * std::mem::size_of::<(PairLoc, u128)>()) as u64,
+        ..HotPathStats::default()
+    };
+    let kind = if !job.sort_by_key {
+        order_runs(&mut runs, &mut st.packed);
+        OrderKind::Runs
+    } else {
+        papar_sort::packed::par_sort_packed(&mut st.packed, sort_threads);
+        let (layout, descending) = (job.layout()?, job.descending);
+        fixup_prefix_ties(
+            layout,
+            descending,
+            any_inexact,
+            inbox,
+            &st.locs,
+            &mut st.packed,
+            &mut hot,
+        )?;
+        OrderKind::Packed
+    };
+    Ok(Ordered {
+        kind,
+        stride: None,
+        records_by_slot,
+        // With sorted keys, no inexact prefix and one record per pair,
+        // the packed keys alone cut the key-equal runs.
+        runs_from_keys: job.sort_by_key && !any_inexact && all_records,
+        spans: packed_spans(&st.packed),
+        scanned,
+        hot,
+    })
+}
+
 /// What one reduce attempt hands back.
 struct ReduceAttempt {
     outputs: Vec<(u32, Vec<Batch>)>,
@@ -1089,6 +1555,8 @@ struct ReduceAttempt {
     hot: HotPathStats,
     /// Where the attempt's CPU went: scan, sort, reduce.
     split: [Duration; 3],
+    /// The order it built.
+    order: OrderKind,
 }
 
 /// What a node's map task hands back at the barrier.
@@ -1192,7 +1660,7 @@ impl Attempts {
             cpu: self.cpu,
             det_ns: task_det_ns(pc, self.count, records, pairs, bytes, &counters),
             counters,
-            reduce_split: [Duration::ZERO; 3],
+            ..TaskTrace::default()
         }
     }
 }
@@ -1368,12 +1836,21 @@ impl Cluster {
         // driver thread at the barrier, in node order. ----
         let reduce_pc = self.phase_ctx(&job.name, job_idx, TaskPhase::Reduce, outputs.len());
         let this: &Cluster = &*self;
+        // Each reduce task takes its node's inbox and frees it when it
+        // returns, not at the barrier. A slot is only ever swapped out
+        // whole, so even a poisoned lock guards a whole inbox.
+        let inboxes: Vec<Mutex<Inbox>> = inboxes.into_iter().map(Mutex::new).collect();
         let reduce_results = run_slots(n, reduce_pc.threads, |node| {
+            let inbox = std::mem::take(
+                &mut *inboxes[node]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            );
             this.reduce_task(
                 &reduce_pc,
                 job,
                 node,
-                &inboxes[node],
+                inbox,
                 inbox_pairs[node],
                 map_compute[node],
             )
@@ -1671,28 +2148,27 @@ impl Cluster {
     /// One node's reduce task: decode its inbox (`pairs` pairs, as the
     /// map tasks counted them), sort, reduce per owned reducer id. Runs on
     /// a worker thread with only `&self`; outputs are committed by the
-    /// driver.
+    /// driver. The task owns the inbox and frees it when it returns: only
+    /// its outputs outlive it.
     fn reduce_task(
         &self,
         pc: &PhaseCtx<'_>,
         job: &MapReduceJob<'_>,
         node: usize,
-        inbox: &[(usize, Vec<u8>)],
+        inbox: Inbox,
         pairs: usize,
         map_compute: Duration,
     ) -> Result<TaskOutcome<ReduceAttempt>> {
         // The exchange builds inboxes sender-ascending; the scan index
         // stands in for `(mapper, emission index)` only because of that.
         debug_assert!(inbox.windows(2).all(|w| w[0].0 < w[1].0));
-        // Sort buffers survive retry attempts (cleared, capacity kept) and
-        // are pre-sized to the pair count the senders' map tasks counted,
-        // so the first attempt never grows from empty.
-        let mut locs: Vec<PairLoc> = Vec::with_capacity(pairs);
-        let mut packed: Vec<u128> = Vec::with_capacity(pairs);
+        // Sort buffers survive retry attempts (cleared, capacity kept), so
+        // a retry never grows them from empty.
+        let mut staging = Staging::default();
         let mut att = Attempts::default();
         // Outputs are buffered and only committed if the task survives
         // its boundary — a crashed attempt leaves nothing.
-        let attempt = || reduce_attempt(pc, job, node, inbox, pairs, &mut locs, &mut packed);
+        let attempt = || reduce_attempt(pc, job, node, &inbox, pairs, &mut staging);
         // Crash mid-shuffle: the reduce attempt's work and the node's
         // in-memory inbox are gone. Remote mappers held their send buffers
         // and retransmit them; the node's own map output is regenerated by
@@ -1736,6 +2212,7 @@ impl Cluster {
             let work = (out.records_out, out.pair_count, inbox_bytes);
             TaskTrace {
                 reduce_split: out.split,
+                reduce_order: out.order.name(),
                 ..att.span(pc, node, work, counters)
             }
         });
@@ -1817,60 +2294,26 @@ impl Cluster {
 }
 
 /// One reduce attempt: scan the inbox (`pairs` pairs, as its senders
-/// counted them) once into a 16-byte location index plus packed
-/// 128-bit sort keys, sort *those* and fix up inexact prefix ties — or,
-/// without key order, order the runs — then hand each reducer its span
-/// of the order as a borrowed [`Pairs`], from which it decodes each
-/// pair exactly once, straight into its output.
+/// counted them) once and put its pairs in reduce order without moving a
+/// record byte ([`order_inbox`]), then hand each reducer its span of the
+/// order as a borrowed [`Pairs`], from which it decodes each pair exactly
+/// once, straight into its output.
 fn reduce_attempt(
     pc: &PhaseCtx<'_>,
     job: &MapReduceJob<'_>,
     node: usize,
     inbox: &[(usize, Vec<u8>)],
     pairs: usize,
-    locs: &mut Vec<PairLoc>,
-    packed: &mut Vec<u128>,
+    st: &mut Staging,
 ) -> Result<ReduceAttempt> {
     let n = pc.n;
     let layout = job.layout()?;
     let timer = TaskTimer::start();
-    let Scan {
-        records_by_slot,
-        any_inexact,
-        all_records,
-        materialized_bytes,
-        mut runs,
-    } = scan_inbox(job, node, n, inbox, pairs, locs, packed)?;
-    let scanned = timer.elapsed();
-    let mut hot = HotPathStats {
-        materialized_bytes,
-        ..HotPathStats::default()
-    };
-    // What ordering moves: one PairLoc + one packed key per pair.
-    hot.staged_bytes =
-        (locs.len() * (std::mem::size_of::<PairLoc>() + std::mem::size_of::<u128>())) as u64;
-    if !job.sort_by_key {
-        order_runs(&mut runs, packed);
-    } else {
-        // Threads left over beyond one per node parallelize this
-        // node's sort — the node's core budget, like papar-sort's
-        // contract wants.
-        papar_sort::packed::par_sort_packed(packed, (pc.threads / n).max(1));
-        fixup_prefix_ties(
-            layout,
-            job.descending,
-            any_inexact,
-            inbox,
-            locs,
-            packed,
-            &mut hot,
-        )?;
-    }
+    // Threads left over beyond one per node parallelize a packed sort —
+    // the node's core budget, like papar-sort's contract wants.
+    let sort_threads = (pc.threads / n).max(1);
+    let ordered = order_inbox(job, (node, n), inbox, pairs, sort_threads, st, &timer)?;
     let sorted = timer.elapsed();
-    // Hand every owned reducer its span of the sorted order. With
-    // sorted keys, no inexact prefix and one record per pair, the
-    // packed keys alone cut the key-equal runs.
-    let runs_from_keys = job.sort_by_key && !any_inexact && all_records;
     let reduce = |rid: usize, pairs: Pairs<'_>| {
         let ctx = TaskCtx {
             node,
@@ -1885,26 +2328,19 @@ fn reduce_attempt(
     let mut outputs: Vec<(u32, Vec<Batch>)> = Vec::new();
     let mut records_out: u64 = 0;
     let mut handled: Vec<bool> = vec![false; job.num_reducers];
-    let mut i = 0usize;
-    while i < packed.len() {
-        let rid = (packed[i] >> (66 + IDX_BITS)) as usize;
-        let mut j = i + 1;
-        while j < packed.len() && (packed[j] >> (66 + IDX_BITS)) as usize == rid {
-            j += 1;
-        }
+    // Hand every owned reducer its span of the order.
+    for (rid, range) in &ordered.spans {
         let pairs = Pairs::new(
             inbox,
-            locs,
-            &packed[i..j],
+            ordered.span(st, *rid, range.clone()),
             layout,
-            records_by_slot[rid / n],
-            runs_from_keys,
+            ordered.records_by_slot[rid / n],
+            ordered.runs_from_keys,
         );
-        let batches = reduce(rid, pairs)?;
+        let batches = reduce(*rid, pairs)?;
         records_out += batches.iter().map(|b| b.record_count() as u64).sum::<u64>();
-        handled[rid] = true;
-        outputs.push((rid as u32, batches));
-        i = j;
+        handled[*rid] = true;
+        outputs.push((*rid as u32, batches));
     }
     // Reducers that received nothing still own an (empty) output
     // fragment, so a distribute job always materializes every partition.
@@ -1914,13 +2350,15 @@ fn reduce_attempt(
             outputs.push((rid as u32, reduce(rid, pairs)?));
         }
     }
+    let scanned = ordered.scanned;
     let split = [scanned, sorted - scanned, timer.elapsed() - sorted];
     Ok(ReduceAttempt {
         outputs,
         records_out,
-        pair_count: locs.len() as u64,
-        hot,
+        pair_count: pairs as u64,
+        hot: ordered.hot,
         split,
+        order: ordered.kind,
     })
 }
 
@@ -2561,6 +2999,244 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Records of a key (`long`, or `int`) and an `int`, keyed by the first.
+    fn keyed_schema(long: bool) -> Arc<Schema> {
+        let ty = if long {
+            FieldType::Long
+        } else {
+            FieldType::Integer
+        };
+        Arc::new(Schema::new(vec![("k", ty), ("v", FieldType::Integer)]))
+    }
+
+    /// Routes keys below its bound to reducer 0 and the rest to reducer 3:
+    /// node 0 owns both.
+    struct Split(i64);
+
+    impl Partitioner for Split {
+        fn reducer_for(&self, key: &Value, _: usize) -> Result<usize> {
+            let key = key.as_i64().ok_or_else(|| MrError::msg("an integer key"))?;
+            Ok(if key < self.0 { 0 } else { 3 })
+        }
+    }
+
+    /// Node 0's inbox when sender `i % NODES` pushes key `keys[i]`, keyed
+    /// by its record's first field and routed by [`Split`]; and the pairs
+    /// its senders counted for it.
+    fn keyed_inbox(job: &MapReduceJob<'_>, keys: &[i64], long: bool) -> Result<(Inbox, usize)> {
+        let mut inbox = Vec::new();
+        let mut pairs = 0;
+        for sender in 0..NODES {
+            let records: Vec<Record> = (keys.iter().enumerate())
+                .filter(|(i, _)| i % NODES == sender)
+                .map(|(i, &k)| {
+                    let key = if long {
+                        Value::Long(k)
+                    } else {
+                        Value::Int(k as i32)
+                    };
+                    Record::new(vec![key, Value::Int(i as i32)])
+                })
+                .collect();
+            let mut segs = vec![Vec::new(); REDUCERS];
+            let mut sent = vec![0; NODES];
+            let mut emit = Emit::new(job, sender, &mut segs, &mut sent, None);
+            for record in &records {
+                emit.push_entry(EntryRef::Rec(record))?;
+            }
+            emit.finish()?;
+            let mut row = seal_segments(&mut segs, NODES)?;
+            pairs += sent[0];
+            inbox.push((sender, row.swap_remove(0)));
+        }
+        Ok((inbox, pairs))
+    }
+
+    /// What an order is, for comparing two: its kind, each reducer's pairs
+    /// in order as the addresses of their bytes, and its tie pairs.
+    type Permutation = (OrderKind, Vec<(usize, Vec<usize>)>, u64);
+
+    /// Order node 0's `inbox` as a reduce attempt does, on `st` — or,
+    /// with `packed`, always over a [`PairLoc`] per pair.
+    fn order_of(
+        job: &MapReduceJob<'_>,
+        inbox: &[(usize, Vec<u8>)],
+        pairs: usize,
+        packed: bool,
+        st: &mut Staging,
+    ) -> Result<Permutation> {
+        let timer = TaskTimer::start();
+        let ordered = if packed {
+            packed_order(job, (0, NODES), inbox, pairs, 1, st, &timer)?
+        } else {
+            order_inbox(job, (0, NODES), inbox, pairs, 1, st, &timer)?
+        };
+        let spans = (ordered.spans.iter())
+            .map(|(rid, range)| {
+                let order = ordered.span(st, *rid, range.clone());
+                let at = |i| order.at(inbox, i).0.as_ptr() as usize;
+                (*rid, (0..order.len()).map(at).collect())
+            })
+            .collect();
+        Ok((ordered.kind, spans, ordered.hot.tie_pairs))
+    }
+
+    /// Whether the counting order applies to `keys` routed by [`Split`]:
+    /// every key within ±2^53, and the two reducers' key spans summing to
+    /// at most the pair count.
+    fn counts(keys: &[i64], split: i64) -> bool {
+        let span = |side: &dyn Fn(&i64) -> bool| {
+            let mine = keys.iter().copied().filter(|k| side(k));
+            match (mine.clone().min(), mine.max()) {
+                (Some(lo), Some(hi)) => hi as i128 - lo as i128 + 1,
+                _ => 0,
+            }
+        };
+        let total = span(&|&k| k < split) + span(&|&k| k >= split);
+        keys.iter().all(|k| k.unsigned_abs() <= 1 << 53) && total <= keys.len() as i128
+    }
+
+    /// Order `keys` both ways — as a reduce attempt chooses, twice on the
+    /// same staging as a retried attempt, and over a [`PairLoc`] per pair —
+    /// and require one permutation and one tie count. Returns the order
+    /// the attempt chose.
+    fn same_both_ways(keys: &[i64], long: bool, split: i64, descending: bool) -> Result<OrderKind> {
+        let mapper = Declares(PairKey::Field(0));
+        let partitioner = Split(split);
+        let mut job = test_job(&mapper, &partitioner, keyed_schema(long));
+        job.descending = descending;
+        let (inbox, pairs) = keyed_inbox(&job, keys, long)?;
+        let mut st = Staging::default();
+        let chosen = order_of(&job, &inbox, pairs, false, &mut st)?;
+        let retried = order_of(&job, &inbox, pairs, false, &mut st)?;
+        let packed = order_of(&job, &inbox, pairs, true, &mut Staging::default())?;
+        let what = format!("keys {keys:?}, long {long}, split {split}, descending {descending}");
+        let want = if counts(keys, split) {
+            OrderKind::Counting
+        } else {
+            OrderKind::Packed
+        };
+        if chosen.0 != want || packed.0 != OrderKind::Packed {
+            return Err(MrError::msg(format!(
+                "{what}: ordered {:?} and {:?}",
+                chosen.0, packed.0
+            )));
+        }
+        if (&chosen.1, chosen.2) != (&packed.1, packed.2) || retried != chosen {
+            return Err(MrError::msg(format!("{what}: the orders differ")));
+        }
+        Ok(chosen.0)
+    }
+
+    proptest! {
+        /// The counting order and the packed sort put every inbox of
+        /// fixed-width records keyed by an `int` or a `long` in one
+        /// permutation with one tie count, ascending and descending, over
+        /// duplicate and negative keys, near ±2^53 and at the ends of the
+        /// `long`s (where the counting order gives way), whichever the
+        /// pairs choose; a retried attempt orders them again the same way.
+        #[test]
+        fn counting_and_packed_orders_agree(
+            base in (0usize..6).prop_map(|i| {
+                [0i64, -1_000, (1 << 53) - 40, -(1 << 53) - 5, i64::MAX - 90, i64::MIN][i]
+            }),
+            offsets in prop::collection::vec(0i64..90, 1..60),
+            spread in 1i64..90,
+            cut in 0i64..90,
+            long in any::<bool>(),
+            descending in any::<bool>(),
+        ) {
+            let base = if long { base } else { base.clamp(i32::MIN.into(), i32::MAX as i64 - 90) };
+            let keys: Vec<i64> = offsets.iter().map(|&o| base + o % spread).collect();
+            let agree = same_both_ways(&keys, long, base + cut, descending);
+            prop_assert!(agree.is_ok(), "{:?}", agree.err());
+        }
+    }
+
+    /// The counting order applies while the node's key spans sum to at
+    /// most its pair count (6 here, each reducer's ties sent by two
+    /// nodes) and gives way one key past it; a
+    /// `long` at either end of its range gives way without overflowing.
+    #[test]
+    fn the_counting_order_stops_one_key_past_the_pair_count() -> Result<()> {
+        let at_count = [10, 10, 12, 100, 102, 102];
+        let one_past = [10, 10, 12, 100, 103, 102];
+        for descending in [false, true] {
+            for long in [false, true] {
+                let at = same_both_ways(&at_count, long, 50, descending)?;
+                assert_eq!(at, OrderKind::Counting);
+                let past = same_both_ways(&one_past, long, 50, descending)?;
+                assert_eq!(past, OrderKind::Packed);
+            }
+            let ends = [i64::MIN, 0, i64::MAX, 5, i64::MAX];
+            let kind = same_both_ways(&ends, true, 1, descending)?;
+            assert_eq!(kind, OrderKind::Packed);
+        }
+        Ok(())
+    }
+
+    /// A job without key order over fixed-width records orders its stride
+    /// runs, staging nothing per pair, into the permutation the packed
+    /// path's run order gives; so does a retried attempt.
+    #[test]
+    fn keyless_stride_runs_order_like_packed_runs() -> Result<()> {
+        let (msg, pairs) = Shape::Keyless.message()?;
+        let mapper = Declares(PairKey::None);
+        let job = test_job(&mapper, &IdentityPartitioner, int_schema());
+        let inbox = [(1, msg)];
+        let mut st = Staging::default();
+        let runs = order_of(&job, &inbox, pairs, false, &mut st)?;
+        assert_eq!(runs.0, OrderKind::Runs);
+        assert!(st.locs.is_empty() && st.packed.is_empty() && st.idx.is_empty());
+        assert_eq!(order_of(&job, &inbox, pairs, false, &mut st)?, runs);
+        let packed = order_of(&job, &inbox, pairs, true, &mut Staging::default())?;
+        assert_eq!(packed, runs);
+        Ok(())
+    }
+
+    /// A stride run that claims more pairs than its segment holds, or none,
+    /// keeps the error the packed scan gives it, keyed or keyless.
+    #[test]
+    fn a_damaged_stride_run_keeps_its_typed_error() -> Result<()> {
+        let keyed = Declares(PairKey::Field(0));
+        let split = Split(50);
+        let keyless = Declares(PairKey::None);
+        let jobs = [
+            test_job(&keyed, &split, keyed_schema(false)),
+            test_job(&keyless, &IdentityPartitioner, int_schema()),
+        ];
+        for job in &jobs {
+            let (inbox, pairs) = if job.sort_by_key {
+                keyed_inbox(job, &[10, 11, 60, 12, 61, 13], false)?
+            } else {
+                let (msg, pairs) = Shape::Keyless.message()?;
+                (vec![(1, msg)], pairs)
+            };
+            let at = SEGMENT_HEADER + 8;
+            let message = inbox.iter().position(|(_, m)| !m.is_empty()).unwrap_or(0);
+            let count = |m: &[u8]| u32::from_le_bytes([m[at], m[at + 1], m[at + 2], m[at + 3]]);
+            let first = count(&inbox[message].1);
+            for claim in [first + 1, u32::MAX, 0] {
+                let mut damaged = inbox.clone();
+                damaged[message].1[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+                let err = |packed| {
+                    let got = order_of(job, &damaged, pairs, packed, &mut Staging::default());
+                    got.err().map(|e| e.to_string())
+                };
+                let (stride, packed) = (err(false), err(true));
+                assert!(
+                    matches!(
+                        order_of(job, &damaged, pairs, false, &mut Staging::default()),
+                        Err(MrError::MalformedShuffle { node: 0, .. })
+                    ),
+                    "claim {claim}: {stride:?}"
+                );
+                assert_eq!(stride, packed, "claim {claim}");
+            }
+        }
+        Ok(())
     }
 
     /// A map attempt retried after a crash resends exactly the runs a

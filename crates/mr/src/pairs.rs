@@ -1,15 +1,19 @@
-//! A reducer's input: its span of the node's sorted pair order, borrowed
-//! over the inbox.
+//! A reducer's input: its span of the node's pair order, borrowed over
+//! the inbox.
 //!
-//! The reduce task sorts 16-byte locations and packed 128-bit keys, never
-//! record bytes (see the engine's reduce path). A [`Pairs`] is one
-//! reducer's span of that sorted order. It hands out each pair as a key
-//! view and an [`EntryView`] into the inbox, and splits the span into its
-//! key-equal [`Pairs::runs`], so a reducer decodes every record exactly
-//! once, straight into the batch it commits, or copies its wire bytes
-//! into rows without decoding it ([`Pairs::for_each_record`]) — like
-//! MR-MPI's reduce callback, which receives each key and its multivalue
-//! as pointers into the collated page.
+//! The reduce task orders references to pairs, never record bytes (see
+//! the engine's reduce path). A pair of a fixed-width record run is found
+//! by its number alone, at a constant stride inside its [`StrideRun`], so
+//! such runs order 4-byte scan indices, or whole runs when the job has
+//! no key order; every other pair has a 16-byte [`PairLoc`] and is
+//! ordered by packed 128-bit keys. A [`Pairs`] is one reducer's span of
+//! that order. It hands out each pair as a key view and an [`EntryView`]
+//! into the inbox, and splits the span into its key-equal
+//! [`Pairs::runs`], so a reducer decodes every record exactly once,
+//! straight into the batch it commits, or copies its wire bytes into rows
+//! without decoding it ([`Pairs::for_each_record`]) — like MR-MPI's
+//! reduce callback, which receives each key and its multivalue as
+//! pointers into the collated page.
 
 use std::sync::Arc;
 
@@ -77,9 +81,129 @@ impl PairLoc {
         &inbox[self.buf as usize].1[self.off as usize..]
     }
 
-    /// The pair's entry, from its first byte to the end of its buffer.
-    fn entry<'a>(&self, inbox: &'a [(usize, Vec<u8>)]) -> &'a [u8] {
-        &self.tail(inbox)[(self.tag_key >> 8) as usize..]
+    /// Bytes of the tagged key before the entry (0 when there is none).
+    fn key_len(&self) -> usize {
+        (self.tag_key >> 8) as usize
+    }
+}
+
+/// A run of fixed-width record pairs: `count` pairs of one width each,
+/// back to back from byte `off` of inbox buffer `buf`. Its pairs are
+/// numbered `first..first + count`: their scan indices, or, once a keyless
+/// job's runs are ordered, their positions in that order. No pair of it
+/// needs a location of its own.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StrideRun {
+    pub(crate) reducer: u32,
+    pub(crate) base: u64,
+    pub(crate) first: u32,
+    pub(crate) count: u32,
+    pub(crate) buf: u32,
+    pub(crate) off: usize,
+}
+
+/// The bytes from the start of the stride pair numbered `number` to the
+/// end of its buffer. `runs` ascend by `first`, and one holds the pair.
+/// A few runs (a sort's reducer has one per sender) are counted without
+/// a branch: a sorted order names runs in no pattern a branch predictor
+/// could learn, and each mispredicted search would stall the loads
+/// [`Pairs::touch`] means to overlap.
+#[inline]
+fn stride_tail<'a>(
+    inbox: &'a [(usize, Vec<u8>)],
+    runs: &[StrideRun],
+    width: usize,
+    number: u32,
+) -> &'a [u8] {
+    let after = if runs.len() <= FEW_RUNS {
+        runs.iter().filter(|r| r.first <= number).count()
+    } else {
+        runs.partition_point(|r| r.first <= number)
+    };
+    let run = &runs[after.saturating_sub(1)];
+    &inbox[run.buf as usize].1[run.off + (number - run.first) as usize * width..]
+}
+
+/// Runs [`stride_tail`] counts rather than searches.
+const FEW_RUNS: usize = 16;
+
+/// A span of a node's pair order, as the reduce task built it.
+#[derive(Clone, Copy)]
+pub(crate) enum Order<'a> {
+    /// Sorted packed keys, each naming its [`PairLoc`] by its low
+    /// [`IDX_BITS`].
+    Packed {
+        locs: &'a [PairLoc],
+        keys: &'a [u128],
+    },
+    /// Scan indices of pairs of `runs` (which ascend by scan index),
+    /// `width` bytes each.
+    Indexed {
+        runs: &'a [StrideRun],
+        width: usize,
+        idx: &'a [u32],
+    },
+    /// Whole runs, numbered in order: pairs `start..start + len`.
+    Runs {
+        runs: &'a [StrideRun],
+        width: usize,
+        start: u32,
+        len: usize,
+    },
+}
+
+impl<'a> Order<'a> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Order::Packed { keys, .. } => keys.len(),
+            Order::Indexed { idx, .. } => idx.len(),
+            Order::Runs { len, .. } => *len,
+        }
+    }
+
+    /// Pair `i`'s bytes to the end of its buffer, its entry tag and the
+    /// length of its tagged key.
+    #[inline]
+    pub(crate) fn at(&self, inbox: &'a [(usize, Vec<u8>)], i: usize) -> (&'a [u8], u8, usize) {
+        match *self {
+            Order::Packed { locs, keys } => {
+                let loc = &locs[(keys[i] & IDX_MASK) as usize];
+                (loc.tail(inbox), loc.tag(), loc.key_len())
+            }
+            Order::Indexed { runs, width, idx } => {
+                (stride_tail(inbox, runs, width, idx[i]), ENTRY_REC, 0)
+            }
+            Order::Runs {
+                runs, width, start, ..
+            } => (
+                stride_tail(inbox, runs, width, start + i as u32),
+                ENTRY_REC,
+                0,
+            ),
+        }
+    }
+
+    /// Pairs `from..to` of this span.
+    fn slice(&self, from: usize, to: usize) -> Self {
+        match *self {
+            Order::Packed { locs, keys } => Order::Packed {
+                locs,
+                keys: &keys[from..to],
+            },
+            Order::Indexed { runs, width, idx } => Order::Indexed {
+                runs,
+                width,
+                idx: &idx[from..to],
+            },
+            Order::Runs {
+                runs, width, start, ..
+            } => Order::Runs {
+                runs,
+                width,
+                start: start + from as u32,
+                len: to - from,
+            },
+        }
     }
 }
 
@@ -139,21 +263,22 @@ impl<'a> Layout<'a> {
         }
     }
 
-    /// The key of the pair at `loc`, as `read` reads it (see
-    /// [`Layout::pair`]). A tagged key is read without parsing its entry.
+    /// The key of the pair whose bytes start `tail` and whose entry is of
+    /// kind `tag`, as `read` reads it (see [`Layout::pair`]). A tagged key
+    /// is read without parsing its entry.
     pub(crate) fn key<T>(
         &self,
-        inbox: &'a [(usize, Vec<u8>)],
-        loc: &PairLoc,
+        tail: &'a [u8],
+        tag: u8,
         read: impl FnOnce(&mut Reader<'a>, FieldType) -> papar_record::Result<T>,
     ) -> Result<T> {
-        let mut r = Reader::new(loc.tail(inbox));
+        let mut r = Reader::new(tail);
         match self.key {
             KeyAt::Pushed => {
                 let ty = wire::tag_type(r.read_u8()?)?;
                 Ok(read(&mut r, ty)?)
             }
-            _ => Ok(self.pair(&mut r, loc.tag(), read)?.0),
+            _ => Ok(self.pair(&mut r, tag, read)?.0),
         }
     }
 }
@@ -165,9 +290,7 @@ impl<'a> Layout<'a> {
 #[derive(Clone, Copy)]
 pub struct Pairs<'a> {
     inbox: &'a [(usize, Vec<u8>)],
-    locs: &'a [PairLoc],
-    /// This span of the sorted packed keys; each names its [`PairLoc`].
-    order: &'a [u128],
+    order: Order<'a>,
     layout: Layout<'a>,
     /// Flat records across the span's entries.
     records: usize,
@@ -180,15 +303,13 @@ pub struct Pairs<'a> {
 impl<'a> Pairs<'a> {
     pub(crate) fn new(
         inbox: &'a [(usize, Vec<u8>)],
-        locs: &'a [PairLoc],
-        order: &'a [u128],
+        order: Order<'a>,
         layout: Layout<'a>,
         records: usize,
         runs_from_keys: bool,
     ) -> Self {
         Pairs {
             inbox,
-            locs,
             order,
             layout,
             records,
@@ -198,7 +319,11 @@ impl<'a> Pairs<'a> {
 
     /// No pairs: what a reducer that received nothing is handed.
     pub(crate) fn empty(layout: Layout<'a>) -> Self {
-        Pairs::new(&[], &[], &[], layout, 0, false)
+        let order = Order::Packed {
+            locs: &[],
+            keys: &[],
+        };
+        Pairs::new(&[], order, layout, 0, false)
     }
 
     /// Number of pairs.
@@ -208,7 +333,7 @@ impl<'a> Pairs<'a> {
 
     /// True when the reducer received nothing.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len() == 0
     }
 
     /// Flat records across the entries (a packed group counts its
@@ -223,8 +348,8 @@ impl<'a> Pairs<'a> {
     pub fn iter(&self) -> impl Iterator<Item = Result<(ValueView<'a>, EntryView<'a>)>> + 'a {
         let pairs = *self;
         (0..pairs.len()).map(move |i| {
-            let tag = pairs.loc(i).tag();
-            (pairs.layout).pair(&mut pairs.reader(i), tag, ValueView::parse_field)
+            let (tail, tag, _) = pairs.at(i);
+            (pairs.layout).pair(&mut Reader::new(tail), tag, ValueView::parse_field)
         })
     }
 
@@ -233,19 +358,16 @@ impl<'a> Pairs<'a> {
     /// again.
     pub fn entries(&self) -> impl Iterator<Item = Result<EntryView<'a>>> + 'a {
         let pairs = *self;
-        (0..pairs.len()).map(move |i| pairs.entry(pairs.order[i]))
+        (0..pairs.len()).map(move |i| pairs.entry(i))
     }
 
     /// Decode every entry, in reduce order, appending its flat records to
     /// `out`. A tagged key is stepped over, not parsed again.
     pub fn decode_into(&self, out: &mut Vec<Record>) -> Result<()> {
-        for chunk in self.order.chunks(TOUCH_AHEAD) {
-            touch(self.inbox, self.locs, chunk);
-            for &p in chunk {
-                self.entry(p)?.decode_into(out)?;
-            }
-        }
-        Ok(())
+        self.each_touched(|(tail, tag, key_len)| {
+            let entry = self.layout.entry(&mut Reader::new(&tail[key_len..]), tag)?;
+            Ok(entry.decode_into(out)?)
+        })
     }
 
     /// Hand every flat record's wire bytes to `each`, in reduce order,
@@ -254,28 +376,24 @@ impl<'a> Pairs<'a> {
     /// holds no record bytes, and is an error.
     pub fn for_each_record(&self, mut each: impl FnMut(&'a [u8])) -> Result<()> {
         let schema = self.layout.schema;
-        for chunk in self.order.chunks(TOUCH_AHEAD) {
-            touch(self.inbox, self.locs, chunk);
-            for &p in chunk {
-                let loc = &self.locs[(p & IDX_MASK) as usize];
-                let mut r = Reader::new(loc.entry(self.inbox));
-                match loc.tag() {
-                    ENTRY_REC => each(wire::record_bytes(&mut r, schema)?),
-                    ENTRY_PACKED => {
-                        wire::skip_value(&mut r)?;
-                        for _ in 0..r.read_u32()? {
-                            each(wire::record_bytes(&mut r, schema)?);
-                        }
-                    }
-                    _ => {
-                        return Err(MrError::msg(
-                            "gathering rows found a compressed group, which holds no record bytes",
-                        ))
+        self.each_touched(|(tail, tag, key_len)| {
+            let mut r = Reader::new(&tail[key_len..]);
+            match tag {
+                ENTRY_REC => each(wire::record_bytes(&mut r, schema)?),
+                ENTRY_PACKED => {
+                    wire::skip_value(&mut r)?;
+                    for _ in 0..r.read_u32()? {
+                        each(wire::record_bytes(&mut r, schema)?);
                     }
                 }
+                _ => {
+                    return Err(MrError::msg(
+                        "gathering rows found a compressed group, which holds no record bytes",
+                    ))
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Copy every flat record's bytes, in reduce order, into `out`
@@ -306,40 +424,76 @@ impl<'a> Pairs<'a> {
         }
     }
 
-    /// Pair `i`'s location.
-    fn loc(&self, i: usize) -> &'a PairLoc {
-        &self.locs[(self.order[i] & IDX_MASK) as usize]
+    /// Pair `i`'s bytes to the end of its buffer, its tag and the length of
+    /// its tagged key.
+    fn at(&self, i: usize) -> (&'a [u8], u8, usize) {
+        self.order.at(self.inbox, i)
     }
 
-    /// The entry of the pair `p` of the sorted order names.
-    fn entry(&self, p: u128) -> Result<EntryView<'a>> {
-        let loc = &self.locs[(p & IDX_MASK) as usize];
-        self.layout
-            .entry(&mut Reader::new(loc.entry(self.inbox)), loc.tag())
-    }
-
-    /// A cursor at pair `i`.
-    fn reader(&self, i: usize) -> Reader<'a> {
-        Reader::new(self.loc(i).tail(self.inbox))
+    /// Pair `i`'s entry.
+    fn entry(&self, i: usize) -> Result<EntryView<'a>> {
+        let (tail, tag, key_len) = self.at(i);
+        self.layout.entry(&mut Reader::new(&tail[key_len..]), tag)
     }
 
     /// Pair `i`'s decoded key.
     fn key(&self, i: usize) -> Result<Value> {
-        self.layout.key(self.inbox, self.loc(i), wire::decode_field)
+        let (tail, tag, _) = self.at(i);
+        self.layout.key(tail, tag, wire::decode_field)
+    }
+
+    /// Call `each` on every pair in order (its bytes, tag and tagged key
+    /// length, as [`Pairs::at`] finds them), [`TOUCH_AHEAD`] pairs at a
+    /// time, each batch touched first ([`Pairs::touch`]).
+    fn each_touched(
+        &self,
+        mut each: impl FnMut((&'a [u8], u8, usize)) -> Result<()>,
+    ) -> Result<()> {
+        for from in (0..self.len()).step_by(TOUCH_AHEAD) {
+            let to = (from + TOUCH_AHEAD).min(self.len());
+            self.touch(from, to);
+            (from..to).try_for_each(|i| each(self.at(i)))?;
+        }
+        Ok(())
+    }
+
+    /// Read the first byte of pairs `from..to`, all at once, and use
+    /// nothing. The sorted order visits the inbox at random, so each pair's
+    /// location and bytes are likely cache misses; issued back to back,
+    /// these independent loads overlap, where the loop that uses the bytes
+    /// would wait for each in turn. The bytes are then in cache when it
+    /// reads them.
+    fn touch(&self, from: usize, to: usize) {
+        let mut bytes = 0u8;
+        // The packed order is read directly: through `Order::at`, the
+        // hybrid-cut's group+split, which touches ahead of many short runs,
+        // spent ≈15 % more reduce CPU.
+        if let Order::Packed { locs, keys } = self.order {
+            for &p in &keys[from..to] {
+                let loc = &locs[(p & IDX_MASK) as usize];
+                bytes ^= loc.tail(self.inbox).first().copied().unwrap_or(0);
+            }
+        } else {
+            for i in from..to {
+                bytes ^= self.at(i).0.first().copied().unwrap_or(0);
+            }
+        }
+        std::hint::black_box(bytes);
     }
 
     /// Where the run starting at `start` ends, and the records it holds.
     fn run_end(&self, start: usize) -> Result<(usize, usize)> {
-        if self.runs_from_keys {
-            let key = self.order[start] >> IDX_BITS;
-            let len = (self.order[start..].iter())
+        if let (true, Order::Packed { keys, .. }) = (self.runs_from_keys, self.order) {
+            let key = keys[start] >> IDX_BITS;
+            let len = (keys[start..].iter())
                 .position(|&p| p >> IDX_BITS != key)
                 .unwrap_or(self.len() - start);
             return Ok((start + len, len));
         }
         let head = |i: usize| -> Result<(KeyPrefix, usize)> {
-            let tag = self.loc(i).tag();
-            let (key, entry) = (self.layout).pair(&mut self.reader(i), tag, prefix::from_field)?;
+            let (tail, tag, _) = self.at(i);
+            let (key, entry) =
+                (self.layout).pair(&mut Reader::new(tail), tag, prefix::from_field)?;
             Ok((key, entry.record_count()))
         };
         let (first, mut records) = head(start)?;
@@ -366,25 +520,8 @@ impl<'a> Pairs<'a> {
     }
 }
 
-/// Pairs whose entries [`touch`] reads at once, ahead of their use.
+/// Pairs whose entries [`Pairs::touch`] reads at once, ahead of their use.
 const TOUCH_AHEAD: usize = 32;
-
-/// Read the first byte of every pair in `order`, all at once, and use
-/// nothing. The sorted order visits the inbox at random, so each pair's
-/// location and bytes are likely cache misses; issued back to back, these
-/// independent loads overlap, where the loop that uses the bytes would
-/// wait for each in turn. The bytes are then in cache when it reads them.
-fn touch(inbox: &[(usize, Vec<u8>)], locs: &[PairLoc], order: &[u128]) {
-    let mut bytes = 0u8;
-    for &p in order {
-        bytes ^= locs[(p & IDX_MASK) as usize]
-            .tail(inbox)
-            .first()
-            .copied()
-            .unwrap_or(0);
-    }
-    std::hint::black_box(bytes);
-}
 
 /// The key-equal runs of a [`Pairs`]; see [`Pairs::runs`].
 pub struct Runs<'a> {
@@ -409,16 +546,11 @@ impl<'a> Iterator for Runs<'a> {
                 self.next = end;
                 let ahead = (end + TOUCH_AHEAD).min(self.pairs.len());
                 if self.touched < ahead {
-                    let from = self.touched.max(start);
-                    touch(
-                        self.pairs.inbox,
-                        self.pairs.locs,
-                        &self.pairs.order[from..ahead],
-                    );
+                    self.pairs.touch(self.touched.max(start), ahead);
                     self.touched = ahead;
                 }
                 Ok(Pairs {
-                    order: &self.pairs.order[start..end],
+                    order: self.pairs.order.slice(start, end),
                     records,
                     ..self.pairs
                 })

@@ -114,6 +114,16 @@ impl KeyField {
         })
     }
 
+    /// The key's type.
+    pub fn ty(&self) -> FieldType {
+        self.ty
+    }
+
+    /// Bytes before the key in a record, when they do not vary.
+    pub fn offset(&self) -> Option<usize> {
+        self.offset
+    }
+
     /// The fields of `schema` before this one.
     fn before<'s>(&self, schema: &'s Schema) -> Result<&'s [FieldDef]> {
         (schema.fields().get(..self.index))

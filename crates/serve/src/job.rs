@@ -703,8 +703,13 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
 
     // The cluster shares the cached fragments; a request copies no input
     // record.
-    let report = run(&compiled, options, None, cluster, input).map_err(|e| e.to_string())?;
-    let files = emit(&compiled, cluster, Path::new(&spec.out_dir))?;
+    let written = run(&compiled, options, None, cluster, input)
+        .map_err(|e| e.to_string())
+        .and_then(|report| Ok((report, emit(&compiled, cluster, Path::new(&spec.out_dir))?)));
+    // The partitions are on disk, or the request failed: either way an
+    // idle daemon holds no fragment of it.
+    cluster.reset();
+    let (report, files) = written?;
 
     // The summary `papar run` prints, between the cache verdicts and the
     // profile table from this request's span tree.

@@ -20,32 +20,51 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Counts every allocation (and every reallocation, as one block plus
-/// its growth in bytes) made by any thread of this test binary.
+/// its growth in bytes) made by any thread of this test binary, and
+/// tracks the bytes live and their peak.
 struct Counting;
 
 static BLOCKS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// `bytes` more are live.
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+/// `bytes` fewer are live.
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Relaxed);
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         BLOCKS.fetch_add(1, Relaxed);
         BYTES.fetch_add(layout.size() as u64, Relaxed);
+        grow(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         BLOCKS.fetch_add(1, Relaxed);
         BYTES.fetch_add(layout.size() as u64, Relaxed);
+        grow(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         BLOCKS.fetch_add(1, Relaxed);
         BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Relaxed);
+        grow(new_size.saturating_sub(layout.size()));
+        shrink(layout.size().saturating_sub(new_size));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -53,19 +72,24 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Blocks and bytes allocated while `f` ran.
+/// Blocks and bytes allocated while `f` ran, and the most bytes live at
+/// once above what was live when it began.
 #[derive(Debug, Clone, Copy)]
 struct Usage {
     blocks: u64,
     bytes: u64,
+    peak: u64,
 }
 
 fn measure<T>(f: impl FnOnce() -> T) -> (T, Usage) {
     let (blocks, bytes) = (BLOCKS.load(Relaxed), BYTES.load(Relaxed));
+    let live = LIVE.load(Relaxed);
+    PEAK.store(live, Relaxed);
     let out = f();
     let usage = Usage {
         blocks: BLOCKS.load(Relaxed) - blocks,
         bytes: BYTES.load(Relaxed) - bytes,
+        peak: PEAK.load(Relaxed).saturating_sub(live),
     };
     (out, usage)
 }
@@ -218,13 +242,19 @@ fn byte_slope(small: Usage, large: Usage, records: f64) -> f64 {
     (large.bytes as f64 - small.bytes as f64) / records
 }
 
+/// Peak live bytes per extra input record between two budgets.
+fn peak_slope(small: Usage, large: Usage, records: f64) -> f64 {
+    (large.peak as f64 - small.peak as f64) / records
+}
+
 /// The Figure 8 `run` byte slope measured on this test's database: the
 /// sort reducers gather each record's 16 row bytes from the inbox, the
 /// fused assembly copies them once into their partition, plus the
-/// shuffle's outbox, inbox and sort buffers (a pair is its 16-byte row:
-/// the key is read from it, its tag travels once per run). No record is
-/// decoded.
-const BLAST_RUN_BYTES: f64 = 87.4;
+/// shuffle's outbox and inbox and the sort's 4-byte scan index per pair
+/// (a pair is its 16-byte row in a stride run: the key is read from it
+/// in place, its tag travels once per run, and it needs no location of
+/// its own). No record is decoded.
+const BLAST_RUN_BYTES: f64 = 59.6;
 
 /// The Figure 10 `run` byte slope measured on this test's edge list (two
 /// engine jobs: the shuffle buffers; the fused group→split's edges
@@ -244,8 +274,17 @@ const HYBRID_RUN_BLOCKS: f64 = 0.128;
 /// this test's database: the two unfused jobs' row gathers and shuffle
 /// buffers, the materialised sort output, and one checkpoint payload per
 /// published fragment, written after its frame header without a copy. A
-/// distribute pair is its row: no order key, no tag.
-const DURABLE_RUN_BYTES: f64 = 178.9;
+/// distribute pair is its row: no order key, no tag, and its runs are
+/// ordered without staging anything per pair.
+const DURABLE_RUN_BYTES: f64 = 119.0;
+
+/// The Figure 8 warm served request's peak live bytes per record, at one
+/// engine thread, above what the idle daemon holds: the sort's row
+/// outputs and the fused assembly's partitions, both live while the
+/// assembly copies the one into the other. Each reduce task frees its
+/// inbox when it returns, its sort stages 4 bytes per pair, and the idle
+/// daemon holds no partition of the previous request.
+const WARM_PEAK_BYTES: f64 = 32.0;
 
 /// One decoded record, in place.
 const RECORD_BYTES: f64 = std::mem::size_of::<papar_record::Record>() as f64;
@@ -374,6 +413,12 @@ fn pipeline_seams_copy_no_record() {
 
     // A warm served request shares the cached input: per record it
     // allocates what `run` does and nothing more.
+    let warm_peak = peak_slope(small.warm_execute, large.warm_execute, extra);
+    eprintln!("fig8 warm execute: {warm_peak:.1} peak live bytes per record");
+    assert!(
+        warm_peak <= WARM_PEAK_BYTES * 1.02,
+        "warm execute peaks at {warm_peak:.1} live bytes per record"
+    );
     let warm = slope(small.warm_execute, large.warm_execute, extra);
     assert!(
         warm <= run + 0.05,

@@ -342,3 +342,37 @@ fn queue_overflow_is_refused_typed_and_the_daemon_survives() {
     client.shutdown().unwrap();
     server.join().unwrap();
 }
+
+/// Fragments and replicas the resident cluster holds, over all nodes.
+fn resident_fragments(res: &Resources) -> usize {
+    let cluster = res.cluster.as_ref().expect("a request built the cluster");
+    (0..cluster.num_nodes())
+        .map(|i| cluster.node(i).fragment_ids().len() + cluster.node(i).replica_count())
+        .sum()
+}
+
+/// Between requests the resident cluster holds no fragment: a finished
+/// request's partitions are on disk, and a request that fails after its
+/// run (its output directory is a file) leaves none behind either.
+#[test]
+fn an_idle_daemon_holds_no_request_fragments() {
+    let dir = fixture("idle");
+    let mut res = Resources::new(4, 4, 1);
+    job::execute(&spec(&dir, "done", Some(1)), &mut res).expect("request");
+    assert_eq!(partition_bytes(&dir.join("done")).len(), 4);
+    assert_eq!(resident_fragments(&res), 0);
+
+    std::fs::write(dir.join("blocked"), b"").unwrap();
+    let failed = job::execute(&spec(&dir, "blocked", Some(1)), &mut res);
+    let err = failed.expect_err("an output path that is a file fails the request");
+    assert!(err.contains("cannot create"), "{err}");
+    assert_eq!(resident_fragments(&res), 0);
+
+    // The daemon serves on from the released cluster.
+    job::execute(&spec(&dir, "again", Some(1)), &mut res).expect("request");
+    assert_eq!(
+        partition_bytes(&dir.join("again")),
+        partition_bytes(&dir.join("done"))
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

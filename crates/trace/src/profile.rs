@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use crate::{PhaseKind, WorkflowTrace};
+use crate::{PhaseKind, TaskTrace, WorkflowTrace};
 
 /// Render the per-phase virtual-time breakdown as a fixed-width table.
 /// Phase rows within a job sum to the job's makespan and the total row
@@ -76,11 +76,12 @@ pub fn render_profile(trace: &WorkflowTrace) -> String {
                 std::array::from_fn(|i| phase.tasks.iter().map(|t| t.reduce_split[i]).sum());
             if split.iter().any(|d| !d.is_zero()) {
                 out.push_str(&format!(
-                    "{:<24} └ reduce split: scan {}, sort {}, reduce {} (task CPU summed over \
-                     nodes)\n",
+                    "{:<24} └ reduce split: scan {}, sort {}{}, reduce {} (task CPU summed \
+                     over nodes)\n",
                     "",
                     fmt_dur(split[0]),
                     fmt_dur(split[1]),
+                    order_label(&phase.tasks),
                     fmt_dur(split[2])
                 ));
             }
@@ -118,6 +119,30 @@ pub fn render_profile(trace: &WorkflowTrace) -> String {
         ));
     }
     out
+}
+
+/// The orders a reduce phase's tasks built, for its split footnote:
+/// ` (counting)` when every task built the same one, ` (counting on 3
+/// nodes, packed on 1)` when they differ, nothing when none is named.
+fn order_label(tasks: &[TaskTrace]) -> String {
+    let mut orders: Vec<(&str, usize)> = Vec::new();
+    for t in tasks.iter().filter(|t| !t.reduce_order.is_empty()) {
+        match orders.iter_mut().find(|(o, _)| *o == t.reduce_order) {
+            Some((_, nodes)) => *nodes += 1,
+            None => orders.push((t.reduce_order, 1)),
+        }
+    }
+    match orders.as_slice() {
+        [] => String::new(),
+        [(order, _)] => format!(" ({order})"),
+        _ => {
+            let each = orders.iter().map(|(order, nodes)| {
+                let s = if *nodes == 1 { "" } else { "s" };
+                format!("{order} on {nodes} node{s}")
+            });
+            format!(" ({})", each.collect::<Vec<_>>().join(", "))
+        }
+    }
 }
 
 /// Static `[lo, hi]` bounds of one job's counters, as computed by an
@@ -448,6 +473,30 @@ mod tests {
         assert!(at > rendered.find("└ skew:").unwrap(), "{rendered}");
         assert_eq!(rendered.matches("reduce split").count(), 1, "{rendered}");
         assert!(!render_profile(&trace()).contains("reduce split"));
+    }
+
+    /// The footnote names the order its tasks built: one name when they
+    /// agree, each with its node count when they do not.
+    #[test]
+    fn reduce_split_footnote_names_the_order() {
+        let task = |order| TaskTrace {
+            reduce_split: [Duration::from_millis(1); 3],
+            reduce_order: order,
+            ..TaskTrace::default()
+        };
+        let footnote = |orders: &[&'static str]| {
+            let mut t = trace();
+            let tasks = orders.iter().map(|&o| task(o)).collect();
+            t.jobs[0]
+                .phases
+                .push(PhaseTrace::barrier(PhaseKind::Reduce, tasks));
+            render_profile(&t)
+        };
+        let one = footnote(&["counting", "counting"]);
+        assert!(one.contains("sort 2.000 ms (counting), reduce"), "{one}");
+        let mixed = footnote(&["counting", "packed", "counting", "counting"]);
+        let want = "sort 4.000 ms (counting on 3 nodes, packed on 1 node), reduce";
+        assert!(mixed.contains(want), "{mixed}");
     }
 
     #[test]

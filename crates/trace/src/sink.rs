@@ -24,6 +24,9 @@ pub struct TaskTrace {
     /// reduce]`: the inbox scan, the pair order (tie fix-up included) and
     /// the reducers; zero for other tasks, and in no deterministic export.
     pub reduce_split: [Duration; 3],
+    /// The order a reduce task's surviving attempt built (`counting`,
+    /// `packed` or `runs`); empty for other tasks, and in no export.
+    pub reduce_order: &'static str,
 }
 
 /// One BSP phase of a job.
