@@ -12,7 +12,6 @@
 //! to `EXPERIMENTS.md` in markdown.
 
 pub mod ablation;
-pub mod adaptive;
 pub mod chaos;
 pub mod datasets;
 pub mod fig12;

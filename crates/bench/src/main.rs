@@ -8,7 +8,7 @@
 
 use papar_bench::datasets::Scale;
 use papar_bench::report::Table;
-use papar_bench::{ablation, adaptive, chaos, fig12, fig13, fig14, fig15, fusion, table2};
+use papar_bench::{ablation, chaos, fig12, fig13, fig14, fig15, fusion, table2};
 use std::io::Write;
 
 const EXPERIMENTS: &[&str] = &[
@@ -22,7 +22,6 @@ const EXPERIMENTS: &[&str] = &[
     "ablation-compress",
     "ablation-sampling",
     "ablation-sort",
-    "adaptive",
     "chaos",
     "fusion",
 ];
@@ -48,7 +47,6 @@ fn run_experiment(name: &str, scale: &Scale) -> Table {
         "ablation-compress" => ablation::compression(scale),
         "ablation-sampling" => ablation::sampling(scale),
         "ablation-sort" => ablation::sort_comparison(scale),
-        "adaptive" => adaptive::run(scale),
         "chaos" => chaos::run(scale),
         "fusion" => fusion::run(scale),
         other => {

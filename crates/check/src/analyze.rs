@@ -7,8 +7,8 @@
 //! its per-job inference and the plan when there is one. Last, it lints
 //! the binder's dataflow graph: warnings (`W0xx`) for plans that run but
 //! are probably not what the author meant — dead outputs, idle cluster
-//! nodes, non-strict stride permutations, tie-dependent layouts, unused
-//! arguments, fusible intermediates.
+//! nodes, unevenly loaded reducer nodes, non-strict stride permutations,
+//! tie-dependent layouts, unused arguments, fusible intermediates.
 //!
 //! Binding needs no launch-time values: an argument without one resolves
 //! to its literal `$name`, so the analysis runs symbolically and reports
@@ -35,7 +35,8 @@ use crate::diag::{Code, Diagnostic, Severity};
 pub struct CheckContext {
     /// Launch-time argument values (may be a subset of the declared ones).
     pub args: HashMap<String, String>,
-    /// Number of cluster nodes, for partition-count and replication checks.
+    /// Number of cluster nodes, for partition-count, reducer-count and
+    /// replication checks.
     pub nodes: Option<usize>,
     /// Replication factor the cluster will be asked for.
     pub replication: Option<usize>,
@@ -271,6 +272,42 @@ fn lint(wf: &WorkflowConfig, ctx: &CheckContext, b: &Binding, out: &mut Vec<Diag
                      equal sort keys make the partition layout depend on \
                      tie-breaking, so the output is only byte-reproducible \
                      while the sort stays stable",
+                    op.id
+                ),
+            );
+        }
+    }
+
+    // W010: a keyed job whose reducers cannot load every node evenly.
+    // Reducer r runs on node r % N and one node's reducers share one
+    // reduce task, so the stage's time follows the busiest node. The
+    // count resolves as the executor resolves it with no default set
+    // (no front end sets one): the literal, else one reducer per node.
+    if let Some(nodes) = ctx.nodes {
+        for (i, (op, job)) in wf.operators.iter().zip(&b.jobs).enumerate() {
+            let Some(r) = job
+                .num_reducers
+                .filter(|_| is_op(i, ["Sort", "sort"]) || is_op(i, ["Group", "group"]))
+            else {
+                continue;
+            };
+            let shape = if r < nodes {
+                format!("{} nodes reduce nothing", nodes - r)
+            } else if r % nodes != 0 {
+                let busiest = r.div_ceil(nodes);
+                format!(
+                    "the busiest node reduces {busiest} of {r} ranges, {:.2}x its fair share",
+                    (busiest * nodes) as f64 / r as f64
+                )
+            } else {
+                continue;
+            };
+            warn(
+                Code::W010,
+                op.span,
+                format!(
+                    "job '{}' has {r} reducers on a {nodes}-node cluster: {shape} \
+                     (use a multiple of {nodes})",
                     op.id
                 ),
             );

@@ -44,10 +44,6 @@ pub struct BoundsConfig {
     /// `W008` threshold: worst-case busiest-partition load over the fair
     /// share (`--skew-ratio`).
     pub skew_ratio: f64,
-    /// Reducer counts an adaptive [`papar_core::adaptive::PlanDecision`]
-    /// chose, by job id: when set, W008/P021 judge the plan that will
-    /// actually run rather than the configured literal.
-    pub reducer_overrides: std::collections::BTreeMap<String, usize>,
 }
 
 impl Default for BoundsConfig {
@@ -58,7 +54,6 @@ impl Default for BoundsConfig {
             records: None,
             distinct_keys: None,
             skew_ratio: 4.0,
-            reducer_overrides: Default::default(),
         }
     }
 }
@@ -98,7 +93,6 @@ pub fn analyze_bounds(
         num_nodes: cfg.num_nodes,
         default_reducers: cfg.default_reducers,
         sources: Default::default(),
-        reducer_overrides: cfg.reducer_overrides.clone(),
     };
     for (name, _) in &plan.external_inputs {
         let records = cfg

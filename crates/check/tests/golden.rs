@@ -711,6 +711,60 @@ fn w002_fewer_partitions_than_nodes() {
     );
 }
 
+/// W010: a keyed job's reducers on N nodes must be a positive multiple
+/// of N, or some node reduces nothing (R < N) or more than its share of
+/// key ranges (N does not divide R). One literal, no default: R is the
+/// literal, else one reducer per node.
+#[test]
+fn w010_reducers_not_a_multiple_of_nodes() {
+    let ctx = CheckContext {
+        nodes: Some(4),
+        args: HashMap::from([
+            ("input_path".to_string(), "/data/in".to_string()),
+            ("output_path".to_string(), "/data/out".to_string()),
+            ("num_partitions".to_string(), "8".to_string()),
+        ]),
+        ..Default::default()
+    };
+    let literal = r#" num_reducers="$num_reducers""#;
+    let w010 = |attr: &str| {
+        let wf = FIG8.replace(literal, attr);
+        let a = check_sources(&wf, &[("blast_db.xml", BLAST_DB)], &ctx);
+        assert!(
+            !a.has_errors(),
+            "{}",
+            papar_check::render_text(&a.diagnostics)
+        );
+        let found: Vec<_> = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == Code::W010)
+            .collect();
+        if let Some(d) = found.first() {
+            assert_eq!(found.len(), 1);
+            assert_eq!(d.span, span_of(&wf, r#"<operator id="sort""#, 0));
+        }
+        found.first().map(|d| d.message.clone())
+    };
+    assert_eq!(
+        w010(r#" num_reducers="2""#).as_deref(),
+        Some(
+            "job 'sort' has 2 reducers on a 4-node cluster: 2 nodes reduce nothing \
+             (use a multiple of 4)"
+        )
+    );
+    assert_eq!(
+        w010(r#" num_reducers="6""#).as_deref(),
+        Some(
+            "job 'sort' has 6 reducers on a 4-node cluster: the busiest node reduces \
+             2 of 6 ranges, 1.33x its fair share (use a multiple of 4)"
+        )
+    );
+    for quiet in [r#" num_reducers="4""#, r#" num_reducers="8""#, ""] {
+        assert_eq!(w010(quiet), None, "{quiet:?}");
+    }
+}
+
 #[test]
 fn w003_records_not_divisible_by_partitions() {
     // The strict stride permutation L_m^{km} requires m | km.

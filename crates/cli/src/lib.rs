@@ -21,14 +21,14 @@
 //! load → compile → fresh cluster (+ fault plan, replication, retries,
 //! checkpoint salt) → run → trace/profile → emit → [`RunSummary`] over
 //! those stage functions, `papar serve` wraps the same calls in its
-//! caches, and [`run_plan`] reuses compile's argument defaulting and its
-//! decision → lower → verify tail; a run's summary lines and a served
+//! caches, and [`run_plan`] reuses compile's argument defaulting, its
+//! binding and its lower → verify tail; a run's summary lines and a served
 //! job's come from [`job::render_summary`]. What stays here is what a
 //! front-end owns: the spec types, the flag tables, and the rest of its
 //! output.
 
 use papar_config::{InputConfig, WorkflowConfig};
-use papar_core::exec::{CheckpointCfg, ExecOptions, WorkflowReport};
+use papar_core::exec::{CheckpointCfg, ExecOptions};
 use papar_mr::ChaosSpec;
 use papar_serve::cache::CachedPlan;
 use papar_serve::{job, JobSpec};
@@ -86,13 +86,6 @@ pub struct RunSpec {
     pub checkpoint: Option<PathBuf>,
     /// Resume from [`RunSpec::checkpoint`]'s manifest (`--resume`).
     pub resume: bool,
-    /// Run the cost-based adaptive planner (`--adaptive`): a sampling
-    /// pre-pass over the input prices the sort's reducer ladder against
-    /// the literal reducer count, and a rung that is no heavier and
-    /// cheaper replaces it. Output bytes are identical either way (the
-    /// reducer count is output-neutral there); `--no-adaptive` names the
-    /// default explicitly.
-    pub adaptive: bool,
 }
 
 impl Default for RunSpec {
@@ -117,7 +110,6 @@ impl Default for RunSpec {
             trace_out: None,
             checkpoint: None,
             resume: false,
-            adaptive: false,
         }
     }
 }
@@ -140,8 +132,6 @@ pub struct RunSummary {
     pub profile: Option<String>,
     /// The Chrome trace-event file written (present with `--trace`).
     pub trace_file: Option<PathBuf>,
-    /// Rendered adaptive-planner rationale (present with `--adaptive`).
-    pub rationale: Option<String>,
     /// Lines for stderr: the static analysis's warnings, then any corrupt
     /// or torn checkpoint data found (and recomputed) while resuming.
     pub warnings: Vec<String>,
@@ -402,10 +392,6 @@ const JOB_FLAGS: &[Flag<JobArgs>] = &[
         |a, v| { a.job.threads = Some(v.positive::<u32>()? as usize); Ok(()) }),
     flag("--no-fuse", "", "run each logical job as its own MR job",
         |a, _| { a.job.no_fuse = true; Ok(()) }),
-    flag("--adaptive", "", "let the cost-based planner choose the sort's reducer count",
-        |a, _| { a.job.adaptive = true; Ok(()) }),
-    flag("--no-adaptive", "", "keep the configured knobs (the default)",
-        |a, _| { a.job.adaptive = false; Ok(()) }),
 ];
 
 /// `papar run`: the job rows, then what only a one-shot run takes.
@@ -438,12 +424,12 @@ const RUN: Command<JobArgs> = Command {
 Runs the PaPar partitioning workflow described by the two configuration
 documents over the data file, on an N-node simulated cluster, and writes
 one file per partition into the output directory. The partition bytes do
-not depend on --threads, --no-fuse or --adaptive: threads change only the
-wall-clock time, fusion only job counts and shuffle traffic, and the
-adaptive planner (a sampling pre-pass, reducer counts priced by the cost
-model, the rationale printed) chooses the sort's reducer count only where
-it is output-neutral. Faults are seeded; crashes need --replication 1 or
-more to recover, and then the partitions equal a fault-free run's. A
+not depend on --threads or --no-fuse: threads change only the wall-clock
+time, fusion only job counts and shuffle traffic. A sort or group runs the
+reducer count its configuration declares, with a warning (W010) when that
+count leaves nodes idle or loads them unevenly. Faults are seeded; crashes
+need --replication 1 or more to recover, and then the partitions equal a
+fault-free run's. A
 resumed run equals a cold one: --resume refuses with error[P020] when the
 plan, input, seed or configuration changed, and recomputes corrupt or
 torn checkpoint data after quarantining it (*.quarantine). The other
@@ -452,8 +438,8 @@ own help.",
 };
 
 impl RunSpec {
-    /// The request half of the spec — the twelve fields `papar run` and
-    /// `papar submit` share — in the form the pipeline stages and the
+    /// The request half of the spec — the fields `papar run` and `papar
+    /// submit` share — in the form the pipeline stages and the
     /// daemon's wire protocol take.
     fn job(&self) -> JobSpec {
         // Sorted for a deterministic wire encoding (the daemon re-sorts
@@ -476,7 +462,6 @@ impl RunSpec {
             records: self.records.map(|n| n as u64),
             threads: self.threads.map(narrow),
             no_fuse: self.no_fuse,
-            adaptive: self.adaptive,
         }
     }
 
@@ -571,7 +556,7 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
     let mut trace_file = None;
     if let Some(trace) = &report.trace {
         if spec.profile {
-            let rendered = render_profile(trace, &compiled, &report, spec.nodes, records_in);
+            let rendered = render_profile(trace, &compiled, spec.nodes, records_in);
             let _ = writeln!(output, "{rendered}");
             profile = Some(rendered);
         }
@@ -612,7 +597,6 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
             .collect(),
         profile,
         trace_file,
-        rationale: report.rationale.as_ref().map(|r| r.render()),
         warnings,
         output,
     })
@@ -621,12 +605,10 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
 /// The `--profile` text: the per-phase table, then the bound-vs-observed
 /// columns — the static interpretation of the compiled physical plan
 /// over the exact input count, lined up with the traced counters (debug
-/// builds additionally assert containment after every stage) — then the
-/// adaptive cost model's predicted-vs-observed row.
+/// builds additionally assert containment after every stage).
 fn render_profile(
     trace: &papar_trace::WorkflowTrace,
     compiled: &CachedPlan,
-    report: &WorkflowReport,
     nodes: usize,
     records_in: usize,
 ) -> String {
@@ -635,11 +617,6 @@ fn render_profile(
         num_nodes: nodes,
         default_reducers: None,
         sources: Default::default(),
-        reducer_overrides: compiled
-            .decision
-            .as_ref()
-            .map(|d| d.knobs().sort_reducers.clone())
-            .unwrap_or_default(),
     };
     for (name, _) in &compiled.plan.external_inputs {
         opts.sources.insert(
@@ -660,18 +637,6 @@ fn render_profile(
         })
         .collect();
     rendered.push_str(&papar_trace::render_bounds_check(trace, &static_bounds));
-    if let Some(r) = &report.rationale {
-        rendered.push('\n');
-        rendered.push_str(&papar_trace::render_prediction_check(
-            trace,
-            &r.stats_job,
-            &papar_trace::Prediction {
-                cost_ns: r.predicted.cost_ns,
-                max_load: r.predicted.max_load,
-                shuffle_bytes: r.predicted.shuffle_bytes,
-            },
-        ));
-    }
     rendered
 }
 
@@ -771,7 +736,6 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
                 records: spec.records.map(|n| n as u64),
                 distinct_keys: spec.distinct_keys,
                 skew_ratio: spec.skew_ratio.unwrap_or(4.0),
-                reducer_overrides: Default::default(),
             },
         );
         analysis.diagnostics.extend(report.diagnostics);
@@ -881,17 +845,8 @@ pub struct PlanSpec {
     /// summary.
     pub explain: bool,
     /// Exact record count of every external input (`--records`); makes
-    /// the `--explain` bound columns exact instead of `[0, ?]`, and bounds
-    /// the binary region read from [`PlanSpec::data`].
+    /// the `--explain` bound columns exact instead of `[0, ?]`.
     pub records: Option<u64>,
-    /// Run the adaptive planner and print its rationale (`--adaptive`).
-    /// With [`PlanSpec::data`] set, the real sampling pre-pass feeds it;
-    /// without data it keeps the literal plan.
-    pub adaptive: bool,
-    /// Input data file to sample for `--adaptive` (`--data`); loaded with
-    /// the first `--input-config` into one block per node, as `papar run`
-    /// loads it.
-    pub data: Option<PathBuf>,
 }
 
 impl Default for PlanSpec {
@@ -904,8 +859,6 @@ impl Default for PlanSpec {
             no_fuse: false,
             explain: false,
             records: None,
-            adaptive: false,
-            data: None,
         }
     }
 }
@@ -921,6 +874,8 @@ pub struct PlanReport {
     pub stages: usize,
     /// Whether fusion rewrites were enabled.
     pub fused: bool,
+    /// The analysis's warnings, as `papar run` prints them on stderr.
+    pub warnings: Vec<String>,
 }
 
 /// What `papar plan` and `papar check` bind the conventional path
@@ -932,50 +887,29 @@ const PLAN_OUTPUT: &str = "/plan/output";
 pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
     let workflow = WorkflowConfig::parse_str(&job::read_text(&spec.workflow).map_err(fail)?)
         .map_err(|e| fail(format!("{}: {e}", spec.workflow.display())))?;
-    let mut cfg_texts = Vec::new();
     let mut input_cfgs = Vec::new();
     for p in &spec.input_configs {
         let text = job::read_text(p).map_err(fail)?;
         input_cfgs.push(
             InputConfig::parse_str(&text).map_err(|e| fail(format!("{}: {e}", p.display())))?,
         );
-        cfg_texts.push(text);
     }
     let mut args = spec.args.clone();
     job::default_path_args(&workflow, &mut args, PLAN_INPUT, PLAN_OUTPUT);
     let ctx = papar_check::CheckContext {
         args,
+        nodes: Some(spec.nodes),
         ..Default::default()
     };
     let label = spec.workflow.display().to_string();
-    let (plan, _warnings) = job::bind(&label, &workflow, &input_cfgs, &ctx).map_err(fail)?;
+    let (plan, warnings) = job::bind(&label, &workflow, &input_cfgs, &ctx).map_err(fail)?;
 
-    // Adaptive planning samples the data file when one is given. It is
-    // loaded as `papar run` loads it (the first input config, `--records`,
-    // one block per node), so both sample the same fragments and print
-    // the same rationale. The rationale prints after the plan and the
-    // bound table reflects the chosen reducer counts.
     let options = ExecOptions {
         fuse: !spec.no_fuse,
-        adaptive: spec.adaptive,
         ..ExecOptions::default()
     };
-    let sample = match (&spec.data, spec.input_configs.first(), cfg_texts.first()) {
-        (Some(data), Some(cfg_path), Some(cfg_text)) if spec.adaptive => {
-            let request = JobSpec {
-                input_config: cfg_path.display().to_string(),
-                data: data.display().to_string(),
-                nodes: u32::try_from(spec.nodes).unwrap_or(u32::MAX),
-                records: spec.records,
-                ..JobSpec::default()
-            };
-            Some(job::load(&request, cfg_text, 1).map_err(fail)?)
-        }
-        _ => None,
-    };
-    let (phys, decision) =
-        job::lower_verified(&plan, spec.nodes, &options, sample.as_deref()).map_err(fail)?;
-    let mut output = if spec.explain {
+    let phys = job::lower_verified(&plan, spec.nodes, &options).map_err(fail)?;
+    let output = if spec.explain {
         // The explain text itself is fingerprint-stable (checkpoint resume
         // hashes it); the bound table rides along after it.
         let mut out = papar_core::physplan::explain(&plan, &phys);
@@ -987,10 +921,6 @@ pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
                 num_nodes: spec.nodes,
                 default_reducers: None,
                 records: spec.records,
-                reducer_overrides: decision
-                    .as_ref()
-                    .map(|d| d.knobs().sort_reducers.clone())
-                    .unwrap_or_default(),
                 ..Default::default()
             },
         );
@@ -1007,15 +937,12 @@ pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
             if phys.fused { "fused" } else { "--no-fuse" },
         )
     };
-    if let Some(d) = &decision {
-        output.push('\n');
-        output.push_str(&d.rationale.render());
-    }
     Ok(PlanReport {
         output,
         logical_jobs: plan.jobs.len(),
         stages: phys.stages.len(),
         fused: phys.fused,
+        warnings: warnings.iter().map(|d| d.to_string()).collect(),
     })
 }
 
@@ -1033,14 +960,8 @@ const PLAN: Command<PlanSpec> = Command {
         flag("--no-fuse", "", "show the unfused plan", |a, _| { a.no_fuse = true; Ok(()) }),
         flag("--explain", "", "print the full logical-to-physical mapping",
             |a, _| { a.explain = true; Ok(()) }),
-        flag("--records", "N", "make the bound table's source counts exact; bound the --data read",
+        flag("--records", "N", "make the bound table's source counts exact",
             |a, v| { a.records = Some(v.count()?); Ok(()) }),
-        flag("--adaptive", "", "choose the sort's reducer count and print the rationale",
-            |a, _| { a.adaptive = true; Ok(()) }),
-        flag("--no-adaptive", "", "keep the configured knobs (the default)",
-            |a, _| { a.adaptive = false; Ok(()) }),
-        flag("--data", "<file>", "sample this file for --adaptive",
-            |a, v| { a.data = Some(v.text.into()); Ok(()) }),
     ]],
     operand: None,
     about: "\
@@ -1048,15 +969,12 @@ Binds the workflow and lowers it to the physical plan `papar run` would
 execute, without reading any data. --explain prints every logical job and
 every physical stage with its fusion and streaming annotations, followed
 by the static bound table (record/pair/max-load intervals per stage).
---adaptive prints the planner's rationale: every reducer count considered,
-every rejection and its reason, and the winner's predicted cost. --data
-is loaded as `papar run` loads it (the first --input-config, --records,
-one block per node), so both print the same rationale; without --data it
-keeps the literal plan. Conventional path arguments (input_path, input_file,
-output_path) default to placeholders. The workflow binds through the
-analysis `papar check` runs, so plan refuses what `papar run` refuses, with
-the same diagnostics. Exit code 0 on success, 1 when binding or
-physical-plan verification fails, 2 on usage errors.",
+Conventional path arguments (input_path, input_file, output_path) default
+to placeholders. The workflow binds through the analysis `papar check`
+runs on --nodes nodes, so plan refuses what `papar run` refuses, with the
+same diagnostics, and prints the same warnings on stderr. Exit code 0 on
+success, 1 when binding or physical-plan verification fails, 2 on usage
+errors.",
 };
 
 /// Parse `papar plan` arguments into a [`PlanSpec`].
@@ -1463,17 +1381,14 @@ mod tests {
     fn parse_args_toggle_flags_default_off() {
         let spec = parse_run("").unwrap();
         assert!(!spec.no_fuse, "fusion is on by default");
-        assert!(!spec.adaptive, "the literal knobs are the default");
         assert!(parse_run("--no-fuse").unwrap().no_fuse);
-        assert!(parse_run("--adaptive").unwrap().adaptive);
-        assert!(!parse_run("--adaptive --no-adaptive").unwrap().adaptive);
     }
 
     #[test]
     fn submit_parses_the_job_flags_run_does() {
         let job_flags = "--input-config /x/in.xml --workflow /x/wf.xml --data /x/d.bin \
                          --out /x/parts --nodes 8 --records 500 --arg b=2 --arg a=1 \
-                         --threads 2 --no-fuse --adaptive";
+                         --threads 2 --no-fuse";
         let run = parse_args(argv(job_flags)).unwrap();
         let submit = parse_submit_args(argv("--socket s --detach").chain(argv(job_flags))).unwrap();
         assert!(submit.detach && !submit.shutdown);

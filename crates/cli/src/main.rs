@@ -24,9 +24,7 @@ type Subcommand = fn(std::vec::IntoIter<String>) -> Result<(String, i32), CliErr
 const SUBCOMMANDS: [(&str, i32, Subcommand); 6] = [
     ("run", 1, |argv| {
         let summary = run(&parse_args(argv)?)?;
-        for line in &summary.warnings {
-            eprintln!("papar: {line}");
-        }
+        warn(&summary.warnings);
         Ok((summary.output, 0))
     }),
     ("check", 2, |argv| {
@@ -34,7 +32,9 @@ const SUBCOMMANDS: [(&str, i32, Subcommand); 6] = [
         Ok((report.output, i32::from(report.errors > 0)))
     }),
     ("plan", 1, |argv| {
-        Ok((run_plan(&parse_plan_args(argv)?)?.output, 0))
+        let report = run_plan(&parse_plan_args(argv)?)?;
+        warn(&report.warnings);
+        Ok((report.output, 0))
     }),
     ("serve", 1, |argv| {
         run_serve(&parse_serve_args(argv)?)?;
@@ -47,6 +47,13 @@ const SUBCOMMANDS: [(&str, i32, Subcommand); 6] = [
         Ok((run_status(&parse_status_args(argv)?)?, 0))
     }),
 ];
+
+/// Print the analysis's warnings on stderr, as `run` and `plan` do.
+fn warn(lines: &[String]) {
+    for line in lines {
+        eprintln!("papar: {line}");
+    }
+}
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();

@@ -122,23 +122,37 @@ fn partitions_a_real_database_file() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// `papar plan --explain --adaptive --data` is the pre-run view of the
-/// decision `papar run --adaptive` makes: it loads the file as the run
-/// does (`--records`, one block per node), so it samples the same keys and
-/// prints the same rationale. 5,000 records on 4 nodes give blocks that
-/// are not whole multiples of the sampling stride.
+/// W010 is reported by the one analysis every front end binds through:
+/// `papar check --nodes 4`, `papar plan`, `papar run` and a served job
+/// print the same warning line for a sort with 6 reducers on 4 nodes.
 #[test]
-fn plan_explains_the_rationale_run_uses() {
-    let dir = temp_dir("plan-rationale");
+fn check_plan_run_and_serve_report_the_same_w010() {
+    use papar_cli::{run_check, CheckSpec};
+    use papar_serve::job::{self, Resources};
+
+    let dir = temp_dir("w010");
     let input_cfg = dir.join("blast_db.xml");
     let workflow = dir.join("wf.xml");
     let data = dir.join("env_nr.db");
     std::fs::write(&input_cfg, INPUT_CFG).unwrap();
-    std::fs::write(&workflow, WORKFLOW).unwrap();
-    let db = DbSpec::env_nr_scaled(5_000, 21).generate();
+    std::fs::write(
+        &workflow,
+        WORKFLOW.replace(
+            r#"operator="Sort">"#,
+            r#"operator="Sort" num_reducers="6">"#,
+        ),
+    )
+    .unwrap();
+    let db = DbSpec::env_nr_scaled(400, 21).generate();
     std::fs::write(&data, db.to_bytes()).unwrap();
     let args: HashMap<String, String> =
         HashMap::from([("num_partitions".to_string(), "4".to_string())]);
+    let w010 = |lines: &[String]| -> Vec<String> {
+        (lines.iter())
+            .filter(|l| l.contains("warning[W010]"))
+            .cloned()
+            .collect()
+    };
 
     let summary = run(&RunSpec {
         input_config: input_cfg.clone(),
@@ -148,30 +162,55 @@ fn plan_explains_the_rationale_run_uses() {
         nodes: 4,
         args: args.clone(),
         records: Some(db.len()),
-        adaptive: true,
         ..Default::default()
     })
     .unwrap();
-    let rationale = summary.rationale.expect("--adaptive explains itself");
-    assert!(rationale.contains("5000 records"), "{rationale}");
+    let expected = w010(&summary.warnings);
+    assert_eq!(expected.len(), 1, "{:?}", summary.warnings);
+    assert!(
+        expected[0].contains("the busiest node reduces 2 of 6 ranges, 1.33x its fair share"),
+        "{}",
+        expected[0]
+    );
 
     let plan = run_plan(&PlanSpec {
-        workflow,
-        input_configs: vec![input_cfg],
+        workflow: workflow.clone(),
+        input_configs: vec![input_cfg.clone()],
         nodes: 4,
-        args,
-        explain: true,
-        records: Some(db.len() as u64),
-        adaptive: true,
-        data: Some(data),
+        args: args.clone(),
         ..Default::default()
     })
     .unwrap();
-    assert!(
-        plan.output.contains(&rationale),
-        "plan printed:\n{}\nrun used:\n{rationale}",
-        plan.output
-    );
+    assert_eq!(w010(&plan.warnings), expected);
+
+    let check = run_check(&CheckSpec {
+        workflow: workflow.clone(),
+        input_configs: vec![input_cfg.clone()],
+        nodes: Some(4),
+        args: args.clone(),
+        ..Default::default()
+    })
+    .unwrap();
+    let lines: Vec<String> = check.output.lines().map(String::from).collect();
+    assert_eq!(w010(&lines), expected);
+    assert_eq!(check.errors, 0, "W010 is a warning");
+
+    let served = job::execute(
+        &papar_serve::JobSpec {
+            input_config: input_cfg.display().to_string(),
+            workflow: workflow.display().to_string(),
+            data: data.display().to_string(),
+            out_dir: dir.join("served").display().to_string(),
+            nodes: 4,
+            args: vec![("num_partitions".into(), "4".into())],
+            records: Some(db.len() as u64),
+            ..Default::default()
+        },
+        &mut Resources::new(1, 1, 1),
+    )
+    .unwrap();
+    let lines: Vec<String> = served.detail.lines().map(String::from).collect();
+    assert_eq!(w010(&lines), expected);
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -428,8 +467,8 @@ fn trace_export_is_valid_and_identical_across_thread_counts() {
 /// The identity the CI `serve` job checks with shell `cmp`, as a test:
 /// `papar run` and a daemon job on fresh resources go through the same
 /// stage functions, so for Fig 8 (binary) and Fig 10 (text), at 1 and 4
-/// engine threads, literal and adaptive, they must write the same bytes
-/// and report the same shuffle traffic.
+/// engine threads, they must write the same bytes and report the same
+/// shuffle traffic.
 #[test]
 fn run_and_a_served_job_write_the_same_files() {
     use papar_serve::job::{self, Resources};
@@ -481,69 +520,59 @@ fn run_and_a_served_job_write_the_same_files() {
     ];
     for (tag, cfg, wf, data, records, args) in workloads {
         for threads in [1usize, 4] {
-            for adaptive in [false, true] {
-                let cell = format!("{tag}-t{threads}-a{adaptive}");
-                let spec = RunSpec {
-                    input_config: format!("{configs}/{cfg}").into(),
-                    workflow: format!("{configs}/{wf}").into(),
-                    data: data.clone(),
-                    out_dir: dir.join(format!("{cell}-run")),
-                    nodes: 4,
-                    args: args
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.to_string()))
-                        .collect(),
-                    records,
-                    threads: Some(threads),
-                    adaptive,
-                    ..Default::default()
-                };
-                let summary = run(&spec).unwrap_or_else(|e| panic!("{cell}: {e}"));
-
-                let mut sorted: Vec<(String, String)> = spec.args.clone().into_iter().collect();
-                sorted.sort();
-                let served_dir = dir.join(format!("{cell}-served"));
-                let outcome = job::execute(
-                    &JobSpec {
-                        input_config: spec.input_config.display().to_string(),
-                        workflow: spec.workflow.display().to_string(),
-                        data: spec.data.display().to_string(),
-                        out_dir: served_dir.display().to_string(),
-                        nodes: 4,
-                        args: sorted,
-                        records: records.map(|n| n as u64),
-                        threads: Some(threads as u32),
-                        adaptive,
-                        ..Default::default()
-                    },
-                    &mut Resources::new(4, 4, 1),
-                )
-                .unwrap_or_else(|e| panic!("{cell} served: {e}"));
-
-                assert_eq!(summary.files.len(), 8, "{cell}");
-                for f in &summary.files {
-                    let served = served_dir.join(f.file_name().unwrap());
-                    assert_eq!(
-                        std::fs::read(f).unwrap(),
-                        std::fs::read(&served).unwrap(),
-                        "{cell}: {} differs between run and serve",
-                        served.display()
-                    );
-                }
-                assert_eq!(std::fs::read_dir(&served_dir).unwrap().count(), 8, "{cell}");
-                let run_lines: Vec<String> = summary
-                    .jobs
+            let cell = format!("{tag}-t{threads}");
+            let spec = RunSpec {
+                input_config: format!("{configs}/{cfg}").into(),
+                workflow: format!("{configs}/{wf}").into(),
+                data: data.clone(),
+                out_dir: dir.join(format!("{cell}-run")),
+                nodes: 4,
+                args: args
                     .iter()
-                    .map(|(_, _, bytes, _)| format!("{bytes} bytes shuffled"))
-                    .collect();
-                assert_eq!(run_lines, shuffled(&outcome.detail), "{cell}");
-                // Both front-ends print the one rationale the compile
-                // stage produced.
-                match &summary.rationale {
-                    Some(r) => assert!(outcome.detail.contains(r.as_str()), "{cell}"),
-                    None => assert!(!adaptive, "{cell}: --adaptive must explain itself"),
-                }
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+                records,
+                threads: Some(threads),
+                ..Default::default()
+            };
+            let summary = run(&spec).unwrap_or_else(|e| panic!("{cell}: {e}"));
+
+            let mut sorted: Vec<(String, String)> = spec.args.clone().into_iter().collect();
+            sorted.sort();
+            let served_dir = dir.join(format!("{cell}-served"));
+            let outcome = job::execute(
+                &JobSpec {
+                    input_config: spec.input_config.display().to_string(),
+                    workflow: spec.workflow.display().to_string(),
+                    data: spec.data.display().to_string(),
+                    out_dir: served_dir.display().to_string(),
+                    nodes: 4,
+                    args: sorted,
+                    records: records.map(|n| n as u64),
+                    threads: Some(threads as u32),
+                    ..Default::default()
+                },
+                &mut Resources::new(4, 4, 1),
+            )
+            .unwrap_or_else(|e| panic!("{cell} served: {e}"));
+
+            assert_eq!(summary.files.len(), 8, "{cell}");
+            for f in &summary.files {
+                let served = served_dir.join(f.file_name().unwrap());
+                assert_eq!(
+                    std::fs::read(f).unwrap(),
+                    std::fs::read(&served).unwrap(),
+                    "{cell}: {} differs between run and serve",
+                    served.display()
+                );
             }
+            assert_eq!(std::fs::read_dir(&served_dir).unwrap().count(), 8, "{cell}");
+            let run_lines: Vec<String> = summary
+                .jobs
+                .iter()
+                .map(|(_, _, bytes, _)| format!("{bytes} bytes shuffled"))
+                .collect();
+            assert_eq!(run_lines, shuffled(&outcome.detail), "{cell}");
         }
     }
     std::fs::remove_dir_all(dir).ok();

@@ -184,11 +184,6 @@ pub struct BoundsOptions {
     pub default_reducers: Option<usize>,
     /// Per-dataset source bounds; datasets without an entry start at ⊤.
     pub sources: BTreeMap<String, SourceBounds>,
-    /// Per-job reducer overrides, keyed by job id — the adaptive
-    /// planner's chosen counts, which take precedence over both the
-    /// configuration literal and the default (mirroring the executor's
-    /// resolution under a `PlanDecision`).
-    pub reducer_overrides: BTreeMap<String, usize>,
 }
 
 /// Bounds of one dataset as materialized in the cluster store.
@@ -497,13 +492,9 @@ fn segments(opts: &BoundsOptions, reducers: usize) -> u64 {
     (opts.num_nodes.max(1) as u64).saturating_mul(reducers as u64)
 }
 
-/// The effective reducer count of a job (mirrors the executor,
-/// including any adaptive override).
+/// The effective reducer count of a job (mirrors the executor).
 fn reducers_for(job: &JobPlan, opts: &BoundsOptions) -> usize {
-    opts.reducer_overrides
-        .get(&job.id)
-        .copied()
-        .or(job.num_reducers)
+    job.num_reducers
         .or(opts.default_reducers)
         .unwrap_or(opts.num_nodes)
         .max(1)

@@ -230,6 +230,11 @@ codes! {
     /// fused; the message names the gate (and bound) that blocked the
     /// rewrite, so the extra shuffle is deliberate, not an oversight.
     W009 = "W009",
+    /// A keyed job's reducer count does not load the cluster's nodes
+    /// evenly: fewer reducers than nodes leaves nodes idle, and a count
+    /// that is not a multiple of the node count gives the busiest node
+    /// more than its fair share of key ranges.
+    W010 = "W010",
 }
 
 impl fmt::Display for Code {

@@ -66,12 +66,6 @@ pub struct ExecOptions {
     /// by default; `--no-fuse` clears it. Output bytes are identical
     /// either way — only job counts and shuffle traffic change.
     pub fuse: bool,
-    /// Let the cost-based planner choose the tunable sort's reducer
-    /// count from sampled key statistics. Off
-    /// by default (`--adaptive` sets it); when on, the sort's literal
-    /// reducer count becomes the bar the planner must beat, and the
-    /// decision record travels with the run (see [`crate::adaptive`]).
-    pub adaptive: bool,
 }
 
 impl Default for ExecOptions {
@@ -84,7 +78,6 @@ impl Default for ExecOptions {
             threads: None,
             trace: false,
             fuse: true,
-            adaptive: false,
         }
     }
 }
@@ -122,13 +115,9 @@ pub struct WorkflowReport {
     /// Corrupt or torn checkpoint data found while resuming, already
     /// quarantined; the affected stages were recomputed.
     pub checkpoint_events: Vec<String>,
-    /// Typed engine notes (collapsed reducer counts, post-run re-balance
-    /// hints) — things worth telling the user that are not errors.
+    /// Typed engine notes (collapsed reducer counts) — things worth
+    /// telling the user that are not errors.
     pub notes: Vec<RunNote>,
-    /// The adaptive planner's decision record, when the run was adaptive
-    /// (injected via [`WorkflowRunner::with_decision`] or computed by the
-    /// runner itself under [`ExecOptions::adaptive`]).
-    pub rationale: Option<crate::adaptive::PlanRationale>,
 }
 
 /// A typed note the engine attaches to a run's report.
@@ -145,17 +134,10 @@ pub enum RunNote {
         requested: usize,
         /// Reducers the sampled key domain can actually fill.
         achievable: usize,
-    },
-    /// The observed shuffle skew contradicts the adaptive prediction:
-    /// the statistics are stale or the sample missed a hot key, and a
-    /// re-run with fresh stats may re-balance.
-    RebalanceHint {
-        /// The keyed job whose skew histogram escaped the prediction.
-        job: String,
-        /// Predicted busiest-reducer records.
-        predicted: u64,
-        /// Observed busiest-reducer records.
-        observed: u64,
+        /// Cluster nodes. Reducer `r` runs on node `r % nodes`, so when
+        /// `achievable < nodes` the nodes from `achievable` on reduce
+        /// nothing.
+        nodes: usize,
     },
 }
 
@@ -166,23 +148,25 @@ impl std::fmt::Display for RunNote {
                 job,
                 requested,
                 achievable,
-            } => write!(
-                f,
-                "note: job '{job}' asked for {requested} reducers but the sampled key \
-                 domain fills only {achievable}; collapsed to {achievable} (duplicate \
-                 range boundaries would have left {} reducer(s) provably empty)",
-                requested - achievable
-            ),
-            RunNote::RebalanceHint {
-                job,
-                predicted,
-                observed,
-            } => write!(
-                f,
-                "re-balance hint: job '{job}' observed a busiest reducer of {observed} \
-                 record(s) vs {predicted} predicted; the key statistics look stale — \
-                 re-run with --adaptive to re-sample and re-balance"
-            ),
+                nodes,
+            } => {
+                write!(
+                    f,
+                    "note: job '{job}' asked for {requested} reducers but the sampled key \
+                     domain fills only {achievable}; collapsed to {achievable} (duplicate \
+                     range boundaries would have left {} reducer(s) provably empty)",
+                    requested - achievable
+                )?;
+                match nodes.saturating_sub(*achievable) {
+                    0 => Ok(()),
+                    1 => write!(f, "; on {nodes} nodes, node {achievable} reduces nothing"),
+                    _ => write!(
+                        f,
+                        "; on {nodes} nodes, nodes {achievable}..={} reduce nothing",
+                        nodes - 1
+                    ),
+                }
+            }
         }
     }
 }
@@ -217,24 +201,20 @@ impl WorkflowReport {
 /// Canonical text of everything *plan-side* that decides a run's output
 /// bytes: the lowered physical plan (operators, fusion decisions, reducer
 /// counts), every job's full kind (keys, policies, partition counts,
-/// thresholds), the cluster size, the byte-affecting execution options,
-/// and the adaptive decision record when one is active. The thread count
-/// is deliberately absent — output bytes are identical at every count.
+/// thresholds), the cluster size and the byte-affecting execution
+/// options. The thread count is deliberately absent — output bytes are
+/// identical at every count.
 ///
 /// This is the prefix of the checkpoint resume fingerprint (which appends
 /// input content hashes and the caller's fault/seed salt); hashed alone it
 /// is the *plan fingerprint* a resident `papar serve` daemon keys its
 /// plan cache by, so "same fingerprint" means "same partitioning plan,
-/// whatever data arrives". The rendered rationale pins the chosen knobs
-/// *and* the key-statistics fingerprint they were derived from, so an
-/// adaptive plan's fingerprint changes whenever the input's key
-/// distribution does.
+/// whatever data arrives".
 pub fn plan_canon_with(
     plan: &WorkflowPlan,
     phys: &crate::physplan::PhysicalPlan,
     nodes: usize,
     options: &ExecOptions,
-    rationale: Option<&crate::adaptive::PlanRationale>,
 ) -> String {
     use std::fmt::Write as _;
     let mut canon = explain(plan, phys);
@@ -264,9 +244,6 @@ pub fn plan_canon_with(
         options.default_reducers,
         options.fuse
     );
-    if let Some(r) = rationale {
-        canon.push_str(&r.render());
-    }
     canon
 }
 
@@ -277,9 +254,8 @@ pub fn plan_fingerprint_with(
     phys: &crate::physplan::PhysicalPlan,
     nodes: usize,
     options: &ExecOptions,
-    rationale: Option<&crate::adaptive::PlanRationale>,
 ) -> u64 {
-    wire::checksum(plan_canon_with(plan, phys, nodes, options, rationale).as_bytes())
+    wire::checksum(plan_canon_with(plan, phys, nodes, options).as_bytes())
 }
 
 /// Runs a [`WorkflowPlan`] on a cluster.
@@ -291,14 +267,6 @@ pub struct WorkflowRunner {
     /// name (idempotent under re-scatter, order-independent). Feeds the
     /// resume fingerprint; a Mutex because `scatter_input` takes `&self`.
     input_hashes: Mutex<BTreeMap<String, u64>>,
-    /// The adaptive planner's decision, when one is active: injected by
-    /// the caller (CLI/serve compute it before the run so they can show
-    /// the rationale up front) or filled in by [`run`] itself from the
-    /// scattered input when [`ExecOptions::adaptive`] is set. A
-    /// `OnceLock` because `run` takes `&self`.
-    ///
-    /// [`run`]: WorkflowRunner::run
-    decision: std::sync::OnceLock<crate::adaptive::PlanDecision>,
 }
 
 impl WorkflowRunner {
@@ -314,25 +282,7 @@ impl WorkflowRunner {
             options,
             checkpoint: None,
             input_hashes: Mutex::new(BTreeMap::new()),
-            decision: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Inject a pre-computed adaptive decision (the planner ran against
-    /// the same input data this runner will scatter). The runner applies
-    /// the decision's knobs verbatim; with none injected and
-    /// [`ExecOptions::adaptive`] set, [`run`] computes one itself from
-    /// the scattered input.
-    ///
-    /// [`run`]: WorkflowRunner::run
-    pub fn with_decision(self, decision: crate::adaptive::PlanDecision) -> Self {
-        let _ = self.decision.set(decision);
-        self
-    }
-
-    /// The active adaptive decision, if any.
-    pub fn decision(&self) -> Option<&crate::adaptive::PlanDecision> {
-        self.decision.get()
     }
 
     /// Persist per-stage progress into (or resume it from) a checkpoint
@@ -427,34 +377,6 @@ impl WorkflowRunner {
         )
     }
 
-    /// Compute the adaptive decision from the scattered input, when
-    /// [`ExecOptions::adaptive`] is set and none was injected. The stats
-    /// walk visits fragments in global ordinal order — the original
-    /// record order — so the runner and a pre-run CLI/serve planner that
-    /// loaded the same per-node blocks derive identical statistics and
-    /// identical decisions.
-    fn ensure_decision(&self, cluster: &Cluster) -> Result<()> {
-        if !self.options.adaptive || self.decision.get().is_some() {
-            return Ok(());
-        }
-        let stats = crate::stats::collect_for_plan(
-            &self.plan,
-            |name| {
-                let frags = cluster.fragments(name).unwrap_or_default();
-                Some(frags.into_iter().map(|d| &d.batch))
-            },
-            self.options.sample_stride,
-        )?;
-        let decision = crate::adaptive::choose(
-            &self.plan,
-            cluster.num_nodes(),
-            &self.options,
-            stats.as_ref(),
-        );
-        let _ = self.decision.set(decision);
-        Ok(())
-    }
-
     /// Execute the plan's physical stages in order. Afterwards the stores
     /// hold only the workflow output; fetch the final partitions with
     /// `cluster.collect(&runner.plan().output_path)`. Every other dataset
@@ -483,7 +405,6 @@ impl WorkflowRunner {
                 )));
             }
         }
-        self.ensure_decision(cluster)?;
         let phys = self.physical_plan(cluster);
         let mut report = WorkflowReport::default();
         let mut session: Option<CheckpointSession> = match &self.checkpoint {
@@ -592,34 +513,6 @@ impl WorkflowRunner {
         }
         report.recovery_events = cluster.drain_events();
         report.trace = cluster.take_trace();
-        if let Some(d) = self.decision.get() {
-            report.rationale = Some(d.rationale.clone());
-            // Post-run re-balance hint: when the observed skew histogram
-            // contradicts the prediction by more than 2x, the statistics
-            // were stale (or the stride missed a hot key).
-            let predicted = d.rationale.predicted.max_load;
-            if predicted > 0 {
-                if let Some(trace) = &report.trace {
-                    let job = &d.rationale.stats_job;
-                    let fused_prefix = format!("{job}+");
-                    for jt in &trace.jobs {
-                        if jt.name != *job && !jt.name.starts_with(&fused_prefix) {
-                            continue;
-                        }
-                        if let Some(skew) = &jt.skew {
-                            let observed = skew.records.iter().copied().max().unwrap_or(0);
-                            if observed > predicted.saturating_mul(2) {
-                                report.notes.push(RunNote::RebalanceHint {
-                                    job: job.clone(),
-                                    predicted,
-                                    observed,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
         Ok(report)
     }
 
@@ -670,13 +563,7 @@ impl WorkflowRunner {
         extra: u64,
     ) -> u64 {
         use std::fmt::Write as _;
-        let mut canon = plan_canon_with(
-            &self.plan,
-            phys,
-            cluster.num_nodes(),
-            &self.options,
-            self.decision.get().map(|d| &d.rationale),
-        );
+        let mut canon = plan_canon_with(&self.plan, phys, cluster.num_nodes(), &self.options);
         for (name, h) in self
             .input_hashes
             .lock()
@@ -835,11 +722,6 @@ impl WorkflowRunner {
             num_nodes: cluster.num_nodes(),
             default_reducers: self.options.default_reducers,
             sources: BTreeMap::new(),
-            reducer_overrides: self
-                .decision
-                .get()
-                .map(|d| d.knobs().sort_reducers.clone())
-                .unwrap_or_default(),
         };
         for (name, _) in &self.plan.external_inputs {
             let total: u64 = (0..cluster.num_nodes())
@@ -929,10 +811,7 @@ impl WorkflowRunner {
     }
 
     fn reducers_for(&self, job: &JobPlan, cluster: &Cluster) -> usize {
-        self.decision
-            .get()
-            .and_then(|d| d.reducer_override(&job.id))
-            .or(job.num_reducers)
+        job.num_reducers
             .or(self.options.default_reducers)
             .unwrap_or_else(|| cluster.num_nodes())
             .max(1)
@@ -991,6 +870,7 @@ impl WorkflowRunner {
                 job: job_name.to_string(),
                 requested: num_reducers,
                 achievable,
+                nodes: cluster.num_nodes(),
             });
             num_reducers = achievable;
         }
@@ -2208,8 +2088,8 @@ mod tests {
         Ok(())
     }
 
-    /// The sort sampler and the statistics pre-pass read the same keys
-    /// from rows, records and groups.
+    /// The sort sampler reads the same keys from rows, records and
+    /// groups.
     #[test]
     fn key_sampling_does_not_depend_on_the_batch_form() -> Result<()> {
         let schema = Arc::new(Schema::new(vec![
@@ -2237,11 +2117,6 @@ mod tests {
                 let mut sampled = Vec::new();
                 sample_keys(batch, 0, stride, &mut sampled)?;
                 assert_eq!(sampled, expected, "{batch:?}");
-                let mut collector = crate::stats::KeyCollector::new(stride);
-                collector.offer_batch(batch, 0)?;
-                let mut sorted = expected.clone();
-                sorted.sort();
-                assert_eq!(collector.finish("sort", 0).sample, sorted, "{batch:?}");
             }
         }
         Ok(())

@@ -29,7 +29,6 @@
 //!   physical stages one by one on a [`papar_mr::Cluster`], wiring
 //!   samplers, add-ons, format conversions and the distribution matrices.
 
-pub mod adaptive;
 pub mod bounds;
 pub mod diag;
 pub mod error;
@@ -38,9 +37,7 @@ pub mod operator;
 pub mod physplan;
 pub mod plan;
 pub mod policy;
-pub mod stats;
 
-pub use adaptive::{Knobs, PlanDecision, PlanRationale};
 pub use bounds::{
     BoundsOptions, DatasetBounds, FusionProof, FusionReject, Interval, SourceBounds, StageBounds,
     WorkflowBounds,
@@ -50,4 +47,3 @@ pub use exec::{ExecOptions, WorkflowReport, WorkflowRunner};
 pub use physplan::{lower, PhysicalPlan, PhysicalStage, StageKind};
 pub use plan::{Planner, WorkflowPlan};
 pub use policy::{DistrPolicy, SplitPolicy, StridePermutation};
-pub use stats::{KeyCollector, KeyStats};

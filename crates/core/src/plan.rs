@@ -181,6 +181,8 @@ pub struct InferredJob {
     pub policy: Option<DistrPolicy>,
     /// A distribute's partition count, when it is concrete and positive.
     pub num_partitions: Option<usize>,
+    /// The `num_reducers` literal, when it is concrete and positive.
+    pub num_reducers: Option<usize>,
 }
 
 /// One dataset of the bound workflow's dataflow graph.
@@ -760,6 +762,7 @@ impl<'p> Binder<'p> {
                 .collect(),
             policy: bound.policy,
             num_partitions: bound.num_partitions,
+            num_reducers: num_reducers.flatten(),
         });
     }
 

@@ -120,7 +120,6 @@ fn assert_run_within_bounds(
         num_nodes: nodes,
         default_reducers: None,
         sources: Default::default(),
-        reducer_overrides: Default::default(),
     };
     opts.sources
         .insert(input_name.clone(), SourceBounds::exact(records));

@@ -1028,3 +1028,54 @@ fn split_as_last_reader_releases_the_input() {
     assert!(dealt[..8].iter().all(|&size| size >= 90), "{dealt:?}");
     assert!(dealt[8..].iter().all(|&size| size < 90), "{dealt:?}");
 }
+
+/// The plan fingerprint keys the daemon's plan cache and prefixes every
+/// checkpoint's resume fingerprint, so a checkpoint written by an earlier
+/// build resumes only while these values hold. They are Fig 8 and Fig 10
+/// as shipped in `examples/configs`, on 4 nodes, fused and `--no-fuse`.
+#[test]
+fn plan_fingerprints_of_the_paper_workflows_are_pinned() {
+    use papar_core::exec::plan_fingerprint_with;
+    let configs = [
+        (
+            include_str!("../../../examples/configs/blast_partition.xml"),
+            include_str!("../../../examples/configs/blast_db.xml"),
+            args(&[
+                ("input_path", "/in"),
+                ("output_path", "/out"),
+                ("num_partitions", "8"),
+            ]),
+            [0x28682f51e5887d37, 0x3f68714e626e274f],
+        ),
+        (
+            include_str!("../../../examples/configs/hybrid_cut.xml"),
+            include_str!("../../../examples/configs/graph_edge.xml"),
+            args(&[
+                ("input_file", "/in"),
+                ("output_path", "/out"),
+                ("num_partitions", "8"),
+                ("threshold", "3"),
+            ]),
+            [0xcbc2ee15487aa78e, 0x72164c821519142b],
+        ),
+    ];
+    for (workflow, input, args, pinned) in configs {
+        let plan = Planner::from_xml(workflow, &[input])
+            .unwrap()
+            .bind(&args)
+            .unwrap();
+        for (fuse, expected) in [true, false].into_iter().zip(pinned) {
+            let phys = papar_core::physplan::lower(&plan, 4, None, fuse);
+            let options = ExecOptions {
+                fuse,
+                ..ExecOptions::default()
+            };
+            assert_eq!(
+                plan_fingerprint_with(&plan, &phys, 4, &options),
+                expected,
+                "{} fuse={fuse}",
+                plan.id
+            );
+        }
+    }
+}

@@ -34,7 +34,10 @@
 //! commit (the stage re-executes; orphan fragment files are overwritten)
 //! or a complete committed stage — never a half-trusted one. The entries
 //! of a commit record keep staging order whatever the thread count, so
-//! fragment files and manifest bytes do not depend on it.
+//! the fragment files and the order of a commit's entries do not depend
+//! on it. The MANIFEST's bytes do: each commit stores the stage's
+//! measured [`JobStats`] times, so two runs of one build differ there
+//! even at one thread count.
 //!
 //! ## Verify-on-load and quarantine
 //!

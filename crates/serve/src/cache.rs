@@ -120,11 +120,6 @@ pub struct CachedPlan {
     pub num_jobs: usize,
     /// The plan fingerprint this entry is keyed by.
     pub fingerprint: u64,
-    /// The adaptive planner's decision (None without `--adaptive`). Its
-    /// rationale — including the input-statistics fingerprint — is
-    /// folded into [`CachedPlan::fingerprint`], so a data-file change
-    /// under adaptive planning is a different plan, never a stale hit.
-    pub decision: Option<papar_core::adaptive::PlanDecision>,
 }
 
 /// Compiled plans by fingerprint, with the spec-hash side index.

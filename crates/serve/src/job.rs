@@ -12,16 +12,14 @@
 //!   them;
 //! * [`compile`]: both document texts + the job's arguments + record
 //!   count and replication → [`bind`] (one `papar check` analysis, whose
-//!   binder also yields the plan; any error refuses) → adaptive decision
-//!   over the *borrowed* fragments → lower → physical-plan verification →
-//!   fingerprint. Its result is the [`CachedPlan`], which carries the
-//!   lowered plan for the front ends (the fingerprint, the profile's
-//!   bound table); `WorkflowRunner::run` lowers once more itself, from
-//!   the same `fuse` flag;
-//! * [`run`]: compiled plan + cluster + input → runner (with the
-//!   decision and an optional checkpoint) → place the fragments → run,
-//!   returning the typed [`CoreError`] so a front-end can map individual
-//!   failures;
+//!   binder also yields the plan; any error refuses) → lower →
+//!   physical-plan verification → fingerprint. Its result is the
+//!   [`CachedPlan`], which carries the lowered plan for the front ends
+//!   (the fingerprint, the profile's bound table); `WorkflowRunner::run`
+//!   lowers once more itself, from the same `fuse` flag;
+//! * [`run`]: compiled plan + cluster + input → runner (with an
+//!   optional checkpoint) → place the fragments → run, returning the
+//!   typed [`CoreError`] so a front-end can map individual failures;
 //! * [`emit`]: the output fragments, borrowed where they live → codec →
 //!   `partition_{i:04}.{bin,txt}`, the partitions concurrently.
 //!
@@ -49,7 +47,6 @@ use crate::protocol::JobSpec;
 use crate::queue::JobOutcome;
 use papar_config::input::InputFormat;
 use papar_config::{InputConfig, WorkflowConfig};
-use papar_core::adaptive::PlanDecision;
 use papar_core::error::CoreError;
 use papar_core::exec::{
     plan_fingerprint_with, CheckpointCfg, ExecOptions, WorkflowReport, WorkflowRunner,
@@ -263,7 +260,6 @@ pub fn exec_options(spec: &JobSpec, threads: Option<usize>, trace: bool) -> Exec
         threads,
         trace,
         fuse: !spec.no_fuse,
-        adaptive: spec.adaptive,
         ..ExecOptions::default()
     }
 }
@@ -290,40 +286,14 @@ pub fn default_path_args(
     }
 }
 
-/// The tail of compilation, shared with `papar plan`: with
-/// [`ExecOptions::adaptive`], sample the external input's fragments in
-/// ordinal order (when there is an input to sample) and let the
-/// cost-based planner choose the sort's reducer count; lower with the
-/// `fuse` flag; and pass the physical plan through the same gate as the
+/// The tail of compilation, shared with `papar plan`: lower with the
+/// `fuse` flag, and pass the physical plan through the same gate as the
 /// logical one.
 pub fn lower_verified(
     plan: &WorkflowPlan,
     nodes: usize,
     options: &ExecOptions,
-    sample: Option<&[Arc<Dataset>]>,
-) -> Result<(PhysicalPlan, Option<PlanDecision>), String> {
-    let decision = if options.adaptive {
-        let stats = match sample {
-            Some(frags) => papar_core::stats::collect_for_plan(
-                plan,
-                |name| {
-                    (plan.external_inputs.iter().any(|(n, _)| n == name))
-                        .then(|| frags.iter().map(|f| &f.batch))
-                },
-                options.sample_stride,
-            )
-            .map_err(|e| e.to_string())?,
-            None => None,
-        };
-        Some(papar_core::adaptive::choose(
-            plan,
-            nodes,
-            options,
-            stats.as_ref(),
-        ))
-    } else {
-        None
-    };
+) -> Result<PhysicalPlan, String> {
     let phys = physplan::lower(plan, nodes, None, options.fuse);
     let divergences = papar_check::verify_physical_plan(plan, &phys, nodes, None);
     if !divergences.is_empty() {
@@ -332,7 +302,7 @@ pub fn lower_verified(
             papar_check::render_text(&divergences)
         ));
     }
-    Ok((phys, decision))
+    Ok(phys)
 }
 
 /// The plan a launch runs, from one [`papar_check::analyze`] pass, with
@@ -361,9 +331,8 @@ pub fn bind(
 
 /// Stage 2 — compile: parse both documents, derive the effective
 /// arguments, [`bind`] (refusing while any error stands; warnings ride
-/// along on the result), decide, lower, verify, fingerprint. `input` is
-/// only borrowed: its record count feeds the analysis and, with
-/// `--adaptive`, the sampling pre-pass walks its fragments in place.
+/// along on the result), lower, verify, fingerprint. `input` is only
+/// borrowed: its record count feeds the analysis.
 pub fn compile(
     spec: &JobSpec,
     cfg_text: &str,
@@ -403,17 +372,8 @@ pub fn compile(
     }
     let input_name = plan.external_inputs[0].0.clone();
 
-    // The decision travels with the compiled plan, and its rationale —
-    // input-statistics fingerprint included — is folded into the plan
-    // fingerprint.
-    let (phys, decision) = lower_verified(&plan, nodes, options, Some(input))?;
-    let fingerprint = plan_fingerprint_with(
-        &plan,
-        &phys,
-        nodes,
-        options,
-        decision.as_ref().map(|d| &d.rationale),
-    );
+    let phys = lower_verified(&plan, nodes, options)?;
+    let fingerprint = plan_fingerprint_with(&plan, &phys, nodes, options);
     Ok(CachedPlan {
         num_jobs: plan.jobs.len(),
         plan,
@@ -423,7 +383,6 @@ pub fn compile(
         warnings,
         input_name,
         fingerprint,
-        decision,
     })
 }
 
@@ -444,10 +403,9 @@ pub fn new_cluster(
         }))
 }
 
-/// Stage 3 — run: a runner over the compiled plan (carrying its
-/// adaptive decision, and the checkpoint when one is asked for), the
-/// `input` fragments placed on the cluster as they are (shared, not
-/// copied), then the workflow itself.
+/// Stage 3 — run: a runner over the compiled plan (with the checkpoint
+/// when one is asked for), the `input` fragments placed on the cluster
+/// as they are (shared, not copied), then the workflow itself.
 pub fn run(
     compiled: &CachedPlan,
     options: ExecOptions,
@@ -456,9 +414,6 @@ pub fn run(
     input: Vec<Arc<Dataset>>,
 ) -> Result<WorkflowReport, CoreError> {
     let mut runner = WorkflowRunner::with_options(compiled.plan.clone(), options);
-    if let Some(d) = compiled.decision.clone() {
-        runner = runner.with_decision(d);
-    }
     if let Some(c) = checkpoint {
         runner = runner.with_checkpoint(c.dir, c.resume, c.extra);
     }
@@ -546,16 +501,13 @@ fn write_partition(
 }
 
 /// Append the summary lines `papar run` and a served job's detail share,
-/// all read from the report: the adaptive rationale, each engine note as its
-/// `Display` renders it, the stages a resumed run restored, one `job
+/// all read from the report: each engine note as its `Display` renders
+/// it, the stages a resumed run restored, one `job
 /// '<id>': <t> simulated, <N> bytes shuffled` line per physical job with
 /// its `shuffle_lo` line, the total simulated time, and the fault and
 /// recovery accounting when there is any. (A served job never resumes
 /// and runs fault-free, so it prints neither.)
 pub fn render_summary(out: &mut String, report: &WorkflowReport) {
-    if let Some(rationale) = &report.rationale {
-        out.push_str(&rationale.render());
-    }
     for note in &report.notes {
         let _ = writeln!(out, "{note}");
     }
@@ -625,7 +577,6 @@ fn spec_hash(spec: &JobSpec, cfg_text: &str, wf_text: &str, len: u64, mtime_ns: 
     }
     let _ = writeln!(canon, "records={:?}", spec.records);
     let _ = writeln!(canon, "fuse={}", !spec.no_fuse);
-    let _ = writeln!(canon, "adaptive={}", spec.adaptive);
     wire::checksum(canon.as_bytes())
 }
 

@@ -22,7 +22,7 @@ use std::io::{Read, Write};
 /// Protocol revision; bumped on any incompatible message change. The
 /// daemon answers `Ping` with its version so mismatched clients fail
 /// loudly at handshake rather than mysteriously mid-stream.
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Upper bound on a single frame's payload. Requests and responses are
 /// metadata (paths, tables), never bulk data — anything larger is a
@@ -85,11 +85,6 @@ pub struct JobSpec {
     pub threads: Option<u32>,
     /// Disable physical-plan fusion (`--no-fuse`).
     pub no_fuse: bool,
-    /// Run the cost-based adaptive planner (`--adaptive`). Folded into
-    /// the spec hash AND — via the decision's rationale — the plan
-    /// fingerprint, so a data-file change re-plans instead of reusing a
-    /// cached plan derived from stale statistics.
-    pub adaptive: bool,
 }
 
 /// A job's lifecycle state, as reported to clients.
@@ -317,8 +312,6 @@ impl JobSpec {
         put_opt_u64(out, self.records);
         put_opt_u64(out, self.threads.map(u64::from));
         put_u8(out, self.no_fuse as u8);
-        // Wire compatibility: new fields append last.
-        put_u8(out, self.adaptive as u8);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<JobSpec, ServeError> {
@@ -350,7 +343,6 @@ impl JobSpec {
             None => None,
         };
         let no_fuse = get_bool(r)?;
-        let adaptive = get_bool(r)?;
         Ok(JobSpec {
             input_config,
             workflow,
@@ -361,7 +353,6 @@ impl JobSpec {
             records,
             threads,
             no_fuse,
-            adaptive,
         })
     }
 }
@@ -693,8 +684,7 @@ mod tests {
             args: vec![("num_partitions".into(), "16".into())],
             records: Some(500),
             threads: Some(4),
-            no_fuse: false,
-            adaptive: true,
+            no_fuse: true,
         }
     }
 
@@ -754,6 +744,21 @@ mod tests {
             Request::decode(&payload),
             Err(ServeError::BadFrame { .. })
         ));
+    }
+
+    /// Version 2 appended an `adaptive` byte to every `Submit`. A
+    /// version-3 daemon reads the frame up to `no_fuse` and refuses the
+    /// byte left over as trailing garbage, with the typed error.
+    #[test]
+    fn a_version_2_submit_is_refused_for_its_trailing_adaptive_byte() {
+        let mut payload = Request::Submit(spec()).encode();
+        payload.push(1);
+        match Request::decode(&payload) {
+            Err(ServeError::BadFrame { detail }) => {
+                assert_eq!(detail, "1 trailing bytes after request");
+            }
+            other => panic!("expected a trailing-bytes BadFrame, got {other:?}"),
+        }
     }
 
     #[test]

@@ -69,7 +69,6 @@ fn spec(dir: &Path, out: &str, threads: Option<u32>) -> JobSpec {
         records: Some(400),
         threads,
         no_fuse: false,
-        adaptive: false,
     }
 }
 
@@ -306,6 +305,51 @@ fn malformed_frames_get_a_typed_answer_then_a_hangup() {
     // A fresh, well-formed client still works on the same daemon.
     let mut client = Client::connect(&endpoint).unwrap();
     client.ping().unwrap();
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// A version-2 client appends an `adaptive` byte to every `Submit`. The
+/// daemon refuses that frame with the typed trailing-bytes error, keeps
+/// the connection, and answers the next request on it normally; the
+/// job it refused never ran.
+#[test]
+fn a_version_2_submit_is_refused_and_the_next_request_is_answered() {
+    use papar_serve::protocol::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
+    let dir = fixture("v2-submit");
+    let (endpoint, server) = start(4);
+    let addr = match &endpoint {
+        Endpoint::Tcp(a) => a.clone(),
+        other => panic!("expected tcp endpoint, got {other}"),
+    };
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    let mut ask = |payload: &[u8]| {
+        write_frame(&mut raw, payload).unwrap();
+        let answer = read_frame(&mut raw).unwrap().expect("an answer frame");
+        Response::decode(&answer).unwrap()
+    };
+
+    let mut v2 = Request::Submit(spec(&dir, "v2", Some(1))).encode();
+    v2.push(0);
+    match ask(&v2) {
+        Response::Err(ServeError::BadFrame { detail }) => {
+            assert_eq!(detail, "1 trailing bytes after request");
+        }
+        other => panic!("expected a trailing-bytes BadFrame, got {other:?}"),
+    }
+    match ask(&Request::Ping.encode()) {
+        Response::Pong { version, stats } => {
+            assert_eq!(version, PROTOCOL_VERSION);
+            assert_eq!(stats.jobs_done, 0, "the refused submit never ran");
+        }
+        other => panic!("expected Pong, got {other:?}"),
+    }
+    assert!(!dir.join("v2").exists());
+
+    let mut client = Client::connect(&endpoint).unwrap();
+    let (id, _) = client.submit(spec(&dir, "v3", Some(1))).unwrap();
+    let report = client.wait(id).unwrap();
+    assert_eq!(report.state, JobStateKind::Done, "{}", report.detail);
     client.shutdown().unwrap();
     server.join().unwrap();
 }

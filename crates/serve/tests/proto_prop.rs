@@ -27,22 +27,18 @@ fn spec_strategy() -> impl Strategy<Value = JobSpec> {
         opt_u64(),
         opt_u32(),
         any::<bool>(),
-        any::<bool>(),
     )
         .prop_map(
-            |(input_config, workflow, data, out_dir, nodes, args, records, threads, f, a)| {
-                JobSpec {
-                    input_config,
-                    workflow,
-                    data,
-                    out_dir,
-                    nodes,
-                    args,
-                    records,
-                    threads,
-                    no_fuse: f,
-                    adaptive: a,
-                }
+            |(input_config, workflow, data, out_dir, nodes, args, records, threads, f)| JobSpec {
+                input_config,
+                workflow,
+                data,
+                out_dir,
+                nodes,
+                args,
+                records,
+                threads,
+                no_fuse: f,
             },
         )
 }

@@ -32,9 +32,7 @@ mod sink;
 
 pub use chrome::to_chrome_json;
 pub use cost::{duration_ns, CostModel};
-pub use profile::{
-    render_bounds_check, render_prediction_check, render_profile, Prediction, StaticBound,
-};
+pub use profile::{render_bounds_check, render_profile, StaticBound};
 pub use sink::{Collector, JobTrace, NoopSink, PhaseTrace, TaskTrace, TraceSink};
 
 use std::time::Duration;

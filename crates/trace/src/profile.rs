@@ -237,81 +237,6 @@ struct Counters4 {
     pairs: u64,
 }
 
-/// What an adaptive planning pass predicted for one profiled job (this
-/// crate sits below the planner, so the caller flattens its rationale
-/// into these plain numbers).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Prediction {
-    /// Modeled end-to-end workflow cost.
-    pub cost_ns: u64,
-    /// Predicted busiest-reducer record count for the profiled job.
-    pub max_load: u64,
-    /// Predicted total shuffled bytes across all stages.
-    pub shuffle_bytes: u64,
-}
-
-/// Render the predicted-vs-observed row of an adaptive run: the cost
-/// model's prediction next to the trace's actuals, with the ratio that
-/// tells the user whether the model (and hence the chosen plan) was
-/// honest. `job` names the profiled job; its observed max load comes
-/// from the skew histogram of the matching traced job (fused stages
-/// match by prefix, e.g. `sort+distr` covers `sort`).
-pub fn render_prediction_check(trace: &WorkflowTrace, job: &str, p: &Prediction) -> String {
-    let observed_virt = trace.total_virt().as_nanos() as u64;
-    let observed_bytes: u64 = trace
-        .jobs
-        .iter()
-        .flat_map(|j| &j.phases)
-        .map(|ph| ph.counters.shuffle_bytes)
-        .sum();
-    let observed_load = trace
-        .jobs
-        .iter()
-        .filter(|j| j.name == job || j.name.starts_with(&format!("{job}+")))
-        .filter_map(|j| j.skew.as_ref())
-        .filter_map(|s| s.records.iter().copied().max())
-        .max();
-    let ratio = |pred: u64, obs: u64| -> String {
-        if pred == 0 {
-            "-".to_string()
-        } else {
-            format!("{:.2}x", obs as f64 / pred as f64)
-        }
-    };
-    let mut out = String::new();
-    out.push_str(&format!(
-        "adaptive prediction vs observed (profiled job '{job}')\n"
-    ));
-    out.push_str(&format!(
-        "{:<16} {:>16} {:>16} {:>8}\n",
-        "metric", "predicted", "observed", "ratio"
-    ));
-    out.push_str(&format!(
-        "{:<16} {:>16} {:>16} {:>8}\n",
-        "cost",
-        fmt_dur(Duration::from_nanos(p.cost_ns)),
-        fmt_dur(Duration::from_nanos(observed_virt)),
-        ratio(p.cost_ns, observed_virt),
-    ));
-    if let Some(load) = observed_load {
-        out.push_str(&format!(
-            "{:<16} {:>16} {:>16} {:>8}\n",
-            "max reducer load",
-            p.max_load,
-            load,
-            ratio(p.max_load, load),
-        ));
-    }
-    out.push_str(&format!(
-        "{:<16} {:>16} {:>16} {:>8}\n",
-        "shuffled bytes",
-        p.shuffle_bytes,
-        observed_bytes,
-        ratio(p.shuffle_bytes, observed_bytes),
-    ));
-    out
-}
-
 fn percent(part: Duration, total: Duration) -> f64 {
     if total.is_zero() {
         0.0
@@ -427,32 +352,6 @@ mod tests {
         assert!(rendered.contains("ESCAPED"), "{rendered}");
         // Jobs with no matching bound are skipped silently.
         assert!(render_bounds_check(&t, &[]).lines().count() <= 2);
-    }
-
-    #[test]
-    fn prediction_check_reports_ratios_and_matches_fused_names() {
-        let t = trace();
-        let p = Prediction {
-            cost_ns: 5_000_000,
-            max_load: 50,
-            shuffle_bytes: 2048,
-        };
-        // The traced job is `blast.sort`; profiled job `blast.sort`
-        // matches exactly.
-        let rendered = render_prediction_check(&t, "blast.sort", &p);
-        assert!(
-            rendered.contains("adaptive prediction vs observed"),
-            "{rendered}"
-        );
-        assert!(rendered.contains("max reducer load"), "{rendered}");
-        assert!(rendered.contains("2.00x"), "{rendered}"); // 10 ms / 5 ms
-        assert!(rendered.contains("1.20x"), "{rendered}"); // 60 / 50
-                                                           // A zero prediction renders `-` instead of dividing by zero.
-        let rendered = render_prediction_check(&t, "blast.sort", &Prediction::default());
-        assert!(rendered.contains('-'), "{rendered}");
-        // A job with no skew histogram match omits the load row.
-        let rendered = render_prediction_check(&t, "other", &p);
-        assert!(!rendered.contains("max reducer load"), "{rendered}");
     }
 
     /// A reduce phase's footnote: its tasks' split summed over nodes,

@@ -254,3 +254,63 @@ fn num_reducers_override_controls_intermediate_fragments() {
     assert_eq!(all.len(), 50);
     assert!(all.windows(2).all(|w| w[0] <= w[1]));
 }
+
+/// The skewed hot-key sort: about half of 10,000 records share key 7,
+/// the rest follow a Zipf-ish tail. Its sample fills only 3 ranges, so a
+/// literal 4 on 4 nodes collapses to 3 reducers at run time. Reducer `r`
+/// runs on node `r % 4`, so the note names node 3 as idle.
+#[test]
+fn a_collapse_below_the_node_count_names_the_idle_node() {
+    let wf = r#"
+<workflow id="w" name="n">
+  <arguments>
+    <param name="input_path" type="hdfs" format="scores"/>
+    <param name="output_path" type="hdfs" format="scores"/>
+  </arguments>
+  <operators>
+    <operator id="sort" operator="Sort" num_reducers="4">
+      <param name="inputPath" type="String" value="$input_path"/>
+      <param name="outputPath" type="String" value="$output_path"/>
+      <param name="key" type="KeyId" value="score"/>
+    </operator>
+  </operators>
+</workflow>"#;
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut xorshift = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let records: Vec<Record> = (0..10_000)
+        .map(|i| {
+            let key = if xorshift().is_multiple_of(2) {
+                7
+            } else {
+                let (a, b) = (xorshift() % 1024, xorshift() % 1024);
+                1 + ((a * b) >> 5) as i32
+            };
+            rec![format!("p{i}"), key]
+        })
+        .collect();
+    let ((runner, cluster), report) = run_workflow_opts(wf, records, 4, ExecOptions::default());
+    assert_eq!(
+        report.notes,
+        vec![RunNote::ReducersCollapsed {
+            job: "sort".to_string(),
+            requested: 4,
+            achievable: 3,
+            nodes: 4,
+        }]
+    );
+    assert!(
+        report.notes[0]
+            .to_string()
+            .ends_with("; on 4 nodes, node 3 reduces nothing"),
+        "{}",
+        report.notes[0]
+    );
+    let parts = cluster.collect(&runner.plan().output_path).unwrap();
+    assert_eq!(parts.len(), 3);
+    assert_eq!(parts.iter().map(|p| scores(p).len()).sum::<usize>(), 10_000);
+}
