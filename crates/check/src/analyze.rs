@@ -293,12 +293,8 @@ fn lint(wf: &WorkflowConfig, ctx: &CheckContext, b: &Binding, out: &mut Vec<Diag
             };
             let shape = if r < nodes {
                 format!("{} nodes reduce nothing", nodes - r)
-            } else if r % nodes != 0 {
-                let busiest = r.div_ceil(nodes);
-                format!(
-                    "the busiest node reduces {busiest} of {r} ranges, {:.2}x its fair share",
-                    (busiest * nodes) as f64 / r as f64
-                )
+            } else if let Some(shape) = papar_core::exec::uneven_reducers(r, nodes) {
+                shape
             } else {
                 continue;
             };

@@ -684,6 +684,10 @@ pub struct CheckReport {
     pub warnings: usize,
 }
 
+/// The cluster `papar check --bounds` prices a plan on when `--nodes` is
+/// not given.
+const DEFAULT_BOUNDS_NODES: usize = 4;
+
 /// Run the static analyzer over configuration documents on disk.
 pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
     let workflow_xml = job::read_text(&spec.workflow).map_err(fail)?;
@@ -704,9 +708,15 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
     if let Some(wf) = &workflow {
         job::default_path_args(wf, &mut args, PLAN_INPUT, PLAN_OUTPUT);
     }
+    // `--bounds` prices the plan on 4 nodes unless told otherwise; the
+    // node lints (W002, W010) judge the same cluster.
+    let nodes = match spec.nodes {
+        None if spec.bounds => Some(DEFAULT_BOUNDS_NODES),
+        nodes => nodes,
+    };
     let ctx = papar_check::CheckContext {
         args,
-        nodes: spec.nodes,
+        nodes,
         replication: spec.replication,
         records: spec.records,
         ..Default::default()
@@ -724,7 +734,7 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
                 "--bounds needs the workflow to bind; pass the missing --arg values",
             ));
         };
-        let nodes = spec.nodes.unwrap_or(4);
+        let nodes = nodes.unwrap_or(DEFAULT_BOUNDS_NODES);
         let phys = papar_core::physplan::lower(plan, nodes, None, true);
         let report = papar_check::analyze_bounds(
             wf,
@@ -809,8 +819,9 @@ Statically analyzes the workflow without reading any data: dataflow over
 $variable references, schema inference through every operator, distribution
 legality, and determinism lints. Arguments left unbound are analyzed
 symbolically; the conventional path arguments bind to placeholders, as in
-`papar plan`. --bounds interprets the physical plan over intervals: a
-per-stage table of record/byte/distinct-key/max-load bounds, and the
+`papar plan`. --bounds interprets the physical plan over intervals on
+--nodes nodes (default 4, the cluster the node lints W002 and W010 then
+judge too): a per-stage table of record/byte/distinct-key/max-load bounds, and the
 findings P021 (reducers that can never receive a key; needs
 --distinct-keys), W007, W008 (a stage whose worst-case partition load
 exceeds --skew-ratio times the fair share) and W009. --records N makes
@@ -1551,6 +1562,41 @@ mod tests {
         assert!(report.output.contains("max-load"), "{}", report.output);
         assert!(report.output.contains("sort+distr"), "{}", report.output);
         assert!(report.output.contains("1000"), "{}", report.output);
+    }
+
+    /// `--bounds` without `--nodes` prices the plan on 4 nodes, and the
+    /// reducer-count lint judges the same 4: the example's 6 reducers
+    /// draw W010. Without `--bounds` or `--nodes` no cluster is assumed.
+    #[test]
+    fn run_check_bounds_lints_the_nodes_it_prices() -> Result<(), CliError> {
+        let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+        let spec = CheckSpec {
+            workflow: format!("{configs}/reducers_w010.xml").into(),
+            input_configs: vec![format!("{configs}/blast_db.xml").into()],
+            records: Some(600),
+            bounds: true,
+            ..Default::default()
+        };
+        let bounds = run_check(&spec)?;
+        assert!(bounds.output.contains("sort+distr"), "{}", bounds.output);
+        assert!(
+            bounds
+                .output
+                .contains("6 reducers on a 4-node cluster: the busiest node reduces 2 of 6"),
+            "{}",
+            bounds.output
+        );
+        let explicit = run_check(&CheckSpec {
+            nodes: Some(4),
+            ..spec.clone()
+        })?;
+        assert_eq!(explicit.output, bounds.output);
+        let plain = run_check(&CheckSpec {
+            bounds: false,
+            ..spec
+        })?;
+        assert!(!plain.output.contains("W010"), "{}", plain.output);
+        Ok(())
     }
 
     #[test]

@@ -772,7 +772,8 @@ fn run_and_a_served_job_print_the_same_note_lines() {
         vec![
             "note: job 'sort' asked for 5 reducers but the sampled key domain fills only 3; \
              collapsed to 3 (duplicate range boundaries would have left 2 reducer(s) \
-             provably empty)"
+             provably empty); on 2 nodes, the busiest node reduces 2 of 3 ranges, 1.33x \
+             its fair share"
         ],
         "{}",
         summary.output

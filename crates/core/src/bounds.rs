@@ -312,8 +312,9 @@ fn record_width(schema: &Schema) -> (u64, Option<u64>) {
         let (l, h) = match f.ty {
             FieldType::Integer => (4, Some(4)),
             FieldType::Long | FieldType::Double => (8, Some(8)),
-            // A Str field always writes its 4-byte length prefix.
-            FieldType::Str => (4, None),
+            // A Str field always writes its length varint: one byte for
+            // the empty string, more for longer ones, so no upper bound.
+            FieldType::Str => (1, None),
         };
         lo += l;
         hi = match (hi, h) {
@@ -330,7 +331,7 @@ fn value_width(ty: FieldType) -> (u64, Option<u64>) {
     match ty {
         FieldType::Integer => (5, Some(5)),
         FieldType::Long | FieldType::Double => (9, Some(9)),
-        FieldType::Str => (5, None),
+        FieldType::Str => (2, None),
     }
 }
 
@@ -1280,7 +1281,9 @@ mod tests {
         ]);
         assert_eq!(record_width(&fixed), (20, Some(20)));
         let stringy = Schema::new(vec![("a", FieldType::Str), ("b", FieldType::Integer)]);
-        assert_eq!(record_width(&stringy), (8, None));
+        assert_eq!(record_width(&stringy), (5, None));
+        // The tagged form: the tag byte and the empty string's length.
+        assert_eq!(value_width(FieldType::Str), (2, None));
     }
 
     /// A distribute whose output format keeps two of the blast records'

@@ -136,7 +136,8 @@ pub enum RunNote {
         achievable: usize,
         /// Cluster nodes. Reducer `r` runs on node `r % nodes`, so when
         /// `achievable < nodes` the nodes from `achievable` on reduce
-        /// nothing.
+        /// nothing, and when `nodes` does not divide `achievable` the
+        /// busiest node reduces more than its fair share.
         nodes: usize,
     },
 }
@@ -158,7 +159,10 @@ impl std::fmt::Display for RunNote {
                     requested - achievable
                 )?;
                 match nodes.saturating_sub(*achievable) {
-                    0 => Ok(()),
+                    0 => match uneven_reducers(*achievable, *nodes) {
+                        Some(shape) => write!(f, "; on {nodes} nodes, {shape}"),
+                        None => Ok(()),
+                    },
                     1 => write!(f, "; on {nodes} nodes, node {achievable} reduces nothing"),
                     _ => write!(
                         f,
@@ -169,6 +173,21 @@ impl std::fmt::Display for RunNote {
             }
         }
     }
+}
+
+/// How `reducers` key ranges load `nodes` nodes when the node count does
+/// not divide them — reducer `r` runs on node `r % nodes`, and a keyed
+/// stage's time follows its busiest node — in the words W010 and the
+/// collapse note share; `None` when every node reduces as many ranges.
+pub fn uneven_reducers(reducers: usize, nodes: usize) -> Option<String> {
+    if nodes == 0 || reducers.is_multiple_of(nodes) {
+        return None;
+    }
+    let busiest = reducers.div_ceil(nodes);
+    Some(format!(
+        "the busiest node reduces {busiest} of {reducers} ranges, {:.2}x its fair share",
+        (busiest * nodes) as f64 / reducers as f64
+    ))
 }
 
 impl WorkflowReport {
@@ -2004,6 +2023,39 @@ mod tests {
     use papar_config::input::FieldType;
     use papar_record::rec;
     use proptest::prelude::*;
+
+    /// A collapse the node count does not divide names the busiest node
+    /// as W010 does; one it divides adds nothing, and one below the node
+    /// count names the idle nodes.
+    #[test]
+    fn a_collapse_the_nodes_do_not_divide_names_the_busiest_node() {
+        let note = |achievable, nodes| {
+            RunNote::ReducersCollapsed {
+                job: "sort".into(),
+                requested: 8,
+                achievable,
+                nodes,
+            }
+            .to_string()
+        };
+        let head = "note: job 'sort' asked for 8 reducers but the sampled key domain \
+                    fills only 6; collapsed to 6 (duplicate range boundaries would have \
+                    left 2 reducer(s) provably empty)";
+        assert_eq!(
+            note(6, 4),
+            format!(
+                "{head}; on 4 nodes, the busiest node reduces 2 of 6 ranges, 1.33x its \
+                 fair share"
+            )
+        );
+        assert!(note(4, 4).ends_with("provably empty)"), "{}", note(4, 4));
+        assert!(note(6, 3).ends_with("provably empty)"), "{}", note(6, 3));
+        assert!(
+            note(6, 8).ends_with("nodes 6..=7 reduce nothing"),
+            "{}",
+            note(6, 8)
+        );
+    }
 
     #[test]
     fn a_fragment_payload_refuses_a_field_count_the_bytes_cannot_hold() {

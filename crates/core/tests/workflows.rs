@@ -1079,3 +1079,69 @@ fn plan_fingerprints_of_the_paper_workflows_are_pinned() {
         }
     }
 }
+
+/// A round-robin distribute of an edge list on 3 nodes into 4 partitions.
+const EDGE_DISTRIBUTE: &str = r#"
+<workflow id="edge_distribute" name="Round-robin edges">
+  <arguments>
+    <param name="input_file" type="hdfs" format="graph_edge"/>
+    <param name="output_path" type="hdfs" format="graph_edge"/>
+  </arguments>
+  <operators>
+    <operator id="distr" operator="Distribute">
+      <param name="inputPath" type="String" value="$input_file"/>
+      <param name="outputPath" type="String" value="$output_path"/>
+      <param name="distrPolicy" type="DistrPolicy" value="roundRobin"/>
+      <param name="numPartitions" type="integer" value="4"/>
+    </operator>
+  </operators>
+</workflow>"#;
+
+/// The shuffle moves exactly the edges' row bytes: an edge `(a, b)` of
+/// short ids is `len(a) + len(b) + 2` bytes, one length byte per id.
+/// Record `i` of the input lies on the node whose contiguous block holds
+/// it and goes to partition `i % 4`, whose reducer runs on node
+/// `(i % 4) % 3`; every (sender, reducer) segment that leaves its node
+/// adds an 8-byte segment header and a 13-byte run header (each node
+/// holds one fragment, so a segment is one run).
+#[test]
+fn shuffled_bytes_of_an_edge_list_are_its_row_bytes_plus_headers() {
+    let (nodes, partitions) = (3, 4);
+    let edges: Vec<(String, String)> = (0..40)
+        .map(|i| (format!("{}", i * 7 % 13), format!("v{}", i * i % 101)))
+        .collect();
+    let planner = Planner::from_xml(EDGE_DISTRIBUTE, &[EDGE_INPUT_CFG]).unwrap();
+    let plan = planner
+        .bind(&args(&[
+            ("input_file", "/data/edges"),
+            ("output_path", "/data/parts"),
+        ]))
+        .unwrap();
+    let runner = WorkflowRunner::new(plan);
+    let mut cluster = Cluster::new(nodes);
+    let schema = runner.plan().external_inputs[0].1.schema.clone();
+    let records = edges.iter().map(|(a, b)| rec![a.as_str(), b.as_str()]);
+    let input = Dataset::new(schema, Batch::Flat(records.collect()));
+    runner
+        .scatter_input(&mut cluster, "/data/edges", input)
+        .unwrap();
+    let report = runner.run(&mut cluster).unwrap();
+
+    let mut pair_bytes = 0;
+    let mut segments = std::collections::BTreeSet::new();
+    let mut first = 0;
+    let blocks = papar_record::batch::block_sizes(edges.len(), nodes);
+    for (from, size) in blocks.enumerate() {
+        for (i, (a, b)) in edges.iter().enumerate().skip(first).take(size) {
+            let partition = i % partitions;
+            if partition % nodes != from {
+                pair_bytes += (a.len() + b.len() + 2) as u64;
+                segments.insert((from, partition));
+            }
+        }
+        first += size;
+    }
+    assert!(pair_bytes > 0 && !segments.is_empty());
+    let want = pair_bytes + (8 + 13) * segments.len() as u64;
+    assert_eq!(report.total_shuffled_bytes(), want);
+}

@@ -18,7 +18,10 @@
 //! Frame payloads:
 //!
 //! * tag 1, **header**: format version and the run's plan/input/config
-//!   fingerprint. Resume refuses a manifest whose fingerprint differs.
+//!   fingerprint. Resume refuses a manifest whose fingerprint differs, and
+//!   one of another format version before it reads a fragment: version 3
+//!   fragments hold records whose strings carry LEB128 lengths, version 2
+//!   ones `u32` lengths.
 //! * tag 2, **stage commit**: the stage index and id, the stage's
 //!   [`JobStats`], and one entry per published fragment (dataset, node,
 //!   ordinal, file name, payload FNV-1a, payload length).
@@ -64,7 +67,7 @@ use crate::{MrError, Result};
 /// Name of the write-ahead commit log inside a checkpoint directory.
 pub const MANIFEST: &str = "MANIFEST";
 
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 const TAG_HEADER: u8 = 1;
 const TAG_STAGE: u8 = 2;
 
@@ -573,9 +576,10 @@ fn read_header(r: &mut Reader<'_>) -> Result<u64> {
     }
     let version = hr.read_u32().map_err(MrError::Codec)?;
     if version != VERSION {
-        return Err(MrError::msg(format!(
-            "checkpoint format version {version} is not supported (expected {VERSION})"
-        )));
+        return Err(MrError::CheckpointVersion {
+            found: version,
+            expected: VERSION,
+        });
     }
     hr.read_u64().map_err(MrError::Codec)
 }

@@ -415,7 +415,7 @@ impl<'a> Emit<'a> {
         }
         run.count += 1;
         if let Some(key) = key {
-            wire::encode_value(key, buf);
+            wire::encode_value(key, buf)?;
         }
         let (proj, schema) = (self.projection, self.schema);
         let record_bytes = match entry {
@@ -685,7 +685,7 @@ fn encode_group(
     buf: &mut Vec<u8>,
 ) -> Result<usize> {
     let start = buf.len();
-    wire::encode_value(&p.key, buf);
+    wire::encode_value(&p.key, buf)?;
     // The key's width without its tag: what each member's key field
     // takes as a record.
     let key_w = buf.len() - start - 1;
@@ -2808,8 +2808,9 @@ mod tests {
         Ok(())
     }
 
-    /// A `Str`-keyed pair: the `Int` and the 6-byte string with its length.
-    const STR_KEYED_PAIR: usize = 4 + 4 + 6;
+    /// A `Str`-keyed pair: the `Int` and the 6-byte string with its
+    /// one-byte length.
+    const STR_KEYED_PAIR: usize = 4 + 1 + 6;
 
     #[test]
     fn a_field_keyed_pair_is_its_entry() -> Result<()> {
@@ -2914,13 +2915,13 @@ mod tests {
             Err(MrError::Codec(_))
         ));
 
-        // A field-keyed job: its first segment ends inside the length of
-        // its last pair's `Str` key.
+        // A field-keyed job: its first segment ends where the length of
+        // its last pair's `Str` key begins.
         let (msg, pairs) = Shape::StrKeyField.message()?;
         let first = segment_len(&msg, 0);
         let mut cut_key = msg.clone();
-        let mid_length = first - (6 + 2);
-        cut_key[4..8].copy_from_slice(&(mid_length as u32).to_le_bytes());
+        let before_length = first - (6 + 1);
+        cut_key[4..8].copy_from_slice(&(before_length as u32).to_le_bytes());
         assert!(matches!(
             Shape::StrKeyField.scan(&cut_key, pairs),
             Err(MrError::Codec(_))

@@ -177,6 +177,15 @@ pub enum MrError {
         /// Fingerprint stored in the checkpoint manifest.
         found: u64,
     },
+    /// A checkpoint manifest was written in another format version (its
+    /// fragments' record bytes may differ: version 2 strings carried `u32`
+    /// lengths), so `--resume` refuses it before reading a fragment.
+    CheckpointVersion {
+        /// The version the manifest header holds.
+        found: u32,
+        /// The only version this build reads.
+        expected: u32,
+    },
     /// A checkpoint manifest entry names a fragment file other than the
     /// one its stage, dataset, node and ordinal make. Manifest frames are
     /// checksummed, not authenticated, so a hand-edited name (`../x`,
@@ -287,6 +296,11 @@ impl std::fmt::Display for MrError {
                 "checkpoint fingerprint {found:#018x} does not match this run's \
                  fingerprint {expected:#018x} (plan, input, seed or config changed); \
                  refusing to resume"
+            ),
+            MrError::CheckpointVersion { found, expected } => write!(
+                f,
+                "checkpoint format version {found} is not supported (expected \
+                 {expected}); refusing to resume"
             ),
             MrError::CheckpointFileMismatch { found, expected } => write!(
                 f,

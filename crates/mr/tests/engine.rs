@@ -1348,7 +1348,7 @@ fn remote_bytes_are_the_pairs_plus_one_header_per_segment() {
                 let reducer = HashPartitioner.reducer_for(key, reducers).unwrap();
                 if reducer % nodes != from {
                     let mut bytes = Vec::new();
-                    papar_record::wire::encode_value(key, &mut bytes);
+                    papar_record::wire::encode_value(key, &mut bytes).unwrap();
                     let key_len = bytes.len();
                     papar_record::wire::encode_record(r, &pair_schema(), &mut bytes).unwrap();
                     pair_bytes += bytes.len() as u64;

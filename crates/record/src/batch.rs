@@ -167,9 +167,11 @@ fn not_packed() -> CodecError {
 /// bytes each, fields little-endian at their offsets — also the bytes of
 /// a fixed-width binary input file — so a row is found by arithmetic.
 /// Rows with a string field are walked in order: each string is its
-/// `u32` length and its UTF-8 bytes. Every constructor checks what it is
-/// given (whole rows; for strings, every length and every string's
-/// UTF-8), so a row read later cannot fail.
+/// length as a LEB128 varint (one byte below 128, at most five; see
+/// [`crate::wire::put_len`]) and its UTF-8 bytes. Every constructor
+/// checks what it is given (whole rows; for strings, every length —
+/// canonical and at most `u32::MAX` — and every string's UTF-8), so a
+/// row read later cannot fail.
 #[derive(Clone)]
 pub struct Rows {
     schema: Arc<Schema>,
@@ -678,14 +680,16 @@ mod tests {
         assert!(Rows::new(int_schema(), vec![0; 24]).is_ok());
         let text = Arc::new(Schema::new(vec![("s", FieldType::Str)]));
         assert_eq!(Rows::new(text.clone(), Vec::new()).unwrap().len(), 0);
-        assert_eq!(
-            Rows::new(text.clone(), vec![1, 0, 0, 0, b'a'])
-                .unwrap()
-                .len(),
-            1
-        );
-        // A length running past the bytes, a cut length, invalid UTF-8.
-        for bad in [&[2, 0, 0, 0, b'a'][..], &[1, 0], &[1, 0, 0, 0, 0xff]] {
+        assert_eq!(Rows::new(text.clone(), vec![1, b'a']).unwrap().len(), 1);
+        // A length running past the bytes, a cut length, a length with a
+        // redundant zero byte, one above `u32::MAX`, invalid UTF-8.
+        for bad in [
+            &[2, b'a'][..],
+            &[0x80],
+            &[0x80, 0],
+            &[0xff, 0xff, 0xff, 0xff, 0x1f],
+            &[1, 0xff],
+        ] {
             assert!(Rows::new(text.clone(), bad.to_vec()).is_err(), "{bad:?}");
         }
         let empty = Arc::new(Schema::new(Vec::<(String, FieldType)>::new()));

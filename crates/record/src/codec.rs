@@ -113,7 +113,7 @@ pub mod text {
 
     use super::{BlockResults, DecodeBlock};
     use crate::batch::block_sizes;
-    use crate::wire::{decode_field, encode_field, field_spans, Reader};
+    use crate::wire::{decode_field, encode_field, field_spans, put_len, Reader};
     use crate::{CodecError, Record, Result, Rows, Schema, Value};
     use papar_config::input::{FieldDef, FieldType, InputConfig, InputFormat};
     use std::fmt::Write;
@@ -224,7 +224,7 @@ pub mod text {
                     let (text, ty) = field?;
                     match ty {
                         FieldType::Str => {
-                            bytes.extend_from_slice(&(text.len() as u32).to_le_bytes());
+                            put_len(&mut bytes, text.len())?;
                             bytes.extend_from_slice(text.as_bytes());
                         }
                         ty => encode_field(&Value::parse_typed(text, ty)?, ty, &mut bytes)?,
@@ -248,13 +248,15 @@ pub mod text {
         run(sizes.len(), &encode).into_iter().collect()
     }
 
-    /// An upper bound on the row bytes of `records` records held in
-    /// `text` bytes: each record's text less its delimiters, plus a 4-byte
-    /// length per string and a width per fixed field. Exact when every
-    /// field is a string and nothing trails the records.
+    /// The row bytes of `records` records held in `text` bytes, for a
+    /// buffer's capacity: each record's text less its delimiters, plus a
+    /// one-byte length per string and a width per fixed field. Exact when
+    /// every field is a string shorter than 128 bytes and nothing trails
+    /// the records; a longer string's length takes more bytes, and the
+    /// buffer grows.
     fn row_bytes(schema: &Schema, delims: &[String], text: usize, records: usize) -> usize {
         let added: usize = (schema.fields().iter())
-            .map(|f| f.ty.binary_width().unwrap_or(4))
+            .map(|f| f.ty.binary_width().unwrap_or(1))
             .sum();
         let delimiters: usize = delims.iter().map(String::len).sum();
         (text + added * records).saturating_sub(delimiters * records)
@@ -372,7 +374,11 @@ pub mod text {
             for ((span, field), d) in spans.zip(schema.fields()).zip(&delims) {
                 let start = out.len();
                 match field.ty {
-                    FieldType::Str => out.extend_from_slice(&span[4..]),
+                    FieldType::Str => {
+                        let mut r = Reader::new(span);
+                        let len = r.read_len()?;
+                        out.extend_from_slice(r.read_bytes(len)?);
+                    }
                     ty => {
                         let v = decode_field(&mut Reader::new(span), ty)?;
                         std::io::Write::write_fmt(&mut out, format_args!("{v}"))

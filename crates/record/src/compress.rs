@@ -70,7 +70,7 @@ pub fn encode_compressed(
                 )));
             }
         }
-        wire::encode_value(&g.key, buf);
+        wire::encode_value(&g.key, buf)?;
         encode_columns(&g.members, schema, key_idx, None, buf)?;
     }
     Ok(())
@@ -278,15 +278,16 @@ mod tests {
     }
 
     #[test]
-    fn oversized_group_count_is_refused() {
+    fn oversized_group_count_is_refused() -> Result<()> {
         let schema = grouped_edge_schema();
         let mut buf = Vec::new();
         put_u32(&mut buf, 1);
         put_u32(&mut buf, 0);
         put_u32(&mut buf, u32::MAX);
-        wire::encode_value(&crate::Value::Str("1".into()), &mut buf);
+        wire::encode_value(&crate::Value::Str("1".into()), &mut buf)?;
         let err = decode_compressed(&mut Reader::new(&buf), &schema, 1).unwrap_err();
         assert!(err.0.contains("bytes left"), "{err}");
+        Ok(())
     }
 
     #[test]

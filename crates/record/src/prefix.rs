@@ -148,7 +148,7 @@ pub fn from_field(r: &mut Reader<'_>, ty: FieldType) -> Result<KeyPrefix> {
         FieldType::Long => of_value(&Value::Long(r.i64()?)),
         FieldType::Double => of_value(&Value::Double(r.f64()?)),
         FieldType::Str => {
-            let len = r.read_u32()? as usize;
+            let len = r.read_len()?;
             let (bits, exact) = str_prefix(r.read_bytes(len)?);
             KeyPrefix {
                 class: CLASS_STR,
@@ -254,7 +254,7 @@ mod tests {
             Value::Str("".into()),
         ] {
             let mut buf = Vec::new();
-            wire::encode_value(&v, &mut buf);
+            wire::encode_value(&v, &mut buf)?;
             buf.extend_from_slice(b"tail");
             let mut r = Reader::new(&buf);
             let p = from_wire(&mut r)?;

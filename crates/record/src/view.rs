@@ -11,7 +11,7 @@
 //! width, a record parses with a single bounds check
 //! (`Schema::binary_record_width`), and packed CSC columns skip in one
 //! multiplication. Variable-width (string) fields fall back to a per-field
-//! walk over their length prefixes.
+//! walk over their length varints.
 //!
 //! The shuffle's entry framing (a payload whose tag byte travels once per
 //! run, see the engine's `encode_entry`) lives here as [`EntryView`] so the
@@ -65,7 +65,7 @@ impl<'a> ValueView<'a> {
             FieldType::Long => ValueView::Long(r.i64()?),
             FieldType::Double => ValueView::Double(r.f64()?),
             FieldType::Str => {
-                let len = r.read_u32()? as usize;
+                let len = r.read_len()?;
                 let bytes = r.read_bytes(len)?;
                 ValueView::Str(
                     std::str::from_utf8(bytes).map_err(|_| CodecError("invalid UTF-8".into()))?,
@@ -402,7 +402,7 @@ mod tests {
             Value::Str("zürich".into()),
         ] {
             let mut buf = Vec::new();
-            wire::encode_value(&v, &mut buf);
+            wire::encode_value(&v, &mut buf)?;
             let view = ValueView::parse(&mut Reader::new(&buf))?;
             assert_eq!(view.to_value(), v);
             // Untagged, as a record field.
@@ -412,8 +412,12 @@ mod tests {
                 view
             );
         }
+        // A string is its one-byte length below 128, then its bytes.
+        let mut buf = Vec::new();
+        wire::encode_value(&Value::Str("zürich".into()), &mut buf)?;
+        assert_eq!(buf[..2], [3, 7]);
         // Invalid UTF-8 is rejected at parse, like the owned path.
-        let bad = [3u8, 2, 0, 0, 0, 0xFF, 0xFE];
+        let bad = [3u8, 2, 0xFF, 0xFE];
         assert!(ValueView::parse(&mut Reader::new(&bad)).is_err());
         Ok(())
     }
@@ -455,7 +459,7 @@ mod tests {
         csc: Option<usize>,
     ) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
-        wire::encode_value(&group.key, &mut buf);
+        wire::encode_value(&group.key, &mut buf)?;
         buf.extend_from_slice(&(group.members.len() as u32).to_le_bytes());
         let records = group.members.to_records();
         match csc {

@@ -9,12 +9,14 @@
 //!
 //! * **schema-driven** ([`encode_record`]/[`decode_record`]) — no per-field
 //!   tags; field types come from the schema. Fixed-width fields take exactly
-//!   their width; strings are `u32` length-prefixed.
+//!   their width; a string is its byte length as a canonical LEB128 varint
+//!   ([`put_len`]: one byte below 128, at most five, never above
+//!   `u32::MAX`) and then its UTF-8 bytes.
 //! * **tagged** ([`encode_value`]/[`decode_value`]) — a 1-byte type tag then
 //!   the payload; used for group keys and reduce keys whose type is not
 //!   described by the record schema.
 //!
-//! All integers are little-endian.
+//! All fixed-width integers are little-endian.
 
 use std::sync::Arc;
 
@@ -122,8 +124,49 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Read a string length ([`put_len`]'s varint). A length cut short, a
+    /// length with a redundant trailing zero byte (not canonical) or one
+    /// above `u32::MAX` is an error.
+    #[inline]
+    pub fn read_len(&mut self) -> Result<usize> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(usize::from(b))
+            }
+            _ => self.read_long_len(),
+        }
+    }
+
+    /// [`Reader::read_len`] of a length of two bytes or more. Out of line,
+    /// so the one-byte case stays small where it is inlined.
+    #[cold]
+    #[inline(never)]
+    fn read_long_len(&mut self) -> Result<usize> {
+        let mut len = 0;
+        let mut shift = 0;
+        loop {
+            let b = self.u8()?;
+            // The fifth byte holds bits 28..32: anything above 0x0f sets a
+            // bit past `u32::MAX` or asks for a sixth byte.
+            if shift == 28 && b > 0x0f {
+                return Err(CodecError("string length exceeds u32::MAX".into()));
+            }
+            len |= usize::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                if b == 0 && shift > 0 {
+                    return Err(CodecError(
+                        "string length is not canonical: its last byte is zero".into(),
+                    ));
+                }
+                return Ok(len);
+            }
+            shift += 7;
+        }
+    }
+
     fn str(&mut self) -> Result<SmallStr> {
-        let len = self.u32()? as usize;
+        let len = self.read_len()?;
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes)
             .map(SmallStr::from)
@@ -133,6 +176,21 @@ impl<'a> Reader<'a> {
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a string length as a canonical LEB128 varint: seven bits per
+/// byte, low bits first, the high bit set on every byte but the last, and
+/// no more bytes than the value needs — one below 128, at most five. A
+/// length above `u32::MAX` is refused.
+#[inline]
+pub fn put_len(buf: &mut Vec<u8>, len: usize) -> Result<()> {
+    let mut n = wire_len(len, "string length")?;
+    while n >= 0x80 {
+        buf.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    buf.push(n as u8);
+    Ok(())
 }
 
 /// FNV-1a 64-bit checksum of a byte slice — the integrity tag shuffle
@@ -204,7 +262,7 @@ pub fn encode_field(v: &Value, ty: FieldType, buf: &mut Vec<u8>) -> Result<()> {
         (FieldType::Long, Value::Long(x)) => buf.extend_from_slice(&x.to_le_bytes()),
         (FieldType::Double, Value::Double(x)) => buf.extend_from_slice(&x.to_le_bytes()),
         (FieldType::Str, Value::Str(s)) => {
-            put_u32(buf, s.len() as u32);
+            put_len(buf, s.len())?;
             buf.extend_from_slice(s.as_bytes());
         }
         (ty, v) => {
@@ -276,7 +334,7 @@ pub(crate) fn decode_fixed(bytes: &[u8], ty: FieldType) -> Value {
 }
 
 /// Encode a value with a 1-byte type tag (for keys of unknown schema).
-pub fn encode_value(v: &Value, buf: &mut Vec<u8>) {
+pub fn encode_value(v: &Value, buf: &mut Vec<u8>) -> Result<()> {
     match v {
         Value::Int(x) => {
             buf.push(0);
@@ -292,10 +350,11 @@ pub fn encode_value(v: &Value, buf: &mut Vec<u8>) {
         }
         Value::Str(s) => {
             buf.push(3);
-            put_u32(buf, s.len() as u32);
+            put_len(buf, s.len())?;
             buf.extend_from_slice(s.as_bytes());
         }
     }
+    Ok(())
 }
 
 /// The field type a value tag names: a tagged value is its tag and then
@@ -329,7 +388,7 @@ pub fn skip_field(r: &mut Reader<'_>, ty: FieldType) -> Result<()> {
     match ty.binary_width() {
         Some(w) => r.take(w).map(|_| ()),
         None => {
-            let len = r.u32()? as usize;
+            let len = r.read_len()?;
             r.take(len).map(|_| ())
         }
     }
@@ -368,7 +427,7 @@ pub(crate) fn check_record(r: &mut Reader<'_>, schema: &Schema, utf8: bool) -> R
                 r.take(w)?;
             }
             None => {
-                let len = r.u32()? as usize;
+                let len = r.read_len()?;
                 let bytes = r.take(len)?;
                 if utf8 && std::str::from_utf8(bytes).is_err() {
                     return Err(CodecError("invalid UTF-8".into()));
@@ -380,7 +439,7 @@ pub(crate) fn check_record(r: &mut Reader<'_>, schema: &Schema, utf8: bool) -> R
 }
 
 /// Each field's wire span within one record's bytes, in schema order: a
-/// fixed field's bytes, or a string's length prefix and bytes. The
+/// fixed field's bytes, or a string's length varint and bytes. The
 /// record must be well-formed (a row, or bytes [`record_bytes`] took).
 pub(crate) fn field_spans<'a>(
     record: &'a [u8],
@@ -390,7 +449,11 @@ pub(crate) fn field_spans<'a>(
     schema.fields().iter().map(move |f| {
         let len = match f.ty.binary_width() {
             Some(w) => w,
-            None => 4 + u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize,
+            None => {
+                let mut r = Reader::new(rest);
+                let len = r.read_len().expect("a well-formed record's string length");
+                r.position() + len
+            }
         };
         let (span, tail) = rest.split_at(len);
         rest = tail;
@@ -447,7 +510,7 @@ pub fn encode_batch(batch: &Batch, schema: &Schema, buf: &mut Vec<u8>) -> Result
             buf.push(BATCH_PACKED);
             put_u32(buf, wire_len(groups.len(), "batch group count")?);
             for g in groups {
-                encode_value(&g.key, buf);
+                encode_value(&g.key, buf)?;
                 put_u32(buf, wire_len(g.members.len(), "group member count")?);
                 encode_rows(&g.members, schema, buf)?;
             }
@@ -499,10 +562,11 @@ pub fn concat_checksum(parts: &[&Batch], schema: &Schema) -> Result<u64> {
 }
 
 /// Fewest bytes one record of `schema` takes on the wire: its fixed
-/// fields' widths plus a length prefix per string.
+/// fields' widths plus one byte per string, the length varint of an
+/// empty one.
 fn min_record_len(schema: &Schema) -> usize {
     (schema.fields().iter())
-        .map(|f| f.ty.binary_width().unwrap_or(4))
+        .map(|f| f.ty.binary_width().unwrap_or(1))
         .sum()
 }
 
@@ -614,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn tagged_value_roundtrip() {
+    fn tagged_value_roundtrip() -> Result<()> {
         for v in [
             Value::Int(-9),
             Value::Long(1 << 40),
@@ -622,10 +686,11 @@ mod tests {
             Value::Str("hello".into()),
         ] {
             let mut buf = Vec::new();
-            encode_value(&v, &mut buf);
+            encode_value(&v, &mut buf)?;
             let mut rd = Reader::new(&buf);
-            assert_eq!(decode_value(&mut rd).unwrap(), v);
+            assert_eq!(decode_value(&mut rd)?, v);
         }
+        Ok(())
     }
 
     #[test]
@@ -708,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn a_count_the_bytes_cannot_hold_is_refused_before_allocating() {
+    fn a_count_the_bytes_cannot_hold_is_refused_before_allocating() -> Result<()> {
         // Five bytes claiming 2^32 - 1 records (or groups): refused as a
         // typed error, not a multi-gigabyte allocation. Strings first: a
         // fixed-width batch would also fail, later, on the missing bytes.
@@ -721,10 +786,11 @@ mod tests {
         }
         // A group whose member count overruns the rest of the buffer.
         let mut buf = vec![BATCH_PACKED, 1, 0, 0, 0];
-        encode_value(&Value::Int(1), &mut buf);
+        encode_value(&Value::Int(1), &mut buf)?;
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = decode_batch(&mut Reader::new(&buf), &edge_schema()).unwrap_err();
         assert!(err.0.contains("group member count"), "{err}");
+        Ok(())
     }
 
     #[test]

@@ -166,6 +166,29 @@ mod reference {
     use papar_record::wire::{self, Reader};
     use papar_record::{CodecError, Record, Result, Schema, Value};
 
+    /// A string length: LEB128, seven bits a byte, low bits first, at
+    /// most five bytes; its last byte is not zero unless it is the only
+    /// one, and its value is at most `u32::MAX`.
+    pub fn len(r: &mut Reader<'_>) -> Result<usize> {
+        let mut value = 0u64;
+        for i in 0..5 {
+            let b = r.read_u8()?;
+            value |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                if i > 0 && b == 0 {
+                    return Err(CodecError(
+                        "string length is not canonical: its last byte is zero".into(),
+                    ));
+                }
+                if value > u64::from(u32::MAX) {
+                    break;
+                }
+                return Ok(value as usize);
+            }
+        }
+        Err(CodecError("string length exceeds u32::MAX".into()))
+    }
+
     fn field(r: &mut Reader<'_>, ty: FieldType) -> Result<Value> {
         Ok(match ty {
             FieldType::Integer => {
@@ -178,7 +201,7 @@ mod reference {
                 Value::Double(f64::from_le_bytes(r.read_bytes(8)?.try_into().unwrap()))
             }
             FieldType::Str => {
-                let len = r.read_u32()? as usize;
+                let len = len(r)?;
                 let bytes = r.read_bytes(len)?;
                 Value::from(
                     std::str::from_utf8(bytes).map_err(|_| CodecError("invalid UTF-8".into()))?,
@@ -207,7 +230,7 @@ mod reference {
         for f in schema.fields() {
             let len = match f.ty.binary_width() {
                 Some(w) => w,
-                None => r.read_u32()? as usize,
+                None => len(r)?,
             };
             r.read_bytes(len)?;
         }
@@ -318,7 +341,7 @@ use papar_config::xml::Span;
 use papar_record::batch::{block_sizes, Batch, Rows};
 use papar_record::compress;
 use papar_record::packed::{pack, unpack, PackedRecord};
-use papar_record::view::{EntryView, ENTRY_PACKED, ENTRY_PACKED_CSC, ENTRY_REC};
+use papar_record::view::{EntryView, ValueView, ENTRY_PACKED, ENTRY_PACKED_CSC, ENTRY_REC};
 use papar_record::wire::{self, Reader};
 use std::sync::Arc;
 
@@ -354,8 +377,9 @@ fn value_of(ty: FieldType, cell: &(i32, i64, f64, String)) -> Value {
 }
 
 /// Candidate values for one field: strings of 0, 14 and 15+ bytes, with
-/// multi-byte UTF-8 on both sides of the inline limit, and finite doubles,
-/// which the text codec renders and parses back exactly.
+/// multi-byte UTF-8 on both sides of the inline limit, strings around 128
+/// bytes, whose length takes one or two bytes, and finite doubles, which
+/// the text codec renders and parses back exactly.
 fn cell() -> impl Strategy<Value = (i32, i64, f64, String)> {
     (
         any::<i32>(),
@@ -367,6 +391,7 @@ fn cell() -> impl Strategy<Value = (i32, i64, f64, String)> {
             "[a-z]{15,24}",
             "[a-zé€𝄞]{0,10}",
             "abcdefghijk[é€𝄞][a-b]{0,2}",
+            "[a-z]{124,132}",
         ],
     )
 }
@@ -447,7 +472,7 @@ fn entries(records: &[Record], schema: &Schema) -> Vec<Vec<u8>> {
         })
         .collect();
     let mut packed = vec![ENTRY_PACKED];
-    wire::encode_value(&Value::from("group"), &mut packed);
+    wire::encode_value(&Value::from("group"), &mut packed).unwrap();
     packed.extend_from_slice(&(records.len() as u32).to_le_bytes());
     for rec in records {
         wire::encode_record(rec, schema, &mut packed).unwrap();
@@ -813,7 +838,7 @@ proptest! {
                 let mut bad = Vec::new();
                 for (i, f) in schema.fields().iter().enumerate() {
                     if i == at {
-                        bad.extend_from_slice(&[1, 0, 0, 0, 0xff]);
+                        bad.extend_from_slice(&[1, 0xff]);
                     } else {
                         wire::encode_field(&value_of(f.ty, &CELL), f.ty, &mut bad).unwrap();
                     }
@@ -875,7 +900,7 @@ proptest! {
             for g in &groups {
                 for (tag, compress_key) in [(ENTRY_PACKED, None), (ENTRY_PACKED_CSC, Some(KEY))] {
                     let mut entry = Vec::new();
-                    wire::encode_value(&g.key, &mut entry);
+                    wire::encode_value(&g.key, &mut entry).unwrap();
                     entry.extend_from_slice(&(g.len() as u32).to_le_bytes());
                     match compress_key {
                         None => entry.extend_from_slice(g.members.as_bytes()),
@@ -893,4 +918,102 @@ proptest! {
             }
         }
     }
+}
+
+/// The bytes of a string's length: one below 2^7, two below 2^14, three
+/// below 2^21, four below 2^28.
+fn len_bytes(len: usize) -> usize {
+    match len {
+        0..=0x7f => 1,
+        0x80..=0x3fff => 2,
+        0x4000..=0x1f_ffff => 3,
+        _ => 4,
+    }
+}
+
+/// Strings whose lengths sit at the edges of the varint's byte counts
+/// round-trip through every string reader, and their length takes the
+/// bytes LEB128 gives it.
+#[test]
+fn string_lengths_round_trip_at_the_varint_edges() {
+    let schema = Arc::new(Schema::new(vec![
+        ("s".to_string(), FieldType::Str),
+        ("n".to_string(), FieldType::Integer),
+    ]));
+    for len in [0, 127, 128, 16_383, 16_384, 1 << 21] {
+        let text = "x".repeat(len);
+        let record = rec![text.as_str(), 7];
+        let mut buf = Vec::new();
+        wire::encode_record(&record, &schema, &mut buf).unwrap();
+        assert_eq!(buf.len(), len_bytes(len) + len + 4, "length {len}");
+        let mut len_only = Vec::new();
+        wire::put_len(&mut len_only, len).unwrap();
+        assert_eq!(len_only, buf[..len_bytes(len)], "length {len}");
+        assert_eq!(Reader::new(&buf).read_len().unwrap(), len);
+        assert_eq!(reference::len(&mut Reader::new(&buf)).unwrap(), len);
+
+        let mut r = Reader::new(&buf);
+        assert_eq!(wire::decode_record(&mut r, &schema).unwrap(), record);
+        assert_eq!(r.remaining(), 0);
+        let mut r = Reader::new(&buf);
+        let view = ValueView::parse_field(&mut r, FieldType::Str).unwrap();
+        assert_eq!(view, ValueView::Str(&text));
+        let mut r = Reader::new(&buf);
+        let p = prefix::from_field(&mut r, FieldType::Str).unwrap();
+        assert_eq!(p, prefix::of_value(&Value::from(text.as_str())));
+        assert_eq!(r.remaining(), 4);
+        let mut r = Reader::new(&buf);
+        wire::skip_field(&mut r, FieldType::Str).unwrap();
+        assert_eq!(r.remaining(), 4);
+        let rows = Rows::new(schema.clone(), [&buf[..], &buf[..]].concat()).unwrap();
+        assert_eq!(rows.to_records(), vec![record.clone(), record.clone()]);
+        let mut tagged = Vec::new();
+        wire::encode_value(&Value::from(text.as_str()), &mut tagged).unwrap();
+        assert_eq!(tagged[1..], buf[..buf.len() - 4]);
+        let value = wire::decode_value(&mut Reader::new(&tagged)).unwrap();
+        assert_eq!(value, Value::from(text.as_str()));
+    }
+}
+
+/// A length cut short, a length with a redundant zero byte and a
+/// five-byte length above `u32::MAX` are typed errors — the same text from
+/// every string reader and from the reference — never a panic.
+#[test]
+fn malformed_string_lengths_are_typed_errors() {
+    let schema = Arc::new(Schema::new(vec![("s".to_string(), FieldType::Str)]));
+    let cases: [(&[u8], &str); 5] = [
+        (&[0x80], "truncated buffer"),
+        (&[0x80, 0x00], "not canonical"),
+        (&[0xff, 0x80, 0x00], "not canonical"),
+        (&[0xff, 0xff, 0xff, 0xff, 0x1f], "exceeds u32::MAX"),
+        (&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], "exceeds u32::MAX"),
+    ];
+    for (bytes, want) in cases {
+        let err = reference::len(&mut Reader::new(bytes)).unwrap_err();
+        assert!(err.0.contains(want), "{bytes:?}: {err}");
+        let errors = [
+            Reader::new(bytes).read_len().map(drop).unwrap_err(),
+            wire::decode_record(&mut Reader::new(bytes), &schema)
+                .map(drop)
+                .unwrap_err(),
+            ValueView::parse_field(&mut Reader::new(bytes), FieldType::Str)
+                .map(drop)
+                .unwrap_err(),
+            prefix::from_field(&mut Reader::new(bytes), FieldType::Str)
+                .map(drop)
+                .unwrap_err(),
+            wire::skip_field(&mut Reader::new(bytes), FieldType::Str).unwrap_err(),
+        ];
+        for got in errors {
+            assert_eq!(got, err, "{bytes:?}");
+        }
+        let rows = Rows::new(schema.clone(), bytes.to_vec()).unwrap_err();
+        assert_eq!(rows.0, format!("row 0: {err}"), "{bytes:?}");
+    }
+    // The largest length a string may have reads back; one more is refused.
+    let mut max = Vec::new();
+    wire::put_len(&mut max, u32::MAX as usize).unwrap();
+    assert_eq!(max, [0xff, 0xff, 0xff, 0xff, 0x0f]);
+    assert_eq!(Reader::new(&max).read_len().unwrap(), u32::MAX as usize);
+    assert!(wire::put_len(&mut max, u32::MAX as usize + 1).is_err());
 }

@@ -262,9 +262,10 @@ const BLAST_RUN_BYTES: f64 = 59.6;
 /// buffer per destination, each low-degree group into its own member
 /// rows, none decoded; the distribute's edges, which arrive already
 /// projected onto the output format — no `indegree` — and are gathered as
-/// rows, none decoded). A distribute that ships the count again, or a
-/// low-degree group decoded into records, fails it.
-const HYBRID_RUN_BYTES: f64 = 174.0;
+/// rows, none decoded). An edge row is its two ids with one length byte
+/// each. A distribute that ships the count again, a low-degree group
+/// decoded into records, or string lengths wider than a byte, fails it.
+const HYBRID_RUN_BYTES: f64 = 131.0;
 
 /// The Figure 10 `run` block slope: one member buffer per low-degree
 /// packed group, its rows copied from the inbox, not decoded.
@@ -335,7 +336,12 @@ fn pipeline_seams_copy_no_record() {
     // Load holds one copy of the input. A Figure 8 record is 16 bytes on
     // disk, read straight into its node's rows and never decoded; a
     // Figure 10 edge is a line, read whole and encoded into its row (the
-    // two ids with their lengths), never decoded — not a 72-byte record.
+    // two ids with their one-byte lengths, which take the places of the
+    // tab and the newline: the rows are exactly as long as the text),
+    // never decoded — not a 72-byte record.
+    for b in [&hybrid_small, &hybrid_large] {
+        assert_eq!(b.row_bytes, b.file_len, "edge rows are their text's length");
+    }
     let extra = (20_000 - 2_000) as f64;
     let line = (hybrid_large.file_len - hybrid_small.file_len) as f64 / extra;
     let row = (hybrid_large.row_bytes - hybrid_small.row_bytes) as f64 / extra;

@@ -351,6 +351,61 @@ fn a_packed_group_stage_restores_from_its_payload() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint written in format version 2 holds fragments whose
+/// strings carry `u32` lengths. Resuming one is refused with the typed
+/// version error before a fragment is read: the fragment files are left
+/// as they are, none quarantined, even when each is garbage.
+#[test]
+fn a_version_2_checkpoint_is_refused_before_a_fragment_is_read() {
+    use papar::mr::{checkpoint::MANIFEST, MrError};
+    let dir = tmpdir("version-2");
+    run_hybrid(1, Some((&dir, false))).unwrap();
+    // The header frame: `[len u32][fnv1a u64]`, then its payload: the
+    // header tag, the version (u32) and the fingerprint (u64).
+    let manifest = dir.join(MANIFEST);
+    let mut bytes = fs::read(&manifest).unwrap();
+    let payload = wire::FRAME_HEADER_LEN..wire::FRAME_HEADER_LEN + 13;
+    let version = payload.start + 1..payload.start + 5;
+    assert_eq!(bytes[version.clone()], 3u32.to_le_bytes());
+    bytes[version].copy_from_slice(&2u32.to_le_bytes());
+    let sum = wire::checksum(&bytes[payload]);
+    bytes[4..wire::FRAME_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    fs::write(&manifest, &bytes).unwrap();
+    let mut fragments: Vec<PathBuf> = (fs::read_dir(&dir).unwrap())
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().is_some_and(|n| n != MANIFEST))
+        .collect();
+    fragments.sort();
+    assert!(!fragments.is_empty(), "the run published no fragment");
+    for f in &fragments {
+        fs::write(f, b"not a fragment").unwrap();
+    }
+
+    let err =
+        run_hybrid(1, Some((&dir, true))).expect_err("a version 2 checkpoint must be refused");
+    assert!(
+        matches!(
+            err,
+            papar::core::error::CoreError::Mr(MrError::CheckpointVersion {
+                found: 2,
+                expected: 3
+            })
+        ),
+        "wrong error: {err:?}"
+    );
+    assert!(err.to_string().contains("refusing to resume"), "{err}");
+    let mut after: Vec<PathBuf> = (fs::read_dir(&dir).unwrap())
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().is_some_and(|n| n != MANIFEST))
+        .collect();
+    after.sort();
+    assert_eq!(after, fragments, "no fragment was quarantined");
+    for f in &fragments {
+        assert_eq!(fs::read(f).unwrap(), b"not a fragment");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_is_byte_identical_under_injected_faults() {
     let (fault_free, _) = run_blast(Cluster::new(3), options(true, 1), "4", None).unwrap();
