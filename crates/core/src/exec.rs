@@ -5,10 +5,10 @@
 use papar_mr::engine::{FnReducer, HashPartitioner, IdentityPartitioner, KeyedMapper, MapInput};
 use papar_mr::engine::{Mapper, PairKey, Reducer};
 use papar_mr::fault::RecoveryAction;
-use papar_mr::sampler::{self, RangePartitioner};
+use papar_mr::sampler::{self, IntCuts, RangePartitioner};
 use papar_mr::stats::{JobStats, NetModel, RecoveryStats};
+use papar_mr::{run_slots, Emit, EntryRef, MrError, Pairs, TaskCtx};
 use papar_mr::{CheckpointSession, Cluster, Entry, MapReduceJob, Partitioner};
-use papar_mr::{Emit, EntryRef, MrError, Pairs, TaskCtx};
 use papar_record::batch::{Batch, Dataset, Rows};
 use papar_record::packed::{pack_onto, PackedRecord};
 use papar_record::view::ENTRY_REC;
@@ -19,6 +19,8 @@ use papar_trace::{
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::iter::StepBy;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -643,6 +645,7 @@ impl WorkflowRunner {
                 )],
                 skew: None,
                 covers,
+                assembly: None,
             });
         }
         Ok(())
@@ -1147,7 +1150,7 @@ impl WorkflowRunner {
     /// reducer orders them (by run base, then within each fragment), so
     /// the committed bytes are identical to the two-job plan. Like the
     /// unfused pre-pass, the driver-side walk is not charged to the
-    /// virtual clock.
+    /// virtual clock; its wall time is on the stage's trace.
     #[allow(clippy::too_many_arguments)]
     fn run_fused_sort_distribute(
         &self,
@@ -1166,7 +1169,11 @@ impl WorkflowRunner {
         let temp = format!("__fused:{}", sjob.output());
         let stats =
             self.run_sort_into(cluster, sjob, stage_id, &temp, release, sample_time, notes)?;
+        let t0 = Instant::now();
         self.assemble_distribute(cluster, &self.plan.jobs[dist_idx], &temp)?;
+        if cluster.tracing() {
+            cluster.annotate_last_job_assembly(t0.elapsed());
+        }
         Ok(stats)
     }
 
@@ -1195,7 +1202,22 @@ impl WorkflowRunner {
             Some(rows)
                 if out_format == Format::Flat && projection.is_none() && !rows.is_empty() =>
             {
-                Some(route_rows(&rows, out_schema, num_partitions, part_of)?)
+                let indices = |p| policy.indices_of(p, total, num_partitions);
+                Some(match out_schema.binary_record_width() {
+                    Some(width) => {
+                        let threads = (cluster.threads())
+                            .min((total * width).div_ceil(ASSEMBLY_BYTES_PER_THREAD));
+                        stride_partitions(
+                            &rows,
+                            out_schema,
+                            width,
+                            num_partitions,
+                            threads,
+                            indices,
+                        )?
+                    }
+                    None => route_rows(&rows, out_schema, num_partitions, part_of)?,
+                })
             }
             _ => None,
         };
@@ -1394,6 +1416,8 @@ fn field_type_tag(ty: papar_config::input::FieldType) -> u8 {
 /// order, so a reducer that orders its runs by base holds its entries in
 /// global order, whatever the fragments' layout across nodes. The entry is
 /// routed on all of its fields and ships projected onto the output format.
+/// Under an index-routed policy, a fragment of fixed-width rows goes as
+/// one batch when it can ([`Emit::push_rows_to`]).
 struct DistributeMapper {
     offsets: HashMap<(String, u32), u64>,
     policy: DistrPolicy,
@@ -1409,13 +1433,23 @@ impl Mapper for DistributeMapper {
         for mi in inputs {
             let base = fragment_base(&self.offsets, &mi.name, mi.ordinal)?;
             out.set_base(base);
+            let by_index = |local: usize| {
+                (self.policy).partition_of_index(
+                    base as usize + local,
+                    self.total,
+                    self.num_partitions,
+                )
+            };
+            if let (DistrPolicy::Cyclic | DistrPolicy::Block, Batch::Rows(rows)) =
+                (self.policy, &mi.data.batch)
+            {
+                if out.push_rows_to(rows, by_index)? {
+                    continue;
+                }
+            }
             for (local, entry) in EntryRef::all(&mi.data.batch).enumerate() {
                 let part = match self.policy {
-                    DistrPolicy::Cyclic | DistrPolicy::Block => self.policy.partition_of_index(
-                        base as usize + local,
-                        self.total,
-                        self.num_partitions,
-                    ),
+                    DistrPolicy::Cyclic | DistrPolicy::Block => by_index(local),
                     DistrPolicy::GraphVertexCut => {
                         let routing = match entry {
                             // A whole low-degree group travels to the
@@ -1461,6 +1495,10 @@ impl Partitioner for SortPartitioner {
         } else {
             r
         })
+    }
+
+    fn int_cuts(&self) -> Option<IntCuts<'_>> {
+        (self.range.int_cuts()).map(|cuts| cuts.reversed(self.descending))
     }
 }
 
@@ -1853,6 +1891,42 @@ fn route_rows(
         .collect()
 }
 
+/// Row bytes that pay for one more assembly thread: below about this much,
+/// starting threads costs more than it saves. On a 2-core host, 500 Fig 8
+/// rows took 50–98 µs on two threads and 14–21 µs on one; 500,000 rows
+/// took 6.4–8.9 ms on one and 3.8–5.1 ms on two.
+const ASSEMBLY_BYTES_PER_THREAD: usize = 1 << 20;
+
+/// The fused assembly over fixed-width rows: partition `p` copies the rows
+/// of global ranks `indices(p)` by stride over the sorted fragments into
+/// an exact-size buffer, the partitions filling in parallel on `threads`
+/// threads. A policy with no index ranges routes nothing here.
+fn stride_partitions(
+    frags: &[&Rows],
+    schema: &Arc<Schema>,
+    width: usize,
+    num_partitions: usize,
+    threads: usize,
+    indices: impl Fn(usize) -> Option<StepBy<Range<usize>>> + Sync,
+) -> Result<Vec<Batch>> {
+    let parts = run_slots(num_partitions, threads, |p| {
+        let ranks =
+            indices(p).ok_or_else(|| CoreError::exec("a value-routed policy has no ranks"))?;
+        let mut bytes = Vec::with_capacity(ranks.len() * width);
+        let mut ranks = ranks.peekable();
+        let mut base = 0;
+        for rows in frags {
+            let (src, end) = (rows.as_bytes(), base + rows.len());
+            while let Some(g) = ranks.next_if(|&g| g < end) {
+                bytes.extend_from_slice(&src[(g - base) * width..][..width]);
+            }
+            base = end;
+        }
+        Ok(Batch::Rows(Rows::new(schema.clone(), bytes)?))
+    });
+    parts.into_iter().collect()
+}
+
 /// The fused assembly over decoded entries: each moved once, by global
 /// rank, into its exact-size partition.
 fn route_entries(
@@ -2140,6 +2214,41 @@ mod tests {
         Ok(())
     }
 
+    /// The parallel stride assembly fills each partition with exactly the
+    /// rows, in order, that the sequential walk routes to it: cyclic and
+    /// block, over fragments empty and not, with fewer and more partitions
+    /// than rows, at every thread count.
+    #[test]
+    fn stride_assembly_routes_what_the_walk_routes() -> Result<()> {
+        let schema = Arc::new(Schema::new(vec![("k", FieldType::Long)]));
+        let mut next = 0i64;
+        let frags = [0, 7, 0, 9, 7]
+            .map(|len| {
+                let records: Vec<Record> = (next..next + len).map(|k| rec![k * 5]).collect();
+                next += len;
+                Rows::from_records(schema.clone(), &records)
+            })
+            .into_iter()
+            .collect::<papar_record::Result<Vec<Rows>>>()?;
+        let frags: Vec<&Rows> = frags.iter().collect();
+        let total = 23;
+        for policy in [DistrPolicy::Cyclic, DistrPolicy::Block] {
+            for parts in [1, 3, 8, 30] {
+                let part_of = |g| policy.partition_of_index(g, total, parts);
+                let walked = route_rows(&frags, &schema, parts, part_of)?;
+                for threads in [1, 2, 3] {
+                    let indices = |p| policy.indices_of(p, total, parts);
+                    let strided = stride_partitions(&frags, &schema, 8, parts, threads, indices)?;
+                    assert_eq!(
+                        strided, walked,
+                        "{policy:?} into {parts} on {threads} threads"
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The sort sampler reads the same keys from rows, records and
     /// groups.
     #[test]
@@ -2175,6 +2284,51 @@ mod tests {
     }
 
     proptest! {
+        /// A sort's partitioner routes an integer key by its cuts to the
+        /// reducer `reducer_for` routes it to as a `Value`, or to the same
+        /// error, ascending and descending: over sampled boundaries (so
+        /// collapsed or empty ones) of `int` or `long` keys around ±2^53
+        /// and the ends of `i64`, keys equal to a boundary included.
+        #[test]
+        fn sort_routing_by_integer_cuts_matches_reducer_for(
+            long in any::<bool>(),
+            descending in any::<bool>(),
+            sample in prop::collection::vec(
+                prop_oneof![
+                    -3i64..3,
+                    Just(i64::MIN),
+                    Just(i64::MAX),
+                    (1i64 << 53) - 2..(1i64 << 53) + 3,
+                ],
+                0..24,
+            ),
+            requested in 1usize..9,
+            short in 0usize..2,
+        ) {
+            let value = |k: i64| match long {
+                true => Value::Long(k),
+                false => Value::Int(k.clamp(i32::MIN.into(), i32::MAX.into()) as i32),
+            };
+            let sample: Vec<Value> = sample.into_iter().map(value).collect();
+            let boundaries =
+                sampler::boundaries_from_samples(std::slice::from_ref(&sample), requested)
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let num_reducers = (boundaries.len() + 1 - short).max(1);
+            let p = SortPartitioner {
+                range: RangePartitioner::new(boundaries),
+                descending,
+                num_reducers,
+            };
+            let cuts = p.int_cuts();
+            prop_assert!(cuts.is_some());
+            let probes = sample.into_iter().chain([-4, 0, 4, i64::MIN, i64::MAX].map(value));
+            for key in probes {
+                let got = cuts.zip(key.as_i64()).map(|(c, k)| c.reducer_for(k, num_reducers));
+                let want = p.reducer_for(&key, num_reducers);
+                prop_assert_eq!(format!("{got:?}"), format!("{:?}", Some(want)), "{:?}", key);
+            }
+        }
+
         /// Arbitrary bytes, every truncation and every single corrupted
         /// byte of a checkpoint fragment payload decode to a dataset or a
         /// typed error: never a panic or an abort.

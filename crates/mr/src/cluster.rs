@@ -5,6 +5,7 @@ use papar_record::batch::{block_sizes, Batch, Dataset};
 use papar_record::{wire, Schema};
 use papar_trace::{CostModel, JobTrace, NoopSink, PhaseTrace, TraceSink, WorkflowTrace};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::fault::{ExchangeFaultKind, Fault, FaultPlan, RecoveryAction, RetryPolicy};
 use crate::stats::{ExchangeStats, NetModel, RecoveryStats};
@@ -163,6 +164,12 @@ impl Cluster {
     /// for.
     pub fn annotate_last_job_trace(&mut self, covers: Vec<String>) {
         self.tracer.annotate_last_job(covers);
+    }
+
+    /// Record the wall time a fused stage spent on the driver after its
+    /// engine job, outside the virtual clock, on that job's trace.
+    pub fn annotate_last_job_assembly(&mut self, wall: Duration) {
+        self.tracer.annotate_last_job_assembly(wall);
     }
 
     /// Set the engine's OS-thread budget (builder form). See

@@ -42,7 +42,7 @@
 //! node order after the join.
 
 use papar_config::input::FieldType;
-use papar_record::batch::{Batch, Dataset, RowRef};
+use papar_record::batch::{Batch, Dataset, RowRef, Rows};
 use papar_record::compress;
 use papar_record::packed::PackedRecord;
 use papar_record::prefix;
@@ -60,6 +60,7 @@ use std::time::Duration;
 use crate::cluster::{Cluster, Inbox};
 use crate::fault::{Fault, RecoveryAction, RetryPolicy};
 use crate::pairs::{KeyAt, Layout, Order, PairLoc, Pairs, StrideRun, IDX_BITS, IDX_MASK};
+use crate::sampler::IntCuts;
 use crate::stats::{HotPathStats, JobStats, NetModel, RecoveryStats};
 use crate::timer::TaskTimer;
 use crate::{MrError, Result, TaskPhase};
@@ -266,6 +267,21 @@ pub struct Emit<'a> {
     key: PairKey,
     /// The mapper's [`Mapper::projection`].
     projection: Option<&'a [usize]>,
+    /// Bytes per entry, when the map output schema is fixed-width and the
+    /// mapper projects nothing: a batch of its rows ships by stride
+    /// ([`Emit::push_rows`], [`Emit::push_rows_to`]).
+    width: Option<usize>,
+    /// Where a fixed-width row's key lies (its offset, and whether it is a
+    /// `long` rather than an `int`) and the partitioner's integer cuts,
+    /// when the mapper keys by such a field and the partitioner has them.
+    row_key: Option<(usize, bool, IntCuts<'a>)>,
+    /// The rows of the batch being pushed bound for each reducer.
+    counts: Vec<usize>,
+    /// Pairs pushed as rows by stride.
+    stride_rows: usize,
+    /// The stride path's CPU: routing a batch (its reducers, its runs
+    /// opened and its segments sized) and copying its rows.
+    split: [Duration; 2],
 }
 
 /// A reducer's open run in its segment: where its header starts, its base
@@ -293,6 +309,23 @@ impl OpenRun {
 struct Emitted {
     pairs: usize,
     lo: u64,
+    /// Of `pairs`, those pushed as rows by stride.
+    stride_rows: usize,
+    /// [`Emit`]'s `split`.
+    split: [Duration; 2],
+}
+
+impl Emitted {
+    /// How the task pushed its pairs, for `--profile`: `stride rows`,
+    /// `entries` (one at a time), both, or nothing when it pushed none.
+    fn path(&self) -> &'static str {
+        match (self.stride_rows, self.pairs - self.stride_rows) {
+            (0, 0) => "",
+            (_, 0) => "stride rows",
+            (0, _) => "entries",
+            _ => "stride rows + entries",
+        }
+    }
 }
 
 impl<'a> Emit<'a> {
@@ -305,10 +338,30 @@ impl<'a> Emit<'a> {
         sent: &'a mut [usize],
         skew: Option<&'a mut SkewHistogram>,
     ) -> Self {
+        let schema = &job.map_output_schema;
+        let projection = job.mapper.projection();
+        let width = schema
+            .binary_record_width()
+            .filter(|_| projection.is_none());
+        let key = job.mapper.key();
+        let row_key = match key {
+            PairKey::Field(field) if width.is_some() => {
+                let field = KeyField::new(schema, field).ok();
+                match field.map(|f| (f.ty(), f.offset())) {
+                    Some((FieldType::Integer, Some(at))) => Some((at, false)),
+                    Some((FieldType::Long, Some(at))) => Some((at, true)),
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        let row_key = row_key
+            .zip(job.partitioner.int_cuts())
+            .map(|((at, long), cuts)| (at, long, cuts));
         Emit {
             partitioner: job.partitioner,
             num_reducers: job.num_reducers,
-            schema: &job.map_output_schema,
+            schema,
             compress_key: job.compress_key,
             runs: vec![OpenRun::default(); segs.len()],
             segs,
@@ -319,8 +372,13 @@ impl<'a> Emit<'a> {
             pairs: 0,
             lo: 0,
             row_schema: None,
-            key: job.mapper.key(),
-            projection: job.mapper.projection(),
+            key,
+            projection,
+            width,
+            row_key,
+            counts: Vec::new(),
+            stride_rows: 0,
+            split: [Duration::ZERO; 2],
         }
     }
 
@@ -378,6 +436,136 @@ impl<'a> Emit<'a> {
         self.base = base;
     }
 
+    /// Push every row of `rows` as [`Emit::push_entry`] would push each,
+    /// routed by the key read at its constant offset through the
+    /// partitioner's integer cuts ([`Partitioner::int_cuts`]): each
+    /// segment receives the same bytes, and the task counts the same
+    /// pairs, bytes and skew. The rows' layout is checked once for the
+    /// batch. `Ok(false)`, with nothing pushed, when the batch cannot go
+    /// this way — the mapper keys by no `int` or `long` field at a fixed
+    /// offset, the entries are not fixed-width, the mapper projects, or
+    /// the partitioner has no integer cuts; the mapper then pushes the
+    /// rows one at a time.
+    pub fn push_rows(&mut self, rows: &Rows) -> Result<bool> {
+        let Some((at, long, cuts)) = self.row_key else {
+            return Ok(false);
+        };
+        let n = self.num_reducers;
+        self.stride_rows(rows, |row, _| {
+            cuts.reducer_for(int_key(&row[at..], long), n)
+        })
+    }
+
+    /// Push every row of `rows` as [`Emit::push_to`] would push each, row
+    /// `i` to reducer `reducer_of(i)`, with what [`Emit::push_rows`]
+    /// keeps. `Ok(false)`, with nothing pushed, when the mapper is not
+    /// keyless, the entries are not fixed-width, or the mapper projects.
+    pub fn push_rows_to(
+        &mut self,
+        rows: &Rows,
+        reducer_of: impl Fn(usize) -> usize,
+    ) -> Result<bool> {
+        if self.key != PairKey::None {
+            return Ok(false);
+        }
+        self.stride_rows(rows, |_, i| Ok(reducer_of(i)))
+    }
+
+    /// The stride path: route every row of `rows` (`reducer_of(row, i)`),
+    /// open each reducer's run and size its segment for the batch, then
+    /// copy the rows.
+    fn stride_rows(
+        &mut self,
+        rows: &Rows,
+        mut reducer_of: impl FnMut(&[u8], usize) -> Result<usize>,
+    ) -> Result<bool> {
+        let Some(width) = self.width else {
+            return Ok(false);
+        };
+        if rows.is_empty() {
+            return Ok(true);
+        }
+        check_layout(&mut self.row_schema, rows.schema(), self.schema, None)?;
+        let timer = TaskTimer::start();
+        let (bytes, n) = (rows.as_bytes(), self.num_reducers);
+        self.counts.clear();
+        self.counts.resize(n, 0);
+        for (i, row) in bytes.chunks_exact(width).enumerate() {
+            let reducer = reducer_of(row, i)?;
+            if reducer >= n {
+                return Err(MrError::PartitionOutOfRange {
+                    id: reducer as i64,
+                    num_reducers: n,
+                });
+            }
+            self.counts[reducer] += 1;
+        }
+        let nodes = self.sent.len();
+        for reducer in 0..n {
+            let count = self.counts[reducer];
+            if count == 0 {
+                continue;
+            }
+            self.sent[reducer % nodes] += count;
+            let remote = reducer % nodes != self.node;
+            let header = self.open_run(reducer, ENTRY_REC, remote, count * width)?;
+            self.runs[reducer].count += count;
+            self.lo += (count * width) as u64 * u64::from(remote);
+            if let Some(sk) = self.skew.as_deref_mut() {
+                sk.records[reducer] += count as u64;
+                sk.bytes[reducer] += (header + count * width) as u64;
+            }
+        }
+        let routed = timer.elapsed();
+        // The routing pass found every reducer in range: route again
+        // rather than keep each row's reducer.
+        for (i, row) in bytes.chunks_exact(width).enumerate() {
+            self.segs[reducer_of(row, i)?].extend_from_slice(row);
+        }
+        self.split[0] += routed;
+        self.split[1] += timer.elapsed().saturating_sub(routed);
+        self.pairs += rows.len();
+        self.stride_rows += rows.len();
+        Ok(true)
+    }
+
+    /// Ready reducer `reducer`'s segment for pairs tagged `tag`: write its
+    /// header placeholder if it has none yet, and open a new run unless
+    /// its open run takes them (same tag, same base). With `room > 0`, the
+    /// segment is first sized for that many more pair bytes: exactly when
+    /// it is empty. Returns the run header bytes written.
+    fn open_run(&mut self, reducer: usize, tag: u8, remote: bool, room: usize) -> Result<usize> {
+        let buf = &mut self.segs[reducer];
+        let run = &mut self.runs[reducer];
+        let opens = run.count == 0 || run.tag != tag || run.base != self.base;
+        let header = RUN_HEADER * usize::from(opens);
+        if room > 0 {
+            if buf.is_empty() {
+                buf.reserve_exact(SEGMENT_HEADER + header + room);
+            } else {
+                buf.reserve(header + room);
+            }
+        }
+        if buf.is_empty() {
+            // Filled in by `seal_segments` once the task commits.
+            buf.extend_from_slice(&[0; SEGMENT_HEADER]);
+            self.lo += SEGMENT_HEADER as u64 * u64::from(remote);
+        }
+        if opens {
+            run.close(buf)?;
+            *run = OpenRun {
+                at: buf.len(),
+                base: self.base,
+                tag,
+                count: 0,
+            };
+            buf.extend_from_slice(&self.base.to_le_bytes());
+            buf.extend_from_slice(&[0; 4]);
+            buf.push(tag);
+        }
+        Ok(header)
+    }
+
     /// Encode the pair `(key?, entry)` into reducer `reducer`'s segment,
     /// in its open run or in a new one.
     fn encode(&mut self, reducer: usize, key: Option<&Value>, entry: EntryRef<'_>) -> Result<()> {
@@ -392,28 +580,11 @@ impl<'a> Emit<'a> {
         let nodes = self.sent.len();
         self.sent[reducer % nodes] += 1;
         let remote = reducer % nodes != self.node;
-        let buf = &mut self.segs[reducer];
-        if buf.is_empty() {
-            // Filled in by `seal_segments` once the task commits.
-            buf.extend_from_slice(&[0; SEGMENT_HEADER]);
-            self.lo += SEGMENT_HEADER as u64 * u64::from(remote);
-        }
-        let len_before = buf.len();
         let tag = entry_tag(entry, self.compress_key);
-        let run = &mut self.runs[reducer];
-        if run.count == 0 || run.tag != tag || run.base != self.base {
-            run.close(buf)?;
-            *run = OpenRun {
-                at: buf.len(),
-                base: self.base,
-                tag,
-                count: 0,
-            };
-            buf.extend_from_slice(&self.base.to_le_bytes());
-            buf.extend_from_slice(&[0; 4]);
-            buf.push(tag);
-        }
-        run.count += 1;
+        let header = self.open_run(reducer, tag, remote, 0)?;
+        self.runs[reducer].count += 1;
+        let buf = &mut self.segs[reducer];
+        let len_before = buf.len() - header;
         if let Some(key) = key {
             wire::encode_value(key, buf)?;
         }
@@ -452,6 +623,8 @@ impl<'a> Emit<'a> {
         Ok(Emitted {
             pairs: self.pairs,
             lo: self.lo,
+            stride_rows: self.stride_rows,
+            split: self.split,
         })
     }
 }
@@ -464,6 +637,15 @@ pub trait Partitioner: Sync {
     /// job's reducer range (a buggy or mis-bound policy must fail
     /// loudly, not silently skew the last reducer).
     fn reducer_for(&self, key: &Value, num_reducers: usize) -> Result<usize>;
+
+    /// The partitioner as integer range cuts, when it is one: for every
+    /// `int` or `long` key `k`, `int_cuts().reducer_for(k, n)` must answer
+    /// exactly what `reducer_for` answers for `k` as a [`Value`], errors
+    /// included. [`Emit::push_rows`] then routes a batch of fixed-width
+    /// rows by the key read from each row. The default: `None`.
+    fn int_cuts(&self) -> Option<IntCuts<'_>> {
+        None
+    }
 }
 
 /// A reduce task: a reducer's pairs in deterministic order in, one batch
@@ -492,7 +674,9 @@ where
 
 /// The map task of a job keyed by a field of its entries (sort, group):
 /// every input entry, borrowed from its fragment, pushed alone
-/// ([`Emit::push_entry`]); both sides read the key from the entry.
+/// ([`Emit::push_entry`]); both sides read the key from the entry. A
+/// fragment of fixed-width rows goes as one batch when it can
+/// ([`Emit::push_rows`]).
 pub struct KeyedMapper {
     /// The key field of every entry (a packed group's: of its first member).
     pub key_field: usize,
@@ -501,6 +685,11 @@ pub struct KeyedMapper {
 impl Mapper for KeyedMapper {
     fn map(&self, _: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> Result<()> {
         for mi in inputs {
+            if let Batch::Rows(rows) = &mi.data.batch {
+                if out.push_rows(rows)? {
+                    continue;
+                }
+            }
             for entry in EntryRef::all(&mi.data.batch) {
                 out.push_entry(entry)?;
             }
@@ -2131,7 +2320,11 @@ impl Cluster {
                 pairs,
                 ..att.counters()
             };
-            att.span(pc, node, (records_in, pairs, encoded), counters)
+            TaskTrace {
+                map_path: emitted.path(),
+                map_split: emitted.split,
+                ..att.span(pc, node, (records_in, pairs, encoded), counters)
+            }
         });
         let out = MapOutput {
             row,
@@ -2445,6 +2638,7 @@ fn job_trace(
         ],
         skew,
         covers: Vec::new(),
+        assembly: None,
     }
 }
 
@@ -2474,6 +2668,7 @@ fn local_trace(stats: &JobStats, net: &NetModel, tasks: Vec<TaskTrace>) -> JobTr
         phases,
         skew: None,
         covers: Vec::new(),
+        assembly: None,
     }
 }
 
@@ -3301,6 +3496,225 @@ mod tests {
             let clean = rows(0)?;
             assert!(clean.iter().flatten().any(|m| !m.is_empty()));
             assert_eq!(rows(1)?, clean, "{:?}", mapper.key());
+        }
+        Ok(())
+    }
+
+    /// Routes by a [`RangePartitioner`]'s ranges, in reverse reducer order
+    /// when `.1` (a descending sort's flip), and offers its integer cuts.
+    struct Ranges(crate::RangePartitioner, bool);
+
+    impl Partitioner for Ranges {
+        fn reducer_for(&self, key: &Value, n: usize) -> Result<usize> {
+            let r = self.0.reducer_for(key, n)?;
+            Ok(if self.1 { n - 1 - r } else { r })
+        }
+
+        fn int_cuts(&self) -> Option<IntCuts<'_>> {
+            self.0.int_cuts().map(|cuts| cuts.reversed(self.1))
+        }
+    }
+
+    /// A keyless push's reducer for row `i` of a fragment based at `base`:
+    /// reducer 4 gets nothing.
+    fn by_index(base: u64) -> impl Fn(usize) -> usize {
+        move |i| (base as usize + i) * 3 % (REDUCERS - 1)
+    }
+
+    /// What a map task on node 1 sends and counts: its outbox row, its
+    /// pairs per node, its share of the shuffle's lower bound, its pairs
+    /// and its skew.
+    type Sent = (Vec<Vec<u8>>, Vec<usize>, u64, usize, SkewHistogram);
+
+    /// [`Sent`] after pushing `frags`, each `(base, rows)`: fragment `k` as
+    /// one batch when `batch(k)`, else row by row. The pushes run
+    /// `attempts` times over the same segment buffers, cleared in between
+    /// as a retried map task clears them.
+    fn map_rows(
+        job: &MapReduceJob<'_>,
+        frags: &[(u64, Rows)],
+        batch: impl Fn(usize) -> bool,
+        attempts: usize,
+    ) -> Result<Sent> {
+        let keyless = job.mapper.key() == PairKey::None;
+        let mut segs = vec![Vec::new(); REDUCERS];
+        let mut sent = vec![0; NODES];
+        let mut skew = SkewHistogram::new(REDUCERS);
+        let mut counted = (0, 0);
+        for _ in 0..attempts {
+            segs.iter_mut().for_each(Vec::clear);
+            sent.fill(0);
+            skew.reset();
+            let mut emit = Emit::new(job, 1, &mut segs, &mut sent, Some(&mut skew));
+            for (k, (base, rows)) in frags.iter().enumerate() {
+                emit.set_base(*base);
+                if batch(k) {
+                    let pushed = if keyless {
+                        emit.push_rows_to(rows, by_index(*base))?
+                    } else {
+                        emit.push_rows(rows)?
+                    };
+                    assert!(pushed, "fragment {k} goes as a batch");
+                    continue;
+                }
+                for (i, row) in rows.iter().enumerate() {
+                    if keyless {
+                        emit.push_to(by_index(*base)(i), EntryRef::Row(row))?;
+                    } else {
+                        emit.push_entry(EntryRef::Row(row))?;
+                    }
+                }
+            }
+            let emitted = emit.finish()?;
+            counted = (emitted.lo, emitted.pairs);
+        }
+        let row = seal_segments(&mut segs, NODES)?;
+        Ok((row, sent, counted.0, counted.1, skew))
+    }
+
+    proptest! {
+        /// Fixed-width rows pushed as batches leave the outbox bytes, the
+        /// pairs per node, the shuffle's lower bound and the skew that
+        /// pushing them one at a time leaves, errors included: keyed by an
+        /// `int` or a `long` through range cuts in either reducer order, or
+        /// keyless by index; over fragments at repeating bases, batches and
+        /// single rows mixed; and again on a retried attempt's buffers.
+        #[test]
+        fn row_batches_emit_what_their_rows_do(
+            long in any::<bool>(),
+            reversed in any::<bool>(),
+            keyless in any::<bool>(),
+            mut cuts in prop::collection::vec(-40i64..40, 0..6),
+            frags in prop::collection::vec(
+                (0u64..3, prop::collection::vec(-50i64..50, 0..30)),
+                1..5,
+            ),
+            mixed in any::<u8>(),
+        ) {
+            cuts.sort_unstable();
+            let value = |k: i64| if long { Value::Long(k) } else { Value::Int(k as i32) };
+            let ranges = Ranges(
+                crate::RangePartitioner::new(cuts.iter().map(|&c| value(c)).collect()),
+                reversed,
+            );
+            let key = if keyless { PairKey::None } else { PairKey::Field(0) };
+            let mapper = Declares(key);
+            let job = test_job(&mapper, &ranges, keyed_schema(long));
+            let frags = (frags.iter())
+                .map(|(base, keys)| {
+                    let records: Vec<Record> = (keys.iter().enumerate())
+                        .map(|(i, &k)| Record::new(vec![value(k), Value::Int(i as i32)]))
+                        .collect();
+                    Ok((base * 100, Rows::from_records(keyed_schema(long), &records)?))
+                })
+                .collect::<Result<Vec<_>>>();
+            let frags = frags.map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let want = format!("{:?}", map_rows(&job, &frags, |_| false, 1));
+            let all = map_rows(&job, &frags, |_| true, 2);
+            prop_assert_eq!(format!("{all:?}"), want.clone());
+            let some = map_rows(&job, &frags, |k| mixed >> k & 1 == 1, 1);
+            prop_assert_eq!(format!("{some:?}"), want);
+        }
+    }
+
+    /// Rows of another layout are refused with the layout error as a
+    /// batch, as they are row by row; an empty batch pushes nothing.
+    #[test]
+    fn a_batch_of_another_layout_keeps_its_typed_error() -> Result<()> {
+        let ranges = Ranges(crate::RangePartitioner::new(vec![Value::Long(0)]), false);
+        let mapper = Declares(PairKey::Field(0));
+        let job = test_job(&mapper, &ranges, keyed_schema(true));
+        // As wide as the map output's 12-byte records, with other types.
+        let swapped = Arc::new(Schema::new(vec![
+            ("v", FieldType::Integer),
+            ("k", FieldType::Long),
+        ]));
+        let record = Record::new(vec![Value::Int(1), Value::Long(2)]);
+        let rows = Rows::from_records(swapped.clone(), &[record])?;
+        let refused = |batch: bool| {
+            let pushed = map_rows(&job, &[(0, rows.clone())], |_| batch, 1);
+            pushed.err().map(|e| e.to_string())
+        };
+        let error = refused(true);
+        assert!(
+            error
+                .as_ref()
+                .is_some_and(|e| e.contains("do not ship as records")),
+            "{error:?}"
+        );
+        assert_eq!(error, refused(false));
+        let empty = Rows::new(swapped, Vec::new())?;
+        let (row, sent, ..) = map_rows(&job, &[(0, empty)], |_| true, 1)?;
+        assert!(row.iter().all(Vec::is_empty) && sent.iter().all(|&s| s == 0));
+        Ok(())
+    }
+
+    /// A map task over row fragments sends, on its first attempt and on a
+    /// retried one, the bytes a mapper pushing one row at a time sends,
+    /// and its span names the path it took.
+    #[test]
+    fn stride_map_tasks_send_what_entry_map_tasks_send() -> Result<()> {
+        /// Pushes every entry alone, keyed by field 0.
+        struct OneByOne;
+        impl Mapper for OneByOne {
+            fn map(&self, _: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> Result<()> {
+                for mi in inputs {
+                    EntryRef::all(&mi.data.batch).try_for_each(|entry| out.push_entry(entry))?;
+                }
+                Ok(())
+            }
+
+            fn key(&self) -> PairKey {
+                PairKey::Field(0)
+            }
+        }
+        let mut cluster = Cluster::new(NODES).with_replication(1);
+        let fragments = (0..2 * NODES as i64)
+            .map(|f| {
+                let records: Vec<Record> = (0..20 + f)
+                    .map(|k| Record::new(vec![Value::Long(k * 37 % 29 - f), Value::Int(k as i32)]))
+                    .collect();
+                let rows = Rows::from_records(keyed_schema(true), &records)?;
+                Ok(Arc::new(Dataset::new(
+                    keyed_schema(true),
+                    Batch::Rows(rows),
+                )))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        cluster.place("in", fragments)?;
+        let cuts = [-3, 5, 12].map(Value::Long).to_vec();
+        let ranges = Ranges(crate::RangePartitioner::new(cuts), true);
+        let keyed = KeyedMapper { key_field: 0 };
+        // Every node's outbox row, each task's span naming `path`.
+        let sends = |mapper: &dyn Mapper, crashes: u32, path: &str| -> Result<Vec<Vec<Vec<u8>>>> {
+            let mut job = test_job(mapper, &ranges, keyed_schema(true));
+            job.inputs = vec!["in".into()];
+            let pc = PhaseCtx {
+                name: &job.name,
+                job_idx: 0,
+                phase: TaskPhase::Map,
+                n: NODES,
+                slots: 1,
+                retry: cluster.retry_policy(),
+                crashes: vec![crashes; NODES],
+                stragglers: vec![1.0; NODES],
+                threads: 1,
+                tracing: true,
+                cost: cluster.cost_model(),
+                net: *cluster.net(),
+            };
+            (0..NODES)
+                .map(|node| {
+                    let outcome = cluster.map_task(&pc, &job, node)?;
+                    assert_eq!(outcome.trace.map_or("", |t| t.map_path), path);
+                    Ok(outcome.out.row)
+                })
+                .collect()
+        };
+        let entries = sends(&OneByOne, 0, "entries")?;
+        for crashes in [0, 1] {
+            let stride = sends(&keyed, crashes, "stride rows")?;
+            assert_eq!(stride, entries, "{crashes} crash(es)");
         }
         Ok(())
     }

@@ -62,7 +62,7 @@ pub use engine::{
 };
 pub use fault::{ChaosSpec, Fault, FaultPlan, RecoveryAction, RetryPolicy};
 pub use pairs::{Pairs, Runs};
-pub use sampler::RangePartitioner;
+pub use sampler::{IntCuts, RangePartitioner};
 pub use stats::{JobStats, NetModel, RecoveryStats};
 
 /// The phase of a MapReduce task, used in fault injection and error

@@ -68,6 +68,9 @@ pub struct RangePartitioner {
     boundaries: Vec<Value>,
     /// `(packed66, exact)` per boundary, parallel to `boundaries`.
     prefixes: Vec<(u128, bool)>,
+    /// The boundaries as `i64`s, when every one is an `Int` or a `Long`
+    /// and they ascend ([`Partitioner::int_cuts`]).
+    ints: Option<Vec<i64>>,
 }
 
 impl RangePartitioner {
@@ -81,9 +84,18 @@ impl RangePartitioner {
                 (p.packed66(), p.exact)
             })
             .collect();
+        let ints = (boundaries.iter())
+            .map(|b| match b {
+                Value::Int(i) => Some(i64::from(*i)),
+                Value::Long(l) => Some(*l),
+                _ => None,
+            })
+            .collect::<Option<Vec<i64>>>()
+            .filter(|cuts| cuts.is_sorted());
         RangePartitioner {
             boundaries,
             prefixes,
+            ints,
         }
     }
 
@@ -138,11 +150,64 @@ impl Partitioner for RangePartitioner {
         }
         Ok(r)
     }
+
+    fn int_cuts(&self) -> Option<IntCuts<'_>> {
+        self.ints.as_deref().map(IntCuts::new)
+    }
+}
+
+/// A range partitioner's cuts as `i64`s, for routing integer keys without
+/// building a [`Value`] ([`Partitioner::int_cuts`]): a key's reducer is the
+/// number of cuts at or below it, read from the far end when the reducer
+/// order is reversed (a descending sort).
+#[derive(Debug, Clone, Copy)]
+pub struct IntCuts<'a> {
+    /// Ascending.
+    cuts: &'a [i64],
+    reversed: bool,
+}
+
+impl<'a> IntCuts<'a> {
+    /// Route by `cuts`, which must ascend, in reducer order.
+    pub(crate) fn new(cuts: &'a [i64]) -> Self {
+        debug_assert!(cuts.is_sorted());
+        IntCuts {
+            cuts,
+            reversed: false,
+        }
+    }
+
+    /// The same cuts, with reducer `r` renamed `num_reducers - 1 - r`
+    /// when `reversed`.
+    pub fn reversed(self, reversed: bool) -> Self {
+        IntCuts { reversed, ..self }
+    }
+
+    /// The reducer of `key`, or [`crate::MrError::PartitionOutOfRange`]
+    /// when more cuts lie at or below it than `num_reducers` allows —
+    /// exactly what the partitioner's `reducer_for` answers for the key as
+    /// a `Value`.
+    #[inline]
+    pub fn reducer_for(&self, key: i64, num_reducers: usize) -> Result<usize> {
+        let r = self.cuts.partition_point(|&c| c <= key);
+        if r >= num_reducers {
+            return Err(crate::MrError::PartitionOutOfRange {
+                id: r as i64,
+                num_reducers,
+            });
+        }
+        Ok(if self.reversed {
+            num_reducers - 1 - r
+        } else {
+            r
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ints(v: &[i32]) -> Vec<Value> {
         v.iter().map(|&x| Value::Int(x)).collect()
@@ -293,6 +358,87 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A key where integer routing could go wrong: small values that
+    /// repeat, the ends of `i64`, and the neighbourhoods of ±2^53, past
+    /// which `long` prefixes are inexact.
+    fn edge_key() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            -4i64..4,
+            prop_oneof![
+                Just(i64::MIN),
+                Just(i64::MIN + 1),
+                Just(i64::MAX - 1),
+                Just(i64::MAX)
+            ],
+            ((1i64 << 53) - 3)..((1i64 << 53) + 4),
+            (-(1i64 << 53) - 3)..(-(1i64 << 53) + 4),
+            any::<i64>(),
+        ]
+    }
+
+    /// `k` as a `long`, or as an `int` clamped into its range.
+    fn key_value(k: i64, long: bool) -> Value {
+        if long {
+            Value::Long(k)
+        } else {
+            Value::Int(k.clamp(i32::MIN.into(), i32::MAX.into()) as i32)
+        }
+    }
+
+    proptest! {
+        /// Routing an integer key by the cuts answers what `reducer_for`
+        /// answers for it as a `Value` — the same reducer, or the same
+        /// out-of-range error — for `int` and `long` keys and cuts,
+        /// sampled (so collapsed or empty) and raw (so duplicated) cut
+        /// lists, keys equal to a cut, one reducer too few, and both reducer orders.
+        #[test]
+        fn integer_routing_matches_reducer_for(
+            long_keys in any::<bool>(),
+            long_cuts in any::<bool>(),
+            reversed in any::<bool>(),
+            sample in prop::collection::vec(edge_key(), 0..24),
+            requested in 1usize..9,
+            raw in prop::collection::vec(edge_key(), 0..24),
+            keys in prop::collection::vec(edge_key(), 1..24),
+            short in 0usize..2,
+        ) {
+            let sample: Vec<Value> = sample.iter().map(|&k| key_value(k, long_cuts)).collect();
+            let sampled = boundaries_from_samples(&[sample], requested)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let mut raw: Vec<Value> = raw.iter().map(|&k| key_value(k, long_cuts)).collect();
+            raw.sort();
+            for boundaries in [sampled, raw] {
+                let p = RangePartitioner::new(boundaries.clone());
+                let cuts = p.int_cuts().map(|c| c.reversed(reversed));
+                prop_assert!(cuts.is_some(), "{boundaries:?}");
+                let Some(cuts) = cuts else { continue };
+                let n = (boundaries.len() + 1 - short).max(1);
+                let probes = keys.iter().map(|&k| key_value(k, long_keys));
+                for key in probes.chain(boundaries.iter().cloned()) {
+                    let want = p.reducer_for(&key, n).map(|r| if reversed { n - 1 - r } else { r });
+                    let plain = boundaries.partition_point(|b| *b <= key);
+                    prop_assert_eq!(want.is_ok(), plain < n);
+                    let got = key.as_i64().map(|k| cuts.reducer_for(k, n));
+                    prop_assert_eq!(
+                        format!("{got:?}"),
+                        format!("{:?}", Some(want)),
+                        "key {:?} over {:?} into {}", key, boundaries, n
+                    );
+                }
+            }
+        }
+    }
+
+    /// Only ascending `int`/`long` boundaries are integer cuts.
+    #[test]
+    fn integer_cuts_need_ascending_integer_boundaries() {
+        let cuts = |b: Vec<Value>| RangePartitioner::new(b).int_cuts().is_some();
+        assert!(cuts(Vec::new()));
+        assert!(cuts(vec![Value::Int(-1), Value::Long(1 << 60)]));
+        assert!(!cuts(vec![Value::Int(1), Value::Double(2.0)]));
+        assert!(!cuts(vec![Value::Str("a".into())]));
     }
 
     #[test]

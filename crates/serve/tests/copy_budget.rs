@@ -248,13 +248,14 @@ fn peak_slope(small: Usage, large: Usage, records: f64) -> f64 {
 }
 
 /// The Figure 8 `run` byte slope measured on this test's database: the
-/// sort reducers gather each record's 16 row bytes from the inbox, the
-/// fused assembly copies them once into their partition, plus the
-/// shuffle's outbox and inbox and the sort's 4-byte scan index per pair
-/// (a pair is its 16-byte row in a stride run: the key is read from it
-/// in place, its tag travels once per run, and it needs no location of
-/// its own). No record is decoded.
-const BLAST_RUN_BYTES: f64 = 59.6;
+/// map tasks copy each record's 16 row bytes into an outbox segment sized
+/// exactly for its batch (no growth slack), which the exchange moves into
+/// an inbox; the sort reducers gather them from the inbox, the fused
+/// assembly copies them once into their partition, and the sort's scan
+/// index takes 4 bytes per pair (a pair is its 16-byte row in a stride
+/// run: the key is read from it in place, its tag travels once per run,
+/// and it needs no location of its own). No record is decoded.
+const BLAST_RUN_BYTES: f64 = 53.1;
 
 /// The Figure 10 `run` byte slope measured on this test's edge list (two
 /// engine jobs: the shuffle buffers; the fused group→split's edges
@@ -273,11 +274,12 @@ const HYBRID_RUN_BLOCKS: f64 = 0.128;
 
 /// The Figure 8 `--no-fuse --checkpoint` `run` byte slope measured on
 /// this test's database: the two unfused jobs' row gathers and shuffle
-/// buffers, the materialised sort output, and one checkpoint payload per
+/// buffers (each map task's segments sized exactly for its batch of rows),
+/// the materialised sort output, and one checkpoint payload per
 /// published fragment, written after its frame header without a copy. A
 /// distribute pair is its row: no order key, no tag, and its runs are
 /// ordered without staging anything per pair.
-const DURABLE_RUN_BYTES: f64 = 119.0;
+const DURABLE_RUN_BYTES: f64 = 110.4;
 
 /// The Figure 8 warm served request's peak live bytes per record, at one
 /// engine thread, above what the idle daemon holds: the sort's row

@@ -419,6 +419,7 @@ mod tests {
                 bytes: vec![30, 10],
             }),
             covers: Vec::new(),
+            assembly: None,
         };
         WorkflowTrace {
             jobs: vec![mk_job("a"), mk_job("b")],

@@ -71,6 +71,23 @@ pub fn render_profile(trace: &WorkflowTrace) -> String {
                 skew.records.len()
             ));
         }
+        for phase in (job.phases.iter()).filter(|p| p.kind == PhaseKind::Map) {
+            let label = node_label(&phase.tasks, |t| t.map_path);
+            if label.is_empty() {
+                continue;
+            }
+            let split: [Duration; 2] =
+                std::array::from_fn(|i| phase.tasks.iter().map(|t| t.map_split[i]).sum());
+            out.push_str(&format!("{:<24} └ map path: {label}", ""));
+            if split.iter().any(|d| !d.is_zero()) {
+                out.push_str(&format!(
+                    "; route {}, copy {} (task CPU summed over nodes)",
+                    fmt_dur(split[0]),
+                    fmt_dur(split[1])
+                ));
+            }
+            out.push('\n');
+        }
         for phase in (job.phases.iter()).filter(|p| p.kind == PhaseKind::Reduce) {
             let split: [Duration; 3] =
                 std::array::from_fn(|i| phase.tasks.iter().map(|t| t.reduce_split[i]).sum());
@@ -91,6 +108,13 @@ pub fn render_profile(trace: &WorkflowTrace) -> String {
                 "{:<24} └ covers: fused logical jobs {}\n",
                 "",
                 job.covers.join(", ")
+            ));
+        }
+        if let Some(wall) = job.assembly {
+            out.push_str(&format!(
+                "{:<24} └ assembly: {} on the driver (outside virtual time)\n",
+                "",
+                fmt_dur(wall)
             ));
         }
     }
@@ -123,26 +147,43 @@ pub fn render_profile(trace: &WorkflowTrace) -> String {
 
 /// The orders a reduce phase's tasks built, for its split footnote:
 /// ` (counting)` when every task built the same one, ` (counting on 3
-/// nodes, packed on 1)` when they differ, nothing when none is named.
+/// nodes, packed on 1 node)` when they differ, nothing when none is named.
 fn order_label(tasks: &[TaskTrace]) -> String {
-    let mut orders: Vec<(&str, usize)> = Vec::new();
-    for t in tasks.iter().filter(|t| !t.reduce_order.is_empty()) {
-        match orders.iter_mut().find(|(o, _)| *o == t.reduce_order) {
-            Some((_, nodes)) => *nodes += 1,
-            None => orders.push((t.reduce_order, 1)),
-        }
-    }
-    match orders.as_slice() {
+    let names = named_nodes(tasks, |t| t.reduce_order);
+    match names.as_slice() {
         [] => String::new(),
         [(order, _)] => format!(" ({order})"),
-        _ => {
-            let each = orders.iter().map(|(order, nodes)| {
-                let s = if *nodes == 1 { "" } else { "s" };
-                format!("{order} on {nodes} node{s}")
-            });
-            format!(" ({})", each.collect::<Vec<_>>().join(", "))
+        _ => format!(" ({})", node_label(tasks, |t| t.reduce_order)),
+    }
+}
+
+/// Each name `name_of` gives a phase's tasks, with its node count, in
+/// first-seen order; tasks with an empty name are skipped.
+fn named_nodes(
+    tasks: &[TaskTrace],
+    name_of: fn(&TaskTrace) -> &'static str,
+) -> Vec<(&'static str, usize)> {
+    let mut names: Vec<(&str, usize)> = Vec::new();
+    for name in tasks.iter().map(name_of).filter(|n| !n.is_empty()) {
+        match names.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, nodes)) => *nodes += 1,
+            None => names.push((name, 1)),
         }
     }
+    names
+}
+
+/// `stride rows on 4 nodes`, or `stride rows on 3 nodes, entries on 1
+/// node`: the names `name_of` gives a phase's tasks, each with its node
+/// count; empty when no task is named.
+fn node_label(tasks: &[TaskTrace], name_of: fn(&TaskTrace) -> &'static str) -> String {
+    let each = named_nodes(tasks, name_of)
+        .into_iter()
+        .map(|(name, nodes)| {
+            let s = if nodes == 1 { "" } else { "s" };
+            format!("{name} on {nodes} node{s}")
+        });
+    each.collect::<Vec<_>>().join(", ")
 }
 
 /// Static `[lo, hi]` bounds of one job's counters, as computed by an
@@ -308,6 +349,7 @@ mod tests {
                     bytes: vec![600, 400],
                 }),
                 covers: vec!["sort".to_string(), "distr".to_string()],
+                assembly: None,
             }],
         }
     }
@@ -396,6 +438,58 @@ mod tests {
         let mixed = footnote(&["counting", "packed", "counting", "counting"]);
         let want = "sort 4.000 ms (counting on 3 nodes, packed on 1 node), reduce";
         assert!(mixed.contains(want), "{mixed}");
+    }
+
+    /// A map phase's footnote names how its tasks pushed their pairs,
+    /// with the stride path's route and copy CPU when it was measured; a
+    /// task that pushed nothing is not counted.
+    #[test]
+    fn map_path_footnote_names_each_tasks_path() {
+        let task = |path, split: u64| TaskTrace {
+            map_path: path,
+            map_split: [
+                Duration::from_millis(split),
+                Duration::from_millis(2 * split),
+            ],
+            ..TaskTrace::default()
+        };
+        let footnote = |tasks: Vec<TaskTrace>| {
+            let mut t = trace();
+            t.jobs[0].phases[0] = PhaseTrace::barrier(PhaseKind::Map, tasks);
+            render_profile(&t)
+        };
+        let stride = footnote((0..4).map(|_| task("stride rows", 1)).collect());
+        let want = "└ map path: stride rows on 4 nodes; route 4.000 ms, copy 8.000 ms (task CPU \
+                    summed over nodes)";
+        let at = stride.find(want).expect(&stride);
+        assert!(at > stride.find("└ skew:").unwrap(), "{stride}");
+        let mixed = footnote(vec![
+            task("stride rows", 1),
+            task("entries", 0),
+            task("", 0),
+        ]);
+        let want = "└ map path: stride rows on 1 node, entries on 1 node; route 1.000 ms";
+        assert!(mixed.contains(want), "{mixed}");
+        let entries = footnote(vec![task("entries", 0), task("entries", 0)]);
+        assert!(
+            entries.contains("└ map path: entries on 2 nodes\n"),
+            "{entries}"
+        );
+        assert!(!render_profile(&trace()).contains("map path"));
+    }
+
+    /// A fused stage's driver-side assembly gets a footnote of its own,
+    /// last under its job; a job without one prints none.
+    #[test]
+    fn assembly_footnote_follows_the_fused_job() {
+        let mut t = trace();
+        t.jobs[0].assembly = Some(Duration::from_micros(4_250));
+        let rendered = render_profile(&t);
+        let line = "└ assembly: 4.250 ms on the driver (outside virtual time)";
+        let at = rendered.find(line).expect(&rendered);
+        assert!(at > rendered.find("└ covers:").unwrap(), "{rendered}");
+        assert!(at < rendered.find("total").unwrap(), "{rendered}");
+        assert!(!render_profile(&trace()).contains("assembly"));
     }
 
     #[test]

@@ -27,6 +27,12 @@ pub struct TaskTrace {
     /// The order a reduce task's surviving attempt built (`counting`,
     /// `packed` or `runs`); empty for other tasks, and in no export.
     pub reduce_order: &'static str,
+    /// How a map task's surviving attempt pushed its pairs (`stride rows`,
+    /// `entries`, or both); empty for other tasks, and in no export.
+    pub map_path: &'static str,
+    /// A map task's stride-path CPU in its surviving attempt, as `[route,
+    /// copy]`; zero for other tasks, and in no export.
+    pub map_split: [Duration; 2],
 }
 
 /// One BSP phase of a job.
@@ -101,6 +107,9 @@ pub struct JobTrace {
     /// `--profile`/`--trace` truthful under fusion: a `sort+distr` span
     /// says it stands for both operators.
     pub covers: Vec<String>,
+    /// Wall time a fused stage spent after its engine job assembling its
+    /// output on the driver, outside the virtual clock; in no export.
+    pub assembly: Option<Duration>,
 }
 
 impl JobTrace {
@@ -156,6 +165,11 @@ pub trait TraceSink: Send + Sync {
     /// covers (fused stages call this right after the engine records the
     /// job). No-op for sinks that do not collect.
     fn annotate_last_job(&mut self, _covers: Vec<String>) {}
+
+    /// Record the driver-side assembly a fused stage ran after the most
+    /// recently recorded job ([`JobTrace::assembly`]). No-op for sinks
+    /// that do not collect.
+    fn annotate_last_job_assembly(&mut self, _wall: Duration) {}
 
     /// Append an extra phase (checkpoint publication, resume restore) to
     /// the most recently recorded job. No-op for sinks that do not
@@ -219,6 +233,12 @@ impl TraceSink for Collector {
         }
     }
 
+    fn annotate_last_job_assembly(&mut self, wall: Duration) {
+        if let Some(job) = self.jobs.last_mut() {
+            job.assembly = Some(wall);
+        }
+    }
+
     fn append_phase_last_job(&mut self, phase: PhaseTrace) {
         if let Some(job) = self.jobs.last_mut() {
             job.phases.push(phase);
@@ -235,6 +255,7 @@ impl TraceSink for Collector {
                 phases: vec![sample],
                 skew: None,
                 covers: Vec::new(),
+                assembly: None,
             });
         }
         Some(WorkflowTrace { jobs })
@@ -259,6 +280,7 @@ mod tests {
             phases: Vec::new(),
             skew: None,
             covers: Vec::new(),
+            assembly: None,
         });
         s.annotate_last_job(vec!["a".into()]);
         assert!(s.finish().is_none());
@@ -278,6 +300,7 @@ mod tests {
             phases: Vec::new(),
             skew: None,
             covers: Vec::new(),
+            assembly: None,
         });
         // Request boundary: the previous request's spans must not bleed
         // into the next report.
@@ -301,12 +324,14 @@ mod tests {
             phases: vec![PhaseTrace::barrier(PhaseKind::Map, vec![])],
             skew: None,
             covers: Vec::new(),
+            assembly: None,
         });
         c.record_job(JobTrace {
             name: "distr".into(),
             phases: Vec::new(),
             skew: None,
             covers: Vec::new(),
+            assembly: None,
         });
         c.annotate_last_job(vec!["sort".into(), "distr".into()]);
         let t = c.finish().unwrap();
