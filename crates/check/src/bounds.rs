@@ -33,8 +33,6 @@ use crate::diag::{Code, Diagnostic};
 pub struct BoundsConfig {
     /// Cluster size the physical plan was lowered for.
     pub num_nodes: usize,
-    /// `ExecOptions::default_reducers`.
-    pub default_reducers: Option<usize>,
     /// Exact record count of every external input (`--records`), when
     /// known; sources start at `[0, ?]` otherwise.
     pub records: Option<u64>,
@@ -50,7 +48,6 @@ impl Default for BoundsConfig {
     fn default() -> Self {
         BoundsConfig {
             num_nodes: 4,
-            default_reducers: None,
             records: None,
             distinct_keys: None,
             skew_ratio: 4.0,
@@ -91,7 +88,6 @@ pub fn analyze_bounds(
 ) -> BoundsReport {
     let mut opts = BoundsOptions {
         num_nodes: cfg.num_nodes,
-        default_reducers: cfg.default_reducers,
         sources: Default::default(),
     };
     for (name, _) in &plan.external_inputs {
@@ -287,7 +283,7 @@ mod tests {
     #[test]
     fn exact_sources_give_exact_stage_rows_and_no_findings() {
         let (wf, plan) = bind(SORT_DISTR, &[("input_path", "/data/edges")]);
-        let phys = papar_core::physplan::lower(&plan, 4, None, true);
+        let phys = papar_core::physplan::lower(&plan, 4, true);
         let report = analyze_bounds(
             &wf,
             &plan,
@@ -317,7 +313,7 @@ mod tests {
     #[test]
     fn unknown_sources_stay_top_without_spurious_findings() {
         let (wf, plan) = bind(SORT_DISTR, &[("input_path", "/data/edges")]);
-        let phys = papar_core::physplan::lower(&plan, 4, None, true);
+        let phys = papar_core::physplan::lower(&plan, 4, true);
         let report = analyze_bounds(&wf, &plan, &phys, &BoundsConfig::default());
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
         assert!(!report.bounds.stages[0].records_in.is_bounded());
@@ -327,7 +323,7 @@ mod tests {
     #[test]
     fn provably_empty_partitions_fire_w007() {
         let (wf, plan) = bind(SORT_DISTR, &[("input_path", "/data/edges")]);
-        let phys = papar_core::physplan::lower(&plan, 4, None, true);
+        let phys = papar_core::physplan::lower(&plan, 4, true);
         let report = analyze_bounds(
             &wf,
             &plan,
@@ -355,7 +351,7 @@ mod tests {
     #[test]
     fn reducer_overcommit_fires_p021() {
         let (wf, plan) = bind(SORT_DISTR, &[("input_path", "/data/edges")]);
-        let phys = papar_core::physplan::lower(&plan, 8, None, true);
+        let phys = papar_core::physplan::lower(&plan, 8, true);
         let report = analyze_bounds(
             &wf,
             &plan,

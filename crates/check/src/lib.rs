@@ -37,4 +37,4 @@ pub mod verify;
 pub use analyze::{analyze, check_sources, Analysis, CheckContext, InferredJob};
 pub use bounds::{analyze_bounds, BoundsConfig, BoundsReport};
 pub use diag::{has_errors, render_text, Code, Diagnostic, Severity};
-pub use verify::{verify_physical_plan, verify_plan};
+pub use verify::{verify_lowering, verify_physical_plan, verify_plan};

@@ -50,17 +50,30 @@ pub fn verify_plan(analysis: &Analysis, plan: &WorkflowPlan) -> Vec<Diagnostic> 
         .collect()
 }
 
-/// Verify a lowered [`PhysicalPlan`] against the logical plan it claims to
-/// implement. Returns one `P099` diagnostic per violated invariant; any
-/// hit is a framework bug, not a user error.
-///
-/// `num_nodes` and `default_reducers` must describe the cluster the plan
-/// was lowered for (the group→split gate depends on them).
+/// [`verify_lowering`], as the benchmark harness calls it.
+/// `_default_reducers` is the harness's `None`: a reducer count comes
+/// only from the configuration. It goes with
+/// [`papar_core::physplan::lower_with`].
+#[doc(hidden)]
 pub fn verify_physical_plan(
     plan: &WorkflowPlan,
     phys: &PhysicalPlan,
     num_nodes: usize,
-    default_reducers: Option<usize>,
+    _default_reducers: Option<usize>,
+) -> Vec<Diagnostic> {
+    verify_lowering(plan, phys, num_nodes)
+}
+
+/// Verify a lowered [`PhysicalPlan`] against the logical plan it claims to
+/// implement. Returns one `P099` diagnostic per violated invariant; any
+/// hit is a framework bug, not a user error.
+///
+/// `num_nodes` must be the size of the cluster the plan was lowered for
+/// (the group→split gate depends on it).
+pub fn verify_lowering(
+    plan: &WorkflowPlan,
+    phys: &PhysicalPlan,
+    num_nodes: usize,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut violation = |msg: String| {
@@ -124,7 +137,7 @@ pub fn verify_physical_plan(
                         "stage '{}' fuses jobs {group} and {split} but covers {:?}",
                         stage.id, stage.logical
                     ));
-                } else if !physplan::group_split_fusible(plan, group, num_nodes, default_reducers) {
+                } else if !physplan::group_split_fusible(plan, group, num_nodes) {
                     violation(format!(
                         "stage '{}' fuses group job {group} with split job {split}, \
                          but the pair fails the group→split gate",
@@ -161,7 +174,7 @@ pub fn verify_physical_plan(
 
     // 4. Lowering is deterministic: re-lowering under the same cluster
     //    shape must reproduce the plan being verified.
-    let relowered = physplan::lower(plan, num_nodes, default_reducers, phys.fused);
+    let relowered = physplan::lower(plan, num_nodes, phys.fused);
     if relowered != *phys {
         violation(format!(
             "physical plan diverges from lowering: got {} stage(s), re-lowering \

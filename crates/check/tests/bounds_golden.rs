@@ -50,7 +50,7 @@ fn bind(
 #[test]
 fn bounds_p021_fires_on_reducer_overcommit() {
     let (wf, plan) = bind(P021, BLAST_DB, &[]);
-    let phys = lower(&plan, 4, None, true);
+    let phys = lower(&plan, 4, true);
     let report = analyze_bounds(
         &wf,
         &plan,
@@ -82,7 +82,7 @@ fn bounds_p021_fires_on_reducer_overcommit() {
 #[test]
 fn bounds_w007_fires_on_provably_empty_partitions() {
     let (wf, plan) = bind(W007, BLAST_DB, &[]);
-    let phys = lower(&plan, 4, None, true);
+    let phys = lower(&plan, 4, true);
     let report = analyze_bounds(
         &wf,
         &plan,
@@ -113,7 +113,7 @@ fn bounds_w007_fires_on_provably_empty_partitions() {
 #[test]
 fn bounds_w008_fires_on_value_routed_skew() {
     let (wf, plan) = bind(W008, GRAPH_EDGE, &[]);
-    let phys = lower(&plan, 4, None, true);
+    let phys = lower(&plan, 4, true);
     let report = analyze_bounds(
         &wf,
         &plan,
@@ -145,7 +145,7 @@ fn bounds_w008_fires_on_value_routed_skew() {
 #[test]
 fn bounds_w009_names_the_fusion_blocking_gate() {
     let (wf, plan) = bind(W009, BLAST_DB, &[]);
-    let phys = lower(&plan, 4, None, true);
+    let phys = lower(&plan, 4, true);
     // The value-routed policy defeats fusion: two stages survive.
     assert_eq!(phys.stages.len(), 2);
     let report = analyze_bounds(&wf, &plan, &phys, &BoundsConfig::default());
@@ -171,7 +171,7 @@ fn bounds_w009_names_the_fusion_blocking_gate() {
         ("output_path".to_string(), "/plan/output".to_string()),
     ]);
     let plan = Planner::new(wf.clone(), vec![input]).bind(&args).unwrap();
-    let phys = lower(&plan, 4, None, true);
+    let phys = lower(&plan, 4, true);
     assert_eq!(phys.stages.len(), 1);
     let report = analyze_bounds(&wf, &plan, &phys, &BoundsConfig::default());
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
@@ -182,7 +182,7 @@ fn bounds_w009_names_the_fusion_blocking_gate() {
 #[test]
 fn fig8_stays_finding_free_with_a_fully_bounded_table() {
     let (wf, plan) = bind(FIG8, BLAST_DB, &[("num_partitions", "4")]);
-    let phys = lower(&plan, 4, None, true);
+    let phys = lower(&plan, 4, true);
     let report = analyze_bounds(
         &wf,
         &plan,
@@ -219,7 +219,7 @@ fn fig10_stays_finding_free_and_all_proofs_pass() {
         GRAPH_EDGE,
         &[("num_partitions", "4"), ("threshold", "4")],
     );
-    let phys = lower(&plan, 4, None, true);
+    let phys = lower(&plan, 4, true);
     let report = analyze_bounds(
         &wf,
         &plan,

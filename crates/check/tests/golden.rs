@@ -4,7 +4,7 @@
 //! survive reformatting of the fixtures as long as the needles stay unique.
 
 use papar_check::{
-    analyze, check_sources, json, verify_physical_plan, verify_plan, Analysis, CheckContext, Code,
+    analyze, check_sources, json, verify_lowering, verify_plan, Analysis, CheckContext, Code,
 };
 use papar_config::xml::Span;
 use papar_config::{InputConfig, WorkflowConfig};
@@ -1002,17 +1002,14 @@ fn physical_plans_verify_clean_for_the_example_configs() {
     .unwrap();
     for plan in [&fig8, &fig10] {
         for nodes in [1, 3, 4, 8] {
-            for default_reducers in [None, Some(4)] {
-                for fuse in [true, false] {
-                    let phys = lower(plan, nodes, default_reducers, fuse);
-                    assert_eq!(
-                        verify_physical_plan(plan, &phys, nodes, default_reducers),
-                        vec![],
-                        "workflow '{}', {nodes} nodes, reducers {default_reducers:?}, \
-                         fuse={fuse}",
-                        plan.id
-                    );
-                }
+            for fuse in [true, false] {
+                let phys = lower(plan, nodes, fuse);
+                assert_eq!(
+                    verify_lowering(plan, &phys, nodes),
+                    vec![],
+                    "workflow '{}', {nodes} nodes, fuse={fuse}",
+                    plan.id
+                );
             }
         }
     }
@@ -1027,19 +1024,19 @@ fn p099_on_corrupted_physical_plan() {
     .bind(&fig8_args())
     .unwrap();
     // Drop a stage: the coverage invariant breaks.
-    let mut phys = lower(&plan, 3, None, false);
+    let mut phys = lower(&plan, 3, false);
     phys.stages.pop();
-    let diags = verify_physical_plan(&plan, &phys, 3, None);
+    let diags = verify_lowering(&plan, &phys, 3);
     assert!(!diags.is_empty());
     assert!(diags.iter().all(|d| d.code == Code::P099));
     // Claim the workflow output is streamed: the elision invariant breaks.
-    let mut phys = lower(&plan, 3, None, true);
+    let mut phys = lower(&plan, 3, true);
     assert!(matches!(
         phys.stages[0].kind,
         StageKind::FusedSortDistribute { .. }
     ));
     phys.stages[0].elided.push(plan.output_path.clone());
-    let diags = verify_physical_plan(&plan, &phys, 3, None);
+    let diags = verify_lowering(&plan, &phys, 3);
     assert!(
         diags
             .iter()

@@ -615,7 +615,6 @@ fn render_profile(
     let mut rendered = papar_trace::render_profile(trace);
     let mut opts = papar_core::bounds::BoundsOptions {
         num_nodes: nodes,
-        default_reducers: None,
         sources: Default::default(),
     };
     for (name, _) in &compiled.plan.external_inputs {
@@ -735,14 +734,13 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
             ));
         };
         let nodes = nodes.unwrap_or(DEFAULT_BOUNDS_NODES);
-        let phys = papar_core::physplan::lower(plan, nodes, None, true);
+        let phys = papar_core::physplan::lower(plan, nodes, true);
         let report = papar_check::analyze_bounds(
             wf,
             plan,
             &phys,
             &papar_check::BoundsConfig {
                 num_nodes: nodes,
-                default_reducers: None,
                 records: spec.records.map(|n| n as u64),
                 distinct_keys: spec.distinct_keys,
                 skew_ratio: spec.skew_ratio.unwrap_or(4.0),
@@ -930,7 +928,6 @@ pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
             &phys,
             &papar_check::BoundsConfig {
                 num_nodes: spec.nodes,
-                default_reducers: None,
                 records: spec.records,
                 ..Default::default()
             },

@@ -135,6 +135,14 @@ impl JobPlan {
     pub fn output(&self) -> &str {
         &self.outputs[0].0
     }
+
+    /// The reducers the job runs on a `nodes`-node cluster: its
+    /// `num_reducers` literal, else one per node, never below one. The
+    /// executor, the group→split gate and the bounds interpreter all
+    /// count through here.
+    pub fn reducers(&self, nodes: usize) -> usize {
+        self.num_reducers.unwrap_or(nodes).max(1)
+    }
 }
 
 /// An executable workflow: jobs in launch order plus the resolved

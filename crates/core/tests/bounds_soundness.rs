@@ -115,10 +115,9 @@ fn assert_run_within_bounds(
     let records = input.batch.record_count() as u64;
     let input_name = plan.external_inputs[0].0.clone();
 
-    let phys = lower(&plan, nodes, None, fuse);
+    let phys = lower(&plan, nodes, fuse);
     let mut opts = BoundsOptions {
         num_nodes: nodes,
-        default_reducers: None,
         sources: Default::default(),
     };
     opts.sources

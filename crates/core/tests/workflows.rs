@@ -1065,7 +1065,7 @@ fn plan_fingerprints_of_the_paper_workflows_are_pinned() {
             .bind(&args)
             .unwrap();
         for (fuse, expected) in [true, false].into_iter().zip(pinned) {
-            let phys = papar_core::physplan::lower(&plan, 4, None, fuse);
+            let phys = papar_core::physplan::lower(&plan, 4, fuse);
             let options = ExecOptions {
                 fuse,
                 ..ExecOptions::default()

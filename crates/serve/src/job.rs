@@ -294,8 +294,8 @@ pub fn lower_verified(
     nodes: usize,
     options: &ExecOptions,
 ) -> Result<PhysicalPlan, String> {
-    let phys = physplan::lower(plan, nodes, None, options.fuse);
-    let divergences = papar_check::verify_physical_plan(plan, &phys, nodes, None);
+    let phys = physplan::lower(plan, nodes, options.fuse);
+    let divergences = papar_check::verify_lowering(plan, &phys, nodes);
     if !divergences.is_empty() {
         return Err(format!(
             "physical-plan verification failed:\n{}",
