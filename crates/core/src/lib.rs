@@ -37,6 +37,7 @@ pub mod operator;
 pub mod physplan;
 pub mod plan;
 pub mod policy;
+mod stage;
 
 pub use bounds::{
     BoundsOptions, DatasetBounds, FusionProof, FusionReject, Interval, SourceBounds, StageBounds,

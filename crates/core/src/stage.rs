@@ -1,0 +1,1252 @@
+//! The stage executors: one function per physical stage kind, each run
+//! by [`crate::exec::WorkflowRunner::run`] on one [`StageCtx`], and the
+//! mappers, partitioners, reducers and routers they wire into engine jobs.
+
+use papar_mr::engine::{FnReducer, HashPartitioner, IdentityPartitioner, KeyedMapper, MapInput};
+use papar_mr::engine::{Mapper, PairKey, Reducer};
+use papar_mr::sampler::{self, IntCuts, RangePartitioner};
+use papar_mr::stats::JobStats;
+use papar_mr::{run_slots, Emit, EntryRef, MrError, Pairs, TaskCtx};
+use papar_mr::{Cluster, Entry, MapReduceJob, Partitioner};
+use papar_record::batch::{Batch, Dataset, Rows};
+use papar_record::packed::{pack_onto, PackedRecord};
+use papar_record::view::ENTRY_REC;
+use papar_record::wire;
+use papar_record::{Record, Schema, Value};
+use papar_trace::{Counters, PhaseKind, PhaseTrace};
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::iter::StepBy;
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::Instant;
+
+use crate::error::{CoreError, Result};
+use crate::exec::{ExecOptions, RunNote, SamplingMode, WorkflowReport};
+use crate::operator::{AddOnKind, BoundAddOn, CustomJobCtx, FormatOp, OperatorRegistry};
+use crate::plan::{DatasetMeta, Format, JobKind, JobPlan};
+use crate::policy::{DistrPolicy, SplitPolicy};
+
+/// What a stage executor runs with: the cluster, the stage's name (its
+/// engine job's), the datasets the stage is the last reader of, the run's
+/// options, and the report its sampling time and notes land in.
+pub(crate) struct StageCtx<'a> {
+    pub(crate) cluster: &'a mut Cluster,
+    pub(crate) name: &'a str,
+    pub(crate) release: &'a [String],
+    pub(crate) options: &'a ExecOptions,
+    pub(crate) report: &'a mut WorkflowReport,
+}
+
+/// A sort job into `output`: the sampling pass, then a range-partitioned
+/// keyed job. The fused sort→distribute stage sorts into a streamed
+/// temporary.
+pub(crate) fn run_sort(cx: &mut StageCtx<'_>, job: &JobPlan, output: &str) -> Result<JobStats> {
+    let (key_idx, descending, ..) = keyed_kind(job)?;
+    let cluster = &mut *cx.cluster;
+    let mut num_reducers = job.reducers(cluster.num_nodes());
+
+    // Pre-job sampling pass (paper: "sampled when reading the input").
+    let t0 = Instant::now();
+    let mut per_node: Vec<Vec<Value>> = Vec::new();
+    'nodes: for node in 0..cluster.num_nodes() {
+        let mut sample = Vec::new();
+        for name in &job.inputs {
+            if let Some(frags) = cluster.node(node).get(name) {
+                for f in frags {
+                    sample_keys(
+                        &f.data.batch,
+                        key_idx,
+                        cx.options.sample_stride,
+                        &mut sample,
+                    )?;
+                }
+            }
+        }
+        per_node.push(sample);
+        if cx.options.sampling == SamplingMode::FirstFragmentOnly && !per_node[node].is_empty() {
+            break 'nodes;
+        }
+    }
+    let boundaries = sampler::boundaries_from_samples(&per_node, num_reducers)?;
+    // Fewer distinct sampled keys than reducers: the deduplicated
+    // boundary list describes all the ranges the key domain can
+    // fill. Collapse to that count (and say so) instead of running
+    // provably empty reducers. An empty boundary list from an empty
+    // sample keeps the configured count — there is nothing to place.
+    let achievable = boundaries.len() + 1;
+    if !boundaries.is_empty() && achievable < num_reducers {
+        cx.report.notes.push(RunNote::ReducersCollapsed {
+            job: cx.name.to_string(),
+            requested: num_reducers,
+            achievable,
+            nodes: cluster.num_nodes(),
+        });
+        num_reducers = achievable;
+    }
+    let range = RangePartitioner::new(boundaries);
+    let sample_elapsed = t0.elapsed();
+    cx.report.sample_time += sample_elapsed;
+    if cluster.tracing() {
+        // The pre-job sampling pass is a phase of its own: the
+        // collector attaches it to the sort job it precedes.
+        let sampled: u64 = per_node.iter().map(|s| s.len() as u64).sum();
+        let det_ns = cluster.cost_model().compute_ns(sampled, 0, 0);
+        let counters = Counters {
+            records_in: sampled,
+            ..Counters::default()
+        };
+        cluster.record_sample_trace(PhaseTrace::solo(
+            PhaseKind::Sample,
+            sample_elapsed,
+            det_ns,
+            counters,
+        ));
+    }
+
+    let partitioner = SortPartitioner {
+        range,
+        descending,
+        num_reducers,
+    };
+    let reducer = OrderedReducer::new(job)?;
+    let outputs = &job.outputs[..1];
+    run_keyed(
+        cx,
+        job,
+        &partitioner,
+        num_reducers,
+        &reducer,
+        output,
+        outputs,
+    )
+}
+
+/// A group job: a hash-partitioned keyed job.
+pub(crate) fn run_group(cx: &mut StageCtx<'_>, job: &JobPlan) -> Result<JobStats> {
+    let reducers = job.reducers(cx.cluster.num_nodes());
+    let reducer = OrderedReducer::new(job)?;
+    let outputs = &job.outputs[..1];
+    run_keyed(
+        cx,
+        job,
+        &HashPartitioner,
+        reducers,
+        &reducer,
+        job.output(),
+        outputs,
+    )
+}
+
+/// Run sort or group job `job` as a keyed MapReduce job — the one
+/// shape sort, group and the fused group→split stage share. Each entry
+/// is keyed by the job's key field (read from the entry, never sent),
+/// sent by `partitioner` to one of `num_reducers` reducers, sorted by
+/// key on the reduce side in the job's direction and reduced by
+/// `reducer`. The stage's engine job writes `output` with the schema of
+/// `outputs[0]`; a fused reducer also writes `outputs[1..]`.
+fn run_keyed(
+    cx: &mut StageCtx<'_>,
+    job: &JobPlan,
+    partitioner: &dyn Partitioner,
+    num_reducers: usize,
+    reducer: &dyn Reducer,
+    output: &str,
+    outputs: &[(String, DatasetMeta)],
+) -> Result<JobStats> {
+    let (key_field, descending, ..) = keyed_kind(job)?;
+    let mapper = KeyedMapper { key_field };
+    let mr_job = MapReduceJob {
+        name: cx.name.to_string(),
+        inputs: job.inputs.clone(),
+        output: output.to_string(),
+        num_reducers,
+        map_output_schema: job.input_meta.schema.clone(),
+        output_schema: outputs[0].1.schema.clone(),
+        mapper: &mapper,
+        partitioner,
+        reducer,
+        sort_by_key: true,
+        descending,
+        compress_key: compress_key(cx.options, &job.input_meta),
+        release: cx.release,
+    };
+    let extra: Vec<(String, Arc<Schema>)> = (outputs[1..].iter())
+        .map(|(name, meta)| (name.clone(), meta.schema.clone()))
+        .collect();
+    Ok(cx.cluster.run_job_multi(&mr_job, &extra)?)
+}
+
+/// Split is a map-only local job: every node routes its local entries
+/// to the per-condition outputs and applies the output format
+/// operators; no shuffle happens (paper Figure 11 keeps split data on
+/// its reducers until the distribute job moves it). Each node writes
+/// one fragment per output, at its own ordinal.
+pub(crate) fn run_split(cx: &mut StageCtx<'_>, job: &JobPlan) -> Result<JobStats> {
+    let outputs: Vec<(String, Arc<papar_record::Schema>)> = (job.outputs.iter())
+        .map(|(name, meta)| (name.clone(), meta.schema.clone()))
+        .collect();
+    let split = SplitRouter::new(job)?;
+    let route = |ctx: &TaskCtx, inputs: &[MapInput]| {
+        let mut outs = split.empty_outputs();
+        for mi in inputs {
+            for entry in EntryRef::all(&mi.data.batch) {
+                split.route(entry.to_entry(), &mut outs)?;
+            }
+        }
+        Ok(vec![(ctx.node as u32, outs)])
+    };
+    Ok(cx
+        .cluster
+        .run_local(cx.name, &job.inputs, &outputs, route)?)
+}
+
+/// A distribute job: every entry shipped to the partition its policy
+/// names ([`DistributeMapper`]), each partition reduced in global order.
+pub(crate) fn run_distribute(cx: &mut StageCtx<'_>, job: &JobPlan) -> Result<JobStats> {
+    let cluster = &mut *cx.cluster;
+    let (policy, num_partitions, projection) = distribute_kind(job)?;
+    // Global offsets per (input, fragment ordinal) so the index-routed
+    // policies (cyclic/block) see the global entry order; the paper's
+    // Figure 9 distributes the *globally* sorted sequence round-robin.
+    let mut offsets: HashMap<(String, u32), u64> = HashMap::new();
+    let mut total: u64 = 0;
+    for name in &job.inputs {
+        let mut frags: Vec<(u32, u64)> = Vec::new();
+        for node in 0..cluster.num_nodes() {
+            if let Some(fs) = cluster.node(node).get(name) {
+                for f in fs {
+                    frags.push((f.ordinal, f.data.batch.entry_count() as u64));
+                }
+            }
+        }
+        frags.sort_by_key(|&(ord, _)| ord);
+        for (ord, count) in frags {
+            offsets.insert((name.clone(), ord), total);
+            total += count;
+        }
+    }
+
+    // The map side ships each entry projected onto the output format,
+    // so the shuffle carries only the fields a partition keeps.
+    let shipped = match &projection {
+        Some(proj) => project_schema(&job.input_meta.schema, proj),
+        None => job.input_meta.schema.clone(),
+    };
+    // A distribute may read a flat and a packed split output; the
+    // packed one decides. A projection that drops the key column
+    // leaves nothing to factor.
+    let compress_key = (job.input_metas.iter())
+        .find_map(|m| compress_key(cx.options, m))
+        .and_then(|k| match &projection {
+            Some(proj) => proj.iter().position(|&i| i == k),
+            None => Some(k),
+        });
+    let mapper = DistributeMapper {
+        offsets,
+        policy,
+        total: total as usize,
+        num_partitions,
+        projection,
+    };
+    let out_format = job.outputs[0].1.format;
+    let out_schema = &job.outputs[0].1.schema;
+    // A flat output is the shipped records as rows, gathered from the
+    // inbox without a decode — unless a compressed group holds them.
+    let rows_out =
+        (out_format == Format::Flat && compress_key.is_none() && same_layout(&shipped, out_schema))
+            .then(|| out_schema.clone());
+    let reducer = FnReducer(move |_ctx: &TaskCtx, pairs: Pairs<'_>| {
+        if let Some(schema) = &rows_out {
+            return Ok(vec![gather_rows(&pairs, schema)?]);
+        }
+        let mut batch = empty_batch(out_format, pairs.record_count(), pairs.len());
+        // One reused slot: a record entry decodes with no allocation
+        // of its own.
+        let mut slot = Vec::with_capacity(1);
+        for view in pairs.entries() {
+            let view = view?;
+            let entry = if view.tag() != ENTRY_REC {
+                Entry::Packed(view.decode_group()?)
+            } else {
+                view.decode_into(&mut slot)?;
+                let record = slot
+                    .pop()
+                    .ok_or_else(|| MrError::msg("empty record entry"))?;
+                Entry::Rec(record)
+            };
+            place(&mut batch, entry, None)?;
+        }
+        Ok(vec![batch])
+    });
+    let mr_job = MapReduceJob {
+        name: cx.name.to_string(),
+        inputs: job.inputs.clone(),
+        output: job.output().to_string(),
+        num_reducers: num_partitions,
+        map_output_schema: shipped,
+        output_schema: job.outputs[0].1.schema.clone(),
+        mapper: &mapper,
+        // Unused: the mapper names each entry's partition.
+        partitioner: &IdentityPartitioner,
+        reducer: &reducer,
+        sort_by_key: false,
+        descending: false,
+        compress_key,
+        release: cx.release,
+    };
+    Ok(cluster.run_job(&mr_job)?)
+}
+
+/// A custom operator's job, run by the operator itself.
+pub(crate) fn run_custom(
+    cx: &mut StageCtx<'_>,
+    registry: &OperatorRegistry,
+    job: &JobPlan,
+    op_name: &str,
+    params: &HashMap<String, String>,
+) -> Result<JobStats> {
+    let cluster = &mut *cx.cluster;
+    let op = registry
+        .custom(op_name)
+        .ok_or_else(|| {
+            CoreError::exec(format!(
+                "custom operator '{op_name}' vanished from registry"
+            ))
+        })?
+        .clone();
+    let ctx = CustomJobCtx {
+        id: job.id.clone(),
+        params: params.clone(),
+        inputs: job.inputs.clone(),
+        output: job.output().to_string(),
+        input_schema: job.input_meta.schema.clone(),
+        num_reducers: job.reducers(cluster.num_nodes()),
+    };
+    // An operator that drives the engine (`run_job`, `run_local`) has
+    // taken its fault slot and recorded its trace; one that does not
+    // still occupies a slot, so later jobs keep their indices.
+    let first = cluster.jobs_launched();
+    let stats = op.run(cluster, &ctx)?;
+    if cluster.jobs_launched() == first {
+        let _ = cluster.next_job_index();
+    }
+    Ok(stats)
+}
+
+/// The sort→distribute pair as one MapReduce job — the paper's
+/// `L_m^{km}` stride-permutation composition made executable.
+///
+/// The stage runs the sort verbatim (sampling pass, range
+/// partitioner, one sort shuffle) but into a streamed temporary
+/// instead of the materialized sort output. The distribute that
+/// followed is then pure bookkeeping: its cyclic/block policies route
+/// by *global index*, and the sorted temp fragments' prefix sums give
+/// every entry's exact global rank, so the driver assembles the
+/// partitions directly from the sorted runs — the distribute's whole
+/// shuffle is gone. The assembly walks entries in exactly the order
+/// the unfused offsets pre-pass enumerates them and the unfused
+/// reducer orders them (by run base, then within each fragment), so
+/// the committed bytes are identical to the two-job plan. Like the
+/// unfused pre-pass, the driver-side walk is not charged to the
+/// virtual clock; its wall time is on the stage's trace.
+pub(crate) fn run_sort_distribute(
+    cx: &mut StageCtx<'_>,
+    sjob: &JobPlan,
+    djob: &JobPlan,
+) -> Result<JobStats> {
+    // The streamed intermediate: fragment r carries exactly the bytes
+    // unfused sort fragment r would, but under a name no workflow
+    // dataset can collide with, and it never outlives the stage.
+    let temp = format!("__fused:{}", sjob.output());
+    let stats = run_sort(cx, sjob, &temp)?;
+    let t0 = Instant::now();
+    assemble_distribute(cx.cluster, djob, &temp)?;
+    if cx.cluster.tracing() {
+        cx.cluster.annotate_last_job_assembly(t0.elapsed());
+    }
+    Ok(stats)
+}
+
+/// Driver-side half of the fused sort→distribute stage: apply the
+/// index-routed distribute permutation over the sorted runs, which
+/// are moved out of the cluster (the temp never outlives the stage).
+fn assemble_distribute(cluster: &mut Cluster, djob: &JobPlan, temp: &str) -> Result<()> {
+    let (policy, num_partitions, projection) = distribute_kind(djob)?;
+    // Take the sorted fragments in global (ordinal) order — the same
+    // enumeration the unfused offsets pre-pass performs.
+    let frags = cluster.take(temp)?;
+    let total: usize = frags.iter().map(|d| d.batch.entry_count()).sum();
+    let part_of = |g: usize| policy.partition_of_index(g, total, num_partitions);
+    let out_format = djob.outputs[0].1.format;
+    let out_schema = &djob.outputs[0].1.schema;
+    // Appending in ascending global rank reproduces the unfused
+    // reducer's global order within each partition. A flat,
+    // unprojected output of sorted rows is routed as rows.
+    let rows: Option<Vec<&Rows>> = (frags.iter())
+        .map(|d| match &d.batch {
+            Batch::Rows(rows) if rows.schema() == out_schema => Some(rows),
+            _ => None,
+        })
+        .collect();
+    let routed = match rows {
+        Some(rows) if out_format == Format::Flat && projection.is_none() && !rows.is_empty() => {
+            let indices = |p| policy.indices_of(p, total, num_partitions);
+            Some(match out_schema.binary_record_width() {
+                Some(width) => {
+                    let threads = (cluster.threads())
+                        .min((total * width).div_ceil(ASSEMBLY_BYTES_PER_THREAD));
+                    stride_partitions(&rows, out_schema, width, num_partitions, threads, indices)?
+                }
+                None => route_rows(&rows, out_schema, num_partitions, part_of)?,
+            })
+        }
+        _ => None,
+    };
+    let batches = match routed {
+        Some(batches) => batches,
+        None => route_entries(frags, out_format, num_partitions, part_of)?,
+    };
+    let n = cluster.num_nodes();
+    for (p, mut batch) in batches.into_iter().enumerate() {
+        if let Some(proj) = &projection {
+            project_batch(&mut batch, proj)?;
+        }
+        // The unfused distribute's reducer p runs on node p % n and
+        // commits fragment ordinal p; mirror exactly (empty
+        // partitions included, so every partition materializes).
+        cluster.put_fragment(
+            p % n,
+            djob.output(),
+            p as u32,
+            Dataset::new(out_schema.clone(), batch),
+        )?;
+    }
+    Ok(())
+}
+
+/// The group→split pair as one MapReduce job: the split's routing
+/// predicates run reduce-side, right after the group's add-ons and
+/// format operator, and the engine commits one fragment per split
+/// destination through [`Cluster::run_job_multi`]. The grouped
+/// intermediate is never written. Byte-identity holds because the
+/// lowering gate pinned the group's reducer count to the cluster
+/// size: fused reducer `r` sees exactly the pairs unfused group
+/// fragment `r` held, and commits at the same ordinal on the same
+/// node the unfused map-only split would.
+pub(crate) fn run_group_split(
+    cx: &mut StageCtx<'_>,
+    gjob: &JobPlan,
+    sjob: &JobPlan,
+) -> Result<JobStats> {
+    let group = OrderedReducer::new(gjob)?;
+    let split = SplitRouter::new(sjob)?;
+    // When the split routes on a count add-on, a run's destination is
+    // known from its length alone, and a flat destination can take
+    // the run as rows: each member's bytes with the counts appended.
+    let grouped = &gjob.outputs[0].1.schema;
+    let counted = group.counts.is_some()
+        && split.key_idx >= gjob.input_meta.schema.len()
+        && (sjob.outputs.iter()).all(|(_, m)| m.format == Format::Packed || m.schema == *grouped);
+    let reducer = FusedGroupSplitReducer {
+        group,
+        split,
+        counted,
+    };
+    let reducers = gjob.reducers(cx.cluster.num_nodes());
+    let output = &sjob.outputs[0].0;
+    run_keyed(
+        cx,
+        gjob,
+        &HashPartitioner,
+        reducers,
+        &reducer,
+        output,
+        &sjob.outputs,
+    )
+}
+
+/// The wire-compression key for a job: enabled only when the option is
+/// set and the input is packed (flat entries have nothing to factor).
+fn compress_key(options: &ExecOptions, input_meta: &DatasetMeta) -> Option<usize> {
+    if options.compression && input_meta.format == Format::Packed {
+        input_meta.packed_key
+    } else {
+        None
+    }
+}
+
+/// Distribute's map task: the stride permutation applied to entry
+/// indices. Entry `local` of fragment `f` has global index `g = b_f +
+/// local` (`b_f` from the offsets pre-pass), and the policy names
+/// its partition from `g` or from its routing vertex. The mapper pushes it
+/// straight to that partition, with no key, in a run based at `b_f`:
+/// fragments cover disjoint index ranges and each is read in ascending
+/// order, so a reducer that orders its runs by base holds its entries in
+/// global order, whatever the fragments' layout across nodes. The entry is
+/// routed on all of its fields and ships projected onto the output format.
+/// Under an index-routed policy, a fragment of fixed-width rows goes as
+/// one batch when it can ([`Emit::push_rows_to`]).
+struct DistributeMapper {
+    offsets: HashMap<(String, u32), u64>,
+    policy: DistrPolicy,
+    /// Entries across every input.
+    total: usize,
+    num_partitions: usize,
+    /// The fields the output format keeps, when it drops some.
+    projection: Option<Vec<usize>>,
+}
+
+impl Mapper for DistributeMapper {
+    fn map(&self, _: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> papar_mr::Result<()> {
+        for mi in inputs {
+            let base = fragment_base(&self.offsets, &mi.name, mi.ordinal)?;
+            out.set_base(base);
+            let by_index = |local: usize| {
+                (self.policy).partition_of_index(
+                    base as usize + local,
+                    self.total,
+                    self.num_partitions,
+                )
+            };
+            if let (DistrPolicy::Cyclic | DistrPolicy::Block, Batch::Rows(rows)) =
+                (self.policy, &mi.data.batch)
+            {
+                if out.push_rows_to(rows, by_index)? {
+                    continue;
+                }
+            }
+            for (local, entry) in EntryRef::all(&mi.data.batch).enumerate() {
+                let part = match self.policy {
+                    DistrPolicy::Cyclic | DistrPolicy::Block => by_index(local),
+                    DistrPolicy::GraphVertexCut => {
+                        let routing = match entry {
+                            // A whole low-degree group travels to the
+                            // partition its in-vertex hashes to.
+                            EntryRef::Packed(p) => Cow::Borrowed(&p.key),
+                            // High-degree in-edges spread by source
+                            // vertex (field 0 of an edge record).
+                            EntryRef::Rec(_) | EntryRef::Row(_) => entry.key(0)?,
+                        };
+                        (self.policy).partition_of_value(&routing, self.num_partitions)
+                    }
+                };
+                out.push_to(part, entry)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn key(&self) -> PairKey {
+        PairKey::None
+    }
+
+    fn projection(&self) -> Option<&[usize]> {
+        self.projection.as_deref()
+    }
+}
+
+/// Range partitioner with optional reducer-order flip for descending sorts:
+/// reducer 0 must hold the *largest* range so the concatenated outputs read
+/// in descending order.
+struct SortPartitioner {
+    range: RangePartitioner,
+    descending: bool,
+    num_reducers: usize,
+}
+
+impl Partitioner for SortPartitioner {
+    fn reducer_for(&self, key: &Value, num_reducers: usize) -> papar_mr::Result<usize> {
+        debug_assert_eq!(num_reducers, self.num_reducers);
+        let r = self.range.reducer_for(key, num_reducers)?;
+        Ok(if self.descending {
+            num_reducers - 1 - r
+        } else {
+            r
+        })
+    }
+
+    fn int_cuts(&self) -> Option<IntCuts<'_>> {
+        (self.range.int_cuts()).map(|cuts| cuts.reversed(self.descending))
+    }
+}
+
+/// Reduce task of sort and group: pairs arrive key-sorted; add-ons apply
+/// per key-run, then the output format operator.
+struct OrderedReducer<'a> {
+    addons: &'a [BoundAddOn],
+    key_idx: usize,
+    /// Pack the output by `key_idx`: by the job's `pack` format operator,
+    /// or because its declared output format is packed.
+    packs: bool,
+    /// The output schema, when the output is the input's rows unchanged
+    /// (a flat input of the output's schema, which has a field, and
+    /// nothing to apply): the reducer gathers them from the inbox.
+    rows: Option<Arc<Schema>>,
+    /// The output schema: a packed output's members are rows of it.
+    schema: Arc<Schema>,
+    /// How many `long` fields the add-ons append, when every add-on is a
+    /// count over a flat input: a key-run's rows are then its records'
+    /// bytes, each with the run length appended that many times, and no
+    /// record decodes.
+    counts: Option<usize>,
+}
+
+// The reduce side speaks the engine's error type; core errors cross into
+// it as messages, exactly as they did from the closures these replace.
+impl<'a> OrderedReducer<'a> {
+    /// The reducer of a sort or group job: it gathers rows when there is
+    /// nothing to apply — no add-on, no packing.
+    fn new(job: &'a JobPlan) -> Result<Self> {
+        let (key_idx, _, addons, output_format) = keyed_kind(job)?;
+        let (input, out) = (&job.input_meta, &job.outputs[0].1);
+        let packs = output_format == FormatOp::Pack || out.format == Format::Packed;
+        let unchanged = addons.is_empty() && !packs && input.format == Format::Flat;
+        let rows = (unchanged && input.schema == out.schema && !out.schema.is_empty())
+            .then(|| out.schema.clone());
+        // A count appends a `long` field (`AddOnKind::result_type`).
+        let counts = (input.format == Format::Flat
+            && addons.iter().all(|a| a.kind == AddOnKind::Count))
+        .then_some(addons.len());
+        Ok(OrderedReducer {
+            addons,
+            key_idx,
+            packs,
+            rows,
+            schema: out.schema.clone(),
+            counts,
+        })
+    }
+
+    /// One key-run's reduce output, in order: its records, with the
+    /// add-ons applied, reach `emit` at once, unless the output packs;
+    /// then its rows pack onto `groups` (built in `buf`), and a group
+    /// reaches `emit` once no later run can extend it.
+    fn reduce_run(
+        &self,
+        run: Pairs<'_>,
+        groups: &mut Vec<PackedRecord>,
+        buf: &mut Vec<u8>,
+        emit: &mut impl FnMut(Entry) -> papar_mr::Result<()>,
+    ) -> papar_mr::Result<()> {
+        if !self.packs {
+            let records = self.decode_run(run)?;
+            return records.into_iter().try_for_each(|r| emit(Entry::Rec(r)));
+        }
+        buf.clear();
+        self.run_rows(run, buf)?;
+        // One exact-size member buffer per group.
+        let members = Rows::new(self.schema.clone(), buf.to_vec())?;
+        pack_onto(groups, members, self.key_idx).map_err(CoreError::from)?;
+        let done = groups.len().saturating_sub(1);
+        groups
+            .drain(..done)
+            .try_for_each(|g| emit(Entry::Packed(g)))
+    }
+
+    /// The whole reduce output, one entry at a time, in order.
+    fn reduce_each(
+        &self,
+        pairs: Pairs<'_>,
+        mut emit: impl FnMut(Entry) -> papar_mr::Result<()>,
+    ) -> papar_mr::Result<()> {
+        let (mut groups, mut buf) = (Vec::new(), Vec::new());
+        for run in pairs.runs() {
+            self.reduce_run(run?, &mut groups, &mut buf, &mut emit)?;
+        }
+        groups.into_iter().try_for_each(|g| emit(Entry::Packed(g)))
+    }
+
+    /// One key-run's records, sized exactly, with the add-ons applied.
+    fn decode_run(&self, run: Pairs<'_>) -> papar_mr::Result<Vec<Record>> {
+        let mut records = Vec::with_capacity(run.record_count());
+        run.decode_into(&mut records)?;
+        for addon in self.addons {
+            addon.apply_to_group(&mut records)?;
+        }
+        Ok(records)
+    }
+
+    /// Append one key-run's records, with the add-ons applied, to `out`
+    /// as rows of the output schema: with only counts, each record's
+    /// bytes and the encoded run length, decoding nothing; otherwise the
+    /// decoded records, encoded once.
+    fn run_rows(&self, run: Pairs<'_>, out: &mut Vec<u8>) -> papar_mr::Result<()> {
+        let Some(counts) = self.counts else {
+            for record in self.decode_run(run)? {
+                wire::encode_record(&record, &self.schema, out)?;
+            }
+            return Ok(());
+        };
+        // A `long` field's wire bytes.
+        let count = (run.record_count() as i64).to_le_bytes();
+        run.for_each_record(|record| {
+            out.extend_from_slice(record);
+            (0..counts).for_each(|_| out.extend_from_slice(&count));
+        })
+    }
+
+    /// The whole reduce output as one batch.
+    fn reduce_batch(&self, pairs: Pairs<'_>) -> papar_mr::Result<Batch> {
+        if let Some(schema) = &self.rows {
+            return gather_rows(&pairs, schema);
+        }
+        let format = if self.packs {
+            Format::Packed
+        } else {
+            Format::Flat
+        };
+        let mut out = empty_batch(format, pairs.record_count(), 0);
+        self.reduce_each(pairs, |entry| place(&mut out, entry, None))?;
+        Ok(out)
+    }
+}
+
+impl Reducer for OrderedReducer<'_> {
+    fn reduce(&self, _ctx: &TaskCtx, pairs: Pairs<'_>) -> papar_mr::Result<Vec<Batch>> {
+        Ok(vec![self.reduce_batch(pairs)?])
+    }
+}
+
+/// A split job's routing: the destination a key routes to, and how an
+/// entry lands there. The map-only split and the fused group→split stage
+/// both route through it, so the two cannot diverge.
+struct SplitRouter<'a> {
+    policy: &'a SplitPolicy,
+    /// The split key field.
+    key_idx: usize,
+    /// The destinations, in order.
+    outputs: &'a [(String, DatasetMeta)],
+    /// The split job's id, for error messages.
+    job_id: &'a str,
+}
+
+impl<'a> SplitRouter<'a> {
+    /// The routing of split job `job`.
+    fn new(job: &'a JobPlan) -> Result<Self> {
+        let JobKind::Split { key_idx, policy } = &job.kind else {
+            return Err(CoreError::plan(format!("job '{}' is not a split", job.id)));
+        };
+        Ok(SplitRouter {
+            policy,
+            key_idx: *key_idx,
+            outputs: &job.outputs,
+            job_id: &job.id,
+        })
+    }
+
+    /// One empty batch per destination, in its format.
+    fn empty_outputs(&self) -> Vec<Batch> {
+        (self.outputs.iter())
+            .map(|(_, m)| empty_batch(m.format, 0, 0))
+            .collect()
+    }
+
+    /// The destination a split key routes to.
+    fn dest(&self, key: &Value) -> papar_mr::Result<usize> {
+        self.policy.route(key).ok_or_else(|| {
+            MrError::msg(format!(
+                "split key {key} matches no condition of job '{}'",
+                self.job_id
+            ))
+        })
+    }
+
+    /// Move one entry into the destination its split key routes to; a
+    /// lone record bound for a packed destination becomes a singleton
+    /// group keyed by the split key.
+    fn route(&self, entry: Entry, outs: &mut [Batch]) -> papar_mr::Result<()> {
+        let dest = self.dest(&*entry.as_ref().key(self.key_idx)?)?;
+        let schema = &self.outputs[dest].1.schema;
+        place(&mut outs[dest], entry, Some((self.key_idx, schema)))
+    }
+}
+
+/// Reduce task of the fused group→split stage: the group's reduce logic
+/// (add-ons per key-run, format operator) followed by the split's routing
+/// predicates, emitting one batch per split destination.
+struct FusedGroupSplitReducer<'a> {
+    group: OrderedReducer<'a>,
+    split: SplitRouter<'a>,
+    /// Every add-on is a count ([`OrderedReducer::counts`]) and the split
+    /// routes on one of them: a key-run then routes by its length (see
+    /// [`FusedGroupSplitReducer::reduce_counted`]).
+    counted: bool,
+}
+
+impl FusedGroupSplitReducer<'_> {
+    /// The reduce of a split on a count add-on. Every record of a key-run
+    /// gets the same counts — the run's length — so the run routes whole,
+    /// and its rows are its members' wire bytes, each with the encoded
+    /// counts appended: no record is decoded. A flat destination takes its
+    /// runs as one buffer of rows; a packed destination takes each run as
+    /// a group with its own member buffer, its key decoded once.
+    fn reduce_counted(&self, pairs: Pairs<'_>) -> papar_mr::Result<Vec<Batch>> {
+        let mut outs = self.split.empty_outputs();
+        let mut rows: Vec<Vec<u8>> = vec![Vec::new(); outs.len()];
+        let (mut groups, mut buf) = (Vec::new(), Vec::new());
+        for run in pairs.runs() {
+            let run = run?;
+            let dest = self.split.dest(&Value::Long(run.record_count() as i64))?;
+            if self.split.outputs[dest].1.format == Format::Flat {
+                self.group.run_rows(run, &mut rows[dest])?;
+                continue;
+            }
+            let route = &mut |e| self.split.route(e, &mut outs);
+            self.group.reduce_run(run, &mut groups, &mut buf, route)?;
+        }
+        for group in groups {
+            self.split.route(Entry::Packed(group), &mut outs)?;
+        }
+        for ((out, bytes), (_, meta)) in outs.iter_mut().zip(rows).zip(self.split.outputs) {
+            if meta.format == Format::Flat {
+                *out = Batch::Rows(Rows::new(meta.schema.clone(), bytes)?);
+            }
+        }
+        Ok(outs)
+    }
+}
+
+impl Reducer for FusedGroupSplitReducer<'_> {
+    fn reduce(&self, _ctx: &TaskCtx, pairs: Pairs<'_>) -> papar_mr::Result<Vec<Batch>> {
+        if self.counted {
+            return self.reduce_counted(pairs);
+        }
+        let mut outs = self.split.empty_outputs();
+        // Exactly what the unfused group reducer committed to the
+        // intermediate dataset, each entry routed the way the unfused
+        // split routes it.
+        self.group
+            .reduce_each(pairs, |entry| self.split.route(entry, &mut outs))?;
+        Ok(outs)
+    }
+}
+
+/// The global-offset base of one fragment, as the distribute driver's
+/// pre-pass recorded it. A miss means the store changed between the
+/// pre-pass and the map phase — a typed error instead of the panic this
+/// lookup used to be.
+fn fragment_base(offsets: &HashMap<(String, u32), u64>, name: &str, ordinal: u32) -> Result<u64> {
+    offsets
+        .get(&(name.to_string(), ordinal))
+        .copied()
+        .ok_or_else(|| CoreError::MissingFragmentOffset {
+            dataset: name.to_string(),
+            ordinal,
+        })
+}
+
+/// A distribute job's policy, its partition count, and the field indices
+/// projecting its output records onto the declared output schema (`None`:
+/// records pass through unchanged, because no output format was declared
+/// or it keeps every field in place). Shared by the unfused distribute job
+/// and the fused stage's driver-side assembly so the two can never
+/// diverge.
+pub(crate) fn distribute_kind(job: &JobPlan) -> Result<(DistrPolicy, usize, Option<Vec<usize>>)> {
+    let JobKind::Distribute {
+        policy,
+        num_partitions,
+        final_schema,
+    } = &job.kind
+    else {
+        return Err(CoreError::plan(format!(
+            "job '{}' is not a distribute",
+            job.id
+        )));
+    };
+    let Some(out) = final_schema else {
+        return Ok((*policy, *num_partitions, None));
+    };
+    let mut idxs = Vec::with_capacity(out.len());
+    for f in out.fields() {
+        idxs.push(job.input_meta.schema.require(&f.name).map_err(|e| {
+            CoreError::plan(format!(
+                "output format field '{}' missing from data: {e}",
+                f.name
+            ))
+        })?);
+    }
+    let identity =
+        idxs.len() == job.input_meta.schema.len() && idxs.iter().enumerate().all(|(i, &f)| i == f);
+    Ok((*policy, *num_partitions, (!identity).then_some(idxs)))
+}
+
+/// A sort's or a group's key field, direction (a group's is ascending),
+/// add-ons and output format operator.
+pub(crate) fn keyed_kind(job: &JobPlan) -> Result<(usize, bool, &[BoundAddOn], FormatOp)> {
+    match &job.kind {
+        JobKind::Sort {
+            key_idx,
+            descending,
+            addons,
+            output_format,
+        } => Ok((*key_idx, *descending, addons, *output_format)),
+        JobKind::Group {
+            key_idx,
+            addons,
+            output_format,
+        } => Ok((*key_idx, false, addons, *output_format)),
+        _ => Err(CoreError::plan(format!("job '{}' is not keyed", job.id))),
+    }
+}
+
+/// Sample every `stride`-th entry key of a batch, as [`EntryRef::key`]
+/// reads it: a packed group's is its first member's, which equals the
+/// group key for key-field grouping. Cloning only the sampled keys keeps
+/// the sampling pass O(n/stride) in allocations.
+fn sample_keys(batch: &Batch, key_idx: usize, stride: usize, out: &mut Vec<Value>) -> Result<()> {
+    for entry in EntryRef::all(batch).step_by(stride.max(1)) {
+        out.push(entry.key(key_idx)?.into_owned());
+    }
+    Ok(())
+}
+
+/// Decompose a batch into shuffle entries, by move; rows decode.
+fn batch_entries(batch: Batch) -> impl Iterator<Item = Entry> {
+    let (records, groups) = match batch {
+        Batch::Flat(records) => (records, Vec::new()),
+        Batch::Rows(rows) => (rows.to_records(), Vec::new()),
+        Batch::Packed(groups) => (Vec::new(), groups),
+    };
+    records
+        .into_iter()
+        .map(Entry::Rec)
+        .chain(groups.into_iter().map(Entry::Packed))
+}
+
+/// Whether records of `input` are laid out like records of `out`: the
+/// same field types in the same order, at least one of them.
+fn same_layout(input: &Schema, out: &Schema) -> bool {
+    let types = input.fields().iter().map(|f| f.ty);
+    types.eq(out.fields().iter().map(|f| f.ty)) && !out.is_empty()
+}
+
+/// `schema`'s fields `proj` names, in that order.
+pub(crate) fn project_schema(schema: &Schema, proj: &[usize]) -> Arc<Schema> {
+    let fields = proj.iter().map(|&i| &schema.fields()[i]);
+    Arc::new(Schema::new(
+        fields.map(|f| (f.name.clone(), f.ty)).collect(),
+    ))
+}
+
+/// A reducer's flat records as rows of `schema`, copied from the inbox in
+/// reduce order. No record is decoded.
+fn gather_rows(pairs: &Pairs<'_>, schema: &Arc<Schema>) -> papar_mr::Result<Batch> {
+    let mut bytes = Vec::new();
+    pairs.gather_rows(&mut bytes)?;
+    Ok(Batch::Rows(Rows::new(schema.clone(), bytes)?))
+}
+
+/// The fused assembly over rows: every sorted fragment's rows routed by
+/// global rank into exact-size partition buffers, by byte copy.
+fn route_rows(
+    frags: &[&Rows],
+    schema: &Arc<Schema>,
+    num_partitions: usize,
+    part_of: impl Fn(usize) -> usize,
+) -> Result<Vec<Batch>> {
+    let all = || frags.iter().flat_map(|rows| rows.iter());
+    let mut sizes = vec![0usize; num_partitions];
+    for (g, row) in all().enumerate() {
+        sizes[part_of(g)] += row.as_bytes().len();
+    }
+    let mut parts: Vec<Vec<u8>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (g, row) in all().enumerate() {
+        parts[part_of(g)].extend_from_slice(row.as_bytes());
+    }
+    parts
+        .into_iter()
+        .map(|bytes| Ok(Batch::Rows(Rows::new(schema.clone(), bytes)?)))
+        .collect()
+}
+
+/// Row bytes that pay for one more assembly thread: below about this much,
+/// starting threads costs more than it saves. On a 2-core host, 500 Fig 8
+/// rows took 50–98 µs on two threads and 14–21 µs on one; 500,000 rows
+/// took 6.4–8.9 ms on one and 3.8–5.1 ms on two.
+const ASSEMBLY_BYTES_PER_THREAD: usize = 1 << 20;
+
+/// The fused assembly over fixed-width rows: partition `p` copies the rows
+/// of global ranks `indices(p)` by stride over the sorted fragments into
+/// an exact-size buffer, the partitions filling in parallel on `threads`
+/// threads. A policy with no index ranges routes nothing here.
+fn stride_partitions(
+    frags: &[&Rows],
+    schema: &Arc<Schema>,
+    width: usize,
+    num_partitions: usize,
+    threads: usize,
+    indices: impl Fn(usize) -> Option<StepBy<Range<usize>>> + Sync,
+) -> Result<Vec<Batch>> {
+    let parts = run_slots(num_partitions, threads, |p| {
+        let ranks =
+            indices(p).ok_or_else(|| CoreError::exec("a value-routed policy has no ranks"))?;
+        let mut bytes = Vec::with_capacity(ranks.len() * width);
+        let mut ranks = ranks.peekable();
+        let mut base = 0;
+        for rows in frags {
+            let (src, end) = (rows.as_bytes(), base + rows.len());
+            while let Some(g) = ranks.next_if(|&g| g < end) {
+                bytes.extend_from_slice(&src[(g - base) * width..][..width]);
+            }
+            base = end;
+        }
+        Ok(Batch::Rows(Rows::new(schema.clone(), bytes)?))
+    });
+    parts.into_iter().collect()
+}
+
+/// The fused assembly over decoded entries: each moved once, by global
+/// rank, into its exact-size partition.
+fn route_entries(
+    frags: Vec<Dataset>,
+    out_format: Format,
+    num_partitions: usize,
+    part_of: impl Fn(usize) -> usize,
+) -> Result<Vec<Batch>> {
+    let mut sizes = vec![(0usize, 0usize); num_partitions];
+    let all = frags.iter().flat_map(|d| EntryRef::all(&d.batch));
+    for (g, entry) in all.enumerate() {
+        let (records, entries) = &mut sizes[part_of(g)];
+        *records += entry.record_count();
+        *entries += 1;
+    }
+    let mut parts: Vec<Batch> = (sizes.into_iter())
+        .map(|(records, entries)| empty_batch(out_format, records, entries))
+        .collect();
+    let entries = frags.into_iter().flat_map(|d| batch_entries(d.batch));
+    for (g, entry) in entries.enumerate() {
+        place(&mut parts[part_of(g)], entry, None)?;
+    }
+    Ok(parts)
+}
+
+/// Why a distribute into a packed output refuses a flat entry.
+const FLAT_IN_PACKED: &str = "distribute cannot keep flat entries in a packed output";
+
+/// An empty output batch of `format`, with room for `records` flat
+/// records or `entries` packed groups, whichever the format holds.
+fn empty_batch(format: Format, records: usize, entries: usize) -> Batch {
+    match format {
+        Format::Flat => Batch::Flat(Vec::with_capacity(records)),
+        Format::Packed => Batch::Packed(Vec::with_capacity(entries)),
+    }
+}
+
+/// Move one entry into an output batch: the one place an operator's
+/// entry lands in an output of either format. A flat output takes a
+/// record, or a packed group's members in order, decoded. A packed output
+/// takes a group; a lone record becomes a singleton group of one row of
+/// `wrap`'s schema, keyed by its field `wrap`'s index (split), and without
+/// one it is refused with [`FLAT_IN_PACKED`] (distribute). Rows are built
+/// from bytes, never placed into.
+fn place(
+    out: &mut Batch,
+    entry: Entry,
+    wrap: Option<(usize, &Arc<Schema>)>,
+) -> papar_mr::Result<()> {
+    match (out, entry) {
+        (Batch::Flat(records), Entry::Rec(r)) => records.push(r),
+        (Batch::Flat(records), Entry::Packed(p)) => {
+            records.extend(p.members.iter().map(|row| row.to_record()))
+        }
+        (Batch::Packed(groups), Entry::Packed(p)) => groups.push(p),
+        (Batch::Packed(groups), Entry::Rec(r)) => {
+            let (key_idx, schema) = wrap.ok_or_else(|| MrError::msg(FLAT_IN_PACKED))?;
+            let key = r.require(key_idx)?.clone();
+            let members = Rows::from_records(schema.clone(), std::slice::from_ref(&r))?;
+            groups.push(PackedRecord { key, members });
+        }
+        (Batch::Rows(_), _) => return Err(MrError::msg("an entry cannot be placed into rows")),
+    }
+    Ok(())
+}
+
+/// Project every record onto the given field indices, in place; rows
+/// decode first, and a group's members are projected as their bytes. Only
+/// the fused sort→distribute assembly projects so: an unfused distribute
+/// ships its entries projected.
+fn project_batch(batch: &mut Batch, proj: &[usize]) -> Result<()> {
+    let project = |r: &mut Record| *r = proj.iter().map(|&i| r.values()[i].clone()).collect();
+    match batch {
+        Batch::Rows(rows) => {
+            let mut records = rows.to_records();
+            records.iter_mut().for_each(project);
+            *batch = Batch::Flat(records);
+        }
+        Batch::Flat(records) => records.iter_mut().for_each(project),
+        Batch::Packed(groups) => {
+            for g in groups {
+                let mut bytes = Vec::new();
+                for row in g.members.iter() {
+                    wire::project_record(row.as_bytes(), row.schema(), proj, &mut bytes);
+                }
+                let schema = project_schema(g.members.schema(), proj);
+                g.members = Rows::new(schema, bytes).map_err(MrError::from)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use papar_config::input::FieldType;
+    use papar_record::rec;
+    use proptest::prelude::*;
+
+    /// Each placement policy, stated once in [`place`].
+    #[test]
+    fn place_wraps_refuses_and_unpacks_by_output_format() -> Result<()> {
+        let schema = Arc::new(Schema::new(vec![
+            ("a", FieldType::Integer),
+            ("b", FieldType::Integer),
+        ]));
+        let wrap = Some((1, &schema));
+        let group = |k: i32, records: &[Record]| -> Result<PackedRecord> {
+            let members = Rows::from_records(schema.clone(), records)?;
+            Ok(PackedRecord::new(Value::Int(k), members, 0)?)
+        };
+        let five = group(5, &[rec![5, 1], rec![5, 2]])?;
+        // A split wraps a lone record as a group of one row, keyed by the
+        // split key.
+        let mut split = empty_batch(Format::Packed, 0, 0);
+        place(&mut split, Entry::Rec(rec![4, 9]), wrap)?;
+        place(&mut split, Entry::Packed(five.clone()), wrap)?;
+        let single = PackedRecord::new(
+            Value::Int(9),
+            Rows::from_records(schema.clone(), &[rec![4, 9]])?,
+            1,
+        )?;
+        assert_eq!(split, Batch::Packed(vec![single, five.clone()]));
+        // A distribute refuses it.
+        let refused = place(&mut split, Entry::Rec(rec![4, 9]), None);
+        assert!(matches!(refused, Err(e) if e.to_string().contains(FLAT_IN_PACKED)));
+        // A flat output takes records and a group's members, in order.
+        let mut flat = empty_batch(Format::Flat, 0, 0);
+        place(&mut flat, Entry::Rec(rec![4, 9]), None)?;
+        place(&mut flat, Entry::Packed(five), wrap)?;
+        assert_eq!(flat, Batch::Flat(vec![rec![4, 9], rec![5, 1], rec![5, 2]]));
+        // Rows are never placed into.
+        let mut rows = Batch::Rows(Rows::new(schema.clone(), Vec::new())?);
+        assert!(place(&mut rows, Entry::Rec(rec![4, 9]), wrap).is_err());
+        Ok(())
+    }
+
+    /// The parallel stride assembly fills each partition with exactly the
+    /// rows, in order, that the sequential walk routes to it: cyclic and
+    /// block, over fragments empty and not, with fewer and more partitions
+    /// than rows, at every thread count.
+    #[test]
+    fn stride_assembly_routes_what_the_walk_routes() -> Result<()> {
+        let schema = Arc::new(Schema::new(vec![("k", FieldType::Long)]));
+        let mut next = 0i64;
+        let frags = [0, 7, 0, 9, 7]
+            .map(|len| {
+                let records: Vec<Record> = (next..next + len).map(|k| rec![k * 5]).collect();
+                next += len;
+                Rows::from_records(schema.clone(), &records)
+            })
+            .into_iter()
+            .collect::<papar_record::Result<Vec<Rows>>>()?;
+        let frags: Vec<&Rows> = frags.iter().collect();
+        let total = 23;
+        for policy in [DistrPolicy::Cyclic, DistrPolicy::Block] {
+            for parts in [1, 3, 8, 30] {
+                let part_of = |g| policy.partition_of_index(g, total, parts);
+                let walked = route_rows(&frags, &schema, parts, part_of)?;
+                for threads in [1, 2, 3] {
+                    let indices = |p| policy.indices_of(p, total, parts);
+                    let strided = stride_partitions(&frags, &schema, 8, parts, threads, indices)?;
+                    assert_eq!(
+                        strided, walked,
+                        "{policy:?} into {parts} on {threads} threads"
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The sort sampler reads the same keys from rows, records and
+    /// groups.
+    #[test]
+    fn key_sampling_does_not_depend_on_the_batch_form() -> Result<()> {
+        let schema = Arc::new(Schema::new(vec![
+            ("k", FieldType::Integer),
+            ("v", FieldType::Long),
+        ]));
+        let records: Vec<Record> = (0..20).map(|i| rec![(i * 7) % 20, i as i64]).collect();
+        let mut bytes = Vec::new();
+        wire::encode_batch(&Batch::Flat(records.clone()), &schema, &mut bytes)?;
+        let rows = wire::decode_batch(&mut wire::Reader::new(&bytes), &schema)?;
+        assert!(matches!(rows, Batch::Rows(_)));
+        let mut groups = Vec::new();
+        pack_onto(
+            &mut groups,
+            Rows::from_records(schema.clone(), &records)?,
+            0,
+        )?;
+        let forms = [rows, Batch::Flat(records), Batch::Packed(groups)];
+        for stride in [1, 3] {
+            let expected: Vec<Value> = (0..20)
+                .step_by(stride)
+                .map(|i| Value::Int((i * 7) % 20))
+                .collect();
+            for batch in &forms {
+                let mut sampled = Vec::new();
+                sample_keys(batch, 0, stride, &mut sampled)?;
+                assert_eq!(sampled, expected, "{batch:?}");
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// A sort's partitioner routes an integer key by its cuts to the
+        /// reducer `reducer_for` routes it to as a `Value`, or to the same
+        /// error, ascending and descending: over sampled boundaries (so
+        /// collapsed or empty ones) of `int` or `long` keys around ±2^53
+        /// and the ends of `i64`, keys equal to a boundary included.
+        #[test]
+        fn sort_routing_by_integer_cuts_matches_reducer_for(
+            long in any::<bool>(),
+            descending in any::<bool>(),
+            sample in prop::collection::vec(
+                prop_oneof![
+                    -3i64..3,
+                    Just(i64::MIN),
+                    Just(i64::MAX),
+                    (1i64 << 53) - 2..(1i64 << 53) + 3,
+                ],
+                0..24,
+            ),
+            requested in 1usize..9,
+            short in 0usize..2,
+        ) {
+            let value = |k: i64| match long {
+                true => Value::Long(k),
+                false => Value::Int(k.clamp(i32::MIN.into(), i32::MAX.into()) as i32),
+            };
+            let sample: Vec<Value> = sample.into_iter().map(value).collect();
+            let boundaries =
+                sampler::boundaries_from_samples(std::slice::from_ref(&sample), requested)
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let num_reducers = (boundaries.len() + 1 - short).max(1);
+            let p = SortPartitioner {
+                range: RangePartitioner::new(boundaries),
+                descending,
+                num_reducers,
+            };
+            let cuts = p.int_cuts();
+            prop_assert!(cuts.is_some());
+            let probes = sample.into_iter().chain([-4, 0, 4, i64::MIN, i64::MAX].map(value));
+            for key in probes {
+                let got = cuts.zip(key.as_i64()).map(|(c, k)| c.reducer_for(k, num_reducers));
+                let want = p.reducer_for(&key, num_reducers);
+                prop_assert_eq!(format!("{got:?}"), format!("{:?}", Some(want)), "{:?}", key);
+            }
+        }
+    }
+}
