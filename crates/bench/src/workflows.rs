@@ -14,59 +14,22 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// The Figure 4 InputData configuration.
-pub const BLAST_INPUT_CFG: &str = r#"
-<input id="blast_db" name="BLAST Database file">
-  <input_format>binary</input_format>
-  <start_position>32</start_position>
-  <element>
-    <value name="seq_start" type="integer"/>
-    <value name="seq_size" type="integer"/>
-    <value name="desc_start" type="integer"/>
-    <value name="desc_size" type="integer"/>
-  </element>
-</input>"#;
+/// The Figure 4 InputData configuration, as shipped in `examples/configs`.
+pub const BLAST_INPUT_CFG: &str = include_str!("../../../examples/configs/blast_db.xml");
 
-/// The Figure 8 workflow, parameterized on the distribution policy so the
-/// same document drives both the "cyclic" and "block" variants of
-/// Section IV-B.
+/// The Figure 8 workflow, as shipped in `examples/configs`, with its
+/// distribution policy replaced by `policy`, so the same document drives
+/// both the "cyclic" and "block" variants of Section IV-B.
 pub fn blast_workflow(policy: &str) -> String {
-    format!(
-        r#"
-<workflow id="blast_partition" name="BLAST database partition">
-  <arguments>
-    <param name="input_path" type="hdfs" format="blast_db"/>
-    <param name="output_path" type="hdfs" format="blast_db"/>
-    <param name="num_partitions" type="integer"/>
-  </arguments>
-  <operators>
-    <operator id="sort" operator="Sort">
-      <param name="inputPath" type="String" value="$input_path"/>
-      <param name="outputPath" type="String" value="/user/sort_output"/>
-      <param name="key" type="KeyId" value="seq_size"/>
-    </operator>
-    <operator id="distr" operator="Distribute">
-      <param name="inputPath" type="String" value="$sort.outputPath"/>
-      <param name="outputPath" type="String" value="$output_path"/>
-      <param name="distrPolicy" type="DistrPolicy" value="{policy}"/>
-      <param name="numPartitions" type="integer" value="$num_partitions"/>
-    </operator>
-  </operators>
-</workflow>"#
+    const SHIPPED: &str = include_str!("../../../examples/configs/blast_partition.xml");
+    SHIPPED.replace(
+        r#"type="DistrPolicy" value="roundRobin""#,
+        &format!(r#"type="DistrPolicy" value="{policy}""#),
     )
 }
 
-/// The Figure 5 InputData configuration.
-pub const EDGE_INPUT_CFG: &str = r#"
-<input id="graph_edge" name="edge lists">
-  <input_format>text</input_format>
-  <element>
-    <value name="vertex_a" type="String"/>
-    <delimiter value="\t"/>
-    <value name="vertex_b" type="String"/>
-    <delimiter value="\n"/>
-  </element>
-</input>"#;
+/// The Figure 5 InputData configuration, as shipped in `examples/configs`.
+pub const EDGE_INPUT_CFG: &str = include_str!("../../../examples/configs/graph_edge.xml");
 
 /// The performance variant of the edge-list configuration: SNAP vertex ids
 /// are numeric, and declaring them `long` (which the configuration
@@ -84,38 +47,8 @@ pub const EDGE_INPUT_CFG_NUMERIC: &str = r#"
   </element>
 </input>"#;
 
-/// The Figure 10 workflow.
-pub const HYBRID_WORKFLOW: &str = r#"
-<workflow id="hybrid_cut" name="Hybrid-cut">
-  <arguments>
-    <param name="input_file" type="hdfs" format="graph_edge"/>
-    <param name="output_path" type="hdfs" format="graph_edge"/>
-    <param name="num_partitions" type="integer"/>
-    <param name="threshold" type="integer"/>
-  </arguments>
-  <operators>
-    <operator id="group" operator="group">
-      <param name="inputPath" type="String" value="$input_file"/>
-      <param name="outputPath" type="String" value="/tmp/group" format="pack"/>
-      <param name="key" type="KeyId" value="vertex_b"/>
-      <addon operator="count" key="vertex_b" attr="indegree"/>
-    </operator>
-    <operator id="split" operator="Split">
-      <param name="inputPath" type="String" value="$group.outputPath"/>
-      <param name="outputPathList" type="StringList"
-             value="/tmp/split/high_degree,/tmp/split/low_degree"
-             format="unpack,orig"/>
-      <param name="key" type="KeyId" value="$group.$indegree"/>
-      <param name="policy" type="SplitPolicy" value="{&gt;=, $threshold},{&lt;,$threshold}"/>
-    </operator>
-    <operator id="distr" operator="Distribute">
-      <param name="inputPath" type="String" value="/tmp/split/"/>
-      <param name="outputPath" type="String" value="$output_path"/>
-      <param name="policy" type="distrPolicy" value="graphVertexCut"/>
-      <param name="numPartitions" type="integer" value="$num_partitions"/>
-    </operator>
-  </operators>
-</workflow>"#;
+/// The Figure 10 workflow, as shipped in `examples/configs`.
+pub const HYBRID_WORKFLOW: &str = include_str!("../../../examples/configs/hybrid_cut.xml");
 
 /// What one workflow run left behind, before any experiment-specific
 /// decoding.
@@ -335,6 +268,14 @@ mod tests {
             mublastp::baseline::partition(&db.index, 4, mublastp::baseline::BaselinePolicy::Cyclic);
         assert_eq!(run.partitions, base.partitions);
         assert!(run.total_time() > Duration::ZERO);
+    }
+
+    /// The policy replaces the shipped document's.
+    #[test]
+    fn blast_workflow_substitutes_its_policy() {
+        let block = blast_workflow("block");
+        assert!(block.contains(r#"value="block""#), "{block}");
+        assert!(!block.contains("roundRobin"), "{block}");
     }
 
     #[test]
