@@ -280,9 +280,9 @@ fn lint(wf: &WorkflowConfig, ctx: &CheckContext, b: &Binding, out: &mut Vec<Diag
 
     // W010: a keyed job whose reducers cannot load every node evenly.
     // Reducer r runs on node r % N and one node's reducers share one
-    // reduce task, so the stage's time follows the busiest node. The
-    // count resolves as the executor resolves it with no default set
-    // (no front end sets one): the literal, else one reducer per node.
+    // reduce task, so the stage's time follows the busiest node. Only a
+    // literal can be uneven: without one a job runs one reducer per node
+    // (`JobPlan::reducers`).
     if let Some(nodes) = ctx.nodes {
         for (i, (op, job)) in wf.operators.iter().zip(&b.jobs).enumerate() {
             let Some(r) = job
