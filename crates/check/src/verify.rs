@@ -117,32 +117,25 @@ pub fn verify_lowering(
                     ));
                 }
             }
-            StageKind::FusedSortDistribute { sort, distribute } => {
-                if stage.logical != vec![sort, distribute] || distribute != sort + 1 {
-                    violation(format!(
-                        "stage '{}' fuses jobs {sort} and {distribute} but covers {:?}",
-                        stage.id, stage.logical
-                    ));
-                } else if !physplan::sort_distribute_fusible(plan, sort) {
-                    violation(format!(
-                        "stage '{}' fuses sort job {sort} with distribute job \
-                         {distribute}, but the pair fails the sort→distribute gate",
-                        stage.id
-                    ));
-                }
+            StageKind::FusedSortDistribute {
+                sort: a,
+                distribute: b,
             }
-            StageKind::FusedGroupSplit { group, split } => {
-                if stage.logical != vec![group, split] || split != group + 1 {
-                    violation(format!(
-                        "stage '{}' fuses jobs {group} and {split} but covers {:?}",
+            | StageKind::FusedGroupSplit { group: a, split: b } => {
+                match physplan::fusion(plan, a, num_nodes) {
+                    _ if stage.logical != [a, b] => violation(format!(
+                        "stage '{}' fuses jobs {a} and {b} but covers {:?}",
                         stage.id, stage.logical
-                    ));
-                } else if !physplan::group_split_fusible(plan, group, num_nodes) {
-                    violation(format!(
-                        "stage '{}' fuses group job {group} with split job {split}, \
-                         but the pair fails the group→split gate",
+                    )),
+                    Some(Ok(kind)) if kind == stage.kind => {}
+                    Some(Err(gate)) => violation(format!(
+                        "stage '{}' fuses jobs {a} and {b}, but {gate}",
                         stage.id
-                    ));
+                    )),
+                    _ => violation(format!(
+                        "stage '{}' fuses jobs {a} and {b}, which no fusion rule pairs as {:?}",
+                        stage.id, stage.kind
+                    )),
                 }
             }
         }

@@ -735,6 +735,9 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CliError> {
         };
         let nodes = nodes.unwrap_or(DEFAULT_BOUNDS_NODES);
         let phys = papar_core::physplan::lower(plan, nodes, true);
+        // P099, as `papar plan` and `papar run` verify the lowering.
+        let divergences = papar_check::verify_lowering(plan, &phys, nodes);
+        analysis.diagnostics.extend(divergences);
         let report = papar_check::analyze_bounds(
             wf,
             plan,

@@ -24,20 +24,18 @@
 //! be arbitrarily imprecise (custom operators are ⊤ everywhere) but never
 //! exclude a reachable value.
 //!
-//! The pass also *re-proves* the physical planner's rewrites instead of
-//! trusting them: every fused stage carries a [`FusionProof`] derived
-//! from the bounds and the dataflow (single consumption, entry/record
-//! agreement for the prefix-sum trick, reducer/node agreement for the
-//! reduce-side split), and every adjacent pair that *looks* fusible but
-//! stayed unfused carries a [`FusionReject`] naming the gate that blocked
-//! it. DESIGN.md §13 documents the domain and the soundness argument.
+//! A fused stage is not interpreted on its own: its bounds are composed
+//! from its two jobs' (the engine job is the first one's; the outputs and
+//! partition layout are the second's), so the fused and unfused plans are
+//! priced by the same transfer functions. DESIGN.md §13 documents the
+//! domain and the soundness argument.
 
 use std::collections::BTreeMap;
 
 use papar_config::input::FieldType;
 use papar_record::Schema;
 
-use crate::physplan::{consumer_count, PhysicalPlan, StageKind};
+use crate::physplan::{PhysicalPlan, StageKind};
 use crate::plan::{DatasetMeta, Format, JobKind, JobPlan, WorkflowPlan};
 use crate::policy::DistrPolicy;
 
@@ -251,34 +249,6 @@ pub struct StageBounds {
     pub partitions: Option<PartitionBounds>,
 }
 
-/// A bounds-level re-proof of one fused stage's legality.
-#[derive(Debug, Clone)]
-pub struct FusionProof {
-    /// Stage index in the physical plan.
-    pub stage: usize,
-    /// Stage id.
-    pub id: String,
-    /// True when every obligation held.
-    pub ok: bool,
-    /// The proof obligations, human-readable; on failure the first
-    /// violated one explains what broke.
-    pub obligations: Vec<String>,
-    /// The violated obligation, when `ok` is false.
-    pub violation: Option<String>,
-}
-
-/// A structurally adjacent pair that looks fusible but was not fused,
-/// with the gate that blocked the rewrite (surfaced as `W009`).
-#[derive(Debug, Clone)]
-pub struct FusionReject {
-    /// Job index of the sort/group.
-    pub first: usize,
-    /// Job index of the distribute/split.
-    pub second: usize,
-    /// Why the rewrite was rejected.
-    pub reason: String,
-}
-
 /// The whole interpretation: per-stage bounds plus dataflow facts.
 #[derive(Debug, Clone)]
 pub struct WorkflowBounds {
@@ -286,11 +256,6 @@ pub struct WorkflowBounds {
     pub stages: Vec<StageBounds>,
     /// Final per-dataset bounds (sources and every materialized output).
     pub datasets: BTreeMap<String, DatasetBounds>,
-    /// Re-proofs of the fused stages' legality.
-    pub proofs: Vec<FusionProof>,
-    /// Adjacent pairs whose fusion was rejected (empty when lowered with
-    /// `--no-fuse`: an unfused plan needs no excuse).
-    pub rejects: Vec<FusionReject>,
 }
 
 impl WorkflowBounds {
@@ -549,46 +514,18 @@ pub fn compute(plan: &WorkflowPlan, phys: &PhysicalPlan, opts: &BoundsOptions) -
     }
 
     let mut stages = Vec::with_capacity(phys.stages.len());
-    let mut proofs = Vec::new();
-    for (sidx, stage) in phys.stages.iter().enumerate() {
-        let sb = match &stage.kind {
-            StageKind::Single(j) => {
-                single_stage(plan, &plan.jobs[*j], stage.id.clone(), &env, opts)
+    for stage in &phys.stages {
+        let id = stage.id.clone();
+        let sb = match stage.kind {
+            StageKind::Single(j) => single_stage(&plan.jobs[j], id, &env, opts),
+            StageKind::FusedSortDistribute {
+                sort: first,
+                distribute: second,
             }
-            StageKind::FusedSortDistribute { sort, distribute } => {
-                proofs.push(prove_sort_distribute(
-                    plan,
-                    sidx,
-                    stage.id.clone(),
-                    *sort,
-                    *distribute,
-                ));
-                fused_sort_distribute_stage(
-                    plan,
-                    &plan.jobs[*sort],
-                    &plan.jobs[*distribute],
-                    stage.id.clone(),
-                    &env,
-                    opts,
-                )
-            }
-            StageKind::FusedGroupSplit { group, split } => {
-                proofs.push(prove_group_split(
-                    plan,
-                    sidx,
-                    stage.id.clone(),
-                    *group,
-                    *split,
-                    opts,
-                ));
-                fused_group_split_stage(
-                    &plan.jobs[*group],
-                    &plan.jobs[*split],
-                    stage.id.clone(),
-                    &env,
-                    opts,
-                )
-            }
+            | StageKind::FusedGroupSplit {
+                group: first,
+                split: second,
+            } => fused_stage(&plan.jobs[first], &plan.jobs[second], id, &env, opts),
         };
         for (name, b) in &sb.outputs {
             env.insert(name.clone(), *b);
@@ -596,23 +533,14 @@ pub fn compute(plan: &WorkflowPlan, phys: &PhysicalPlan, opts: &BoundsOptions) -
         stages.push(sb);
     }
 
-    let rejects = if phys.fused {
-        fusion_rejects(plan, phys, opts)
-    } else {
-        Vec::new()
-    };
-
     WorkflowBounds {
         stages,
         datasets: env,
-        proofs,
-        rejects,
     }
 }
 
 /// Bounds of one unfused stage.
 fn single_stage(
-    plan: &WorkflowPlan,
     job: &JobPlan,
     id: String,
     env: &BTreeMap<String, DatasetBounds>,
@@ -702,7 +630,6 @@ fn single_stage(
         } => distribute_stage(job, id, *policy, *num_partitions, &input, opts),
         JobKind::Custom { .. } => {
             // A custom operator owns its counters; nothing is provable.
-            let _ = plan;
             StageBounds {
                 id,
                 reducers: job.reducers(opts.num_nodes),
@@ -814,359 +741,31 @@ fn distribute_stage(
     }
 }
 
-/// Bounds of a fused sort→distribute stage: the engine job is the sort
-/// (its reducers, its shuffle); the distribute permutation is applied
-/// driver-side over the sorted runs, so the stage's counters are the
-/// sort's and the output layout is the distribute's.
-fn fused_sort_distribute_stage(
-    plan: &WorkflowPlan,
-    sort: &JobPlan,
-    dist: &JobPlan,
+/// Bounds of a fused stage, composed from its two jobs' own: the engine
+/// job is the first job's (its reducers, inputs, pairs, shuffle and
+/// load), and the outputs and partition layout are the second's, which
+/// reads the first's output from a scratch environment, so the streamed
+/// intermediate never becomes a dataset of the pass. Under the fusion
+/// gates this is exact: a flat sort output holds one entry per record, so
+/// the distribute slices the sort's records; a fused group runs one
+/// reducer per node, so the split's per-node fragments are its per-reducer
+/// ones.
+fn fused_stage(
+    first: &JobPlan,
+    second: &JobPlan,
     id: String,
     env: &BTreeMap<String, DatasetBounds>,
     opts: &BoundsOptions,
 ) -> StageBounds {
-    let _ = plan;
-    let input = sum_inputs(env, sort);
-    let n = input.records;
-    let reducers = sort.reducers(opts.num_nodes);
-    let JobKind::Distribute {
-        policy,
-        num_partitions,
-        ..
-    } = &dist.kind
-    else {
-        unreachable!("fused stage pairs a sort with a distribute");
-    };
-    let m = (*num_partitions).max(1) as u64;
-    // The fusion gate proved the intermediate flat: entries == records.
-    let per_partition: Vec<Interval> = (0..m)
-        .map(|p| n.map_monotone(|v| indexed_partition_count(*policy, v, p, m)))
-        .collect();
-    let provably_empty = per_partition.iter().filter(|i| i.hi == 0).count();
-    // Same fair-share gate as the unfused distribute: ratios computed
-    // from fewer records than partitions only restate emptiness.
-    let imbalance_hi = if n.hi != UNBOUNDED && n.hi >= m {
-        Some(div_ceil(n.hi, m) as f64 * m as f64 / n.hi as f64)
-    } else {
-        None
-    };
-
-    let meta = &dist.outputs[0].1;
-    let distinct = distinct_of(n, input.distinct);
-    let entries = entries_of(meta, n, distinct);
-    let bytes = bytes_of(meta, n, entries, m);
+    let engine = single_stage(first, id, env, opts);
+    let mut scratch = env.clone();
+    scratch.extend(engine.outputs.iter().cloned());
+    let layout = single_stage(second, String::new(), &scratch, opts);
     StageBounds {
-        id,
-        reducers,
-        records_in: n,
-        records_out: n,
-        pairs: input.entries,
-        shuffle_bytes: Interval {
-            lo: 0,
-            hi: shuffle_hi(
-                sort,
-                n,
-                input.entries,
-                input.fragments,
-                reducers,
-                segments(opts, reducers),
-            ),
-        },
-        max_load: keyed_max_load(n, reducers),
-        outputs: vec![(
-            dist.output().to_string(),
-            DatasetBounds {
-                records: n,
-                entries,
-                bytes,
-                distinct,
-                fragments: m,
-            },
-        )],
-        partitions: Some(PartitionBounds {
-            per_partition,
-            provably_empty,
-            imbalance_hi,
-        }),
+        outputs: layout.outputs,
+        partitions: layout.partitions,
+        ..engine
     }
-}
-
-/// Bounds of a fused group→split stage: the group's shuffle, the split's
-/// outputs (one fragment per reducer per branch).
-fn fused_group_split_stage(
-    group: &JobPlan,
-    split: &JobPlan,
-    id: String,
-    env: &BTreeMap<String, DatasetBounds>,
-    opts: &BoundsOptions,
-) -> StageBounds {
-    let input = sum_inputs(env, group);
-    let n = input.records;
-    let reducers = group.reducers(opts.num_nodes);
-    let distinct = distinct_of(n, input.distinct);
-    let outputs = split
-        .outputs
-        .iter()
-        .map(|(name, meta)| {
-            let records = Interval { lo: 0, hi: n.hi };
-            let d = distinct_of(records, distinct);
-            let entries = entries_of(meta, records, d);
-            let bytes = bytes_of(meta, records, entries, reducers as u64);
-            (
-                name.clone(),
-                DatasetBounds {
-                    records,
-                    entries,
-                    bytes,
-                    distinct: d,
-                    fragments: reducers as u64,
-                },
-            )
-        })
-        .collect();
-    StageBounds {
-        id,
-        reducers,
-        records_in: n,
-        records_out: n,
-        pairs: input.entries,
-        shuffle_bytes: Interval {
-            lo: 0,
-            hi: shuffle_hi(
-                group,
-                n,
-                input.entries,
-                input.fragments,
-                reducers,
-                segments(opts, reducers),
-            ),
-        },
-        max_load: keyed_max_load(n, reducers),
-        outputs,
-        partitions: None,
-    }
-}
-
-/// Re-prove the sort→distribute fusion from the dataflow: the streamed
-/// intermediate must have exactly one consumer, survive nowhere, and the
-/// prefix-sum rank trick needs entries == records (flat) and an
-/// index-routed policy.
-fn prove_sort_distribute(
-    plan: &WorkflowPlan,
-    stage: usize,
-    id: String,
-    sort: usize,
-    distribute: usize,
-) -> FusionProof {
-    let sjob = &plan.jobs[sort];
-    let djob = &plan.jobs[distribute];
-    let mut obligations = Vec::new();
-    let mut violation = None;
-    let mut check = |ok: bool, text: String| {
-        if !ok && violation.is_none() {
-            violation = Some(text.clone());
-        }
-        obligations.push(text);
-        ok
-    };
-    let consumers = consumer_count(plan, sjob.output());
-    check(
-        consumers == 1,
-        format!(
-            "streamed intermediate '{}' has exactly one consumer (found {consumers})",
-            sjob.output()
-        ),
-    );
-    check(
-        plan.output_path != sjob.output(),
-        format!(
-            "streamed intermediate '{}' is not the workflow output",
-            sjob.output()
-        ),
-    );
-    check(
-        sjob.outputs[0].1.format == Format::Flat,
-        "sort output is flat, so entry ranks equal record ranks".to_string(),
-    );
-    let index_routed = matches!(
-        djob.kind,
-        JobKind::Distribute {
-            policy: DistrPolicy::Cyclic | DistrPolicy::Block,
-            ..
-        }
-    );
-    check(
-        index_routed,
-        "distribute policy routes by index, computable from prefix sums".to_string(),
-    );
-    let ok = violation.is_none();
-    FusionProof {
-        stage,
-        id,
-        ok,
-        obligations,
-        violation,
-    }
-}
-
-/// Re-prove the group→split fusion: single consumption plus the
-/// reducer/node agreement that keeps fragment ordinals identical.
-fn prove_group_split(
-    plan: &WorkflowPlan,
-    stage: usize,
-    id: String,
-    group: usize,
-    _split: usize,
-    opts: &BoundsOptions,
-) -> FusionProof {
-    let gjob = &plan.jobs[group];
-    let mut obligations = Vec::new();
-    let mut violation = None;
-    let mut check = |ok: bool, text: String| {
-        if !ok && violation.is_none() {
-            violation = Some(text.clone());
-        }
-        obligations.push(text);
-        ok
-    };
-    let consumers = consumer_count(plan, gjob.output());
-    check(
-        consumers == 1,
-        format!(
-            "streamed intermediate '{}' has exactly one consumer (found {consumers})",
-            gjob.output()
-        ),
-    );
-    check(
-        plan.output_path != gjob.output(),
-        format!(
-            "streamed intermediate '{}' is not the workflow output",
-            gjob.output()
-        ),
-    );
-    let reducers = gjob.reducers(opts.num_nodes);
-    check(
-        reducers == opts.num_nodes,
-        format!(
-            "group runs {reducers} reducer(s) on {} node(s): fused and unfused \
-             fragment ordinals coincide",
-            opts.num_nodes
-        ),
-    );
-    let ok = violation.is_none();
-    FusionProof {
-        stage,
-        id,
-        ok,
-        obligations,
-        violation,
-    }
-}
-
-/// Adjacent pairs that look fusible (right kinds, right order) but were
-/// not fused, with the blocking gate spelled out.
-fn fusion_rejects(
-    plan: &WorkflowPlan,
-    phys: &PhysicalPlan,
-    opts: &BoundsOptions,
-) -> Vec<FusionReject> {
-    let fused_firsts: Vec<usize> = phys
-        .stages
-        .iter()
-        .filter(|s| s.logical.len() > 1)
-        .map(|s| s.logical[0])
-        .collect();
-    let mut out = Vec::new();
-    for i in 0..plan.jobs.len().saturating_sub(1) {
-        if fused_firsts.contains(&i) {
-            continue;
-        }
-        let a = &plan.jobs[i];
-        let b = &plan.jobs[i + 1];
-        if a.outputs.is_empty() || b.outputs.is_empty() {
-            continue;
-        }
-        let reason = match (&a.kind, &b.kind) {
-            (JobKind::Sort { .. }, JobKind::Distribute { policy, .. }) => {
-                if b.inputs != vec![a.output().to_string()] {
-                    Some(format!(
-                        "the distribute does not read exactly the sort output '{}'",
-                        a.output()
-                    ))
-                } else if matches!(policy, DistrPolicy::GraphVertexCut) {
-                    Some(
-                        "distribute policy 'graphVertexCut' routes by value, so partition \
-                         assignments cannot be derived from the sorted runs' prefix sums"
-                            .to_string(),
-                    )
-                } else if a.outputs[0].1.format != Format::Flat {
-                    Some(format!(
-                        "sort output '{}' is packed: entry ranks diverge from record ranks",
-                        a.output()
-                    ))
-                } else if plan.output_path == a.output() {
-                    Some(format!(
-                        "sort output '{}' is the workflow output and must survive the run",
-                        a.output()
-                    ))
-                } else {
-                    let c = consumer_count(plan, a.output());
-                    if c != 1 {
-                        Some(format!(
-                            "sort output '{}' has {c} consumers; streaming it would starve one",
-                            a.output()
-                        ))
-                    } else {
-                        None
-                    }
-                }
-            }
-            (JobKind::Group { .. }, JobKind::Split { .. }) => {
-                if b.inputs != vec![a.output().to_string()] {
-                    Some(format!(
-                        "the split does not read exactly the group output '{}'",
-                        a.output()
-                    ))
-                } else if plan.output_path == a.output() {
-                    Some(format!(
-                        "group output '{}' is the workflow output and must survive the run",
-                        a.output()
-                    ))
-                } else {
-                    let reducers = a.reducers(opts.num_nodes);
-                    if reducers != opts.num_nodes {
-                        Some(format!(
-                            "group runs {reducers} reducer(s) but the cluster has {} node(s): \
-                             fused (per-reducer) and unfused (per-node) fragment ordinals \
-                             would diverge",
-                            opts.num_nodes
-                        ))
-                    } else {
-                        let c = consumer_count(plan, a.output());
-                        if c != 1 {
-                            Some(format!(
-                                "group output '{}' has {c} consumers; streaming it would \
-                                 starve one",
-                                a.output()
-                            ))
-                        } else {
-                            None
-                        }
-                    }
-                }
-            }
-            _ => None,
-        };
-        if let Some(reason) = reason {
-            out.push(FusionReject {
-                first: i,
-                second: i + 1,
-                reason,
-            });
-        }
-    }
-    out
 }
 
 /// Render the per-stage bound table `papar check --bounds` and `papar

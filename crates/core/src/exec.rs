@@ -45,8 +45,6 @@ pub struct ExecOptions {
     /// CSC-compress packed entries on the wire (paper Section III-D "Data
     /// Compression").
     pub compression: bool,
-    /// Sampling stride (1 in `stride` keys).
-    pub sample_stride: usize,
     /// OS threads the engine may use per phase (`None` keeps the cluster's
     /// own setting: `PAPAR_THREADS` or the host's available parallelism).
     /// Output bytes are identical for every value; only wall-clock changes.
@@ -67,7 +65,6 @@ impl Default for ExecOptions {
         ExecOptions {
             sampling: SamplingMode::Distributed,
             compression: false,
-            sample_stride: sampler::DEFAULT_SAMPLE_STRIDE,
             threads: None,
             trace: false,
             fuse: true,
@@ -247,13 +244,16 @@ pub fn plan_canon_with(
         }
     }
     let _ = writeln!(canon, "nodes={nodes}");
-    // `reducers=None` stands where a deleted reducer-count option was
-    // written, so fingerprints, and the checkpoints keyed by them, carry
-    // over from builds that had it.
+    // `reducers=None` and `stride` stand where the deleted reducer-count
+    // and sample-stride options were written, so fingerprints, and the
+    // checkpoints keyed by them, carry over from builds that had them.
     let _ = writeln!(
         canon,
         "sampling={:?} compression={} stride={} reducers=None fuse={}",
-        options.sampling, options.compression, options.sample_stride, options.fuse
+        options.sampling,
+        options.compression,
+        sampler::SAMPLE_STRIDE,
+        options.fuse
     );
     canon
 }

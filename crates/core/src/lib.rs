@@ -40,8 +40,7 @@ pub mod policy;
 mod stage;
 
 pub use bounds::{
-    BoundsOptions, DatasetBounds, FusionProof, FusionReject, Interval, SourceBounds, StageBounds,
-    WorkflowBounds,
+    BoundsOptions, DatasetBounds, Interval, SourceBounds, StageBounds, WorkflowBounds,
 };
 pub use error::{CoreError, Result};
 pub use exec::{ExecOptions, WorkflowReport, WorkflowRunner};

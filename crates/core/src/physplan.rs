@@ -26,8 +26,9 @@
 //!    it and the P099 verifier can prove the elision safe.
 //!
 //! Fusion changes *performance accounting only* (fewer jobs, fewer
-//! shuffled bytes); every gate below exists to keep the output bytes
-//! unchanged for every thread count and fault plan.
+//! shuffled bytes); every gate in [`fusion`], the one statement of both
+//! rules, exists to keep the output bytes unchanged for every thread
+//! count and fault plan.
 
 use crate::plan::{Format, JobKind, WorkflowPlan};
 use crate::policy::DistrPolicy;
@@ -114,59 +115,109 @@ pub fn consumer_count(plan: &WorkflowPlan, name: &str) -> usize {
     by_jobs + usize::from(plan.output_path == name)
 }
 
-/// Can `jobs[i]` (a sort) and `jobs[i+1]` (a distribute) run as one job?
-///
-/// Gates, each required for byte-identity:
-/// * the distribute reads exactly the sort's output, and nothing else
-///   reads it (single consumption — streaming it must not starve anyone);
-/// * the sort output is not the workflow output (it must survive the run);
-/// * the policy routes by *index* (`Cyclic`/`Block`): the driver can then
-///   compute every entry's partition from its global rank, which the
-///   sorted reducer runs' prefix sums give exactly. `GraphVertexCut`
-///   routes by value and never follows a sort in a PaPar workflow;
-/// * the sort output is flat: entries are records, so fragment entry
-///   counts equal record ranks and add-ons don't change the count.
-pub fn sort_distribute_fusible(plan: &WorkflowPlan, i: usize) -> bool {
-    let sort = &plan.jobs[i];
-    let dist = &plan.jobs[i + 1];
-    if !matches!(sort.kind, JobKind::Sort { .. }) {
-        return false;
+/// The fusion rule covering the adjacent jobs `i` and `i + 1`: `None` when
+/// no rule pairs their kinds (or either has no outputs), else the fused
+/// [`StageKind`] or the first gate that blocks it, in the words W009
+/// prints. This is the one statement of each rule: [`lower`] fuses on
+/// `Ok`, the P099 verifier re-asks it of every fused stage, and `papar
+/// check --bounds` names the `Err` as W009. Every gate keeps the fused
+/// stage byte-identical to the pair (DESIGN.md §11).
+pub fn fusion(
+    plan: &WorkflowPlan,
+    i: usize,
+    num_nodes: usize,
+) -> Option<Result<StageKind, String>> {
+    let (a, b) = (plan.jobs.get(i)?, plan.jobs.get(i + 1)?);
+    if a.outputs.is_empty() || b.outputs.is_empty() {
+        return None;
     }
-    let JobKind::Distribute { policy, .. } = &dist.kind else {
-        return false;
+    let out = a.output();
+    let reads_only_a = b.inputs == [out];
+    let is_output = plan.output_path == out;
+    let consumers = consumer_count(plan, out);
+    // A gate is `(blocks, why)`; the first that blocks names the rule's
+    // refusal.
+    let (fused, gates) = match (&a.kind, &b.kind) {
+        // The driver applies the distribute's index routing over the
+        // sorted reducer runs, whose prefix sums give every entry's rank.
+        (JobKind::Sort { .. }, JobKind::Distribute { policy, .. }) => (
+            StageKind::FusedSortDistribute {
+                sort: i,
+                distribute: i + 1,
+            },
+            vec![
+                (
+                    !reads_only_a,
+                    format!("the distribute does not read exactly the sort output '{out}'"),
+                ),
+                (
+                    *policy == DistrPolicy::GraphVertexCut,
+                    "distribute policy 'graphVertexCut' routes by value, so partition \
+                     assignments cannot be derived from the sorted runs' prefix sums"
+                        .to_string(),
+                ),
+                (
+                    a.outputs[0].1.format != Format::Flat,
+                    format!("sort output '{out}' is packed: entry ranks diverge from record ranks"),
+                ),
+                (
+                    is_output,
+                    format!("sort output '{out}' is the workflow output and must survive the run"),
+                ),
+                (
+                    consumers != 1,
+                    format!(
+                        "sort output '{out}' has {consumers} consumers; streaming it would \
+                         starve one"
+                    ),
+                ),
+            ],
+        ),
+        // The group's reducers apply the split predicates. Unfused split
+        // writes one fragment per node, fused split one per reducer: the
+        // ordinals agree only when reducers and nodes coincide.
+        (JobKind::Group { .. }, JobKind::Split { .. }) => {
+            let reducers = a.reducers(num_nodes);
+            (
+                StageKind::FusedGroupSplit {
+                    group: i,
+                    split: i + 1,
+                },
+                vec![
+                    (
+                        !reads_only_a,
+                        format!("the split does not read exactly the group output '{out}'"),
+                    ),
+                    (
+                        is_output,
+                        format!(
+                            "group output '{out}' is the workflow output and must survive the run"
+                        ),
+                    ),
+                    (
+                        reducers != num_nodes,
+                        format!(
+                            "group runs {reducers} reducer(s) but the cluster has {num_nodes} \
+                             node(s): fused (per-reducer) and unfused (per-node) fragment \
+                             ordinals would diverge"
+                        ),
+                    ),
+                    (
+                        consumers != 1,
+                        format!(
+                            "group output '{out}' has {consumers} consumers; streaming it would \
+                             starve one"
+                        ),
+                    ),
+                ],
+            )
+        }
+        _ => return None,
     };
-    if !matches!(policy, DistrPolicy::Cyclic | DistrPolicy::Block) {
-        return false;
-    }
-    if sort.outputs.len() != 1 || dist.inputs != vec![sort.output().to_string()] {
-        return false;
-    }
-    sort.outputs[0].1.format == Format::Flat
-        && plan.output_path != sort.output()
-        && consumer_count(plan, sort.output()) == 1
-}
-
-/// Can `jobs[i]` (a group) and `jobs[i+1]` (a split) run as one job?
-///
-/// Gates: single consumption of the group output (as above), and the
-/// group's reducer count must equal the cluster size — unfused split
-/// writes one fragment per *node* (ordinal = node), fused split writes
-/// one per *reducer* (ordinal = reducer id), and the two orderings agree
-/// exactly when reducers and nodes coincide. Workflows that override
-/// `num_reducers` on the group keep the two-job plan.
-pub fn group_split_fusible(plan: &WorkflowPlan, i: usize, num_nodes: usize) -> bool {
-    let group = &plan.jobs[i];
-    let split = &plan.jobs[i + 1];
-    if !matches!(group.kind, JobKind::Group { .. }) || !matches!(split.kind, JobKind::Split { .. })
-    {
-        return false;
-    }
-    if group.outputs.len() != 1 || split.inputs != vec![group.output().to_string()] {
-        return false;
-    }
-    group.reducers(num_nodes) == num_nodes
-        && plan.output_path != group.output()
-        && consumer_count(plan, group.output()) == 1
+    Some(match gates.into_iter().find(|(blocks, _)| *blocks) {
+        Some((_, why)) => Err(why),
+        None => Ok(fused),
+    })
 }
 
 /// Lower a logical plan to a physical one.
@@ -180,43 +231,23 @@ pub fn lower(plan: &WorkflowPlan, num_nodes: usize, fuse: bool) -> PhysicalPlan 
     let mut stages = Vec::new();
     let mut i = 0;
     while i < plan.jobs.len() {
-        // A job with no outputs can't anchor a fusion pair (and the
-        // executor rejects it with a typed error before running it).
-        if fuse && i + 1 < plan.jobs.len() && !plan.jobs[i].outputs.is_empty() {
-            if sort_distribute_fusible(plan, i) {
-                stages.push(PhysicalStage {
-                    id: format!("{}+{}", plan.jobs[i].id, plan.jobs[i + 1].id),
-                    logical: vec![i, i + 1],
-                    kind: StageKind::FusedSortDistribute {
-                        sort: i,
-                        distribute: i + 1,
-                    },
-                    elided: vec![plan.jobs[i].output().to_string()],
-                });
-                i += 2;
-                continue;
-            }
-            if group_split_fusible(plan, i, num_nodes) {
-                stages.push(PhysicalStage {
-                    id: format!("{}+{}", plan.jobs[i].id, plan.jobs[i + 1].id),
-                    logical: vec![i, i + 1],
-                    kind: StageKind::FusedGroupSplit {
-                        group: i,
-                        split: i + 1,
-                    },
-                    elided: vec![plan.jobs[i].output().to_string()],
-                });
-                i += 2;
-                continue;
-            }
-        }
-        stages.push(PhysicalStage {
-            id: plan.jobs[i].id.clone(),
-            logical: vec![i],
-            kind: StageKind::Single(i),
-            elided: Vec::new(),
-        });
-        i += 1;
+        let stage = match fusion(plan, i, num_nodes) {
+            Some(Ok(kind)) if fuse => PhysicalStage {
+                id: format!("{}+{}", plan.jobs[i].id, plan.jobs[i + 1].id),
+                logical: vec![i, i + 1],
+                kind,
+                // The pair streams the first job's output.
+                elided: vec![plan.jobs[i].output().to_string()],
+            },
+            _ => PhysicalStage {
+                id: plan.jobs[i].id.clone(),
+                logical: vec![i],
+                kind: StageKind::Single(i),
+                elided: Vec::new(),
+            },
+        };
+        i += stage.logical.len();
+        stages.push(stage);
     }
     PhysicalPlan {
         stages,

@@ -54,12 +54,7 @@ pub(crate) fn run_sort(cx: &mut StageCtx<'_>, job: &JobPlan, output: &str) -> Re
         for name in &job.inputs {
             if let Some(frags) = cluster.node(node).get(name) {
                 for f in frags {
-                    sample_keys(
-                        &f.data.batch,
-                        key_idx,
-                        cx.options.sample_stride,
-                        &mut sample,
-                    )?;
+                    sample_keys(&f.data.batch, key_idx, sampler::SAMPLE_STRIDE, &mut sample)?;
                 }
             }
         }

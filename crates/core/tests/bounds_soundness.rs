@@ -149,10 +149,6 @@ fn assert_run_within_bounds(
         ) {
             prop_assert!(false, "stage '{}': {}", sb.id, escape);
         }
-        // Every fused stage must carry a passing legality re-proof.
-        for proof in static_bounds.proofs.iter().filter(|p| p.id == sb.id) {
-            prop_assert!(proof.ok, "stage '{}': {:?}", sb.id, proof.violation);
-        }
     }
 
     // The materialized output partitions obey the final stage's layout.

@@ -16,10 +16,10 @@ use papar_record::Value;
 use crate::engine::Partitioner;
 use crate::Result;
 
-/// Default sampling stride: one key in 64 is sampled, matching the regime
+/// The sampling stride: one key in 64 is sampled, matching the regime
 /// where the sample is big enough to place boundaries within a fraction of
 /// a percent of the true quantiles but cheap next to the sort itself.
-pub const DEFAULT_SAMPLE_STRIDE: usize = 64;
+pub const SAMPLE_STRIDE: usize = 64;
 
 /// Take every `stride`-th key from a node's local keys (always including
 /// the first, so tiny fragments contribute).

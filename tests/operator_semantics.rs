@@ -218,18 +218,11 @@ fn num_reducers_override_controls_intermediate_fragments() {
     </operator>
   </operators>
 </workflow>"#;
-    let records: Vec<Record> = (0..50).map(|i| rec![format!("p{i}"), i]).collect();
-    // A dense sample (stride 1) sees all 50 distinct keys, so the
-    // configured reducer count is achievable and honored.
-    let ((runner, cluster), report) = run_workflow_opts(
-        wf,
-        records.clone(),
-        2,
-        ExecOptions {
-            sample_stride: 1,
-            ..ExecOptions::default()
-        },
-    );
+    // Two nodes with 160 records each sample keys 0, 64 and 128 of each
+    // at stride 64: enough distinct keys that the configured reducer
+    // count is achievable and honored.
+    let records: Vec<Record> = (0..320).map(|i| rec![format!("p{i}"), i]).collect();
+    let ((runner, cluster), report) = run_workflow_opts(wf, records, 2, ExecOptions::default());
     let parts = cluster.collect(&runner.plan().output_path).unwrap();
     assert_eq!(parts.len(), 5, "num_reducers=5 means five output fragments");
     assert!(report.notes.is_empty());
