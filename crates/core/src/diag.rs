@@ -196,8 +196,8 @@ codes! {
     /// reducer can never receive a key group.
     P021 = "P021",
     /// Plan-invariant violation: a lowered physical plan breaks an
-    /// invariant of the logical plan it implements, or a re-proof of the
-    /// bounds fails (a framework bug, not a user error).
+    /// invariant of the logical plan it implements, such as a fused pair
+    /// that fails its fusion gate (a framework bug, not a user error).
     P099 = "P099",
     /// A job output is never consumed and is not the workflow output.
     W001 = "W001",
@@ -227,8 +227,8 @@ codes! {
     /// than `ratio` times its fair share.
     W008 = "W008",
     /// A structurally adjacent operator pair that looks fusible was not
-    /// fused; the message names the gate (and bound) that blocked the
-    /// rewrite, so the extra shuffle is deliberate, not an oversight.
+    /// fused; the message names the gate that blocked the rewrite, so
+    /// the extra shuffle is deliberate, not an oversight.
     W009 = "W009",
     /// A keyed job's reducer count does not load the cluster's nodes
     /// evenly: fewer reducers than nodes leaves nodes idle, and a count
