@@ -272,24 +272,24 @@ datasets /plan/input /plan/output
 == fig10 4 nodes
 stage            reducers     records-in    records-out          pairs       max-load          out-bytes
 group+split             4            600            600            600     [150, 600]             [0, ?]
-distr                   4      [0, 1200]      [0, 1200]      [0, 1200]      [0, 1200]             [0, ?]
+distr                   4            600            600       [0, 600]     [150, 600]          [1200, ?]
 group+split: shuffle-bytes [0, ?]
   /tmp/split/high_degree: records [0, 600] entries [0, 600] bytes [0, ?] distinct [0, 600] fragments 4
   /tmp/split/low_degree: records [0, 600] entries [0, 600] bytes [0, ?] distinct [0, 600] fragments 4
 distr: shuffle-bytes [0, ?]
-  /plan/output: records [0, 1200] entries [0, 1200] bytes [0, ?] distinct [0, 1200] fragments 4
-  partitions [0, 1200] [0, 1200] [0, 1200] [0, 1200] empty 0 imbalance Some(4.0)
+  /plan/output: records 600 entries 600 bytes [1200, ?] distinct [1, 600] fragments 4
+  partitions [0, 600] [0, 600] [0, 600] [0, 600] empty 0 imbalance Some(4.0)
 datasets /plan/input /plan/output /tmp/split/high_degree /tmp/split/low_degree
 == fig10 7 nodes
 stage            reducers     records-in    records-out          pairs       max-load          out-bytes
 group+split             7            600            600            600      [86, 600]             [0, ?]
-distr                   4      [0, 1200]      [0, 1200]      [0, 1200]      [0, 1200]             [0, ?]
+distr                   4            600            600       [0, 600]     [150, 600]          [1200, ?]
 group+split: shuffle-bytes [0, ?]
   /tmp/split/high_degree: records [0, 600] entries [0, 600] bytes [0, ?] distinct [0, 600] fragments 7
   /tmp/split/low_degree: records [0, 600] entries [0, 600] bytes [0, ?] distinct [0, 600] fragments 7
 distr: shuffle-bytes [0, ?]
-  /plan/output: records [0, 1200] entries [0, 1200] bytes [0, ?] distinct [0, 1200] fragments 4
-  partitions [0, 1200] [0, 1200] [0, 1200] [0, 1200] empty 0 imbalance Some(4.0)
+  /plan/output: records 600 entries 600 bytes [1200, ?] distinct [1, 600] fragments 4
+  partitions [0, 600] [0, 600] [0, 600] [0, 600] empty 0 imbalance Some(4.0)
 datasets /plan/input /plan/output /tmp/split/high_degree /tmp/split/low_degree
 == bounds_p021
 stage            reducers     records-in    records-out          pairs       max-load          out-bytes
@@ -328,8 +328,8 @@ datasets /plan/input /plan/output /user/sorted
 warning[W009]: workflow:12:5: jobs 'sort' and 'distr' look fusible but were not fused: distribute policy 'graphVertexCut' routes by value, so partition assignments cannot be derived from the sorted runs' prefix sums
 == reducers_w010
 stage            reducers     records-in    records-out          pairs       max-load          out-bytes
-sort+distr              6            640            640            640     [107, 640]     [10240, 10280]
-sort+distr: shuffle-bytes [0, 10744]
+sort+distr              6            640            640            640      [80, 640]     [10240, 10280]
+sort+distr: shuffle-bytes [0, 10912]
   /plan/output: records 640 entries 640 bytes [10240, 10280] distinct [1, 640] fragments 8
   partitions 80 80 80 80 80 80 80 80 empty 0 imbalance Some(1.0)
 datasets /plan/input /plan/output

@@ -925,6 +925,8 @@ pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
         // The explain text itself is fingerprint-stable (checkpoint resume
         // hashes it); the bound table rides along after it.
         let mut out = papar_core::physplan::explain(&plan, &phys);
+        let paths = papar_core::physplan::fused_paths(&plan, &phys);
+        out.push_str(&paths.map_err(|e| fail(e.to_string()))?);
         let report = papar_check::analyze_bounds(
             &workflow,
             &plan,

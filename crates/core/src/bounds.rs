@@ -27,8 +27,11 @@
 //! A fused stage is not interpreted on its own: its bounds are composed
 //! from its two jobs' (the engine job is the first one's; the outputs and
 //! partition layout are the second's), so the fused and unfused plans are
-//! priced by the same transfer functions. DESIGN.md §13 documents the
-//! domain and the soundness argument.
+//! priced by the same transfer functions. A fused sort→distribute's data
+//! choose its path at run time, so its counters are the hull of that
+//! composition and of the distribute priced over the sort's input (the
+//! rank shuffle). DESIGN.md §13 documents the domain and the soundness
+//! argument.
 
 use std::collections::BTreeMap;
 
@@ -126,6 +129,14 @@ impl Interval {
         }
     }
 
+    /// The least interval holding both: what either of two paths counts.
+    pub fn hull(&self, o: Interval) -> Interval {
+        Interval {
+            lo: self.lo.min(o.lo),
+            hi: self.hi.max(o.hi),
+        }
+    }
+
     /// Apply a monotone nondecreasing map to both endpoints (the image of
     /// an interval under a monotone map is an interval).
     pub fn map_monotone(&self, f: impl Fn(u64) -> u64) -> Interval {
@@ -196,6 +207,22 @@ pub struct DatasetBounds {
     /// The most fragments the dataset can be stored as
     /// ([`UNBOUNDED`] when unknown).
     pub fragments: u64,
+    /// The split this dataset is a branch of, when it is one.
+    pub branch: Option<Branch>,
+}
+
+/// A split's branch: every record of the split's input lands on exactly
+/// one of its branches (an unmatched key is a runtime error, not a drop),
+/// so branches read together hold at most the split's records, and all of
+/// them exactly its records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Branch {
+    /// The split job's index in the plan.
+    pub split: usize,
+    /// How many branches the split has.
+    pub of: usize,
+    /// The records the split routes.
+    pub records: Interval,
 }
 
 impl DatasetBounds {
@@ -206,6 +233,7 @@ impl DatasetBounds {
             bytes: Interval::top(),
             distinct: Interval::top(),
             fragments: UNBOUNDED,
+            branch: None,
         }
     }
 }
@@ -457,22 +485,54 @@ fn segments(opts: &BoundsOptions, reducers: usize) -> u64 {
 }
 
 /// Sum the bounds of a job's input datasets (⊤ for anything unknown).
+/// Branches of one split are summed apart, then bounded jointly
+/// ([`Branch`]): records, entries and distinct values at most the split's
+/// records, and records at least its records when the job reads every
+/// branch.
 fn sum_inputs(env: &BTreeMap<String, DatasetBounds>, job: &JobPlan) -> DatasetBounds {
-    let mut acc = DatasetBounds {
+    let zero = DatasetBounds {
         records: Interval::zero(),
         entries: Interval::zero(),
         bytes: Interval::zero(),
         distinct: Interval::zero(),
         fragments: 0,
+        branch: None,
     };
+    let mut acc = zero;
+    // Per split read: its branch, the branches read and their sums.
+    let mut splits: Vec<(Branch, usize, DatasetBounds)> = Vec::new();
     for name in &job.inputs {
         let b = env.get(name).copied().unwrap_or_else(DatasetBounds::top);
-        acc.records = acc.records.add(b.records);
-        acc.entries = acc.entries.add(b.entries);
-        acc.bytes = acc.bytes.add(b.bytes);
+        let part = match b.branch {
+            Some(branch) => {
+                let at = (splits.iter().position(|(s, ..)| s.split == branch.split))
+                    .unwrap_or_else(|| {
+                        splits.push((branch, 0, zero));
+                        splits.len() - 1
+                    });
+                splits[at].1 += 1;
+                &mut splits[at].2
+            }
+            None => &mut acc,
+        };
+        part.records = part.records.add(b.records);
+        part.entries = part.entries.add(b.entries);
+        part.bytes = part.bytes.add(b.bytes);
         // Distinct values of a union: at most the sum of the parts.
-        acc.distinct = acc.distinct.add(b.distinct);
-        acc.fragments = acc.fragments.saturating_add(b.fragments);
+        part.distinct = part.distinct.add(b.distinct);
+        part.fragments = part.fragments.saturating_add(b.fragments);
+    }
+    for (branch, read, part) in splits {
+        let n = branch.records;
+        let mut records = part.records.cap_hi(n.hi);
+        if read == branch.of {
+            records.lo = records.lo.max(n.lo);
+        }
+        acc.records = acc.records.add(records);
+        acc.entries = acc.entries.add(part.entries.cap_hi(n.hi));
+        acc.bytes = acc.bytes.add(part.bytes);
+        acc.distinct = acc.distinct.add(part.distinct.cap_hi(n.hi));
+        acc.fragments = acc.fragments.saturating_add(part.fragments);
     }
     acc
 }
@@ -509,6 +569,7 @@ pub fn compute(plan: &WorkflowPlan, phys: &PhysicalPlan, opts: &BoundsOptions) -
                 bytes,
                 distinct,
                 fragments: nodes,
+                branch: None,
             },
         );
     }
@@ -516,17 +577,26 @@ pub fn compute(plan: &WorkflowPlan, phys: &PhysicalPlan, opts: &BoundsOptions) -
     let mut stages = Vec::with_capacity(phys.stages.len());
     for stage in &phys.stages {
         let id = stage.id.clone();
-        let sb = match stage.kind {
+        let mut sb = match stage.kind {
             StageKind::Single(j) => single_stage(&plan.jobs[j], id, &env, opts),
-            StageKind::FusedSortDistribute {
-                sort: first,
-                distribute: second,
+            StageKind::FusedSortDistribute { sort, distribute } => {
+                let (sort, distribute) = (&plan.jobs[sort], &plan.jobs[distribute]);
+                let fallback = fused_stage(sort, distribute, id, &env, opts);
+                either(fallback, rank_shuffle(sort, distribute, &env, opts))
             }
-            | StageKind::FusedGroupSplit {
-                group: first,
-                split: second,
-            } => fused_stage(&plan.jobs[first], &plan.jobs[second], id, &env, opts),
+            StageKind::FusedGroupSplit { group, split } => {
+                fused_stage(&plan.jobs[group], &plan.jobs[split], id, &env, opts)
+            }
         };
+        // A split stage's records out are its input's, each on one branch.
+        let split =
+            (stage.logical.iter()).find(|&&j| matches!(plan.jobs[j].kind, JobKind::Split { .. }));
+        if let Some(&split) = split {
+            let (of, records) = (sb.outputs.len(), sb.records_out);
+            for (_, b) in &mut sb.outputs {
+                b.branch = Some(Branch { split, of, records });
+            }
+        }
         for (name, b) in &sb.outputs {
             env.insert(name.clone(), *b);
         }
@@ -581,6 +651,7 @@ fn single_stage(
                         bytes,
                         distinct,
                         fragments: reducers as u64,
+                        branch: None,
                     },
                 )],
                 partitions: None,
@@ -607,6 +678,7 @@ fn single_stage(
                             bytes,
                             distinct: d,
                             fragments: opts.num_nodes.max(1) as u64,
+                            branch: None,
                         },
                     )
                 })
@@ -731,6 +803,7 @@ fn distribute_stage(
                 bytes,
                 distinct,
                 fragments: m,
+                branch: None,
             },
         )],
         partitions: Some(PartitionBounds {
@@ -765,6 +838,34 @@ fn fused_stage(
         outputs: layout.outputs,
         partitions: layout.partitions,
         ..engine
+    }
+}
+
+/// Bounds of a fused sort→distribute stage's rank shuffle: the distribute
+/// run straight over the sort's input — one reducer per partition, the
+/// input's fragments as senders.
+fn rank_shuffle(
+    sort: &JobPlan,
+    distribute: &JobPlan,
+    env: &BTreeMap<String, DatasetBounds>,
+    opts: &BoundsOptions,
+) -> StageBounds {
+    let mut scratch = env.clone();
+    scratch.insert(sort.output().to_string(), sum_inputs(env, sort));
+    single_stage(distribute, String::new(), &scratch, opts)
+}
+
+/// A stage that takes one of two paths: its counters are the hull of both
+/// paths' (the reducer count, the outputs and the partition layout are
+/// the first's).
+fn either(a: StageBounds, b: StageBounds) -> StageBounds {
+    StageBounds {
+        records_in: a.records_in.hull(b.records_in),
+        records_out: a.records_out.hull(b.records_out),
+        pairs: a.pairs.hull(b.pairs),
+        shuffle_bytes: a.shuffle_bytes.hull(b.shuffle_bytes),
+        max_load: a.max_load.hull(b.max_load),
+        ..a
     }
 }
 

@@ -635,7 +635,7 @@ impl WorkflowRunner {
                 )],
                 skew: None,
                 covers,
-                assembly: None,
+                fused_path: None,
             });
         }
         Ok(())

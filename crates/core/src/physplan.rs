@@ -354,6 +354,40 @@ pub fn explain(plan: &WorkflowPlan, phys: &PhysicalPlan) -> String {
     out
 }
 
+/// The path each fused sort→distribute stage can take, for `papar plan
+/// --explain` to print after [`explain`]'s text (which the plan
+/// fingerprint hashes, so the note stays out of it); empty when the plan
+/// fuses no sort→distribute. The data decide between the rank shuffle and
+/// the driver assembly only where the plan allows both.
+pub fn fused_paths(plan: &WorkflowPlan, phys: &PhysicalPlan) -> crate::Result<String> {
+    let mut out = String::new();
+    for (s, stage) in phys.stages.iter().enumerate() {
+        let StageKind::FusedSortDistribute { sort, distribute } = stage.kind else {
+            continue;
+        };
+        let (sjob, djob) = (&plan.jobs[sort], &plan.jobs[distribute]);
+        let line = match crate::stage::rank_shuffle_refusal(sjob, djob)? {
+            None => {
+                let (key_idx, ..) = crate::stage::keyed_kind(sjob)?;
+                let key = (sjob.input_meta.schema.fields().get(key_idx)).map_or("", |f| &f.name);
+                format!(
+                    "one shuffle by global rank when its '{key}' keys span at most its \
+                     rows over its partitions (a key histogram replaces the sample); \
+                     otherwise the sort, then the partitions assembled on the driver"
+                )
+            }
+            Some(why) => {
+                format!("the sort, then the partitions assembled on the driver: {why}")
+            }
+        };
+        out.push_str(&format!("  P{s}: '{}' takes {line}\n", stage.id));
+    }
+    if !out.is_empty() {
+        out.insert_str(0, "fused sort→distribute paths:\n");
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,6 +2,7 @@
 //! by [`crate::exec::WorkflowRunner::run`] on one [`StageCtx`], and the
 //! mappers, partitioners, reducers and routers they wire into engine jobs.
 
+use papar_config::input::FieldType;
 use papar_mr::engine::{FnReducer, HashPartitioner, IdentityPartitioner, KeyedMapper, MapInput};
 use papar_mr::engine::{Mapper, PairKey, Reducer};
 use papar_mr::sampler::{self, IntCuts, RangePartitioner};
@@ -10,16 +11,16 @@ use papar_mr::{run_slots, Emit, EntryRef, MrError, Pairs, TaskCtx};
 use papar_mr::{Cluster, Entry, MapReduceJob, Partitioner};
 use papar_record::batch::{Batch, Dataset, Rows};
 use papar_record::packed::{pack_onto, PackedRecord};
-use papar_record::view::ENTRY_REC;
+use papar_record::view::{KeyField, ENTRY_REC};
 use papar_record::wire;
 use papar_record::{Record, Schema, Value};
-use papar_trace::{Counters, PhaseKind, PhaseTrace};
+use papar_trace::{duration_ns, Counters, FusedPath, PhaseKind, PhaseTrace};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::iter::StepBy;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::error::{CoreError, Result};
 use crate::exec::{ExecOptions, RunNote, SamplingMode, WorkflowReport};
@@ -39,9 +40,20 @@ pub(crate) struct StageCtx<'a> {
 }
 
 /// A sort job into `output`: the sampling pass, then a range-partitioned
-/// keyed job. The fused sort→distribute stage sorts into a streamed
-/// temporary.
+/// keyed job.
 pub(crate) fn run_sort(cx: &mut StageCtx<'_>, job: &JobPlan, output: &str) -> Result<JobStats> {
+    run_sort_after(cx, job, output, Duration::ZERO)
+}
+
+/// [`run_sort`], its sampling pass charged `spent` more: what a key
+/// histogram spent before the fused sort→distribute stage fell back to
+/// sorting into a streamed temporary.
+fn run_sort_after(
+    cx: &mut StageCtx<'_>,
+    job: &JobPlan,
+    output: &str,
+    spent: Duration,
+) -> Result<JobStats> {
     let (key_idx, descending, ..) = keyed_kind(job)?;
     let cluster = &mut *cx.cluster;
     let mut num_reducers = job.reducers(cluster.num_nodes());
@@ -80,7 +92,7 @@ pub(crate) fn run_sort(cx: &mut StageCtx<'_>, job: &JobPlan, output: &str) -> Re
         num_reducers = achievable;
     }
     let range = RangePartitioner::new(boundaries);
-    let sample_elapsed = t0.elapsed();
+    let sample_elapsed = t0.elapsed() + spent;
     cx.report.sample_time += sample_elapsed;
     if cluster.tracing() {
         // The pre-job sampling pass is a phase of its own: the
@@ -224,10 +236,7 @@ pub(crate) fn run_distribute(cx: &mut StageCtx<'_>, job: &JobPlan) -> Result<Job
 
     // The map side ships each entry projected onto the output format,
     // so the shuffle carries only the fields a partition keeps.
-    let shipped = match &projection {
-        Some(proj) => project_schema(&job.input_meta.schema, proj),
-        None => job.input_meta.schema.clone(),
-    };
+    let shipped = shipped(job, &projection);
     // A distribute may read a flat and a packed split output; the
     // packed one decides. A projection that drops the key column
     // leaves nothing to factor.
@@ -329,38 +338,417 @@ pub(crate) fn run_custom(
     Ok(stats)
 }
 
-/// The sort→distribute pair as one MapReduce job — the paper's
-/// `L_m^{km}` stride-permutation composition made executable.
-///
-/// The stage runs the sort verbatim (sampling pass, range
-/// partitioner, one sort shuffle) but into a streamed temporary
-/// instead of the materialized sort output. The distribute that
-/// followed is then pure bookkeeping: its cyclic/block policies route
-/// by *global index*, and the sorted temp fragments' prefix sums give
-/// every entry's exact global rank, so the driver assembles the
-/// partitions directly from the sorted runs — the distribute's whole
-/// shuffle is gone. The assembly walks entries in exactly the order
-/// the unfused offsets pre-pass enumerates them and the unfused
-/// reducer orders them (by run base, then within each fragment), so
-/// the committed bytes are identical to the two-job plan. Like the
-/// unfused pre-pass, the driver-side walk is not charged to the
-/// virtual clock; its wall time is on the stage's trace.
+/// The sort→distribute pair as one stage — the paper's `L_m^{km}`
+/// stride-permutation composition made executable. The cyclic and block
+/// policies route by *global rank*, and composed with the sort, a rank is
+/// a function of the row's key and its place among equal keys. For an
+/// `int` or `long` key whose span is at most a partition's share of the
+/// rows, the ranks are known at map time: a
+/// key histogram ([`rank_histograms`]) gives every node the rank of its
+/// first row of each key, and the stage runs as one shuffle straight to
+/// the partitions ([`run_rank_shuffle`]). Otherwise it runs the sort
+/// verbatim (sampling pass, range partitioner, one sort shuffle) into a
+/// streamed temporary, and the driver applies the distribute permutation
+/// over the sorted runs' prefix sums ([`assemble_distribute`]), outside
+/// the virtual clock like the unfused offsets pre-pass. Either way each
+/// partition holds, in order, the rows the two-job plan commits to it.
 pub(crate) fn run_sort_distribute(
     cx: &mut StageCtx<'_>,
     sjob: &JobPlan,
     djob: &JobPlan,
 ) -> Result<JobStats> {
+    let spent = match rank_shuffle_refusal(sjob, djob)? {
+        Some(_) => Duration::ZERO,
+        None => match rank_histograms(cx, sjob, djob)? {
+            Ok(mapper) => return run_rank_shuffle(cx, sjob, djob, &mapper),
+            Err(spent) => spent,
+        },
+    };
     // The streamed intermediate: fragment r carries exactly the bytes
     // unfused sort fragment r would, but under a name no workflow
     // dataset can collide with, and it never outlives the stage.
     let temp = format!("__fused:{}", sjob.output());
-    let stats = run_sort(cx, sjob, &temp)?;
+    let stats = run_sort_after(cx, sjob, &temp, spent)?;
     let t0 = Instant::now();
     assemble_distribute(cx.cluster, djob, &temp)?;
     if cx.cluster.tracing() {
-        cx.cluster.annotate_last_job_assembly(t0.elapsed());
+        (cx.cluster).annotate_last_job_path(FusedPath::Assembly(t0.elapsed()));
     }
     Ok(stats)
+}
+
+/// Why a fused sort→distribute stage cannot shuffle by global rank
+/// whatever its data, or `None` when its data decide: its fragments must
+/// be flat and its key span at most a partition's share of its rows
+/// ([`rank_histograms`]). `papar plan --explain` prints it.
+pub(crate) fn rank_shuffle_refusal(sjob: &JobPlan, djob: &JobPlan) -> Result<Option<String>> {
+    let (key_idx, ..) = keyed_kind(sjob)?;
+    let (policy, _, projection) = distribute_kind(djob)?;
+    let (input, out) = (&sjob.input_meta, &djob.outputs[0].1);
+    let key = (input.schema.fields().get(key_idx))
+        .ok_or_else(|| CoreError::plan(format!("job '{}' sorts by a missing field", sjob.id)))?;
+    let why = if !matches!(key.ty, FieldType::Integer | FieldType::Long) {
+        format!("the sort key '{}' is not an int or a long", key.name)
+    } else if input.schema.binary_record_width().is_none() {
+        "the sort's input records are not fixed-width".to_string()
+    } else if OrderedReducer::new(sjob)?.rows.is_none() {
+        "the sort changes its records (add-ons or packing)".to_string()
+    } else if policy == DistrPolicy::GraphVertexCut {
+        "the distribute routes by value".to_string()
+    } else if projection.as_ref().is_some_and(|p| !p.contains(&key_idx)) {
+        format!("the output format drops the sort key '{}'", key.name)
+    } else if out.format != Format::Flat || !same_layout(&shipped(djob, &projection), &out.schema) {
+        "the partitions are not the distribute's rows".to_string()
+    } else {
+        return Ok(None);
+    };
+    Ok(Some(why))
+}
+
+/// The key histogram that replaces the sort's sampling pass on the rank
+/// shuffle, charged as the stage's `sample` phase: every node finds the
+/// range of the keys of its fragments of the sort's input, then counts
+/// them (two passes, each on the thread budget, each node timed), the
+/// counts are all-gathered (priced by the network model), and each node
+/// learns the global rank of its first row of each key it holds: the rows
+/// of all smaller keys (larger, when descending), then the rows of that
+/// key on earlier nodes. That is the order the sort's reducers produce —
+/// `(key, sender node, emission index)` — so a node's rows of one key take
+/// consecutive ranks in emission order. `Err` with the time the pass spent
+/// when the stage cannot take it: a packed fragment, rows of another
+/// layout, no rows at all, or a key span (the greatest key less the least,
+/// plus one) above a partition's share of the rows. Within that share
+/// every partition's reducer takes the counting order (each reducer's
+/// span is at most the histogram's, and each holds at least that many
+/// pairs), and the histograms hold at most one key per `P` rows.
+fn rank_histograms(
+    cx: &mut StageCtx<'_>,
+    sjob: &JobPlan,
+    djob: &JobPlan,
+) -> Result<std::result::Result<RankMapper, Duration>> {
+    let t0 = Instant::now();
+    let (key_idx, descending, ..) = keyed_kind(sjob)?;
+    let schema = &sjob.input_meta.schema;
+    let field = KeyField::new(schema, key_idx).map_err(CoreError::from)?;
+    let (Some(at), Some(width)) = (field.offset(), schema.binary_record_width()) else {
+        return Ok(Err(t0.elapsed()));
+    };
+    let key = IntKey {
+        idx: key_idx,
+        at,
+        width,
+        long: field.ty() == FieldType::Long,
+    };
+    let cluster = &*cx.cluster;
+    let n = cluster.num_nodes();
+    let mut frags: Vec<Vec<&Batch>> = vec![Vec::new(); n];
+    for (node, frags) in frags.iter_mut().enumerate() {
+        for name in &sjob.inputs {
+            for f in cluster.node(node).get(name).into_iter().flatten() {
+                match &f.data.batch {
+                    Batch::Rows(r) if !same_layout(r.schema(), schema) => {
+                        return Ok(Err(t0.elapsed()))
+                    }
+                    Batch::Packed(_) => return Ok(Err(t0.elapsed())),
+                    batch => frags.push(batch),
+                }
+            }
+        }
+    }
+    let node_rows: Vec<usize> = (frags.iter())
+        .map(|f| f.iter().map(|b| b.entry_count()).sum())
+        .collect();
+    let total: usize = node_rows.iter().sum();
+    let (policy, num_partitions, projection) = distribute_kind(djob)?;
+    // The histogram spans at most a partition's share of the rows.
+    let too_wide = |(lo, hi): (i64, i64)| {
+        lo <= hi && (u128::from(hi.abs_diff(lo)) + 1) * num_partitions as u128 > total as u128
+    };
+    // Every `SAMPLE_STRIDE`-th key first: keys already too far apart
+    // refuse the stage for a fraction of a pass.
+    let sampled = (frags.iter().flatten()).try_fold(NO_KEYS, |range, b| {
+        Some(widen(range, key.range(b, sampler::SAMPLE_STRIDE)?))
+    });
+    if sampled.is_none_or(too_wide) {
+        return Ok(Err(t0.elapsed()));
+    }
+    let threads = (cluster.threads()).min((total * width).div_ceil(BYTES_PER_THREAD));
+    // First pass, per node: its least and greatest key (`None` for a key
+    // that is no integer; `lo > hi` for a node without rows).
+    let ranges = run_slots(n, threads, |node| {
+        let timer = Instant::now();
+        let range = (frags[node].iter()).try_fold(NO_KEYS, |range, batch| {
+            Some(widen(range, key.range(batch, 1)?))
+        });
+        (range, timer.elapsed())
+    });
+    let mut busiest = ranges.iter().map(|r| r.1).max().unwrap_or_default();
+    let Some(ranges) = ranges.into_iter().map(|r| r.0).collect::<Option<Vec<_>>>() else {
+        return Ok(Err(t0.elapsed()));
+    };
+    let (lo, hi) = ranges.iter().copied().fold(NO_KEYS, widen);
+    if lo > hi || too_wide((lo, hi)) {
+        return Ok(Err(t0.elapsed()));
+    }
+    // Second pass, per node: a count per key of its own range.
+    let counted = run_slots(n, threads, |node| {
+        let timer = Instant::now();
+        let (nlo, nhi) = ranges[node];
+        if nlo > nhi {
+            return ((0, Vec::new()), timer.elapsed());
+        }
+        let mut counts = vec![0u64; nhi.abs_diff(nlo) as usize + 1];
+        for batch in &frags[node] {
+            key.each(batch, |k| {
+                let slot = k.and_then(|k| counts.get_mut(k.abs_diff(nlo) as usize));
+                slot.map(|c| *c += 1).is_some()
+            });
+        }
+        ((nlo, counts), timer.elapsed())
+    });
+    busiest += counted.iter().map(|c| c.1).max().unwrap_or_default();
+    let mut hists: Vec<(i64, Vec<u64>)> = counted.into_iter().map(|c| c.0).collect();
+    let merging = Instant::now();
+    // Rows per key, then the rank of each key's first row.
+    let mut first = vec![0u64; hi.abs_diff(lo) as usize + 1];
+    for (nlo, counts) in &hists {
+        let at = nlo.abs_diff(lo) as usize;
+        (first[at..].iter_mut().zip(counts)).for_each(|(f, c)| *f += c);
+    }
+    let mut below = 0;
+    let mut place = |f: &mut u64| (*f, below) = (below, below + *f);
+    match descending {
+        false => first.iter_mut().for_each(&mut place),
+        true => first.iter_mut().rev().for_each(&mut place),
+    }
+    // Node by node, each key's count becomes the rank of its first row
+    // there.
+    for (nlo, counts) in &mut hists {
+        let at = nlo.abs_diff(lo) as usize;
+        for (f, c) in first[at..].iter_mut().zip(counts.iter_mut()) {
+            (*c, *f) = (*f, *f + *c);
+        }
+    }
+    let keys = first.len();
+    // Each node receives every other node's histogram.
+    let gathered: u64 = hists.iter().map(|(_, c)| 8 * c.len() as u64).sum();
+    let gather = (cluster.net()).transfer_time(n.saturating_sub(1) as u64, gathered);
+    let virt = busiest + merging.elapsed() + gather;
+    cx.report.sample_time += virt;
+    if cluster.tracing() {
+        let busiest_rows = node_rows.iter().copied().max().unwrap_or(0) as u64;
+        let det_ns = (cluster.cost_model().compute_ns(busiest_rows, 0, 0))
+            .saturating_add(duration_ns(gather));
+        let counters = Counters {
+            records_in: total as u64,
+            ..Counters::default()
+        };
+        let sample = PhaseTrace::solo(PhaseKind::Sample, virt, det_ns, counters);
+        cx.cluster.record_sample_trace(sample);
+    }
+    Ok(Ok(RankMapper {
+        firsts: hists,
+        key,
+        keys,
+        key_field: projection
+            .as_ref()
+            .map_or(Some(key_idx), |p| p.iter().position(|&i| i == key_idx))
+            .ok_or_else(|| CoreError::plan("the output format drops the sort key"))?,
+        policy,
+        total,
+        num_partitions,
+        projection,
+    }))
+}
+
+/// The rank shuffle's one job: [`RankMapper`] sends each row to its
+/// partition, and partition `p` is reducer `p` — on node `p mod n`,
+/// committed at ordinal `p`, as the unfused distribute's reducer `p` is.
+/// The reducers sort by the key: the `(key, scan index)` order puts a
+/// partition's rows in rank order, since ranks ascend with the key (in the
+/// sort's direction) and, among equal keys, with the sender node and the
+/// emission order the scan index follows. Each partition is gathered as
+/// rows; no sorted temporary is stored and nothing is assembled.
+fn run_rank_shuffle(
+    cx: &mut StageCtx<'_>,
+    sjob: &JobPlan,
+    djob: &JobPlan,
+    mapper: &RankMapper,
+) -> Result<JobStats> {
+    let (_, descending, ..) = keyed_kind(sjob)?;
+    let out_schema = djob.outputs[0].1.schema.clone();
+    let reducer =
+        FnReducer(|_: &TaskCtx, pairs: Pairs<'_>| Ok(vec![gather_rows(&pairs, &out_schema)?]));
+    let mr_job = MapReduceJob {
+        name: cx.name.to_string(),
+        inputs: sjob.inputs.clone(),
+        output: djob.output().to_string(),
+        num_reducers: mapper.num_partitions,
+        map_output_schema: shipped(djob, &mapper.projection),
+        output_schema: out_schema.clone(),
+        mapper,
+        // Unused: the mapper names each row's partition.
+        partitioner: &IdentityPartitioner,
+        reducer: &reducer,
+        sort_by_key: true,
+        descending,
+        compress_key: None,
+        release: cx.release,
+    };
+    let stats = cx.cluster.run_job(&mr_job)?;
+    if cx.cluster.tracing() {
+        (cx.cluster).annotate_last_job_path(FusedPath::RankShuffle { keys: mapper.keys });
+    }
+    Ok(stats)
+}
+
+/// The rank shuffle's map task: row `i` of a node's fragments, in
+/// emission order, takes the next rank of its key on that node, and goes
+/// to the partition the policy names for that rank — a fragment of rows
+/// as one batch ([`Emit::push_rows_to`]), records, and rows that ship
+/// projected, one at a time. Its pairs keep the sort key, which orders
+/// each partition.
+struct RankMapper {
+    /// Per node: its least key, and the rank of its first row of each key
+    /// from there on.
+    firsts: Vec<(i64, Vec<u64>)>,
+    /// Where the sort key lies in an input entry.
+    key: IntKey,
+    /// The keys the histogram spans.
+    keys: usize,
+    /// The key's field in a shipped entry.
+    key_field: usize,
+    policy: DistrPolicy,
+    /// Rows across the input.
+    total: usize,
+    num_partitions: usize,
+    /// The fields the output format keeps, when it drops some.
+    projection: Option<Vec<usize>>,
+}
+
+impl RankMapper {
+    /// The partition of the next row of key `key` on a node whose next
+    /// ranks, from its least key `lo`, are `next`: out of range for a key
+    /// outside the histogram, which the emitter refuses.
+    fn partition(&self, lo: i64, next: &mut [u64], key: Option<i64>) -> usize {
+        let slot = key
+            .and_then(|k| k.checked_sub(lo))
+            .and_then(|at| next.get_mut(at as usize));
+        let Some(rank) = slot else {
+            return self.num_partitions;
+        };
+        *rank += 1;
+        (self.policy).partition_of_index(*rank as usize - 1, self.total, self.num_partitions)
+    }
+}
+
+impl Mapper for RankMapper {
+    fn map(&self, ctx: &TaskCtx, inputs: &[MapInput], out: &mut Emit<'_>) -> papar_mr::Result<()> {
+        let (lo, firsts) = &self.firsts[ctx.node];
+        // Each key's next rank, and what it was when the fragment began.
+        let (mut next, mut begun) = (firsts.clone(), firsts.clone());
+        for mi in inputs {
+            let Batch::Rows(rows) = &mi.data.batch else {
+                for entry in EntryRef::all(&mi.data.batch) {
+                    let key = entry.key(self.key.idx)?.as_i64();
+                    out.push_to(self.partition(*lo, &mut next, key), entry)?;
+                }
+                continue;
+            };
+            begun.copy_from_slice(&next);
+            // Row `i`'s partition. Rows come in order, once per pass of
+            // the stride path, each pass from the fragment's first ranks.
+            let mut partition_of = |i: usize| {
+                if i == 0 {
+                    next.copy_from_slice(&begun);
+                }
+                let row = rows.as_bytes().get(i * self.key.width..);
+                let key = int_at(row.unwrap_or_default(), self.key.at, self.key.long);
+                self.partition(*lo, &mut next, Some(key))
+            };
+            if !out.push_rows_to(rows, &mut partition_of)? {
+                for (i, row) in rows.iter().enumerate() {
+                    out.push_to(partition_of(i), EntryRef::Row(row))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn key(&self) -> PairKey {
+        PairKey::Field(self.key_field)
+    }
+
+    fn projection(&self) -> Option<&[usize]> {
+        self.projection.as_deref()
+    }
+}
+
+/// Where a fused sort's `int` or `long` key lies in its input's entries:
+/// field `idx` of a record, byte `at` of a `width`-byte row.
+#[derive(Clone, Copy)]
+struct IntKey {
+    idx: usize,
+    at: usize,
+    width: usize,
+    long: bool,
+}
+
+/// The key range of no keys: `lo > hi`.
+const NO_KEYS: (i64, i64) = (i64::MAX, i64::MIN);
+
+/// The least key range holding two.
+fn widen((lo, hi): (i64, i64), (l, h): (i64, i64)) -> (i64, i64) {
+    (lo.min(l), hi.max(h))
+}
+
+impl IntKey {
+    /// The least and greatest key of every `stride`-th entry of a flat
+    /// fragment ([`NO_KEYS`] when it has none), or `None` when a record's
+    /// key is no integer or the fragment is packed.
+    fn range(&self, batch: &Batch, stride: usize) -> Option<(i64, i64)> {
+        match batch {
+            Batch::Rows(rows) => Some(
+                (rows.as_bytes().chunks_exact(self.width).step_by(stride))
+                    .map(|row| int_at(row, self.at, self.long))
+                    .fold(NO_KEYS, |range, k| widen(range, (k, k))),
+            ),
+            Batch::Flat(records) => records
+                .iter()
+                .step_by(stride)
+                .try_fold(NO_KEYS, |range, r| {
+                    let k = r.values().get(self.idx)?.as_i64()?;
+                    Some(widen(range, (k, k)))
+                }),
+            Batch::Packed(_) => None,
+        }
+    }
+
+    /// Hand each entry's key of a flat fragment, in order, to `each` until
+    /// it returns `false` (then so does this): `None` for a record whose
+    /// key is no integer. A packed fragment has no key per row.
+    fn each(&self, batch: &Batch, mut each: impl FnMut(Option<i64>) -> bool) -> bool {
+        match batch {
+            Batch::Rows(rows) => (rows.as_bytes().chunks_exact(self.width))
+                .all(|row| each(Some(int_at(row, self.at, self.long)))),
+            Batch::Flat(records) => {
+                (records.iter()).all(|r| each(r.values().get(self.idx).and_then(Value::as_i64)))
+            }
+            Batch::Packed(_) => false,
+        }
+    }
+}
+
+/// The `int` or `long` at byte `at` of a fixed-width row, little-endian;
+/// the row's layout was checked, so the key is in it.
+fn int_at(row: &[u8], at: usize, long: bool) -> i64 {
+    let bytes = row.get(at..).unwrap_or_default();
+    match long {
+        true => bytes.first_chunk().map_or(0, |b| i64::from_le_bytes(*b)),
+        false => bytes
+            .first_chunk()
+            .map_or(0, |b| i32::from_le_bytes(*b).into()),
+    }
 }
 
 /// Driver-side half of the fused sort→distribute stage: apply the
@@ -389,8 +777,8 @@ fn assemble_distribute(cluster: &mut Cluster, djob: &JobPlan, temp: &str) -> Res
             let indices = |p| policy.indices_of(p, total, num_partitions);
             Some(match out_schema.binary_record_width() {
                 Some(width) => {
-                    let threads = (cluster.threads())
-                        .min((total * width).div_ceil(ASSEMBLY_BYTES_PER_THREAD));
+                    let threads =
+                        (cluster.threads()).min((total * width).div_ceil(BYTES_PER_THREAD));
                     stride_partitions(&rows, out_schema, width, num_partitions, threads, indices)?
                 }
                 None => route_rows(&rows, out_schema, num_partitions, part_of)?,
@@ -916,6 +1304,15 @@ fn same_layout(input: &Schema, out: &Schema) -> bool {
     types.eq(out.fields().iter().map(|f| f.ty)) && !out.is_empty()
 }
 
+/// What a distribute ships: its input records, projected onto its output
+/// format when that drops fields.
+fn shipped(djob: &JobPlan, projection: &Option<Vec<usize>>) -> Arc<Schema> {
+    match projection {
+        Some(proj) => project_schema(&djob.input_meta.schema, proj),
+        None => djob.input_meta.schema.clone(),
+    }
+}
+
 /// `schema`'s fields `proj` names, in that order.
 pub(crate) fn project_schema(schema: &Schema, proj: &[usize]) -> Arc<Schema> {
     let fields = proj.iter().map(|&i| &schema.fields()[i]);
@@ -955,11 +1352,13 @@ fn route_rows(
         .collect()
 }
 
-/// Row bytes that pay for one more assembly thread: below about this much,
-/// starting threads costs more than it saves. On a 2-core host, 500 Fig 8
-/// rows took 50–98 µs on two threads and 14–21 µs on one; 500,000 rows
-/// took 6.4–8.9 ms on one and 3.8–5.1 ms on two.
-const ASSEMBLY_BYTES_PER_THREAD: usize = 1 << 20;
+/// Row bytes that pay for one more thread of a driver-side pass over them
+/// (the assembly, the key histogram): below about this much, starting
+/// threads costs more than it saves. On a 2-core host, 500 Fig 8 rows took
+/// 50–98 µs to assemble on two threads and 14–21 µs on one; 500,000 rows
+/// took 6.4–8.9 ms on one and 3.8–5.1 ms on two. A key histogram over
+/// 60,000 rows on 16 nodes spent 160–330 µs starting two threads.
+const BYTES_PER_THREAD: usize = 1 << 20;
 
 /// The fused assembly over fixed-width rows: partition `p` copies the rows
 /// of global ranks `indices(p)` by stride over the sorted fragments into
@@ -1087,7 +1486,6 @@ fn project_batch(batch: &mut Batch, proj: &[usize]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use papar_config::input::FieldType;
     use papar_record::rec;
     use proptest::prelude::*;
 

@@ -3,9 +3,8 @@
 
 use papar_record::batch::{block_sizes, Batch, Dataset};
 use papar_record::{wire, Schema};
-use papar_trace::{CostModel, JobTrace, NoopSink, PhaseTrace, TraceSink, WorkflowTrace};
+use papar_trace::{CostModel, FusedPath, JobTrace, NoopSink, PhaseTrace, TraceSink, WorkflowTrace};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::fault::{ExchangeFaultKind, Fault, FaultPlan, RecoveryAction, RetryPolicy};
 use crate::stats::{ExchangeStats, NetModel, RecoveryStats};
@@ -166,10 +165,10 @@ impl Cluster {
         self.tracer.annotate_last_job(covers);
     }
 
-    /// Record the wall time a fused stage spent on the driver after its
-    /// engine job, outside the virtual clock, on that job's trace.
-    pub fn annotate_last_job_assembly(&mut self, wall: Duration) {
-        self.tracer.annotate_last_job_assembly(wall);
+    /// Record on the last job's trace how the fused sort→distribute stage
+    /// it ran placed its partitions.
+    pub fn annotate_last_job_path(&mut self, path: FusedPath) {
+        self.tracer.annotate_last_job_path(path);
     }
 
     /// Set the engine's OS-thread budget (builder form). See

@@ -202,9 +202,9 @@ pub trait Mapper: Sync {
     /// The fields of each pushed entry the shuffle carries, in order, as a
     /// record of the job's [`MapReduceJob::map_output_schema`]: the mapper
     /// routes an entry on all of its fields, and [`Emit`] encodes only
-    /// these. The default, `None`, ships every field. Only a keyless
-    /// mapper ([`PairKey::None`]) projects: the reducers would read a key
-    /// field from the projected entry.
+    /// these. The default, `None`, ships every field. A mapper that pushes
+    /// keys ([`PairKey::Pushed`]) does not project, and a key field
+    /// ([`PairKey::Field`]) is a field of the projected entry.
     fn projection(&self) -> Option<&[usize]> {
         None
     }
@@ -217,9 +217,11 @@ pub enum PairKey {
     /// Each entry is pushed with a key of its own ([`Emit::push`]): the
     /// partitioner routes it, and it travels, tagged, before the entry.
     Pushed,
-    /// The key is this field of every entry: the mapper pushes each entry
-    /// alone ([`Emit::push_entry`]), a pair is its entry, and the reducers
-    /// read the key from it.
+    /// The key is this field of every entry: a pair is its entry, and the
+    /// reducers read the key from it. The mapper pushes each entry alone,
+    /// routed by the partitioner ([`Emit::push_entry`]) or to the reducer
+    /// it names ([`Emit::push_to`]), which then still sorts its pairs by
+    /// the key.
     Field(usize),
     /// No key: the mapper names each entry's reducer ([`Emit::push_to`])
     /// and the job does not sort by key. A reducer sees its pairs in
@@ -401,12 +403,19 @@ impl<'a> Emit<'a> {
     /// Route an entry by its key field ([`PairKey::Field`]) — the
     /// record's, or a packed group's first member's — and encode only the
     /// entry into its reducer's segment: the reducer reads the key from
-    /// it, so no pushed key can disagree with its entry.
+    /// it, so no pushed key can disagree with its entry. A projecting
+    /// mapper's key is a field of the projected entry: it names each
+    /// entry's reducer instead ([`Emit::push_to`]).
     pub fn push_entry(&mut self, entry: EntryRef<'_>) -> Result<()> {
-        let PairKey::Field(field) = self.key else {
+        let (PairKey::Field(field), None) = (self.key, self.projection) else {
             return Err(MrError::msg(format!(
-                "the mapper's pairs are keyed {:?}: it declares no key field",
-                self.key
+                "the mapper's pairs are keyed {:?}{}: it cannot route by its key field",
+                self.key,
+                if self.projection.is_some() {
+                    ", projected"
+                } else {
+                    ""
+                }
             )));
         };
         let key = entry.key(field)?;
@@ -415,16 +424,23 @@ impl<'a> Emit<'a> {
     }
 
     /// Encode `entry` alone into reducer `reducer`'s segment, for a
-    /// keyless mapper ([`PairKey::None`]): no key is built, routed or
-    /// sent.
+    /// mapper that names its entries' reducers: a keyless one
+    /// ([`PairKey::None`]), or one whose key is a field of the entry
+    /// ([`PairKey::Field`]). No key is built, routed or sent.
     pub fn push_to(&mut self, reducer: usize, entry: EntryRef<'_>) -> Result<()> {
-        if self.key != PairKey::None {
-            return Err(MrError::msg(format!(
-                "the mapper's pairs are keyed {:?}: it must push each entry by its key",
-                self.key
-            )));
-        }
+        self.names_reducers()?;
         self.encode(reducer, None, entry)
+    }
+
+    /// Whether the mapper may name each entry's reducer: not when every
+    /// pair carries a pushed key, which [`Emit::push`] routes.
+    fn names_reducers(&self) -> Result<()> {
+        if self.key == PairKey::Pushed {
+            return Err(MrError::msg(
+                "the mapper's pairs are keyed Pushed: it must push each entry with its key",
+            ));
+        }
+        Ok(())
     }
 
     /// Make `base` the base of every run opened from now on: each
@@ -458,14 +474,17 @@ impl<'a> Emit<'a> {
 
     /// Push every row of `rows` as [`Emit::push_to`] would push each, row
     /// `i` to reducer `reducer_of(i)`, with what [`Emit::push_rows`]
-    /// keeps. `Ok(false)`, with nothing pushed, when the mapper is not
-    /// keyless, the entries are not fixed-width, or the mapper projects.
+    /// keeps. `reducer_of` is called for rows 0, 1, … in order, once in
+    /// each of the batch's passes (routing, then copying), so a mapper
+    /// whose routing keeps state restarts it at row 0. `Ok(false)`, with
+    /// nothing pushed, when the mapper pushes keys, the entries are not
+    /// fixed-width, or the mapper projects.
     pub fn push_rows_to(
         &mut self,
         rows: &Rows,
-        reducer_of: impl Fn(usize) -> usize,
+        mut reducer_of: impl FnMut(usize) -> usize,
     ) -> Result<bool> {
-        if self.key != PairKey::None {
+        if self.names_reducers().is_err() {
             return Ok(false);
         }
         self.stride_rows(rows, |_, i| Ok(reducer_of(i)))
@@ -803,10 +822,10 @@ impl MapReduceJob<'_> {
             PairKey::None => KeyAt::Nowhere,
         };
         if let Some(proj) = self.mapper.projection() {
-            if proj.len() != schema.len() || !matches!(key, KeyAt::Nowhere) {
+            if proj.len() != schema.len() || matches!(key, KeyAt::Pushed) {
                 return Err(MrError::msg(format!(
-                    "job '{}' projects its entries: a projection needs a keyless \
-                     mapper and one field per map output field",
+                    "job '{}' projects its entries: a projection needs a mapper \
+                     that pushes no keys and one field per map output field",
                     self.name
                 )));
             }
@@ -934,7 +953,7 @@ const RUN_HEADER: usize = 13;
 /// messages: write each non-empty segment's header, then give node `to`
 /// its reducers' segments (`to`, `to + n`, …) in reducer order. A node's
 /// first segment becomes its message without a copy; the rest are
-/// appended after one exact reservation.
+/// appended after one exact reservation, each freed once it is copied.
 fn seal_segments(segs: &mut [Vec<u8>], n: usize) -> Result<Vec<Vec<u8>>> {
     for (reducer, seg) in segs.iter_mut().enumerate() {
         if !seg.is_empty() {
@@ -952,7 +971,7 @@ fn seal_segments(segs: &mut [Vec<u8>], n: usize) -> Result<Vec<Vec<u8>>> {
             let mut msg = std::mem::take(&mut segs[first]);
             msg.reserve_exact(rest.clone().map(|r| segs[r].len()).sum());
             for r in rest {
-                msg.extend_from_slice(&segs[r]);
+                msg.extend_from_slice(&std::mem::take(&mut segs[r]));
             }
             msg
         })
@@ -2638,7 +2657,7 @@ fn job_trace(
         ],
         skew,
         covers: Vec::new(),
-        assembly: None,
+        fused_path: None,
     }
 }
 
@@ -2668,7 +2687,7 @@ fn local_trace(stats: &JobStats, net: &NetModel, tasks: Vec<TaskTrace>) -> JobTr
         phases,
         skew: None,
         covers: Vec::new(),
-        assembly: None,
+        fused_path: None,
     }
 }
 
@@ -3046,8 +3065,9 @@ mod tests {
                     PairKey::None => emit.push_to(0, entry),
                 },
             );
-            if fits == keys {
-                assert!(pushed.is_ok(), "{keys:?}");
+            // A key field's mapper may also name the reducer.
+            if fits == keys || (matches!(keys, PairKey::Field(_)) && fits == PairKey::None) {
+                assert!(pushed.is_ok(), "{keys:?} / {fits:?}");
             } else {
                 assert!(
                     matches!(pushed, Err(MrError::Msg(_))),

@@ -124,6 +124,13 @@ fn stride_tail<'a>(
     &inbox[run.buf as usize].1[run.off + (number - run.first) as usize * width..]
 }
 
+/// The first `len` bytes of `tail`: rows of a stride run, which the scan
+/// checked lie in its segment.
+fn row(tail: &[u8], len: usize) -> Result<&[u8]> {
+    tail.get(..len)
+        .ok_or_else(|| MrError::msg("a stride run ends past its inbox buffer"))
+}
+
 /// Runs [`stride_tail`] counts rather than searches.
 const FEW_RUNS: usize = 16;
 
@@ -399,12 +406,43 @@ impl<'a> Pairs<'a> {
     /// Copy every flat record's bytes, in reduce order, into `out`
     /// ([`Pairs::for_each_record`]): the rows of the reducer's records,
     /// with no record decoded. Rows of a fixed-width schema are sized
-    /// exactly first.
+    /// exactly first; pairs of stride runs are copied `width` bytes at a
+    /// time, found by number and never parsed, and whole runs at once. The
+    /// indexed copy does not touch pairs ahead ([`Pairs::touch`]): on Fig
+    /// 8's partitions that took 16–21 ms of reduce CPU where the plain
+    /// loop takes 11–15 ms.
     pub fn gather_rows(&self, out: &mut Vec<u8>) -> Result<()> {
-        if let Some(width) = self.layout.schema.binary_record_width() {
-            out.reserve_exact(self.records * width);
+        let Some(width) = self.layout.schema.binary_record_width() else {
+            return self.for_each_record(|record| out.extend_from_slice(record));
+        };
+        out.reserve_exact(self.records * width);
+        match self.order {
+            Order::Indexed { runs, idx, .. } => {
+                for &number in idx {
+                    let tail = stride_tail(self.inbox, runs, width, number);
+                    out.extend_from_slice(row(tail, width)?);
+                }
+            }
+            Order::Runs {
+                runs, start, len, ..
+            } => {
+                let end = start as usize + len;
+                for run in runs {
+                    let first = run.first as usize;
+                    let last = first + run.count as usize;
+                    let (from, to) = (first.max(start as usize), last.min(end));
+                    if from < to {
+                        let bytes = &self.inbox[run.buf as usize].1[run.off..];
+                        out.extend_from_slice(row(
+                            &bytes[(from - first) * width..],
+                            (to - from) * width,
+                        )?);
+                    }
+                }
+            }
+            Order::Packed { .. } => self.for_each_record(|record| out.extend_from_slice(record))?,
         }
-        self.for_each_record(|record| out.extend_from_slice(record))
+        Ok(())
     }
 
     /// The key-equal runs, in order, each a [`Pairs`] of its own (a keyless

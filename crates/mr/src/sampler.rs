@@ -21,13 +21,6 @@ use crate::Result;
 /// a percent of the true quantiles but cheap next to the sort itself.
 pub const SAMPLE_STRIDE: usize = 64;
 
-/// Take every `stride`-th key from a node's local keys (always including
-/// the first, so tiny fragments contribute).
-pub fn local_sample(keys: &[Value], stride: usize) -> Vec<Value> {
-    let stride = stride.max(1);
-    keys.iter().step_by(stride).cloned().collect()
-}
-
 /// Combine per-node samples and compute up to `num_reducers - 1` range
 /// boundaries at the sample quantiles.
 ///
@@ -211,15 +204,6 @@ mod tests {
 
     fn ints(v: &[i32]) -> Vec<Value> {
         v.iter().map(|&x| Value::Int(x)).collect()
-    }
-
-    #[test]
-    fn local_sample_strides() {
-        let keys = ints(&[1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(local_sample(&keys, 3), ints(&[1, 4, 7]));
-        assert_eq!(local_sample(&keys, 1).len(), 7);
-        assert_eq!(local_sample(&keys, 100), ints(&[1]));
-        assert!(local_sample(&[], 4).is_empty());
     }
 
     #[test]

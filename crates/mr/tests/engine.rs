@@ -1789,12 +1789,12 @@ fn a_projecting_mapper_ships_only_the_projected_fields() {
     }
 }
 
-/// A keyed job cannot project: its reducers would read the key field from
-/// the projected entry. Nor can a projection that names fewer fields
-/// than the map output schema has. Both are refused before any map task
-/// runs.
+/// A mapper that pushes keys cannot project: a pushed key is routed by
+/// the partitioner, which would read it off the unprojected entry. Nor
+/// can a projection that names fewer fields than the map output schema
+/// has. Both are refused before any map task runs.
 #[test]
-fn a_projection_needs_a_keyless_mapper_of_the_right_width() {
+fn a_projection_needs_a_mapper_without_pushed_keys_of_the_right_width() {
     struct Projects(PairKey, &'static [usize]);
     impl Mapper for Projects {
         fn map(
@@ -1813,7 +1813,7 @@ fn a_projection_needs_a_keyless_mapper_of_the_right_width() {
         }
     }
     for mapper in [
-        Projects(PairKey::Field(0), &[1, 0]),
+        Projects(PairKey::Pushed, &[1, 0]),
         Projects(PairKey::None, &[1]),
     ] {
         let mut cluster = Cluster::new(2);

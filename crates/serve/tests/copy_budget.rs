@@ -247,15 +247,17 @@ fn peak_slope(small: Usage, large: Usage, records: f64) -> f64 {
     (large.peak as f64 - small.peak as f64) / records
 }
 
-/// The Figure 8 `run` byte slope measured on this test's database: the
-/// map tasks copy each record's 16 row bytes into an outbox segment sized
-/// exactly for its batch (no growth slack), which the exchange moves into
-/// an inbox; the sort reducers gather them from the inbox, the fused
-/// assembly copies them once into their partition, and the sort's scan
-/// index takes 4 bytes per pair (a pair is its 16-byte row in a stride
-/// run: the key is read from it in place, its tag travels once per run,
-/// and it needs no location of its own). No record is decoded.
-const BLAST_RUN_BYTES: f64 = 53.1;
+/// The Figure 8 `run` byte slope measured on this test's database, from
+/// [`FIG8_SMALL`] to [`FIG8_LARGE`] sequences: the fused stage shuffles
+/// each row once, by global rank, straight to its partition. The map tasks
+/// copy each record's 16 row bytes into an outbox segment sized exactly
+/// for its batch (no growth slack, and no rank or partition stored per
+/// row), and a node's second partition segment once more into its
+/// message; the exchange moves the messages into inboxes; each partition's
+/// counting order takes 4 bytes per pair, and its rows are gathered once
+/// from the inbox, 16 bytes at a time. No sorted temporary is stored and
+/// no record is decoded. The sort-then-assemble path measured 52.7 here.
+const BLAST_RUN_BYTES: f64 = 44.1;
 
 /// The Figure 10 `run` byte slope measured on this test's edge list (two
 /// engine jobs: the shuffle buffers; the fused group→split's edges
@@ -282,12 +284,19 @@ const HYBRID_RUN_BLOCKS: f64 = 0.128;
 const DURABLE_RUN_BYTES: f64 = 110.4;
 
 /// The Figure 8 warm served request's peak live bytes per record, at one
-/// engine thread, above what the idle daemon holds: the sort's row
-/// outputs and the fused assembly's partitions, both live while the
-/// assembly copies the one into the other. Each reduce task frees its
-/// inbox when it returns, its sort stages 4 bytes per pair, and the idle
-/// daemon holds no partition of the previous request.
-const WARM_PEAK_BYTES: f64 = 32.0;
+/// engine thread, above what the idle daemon holds, from [`FIG8_SMALL`] to
+/// [`FIG8_LARGE`] sequences: the partitions are the reducers' outputs, so
+/// no sorted output is live beside them, each reduce task frees its inbox
+/// when it returns, its counting order stages 4 bytes per pair, and the
+/// idle daemon holds no partition of the previous request. The
+/// sort-then-assemble path measured 32.0 here.
+const WARM_PEAK_BYTES: f64 = 21.1;
+
+/// The Figure 8 sizes the `run` slopes are taken between: both above the
+/// database's key span (≈3,000 sequence lengths), so both take the rank
+/// shuffle, and large enough that its partitions take the counting order.
+const FIG8_SMALL: usize = 40_000;
+const FIG8_LARGE: usize = 120_000;
 
 /// One decoded record, in place.
 const RECORD_BYTES: f64 = std::mem::size_of::<papar_record::Record>() as f64;
@@ -301,14 +310,14 @@ fn pipeline_seams_copy_no_record() {
     // Warm up once so one-time initialization (thread-budget announce,
     // lazy statics) lands on no measured size.
     budget(&fig8(&dir, 500), 500);
-    let small = budget(&fig8(&dir, 2_000), 2_000);
-    let large = budget(&fig8(&dir, 20_000), 20_000);
+    let small = budget(&fig8(&dir, FIG8_SMALL), FIG8_SMALL);
+    let large = budget(&fig8(&dir, FIG8_LARGE), FIG8_LARGE);
     let hybrid_small = budget(&fig10(&dir, 2_000), 2_000);
     let hybrid_large = budget(&fig10(&dir, 20_000), 20_000);
     let durable_small = durable_run(&fig8(&dir, 2_000), 2_000);
     let durable_large = durable_run(&fig8(&dir, 20_000), 20_000);
     let _ = std::fs::remove_dir_all(&dir);
-    eprintln!("fig8 2k: {small:?}\nfig8 20k: {large:?}");
+    eprintln!("fig8 {FIG8_SMALL}: {small:?}\nfig8 {FIG8_LARGE}: {large:?}");
     eprintln!("fig10 2k: {hybrid_small:?}\nfig10 20k: {hybrid_large:?}");
 
     // Emit encodes the resident fragments in place: its allocations are
@@ -321,7 +330,7 @@ fn pipeline_seams_copy_no_record() {
     ] {
         assert!(
             small.emit.blocks.abs_diff(large.emit.blocks) <= slack,
-            "{fig} emit allocates per record: {} blocks at 2k, {} at 20k",
+            "{fig} emit allocates per record: {} blocks small, {} large",
             small.emit.blocks,
             large.emit.blocks
         );
@@ -329,7 +338,7 @@ fn pipeline_seams_copy_no_record() {
         // record.
         assert!(
             small.load.blocks.abs_diff(large.load.blocks) <= 16,
-            "{fig} load allocates per record: {} blocks at 2k, {} at 20k",
+            "{fig} load allocates per record: {} blocks small, {} large",
             small.load.blocks,
             large.load.blocks
         );
@@ -345,12 +354,13 @@ fn pipeline_seams_copy_no_record() {
         assert_eq!(b.row_bytes, b.file_len, "edge rows are their text's length");
     }
     let extra = (20_000 - 2_000) as f64;
+    let fig8_extra = (FIG8_LARGE - FIG8_SMALL) as f64;
     let line = (hybrid_large.file_len - hybrid_small.file_len) as f64 / extra;
     let row = (hybrid_large.row_bytes - hybrid_small.row_bytes) as f64 / extra;
     assert!(row < RECORD_BYTES, "an edge row is {row:.1} bytes");
-    for (fig, small, large, per_record) in [
-        ("fig8", &small, &large, 16.0),
-        ("fig10", &hybrid_small, &hybrid_large, line + row),
+    for (fig, small, large, per_record, extra) in [
+        ("fig8", &small, &large, 16.0, fig8_extra),
+        ("fig10", &hybrid_small, &hybrid_large, line + row, extra),
     ] {
         let load_bytes = byte_slope(small.load, large.load, extra);
         eprintln!("{fig} load: {load_bytes:.1} bytes per record");
@@ -361,10 +371,10 @@ fn pipeline_seams_copy_no_record() {
     }
 
     // Binary emit writes each partition's rows where they lie: its bytes
-    // do not grow with the input (the paths grow by a digit).
+    // do not grow with the input (the paths grow by a digit or two).
     assert!(
         small.emit.bytes.abs_diff(large.emit.bytes) <= 256,
-        "fig8 emit allocates per record: {} bytes at 2k, {} at 20k",
+        "fig8 emit allocates per record: {} bytes small, {} large",
         small.emit.bytes,
         large.emit.bytes
     );
@@ -380,13 +390,12 @@ fn pipeline_seams_copy_no_record() {
         );
     }
 
-    // Map tasks copy the rows they borrow straight into the outbox,
-    // reducers gather each row once, straight into their output, the
-    // identity projection is skipped and the fused assembly copies each
-    // row once into an exact-size partition: no block is allocated per
-    // record, and bytes are pinned at the measured slope plus 2 %.
-    let run = slope(small.run, large.run, extra);
-    let run_bytes = byte_slope(small.run, large.run, extra);
+    // Map tasks copy the rows they borrow straight into the outbox and
+    // the partitions gather each row once, straight into their output:
+    // no block is allocated per record, and bytes are pinned at the
+    // measured slope plus 2 %.
+    let run = slope(small.run, large.run, fig8_extra);
+    let run_bytes = byte_slope(small.run, large.run, fig8_extra);
     eprintln!("fig8 run: {run:.3} blocks, {run_bytes:.1} bytes per record");
     assert!(run <= 0.05, "run allocates {run:.3} blocks per record");
     assert!(
@@ -421,13 +430,13 @@ fn pipeline_seams_copy_no_record() {
 
     // A warm served request shares the cached input: per record it
     // allocates what `run` does and nothing more.
-    let warm_peak = peak_slope(small.warm_execute, large.warm_execute, extra);
+    let warm_peak = peak_slope(small.warm_execute, large.warm_execute, fig8_extra);
     eprintln!("fig8 warm execute: {warm_peak:.1} peak live bytes per record");
     assert!(
         warm_peak <= WARM_PEAK_BYTES * 1.02,
         "warm execute peaks at {warm_peak:.1} live bytes per record"
     );
-    let warm = slope(small.warm_execute, large.warm_execute, extra);
+    let warm = slope(small.warm_execute, large.warm_execute, fig8_extra);
     assert!(
         warm <= run + 0.05,
         "warm execute allocates {warm:.3} blocks per record against run's {run:.3}"

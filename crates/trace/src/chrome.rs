@@ -177,7 +177,7 @@ mod tests {
                     bytes: vec![50, 30],
                 }),
                 covers: vec!["sort".to_string(), "distr".to_string()],
-                assembly: None,
+                fused_path: None,
             }],
         }
     }

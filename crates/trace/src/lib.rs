@@ -33,7 +33,7 @@ mod sink;
 pub use chrome::to_chrome_json;
 pub use cost::{duration_ns, CostModel};
 pub use profile::{render_bounds_check, render_profile, StaticBound};
-pub use sink::{Collector, JobTrace, NoopSink, PhaseTrace, TaskTrace, TraceSink};
+pub use sink::{Collector, FusedPath, JobTrace, NoopSink, PhaseTrace, TaskTrace, TraceSink};
 
 use std::time::Duration;
 
@@ -419,7 +419,7 @@ mod tests {
                 bytes: vec![30, 10],
             }),
             covers: Vec::new(),
-            assembly: None,
+            fused_path: None,
         };
         WorkflowTrace {
             jobs: vec![mk_job("a"), mk_job("b")],

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use crate::{PhaseKind, TaskTrace, WorkflowTrace};
+use crate::{FusedPath, PhaseKind, TaskTrace, WorkflowTrace};
 
 /// Render the per-phase virtual-time breakdown as a fixed-width table.
 /// Phase rows within a job sum to the job's makespan and the total row
@@ -110,12 +110,19 @@ pub fn render_profile(trace: &WorkflowTrace) -> String {
                 job.covers.join(", ")
             ));
         }
-        if let Some(wall) = job.assembly {
-            out.push_str(&format!(
-                "{:<24} └ assembly: {} on the driver (outside virtual time)\n",
+        match job.fused_path {
+            Some(FusedPath::RankShuffle { keys }) => out.push_str(&format!(
+                "{:<24} └ fused path: one shuffle by global rank (key histogram over {keys} \
+                 keys)\n",
+                ""
+            )),
+            Some(FusedPath::Assembly(wall)) => out.push_str(&format!(
+                "{:<24} └ fused path: sort, then assembly: {} on the driver (outside \
+                 virtual time)\n",
                 "",
                 fmt_dur(wall)
-            ));
+            )),
+            None => {}
         }
     }
     out.push_str(&format!(
@@ -349,7 +356,7 @@ mod tests {
                     bytes: vec![600, 400],
                 }),
                 covers: vec!["sort".to_string(), "distr".to_string()],
-                assembly: None,
+                fused_path: None,
             }],
         }
     }
@@ -478,18 +485,30 @@ mod tests {
         assert!(!render_profile(&trace()).contains("map path"));
     }
 
-    /// A fused stage's driver-side assembly gets a footnote of its own,
-    /// last under its job; a job without one prints none.
+    /// A fused sort→distribute stage names the path it took in a footnote
+    /// of its own, last under its job: the rank shuffle, or the driver-side
+    /// assembly and its wall time. A job without one prints none.
     #[test]
     fn assembly_footnote_follows_the_fused_job() {
-        let mut t = trace();
-        t.jobs[0].assembly = Some(Duration::from_micros(4_250));
-        let rendered = render_profile(&t);
-        let line = "└ assembly: 4.250 ms on the driver (outside virtual time)";
-        let at = rendered.find(line).expect(&rendered);
-        assert!(at > rendered.find("└ covers:").unwrap(), "{rendered}");
-        assert!(at < rendered.find("total").unwrap(), "{rendered}");
-        assert!(!render_profile(&trace()).contains("assembly"));
+        let paths = [
+            (
+                FusedPath::Assembly(Duration::from_micros(4_250)),
+                "└ fused path: sort, then assembly: 4.250 ms on the driver (outside virtual time)",
+            ),
+            (
+                FusedPath::RankShuffle { keys: 2_993 },
+                "└ fused path: one shuffle by global rank (key histogram over 2993 keys)",
+            ),
+        ];
+        for (path, line) in paths {
+            let mut t = trace();
+            t.jobs[0].fused_path = Some(path);
+            let rendered = render_profile(&t);
+            let at = rendered.find(line).expect(&rendered);
+            assert!(at > rendered.find("└ covers:").unwrap(), "{rendered}");
+            assert!(at < rendered.find("total").unwrap(), "{rendered}");
+        }
+        assert!(!render_profile(&trace()).contains("fused path"));
     }
 
     #[test]

@@ -107,9 +107,23 @@ pub struct JobTrace {
     /// `--profile`/`--trace` truthful under fusion: a `sort+distr` span
     /// says it stands for both operators.
     pub covers: Vec<String>,
-    /// Wall time a fused stage spent after its engine job assembling its
-    /// output on the driver, outside the virtual clock; in no export.
-    pub assembly: Option<Duration>,
+    /// How a fused sort→distribute stage placed its partitions; in no
+    /// export.
+    pub fused_path: Option<FusedPath>,
+}
+
+/// The two ways a fused sort→distribute stage places its partitions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FusedPath {
+    /// One shuffle by global rank, after a key histogram over `keys` keys
+    /// (the stage's sample phase).
+    RankShuffle {
+        /// Keys the histogram spans.
+        keys: usize,
+    },
+    /// The sort, then the partitions assembled from the sorted runs on
+    /// the driver in this wall time, outside the virtual clock.
+    Assembly(Duration),
 }
 
 impl JobTrace {
@@ -166,10 +180,10 @@ pub trait TraceSink: Send + Sync {
     /// job). No-op for sinks that do not collect.
     fn annotate_last_job(&mut self, _covers: Vec<String>) {}
 
-    /// Record the driver-side assembly a fused stage ran after the most
-    /// recently recorded job ([`JobTrace::assembly`]). No-op for sinks
-    /// that do not collect.
-    fn annotate_last_job_assembly(&mut self, _wall: Duration) {}
+    /// Record how the fused stage whose job was recorded last placed its
+    /// partitions ([`JobTrace::fused_path`]). No-op for sinks that do not
+    /// collect.
+    fn annotate_last_job_path(&mut self, _path: FusedPath) {}
 
     /// Append an extra phase (checkpoint publication, resume restore) to
     /// the most recently recorded job. No-op for sinks that do not
@@ -233,9 +247,9 @@ impl TraceSink for Collector {
         }
     }
 
-    fn annotate_last_job_assembly(&mut self, wall: Duration) {
+    fn annotate_last_job_path(&mut self, path: FusedPath) {
         if let Some(job) = self.jobs.last_mut() {
-            job.assembly = Some(wall);
+            job.fused_path = Some(path);
         }
     }
 
@@ -255,7 +269,7 @@ impl TraceSink for Collector {
                 phases: vec![sample],
                 skew: None,
                 covers: Vec::new(),
-                assembly: None,
+                fused_path: None,
             });
         }
         Some(WorkflowTrace { jobs })
@@ -280,7 +294,7 @@ mod tests {
             phases: Vec::new(),
             skew: None,
             covers: Vec::new(),
-            assembly: None,
+            fused_path: None,
         });
         s.annotate_last_job(vec!["a".into()]);
         assert!(s.finish().is_none());
@@ -300,7 +314,7 @@ mod tests {
             phases: Vec::new(),
             skew: None,
             covers: Vec::new(),
-            assembly: None,
+            fused_path: None,
         });
         // Request boundary: the previous request's spans must not bleed
         // into the next report.
@@ -324,14 +338,14 @@ mod tests {
             phases: vec![PhaseTrace::barrier(PhaseKind::Map, vec![])],
             skew: None,
             covers: Vec::new(),
-            assembly: None,
+            fused_path: None,
         });
         c.record_job(JobTrace {
             name: "distr".into(),
             phases: Vec::new(),
             skew: None,
             covers: Vec::new(),
-            assembly: None,
+            fused_path: None,
         });
         c.annotate_last_job(vec!["sort".into(), "distr".into()]);
         let t = c.finish().unwrap();
