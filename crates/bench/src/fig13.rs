@@ -144,7 +144,7 @@ pub fn run_a(scale: &Scale) -> Table {
             r.jobs.iter().map(|j| j.exchange.remote_bytes).sum::<u64>()
         };
         t.note(format!(
-            "job fusion: {} B shuffled in {} MR job(s) vs {} B in {} with --no-fuse",
+            "job fusion: {} B shuffled in {} stage(s) vs {} B in {} with --no-fuse",
             shuffled(&run.report),
             run.report.jobs.len(),
             shuffled(&unfused.report),

@@ -147,8 +147,8 @@ pub fn analyze_bounds(
                         "job '{}' distributes at most {} entr{} over {} partitions: {} \
                          partition(s) are provably empty under every admissible input",
                         id,
-                        sb.pairs.hi,
-                        if sb.pairs.hi == 1 { "y" } else { "ies" },
+                        p.entries.hi,
+                        if p.entries.hi == 1 { "y" } else { "ies" },
                         p.per_partition.len(),
                         p.provably_empty
                     ),

@@ -257,15 +257,15 @@ fn bound_tables_and_findings_are_pinned() {
 
 const PINNED_TABLES: &str = r#"== fig8 4 nodes
 stage            reducers     records-in    records-out          pairs       max-load          out-bytes
-sort+distr              4            640            640            640     [160, 640]     [10240, 10260]
-sort+distr: shuffle-bytes [0, 10576]
+sort+distr              4            640            640    [640, 1280]     [160, 640]     [10240, 10260]
+sort+distr: shuffle-bytes [0, 21152]
   /plan/output: records 640 entries 640 bytes [10240, 10260] distinct [1, 640] fragments 4
   partitions 160 160 160 160 empty 0 imbalance Some(1.0)
 datasets /plan/input /plan/output
 == fig8 7 nodes
 stage            reducers     records-in    records-out          pairs       max-load          out-bytes
-sort+distr              7            640            640            640      [92, 640]     [10240, 10260]
-sort+distr: shuffle-bytes [0, 11269]
+sort+distr              7            640            640    [640, 1280]      [92, 640]     [10240, 10260]
+sort+distr: shuffle-bytes [0, 22097]
   /plan/output: records 640 entries 640 bytes [10240, 10260] distinct [1, 640] fragments 4
   partitions 160 160 160 160 empty 0 imbalance Some(1.0)
 datasets /plan/input /plan/output
@@ -328,8 +328,8 @@ datasets /plan/input /plan/output /user/sorted
 warning[W009]: workflow:12:5: jobs 'sort' and 'distr' look fusible but were not fused: distribute policy 'graphVertexCut' routes by value, so partition assignments cannot be derived from the sorted runs' prefix sums
 == reducers_w010
 stage            reducers     records-in    records-out          pairs       max-load          out-bytes
-sort+distr              6            640            640            640      [80, 640]     [10240, 10280]
-sort+distr: shuffle-bytes [0, 10912]
+sort+distr              6            640            640    [640, 1280]      [80, 640]     [10240, 10280]
+sort+distr: shuffle-bytes [0, 21864]
   /plan/output: records 640 entries 640 bytes [10240, 10280] distinct [1, 640] fragments 8
   partitions 80 80 80 80 80 80 80 80 empty 0 imbalance Some(1.0)
 datasets /plan/input /plan/output

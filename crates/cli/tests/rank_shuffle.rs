@@ -3,8 +3,8 @@
 //! must be byte-identical, and each naming the path its fused run took
 //! from the `--profile` footnote the trace renders — the rank shuffle when
 //! the sort key is an `int` or `long` whose span times the partition count
-//! is at most the row count, the sort and the driver-side assembly
-//! otherwise.
+//! is at most the row count, otherwise the sort, then the distribute, which
+//! shuffle and recover exactly as `--no-fuse` does.
 
 use mublastp::dbgen::DbSpec;
 use papar_cli::{run, RunSpec};
@@ -72,8 +72,8 @@ fn workflow(format: &str, out_format: &str, key: &str, flag: &str, policy: &str)
 
 /// The footnote of a rank-shuffled fused stage.
 const RANK: &str = "└ fused path: one shuffle by global rank";
-/// The footnote of a fused stage that sorted and assembled.
-const ASSEMBLY: &str = "└ fused path: sort, then assembly:";
+/// The footnote of a fused stage that ran the sort, then the distribute.
+const FALLBACK: &str = "└ fused path: the sort, then the distribute:";
 
 /// Sequences of the Figure 8 database: at least its 8 partitions × the
 /// ≈3,000-key span of its sequence lengths, so it takes the rank shuffle.
@@ -86,12 +86,18 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// One Figure 8 run's partition files and its profile.
+/// One Figure 8 run's partition files, its profile, and what its summary
+/// says it shuffled and recovered.
 struct Ran {
     files: Vec<Vec<u8>>,
     profile: String,
     faults: u32,
     resumed: bool,
+    /// Per stage: its name, simulated time and bytes shuffled.
+    jobs: Vec<(String, std::time::Duration, u64)>,
+    /// Bytes shuffled and `shuffle_lo`, summed over the stages.
+    shuffled: (u64, u64),
+    recovery_log: Vec<String>,
 }
 
 /// The files shared by one table: the input configuration, the data file
@@ -125,6 +131,11 @@ impl Fixture {
             profile: summary.profile.unwrap_or_default(),
             faults: summary.faults_injected,
             resumed: summary.output.contains("resumed from checkpoint"),
+            jobs: (summary.jobs.iter())
+                .map(|(name, sim, bytes, _)| (name.clone(), *sim, *bytes))
+                .collect(),
+            shuffled: (summary.jobs.iter()).fold((0, 0), |(b, lo), j| (b + j.2, lo + j.3)),
+            recovery_log: summary.recovery_log,
         }
     }
 }
@@ -222,13 +233,41 @@ fn a_rank_shuffled_checkpoint_resumes_to_the_same_partitions() {
     std::fs::remove_dir_all(&fx.dir).ok();
 }
 
-/// Keys the rank shuffle refuses keep the sort and the assembly, and
-/// write what `--no-fuse` writes: a key whose span passes the row count
-/// (`seq_start`, a file offset), and databases too small for 8
-/// partitions of their sequence lengths' span, one of them a few
-/// thousand sequences short.
+/// The fused run of `wf` at threads {1, 4}, clean and under `crash=2`
+/// with one replica, against `--no-fuse` under the same faults: each took
+/// the sort, then the distribute, and wrote, shuffled (bytes and
+/// `shuffle_lo`, summed) and recovered exactly what `--no-fuse` did.
+fn falls_back_to_what_no_fuse_does(fx: &Fixture, wf: &str, tag: &str) {
+    for threads in [1, 4] {
+        for crash in [false, true] {
+            let cell = format!("{tag} at {threads} threads, crash {crash}");
+            let spec = |fused: bool| RunSpec {
+                out_dir: fx.dir.join(format!("{tag}-t{threads}-{crash}-{fused}")),
+                threads: Some(threads),
+                faults: crash.then(|| "crash=2".to_string()),
+                fault_seed: 3,
+                replication: usize::from(crash),
+                no_fuse: !fused,
+                ..Default::default()
+            };
+            let want = fx.run(wf, tag, 4, spec(false));
+            let got = fx.run(wf, tag, 4, spec(true));
+            assert!(got.profile.contains(FALLBACK), "{cell}:\n{}", got.profile);
+            assert!(got.files == want.files, "{cell}: partitions differ");
+            assert_eq!(got.shuffled, want.shuffled, "{cell}");
+            assert_eq!(got.recovery_log, want.recovery_log, "{cell}");
+            assert_eq!(got.faults, want.faults, "{cell}");
+            assert!(!crash || got.faults > 0, "{cell}: the crash plan must fire");
+        }
+    }
+}
+
+/// Keys the rank shuffle refuses run the sort, then the distribute, as
+/// `--no-fuse` does: a key whose span passes the row count (`seq_start`,
+/// a file offset), and databases too small for 8 partitions of their
+/// sequence lengths' span, one of them a few thousand sequences short.
 #[test]
-fn a_key_span_above_the_row_count_sorts_and_assembles() {
+fn a_key_span_above_the_row_count_sorts_then_distributes() {
     for (sequences, key) in [
         (SEQUENCES, "seq_start"),
         (500, "seq_size"),
@@ -236,30 +275,14 @@ fn a_key_span_above_the_row_count_sorts_and_assembles() {
     ] {
         let fx = fig8(&format!("span-{sequences}"), sequences);
         let wf = workflow("blast_db", "blast_db", key, "-1", "roundRobin");
-        let unfused = RunSpec {
-            out_dir: fx.dir.join("nofuse"),
-            no_fuse: true,
-            ..Default::default()
-        };
-        let want = fx.run(&wf, "wf", 4, unfused);
-        let got = fx.run(
-            &wf,
-            "wf",
-            4,
-            RunSpec {
-                out_dir: fx.dir.join("fused"),
-                ..Default::default()
-            },
-        );
-        assert!(got.profile.contains(ASSEMBLY), "{key}:\n{}", got.profile);
-        assert!(got.files == want.files, "{key}: partitions differ");
+        falls_back_to_what_no_fuse_does(&fx, &wf, key);
         std::fs::remove_dir_all(&fx.dir).ok();
     }
 }
 
-/// A `double` sort key keeps the sort and the assembly.
+/// A `double` sort key runs the sort, then the distribute.
 #[test]
-fn a_double_key_sorts_and_assembles() {
+fn a_double_key_sorts_then_distributes() {
     let dir = temp_dir("double");
     let (cfg, data) = (dir.join("scored.xml"), dir.join("scored.bin"));
     std::fs::write(&cfg, SCORED_CFG).unwrap();
@@ -278,29 +301,43 @@ fn a_double_key_sorts_and_assembles() {
         records,
     };
     let wf = workflow("scored", "scored", "score", "-1", "roundRobin");
-    let unfused = RunSpec {
-        out_dir: fx.dir.join("nofuse"),
-        no_fuse: true,
+    falls_back_to_what_no_fuse_does(&fx, &wf, "score");
+    std::fs::remove_dir_all(&fx.dir).ok();
+}
+
+/// A checkpoint the fallback wrote resumes to the same partitions and
+/// reports the checkpointed run's stats: its stage's name, simulated time
+/// and bytes shuffled.
+#[test]
+fn a_fallback_checkpoint_resumes_with_the_cold_runs_stats() {
+    let fx = fig8("fallback-resume", 500);
+    let wf = workflow("blast_db", "blast_db", "seq_size", "-1", "roundRobin");
+    let (out, ckpt) = (fx.dir.join("parts"), fx.dir.join("ckpt"));
+    let checkpointed = RunSpec {
+        out_dir: out.clone(),
+        threads: Some(1),
+        checkpoint: Some(ckpt),
         ..Default::default()
     };
-    let want = fx.run(&wf, "wf", 4, unfused);
-    let got = fx.run(
-        &wf,
-        "wf",
-        4,
-        RunSpec {
-            out_dir: fx.dir.join("fused"),
-            ..Default::default()
-        },
-    );
-    assert!(got.profile.contains(ASSEMBLY), "{}", got.profile);
-    assert!(got.files == want.files, "partitions differ");
+    let cold = fx.run(&wf, "wf", 4, checkpointed.clone());
+    assert!(cold.profile.contains(FALLBACK), "{}", cold.profile);
+    assert_eq!(cold.jobs.len(), 1, "one stage");
+    std::fs::remove_dir_all(&out).unwrap();
+    let resumed = RunSpec {
+        threads: Some(4),
+        resume: true,
+        ..checkpointed
+    };
+    let warm = fx.run(&wf, "wf", 4, resumed);
+    assert!(warm.resumed && !warm.profile.contains("fused path"));
+    assert!(warm.files == cold.files, "partitions differ");
+    assert_eq!(warm.jobs, cold.jobs);
     std::fs::remove_dir_all(&fx.dir).ok();
 }
 
 /// An output format that keeps the sort key ships each row projected and
-/// still takes the rank shuffle; one that drops the key sorts and
-/// assembles. Both write what `--no-fuse` writes.
+/// still takes the rank shuffle; one that drops the key runs the sort,
+/// then the distribute. Both write what `--no-fuse` writes.
 #[test]
 fn an_output_format_that_keeps_the_key_still_ranks() {
     const SIZED: &str = r#"
@@ -324,7 +361,7 @@ fn an_output_format_that_keeps_the_key_still_ranks() {
     // 5 partitions of a ≈3,000-key span.
     let db = DbSpec::env_nr_scaled(16_000, 5).generate();
     let cfgs = [INPUT_CFG, SIZED, PLACED];
-    for (out_format, want_path) in [("sized", RANK), ("placed", ASSEMBLY)] {
+    for (out_format, want_path) in [("sized", RANK), ("placed", FALLBACK)] {
         let wf = workflow("blast_db", out_format, "seq_size", "1", "block");
         let run = |fuse: bool| -> (Vec<Vec<u8>>, String) {
             let planner = Planner::from_xml(&wf, &cfgs).unwrap();

@@ -28,10 +28,10 @@
 //! from its two jobs' (the engine job is the first one's; the outputs and
 //! partition layout are the second's), so the fused and unfused plans are
 //! priced by the same transfer functions. A fused sort→distribute's data
-//! choose its path at run time, so its counters are the hull of that
-//! composition and of the distribute priced over the sort's input (the
-//! rank shuffle). DESIGN.md §13 documents the domain and the soundness
-//! argument.
+//! choose its path at run time, so its counters are the hull of its two
+//! jobs run in sequence (the fallback: pairs and shuffle bytes add) and
+//! of the distribute priced over the sort's input (the rank shuffle).
+//! DESIGN.md §13 documents the domain and the soundness argument.
 
 use std::collections::BTreeMap;
 
@@ -241,6 +241,8 @@ impl DatasetBounds {
 /// Per-partition bounds of a distribute stage's output layout.
 #[derive(Debug, Clone)]
 pub struct PartitionBounds {
+    /// Entries dealt over the partitions.
+    pub entries: Interval,
     /// Entry-count interval of each output partition, in partition order.
     pub per_partition: Vec<Interval>,
     /// How many partitions are provably empty (`hi == 0`) for every
@@ -581,7 +583,7 @@ pub fn compute(plan: &WorkflowPlan, phys: &PhysicalPlan, opts: &BoundsOptions) -
             StageKind::Single(j) => single_stage(&plan.jobs[j], id, &env, opts),
             StageKind::FusedSortDistribute { sort, distribute } => {
                 let (sort, distribute) = (&plan.jobs[sort], &plan.jobs[distribute]);
-                let fallback = fused_stage(sort, distribute, id, &env, opts);
+                let fallback = in_sequence(sort, distribute, id, &env, opts);
                 either(fallback, rank_shuffle(sort, distribute, &env, opts))
             }
             StageKind::FusedGroupSplit { group, split } => {
@@ -807,6 +809,7 @@ fn distribute_stage(
             },
         )],
         partitions: Some(PartitionBounds {
+            entries: e,
             per_partition,
             provably_empty,
             imbalance_hi,
@@ -814,15 +817,28 @@ fn distribute_stage(
     }
 }
 
-/// Bounds of a fused stage, composed from its two jobs' own: the engine
-/// job is the first job's (its reducers, inputs, pairs, shuffle and
-/// load), and the outputs and partition layout are the second's, which
-/// reads the first's output from a scratch environment, so the streamed
-/// intermediate never becomes a dataset of the pass. Under the fusion
-/// gates this is exact: a flat sort output holds one entry per record, so
-/// the distribute slices the sort's records; a fused group runs one
-/// reducer per node, so the split's per-node fragments are its per-reducer
-/// ones.
+/// Bounds of a pair's two jobs: the second reads the first's output from
+/// a scratch environment, so the pair's intermediate never becomes a
+/// dataset of the pass.
+fn pair(
+    first: &JobPlan,
+    second: &JobPlan,
+    id: String,
+    env: &BTreeMap<String, DatasetBounds>,
+    opts: &BoundsOptions,
+) -> (StageBounds, StageBounds) {
+    let a = single_stage(first, id, env, opts);
+    let mut scratch = env.clone();
+    scratch.extend(a.outputs.iter().cloned());
+    let b = single_stage(second, String::new(), &scratch, opts);
+    (a, b)
+}
+
+/// Bounds of a fused group→split stage, composed from its two jobs' own:
+/// the engine job is the group's (its reducers, inputs, pairs, shuffle and
+/// load), and the outputs are the split's. This is exact: a fused group
+/// runs one reducer per node, so the split's per-node fragments are its
+/// per-reducer ones.
 fn fused_stage(
     first: &JobPlan,
     second: &JobPlan,
@@ -830,14 +846,35 @@ fn fused_stage(
     env: &BTreeMap<String, DatasetBounds>,
     opts: &BoundsOptions,
 ) -> StageBounds {
-    let engine = single_stage(first, id, env, opts);
-    let mut scratch = env.clone();
-    scratch.extend(engine.outputs.iter().cloned());
-    let layout = single_stage(second, String::new(), &scratch, opts);
+    let (engine, layout) = pair(first, second, id, env, opts);
     StageBounds {
         outputs: layout.outputs,
         partitions: layout.partitions,
         ..engine
+    }
+}
+
+/// Bounds of a fused sort→distribute stage that runs its two jobs one
+/// after the other: the pairs and shuffle bytes of both rounds add, a
+/// reducer of either is the busiest, records in are the sort's, and the
+/// outputs and partitions are the distribute's. The reducer count stays
+/// the sort's, which the reducer lints read.
+fn in_sequence(
+    sort: &JobPlan,
+    distribute: &JobPlan,
+    id: String,
+    env: &BTreeMap<String, DatasetBounds>,
+    opts: &BoundsOptions,
+) -> StageBounds {
+    let (a, b) = pair(sort, distribute, id, env, opts);
+    StageBounds {
+        pairs: a.pairs.add(b.pairs),
+        shuffle_bytes: a.shuffle_bytes.add(b.shuffle_bytes),
+        max_load: a.max_load.hull(b.max_load),
+        records_out: b.records_out,
+        outputs: b.outputs,
+        partitions: b.partitions,
+        ..a
     }
 }
 

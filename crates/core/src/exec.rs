@@ -89,7 +89,8 @@ pub struct CheckpointCfg {
 /// Everything a workflow run produced besides the output datasets.
 #[derive(Debug, Clone, Default)]
 pub struct WorkflowReport {
-    /// Per-job stats in launch order.
+    /// One entry per physical stage, in launch order: a fused stage is one
+    /// entry whether it ran as one engine job or as its two.
     pub jobs: Vec<JobStats>,
     /// Time spent in the pre-job sampling passes.
     pub sample_time: Duration,
@@ -389,10 +390,11 @@ impl WorkflowRunner {
     /// store, primaries and replicas, at the map barrier of the last job
     /// that reads it (the end of its stage for map-only stages, and the
     /// end of its own stage for a dataset nothing reads). The report
-    /// carries one [`JobStats`] per *physical* stage — a fused stage is
-    /// one MapReduce job, so fused runs report fewer jobs (its trace span
-    /// records the logical jobs it covers); what a caller wants to know
-    /// about an intermediate it reads from there, or from the trace.
+    /// carries one [`JobStats`] and the trace one span per *physical*
+    /// stage, so fused runs report fewer jobs (a fused stage's span records
+    /// the logical jobs it covers, and one that ran its two jobs reports
+    /// them as one, [`JobStats::then`]); what a caller wants to know about
+    /// an intermediate it reads from there, or from the trace.
     pub fn run(&self, cluster: &mut Cluster) -> Result<WorkflowReport> {
         if let Some(threads) = self.options.threads {
             cluster.set_threads(threads);
@@ -457,6 +459,7 @@ impl WorkflowRunner {
                     let _ = cluster.take_recovery();
                     scatter_charge_dropped = true;
                 }
+                let first_job = cluster.jobs_launched();
                 let cx = &mut StageCtx {
                     cluster: &mut *cluster,
                     name: &stage.id,
@@ -485,17 +488,20 @@ impl WorkflowRunner {
                         run_group_split(cx, &jobs[*group], &jobs[*split])
                     }
                 }?;
-                // A fused stage ran as one engine job: its span records
-                // the logical jobs it covers, and each elided job's
-                // fault-schedule slot is reserved so later jobs keep the
-                // same index with and without fusion. Faults addressed to
-                // an elided slot never fire (there is no task to crash);
-                // recovery transparency keeps the output byte-identical.
+                // A fused stage's span records the logical jobs it covers.
+                // Every logical job holds one fault-schedule slot, so later
+                // jobs keep the same index with and without fusion: the
+                // stage's engine jobs took theirs, and the slots of the jobs
+                // it ran no engine job for are reserved here. Faults
+                // addressed to such a slot never fire (there is no task to
+                // crash); recovery transparency keeps the output
+                // byte-identical.
                 let covers = self.covers(stage);
                 if !covers.is_empty() && cluster.tracing() {
                     cluster.annotate_last_job_trace(covers);
                 }
-                for _ in 1..stage.logical.len() {
+                let launched = cluster.jobs_launched() - first_job;
+                for _ in launched..stage.logical.len() {
                     let _ = cluster.next_job_index();
                 }
                 if let Some(s) = &mut session {

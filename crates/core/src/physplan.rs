@@ -358,7 +358,7 @@ pub fn explain(plan: &WorkflowPlan, phys: &PhysicalPlan) -> String {
 /// --explain` to print after [`explain`]'s text (which the plan
 /// fingerprint hashes, so the note stays out of it); empty when the plan
 /// fuses no sort→distribute. The data decide between the rank shuffle and
-/// the driver assembly only where the plan allows both.
+/// the sort, then the distribute, only where the plan allows both.
 pub fn fused_paths(plan: &WorkflowPlan, phys: &PhysicalPlan) -> crate::Result<String> {
     let mut out = String::new();
     for (s, stage) in phys.stages.iter().enumerate() {
@@ -373,12 +373,10 @@ pub fn fused_paths(plan: &WorkflowPlan, phys: &PhysicalPlan) -> crate::Result<St
                 format!(
                     "one shuffle by global rank when its '{key}' keys span at most its \
                      rows over its partitions (a key histogram replaces the sample); \
-                     otherwise the sort, then the partitions assembled on the driver"
+                     otherwise the sort, then the distribute"
                 )
             }
-            Some(why) => {
-                format!("the sort, then the partitions assembled on the driver: {why}")
-            }
+            Some(why) => format!("the sort, then the distribute: {why}"),
         };
         out.push_str(&format!("  P{s}: '{}' takes {line}\n", stage.id));
     }

@@ -16,8 +16,6 @@
 //! predicate list (`{>=, 4},{<,4}`, Figure 10).
 
 use papar_record::Value;
-use std::iter::StepBy;
-use std::ops::Range;
 
 use crate::error::{CoreError, Result};
 
@@ -213,29 +211,6 @@ impl DistrPolicy {
             DistrPolicy::GraphVertexCut => {
                 panic!("graphVertexCut routes by value; use partition_of_value")
             }
-        }
-    }
-
-    /// The global indices, out of `total`, that
-    /// [`DistrPolicy::partition_of_index`] sends to partition `part`, in
-    /// ascending order: every `parts`-th index from `part` (cyclic), or
-    /// one contiguous chunk (block). `None` for
-    /// [`DistrPolicy::GraphVertexCut`], which routes by value.
-    pub fn indices_of(
-        &self,
-        part: usize,
-        total: usize,
-        parts: usize,
-    ) -> Option<StepBy<Range<usize>>> {
-        match self {
-            DistrPolicy::Cyclic => Some((part.min(total)..total).step_by(parts)),
-            DistrPolicy::Block => {
-                let (base, extra) = (total / parts, total % parts);
-                let start = part * base + part.min(extra);
-                let len = base + usize::from(part < extra);
-                Some((start..start + len).step_by(1))
-            }
-            DistrPolicy::GraphVertexCut => None,
         }
     }
 
@@ -471,27 +446,6 @@ mod tests {
             .map(|g| DistrPolicy::Block.partition_of_index(g, total, parts))
             .collect();
         assert_eq!(assigned, vec![0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
-    }
-
-    /// Each partition's indices are exactly those routed to it, in order.
-    #[test]
-    fn indices_of_inverts_partition_of_index() {
-        for policy in [DistrPolicy::Cyclic, DistrPolicy::Block] {
-            for total in [0, 1, 2, 7, 10, 12, 33] {
-                for parts in [1, 2, 3, 5, 8, 40] {
-                    for part in 0..parts {
-                        let want: Vec<usize> = (0..total)
-                            .filter(|&g| policy.partition_of_index(g, total, parts) == part)
-                            .collect();
-                        let got: Option<Vec<usize>> =
-                            policy.indices_of(part, total, parts).map(Iterator::collect);
-                        let at = format!("{policy:?} total={total} parts={parts} part={part}");
-                        assert_eq!(got, Some(want), "{at}");
-                    }
-                }
-            }
-        }
-        assert!(DistrPolicy::GraphVertexCut.indices_of(0, 4, 2).is_none());
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! mappers, partitioners, reducers and routers they wire into engine jobs.
 
 use papar_config::input::FieldType;
-use papar_mr::engine::{FnReducer, HashPartitioner, IdentityPartitioner, KeyedMapper, MapInput};
-use papar_mr::engine::{Mapper, PairKey, Reducer};
+use papar_mr::engine::{int_key, FnReducer, HashPartitioner, IdentityPartitioner, KeyedMapper};
+use papar_mr::engine::{MapInput, Mapper, PairKey, Reducer};
 use papar_mr::sampler::{self, IntCuts, RangePartitioner};
 use papar_mr::stats::JobStats;
 use papar_mr::{run_slots, Emit, EntryRef, MrError, Pairs, TaskCtx};
 use papar_mr::{Cluster, Entry, MapReduceJob, Partitioner};
-use papar_record::batch::{Batch, Dataset, Rows};
+use papar_record::batch::{Batch, Rows};
 use papar_record::packed::{pack_onto, PackedRecord};
 use papar_record::view::{KeyField, ENTRY_REC};
 use papar_record::wire;
@@ -17,8 +17,6 @@ use papar_record::{Record, Schema, Value};
 use papar_trace::{duration_ns, Counters, FusedPath, PhaseKind, PhaseTrace};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::iter::StepBy;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,6 +37,20 @@ pub(crate) struct StageCtx<'a> {
     pub(crate) report: &'a mut WorkflowReport,
 }
 
+impl StageCtx<'_> {
+    /// This context under engine job name `name`: one round of a stage
+    /// that runs as two jobs.
+    fn round<'b>(&'b mut self, name: &'b str) -> StageCtx<'b> {
+        StageCtx {
+            cluster: &mut *self.cluster,
+            name,
+            release: self.release,
+            options: self.options,
+            report: &mut *self.report,
+        }
+    }
+}
+
 /// A sort job into `output`: the sampling pass, then a range-partitioned
 /// keyed job.
 pub(crate) fn run_sort(cx: &mut StageCtx<'_>, job: &JobPlan, output: &str) -> Result<JobStats> {
@@ -47,7 +59,7 @@ pub(crate) fn run_sort(cx: &mut StageCtx<'_>, job: &JobPlan, output: &str) -> Re
 
 /// [`run_sort`], its sampling pass charged `spent` more: what a key
 /// histogram spent before the fused sort→distribute stage fell back to
-/// sorting into a streamed temporary.
+/// the sort and the distribute.
 fn run_sort_after(
     cx: &mut StageCtx<'_>,
     job: &JobPlan,
@@ -327,15 +339,10 @@ pub(crate) fn run_custom(
         input_schema: job.input_meta.schema.clone(),
         num_reducers: job.reducers(cluster.num_nodes()),
     };
-    // An operator that drives the engine (`run_job`, `run_local`) has
-    // taken its fault slot and recorded its trace; one that does not
-    // still occupies a slot, so later jobs keep their indices.
-    let first = cluster.jobs_launched();
-    let stats = op.run(cluster, &ctx)?;
-    if cluster.jobs_launched() == first {
-        let _ = cluster.next_job_index();
-    }
-    Ok(stats)
+    // An operator that drives the engine (`run_job`, `run_local`) takes
+    // its fault slot and records its trace; the runner reserves the slot
+    // of one that does not.
+    op.run(cluster, &ctx)
 }
 
 /// The sort→distribute pair as one stage — the paper's `L_m^{km}`
@@ -343,38 +350,37 @@ pub(crate) fn run_custom(
 /// policies route by *global rank*, and composed with the sort, a rank is
 /// a function of the row's key and its place among equal keys. For an
 /// `int` or `long` key whose span is at most a partition's share of the
-/// rows, the ranks are known at map time: a
-/// key histogram ([`rank_histograms`]) gives every node the rank of its
-/// first row of each key, and the stage runs as one shuffle straight to
-/// the partitions ([`run_rank_shuffle`]). Otherwise it runs the sort
-/// verbatim (sampling pass, range partitioner, one sort shuffle) into a
-/// streamed temporary, and the driver applies the distribute permutation
-/// over the sorted runs' prefix sums ([`assemble_distribute`]), outside
-/// the virtual clock like the unfused offsets pre-pass. Either way each
+/// rows, the ranks are known at map time: a key histogram
+/// ([`rank_histograms`]) gives every node the rank of its first row of
+/// each key, and the stage runs as one shuffle straight to the partitions
+/// ([`run_rank_shuffle`]). Otherwise it runs the two jobs `--no-fuse`
+/// runs, under their own names, so their faults and recovery log are
+/// `--no-fuse`'s — the sort into its declared output, then the
+/// distribute, which releases it — and reports and traces them as one
+/// stage ([`JobStats::then`]); both shuffles are charged. Either way each
 /// partition holds, in order, the rows the two-job plan commits to it.
 pub(crate) fn run_sort_distribute(
     cx: &mut StageCtx<'_>,
     sjob: &JobPlan,
     djob: &JobPlan,
 ) -> Result<JobStats> {
-    let spent = match rank_shuffle_refusal(sjob, djob)? {
-        Some(_) => Duration::ZERO,
+    let (spent, why) = match rank_shuffle_refusal(sjob, djob)? {
+        Some(why) => (Duration::ZERO, why),
         None => match rank_histograms(cx, sjob, djob)? {
             Ok(mapper) => return run_rank_shuffle(cx, sjob, djob, &mapper),
-            Err(spent) => spent,
+            Err(refusal) => refusal,
         },
     };
-    // The streamed intermediate: fragment r carries exactly the bytes
-    // unfused sort fragment r would, but under a name no workflow
-    // dataset can collide with, and it never outlives the stage.
-    let temp = format!("__fused:{}", sjob.output());
-    let stats = run_sort_after(cx, sjob, &temp, spent)?;
-    let t0 = Instant::now();
-    assemble_distribute(cx.cluster, djob, &temp)?;
+    let sort = run_sort_after(&mut cx.round(&sjob.id), sjob, sjob.output(), spent)?;
+    let distribute = run_distribute(&mut cx.round(&djob.id), djob)?;
     if cx.cluster.tracing() {
-        (cx.cluster).annotate_last_job_path(FusedPath::Assembly(t0.elapsed()));
+        cx.cluster.join_last_job_traces(cx.name);
+        (cx.cluster).annotate_last_job_path(FusedPath::SortThenDistribute(why));
     }
-    Ok(stats)
+    Ok(JobStats {
+        name: cx.name.to_string(),
+        ..sort.then(distribute)
+    })
 }
 
 /// Why a fused sort→distribute stage cannot shuffle by global rank
@@ -415,23 +421,24 @@ pub(crate) fn rank_shuffle_refusal(sjob: &JobPlan, djob: &JobPlan) -> Result<Opt
 /// key on earlier nodes. That is the order the sort's reducers produce —
 /// `(key, sender node, emission index)` — so a node's rows of one key take
 /// consecutive ranks in emission order. `Err` with the time the pass spent
-/// when the stage cannot take it: a packed fragment, rows of another
-/// layout, no rows at all, or a key span (the greatest key less the least,
-/// plus one) above a partition's share of the rows. Within that share
-/// every partition's reducer takes the counting order (each reducer's
-/// span is at most the histogram's, and each holds at least that many
-/// pairs), and the histograms hold at most one key per `P` rows.
+/// and why, when the stage cannot take it: a packed fragment, rows of
+/// another layout, no rows at all, or a key span (the greatest key less
+/// the least, plus one) above a partition's share of the rows. Within
+/// that share every partition's reducer takes the counting order (each
+/// reducer's span is at most the histogram's, and each holds at least
+/// that many pairs), and the histograms hold at most one key per `P` rows.
 fn rank_histograms(
     cx: &mut StageCtx<'_>,
     sjob: &JobPlan,
     djob: &JobPlan,
-) -> Result<std::result::Result<RankMapper, Duration>> {
+) -> Result<std::result::Result<RankMapper, (Duration, String)>> {
     let t0 = Instant::now();
+    let refuse = |why: &str| Ok(Err((t0.elapsed(), why.to_string())));
     let (key_idx, descending, ..) = keyed_kind(sjob)?;
     let schema = &sjob.input_meta.schema;
     let field = KeyField::new(schema, key_idx).map_err(CoreError::from)?;
     let (Some(at), Some(width)) = (field.offset(), schema.binary_record_width()) else {
-        return Ok(Err(t0.elapsed()));
+        return refuse("the sort's input records are not fixed-width");
     };
     let key = IntKey {
         idx: key_idx,
@@ -447,9 +454,9 @@ fn rank_histograms(
             for f in cluster.node(node).get(name).into_iter().flatten() {
                 match &f.data.batch {
                     Batch::Rows(r) if !same_layout(r.schema(), schema) => {
-                        return Ok(Err(t0.elapsed()))
+                        return refuse(OTHER_FRAGMENT)
                     }
-                    Batch::Packed(_) => return Ok(Err(t0.elapsed())),
+                    Batch::Packed(_) => return refuse(OTHER_FRAGMENT),
                     batch => frags.push(batch),
                 }
             }
@@ -464,13 +471,16 @@ fn rank_histograms(
     let too_wide = |(lo, hi): (i64, i64)| {
         lo <= hi && (u128::from(hi.abs_diff(lo)) + 1) * num_partitions as u128 > total as u128
     };
+    let wide = format!("its keys span more than its {total} rows over {num_partitions} partitions");
     // Every `SAMPLE_STRIDE`-th key first: keys already too far apart
     // refuse the stage for a fraction of a pass.
     let sampled = (frags.iter().flatten()).try_fold(NO_KEYS, |range, b| {
         Some(widen(range, key.range(b, sampler::SAMPLE_STRIDE)?))
     });
-    if sampled.is_none_or(too_wide) {
-        return Ok(Err(t0.elapsed()));
+    match sampled {
+        None => return refuse(NOT_INTEGER),
+        Some(range) if too_wide(range) => return refuse(&wide),
+        Some(_) => {}
     }
     let threads = (cluster.threads()).min((total * width).div_ceil(BYTES_PER_THREAD));
     // First pass, per node: its least and greatest key (`None` for a key
@@ -484,11 +494,14 @@ fn rank_histograms(
     });
     let mut busiest = ranges.iter().map(|r| r.1).max().unwrap_or_default();
     let Some(ranges) = ranges.into_iter().map(|r| r.0).collect::<Option<Vec<_>>>() else {
-        return Ok(Err(t0.elapsed()));
+        return refuse(NOT_INTEGER);
     };
     let (lo, hi) = ranges.iter().copied().fold(NO_KEYS, widen);
-    if lo > hi || too_wide((lo, hi)) {
-        return Ok(Err(t0.elapsed()));
+    if lo > hi {
+        return refuse("its input has no rows");
+    }
+    if too_wide((lo, hi)) {
+        return refuse(&wide);
     }
     // Second pass, per node: a count per key of its own range.
     let counted = run_slots(n, threads, |node| {
@@ -561,6 +574,12 @@ fn rank_histograms(
     }))
 }
 
+/// Why the rank shuffle refuses a fragment it cannot read keys from.
+const OTHER_FRAGMENT: &str = "a fragment of its input is packed or of another layout";
+
+/// Why the rank shuffle refuses a record whose key is no integer.
+const NOT_INTEGER: &str = "a record's sort key is no integer";
+
 /// The rank shuffle's one job: [`RankMapper`] sends each row to its
 /// partition, and partition `p` is reducer `p` — on node `p mod n`,
 /// committed at ordinal `p`, as the unfused distribute's reducer `p` is.
@@ -568,7 +587,7 @@ fn rank_histograms(
 /// partition's rows in rank order, since ranks ascend with the key (in the
 /// sort's direction) and, among equal keys, with the sender node and the
 /// emission order the scan index follows. Each partition is gathered as
-/// rows; no sorted temporary is stored and nothing is assembled.
+/// rows; the sorted dataset is never stored.
 fn run_rank_shuffle(
     cx: &mut StageCtx<'_>,
     sjob: &JobPlan,
@@ -663,7 +682,7 @@ impl Mapper for RankMapper {
                     next.copy_from_slice(&begun);
                 }
                 let row = rows.as_bytes().get(i * self.key.width..);
-                let key = int_at(row.unwrap_or_default(), self.key.at, self.key.long);
+                let key = self.key.read(row.unwrap_or_default());
                 self.partition(*lo, &mut next, Some(key))
             };
             if !out.push_rows_to(rows, &mut partition_of)? {
@@ -703,6 +722,11 @@ fn widen((lo, hi): (i64, i64), (l, h): (i64, i64)) -> (i64, i64) {
 }
 
 impl IntKey {
+    /// The key of a `width`-byte row.
+    fn read(&self, row: &[u8]) -> i64 {
+        int_key(row.get(self.at..).unwrap_or_default(), self.long)
+    }
+
     /// The least and greatest key of every `stride`-th entry of a flat
     /// fragment ([`NO_KEYS`] when it has none), or `None` when a record's
     /// key is no integer or the fragment is packed.
@@ -710,7 +734,7 @@ impl IntKey {
         match batch {
             Batch::Rows(rows) => Some(
                 (rows.as_bytes().chunks_exact(self.width).step_by(stride))
-                    .map(|row| int_at(row, self.at, self.long))
+                    .map(|row| self.read(row))
                     .fold(NO_KEYS, |range, k| widen(range, (k, k))),
             ),
             Batch::Flat(records) => records
@@ -729,83 +753,15 @@ impl IntKey {
     /// key is no integer. A packed fragment has no key per row.
     fn each(&self, batch: &Batch, mut each: impl FnMut(Option<i64>) -> bool) -> bool {
         match batch {
-            Batch::Rows(rows) => (rows.as_bytes().chunks_exact(self.width))
-                .all(|row| each(Some(int_at(row, self.at, self.long)))),
+            Batch::Rows(rows) => {
+                (rows.as_bytes().chunks_exact(self.width)).all(|row| each(Some(self.read(row))))
+            }
             Batch::Flat(records) => {
                 (records.iter()).all(|r| each(r.values().get(self.idx).and_then(Value::as_i64)))
             }
             Batch::Packed(_) => false,
         }
     }
-}
-
-/// The `int` or `long` at byte `at` of a fixed-width row, little-endian;
-/// the row's layout was checked, so the key is in it.
-fn int_at(row: &[u8], at: usize, long: bool) -> i64 {
-    let bytes = row.get(at..).unwrap_or_default();
-    match long {
-        true => bytes.first_chunk().map_or(0, |b| i64::from_le_bytes(*b)),
-        false => bytes
-            .first_chunk()
-            .map_or(0, |b| i32::from_le_bytes(*b).into()),
-    }
-}
-
-/// Driver-side half of the fused sort→distribute stage: apply the
-/// index-routed distribute permutation over the sorted runs, which
-/// are moved out of the cluster (the temp never outlives the stage).
-fn assemble_distribute(cluster: &mut Cluster, djob: &JobPlan, temp: &str) -> Result<()> {
-    let (policy, num_partitions, projection) = distribute_kind(djob)?;
-    // Take the sorted fragments in global (ordinal) order — the same
-    // enumeration the unfused offsets pre-pass performs.
-    let frags = cluster.take(temp)?;
-    let total: usize = frags.iter().map(|d| d.batch.entry_count()).sum();
-    let part_of = |g: usize| policy.partition_of_index(g, total, num_partitions);
-    let out_format = djob.outputs[0].1.format;
-    let out_schema = &djob.outputs[0].1.schema;
-    // Appending in ascending global rank reproduces the unfused
-    // reducer's global order within each partition. A flat,
-    // unprojected output of sorted rows is routed as rows.
-    let rows: Option<Vec<&Rows>> = (frags.iter())
-        .map(|d| match &d.batch {
-            Batch::Rows(rows) if rows.schema() == out_schema => Some(rows),
-            _ => None,
-        })
-        .collect();
-    let routed = match rows {
-        Some(rows) if out_format == Format::Flat && projection.is_none() && !rows.is_empty() => {
-            let indices = |p| policy.indices_of(p, total, num_partitions);
-            Some(match out_schema.binary_record_width() {
-                Some(width) => {
-                    let threads =
-                        (cluster.threads()).min((total * width).div_ceil(BYTES_PER_THREAD));
-                    stride_partitions(&rows, out_schema, width, num_partitions, threads, indices)?
-                }
-                None => route_rows(&rows, out_schema, num_partitions, part_of)?,
-            })
-        }
-        _ => None,
-    };
-    let batches = match routed {
-        Some(batches) => batches,
-        None => route_entries(frags, out_format, num_partitions, part_of)?,
-    };
-    let n = cluster.num_nodes();
-    for (p, mut batch) in batches.into_iter().enumerate() {
-        if let Some(proj) = &projection {
-            project_batch(&mut batch, proj)?;
-        }
-        // The unfused distribute's reducer p runs on node p % n and
-        // commits fragment ordinal p; mirror exactly (empty
-        // partitions included, so every partition materializes).
-        cluster.put_fragment(
-            p % n,
-            djob.output(),
-            p as u32,
-            Dataset::new(out_schema.clone(), batch),
-        )?;
-    }
-    Ok(())
 }
 
 /// The group→split pair as one MapReduce job: the split's routing
@@ -1222,9 +1178,8 @@ fn fragment_base(offsets: &HashMap<(String, u32), u64>, name: &str, ordinal: u32
 /// A distribute job's policy, its partition count, and the field indices
 /// projecting its output records onto the declared output schema (`None`:
 /// records pass through unchanged, because no output format was declared
-/// or it keeps every field in place). Shared by the unfused distribute job
-/// and the fused stage's driver-side assembly so the two can never
-/// diverge.
+/// or it keeps every field in place). Shared by the distribute job and the
+/// rank shuffle so the two can never diverge.
 pub(crate) fn distribute_kind(job: &JobPlan) -> Result<(DistrPolicy, usize, Option<Vec<usize>>)> {
     let JobKind::Distribute {
         policy,
@@ -1284,19 +1239,6 @@ fn sample_keys(batch: &Batch, key_idx: usize, stride: usize, out: &mut Vec<Value
     Ok(())
 }
 
-/// Decompose a batch into shuffle entries, by move; rows decode.
-fn batch_entries(batch: Batch) -> impl Iterator<Item = Entry> {
-    let (records, groups) = match batch {
-        Batch::Flat(records) => (records, Vec::new()),
-        Batch::Rows(rows) => (rows.to_records(), Vec::new()),
-        Batch::Packed(groups) => (Vec::new(), groups),
-    };
-    records
-        .into_iter()
-        .map(Entry::Rec)
-        .chain(groups.into_iter().map(Entry::Packed))
-}
-
 /// Whether records of `input` are laid out like records of `out`: the
 /// same field types in the same order, at least one of them.
 fn same_layout(input: &Schema, out: &Schema) -> bool {
@@ -1329,91 +1271,11 @@ fn gather_rows(pairs: &Pairs<'_>, schema: &Arc<Schema>) -> papar_mr::Result<Batc
     Ok(Batch::Rows(Rows::new(schema.clone(), bytes)?))
 }
 
-/// The fused assembly over rows: every sorted fragment's rows routed by
-/// global rank into exact-size partition buffers, by byte copy.
-fn route_rows(
-    frags: &[&Rows],
-    schema: &Arc<Schema>,
-    num_partitions: usize,
-    part_of: impl Fn(usize) -> usize,
-) -> Result<Vec<Batch>> {
-    let all = || frags.iter().flat_map(|rows| rows.iter());
-    let mut sizes = vec![0usize; num_partitions];
-    for (g, row) in all().enumerate() {
-        sizes[part_of(g)] += row.as_bytes().len();
-    }
-    let mut parts: Vec<Vec<u8>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for (g, row) in all().enumerate() {
-        parts[part_of(g)].extend_from_slice(row.as_bytes());
-    }
-    parts
-        .into_iter()
-        .map(|bytes| Ok(Batch::Rows(Rows::new(schema.clone(), bytes)?)))
-        .collect()
-}
-
-/// Row bytes that pay for one more thread of a driver-side pass over them
-/// (the assembly, the key histogram): below about this much, starting
-/// threads costs more than it saves. On a 2-core host, 500 Fig 8 rows took
-/// 50–98 µs to assemble on two threads and 14–21 µs on one; 500,000 rows
-/// took 6.4–8.9 ms on one and 3.8–5.1 ms on two. A key histogram over
-/// 60,000 rows on 16 nodes spent 160–330 µs starting two threads.
+/// Row bytes that pay for one more thread of the key histogram's passes:
+/// below about this much, starting threads costs more than it saves. On a
+/// 2-core host a key histogram over 60,000 rows on 16 nodes spent
+/// 160–330 µs starting two threads.
 const BYTES_PER_THREAD: usize = 1 << 20;
-
-/// The fused assembly over fixed-width rows: partition `p` copies the rows
-/// of global ranks `indices(p)` by stride over the sorted fragments into
-/// an exact-size buffer, the partitions filling in parallel on `threads`
-/// threads. A policy with no index ranges routes nothing here.
-fn stride_partitions(
-    frags: &[&Rows],
-    schema: &Arc<Schema>,
-    width: usize,
-    num_partitions: usize,
-    threads: usize,
-    indices: impl Fn(usize) -> Option<StepBy<Range<usize>>> + Sync,
-) -> Result<Vec<Batch>> {
-    let parts = run_slots(num_partitions, threads, |p| {
-        let ranks =
-            indices(p).ok_or_else(|| CoreError::exec("a value-routed policy has no ranks"))?;
-        let mut bytes = Vec::with_capacity(ranks.len() * width);
-        let mut ranks = ranks.peekable();
-        let mut base = 0;
-        for rows in frags {
-            let (src, end) = (rows.as_bytes(), base + rows.len());
-            while let Some(g) = ranks.next_if(|&g| g < end) {
-                bytes.extend_from_slice(&src[(g - base) * width..][..width]);
-            }
-            base = end;
-        }
-        Ok(Batch::Rows(Rows::new(schema.clone(), bytes)?))
-    });
-    parts.into_iter().collect()
-}
-
-/// The fused assembly over decoded entries: each moved once, by global
-/// rank, into its exact-size partition.
-fn route_entries(
-    frags: Vec<Dataset>,
-    out_format: Format,
-    num_partitions: usize,
-    part_of: impl Fn(usize) -> usize,
-) -> Result<Vec<Batch>> {
-    let mut sizes = vec![(0usize, 0usize); num_partitions];
-    let all = frags.iter().flat_map(|d| EntryRef::all(&d.batch));
-    for (g, entry) in all.enumerate() {
-        let (records, entries) = &mut sizes[part_of(g)];
-        *records += entry.record_count();
-        *entries += 1;
-    }
-    let mut parts: Vec<Batch> = (sizes.into_iter())
-        .map(|(records, entries)| empty_batch(out_format, records, entries))
-        .collect();
-    let entries = frags.into_iter().flat_map(|d| batch_entries(d.batch));
-    for (g, entry) in entries.enumerate() {
-        place(&mut parts[part_of(g)], entry, None)?;
-    }
-    Ok(parts)
-}
 
 /// Why a distribute into a packed output refuses a flat entry.
 const FLAT_IN_PACKED: &str = "distribute cannot keep flat entries in a packed output";
@@ -1452,33 +1314,6 @@ fn place(
             groups.push(PackedRecord { key, members });
         }
         (Batch::Rows(_), _) => return Err(MrError::msg("an entry cannot be placed into rows")),
-    }
-    Ok(())
-}
-
-/// Project every record onto the given field indices, in place; rows
-/// decode first, and a group's members are projected as their bytes. Only
-/// the fused sort→distribute assembly projects so: an unfused distribute
-/// ships its entries projected.
-fn project_batch(batch: &mut Batch, proj: &[usize]) -> Result<()> {
-    let project = |r: &mut Record| *r = proj.iter().map(|&i| r.values()[i].clone()).collect();
-    match batch {
-        Batch::Rows(rows) => {
-            let mut records = rows.to_records();
-            records.iter_mut().for_each(project);
-            *batch = Batch::Flat(records);
-        }
-        Batch::Flat(records) => records.iter_mut().for_each(project),
-        Batch::Packed(groups) => {
-            for g in groups {
-                let mut bytes = Vec::new();
-                for row in g.members.iter() {
-                    wire::project_record(row.as_bytes(), row.schema(), proj, &mut bytes);
-                }
-                let schema = project_schema(g.members.schema(), proj);
-                g.members = Rows::new(schema, bytes).map_err(MrError::from)?;
-            }
-        }
     }
     Ok(())
 }
@@ -1524,41 +1359,6 @@ mod tests {
         // Rows are never placed into.
         let mut rows = Batch::Rows(Rows::new(schema.clone(), Vec::new())?);
         assert!(place(&mut rows, Entry::Rec(rec![4, 9]), wrap).is_err());
-        Ok(())
-    }
-
-    /// The parallel stride assembly fills each partition with exactly the
-    /// rows, in order, that the sequential walk routes to it: cyclic and
-    /// block, over fragments empty and not, with fewer and more partitions
-    /// than rows, at every thread count.
-    #[test]
-    fn stride_assembly_routes_what_the_walk_routes() -> Result<()> {
-        let schema = Arc::new(Schema::new(vec![("k", FieldType::Long)]));
-        let mut next = 0i64;
-        let frags = [0, 7, 0, 9, 7]
-            .map(|len| {
-                let records: Vec<Record> = (next..next + len).map(|k| rec![k * 5]).collect();
-                next += len;
-                Rows::from_records(schema.clone(), &records)
-            })
-            .into_iter()
-            .collect::<papar_record::Result<Vec<Rows>>>()?;
-        let frags: Vec<&Rows> = frags.iter().collect();
-        let total = 23;
-        for policy in [DistrPolicy::Cyclic, DistrPolicy::Block] {
-            for parts in [1, 3, 8, 30] {
-                let part_of = |g| policy.partition_of_index(g, total, parts);
-                let walked = route_rows(&frags, &schema, parts, part_of)?;
-                for threads in [1, 2, 3] {
-                    let indices = |p| policy.indices_of(p, total, parts);
-                    let strided = stride_partitions(&frags, &schema, 8, parts, threads, indices)?;
-                    assert_eq!(
-                        strided, walked,
-                        "{policy:?} into {parts} on {threads} threads"
-                    );
-                }
-            }
-        }
         Ok(())
     }
 

@@ -686,13 +686,14 @@ fn sampling_modes_affect_balance_not_content() {
     );
 }
 
-/// The fused sort→distribute stage moves its sorted runs out of the
-/// cluster: after a run on a replicated cluster whose map phase lost a
-/// node (restored from replicas), no store — primaries or replicas —
-/// still names the streamed temporary, and the partitions equal the
-/// unfused two-job plan's.
+/// A fused sort→distribute stage too small for the rank shuffle runs the
+/// sort, then the distribute, and the sort's output leaves the cluster:
+/// after a run on a replicated cluster that lost a node in each job's map
+/// phase (restored from replicas, the second time with the sorted
+/// fragments), no store — primaries or replicas — still holds the sort's
+/// output, and the partitions equal the unfused two-job plan's.
 #[test]
-fn fused_stage_moves_its_temp_out_of_every_store_after_a_recovered_crash() {
+fn fused_stage_leaves_the_sorts_output_in_no_store_after_recovered_crashes() {
     use papar_mr::{Fault, FaultPlan, TaskPhase};
     let run = |fuse: bool| {
         let planner = Planner::from_xml(BLAST_WORKFLOW, &[BLAST_INPUT_CFG]).unwrap();
@@ -710,11 +711,18 @@ fn fused_stage_moves_its_temp_out_of_every_store_after_a_recovered_crash() {
         let runner = WorkflowRunner::with_options(plan, options);
         let mut cluster = Cluster::new(3)
             .with_replication(1)
-            .with_fault_plan(FaultPlan::new(vec![Fault::NodeCrash {
-                node: 1,
-                job: 0,
-                phase: TaskPhase::Map,
-            }]));
+            .with_fault_plan(FaultPlan::new(vec![
+                Fault::NodeCrash {
+                    node: 1,
+                    job: 0,
+                    phase: TaskPhase::Map,
+                },
+                Fault::NodeCrash {
+                    node: 2,
+                    job: 1,
+                    phase: TaskPhase::Map,
+                },
+            ]));
         let schema = runner.plan().external_inputs[0].1.schema.clone();
         runner
             .scatter_input(
@@ -724,7 +732,7 @@ fn fused_stage_moves_its_temp_out_of_every_store_after_a_recovered_crash() {
             )
             .unwrap();
         let report = runner.run(&mut cluster).unwrap();
-        assert_eq!(report.faults_injected(), 1);
+        assert_eq!(report.faults_injected(), 2, "fuse {fuse}");
         (cluster, report.jobs.len())
     };
     let (fused, fused_jobs) = run(true);
@@ -734,7 +742,7 @@ fn fused_stage_moves_its_temp_out_of_every_store_after_a_recovered_crash() {
         let ids = store.fragment_ids().into_iter().chain(store.replica_ids());
         for (name, ordinal) in ids {
             assert!(
-                !name.starts_with("__fused:"),
+                name != "/user/sort_output",
                 "node {node} still holds {name}#{ordinal}"
             );
         }

@@ -171,6 +171,12 @@ impl Cluster {
         self.tracer.annotate_last_job_path(path);
     }
 
+    /// Trace the two jobs run last as one job named `name`
+    /// ([`TraceSink::join_last_jobs`]).
+    pub fn join_last_job_traces(&mut self, name: &str) {
+        self.tracer.join_last_jobs(name.to_string());
+    }
+
     /// Set the engine's OS-thread budget (builder form). See
     /// [`Cluster::set_threads`].
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -433,31 +439,6 @@ impl Cluster {
             }
             Ok(Dataset::new(schema, Batch::Flat(records)))
         }
-    }
-
-    /// Remove a dataset from every node — primaries and the replicas held
-    /// for them — and hand back its fragments in global ordinal order.
-    /// With every store's handle gone each fragment's `Arc` is unique, so
-    /// the records move out instead of being copied.
-    pub fn take(&mut self, name: &str) -> Result<Vec<Dataset>> {
-        let mut frags: Vec<Fragment> = Vec::new();
-        let mut found = false;
-        for node in &mut self.nodes {
-            if let Some(local) = node.remove(name) {
-                found = true;
-                frags.extend(local);
-            }
-        }
-        if !found {
-            return Err(MrError::DatasetNotFound {
-                name: name.to_string(),
-            });
-        }
-        frags.sort_by_key(|f| f.ordinal);
-        Ok(frags
-            .into_iter()
-            .map(|f| Arc::unwrap_or_clone(f.data))
-            .collect())
     }
 
     /// Remove a dataset from every node, primaries and the replicas held
@@ -850,33 +831,16 @@ mod tests {
 
     #[test]
     fn missing_dataset_is_a_typed_error() {
-        let mut c = Cluster::new(2);
+        let c = Cluster::new(2);
         let missing = MrError::DatasetNotFound {
             name: "ghost".into(),
         };
         assert_eq!(c.fragments("ghost").unwrap_err(), missing);
         assert_eq!(c.collect("ghost").unwrap_err(), missing);
-        assert_eq!(c.take("ghost").unwrap_err(), missing);
         assert_eq!(
             missing.to_string(),
             "mapreduce error: dataset 'ghost' not found on any node"
         );
-    }
-
-    #[test]
-    fn take_moves_a_replicated_dataset_out_of_every_store() {
-        let mut c = Cluster::new(3).with_replication(2);
-        c.scatter("x", flat(0..9)).unwrap();
-        let whole = c.collect_concat("x").unwrap();
-        let taken = c.take("x").unwrap();
-        assert_eq!(taken.len(), 3);
-        for node in 0..3 {
-            assert!(c.node(node).fragment_ids().is_empty());
-            assert!(c.node(node).replica_ids().is_empty());
-        }
-        let records: Vec<_> = taken.into_iter().flat_map(|d| d.batch.flatten()).collect();
-        assert_eq!(Batch::Flat(records), whole.batch);
-        assert!(c.collect("x").is_err());
     }
 
     #[test]

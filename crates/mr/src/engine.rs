@@ -1324,9 +1324,12 @@ struct StrideScan {
 }
 
 /// The `long` (8 bytes) or `int` (4 bytes) at the start of `bytes`,
-/// little-endian. The stride scan checked that every key is in its pair.
+/// little-endian, as a fixed-width row holds an integer field: the one
+/// reader of such keys, for the stride scan, integer routing and a fused
+/// sort's key histogram. Callers checked the row's layout, so the key is
+/// there; `bytes` too short for it read as 0.
 #[inline]
-fn int_key(bytes: &[u8], long: bool) -> i64 {
+pub fn int_key(bytes: &[u8], long: bool) -> i64 {
     if long {
         bytes.first_chunk().map_or(0, |b| i64::from_le_bytes(*b))
     } else {

@@ -287,6 +287,42 @@ impl JobStats {
         self.recovery = recovery;
     }
 
+    /// This round, then `next` on the same nodes, as one stage's stats: the
+    /// rounds are joined by a barrier, so their simulated times add. The
+    /// first round's map is the stage's map; its reduce and the second
+    /// round's map, each at its critical path, open the stage's reduce on
+    /// every node; the shuffles' times, traffic, pairs, recovery and
+    /// staging add. Records in are this round's, records out `next`'s, and
+    /// the name this one's.
+    pub fn then(self, next: JobStats) -> JobStats {
+        let between = self.reduce_time() + next.map_time();
+        let add = |a: &[u64], b: &[u64]| a.iter().zip(b).map(|(a, b)| a + b).collect();
+        let mut recovery = self.recovery;
+        recovery.merge(&next.recovery);
+        let mut hot = self.hot;
+        hot.merge(&next.hot);
+        JobStats {
+            name: self.name,
+            map_time_by_node: self.map_time_by_node,
+            reduce_time_by_node: (next.reduce_time_by_node.iter())
+                .map(|t| between + *t)
+                .collect(),
+            exchange: ExchangeStats {
+                remote_bytes: self.exchange.remote_bytes + next.exchange.remote_bytes,
+                remote_messages: self.exchange.remote_messages + next.exchange.remote_messages,
+                sent_by_node: add(&self.exchange.sent_by_node, &next.exchange.sent_by_node),
+                recv_by_node: add(&self.exchange.recv_by_node, &next.exchange.recv_by_node),
+            },
+            comm_time: self.comm_time + next.comm_time,
+            records_in: self.records_in,
+            pairs_shuffled: self.pairs_shuffled + next.pairs_shuffled,
+            shuffle_lo: self.shuffle_lo + next.shuffle_lo,
+            records_out: next.records_out,
+            recovery,
+            hot,
+        }
+    }
+
     /// Cross-check the engine's counters against static `[lo, hi]` bounds
     /// (the executor's debug-mode bounds verifier feeds intervals from the
     /// abstract interpretation in `papar_core::bounds`). Shuffle bytes are
@@ -499,6 +535,61 @@ mod tests {
         clean.absorb_recovery(RecoveryStats::default(), &net);
         assert_eq!(clean.comm_time, Duration::ZERO);
         assert!(clean.recovery.is_zero());
+    }
+
+    /// Two rounds as one stage: the simulated times add, and so do the
+    /// traffic, pairs, recovery and staging; records in are the first
+    /// round's and records out the second's.
+    #[test]
+    fn a_round_then_the_next_sums_their_times_and_counters() {
+        let ms = Duration::from_millis;
+        let round = |map: [u64; 2], comm, reduce: [u64; 2], bytes: u64, records| JobStats {
+            name: "round".to_string(),
+            map_time_by_node: map.map(ms).to_vec(),
+            reduce_time_by_node: reduce.map(ms).to_vec(),
+            comm_time: ms(comm),
+            exchange: ExchangeStats {
+                remote_bytes: bytes,
+                remote_messages: 1,
+                sent_by_node: vec![bytes, 0],
+                recv_by_node: vec![0, bytes],
+            },
+            records_in: records,
+            pairs_shuffled: records,
+            shuffle_lo: bytes - 8,
+            records_out: records,
+            recovery: RecoveryStats {
+                faults_injected: 1,
+                retransmit_bytes: bytes,
+                ..Default::default()
+            },
+            hot: HotPathStats {
+                staged_bytes: bytes,
+                materialized_bytes: 2 * bytes,
+                ..Default::default()
+            },
+        };
+        let sort = round([5, 9], 2, [4, 1], 100, 10);
+        let distribute = JobStats {
+            records_out: 7,
+            ..round([3, 6], 1, [2, 8], 50, 7)
+        };
+        let want = sort.sim_time() + distribute.sim_time();
+        let both = sort.then(distribute);
+        assert_eq!(both.sim_time(), want);
+        assert_eq!(both.sim_time(), ms(15 + 15));
+        assert_eq!(both.exchange.remote_bytes, 150);
+        assert_eq!(both.exchange.remote_messages, 2);
+        assert_eq!(both.exchange.sent_by_node, vec![150, 0]);
+        assert_eq!(both.exchange.recv_by_node, vec![0, 150]);
+        assert_eq!(both.comm_time, ms(3));
+        assert_eq!((both.pairs_shuffled, both.shuffle_lo), (17, 134));
+        assert_eq!((both.records_in, both.records_out), (10, 7));
+        assert_eq!(both.recovery.faults_injected, 2);
+        assert_eq!(both.recovery.retransmit_bytes, 150);
+        assert_eq!(both.hot.staged_bytes, 150);
+        assert_eq!(both.hot.materialized_bytes, 300);
+        assert_eq!(both.name, "round");
     }
 
     #[test]

@@ -110,17 +110,15 @@ pub fn render_profile(trace: &WorkflowTrace) -> String {
                 job.covers.join(", ")
             ));
         }
-        match job.fused_path {
+        match &job.fused_path {
             Some(FusedPath::RankShuffle { keys }) => out.push_str(&format!(
                 "{:<24} └ fused path: one shuffle by global rank (key histogram over {keys} \
                  keys)\n",
                 ""
             )),
-            Some(FusedPath::Assembly(wall)) => out.push_str(&format!(
-                "{:<24} └ fused path: sort, then assembly: {} on the driver (outside \
-                 virtual time)\n",
-                "",
-                fmt_dur(wall)
+            Some(FusedPath::SortThenDistribute(why)) => out.push_str(&format!(
+                "{:<24} └ fused path: the sort, then the distribute: {why}\n",
+                ""
             )),
             None => {}
         }
@@ -235,18 +233,15 @@ pub fn render_bounds_check(trace: &WorkflowTrace, bounds: &[StaticBound]) -> Str
         let Some(b) = bounds.iter().find(|b| b.name == job.name) else {
             continue;
         };
-        let mut observed = Counters4::default();
-        for phase in &job.phases {
-            let c = &phase.counters;
-            match phase.kind {
-                PhaseKind::Map => {
-                    observed.records_in += c.records_in;
-                    observed.pairs += c.pairs;
-                }
-                PhaseKind::Reduce => observed.records_out += c.records_out,
-                _ => {}
-            }
-        }
+        // A stage traced as two rounds reads its records in the first
+        // round's map and writes them in the last round's reduce; its
+        // rounds' pairs add.
+        let of = |kind| job.phases.iter().filter(move |p| p.kind == kind);
+        let observed = Counters4 {
+            records_in: (of(PhaseKind::Map).next()).map_or(0, |p| p.counters.records_in),
+            records_out: (of(PhaseKind::Reduce).next_back()).map_or(0, |p| p.counters.records_out),
+            pairs: of(PhaseKind::Map).map(|p| p.counters.pairs).sum(),
+        };
         let max_load = job
             .skew
             .as_ref()
@@ -278,7 +273,6 @@ pub fn render_bounds_check(trace: &WorkflowTrace, bounds: &[StaticBound]) -> Str
     out
 }
 
-#[derive(Default)]
 struct Counters4 {
     records_in: u64,
     records_out: u64,
@@ -486,14 +480,14 @@ mod tests {
     }
 
     /// A fused sort→distribute stage names the path it took in a footnote
-    /// of its own, last under its job: the rank shuffle, or the driver-side
-    /// assembly and its wall time. A job without one prints none.
+    /// of its own, last under its job: the rank shuffle, or the sort, then
+    /// the distribute, and why. A job without one prints none.
     #[test]
-    fn assembly_footnote_follows_the_fused_job() {
+    fn fused_path_footnote_follows_the_fused_job() {
         let paths = [
             (
-                FusedPath::Assembly(Duration::from_micros(4_250)),
-                "└ fused path: sort, then assembly: 4.250 ms on the driver (outside virtual time)",
+                FusedPath::SortThenDistribute("its input has no rows".to_string()),
+                "└ fused path: the sort, then the distribute: its input has no rows",
             ),
             (
                 FusedPath::RankShuffle { keys: 2_993 },

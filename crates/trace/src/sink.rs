@@ -113,7 +113,7 @@ pub struct JobTrace {
 }
 
 /// The two ways a fused sort→distribute stage places its partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FusedPath {
     /// One shuffle by global rank, after a key histogram over `keys` keys
     /// (the stage's sample phase).
@@ -121,9 +121,9 @@ pub enum FusedPath {
         /// Keys the histogram spans.
         keys: usize,
     },
-    /// The sort, then the partitions assembled from the sorted runs on
-    /// the driver in this wall time, outside the virtual clock.
-    Assembly(Duration),
+    /// The sort, then the distribute, as `--no-fuse` runs them, because
+    /// the rank shuffle refused for this reason.
+    SortThenDistribute(String),
 }
 
 impl JobTrace {
@@ -184,6 +184,12 @@ pub trait TraceSink: Send + Sync {
     /// partitions ([`JobTrace::fused_path`]). No-op for sinks that do not
     /// collect.
     fn annotate_last_job_path(&mut self, _path: FusedPath) {}
+
+    /// Fold the two most recently recorded jobs into one named `name`: the
+    /// rounds of a stage that ran as two jobs. Its phases are both jobs',
+    /// in order, and its skew the second's. No-op for sinks that do not
+    /// collect.
+    fn join_last_jobs(&mut self, _name: String) {}
 
     /// Append an extra phase (checkpoint publication, resume restore) to
     /// the most recently recorded job. No-op for sinks that do not
@@ -251,6 +257,17 @@ impl TraceSink for Collector {
         if let Some(job) = self.jobs.last_mut() {
             job.fused_path = Some(path);
         }
+    }
+
+    fn join_last_jobs(&mut self, name: String) {
+        let Some(at) = self.jobs.len().checked_sub(2) else {
+            return;
+        };
+        let second = self.jobs.remove(at + 1);
+        let first = &mut self.jobs[at];
+        first.name = name;
+        first.phases.extend(second.phases);
+        first.skew = second.skew;
     }
 
     fn append_phase_last_job(&mut self, phase: PhaseTrace) {

@@ -120,7 +120,20 @@ fn partition_bytes(cluster: &Cluster, name: &str) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn run_blast(mut cluster: Cluster, options: ExecOptions) -> (Vec<Vec<u8>>, WorkflowReport) {
+/// Fig 8 sequences below the rank shuffle's rule for 4 partitions of
+/// their ≈3,000-key span: the fused stage runs the sort, then the
+/// distribute.
+const FALLBACK: usize = 300;
+
+/// Fig 8 sequences at which 4 partitions × the key span fit the rows: the
+/// fused stage is one shuffle by global rank.
+const RANKED: usize = 16_000;
+
+fn run_blast(
+    mut cluster: Cluster,
+    options: ExecOptions,
+    sequences: usize,
+) -> (Vec<Vec<u8>>, WorkflowReport) {
     let planner = Planner::from_xml(BLAST_WORKFLOW, &[BLAST_INPUT_CFG]).unwrap();
     let plan = planner
         .bind(&args(&[
@@ -131,7 +144,7 @@ fn run_blast(mut cluster: Cluster, options: ExecOptions) -> (Vec<Vec<u8>>, Workf
         .unwrap();
     let runner = WorkflowRunner::with_options(plan, options);
     let schema = runner.plan().external_inputs[0].1.schema.clone();
-    let db = DbSpec::env_nr_scaled(300, 7).generate();
+    let db = DbSpec::env_nr_scaled(sequences, 7).generate();
     runner
         .scatter_input(
             &mut cluster,
@@ -170,13 +183,27 @@ fn run_hybrid(mut cluster: Cluster, options: ExecOptions) -> (Vec<Vec<u8>>, Work
     (partition_bytes(&cluster, "/g/out"), report)
 }
 
-fn shuffled_bytes(report: &WorkflowReport) -> u64 {
-    report.jobs.iter().map(|j| j.exchange.remote_bytes).sum()
+/// A report's summed bytes shuffled and `shuffle_lo`.
+fn shuffled(report: &WorkflowReport) -> (u64, u64) {
+    let jobs = report.jobs.iter();
+    (jobs.clone()).fold((0, 0), |(bytes, lo), j| {
+        (bytes + j.exchange.remote_bytes, lo + j.shuffle_lo)
+    })
 }
 
-/// A fault plan exercising both phases of the fused stage plus the
-/// exchange; job slot 1 is the elided distribute, covered to show that
-/// faults addressed to an elided slot are inert, not misdelivered.
+/// A report's recovery log, as `papar run` prints it.
+fn recovery_log(report: &WorkflowReport) -> Vec<String> {
+    report
+        .recovery_events
+        .iter()
+        .map(|e| e.to_string())
+        .collect()
+}
+
+/// A fault plan exercising both phases of the sort plus the exchange; job
+/// slot 1 is the distribute's: the rank shuffle runs no job there, so its
+/// fault is inert, not misdelivered, and the fallback runs the distribute
+/// there, so its fault fires as it does without fusion.
 fn chaos_plan() -> FaultPlan {
     FaultPlan::new(vec![
         Fault::NodeCrash {
@@ -211,38 +238,44 @@ fn chaos_cluster(nodes: usize, threads: usize) -> Cluster {
         .with_retry(RetryPolicy::default())
 }
 
+/// Fused Fig 8 writes what `--no-fuse` writes in one stage. The rank
+/// shuffle moves fewer bytes than the two shuffles it replaces; the
+/// fallback runs those two and moves exactly what they move.
 #[test]
 fn blast_fusion_is_byte_identical_and_halves_the_job_count() {
-    let (baseline, unfused) = run_blast(Cluster::new(3), options(false, 1));
-    assert_eq!(unfused.jobs.len(), 2, "unfused: sort then distribute");
-    for t in [1, 4] {
-        let (out, fused) = run_blast(Cluster::new(3), options(true, t));
-        assert_eq!(out, baseline, "fused output diverged at {t} threads");
-        assert_eq!(fused.jobs.len(), 1, "sort+distribute must fuse");
-        assert!(
-            shuffled_bytes(&fused) < shuffled_bytes(&unfused),
-            "fusion must shuffle fewer bytes: {} vs {}",
-            shuffled_bytes(&fused),
-            shuffled_bytes(&unfused)
-        );
+    for sequences in [FALLBACK, RANKED] {
+        let (baseline, unfused) = run_blast(Cluster::new(3), options(false, 1), sequences);
+        assert_eq!(unfused.jobs.len(), 2, "unfused: sort then distribute");
+        for t in [1, 4] {
+            let (out, fused) = run_blast(Cluster::new(3), options(true, t), sequences);
+            let cell = format!("{sequences} sequences at {t} threads");
+            assert_eq!(out, baseline, "fused output diverged: {cell}");
+            assert_eq!(fused.jobs.len(), 1, "sort+distribute must fuse: {cell}");
+            let (got, want) = (shuffled(&fused), shuffled(&unfused));
+            if sequences == RANKED {
+                assert!(got.0 < want.0, "one shuffle must move fewer bytes: {cell}");
+            } else {
+                assert_eq!(got, want, "the fallback moves what --no-fuse moves: {cell}");
+            }
+        }
     }
 }
 
-/// Fused blast moves its lower bound — the rows that leave their node and
-/// one segment header per remote (sender, reducer) segment — plus one
-/// 13-byte run header per remote run, and nothing else. Each node holds one
-/// fragment of rows, so each segment is one run; the sort runs one reducer
-/// per node, so each remote message is one segment.
+/// Fused blast — one shuffle by global rank — moves its lower bound (the
+/// rows that leave their node and one segment header per remote (sender,
+/// reducer) segment) plus one 13-byte run header per remote run, and
+/// nothing else. Each of the 3 nodes holds one fragment of rows and sends
+/// one run to each of the 4 partitions, each partition on one node, so the
+/// remote runs are the partitions times the 2 other nodes.
 #[test]
 fn fused_blast_shuffles_its_lower_bound_plus_one_run_header_per_remote_run() {
     for t in [1, 4] {
-        let (_, fused) = run_blast(Cluster::new(3), options(true, t));
+        let (_, fused) = run_blast(Cluster::new(3), options(true, t), RANKED);
         let job = &fused.jobs[0];
-        let remote_runs = job.exchange.remote_messages;
-        assert!(remote_runs > 0, "the sort moves rows between nodes");
+        assert!(job.exchange.remote_messages > 0, "rows move between nodes");
         assert_eq!(
             job.exchange.remote_bytes - job.shuffle_lo,
-            13 * remote_runs,
+            13 * 4 * 2,
             "{t} thread(s)"
         );
     }
@@ -259,26 +292,52 @@ fn hybrid_fusion_is_byte_identical_and_drops_one_job() {
     }
 }
 
+/// Under the same faults, fused and unfused Fig 8 recover to the
+/// fault-free partitions. The faults addressed to the sort's slot fire
+/// both ways; the one addressed to the distribute's slot is inert under
+/// the rank shuffle and, under the fallback, fires and recovers exactly as
+/// it does without fusion.
 #[test]
 fn fused_and_unfused_recover_identically_under_faults() {
-    let (fault_free, _) = run_blast(Cluster::new(3), options(true, 1));
-    for t in [1, 4] {
-        let (fused, fused_report) = run_blast(chaos_cluster(3, t), options(true, t));
-        let (unfused, unfused_report) = run_blast(chaos_cluster(3, t), options(false, t));
-        assert_eq!(fused, fault_free, "fused recovery diverged at {t} threads");
-        assert_eq!(
-            unfused, fault_free,
-            "unfused recovery diverged at {t} threads"
-        );
-        // The shared slots (job 0 both ways) fire in both modes; the
-        // job-1 fault only finds a task to kill without fusion.
-        assert!(
-            fused_report.faults_injected() >= 3,
-            "job-0 faults must fire"
-        );
-        assert!(
-            unfused_report.faults_injected() > fused_report.faults_injected(),
-            "the elided slot's fault must be inert under fusion"
-        );
+    for sequences in [FALLBACK, RANKED] {
+        let (fault_free, _) = run_blast(Cluster::new(3), options(true, 1), sequences);
+        for t in [1, 4] {
+            let (fused, fused_report) = run_blast(chaos_cluster(3, t), options(true, t), sequences);
+            let (unfused, unfused_report) =
+                run_blast(chaos_cluster(3, t), options(false, t), sequences);
+            let cell = format!("{sequences} sequences at {t} threads");
+            assert_eq!(fused, fault_free, "fused recovery diverged: {cell}");
+            assert_eq!(unfused, fault_free, "unfused recovery diverged: {cell}");
+            assert!(
+                fused_report.faults_injected() >= 3,
+                "job-0 faults must fire: {cell}"
+            );
+            if sequences == RANKED {
+                assert!(
+                    unfused_report.faults_injected() > fused_report.faults_injected(),
+                    "the elided slot's fault must be inert under the rank shuffle: {cell}"
+                );
+            } else {
+                assert_eq!(
+                    recovery_log(&fused_report),
+                    recovery_log(&unfused_report),
+                    "the fallback must recover as --no-fuse does: {cell}"
+                );
+                let recovered = |r: &WorkflowReport| {
+                    let total = r.total_recovery();
+                    (
+                        r.faults_injected(),
+                        total.total_bytes(),
+                        total.total_messages(),
+                    )
+                };
+                assert_eq!(
+                    recovered(&fused_report),
+                    recovered(&unfused_report),
+                    "{cell}"
+                );
+                assert_eq!(shuffled(&fused_report), shuffled(&unfused_report), "{cell}");
+            }
+        }
     }
 }
